@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"cfsf/internal/mathx"
+	"cfsf/internal/ratings"
 	"cfsf/internal/synth"
 )
 
@@ -442,4 +443,143 @@ func TestTopMMirrorMatchesGIS(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(next)
+}
+
+// scanScores prices the whole catalogue for user through the scan
+// kernel, borrowing sc's tile. Rated and unsupported items are included:
+// the kernel scores what it is given, eligibility is the caller's.
+func scanScores(mod *Model, user int, sc *recScratch) []mathx.Scored {
+	cands := make([]mathx.Scored, mod.m.NumItems())
+	for i := range cands {
+		cands[i].Index = int32(i)
+	}
+	mod.scoreCandidates(user, cands, sc)
+	return cands
+}
+
+// scanMatchesPredict reports whether every tiled score of user's scan is
+// == both to production Predict and to the pinned reference path.
+func scanMatchesPredict(t *testing.T, mod *Model, user int, sc *recScratch) bool {
+	t.Helper()
+	if !mod.tilePays(mod.m.NumItems()) {
+		t.Fatal("a whole-catalogue scan did not take the tile")
+	}
+	for _, c := range scanScores(mod, user, sc) {
+		i := int(c.Index)
+		if want := refPredictDetailed(mod, user, i).Value; c.Score != want {
+			t.Logf("user %d item %d: scan %v, reference %v", user, i, c.Score, want)
+			return false
+		}
+		if want := mod.Predict(user, i); c.Score != want {
+			t.Logf("user %d item %d: scan %v, Predict %v", user, i, c.Score, want)
+			return false
+		}
+	}
+	return true
+}
+
+// TestScanKernelParityWithPredict is the scan kernel's acceptance
+// property: on every config variant the parity suite walks — plus time
+// decay, tiny K/M, and the cache-size extremes — every score a tiled
+// scan produces is == to Predict(user, item) on the same model, for
+// every item of the catalogue. One scratch is reused across users and
+// variants, so stale tile contents from a different model are part of
+// the property.
+func TestScanKernelParityWithPredict(t *testing.T) {
+	d := synth.MustGenerate(smallSynth())
+	sc := new(recScratch)
+	for name, mutate := range map[string]func(*Config){
+		"default":          func(*Config) {},
+		"disableSmoothing": func(c *Config) { c.DisableSmoothing = true },
+		"timeDecay":        func(c *Config) { c.TimeDecayTau = 90 * 24 * 3600 },
+		"decayNoSmoothing": func(c *Config) { c.TimeDecayTau = 90 * 24 * 3600; c.DisableSmoothing = true },
+		"disableCache":     func(c *Config) { c.DisableCache = true },
+		"fullUserSearch":   func(c *Config) { c.FullUserSearch = true },
+		"tinyKM":           func(c *Config) { c.K, c.M = 1, 1 },
+		"tinyRecCache":     func(c *Config) { c.RecommendCacheSize = 2 },
+		"noRecCache":       func(c *Config) { c.RecommendCacheSize = -1 },
+	} {
+		cfg := smallConfig()
+		mutate(&cfg)
+		mod, err := Train(d.Matrix, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if (cfg.TimeDecayTau > 0) != (mod.decay != nil) {
+			t.Fatalf("%s: decay built = %v", name, mod.decay != nil)
+		}
+		t.Run(name, func(t *testing.T) {
+			f := func(seed int64) bool {
+				user := rand.New(rand.NewSource(seed)).Intn(mod.m.NumUsers())
+				return scanMatchesPredict(t, mod, user, sc)
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
+// TestScanKernelDegenerateShapes covers the shapes where a tile row or a
+// top-M list is empty, and a scratch that is too small for the model.
+func TestScanKernelDegenerateShapes(t *testing.T) {
+	// User 3 rated a single item, so Eq. 10's active-side variance is zero
+	// and nobody is like-minded: the tile is the active user's row alone.
+	// Item 4 has one rater and item 5 none, so their top-M rows are empty.
+	b := ratings.NewBuilder(4, 6).SetScale(1, 5)
+	for _, r := range [][3]int{
+		{0, 0, 5}, {0, 1, 3}, {0, 2, 4}, {0, 3, 1},
+		{1, 0, 4}, {1, 1, 2}, {1, 2, 5}, {1, 4, 3},
+		{2, 0, 1}, {2, 1, 5}, {2, 3, 2}, {2, 2, 2},
+		{3, 2, 4},
+	} {
+		b.MustAdd(r[0], r[1], float64(r[2]))
+	}
+	cfg := DefaultConfig()
+	cfg.M, cfg.K, cfg.Clusters = 3, 2, 2
+	tiny, err := Train(b.Build(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(tiny.likeMindedUsers(3)); n != 0 {
+		t.Fatalf("user 3 has %d like-minded users; the fixture no longer isolates them", n)
+	}
+	if len(tiny.topM[4]) != 0 || len(tiny.topM[5]) != 0 {
+		t.Fatalf("items 4 and 5 have top-M rows of %d and %d entries; want both empty", len(tiny.topM[4]), len(tiny.topM[5]))
+	}
+	sc := new(recScratch)
+	for u := 0; u < tiny.m.NumUsers(); u++ {
+		if !scanMatchesPredict(t, tiny, u, sc) {
+			t.Errorf("tiny model, user %d: scan diverged from Predict", u)
+		}
+	}
+
+	// A catalogue (and population) grown by Apply since the scratch was
+	// last used: the tile sized for the old model must be regrown, not
+	// indexed past its end or read stale.
+	mod, _ := trainSmall(t)
+	if !scanMatchesPredict(t, mod, 7, sc) {
+		t.Fatal("before growth: scan diverged from Predict")
+	}
+	p, q := mod.m.NumUsers(), mod.m.NumItems()
+	sh, err := NewSharded(mod).Apply([]RatingUpdate{
+		{User: 7, Item: q + 2, Value: 4},
+		{User: p, Item: 3, Value: 5},
+		{User: p, Item: q, Value: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grown := sh.Model()
+	if grown.m.NumItems() <= q {
+		t.Fatal("apply did not grow the catalogue")
+	}
+	if cap(sc.tile) >= tileCells(grown.cfg.K, grown.m.NumItems()) {
+		t.Fatal("scratch tile already fits the grown model; the regrow path is not exercised")
+	}
+	for _, u := range []int{7, p, 0} {
+		if !scanMatchesPredict(t, grown, u, sc) {
+			t.Errorf("grown model, user %d: scan diverged from Predict", u)
+		}
+	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sort"
 	"sync"
 
 	"cfsf/internal/mathx"
@@ -51,8 +50,15 @@ func (mod *Model) PredictDetailed(user, item int) Prediction {
 	p.SUR, p.HasSUR = mod.surLocal(user, item, users)
 	p.SUIR, p.HasSUIR = mod.suirLocal(sorted, mod.topM2[item], users)
 
-	// Eq. 14 with renormalisation over the available components, so a
-	// missing component never silently pulls the prediction toward 0.
+	mod.fuse(user, item, &p)
+	return p
+}
+
+// fuse sets p.Value from p's components: Eq. 14 with renormalisation
+// over the available components, so a missing component never silently
+// pulls the prediction toward 0. Shared by the single-pair path above
+// and the scan kernel (scan.go).
+func (mod *Model) fuse(user, item int, p *Prediction) {
 	wSIR := (1 - mod.cfg.Delta) * (1 - mod.cfg.Lambda)
 	wSUR := (1 - mod.cfg.Delta) * mod.cfg.Lambda
 	wSUIR := mod.cfg.Delta
@@ -72,10 +78,9 @@ func (mod *Model) PredictDetailed(user, item int) Prediction {
 	}
 	if den == 0 {
 		p.Value = mod.fallback(user, item)
-		return p
+		return
 	}
 	p.Value = mathx.Clamp(num/den, mod.m.MinRating(), mod.m.MaxRating())
-	return p
 }
 
 // fallback is the cold-start chain: user mean, then item mean, then the
@@ -484,14 +489,20 @@ type Recommendation struct {
 	Score float64
 }
 
-// recScratch is the per-request scratch of one Recommend call: the
-// per-item score buffer and the exact top-n selector. Same ownership
-// rules as lmScratch: exclusive between Get and Put, fully overwritten
-// before use, never retained past the call.
+// recScratch is the scratch of one scan (an exact Recommend scan or a
+// cache repair's re-scoring): the candidate buffer, the exact top-n
+// selector, the ranking buffer, and the scan kernel's tile (scan.go).
+// Same ownership rules as lmScratch: exclusive between Get and Put,
+// fully overwritten before use, never retained past the call — the
+// goroutines scoreCandidates fans out to read the tile only until it
+// returns, which is before the Put.
 type recScratch struct {
-	scores []float64
+	cands  []mathx.Scored
 	sel    mathx.TopSelect
 	ranked []mathx.Scored
+	// tile is (K+1) rows × Q local-matrix cells, 16 B each: by far the
+	// largest buffer here, K+1 times the candidate buffer.
+	tile []localCell
 }
 
 //cfsf:guarded-by sync.Pool — each scratch is handed out to exactly one goroutine at a time; contents carry no cross-request state
@@ -500,18 +511,22 @@ var recScratchPool = sync.Pool{
 }
 
 // putRecScratch returns a scratch to the pool, first dropping buffers
-// that outgrew the current need by more than 2×: score buffers size to
-// the catalogue, so after serving a large model every pooled scratch
-// would otherwise pin that high-water mark forever even when later
-// (smaller) models need a fraction of it. A buffer within 2× of used is
-// kept — steady-state growth never reallocates, only a catalogue shrink
-// (a different model in the same process) sheds memory.
-func putRecScratch(sc *recScratch, used int) {
-	if cap(sc.scores) > 2*used {
-		sc.scores = nil
+// that outgrew the current model's need by more than 2×: the candidate
+// and ranking buffers size to the catalogue Q and the tile to (K+1)·Q, so
+// after serving a large model every pooled scratch would otherwise pin
+// that high-water mark forever even when later (smaller) models need a
+// fraction of it. A buffer within 2× of the need is kept — steady-state
+// growth never reallocates, only a shrink (a different model in the
+// same process) sheds memory.
+func putRecScratch(sc *recScratch, q, k int) {
+	if cap(sc.cands) > 2*q {
+		sc.cands = nil
 	}
-	if cap(sc.ranked) > 2*used {
+	if cap(sc.ranked) > 2*q {
 		sc.ranked = nil
+	}
+	if cap(sc.tile) > 2*tileCells(k, q) {
+		sc.tile = nil
 	}
 	recScratchPool.Put(sc)
 }
@@ -593,7 +608,7 @@ func (mod *Model) RecommendAppend(dst []Recommendation, user, n int) []Recommend
 	}
 	dst = appendRecommendations(dst, ranked, n)
 	sc.ranked = ranked[:0]
-	putRecScratch(sc, mod.m.NumItems())
+	putRecScratch(sc, mod.m.NumItems(), mod.cfg.K)
 	return dst
 }
 
@@ -615,47 +630,36 @@ func appendRecommendations(dst []Recommendation, ranked []mathx.Scored, n int) [
 // belongs to sc; callers copy what they keep and return sc to the pool.
 //
 // Items the user rated and items with no support (no raters at all) are
-// skipped before prediction by merging each chunk against the user's
+// skipped before prediction by merging the catalogue against the user's
 // id-sorted rating row — no rated-set map, no prediction paid for an
-// item that can never be recommended. NaN marks skipped slots in the
-// score buffer (Predict never returns NaN: its outputs are clamped
-// finite values or finite fallbacks), and the exact top-n selection
-// over the rest reproduces the full sort's score-desc/id-asc order
-// bit for bit.
+// item that can never be recommended. The rest go through the scan
+// kernel (scoreCandidates), and the exact top-n selection over them
+// reproduces the full sort's score-desc/id-asc order bit for bit.
 func (mod *Model) recommendExact(user, want int, sc *recScratch) (ranked []mathx.Scored, offered int) {
 	q := mod.m.NumItems()
-	if cap(sc.scores) < q {
-		sc.scores = make([]float64, q)
-	}
-	scores := sc.scores[:q]
+	cands := sc.cands[:0]
 	row := mod.m.UserRatings(user)
-	parallel.ForChunked(q, mod.cfg.Workers, func(lo, hi int) {
-		// Position the rated-row cursor at the first entry >= lo; it then
-		// advances monotonically through the chunk.
-		j := sort.Search(len(row), func(x int) bool { return int(row[x].Index) >= lo })
-		for i := lo; i < hi; i++ {
-			for j < len(row) && int(row[j].Index) < i {
-				j++
-			}
-			if (j < len(row) && int(row[j].Index) == i) || len(mod.m.ItemRatings(i)) == 0 {
-				scores[i] = math.NaN()
-				continue
-			}
-			scores[i] = mod.Predict(user, i)
+	j := 0
+	for i := 0; i < q; i++ {
+		for j < len(row) && int(row[j].Index) < i {
+			j++
 		}
-	})
+		if (j < len(row) && int(row[j].Index) == i) || len(mod.m.ItemRatings(i)) == 0 {
+			continue
+		}
+		cands = append(cands, mathx.Scored{Index: int32(i)})
+	}
+	sc.cands = cands
+	mod.scoreCandidates(user, cands, sc)
 	if want > q {
 		want = q
 	}
 	sel := &sc.sel
 	sel.Reset(want)
-	for i := 0; i < q; i++ {
-		if s := scores[i]; s == s {
-			sel.Offer(int32(i), s)
-			offered++
-		}
+	for _, c := range cands {
+		sel.Offer(c.Index, c.Score)
 	}
-	return sel.AppendRanked(sc.ranked[:0]), offered
+	return sel.AppendRanked(sc.ranked[:0]), len(cands)
 }
 
 // EvalOn predicts every target of a split and returns predictions in

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"cfsf/internal/ratings"
 	"cfsf/internal/synth"
 )
 
@@ -106,15 +107,32 @@ func BenchmarkRecommendWarm(b *testing.B) {
 // pre-cache cost of Recommend, kept as the denominator for
 // BENCH_recommend.json.
 func BenchmarkRecommendCold(b *testing.B) {
-	mod := benchOnlineModel(b)
-	cfg := mod.Config()
-	cfg.RecommendCacheSize = -1
-	cold, err := Train(mod.Matrix(), cfg)
+	benchRecommendCold(b, benchOnlineModel(b).Matrix())
+}
+
+// BenchmarkRecommendColdLedger is BenchmarkRecommendCold on the 500×1000
+// synth.DefaultConfig fixture bench/ serves, so this number and the
+// ledger's core.recommend_us_p50 describe the same scan. CI fences it
+// with benchjson -max (ci.yml).
+func BenchmarkRecommendColdLedger(b *testing.B) {
+	d, err := synth.Generate(synth.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
-	p := cold.Matrix().NumUsers()
-	cold.Recommend(0, 10) // warm the neighbour cache, not the (disabled) rec cache
+	benchRecommendCold(b, d.Matrix)
+}
+
+func benchRecommendCold(b *testing.B, m *ratings.Matrix) {
+	cfg := DefaultConfig()
+	cfg.RecommendCacheSize = -1
+	cold, err := Train(m, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := m.NumUsers()
+	for u := 0; u < p; u++ {
+		cold.likeMindedUsers(u) // warm the neighbour cache, not the (disabled) rec cache
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -79,6 +79,8 @@ var (
 	recCacheRepairFallbacks atomic.Uint64
 	recCacheCarried         atomic.Uint64
 	recCacheInvalidated     atomic.Uint64
+	recScans                atomic.Uint64
+	recScanNanos            atomic.Uint64
 )
 
 // RecCacheStats is a snapshot of the process-wide recommendation-cache
@@ -89,12 +91,17 @@ type RecCacheStats struct {
 	// the exact scan with the cache enabled.
 	Hits, Misses uint64
 	// Repairs counts entries healed in place by re-scoring their pending
-	// items; RepairFallbacks counts repairs abandoned because a repaired
-	// score crossed the cached cut-off (the read then re-scans exactly).
+	// items; RepairFallbacks counts repairs given up for the exact scan:
+	// not attempted because half the catalogue or more was pending, or
+	// abandoned because a repaired score crossed the cached cut-off.
 	Repairs, RepairFallbacks uint64
 	// Carried counts entries that survived an Apply via the carry proof;
 	// Invalidated counts entries an Apply dropped.
 	Carried, Invalidated uint64
+	// Scans counts scan-kernel passes — every exact scan and every
+	// repair's re-scoring — and ScanNanos their summed wall time, so
+	// ScanNanos/Scans is what a read that misses the cache costs.
+	Scans, ScanNanos uint64
 }
 
 // ReadRecCacheStats returns the current cache counters.
@@ -106,6 +113,8 @@ func ReadRecCacheStats() RecCacheStats {
 		RepairFallbacks: recCacheRepairFallbacks.Load(),
 		Carried:         recCacheCarried.Load(),
 		Invalidated:     recCacheInvalidated.Load(),
+		Scans:           recScans.Load(),
+		ScanNanos:       recScanNanos.Load(),
 	}
 }
 
@@ -420,10 +429,16 @@ func (next *Model) carryRecCache(prev *Model, userList, itemList []int) {
 }
 
 // repairRecEntry heals a carried entry against the current model by
-// re-scoring exactly its pending items. It returns the repaired entry,
-// or nil when the repair cannot prove the cached ranking's boundary held
-// (a repaired score crossed the cached cut-off) and the caller must run
-// the exact scan.
+// re-scoring exactly its pending items through the scan kernel. It
+// returns the repaired entry, or nil when the caller must run the exact
+// scan instead: either the repair cannot prove the cached ranking's
+// boundary held (a repaired score crossed the cached cut-off), or half
+// the catalogue or more is pending — then a repair can save at most half
+// a scan while a boundary miss afterwards costs a whole extra one, so it
+// is not attempted and a read never prices an item twice. Under
+// smoothing that is the usual case: a single rating moves a few dozen
+// fill columns, and their closure through the top-M neighbourhoods
+// (fillDirtyExpanded) covers nearly every item.
 //
 // Exactness: for every item outside pending the entry's cached score is
 // the current model's score (the carry proof), and eligibility can only
@@ -437,11 +452,16 @@ func (next *Model) carryRecCache(prev *Model, userList, itemList []int) {
 // otherwise the boundary may have been crossed and the repair reports
 // failure.
 func (mod *Model) repairRecEntry(user int, e *recEntry) *recEntry {
+	q := mod.m.NumItems()
+	if 2*len(e.pending) >= q {
+		recCacheRepairFallbacks.Add(1)
+		return nil
+	}
 	row := mod.m.UserRatings(user)
 	rescored := make([]mathx.Scored, 0, len(e.pending))
 	for _, j := range e.pending {
 		i := int(j)
-		if i >= mod.m.NumItems() || len(mod.m.ItemRatings(i)) == 0 {
+		if i >= q || len(mod.m.ItemRatings(i)) == 0 {
 			continue
 		}
 		if _, rated := slices.BinarySearchFunc(row, j, func(en ratings.Entry, id int32) int {
@@ -455,8 +475,11 @@ func (mod *Model) repairRecEntry(user int, e *recEntry) *recEntry {
 		}); rated {
 			continue
 		}
-		rescored = append(rescored, mathx.Scored{Index: j, Score: mod.Predict(user, i)})
+		rescored = append(rescored, mathx.Scored{Index: j})
 	}
+	sc := recScratchPool.Get().(*recScratch)
+	mod.scoreCandidates(user, rescored, sc)
+	putRecScratch(sc, q, mod.cfg.K)
 	merged := make([]mathx.Scored, 0, len(e.ranked)+len(rescored))
 	for _, s := range e.ranked {
 		if _, isPending := slices.BinarySearch(e.pending, s.Index); !isPending {

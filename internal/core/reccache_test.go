@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"cfsf/internal/mathx"
 	"cfsf/internal/ratings"
 	"cfsf/internal/synth"
 )
@@ -135,66 +136,172 @@ func TestRecommendCacheParityAcrossApplyStreams(t *testing.T) {
 	}
 }
 
+// trainWide trains the cache-enabled/cache-disabled twins the repair
+// tests use: a 600-item catalogue with smoothing off, where one small
+// batch dirties a few dozen items rather than most of the catalogue
+// (with smoothing on, the fill closure alone puts nearly every item on
+// every carried entry — the case repairRecEntry hands to the exact
+// scan), so carried entries stay under repair's half-the-catalogue cut.
+func trainWide(t *testing.T, mutate func(*Config)) (cached, exact *Model) {
+	t.Helper()
+	sc := smallSynth()
+	sc.Items = 600
+	d := synth.MustGenerate(sc)
+	cfg := smallConfig()
+	cfg.DisableSmoothing = true
+	mutate(&cfg)
+	cached, err := Train(d.Matrix, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.RecommendCacheSize = -1
+	exact, err = Train(d.Matrix, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cached, exact
+}
+
 // TestRecommendCacheRepairExercised pins the delta-repair path
 // deterministically: warm every user, apply one single-user batch, and
 // require that at least one unchanged user's entry was carried with the
 // batch's items queued as pending — then that reading through the repair
 // (and a forced repair-boundary situation under a tiny capacity) matches
-// the cache-disabled twin exactly.
+// the cache-disabled twin exactly. M selects how the pending items are
+// re-scored: through the scan kernel's tile at M=20 (tilePays), through
+// per-item Predict at M=5.
 func TestRecommendCacheRepairExercised(t *testing.T) {
-	d := synth.MustGenerate(smallSynth())
-	cfg := smallConfig()
-	cfg.RecommendCacheSize = 5 // truncated entries: boundary check in play
-	cached, err := Train(d.Matrix, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgOff := cfg
-	cfgOff.RecommendCacheSize = -1
-	exact, err := Train(d.Matrix, cfgOff)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := cached.Matrix().NumUsers()
-	for u := 0; u < p; u++ {
-		cached.Recommend(u, 5)
-	}
-	ups := []RatingUpdate{{User: 3, Item: 7, Value: 5}, {User: 3, Item: 90, Value: 1}}
-	shC, err := NewSharded(cached).Apply(ups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shE, err := NewSharded(exact).Apply(ups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mc, me := shC.Model(), shE.Model()
-	if got := mc.recCache[3].Load(); got != nil {
-		t.Error("changed user 3 kept a cache entry across the apply")
-	}
-	carried := 0
-	for u := 0; u < p; u++ {
-		if e := mc.recCache[u].Load(); e != nil {
-			carried++
-			if len(e.pending) == 0 {
-				t.Fatalf("carried entry of user %d has no pending items", u)
+	for name, tc := range map[string]struct {
+		m     int
+		tiled bool
+	}{"tiled": {20, true}, "merge": {5, false}} {
+		tc := tc
+		t.Run(name, func(t *testing.T) {
+			cached, exact := trainWide(t, func(c *Config) {
+				c.M = tc.m
+				c.RecommendCacheSize = 5 // truncated entries: boundary check in play
+			})
+			p := cached.Matrix().NumUsers()
+			for u := 0; u < p; u++ {
+				cached.Recommend(u, 5)
 			}
+			ups := []RatingUpdate{{User: 3, Item: 7, Value: 5}, {User: 3, Item: 90, Value: 1}}
+			shC, err := NewSharded(cached).Apply(ups)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shE, err := NewSharded(exact).Apply(ups)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mc, me := shC.Model(), shE.Model()
+			if got := mc.recCache[3].Load(); got != nil {
+				t.Error("changed user 3 kept a cache entry across the apply")
+			}
+			carried := 0
+			for u := 0; u < p; u++ {
+				if e := mc.recCache[u].Load(); e != nil {
+					carried++
+					if len(e.pending) == 0 {
+						t.Fatalf("carried entry of user %d has no pending items", u)
+					}
+					if 2*len(e.pending) >= mc.m.NumItems() {
+						t.Fatalf("user %d: %d of %d items pending; the fixture no longer reaches repair", u, len(e.pending), mc.m.NumItems())
+					}
+					if got := mc.tilePays(len(e.pending)); got != tc.tiled {
+						t.Fatalf("user %d: tilePays(%d) = %v, want %v", u, len(e.pending), got, tc.tiled)
+					}
+				}
+			}
+			if carried == 0 {
+				t.Fatal("no entry survived a two-item single-user batch; carry proof is vacuous")
+			}
+			before := ReadRecCacheStats()
+			for u := 0; u < p; u++ {
+				for _, n := range []int{3, 5, 9} {
+					if got, want := mc.Recommend(u, n), me.Recommend(u, n); !equalRecs(got, want) {
+						t.Fatalf("user %d n %d: repaired %v want %v", u, n, got, want)
+					}
+				}
+			}
+			after := ReadRecCacheStats()
+			if after.Repairs == before.Repairs {
+				t.Error("no entry was repaired in place")
+			}
+		})
+	}
+}
+
+// TestRepairNeverCostsMoreThanColdScan pins the perf fix: a read that
+// finds half the catalogue or more pending prices each item at most
+// once. Every scoreCandidates pass scores each of its candidates once
+// and only eligible items are candidates, so "at most one pass" (Scans
+// moves by exactly what a cold read moves it by) is "no more
+// Predict-equivalents than a cold scan" — where the old repair scored
+// the pending items serially and then, on a boundary miss, scanned too.
+func TestRepairNeverCostsMoreThanColdScan(t *testing.T) {
+	mod, _ := trainSmall(t)
+	q := mod.m.NumItems()
+	read := func(m *Model, user int) (recs []Recommendation, d RecCacheStats) {
+		b := ReadRecCacheStats()
+		recs = m.Recommend(user, 10)
+		a := ReadRecCacheStats()
+		return recs, RecCacheStats{
+			Scans:           a.Scans - b.Scans,
+			Repairs:         a.Repairs - b.Repairs,
+			RepairFallbacks: a.RepairFallbacks - b.RepairFallbacks,
 		}
 	}
-	if carried == 0 {
-		t.Fatal("no entry survived a two-item single-user batch; carry proof is vacuous")
+	const user = 11
+	want, cold := read(mod, user)
+	if cold.Scans != 1 {
+		t.Fatalf("cold read ran %d scan passes, want 1", cold.Scans)
 	}
-	before := ReadRecCacheStats()
-	for u := 0; u < p; u++ {
-		for _, n := range []int{3, 5, 9} {
-			if got, want := mc.Recommend(u, n), me.Recommend(u, n); !equalRecs(got, want) {
-				t.Fatalf("user %d n %d: repaired %v want %v", u, n, got, want)
-			}
+
+	// A hand-made full-catalogue pending set on the warm entry.
+	e := mod.recCache[user].Load()
+	all := make([]int32, q)
+	for i := range all {
+		all[i] = int32(i)
+	}
+	mod.recCache[user].Store(&recEntry{ranked: e.ranked, complete: e.complete, pending: all})
+	got, d := read(mod, user)
+	if d.Scans != cold.Scans || d.Repairs != 0 || d.RepairFallbacks != 1 {
+		t.Errorf("full-catalogue pending: %d scan passes, %d repairs, %d fallbacks; want %d, 0, 1",
+			d.Scans, d.Repairs, d.RepairFallbacks, cold.Scans)
+	}
+	if !equalRecs(got, want) {
+		t.Errorf("full-catalogue pending: got %v want %v", got, want)
+	}
+
+	// And what a real apply produces with smoothing on: the fill closure
+	// puts (nearly) the whole catalogue on every carried entry.
+	for u := 0; u < mod.m.NumUsers(); u++ {
+		mod.Recommend(u, 10)
+	}
+	sh, err := NewSharded(mod).Apply([]RatingUpdate{{User: 3, Item: 7, Value: 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := sh.Model()
+	checked := 0
+	for u := range next.recCache {
+		e := next.recCache[u].Load()
+		if e == nil || 2*len(e.pending) < q {
+			continue
+		}
+		checked++
+		got, d := read(next, u)
+		if d.Scans != cold.Scans || d.Repairs != 0 {
+			t.Fatalf("user %d, %d of %d pending: %d scan passes, %d repairs; want %d, 0",
+				u, len(e.pending), q, d.Scans, d.Repairs, cold.Scans)
+		}
+		if want := refRecommend(next, u, 10); !equalRecs(got, want) {
+			t.Fatalf("user %d: got %v want %v", u, got, want)
 		}
 	}
-	after := ReadRecCacheStats()
-	if after.Repairs == before.Repairs {
-		t.Error("no entry was repaired in place")
+	if checked == 0 {
+		t.Fatal("no carried entry had half the catalogue pending; the apply case is vacuous")
 	}
 }
 
@@ -333,20 +440,28 @@ func TestRecommendAppendWarmIsAllocationFree(t *testing.T) {
 	}
 }
 
-// TestScratchPoolShedsOversizedBuffers pins the pooled-scratch policy
-// fix: a scratch whose buffers outgrew the current catalogue by more
-// than 2× drops them before returning to the pool instead of pinning
-// the high-water mark forever.
+// TestScratchPoolShedsOversizedBuffers pins the pooled-scratch policy:
+// a scratch whose buffers outgrew the current model's need by more than
+// 2× — the catalogue Q for the candidate buffer, (K+1)·Q for the scan
+// kernel's tile — drops them before returning to the pool instead of
+// pinning the high-water mark forever, and keeps ones within 2×.
 func TestScratchPoolShedsOversizedBuffers(t *testing.T) {
-	big := &recScratch{scores: make([]float64, 10_000)}
-	putRecScratch(big, 300)
-	if big.scores != nil {
-		t.Errorf("scores buffer of cap %d kept for a %d-item catalogue", cap(big.scores), 300)
+	const q, k = 300, 10
+	big := &recScratch{cands: make([]mathx.Scored, 10_000), tile: make([]localCell, 25*10_000)}
+	putRecScratch(big, q, k)
+	if big.cands != nil {
+		t.Errorf("candidate buffer of cap %d kept for a %d-item catalogue", cap(big.cands), q)
 	}
-	fit := &recScratch{scores: make([]float64, 500)}
-	putRecScratch(fit, 300)
-	if fit.scores == nil {
-		t.Error("scores buffer within 2× of the catalogue was dropped")
+	if big.tile != nil {
+		t.Errorf("tile of cap %d kept for a %d×%d model", cap(big.tile), k, q)
+	}
+	fit := &recScratch{cands: make([]mathx.Scored, 500), tile: make([]localCell, 2*tileCells(k, q))}
+	putRecScratch(fit, q, k)
+	if fit.cands == nil {
+		t.Error("candidate buffer within 2× of the catalogue was dropped")
+	}
+	if fit.tile == nil {
+		t.Error("tile within 2× of (K+1)·Q was dropped")
 	}
 }
 

@@ -1,0 +1,202 @@
+package core
+
+import (
+	"math"
+	"time"
+
+	"cfsf/internal/mathx"
+	"cfsf/internal/parallel"
+)
+
+// Scan kernel: "score many items for one user". Across such a scan the
+// active user is stationary, and with it the like-minded set and every
+// cell value and Eq. 11 weight on the user side of the local matrix;
+// only the item side (the top-M list) moves. Predict re-merges the same
+// K sparse rows against a different top-M list for every item; the
+// kernel instead materialises each like-minded user's row once, densely
+// — a tile of K rows × Q cells, plus one row for the active user — so
+// SUR′ reads one cell per neighbour and SUIR′ (and SIR′, from the active
+// user's row) gathers tile[n][topM[i][k].Index] with no row cursor.
+//
+// The loop nest (neighbour-major, then id-sorted top-M position) and the
+// floating-point expression per cell are the merge path's, so a tiled
+// score is bit-identical to Predict(user, item). DESIGN.md §9 has the
+// layout and the argument; parity_test.go holds the kernel to it.
+
+// localCell is one materialised local-matrix cell of a user's row: what
+// forEachLocalRating would yield for that (user, item).
+type localCell struct {
+	// val is the observed rating, else the Eq. 7 fill UserMean + fill.
+	val float64
+	// w is the Eq. 11 weight: ε·decay for an original rating, 1−ε for a
+	// fill. Zero with val 0 marks a cell absent under DisableSmoothing: a
+	// zero weight adds +0 to both Eq. 12 sums, which is bit-identical to
+	// the merge path skipping the cell (the sums start at +0 and only
+	// grow by non-negative weights, so they are never −0).
+	w float64
+}
+
+// userScan is the user-stationary state of one scan. It borrows its
+// tile from a recScratch and must not outlive that scratch's Put.
+type userScan struct {
+	mod   *Model
+	user  int
+	users []likeMinded
+	// tile holds len(users)+1 rows of q cells: row n belongs to users[n]
+	// and the last row to the active user. nil when the scan is too short
+	// for a tile to pay and score falls back to Predict.
+	tile []localCell
+	q    int
+}
+
+// tileCells is the tile size, in cells, of a model with k like-minded
+// users per active user and q items.
+func tileCells(k, q int) int { return (k + 1) * q }
+
+// tilePays reports whether scoring n items for one user is cheaper
+// through a tile than through n merge-path Predicts. Building the tile
+// is (K+1)·Q cell writes and a merge-path score walks at least (K+1)·M
+// cells, so the tile is paid for once n·M ≥ Q; K cancels.
+func (mod *Model) tilePays(n int) bool {
+	return n*mod.cfg.M >= mod.m.NumItems()
+}
+
+// scoreCandidates fills in cands[k].Score = Predict(user, cands[k].Index)
+// for every candidate, in parallel, through a tile borrowed from sc when
+// the list is long enough for one to pay. It is the one place the exact
+// scan and cache repair price items, and the span Scans/ScanNanos count.
+//
+//cfsf:wallclock-ok scan duration feeds the RecCacheStats counters only; no clock value reaches a score
+func (mod *Model) scoreCandidates(user int, cands []mathx.Scored, sc *recScratch) {
+	start := time.Now()
+	s := userScan{mod: mod, user: user, q: mod.m.NumItems()}
+	if mod.tilePays(len(cands)) {
+		s.users = mod.likeMindedUsers(user)
+		// Sized to the model's K rather than this user's neighbour count,
+		// so pooled tiles converge on one size (putRecScratch).
+		if need := tileCells(mod.cfg.K, s.q); cap(sc.tile) < need {
+			sc.tile = make([]localCell, need)
+		}
+		s.tile = sc.tile[:tileCells(len(s.users), s.q)]
+		parallel.For(len(s.users)+1, mod.cfg.Workers, s.fillTileRow)
+	}
+	parallel.ForChunked(len(cands), mod.cfg.Workers, func(lo, hi int) {
+		for k := lo; k < hi; k++ {
+			cands[k].Score = s.score(int(cands[k].Index))
+		}
+	})
+	recScans.Add(1)
+	recScanNanos.Add(uint64(time.Since(start)))
+}
+
+// fillTileRow materialises tile row n: every cell starts as the row
+// owner's Eq. 7 fill (or absent under DisableSmoothing) and the owner's
+// observed ratings then overwrite theirs.
+func (s *userScan) fillTileRow(n int) {
+	mod := s.mod
+	u := s.user
+	if n < len(s.users) {
+		u = int(s.users[n].user)
+	}
+	cells := s.tile[n*s.q : (n+1)*s.q]
+	eps := mod.cfg.OriginalWeight
+	if mod.cfg.DisableSmoothing {
+		clear(cells)
+	} else {
+		um := mod.m.UserMean(u)
+		wSm := 1 - eps
+		for i, f := range mod.sm.FillRow(u)[:len(cells)] {
+			r := um
+			if f == f {
+				r = um + f
+			}
+			cells[i] = localCell{val: r, w: wSm}
+		}
+	}
+	var decayRow []float64
+	if mod.decay != nil {
+		decayRow = mod.decay[u]
+	}
+	for j, e := range mod.m.UserRatings(u) {
+		w := eps
+		if decayRow != nil {
+			w = eps * decayRow[j]
+		}
+		cells[e.Index] = localCell{val: e.Value, w: w}
+	}
+}
+
+// score returns Predict(user, item) for an in-range item.
+func (s *userScan) score(item int) float64 {
+	if s.tile == nil {
+		return s.mod.Predict(s.user, item)
+	}
+	mod := s.mod
+	sorted := mod.topM[item]
+	var p Prediction
+	p.SIR, p.HasSIR = s.sirTile(sorted)
+	p.SUR, p.HasSUR = s.surTile(item)
+	p.SUIR, p.HasSUIR = s.suirTile(sorted, mod.topM2[item])
+	mod.fuse(s.user, item, &p)
+	return p.Value
+}
+
+// sirTile is sirLocal with the row merge replaced by a gather from the
+// active user's own tile row.
+func (s *userScan) sirTile(sorted []mathx.Scored) (float64, bool) {
+	cells := s.tile[len(s.users)*s.q:]
+	var num, den float64
+	for _, it := range sorted {
+		c := cells[it.Index]
+		w := c.w * it.Score
+		num += w * c.val
+		den += w
+	}
+	if den <= 0 {
+		return 0, false
+	}
+	return num / den, true
+}
+
+// surTile is surLocal with ratingWithW's binary search replaced by one
+// tile lookup per neighbour.
+func (s *userScan) surTile(item int) (float64, bool) {
+	mod := s.mod
+	var num, den float64
+	for n, lm := range s.users {
+		c := s.tile[n*s.q+item]
+		w := c.w * lm.sim
+		num += w * (c.val - mod.m.UserMean(int(lm.user)))
+		den += w
+	}
+	if den <= 0 {
+		return 0, false
+	}
+	return mod.m.UserMean(s.user) + num/den, true
+}
+
+// suirTile is suirLocal with the per-neighbour row merge replaced by a
+// branch-free gather from the neighbour's tile row. Neighbour order,
+// top-M order and the per-cell arithmetic are suirLocal's common-case
+// loop exactly; its general loop adds only the d == 0 and ps <= 0
+// guards, which never fire (see the comment there — the argument does
+// not depend on decay or smoothing).
+func (s *userScan) suirTile(sorted []mathx.Scored, sq []float64) (float64, bool) {
+	sq = sq[:len(sorted)]
+	var num, den float64
+	for n, lm := range s.users {
+		sim := lm.sim
+		sim2 := sim * sim
+		cells := s.tile[n*s.q : (n+1)*s.q]
+		for k, it := range sorted {
+			c := cells[it.Index]
+			w := c.w * (it.Score * sim / math.Sqrt(sq[k]+sim2))
+			num += w * c.val
+			den += w
+		}
+	}
+	if den <= 0 {
+		return 0, false
+	}
+	return num / den, true
+}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -98,8 +100,28 @@ func TestConcurrentPredictDuringApply(t *testing.T) {
 // same entry produce identical values, so either Store may win), and
 // every read is checked against the reference ranking computed on the
 // reader's own pinned generation, so a stale or torn entry cannot hide.
+//
+// Both fixtures put the scan kernel's pooled tile under the race: on
+// the small model (smoothing on) nearly every post-apply read finds most
+// of the catalogue pending and runs the tiled exact scan; on the wide
+// smoothing-off model carried entries stay small enough to be repaired,
+// and the repair re-scores through a tile of its own.
 func TestConcurrentRecommendCacheDuringApply(t *testing.T) {
-	mod, _ := trainSmall(t)
+	t.Run("scan", func(t *testing.T) {
+		mod, _ := trainSmall(t)
+		raceRecommendAgainstApply(t, mod)
+	})
+	t.Run("repair", func(t *testing.T) {
+		mod, _ := trainWide(t, func(*Config) {})
+		before := ReadRecCacheStats().Repairs
+		raceRecommendAgainstApply(t, mod)
+		if ReadRecCacheStats().Repairs == before {
+			t.Error("no entry was repaired during the race")
+		}
+	})
+}
+
+func raceRecommendAgainstApply(t *testing.T, mod *Model) {
 	sh := NewSharded(mod)
 	p := mod.Matrix().NumUsers()
 	for u := 0; u < p; u++ {
@@ -116,8 +138,8 @@ func TestConcurrentRecommendCacheDuringApply(t *testing.T) {
 	const readers = 8
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	var mismatch sync.Once
-	var failure string
+	var reads atomic.Int64
+	var diverged atomic.Bool
 	for g := 0; g < readers; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -132,14 +154,13 @@ func TestConcurrentRecommendCacheDuringApply(t *testing.T) {
 				u := (g*37 + i) % m.m.NumUsers()
 				n := 1 + (g+i)%10
 				got := m.Recommend(u, n)
+				reads.Add(1)
 				if i%40 == 0 {
 					// Exact reference on the same pinned generation: the
 					// cached read must be bit-identical however many
 					// repairs and carries the entry has been through.
 					if want := refRecommend(m, u, n); !equalRecs(got, want) {
-						mismatch.Do(func() {
-							failure = "cached read diverged from reference on a pinned generation"
-						})
+						diverged.Store(true)
 						return
 					}
 				}
@@ -161,10 +182,17 @@ func TestConcurrentRecommendCacheDuringApply(t *testing.T) {
 		}
 		cursh = next
 		cur.Store(0, cursh)
+		// Let the readers work on this generation before the next apply
+		// piles more pending items onto its carried entries: entries are
+		// repaired (rather than re-scanned) only while under half the
+		// catalogue is pending.
+		for target := reads.Load() + 4*readers; reads.Load() < target && !diverged.Load(); {
+			runtime.Gosched()
+		}
 	}
 	close(stop)
 	wg.Wait()
-	if failure != "" {
-		t.Fatal(failure)
+	if diverged.Load() {
+		t.Fatal("cached read diverged from reference on a pinned generation")
 	}
 }

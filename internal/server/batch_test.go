@@ -125,7 +125,11 @@ func TestStatsAndMetricsShards(t *testing.T) {
 // TestAdminRetrainMode: the mode query parameter is validated and passed
 // through to the manager.
 func TestAdminRetrainMode(t *testing.T) {
-	srv, _ := newDurableServer(t, t.TempDir(), smallModel(t))
+	srv, mgr := newDurableServer(t, t.TempDir(), smallModel(t))
+	// The accepted retrain below runs in the background and snapshots
+	// when done; Close waits for it, so TempDir's cleanup finds the data
+	// directory quiet.
+	defer mgr.Close()
 
 	code, body := postJSON(t, srv.URL+"/admin/retrain?mode=bogus", nil)
 	if code != http.StatusBadRequest || !strings.Contains(body["error"].(string), "bogus") {

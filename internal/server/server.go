@@ -290,6 +290,18 @@ func (s *Server) recordModelGauges(mod *core.Model) {
 	s.reg.Gauge("recommend_cache_repair_fallbacks").Set(float64(rc.RepairFallbacks))
 	s.reg.Gauge("recommend_cache_carried").Set(float64(rc.Carried))
 	s.reg.Gauge("recommend_cache_invalidated").Set(float64(rc.Invalidated))
+	s.reg.Gauge("recommend_scans").Set(float64(rc.Scans))
+	s.reg.Gauge("recommend_scan_mean_ms").Set(scanMeanMS(rc))
+}
+
+// scanMeanMS is the mean wall time of one scan-kernel pass (an exact
+// Recommend scan or a repair's re-scoring): what a read that misses the
+// cache costs inside core, 0 before the first pass.
+func scanMeanMS(rc core.RecCacheStats) float64 {
+	if rc.Scans == 0 {
+		return 0
+	}
+	return durMS(time.Duration(rc.ScanNanos)) / float64(rc.Scans)
 }
 
 // recCacheView is the /stats JSON form of the process-wide
@@ -303,6 +315,8 @@ func recCacheView() map[string]any {
 		"repair_fallbacks": rc.RepairFallbacks,
 		"carried":          rc.Carried,
 		"invalidated":      rc.Invalidated,
+		"scans":            rc.Scans,
+		"scan_mean_ms":     scanMeanMS(rc),
 	}
 }
 

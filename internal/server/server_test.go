@@ -240,7 +240,7 @@ func TestStatsExposeRecommendCache(t *testing.T) {
 		if !ok {
 			t.Fatalf("stats missing recommend_cache: %v", body)
 		}
-		for _, key := range []string{"hits", "misses", "repairs", "repair_fallbacks", "carried", "invalidated"} {
+		for _, key := range []string{"hits", "misses", "repairs", "repair_fallbacks", "carried", "invalidated", "scans", "scan_mean_ms"} {
 			if _, ok := rc[key]; !ok {
 				t.Fatalf("recommend_cache missing %q: %v", key, rc)
 			}
@@ -254,6 +254,16 @@ func TestStatsExposeRecommendCache(t *testing.T) {
 		g, ok := gauges["recommend_cache_hits"].(float64)
 		if !ok {
 			t.Fatalf("metrics missing recommend_cache_hits gauge: %v", gauges)
+		}
+		// The repeated read below misses once, so an exact scan has run
+		// and been timed by the second scrape.
+		if rc["hits"].(float64) >= 1 {
+			if rc["scans"].(float64) < 1 || rc["scan_mean_ms"].(float64) <= 0 {
+				t.Errorf("stats scans = %v, scan_mean_ms = %v after a cold read", rc["scans"], rc["scan_mean_ms"])
+			}
+			if ms, _ := gauges["recommend_scan_mean_ms"].(float64); ms <= 0 {
+				t.Errorf("metrics recommend_scan_mean_ms = %v after a cold read", gauges["recommend_scan_mean_ms"])
+			}
 		}
 		return rc["hits"].(float64), g
 	}
