@@ -28,7 +28,7 @@ vet:
 # (BenchmarkPredict must report 0 allocs/op).
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkPredict$$|BenchmarkPredictColdCache|BenchmarkRecommend' -benchmem ./internal/core
-	$(GO) test -run '^$$' -bench 'BenchmarkConcurrentApply' -benchmem ./internal/lifecycle
+	$(GO) test -run '^$$' -bench 'BenchmarkDrainPrefix' -benchmem ./internal/lifecycle
 
 fmt:
 	gofmt -l -w .

@@ -18,7 +18,12 @@
 // restart loads the newest snapshot and replays the WAL tail, so a
 // SIGKILL loses nothing (see the README's "Durability & operations").
 // The offline phase then only runs on the very first boot — later boots
-// recover from the snapshot.
+// recover from the snapshot, and a boot that finds no loadable snapshot
+// but a WAL that no longer starts at sequence 1 (or only a pre-manifest
+// snap-*.gob) exits with an error rather than retrain over lost ratings.
+// The write queue has one drain rule — contiguous prefixes, at most
+// -batch-max ratings per shard, one grouped apply each — tuned by
+// -batch-max, -batch-wait and -queue-cap.
 //
 // The process shuts down gracefully on SIGINT/SIGTERM: in-flight
 // requests get -shutdown-timeout to finish before the listener closes,
@@ -63,10 +68,9 @@ func main() {
 		fsync         = flag.String("fsync", "always", "WAL fsync policy: always, interval, or never")
 		fsyncInterval = flag.Duration("fsync-interval", 100*time.Millisecond, "flush cadence under -fsync interval")
 		segmentBytes  = flag.Int64("wal-segment-bytes", 4<<20, "WAL segment rotation size")
-		batchMax      = flag.Int("batch-max", 256, "max ratings folded into one micro-batched model refresh")
+		batchMax      = flag.Int("batch-max", 256, "max ratings of any one shard folded into one micro-batched model refresh")
 		batchWait     = flag.Duration("batch-wait", 0, "extra coalescing delay before each micro-batch (0 = greedy)")
 		queueCap      = flag.Int("queue-cap", 4096, "max journaled-but-unapplied ratings before /rate sheds load (503)")
-		applyMode     = flag.String("apply-mode", "serial", "queue drain style: serial (one per-shard micro-batch at a time) or concurrent (grouped multi-shard prefix, one parallel apply)")
 		snapshotEvery = flag.Duration("snapshot-every", 10*time.Minute, "background snapshot cadence (0 disables)")
 		snapshotKeep  = flag.Int("snapshot-keep", 2, "how many snapshot files to retain")
 		retrainAfter  = flag.Int("retrain-after", 0, "background retrain after this many applied ratings (0 disables)")
@@ -228,7 +232,6 @@ func main() {
 			BatchMaxSize:       *batchMax,
 			BatchMaxWait:       *batchWait,
 			QueueCapacity:      *queueCap,
-			ApplyMode:          *applyMode,
 			SnapshotEvery:      *snapshotEvery,
 			SnapshotKeep:       *snapshotKeep,
 			RetrainAfter:       *retrainAfter,

@@ -48,39 +48,19 @@ func BenchmarkApplyMicroBatch64(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ups)), "ns/update")
 }
 
-// BenchmarkConcurrentApply compares the two ApplyMode drain strategies
-// on the same multi-shard burst: "serial" folds one per-shard micro-batch
-// at a time (sequential Apply calls, one per shard group), "concurrent"
-// folds the whole prefix in a single Apply whose rebuild passes
-// parallelise across the touched shards. Both report time per update.
-func BenchmarkConcurrentApply(b *testing.B) {
+// BenchmarkDrainPrefix measures the drain rule on a multi-shard burst:
+// the whole prefix folds in a single Apply whose rebuild passes
+// parallelise across the touched shards. Reports time per update.
+func BenchmarkDrainPrefix(b *testing.B) {
 	base := newBaseModel(b)
 	ups := benchUpdates(64)
-
-	b.Run("mode=serial", func(b *testing.B) {
-		groups := shardGroups(base, ups, 256)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			cur := core.NewSharded(base)
-			var err error
-			for _, g := range groups {
-				if cur, err = cur.Apply(g); err != nil {
-					b.Fatal(err)
-				}
-			}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.NewSharded(base).Apply(ups); err != nil {
+			b.Fatal(err)
 		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ups)), "ns/update")
-	})
-
-	b.Run("mode=concurrent", func(b *testing.B) {
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := core.NewSharded(base).Apply(ups); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ups)), "ns/update")
-	})
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ups)), "ns/update")
 }
 
 func BenchmarkWALAppend(b *testing.B) {

@@ -1,0 +1,59 @@
+package lifecycle
+
+import "cfsf/internal/core"
+
+// commitQueue regroups a WAL record stream into the batches the writer
+// applied: ratings queue in stream order and a batch-commit record cuts
+// its batch back out. Boot replay, per-shard blob patching and the
+// follower all regroup through it, which is what keeps the three
+// bit-identical to the live process and to each other.
+type commitQueue struct {
+	queued []pendingUpdate // ascending sequence
+	last   uint64          // highest rating sequence taken in; starts at the base watermark
+}
+
+// newCommitQueue returns an empty queue on top of a state that already
+// folds every rating at or below base.
+func newCommitQueue(base uint64) commitQueue { return commitQueue{last: base} }
+
+// push queues one journaled rating. A rating at or below the highest
+// sequence already taken in (the base state covers it, or a reconnect
+// delivered it twice) is dropped and push reports false.
+func (q *commitQueue) push(seq uint64, u core.RatingUpdate, shard int) bool {
+	if seq <= q.last {
+		return false
+	}
+	q.last = seq
+	q.queued = append(q.queued, pendingUpdate{seq: seq, u: u, shard: shard})
+	return true
+}
+
+// cut removes and returns, in stream order, the batch a commit record
+// closes: the queued ratings at or below covered — appends and commits
+// interleave in the log, so ratings of the next batch may already sit
+// behind them. A commit that carries a shard id (written by builds up to
+// PR 12, which drained one shard at a time) closes only the ratings
+// routed to that shard; the others stay queued for their own commits.
+func (q *commitQueue) cut(covered uint64, shard int) []core.RatingUpdate {
+	var batch []core.RatingUpdate
+	kept := q.queued[:0]
+	for _, p := range q.queued {
+		if p.seq <= covered && (shard < 0 || p.shard == shard) {
+			batch = append(batch, p.u)
+		} else {
+			kept = append(kept, p)
+		}
+	}
+	q.queued = kept
+	return batch
+}
+
+// watermark is the contiguous applied sequence: every rating at or below
+// it has been cut. The oldest queued rating bounds it; with an empty
+// queue it is the last rating taken in.
+func (q *commitQueue) watermark() uint64 {
+	if len(q.queued) > 0 {
+		return q.queued[0].seq - 1
+	}
+	return q.last
+}

@@ -2,10 +2,8 @@
 // snapshot schedule — it assembles a model from a leader's manifest and
 // blobs, then ingests the leader's WAL records in stream order and
 // applies them through the exact micro-batch machinery boot replay uses.
-// The grouping rule is the same one bit-for-bit crash recovery relies
-// on: a batch-commit record closes the batch of queued ratings with
-// sequence <= Covered routed to its shard (every queued rating for a
-// shard -1 commit), so the follower folds exactly the batches the leader
+// The grouping rule is the one bit-for-bit crash recovery relies on
+// (commitQueue), so the follower folds exactly the batches the leader
 // folded, in the same order, and its model is bit-identical to the
 // leader's at the same applied sequence.
 //
@@ -17,6 +15,7 @@ package lifecycle
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -25,7 +24,6 @@ import (
 
 	"cfsf/internal/core"
 	"cfsf/internal/obs"
-	"cfsf/internal/ratings"
 	"cfsf/internal/wal"
 )
 
@@ -46,11 +44,10 @@ type Follower struct {
 
 	state atomic.Pointer[followerState]
 
-	mu         sync.Mutex
-	queued     []pendingUpdate //cfsf:guarded-by mu // journaled-but-unapplied ratings, stream order
-	received   uint64          //cfsf:guarded-by mu // highest record sequence ingested (any type)
-	lastRating uint64          //cfsf:guarded-by mu // highest rating sequence ingested
-	oldestAt   time.Time       //cfsf:guarded-by mu // arrival of the oldest still-queued rating
+	mu       sync.Mutex
+	queue    commitQueue //cfsf:guarded-by mu // journaled-but-unapplied ratings, stream order
+	received uint64      //cfsf:guarded-by mu // highest record sequence ingested (any type)
+	oldestAt time.Time   //cfsf:guarded-by mu // arrival of the oldest still-queued rating
 
 	mApplied   *obs.Counter
 	mBatches   *obs.Counter
@@ -82,9 +79,8 @@ func NewFollower(reg *obs.Registry, logf func(format string, args ...any)) *Foll
 //cfsf:wallclock-ok arrival times feed the lag estimate only; apply grouping comes from journaled commit records
 func (f *Follower) Reset(mod *core.Model, seq uint64) {
 	f.mu.Lock()
-	f.queued = nil
+	f.queue = newCommitQueue(seq)
 	f.received = seq
-	f.lastRating = seq
 	f.oldestAt = time.Time{}
 	f.mu.Unlock()
 	f.state.Store(&followerState{sharded: core.NewSharded(mod), seq: seq})
@@ -98,63 +94,39 @@ func (f *Follower) Reset(mod *core.Model, seq uint64) {
 //cfsf:wallclock-ok arrival times feed the lag estimate only; apply grouping comes from journaled commit records
 func (f *Follower) Ingest(rec wal.Record) error {
 	switch rec.Type {
-	case wal.RecordRating:
-		f.mu.Lock()
-		if rec.Seq <= f.received {
-			f.mu.Unlock()
-			return nil
-		}
-		f.received = rec.Seq
-		f.lastRating = rec.Seq
-		if len(f.queued) == 0 {
-			f.oldestAt = time.Now()
-		}
-		f.queued = append(f.queued, pendingUpdate{seq: rec.Seq, u: rec.Update, shard: rec.Shard})
-		f.mu.Unlock()
-		return nil
-	case wal.RecordBatchCommit:
-		return f.applyCommit(rec)
-	case wal.RecordCheckpoint:
-		f.mu.Lock()
-		if rec.Seq > f.received {
-			f.received = rec.Seq
-		}
-		f.mu.Unlock()
-		return nil
+	case wal.RecordRating, wal.RecordBatchCommit, wal.RecordCheckpoint:
+	default:
+		return fmt.Errorf("lifecycle: follower: unknown record type %d at seq %d", rec.Type, rec.Seq)
 	}
-	return fmt.Errorf("lifecycle: follower: unknown record type %d at seq %d", rec.Type, rec.Seq)
-}
-
-// applyCommit cuts the commit's batch from the queue — the same
-// sequence-and-shard rule boot replay uses — and folds it into the
-// serving model.
-func (f *Follower) applyCommit(rec wal.Record) error {
 	f.mu.Lock()
 	if rec.Seq <= f.received {
 		f.mu.Unlock()
 		return nil
 	}
 	f.received = rec.Seq
-	var batch []core.RatingUpdate
-	kept := f.queued[:0]
-	for _, p := range f.queued {
-		if p.seq <= rec.Covered && (rec.Shard < 0 || p.shard == rec.Shard) {
-			batch = append(batch, p.u)
-		} else {
-			kept = append(kept, p)
-		}
+	if rec.Type == wal.RecordRating && f.queue.push(rec.Seq, rec.Update, rec.Shard) && len(f.queue.queued) == 1 {
+		f.oldestAt = time.Now()
 	}
-	f.queued = kept
+	var batch []core.RatingUpdate
+	if rec.Type == wal.RecordBatchCommit {
+		batch = f.queue.cut(rec.Covered, rec.Shard)
+	}
+	seq := f.queue.watermark()
 	f.mu.Unlock()
-
-	if len(batch) == 0 {
-		// A commit wholly covered by the bootstrap snapshot (its ratings
-		// were already folded into the assembled model); also updates the
-		// watermark when the queue just drained.
-		f.storeWatermark()
+	if rec.Type != wal.RecordBatchCommit {
 		return nil
 	}
+
 	st := f.state.Load()
+	if len(batch) == 0 {
+		// A commit wholly covered by the bootstrap snapshot (its ratings
+		// were already folded into the assembled model); the watermark
+		// still moves when the queue just drained.
+		if st != nil && seq != st.seq {
+			f.state.Store(&followerState{sharded: st.sharded, seq: seq})
+		}
+		return nil
+	}
 	if st == nil {
 		return fmt.Errorf("lifecycle: follower: commit at seq %d before any bootstrap", rec.Seq)
 	}
@@ -164,45 +136,8 @@ func (f *Follower) applyCommit(rec wal.Record) error {
 	}
 	f.mApplied.Add(int64(len(batch)))
 	f.mBatches.Inc()
-	f.storeSharded(next)
+	f.state.Store(&followerState{sharded: next, seq: seq})
 	return nil
-}
-
-// storeSharded publishes a new model at the current contiguous
-// watermark.
-func (f *Follower) storeSharded(sm *core.ShardedModel) {
-	f.mu.Lock()
-	seq := f.watermarkLocked()
-	f.mu.Unlock()
-	f.state.Store(&followerState{sharded: sm, seq: seq})
-}
-
-// storeWatermark republishes the current model at a possibly advanced
-// watermark (the queue shrank without the model changing).
-func (f *Follower) storeWatermark() {
-	st := f.state.Load()
-	if st == nil {
-		return
-	}
-	f.mu.Lock()
-	seq := f.watermarkLocked()
-	f.mu.Unlock()
-	if seq != st.seq {
-		f.state.Store(&followerState{sharded: st.sharded, seq: seq})
-	}
-}
-
-// watermarkLocked computes the contiguous applied watermark: every
-// rating at or below it is folded in. Mirrors the leader's rule — the
-// oldest queued rating bounds it; with an empty queue it is the last
-// rating sequence ingested.
-//
-//cfsf:locked mu callers hold it
-func (f *Follower) watermarkLocked() uint64 {
-	if len(f.queued) > 0 {
-		return f.queued[0].seq - 1
-	}
-	return f.lastRating
 }
 
 // Model returns the follower's currently served model (nil before the
@@ -244,7 +179,7 @@ func (f *Follower) Cursor() uint64 {
 func (f *Follower) QueueLen() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return len(f.queued)
+	return len(f.queue.queued)
 }
 
 // OldestQueuedAge estimates how long the oldest unapplied rating has
@@ -255,7 +190,7 @@ func (f *Follower) QueueLen() int {
 func (f *Follower) OldestQueuedAge() time.Duration {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if len(f.queued) == 0 {
+	if len(f.queue.queued) == 0 {
 		return 0
 	}
 	return time.Since(f.oldestAt)
@@ -264,56 +199,22 @@ func (f *Follower) OldestQueuedAge() time.Duration {
 // AssembleRemotePoint reassembles a model from a manifest document plus
 // a blob-fetch function — the follower bootstrap path, where the blobs
 // come from the leader's snapshot endpoints instead of local disk. It
-// returns the model and the watermark the manifest covers. Unlike boot's
-// loadManifestPoint there is no shard-patching fallback: a follower that
-// cannot fetch a consistent blob set simply retries (the leader's next
-// snapshot supersedes the torn one).
+// returns the model and the watermark the manifest covers. Unlike boot
+// there is no shard-patching fallback: a follower that cannot fetch a
+// consistent blob set simply retries (the leader's next snapshot
+// supersedes the torn one).
 func AssembleRemotePoint(manifestJSON []byte, fetch func(name string) ([]byte, error)) (*core.Model, uint64, error) {
 	man, err := parseManifest(manifestJSON, "remote")
 	if err != nil {
 		return nil, 0, err
 	}
-	sharedData, err := fetch(man.Shared.File)
-	if err != nil {
-		return nil, 0, fmt.Errorf("fetch shared blob %s: %w", man.Shared.File, err)
-	}
-	sp, err := core.LoadSharedPart(bytes.NewReader(sharedData))
-	if err != nil {
-		return nil, 0, fmt.Errorf("shared blob %s: %w", man.Shared.File, err)
-	}
-	if sp.NumUsers != man.Users || sp.NumItems != man.Items {
-		return nil, 0, fmt.Errorf("shared blob %s is %dx%d, manifest says %dx%d",
-			man.Shared.File, sp.NumUsers, sp.NumItems, man.Users, man.Items)
-	}
-	if sp.NumShards() != len(man.Shards) {
-		return nil, 0, fmt.Errorf("shared blob %s has %d shards, manifest lists %d",
-			man.Shared.File, sp.NumShards(), len(man.Shards))
-	}
-	rows := make([][]ratings.Entry, sp.NumUsers)
-	var times [][]int64
-	if sp.HasTimes {
-		times = make([][]int64, sp.NumUsers)
-	}
-	for _, ref := range man.Shards {
-		data, ferr := fetch(ref.File)
-		if ferr != nil {
-			return nil, 0, fmt.Errorf("fetch shard blob %s: %w", ref.File, ferr)
+	mod, _, err := assembleManifest(man, func(name string) (io.ReadCloser, error) {
+		data, err := fetch(name)
+		if err != nil {
+			return nil, fmt.Errorf("fetch: %w", err)
 		}
-		part, perr := core.LoadShardPart(bytes.NewReader(data))
-		if perr == nil {
-			perr = checkShardPart(part, ref, sp)
-		}
-		if perr != nil {
-			return nil, 0, fmt.Errorf("shard %d blob %s: %w", ref.ID, ref.File, perr)
-		}
-		for j, u := range part.Users {
-			rows[u] = part.Rows[j]
-			if sp.HasTimes && part.Times != nil {
-				times[u] = part.Times[j]
-			}
-		}
-	}
-	mod, err := core.AssembleModel(sp, rows, times)
+		return io.NopCloser(bytes.NewReader(data)), nil
+	}, nil)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -354,9 +255,6 @@ func (m *Manager) NewestManifest() (data []byte, seq uint64, err error) {
 		return nil, 0, err
 	}
 	for _, pt := range points {
-		if !pt.manifest {
-			continue
-		}
 		data, rerr := os.ReadFile(pt.path)
 		if rerr != nil {
 			continue

@@ -1,11 +1,12 @@
 // Package lifecycle owns the serving model end to end: it journals every
-// incoming rating to a write-ahead log before acknowledging it, routes
-// queued ratings to the model shard (= user cluster) they touch, folds
-// them in per-shard micro-batches — a batch confined to one shard pays a
-// shard-local core.ShardedModel.Apply instead of the monolithic O(nnz)
-// rebuild — rotates atomic snapshots so restarts are fast, and schedules
-// the background retrain that internal/core/update.go's drift caveat
-// asks for, either as a per-shard sweep (RetrainMode "shards") or as the
+// incoming rating to a write-ahead log before acknowledging it, records
+// the model shard (= user cluster) each rating touches, folds the queue
+// in micro-batches cut as contiguous prefixes — one
+// core.ShardedModel.Apply per batch, which rebuilds only the shards the
+// batch touches, in parallel, instead of the monolithic O(nnz) rebuild —
+// rotates atomic snapshots so restarts are fast, and schedules the
+// background retrain that internal/core/update.go's drift caveat asks
+// for, either as a per-shard sweep (RetrainMode "shards") or as the
 // legacy stop-the-world KMeans pass ("full").
 //
 // Data-dir layout:
@@ -16,22 +17,23 @@
 //	<dir>/snapshots/manifest-<seq>.json  one recovery point: watermark + blob refs
 //	<dir>/snapshots/shared-<seq>.blob    config + GIS + clustering at <seq>
 //	<dir>/snapshots/shard-<id>-<seq>.blob one shard's matrix rows at <seq>
-//	<dir>/snapshots/snap-<seq>.gob       legacy monolithic snapshot (still
-//	                                     boots; migrated on the next snapshot)
 //
 // Boot loads the newest loadable recovery point — an unreadable manifest
-// or legacy file is skipped in favour of an older one, and inside a
-// manifest an unreadable shard blob is patched from an older manifest's
-// blob plus the WAL before the whole point is given up on — or calls
-// the bootstrap function when none loads, then replays the WAL tail past
-// the point's sequence. Each rating record carries the shard it was
-// routed to and each batch-commit record the shard it was applied on, so
-// replay regroups ratings into exactly the per-shard micro-batches the
-// previous process applied and the recovered model is bit-for-bit
-// identical. A fresh snapshot is then written so the next boot replays
-// nothing — but only after every written blob passes a read-back
-// self-check; a snapshot that cannot be read back bit-for-bit never
-// prunes the WAL it claims to cover.
+// is skipped in favour of an older one, and inside a manifest an
+// unreadable shard blob is patched from an older manifest's blob plus
+// the WAL before the whole point is given up on — or calls the bootstrap
+// function when none loads and the WAL still reaches back to sequence 1,
+// then replays the WAL tail past the point's sequence. A monolithic
+// snap-<seq>.gob written before manifests existed no longer boots: with
+// no loadable manifest beside it Open refuses, naming the file. Every
+// published model folds a contiguous prefix of the log, and the
+// batch-commit record journaled after each swap carries the last
+// sequence the batch covered, so replay regroups ratings into exactly
+// the micro-batches the previous process applied (commitQueue) and the
+// recovered model is bit-for-bit identical. A fresh snapshot is then
+// written so the next boot replays nothing — but only after every
+// written blob passes a read-back self-check; a snapshot that cannot be
+// read back bit-for-bit never prunes the WAL it claims to cover.
 package lifecycle
 
 import (
@@ -63,8 +65,8 @@ type Config struct {
 	// SegmentBytes is the WAL segment rotation size (wal.Options).
 	SegmentBytes int64
 
-	// BatchMaxSize caps how many queued ratings one WithUpdates call
-	// folds in. <= 0 means 256.
+	// BatchMaxSize caps how many queued ratings of any one shard a
+	// micro-batch folds in. <= 0 means 256.
 	BatchMaxSize int
 	// BatchMaxWait, when > 0, delays each apply by this long so more
 	// ratings coalesce into the batch. The default 0 is greedy: the
@@ -74,21 +76,12 @@ type Config struct {
 	// QueueCapacity bounds the unapplied-rating queue; Submit returns
 	// ErrQueueFull beyond it. <= 0 means 4096.
 	QueueCapacity int
-	// ApplyMode selects how applyPending cuts batches from the queue:
-	// ApplySerial (the default) cuts one shard's micro-batch at a time;
-	// ApplyConcurrent cuts a contiguous multi-shard prefix — up to
-	// BatchMaxSize ratings per shard — and folds it in a single Apply,
-	// so the rebuild work of every shard the prefix touches runs in the
-	// same parallel pass instead of one shard after another. Either way
-	// the commit record journaled after the swap makes crash replay
-	// regroup the exact same batches, bit for bit.
-	ApplyMode string
 
 	// SnapshotEvery, when > 0, snapshots the model in the background at
 	// this cadence (skipped when nothing changed since the last one).
 	SnapshotEvery time.Duration
-	// SnapshotKeep is how many recovery points (manifests or legacy
-	// snapshots) to retain. <= 0 means 2.
+	// SnapshotKeep is how many recovery points (manifests) to retain.
+	// <= 0 means 2.
 	SnapshotKeep int
 
 	// CompactEnabled folds checkpoint-covered WAL segments into a
@@ -108,10 +101,6 @@ type Config struct {
 	// time (core.ShardedModel.RetrainShard swept across every shard);
 	// "full" is the legacy stop-the-world core.Train pass.
 	RetrainMode string
-	// TrainConfig, when non-nil, is the configuration for "full"-mode
-	// background retrains; nil reuses the serving model's own
-	// configuration. "shards" mode keeps the serving configuration.
-	TrainConfig *core.Config
 
 	// SkipSnapshotVerify disables the load-and-predict self-check that
 	// every written snapshot must pass before it is checkpointed and the
@@ -144,9 +133,6 @@ func (c Config) withDefaults() Config {
 	if c.RetrainMode == "" {
 		c.RetrainMode = RetrainShards
 	}
-	if c.ApplyMode == "" {
-		c.ApplyMode = ApplySerial
-	}
 	if c.Registry == nil {
 		c.Registry = obs.NewRegistry()
 	}
@@ -162,12 +148,6 @@ const (
 	RetrainFull   = "full"
 )
 
-// ApplyMode values for Config.ApplyMode.
-const (
-	ApplySerial     = "serial"
-	ApplyConcurrent = "concurrent"
-)
-
 // ErrQueueFull is returned by Submit when the unapplied-rating queue is
 // at capacity; callers should shed load (the server maps it to 503).
 var ErrQueueFull = fmt.Errorf("lifecycle: update queue full")
@@ -176,16 +156,12 @@ var ErrQueueFull = fmt.Errorf("lifecycle: update queue full")
 var ErrClosed = fmt.Errorf("lifecycle: manager closed")
 
 // modelState pairs the serving model with its WAL position, swapped
-// atomically. seq is the contiguous applied watermark: every rating with
-// sequence <= seq is folded in. complete additionally means *only* those
-// ratings are folded in — per-shard batching can apply a later-sequence
-// rating while an earlier one (bound for another shard) still queues, and
-// such a mid-drain model must never be snapshotted: a snapshot labelled
-// with the watermark would double-apply the later rating on replay.
+// atomically. seq is the applied watermark: the model folds in exactly
+// the ratings with sequence <= seq — batches are cut as contiguous queue
+// prefixes, so every published state can be snapshotted under its seq.
 type modelState struct {
-	sharded  *core.ShardedModel
-	seq      uint64
-	complete bool
+	sharded *core.ShardedModel
+	seq     uint64
 	// gen is the dirty-tracking generation this state was stored at: the
 	// dirty spans recorded at or before it describe exactly the shards
 	// whose persisted rows this model invalidates (see markDirty).
@@ -305,10 +281,6 @@ func Open(bootstrap func() (*core.Model, error), cfg Config) (*Manager, error) {
 		return nil, fmt.Errorf("lifecycle: unknown retrain mode %q (want %q or %q)",
 			cfg.RetrainMode, RetrainShards, RetrainFull)
 	}
-	if cfg.ApplyMode != ApplySerial && cfg.ApplyMode != ApplyConcurrent {
-		return nil, fmt.Errorf("lifecycle: unknown apply mode %q (want %q or %q)",
-			cfg.ApplyMode, ApplySerial, ApplyConcurrent)
-	}
 	if err := os.MkdirAll(snapshotDir(cfg.DataDir), 0o755); err != nil {
 		return nil, fmt.Errorf("lifecycle: create snapshot dir: %w", err)
 	}
@@ -375,13 +347,6 @@ func (m *Manager) bindMetrics() {
 }
 
 func snapshotDir(dataDir string) string { return filepath.Join(dataDir, "snapshots") }
-
-const (
-	snapPrefix = "snap-"
-	snapSuffix = ".gob"
-)
-
-func snapName(seq uint64) string { return fmt.Sprintf("%s%016x%s", snapPrefix, seq, snapSuffix) }
 
 // genSpan is the generation range over which a persisted part has been
 // dirtied and not yet re-persisted: min is a lower bound on the oldest
@@ -461,6 +426,24 @@ func (m *Manager) clearDirty(g uint64) {
 	}
 }
 
+// legacySnapshotGlob matches the monolithic snapshots that builds before
+// the manifest format wrote; PR 12 was the last build that migrated one.
+const legacySnapshotGlob = "snap-*.gob"
+
+// tailReplayable reports whether the WAL can still extend a state at
+// watermark seq batch-exactly: a contiguous record stream from seq+1 to
+// the tail, not deduped above seq (dedupe keeps final cells but destroys
+// the batch grouping bit-for-bit replay needs).
+func (m *Manager) tailReplayable(seq uint64) error {
+	if av := m.w.AvailableFrom(); av > seq+1 {
+		return fmt.Errorf("wal starts at seq %d, records from seq %d are gone", av, seq+1)
+	}
+	if db := m.w.DedupedBelow(); db > seq {
+		return fmt.Errorf("wal deduped below seq %d, batch grouping from seq %d is lost", db, seq+1)
+	}
+	return nil
+}
+
 // bootModel establishes the serving model: snapshot or bootstrap, then
 // WAL-tail replay grouped by the previous run's batch-commit records.
 //
@@ -472,43 +455,25 @@ func (m *Manager) bootModel(bootstrap func() (*core.Model, error)) error {
 	if err != nil {
 		return fmt.Errorf("lifecycle: list snapshots: %w", err)
 	}
-	// Try recovery points newest-first: a manifest or legacy file that
-	// cannot be loaded — torn by the filesystem, or written by a newer
-	// build whose wire version this binary rejects — is skipped in favour
-	// of the next older one. The WAL needed to catch up from an older
-	// point is still present because segments are only pruned (or folded
-	// into the compacted base) once a *verified* snapshot covers them.
+	// Try recovery points newest-first: a manifest that cannot be loaded —
+	// torn by the filesystem, or written by a newer build whose wire
+	// version this binary rejects — is skipped in favour of the next older
+	// one. The WAL needed to catch up from an older point is still present
+	// because segments are only pruned (or folded into the compacted base)
+	// once a *verified* snapshot covers them; retention prunes in step
+	// with the point ladder, so the tailReplayable gate only skips points
+	// orphaned by a SnapshotKeep decrease or external file surgery.
 	var base *core.Model
 	var baseSeq uint64
-	hadSnapshot, legacyLoaded := false, false
+	hadSnapshot := false
 	var bootPatched []int
 	for _, pt := range points {
-		// A point is only usable when the WAL can still extend it: a
-		// contiguous record stream from its watermark to the tail, not
-		// deduped below it (dedupe keeps final cells but destroys the
-		// batch grouping bit-for-bit replay needs). Retention prunes in
-		// step with the point ladder, so this only skips points orphaned
-		// by a SnapshotKeep decrease or external file surgery.
-		if av := m.w.AvailableFrom(); av > pt.seq+1 {
-			m.cfg.Logf("lifecycle: snapshot %s unusable (wal starts at seq %d, tail from seq %d is gone); trying an older one",
-				filepath.Base(pt.path), av, pt.seq)
-			continue
-		}
-		if db := m.w.DedupedBelow(); db > pt.seq {
-			m.cfg.Logf("lifecycle: snapshot %s unusable (wal deduped below seq %d, batch replay from seq %d lost); trying an older one",
-				filepath.Base(pt.path), db, pt.seq)
+		if err := m.tailReplayable(pt.seq); err != nil {
+			m.cfg.Logf("lifecycle: snapshot %s unusable (%v); trying an older one", filepath.Base(pt.path), err)
 			continue
 		}
 		t := time.Now()
-		var mod *core.Model
-		var man *manifest
-		var patched []int
-		var lerr error
-		if pt.manifest {
-			mod, man, patched, lerr = m.loadManifestPoint(pt)
-		} else {
-			mod, lerr = core.LoadFile(pt.path)
-		}
+		mod, man, patched, lerr := m.loadManifestPoint(pt)
 		if lerr != nil {
 			m.reg.Counter("lifecycle_snapshot_load_failures_total").Inc()
 			m.cfg.Logf("lifecycle: snapshot %s unusable (%v); trying an older one", filepath.Base(pt.path), lerr)
@@ -517,9 +482,7 @@ func (m *Manager) bootModel(bootstrap func() (*core.Model, error)) error {
 		m.cfg.Logf("lifecycle: loaded snapshot %s (covers seq %d) in %v",
 			filepath.Base(pt.path), pt.seq, time.Since(t).Round(time.Millisecond))
 		base, baseSeq, hadSnapshot = mod, pt.seq, true
-		legacyLoaded = !pt.manifest
 		bootPatched = patched
-		// nil man for a legacy point: the next snapshot writes everything.
 		// Boot is single-threaded, but the boot-time Snapshot below reads
 		// this under snapMu, so publish it the same way.
 		m.snapMu.Lock()
@@ -530,6 +493,19 @@ func (m *Manager) bootModel(bootstrap func() (*core.Model, error)) error {
 		break
 	}
 	if !hadSnapshot {
+		// Retraining is only a recovery when nothing acknowledged is lost
+		// by it: not the state inside a snapshot this build cannot read,
+		// and not ratings the WAL no longer holds — the bootstrap model
+		// stands at watermark 0 and passes the same gate as any point.
+		dir := snapshotDir(m.cfg.DataDir)
+		if legacy, _ := filepath.Glob(filepath.Join(dir, legacySnapshotGlob)); len(legacy) > 0 {
+			return fmt.Errorf("lifecycle: %s is a legacy monolithic snapshot and no manifest in %s is loadable: this build reads manifests only — boot the directory once with a build up to PR 12 to migrate it, or move the file away to retrain",
+				legacy[0], dir)
+		}
+		if err := m.tailReplayable(0); err != nil {
+			return fmt.Errorf("lifecycle: no loadable snapshot in %s and the bootstrap model cannot stand in for one: %v — retraining would silently drop acknowledged ratings",
+				m.cfg.DataDir, err)
+		}
 		if bootstrap == nil {
 			return fmt.Errorf("lifecycle: no loadable snapshot in %s and no bootstrap function", m.cfg.DataDir)
 		}
@@ -540,14 +516,7 @@ func (m *Manager) bootModel(bootstrap func() (*core.Model, error)) error {
 	}
 
 	// Replay the tail, regrouping ratings into the batches the previous
-	// process applied. A commit record covers ratings up to its Covered
-	// sequence only — ratings for the *next* batch may already sit ahead
-	// of it in the file (appends and commits interleave), so the split is
-	// by sequence, not by position. A commit that carries a shard id
-	// closes a per-shard batch: only queued ratings *routed to that
-	// shard* are in it; ratings bound for other shards stay queued for
-	// their own commits. Legacy commits (shard -1) cover every queued
-	// rating, the pre-sharding batching. Ratings past the final commit
+	// process applied (see commitQueue). Ratings past the final commit
 	// were journaled but possibly never applied; they form one final
 	// batch.
 	cur := core.NewSharded(base)
@@ -557,23 +526,13 @@ func (m *Manager) bootModel(bootstrap func() (*core.Model, error)) error {
 		// boot snapshot below must rewrite it.
 		bootDirty[s] = true
 	}
-	markAllBoot := !hadSnapshot || legacyLoaded
-	var queued []pendingUpdate
-	lastSeq := baseSeq
-	applyThrough := func(covered uint64, shard int) error {
-		batch := make([]core.RatingUpdate, 0, len(queued))
-		kept := queued[:0]
-		for _, p := range queued {
-			if p.seq <= covered && (shard < 0 || p.shard == shard) {
-				batch = append(batch, p.u)
-			} else {
-				kept = append(kept, p)
-			}
-		}
+	markAllBoot := !hadSnapshot
+	q := newCommitQueue(baseSeq)
+	applyCut := func(covered uint64, shard int) error {
+		batch := q.cut(covered, shard)
 		if len(batch) == 0 {
 			return nil
 		}
-		queued = kept
 		next, dirty, err := m.applyUpdates(cur, batch)
 		if err != nil {
 			return fmt.Errorf("lifecycle: replay batch through seq %d: %w", covered, err)
@@ -591,36 +550,36 @@ func (m *Manager) bootModel(bootstrap func() (*core.Model, error)) error {
 	err = m.w.Replay(baseSeq, func(rec wal.Record) error {
 		switch rec.Type {
 		case wal.RecordRating:
-			queued = append(queued, pendingUpdate{seq: rec.Seq, u: rec.Update, shard: rec.Shard})
-			lastSeq = rec.Seq
-			m.boot.ReplayedRecords++
+			if q.push(rec.Seq, rec.Update, rec.Shard) {
+				m.boot.ReplayedRecords++
+			}
 		case wal.RecordBatchCommit:
-			return applyThrough(rec.Covered, rec.Shard)
+			return applyCut(rec.Covered, rec.Shard)
 		}
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	if err := applyThrough(lastSeq, -1); err != nil {
+	if err := applyCut(q.last, -1); err != nil {
 		return err
 	}
 
-	m.maxSeq = maxU64(baseSeq, lastSeq)
+	m.maxSeq = q.watermark()
 	var g uint64
 	if markAllBoot {
 		g = m.markDirty(nil, true, cur.NumShards())
 	} else if len(bootDirty) > 0 {
 		g = m.markDirty(sortedInts(bootDirty), false, cur.NumShards())
 	}
-	m.state.Store(&modelState{sharded: cur, seq: m.maxSeq, complete: true, gen: g})
+	m.state.Store(&modelState{sharded: cur, seq: m.maxSeq, gen: g})
 
-	// Re-anchor durability: after any replay, a boot from a legacy or
-	// shard-patched snapshot, or a first boot with no snapshot at all,
-	// write a snapshot so the next boot starts from a clean point — and
-	// so recovery no longer depends on the bootstrap function reproducing
-	// the base model exactly.
-	if m.boot.ReplayedRecords > 0 || !hadSnapshot || legacyLoaded || len(bootPatched) > 0 {
+	// Re-anchor durability: after any replay, a boot from a shard-patched
+	// snapshot, or a first boot with no snapshot at all, write a snapshot
+	// so the next boot starts from a clean point — and so recovery no
+	// longer depends on the bootstrap function reproducing the base model
+	// exactly.
+	if m.boot.ReplayedRecords > 0 || !hadSnapshot || len(bootPatched) > 0 {
 		if _, err := m.Snapshot(); err != nil {
 			return fmt.Errorf("lifecycle: boot snapshot: %w", err)
 		}
@@ -635,13 +594,6 @@ func sortedInts(set map[int]bool) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // applyUpdates folds updates into the sharded model, falling back to
@@ -725,49 +677,23 @@ func (m *Manager) BootStats() BootStats { return m.boot }
 func (m *Manager) WALStats() wal.OpenStats { return m.w.Stats() }
 
 // Submit journals one rating (durable per the fsync policy once this
-// returns), routed to the shard its user belongs to, and queues it for
-// that shard's next micro-batch. It returns the rating's WAL sequence
+// returns) as a SubmitBatch of one. It returns the rating's WAL sequence
 // and how many ratings are now pending.
-//
-//cfsf:wallclock-ok append latency feeds the wal_append_ms histogram only
 func (m *Manager) Submit(u core.RatingUpdate) (seq uint64, pending int, err error) {
-	if m.closing.Load() {
-		return 0, 0, ErrClosed
-	}
-	shard := m.state.Load().sharded.ShardOf(u.User)
-	m.mu.Lock()
-	if len(m.pending) >= m.cfg.QueueCapacity {
-		m.mu.Unlock()
-		m.mQueueFull.Inc()
-		return 0, 0, ErrQueueFull
-	}
-	t := time.Now()
-	seq, err = m.w.AppendRating(u, shard)
+	seqs, pending, err := m.SubmitBatch([]core.RatingUpdate{u})
 	if err != nil {
-		m.mu.Unlock()
 		return 0, 0, err
 	}
-	m.mAppendLat.Observe(durMS(time.Since(t)))
-	m.pending = append(m.pending, pendingUpdate{seq: seq, u: u, shard: shard})
-	m.maxSeq = seq
-	pending = len(m.pending)
-	m.mu.Unlock()
-
-	m.mPending.Set(float64(pending))
-	m.mApplyLag.Set(float64(m.ApplyLag()))
-	select {
-	case m.kick <- struct{}{}:
-	default:
-	}
-	return seq, pending, nil
+	return seqs[0], pending, nil
 }
 
 // SubmitBatch journals a batch of ratings as one WAL append group — a
 // single write and, under SyncAlways, a single fsync for the whole
-// request — then routes each rating to its shard's queue. It returns the
-// per-rating WAL sequences (in batch order) and the pending count. The
-// batch is all-or-nothing at the queue: if it would overflow
-// QueueCapacity, nothing is journaled and ErrQueueFull is returned.
+// request — recording the shard each rating routes to, then queues them
+// for the next micro-batch. It returns the per-rating WAL sequences (in
+// batch order) and the pending count. The batch is all-or-nothing at the
+// queue: if it would overflow QueueCapacity, nothing is journaled and
+// ErrQueueFull is returned.
 //
 //cfsf:wallclock-ok append latency feeds the wal_append_ms histogram only
 func (m *Manager) SubmitBatch(ups []core.RatingUpdate) (seqs []uint64, pending int, err error) {
@@ -872,20 +798,15 @@ func (m *Manager) run() {
 	}
 }
 
-// applyPending drains the queue one batch per round. In ApplySerial
-// mode each round cuts up to BatchMaxSize pending ratings routed to the
-// shard at the head of the queue (oldest first), so a burst confined to
-// one user cluster rebuilds only that shard's structures. In
-// ApplyConcurrent mode each round cuts a contiguous multi-shard prefix
-// — admitting entries from the head until one shard would exceed
-// BatchMaxSize — and folds it in a single Apply, so every touched
-// shard's rebuild runs inside the same parallel pass. The served model
-// is swapped once per batch and a batch-commit record is journaled
-// after each swap: a per-shard commit carries its shard id, a grouped
-// commit carries shard -1 (which replay already reads as "every queued
-// rating at or below Covered" — the exact prefix, since the prefix is
-// contiguous in sequence order). Either way crash-replay regroups the
-// exact same batches.
+// applyPending drains the queue one batch per round. Each round cuts a
+// contiguous prefix of the queue — admitting entries from the head until
+// one shard would exceed BatchMaxSize — and folds it in a single Apply,
+// so every touched shard's rebuild runs inside the same parallel pass
+// and a burst confined to one user cluster rebuilds only that shard's
+// structures. The served model is swapped once per batch and a
+// batch-commit record covering the prefix's last sequence is journaled
+// after each swap (shard -1: every queued rating at or below Covered),
+// so crash-replay regroups the exact same batches.
 //
 //cfsf:wallclock-ok apply latency feeds the apply_ms histogram only; batch boundaries come from the queue, not the clock
 func (m *Manager) applyPending() {
@@ -894,60 +815,28 @@ func (m *Manager) applyPending() {
 		if len(m.pending) == 0 {
 			m.mu.Unlock()
 			m.mPending.Set(0)
-			// A forced snapshot (post-retrain) that arrived mid-drain was
-			// deferred until the model was complete again; retry it now.
-			if m.snapForce.Load() {
-				go func() {
-					if _, err := m.Snapshot(); err != nil {
-						m.cfg.Logf("lifecycle: deferred snapshot: %v", err)
-					}
-				}()
-			}
 			return
 		}
-		var batch []pendingUpdate
-		shard := m.pending[0].shard
-		if m.cfg.ApplyMode == ApplyConcurrent {
-			// Grouped contiguous prefix: stop before the first entry whose
-			// shard already contributed a full batch. Contiguity is what
-			// makes the shard -1 commit below cover exactly this batch on
-			// replay — no entry inside the prefix is left behind.
-			shard = -1
-			counts := make(map[int]int)
-			cut := 0
-			for _, p := range m.pending {
-				if counts[p.shard] >= m.cfg.BatchMaxSize {
-					break
-				}
-				counts[p.shard]++
-				cut++
+		// Stop before the first entry whose shard already contributed a
+		// full batch. Contiguity is what makes the commit below cover
+		// exactly this batch on replay — no entry inside the prefix is
+		// left behind — and every published model a prefix of the log.
+		counts := make(map[int]int)
+		n := 0
+		for _, p := range m.pending {
+			if counts[p.shard] >= m.cfg.BatchMaxSize {
+				break
 			}
-			batch = append(make([]pendingUpdate, 0, cut), m.pending[:cut]...)
-			m.pending = append(m.pending[:0], m.pending[cut:]...)
-		} else {
-			// Cut the head shard's batch: pending is in sequence order, so
-			// the cut is the first BatchMaxSize entries routed to that
-			// shard, and every entry of that shard left behind has a later
-			// sequence than the batch's commit will cover.
-			batch = make([]pendingUpdate, 0, min(len(m.pending), m.cfg.BatchMaxSize))
-			kept := m.pending[:0]
-			for _, p := range m.pending {
-				if p.shard == shard && len(batch) < m.cfg.BatchMaxSize {
-					batch = append(batch, p)
-				} else {
-					kept = append(kept, p)
-				}
-			}
-			m.pending = kept
+			counts[p.shard]++
+			n++
 		}
-		m.mu.Unlock()
-
-		n := len(batch)
 		updates := make([]core.RatingUpdate, n)
-		for i, p := range batch {
+		for i, p := range m.pending[:n] {
 			updates[i] = p.u
 		}
-		lastSeq := batch[n-1].seq
+		lastSeq := m.pending[n-1].seq
+		m.pending = append(m.pending[:0], m.pending[n:]...)
+		m.mu.Unlock()
 
 		t := time.Now()
 		cur := m.state.Load()
@@ -963,19 +852,16 @@ func (m *Manager) applyPending() {
 		// the touched rows — persistence must rewrite them all.
 		flip := cur.sharded.Model().Matrix().HasTimes() != next.Model().Matrix().HasTimes()
 		g := m.markDirty(dirty, flip, next.NumShards())
-		// The watermark only reaches maxSeq once every queue entry below it
-		// is applied; between per-shard batches it trails the oldest still-
-		// pending rating, and the model is marked incomplete so snapshots
-		// wait (see modelState).
+		// The watermark trails the oldest still-pending rating and reaches
+		// maxSeq once the queue is empty.
 		m.mu.Lock()
-		st := &modelState{sharded: next, seq: m.maxSeq, complete: true, gen: g}
+		st := &modelState{sharded: next, seq: m.maxSeq, gen: g}
 		if len(m.pending) > 0 {
 			st.seq = m.pending[0].seq - 1
-			st.complete = false
 		}
 		m.state.Store(st)
 		m.mu.Unlock()
-		if _, err := m.w.AppendBatchCommit(lastSeq, shard); err != nil {
+		if _, err := m.w.AppendBatchCommit(lastSeq, -1); err != nil {
 			m.cfg.Logf("lifecycle: journal batch commit: %v", err)
 		}
 
@@ -1038,11 +924,7 @@ func (m *Manager) startRetrain(mode string) {
 		t := time.Now()
 		var res retrainResult
 		if mode == RetrainFull {
-			cfg := st.sharded.Model().Config()
-			if m.cfg.TrainConfig != nil {
-				cfg = *m.cfg.TrainConfig
-			}
-			mod, err := core.Train(st.sharded.Model().Matrix(), cfg)
+			mod, err := core.Train(st.sharded.Model().Matrix(), st.sharded.Model().Config())
 			if err == nil {
 				res.sharded = core.NewSharded(mod)
 			}
@@ -1091,7 +973,7 @@ func (m *Manager) finishRetrain(res retrainResult) {
 	// part is stale.
 	g := m.markDirty(nil, true, mod.NumShards())
 	cur := m.state.Load() // catch-up covered everything applied so far
-	m.state.Store(&modelState{sharded: mod, seq: cur.seq, complete: cur.complete, gen: g})
+	m.state.Store(&modelState{sharded: mod, seq: cur.seq, gen: g})
 	m.driftCount = 0
 	m.mRetrains.Inc()
 	m.mRetrainLat.Observe(durMS(res.duration))
@@ -1142,9 +1024,9 @@ func (m *Manager) Retraining() bool {
 // shrinks the WAL (deleting covered segments, or folding them into the
 // compacted base when compaction is enabled) — a blob that cannot be
 // read back bit-for-bit aborts the snapshot and never shrinks the WAL.
-// When nothing was applied since the last snapshot, or the model is
-// mid-drain (per-shard batching has applied a rating beyond the
-// contiguous watermark), it returns Skipped without touching disk.
+// When nothing was applied since the last snapshot it returns Skipped
+// without touching disk; a non-empty queue never skips it, because the
+// served model is always a contiguous prefix of the log.
 //
 //cfsf:wallclock-ok snapshot duration feeds the snapshot_ms histogram only
 func (m *Manager) Snapshot() (SnapshotInfo, error) {
@@ -1152,9 +1034,6 @@ func (m *Manager) Snapshot() (SnapshotInfo, error) {
 	defer m.snapMu.Unlock()
 
 	st := m.state.Load()
-	if !st.complete {
-		return SnapshotInfo{CoveredSeq: st.seq, Skipped: true}, nil
-	}
 	dir := snapshotDir(m.cfg.DataDir)
 	// Nothing dirty at an unchanged watermark means the previous manifest
 	// still describes the serving model exactly — except right after a
@@ -1183,8 +1062,8 @@ func (m *Manager) Snapshot() (SnapshotInfo, error) {
 	numShards := st.sharded.NumShards()
 
 	// Decide what to write: every shard when there is no previous
-	// manifest to reuse (first manifest, legacy migration, shard-count
-	// change) or after a retrain; otherwise only the dirty ones.
+	// manifest to reuse (first manifest, shard-count change) or after a
+	// retrain; otherwise only the dirty ones.
 	writeAll := force || prev == nil || len(prev.Shards) != numShards
 	writeSet := make(map[int]bool, numShards)
 	if writeAll {

@@ -438,8 +438,8 @@ func TestRetrainAfterDrift(t *testing.T) {
 	})
 	// The post-retrain snapshot re-anchors durability at the applied seq.
 	waitUntil(t, "post-retrain snapshot", func() bool {
-		_, seq, err := latestSnapshot(dir)
-		return err == nil && seq == m.AppliedSeq()
+		points, err := listDurablePoints(dir)
+		return err == nil && len(points) > 0 && points[0].seq == m.AppliedSeq()
 	})
 
 	// A manual trigger works too, and reports conflict while running.

@@ -22,6 +22,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -118,17 +119,13 @@ func isBlobName(name string) bool {
 }
 
 // durablePoint is one recovery start in the snapshots directory: a
-// manifest, or a legacy monolithic snapshot (snap-<seq>.gob) written by
-// an older build. Legacy points still boot; the next snapshot after one
-// writes a manifest, migrating one way.
+// manifest file and the watermark its name claims.
 type durablePoint struct {
-	path     string
-	seq      uint64
-	manifest bool
+	path string
+	seq  uint64
 }
 
-// listDurablePoints returns every recovery point, newest first; at equal
-// sequence a manifest outranks a legacy snapshot.
+// listDurablePoints returns every recovery point, newest first.
 func listDurablePoints(dataDir string) ([]durablePoint, error) {
 	entries, err := os.ReadDir(snapshotDir(dataDir))
 	if err != nil {
@@ -137,58 +134,44 @@ func listDurablePoints(dataDir string) ([]durablePoint, error) {
 	var points []durablePoint
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() {
+		if e.IsDir() || !strings.HasPrefix(name, manifestPrefix) || !strings.HasSuffix(name, manifestSuffix) {
 			continue
 		}
 		var s uint64
-		switch {
-		case strings.HasPrefix(name, manifestPrefix) && strings.HasSuffix(name, manifestSuffix):
-			if _, err := fmt.Sscanf(strings.TrimSuffix(strings.TrimPrefix(name, manifestPrefix), manifestSuffix), "%016x", &s); err != nil {
-				continue
-			}
-			points = append(points, durablePoint{path: filepath.Join(snapshotDir(dataDir), name), seq: s, manifest: true})
-		case strings.HasPrefix(name, snapPrefix) && strings.HasSuffix(name, snapSuffix):
-			if _, err := fmt.Sscanf(strings.TrimSuffix(strings.TrimPrefix(name, snapPrefix), snapSuffix), "%016x", &s); err != nil {
-				continue
-			}
-			points = append(points, durablePoint{path: filepath.Join(snapshotDir(dataDir), name), seq: s})
+		if _, err := fmt.Sscanf(strings.TrimSuffix(strings.TrimPrefix(name, manifestPrefix), manifestSuffix), "%016x", &s); err != nil {
+			continue
 		}
+		points = append(points, durablePoint{path: filepath.Join(snapshotDir(dataDir), name), seq: s})
 	}
-	sort.Slice(points, func(i, j int) bool {
-		if points[i].seq != points[j].seq {
-			return points[i].seq > points[j].seq
-		}
-		return points[i].manifest && !points[j].manifest
-	})
+	sort.Slice(points, func(i, j int) bool { return points[i].seq > points[j].seq })
 	return points, nil
 }
 
-// latestSnapshot returns the newest durable point and the sequence it
-// covers, or "" when none exists.
-func latestSnapshot(dataDir string) (path string, seq uint64, err error) {
-	points, err := listDurablePoints(dataDir)
-	if err != nil || len(points) == 0 {
-		return "", 0, err
-	}
-	return points[0].path, points[0].seq, nil
+// blobOpener opens one snapshot blob by its manifest-referenced name:
+// from the snapshots directory at boot, from the leader's snapshot
+// endpoint on a bootstrapping follower.
+type blobOpener func(name string) (io.ReadCloser, error)
+
+func dirBlobs(dir string) blobOpener {
+	return func(name string) (io.ReadCloser, error) { return os.Open(filepath.Join(dir, name)) }
 }
 
-func loadSharedBlobFile(path string) (*core.SharedPart, error) {
-	f, err := os.Open(path)
+func (open blobOpener) shared(name string) (*core.SharedPart, error) {
+	r, err := open(name)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return core.LoadSharedPart(f)
+	defer r.Close()
+	return core.LoadSharedPart(r)
 }
 
-func loadShardBlobFile(path string) (*core.ShardPart, error) {
-	f, err := os.Open(path)
+func (open blobOpener) shard(name string) (*core.ShardPart, error) {
+	r, err := open(name)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return core.LoadShardPart(f)
+	defer r.Close()
+	return core.LoadShardPart(r)
 }
 
 // checkShardPart validates a loaded shard blob against the manifest ref
@@ -222,30 +205,26 @@ func checkShardPart(part *core.ShardPart, ref shardBlobRef, sp *core.SharedPart)
 	return nil
 }
 
-// loadManifestPoint reassembles the model a manifest describes. When a
-// shard blob is unreadable or inconsistent it is patched from an older
-// manifest's blob plus the WAL (see fallbackShardRows); patched returns
-// those shard ids so the caller re-persists them. An unrecoverable shard
-// fails the whole point and the boot ladder moves to an older one.
-func (m *Manager) loadManifestPoint(pt durablePoint) (mod *core.Model, man *manifest, patched []int, err error) {
-	man, err = readManifest(pt.path)
+// shardPatcher recovers one shard's rows into rows/times when the blob
+// ref names is unusable for the given cause.
+type shardPatcher func(man *manifest, ref shardBlobRef, sp *core.SharedPart, rows [][]ratings.Entry, times [][]int64, cause error) error
+
+// assembleManifest reassembles the model a manifest describes from blobs
+// obtained through open. A shard blob that is unreadable or inconsistent
+// with the shared part goes to patch when one is given; patched returns
+// those shard ids so the caller re-persists them. Without a patcher, or
+// when the patch fails too, the whole point fails.
+func assembleManifest(man *manifest, open blobOpener, patch shardPatcher) (mod *core.Model, patched []int, err error) {
+	sp, err := open.shared(man.Shared.File)
 	if err != nil {
-		return nil, nil, nil, err
-	}
-	if man.Seq != pt.seq {
-		return nil, nil, nil, fmt.Errorf("manifest %s covers seq %d, name says %d", filepath.Base(pt.path), man.Seq, pt.seq)
-	}
-	dir := snapshotDir(m.cfg.DataDir)
-	sp, err := loadSharedBlobFile(filepath.Join(dir, man.Shared.File))
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("shared blob %s: %w", man.Shared.File, err)
+		return nil, nil, fmt.Errorf("shared blob %s: %w", man.Shared.File, err)
 	}
 	if sp.NumUsers != man.Users || sp.NumItems != man.Items {
-		return nil, nil, nil, fmt.Errorf("shared blob %s is %dx%d, manifest says %dx%d",
+		return nil, nil, fmt.Errorf("shared blob %s is %dx%d, manifest says %dx%d",
 			man.Shared.File, sp.NumUsers, sp.NumItems, man.Users, man.Items)
 	}
 	if sp.NumShards() != len(man.Shards) {
-		return nil, nil, nil, fmt.Errorf("shared blob %s has %d shards, manifest lists %d",
+		return nil, nil, fmt.Errorf("shared blob %s has %d shards, manifest lists %d",
 			man.Shared.File, sp.NumShards(), len(man.Shards))
 	}
 	rows := make([][]ratings.Entry, sp.NumUsers)
@@ -254,15 +233,16 @@ func (m *Manager) loadManifestPoint(pt durablePoint) (mod *core.Model, man *mani
 		times = make([][]int64, sp.NumUsers)
 	}
 	for _, ref := range man.Shards {
-		part, perr := loadShardBlobFile(filepath.Join(dir, ref.File))
+		part, perr := open.shard(ref.File)
 		if perr == nil {
 			perr = checkShardPart(part, ref, sp)
 		}
 		if perr != nil {
-			m.reg.Counter("lifecycle_shard_blob_failures_total").Inc()
-			m.cfg.Logf("lifecycle: shard blob %s unusable (%v); patching shard %d from an older blob", ref.File, perr, ref.ID)
-			if ferr := m.fallbackShardRows(man, ref, sp, rows, times); ferr != nil {
-				return nil, nil, nil, fmt.Errorf("shard %d blob %s: %v (fallback: %v)", ref.ID, ref.File, perr, ferr)
+			if patch == nil {
+				return nil, nil, fmt.Errorf("shard %d blob %s: %w", ref.ID, ref.File, perr)
+			}
+			if ferr := patch(man, ref, sp, rows, times, perr); ferr != nil {
+				return nil, nil, fmt.Errorf("shard %d blob %s: %v (fallback: %v)", ref.ID, ref.File, perr, ferr)
 			}
 			patched = append(patched, ref.ID)
 			continue
@@ -276,6 +256,25 @@ func (m *Manager) loadManifestPoint(pt durablePoint) (mod *core.Model, man *mani
 	}
 	mod, err = core.AssembleModel(sp, rows, times)
 	if err != nil {
+		return nil, nil, err
+	}
+	return mod, patched, nil
+}
+
+// loadManifestPoint reassembles the model a local manifest describes,
+// patching an unusable shard blob from an older manifest's blob plus the
+// WAL (see fallbackShardRows). An unrecoverable shard fails the whole
+// point and the boot ladder moves to an older one.
+func (m *Manager) loadManifestPoint(pt durablePoint) (mod *core.Model, man *manifest, patched []int, err error) {
+	man, err = readManifest(pt.path)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if man.Seq != pt.seq {
+		return nil, nil, nil, fmt.Errorf("manifest %s covers seq %d, name says %d", filepath.Base(pt.path), man.Seq, pt.seq)
+	}
+	mod, patched, err = assembleManifest(man, dirBlobs(snapshotDir(m.cfg.DataDir)), m.fallbackShardRows)
+	if err != nil {
 		return nil, nil, nil, err
 	}
 	return mod, man, patched, nil
@@ -285,19 +284,20 @@ func (m *Manager) loadManifestPoint(pt durablePoint) (mod *core.Model, man *mani
 // lost: an older retained manifest's blob for the same shard is loaded
 // and patched forward through the WAL to the manifest's watermark. The
 // patch is refused — failing the whole point — when the WAL no longer
-// carries batch-exact records above the older blob's sequence: records
-// before AvailableFrom are gone, and records at or below the compaction
-// dedupe horizon have lost the commit grouping the patch replays by.
-func (m *Manager) fallbackShardRows(man *manifest, ref shardBlobRef, sp *core.SharedPart, rows [][]ratings.Entry, times [][]int64) error {
+// carries batch-exact records above the older blob's sequence (see
+// tailReplayable).
+func (m *Manager) fallbackShardRows(man *manifest, ref shardBlobRef, sp *core.SharedPart, rows [][]ratings.Entry, times [][]int64, cause error) error {
+	m.reg.Counter("lifecycle_shard_blob_failures_total").Inc()
+	m.cfg.Logf("lifecycle: shard blob %s unusable (%v); patching shard %d from an older blob", ref.File, cause, ref.ID)
 	points, err := listDurablePoints(m.cfg.DataDir)
 	if err != nil {
 		return err
 	}
 	members := sp.Members(ref.ID)
-	dir := snapshotDir(m.cfg.DataDir)
+	blobs := dirBlobs(snapshotDir(m.cfg.DataDir))
 	var lastErr error = fmt.Errorf("no older manifest holds a usable blob for shard %d", ref.ID)
 	for _, pt := range points {
-		if !pt.manifest || pt.seq >= man.Seq {
+		if pt.seq >= man.Seq {
 			continue
 		}
 		old, oerr := readManifest(pt.path)
@@ -308,15 +308,11 @@ func (m *Manager) fallbackShardRows(man *manifest, ref shardBlobRef, sp *core.Sh
 		if oldRef.File == ref.File {
 			continue // the same (bad) blob, re-referenced
 		}
-		if af := m.w.AvailableFrom(); af > oldRef.Seq+1 {
-			lastErr = fmt.Errorf("wal starts at seq %d, cannot patch from seq %d", af, oldRef.Seq)
+		if err := m.tailReplayable(oldRef.Seq); err != nil {
+			lastErr = err
 			continue
 		}
-		if h := m.w.DedupedBelow(); h > oldRef.Seq {
-			lastErr = fmt.Errorf("wal compacted through seq %d, batch grouping before it is gone", h)
-			continue
-		}
-		part, perr := loadShardBlobFile(filepath.Join(dir, oldRef.File))
+		part, perr := blobs.shard(oldRef.File)
 		if perr != nil {
 			lastErr = perr
 			continue
@@ -398,23 +394,17 @@ func (m *Manager) patchRows(members []int, baseRows map[int][]ratings.Entry, bas
 		}
 		cells[u] = row
 	}
-	var queued []pendingUpdate
+	q := newCommitQueue(fromSeq)
 	apply := func(covered uint64, shard int) {
-		kept := queued[:0]
-		for _, p := range queued {
-			if p.seq <= covered && (shard < 0 || p.shard == shard) {
-				cells[p.u.User][int32(p.u.Item)] = cellVal{v: p.u.Value, t: p.u.Time}
-			} else {
-				kept = append(kept, p)
-			}
+		for _, u := range q.cut(covered, shard) {
+			cells[u.User][int32(u.Item)] = cellVal{v: u.Value, t: u.Time}
 		}
-		queued = kept
 	}
 	err := m.w.Replay(fromSeq, func(rec wal.Record) error {
 		switch rec.Type {
 		case wal.RecordRating:
 			if rec.Seq <= throughSeq && memberSet[rec.Update.User] {
-				queued = append(queued, pendingUpdate{seq: rec.Seq, u: rec.Update, shard: rec.Shard})
+				q.push(rec.Seq, rec.Update, rec.Shard)
 			}
 		case wal.RecordBatchCommit:
 			apply(rec.Covered, rec.Shard)
@@ -478,9 +468,6 @@ func (m *Manager) pruneDurablePoints() {
 	}
 	referenced := map[string]bool{}
 	for _, pt := range points {
-		if !pt.manifest {
-			continue
-		}
 		man, err := readManifest(pt.path)
 		if err != nil {
 			continue // unreadable: keep its blobs, the ladder may still want them
@@ -520,15 +507,13 @@ func (m *Manager) oldestRetainedSeq() uint64 {
 	min := ^uint64(0)
 	for _, pt := range points {
 		s := pt.seq
-		if pt.manifest {
-			if man, err := readManifest(pt.path); err == nil {
-				if man.Shared.Seq < s {
-					s = man.Shared.Seq
-				}
-				for _, ref := range man.Shards {
-					if ref.Seq < s {
-						s = ref.Seq
-					}
+		if man, err := readManifest(pt.path); err == nil {
+			if man.Shared.Seq < s {
+				s = man.Shared.Seq
+			}
+			for _, ref := range man.Shards {
+				if ref.Seq < s {
+					s = ref.Seq
 				}
 			}
 		}
@@ -602,8 +587,9 @@ func compareSharedParts(got, want *core.SharedPart) error {
 // the shard's members. Clean shards are not re-verified — their blobs
 // passed this check when the manifest that first wrote them ran it.
 func verifyWrittenParts(dir string, man *manifest, written map[int]bool, sharedWritten bool, live *core.Model) error {
+	blobs := dirBlobs(dir)
 	if sharedWritten {
-		sp, err := loadSharedBlobFile(filepath.Join(dir, man.Shared.File))
+		sp, err := blobs.shared(man.Shared.File)
 		if err != nil {
 			return fmt.Errorf("shared blob %s: %w", man.Shared.File, err)
 		}
@@ -621,7 +607,7 @@ func verifyWrittenParts(dir string, man *manifest, written map[int]bool, sharedW
 		if !written[ref.ID] {
 			continue
 		}
-		part, err := loadShardBlobFile(filepath.Join(dir, ref.File))
+		part, err := blobs.shard(ref.File)
 		if err != nil {
 			return fmt.Errorf("shard blob %s: %w", ref.File, err)
 		}

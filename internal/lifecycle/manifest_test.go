@@ -1,9 +1,11 @@
 package lifecycle
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -132,9 +134,6 @@ func corruptOneRewrittenShardBlob(t *testing.T, dataDir string) string {
 	var mans []*manifest
 	var names []string
 	for _, pt := range points {
-		if !pt.manifest {
-			continue
-		}
 		man, err := readManifest(pt.path)
 		if err != nil {
 			t.Fatal(err)
@@ -146,7 +145,7 @@ func corruptOneRewrittenShardBlob(t *testing.T, dataDir string) string {
 		return ""
 	}
 	newest, older := mans[0], mans[1]
-	shared, err := loadSharedBlobFile(filepath.Join(snapshotDir(dataDir), newest.Shared.File))
+	shared, err := dirBlobs(snapshotDir(dataDir)).shared(newest.Shared.File)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +164,7 @@ func corruptOneRewrittenShardBlob(t *testing.T, dataDir string) string {
 		// re-clustered in, whose full row the WAL tail cannot rebuild) —
 		// recovery then correctly degrades to whole-point fallback. Pick a
 		// shard where per-shard patching is actually possible.
-		part, err := loadShardBlobFile(filepath.Join(snapshotDir(dataDir), older.Shards[s].File))
+		part, err := dirBlobs(snapshotDir(dataDir)).shard(older.Shards[s].File)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -358,9 +357,6 @@ func TestCrashBetweenManifestPruneAndBlobGC(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pt := range points {
-		if !pt.manifest {
-			continue
-		}
 		man, err := readManifest(pt.path)
 		if err != nil {
 			t.Fatal(err)
@@ -379,63 +375,148 @@ func TestCrashBetweenManifestPruneAndBlobGC(t *testing.T) {
 	_ = man1 // its blobs are validated through the referenced-set sweep above
 }
 
-// TestLegacyMonolithicSnapshotBoots: a data dir written before the
-// manifest refactor — one monolithic snap-<seq>.gob, no manifest — must
-// still boot. The boot then writes a manifest (one-way migration), and
-// the next boot loads that manifest, bit-for-bit.
-func TestLegacyMonolithicSnapshotBoots(t *testing.T) {
+// TestLegacySnapshotNoLongerBoots: a monolithic snap-<seq>.gob from
+// before the manifest format is state this build cannot read. Alone in
+// the snapshots directory it must fail Open with an error naming the
+// file — never fall through to a retrain that silently forgets what the
+// file held; beside a loadable manifest it is ignored and left in place.
+func TestLegacySnapshotNoLongerBoots(t *testing.T) {
 	base := newBaseModel(t)
-	dir := t.TempDir()
-	if err := os.MkdirAll(snapshotDir(dir), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	legacy := filepath.Join(snapshotDir(dir), snapName(0))
-	f, err := os.Create(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := base.Save(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	a, err := Open(noBoot(t), Config{DataDir: dir, Fsync: wal.SyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := a.BootStats().SnapshotLoaded; got != legacy {
-		t.Fatalf("boot loaded %q, want the legacy snapshot %q", got, legacy)
-	}
-	samePredictions(t, "legacy boot", predictions(base), predictions(a.Model()))
-
-	// The migration manifest exists before any new traffic: a legacy load
-	// counts as replay-equivalent, so boot snapshots immediately.
-	mans, _ := filepath.Glob(filepath.Join(snapshotDir(dir), manifestPrefix+"*"))
-	if len(mans) == 0 {
-		t.Fatal("no manifest written after booting from a legacy snapshot")
+	plant := func(dir string, seq uint64) string {
+		t.Helper()
+		if err := os.MkdirAll(snapshotDir(dir), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		legacy := filepath.Join(snapshotDir(dir), fmt.Sprintf("snap-%016x.gob", seq))
+		f, err := os.Create(legacy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := base.Save(f); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return legacy
 	}
 
-	seq, _, err := a.Submit(testUpdate(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitUntil(t, "update applied", func() bool { return a.AppliedSeq() >= seq })
-	want := predictions(a.Model())
-	if err := a.Close(); err != nil {
-		t.Fatal(err)
-	}
+	t.Run("legacy only: refused", func(t *testing.T) {
+		dir := t.TempDir()
+		legacy := plant(dir, 0)
+		_, err := Open(noBoot(t), Config{DataDir: dir})
+		if err == nil || !strings.Contains(err.Error(), legacy) {
+			t.Fatalf("Open = %v, want a refusal naming %s", err, legacy)
+		}
+		if mans, _ := filepath.Glob(filepath.Join(snapshotDir(dir), manifestPrefix+"*")); len(mans) != 0 {
+			t.Fatalf("refused boot still wrote %v", mans)
+		}
+	})
 
-	b, err := Open(noBoot(t), Config{DataDir: dir, Fsync: wal.SyncNever})
-	if err != nil {
-		t.Fatal(err)
+	t.Run("legacy beside a manifest: manifest wins", func(t *testing.T) {
+		dir := t.TempDir()
+		a, err := Open(bootWith(base), Config{DataDir: dir, Fsync: wal.SyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq, _, err := a.Submit(testUpdate(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitUntil(t, "update applied", func() bool { return a.AppliedSeq() >= seq })
+		want := predictions(a.Model())
+		if err := a.Close(); err != nil {
+			t.Fatal(err)
+		}
+		legacy := plant(dir, 0xff) // claims to be newer than any manifest
+
+		b, err := Open(noBoot(t), Config{DataDir: dir, Fsync: wal.SyncNever, SnapshotKeep: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := filepath.Base(b.BootStats().SnapshotLoaded); !strings.HasPrefix(got, manifestPrefix) {
+			t.Fatalf("boot loaded %q, want a manifest", got)
+		}
+		samePredictions(t, "manifest boot beside a legacy file", want, predictions(b.Model()))
+		// Retention counts manifests only: a snapshot past SnapshotKeep
+		// must not sweep the file an operator may still want.
+		seq, _, err = b.Submit(testUpdate(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitUntil(t, "update applied", func() bool { return b.AppliedSeq() >= seq })
+		if err := b.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := os.Stat(legacy); err != nil {
+			t.Fatalf("legacy file not left in place: %v", err)
+		}
+	})
+}
+
+// TestBootstrapRefusedWhenWALCannotReachBack: the bootstrap model stands
+// at watermark 0, so falling back to it is only a recovery while the WAL
+// still replays batch-exactly from sequence 1. With every manifest
+// unloadable (a corrupt shared blob has no patch path) and the log
+// already pruned or deduped past that, retraining would serve a model
+// missing acknowledged ratings: Open must refuse, naming sequence 1, and
+// never call bootstrap.
+func TestBootstrapRefusedWhenWALCannotReachBack(t *testing.T) {
+	base := newBaseModel(t)
+	for _, tc := range []struct {
+		name    string
+		compact bool
+		want    string
+	}{
+		{"pruned", false, "records from seq 1 are gone"},
+		{"deduped", true, "batch grouping from seq 1 is lost"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := Config{
+				DataDir:            dir,
+				Fsync:              wal.SyncNever,
+				SegmentBytes:       256, // rotate often so the snapshot has sealed segments to shrink
+				SnapshotKeep:       1,
+				CompactEnabled:     tc.compact,
+				CompactMinSegments: 1,
+			}
+			m, err := Open(bootWith(base), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var last uint64
+			for i := 0; i < 40; i++ {
+				if last, _, err = m.Submit(testUpdate(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			waitUntil(t, "updates applied", func() bool { return m.AppliedSeq() >= last })
+			if _, err := m.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Close(); err != nil {
+				t.Fatal(err)
+			}
+			shared, _ := filepath.Glob(filepath.Join(snapshotDir(dir), sharedBlobPrefix+"*"))
+			if len(shared) == 0 {
+				t.Fatal("no shared blob to corrupt")
+			}
+			for _, path := range shared {
+				if err := os.Truncate(path, 7); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			_, err = Open(func() (*core.Model, error) {
+				t.Error("bootstrap called although acknowledged ratings are gone from the WAL")
+				return base, nil
+			}, cfg)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Open = %v, want a refusal saying %q", err, tc.want)
+			}
+		})
 	}
-	defer b.Close()
-	if got := filepath.Base(b.BootStats().SnapshotLoaded); got == filepath.Base(legacy) {
-		t.Fatalf("second boot still loads the legacy snapshot %q, want a manifest", got)
-	}
-	samePredictions(t, "post-migration boot", want, predictions(b.Model()))
 }
 
 // TestSnapshotStatsAndCompactEndpointPlumbing exercises the accessors the

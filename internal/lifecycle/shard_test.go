@@ -11,43 +11,12 @@ import (
 	"cfsf/internal/wal"
 )
 
-// shardGroups mirrors applyPending's batching on a plain update list:
-// repeatedly cut the first batchMax entries routed to the shard at the
-// head of the queue. The returned groups are exactly the per-shard
-// micro-batches the manager applies (and journals commits for).
-func shardGroups(base *core.Model, ups []core.RatingUpdate, batchMax int) [][]core.RatingUpdate {
-	router := core.NewSharded(base)
-	type entry struct {
-		u     core.RatingUpdate
-		shard int
-	}
-	pending := make([]entry, len(ups))
-	for i, u := range ups {
-		pending[i] = entry{u: u, shard: router.ShardOf(u.User)}
-	}
-	var groups [][]core.RatingUpdate
-	for len(pending) > 0 {
-		shard := pending[0].shard
-		var batch []core.RatingUpdate
-		kept := pending[:0]
-		for _, p := range pending {
-			if p.shard == shard && len(batch) < batchMax {
-				batch = append(batch, p.u)
-			} else {
-				kept = append(kept, p)
-			}
-		}
-		pending = kept
-		groups = append(groups, batch)
-	}
-	return groups
-}
-
 // TestShardedBatchParityAndRecovery is the sharding acceptance test: a
 // batch of ratings spanning several shards, ingested through SubmitBatch
-// and folded in per-shard micro-batches, must produce — live, and again
-// after a kill-and-reboot replay — exactly the model that monolithic
-// WithUpdates calls over the same per-shard groups produce.
+// and folded as one contiguous prefix — a single sharded Apply that
+// rebuilds every touched shard — must produce, live and again after a
+// kill-and-reboot replay, exactly the model that monolithic WithUpdates
+// calls over the same prefix groups produce.
 func TestShardedBatchParityAndRecovery(t *testing.T) {
 	base := newBaseModel(t)
 	dir := t.TempDir()
@@ -80,10 +49,16 @@ func TestShardedBatchParityAndRecovery(t *testing.T) {
 	last := seqs[len(seqs)-1]
 	waitUntil(t, "batch applied", func() bool { return a.AppliedSeq() >= last })
 
-	// Comparator: monolithic WithUpdates over the same per-shard groups.
-	groups := shardGroups(base, ups, 256)
-	if len(groups) < 2 {
-		t.Fatalf("test updates all routed to one shard (%d group); widen the spread", len(groups))
+	// Comparator: monolithic WithUpdates over the same prefix groups (one,
+	// at the default BatchMaxSize).
+	groups := prefixGroups(base, ups, 256)
+	router := core.NewSharded(base)
+	routed := map[int]bool{}
+	for _, u := range ups {
+		routed[router.ShardOf(u.User)] = true
+	}
+	if len(routed) < 2 {
+		t.Fatalf("test updates all routed to one shard; widen the spread")
 	}
 	comparator := base
 	for _, g := range groups {
@@ -94,7 +69,7 @@ func TestShardedBatchParityAndRecovery(t *testing.T) {
 	want := predictions(comparator)
 	samePredictions(t, "sharded live vs monolithic groups", want, predictions(a.Model()))
 	if batches := a.reg.Counter("lifecycle_batches_total").Value(); batches != int64(len(groups)) {
-		t.Errorf("manager used %d batches, expected %d per-shard groups", batches, len(groups))
+		t.Errorf("manager used %d batches, expected %d prefix groups", batches, len(groups))
 	}
 
 	// Per-shard stats: every touched shard saw at least one apply.
@@ -107,8 +82,8 @@ func TestShardedBatchParityAndRecovery(t *testing.T) {
 			}
 		}
 	}
-	if touched != len(groups) {
-		t.Errorf("%d shards saw applies, expected %d", touched, len(groups))
+	if touched != len(routed) {
+		t.Errorf("%d shards saw applies, expected %d", touched, len(routed))
 	}
 
 	a.Abort() // SIGKILL stand-in
@@ -217,7 +192,7 @@ func TestShardRetrainMode(t *testing.T) {
 	}
 }
 
-// TestBootSkipsBadSnapshot: a newest snapshot that cannot be decoded
+// TestBootSkipsBadSnapshot: a newest manifest that cannot be decoded
 // (torn write, unknown wire version) must not take the boot down — the
 // manager falls back to the next older verified snapshot and replays the
 // WAL tail from there, bit-for-bit. With nothing to fall back to and no
@@ -259,8 +234,8 @@ func TestBootSkipsBadSnapshot(t *testing.T) {
 	want := predictions(a.Model())
 	a.Abort()
 
-	// Plant a garbage "snapshot" claiming to be the newest.
-	bad := filepath.Join(snapshotDir(dir), snapName(99))
+	// Plant a garbage manifest claiming to be the newest.
+	bad := filepath.Join(snapshotDir(dir), manifestName(99))
 	if err := os.WriteFile(bad, []byte("v99 model from the future"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +264,7 @@ func TestBootSkipsBadSnapshot(t *testing.T) {
 	if err := os.MkdirAll(snapshotDir(dir2), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(snapshotDir(dir2), snapName(1)), []byte("junk"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(snapshotDir(dir2), manifestName(1)), []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(nil, Config{DataDir: dir2}); err == nil || !strings.Contains(err.Error(), "no loadable snapshot") {
