@@ -2,11 +2,18 @@ package lifecycle
 
 import "cfsf/internal/core"
 
+// pendingUpdate is one journaled rating awaiting its commit.
+type pendingUpdate struct {
+	seq   uint64
+	u     core.RatingUpdate
+	shard int // routing decision recorded in the WAL, reused for batching
+}
+
 // commitQueue regroups a WAL record stream into the batches the writer
 // applied: ratings queue in stream order and a batch-commit record cuts
-// its batch back out. Boot replay, per-shard blob patching and the
-// follower all regroup through it, which is what keeps the three
-// bit-identical to the live process and to each other.
+// its batch back out. The replica (boot replay, live drain, follower) and
+// per-shard blob patching all regroup through it, which is what keeps
+// them bit-identical to each other.
 type commitQueue struct {
 	queued []pendingUpdate // ascending sequence
 	last   uint64          // highest rating sequence taken in; starts at the base watermark
@@ -26,6 +33,24 @@ func (q *commitQueue) push(seq uint64, u core.RatingUpdate, shard int) bool {
 	q.last = seq
 	q.queued = append(q.queued, pendingUpdate{seq: seq, u: u, shard: shard})
 	return true
+}
+
+// prefixEnd returns the sequence ending the longest queue prefix in which
+// no shard contributes more than maxPerShard ratings — the batch the
+// leader's next commit closes. Contiguity is what makes the journaled
+// commit cover exactly this batch on replay — no entry inside the prefix
+// is left behind — and every published model a prefix of the log. ok is
+// false on an empty queue.
+func (q *commitQueue) prefixEnd(maxPerShard int) (seq uint64, ok bool) {
+	counts := make(map[int]int)
+	for _, p := range q.queued {
+		if counts[p.shard] >= maxPerShard {
+			break
+		}
+		counts[p.shard]++
+		seq, ok = p.seq, true
+	}
+	return seq, ok
 }
 
 // cut removes and returns, in stream order, the batch a commit record

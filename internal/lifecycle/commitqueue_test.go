@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"cfsf/internal/core"
+	"cfsf/internal/obs"
 	"cfsf/internal/ratings"
 	"cfsf/internal/wal"
 )
@@ -195,16 +196,14 @@ func TestPerShardCommitTailRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := NewFollower(nil, nil)
+	f := NewFollower(obs.NewRegistry(), t.Logf)
 	f.Reset(base, 0)
 	commits := 0
 	err = w.Replay(0, func(rec wal.Record) error {
-		if err := f.Ingest(rec); err != nil {
-			return err
-		}
+		f.Ingest(rec)
 		if rec.Type == wal.RecordBatchCommit {
 			commits++
-			if got := fingerprint(t, f.Model()); got != want[commits] {
+			if got := fingerprint(t, f.Sharded().Model()); got != want[commits] {
 				t.Errorf("follower after commit %d (seq %d): fingerprint %s, want %s", commits, rec.Seq, got, want[commits])
 			}
 		}
@@ -219,10 +218,8 @@ func TestPerShardCommitTailRecovers(t *testing.T) {
 	if f.QueueLen() != 2 || f.AppliedSeq() != lastCommitted {
 		t.Fatalf("follower holds %d queued at applied seq %d, want 2 at %d", f.QueueLen(), f.AppliedSeq(), lastCommitted)
 	}
-	if err := f.Ingest(wal.Record{Type: wal.RecordBatchCommit, Seq: lastRecord + 1, Covered: lastRecord, Shard: -1}); err != nil {
-		t.Fatal(err)
-	}
-	if got := fingerprint(t, f.Model()); got != want[len(groups)] {
+	f.Ingest(wal.Record{Type: wal.RecordBatchCommit, Seq: lastRecord + 1, Covered: lastRecord, Shard: -1})
+	if got := fingerprint(t, f.Sharded().Model()); got != want[len(groups)] {
 		t.Fatalf("follower after the tail commit: fingerprint %s, want %s", got, want[len(groups)])
 	}
 

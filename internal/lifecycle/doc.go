@@ -1,0 +1,60 @@
+// Package lifecycle owns the serving model end to end: it journals every
+// incoming rating to a write-ahead log before acknowledging it, records
+// the model shard (= user cluster) each rating touches, folds the queue
+// in micro-batches cut as contiguous prefixes — one
+// core.ShardedModel.Apply per batch, which rebuilds only the shards the
+// batch touches, in parallel, instead of the monolithic O(nnz) rebuild —
+// rotates atomic snapshots so restarts are fast, and schedules the
+// background retrain that internal/core/update.go's drift caveat asks
+// for, either as a per-shard sweep (RetrainMode "shards") or as the
+// legacy stop-the-world KMeans pass ("full").
+//
+// One state machine turns WAL records into a served model (replica):
+// ratings are pushed, a commit through seq N cuts its batch, applies it
+// and publishes {model, applied seq}. Boot replay feeds it the log, the
+// live run loop pushes what it journals and commits what its drain policy
+// picks, and a read replica (Follower) feeds it the leader's stream — so
+// replay ≡ live apply ≡ follower because all three are the same code.
+//
+// Files:
+//
+//	manager.go      Config, Open, Submit/SubmitBatch, the run loop and its
+//	                drain policy, retrain, Close/Abort
+//	replica.go      the push/commit/publish unit, applyWithFallback, and
+//	                its two read views: Manager's accessors and Follower
+//	commitqueue.go  the one rule regrouping a record stream into batches
+//	boot.go         the recovery-point ladder, WAL-tail replay, per-shard
+//	                blob patching, the WAL accessors replication serves from
+//	snapshot.go     Snapshot and its dirt bookkeeping, retention, blob GC,
+//	                compaction, the manifest/blob accessors replication
+//	                serves from
+//	manifest.go     the manifest format, blob assembly (local and remote)
+//	                and the read-back self-check
+//	metrics.go      instruments and gauges
+//
+// Data-dir layout:
+//
+//	<dir>/wal/seg-<firstSeq>.wal         append-only rating journal (internal/wal)
+//	<dir>/wal/base-<toSeq>.cwal          compacted base the folded segments
+//	                                     rewrite into (wal compaction)
+//	<dir>/snapshots/manifest-<seq>.json  one recovery point: watermark + blob refs
+//	<dir>/snapshots/shared-<seq>.blob    config + GIS + clustering at <seq>
+//	<dir>/snapshots/shard-<id>-<seq>.blob one shard's matrix rows at <seq>
+//
+// Boot loads the newest loadable recovery point — an unreadable manifest
+// is skipped in favour of an older one, and inside a manifest an
+// unreadable shard blob is patched from an older manifest's blob plus
+// the WAL before the whole point is given up on — or calls the bootstrap
+// function when none loads and the WAL still reaches back to sequence 1,
+// then replays the WAL tail past the point's sequence. A monolithic
+// snap-<seq>.gob written before manifests existed no longer boots: with
+// no loadable manifest beside it Open refuses, naming the file. Every
+// published model folds a contiguous prefix of the log, and the
+// batch-commit record journaled after each swap carries the last
+// sequence the batch covered, so replay regroups ratings into exactly
+// the micro-batches the previous process applied (commitQueue) and the
+// recovered model is bit-for-bit identical. A fresh snapshot is then
+// written so the next boot replays nothing — but only after every
+// written blob passes a read-back self-check; a snapshot that cannot be
+// read back bit-for-bit never prunes the WAL it claims to cover.
+package lifecycle

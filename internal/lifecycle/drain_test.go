@@ -87,7 +87,7 @@ func TestDrainPrefixParityAndRecovery(t *testing.T) {
 	}
 	// A grouped apply spans shards: more than one shard must have seen it.
 	touched := 0
-	for _, st := range a.ShardStats() {
+	for _, st := range a.Sharded().ShardStats() {
 		if st.Applies > 0 {
 			touched++
 		}

@@ -3,10 +3,13 @@ package lifecycle
 import (
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"cfsf/internal/core"
+	"cfsf/internal/obs"
 	"cfsf/internal/synth"
 	"cfsf/internal/wal"
 )
@@ -447,6 +450,55 @@ func TestRetrainAfterDrift(t *testing.T) {
 		t.Fatal("manual retrain trigger refused while idle")
 	}
 	waitUntil(t, "manual retrain", func() bool { return m.reg.Counter("lifecycle_retrains_total").Value() >= 2 })
+}
+
+// TestRetrainingIsPerManager: whether a retrain is in flight is the
+// manager's own state, not something read back out of the metrics
+// registry — two managers sharing one obs.Registry must not see each
+// other's retrain. The first manager's run loop is parked inside the
+// "retrain started" log line, where its flag is already up.
+func TestRetrainingIsPerManager(t *testing.T) {
+	base := newBaseModel(t)
+	reg := obs.NewRegistry()
+	parked, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	a, err := Open(bootWith(base), Config{
+		DataDir: t.TempDir(), Fsync: wal.SyncNever, Registry: reg,
+		Logf: func(format string, _ ...any) {
+			if strings.Contains(format, "retrain started") {
+				once.Do(func() {
+					close(parked)
+					<-release
+				})
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := Open(bootWith(base), Config{DataDir: t.TempDir(), Fsync: wal.SyncNever, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+
+	if !a.TriggerRetrain("") {
+		t.Fatal("retrain trigger refused while idle")
+	}
+	<-parked
+	if !a.Retraining() {
+		t.Error("the retraining manager does not report its own retrain")
+	}
+	if b.Retraining() {
+		t.Error("an idle manager reports the retrain of another manager on the same registry")
+	}
+	if !b.TriggerRetrain("") {
+		t.Error("an idle manager refused a retrain because another manager is retraining")
+	}
+	close(release)
+	waitUntil(t, "both retrains", func() bool { return reg.Counter("lifecycle_retrains_total").Value() >= 2 })
+	waitUntil(t, "flags down", func() bool { return !a.Retraining() && !b.Retraining() })
 }
 
 // TestPostRetrainSnapshotNotSkipped pins a durability bug: a retrain

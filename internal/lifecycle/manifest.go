@@ -31,7 +31,6 @@ import (
 
 	"cfsf/internal/core"
 	"cfsf/internal/ratings"
-	"cfsf/internal/wal"
 )
 
 const (
@@ -261,290 +260,29 @@ func assembleManifest(man *manifest, open blobOpener, patch shardPatcher) (mod *
 	return mod, patched, nil
 }
 
-// loadManifestPoint reassembles the model a local manifest describes,
-// patching an unusable shard blob from an older manifest's blob plus the
-// WAL (see fallbackShardRows). An unrecoverable shard fails the whole
-// point and the boot ladder moves to an older one.
-func (m *Manager) loadManifestPoint(pt durablePoint) (mod *core.Model, man *manifest, patched []int, err error) {
-	man, err = readManifest(pt.path)
+// AssembleRemotePoint reassembles a model from a manifest document plus
+// a blob-fetch function — the follower bootstrap path, where the blobs
+// come from the leader's snapshot endpoints instead of local disk. It
+// returns the model and the watermark the manifest covers. Unlike boot
+// there is no shard-patching fallback: a follower that cannot fetch a
+// consistent blob set simply retries (the leader's next snapshot
+// supersedes the torn one).
+func AssembleRemotePoint(manifestJSON []byte, fetch func(name string) ([]byte, error)) (*core.Model, uint64, error) {
+	man, err := parseManifest(manifestJSON, "remote")
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, 0, err
 	}
-	if man.Seq != pt.seq {
-		return nil, nil, nil, fmt.Errorf("manifest %s covers seq %d, name says %d", filepath.Base(pt.path), man.Seq, pt.seq)
-	}
-	mod, patched, err = assembleManifest(man, dirBlobs(snapshotDir(m.cfg.DataDir)), m.fallbackShardRows)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return mod, man, patched, nil
-}
-
-// fallbackShardRows recovers one shard's rows when its manifest blob is
-// lost: an older retained manifest's blob for the same shard is loaded
-// and patched forward through the WAL to the manifest's watermark. The
-// patch is refused — failing the whole point — when the WAL no longer
-// carries batch-exact records above the older blob's sequence (see
-// tailReplayable).
-func (m *Manager) fallbackShardRows(man *manifest, ref shardBlobRef, sp *core.SharedPart, rows [][]ratings.Entry, times [][]int64, cause error) error {
-	m.reg.Counter("lifecycle_shard_blob_failures_total").Inc()
-	m.cfg.Logf("lifecycle: shard blob %s unusable (%v); patching shard %d from an older blob", ref.File, cause, ref.ID)
-	points, err := listDurablePoints(m.cfg.DataDir)
-	if err != nil {
-		return err
-	}
-	members := sp.Members(ref.ID)
-	blobs := dirBlobs(snapshotDir(m.cfg.DataDir))
-	var lastErr error = fmt.Errorf("no older manifest holds a usable blob for shard %d", ref.ID)
-	for _, pt := range points {
-		if pt.seq >= man.Seq {
-			continue
-		}
-		old, oerr := readManifest(pt.path)
-		if oerr != nil || ref.ID >= len(old.Shards) {
-			continue
-		}
-		oldRef := old.Shards[ref.ID]
-		if oldRef.File == ref.File {
-			continue // the same (bad) blob, re-referenced
-		}
-		if err := m.tailReplayable(oldRef.Seq); err != nil {
-			lastErr = err
-			continue
-		}
-		part, perr := blobs.shard(oldRef.File)
-		if perr != nil {
-			lastErr = perr
-			continue
-		}
-		if part.Shard != ref.ID || (part.Times != nil && !sp.HasTimes) {
-			continue
-		}
-		// Every current member must either appear in the old blob or be a
-		// user created after it was written (whose whole row is in the
-		// WAL). A member missing for any other reason lived in a different
-		// shard back then — its old rows are in a blob we are not reading.
-		inBlob := make(map[int]int, len(part.Users))
-		for j, u := range part.Users {
-			inBlob[u] = j
-		}
-		compatible := true
-		for _, u := range members {
-			if _, ok := inBlob[u]; !ok && u < part.NumUsersAtWrite {
-				compatible = false
-				break
-			}
-		}
-		if !compatible {
-			lastErr = fmt.Errorf("blob %s predates a membership change it cannot express", oldRef.File)
-			continue
-		}
-		baseRows := make(map[int][]ratings.Entry, len(members))
-		baseTimes := make(map[int][]int64, len(members))
-		for _, u := range members {
-			j, ok := inBlob[u]
-			if !ok {
-				continue
-			}
-			baseRows[u] = part.Rows[j]
-			if sp.HasTimes {
-				if part.Times != nil {
-					baseTimes[u] = part.Times[j]
-				} else {
-					// Pre-flip blob: its entries were journaled untimed, so
-					// their timestamps are genuinely zero.
-					baseTimes[u] = make([]int64, len(part.Rows[j]))
-				}
-			}
-		}
-		if err := m.patchRows(members, baseRows, baseTimes, oldRef.Seq, man.Seq, sp.HasTimes, rows, times); err != nil {
-			lastErr = err
-			continue
-		}
-		m.cfg.Logf("lifecycle: patched shard %d from %s (seq %d) forward to seq %d",
-			ref.ID, oldRef.File, oldRef.Seq, man.Seq)
-		return nil
-	}
-	return lastErr
-}
-
-// patchRows replays the WAL from fromSeq, restricted to the given users,
-// on top of their base rows, and writes the resulting rows (item
-// ascending, timestamps aligned) into rows/times at throughSeq. Ratings
-// are grouped by the journaled batch-commit records exactly as full
-// replay groups them — commit order can differ from sequence order when
-// a user was rerouted between shards, and the live model folded the
-// batches in commit order.
-func (m *Manager) patchRows(members []int, baseRows map[int][]ratings.Entry, baseTimes map[int][]int64, fromSeq, throughSeq uint64, hasTimes bool, rows [][]ratings.Entry, times [][]int64) error {
-	type cellVal struct {
-		v float64
-		t int64
-	}
-	cells := make(map[int]map[int32]cellVal, len(members))
-	memberSet := make(map[int]bool, len(members))
-	for _, u := range members {
-		memberSet[u] = true
-		row := make(map[int32]cellVal, len(baseRows[u]))
-		for k, e := range baseRows[u] {
-			cv := cellVal{v: e.Value}
-			if hasTimes {
-				cv.t = baseTimes[u][k]
-			}
-			row[e.Index] = cv
-		}
-		cells[u] = row
-	}
-	q := newCommitQueue(fromSeq)
-	apply := func(covered uint64, shard int) {
-		for _, u := range q.cut(covered, shard) {
-			cells[u.User][int32(u.Item)] = cellVal{v: u.Value, t: u.Time}
-		}
-	}
-	err := m.w.Replay(fromSeq, func(rec wal.Record) error {
-		switch rec.Type {
-		case wal.RecordRating:
-			if rec.Seq <= throughSeq && memberSet[rec.Update.User] {
-				q.push(rec.Seq, rec.Update, rec.Shard)
-			}
-		case wal.RecordBatchCommit:
-			apply(rec.Covered, rec.Shard)
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	// Ratings at or below the manifest's watermark were all applied before
-	// it was written; any left uncommitted in the log fold in sequence
-	// order, exactly as boot replay's trailing batch does.
-	apply(throughSeq, -1)
-
-	for _, u := range members {
-		row := cells[u]
-		items := make([]int32, 0, len(row))
-		for it := range row {
-			items = append(items, it)
-		}
-		sort.Slice(items, func(i, j int) bool { return items[i] < items[j] })
-		out := make([]ratings.Entry, len(items))
-		var ts []int64
-		if hasTimes {
-			ts = make([]int64, len(items))
-		}
-		for k, it := range items {
-			cv := row[it]
-			out[k] = ratings.Entry{Index: it, Value: cv.v}
-			if hasTimes {
-				ts[k] = cv.t
-			}
-		}
-		rows[u] = out
-		if hasTimes {
-			times[u] = ts
-		}
-	}
-	return nil
-}
-
-// pruneDurablePoints drops recovery points beyond SnapshotKeep, then
-// garbage-collects every blob file no retained manifest references. The
-// order makes a crash between the two passes safe: an unreferenced blob
-// that survives is re-collected by the next pass, and a referenced blob
-// is never deleted before every manifest naming it is.
-//
-//cfsf:locked snapMu callers hold it; retention must not race a manifest write
-func (m *Manager) pruneDurablePoints() {
-	points, err := listDurablePoints(m.cfg.DataDir)
-	if err != nil {
-		return
-	}
-	if len(points) > m.cfg.SnapshotKeep {
-		for _, pt := range points[m.cfg.SnapshotKeep:] {
-			if err := os.Remove(pt.path); err == nil {
-				m.cfg.Logf("lifecycle: pruned snapshot %s", filepath.Base(pt.path))
-			}
-		}
-		points = points[:m.cfg.SnapshotKeep]
-	}
-	referenced := map[string]bool{}
-	for _, pt := range points {
-		man, err := readManifest(pt.path)
+	mod, _, err := assembleManifest(man, func(name string) (io.ReadCloser, error) {
+		data, err := fetch(name)
 		if err != nil {
-			continue // unreadable: keep its blobs, the ladder may still want them
+			return nil, fmt.Errorf("fetch: %w", err)
 		}
-		referenced[man.Shared.File] = true
-		for _, ref := range man.Shards {
-			referenced[ref.File] = true
-		}
-	}
-	entries, err := os.ReadDir(snapshotDir(m.cfg.DataDir))
+		return io.NopCloser(bytes.NewReader(data)), nil
+	}, nil)
 	if err != nil {
-		return
+		return nil, 0, err
 	}
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !isBlobName(name) || referenced[name] {
-			continue
-		}
-		if err := os.Remove(filepath.Join(snapshotDir(m.cfg.DataDir), name)); err == nil {
-			m.cfg.Logf("lifecycle: pruned unreferenced blob %s", name)
-		}
-	}
-}
-
-// oldestRetainedSeq returns the oldest sequence any retained recovery
-// point can resume from — the minimum over point watermarks and blob
-// write sequences (a clean shard's blob can be older than its manifest,
-// and patching it needs the WAL from its own sequence). Compaction uses
-// it as the dedupe horizon. Zero when no point exists.
-//
-//cfsf:locked snapMu callers hold it; must see a settled manifest set
-func (m *Manager) oldestRetainedSeq() uint64 {
-	points, err := listDurablePoints(m.cfg.DataDir)
-	if err != nil || len(points) == 0 {
-		return 0
-	}
-	min := ^uint64(0)
-	for _, pt := range points {
-		s := pt.seq
-		if man, err := readManifest(pt.path); err == nil {
-			if man.Shared.Seq < s {
-				s = man.Shared.Seq
-			}
-			for _, ref := range man.Shards {
-				if ref.Seq < s {
-					s = ref.Seq
-				}
-			}
-		}
-		if s < min {
-			min = s
-		}
-	}
-	return min
-}
-
-// oldestRetainedPointSeq returns the oldest watermark among retained
-// recovery points (ignoring blob write sequences). Plain WAL pruning
-// uses it: segments at or below it serve no retained point's tail
-// replay, while a clean blob older than every point deliberately does
-// NOT pin the log — patching such a blob is refused by the
-// AvailableFrom gate and recovery degrades to whole-point fallback,
-// instead of the WAL growing without bound. Zero when no point exists.
-//
-//cfsf:locked snapMu callers hold it; must see a settled manifest set
-func (m *Manager) oldestRetainedPointSeq() uint64 {
-	points, err := listDurablePoints(m.cfg.DataDir)
-	if err != nil || len(points) == 0 {
-		return 0
-	}
-	min := points[0].seq
-	for _, pt := range points[1:] {
-		if pt.seq < min {
-			min = pt.seq
-		}
-	}
-	return min
+	return mod, man.Seq, nil
 }
 
 // uniqueBlobName returns base+blobSuffix, or a .rN-suffixed variant when

@@ -562,7 +562,7 @@ func TestSnapshotStatsAndCompactOnDemand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	numShards := len(m.ShardStats())
+	numShards := len(m.Sharded().ShardStats())
 	if info.ShardsWritten != 1 || info.ShardsClean != numShards-1 {
 		t.Fatalf("incremental snapshot wrote %d shards (%d clean), want 1 (%d clean): %+v",
 			info.ShardsWritten, info.ShardsClean, numShards-1, info)

@@ -1,0 +1,296 @@
+package lifecycle
+
+import (
+	"sort"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"cfsf/internal/core"
+	"cfsf/internal/obs"
+	"cfsf/internal/wal"
+)
+
+// replicaState is one published serving state: the model and its applied
+// watermark, swapped atomically. The model folds in exactly the ratings
+// with sequence <= seq — batches are cut as contiguous queue prefixes, so
+// every published state can be snapshotted under its seq.
+type replicaState struct {
+	sharded *core.ShardedModel //cfsf:immutable
+	seq     uint64             //cfsf:immutable
+	// gen counts the model swaps behind this state and shardGen[s] is the
+	// gen of the last swap that dirtied shard s's persisted rows. Every
+	// swap dirties the shared part, so gen is also its dirt generation. A
+	// snapshot rewrites a blob iff its part's generation here exceeds the
+	// gen of the state the previous manifest was written from
+	// (snapshotState.snapGen).
+	gen      uint64   //cfsf:immutable
+	shardGen []uint64 //cfsf:immutable
+}
+
+// after builds the state that follows st once a swap to sm has dirtied
+// the given shards — every shard when all is set — and, as every swap
+// does, the shared part.
+func (st *replicaState) after(sm *core.ShardedModel, seq uint64, dirty []int, all bool) *replicaState {
+	next := &replicaState{sharded: sm, seq: seq, gen: st.gen + 1, shardGen: make([]uint64, sm.NumShards())}
+	copy(next.shardGen, st.shardGen)
+	for _, s := range dirty {
+		next.shardGen[s] = next.gen
+	}
+	if all {
+		for s := range next.shardGen {
+			next.shardGen[s] = next.gen
+		}
+	}
+	return next
+}
+
+// replica is the one state machine that turns WAL records into a served
+// model: it owns the published {model, applied seq} pair and the queue of
+// journaled-but-unapplied ratings, and mutates them in two ways only —
+// a rating is pushed, a commit through seq N cuts its batch, applies it
+// and publishes the result. Boot replay and a follower feed it the
+// leader's records; the live leader pushes what it journals and commits
+// the prefix its drain policy picks, then journals that commit — so
+// replay, live apply and follower are the same code, not three loops kept
+// in step. Pushes may come from any goroutine; commit, reset and replace
+// belong to a single writer (the manager's run loop, the follower's
+// stream goroutine).
+type replica struct {
+	logf      func(format string, args ...any) //cfsf:immutable
+	applyErrs *obs.Counter                     //cfsf:immutable
+
+	state atomic.Pointer[replicaState]
+
+	// mu guards queue. The leader also holds it across a WAL append, so
+	// journal order is queue order.
+	mu    sync.Mutex
+	queue commitQueue //cfsf:guarded-by mu
+}
+
+// reset installs a model that folds every rating at or below seq and
+// restarts the queue there (a re-bootstrap lands on a newer snapshot,
+// which already folds whatever was queued). The model is what the blobs
+// of the manifest it was assembled from hold, except for the shards
+// listed in dirty, whose rows were recovered some other way.
+func (r *replica) reset(sm *core.ShardedModel, seq uint64, dirty []int) {
+	r.mu.Lock()
+	r.queue = newCommitQueue(seq)
+	r.mu.Unlock()
+	st := &replicaState{sharded: sm, seq: seq, shardGen: make([]uint64, sm.NumShards())}
+	if len(dirty) > 0 {
+		st.gen = 1
+		for _, s := range dirty {
+			st.shardGen[s] = 1
+		}
+	}
+	r.state.Store(st)
+}
+
+// replace swaps in a retrained model at the unchanged watermark. A
+// retrain re-fits clustering and rebuilds the GIS: every persisted part
+// is stale.
+func (r *replica) replace(sm *core.ShardedModel) {
+	cur := r.state.Load()
+	r.state.Store(cur.after(sm, cur.seq, nil, true))
+}
+
+// commit closes the batch a commit record through seq covered describes
+// (see commitQueue.cut), folds it into the model and publishes the result
+// under the new watermark. It returns the batch; a commit that covers
+// nothing queued — its ratings were already inside the base state —
+// applies nothing and only moves the watermark.
+func (r *replica) commit(covered uint64, shard int) []core.RatingUpdate {
+	r.mu.Lock()
+	batch := r.queue.cut(covered, shard)
+	seq := r.queue.watermark()
+	r.mu.Unlock()
+
+	cur := r.state.Load()
+	if len(batch) == 0 {
+		if seq != cur.seq {
+			r.state.Store(&replicaState{sharded: cur.sharded, seq: seq, gen: cur.gen, shardGen: cur.shardGen})
+		}
+		return nil
+	}
+	next, dirty := applyWithFallback(cur.sharded, batch, r.logf, r.applyErrs)
+	// A timestamp flip changes every shard blob's wire shape, not just the
+	// touched rows — persistence must rewrite them all.
+	flip := cur.sharded.Model().Matrix().HasTimes() != next.Model().Matrix().HasTimes()
+	r.state.Store(cur.after(next, seq, dirty, flip))
+	return batch
+}
+
+// feed folds one journaled record: a rating queues, a batch commit cuts
+// and applies exactly the writer's batch, anything else (checkpoints)
+// carries no model state. It reports how many ratings the record queued
+// and how many it applied.
+func (r *replica) feed(rec wal.Record) (queued, applied int) {
+	switch rec.Type {
+	case wal.RecordRating:
+		r.mu.Lock()
+		if r.queue.push(rec.Seq, rec.Update, rec.Shard) {
+			queued = 1
+		}
+		r.mu.Unlock()
+	case wal.RecordBatchCommit:
+		applied = len(r.commit(rec.Covered, rec.Shard))
+	}
+	return queued, applied
+}
+
+// pending returns how many queued ratings await their commit.
+func (r *replica) pending() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.queue.queued)
+}
+
+// lag returns the gap between the newest queued rating's sequence and
+// the applied watermark.
+func (r *replica) lag() uint64 {
+	st := r.state.Load()
+	r.mu.Lock()
+	last := r.queue.last
+	r.mu.Unlock()
+	if last <= st.seq {
+		return 0
+	}
+	return last - st.seq
+}
+
+// Model returns the currently served model.
+func (m *Manager) Model() *core.Model { return m.Sharded().Model() }
+
+// Sharded returns the currently served model with its per-shard view:
+// user and rating counts plus apply/retrain activity for every shard.
+func (m *Manager) Sharded() *core.ShardedModel { return m.rep.state.Load().sharded }
+
+// AppliedSeq returns the contiguous applied watermark: every rating with
+// a WAL sequence at or below it is folded into the serving model.
+func (m *Manager) AppliedSeq() uint64 { return m.rep.state.Load().seq }
+
+// Pending returns the number of journaled-but-unapplied ratings.
+func (m *Manager) Pending() int { return m.rep.pending() }
+
+// ApplyLag returns the gap between the newest journaled rating sequence
+// and the contiguous applied watermark — how far the serving model trails
+// the WAL. 0 means every acknowledged rating is folded in; a value that
+// grows without bound under steady traffic means the apply loop cannot
+// keep up with the submission rate (the loadgen steady scenario asserts
+// it drains).
+func (m *Manager) ApplyLag() uint64 { return m.rep.lag() }
+
+// applyWithFallback folds a batch into the sharded model, falling back
+// to per-update application when the batch fails as a whole so one
+// malformed update cannot wedge the log (bad updates are counted and
+// dropped). It returns the union of the dirty-shard sets of every apply
+// it performed — the fallback path chains several, each carrying only
+// its own step's dirt.
+func applyWithFallback(sm *core.ShardedModel, updates []core.RatingUpdate, logf func(string, ...any), applyErrs *obs.Counter) (*core.ShardedModel, []int) {
+	next, err := sm.Apply(updates)
+	if err == nil {
+		return next, next.DirtyShards()
+	}
+	logf("lifecycle: batch of %d failed (%v); retrying per update", len(updates), err)
+	cur := sm
+	dirty := map[int]bool{}
+	for _, u := range updates {
+		n, uerr := cur.Apply([]core.RatingUpdate{u})
+		if uerr != nil {
+			applyErrs.Inc()
+			logf("lifecycle: dropping unappliable update (%d,%d)=%g: %v", u.User, u.Item, u.Value, uerr)
+			continue
+		}
+		for _, s := range n.DirtyShards() {
+			dirty[s] = true
+		}
+		cur = n
+	}
+	return cur, sortedInts(dirty)
+}
+
+func sortedInts(set map[int]bool) []int {
+	out := make([]int, 0, len(set))
+	for s := range set {
+		out = append(out, s)
+	}
+	sort.Ints(out)
+	return out
+}
+
+// Follower is a read replica's applier: a replica fed a leader's WAL
+// records in stream order on top of a bootstrap-assembled model, plus
+// the stream cursor and the lag clock. It owns no WAL and no snapshot
+// schedule. Reset must install a bootstrap point before anything else is
+// used; Reset and Ingest are single-writer (one stream goroutine), the
+// read accessors are safe from any goroutine.
+type Follower struct {
+	rep      replica
+	received atomic.Uint64 // stream cursor: highest record sequence ingested (any type)
+	oldestAt atomic.Int64  // lag clock: arrival (unix ns) of the oldest still-queued rating
+
+	mApplied *obs.Counter //cfsf:immutable
+	mBatches *obs.Counter //cfsf:immutable
+}
+
+// NewFollower returns an applier with no model yet.
+func NewFollower(reg *obs.Registry, logf func(format string, args ...any)) *Follower {
+	return &Follower{
+		rep:      replica{logf: logf, applyErrs: reg.Counter("follower_apply_errors_total")},
+		mApplied: reg.Counter("follower_applied_total"),
+		mBatches: reg.Counter("follower_batches_total"),
+	}
+}
+
+// Reset installs a freshly bootstrapped model covering every rating with
+// sequence <= seq, discarding any queued tail.
+func (f *Follower) Reset(mod *core.Model, seq uint64) {
+	f.rep.reset(core.NewSharded(mod), seq, nil)
+	f.received.Store(seq)
+}
+
+// Ingest folds one streamed WAL record. Records at or below the
+// already-ingested position (a reconnect overlap) are skipped.
+//
+//cfsf:wallclock-ok arrival times feed the lag estimate only; apply grouping comes from journaled commit records
+func (f *Follower) Ingest(rec wal.Record) {
+	if rec.Seq <= f.received.Load() {
+		return
+	}
+	f.received.Store(rec.Seq)
+	queued, applied := f.rep.feed(rec)
+	if queued > 0 && f.rep.pending() == 1 {
+		f.oldestAt.Store(time.Now().UnixNano())
+	}
+	if applied > 0 {
+		f.mApplied.Add(int64(applied))
+		f.mBatches.Inc()
+	}
+}
+
+// Sharded returns the follower's currently served model.
+func (f *Follower) Sharded() *core.ShardedModel { return f.rep.state.Load().sharded }
+
+// AppliedSeq returns the contiguous applied watermark.
+func (f *Follower) AppliedSeq() uint64 { return f.rep.state.Load().seq }
+
+// Cursor returns the stream resume position: the highest record sequence
+// already ingested (queued ratings included — they survive a reconnect
+// in memory).
+func (f *Follower) Cursor() uint64 { return f.received.Load() }
+
+// QueueLen returns how many ingested ratings await their batch commit.
+func (f *Follower) QueueLen() int { return f.rep.pending() }
+
+// OldestQueuedAge estimates how long the oldest unapplied rating has
+// been waiting (zero with an empty queue) — the wall-clock component of
+// replication lag.
+//
+//cfsf:wallclock-ok lag estimate only; never feeds applied state
+func (f *Follower) OldestQueuedAge() time.Duration {
+	if f.rep.pending() == 0 {
+		return 0
+	}
+	return time.Since(time.Unix(0, f.oldestAt.Load()))
+}

@@ -74,7 +74,7 @@ func TestShardedBatchParityAndRecovery(t *testing.T) {
 
 	// Per-shard stats: every touched shard saw at least one apply.
 	touched := 0
-	for _, st := range a.ShardStats() {
+	for _, st := range a.Sharded().ShardStats() {
 		if st.Applies > 0 {
 			touched++
 			if st.Applied == 0 || st.LastApplyMS < 0 {
@@ -175,7 +175,7 @@ func TestShardRetrainMode(t *testing.T) {
 		return m.reg.Counter("lifecycle_retrains_total").Value() >= 1
 	})
 	waitUntil(t, "sweep visited every shard", func() bool {
-		for _, st := range m.ShardStats() {
+		for _, st := range m.Sharded().ShardStats() {
 			if st.Retrains < 1 {
 				return false
 			}

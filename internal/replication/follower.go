@@ -197,9 +197,7 @@ func (f *Follower) streamOnce(ctx context.Context) error {
 					}
 					return fmt.Errorf("replication: corrupt frame in stream: %w", derr)
 				}
-				if aerr := f.app.Ingest(rec); aerr != nil {
-					return aerr
-				}
+				f.app.Ingest(rec)
 				f.observeLeaderSeq(rec.Seq)
 				buf = buf[:copy(buf, buf[fn:])]
 			}
@@ -304,10 +302,8 @@ func (f *Follower) publishLag() {
 	f.gLagWallMS.Set(float64(f.app.OldestQueuedAge().Milliseconds()))
 }
 
-// Model returns the follower's current serving model.
-func (f *Follower) Model() *core.Model { return f.app.Model() }
-
-// Sharded returns the follower's current sharded model.
+// Sharded returns the follower's current serving model, with the
+// per-shard apply counters its own applies accumulated.
 func (f *Follower) Sharded() *core.ShardedModel { return f.app.Sharded() }
 
 // AppliedSeq returns the contiguous applied watermark.

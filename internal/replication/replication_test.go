@@ -170,7 +170,7 @@ func TestFollowerBootstrapAndStreamParity(t *testing.T) {
 	defer f.Close()
 
 	waitUntil(t, "follower caught up", func() bool { return f.AppliedSeq() >= mgr.AppliedSeq() })
-	if got, want := mustFingerprint(t, f.Model()), mustFingerprint(t, mgr.Model()); got != want {
+	if got, want := mustFingerprint(t, f.Sharded().Model()), mustFingerprint(t, mgr.Model()); got != want {
 		t.Fatalf("post-bootstrap fingerprints differ:\n  follower %s\n  leader   %s", got, want)
 	}
 
@@ -179,7 +179,7 @@ func TestFollowerBootstrapAndStreamParity(t *testing.T) {
 	boots := f.Stats()["bootstraps"]
 	submitAndDrain(t, mgr, 5, 7)
 	waitUntil(t, "follower streamed the tail", func() bool { return f.AppliedSeq() >= mgr.AppliedSeq() })
-	if got, want := mustFingerprint(t, f.Model()), mustFingerprint(t, mgr.Model()); got != want {
+	if got, want := mustFingerprint(t, f.Sharded().Model()), mustFingerprint(t, mgr.Model()); got != want {
 		t.Fatalf("post-stream fingerprints differ:\n  follower %s\n  leader   %s", got, want)
 	}
 	if f.Stats()["bootstraps"] != boots {
@@ -236,7 +236,7 @@ func TestFollowerRebootstrapsAfterCompaction(t *testing.T) {
 	waitUntil(t, "follower re-bootstrapped past the gap", func() bool {
 		return f.Stats()["rebootstraps"].(int64) >= 1 && f.AppliedSeq() >= mgr.AppliedSeq()
 	})
-	if got, want := mustFingerprint(t, f.Model()), mustFingerprint(t, mgr.Model()); got != want {
+	if got, want := mustFingerprint(t, f.Sharded().Model()), mustFingerprint(t, mgr.Model()); got != want {
 		t.Fatalf("post-re-bootstrap fingerprints differ:\n  follower %s\n  leader   %s", got, want)
 	}
 

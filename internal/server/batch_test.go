@@ -9,7 +9,7 @@ import (
 )
 
 // TestRateBatchStandalone: an array body on /rate applies the whole
-// batch in one WithUpdates pass, including progressive growth — entry i
+// batch in one Apply pass, including progressive growth — entry i
 // may introduce ids GrowthMargin+i past the bounds, because earlier
 // entries in the same batch create the ids it builds on.
 func TestRateBatchStandalone(t *testing.T) {
@@ -100,7 +100,7 @@ func TestRateBatchQueued(t *testing.T) {
 
 // TestStatsAndMetricsShards: both introspection endpoints expose the
 // per-shard view — /stats for humans, /metrics for scrapers — in
-// standalone mode too, where the routing view carries sizes only.
+// standalone mode too.
 func TestStatsAndMetricsShards(t *testing.T) {
 	for _, ep := range []string{"/stats", "/metrics"} {
 		code, body := get(t, ep)

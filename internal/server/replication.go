@@ -42,7 +42,7 @@ func (s *Server) requireAdmin(h http.HandlerFunc) http.HandlerFunc {
 func (s *Server) ActivateFollower(f *replication.Follower, titles []string) {
 	s.flw.Store(f)
 	s.titles.Store(&titles)
-	s.recordModelGauges(f.Model())
+	s.recordModelGauges(f.Sharded().Model())
 	s.ready.Store(true)
 	s.reg.Gauge("server_ready").Set(1)
 }

@@ -195,6 +195,64 @@ func TestFollowerRedirectsWritesAndServesReads(t *testing.T) {
 	}
 }
 
+// TestFollowerShardStatsShowLiveApplies: a follower's /stats and /metrics
+// report the per-shard apply counters of the model the follower itself
+// applied — not a fresh routing-only view with every counter zero.
+func TestFollowerShardStatsShowLiveApplies(t *testing.T) {
+	reg := obs.NewRegistry()
+	mgr, err := lifecycle.Open(
+		func() (*core.Model, error) { return smallModel(t), nil },
+		lifecycle.Config{DataDir: t.TempDir(), Fsync: wal.SyncNever, Registry: reg},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	leader := httptest.NewServer(NewWithOptions(nil, nil, Options{Registry: reg, Manager: mgr}).Handler())
+	defer leader.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	f, err := replication.Start(ctx, replication.Options{
+		LeaderURL:    leader.URL,
+		ReconnectMin: 5 * time.Millisecond,
+		ReconnectMax: 50 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	fsrv := NewWarming(Options{})
+	fsrv.ActivateFollower(f, nil)
+	follower := httptest.NewServer(fsrv.Handler())
+	defer follower.Close()
+
+	const user = 3
+	shard := mgr.Sharded().ShardOf(user)
+	seq, _, err := mgr.Submit(core.RatingUpdate{User: user, Item: 2, Value: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for f.AppliedSeq() < seq {
+		if time.Now().After(deadline) {
+			t.Fatalf("follower stuck at applied seq %d, want %d", f.AppliedSeq(), seq)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	for _, ep := range []string{"/stats", "/metrics"} {
+		_, body := getFrom(t, follower, ep)
+		shards, ok := body["shards"].([]any)
+		if !ok || shard >= len(shards) {
+			t.Fatalf("follower %s shards = %v", ep, body["shards"])
+		}
+		st := shards[shard].(map[string]any)
+		if st["applies"].(float64) < 1 || st["applied"].(float64) < 1 {
+			t.Errorf("follower %s shard %d = %v after streaming and applying a batch, want applies and applied >= 1", ep, shard, st)
+		}
+	}
+}
+
 func TestMaxQPSThrottlesWith429(t *testing.T) {
 	srv := httptest.NewServer(NewWithOptions(smallModel(t), nil, Options{MaxQPS: 5}).Handler())
 	defer srv.Close()

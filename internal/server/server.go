@@ -3,7 +3,7 @@
 // a serving setting: the expensive offline phase runs once, the cheap
 // online phase answers every request from the current model, and new
 // ratings stream in through the incremental-refresh extension
-// (Model.WithUpdates) without downtime.
+// (ShardedModel.Apply) without downtime.
 //
 // Endpoints:
 //
@@ -23,7 +23,22 @@
 //	                                 whole batch under one WAL append group
 //	                                 and answers with per-item seqs
 //	POST /admin/snapshot          -> write a model snapshot now (manager mode)
-//	POST /admin/retrain           -> start a full background retrain (manager mode)
+//	POST /admin/retrain           -> start a background retrain (manager mode);
+//	                                 ?mode=shards|full
+//	POST /admin/compact           -> fold checkpoint-covered WAL segments into
+//	                                 the compacted base now (manager mode);
+//	                                 ?force=1
+//	GET  /admin/fingerprint       -> sha256 of the serving model's persisted
+//	                                 form plus the applied seq and role — the
+//	                                 replica-parity check
+//	GET  /admin/manifest          -> newest snapshot manifest (replication)
+//	GET  /admin/blob?file=F       -> one manifest-referenced blob (replication)
+//	GET  /admin/wal?after=S       -> chunked stream of raw WAL frames past seq
+//	                                 S, following the tail (replication)
+//
+// A follower (ActivateFollower) serves the reads locally and answers
+// /rate and the POST /admin/* routes with 307 to its leader. Every
+// /admin/* route sits behind Options.AdminToken when one is set.
 //
 // Every handler is wrapped in middleware that records request count,
 // status class, in-flight gauge, and a latency histogram per endpoint
@@ -32,6 +47,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -116,10 +132,12 @@ func (o Options) withDefaults() Options {
 // harness measuring recovery time — can watch /healthz?ready=1 go green
 // the moment the model is actually servable.
 type Server struct {
-	model   atomic.Pointer[core.Model]
-	mu      sync.Mutex                        // serialises /rate refreshes (no-manager mode)
-	mgr     atomic.Pointer[lifecycle.Manager] // owns the model when non-nil
-	flw     atomic.Pointer[replication.Follower]
+	// Exactly one of own, mgr and flw holds the model after activation
+	// (see sharded).
+	own     atomic.Pointer[core.ShardedModel]    // standalone: /rate applies to it under mu
+	mu      sync.Mutex                           // serialises standalone /rate applies
+	mgr     atomic.Pointer[lifecycle.Manager]    // leader: the manager owns the model
+	flw     atomic.Pointer[replication.Follower] // read replica: the follower does
 	repl    atomic.Pointer[replication.Leader]
 	limiter *qpsLimiter              // nil when MaxQPS is unset
 	ready   atomic.Bool              // model (and manager or follower) installed
@@ -172,13 +190,11 @@ func NewWarming(opts Options) *Server {
 func (s *Server) Activate(model *core.Model, titles []string, mgr *lifecycle.Manager) {
 	if mgr != nil {
 		s.mgr.Store(mgr)
-		if model == nil {
-			model = mgr.Model()
-		}
+	} else {
+		s.own.Store(core.NewSharded(model))
 	}
 	s.titles.Store(&titles)
-	s.model.Store(model)
-	s.recordModelGauges(model)
+	s.recordModelGauges(s.current())
 	s.ready.Store(true)
 	s.reg.Gauge("server_ready").Set(1)
 }
@@ -189,17 +205,26 @@ func (s *Server) Ready() bool { return s.ready.Load() }
 // manager returns the lifecycle manager owning the model, or nil.
 func (s *Server) manager() *lifecycle.Manager { return s.mgr.Load() }
 
-// current returns the model to serve this request from: the manager's
-// (which swaps it on every micro-batch) or the server's own pointer. It
-// is nil until Activate.
-func (s *Server) current() *core.Model {
+// sharded returns the serving model from whichever role owns it: the
+// follower's replica, the manager's (both swap it on every micro-batch),
+// or the server's own pointer. It is nil until Activate.
+func (s *Server) sharded() *core.ShardedModel {
 	if f := s.follower(); f != nil {
-		return f.Model()
+		return f.Sharded()
 	}
 	if mgr := s.manager(); mgr != nil {
-		return mgr.Model()
+		return mgr.Sharded()
 	}
-	return s.model.Load()
+	return s.own.Load()
+}
+
+// current returns the model to serve this request from, nil until
+// Activate.
+func (s *Server) current() *core.Model {
+	if sm := s.sharded(); sm != nil {
+		return sm.Model()
+	}
+	return nil
 }
 
 // itemTitles returns the display names installed by Activate, or nil.
@@ -356,17 +381,24 @@ type rateReq struct {
 	Time   int64   `json:"time,omitempty"`
 }
 
-// handleRate accepts one rating or an array of them. Without a
-// lifecycle manager it folds the rating(s) into the model synchronously
-// (validation runs under the same lock as the update so a concurrent
-// swap can never change the model between the two) and responds
-// {"status":"applied"}. With a manager it journals the rating(s) to the
-// WAL — an array body becomes ONE append group: a single buffered write
-// and fsync covering every entry — queues them for micro-batched
-// application, and responds 202 {"status":"queued"} with the assigned
-// seq (or per-item "seqs") and the pending count; a subsequent read may
-// not see the ratings until their batch lands (see the README's
-// read-your-write note).
+// handleRate accepts one rating or an array of them. The body is decoded
+// once into a slice — an object body is a slice of one, and the form only
+// shapes the response — validated once (validateRates), and handed whole
+// to one of two sinks.
+//
+// With a lifecycle manager the ratings are journaled as ONE WAL append
+// group (a single buffered write and fsync covering every entry) and
+// queued for micro-batched application: 202 {"status":"queued"} with the
+// assigned seq (or per-item "seqs") and the pending count. A subsequent
+// read may not see them until their batch lands (see the README's
+// read-your-write note); validation runs against the serving model at
+// submission time, and the model growing before the apply only ever
+// widens what would have been accepted.
+//
+// Standalone, they are folded in synchronously by one ShardedModel.Apply
+// — validation runs under the same lock as the apply, so a concurrent
+// swap can never change the model between the two — and the answer is
+// 200 {"status":"applied"}.
 func (s *Server) handleRate(w http.ResponseWriter, r *http.Request) {
 	if f := s.follower(); f != nil {
 		s.redirectToLeader(w, r, f)
@@ -381,93 +413,14 @@ func (s *Server) handleRate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, err)
 		return
 	}
-	if isJSONArray(raw) {
-		s.handleRateBatch(w, raw)
-		return
+	// The first non-whitespace byte tells /rate's two body forms apart.
+	array := bytes.HasPrefix(bytes.TrimLeft(raw, " \t\r\n"), []byte("["))
+	reqs := make([]rateReq, 1)
+	var dst any = &reqs[0]
+	if array {
+		dst = &reqs
 	}
-	var req rateReq
-	if err := json.Unmarshal(raw, &req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode body: %v", err))
-		return
-	}
-	if req.User < 0 || req.Item < 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("negative id"))
-		return
-	}
-
-	if mgr := s.manager(); mgr != nil {
-		s.handleRateQueued(w, mgr, req.User, req.Item, req.Rating, req.Time)
-		return
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cur := s.model.Load()
-	if err := s.validateRate(cur, req.User, req.Item, req.Rating); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	next, err := cur.WithUpdates([]core.RatingUpdate{{
-		User: req.User, Item: req.Item, Value: req.Rating, Time: req.Time,
-	}})
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	s.model.Store(next)
-	s.recordModelGauges(next)
-	s.reg.Counter("rate_applied_total").Inc()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status":  "applied",
-		"users":   next.Matrix().NumUsers(),
-		"items":   next.Matrix().NumItems(),
-		"ratings": next.Matrix().NumRatings(),
-	})
-}
-
-// validateRate checks a rating against the given model's scale and the
-// growth margin.
-func (s *Server) validateRate(cur *core.Model, user, item int, rating float64) error {
-	return s.validateRateMargin(cur, user, item, rating, s.opts.GrowthMargin)
-}
-
-// validateRateMargin is validateRate with an explicit growth margin: the
-// batch path widens it by the entry's position so a batch may introduce
-// several consecutive fresh users or items in one request.
-func (s *Server) validateRateMargin(cur *core.Model, user, item int, rating float64, margin int) error {
-	m := cur.Matrix()
-	if rating < m.MinRating() || rating > m.MaxRating() {
-		return fmt.Errorf("rating %g outside scale %g..%g", rating, m.MinRating(), m.MaxRating())
-	}
-	if user >= m.NumUsers()+margin || item >= m.NumItems()+margin {
-		return fmt.Errorf("id (%d,%d) more than %d past current bounds %d×%d",
-			user, item, margin, m.NumUsers(), m.NumItems())
-	}
-	return nil
-}
-
-// isJSONArray reports whether the document's first non-whitespace byte
-// opens an array — the discriminator between /rate's two body forms.
-func isJSONArray(raw json.RawMessage) bool {
-	for _, b := range raw {
-		switch b {
-		case ' ', '\t', '\r', '\n':
-			continue
-		}
-		return b == '['
-	}
-	return false
-}
-
-// handleRateBatch is the array-body form of /rate: every entry is
-// validated up front, then the whole batch is ingested atomically — one
-// WAL append group (manager mode) or one WithUpdates pass (standalone).
-// Entry i may reference ids up to GrowthMargin+i past the current
-// bounds, since earlier entries in the same batch may have introduced
-// the ids it builds on.
-func (s *Server) handleRateBatch(w http.ResponseWriter, raw json.RawMessage) {
-	var reqs []rateReq
-	if err := json.Unmarshal(raw, &reqs); err != nil {
+	if err := json.Unmarshal(raw, dst); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode body: %v", err))
 		return
 	}
@@ -480,22 +433,8 @@ func (s *Server) handleRateBatch(w http.ResponseWriter, raw json.RawMessage) {
 			fmt.Errorf("batch size %d exceeds limit %d", len(reqs), s.opts.MaxBatch))
 		return
 	}
-	validate := func(cur *core.Model) ([]core.RatingUpdate, error) {
-		ups := make([]core.RatingUpdate, len(reqs))
-		for i, q := range reqs {
-			if q.User < 0 || q.Item < 0 {
-				return nil, fmt.Errorf("entry %d: negative id", i)
-			}
-			if err := s.validateRateMargin(cur, q.User, q.Item, q.Rating, s.opts.GrowthMargin+i); err != nil {
-				return nil, fmt.Errorf("entry %d: %w", i, err)
-			}
-			ups[i] = core.RatingUpdate{User: q.User, Item: q.Item, Value: q.Rating, Time: q.Time}
-		}
-		return ups, nil
-	}
-
 	if mgr := s.manager(); mgr != nil {
-		ups, err := validate(mgr.Model())
+		ups, err := s.validateRates(mgr.Model(), reqs, array)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
@@ -510,69 +449,74 @@ func (s *Server) handleRateBatch(w http.ResponseWriter, raw json.RawMessage) {
 			return
 		}
 		s.reg.Counter("rate_queued_total").Add(int64(len(ups)))
-		s.reg.Counter("rate_batches_total").Inc()
-		writeJSON(w, http.StatusAccepted, map[string]any{
-			"status":  "queued",
-			"count":   len(seqs),
-			"seqs":    seqs,
-			"pending": pending,
-		})
+		resp := map[string]any{"status": "queued", "pending": pending}
+		if array {
+			s.reg.Counter("rate_batches_total").Inc()
+			resp["count"], resp["seqs"] = len(seqs), seqs
+		} else {
+			resp["seq"] = seqs[0]
+		}
+		writeJSON(w, http.StatusAccepted, resp)
 		return
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cur := s.model.Load()
-	ups, err := validate(cur)
+	cur := s.own.Load()
+	ups, err := s.validateRates(cur.Model(), reqs, array)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	next, err := cur.WithUpdates(ups)
+	next, err := cur.Apply(ups)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	s.model.Store(next)
-	s.recordModelGauges(next)
-	s.reg.Counter("rate_applied_total").Add(int64(len(ups)))
-	s.reg.Counter("rate_batches_total").Inc()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status":  "applied",
-		"count":   len(ups),
-		"users":   next.Matrix().NumUsers(),
-		"items":   next.Matrix().NumItems(),
-		"ratings": next.Matrix().NumRatings(),
-	})
-}
-
-// handleRateQueued is the manager-backed /rate path: journal, enqueue,
-// acknowledge. Validation runs against the serving model at submission
-// time; because application is asynchronous the model may grow between
-// validation and apply, which only ever widens what would be accepted.
-func (s *Server) handleRateQueued(w http.ResponseWriter, mgr *lifecycle.Manager, user, item int, rating float64, ts int64) {
-	if err := s.validateRate(mgr.Model(), user, item, rating); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	seq, pending, err := mgr.Submit(core.RatingUpdate{User: user, Item: item, Value: rating, Time: ts})
-	switch {
-	case errors.Is(err, lifecycle.ErrQueueFull):
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
-	case errors.Is(err, lifecycle.ErrClosed):
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
-	case err != nil:
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	s.reg.Counter("rate_queued_total").Inc()
-	writeJSON(w, http.StatusAccepted, map[string]any{
-		"status":  "queued",
-		"seq":     seq,
-		"pending": pending,
-	})
+	s.own.Store(next)
+	s.recordModelGauges(next.Model())
+	s.reg.Counter("rate_applied_total").Add(int64(len(ups)))
+	m := next.Model().Matrix()
+	resp := map[string]any{
+		"status": "applied", "users": m.NumUsers(), "items": m.NumItems(), "ratings": m.NumRatings(),
+	}
+	if array {
+		s.reg.Counter("rate_batches_total").Inc()
+		resp["count"] = len(ups)
+	}
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// validateRates checks every rating of one /rate request against the
+// given model's scale and growth margin and converts the request into
+// updates. Entry i may reference ids up to GrowthMargin+i past the current
+// bounds, since earlier entries of the same request may have introduced
+// the ids it builds on — a single rating gets exactly GrowthMargin. Array
+// entries are named in the error.
+func (s *Server) validateRates(cur *core.Model, reqs []rateReq, array bool) ([]core.RatingUpdate, error) {
+	m := cur.Matrix()
+	ups := make([]core.RatingUpdate, len(reqs))
+	for i, q := range reqs {
+		margin := s.opts.GrowthMargin + i
+		var err error
+		switch {
+		case q.User < 0 || q.Item < 0:
+			err = fmt.Errorf("negative id")
+		case q.Rating < m.MinRating() || q.Rating > m.MaxRating():
+			err = fmt.Errorf("rating %g outside scale %g..%g", q.Rating, m.MinRating(), m.MaxRating())
+		case q.User >= m.NumUsers()+margin || q.Item >= m.NumItems()+margin:
+			err = fmt.Errorf("id (%d,%d) more than %d past current bounds %d×%d",
+				q.User, q.Item, margin, m.NumUsers(), m.NumItems())
+		}
+		if err != nil {
+			if array {
+				err = fmt.Errorf("entry %d: %w", i, err)
+			}
+			return nil, err
+		}
+		ups[i] = core.RatingUpdate{User: q.User, Item: q.Item, Value: q.Rating, Time: q.Time}
+	}
+	return ups, nil
 }
 
 // handleHealth distinguishes liveness from readiness: a 200 with
@@ -598,16 +542,11 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, resp)
 }
 
-// shardStats returns the per-shard view of the serving model: the
-// manager's live counters when one owns the model, otherwise a fresh
-// routing-only view of the standalone model (sizes are real, apply and
-// retrain counters are zero because the standalone path doesn't shard).
+// shardStats returns the per-shard view of the serving model — sizes
+// plus the live apply/retrain counters of whichever role owns it.
 func (s *Server) shardStats() []core.ShardStats {
-	if mgr := s.manager(); mgr != nil {
-		return mgr.ShardStats()
-	}
-	if mod := s.current(); mod != nil {
-		return core.NewSharded(mod).ShardStats()
+	if sm := s.sharded(); sm != nil {
+		return sm.ShardStats()
 	}
 	return nil
 }
