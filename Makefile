@@ -31,9 +31,11 @@ vet:
 
 # bench runs the online-path and apply-path benchmarks with allocation
 # stats — the same set CI archives into BENCH_predict.json and gates on
-# (BenchmarkPredict must report 0 allocs/op).
+# (BenchmarkPredict must report 0 allocs/op; BenchmarkApplyLedger's B/op
+# is fenced at 2× its recorded value).
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkPredict$$|BenchmarkPredictColdCache|BenchmarkRecommend' -benchmem ./internal/core
+	$(GO) test -run '^$$' -bench 'BenchmarkApplyLedger' -benchtime 200x -benchmem ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkDrainPrefix' -benchmem ./internal/lifecycle
 
 fmt:

@@ -82,7 +82,7 @@ func Run(m *ratings.Matrix, opts Options) (*Result, error) {
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 
-	c := newCentroids(k, m.NumItems())
+	c := newCentroids(k, m.NumItems(), p)
 	c.seedPlusPlus(m, rng, opts)
 
 	assign := make([]int, p)
@@ -90,10 +90,13 @@ func Run(m *ratings.Matrix, opts Options) (*Result, error) {
 		assign[i] = -1
 	}
 	dist := make([]float64, p)
+	// table[u*k+cl] caches the user↔centroid distances across sweeps;
+	// the centroids track which of its columns they have invalidated.
+	table := make([]float64, p*k)
 
 	iter := 0
 	for ; iter < maxIter; iter++ {
-		moved := assignAll(m, c, assign, dist, opts)
+		moved := assignAll(m, c, table, assign, dist, opts)
 		c.recompute(m, assign)
 		c.repairEmpty(m, assign, dist)
 		if moved == 0 {
@@ -125,23 +128,41 @@ type centroids struct {
 	// overall mean of each centroid over its covered items, used to
 	// centre the centroid in the PCC computation.
 	overall []float64
+	// stale[cl] is set when centroid cl may differ from the one the
+	// distance table's column cl was measured against; assignAll
+	// re-measures exactly those columns and clears the flags.
+	stale []bool
+	// fitted is the assignment recompute last built the centroids from
+	// (-1 = never), and seeded[cl] marks a centroid setFromUser has
+	// overwritten since. recompute is a pure function of each cluster's
+	// member set, so a centroid that is neither seeded nor fitted to a
+	// different member set comes out of it bit-for-bit as it went in.
+	fitted []int
+	seeded []bool
 }
 
-func newCentroids(k, q int) *centroids {
+func newCentroids(k, q, p int) *centroids {
 	c := &centroids{k: k, q: q,
 		mean:    make([][]float64, k),
 		count:   make([][]int32, k),
 		overall: make([]float64, k),
+		stale:   make([]bool, k),
+		fitted:  make([]int, p),
+		seeded:  make([]bool, k),
 	}
 	for i := 0; i < k; i++ {
 		c.mean[i] = make([]float64, q)
 		c.count[i] = make([]int32, q)
+	}
+	for u := range c.fitted {
+		c.fitted[u] = -1
 	}
 	return c
 }
 
 // setFromUser initialises centroid cl to a single user's profile.
 func (c *centroids) setFromUser(m *ratings.Matrix, cl, u int) {
+	c.stale[cl], c.seeded[cl] = true, true
 	mean, count := c.mean[cl], c.count[cl]
 	for i := range mean {
 		mean[i], count[i] = 0, 0
@@ -208,19 +229,23 @@ func (c *centroids) seedPlusPlus(m *ratings.Matrix, rng *rand.Rand, opts Options
 	first := rng.Intn(p)
 	c.setFromUser(m, 0, first)
 	d2 := make([]float64, p)
+	// best[u] is u's distance to the nearest seed chosen so far; each
+	// round only has to measure the newest seed against it.
+	best := make([]float64, p)
+	for u := range best {
+		best[u] = math.Inf(1)
+	}
 	for cl := 1; cl < c.k; cl++ {
 		var total float64
 		for u := 0; u < p; u++ {
-			best := math.Inf(1)
-			for prev := 0; prev < cl; prev++ {
-				if d := c.distance(m, u, prev, opts.Metric); d < best {
-					best = d
-				}
+			if d := c.distance(m, u, cl-1, opts.Metric); d < best[u] {
+				best[u] = d
 			}
-			if math.IsInf(best, 1) {
-				best = 2
+			near := best[u]
+			if math.IsInf(near, 1) {
+				near = 2
 			}
-			d2[u] = best * best
+			d2[u] = near * near
 			total += d2[u]
 		}
 		pick := 0
@@ -242,13 +267,19 @@ func (c *centroids) seedPlusPlus(m *ratings.Matrix, rng *rand.Rand, opts Options
 }
 
 // assignAll reassigns every user to its nearest centroid, returning how
-// many users changed cluster. dist[u] receives the chosen distance.
-func assignAll(m *ratings.Matrix, c *centroids, assign []int, dist []float64, opts Options) int {
+// many users changed cluster. dist[u] receives the chosen distance. Only
+// the stale centroids' columns of the distance table are re-measured;
+// the rest still hold what distance would return.
+func assignAll(m *ratings.Matrix, c *centroids, table []float64, assign []int, dist []float64, opts Options) int {
 	p := m.NumUsers()
 	movedPer := parallel.MapReduce(p, opts.Workers, func() int { return 0 }, func(moved, u int) int {
+		row := table[u*c.k : (u+1)*c.k]
 		best, bestCl := math.Inf(1), 0
-		for cl := 0; cl < c.k; cl++ {
-			if d := c.distance(m, u, cl, opts.Metric); d < best {
+		for cl := range row {
+			if c.stale[cl] {
+				row[cl] = c.distance(m, u, cl, opts.Metric)
+			}
+			if d := row[cl]; d < best {
 				best, bestCl = d, cl
 			}
 		}
@@ -262,6 +293,9 @@ func assignAll(m *ratings.Matrix, c *centroids, assign []int, dist []float64, op
 		}
 		return moved
 	})
+	for cl := range c.stale {
+		c.stale[cl] = false
+	}
 	moved := 0
 	for _, m := range movedPer {
 		moved += m
@@ -269,8 +303,24 @@ func assignAll(m *ratings.Matrix, c *centroids, assign []int, dist []float64, op
 	return moved
 }
 
-// recompute rebuilds centroid means and counts from the assignment.
+// recompute rebuilds centroid means and counts from the assignment, and
+// marks stale the centroids this changes: those that gained or lost a
+// member since the last recompute and those seeded in between.
 func (c *centroids) recompute(m *ratings.Matrix, assign []int) {
+	for u, cl := range assign {
+		if was := c.fitted[u]; was != cl {
+			c.stale[cl] = true
+			if was >= 0 {
+				c.stale[was] = true
+			}
+			c.fitted[u] = cl
+		}
+	}
+	for cl, seeded := range c.seeded {
+		if seeded {
+			c.stale[cl], c.seeded[cl] = true, false
+		}
+	}
 	for cl := 0; cl < c.k; cl++ {
 		mean, count := c.mean[cl], c.count[cl]
 		for i := range mean {

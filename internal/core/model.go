@@ -137,10 +137,17 @@ type TrainStats struct {
 	ClusterDuration  time.Duration
 	SmoothDuration   time.Duration
 	IClusterDuration time.Duration
-	TotalDuration    time.Duration
-	GISNeighbors     int // stored (item, neighbour) pairs
-	ClusterIters     int
-	ClusterInertia   float64
+	// MirrorDuration is the id-sorted top-M mirror build (buildTopM) and
+	// CarryDuration the recommendation-cache carry onto the new
+	// generation (zero where none runs: Train, WithUpdates). With the
+	// four above they account for TotalDuration up to the matrix update
+	// and bookkeeping between the phases.
+	MirrorDuration time.Duration
+	CarryDuration  time.Duration
+	TotalDuration  time.Duration
+	GISNeighbors   int // stored (item, neighbour) pairs
+	ClusterIters   int
+	ClusterInertia float64
 	// Incremental is true when the stats describe a WithUpdates refresh
 	// rather than a full Train.
 	Incremental bool
@@ -260,30 +267,49 @@ func Train(m *ratings.Matrix, cfg Config) (*Model, error) {
 
 	mod.neighborCache = make([]atomic.Pointer[[]likeMinded], m.NumUsers())
 	mod.initRecCache()
+	t = time.Now()
 	mod.buildTopM(nil)
+	mod.stats.MirrorDuration = time.Since(t)
 	mod.stats.TotalDuration = time.Since(start)
 	return mod, nil
 }
 
 // buildTopM materialises the id-sorted top-M mirror of every item's GIS
-// neighbourhood. When prev is non-nil and an item's top-M prefix shares
-// its backing array with prev's (the GIS refresh leaves untouched lists
-// aliased), the previous mirror row is reused instead of re-sorted —
-// the mirror-model of the copy-on-write sharing in the GIS itself.
+// neighbourhood. With a previous generation at hand it edits instead of
+// rebuilding: a row whose top-M prefix holds the same entries as prev's
+// is shared (same array — the mirror-model of the copy-on-write sharing
+// in the GIS itself, and what lets the rec-cache carry prove the item
+// clean), and a row whose prefix differs in a few entries is patched
+// from prev's row in O(M). Everything else — no prev, a new item, a
+// different M, a delta wider than maxMirrorPatch — is built from the
+// score-sorted list, the way Train builds every row.
 //
 //cfsf:init-only called by Train, Load, WithUpdates and the shard paths on a model that has not been published yet
 func (mod *Model) buildTopM(prev *Model) {
 	q := mod.gis.NumItems()
 	mod.topM = make([][]mathx.Scored, q)
 	mod.topM2 = make([][]float64, q)
+	if prev != nil && prev.cfg.M != mod.cfg.M {
+		prev = nil
+	}
 	parallel.For(q, mod.cfg.Workers, func(i int) {
-		if prev != nil && prev.cfg.M == mod.cfg.M && i < prev.gis.NumItems() &&
-			samePrefix(prev.gis.Neighbors(i), mod.gis.Neighbors(i), mod.cfg.M) {
-			mod.topM[i] = prev.topM[i]
-			mod.topM2[i] = prev.topM2[i]
-			return
+		var row []mathx.Scored
+		if prev != nil && i < prev.gis.NumItems() {
+			var left, entered [maxMirrorPatch]mathx.Scored
+			nl, ne, ok := prefixDelta(prev.topItems(i), mod.topItems(i), &left, &entered)
+			switch {
+			case !ok: // too wide a delta: rebuild below
+			case nl+ne == 0:
+				mod.topM[i] = prev.topM[i]
+				mod.topM2[i] = prev.topM2[i]
+				return
+			default:
+				row = patchByID(prev.topM[i], left[:nl], entered[:ne])
+			}
 		}
-		row := mod.gis.TopNByID(i, mod.cfg.M)
+		if row == nil {
+			row = mod.gis.TopNByID(i, mod.cfg.M)
+		}
 		sq := make([]float64, len(row))
 		for k, e := range row {
 			sq[k] = e.Score * e.Score
@@ -293,20 +319,70 @@ func (mod *Model) buildTopM(prev *Model) {
 	})
 }
 
-// samePrefix reports whether the length-min(len, m) prefixes of a and b
-// are the same array region. Neighbour lists are immutable, so aliased
-// prefixes of equal length are guaranteed bit-identical.
-func samePrefix(a, b []mathx.Scored, m int) bool {
-	if len(a) > m {
-		a = a[:m]
+// maxMirrorPatch bounds how many entries may leave, and how many may
+// enter, a top-M prefix for its mirror row to be patched rather than
+// rebuilt. It sizes two stack arrays; a batch rarely moves more than its
+// own changed items through any one prefix.
+const maxMirrorPatch = 16
+
+// prefixDelta walks two score-sorted prefixes once and records the
+// entries only a holds (left) and only b holds (entered). Both are
+// sorted by the same strict total order, so this is a sorted-set
+// difference: the head that precedes the other cannot occur later in
+// the other list. An entry whose score changed shows up in both. ok is
+// false when either side outgrows its array. Aliased prefixes — the GIS
+// refresh left the list untouched — are equal without being read.
+func prefixDelta(a, b []mathx.Scored, left, entered *[maxMirrorPatch]mathx.Scored) (nl, ne int, ok bool) {
+	if sameScored(a, b) {
+		return 0, 0, true
 	}
-	if len(b) > m {
-		b = b[:m]
+	x, y := 0, 0
+	for x < len(a) || y < len(b) {
+		switch {
+		case x < len(a) && y < len(b) && a[x] == b[y]:
+			x++
+			y++
+		case y >= len(b) || (x < len(a) && mathx.Precedes(a[x], b[y])):
+			if nl == maxMirrorPatch {
+				return 0, 0, false
+			}
+			left[nl] = a[x]
+			nl++
+			x++
+		default:
+			if ne == maxMirrorPatch {
+				return 0, 0, false
+			}
+			entered[ne] = b[y]
+			ne++
+			y++
+		}
 	}
-	if len(a) != len(b) {
-		return false
+	return nl, ne, true
+}
+
+// patchByID derives an id-sorted mirror row from the previous one: drop
+// the entries that left the prefix, merge in the ones that entered. Ids
+// are unique within a list and an id that both left and entered (its
+// score moved) is dropped before it is merged, so the output is the one
+// ascending-id arrangement of the new prefix — what TopNByID returns.
+// left and entered are re-sorted by id in place.
+func patchByID(old, left, entered []mathx.Scored) []mathx.Scored {
+	mathx.SortScoredByIndex(left)
+	mathx.SortScoredByIndex(entered)
+	row := make([]mathx.Scored, 0, len(old)-len(left)+len(entered))
+	for _, e := range old {
+		if len(left) > 0 && left[0].Index == e.Index {
+			left = left[1:]
+			continue
+		}
+		for len(entered) > 0 && entered[0].Index < e.Index {
+			row = append(row, entered[0])
+			entered = entered[1:]
+		}
+		row = append(row, e)
 	}
-	return len(a) == 0 || &a[0] == &b[0]
+	return append(row, entered...)
 }
 
 // buildDecay precomputes the per-rating recency multipliers.

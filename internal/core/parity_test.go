@@ -445,6 +445,122 @@ func TestTopMMirrorMatchesGIS(t *testing.T) {
 	check(next)
 }
 
+// TestMirrorPatchParity pins buildTopM(prev) to its from-scratch
+// definition across chained applies of one rating, sixteen, and one per
+// catalogue item: every topM row equals the top-M prefix copied and
+// sorted by id, every topM2 row its squares, a row is prev's array
+// exactly when the prefix holds the same entries as prev's, and all
+// three ways of producing a row — shared, patched, rebuilt — occur.
+func TestMirrorPatchParity(t *testing.T) {
+	mod, _ := trainSmall(t)
+	sharded := NewSharded(mod)
+	rng := rand.New(rand.NewSource(17))
+	p, q := mod.m.NumUsers(), mod.m.NumItems()
+	var sharedByContent, patched, rebuilt int
+	for step, n := range []int{1, 16, 1, q, 16, 1} {
+		var ups []RatingUpdate
+		for _, i := range rng.Perm(q)[:n] {
+			ups = append(ups, RatingUpdate{User: rng.Intn(p), Item: i, Value: float64(1 + rng.Intn(5))})
+		}
+		if step == 4 {
+			ups = append(ups, RatingUpdate{User: 0, Item: q, Value: 4}, RatingUpdate{User: 1, Item: q, Value: 2}) // new item
+		}
+		prev := sharded.Model()
+		var err error
+		if sharded, err = sharded.Apply(ups); err != nil {
+			t.Fatal(err)
+		}
+		next := sharded.Model()
+		for i := 0; i < next.m.NumItems(); i++ {
+			want := refSortedTopM(next, i)
+			got := next.topM[i]
+			if len(got) != len(want) || len(next.topM2[i]) != len(want) {
+				t.Fatalf("step %d item %d: mirror len %d/%d want %d", step, i, len(got), len(next.topM2[i]), len(want))
+			}
+			for k := range want {
+				if got[k] != want[k] || next.topM2[i][k] != want[k].Score*want[k].Score {
+					t.Fatalf("step %d item %d pos %d: mirror %+v (sq %v) want %+v", step, i, k, got[k], next.topM2[i][k], want[k])
+				}
+			}
+			if i >= prev.m.NumItems() {
+				continue
+			}
+			was, now := prev.topItems(i), next.topItems(i)
+			same := len(was) == len(now)
+			for k := 0; same && k < len(was); k++ {
+				same = was[k] == now[k]
+			}
+			aliased := sameScored(prev.topM[i], next.topM[i]) && sameFloats(prev.topM2[i], next.topM2[i])
+			if same != aliased {
+				t.Fatalf("step %d item %d: prefix content equal=%v but mirror row shared=%v", step, i, same, aliased)
+			}
+			var left, entered [maxMirrorPatch]mathx.Scored
+			nl, ne, ok := prefixDelta(was, now, &left, &entered)
+			switch {
+			case !ok:
+				rebuilt++
+			case nl+ne > 0:
+				patched++
+			case len(was) > 0 && &was[0] != &now[0]:
+				sharedByContent++
+			}
+		}
+	}
+	if sharedByContent == 0 || patched == 0 || rebuilt == 0 {
+		t.Fatalf("sharedByContent=%d patched=%d rebuilt=%d: a path went unexercised", sharedByContent, patched, rebuilt)
+	}
+}
+
+// TestPatchByIDProperty drives prefixDelta + patchByID with random
+// pairs of ranked lists over a small id and score range, so ids that
+// leave, enter, keep their score, change it, and tie all mix.
+func TestPatchByIDProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	draw := func() []mathx.Scored {
+		var l []mathx.Scored
+		for _, id := range rng.Perm(40)[:rng.Intn(30)] {
+			l = append(l, mathx.Scored{Index: int32(id), Score: float64(1+rng.Intn(4)) / 4})
+		}
+		mathx.SortScoredDesc(l)
+		return l
+	}
+	byID := func(l []mathx.Scored) []mathx.Scored {
+		out := append([]mathx.Scored(nil), l...)
+		mathx.SortScoredByIndex(out)
+		return out
+	}
+	patchedRows := 0
+	for trial := 0; trial < 2000; trial++ {
+		a := draw()
+		b := append([]mathx.Scored(nil), a...)
+		for k := rng.Intn(6); k > 0 && len(b) > 0; k-- { // nudge a few entries
+			b[rng.Intn(len(b))].Score = float64(1+rng.Intn(4)) / 4
+		}
+		if trial%3 == 0 {
+			b = draw()
+		}
+		mathx.SortScoredDesc(b)
+		var left, entered [maxMirrorPatch]mathx.Scored
+		nl, ne, ok := prefixDelta(a, b, &left, &entered)
+		if !ok {
+			continue
+		}
+		patchedRows++
+		got, want := patchByID(byID(a), left[:nl], entered[:ne]), byID(b)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: patched len %d want %d", trial, len(got), len(want))
+		}
+		for k := range want {
+			if got[k] != want[k] {
+				t.Fatalf("trial %d pos %d: %+v want %+v", trial, k, got[k], want[k])
+			}
+		}
+	}
+	if patchedRows < 500 {
+		t.Fatalf("only %d of 2000 trials were patchable", patchedRows)
+	}
+}
+
 // scanScores prices the whole catalogue for user through the scan
 // kernel, borrowing sc's tile. Rated and unsupported items are included:
 // the kernel scores what it is given, eligibility is the caller's.

@@ -39,7 +39,8 @@ type ShardStats struct {
 	Users   int `json:"users"`
 	Ratings int `json:"ratings"`
 	// Applies counts the Apply batches that touched this shard; Applied
-	// counts the rating updates folded in by them.
+	// counts the rating updates of those batches that were routed to it,
+	// so Applied summed over the shards is the number of ratings applied.
 	Applies int `json:"applies"`
 	Applied int `json:"applied"`
 	// LastApplyMS is the duration of the most recent apply that touched
@@ -89,12 +90,12 @@ func (s *ShardedModel) Apply(updates []RatingUpdate) (*ShardedModel, error) {
 	}
 	// Attribute the batch to shards by pre-apply routing, so counters
 	// match the routing decision a queueing layer made.
-	touched := map[int]bool{}
+	touched := map[int]int{} // shard -> updates routed to it
 	for _, up := range updates {
 		if up.User < 0 {
 			return nil, fmt.Errorf("cfsf: negative id in update (%d,%d)", up.User, up.Item)
 		}
-		touched[s.ShardOf(up.User)] = true
+		touched[s.ShardOf(up.User)]++
 	}
 	start := time.Now()
 	next, ok, err := s.mod.withUpdatesIncremental(updates)
@@ -122,10 +123,10 @@ func (s *ShardedModel) Apply(updates []RatingUpdate) (*ShardedModel, error) {
 		}
 	}
 	out := &ShardedModel{mod: next, shards: append([]ShardStats(nil), s.shards...), dirty: sortedShardSet(dirtySet)}
-	for c := range touched {
+	for c, n := range touched {
 		if c < len(out.shards) {
 			out.shards[c].Applies++
-			out.shards[c].Applied += len(updates)
+			out.shards[c].Applied += n
 			out.shards[c].LastApplyMS = ms
 		}
 	}

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"math"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"cfsf/internal/synth"
@@ -100,5 +103,69 @@ func BenchmarkShardedRetrainOneShard(b *testing.B) {
 		if _, err := sharded.RetrainShard(i % sharded.NumShards()); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// zipfIDs draws ids with probability proportional to 1/rank^s over a
+// fixed seeded ranking — the shape of bench/'s request stream, rebuilt
+// here because bench/ is a module of its own.
+type zipfIDs struct {
+	cum []float64
+	ids []int
+}
+
+func newZipfIDs(ranking *rand.Rand, n int, s float64) zipfIDs {
+	z := zipfIDs{cum: make([]float64, n), ids: ranking.Perm(n)}
+	var total float64
+	for k := range z.cum {
+		total += 1 / math.Pow(float64(k+1), s)
+		z.cum[k] = total
+	}
+	return z
+}
+
+func (z zipfIDs) draw(rng *rand.Rand) int {
+	return z.ids[sort.SearchFloat64s(z.cum, rng.Float64()*z.cum[len(z.cum)-1])]
+}
+
+// BenchmarkApplyLedger is the write path on the fixture bench/ serves
+// (500×1000 synth.DefaultConfig, C=30): chained ShardedModel.Apply calls
+// fed from a seeded Zipf stream (users s=1.0, items s=0.8, as in bench/),
+// each op applying to the model the previous op returned — so ns/op and
+// B/op are what one drained batch costs in steady state, fixed per-Apply
+// cost included. single is one rating per Apply (the ledger's
+// mean_batch_size is 1.0–1.3), array16 a 16-rating array spanning many
+// clusters. CI fences B/op with benchjson -max (ci.yml).
+func BenchmarkApplyLedger(b *testing.B) {
+	d := synth.MustGenerate(synth.DefaultConfig())
+	base, err := Train(d.Matrix, DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, q := d.Matrix.NumUsers(), d.Matrix.NumItems()
+	for _, bc := range []struct {
+		name string
+		size int
+	}{{"single", 1}, {"array16", 16}} {
+		b.Run(bc.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(23))
+			ranking := rand.New(rand.NewSource(1))
+			uz, iz := newZipfIDs(ranking, p, 1.0), newZipfIDs(ranking, q, 0.8)
+			sharded := NewSharded(base)
+			batch := make([]RatingUpdate, bc.size)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for k := range batch {
+					batch[k] = RatingUpdate{User: uz.draw(rng), Item: iz.draw(rng), Value: float64(1 + rng.Intn(5))}
+				}
+				next, err := sharded.Apply(batch)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sharded = next
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*bc.size), "ns/update")
+		})
 	}
 }

@@ -120,6 +120,35 @@ func TestShardedApplySingleClusterBatch(t *testing.T) {
 	if st[0].Applies != 1 || st[0].Applied != len(ups) {
 		t.Fatalf("shard 0 stats = %+v, want applies=1 applied=%d", st[0], len(ups))
 	}
+
+	// A batch spanning two shards: each shard counts its own updates, so
+	// the per-shard Applied figures sum to the ratings applied.
+	other := -1
+	for c := 1; c < sharded.NumShards(); c++ {
+		if len(mod.Clusters().Members[c]) > 0 {
+			other = c
+			break
+		}
+	}
+	if other < 0 {
+		t.Skip("only one populated shard")
+	}
+	v := mod.Clusters().Members[other][0]
+	two := append(append([]RatingUpdate(nil), ups...),
+		RatingUpdate{User: v, Item: 0, Value: 4}, RatingUpdate{User: v, Item: 1, Value: 2})
+	next, err = sharded.Apply(two)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st = next.ShardStats()
+	sum := 0
+	for _, s := range st {
+		sum += s.Applied
+	}
+	if st[0].Applied != len(ups) || st[other].Applied != 2 || sum != len(two) {
+		t.Fatalf("two-shard batch: shard 0 applied=%d (want %d), shard %d applied=%d (want 2), sum=%d (want %d)",
+			st[0].Applied, len(ups), other, st[other].Applied, sum, len(two))
+	}
 }
 
 // TestShardedApplyTimeDecayFallsBack checks the monolithic fallback: with

@@ -144,7 +144,9 @@ func (mod *Model) WithUpdates(updates []RatingUpdate) (*Model, error) {
 	// refreshes clusters and smoothing wholesale, so the carry proof of
 	// reccache.go would find nothing shared to pin entries with anyway.
 	next.initRecCache()
+	t = time.Now()
 	next.buildTopM(mod)
+	next.stats.MirrorDuration = time.Since(t)
 	next.stats.Incremental = true
 	next.stats.UpdatesApplied = len(updates)
 	next.stats.TotalDuration = time.Since(start)

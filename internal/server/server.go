@@ -301,6 +301,8 @@ func (s *Server) recordModelGauges(mod *core.Model) {
 	s.reg.Gauge("model_train_cluster_ms").Set(durMS(st.ClusterDuration))
 	s.reg.Gauge("model_train_smooth_ms").Set(durMS(st.SmoothDuration))
 	s.reg.Gauge("model_train_icluster_ms").Set(durMS(st.IClusterDuration))
+	s.reg.Gauge("model_train_mirror_ms").Set(durMS(st.MirrorDuration))
+	s.reg.Gauge("model_train_carry_ms").Set(durMS(st.CarryDuration))
 	s.reg.Gauge("model_train_total_ms").Set(durMS(st.TotalDuration))
 	incremental := 0.0
 	if st.Incremental {
@@ -571,6 +573,8 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			"cluster":  durMS(st.ClusterDuration),
 			"smooth":   durMS(st.SmoothDuration),
 			"icluster": durMS(st.IClusterDuration),
+			"mirror":   durMS(st.MirrorDuration),
+			"carry":    durMS(st.CarryDuration),
 			"total":    durMS(st.TotalDuration),
 		},
 		"train_total_ms":  st.TotalDuration.Milliseconds(),

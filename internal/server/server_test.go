@@ -467,7 +467,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 		t.Fatalf("metrics missing registry snapshot: %v", body)
 	}
 	gauges := reg["gauges"].(map[string]any)
-	for _, g := range []string{"model_users", "model_train_total_ms", "model_train_gis_ms", "model_incremental"} {
+	for _, g := range []string{"model_users", "model_train_total_ms", "model_train_gis_ms", "model_train_mirror_ms", "model_train_carry_ms", "model_incremental"} {
 		if _, ok := gauges[g]; !ok {
 			t.Errorf("registry missing gauge %q", g)
 		}
@@ -483,13 +483,34 @@ func TestStatsTrainPhaseTimings(t *testing.T) {
 	if !ok {
 		t.Fatalf("stats missing train_ms: %v", body)
 	}
-	for _, phase := range []string{"gis", "cluster", "smooth", "icluster", "total"} {
-		if _, ok := trainMS[phase]; !ok {
-			t.Errorf("train_ms missing phase %q", phase)
-		}
-	}
+	requireTrainPhasesWithinTotal(t, trainMS)
 	if body["incremental"] != false {
 		t.Errorf("freshly trained model reported incremental=%v", body["incremental"])
+	}
+}
+
+// requireTrainPhasesWithinTotal checks /stats train_ms reports all six
+// phases and that they account for no more than the total: they time
+// disjoint stretches of the same train or apply.
+func requireTrainPhasesWithinTotal(t *testing.T, trainMS map[string]any) {
+	t.Helper()
+	var sum float64
+	for _, phase := range []string{"gis", "cluster", "smooth", "icluster", "mirror", "carry"} {
+		ms, ok := trainMS[phase].(float64)
+		if !ok {
+			t.Fatalf("train_ms missing phase %q: %v", phase, trainMS)
+		}
+		sum += ms
+	}
+	total, ok := trainMS["total"].(float64)
+	if !ok {
+		t.Fatalf("train_ms missing total: %v", trainMS)
+	}
+	if trainMS["mirror"].(float64) <= 0 {
+		t.Errorf("train_ms mirror = %v, want > 0 (every train and apply builds the mirror)", trainMS["mirror"])
+	}
+	if sum > total+1e-6 {
+		t.Errorf("train_ms phases sum to %g ms, more than total %g ms: %v", sum, total, trainMS)
 	}
 }
 
@@ -640,6 +661,11 @@ func TestRateMarksModelIncremental(t *testing.T) {
 	if body["incremental"] != true {
 		t.Errorf("/stats incremental = %v, want true", body["incremental"])
 	}
+	trainMS, ok := body["train_ms"].(map[string]any)
+	if !ok {
+		t.Fatalf("stats missing train_ms: %v", body)
+	}
+	requireTrainPhasesWithinTotal(t, trainMS)
 }
 
 func TestDebugPprofGating(t *testing.T) {

@@ -70,18 +70,19 @@ func (g *GIS) Refresh(m *ratings.Matrix, changedItems []int, opts GISOptions) *G
 		}
 	}
 
-	// Steps 2+3: rebuild unchanged lists (parallel over items). Stripping
-	// changed entries preserves sort order, and the symmetric insertions
-	// — already few and sorted — go in by a single merge pass that skips
-	// stripped entries in place, so no intermediate copy is ever built.
-	// Lists untouched by both share their old backing array outright.
-	// The merged order is identical to a full sort because both inputs
-	// are ordered by the same strict total order (score desc, index asc)
-	// and hold disjoint item ids. Output lists are carved from a
-	// per-chunk slab: their exact lengths are known up front, and one
-	// bulk allocation per chunk beats thousands of small ones.
+	// Steps 2+3: edit the unchanged lists (parallel over items). One scan
+	// of a list records where the changed items sit in it; a list holding
+	// none and gaining none shares its old backing array outright. Any
+	// other list gets one allocation sized for the merge: the survivors
+	// are block-copied around the recorded slots (which preserves sort
+	// order), and the symmetric insertions — few, and sorted here — are
+	// merged in from the back, moving only the survivors that rank below
+	// an insertion. The result is identical to a full sort because
+	// survivors and insertions are both ordered by the same strict total
+	// order (score desc, index asc) and hold disjoint item ids, so their
+	// merge has exactly one outcome.
 	parallel.ForChunked(q, opts.Workers, func(lo, hi int) {
-		var buf scoredSlab
+		var hits []int // positions of changed items in the current list
 		for i := lo; i < hi; i++ {
 			if changed[i] {
 				continue
@@ -90,13 +91,13 @@ func (g *GIS) Refresh(m *ratings.Matrix, changedItems []int, opts GISOptions) *G
 			if i < len(g.neighbors) {
 				old = g.neighbors[i]
 			}
-			stripped := 0
-			for _, n := range old {
+			hits = hits[:0]
+			for j, n := range old {
 				if changed[n.Index] {
-					stripped++
+					hits = append(hits, j)
 				}
 			}
-			flen := len(old) - stripped
+			flen := len(old) - len(hits)
 			ins := symmetric[i]
 			if len(ins) > 0 && opts.TopN > 0 && flen >= opts.TopN {
 				// The list is full: an insertion sorting at or below the
@@ -104,15 +105,12 @@ func (g *GIS) Refresh(m *ratings.Matrix, changedItems []int, opts GISOptions) *G
 				// least flen ≥ TopN entries precede it), so dropping it
 				// here changes nothing — and in the common case (a
 				// re-rating nudges similarities far under every top-N
-				// cutoff) it empties ins and skips the merge for the
-				// whole list.
-				last := old[len(old)-1]
-				for j := len(old) - 1; j >= 0; j-- {
-					if !changed[old[j].Index] {
-						last = old[j]
-						break
-					}
+				// cutoff) it empties ins and leaves the list shared.
+				j := len(old) - 1
+				for h := len(hits) - 1; h >= 0 && hits[h] == j; h-- {
+					j--
 				}
+				last := old[j]
 				kept := ins[:0]
 				for _, e := range ins {
 					if mathx.Precedes(e, last) {
@@ -121,72 +119,30 @@ func (g *GIS) Refresh(m *ratings.Matrix, changedItems []int, opts GISOptions) *G
 				}
 				ins = kept
 			}
-			if len(ins) == 0 {
-				if stripped == 0 {
-					out.neighbors[i] = truncate(old, opts.TopN)
-					continue
-				}
-				cp := buf.take(flen)
-				for _, n := range old {
-					if !changed[n.Index] {
-						cp = append(cp, n)
-					}
-				}
-				out.neighbors[i] = truncate(cp, opts.TopN)
+			if len(hits) == 0 && len(ins) == 0 {
+				out.neighbors[i] = truncate(old, opts.TopN)
 				continue
 			}
+			cp := make([]mathx.Scored, flen+len(ins))
+			w, from := 0, 0
+			for _, at := range hits {
+				w += copy(cp[w:], old[from:at])
+				from = at + 1
+			}
+			copy(cp[w:], old[from:])
 			mathx.SortScoredDesc(ins)
-			want := flen + len(ins)
-			if opts.TopN > 0 && want > opts.TopN {
-				want = opts.TopN // everything past the cutoff is truncated anyway
-			}
-			merged := buf.take(want)
-			a, b := 0, 0
-			for len(merged) < want {
-				for a < len(old) && changed[old[a].Index] {
-					a++ // stripped in place: never copied, never merged
-				}
-				switch {
-				case b >= len(ins):
-					merged = append(merged, old[a])
-					a++
-				case a >= len(old):
-					merged = append(merged, ins[b])
-					b++
-				case mathx.Precedes(old[a], ins[b]):
-					merged = append(merged, old[a])
-					a++
-				default:
-					merged = append(merged, ins[b])
-					b++
+			for a, b := flen-1, len(ins)-1; b >= 0; {
+				if a >= 0 && mathx.Precedes(ins[b], cp[a]) {
+					cp[a+b+1] = cp[a]
+					a--
+				} else {
+					cp[a+b+1] = ins[b]
+					b--
 				}
 			}
-			out.neighbors[i] = merged
+			out.neighbors[i] = truncate(cp, opts.TopN)
 		}
 	})
-	return out
-}
-
-// scoredSlab hands out fixed-capacity sub-slices from bulk allocations.
-// Callers must know the final length up front: each take is capped (via
-// a full slice expression) so appends beyond it reallocate instead of
-// clobbering a neighbour's carve.
-type scoredSlab struct {
-	buf  []mathx.Scored
-	used int
-}
-
-func (s *scoredSlab) take(n int) []mathx.Scored {
-	if s.used+n > len(s.buf) {
-		sz := 1 << 15
-		if n > sz {
-			sz = n
-		}
-		s.buf = make([]mathx.Scored, sz)
-		s.used = 0
-	}
-	out := s.buf[s.used : s.used : s.used+n]
-	s.used += n
 	return out
 }
 

@@ -2,6 +2,7 @@ package smoothing
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"cfsf/internal/cluster"
@@ -145,12 +146,15 @@ func patchedFillRow(base []float64, out *Smoother, c int, affList []int, q int) 
 
 // RefreshICluster re-ranks clusters per user after a shard-local apply.
 // Users listed in changedUsers (and users beyond the old ranking's length,
-// i.e. newly added ones) get a full Eq. 9 recompute; everyone else keeps
-// their similarities to untouched clusters and recomputes only the
-// affected clusters' entries before re-sorting. The sort comparator is a
-// strict total order (similarity desc, cluster id asc), so the resulting
-// ranking is identical to BuildICluster's regardless of which path
-// produced each similarity.
+// i.e. newly added ones) are ranked from scratch, as BuildICluster ranks
+// everyone. Everyone else keeps their similarities to untouched clusters:
+// only the affected clusters' Eq. 9 entries are recomputed, and each one
+// that moved is re-seated in a copy of the old ranking by insertion. The
+// insertion compares with ranksBefore, the strict total order
+// sortClusterOrder sorts by, and a strict total order admits one sorted
+// arrangement — so the ranking is identical to BuildICluster's regardless
+// of which path produced it. A user none of whose similarities moved
+// shares the old slices.
 func RefreshICluster(old *ICluster, s *Smoother, affectedClusters map[int]bool, changedUsers map[int]bool, workers int) *ICluster {
 	p := s.m.NumUsers()
 	ic := &ICluster{
@@ -158,50 +162,39 @@ func RefreshICluster(old *ICluster, s *Smoother, affectedClusters map[int]bool, 
 		Sim:   make([][]float64, p),
 	}
 	// Sorted for a fixed per-user recompute order (map iteration order
-	// varies per run; the per-cluster writes land in distinct slots, but
-	// a fixed order keeps the loop trivially replay-safe).
+	// varies per run; the outcome does not depend on it, but a fixed order
+	// keeps the loop trivially replay-safe).
 	affList := make([]int, 0, len(affectedClusters))
 	for c := range affectedClusters {
 		affList = append(affList, c)
 	}
 	sort.Ints(affList)
 	parallel.For(p, workers, func(u int) {
-		sims := make([]float64, s.k)
 		if changedUsers[u] || u >= len(old.Order) || len(old.Order[u]) != s.k {
-			for c := 0; c < s.k; c++ {
-				sims[c] = s.UserClusterSim(u, c)
-			}
-		} else {
-			for r, c := range old.Order[u] {
-				sims[c] = old.Sim[u][r]
-			}
-			same := true
-			for _, c := range affList {
-				v := s.UserClusterSim(u, c)
-				if v != sims[c] {
-					sims[c] = v
-					same = false
-				}
-			}
-			if same {
-				// No similarity moved: the old ranking is the new
-				// ranking; share its slices instead of re-sorting.
-				ic.Order[u] = old.Order[u]
-				ic.Sim[u] = old.Sim[u]
-				return
-			}
+			ic.Order[u], ic.Sim[u] = s.rankClusters(u)
+			return
 		}
-		order := make([]int32, s.k)
-		for c := range order {
-			order[c] = int32(c)
+		order, sims := old.Order[u], old.Sim[u]
+		shared := true
+		for _, c := range affList {
+			v := s.UserClusterSim(u, c)
+			r := slices.Index(order, int32(c))
+			if v == sims[r] {
+				continue
+			}
+			if shared {
+				order, sims = slices.Clone(order), slices.Clone(sims)
+				shared = false
+			}
+			for ; r > 0 && ranksBefore(v, int32(c), sims[r-1], order[r-1]); r-- {
+				order[r], sims[r] = order[r-1], sims[r-1]
+			}
+			for ; r+1 < len(order) && ranksBefore(sims[r+1], order[r+1], v, int32(c)); r++ {
+				order[r], sims[r] = order[r+1], sims[r+1]
+			}
+			order[r], sims[r] = int32(c), v
 		}
-		sortClusterOrder(order, sims)
-		sorted := make([]float64, s.k)
-		for r, c := range order {
-			sorted[r] = sims[c]
-		}
-		ic.Order[u] = order
-		ic.Sim[u] = sorted
+		ic.Order[u], ic.Sim[u] = order, sims
 	})
 	return ic
 }

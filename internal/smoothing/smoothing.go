@@ -205,23 +205,29 @@ func BuildICluster(s *Smoother, workers int) *ICluster {
 		Sim:   make([][]float64, p),
 	}
 	parallel.For(p, workers, func(u int) {
-		sims := make([]float64, s.k)
-		for c := 0; c < s.k; c++ {
-			sims[c] = s.UserClusterSim(u, c)
-		}
-		order := make([]int32, s.k)
-		for c := range order {
-			order[c] = int32(c)
-		}
-		sortClusterOrder(order, sims)
-		sorted := make([]float64, s.k)
-		for r, c := range order {
-			sorted[r] = sims[c]
-		}
-		ic.Order[u] = order
-		ic.Sim[u] = sorted
+		ic.Order[u], ic.Sim[u] = s.rankClusters(u)
 	})
 	return ic
+}
+
+// rankClusters computes user u's Eq. 9 similarity to every cluster and
+// returns the clusters most similar first, with the similarities in the
+// same order.
+func (s *Smoother) rankClusters(u int) (order []int32, sorted []float64) {
+	sims := make([]float64, s.k)
+	for c := 0; c < s.k; c++ {
+		sims[c] = s.UserClusterSim(u, c)
+	}
+	order = make([]int32, s.k)
+	for c := range order {
+		order[c] = int32(c)
+	}
+	sortClusterOrder(order, sims)
+	sorted = make([]float64, s.k)
+	for r, c := range order {
+		sorted[r] = sims[c]
+	}
+	return order, sorted
 }
 
 // sortClusterOrder orders cluster ids by similarity descending, id
@@ -238,6 +244,15 @@ func sortClusterOrder(order []int32, sims []float64) {
 		}
 		return int(a - b)
 	})
+}
+
+// ranksBefore is sortClusterOrder's order as a predicate: cluster a with
+// similarity sa ranks strictly before cluster b with similarity sb.
+func ranksBefore(sa float64, a int32, sb float64, b int32) bool {
+	if sa != sb {
+		return sa > sb
+	}
+	return a < b
 }
 
 // UserClusterSim computes Eq. 9: the correlation between user u's centred
