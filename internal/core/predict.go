@@ -491,11 +491,11 @@ type Recommendation struct {
 
 // recScratch is the scratch of one scan (an exact Recommend scan or a
 // cache repair's re-scoring): the candidate buffer, the exact top-n
-// selector, the ranking buffer, and the scan kernel's tile (scan.go).
-// Same ownership rules as lmScratch: exclusive between Get and Put,
-// fully overwritten before use, never retained past the call — the
-// goroutines scoreCandidates fans out to read the tile only until it
-// returns, which is before the Put.
+// selector, the ranking buffer, and the scan kernel's tile and bound
+// buffers (scan.go). Same ownership rules as lmScratch: exclusive
+// between Get and Put, fully overwritten before use, never retained past
+// the call — the goroutines a scan fans out to touch the tile and the
+// bound buffers only until it returns, which is before the Put.
 type recScratch struct {
 	cands  []mathx.Scored
 	sel    mathx.TopSelect
@@ -503,6 +503,10 @@ type recScratch struct {
 	// tile is (K+1) rows × Q local-matrix cells, 16 B each: by far the
 	// largest buffer here, K+1 times the candidate buffer.
 	tile []localCell
+	// colHi and bounds are scoreTop's per-column and per-candidate bound
+	// state, Q entries each.
+	colHi  []float64
+	bounds []scanBound
 }
 
 //cfsf:guarded-by sync.Pool — each scratch is handed out to exactly one goroutine at a time; contents carry no cross-request state
@@ -511,8 +515,8 @@ var recScratchPool = sync.Pool{
 }
 
 // putRecScratch returns a scratch to the pool, first dropping buffers
-// that outgrew the current model's need by more than 2×: the candidate
-// and ranking buffers size to the catalogue Q and the tile to (K+1)·Q, so
+// that outgrew the current model's need by more than 2×: the candidate,
+// ranking and bound buffers size to the catalogue Q and the tile to (K+1)·Q, so
 // after serving a large model every pooled scratch would otherwise pin
 // that high-water mark forever even when later (smaller) models need a
 // fraction of it. A buffer within 2× of the need is kept — steady-state
@@ -527,6 +531,12 @@ func putRecScratch(sc *recScratch, q, k int) {
 	}
 	if cap(sc.tile) > 2*tileCells(k, q) {
 		sc.tile = nil
+	}
+	if cap(sc.colHi) > 2*q {
+		sc.colHi = nil
+	}
+	if cap(sc.bounds) > 2*q {
+		sc.bounds = nil
 	}
 	recScratchPool.Put(sc)
 }
@@ -595,15 +605,16 @@ func (mod *Model) RecommendAppend(dst []Recommendation, user, n int) []Recommend
 		want = cacheCap
 	}
 	sc := recScratchPool.Get().(*recScratch)
-	ranked, offered := mod.recommendExact(user, want, sc)
+	ranked, offered, priced := mod.recommendExact(user, want, sc)
 	if cacheCap > 0 {
 		keep := ranked
 		if len(keep) > cacheCap {
 			keep = keep[:cacheCap]
 		}
 		mod.recCache[user].Store(&recEntry{
-			ranked:   append([]mathx.Scored(nil), keep...),
-			complete: offered <= cacheCap,
+			ranked:     append([]mathx.Scored(nil), keep...),
+			complete:   offered <= cacheCap,
+			scanPriced: int32(priced),
 		})
 	}
 	dst = appendRecommendations(dst, ranked, n)
@@ -624,18 +635,20 @@ func appendRecommendations(dst []Recommendation, ranked []mathx.Scored, n int) [
 	return dst
 }
 
-// recommendExact scores every candidate item for the user and returns
-// the top-want ranking in canonical order plus the number of eligible
-// candidates offered to the selector. The ranking's backing array
-// belongs to sc; callers copy what they keep and return sc to the pool.
+// recommendExact returns the user's top-want ranking in canonical
+// order, the number of eligible candidates it was selected from, and how
+// many of them the scan priced. The ranking's backing array belongs to
+// sc; callers copy what they keep and return sc to the pool.
 //
 // Items the user rated and items with no support (no raters at all) are
 // skipped before prediction by merging the catalogue against the user's
 // id-sorted rating row — no rated-set map, no prediction paid for an
-// item that can never be recommended. The rest go through the scan
-// kernel (scoreCandidates), and the exact top-n selection over them
-// reproduces the full sort's score-desc/id-asc order bit for bit.
-func (mod *Model) recommendExact(user, want int, sc *recScratch) (ranked []mathx.Scored, offered int) {
+// item that can never be recommended. Of the rest the scan kernel prices
+// the ones that can reach the top want (scoreTop) — all of them when
+// there are no more than want, or too few for a tile (scoreCandidates) —
+// and the exact top-n selection over the priced candidates reproduces
+// the full sort's score-desc/id-asc order bit for bit.
+func (mod *Model) recommendExact(user, want int, sc *recScratch) (ranked []mathx.Scored, offered, priced int) {
 	q := mod.m.NumItems()
 	cands := sc.cands[:0]
 	row := mod.m.UserRatings(user)
@@ -650,16 +663,21 @@ func (mod *Model) recommendExact(user, want int, sc *recScratch) (ranked []mathx
 		cands = append(cands, mathx.Scored{Index: int32(i)})
 	}
 	sc.cands = cands
-	mod.scoreCandidates(user, cands, sc)
 	if want > q {
 		want = q
 	}
+	priced = len(cands)
+	if len(cands) > want && mod.tilePays(len(cands)) {
+		priced = mod.scoreTop(user, cands, want, sc)
+	} else {
+		mod.scoreCandidates(user, cands, sc)
+	}
 	sel := &sc.sel
 	sel.Reset(want)
-	for _, c := range cands {
+	for _, c := range cands[:priced] {
 		sel.Offer(c.Index, c.Score)
 	}
-	return sel.AppendRanked(sc.ranked[:0]), len(cands)
+	return sel.AppendRanked(sc.ranked[:0]), len(cands), priced
 }
 
 // EvalOn predicts every target of a split and returns predictions in

@@ -102,40 +102,58 @@ func BenchmarkRecommendWarm(b *testing.B) {
 	}
 }
 
-// BenchmarkRecommendCold is the exact scan the cache replaces: every
-// iteration prices the full catalogue on a cache-disabled model — the
-// pre-cache cost of Recommend, kept as the denominator for
-// BENCH_recommend.json.
+// BenchmarkRecommendCold is the exact scan the cache replaces, timed on
+// a cache-disabled model so every iteration runs it — kept as the
+// denominator for BENCH_recommend.json. It selects want = n = 10.
 func BenchmarkRecommendCold(b *testing.B) {
-	benchRecommendCold(b, benchOnlineModel(b).Matrix())
+	benchRecommendCold(b, benchOnlineModel(b).Matrix(), -1)
 }
 
-// BenchmarkRecommendColdLedger is BenchmarkRecommendCold on the 500×1000
-// synth.DefaultConfig fixture bench/ serves, so this number and the
-// ledger's core.recommend_us_p50 describe the same scan. CI fences it
-// with benchjson -max (ci.yml).
+// BenchmarkRecommendColdLedger is the exact scan on the 500×1000
+// synth.DefaultConfig fixture bench/ serves, at the two selection widths
+// a scan runs at — the bound-and-prune selection prices fewer candidates
+// the narrower it is, so they are different scans. n10 is a
+// cache-disabled model selecting want = n = 10. cap128 is the default
+// cache with the user's slot cleared before each read: the miss the
+// server takes, widened to the cache capacity (want = 128), and the scan
+// the ledger's core.recommend_us_p50 times under writes. CI fences
+// cap128's ns/op and B/op with benchjson -max (ci.yml).
 func BenchmarkRecommendColdLedger(b *testing.B) {
 	d, err := synth.Generate(synth.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchRecommendCold(b, d.Matrix)
+	b.Run("n10", func(b *testing.B) { benchRecommendCold(b, d.Matrix, -1) })
+	b.Run("cap128", func(b *testing.B) { benchRecommendCold(b, d.Matrix, 0) })
 }
 
-func benchRecommendCold(b *testing.B, m *ratings.Matrix) {
+// benchRecommendCold times Recommend(user, 10) with no cached entry to
+// serve it, cycling through the users, and reports how many candidates a
+// scan priced. One scan runs before the timer so the pooled scratch
+// exists: B/op is then what a scan allocates in steady state at any
+// -benchtime, and a scan buffer that bypasses the pool shows in full.
+func benchRecommendCold(b *testing.B, m *ratings.Matrix, cacheSize int) {
 	cfg := DefaultConfig()
-	cfg.RecommendCacheSize = -1
+	cfg.RecommendCacheSize = cacheSize
 	cold, err := Train(m, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	p := m.NumUsers()
 	for u := 0; u < p; u++ {
-		cold.likeMindedUsers(u) // warm the neighbour cache, not the (disabled) rec cache
+		cold.likeMindedUsers(u) // warm the neighbour cache, not the rec cache
 	}
+	cold.Recommend(p-1, 10)
+	before := ReadRecCacheStats()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if cold.recCache != nil {
+			cold.recCache[i%p].Store(nil)
+		}
 		cold.Recommend(i%p, 10)
 	}
+	b.StopTimer()
+	after := ReadRecCacheStats()
+	b.ReportMetric(float64(after.ScanPriced-before.ScanPriced)/float64(b.N), "priced/op")
 }

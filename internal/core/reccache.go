@@ -10,8 +10,8 @@ import (
 	"cfsf/internal/ratings"
 )
 
-// Per-user recommendation cache. Recommend's exact scan prices every
-// catalogue item (milliseconds); steady-state serving repeats it for the
+// Per-user recommendation cache. Recommend's exact scan walks the whole
+// catalogue (milliseconds); steady-state serving repeats it for the
 // same user against a model that an Apply changed only at the margin. The
 // cache keeps each served user's top-C ranking and carries it across
 // Apply generations, so a warm Recommend is a bounds check plus a copy.
@@ -44,6 +44,11 @@ type recEntry struct {
 	// proofs could not pin since the entry was last scored. A read
 	// re-scores exactly these before serving. nil when clean.
 	pending []int32 //cfsf:cow same discipline as ranked
+	// scanPriced is how many candidates the exact scan that built the
+	// entry priced — what a cold read for this user costs, and so the
+	// size below which re-scoring the pending items is the cheaper read
+	// (repairRecEntry). Repairs and carries keep it.
+	scanPriced int32
 }
 
 // recCacheCap returns the per-user entry capacity: the configured size,
@@ -81,6 +86,22 @@ var (
 	recCacheInvalidated     atomic.Uint64
 	recScans                atomic.Uint64
 	recScanNanos            atomic.Uint64
+	recScanItems            atomic.Uint64
+	recScanPriced           atomic.Uint64
+)
+
+// recCacheInvalidated split by the first carry check the entry failed.
+var (
+	// The entry's own user changed: their row, mean or cluster
+	// (userClean), or they are in the batch.
+	recCacheInvalidatedUser atomic.Uint64
+	// The like-minded candidate walk yields another id sequence.
+	recCacheInvalidatedWalk atomic.Uint64
+	// A candidate's row, mean or cluster changed.
+	recCacheInvalidatedCandidate atomic.Uint64
+	// A candidate's cluster moved a fill cell at an item the user rated,
+	// which Eq. 10 reads.
+	recCacheInvalidatedCandidateFill atomic.Uint64
 )
 
 // RecCacheStats is a snapshot of the process-wide recommendation-cache
@@ -92,16 +113,29 @@ type RecCacheStats struct {
 	Hits, Misses uint64
 	// Repairs counts entries healed in place by re-scoring their pending
 	// items; RepairFallbacks counts repairs given up for the exact scan:
-	// not attempted because half the catalogue or more was pending, or
-	// abandoned because a repaired score crossed the cached cut-off.
+	// not attempted because no fewer items were pending than the scan
+	// that built the entry priced, or abandoned because a repaired score
+	// crossed the cached cut-off.
 	Repairs, RepairFallbacks uint64
 	// Carried counts entries that survived an Apply via the carry proof;
 	// Invalidated counts entries an Apply dropped.
 	Carried, Invalidated uint64
+	// InvalidatedUser, InvalidatedWalk, InvalidatedCandidate and
+	// InvalidatedCandidateFill split Invalidated by the first carry check
+	// that failed: the user's own row, mean or cluster; a different
+	// like-minded candidate walk; a candidate whose row, mean or cluster
+	// changed; a candidate whose cluster moved a fill cell at an item the
+	// user rated. They sum to Invalidated.
+	InvalidatedUser, InvalidatedWalk, InvalidatedCandidate, InvalidatedCandidateFill uint64
 	// Scans counts scan-kernel passes — every exact scan and every
 	// repair's re-scoring — and ScanNanos their summed wall time, so
 	// ScanNanos/Scans is what a read that misses the cache costs.
 	Scans, ScanNanos uint64
+	// ScanItems counts the candidates handed to those passes and
+	// ScanPriced the ones SUIR′ was actually evaluated for, so
+	// ScanPriced/ScanItems is the share the bound-and-prune selection
+	// (scan.go) could not skip.
+	ScanItems, ScanPriced uint64
 }
 
 // ReadRecCacheStats returns the current cache counters.
@@ -115,6 +149,13 @@ func ReadRecCacheStats() RecCacheStats {
 		Invalidated:     recCacheInvalidated.Load(),
 		Scans:           recScans.Load(),
 		ScanNanos:       recScanNanos.Load(),
+		ScanItems:       recScanItems.Load(),
+		ScanPriced:      recScanPriced.Load(),
+
+		InvalidatedUser:          recCacheInvalidatedUser.Load(),
+		InvalidatedWalk:          recCacheInvalidatedWalk.Load(),
+		InvalidatedCandidate:     recCacheInvalidatedCandidate.Load(),
+		InvalidatedCandidateFill: recCacheInvalidatedCandidateFill.Load(),
 	}
 }
 
@@ -283,31 +324,27 @@ func intersectsRatedRow(ids []int32, row []ratings.Entry) bool {
 // cluster unchanged), and no candidate's cluster changed a fill value
 // at an item u rated — Eq. 10 reads the candidate's fill exactly at
 // I{u}, so under these checks every similarity, and therefore the
-// top-K heap's outcome, is bit-identical. bufA/bufB are reusable
+// top-K heap's outcome, is bit-identical. failed is the counter of the
+// first check that did not hold, nil when all do. bufA/bufB are reusable
 // scratch; the possibly-grown buffers are returned for the next call.
-func (cc *recCarry) selectionClean(u int, bufA, bufB []int) (clean bool, a, b []int) {
+func (cc *recCarry) selectionClean(u int, bufA, bufB []int) (failed *atomic.Uint64, a, b []int) {
 	a = cc.prev.gatherCandidates(u, bufA[:0])
 	b = cc.next.gatherCandidates(u, bufB[:0])
-	if len(a) != len(b) {
-		return false, a, b
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false, a, b
-		}
+	if !slices.Equal(a, b) {
+		return &recCacheInvalidatedWalk, a, b
 	}
 	rowU := cc.next.m.UserRatings(u)
 	for _, c := range a {
 		if !cc.userClean(c) {
-			return false, a, b
+			return &recCacheInvalidatedCandidate, a, b
 		}
 		if len(cc.fillChanged) > 0 {
 			if ch := cc.fillChanged[cc.next.sm.Cluster(c)]; len(ch) > 0 && intersectsRatedRow(ch, rowU) {
-				return false, a, b
+				return &recCacheInvalidatedCandidateFill, a, b
 			}
 		}
 	}
-	return true, a, b
+	return nil, a, b
 }
 
 // recDirtyItems returns the sorted set of item ids whose Recommend score
@@ -408,19 +445,18 @@ func (next *Model) carryRecCache(prev *Model, userList, itemList []int) {
 			if e == nil {
 				continue
 			}
-			if _, isChanged := slices.BinarySearch(userList, u); isChanged || !cc.userClean(u) {
-				recCacheInvalidated.Add(1)
-				continue
+			failed := &recCacheInvalidatedUser
+			if _, isChanged := slices.BinarySearch(userList, u); !isChanged && cc.userClean(u) {
+				failed, bufA, bufB = cc.selectionClean(u, bufA, bufB)
 			}
-			var ok bool
-			ok, bufA, bufB = cc.selectionClean(u, bufA, bufB)
-			if !ok {
+			if failed != nil {
 				recCacheInvalidated.Add(1)
+				failed.Add(1)
 				continue
 			}
 			carried := e
 			if pending := mergeSortedIDs(e.pending, dirty); len(pending) > 0 {
-				carried = &recEntry{ranked: e.ranked, complete: e.complete, pending: pending}
+				carried = &recEntry{ranked: e.ranked, complete: e.complete, pending: pending, scanPriced: e.scanPriced}
 			}
 			next.recCache[u].Store(carried)
 			recCacheCarried.Add(1)
@@ -432,13 +468,14 @@ func (next *Model) carryRecCache(prev *Model, userList, itemList []int) {
 // re-scoring exactly its pending items through the scan kernel. It
 // returns the repaired entry, or nil when the caller must run the exact
 // scan instead: either the repair cannot prove the cached ranking's
-// boundary held (a repaired score crossed the cached cut-off), or half
-// the catalogue or more is pending — then a repair can save at most half
-// a scan while a boundary miss afterwards costs a whole extra one, so it
-// is not attempted and a read never prices an item twice. Under
-// smoothing that is the usual case: a single rating moves a few dozen
-// fill columns, and their closure through the top-M neighbourhoods
-// (fillDirtyExpanded) covers nearly every item.
+// boundary held (a repaired score crossed the cached cut-off), or no
+// fewer items are pending than the scan that built the entry priced. A
+// repair prices every pending item, the exact scan only the candidates
+// that can reach the selection (scoreTop), so from there on the scan is
+// the cheaper read and the repair is not attempted. Under smoothing that
+// is the usual case: a single rating moves a few dozen fill columns, and
+// their closure through the top-M neighbourhoods (fillDirtyExpanded)
+// covers nearly every item.
 //
 // Exactness: for every item outside pending the entry's cached score is
 // the current model's score (the carry proof), and eligibility can only
@@ -453,7 +490,7 @@ func (next *Model) carryRecCache(prev *Model, userList, itemList []int) {
 // failure.
 func (mod *Model) repairRecEntry(user int, e *recEntry) *recEntry {
 	q := mod.m.NumItems()
-	if 2*len(e.pending) >= q {
+	if len(e.pending) >= int(e.scanPriced) {
 		recCacheRepairFallbacks.Add(1)
 		return nil
 	}
@@ -496,7 +533,7 @@ func (mod *Model) repairRecEntry(user int, e *recEntry) *recEntry {
 			merged = merged[:c]
 		}
 		recCacheRepairs.Add(1)
-		return &recEntry{ranked: merged, complete: complete}
+		return &recEntry{ranked: merged, complete: complete, scanPriced: e.scanPriced}
 	}
 	cut := e.ranked[len(e.ranked)-1]
 	keep := len(e.ranked)
@@ -509,5 +546,5 @@ func (mod *Model) repairRecEntry(user int, e *recEntry) *recEntry {
 		return nil
 	}
 	recCacheRepairs.Add(1)
-	return &recEntry{ranked: merged[:keep:keep], complete: false}
+	return &recEntry{ranked: merged[:keep:keep], complete: false, scanPriced: e.scanPriced}
 }

@@ -61,16 +61,11 @@ func (mod *Model) tilePays(n int) bool {
 	return n*mod.cfg.M >= mod.m.NumItems()
 }
 
-// scoreCandidates fills in cands[k].Score = Predict(user, cands[k].Index)
-// for every candidate, in parallel, through a tile borrowed from sc when
-// the list is long enough for one to pay. It is the one place the exact
-// scan and cache repair price items, and the span Scans/ScanNanos count.
-//
-//cfsf:wallclock-ok scan duration feeds the RecCacheStats counters only; no clock value reaches a score
-func (mod *Model) scoreCandidates(user int, cands []mathx.Scored, sc *recScratch) {
-	start := time.Now()
+// beginScan readies the user-stationary state for scoring n items,
+// borrowing sc's tile when the list is long enough for one to pay.
+func (mod *Model) beginScan(user, n int, sc *recScratch) userScan {
 	s := userScan{mod: mod, user: user, q: mod.m.NumItems()}
-	if mod.tilePays(len(cands)) {
+	if mod.tilePays(n) {
 		s.users = mod.likeMindedUsers(user)
 		// Sized to the model's K rather than this user's neighbour count,
 		// so pooled tiles converge on one size (putRecScratch).
@@ -80,13 +75,36 @@ func (mod *Model) scoreCandidates(user int, cands []mathx.Scored, sc *recScratch
 		s.tile = sc.tile[:tileCells(len(s.users), s.q)]
 		parallel.For(len(s.users)+1, mod.cfg.Workers, s.fillTileRow)
 	}
+	return s
+}
+
+// endScan books one scan-kernel pass that began at start, was handed
+// items candidates and ran SUIR′ for priced of them.
+//
+//cfsf:wallclock-ok scan duration feeds the RecCacheStats counters only; no clock value reaches a score
+func endScan(start time.Time, items, priced int) {
+	recScans.Add(1)
+	recScanNanos.Add(uint64(time.Since(start)))
+	recScanItems.Add(uint64(items))
+	recScanPriced.Add(uint64(priced))
+}
+
+// scoreCandidates fills in cands[k].Score = Predict(user, cands[k].Index)
+// for every candidate, in parallel. Cache repair needs every pending
+// item's score, and a list too short to prune (no tile, or no longer than
+// the selection) has nothing to skip; the exact scan's long lists go
+// through scoreTop instead.
+//
+//cfsf:wallclock-ok scan duration feeds the RecCacheStats counters only; no clock value reaches a score
+func (mod *Model) scoreCandidates(user int, cands []mathx.Scored, sc *recScratch) {
+	start := time.Now()
+	s := mod.beginScan(user, len(cands), sc)
 	parallel.ForChunked(len(cands), mod.cfg.Workers, func(lo, hi int) {
 		for k := lo; k < hi; k++ {
 			cands[k].Score = s.score(int(cands[k].Index))
 		}
 	})
-	recScans.Add(1)
-	recScanNanos.Add(uint64(time.Since(start)))
+	endScan(start, len(cands), len(cands))
 }
 
 // fillTileRow materialises tile row n: every cell starts as the row
@@ -139,6 +157,152 @@ func (s *userScan) score(item int) float64 {
 	p.SUIR, p.HasSUIR = s.suirTile(sorted, mod.topM2[item])
 	mod.fuse(s.user, item, &p)
 	return p.Value
+}
+
+// Bound-and-prune top-C selection (DESIGN.md §9). SUIR′ is K·M cells with
+// a sqrt and a divide each and decides δ of the score; SIR′ and SUR′ are
+// M+K cells with neither. The exact scan therefore prices SUIR′ only for
+// the candidates whose Eq. 14 score could still reach the selection:
+// every candidate gets its exact SIR′ and SUR′ and an upper bound on
+// SUIR′, and a candidate whose fused bound falls strictly below the
+// worst exact score of `want` already-priced candidates ranks after all
+// of them and is never priced.
+
+// scanBound is what the bound pass leaves for one candidate.
+type scanBound struct {
+	// ub is the Eq. 14 fusion with SUIR′ at its upper bound: score ≤ ub.
+	ub float64
+	// priced reports that the candidate's Score is its exact score.
+	priced bool
+}
+
+// suirSlack is what suirTile's rounding can add to a SUIR′ over k
+// like-minded users. SUIR′ is num/den over cells with weights w ≥ 0, so
+// whenever it exists it is at most the largest value among its
+// contributing cells; in floating point, over N ≤ k·M cells of magnitude
+// ≤ A, the computed quotient exceeds that by less than (2N+1)·2⁻⁵³·A
+// (Higham's γ_N on the two sums plus the division's rounding). The slack
+// is four times that. A cell is a rating or a user mean plus an Eq. 8
+// deviation — a mean of rating differences — so with ratings on the
+// matrix's declared scale (the server rejects others; the factor of four
+// is the margin for loaded data that strays) A = max(|min|, |max|) +
+// (max − min).
+func (mod *Model) suirSlack(k int) float64 {
+	lo, hi := mod.m.MinRating(), mod.m.MaxRating()
+	return float64(k*mod.cfg.M+2) * 0x1p-50 * (max(math.Abs(lo), math.Abs(hi)) + (hi - lo))
+}
+
+// boundColumns fills colHi[i] with the largest contributing cell (w > 0)
+// among the like-minded tile rows at column i, −Inf where none
+// contributes.
+func (s *userScan) boundColumns(colHi []float64) {
+	parallel.ForChunked(s.q, s.mod.cfg.Workers, func(lo, hi int) {
+		col := colHi[lo:hi]
+		for i := range col {
+			col[i] = math.Inf(-1)
+		}
+		for n := range s.users {
+			for i, c := range s.tile[n*s.q+lo : n*s.q+hi] {
+				if c.w > 0 && c.val > col[i] {
+					col[i] = c.val
+				}
+			}
+		}
+	})
+}
+
+// bound returns item's Eq. 14 score with SUIR′ at its upper bound: the
+// largest colHi across the item's top-M columns, plus slack. With no
+// contributing cell in any of those columns suirTile's den is 0 and
+// SUIR′ is absent, so the bound is the exact score. fuse is
+// non-decreasing in SUIR′ in floating point too — a product with δ ≥ 0,
+// sums, a division by the same positive den and a clamp are each
+// monotone — so the score suirTile's value fuses to is ≤ the bound.
+func (s *userScan) bound(item int, colHi []float64, slack float64) float64 {
+	sorted := s.mod.topM[item]
+	var p Prediction
+	p.SIR, p.HasSIR = s.sirTile(sorted)
+	p.SUR, p.HasSUR = s.surTile(item)
+	hi := math.Inf(-1)
+	for _, it := range sorted {
+		if v := colHi[it.Index]; v > hi {
+			hi = v
+		}
+	}
+	if !math.IsInf(hi, -1) {
+		p.SUIR, p.HasSUIR = hi+slack, true
+	}
+	s.mod.fuse(s.user, item, &p)
+	return p.Value
+}
+
+// scoreTop prices every candidate that can rank among the user's want
+// best, moves those to the front of cands and returns how many there
+// are; each carries Score = Predict(user, Index). It needs a tile and
+// more candidates than want (recommendExact sends shorter lists through
+// scoreCandidates).
+//
+// The want candidates with the best bounds are priced first; cut is the
+// smallest exact score among them. A candidate left with ub < cut scores
+// strictly below want priced candidates, so under mathx.Precedes it
+// ranks after all of them whatever its id: it is not in the top want,
+// and its score is never needed. Everything else is priced.
+//
+//cfsf:wallclock-ok scan duration feeds the RecCacheStats counters only; no clock value reaches a score
+func (mod *Model) scoreTop(user int, cands []mathx.Scored, want int, sc *recScratch) int {
+	start := time.Now()
+	s := mod.beginScan(user, len(cands), sc)
+	// Sized to the catalogue rather than this list, like the tile.
+	if cap(sc.colHi) < s.q {
+		sc.colHi = make([]float64, s.q)
+	}
+	if cap(sc.bounds) < s.q {
+		sc.bounds = make([]scanBound, s.q)
+	}
+	colHi, bounds := sc.colHi[:s.q], sc.bounds[:len(cands)]
+	s.boundColumns(colHi)
+	slack := mod.suirSlack(len(s.users))
+	workers := mod.cfg.Workers
+	parallel.ForChunked(len(cands), workers, func(lo, hi int) {
+		for k := lo; k < hi; k++ {
+			bounds[k] = scanBound{ub: s.bound(int(cands[k].Index), colHi, slack)}
+		}
+	})
+
+	sel := &sc.sel
+	sel.Reset(want)
+	for k := range bounds {
+		sel.Offer(int32(k), bounds[k].ub)
+	}
+	first := sel.AppendRanked(sc.ranked[:0]) // candidate positions, not item ids
+	parallel.ForChunked(len(first), workers, func(lo, hi int) {
+		for _, f := range first[lo:hi] {
+			cands[f.Index].Score = s.score(int(cands[f.Index].Index))
+			bounds[f.Index].priced = true
+		}
+	})
+	cut := math.Inf(1)
+	for _, f := range first {
+		cut = min(cut, cands[f.Index].Score)
+	}
+	parallel.ForChunked(len(cands), workers, func(lo, hi int) {
+		for k := lo; k < hi; k++ {
+			if b := &bounds[k]; !b.priced && b.ub >= cut {
+				cands[k].Score = s.score(int(cands[k].Index))
+				b.priced = true
+			}
+		}
+	})
+
+	priced := 0
+	for k := range cands {
+		if bounds[k].priced {
+			cands[priced] = cands[k]
+			priced++
+		}
+	}
+	endScan(start, len(cands), priced)
+	return priced
 }
 
 // sirTile is sirLocal with the row merge replaced by a gather from the

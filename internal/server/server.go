@@ -319,6 +319,9 @@ func (s *Server) recordModelGauges(mod *core.Model) {
 	s.reg.Gauge("recommend_cache_invalidated").Set(float64(rc.Invalidated))
 	s.reg.Gauge("recommend_scans").Set(float64(rc.Scans))
 	s.reg.Gauge("recommend_scan_mean_ms").Set(scanMeanMS(rc))
+	s.reg.Gauge("recommend_scan_items").Set(float64(rc.ScanItems))
+	s.reg.Gauge("recommend_scan_priced").Set(float64(rc.ScanPriced))
+	s.reg.Gauge("recommend_scan_priced_ratio").Set(scanPricedRatio(rc))
 }
 
 // scanMeanMS is the mean wall time of one scan-kernel pass (an exact
@@ -329,6 +332,16 @@ func scanMeanMS(rc core.RecCacheStats) float64 {
 		return 0
 	}
 	return durMS(time.Duration(rc.ScanNanos)) / float64(rc.Scans)
+}
+
+// scanPricedRatio is the share of the candidates handed to scan passes
+// that SUIR′ was evaluated for — what the bound-and-prune selection could
+// not skip — 0 before the first pass.
+func scanPricedRatio(rc core.RecCacheStats) float64 {
+	if rc.ScanItems == 0 {
+		return 0
+	}
+	return float64(rc.ScanPriced) / float64(rc.ScanItems)
 }
 
 // recCacheView is the /stats JSON form of the process-wide
@@ -342,8 +355,16 @@ func recCacheView() map[string]any {
 		"repair_fallbacks": rc.RepairFallbacks,
 		"carried":          rc.Carried,
 		"invalidated":      rc.Invalidated,
-		"scans":            rc.Scans,
-		"scan_mean_ms":     scanMeanMS(rc),
+		"invalidated_by": map[string]uint64{
+			"user":           rc.InvalidatedUser,
+			"walk":           rc.InvalidatedWalk,
+			"candidate":      rc.InvalidatedCandidate,
+			"candidate_fill": rc.InvalidatedCandidateFill,
+		},
+		"scans":        rc.Scans,
+		"scan_mean_ms": scanMeanMS(rc),
+		"scan_items":   rc.ScanItems,
+		"scan_priced":  rc.ScanPriced,
 	}
 }
 

@@ -240,7 +240,7 @@ func TestStatsExposeRecommendCache(t *testing.T) {
 		if !ok {
 			t.Fatalf("stats missing recommend_cache: %v", body)
 		}
-		for _, key := range []string{"hits", "misses", "repairs", "repair_fallbacks", "carried", "invalidated", "scans", "scan_mean_ms"} {
+		for _, key := range []string{"hits", "misses", "repairs", "repair_fallbacks", "carried", "invalidated", "invalidated_by", "scans", "scan_mean_ms", "scan_items", "scan_priced"} {
 			if _, ok := rc[key]; !ok {
 				t.Fatalf("recommend_cache missing %q: %v", key, rc)
 			}
@@ -263,6 +263,15 @@ func TestStatsExposeRecommendCache(t *testing.T) {
 			}
 			if ms, _ := gauges["recommend_scan_mean_ms"].(float64); ms <= 0 {
 				t.Errorf("metrics recommend_scan_mean_ms = %v after a cold read", gauges["recommend_scan_mean_ms"])
+			}
+			items, priced := rc["scan_items"].(float64), rc["scan_priced"].(float64)
+			if priced < 1 || priced > items {
+				t.Errorf("stats scan_priced = %v of scan_items = %v after a cold read", priced, items)
+			}
+			if ratio, _ := gauges["recommend_scan_priced_ratio"].(float64); ratio != priced/items ||
+				gauges["recommend_scan_items"] != items || gauges["recommend_scan_priced"] != priced {
+				t.Errorf("metrics scan gauges %v/%v ratio %v, stats %v/%v", gauges["recommend_scan_priced"],
+					gauges["recommend_scan_items"], gauges["recommend_scan_priced_ratio"], priced, items)
 			}
 		}
 		return rc["hits"].(float64), g
