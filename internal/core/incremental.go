@@ -113,13 +113,6 @@ func (mod *Model) withUpdatesIncremental(updates []RatingUpdate) (next *Model, o
 	t = time.Now()
 	out.buildTopM(mod)
 	out.stats.MirrorDuration = time.Since(t)
-	// Carry warm recommendation-cache entries onto the new generation
-	// where the copy-on-write sharing above proves them still exact
-	// (reccache.go). Must run after buildTopM: the dirty-item derivation
-	// compares the mirrors.
-	t = time.Now()
-	out.carryRecCache(mod, userList, itemList)
-	out.stats.CarryDuration = time.Since(t)
 	out.stats.Incremental = true
 	out.stats.UpdatesApplied = len(updates)
 	out.stats.TotalDuration = time.Since(start)

@@ -137,13 +137,10 @@ type TrainStats struct {
 	ClusterDuration  time.Duration
 	SmoothDuration   time.Duration
 	IClusterDuration time.Duration
-	// MirrorDuration is the id-sorted top-M mirror build (buildTopM) and
-	// CarryDuration the recommendation-cache carry onto the new
-	// generation (zero where none runs: Train, WithUpdates). With the
-	// four above they account for TotalDuration up to the matrix update
-	// and bookkeeping between the phases.
+	// MirrorDuration is the id-sorted top-M mirror build (buildTopM).
+	// With the four above it accounts for TotalDuration up to the matrix
+	// update and bookkeeping between the phases.
 	MirrorDuration time.Duration
-	CarryDuration  time.Duration
 	TotalDuration  time.Duration
 	GISNeighbors   int // stored (item, neighbour) pairs
 	ClusterIters   int
@@ -177,10 +174,10 @@ type Model struct {
 	neighborCache []atomic.Pointer[[]likeMinded] //cfsf:cow slice header swapped whole at publication; elements are atomic slots
 
 	// recCache[u] holds user u's cached top-C recommendation ranking
-	// (reccache.go). Same publication discipline as neighborCache: the
-	// slice header is fixed at construction, elements are atomic
-	// pointers filled on the read path and carried copy-on-write across
-	// Apply generations. nil when the cache is disabled.
+	// (reccache.go). Same discipline as neighborCache: allocated cold by
+	// every constructor, the slice header fixed at construction, elements
+	// atomic pointers filled on the read path. nil when the cache is
+	// disabled.
 	recCache []atomic.Pointer[recEntry] //cfsf:cow slice header swapped whole at publication; elements are atomic slots
 
 	// topM[i] is the id-sorted mirror of item i's top-M GIS prefix: the
@@ -278,9 +275,8 @@ func Train(m *ratings.Matrix, cfg Config) (*Model, error) {
 // neighbourhood. With a previous generation at hand it edits instead of
 // rebuilding: a row whose top-M prefix holds the same entries as prev's
 // is shared (same array — the mirror-model of the copy-on-write sharing
-// in the GIS itself, and what lets the rec-cache carry prove the item
-// clean), and a row whose prefix differs in a few entries is patched
-// from prev's row in O(M). Everything else — no prev, a new item, a
+// in the GIS itself), and a row whose prefix differs in a few entries is
+// patched from prev's row in O(M). Everything else — no prev, a new item, a
 // different M, a delta wider than maxMirrorPatch — is built from the
 // score-sorted list, the way Train builds every row.
 //
@@ -324,6 +320,12 @@ func (mod *Model) buildTopM(prev *Model) {
 // rebuilt. It sizes two stack arrays; a batch rarely moves more than its
 // own changed items through any one prefix.
 const maxMirrorPatch = 16
+
+// sameScored reports whether two Scored slices are the same array region
+// (immutable data ⇒ aliased slices are bit-identical).
+func sameScored(a, b []mathx.Scored) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
 
 // prefixDelta walks two score-sorted prefixes once and records the
 // entries only a holds (left) and only b holds (entered). Both are

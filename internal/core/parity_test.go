@@ -511,6 +511,11 @@ func TestMirrorPatchParity(t *testing.T) {
 	}
 }
 
+// sameFloats is sameScored for the topM2 rows: the same array region.
+func sameFloats(a, b []float64) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
 // TestPatchByIDProperty drives prefixDelta + patchByID with random
 // pairs of ranked lists over a small id and score range, so ids that
 // leave, enter, keep their score, change it, and tie all mix.

@@ -489,13 +489,13 @@ type Recommendation struct {
 	Score float64
 }
 
-// recScratch is the scratch of one scan (an exact Recommend scan or a
-// cache repair's re-scoring): the candidate buffer, the exact top-n
-// selector, the ranking buffer, and the scan kernel's tile and bound
-// buffers (scan.go). Same ownership rules as lmScratch: exclusive
-// between Get and Put, fully overwritten before use, never retained past
-// the call — the goroutines a scan fans out to touch the tile and the
-// bound buffers only until it returns, which is before the Put.
+// recScratch is the scratch of one exact Recommend scan: the candidate
+// buffer, the exact top-n selector, the ranking buffer, and the scan
+// kernel's tile and bound buffers (scan.go). Same ownership rules as
+// lmScratch: exclusive between Get and Put, fully overwritten before use,
+// never retained past the call — the goroutines a scan fans out to touch
+// the tile and the bound buffers only until it returns, which is before
+// the Put.
 type recScratch struct {
 	cands  []mathx.Scored
 	sel    mathx.TopSelect
@@ -552,11 +552,11 @@ func putRecScratch(sc *recScratch, q, k int) {
 // and the HTTP layer renders the empty case as [] rather than null.
 //
 // The first call for a user runs the exact scan (recommendExact) and
-// caches the top-C ranking; subsequent calls on the same or a carried
-// model generation serve from the cache — after lazily re-scoring any
-// items an Apply dirtied (reccache.go) — and are allocation-free apart
-// from the returned slice. Cached and exact paths are bit-identical by
-// construction; parity_test.go holds them to that.
+// caches the top-C ranking; subsequent calls on the same model generation
+// serve from the cache (reccache.go) and are allocation-free apart from
+// the returned slice. An entry is only read by the generation whose scan
+// built it, so cached and exact paths are bit-identical by construction;
+// parity_test.go holds them to that.
 func (mod *Model) Recommend(user, n int) []Recommendation {
 	if n <= 0 || user < 0 || user >= mod.m.NumUsers() {
 		return nil
@@ -582,19 +582,9 @@ func (mod *Model) RecommendAppend(dst []Recommendation, user, n int) []Recommend
 		cacheCap = mod.recCacheCap()
 	}
 	if cacheCap > 0 {
-		if e := mod.recCache[user].Load(); e != nil {
-			if len(e.pending) > 0 {
-				if r := mod.repairRecEntry(user, e); r != nil {
-					mod.recCache[user].Store(r)
-					e = r
-				} else {
-					e = nil // boundary crossed: fall through to the exact scan
-				}
-			}
-			if e != nil && (e.complete || n <= len(e.ranked)) {
-				recCacheHits.Add(1)
-				return appendRecommendations(dst, e.ranked, n)
-			}
+		if e := mod.recCache[user].Load(); e != nil && (e.complete || n <= len(e.ranked)) {
+			recCacheHits.Add(1)
+			return appendRecommendations(dst, e.ranked, n)
 		}
 		recCacheMisses.Add(1)
 	}
@@ -605,16 +595,15 @@ func (mod *Model) RecommendAppend(dst []Recommendation, user, n int) []Recommend
 		want = cacheCap
 	}
 	sc := recScratchPool.Get().(*recScratch)
-	ranked, offered, priced := mod.recommendExact(user, want, sc)
+	ranked, offered := mod.recommendExact(user, want, sc)
 	if cacheCap > 0 {
 		keep := ranked
 		if len(keep) > cacheCap {
 			keep = keep[:cacheCap]
 		}
 		mod.recCache[user].Store(&recEntry{
-			ranked:     append([]mathx.Scored(nil), keep...),
-			complete:   offered <= cacheCap,
-			scanPriced: int32(priced),
+			ranked:   append([]mathx.Scored(nil), keep...),
+			complete: offered <= cacheCap,
 		})
 	}
 	dst = appendRecommendations(dst, ranked, n)
@@ -636,9 +625,9 @@ func appendRecommendations(dst []Recommendation, ranked []mathx.Scored, n int) [
 }
 
 // recommendExact returns the user's top-want ranking in canonical
-// order, the number of eligible candidates it was selected from, and how
-// many of them the scan priced. The ranking's backing array belongs to
-// sc; callers copy what they keep and return sc to the pool.
+// order and the number of eligible candidates it was selected from. The
+// ranking's backing array belongs to sc; callers copy what they keep and
+// return sc to the pool.
 //
 // Items the user rated and items with no support (no raters at all) are
 // skipped before prediction by merging the catalogue against the user's
@@ -648,7 +637,7 @@ func appendRecommendations(dst []Recommendation, ranked []mathx.Scored, n int) [
 // there are no more than want, or too few for a tile (scoreCandidates) —
 // and the exact top-n selection over the priced candidates reproduces
 // the full sort's score-desc/id-asc order bit for bit.
-func (mod *Model) recommendExact(user, want int, sc *recScratch) (ranked []mathx.Scored, offered, priced int) {
+func (mod *Model) recommendExact(user, want int, sc *recScratch) (ranked []mathx.Scored, offered int) {
 	q := mod.m.NumItems()
 	cands := sc.cands[:0]
 	row := mod.m.UserRatings(user)
@@ -666,7 +655,7 @@ func (mod *Model) recommendExact(user, want int, sc *recScratch) (ranked []mathx
 	if want > q {
 		want = q
 	}
-	priced = len(cands)
+	priced := len(cands)
 	if len(cands) > want && mod.tilePays(len(cands)) {
 		priced = mod.scoreTop(user, cands, want, sc)
 	} else {
@@ -677,7 +666,7 @@ func (mod *Model) recommendExact(user, want int, sc *recScratch) (ranked []mathx
 	for _, c := range cands[:priced] {
 		sel.Offer(c.Index, c.Score)
 	}
-	return sel.AppendRanked(sc.ranked[:0]), len(cands), priced
+	return sel.AppendRanked(sc.ranked[:0]), len(cands)
 }
 
 // EvalOn predicts every target of a split and returns predictions in

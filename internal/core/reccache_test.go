@@ -15,8 +15,8 @@ import (
 // Tests for the per-user recommendation cache (reccache.go). The load-
 // bearing property is bit-for-bit parity: a cache-enabled model must
 // return exactly what a cache-disabled twin (same training, same apply
-// stream) returns, on every read — cold, warm, repaired, or rebuilt
-// after a carry — under every config variant.
+// stream) returns, on every read — cold or warm — under every config
+// variant.
 
 // equalRecs reports bitwise equality: same length, same items, and
 // scores equal by bit pattern.
@@ -51,12 +51,11 @@ func randomApplyBatch(rng *rand.Rand, mod *Model) []RatingUpdate {
 // TestRecommendCacheParityAcrossApplyStreams is the cache's acceptance
 // property (the Recommend analogue of PR 5's Predict parity): on every
 // config variant, a cached lineage driven by a random sharded apply
-// stream serves — from cold misses, carried entries, lazy repairs and
-// repair fallbacks alike — exactly what the cache-disabled lineage
-// computes, and a repeat read (a pure cache hit) returns it again. The
-// tinyCache variant keeps entries truncated so the repair boundary
-// check and its full-recompute fallback are exercised, not just the
-// complete-entry path.
+// stream serves — from the cold miss after each apply — exactly what the
+// cache-disabled lineage computes, and a repeat read (a pure cache hit)
+// returns it again. The tinyCache variant keeps entries truncated, so
+// reads for more than the stored prefix take the exact scan and replace
+// the entry.
 func TestRecommendCacheParityAcrossApplyStreams(t *testing.T) {
 	d := synth.MustGenerate(smallSynth())
 	variants := map[string]func(*Config){
@@ -86,7 +85,7 @@ func TestRecommendCacheParityAcrossApplyStreams(t *testing.T) {
 				shC, shE := NewSharded(cached), NewSharded(exact)
 				p := cached.Matrix().NumUsers()
 				users := []int{0, rng.Intn(p), rng.Intn(p), p - 1}
-				// Warm the cache before the stream so carry + repair run.
+				// Warm the cache before the stream: no entry may leak forward.
 				for _, u := range users {
 					shC.Model().Recommend(u, 1+rng.Intn(12))
 				}
@@ -102,7 +101,7 @@ func TestRecommendCacheParityAcrossApplyStreams(t *testing.T) {
 					mc, me := shC.Model(), shE.Model()
 					for _, u := range users {
 						n := 1 + rng.Intn(12)
-						first := mc.Recommend(u, n) // repair or miss
+						first := mc.Recommend(u, n) // cold after the apply, unless users repeats u
 						again := mc.Recommend(u, n) // pure hit
 						want := me.Recommend(u, n)
 						if !equalRecs(first, want) || !equalRecs(again, want) {
@@ -126,309 +125,131 @@ func TestRecommendCacheParityAcrossApplyStreams(t *testing.T) {
 			}
 		})
 	}
-	// The streams above must actually have exercised the machinery.
-	after := ReadRecCacheStats()
-	if after.Hits == before.Hits {
+	// The repeat reads above must actually have come from the cache.
+	if ReadRecCacheStats().Hits == before.Hits {
 		t.Error("apply streams produced no cache hits")
 	}
-	if after.Carried == before.Carried {
-		t.Error("apply streams never carried an entry across a generation")
-	}
-	if after.Invalidated == before.Invalidated {
-		t.Error("apply streams never invalidated an entry")
-	}
 }
 
-// trainWide trains the cache-enabled/cache-disabled twins the repair
-// tests use: a 600-item catalogue with smoothing off, where one small
-// batch dirties a few dozen items rather than most of the catalogue
-// (with smoothing on, the fill closure alone puts nearly every item on
-// every carried entry — the case repairRecEntry hands to the exact
-// scan), so carried entries can stay under repair's cut-off.
-func trainWide(t *testing.T, mutate func(*Config)) (cached, exact *Model) {
-	t.Helper()
-	sc := smallSynth()
-	sc.Items = 600
-	d := synth.MustGenerate(sc)
-	cfg := smallConfig()
-	cfg.DisableSmoothing = true
-	mutate(&cfg)
-	cached, err := Train(d.Matrix, cfg)
+// TestRecommendCacheIsPerGeneration pins the one rule the cache has, on
+// every path that hands out a model: the successor starts with every
+// slot empty, its first read is the exact ranking and its second a
+// counted hit, and a reader still holding the predecessor keeps hitting
+// the predecessor's entries with the predecessor's ranking. (Replay
+// after a crash therefore serves identical rankings from a cold start —
+// the lifecycle test proves that end to end.)
+func TestRecommendCacheIsPerGeneration(t *testing.T) {
+	ups := []RatingUpdate{{User: 1, Item: 2, Value: 4}}
+	constructors := []struct {
+		name string
+		next func(t *testing.T, prev *Model) *Model
+	}{
+		{"Train", func(t *testing.T, prev *Model) *Model {
+			next, err := Train(prev.Matrix(), prev.Config())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return next
+		}},
+		{"Load", func(t *testing.T, prev *Model) *Model {
+			var blob bytes.Buffer
+			if err := prev.Save(&blob); err != nil {
+				t.Fatal(err)
+			}
+			next, err := Load(&blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return next
+		}},
+		{"WithUpdates", func(t *testing.T, prev *Model) *Model {
+			next, err := prev.WithUpdates(ups)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return next
+		}},
+		{"ApplyIncremental", func(t *testing.T, prev *Model) *Model {
+			next, ok, err := prev.withUpdatesIncremental(ups)
+			if err != nil || !ok {
+				t.Fatalf("incremental path refused a plain rating: ok=%v err=%v", ok, err)
+			}
+			return next
+		}},
+		{"RetrainShard", func(t *testing.T, prev *Model) *Model {
+			sh := NewSharded(prev)
+			for shard := 0; shard < sh.NumShards(); shard++ {
+				next, err := sh.RetrainShard(shard)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if next.Model() != prev {
+					return next.Model()
+				}
+			}
+			t.Fatal("no shard's retrain moved a user: the fixture never reaches the rebuild")
+			return nil
+		}},
+		{"RebuildGIS", func(t *testing.T, prev *Model) *Model {
+			return NewSharded(prev).RebuildGIS().Model()
+		}},
+	}
+	// One warm predecessor for every row, drifted: enough ratings since
+	// the K-means fit that a shard retrain has a user to move.
+	trained, _ := trainSmall(t)
+	rng := rand.New(rand.NewSource(7))
+	drift := make([]RatingUpdate, 600)
+	for i := range drift {
+		drift[i] = RatingUpdate{User: rng.Intn(trained.m.NumUsers()), Item: rng.Intn(trained.m.NumItems()), Value: float64(1 + rng.Intn(5))}
+	}
+	sh, err := NewSharded(trained).Apply(drift)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.RecommendCacheSize = -1
-	exact, err = Train(d.Matrix, cfg)
-	if err != nil {
-		t.Fatal(err)
+	prev := sh.Model()
+	p := prev.Matrix().NumUsers()
+	held := make([][]Recommendation, p)
+	for u := range held {
+		held[u] = prev.Recommend(u, 10)
 	}
-	return cached, exact
-}
-
-// TestRecommendCacheRepairExercised pins the delta-repair path
-// deterministically: warm every user, apply one single-user batch, and
-// require that at least one unchanged user's entry was carried with the
-// batch's items queued as pending — then that reading through the repair
-// (and a forced repair-boundary situation under a tiny capacity) matches
-// the cache-disabled twin exactly. M selects how the pending items are
-// re-scored: through the scan kernel's tile at M=20 (tilePays), through
-// per-item Predict at M=5.
-func TestRecommendCacheRepairExercised(t *testing.T) {
-	for name, tc := range map[string]struct {
-		m     int
-		tiled bool
-	}{"tiled": {20, true}, "merge": {5, false}} {
+	for _, tc := range constructors {
 		tc := tc
-		t.Run(name, func(t *testing.T) {
-			cached, exact := trainWide(t, func(c *Config) {
-				c.M = tc.m
-				c.RecommendCacheSize = 5 // truncated entries: boundary check in play
-			})
-			p := cached.Matrix().NumUsers()
-			for u := 0; u < p; u++ {
-				cached.Recommend(u, 5)
+		t.Run(tc.name, func(t *testing.T) {
+			next := tc.next(t, prev)
+			if len(next.recCache) != next.Matrix().NumUsers() {
+				t.Fatalf("successor has %d cache slots for %d users", len(next.recCache), next.Matrix().NumUsers())
 			}
-			ups := []RatingUpdate{{User: 3, Item: 7, Value: 5}, {User: 3, Item: 90, Value: 1}}
-			shC, err := NewSharded(cached).Apply(ups)
-			if err != nil {
-				t.Fatal(err)
-			}
-			shE, err := NewSharded(exact).Apply(ups)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mc, me := shC.Model(), shE.Model()
-			if got := mc.recCache[3].Load(); got != nil {
-				t.Error("changed user 3 kept a cache entry across the apply")
-			}
-			carried := 0
-			for u := 0; u < p; u++ {
-				if e := mc.recCache[u].Load(); e != nil {
-					carried++
-					if len(e.pending) == 0 {
-						t.Fatalf("carried entry of user %d has no pending items", u)
-					}
-					if 2*len(e.pending) >= mc.m.NumItems() {
-						t.Fatalf("user %d: %d of %d items pending; the fixture no longer reaches repair", u, len(e.pending), mc.m.NumItems())
-					}
-					if got := mc.tilePays(len(e.pending)); got != tc.tiled {
-						t.Fatalf("user %d: tilePays(%d) = %v, want %v", u, len(e.pending), got, tc.tiled)
-					}
+			for u := range next.recCache {
+				if next.recCache[u].Load() != nil {
+					t.Fatalf("user %d has a warm entry on a model no read has touched", u)
 				}
 			}
-			if carried == 0 {
-				t.Fatal("no entry survived a two-item single-user batch; carry proof is vacuous")
-			}
-			before := ReadRecCacheStats()
-			for u := 0; u < p; u++ {
-				for _, n := range []int{3, 5, 9} {
-					if got, want := mc.Recommend(u, n), me.Recommend(u, n); !equalRecs(got, want) {
-						t.Fatalf("user %d n %d: repaired %v want %v", u, n, got, want)
-					}
+			for u := 0; u < p; u += 7 {
+				before := ReadRecCacheStats()
+				first := next.Recommend(u, 10)
+				mid := ReadRecCacheStats()
+				again := next.Recommend(u, 10)
+				after := ReadRecCacheStats()
+				if want := refRecommend(next, u, 10); !equalRecs(first, want) || !equalRecs(again, want) {
+					t.Fatalf("user %d: first %v again %v want %v", u, first, again, want)
+				}
+				if mid.Misses-before.Misses != 1 || mid.Hits != before.Hits {
+					t.Errorf("user %d: first read of the successor was not one miss", u)
+				}
+				if after.Hits-mid.Hits != 1 || after.Misses != mid.Misses {
+					t.Errorf("user %d: second read of the successor was not one hit", u)
 				}
 			}
-			after := ReadRecCacheStats()
-			if after.Repairs == before.Repairs {
-				t.Error("no entry was repaired in place")
+			hits := ReadRecCacheStats().Hits
+			for u := range held {
+				if got := prev.Recommend(u, 10); !equalRecs(got, held[u]) {
+					t.Fatalf("user %d: the predecessor now recommends %v, before the successor was built %v", u, got, held[u])
+				}
+			}
+			if got := ReadRecCacheStats().Hits - hits; got != uint64(p) {
+				t.Errorf("%d of %d re-reads of the predecessor were hits", got, p)
 			}
 		})
-	}
-}
-
-// TestRepairNeverCostsMoreThanColdScan pins the repair cut-off to what
-// it is for: a read that finds a carried entry runs SUIR′ for no more
-// candidates than the cold read that built the entry did. The exact scan
-// prices only the candidates that can reach the selection — for some
-// users a dozen of this fixture's 600 — so "less than half the catalogue
-// pending" no longer means "cheaper than a scan": a repair is
-// attempted only below the count the building scan priced, and a read at
-// or above it is one exact scan, the same one a cold read runs.
-func TestRepairNeverCostsMoreThanColdScan(t *testing.T) {
-	cached, exact := trainWide(t, func(c *Config) { c.RecommendCacheSize = 5 })
-	p, q := cached.m.NumUsers(), cached.m.NumItems()
-	read := func(m *Model, user int) (recs []Recommendation, d RecCacheStats) {
-		b := ReadRecCacheStats()
-		recs = m.Recommend(user, 5)
-		a := ReadRecCacheStats()
-		return recs, RecCacheStats{
-			Scans:           a.Scans - b.Scans,
-			ScanPriced:      a.ScanPriced - b.ScanPriced,
-			Repairs:         a.Repairs - b.Repairs,
-			RepairFallbacks: a.RepairFallbacks - b.RepairFallbacks,
-		}
-	}
-	cold := make([]uint64, p)
-	for u := range cold {
-		_, d := read(cached, u)
-		if d.Scans != 1 {
-			t.Fatalf("user %d: cold read ran %d passes", u, d.Scans)
-		}
-		cold[u] = d.ScanPriced
-	}
-
-	// A two-item batch leaves 33 items pending and a twelve-item one 100,
-	// where the scans that built this fixture's entries priced between 11
-	// and 530: both batches land on both sides of the cut-off, and well
-	// under half the catalogue.
-	small := []RatingUpdate{{User: 3, Item: 7, Value: 5}, {User: 3, Item: 90, Value: 1}}
-	var large []RatingUpdate
-	for i := 0; i < 12; i++ {
-		large = append(large, RatingUpdate{User: 3, Item: 47 * i, Value: float64(1 + i%5)})
-	}
-	repaired, declined := 0, 0
-	for _, ups := range [][]RatingUpdate{small, large} {
-		shC, err := NewSharded(cached).Apply(ups)
-		if err != nil {
-			t.Fatal(err)
-		}
-		shE, err := NewSharded(exact).Apply(ups)
-		if err != nil {
-			t.Fatal(err)
-		}
-		next := shC.Model()
-		for u := range next.recCache {
-			e := next.recCache[u].Load()
-			if e == nil {
-				continue
-			}
-			got, d := read(next, u)
-			if want := shE.Model().Recommend(u, 5); !equalRecs(got, want) {
-				t.Fatalf("user %d: got %v want %v", u, got, want)
-			}
-			switch {
-			case d.Repairs == 1:
-				repaired++
-				if d.ScanPriced >= cold[u] {
-					t.Errorf("user %d: the repair priced %d items, the scan that built the entry %d", u, d.ScanPriced, cold[u])
-				}
-			case d.Scans == 1:
-				// Not attempted: one pass, which must be the cold read's.
-				declined++
-				if uint64(len(e.pending)) < cold[u] || 2*len(e.pending) >= q {
-					t.Errorf("user %d: repair declined with %d of %d items pending; the building scan priced %d", u, len(e.pending), q, cold[u])
-				}
-				next.recCache[u].Store(nil)
-				if _, c := read(next, u); d.ScanPriced != c.ScanPriced {
-					t.Errorf("user %d: the read priced %d items, a cold read %d", u, d.ScanPriced, c.ScanPriced)
-				}
-			}
-			// Otherwise the repair ran and a re-scored item crossed the
-			// cached cut: two passes, the one case that pays for both.
-		}
-	}
-	if repaired == 0 || declined == 0 {
-		t.Fatalf("%d entries repaired, %d repairs declined: one side of the cut-off went unexercised", repaired, declined)
-	}
-}
-
-// TestCarryInvalidationReasons: the four Invalidated* counters name the
-// first carry check an entry failed and add up to Invalidated, and a
-// single rating kills entries through their like-minded candidates, not
-// through anything their own user did: the rater is a candidate of a
-// third of this 120-user population, and for most of the rest some
-// candidate's cluster moved a fill cell at an item they rated. (On the
-// 500-user ledger fixture that last check accounts for 83–99 % of what a
-// single rating invalidates.)
-func TestCarryInvalidationReasons(t *testing.T) {
-	mod, _ := trainSmall(t)
-	p := mod.m.NumUsers()
-	for u := 0; u < p; u++ {
-		mod.Recommend(u, 10)
-	}
-	before := ReadRecCacheStats()
-	if _, err := NewSharded(mod).Apply([]RatingUpdate{{User: 3, Item: 7, Value: 5}}); err != nil {
-		t.Fatal(err)
-	}
-	after := ReadRecCacheStats()
-	user := after.InvalidatedUser - before.InvalidatedUser
-	walk := after.InvalidatedWalk - before.InvalidatedWalk
-	cand := after.InvalidatedCandidate - before.InvalidatedCandidate
-	fill := after.InvalidatedCandidateFill - before.InvalidatedCandidateFill
-	invalidated := after.Invalidated - before.Invalidated
-	carried := after.Carried - before.Carried
-	t.Logf("of %d entries: %d carried; invalidated by user %d, walk %d, candidate %d, candidate fill %d", p, carried, user, walk, cand, fill)
-	if user+walk+cand+fill != invalidated || invalidated+carried != uint64(p) {
-		t.Errorf("reasons sum to %d, invalidated %d, carried %d, entries %d", user+walk+cand+fill, invalidated, carried, p)
-	}
-	if user != 1 {
-		t.Errorf("%d entries invalidated by their own user; only user 3 changed", user)
-	}
-	if fill == 0 || 10*(cand+fill) < 9*invalidated {
-		t.Errorf("candidates account for %d + %d of %d invalidations; expected nearly all", cand, fill, invalidated)
-	}
-}
-
-// TestRecommendCacheColdOnRebuildPaths verifies the never-stale rule on
-// every non-incremental path: the monolithic WithUpdates, a GIS rebuild,
-// and a snapshot round-trip each hand out a cold cache (replay after a
-// crash therefore serves identical rankings from a cold start — the
-// lifecycle test proves that end to end).
-func TestRecommendCacheColdOnRebuildPaths(t *testing.T) {
-	mod, _ := trainSmall(t)
-	p := mod.Matrix().NumUsers()
-	for u := 0; u < p; u += 3 {
-		mod.Recommend(u, 10)
-	}
-	assertCold := func(label string, m *Model) {
-		t.Helper()
-		if m.recCache == nil {
-			t.Fatalf("%s: cache slots not allocated", label)
-		}
-		for u := range m.recCache {
-			if m.recCache[u].Load() != nil {
-				t.Fatalf("%s: user %d has a warm entry on a rebuilt model", label, u)
-			}
-		}
-	}
-	next, err := mod.WithUpdates([]RatingUpdate{{User: 1, Item: 2, Value: 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertCold("WithUpdates", next)
-	assertCold("RebuildGIS", NewSharded(mod).RebuildGIS().Model())
-
-	var blob bytes.Buffer
-	if err := mod.Save(&blob); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertCold("Load", loaded)
-	// And the reloaded model still serves the same rankings.
-	for u := 0; u < p; u += 7 {
-		if got, want := loaded.Recommend(u, 10), mod.Recommend(u, 10); !equalRecs(got, want) {
-			t.Fatalf("user %d: loaded model recommends %v, original %v", u, got, want)
-		}
-	}
-}
-
-// TestRecommendCacheCarriedAcrossShardRetrain: RetrainShard keeps the
-// matrix and GIS, so entries of users whose smoothing cluster was
-// untouched survive, and every post-retrain read matches a cache-free
-// recompute of the same model.
-func TestRecommendCacheCarriedAcrossShardRetrain(t *testing.T) {
-	mod, _ := trainSmall(t)
-	sh := NewSharded(mod)
-	p := mod.Matrix().NumUsers()
-	for u := 0; u < p; u++ {
-		mod.Recommend(u, 10)
-	}
-	for shard := 0; shard < sh.NumShards(); shard++ {
-		next, err := sh.RetrainShard(shard)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sh = next
-	}
-	final := sh.Model()
-	for u := 0; u < p; u += 5 {
-		got := final.Recommend(u, 10)
-		want := refRecommend(final, u, 10)
-		if !equalRecs(got, want) {
-			t.Fatalf("user %d after retrain sweep: got %v want %v", u, got, want)
-		}
 	}
 }
 

@@ -90,10 +90,10 @@ func endScan(start time.Time, items, priced int) {
 }
 
 // scoreCandidates fills in cands[k].Score = Predict(user, cands[k].Index)
-// for every candidate, in parallel. Cache repair needs every pending
-// item's score, and a list too short to prune (no tile, or no longer than
-// the selection) has nothing to skip; the exact scan's long lists go
-// through scoreTop instead.
+// for every candidate, in parallel. It serves the short lists only: one
+// too short to prune (no tile, or no longer than the selection) has
+// nothing to skip; the exact scan's long lists go through scoreTop
+// instead.
 //
 //cfsf:wallclock-ok scan duration feeds the RecCacheStats counters only; no clock value reaches a score
 func (mod *Model) scoreCandidates(user int, cands []mathx.Scored, sc *recScratch) {

@@ -176,12 +176,6 @@ func (s *ShardedModel) RetrainShard(shard int) (*ShardedModel, error) {
 		next.ic = smoothing.RefreshICluster(mod.ic, next.sm, affected, movedSet, mod.cfg.Workers)
 		next.neighborCache = make([]atomic.Pointer[[]likeMinded], mod.m.NumUsers())
 		next.initRecCache()
-		// No item changed (the matrix and GIS carry over), so the moved
-		// users are the whole changed set: their entries drop, everyone
-		// else's survive unless their cluster's smoothing fills or
-		// candidate walks were rebuilt (the carry proof checks both).
-		// moved is ascending (members lists are) as carryRecCache needs.
-		next.carryRecCache(mod, moved, nil)
 		out.mod = next
 		dirtySet := map[int]bool{shard: true}
 		for _, u := range moved {
@@ -213,9 +207,7 @@ func (s *ShardedModel) RebuildGIS() *ShardedModel {
 	next.stats.GISNeighbors = gis.TotalNeighbors()
 	next.neighborCache = make([]atomic.Pointer[[]likeMinded], mod.m.NumUsers())
 	// A from-scratch GIS shares no backing arrays with the old one, so the
-	// id-sorted mirror is rebuilt in full — and the recommendation cache
-	// restarts cold: the rebuild may heal stale truncated lists,
-	// legitimately moving scores for items outside any changed set.
+	// id-sorted mirror is rebuilt in full.
 	next.initRecCache()
 	next.buildTopM(nil)
 	return &ShardedModel{mod: next, shards: append([]ShardStats(nil), s.shards...)}

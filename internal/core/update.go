@@ -140,9 +140,6 @@ func (mod *Model) WithUpdates(updates []RatingUpdate) (*Model, error) {
 	next.stats.IClusterDuration = time.Since(t)
 
 	next.neighborCache = make([]atomic.Pointer[[]likeMinded], m.NumUsers())
-	// The monolithic rebuild restarts the recommendation cache cold: it
-	// refreshes clusters and smoothing wholesale, so the carry proof of
-	// reccache.go would find nothing shared to pin entries with anyway.
 	next.initRecCache()
 	t = time.Now()
 	next.buildTopM(mod)

@@ -156,12 +156,12 @@ func TestKillAndRebootBitForBit(t *testing.T) {
 }
 
 // TestKillAndRebootServesSameRankings is the Recommend-cache variant of
-// the kill-and-reboot acceptance test: a manager whose serving model has
-// a warm per-user recommendation cache (carried and repaired across the
-// micro-batches) is killed without any shutdown path, and the recovered
-// process — whose replayed model starts cache-cold by construction —
-// must serve exactly the same rankings, both on its first (exact) read
-// and on the repeat (cached) read.
+// the kill-and-reboot acceptance test: a manager that served warm hits
+// between micro-batches and went cold after each (the per-user cache
+// lives for one model generation) is killed without any shutdown path,
+// and the recovered process — whose replayed model starts cache-cold by
+// construction — must serve exactly the same rankings, both on its first
+// (exact) read and on the repeat (cached) read.
 func TestKillAndRebootServesSameRankings(t *testing.T) {
 	base := newBaseModel(t)
 	dir := t.TempDir()
@@ -172,8 +172,8 @@ func TestKillAndRebootServesSameRankings(t *testing.T) {
 	}
 	p := base.Matrix().NumUsers()
 	users := []int{0, 7, 19, 33, p - 1}
-	// Warm the cache, then keep reading between applies so entries are
-	// carried and repaired rather than rebuilt from cold.
+	// Warm the cache, then keep reading between applies: every generation
+	// is read cold once, so the last one is warm when it is killed.
 	for _, u := range users {
 		a.Model().Recommend(u, 10)
 	}

@@ -302,7 +302,6 @@ func (s *Server) recordModelGauges(mod *core.Model) {
 	s.reg.Gauge("model_train_smooth_ms").Set(durMS(st.SmoothDuration))
 	s.reg.Gauge("model_train_icluster_ms").Set(durMS(st.IClusterDuration))
 	s.reg.Gauge("model_train_mirror_ms").Set(durMS(st.MirrorDuration))
-	s.reg.Gauge("model_train_carry_ms").Set(durMS(st.CarryDuration))
 	s.reg.Gauge("model_train_total_ms").Set(durMS(st.TotalDuration))
 	incremental := 0.0
 	if st.Incremental {
@@ -313,20 +312,15 @@ func (s *Server) recordModelGauges(mod *core.Model) {
 	rc := core.ReadRecCacheStats()
 	s.reg.Gauge("recommend_cache_hits").Set(float64(rc.Hits))
 	s.reg.Gauge("recommend_cache_misses").Set(float64(rc.Misses))
-	s.reg.Gauge("recommend_cache_repairs").Set(float64(rc.Repairs))
-	s.reg.Gauge("recommend_cache_repair_fallbacks").Set(float64(rc.RepairFallbacks))
-	s.reg.Gauge("recommend_cache_carried").Set(float64(rc.Carried))
-	s.reg.Gauge("recommend_cache_invalidated").Set(float64(rc.Invalidated))
 	s.reg.Gauge("recommend_scans").Set(float64(rc.Scans))
 	s.reg.Gauge("recommend_scan_mean_ms").Set(scanMeanMS(rc))
 	s.reg.Gauge("recommend_scan_items").Set(float64(rc.ScanItems))
 	s.reg.Gauge("recommend_scan_priced").Set(float64(rc.ScanPriced))
-	s.reg.Gauge("recommend_scan_priced_ratio").Set(scanPricedRatio(rc))
+	s.reg.Gauge("recommend_scan_priced_ratio").Set(pricedRatio(rc))
 }
 
-// scanMeanMS is the mean wall time of one scan-kernel pass (an exact
-// Recommend scan or a repair's re-scoring): what a read that misses the
-// cache costs inside core, 0 before the first pass.
+// scanMeanMS is the mean wall time of one exact Recommend scan: what a
+// read that misses the cache costs inside core, 0 before the first scan.
 func scanMeanMS(rc core.RecCacheStats) float64 {
 	if rc.Scans == 0 {
 		return 0
@@ -334,10 +328,10 @@ func scanMeanMS(rc core.RecCacheStats) float64 {
 	return durMS(time.Duration(rc.ScanNanos)) / float64(rc.Scans)
 }
 
-// scanPricedRatio is the share of the candidates handed to scan passes
+// pricedRatio is the share of the candidates handed to exact scans
 // that SUIR′ was evaluated for — what the bound-and-prune selection could
-// not skip — 0 before the first pass.
-func scanPricedRatio(rc core.RecCacheStats) float64 {
+// not skip — 0 before the first scan.
+func pricedRatio(rc core.RecCacheStats) float64 {
 	if rc.ScanItems == 0 {
 		return 0
 	}
@@ -349,18 +343,8 @@ func scanPricedRatio(rc core.RecCacheStats) float64 {
 func recCacheView() map[string]any {
 	rc := core.ReadRecCacheStats()
 	return map[string]any{
-		"hits":             rc.Hits,
-		"misses":           rc.Misses,
-		"repairs":          rc.Repairs,
-		"repair_fallbacks": rc.RepairFallbacks,
-		"carried":          rc.Carried,
-		"invalidated":      rc.Invalidated,
-		"invalidated_by": map[string]uint64{
-			"user":           rc.InvalidatedUser,
-			"walk":           rc.InvalidatedWalk,
-			"candidate":      rc.InvalidatedCandidate,
-			"candidate_fill": rc.InvalidatedCandidateFill,
-		},
+		"hits":         rc.Hits,
+		"misses":       rc.Misses,
 		"scans":        rc.Scans,
 		"scan_mean_ms": scanMeanMS(rc),
 		"scan_items":   rc.ScanItems,
@@ -595,7 +579,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			"smooth":   durMS(st.SmoothDuration),
 			"icluster": durMS(st.IClusterDuration),
 			"mirror":   durMS(st.MirrorDuration),
-			"carry":    durMS(st.CarryDuration),
 			"total":    durMS(st.TotalDuration),
 		},
 		"train_total_ms":  st.TotalDuration.Milliseconds(),

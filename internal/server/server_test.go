@@ -240,7 +240,7 @@ func TestStatsExposeRecommendCache(t *testing.T) {
 		if !ok {
 			t.Fatalf("stats missing recommend_cache: %v", body)
 		}
-		for _, key := range []string{"hits", "misses", "repairs", "repair_fallbacks", "carried", "invalidated", "invalidated_by", "scans", "scan_mean_ms", "scan_items", "scan_priced"} {
+		for _, key := range []string{"hits", "misses", "scans", "scan_mean_ms", "scan_items", "scan_priced"} {
 			if _, ok := rc[key]; !ok {
 				t.Fatalf("recommend_cache missing %q: %v", key, rc)
 			}
@@ -476,7 +476,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 		t.Fatalf("metrics missing registry snapshot: %v", body)
 	}
 	gauges := reg["gauges"].(map[string]any)
-	for _, g := range []string{"model_users", "model_train_total_ms", "model_train_gis_ms", "model_train_mirror_ms", "model_train_carry_ms", "model_incremental"} {
+	for _, g := range []string{"model_users", "model_train_total_ms", "model_train_gis_ms", "model_train_mirror_ms", "model_incremental"} {
 		if _, ok := gauges[g]; !ok {
 			t.Errorf("registry missing gauge %q", g)
 		}
@@ -498,13 +498,13 @@ func TestStatsTrainPhaseTimings(t *testing.T) {
 	}
 }
 
-// requireTrainPhasesWithinTotal checks /stats train_ms reports all six
+// requireTrainPhasesWithinTotal checks /stats train_ms reports all five
 // phases and that they account for no more than the total: they time
 // disjoint stretches of the same train or apply.
 func requireTrainPhasesWithinTotal(t *testing.T, trainMS map[string]any) {
 	t.Helper()
 	var sum float64
-	for _, phase := range []string{"gis", "cluster", "smooth", "icluster", "mirror", "carry"} {
+	for _, phase := range []string{"gis", "cluster", "smooth", "icluster", "mirror"} {
 		ms, ok := trainMS[phase].(float64)
 		if !ok {
 			t.Fatalf("train_ms missing phase %q: %v", phase, trainMS)

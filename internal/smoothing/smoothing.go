@@ -170,10 +170,6 @@ func (s *Smoother) Fill(u, i int) float64 {
 // The row is shared with the Smoother and must not be modified.
 func (s *Smoother) FillRow(u int) []float64 { return s.fill[s.assign[u]] }
 
-// ClusterFillRow returns cluster c's fill memo row directly (the row
-// FillRow returns for c's members). Read-only, like FillRow.
-func (s *Smoother) ClusterFillRow(c int) []float64 { return s.fill[c] }
-
 // Deviation returns Δr_{C,i} (Eq. 8) for cluster c and item i, and
 // whether the cluster has any rater of i.
 func (s *Smoother) Deviation(c, i int) (float64, bool) {
