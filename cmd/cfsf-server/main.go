@@ -74,7 +74,6 @@ func main() {
 		snapshotEvery = flag.Duration("snapshot-every", 10*time.Minute, "background snapshot cadence (0 disables)")
 		snapshotKeep  = flag.Int("snapshot-keep", 2, "how many snapshot files to retain")
 		retrainAfter  = flag.Int("retrain-after", 0, "background retrain after this many applied ratings (0 disables)")
-		retrainMode   = flag.String("retrain-mode", "shards", "background retrain style: shards (per-shard sweep) or full (stop-the-world KMeans)")
 		snapVerify    = flag.Bool("snapshot-verify", true, "read each written snapshot blob back and compare it to the serving model before the manifest may prune the WAL")
 		compact       = flag.Bool("compact", false, "fold checkpoint-covered WAL segments into a deduped compacted base after each snapshot instead of deleting them")
 		compactMinSeg = flag.Int("compact-min-segments", 2, "skip the post-snapshot compaction pass below this many WAL segments")
@@ -235,7 +234,6 @@ func main() {
 			SnapshotEvery:      *snapshotEvery,
 			SnapshotKeep:       *snapshotKeep,
 			RetrainAfter:       *retrainAfter,
-			RetrainMode:        *retrainMode,
 			SkipSnapshotVerify: !*snapVerify,
 			CompactEnabled:     *compact,
 			CompactMinSegments: *compactMinSeg,

@@ -37,10 +37,13 @@ func (m Metric) String() string {
 	}
 }
 
+// DefaultMaxIter caps Run's Lloyd iterations when Options.MaxIter is unset.
+const DefaultMaxIter = 100
+
 // Options configures Run.
 type Options struct {
 	K       int    // number of clusters (paper default C = 30)
-	MaxIter int    // iteration cap (0 = 100)
+	MaxIter int    // iteration cap (0 = DefaultMaxIter)
 	Seed    int64  // PRNG seed for k-means++ initialisation
 	Metric  Metric // user↔centroid distance
 	Workers int    // parallelism for the assignment step (<=0 = GOMAXPROCS)
@@ -78,7 +81,7 @@ func Run(m *ratings.Matrix, opts Options) (*Result, error) {
 	}
 	maxIter := opts.MaxIter
 	if maxIter <= 0 {
-		maxIter = 100
+		maxIter = DefaultMaxIter
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 

@@ -370,12 +370,10 @@ func rebuildModel(cfg Config, m *ratings.Matrix, gisSnap similarity.Snapshot, cl
 }
 
 // DirtyShards returns the ascending shard ids whose persisted rows this
-// value's construction invalidated relative to its predecessor: for Apply
-// the union of every changed user's pre-apply routing and post-apply
-// assignment (RefreshUsers can move users between clusters), for
-// RetrainShard the retrained shard plus every destination shard of a
-// moved user. Nil means no shard rows changed (e.g. RebuildGIS, which
-// only touches shared state).
+// value's construction invalidated relative to its predecessor: the
+// union of every changed user's pre-apply routing and post-apply
+// assignment (RefreshUsers can move users between clusters). Nil on a
+// value Apply did not build.
 func (s *ShardedModel) DirtyShards() []int { return s.dirty }
 
 func sortedShardSet(set map[int]bool) []int {

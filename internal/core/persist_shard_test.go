@@ -167,24 +167,4 @@ func TestApplyReportsDirtyShards(t *testing.T) {
 			t.Fatalf("dirty shards not ascending: %v", dirty)
 		}
 	}
-
-	// RebuildGIS touches only shared state.
-	if d := next.RebuildGIS().DirtyShards(); d != nil {
-		t.Errorf("RebuildGIS dirtied shard rows: %v", d)
-	}
-
-	// RetrainShard dirties at least the retrained shard.
-	rt, err := next.RetrainShard(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, c := range rt.DirtyShards() {
-		if c == 2 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("retrained shard 2 not in dirty set %v", rt.DirtyShards())
-	}
 }

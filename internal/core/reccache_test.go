@@ -176,26 +176,8 @@ func TestRecommendCacheIsPerGeneration(t *testing.T) {
 			}
 			return next
 		}},
-		{"RetrainShard", func(t *testing.T, prev *Model) *Model {
-			sh := NewSharded(prev)
-			for shard := 0; shard < sh.NumShards(); shard++ {
-				next, err := sh.RetrainShard(shard)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if next.Model() != prev {
-					return next.Model()
-				}
-			}
-			t.Fatal("no shard's retrain moved a user: the fixture never reaches the rebuild")
-			return nil
-		}},
-		{"RebuildGIS", func(t *testing.T, prev *Model) *Model {
-			return NewSharded(prev).RebuildGIS().Model()
-		}},
 	}
-	// One warm predecessor for every row, drifted: enough ratings since
-	// the K-means fit that a shard retrain has a user to move.
+	// One warm predecessor for every row, 600 ratings past its K-means fit.
 	trained, _ := trainSmall(t)
 	rng := rand.New(rand.NewSource(7))
 	drift := make([]RatingUpdate, 600)

@@ -2,11 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
-
-	"cfsf/internal/similarity"
-	"cfsf/internal/smoothing"
 )
 
 // ShardedModel views a trained Model as C per-cluster shards behind a
@@ -20,16 +16,15 @@ import (
 // The wrapper changes who rebuilds what, not what is computed: Apply
 // produces exactly the model WithUpdates would (bit-for-bit), but a batch
 // confined to one shard rebuilds only that shard's structures. A
-// ShardedModel is immutable like the Model it wraps; Apply and
-// RetrainShard return new values. An unsharded deployment is the C=1
-// special case.
+// ShardedModel is immutable like the Model it wraps; Apply returns a new
+// value. An unsharded deployment is the C=1 special case.
 type ShardedModel struct {
 	mod    *Model       //cfsf:immutable
 	shards []ShardStats //cfsf:immutable
 	// dirty lists, ascending, the shards whose persisted rows this value's
 	// construction invalidated relative to its predecessor (see
 	// DirtyShards). It describes the transition, not cumulative state:
-	// each Apply/RetrainShard result carries only its own step's dirt.
+	// each Apply result carries only its own step's dirt.
 	dirty []int //cfsf:immutable
 }
 
@@ -47,10 +42,6 @@ type ShardStats struct {
 	// this shard (the whole batch's duration, attributed to each shard it
 	// touched).
 	LastApplyMS float64 `json:"last_apply_ms"`
-	// Retrains counts RetrainShard passes; LastRetrainMS is the duration
-	// of the latest one.
-	Retrains      int     `json:"retrains"`
-	LastRetrainMS float64 `json:"last_retrain_ms"`
 }
 
 // NewSharded wraps an already-trained model. The shard count is the
@@ -131,86 +122,6 @@ func (s *ShardedModel) Apply(updates []RatingUpdate) (*ShardedModel, error) {
 		}
 	}
 	return out, nil
-}
-
-// RetrainShard re-fits one shard: its members are re-placed on their
-// nearest current centroid (one Lloyd assignment sweep restricted to the
-// shard) and every structure the moves invalidate is refreshed. Users
-// that migrate to another cluster change shard. Combined with RebuildGIS
-// and swept across all shards, this is the sharded replacement for a
-// stop-the-world full retrain: each step locks in only one shard's worth
-// of recompute.
-//
-//cfsf:wallclock-ok retrain duration recorded in ShardStats only; no clock value reaches predictions or replayed state
-func (s *ShardedModel) RetrainShard(shard int) (*ShardedModel, error) {
-	if shard < 0 || shard >= s.NumShards() {
-		return nil, fmt.Errorf("cfsf: shard %d out of range [0,%d)", shard, s.NumShards())
-	}
-	start := time.Now()
-	mod := s.mod
-	members := mod.clusters.Members[shard]
-	moved := make([]int, 0, 8)
-	if len(members) > 0 {
-		place := mod.clusters.NearestAll(mod.m, members)
-		for j, u := range members {
-			if place[j] != shard {
-				moved = append(moved, u)
-			}
-		}
-	}
-	out := &ShardedModel{mod: mod, shards: append([]ShardStats(nil), s.shards...), dirty: []int{shard}}
-	if len(moved) > 0 {
-		cl, affected := mod.clusters.RefreshUsers(mod.m, moved)
-		affItems := map[int]bool{}
-		movedSet := map[int]bool{}
-		for _, u := range moved {
-			movedSet[u] = true
-			for _, e := range mod.m.UserRatings(u) {
-				affItems[int(e.Index)] = true
-			}
-		}
-		next := &Model{cfg: mod.cfg, m: mod.m, gis: mod.gis, clusters: cl, stats: mod.stats, decay: mod.decay,
-			// The GIS pointer is unchanged, so the id-sorted mirror carries over wholesale.
-			topM: mod.topM, topM2: mod.topM2}
-		next.sm = mod.sm.Refresh(mod.m, cl, affected, affItems, mod.cfg.Workers)
-		next.ic = smoothing.RefreshICluster(mod.ic, next.sm, affected, movedSet, mod.cfg.Workers)
-		next.neighborCache = make([]atomic.Pointer[[]likeMinded], mod.m.NumUsers())
-		next.initRecCache()
-		out.mod = next
-		dirtySet := map[int]bool{shard: true}
-		for _, u := range moved {
-			dirtySet[cl.Assign[u]] = true
-		}
-		out.dirty = sortedShardSet(dirtySet)
-	}
-	out.shards[shard].Retrains++
-	out.shards[shard].LastRetrainMS = float64(time.Since(start)) / float64(time.Millisecond)
-	return out, nil
-}
-
-// RebuildGIS recomputes the shared item-similarity structure from scratch
-// on the current matrix. Incremental GIS refreshes only heal the changed
-// items' own lists (truncated lists of unchanged items can go stale, see
-// similarity.Refresh); a retrain sweep starts here so every shard's pass
-// reads fresh similarities.
-func (s *ShardedModel) RebuildGIS() *ShardedModel {
-	mod := s.mod
-	gisOpts := mod.gis.Options()
-	var gis *similarity.GIS
-	if mod.cfg.ContentBlend > 0 && len(mod.cfg.ItemFeatures) > 0 {
-		gis = similarity.BuildGISWithContent(mod.m, mod.cfg.ItemFeatures, mod.cfg.ContentBlend, gisOpts)
-	} else {
-		gis = similarity.BuildGIS(mod.m, gisOpts)
-	}
-	next := &Model{cfg: mod.cfg, m: mod.m, gis: gis, clusters: mod.clusters,
-		sm: mod.sm, ic: mod.ic, stats: mod.stats, decay: mod.decay}
-	next.stats.GISNeighbors = gis.TotalNeighbors()
-	next.neighborCache = make([]atomic.Pointer[[]likeMinded], mod.m.NumUsers())
-	// A from-scratch GIS shares no backing arrays with the old one, so the
-	// id-sorted mirror is rebuilt in full.
-	next.initRecCache()
-	next.buildTopM(nil)
-	return &ShardedModel{mod: next, shards: append([]ShardStats(nil), s.shards...)}
 }
 
 // ShardStats returns a copy of the per-shard statistics with live user

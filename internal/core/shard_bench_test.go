@@ -95,17 +95,6 @@ func BenchmarkMonolithicFullRetrain(b *testing.B) {
 	}
 }
 
-func BenchmarkShardedRetrainOneShard(b *testing.B) {
-	mod := benchModel(b)
-	sharded := NewSharded(mod)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sharded.RetrainShard(i % sharded.NumShards()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // zipfIDs draws ids with probability proportional to 1/rank^s over a
 // fixed seeded ranking — the shape of bench/'s request stream, rebuilt
 // here because bench/ is a module of its own.

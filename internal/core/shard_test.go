@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -177,68 +178,84 @@ func TestShardedApplyTimeDecayFallsBack(t *testing.T) {
 	}
 }
 
-func TestShardedRetrainShard(t *testing.T) {
+// TestTrainIsAFunctionOfMatrixAndConfig is the property a journaled
+// retrain leans on: whoever holds the ratings folded up to a watermark —
+// the live leader after a chain of incremental applies, a boot that
+// loaded them from blobs, a follower — gets the same model out of Train,
+// to the byte of its persisted form, so a retrain record needs to carry
+// nothing but the watermark. Re-running Train on its own result changes
+// nothing (the re-fold of a record a snapshot already holds), the copies
+// stay equal under a further apply, and the worker count is not an input.
+func TestTrainIsAFunctionOfMatrixAndConfig(t *testing.T) {
 	mod, d := trainSmall(t)
-	sharded := NewSharded(mod)
-	// Drift: pile updates on shard 0's users without reassigning anyone.
-	rng := rand.New(rand.NewSource(7))
-	members := mod.Clusters().Members[0]
-	var ups []RatingUpdate
-	for _, u := range members {
-		for k := 0; k < 5; k++ {
-			ups = append(ups, RatingUpdate{User: u, Item: rng.Intn(d.Matrix.NumItems()), Value: float64(rng.Intn(9)+1) / 2})
+	live := NewSharded(mod)
+	rng := rand.New(rand.NewSource(99))
+	users, items := d.Matrix.NumUsers(), d.Matrix.NumItems()
+	for i := 0; i < 200; i++ {
+		up := randomUpdates(rng, users-1, items-1, 1)
+		switch i {
+		case 50:
+			up[0].User = users // a brand-new user
+		case 120:
+			up[0].Item = items // a brand-new item
 		}
-	}
-	next, err := sharded.Apply(ups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := 0; s < next.NumShards(); s++ {
-		next, err = next.RetrainShard(s)
-		if err != nil {
+		var err error
+		if live, err = live.Apply(up); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st := next.ShardStats()
-	for s := range st {
-		if st[s].Retrains != 1 {
-			t.Fatalf("shard %d retrains = %d, want 1", s, st[s].Retrains)
+	if m := live.Model().Matrix(); m.NumUsers() != users+1 || m.NumItems() != items+1 {
+		t.Fatalf("fixture grew to %d×%d, want %d×%d", m.NumUsers(), m.NumItems(), users+1, items+1)
+	}
+	fingerprint := func(mod *Model) string {
+		shared, shards := saveParts(t, mod)
+		return string(shared) + string(bytes.Join(shards, nil))
+	}
+	train := func(from *Model) *Model {
+		next, err := Train(from.Matrix(), from.Config())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return next
+	}
+
+	fromLive := train(live.Model())
+	want := fingerprint(fromLive)
+	shared, shards := saveParts(t, live.Model())
+	fromLoaded := train(assembleFromParts(t, shared, shards))
+	if fingerprint(fromLoaded) != want {
+		t.Fatal("Train of the blob-loaded copy differs from Train of the live model")
+	}
+	if fingerprint(train(fromLive)) != want {
+		t.Fatal("Train of a trained model's own matrix is not a fixed point")
+	}
+	next := []RatingUpdate{{User: 3, Item: 4, Value: 2.5}}
+	a, err := NewSharded(fromLive).Apply(next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewSharded(fromLoaded).Apply(next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fingerprint(a.Model()) != fingerprint(b.Model()) {
+		t.Fatal("the two retrained copies diverge under one further apply")
+	}
+
+	var byWorkers [2]*Model
+	for k, workers := range []int{1, 4} {
+		cfg := live.Model().Config()
+		cfg.Workers = workers
+		if byWorkers[k], err = Train(live.Model().Matrix(), cfg); err != nil {
+			t.Fatal(err)
 		}
 	}
-	// After the sweep every user sits on its nearest centroid.
-	cl := next.Model().Clusters()
-	m := next.Model().Matrix()
-	for u := 0; u < m.NumUsers(); u++ {
-		_ = u // placement validity is checked structurally below
+	for u, c := range byWorkers[0].Clusters().Assign {
+		if byWorkers[1].Clusters().Assign[u] != c {
+			t.Fatalf("user %d: cluster %d with 1 worker, %d with 4", u, c, byWorkers[1].Clusters().Assign[u])
+		}
 	}
-	total := 0
-	for c := 0; c < cl.K; c++ {
-		total += len(cl.Members[c])
-	}
-	if total != m.NumUsers() {
-		t.Fatalf("members cover %d users, want %d", total, m.NumUsers())
-	}
-	// Predictions remain sane and the model still answers.
-	v := next.Model().Predict(0, 0)
-	if v < m.MinRating() || v > m.MaxRating() {
-		t.Fatalf("post-retrain prediction %v out of scale", v)
-	}
-}
-
-func TestShardedRebuildGIS(t *testing.T) {
-	mod, _ := trainSmall(t)
-	sharded := NewSharded(mod)
-	next := sharded.RebuildGIS()
-	if next.Model().GIS() == mod.GIS() {
-		t.Fatal("RebuildGIS should produce a fresh GIS")
-	}
-	// A rebuild from the same matrix with the same options reproduces the
-	// training-time GIS exactly.
-	if next.Model().GIS().TotalNeighbors() != mod.GIS().TotalNeighbors() {
-		t.Fatalf("neighbor count changed: %d vs %d",
-			next.Model().GIS().TotalNeighbors(), mod.GIS().TotalNeighbors())
-	}
-	requireSamePredictions(t, gridPredictions(mod), gridPredictions(next.Model()), "gis rebuild")
+	requireSamePredictions(t, gridPredictions(byWorkers[0]), gridPredictions(byWorkers[1]), "workers 1 vs 4")
 }
 
 func TestShardOfRouting(t *testing.T) {

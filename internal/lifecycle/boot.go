@@ -141,18 +141,19 @@ func (m *Manager) bootModel(bootstrap func() (*core.Model, error)) error {
 
 	// Replay the tail through the same replica the live process runs:
 	// ratings queue, each journaled commit cuts and applies exactly the
-	// batch the previous process applied. A patched shard's manifest ref
-	// points at the unusable blob, so it starts out dirty and the boot
-	// snapshot below rewrites it. Ratings past the final commit were
-	// journaled but possibly never applied; they form one final batch.
+	// batch the previous process applied, each journaled retrain re-runs.
+	// A patched shard's manifest ref points at the unusable blob, so it
+	// starts out dirty and the boot snapshot below rewrites it. Ratings
+	// past the final commit were journaled but possibly never applied;
+	// they form one final batch.
 	m.rep.reset(core.NewSharded(base), m.boot.SnapshotSeq, bootPatched)
 	err = m.w.Replay(m.boot.SnapshotSeq, func(rec wal.Record) error {
-		queued, applied := m.rep.feed(rec)
+		queued, applied, err := m.rep.feed(rec)
 		m.boot.ReplayedRecords += queued
 		if applied > 0 {
 			m.boot.ReplayedBatches++
 		}
-		return nil
+		return err
 	})
 	if err != nil {
 		return err

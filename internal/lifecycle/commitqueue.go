@@ -5,6 +5,7 @@ import "cfsf/internal/core"
 // pendingUpdate is one journaled rating awaiting its commit.
 type pendingUpdate struct {
 	seq   uint64
+	prev  uint64 // the rating sequence taken in before this one (or the base)
 	u     core.RatingUpdate
 	shard int // routing decision recorded in the WAL, reused for batching
 }
@@ -30,8 +31,8 @@ func (q *commitQueue) push(seq uint64, u core.RatingUpdate, shard int) bool {
 	if seq <= q.last {
 		return false
 	}
+	q.queued = append(q.queued, pendingUpdate{seq: seq, prev: q.last, u: u, shard: shard})
 	q.last = seq
-	q.queued = append(q.queued, pendingUpdate{seq: seq, u: u, shard: shard})
 	return true
 }
 
@@ -74,11 +75,12 @@ func (q *commitQueue) cut(covered uint64, shard int) []core.RatingUpdate {
 }
 
 // watermark is the contiguous applied sequence: every rating at or below
-// it has been cut. The oldest queued rating bounds it; with an empty
-// queue it is the last rating taken in.
+// it has been cut. Always the base or a rating's sequence, never that of a
+// record in between: leader, boot replay and follower name the same folded
+// ratings the same way, so a retrain record can address a state by it.
 func (q *commitQueue) watermark() uint64 {
 	if len(q.queued) > 0 {
-		return q.queued[0].seq - 1
+		return q.queued[0].prev
 	}
 	return q.last
 }

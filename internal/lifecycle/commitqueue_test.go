@@ -48,10 +48,10 @@ func TestCommitQueue(t *testing.T) {
 			{covered: 2, shard: B, wantCut: []int{2}, wantMark: 3},
 		}},
 		{"commit covering nothing", 5, []op{
-			{covered: 5, shard: -1, wantMark: 5}, // wholly inside the base state
-			{push: 7, shard: A, wantPushed: true, wantMark: 6},
-			{covered: 6, shard: -1, wantMark: 6}, // below the only queued rating
-			{covered: 7, shard: B, wantMark: 6},  // another shard's commit
+			{covered: 5, shard: -1, wantMark: 5},               // wholly inside the base state
+			{push: 7, shard: A, wantPushed: true, wantMark: 5}, // seq 6 is no rating: the mark names ratings only
+			{covered: 6, shard: -1, wantMark: 5},               // below the only queued rating
+			{covered: 7, shard: B, wantMark: 5},                // another shard's commit
 		}},
 		{"commit arrives before a lower-seq rating of another shard is closed", 0, []op{
 			{push: 1, shard: A, wantPushed: true, wantMark: 0},
@@ -64,9 +64,9 @@ func TestCommitQueue(t *testing.T) {
 		{"reconnect overlap at or below the cursor is dropped", 4, []op{
 			{push: 3, shard: A, wantMark: 4},
 			{push: 4, shard: A, wantMark: 4},
-			{push: 6, shard: A, wantPushed: true, wantMark: 5},
-			{push: 6, shard: A, wantMark: 5},
-			{push: 5, shard: B, wantMark: 5},
+			{push: 6, shard: A, wantPushed: true, wantMark: 4},
+			{push: 6, shard: A, wantMark: 4},
+			{push: 5, shard: B, wantMark: 4},
 			{covered: 6, shard: -1, wantCut: []int{6}, wantMark: 6},
 		}},
 	} {

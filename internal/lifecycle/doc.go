@@ -6,22 +6,23 @@
 // batch touches, in parallel, instead of the monolithic O(nnz) rebuild —
 // rotates atomic snapshots so restarts are fast, and schedules the
 // background retrain that internal/core/update.go's drift caveat asks
-// for, either as a per-shard sweep (RetrainMode "shards") or as the
-// legacy stop-the-world KMeans pass ("full").
+// for.
 //
 // One state machine turns WAL records into a served model (replica):
 // ratings are pushed, a commit through seq N cuts its batch, applies it
-// and publishes {model, applied seq}. Boot replay feeds it the log, the
-// live run loop pushes what it journals and commits what its drain policy
-// picks, and a read replica (Follower) feeds it the leader's stream — so
-// replay ≡ live apply ≡ follower because all three are the same code.
+// and publishes {model, applied seq}, a retrain record turns the state at
+// its watermark into core.Train of that state's matrix. Boot replay feeds
+// it the log, the live run loop pushes what it journals, commits what its
+// drain policy picks and folds the retrain records it journals, and a
+// read replica (Follower) feeds it the leader's stream — so replay ≡ live
+// apply ≡ follower, across a retrain too: all three are the same code.
 //
 // Files:
 //
 //	manager.go      Config, Open, Submit/SubmitBatch, the run loop and its
-//	                drain policy, retrain, Close/Abort
-//	replica.go      the push/commit/publish unit, applyWithFallback, and
-//	                its two read views: Manager's accessors and Follower
+//	                drain policy, when a retrain is journaled, Close/Abort
+//	replica.go      the push/commit/retrain/publish unit, applyWithFallback,
+//	                and its two read views: Manager's accessors and Follower
 //	commitqueue.go  the one rule regrouping a record stream into batches
 //	boot.go         the recovery-point ladder, WAL-tail replay, per-shard
 //	                blob patching, the WAL accessors replication serves from

@@ -56,11 +56,6 @@ type Config struct {
 	// RetrainAfter, when > 0, triggers a background retrain once this
 	// many ratings have been applied since the last retrain.
 	RetrainAfter int
-	// RetrainMode selects what a background retrain does: "shards" (the
-	// default) rebuilds the shared GIS and then re-fits one shard at a
-	// time (core.ShardedModel.RetrainShard swept across every shard);
-	// "full" is the legacy stop-the-world core.Train pass.
-	RetrainMode string
 
 	// SkipSnapshotVerify disables the load-and-predict self-check that
 	// every written snapshot must pass before it is checkpointed and the
@@ -90,9 +85,6 @@ func (c Config) withDefaults() Config {
 	if c.CompactMinSegments <= 0 {
 		c.CompactMinSegments = 2
 	}
-	if c.RetrainMode == "" {
-		c.RetrainMode = RetrainShards
-	}
 	if c.Registry == nil {
 		c.Registry = obs.NewRegistry()
 	}
@@ -101,12 +93,6 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
-
-// RetrainMode values for Config.RetrainMode.
-const (
-	RetrainShards = "shards"
-	RetrainFull   = "full"
-)
 
 // ErrQueueFull is returned by Submit when the unapplied-rating queue is
 // at capacity; callers should shed load (the server maps it to 503).
@@ -126,7 +112,7 @@ type Manager struct {
 	// rep is the served {model, applied seq} pair and the queue of
 	// journaled-but-unapplied ratings. SubmitBatch pushes under rep.mu,
 	// which also orders WAL appends with enqueueing; only the run loop
-	// commits and replaces.
+	// commits, and while a retrain record is being folded it does not.
 	rep replica
 
 	kick    chan struct{}
@@ -137,19 +123,12 @@ type Manager struct {
 
 	snapshotState
 
-	retrainReq   chan string // requested RetrainMode ("" = configured default)
-	retrainc     chan retrainResult
-	retraining   atomic.Bool         // a retrain goroutine is in flight; only the run loop writes it
-	sinceRetrain []core.RatingUpdate // run-loop state: updates applied while retraining
-	driftCount   int                 // run-loop state: updates applied since last full train
+	retrainReq chan struct{}
+	retrainc   chan error  // the fold's result
+	retraining atomic.Bool // a journaled retrain record is being folded; only the run loop writes it
+	driftCount int         // run-loop state: updates applied since the last retrain was journaled
 
 	metrics
-}
-
-type retrainResult struct {
-	sharded  *core.ShardedModel
-	err      error
-	duration time.Duration
 }
 
 // Open builds the serving model from the data directory — newest
@@ -160,10 +139,6 @@ func Open(bootstrap func() (*core.Model, error), cfg Config) (*Manager, error) {
 	cfg = cfg.withDefaults()
 	if cfg.DataDir == "" {
 		return nil, fmt.Errorf("lifecycle: DataDir is required")
-	}
-	if cfg.RetrainMode != RetrainShards && cfg.RetrainMode != RetrainFull {
-		return nil, fmt.Errorf("lifecycle: unknown retrain mode %q (want %q or %q)",
-			cfg.RetrainMode, RetrainShards, RetrainFull)
 	}
 	if err := os.MkdirAll(snapshotDir(cfg.DataDir), 0o755); err != nil {
 		return nil, fmt.Errorf("lifecycle: create snapshot dir: %w", err)
@@ -187,10 +162,10 @@ func Open(bootstrap func() (*core.Model, error), cfg Config) (*Manager, error) {
 		stopc:      make(chan struct{}),
 		abortc:     make(chan struct{}),
 		done:       make(chan struct{}),
-		retrainReq: make(chan string, 1),
+		retrainReq: make(chan struct{}, 1),
 		// Buffered so the retrain goroutine can finish even if the loop
 		// is gone (Abort) — it must never block forever on send.
-		retrainc: make(chan retrainResult, 1),
+		retrainc: make(chan error, 1),
 	}
 	// Fold boundary until this run's first checkpoint: the highest
 	// checkpoint the previous run journaled.
@@ -294,13 +269,12 @@ func (m *Manager) run() {
 		case <-m.abortc:
 			return
 		case <-m.stopc:
-			m.applyPending()
 			if m.retraining.Load() {
-				// Let the in-flight retrain finish so its goroutine does
-				// not leak; discard the result — Close snapshots the
-				// serving model anyway.
-				<-m.retrainc
+				// The journaled retrain lands first: the queue drains on
+				// top of it, as every replay of this log will.
+				m.finishRetrain(<-m.retrainc)
 			}
+			m.applyPending()
 			return
 		case <-m.kick:
 			if m.cfg.BatchMaxWait > 0 {
@@ -317,15 +291,13 @@ func (m *Manager) run() {
 					m.cfg.Logf("lifecycle: scheduled snapshot: %v", err)
 				}
 			}()
-		case mode := <-m.retrainReq:
+		case <-m.retrainReq:
 			if !m.retraining.Load() {
-				if mode == "" {
-					mode = m.cfg.RetrainMode
-				}
-				m.startRetrain(mode)
+				m.startRetrain()
 			}
-		case res := <-m.retrainc:
-			m.finishRetrain(res)
+		case err := <-m.retrainc:
+			m.finishRetrain(err)
+			m.applyPending()
 		}
 	}
 }
@@ -337,10 +309,12 @@ func (m *Manager) run() {
 // confined to one user cluster rebuilds only that shard's structures —
 // and journal that commit (shard -1: every queued rating at or below
 // Covered), so crash replay and followers regroup the exact same batches.
+// It cuts nothing while a retrain record is being folded: ratings
+// journaled behind the record fold into the retrained model, not before.
 //
 //cfsf:wallclock-ok apply latency feeds the apply_ms histogram only; batch boundaries come from the queue, not the clock
 func (m *Manager) applyPending() {
-	for {
+	for !m.retraining.Load() {
 		m.rep.mu.Lock()
 		covered, ok := m.rep.queue.prefixEnd(m.cfg.BatchMaxSize)
 		m.rep.mu.Unlock()
@@ -349,115 +323,74 @@ func (m *Manager) applyPending() {
 			return
 		}
 		t := time.Now()
-		updates := m.rep.commit(covered, -1)
+		n := len(m.rep.commit(covered, -1))
 		if _, err := m.w.AppendBatchCommit(covered, -1); err != nil {
 			m.cfg.Logf("lifecycle: journal batch commit: %v", err)
 		}
 
-		n := len(updates)
 		m.mApplyLat.Observe(durMS(time.Since(t)))
 		m.mBatchSize.Observe(float64(n))
 		m.mApplied.Add(int64(n))
 		m.mBatches.Inc()
 		m.PublishGauges()
 
-		if m.retraining.Load() {
-			m.sinceRetrain = append(m.sinceRetrain, updates...)
-		}
 		m.driftCount += n
-		if m.cfg.RetrainAfter > 0 && m.driftCount >= m.cfg.RetrainAfter && !m.retraining.Load() {
-			m.startRetrain(m.cfg.RetrainMode)
+		// Not in Close's final drain, which would stop behind the retrain.
+		if m.cfg.RetrainAfter > 0 && m.driftCount >= m.cfg.RetrainAfter && !m.closing.Load() {
+			m.startRetrain()
 		}
 	}
 }
 
-// startRetrain kicks off a background retrain of the current matrix in a
-// goroutine; only the run loop calls it, so the captured state and the
-// catch-up buffer stay consistent. Mode "shards" rebuilds the shared GIS
-// and then re-fits one shard at a time; "full" is a stop-the-world
-// core.Train.
+// startRetrain journals a retrain record at the applied watermark and
+// folds that same record through the replica in a goroutine — the path
+// boot replay and followers take. Only the run loop calls it, and it cuts
+// no batch until finishRetrain, so the fold finds the state it names.
 //
 //cfsf:wallclock-ok retrain duration feeds the retrain_ms histogram only
-func (m *Manager) startRetrain(mode string) {
-	st := m.rep.state.Load()
-	m.retraining.Store(true)
-	m.sinceRetrain = nil
-	m.mRetraining.Set(1)
-	m.cfg.Logf("lifecycle: %s retrain started (%d ratings, %d applied since last train)",
-		mode, st.sharded.Model().Matrix().NumRatings(), m.driftCount)
-	go func() {
-		t := time.Now()
-		var res retrainResult
-		if mode == RetrainFull {
-			mod, err := core.Train(st.sharded.Model().Matrix(), st.sharded.Model().Config())
-			if err == nil {
-				res.sharded = core.NewSharded(mod)
-			}
-			res.err = err
-		} else {
-			// Per-shard sweep: fresh GIS first (incremental GIS refreshes
-			// leave truncated neighbour lists of unchanged items stale, so
-			// the sweep reads repaired similarities), then one Lloyd
-			// re-assignment pass per shard.
-			sm := st.sharded.RebuildGIS()
-			var err error
-			for s := 0; s < sm.NumShards() && err == nil; s++ {
-				sm, err = sm.RetrainShard(s)
-			}
-			res.sharded, res.err = sm, err
-		}
-		res.duration = time.Since(t)
-		m.retrainc <- res
-	}()
-}
-
-// finishRetrain swaps in the retrained model after folding in whatever
-// was applied while it trained, then snapshots so the on-disk state
-// reflects the fresh clustering.
-func (m *Manager) finishRetrain(res retrainResult) {
-	m.retraining.Store(false)
-	m.mRetraining.Set(0)
-	catchUp := m.sinceRetrain
-	m.sinceRetrain = nil
-	if res.err != nil {
+func (m *Manager) startRetrain() {
+	m.driftCount = 0
+	atSeq := m.AppliedSeq()
+	seq, err := m.w.AppendRetrain(atSeq)
+	if err != nil {
 		m.mRetrainErrs.Inc()
-		m.cfg.Logf("lifecycle: retrain failed: %v", res.err)
+		m.cfg.Logf("lifecycle: journal retrain: %v", err)
 		return
 	}
-	mod := res.sharded
-	if len(catchUp) > 0 {
-		mod, _ = applyWithFallback(mod, catchUp, m.cfg.Logf, m.rep.applyErrs)
-	}
-	m.rep.replace(mod) // catch-up covered everything applied so far
-	m.driftCount = 0
-	m.mRetrains.Inc()
-	m.mRetrainLat.Observe(durMS(res.duration))
-	m.PublishGauges()
-	m.cfg.Logf("lifecycle: retrain complete in %v (+%d caught up)", res.duration.Round(time.Millisecond), len(catchUp))
-	// The retrained model replaced the serving one at an unchanged WAL
-	// seq with every part dirty, so this snapshot is never skipped as
-	// already-covered — until it lands, a crash would recover the
-	// pre-retrain lineage.
+	m.retraining.Store(true)
+	m.mRetraining.Set(1)
 	go func() {
-		if _, err := m.Snapshot(); err != nil {
-			m.cfg.Logf("lifecycle: post-retrain snapshot: %v", err)
+		t := time.Now()
+		_, _, err := m.rep.feed(wal.Record{Type: wal.RecordRetrain, Seq: seq, Covered: atSeq})
+		if err == nil {
+			m.mRetrainLat.Observe(durMS(time.Since(t)))
 		}
+		m.retrainc <- err
 	}()
 }
 
-// TriggerRetrain requests a background retrain in the given mode
-// (RetrainShards, RetrainFull, or "" for the configured default). It
-// reports false when the mode is unknown, a request is already queued,
-// or a retrain is in flight.
-func (m *Manager) TriggerRetrain(mode string) bool {
-	if mode != "" && mode != RetrainShards && mode != RetrainFull {
-		return false
+// finishRetrain takes the fold's result; the caller drains the queue that
+// built up behind the record.
+func (m *Manager) finishRetrain(err error) {
+	m.retraining.Store(false)
+	m.mRetraining.Set(0)
+	if err != nil {
+		m.mRetrainErrs.Inc()
+		m.cfg.Logf("lifecycle: retrain failed: %v", err)
+		return
 	}
+	m.mRetrains.Inc()
+	m.PublishGauges()
+}
+
+// TriggerRetrain requests a background retrain. It reports false when a
+// request is already queued or a retrain is in flight.
+func (m *Manager) TriggerRetrain() bool {
 	if m.closing.Load() || m.Retraining() {
 		return false
 	}
 	select {
-	case m.retrainReq <- mode:
+	case m.retrainReq <- struct{}{}:
 		return true
 	default:
 		return false
@@ -467,8 +400,8 @@ func (m *Manager) TriggerRetrain(mode string) bool {
 // Retraining reports whether a retrain is in flight.
 func (m *Manager) Retraining() bool { return m.retraining.Load() }
 
-// Close drains the queue (every journaled rating is applied), waits for
-// any in-flight retrain, snapshots the final state, and closes the WAL.
+// Close lets an in-flight retrain land, drains the queue (every journaled
+// rating is applied), snapshots the final state, and closes the WAL.
 func (m *Manager) Close() error {
 	if !m.closing.CompareAndSwap(false, true) {
 		<-m.done

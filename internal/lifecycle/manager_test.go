@@ -403,30 +403,22 @@ func TestQueueFullShedsLoad(t *testing.T) {
 	}
 }
 
-// TestRetrainAfterDrift: once RetrainAfter updates are applied, a full
-// background retrain runs, swaps in without blocking, and re-anchors a
-// snapshot of the fresh clustering.
+// TestRetrainAfterDrift: once RetrainAfter updates are applied, a
+// background retrain runs and swaps in a fresh K-means fit.
 func TestRetrainAfterDrift(t *testing.T) {
 	base := newBaseModel(t)
-	dir := t.TempDir()
 	m, err := Open(bootWith(base), Config{
-		DataDir:      dir,
+		DataDir:      t.TempDir(),
 		Fsync:        wal.SyncNever,
 		RetrainAfter: 4,
-		// This test pins the legacy stop-the-world retrain: it asserts the
-		// swapped-in model is a fresh KMeans fit (ClusterIters > 0), which
-		// the per-shard sweep deliberately avoids.
-		RetrainMode: RetrainFull,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
 
-	// Exactly RetrainAfter updates: the retrain starts at the threshold
-	// with an empty catch-up buffer, so the swapped-in model is the pure
-	// Train result (any later submission would be folded in via
-	// WithUpdates and flip Stats().Incremental back on).
+	// Exactly RetrainAfter updates, so the served model stays the pure
+	// Train result (a later apply would flip Stats().Incremental back on).
 	for i := 0; i < 4; i++ {
 		seq, _, err := m.Submit(testUpdate(i))
 		if err != nil {
@@ -439,14 +431,9 @@ func TestRetrainAfterDrift(t *testing.T) {
 		st := m.Model().Stats()
 		return !st.Incremental && st.ClusterIters > 0
 	})
-	// The post-retrain snapshot re-anchors durability at the applied seq.
-	waitUntil(t, "post-retrain snapshot", func() bool {
-		points, err := listDurablePoints(dir)
-		return err == nil && len(points) > 0 && points[0].seq == m.AppliedSeq()
-	})
 
-	// A manual trigger works too, and reports conflict while running.
-	if !m.TriggerRetrain("") {
+	// A manual trigger works too.
+	if !m.TriggerRetrain() {
 		t.Fatal("manual retrain trigger refused while idle")
 	}
 	waitUntil(t, "manual retrain", func() bool { return m.reg.Counter("lifecycle_retrains_total").Value() >= 2 })
@@ -455,7 +442,7 @@ func TestRetrainAfterDrift(t *testing.T) {
 // TestRetrainingIsPerManager: whether a retrain is in flight is the
 // manager's own state, not something read back out of the metrics
 // registry — two managers sharing one obs.Registry must not see each
-// other's retrain. The first manager's run loop is parked inside the
+// other's retrain. The first manager's retrain is parked inside its
 // "retrain started" log line, where its flag is already up.
 func TestRetrainingIsPerManager(t *testing.T) {
 	base := newBaseModel(t)
@@ -483,7 +470,7 @@ func TestRetrainingIsPerManager(t *testing.T) {
 	}
 	defer b.Close()
 
-	if !a.TriggerRetrain("") {
+	if !a.TriggerRetrain() {
 		t.Fatal("retrain trigger refused while idle")
 	}
 	<-parked
@@ -493,58 +480,12 @@ func TestRetrainingIsPerManager(t *testing.T) {
 	if b.Retraining() {
 		t.Error("an idle manager reports the retrain of another manager on the same registry")
 	}
-	if !b.TriggerRetrain("") {
+	if !b.TriggerRetrain() {
 		t.Error("an idle manager refused a retrain because another manager is retraining")
 	}
 	close(release)
 	waitUntil(t, "both retrains", func() bool { return reg.Counter("lifecycle_retrains_total").Value() >= 2 })
 	waitUntil(t, "flags down", func() bool { return !a.Retraining() && !b.Retraining() })
-}
-
-// TestPostRetrainSnapshotNotSkipped pins a durability bug: a retrain
-// replaces the model without advancing the WAL seq, so if a snapshot
-// file already covered that seq the post-retrain snapshot used to be
-// skipped as redundant — leaving the retrained model with an unbounded
-// window in which a crash silently recovered the pre-retrain lineage.
-func TestPostRetrainSnapshotNotSkipped(t *testing.T) {
-	base := newBaseModel(t)
-	dir := t.TempDir()
-	m, err := Open(bootWith(base), Config{DataDir: dir, Fsync: wal.SyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		seq, _, err := m.Submit(testUpdate(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		waitUntil(t, "update applied", func() bool { return m.AppliedSeq() >= seq })
-	}
-	// A manual snapshot now covers the current seq...
-	info, err := m.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Skipped {
-		t.Fatalf("setup snapshot skipped: %+v", info)
-	}
-	// ...which must not stop the post-retrain snapshot from overwriting it.
-	writes := m.reg.Counter("lifecycle_snapshots_total").Value()
-	if !m.TriggerRetrain("") {
-		t.Fatal("retrain trigger refused")
-	}
-	waitUntil(t, "post-retrain snapshot write", func() bool {
-		return m.reg.Counter("lifecycle_snapshots_total").Value() > writes
-	})
-	want := predictions(m.Model()) // the retrained serving model
-	m.Abort()
-
-	b, err := Open(noBoot(t), Config{DataDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	samePredictions(t, "recovered retrained model", want, predictions(b.Model()))
 }
 
 func TestSnapshotSkipAndPrune(t *testing.T) {

@@ -1,11 +1,14 @@
 package lifecycle
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"cfsf/internal/cluster"
 	"cfsf/internal/core"
 	"cfsf/internal/obs"
 	"cfsf/internal/wal"
@@ -53,8 +56,9 @@ func (st *replicaState) after(sm *core.ShardedModel, seq uint64, dirty []int, al
 // leader's records; the live leader pushes what it journals and commits
 // the prefix its drain policy picks, then journals that commit — so
 // replay, live apply and follower are the same code, not three loops kept
-// in step. Pushes may come from any goroutine; commit, reset and replace
-// belong to a single writer (the manager's run loop, the follower's
+// in step. Pushes may come from any goroutine; commit, reset and feed
+// belong to one writer at a time (the manager's run loop or, while that
+// cuts nothing, the goroutine folding its retrain record; the follower's
 // stream goroutine).
 type replica struct {
 	logf      func(format string, args ...any) //cfsf:immutable
@@ -87,33 +91,21 @@ func (r *replica) reset(sm *core.ShardedModel, seq uint64, dirty []int) {
 	r.state.Store(st)
 }
 
-// replace swaps in a retrained model at the unchanged watermark. A
-// retrain re-fits clustering and rebuilds the GIS: every persisted part
-// is stale.
-func (r *replica) replace(sm *core.ShardedModel) {
-	cur := r.state.Load()
-	r.state.Store(cur.after(sm, cur.seq, nil, true))
-}
-
 // commit closes the batch a commit record through seq covered describes
 // (see commitQueue.cut), folds it into the model and publishes the result
 // under the new watermark. It returns the batch; a commit that covers
 // nothing queued — its ratings were already inside the base state —
-// applies nothing and only moves the watermark.
+// changes nothing.
 func (r *replica) commit(covered uint64, shard int) []core.RatingUpdate {
 	r.mu.Lock()
 	batch := r.queue.cut(covered, shard)
 	seq := r.queue.watermark()
 	r.mu.Unlock()
-
-	cur := r.state.Load()
 	if len(batch) == 0 {
-		if seq != cur.seq {
-			r.state.Store(&replicaState{sharded: cur.sharded, seq: seq, gen: cur.gen, shardGen: cur.shardGen})
-		}
 		return nil
 	}
-	next, dirty := applyWithFallback(cur.sharded, batch, r.logf, r.applyErrs)
+	cur := r.state.Load()
+	next, dirty := r.applyWithFallback(cur.sharded, batch)
 	// A timestamp flip changes every shard blob's wire shape, not just the
 	// touched rows — persistence must rewrite them all.
 	flip := cur.sharded.Model().Matrix().HasTimes() != next.Model().Matrix().HasTimes()
@@ -122,10 +114,19 @@ func (r *replica) commit(covered uint64, shard int) []core.RatingUpdate {
 }
 
 // feed folds one journaled record: a rating queues, a batch commit cuts
-// and applies exactly the writer's batch, anything else (checkpoints)
-// carries no model state. It reports how many ratings the record queued
-// and how many it applied.
-func (r *replica) feed(rec wal.Record) (queued, applied int) {
+// and applies exactly the writer's batch, a retrain record turns the
+// state at its watermark into core.Train of that state's own matrix and
+// configuration, anything else (checkpoints) carries no model state. It
+// reports how many ratings the record queued and how many it applied.
+//
+// Train is a function of matrix and configuration alone, so the watermark
+// decides: a state at it trains (to the same model again when a snapshot
+// taken there already holds the result), a state past it was built on the
+// retrained one and skips the record, and a state short of it — the log
+// lost the commits in between — is the one error feed returns.
+//
+//cfsf:wallclock-ok retrain duration feeds the log line only
+func (r *replica) feed(rec wal.Record) (queued, applied int, err error) {
 	switch rec.Type {
 	case wal.RecordRating:
 		r.mu.Lock()
@@ -135,8 +136,50 @@ func (r *replica) feed(rec wal.Record) (queued, applied int) {
 		r.mu.Unlock()
 	case wal.RecordBatchCommit:
 		applied = len(r.commit(rec.Covered, rec.Shard))
+	case wal.RecordRetrain:
+		cur := r.state.Load()
+		if cur.seq > rec.Covered {
+			break
+		}
+		if cur.seq < rec.Covered {
+			return 0, 0, fmt.Errorf("lifecycle: retrain record %d names watermark %d but the log before it only reaches %d", rec.Seq, rec.Covered, cur.seq)
+		}
+		old := cur.sharded.Model()
+		r.logf("lifecycle: retrain started at seq %d (%d ratings)", cur.seq, old.Matrix().NumRatings())
+		t := time.Now()
+		mod, terr := core.Train(old.Matrix(), old.Config())
+		if terr != nil {
+			return 0, 0, fmt.Errorf("lifecycle: retrain record %d at seq %d: %w", rec.Seq, cur.seq, terr)
+		}
+		// Clustering and GIS are rebuilt: every persisted part is stale.
+		r.state.Store(cur.after(core.NewSharded(mod), cur.seq, nil, true))
+		r.logf("lifecycle: retrain complete at seq %d in %v (%s)", cur.seq, time.Since(t).Round(time.Millisecond), refitSummary(old, mod))
 	}
-	return queued, applied
+	return queued, applied, nil
+}
+
+// refitSummary says what a retrain did to the clustering: K-means sweeps
+// (a fit that stopped at its cap, not at a fixed point, is worth seeing)
+// and users moved. K-means numbers clusters afresh on every run, so a new
+// cluster first inherits the old label most of its members carried.
+func refitSummary(old, mod *core.Model) string {
+	iters, limit, capped := mod.Stats().ClusterIters, mod.Config().ClusterMaxIter, ""
+	if limit <= 0 {
+		limit = cluster.DefaultMaxIter
+	}
+	if iters > limit { // cluster.Run counts the sweep the cap cut off
+		iters, capped = limit, ", hit the cap"
+	}
+	was, now := old.Clusters(), mod.Clusters()
+	overlap := make([]int, now.K*was.K)
+	for u, c := range now.Assign {
+		overlap[c*was.K+was.Assign[u]]++
+	}
+	moved := len(now.Assign)
+	for c := 0; c < now.K; c++ {
+		moved -= slices.Max(overlap[c*was.K : (c+1)*was.K])
+	}
+	return fmt.Sprintf("K-means %d iterations%s, %d users changed cluster", iters, capped, moved)
 }
 
 // pending returns how many queued ratings await their commit.
@@ -187,19 +230,19 @@ func (m *Manager) ApplyLag() uint64 { return m.rep.lag() }
 // dropped). It returns the union of the dirty-shard sets of every apply
 // it performed — the fallback path chains several, each carrying only
 // its own step's dirt.
-func applyWithFallback(sm *core.ShardedModel, updates []core.RatingUpdate, logf func(string, ...any), applyErrs *obs.Counter) (*core.ShardedModel, []int) {
+func (r *replica) applyWithFallback(sm *core.ShardedModel, updates []core.RatingUpdate) (*core.ShardedModel, []int) {
 	next, err := sm.Apply(updates)
 	if err == nil {
 		return next, next.DirtyShards()
 	}
-	logf("lifecycle: batch of %d failed (%v); retrying per update", len(updates), err)
+	r.logf("lifecycle: batch of %d failed (%v); retrying per update", len(updates), err)
 	cur := sm
 	dirty := map[int]bool{}
 	for _, u := range updates {
 		n, uerr := cur.Apply([]core.RatingUpdate{u})
 		if uerr != nil {
-			applyErrs.Inc()
-			logf("lifecycle: dropping unappliable update (%d,%d)=%g: %v", u.User, u.Item, u.Value, uerr)
+			r.applyErrs.Inc()
+			r.logf("lifecycle: dropping unappliable update (%d,%d)=%g: %v", u.User, u.Item, u.Value, uerr)
 			continue
 		}
 		for _, s := range n.DirtyShards() {
@@ -251,15 +294,16 @@ func (f *Follower) Reset(mod *core.Model, seq uint64) {
 }
 
 // Ingest folds one streamed WAL record. Records at or below the
-// already-ingested position (a reconnect overlap) are skipped.
+// already-ingested position (a reconnect overlap) are skipped. After an
+// error only a Reset from a newer bootstrap point continues the stream.
 //
 //cfsf:wallclock-ok arrival times feed the lag estimate only; apply grouping comes from journaled commit records
-func (f *Follower) Ingest(rec wal.Record) {
+func (f *Follower) Ingest(rec wal.Record) error {
 	if rec.Seq <= f.received.Load() {
-		return
+		return nil
 	}
 	f.received.Store(rec.Seq)
-	queued, applied := f.rep.feed(rec)
+	queued, applied, err := f.rep.feed(rec)
 	if queued > 0 && f.rep.pending() == 1 {
 		f.oldestAt.Store(time.Now().UnixNano())
 	}
@@ -267,6 +311,7 @@ func (f *Follower) Ingest(rec wal.Record) {
 		f.mApplied.Add(int64(applied))
 		f.mBatches.Inc()
 	}
+	return err
 }
 
 // Sharded returns the follower's currently served model.

@@ -149,49 +149,6 @@ func TestSubmitBatchAtomicity(t *testing.T) {
 	}
 }
 
-// TestShardRetrainMode: the default background retrain is the per-shard
-// sweep — every shard records a retrain pass, the serving model keeps
-// answering, and unknown modes are refused outright.
-func TestShardRetrainMode(t *testing.T) {
-	base := newBaseModel(t)
-	m, err := Open(bootWith(base), Config{
-		DataDir:      t.TempDir(),
-		Fsync:        wal.SyncNever,
-		RetrainAfter: 4, // default RetrainMode: "shards"
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-
-	for i := 0; i < 4; i++ {
-		seq, _, err := m.Submit(testUpdate(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		waitUntil(t, "update applied", func() bool { return m.AppliedSeq() >= seq })
-	}
-	waitUntil(t, "per-shard retrain", func() bool {
-		return m.reg.Counter("lifecycle_retrains_total").Value() >= 1
-	})
-	waitUntil(t, "sweep visited every shard", func() bool {
-		for _, st := range m.Sharded().ShardStats() {
-			if st.Retrains < 1 {
-				return false
-			}
-		}
-		return true
-	})
-	mod := m.Model()
-	if got := mod.Predict(0, 0); got < mod.Matrix().MinRating() || got > mod.Matrix().MaxRating() {
-		t.Errorf("post-sweep prediction %v outside rating scale", got)
-	}
-
-	if m.TriggerRetrain("bogus") {
-		t.Error("unknown retrain mode accepted")
-	}
-}
-
 // TestBootSkipsBadSnapshot: a newest manifest that cannot be decoded
 // (torn write, unknown wire version) must not take the boot down — the
 // manager falls back to the next older verified snapshot and replays the

@@ -19,10 +19,10 @@ import (
 	"cfsf/internal/wal"
 )
 
-// errRebootstrap is the client-side face of the leader's 410 Gone: the
-// streamed position is unserveable and the follower must restart from
-// the leader's newest snapshot.
-var errRebootstrap = errors.New("replication: leader signalled re-bootstrap")
+// errRebootstrap says the stream cannot continue from the follower's state
+// — the leader answered 410 Gone, or a streamed record addresses a state
+// this replica does not hold — so it restarts from the newest snapshot.
+var errRebootstrap = errors.New("replication: re-bootstrap required")
 
 // Options configures a follower connection.
 type Options struct {
@@ -136,7 +136,7 @@ func (f *Follower) run(ctx context.Context) {
 			backoff = f.opts.ReconnectMin
 		case errors.Is(err, errRebootstrap):
 			f.nRebootstrap.Add(1)
-			f.logf("replication: leader compacted past cursor %d; re-bootstrapping", f.app.Cursor())
+			f.logf("replication: %v at cursor %d; re-bootstrapping", err, f.app.Cursor())
 			if berr := f.bootstrapRetry(ctx); berr != nil {
 				return // only fails when ctx ends
 			}
@@ -161,7 +161,8 @@ func (f *Follower) run(ctx context.Context) {
 }
 
 // streamOnce opens one WAL stream at the current cursor and applies
-// records until it breaks. A 410 response maps to errRebootstrap.
+// records until it breaks. A 410 response, or a record the applier
+// refuses, maps to errRebootstrap.
 func (f *Follower) streamOnce(ctx context.Context) error {
 	after := f.app.Cursor()
 	resp, err := f.get(ctx, PathWAL+"?after="+strconv.FormatUint(after, 10))
@@ -172,7 +173,7 @@ func (f *Follower) streamOnce(ctx context.Context) error {
 	switch resp.StatusCode {
 	case http.StatusOK:
 	case http.StatusGone:
-		return errRebootstrap
+		return fmt.Errorf("%w: leader compacted past the cursor", errRebootstrap)
 	default:
 		return fmt.Errorf("replication: wal stream: %s", readErrBody(resp))
 	}
@@ -197,7 +198,9 @@ func (f *Follower) streamOnce(ctx context.Context) error {
 					}
 					return fmt.Errorf("replication: corrupt frame in stream: %w", derr)
 				}
-				f.app.Ingest(rec)
+				if ierr := f.app.Ingest(rec); ierr != nil {
+					return fmt.Errorf("%w: %v", errRebootstrap, ierr)
+				}
 				f.observeLeaderSeq(rec.Seq)
 				buf = buf[:copy(buf, buf[fn:])]
 			}

@@ -2,8 +2,11 @@ package replication
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -62,6 +65,8 @@ func openManager(t *testing.T, dir string, mod *core.Model) *lifecycle.Manager {
 type leaderServer struct {
 	ts      *httptest.Server
 	failWAL atomic.Bool
+	// forged, when set, is served once in place of the next WAL stream.
+	forged atomic.Pointer[[]byte]
 
 	mu      sync.Mutex
 	cancels map[int]context.CancelFunc
@@ -74,6 +79,10 @@ func newLeaderServer(l *Leader) *leaderServer {
 	mux.HandleFunc(PathWAL, func(w http.ResponseWriter, r *http.Request) {
 		if ls.failWAL.Load() {
 			http.Error(w, "induced outage", http.StatusServiceUnavailable)
+			return
+		}
+		if frames := ls.forged.Swap(nil); frames != nil {
+			_, _ = w.Write(*frames)
 			return
 		}
 		ctx, cancel := context.WithCancel(r.Context())
@@ -182,8 +191,87 @@ func TestFollowerBootstrapAndStreamParity(t *testing.T) {
 	if got, want := mustFingerprint(t, f.Sharded().Model()), mustFingerprint(t, mgr.Model()); got != want {
 		t.Fatalf("post-stream fingerprints differ:\n  follower %s\n  leader   %s", got, want)
 	}
+
+	// A retrain is one more record in that stream: the follower re-runs it
+	// at the same watermark and lands on the leader's model, and what is
+	// rated afterwards folds into the same retrained state on both.
+	if !mgr.TriggerRetrain() {
+		t.Fatal("retrain trigger refused while idle")
+	}
+	waitUntil(t, "leader retrained", func() bool { return !mgr.Retraining() && !mgr.Model().Stats().Incremental })
+	want := mustFingerprint(t, mgr.Model())
+	waitUntil(t, "follower folded the retrain", func() bool {
+		mod := f.Sharded().Model()
+		return !mod.Stats().Incremental && mustFingerprint(t, mod) == want
+	})
+	submitAndDrain(t, mgr, 12, 6)
+	waitUntil(t, "follower streamed past the retrain", func() bool { return f.AppliedSeq() >= mgr.AppliedSeq() })
+	if got, want := mustFingerprint(t, f.Sharded().Model()), mustFingerprint(t, mgr.Model()); got != want {
+		t.Fatalf("post-retrain fingerprints differ:\n  follower %s\n  leader   %s", got, want)
+	}
 	if f.Stats()["bootstraps"] != boots {
-		t.Fatalf("tail records triggered a re-bootstrap: %v -> %v", boots, f.Stats()["bootstraps"])
+		t.Fatalf("the stream triggered a re-bootstrap: %v -> %v", boots, f.Stats()["bootstraps"])
+	}
+}
+
+// TestFollowerRebootstrapsOnUnfoldableRetrain: a retrain record taken at
+// a watermark the follower has not reached cannot be honoured from its
+// state and must not be skipped either — the follower treats it like a
+// 410 and starts over from the leader's newest snapshot. The leader's log
+// runs on past the forged record's sequence, so a follower that dropped
+// the refusal would resume streaming behind it and never re-bootstrap.
+func TestFollowerRebootstrapsOnUnfoldableRetrain(t *testing.T) {
+	mgr := openManager(t, t.TempDir(), newBaseModel(t))
+	defer mgr.Close()
+	ls := newLeaderServer(NewLeader(mgr, nil))
+	defer ls.ts.Close()
+	submitAndDrain(t, mgr, 0, 5)
+
+	var logMu sync.Mutex
+	var logged []string
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	f, err := Start(ctx, Options{
+		LeaderURL: ls.ts.URL, ReconnectMin: 5 * time.Millisecond, ReconnectMax: 50 * time.Millisecond,
+		Logf: func(format string, args ...any) {
+			logMu.Lock()
+			logged = append(logged, fmt.Sprintf(format, args...))
+			logMu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	waitUntil(t, "follower caught up", func() bool { return f.AppliedSeq() >= mgr.AppliedSeq() })
+
+	// Park the follower, let the real log grow past the sequence the forged
+	// record will claim, then hand the forged record to its next connect.
+	ls.failWAL.Store(true)
+	ls.cutStreams()
+	waitUntil(t, "follower parked", func() bool { return f.Stats()["connected"] == false })
+	last := mgr.WALStats().LastSeq
+	submitAndDrain(t, mgr, 5, 3)
+	if end := mgr.WALStats().LastSeq; end < last+2 {
+		t.Fatalf("leader log did not grow past the forged sequence: %d -> %d", last, end)
+	}
+	frame := wal.AppendFrame(nil, wal.Record{Type: wal.RecordRetrain, Seq: last + 1, Covered: mgr.AppliedSeq() + 9})
+	ls.forged.Store(&frame)
+	ls.failWAL.Store(false)
+	waitUntil(t, "follower re-bootstrapped", func() bool { return f.Stats()["rebootstraps"].(int64) == 1 })
+	logMu.Lock()
+	named := slices.ContainsFunc(logged, func(l string) bool {
+		return strings.Contains(l, fmt.Sprintf("retrain record %d", last+1)) && strings.Contains(l, "re-bootstrapping")
+	})
+	logMu.Unlock()
+	if !named {
+		t.Fatalf("re-bootstrap log line does not name retrain record %d: %q", last+1, logged)
+	}
+
+	submitAndDrain(t, mgr, 8, 3)
+	waitUntil(t, "follower streaming again", func() bool { return f.AppliedSeq() >= mgr.AppliedSeq() })
+	if got, want := mustFingerprint(t, f.Sharded().Model()), mustFingerprint(t, mgr.Model()); got != want {
+		t.Fatalf("fingerprints differ after the re-bootstrap:\n  follower %s\n  leader   %s", got, want)
 	}
 }
 

@@ -3,8 +3,6 @@ package server
 import (
 	"fmt"
 	"net/http"
-
-	"cfsf/internal/lifecycle"
 )
 
 // handleAdminSnapshot writes a model snapshot synchronously via the
@@ -86,11 +84,10 @@ func (s *Server) handleAdminCompact(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleAdminRetrain starts a background retrain of the serving model
-// (the drift-repair pass internal/core/update.go calls for). ?mode=
-// selects "shards" (per-shard sweep) or "full" (stop-the-world KMeans);
-// empty means the manager's configured default. The retrained model is
-// swapped in without blocking reads; 409 when a retrain is already in
-// flight, 400 for an unknown mode.
+// (the drift-repair pass internal/core/update.go calls for): the manager
+// journals a retrain record at its applied watermark and re-runs the
+// offline phase on the matrix there, serving reads and accepting ratings
+// meanwhile. 409 when a retrain is already in flight.
 func (s *Server) handleAdminRetrain(w http.ResponseWriter, r *http.Request) {
 	if f := s.follower(); f != nil {
 		s.redirectToLeader(w, r, f)
@@ -101,18 +98,12 @@ func (s *Server) handleAdminRetrain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, errNoManager)
 		return
 	}
-	mode := r.URL.Query().Get("mode")
-	if mode != "" && mode != lifecycle.RetrainShards && mode != lifecycle.RetrainFull {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("unknown retrain mode %q (want %q or %q)",
-			mode, lifecycle.RetrainShards, lifecycle.RetrainFull))
-		return
-	}
-	if !mgr.TriggerRetrain(mode) {
+	if !mgr.TriggerRetrain() {
 		writeError(w, http.StatusConflict, fmt.Errorf("retrain already in flight"))
 		return
 	}
 	s.reg.Counter("admin_retrain_total").Inc()
-	writeJSON(w, http.StatusAccepted, map[string]any{"status": "started", "mode": mode})
+	writeJSON(w, http.StatusAccepted, map[string]any{"status": "started"})
 }
 
 var errNoManager = fmt.Errorf("no lifecycle manager configured (start the server with -data-dir)")

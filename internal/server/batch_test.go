@@ -112,8 +112,13 @@ func TestStatsAndMetricsShards(t *testing.T) {
 			t.Fatalf("%s shards = %v, want 6 entries", ep, body["shards"])
 		}
 		first := shards[0].(map[string]any)
-		if _, ok := first["users"]; !ok {
-			t.Errorf("%s shard entry missing users: %v", ep, first)
+		for _, key := range []string{"id", "users", "ratings", "applies", "applied", "last_apply_ms"} {
+			if _, ok := first[key]; !ok {
+				t.Errorf("%s shard entry missing %s: %v", ep, key, first)
+			}
+		}
+		if len(first) != 6 {
+			t.Errorf("%s shard entry carries keys beyond the six above: %v", ep, first)
 		}
 	}
 	code, body := get(t, "/stats")
@@ -122,21 +127,17 @@ func TestStatsAndMetricsShards(t *testing.T) {
 	}
 }
 
-// TestAdminRetrainMode: the mode query parameter is validated and passed
-// through to the manager.
-func TestAdminRetrainMode(t *testing.T) {
+// TestAdminRetrain: there is one retrain, so the endpoint takes no
+// parameter — a leftover ?mode= from an older client is neither validated
+// nor echoed.
+func TestAdminRetrain(t *testing.T) {
 	srv, mgr := newDurableServer(t, t.TempDir(), smallModel(t))
-	// The accepted retrain below runs in the background and snapshots
-	// when done; Close waits for it, so TempDir's cleanup finds the data
-	// directory quiet.
+	// Close lets the accepted retrain land, so TempDir's cleanup finds the
+	// data directory quiet.
 	defer mgr.Close()
 
 	code, body := postJSON(t, srv.URL+"/admin/retrain?mode=bogus", nil)
-	if code != http.StatusBadRequest || !strings.Contains(body["error"].(string), "bogus") {
-		t.Fatalf("bogus mode = %d %v, want 400", code, body)
-	}
-	code, body = postJSON(t, srv.URL+"/admin/retrain?mode=shards", nil)
-	if code != http.StatusAccepted || body["mode"] != "shards" {
-		t.Fatalf("shards mode = %d %v, want 202", code, body)
+	if code != http.StatusAccepted || len(body) != 1 || body["status"] != "started" {
+		t.Fatalf("/admin/retrain = %d %v, want 202 {status: started}", code, body)
 	}
 }

@@ -23,8 +23,7 @@
 //	                                 whole batch under one WAL append group
 //	                                 and answers with per-item seqs
 //	POST /admin/snapshot          -> write a model snapshot now (manager mode)
-//	POST /admin/retrain           -> start a background retrain (manager mode);
-//	                                 ?mode=shards|full
+//	POST /admin/retrain           -> start a background retrain (manager mode)
 //	POST /admin/compact           -> fold checkpoint-covered WAL segments into
 //	                                 the compacted base now (manager mode);
 //	                                 ?force=1
@@ -549,8 +548,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, resp)
 }
 
-// shardStats returns the per-shard view of the serving model — sizes
-// plus the live apply/retrain counters of whichever role owns it.
+// shardStats returns the per-shard view of the serving model — sizes plus
+// the apply counters of whichever role owns it since its last retrain.
 func (s *Server) shardStats() []core.ShardStats {
 	if sm := s.sharded(); sm != nil {
 		return sm.ShardStats()

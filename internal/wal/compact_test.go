@@ -119,6 +119,11 @@ func TestCompactDedupesBelowHorizon(t *testing.T) {
 		if _, err := w.AppendBatchCommit(seq, 0); err != nil {
 			t.Fatal(err)
 		}
+		if i == 5 { // a retrain record in the zone that loses its commits
+			if _, err := w.AppendRetrain(seq); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	if _, err := w.AppendCheckpoint(last); err != nil {
 		t.Fatal(err)
@@ -130,6 +135,11 @@ func TestCompactDedupesBelowHorizon(t *testing.T) {
 		if _, err := w.AppendRating(upd(i+10), 0); err != nil {
 			t.Fatal(err)
 		}
+		if i == 3 { // and one above the horizon, still inside what folds
+			if _, err := w.AppendRetrain(last); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 
 	st, err := w.Compact(w.LastSeq(), horizon, false)
@@ -139,16 +149,24 @@ func TestCompactDedupesBelowHorizon(t *testing.T) {
 	if st.DroppedCells != 11 {
 		t.Fatalf("dropped %d superseded cells, want 11", st.DroppedCells)
 	}
-	if st.DroppedCommits == 0 {
-		t.Fatal("no below-horizon commits dropped")
+	if st.DroppedCommits != 12 {
+		t.Fatalf("dropped %d below-horizon commits, want 12", st.DroppedCommits)
 	}
 	recs := collect(t, w, 0)
-	// Survivors below the horizon: the final write of the hot cell plus
-	// the latest checkpoint; the filler above the horizon is untouched.
+	// Survivors below the horizon: the final write of the hot cell, the
+	// latest checkpoint and the retrain record (compaction never folds
+	// one: it is model state, not bookkeeping); the filler above the
+	// horizon, its retrain record included, is untouched.
 	var hotRatings, commits, ckpts int
 	var keptValue float64
-	for _, r := range recs {
+	var retrains []Record
+	for i, r := range recs {
+		if i > 0 && r.Seq <= recs[i-1].Seq {
+			t.Fatalf("record %d: seq %d after %d", i, r.Seq, recs[i-1].Seq)
+		}
 		switch r.Type {
+		case RecordRetrain:
+			retrains = append(retrains, r)
 		case RecordRating:
 			if r.Update.User == 1 && r.Update.Item == 2 {
 				hotRatings++
@@ -165,6 +183,10 @@ func TestCompactDedupesBelowHorizon(t *testing.T) {
 	}
 	if keptValue != float64(11%5) {
 		t.Fatalf("kept value %g, want the last writer %g", keptValue, float64(11%5))
+	}
+	if len(retrains) != 2 || retrains[0].Seq > horizon || retrains[0].Covered != retrains[0].Seq-2 ||
+		retrains[1].Seq <= horizon || retrains[1].Covered != last {
+		t.Fatalf("retrain records after compaction = %+v, want one either side of horizon %d, payloads intact", retrains, horizon)
 	}
 
 	// Replay from the horizon must see only the filler appended above it.

@@ -28,6 +28,7 @@ func FuzzWALDecode(f *testing.F) {
 	r := seed(Record{Type: RecordRating, Seq: 9, Update: core.RatingUpdate{User: 1, Item: 2, Value: 3, Time: 4}})
 	r[len(r)-1] ^= 0x01
 	f.Add(r)
+	f.Add(seed(Record{Type: RecordRetrain, Seq: 10, Covered: 8}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, n, err := decodeRecord(data)

@@ -2,7 +2,7 @@
 // serving layer's incoming ratings. Every record is length-prefixed and
 // CRC32-guarded, segments rotate by size, and Open truncates a torn tail
 // (a record cut short by a crash mid-append) so recovery is clean. The
-// log stores three record kinds:
+// log stores four record kinds:
 //
 //   - RecordRating: one core.RatingUpdate, appended by /rate before the
 //     update is queued for application (write-ahead discipline);
@@ -13,7 +13,11 @@
 //     bit-for-bit identical to the uninterrupted run;
 //   - RecordCheckpoint: written after a model snapshot lands on disk,
 //     recording the last rating sequence the snapshot covers — segments
-//     wholly below it can be pruned.
+//     wholly below it can be pruned;
+//   - RecordRetrain: written before a retrain starts, recording the
+//     applied watermark it is taken at — replay (boot and followers
+//     alike) re-runs the offline phase on the matrix at that watermark.
+//     Compaction never drops one.
 //
 // The binary layout of one record frame is
 //
@@ -48,6 +52,10 @@ const (
 	// RecordCheckpoint marks that a snapshot covering every rating with
 	// sequence <= Covered is durable on disk.
 	RecordCheckpoint Type = 3
+	// RecordRetrain marks that the model folding exactly the ratings with
+	// sequence <= Covered was replaced by a full offline retrain on its
+	// own matrix and configuration.
+	RecordRetrain Type = 4
 )
 
 // Record is one decoded log entry.
@@ -58,8 +66,8 @@ type Record struct {
 	Seq uint64
 	// Update is the rating payload; valid when Type == RecordRating.
 	Update core.RatingUpdate
-	// Covered is the last rating sequence a commit or checkpoint spans;
-	// valid for RecordBatchCommit and RecordCheckpoint.
+	// Covered is the last rating sequence a commit or checkpoint spans, or
+	// the applied watermark a retrain is taken at; unused by RecordRating.
 	Covered uint64
 	// Shard is the model shard the record was routed to: the shard of
 	// Update.User for ratings, the shard a commit's batch was applied on
@@ -79,7 +87,7 @@ const (
 	ratingPayload    = 40      // + shard
 	coveredPayloadV1 = 8       // covered
 	commitPayload    = 16      // covered + shard
-	checkpointPay    = 8       // covered (checkpoints are shard-agnostic)
+	checkpointPay    = 8       // covered (checkpoints and retrains are shard-agnostic)
 	maxBody          = 1 << 16 // far above any legal body; caps corrupt lengths
 	ratingBodySize   = bodyHeaderSize + ratingPayload
 	maxEncodedRecord = frameHeaderSize + ratingBodySize
@@ -113,7 +121,7 @@ func appendRecord(buf []byte, rec Record) []byte {
 		binary.BigEndian.PutUint64(p[0:], rec.Covered)
 		binary.BigEndian.PutUint64(p[8:], uint64(int64(rec.Shard)))
 		payload = p[:]
-	case RecordCheckpoint:
+	case RecordCheckpoint, RecordRetrain:
 		var p [checkpointPay]byte
 		binary.BigEndian.PutUint64(p[0:], rec.Covered)
 		payload = p[:]
@@ -174,7 +182,7 @@ func decodeRecord(buf []byte) (Record, int, error) {
 		if len(payload) == commitPayload {
 			rec.Shard = int(int64(binary.BigEndian.Uint64(payload[8:])))
 		}
-	case RecordCheckpoint:
+	case RecordCheckpoint, RecordRetrain:
 		if len(payload) != checkpointPay {
 			return Record{}, 0, fmt.Errorf("%w: covered payload %d bytes", errCorrupt, len(payload))
 		}

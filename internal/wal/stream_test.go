@@ -139,14 +139,18 @@ func TestCursorFollowsMidStreamAppends(t *testing.T) {
 	if _, err := w.AppendBatchCommit(seq, 1); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := w.AppendRetrain(seq); err != nil {
+		t.Fatal(err)
+	}
 	select {
 	case <-sig:
 	case <-time.After(2 * time.Second):
 		t.Fatal("append signal never fired")
 	}
 	got := drainCursor(t, cur)
-	if len(got) != 2 || got[0].Type != RecordRating || got[0].Seq != seq || got[1].Type != RecordBatchCommit {
-		t.Fatalf("tail records = %+v, want the appended rating+commit", got)
+	if len(got) != 3 || got[0].Type != RecordRating || got[0].Seq != seq || got[1].Type != RecordBatchCommit ||
+		got[2] != (Record{Type: RecordRetrain, Seq: seq + 2, Covered: seq, Shard: -1}) {
+		t.Fatalf("tail records = %+v, want the appended rating, commit and retrain record", got)
 	}
 }
 

@@ -456,6 +456,11 @@ func (w *WAL) AppendCheckpoint(covered uint64) (uint64, error) {
 	return w.append(Record{Type: RecordCheckpoint, Covered: covered})
 }
 
+// AppendRetrain records a full retrain of the model at applied watermark atSeq.
+func (w *WAL) AppendRetrain(atSeq uint64) (uint64, error) {
+	return w.append(Record{Type: RecordRetrain, Covered: atSeq})
+}
+
 func (w *WAL) append(rec Record) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"math"
 	"os"
@@ -52,10 +53,13 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	if _, err := w.AppendCheckpoint(3); err != nil {
 		t.Fatal(err)
 	}
+	if seq, err := w.AppendRetrain(3); err != nil || seq != 6 {
+		t.Fatalf("AppendRetrain = seq %d, %v, want seq 6", seq, err)
+	}
 
 	recs := collect(t, w, 0)
-	if len(recs) != 5 {
-		t.Fatalf("replayed %d records, want 5", len(recs))
+	if len(recs) != 6 {
+		t.Fatalf("replayed %d records, want 6", len(recs))
 	}
 	for i := 0; i < 3; i++ {
 		r := recs[i]
@@ -70,8 +74,12 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 		t.Errorf("checkpoint record = %+v", recs[4])
 	}
 
-	if got := collect(t, w, 3); len(got) != 2 {
-		t.Errorf("replay after seq 3 yielded %d records, want 2", len(got))
+	if recs[5] != (Record{Type: RecordRetrain, Seq: 6, Covered: 3, Shard: -1}) {
+		t.Errorf("retrain record = %+v", recs[5])
+	}
+
+	if got := collect(t, w, 3); len(got) != 3 {
+		t.Errorf("replay after seq 3 yielded %d records, want 3", len(got))
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -114,68 +122,100 @@ func TestReopenContinuesSequence(t *testing.T) {
 // log must accept appends again afterwards.
 func TestTornTailEveryOffset(t *testing.T) {
 	const n = 5
-	master := t.TempDir()
-	w := mustOpen(t, master, Options{})
-	for i := 1; i <= n; i++ {
-		if _, err := w.AppendRating(upd(i), i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	segPath := filepath.Join(master, segName(1))
-	data, err := os.ReadFile(segPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recBytes := (len(data) - segHeaderSize) / n
-	lastStart := len(data) - recBytes
-
-	for cut := lastStart + 1; cut < len(data); cut++ {
-		dir := t.TempDir()
-		torn := make([]byte, cut)
-		copy(torn, data[:cut])
-		if err := os.WriteFile(filepath.Join(dir, segName(1)), torn, 0o644); err != nil {
-			t.Fatal(err)
-		}
-
-		var logged []string
-		w, err := Open(dir, Options{Logf: func(f string, a ...any) {
-			logged = append(logged, f)
-		}})
-		if err != nil {
-			t.Fatalf("cut at %d: open: %v", cut, err)
-		}
-		st := w.Stats()
-		if st.Records != n-1 || st.LastSeq != n-1 {
-			t.Fatalf("cut at %d: records=%d lastSeq=%d, want %d/%d", cut, st.Records, st.LastSeq, n-1, n-1)
-		}
-		if want := int64(cut - lastStart); st.TornBytes != want {
-			t.Errorf("cut at %d: torn bytes = %d, want %d", cut, st.TornBytes, want)
-		}
-		if len(logged) == 0 {
-			t.Errorf("cut at %d: torn tail not logged", cut)
-		}
-		recs := collect(t, w, 0)
-		if len(recs) != n-1 {
-			t.Fatalf("cut at %d: replayed %d, want %d", cut, len(recs), n-1)
-		}
-		for i, r := range recs {
-			if r.Update != upd(i+1) {
-				t.Fatalf("cut at %d: record %d = %+v", cut, i, r)
+	for _, last := range []struct {
+		name   string
+		append func(w *WAL) (uint64, error)
+	}{
+		{"rating", func(w *WAL) (uint64, error) { return w.AppendRating(upd(n), n) }},
+		{"retrain", func(w *WAL) (uint64, error) { return w.AppendRetrain(n - 1) }},
+	} {
+		t.Run(last.name, func(t *testing.T) {
+			master := t.TempDir()
+			w := mustOpen(t, master, Options{})
+			for i := 1; i < n; i++ {
+				if _, err := w.AppendRating(upd(i), i); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		// The log keeps working: the next append takes the seq of the
-		// record that was torn away.
-		seq, err := w.AppendRating(upd(99), -1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seq != n {
-			t.Errorf("cut at %d: append seq = %d, want %d", cut, seq, n)
-		}
-		w.Close()
+			lastStart := int(w.size)
+			if _, err := last.append(w); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			data, err := os.ReadFile(filepath.Join(master, segName(1)))
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			for cut := lastStart + 1; cut < len(data); cut++ {
+				dir := t.TempDir()
+				torn := make([]byte, cut)
+				copy(torn, data[:cut])
+				if err := os.WriteFile(filepath.Join(dir, segName(1)), torn, 0o644); err != nil {
+					t.Fatal(err)
+				}
+
+				var logged []string
+				w, err := Open(dir, Options{Logf: func(f string, a ...any) {
+					logged = append(logged, f)
+				}})
+				if err != nil {
+					t.Fatalf("cut at %d: open: %v", cut, err)
+				}
+				st := w.Stats()
+				if st.Records != n-1 || st.LastSeq != n-1 {
+					t.Fatalf("cut at %d: records=%d lastSeq=%d, want %d/%d", cut, st.Records, st.LastSeq, n-1, n-1)
+				}
+				if want := int64(cut - lastStart); st.TornBytes != want {
+					t.Errorf("cut at %d: torn bytes = %d, want %d", cut, st.TornBytes, want)
+				}
+				if len(logged) == 0 {
+					t.Errorf("cut at %d: torn tail not logged", cut)
+				}
+				recs := collect(t, w, 0)
+				if len(recs) != n-1 {
+					t.Fatalf("cut at %d: replayed %d, want %d", cut, len(recs), n-1)
+				}
+				for i, r := range recs {
+					if r.Update != upd(i+1) {
+						t.Fatalf("cut at %d: record %d = %+v", cut, i, r)
+					}
+				}
+				// The log keeps working: the next append takes the seq of the
+				// record that was torn away.
+				seq, err := w.AppendRating(upd(99), -1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if seq != n {
+					t.Errorf("cut at %d: append seq = %d, want %d", cut, seq, n)
+				}
+				w.Close()
+			}
+		})
+	}
+}
+
+// TestRetrainRecordFrame: the fourth record kind round-trips through the
+// exported frame codec, and its payload is exactly one sequence — a type
+// 4 frame of any other length is corruption, not a newer layout.
+func TestRetrainRecordFrame(t *testing.T) {
+	want := Record{Type: RecordRetrain, Seq: 41, Covered: 37, Shard: -1}
+	frame := AppendFrame(nil, want)
+	got, n, err := DecodeFrame(frame)
+	if err != nil || n != len(frame) || got != want {
+		t.Fatalf("round trip = %+v (%d of %d bytes, %v), want %+v", got, n, len(frame), err, want)
+	}
+
+	// A commit's 16-byte payload under the retrain type, CRC intact.
+	long := AppendFrame(nil, Record{Type: RecordBatchCommit, Seq: 41, Covered: 37, Shard: 2})
+	body := long[frameHeaderSize:]
+	body[0] = byte(RecordRetrain)
+	binary.BigEndian.PutUint32(long[4:8], crc32.ChecksumIEEE(body))
+	if _, _, err := DecodeFrame(long); !errors.Is(err, errCorrupt) {
+		t.Fatalf("16-byte retrain payload: err = %v, want errCorrupt", err)
 	}
 }
 
