@@ -32,9 +32,9 @@ vet:
 # bench runs the online-path and apply-path benchmarks with allocation
 # stats — the same set CI archives into BENCH_predict.json and gates on
 # (BenchmarkPredict must report 0 allocs/op; BenchmarkApplyLedger's B/op
-# and BenchmarkRecommendColdLedger/cap128's ns/op and B/op are fenced at
-# 2× their recorded values). BenchmarkRecommend matches the cold-scan
-# benchmarks too, both widths of the ledger one (n10, cap128) included.
+# and BenchmarkRecommendColdLedger/ask10's ns/op and B/op and /deep128's
+# ns/op are fenced). BenchmarkRecommend matches the cold-scan benchmarks
+# too, every row of the ledger one (n10, ask10, deep128) included.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkPredict$$|BenchmarkPredictColdCache|BenchmarkRecommend' -benchmem ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkApplyLedger' -benchtime 200x -benchmem ./internal/core

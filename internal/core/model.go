@@ -85,12 +85,13 @@ type Config struct {
 	// user as a like-minded candidate (ablation: §IV-E2 without the
 	// cluster shortcut).
 	FullUserSearch bool
-	// RecommendCacheSize caps each user's cached recommendation ranking
-	// (see internal/core/reccache.go and DESIGN.md §10). 0 selects the
-	// default (128, comfortably above the HTTP layer's n ≤ 100 ceiling);
-	// negative disables the cache (ablation / memory-constrained
-	// deployments). The cache never changes Recommend's output — only
-	// whether the exact scan runs.
+	// RecommendCacheSize is the most one user's cached recommendation
+	// ranking holds (see internal/core/reccache.go and DESIGN.md §10): an
+	// entry starts as the n its first read asked for and grows to this
+	// once, on a deeper ask. 0 selects the default (128, comfortably above
+	// the HTTP layer's n ≤ 100 ceiling); negative disables the cache
+	// (ablation / memory-constrained deployments). The cache never changes
+	// Recommend's output — only whether the exact scan runs, and how deep.
 	RecommendCacheSize int
 }
 

@@ -504,9 +504,13 @@ type recScratch struct {
 	// largest buffer here, K+1 times the candidate buffer.
 	tile []localCell
 	// colHi and bounds are scoreTop's per-column and per-candidate bound
-	// state, Q entries each.
+	// state, Q entries each; rest is its bound-ordered list of candidates
+	// still to price, at most Q, and best its want best exact scores plus
+	// a block's, under 2Q.
 	colHi  []float64
 	bounds []scanBound
+	rest   []mathx.Scored
+	best   []float64
 }
 
 //cfsf:guarded-by sync.Pool — each scratch is handed out to exactly one goroutine at a time; contents carry no cross-request state
@@ -538,6 +542,12 @@ func putRecScratch(sc *recScratch, q, k int) {
 	if cap(sc.bounds) > 2*q {
 		sc.bounds = nil
 	}
+	if cap(sc.rest) > 2*q {
+		sc.rest = nil
+	}
+	if cap(sc.best) > 2*q {
+		sc.best = nil
+	}
 	recScratchPool.Put(sc)
 }
 
@@ -551,12 +561,12 @@ func putRecScratch(sc *recScratch, q, k int) {
 // request" from "nothing to recommend" without a separate error value,
 // and the HTTP layer renders the empty case as [] rather than null.
 //
-// The first call for a user runs the exact scan (recommendExact) and
-// caches the top-C ranking; subsequent calls on the same model generation
-// serve from the cache (reccache.go) and are allocation-free apart from
-// the returned slice. An entry is only read by the generation whose scan
-// built it, so cached and exact paths are bit-identical by construction;
-// parity_test.go holds them to that.
+// The first call for a user runs the exact scan (recommendExact) for the
+// n asked and caches that ranking; calls on the same model generation for
+// no more than it holds serve from the cache (reccache.go) and are
+// allocation-free apart from the returned slice. An entry is only read by
+// the generation whose scan built it, so cached and exact paths are
+// bit-identical by construction; parity_test.go holds them to that.
 func (mod *Model) Recommend(user, n int) []Recommendation {
 	if n <= 0 || user < 0 || user >= mod.m.NumUsers() {
 		return nil
@@ -581,29 +591,30 @@ func (mod *Model) RecommendAppend(dst []Recommendation, user, n int) []Recommend
 	if mod.recCache != nil && user < len(mod.recCache) {
 		cacheCap = mod.recCacheCap()
 	}
+	// A miss scans for what was asked — a list is read from its head, and a
+	// narrower selection prices fewer candidates (scoreTop). One that finds
+	// an entry too short for its n is a user whose reads page: it scans to
+	// the capacity, once, so the entry serves every n an entry can.
+	want := n
 	if cacheCap > 0 {
-		if e := mod.recCache[user].Load(); e != nil && (e.complete || n <= len(e.ranked)) {
+		e := mod.recCache[user].Load()
+		if e != nil && (e.complete || n <= len(e.ranked)) {
 			recCacheHits.Add(1)
 			return appendRecommendations(dst, e.ranked, n)
 		}
 		recCacheMisses.Add(1)
-	}
-	// Exact scan. With the cache enabled, widen the selection to the
-	// cache capacity so the stored entry can serve any n up to it.
-	want := n
-	if cacheCap > want {
-		want = cacheCap
+		if e != nil && len(e.ranked) < cacheCap {
+			recWidened.Add(1)
+			want = max(n, cacheCap)
+		}
 	}
 	sc := recScratchPool.Get().(*recScratch)
 	ranked, offered := mod.recommendExact(user, want, sc)
 	if cacheCap > 0 {
-		keep := ranked
-		if len(keep) > cacheCap {
-			keep = keep[:cacheCap]
-		}
-		mod.recCache[user].Store(&recEntry{
+		keep := ranked[:min(len(ranked), cacheCap)]
+		mod.publishRec(user, &recEntry{
 			ranked:   append([]mathx.Scored(nil), keep...),
-			complete: offered <= cacheCap,
+			complete: offered <= len(keep),
 		})
 	}
 	dst = appendRecommendations(dst, ranked, n)

@@ -106,33 +106,37 @@ func BenchmarkRecommendWarm(b *testing.B) {
 // a cache-disabled model so every iteration runs it — kept as the
 // denominator for BENCH_recommend.json. It selects want = n = 10.
 func BenchmarkRecommendCold(b *testing.B) {
-	benchRecommendCold(b, benchOnlineModel(b).Matrix(), -1)
+	benchRecommendCold(b, benchOnlineModel(b).Matrix(), -1, 10, false)
 }
 
 // BenchmarkRecommendColdLedger is the exact scan on the 500×1000
-// synth.DefaultConfig fixture bench/ serves, at the two selection widths
-// a scan runs at — the bound-and-prune selection prices fewer candidates
-// the narrower it is, so they are different scans. n10 is a
-// cache-disabled model selecting want = n = 10. cap128 is the default
+// synth.DefaultConfig fixture bench/ serves, at the widths a scan runs
+// at — the bound-and-prune selection prices fewer candidates the
+// narrower it is, so they are different scans. n10 is a cache-disabled
+// model selecting want = n = 10, the denominator. ask10 is the default
 // cache with the user's slot cleared before each read: the miss the
-// server takes, widened to the cache capacity (want = 128), and the scan
-// the ledger's core.recommend_us_p50 times under writes. CI fences
-// cap128's ns/op and B/op with benchjson -max (ci.yml).
+// server takes, want = n = 10, and the scan the ledger's
+// core.recommend_us_p50 times under writes. deep128 asks 50 of a slot
+// that holds the 10-entry: the second, deeper ask, scanned once at the
+// cache capacity. CI fences ask10's ns/op and B/op and deep128's ns/op
+// with benchjson -max (ci.yml).
 func BenchmarkRecommendColdLedger(b *testing.B) {
 	d, err := synth.Generate(synth.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("n10", func(b *testing.B) { benchRecommendCold(b, d.Matrix, -1) })
-	b.Run("cap128", func(b *testing.B) { benchRecommendCold(b, d.Matrix, 0) })
+	b.Run("n10", func(b *testing.B) { benchRecommendCold(b, d.Matrix, -1, 10, false) })
+	b.Run("ask10", func(b *testing.B) { benchRecommendCold(b, d.Matrix, 0, 10, false) })
+	b.Run("deep128", func(b *testing.B) { benchRecommendCold(b, d.Matrix, 0, 50, true) })
 }
 
-// benchRecommendCold times Recommend(user, 10) with no cached entry to
-// serve it, cycling through the users, and reports how many candidates a
-// scan priced. One scan runs before the timer so the pooled scratch
-// exists: B/op is then what a scan allocates in steady state at any
-// -benchtime, and a scan buffer that bypasses the pool shows in full.
-func benchRecommendCold(b *testing.B, m *ratings.Matrix, cacheSize int) {
+// benchRecommendCold times Recommend(user, n) with no cached entry to
+// serve it — an empty slot, or with shortEntry the user's 10-entry —
+// cycling through the users, and reports how many candidates a scan
+// priced. One scan runs before the timer so the pooled scratch exists:
+// B/op is then what a scan allocates in steady state at any -benchtime,
+// and a scan buffer that bypasses the pool shows in full.
+func benchRecommendCold(b *testing.B, m *ratings.Matrix, cacheSize, n int, shortEntry bool) {
 	cfg := DefaultConfig()
 	cfg.RecommendCacheSize = cacheSize
 	cold, err := Train(m, cfg)
@@ -140,18 +144,23 @@ func benchRecommendCold(b *testing.B, m *ratings.Matrix, cacheSize int) {
 		b.Fatal(err)
 	}
 	p := m.NumUsers()
+	short := make([]*recEntry, p)
 	for u := 0; u < p; u++ {
 		cold.likeMindedUsers(u) // warm the neighbour cache, not the rec cache
+		if shortEntry {
+			cold.Recommend(u, 10)
+			short[u] = cold.recCache[u].Load()
+		}
 	}
-	cold.Recommend(p-1, 10)
+	cold.Recommend(p-1, n)
 	before := ReadRecCacheStats()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if cold.recCache != nil {
-			cold.recCache[i%p].Store(nil)
+			cold.recCache[i%p].Store(short[i%p])
 		}
-		cold.Recommend(i%p, 10)
+		cold.Recommend(i%p, n)
 	}
 	b.StopTimer()
 	after := ReadRecCacheStats()

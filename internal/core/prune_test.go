@@ -20,10 +20,17 @@ import (
 // the tests were written; repeat after touching scoreTop or
 // boundColumns):
 //
-//   - `b.ub > cut` for `b.ub >= cut` in scoreTop's last pass: a candidate
-//     whose bound equals the cut can tie the worst priced score and beat
-//     it on id, which scores clamped to MaxRating do all the time.
-//     TestPrunedScanParity fails on default and eight more configs.
+//   - `>` for `>=` where scoreTop's ordered pass trims a block at the cut
+//     (`rest[n].Score > best[0]`: stopping at ub ≤ cut instead of
+//     ub < cut): a candidate whose bound equals the cut can tie the worst
+//     priced score and beat a higher-bounded one on id, which scores
+//     clamped to MinRating do at depth. TestPrunedScanParity fails on
+//     clampedTop, default and eight more configs.
+//   - raising the cut from fewer than want scores (`best` keeping
+//     `max(want-1, 1)`): the cut is the (want−1)-th best score and the
+//     want-th item goes unpriced when its bound falls between the two.
+//     TestPrunedScanParity fails on clampedTop (one past the tie at
+//     MaxRating), loners and twelve configs.
 //   - min for max in boundColumns' column reduction (`c.val < col[i]`,
 //     starting from +Inf): the bound drops below SUIR′. TestScanBound
 //     fails on every config but delta0, TestPrunedScanParity on most
@@ -32,27 +39,85 @@ import (
 //     the bound — the originals at ε = 0, the fills at ε = 1 — and it
 //     stops being the largest cell SUIR′ averages over. TestScanBound
 //     fails on originalWeight0 and originalWeight1.
-//   - taking cut from the first pass's bounds (`bounds[f.Index].ub`)
-//     instead of its exact scores: candidates between the two are never
-//     priced. TestPrunedScanParity fails on every fixture but allFives
+//   - folding bounds (`bounds[f.Index].ub`) instead of exact scores into
+//     `best`: candidates between the two are never priced.
+//     TestPrunedScanParity fails on every fixture but allFives
 //     and the δ = 0 configs, whose bounds are the scores.
-//   - pricing every candidate (dropping `b.ub >= cut`): rankings stay
-//     right, the ScanPriced < ScanItems assertions fail everywhere.
+//   - pricing every candidate (dropping both `>= best[0]` tests): rankings
+//     stay right, the ScanPriced < ScanItems and priced ≤ two-pass
+//     assertions fail on every fixture but allFives.
+//   - never raising the cut (putting best[0] back after each block):
+//     rankings stay right and the scan prices what the two-pass form did,
+//     so the ledger subtest's "fewer than two passes" fails.
 
 // checkTopN holds Recommend and RecommendAppend for user to the prefixes
-// of full, the user's complete reference ranking, at every n.
+// of full, the user's complete reference ranking, at every n. On a
+// cache-disabled model each read is a scan selecting exactly n, and must
+// price no more candidates than the two-pass form did.
 func checkTopN(t *testing.T, mod *Model, user int, full []Recommendation, ns []int) {
 	t.Helper()
 	var dst []Recommendation
+	ref := newTwoPass(mod, user, full)
 	for _, n := range ns {
 		want := full[:min(n, len(full))]
+		before := ReadRecCacheStats()
 		if got := mod.Recommend(user, n); !equalRecs(got, want) {
 			t.Fatalf("user %d n %d: Recommend\n got %v\nwant %v", user, n, got, want)
 		}
+		priced := ReadRecCacheStats().ScanPriced - before.ScanPriced
 		if dst = mod.RecommendAppend(dst[:0], user, n); !equalRecs(dst, want) {
 			t.Fatalf("user %d n %d: RecommendAppend\n got %v\nwant %v", user, n, dst, want)
 		}
+		if mod.recCache == nil && priced > uint64(ref.priced(n)) {
+			t.Fatalf("user %d n %d: the scan priced %d candidates, two passes price %d", user, n, priced, ref.priced(n))
+		}
 	}
+}
+
+// twoPass counts what PR 16's scoreTop priced for one user: the want
+// best-bounded candidates, then every other whose bound reaches the
+// smallest exact score among those — the unordered second pass the rising
+// cut replaced, kept here as the ceiling it must stay under.
+type twoPass struct {
+	mod    *Model
+	bounds []mathx.Scored  // every candidate's ub, best first, ties by id as scoreTop's by position
+	exact  map[int]float64 // item → score
+}
+
+func newTwoPass(mod *Model, user int, full []Recommendation) twoPass {
+	tp := twoPass{mod: mod, bounds: eligible(mod, user), exact: map[int]float64{}}
+	for _, r := range full {
+		tp.exact[r.Item] = r.Score
+	}
+	if mod.tilePays(len(tp.bounds)) {
+		s := mod.beginScan(user, len(tp.bounds), new(recScratch))
+		colHi := make([]float64, s.q)
+		s.boundColumns(colHi)
+		slack := mod.suirSlack(len(s.users))
+		for k, c := range tp.bounds {
+			tp.bounds[k].Score = s.bound(int(c.Index), colHi, slack)
+		}
+		mathx.SortScoredDesc(tp.bounds)
+	}
+	return tp
+}
+
+func (tp twoPass) priced(want int) int {
+	want = min(want, tp.mod.m.NumItems())
+	if len(tp.bounds) <= want || !tp.mod.tilePays(len(tp.bounds)) {
+		return len(tp.bounds)
+	}
+	cut := math.Inf(1)
+	for _, c := range tp.bounds[:want] {
+		cut = min(cut, tp.exact[int(c.Index)])
+	}
+	priced := want
+	for _, c := range tp.bounds[want:] {
+		if c.Score >= cut {
+			priced++
+		}
+	}
+	return priced
 }
 
 // pruneConfigs is the table of model shapes both tests walk, applied on
@@ -107,11 +172,13 @@ func allFives() *ratings.Matrix {
 }
 
 // clampedTop is allFives with a few 4s, which gives similarities to work
-// with, on a scale that ends at 4.8: most fused scores and all their
-// bounds clamp to MaxRating, so ids rank equal scores under equal bounds.
+// with, on a scale of 4.6 to 4.8: most fused scores and all their bounds
+// clamp to MaxRating, so ids rank equal scores under equal bounds, and
+// the tail clamps to MinRating under bounds that do not, so a candidate
+// whose bound equals the cut ties it and wins on id.
 func clampedTop() *ratings.Matrix {
 	rng := rand.New(rand.NewSource(5))
-	b := ratings.NewBuilder(40, 60).SetScale(1, 4.8)
+	b := ratings.NewBuilder(40, 60).SetScale(4.6, 4.8)
 	for u := 0; u < 40; u++ {
 		for _, i := range rng.Perm(60)[:20] {
 			v := 5.0
@@ -149,7 +216,9 @@ func loners() *ratings.Matrix {
 
 // TestPrunedScanParity: Recommend and RecommendAppend return the
 // reference ranking's prefix — same items, same order, same score bits,
-// same length — for every user at n ∈ {1, 10, 100, 128, Q+5}, across the
+// same length — for every user at n ∈ {1, 10, 16, 100, 128, Q, Q+5}, one
+// past the leading tie and one short of every candidate, each
+// scan pricing no more than two passes would, across the
 // config table on trainSmall's matrix and on the hand-built degenerate
 // matrices above, and for every 5th user of the 500×1000 ledger fixture.
 func TestPrunedScanParity(t *testing.T) {
@@ -160,7 +229,7 @@ func TestPrunedScanParity(t *testing.T) {
 	sweep := func(t *testing.T, mod *Model) {
 		t.Helper()
 		q := mod.m.NumItems()
-		ns := []int{1, 10, 100, 128, q + 5}
+		ns := []int{1, 10, 16, 100, 128, q, q + 5}
 		for u := 0; u < mod.m.NumUsers(); u++ {
 			full := fullRanking(mod, u, func(cands []mathx.Scored) {
 				for k := range cands {
@@ -170,15 +239,24 @@ func TestPrunedScanParity(t *testing.T) {
 			if u%8 == 0 && !equalRecs(full, refRecommend(mod, u, q)) {
 				t.Fatalf("user %d: ranking by Predict differs from refRecommend", u)
 			}
-			checkTopN(t, mod, u, full, ns)
+			// One past the tie at the head: the cut sits on the plateau's
+			// edge and the last item returned below it. All but one: the
+			// deepest selection that still goes through scoreTop, its cut
+			// among the scores clamped to MinRating.
+			tie := 0
+			for tie < len(full) && full[tie].Score == full[0].Score {
+				tie++
+			}
+			checkTopN(t, mod, u, full, append(ns[:len(ns):len(ns)], tie+1, len(full)-1))
 		}
 	}
 	small := synth.MustGenerate(smallSynth()).Matrix
 	configs := map[string]func(*Config){
 		// pruneFixture's own setting is -1: every read a scan selecting n.
-		// 16 widens n = 1 and 10 to 16 and serves repeats from the entry;
-		// the default, 128, selects more than the ≤ 135 candidates a user
-		// of this fixture has, so nothing is skipped.
+		// With a cache the first read scans for n = 1, n = 10 finds that
+		// entry short and scans once at the capacity, and repeats are hits;
+		// 16 leaves n ≥ 100 a scan every time, and the default, 128, is
+		// within seven of the ≤ 135 candidates a user of this fixture has.
 		"recCache16":      func(c *Config) { c.RecommendCacheSize = 16 },
 		"defaultRecCache": func(c *Config) { c.RecommendCacheSize = 0 },
 	}
@@ -191,7 +269,7 @@ func TestPrunedScanParity(t *testing.T) {
 			before := ReadRecCacheStats()
 			sweep(t, mod)
 			after := ReadRecCacheStats()
-			if name != "defaultRecCache" && after.ScanPriced-before.ScanPriced >= after.ScanItems-before.ScanItems {
+			if after.ScanPriced-before.ScanPriced >= after.ScanItems-before.ScanItems {
 				t.Error("no scan skipped a candidate: the config never reaches the prune")
 			}
 		})
@@ -223,9 +301,10 @@ func TestPrunedScanParity(t *testing.T) {
 		sweep(t, mod)
 	})
 	t.Run("ledger", func(t *testing.T) {
-		// The fixture bench/ serves, default config: a read at n ≤ 128 is
-		// the server's miss (want = the cache capacity) or a hit on what
-		// it stored. scoreCandidates prices the reference here, a hundred
+		// The fixture bench/ serves, default config: n = 10 first is the
+		// server's miss (want = 10), 1 a hit on what it stored, 100 the
+		// second, deeper ask (one scan at the capacity, 128) and 128 a hit
+		// on that. scoreCandidates prices the reference here, a hundred
 		// times cheaper than refRecommend on this fixture —
 		// TestScanKernelParityWithPredict holds every score it produces to
 		// Predict — and every 20th user visited meets refRecommend too, and
@@ -246,14 +325,20 @@ func TestPrunedScanParity(t *testing.T) {
 		if testing.Short() {
 			step = 25
 		}
-		var items, priced uint64
+		var items, priced, ceiling uint64
 		for u := 0; u < mod.m.NumUsers(); u += step {
 			full := fullRanking(mod, u, func(cands []mathx.Scored) { mod.scoreCandidates(u, cands, sc) })
 			before := ReadRecCacheStats()
-			checkTopN(t, mod, u, full, []int{1, 10, 100, 128})
+			checkTopN(t, mod, u, full, []int{10, 1, 100, 128})
 			after := ReadRecCacheStats()
+			if after.Scans-before.Scans != 2 || after.Widened-before.Widened != 1 {
+				t.Fatalf("user %d: %d scans, %d widened; want the ask and one deeper ask", u,
+					after.Scans-before.Scans, after.Widened-before.Widened)
+			}
 			items += after.ScanItems - before.ScanItems
 			priced += after.ScanPriced - before.ScanPriced
+			ref := newTwoPass(mod, u, full)
+			ceiling += uint64(ref.priced(10) + ref.priced(128))
 			if u%(20*step) == 0 {
 				if !equalRecs(full, refRecommend(mod, u, q)) {
 					t.Fatalf("user %d: ranking by scoreCandidates differs from refRecommend", u)
@@ -261,15 +346,18 @@ func TestPrunedScanParity(t *testing.T) {
 				checkTopN(t, mod, u, full, []int{q + 5})
 			}
 		}
-		if 2*priced >= items {
+		if 4*priced >= items {
 			t.Errorf("the misses priced %d of %d candidates: the prune is off", priced, items)
+		}
+		if priced >= ceiling {
+			t.Errorf("the misses priced %d candidates, two passes price %d: the cut never rose", priced, ceiling)
 		}
 	})
 }
 
-// fullRanking is user's complete ranking: every eligible item, scored by
-// price, in canonical order.
-func fullRanking(mod *Model, user int, price func(cands []mathx.Scored)) []Recommendation {
+// eligible lists the items Recommend may return for user, by id: unrated
+// by the user and rated by somebody.
+func eligible(mod *Model, user int) []mathx.Scored {
 	var cands []mathx.Scored
 	rated := map[int32]bool{}
 	for _, e := range mod.m.UserRatings(user) {
@@ -280,13 +368,20 @@ func fullRanking(mod *Model, user int, price func(cands []mathx.Scored)) []Recom
 			cands = append(cands, mathx.Scored{Index: int32(i)})
 		}
 	}
+	return cands
+}
+
+// fullRanking is user's complete ranking: every eligible item, scored by
+// price, in canonical order.
+func fullRanking(mod *Model, user int, price func(cands []mathx.Scored)) []Recommendation {
+	cands := eligible(mod, user)
 	price(cands)
 	mathx.SortScoredDesc(cands)
 	return appendRecommendations(nil, cands, len(cands))
 }
 
 // TestScanBound is the bound's own property, for every (user, item) of
-// every config: SUIR′ exists exactly when some like-minded cell at the
+// every config and of the degenerate matrices: SUIR′ exists exactly when some like-minded cell at the
 // item's top-M columns contributes (w > 0), it is then at most the
 // largest such cell plus the slack, the bound pass's ub is Eq. 14 fused
 // at that bound, and ub ≥ Predict(user, item). The largest cell is
@@ -295,8 +390,14 @@ func fullRanking(mod *Model, user int, price func(cands []mathx.Scored)) []Recom
 func TestScanBound(t *testing.T) {
 	small := synth.MustGenerate(smallSynth()).Matrix
 	sc := new(recScratch)
+	models := map[string]*Model{}
 	for name, mutate := range pruneConfigs {
-		mod := pruneFixture(t, small, mutate)
+		models[name] = pruneFixture(t, small, mutate)
+	}
+	for name, m := range map[string]*ratings.Matrix{"allFives": allFives(), "clampedTop": clampedTop(), "loners": loners()} {
+		models[name] = pruneFixture(t, m, func(c *Config) { c.Clusters = 4 })
+	}
+	for name, mod := range models {
 		t.Run(name, func(t *testing.T) {
 			q := mod.m.NumItems()
 			colHi := make([]float64, q)

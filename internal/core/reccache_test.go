@@ -235,6 +235,120 @@ func TestRecommendCacheIsPerGeneration(t *testing.T) {
 	}
 }
 
+// TestRecommendAsksForWhatItNeeds pins the miss rule, one read at a time
+// against refRecommend: a miss with no entry scans for the n asked and
+// stores that prefix; a miss on an entry too short for its n scans once
+// at the capacity; an entry never holds more than the capacity, so
+// n above it is a scan every time; an entry that holds every candidate
+// is complete and serves any n.
+func TestRecommendAsksForWhatItNeeds(t *testing.T) {
+	small := synth.MustGenerate(smallSynth()).Matrix
+	q := small.NumItems()
+	// ask is one read: its n, the exact scans it runs, how many of them
+	// are re-scans at the capacity, and what the slot holds afterwards —
+	// min(holds, offered) items; −1 for no cache.
+	type ask struct {
+		n              int
+		scans, widened uint64
+		holds          int
+	}
+	rows := []struct {
+		name      string
+		m         *ratings.Matrix
+		cacheSize int
+		offered   func(int) bool // picks the user by candidate count
+		asks      []ask
+	}{
+		{"default capacity", small, 0, func(o int) bool { return o > defaultRecCacheSize }, []ask{
+			{10, 1, 0, 10}, {10, 0, 0, 10}, {3, 0, 0, 10}, // asked one n: one shallow scan
+			{50, 1, 1, 128}, {50, 0, 0, 128}, {128, 0, 0, 128}, {1, 0, 0, 128}, // a deeper ask: once, to the capacity
+			{129, 1, 0, 128}, {129, 1, 0, 128}, {q + 5, 1, 0, 128}, // above the capacity: never cached
+		}},
+		{"capacity 5", small, 5, func(o int) bool { return o > 10 }, []ask{
+			{3, 1, 0, 3}, {3, 0, 0, 3}, {4, 1, 1, 5}, {5, 0, 0, 5}, {2, 0, 0, 5}, {10, 1, 0, 5}, {10, 1, 0, 5},
+		}},
+		{"first ask above the capacity", small, 5, func(o int) bool { return o > 10 }, []ask{
+			{10, 1, 0, 5}, {5, 0, 0, 5}, {6, 1, 0, 5},
+		}},
+		{"offered no more than n", loners(), 0, func(o int) bool { return o == 7 }, []ask{
+			{10, 1, 0, 10}, {100, 0, 0, 10}, {q + 5, 0, 0, 10},
+		}},
+		{"offered no more than the capacity", loners(), 0, func(o int) bool { return o == 7 }, []ask{
+			{3, 1, 0, 3}, {5, 1, 1, 128}, {q + 5, 0, 0, 128},
+		}},
+		{"cache off", small, -1, func(o int) bool { return o > 50 }, []ask{
+			{10, 1, 0, -1}, {10, 1, 0, -1}, {50, 1, 0, -1},
+		}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			mod := pruneFixture(t, row.m, func(c *Config) { c.Clusters, c.RecommendCacheSize = 4, row.cacheSize })
+			user, offered := -1, 0
+			for u := 0; u < mod.m.NumUsers() && user < 0; u++ {
+				if offered = len(eligible(mod, u)); row.offered(offered) {
+					user = u
+				}
+			}
+			if user < 0 {
+				t.Fatal("the fixture has no user with the candidate count this row needs")
+			}
+			for i, a := range row.asks {
+				before := ReadRecCacheStats()
+				got := mod.Recommend(user, a.n)
+				after := ReadRecCacheStats()
+				if want := refRecommend(mod, user, a.n); !equalRecs(got, want) {
+					t.Fatalf("ask %d (n = %d):\n got %v\nwant %v", i, a.n, got, want)
+				}
+				if scans, widened := after.Scans-before.Scans, after.Widened-before.Widened; scans != a.scans || widened != a.widened {
+					t.Fatalf("ask %d (n = %d): %d scans, %d widened; want %d, %d", i, a.n, scans, widened, a.scans, a.widened)
+				}
+				if a.holds < 0 {
+					if mod.recCache != nil {
+						t.Fatal("cache slots allocated although the cache is disabled")
+					}
+					continue
+				}
+				e := mod.recCache[user].Load()
+				if holds := min(a.holds, offered); e == nil || len(e.ranked) != holds || e.complete != (offered <= holds) {
+					t.Fatalf("ask %d (n = %d): the slot holds %+v; want %d of %d candidates", i, a.n, e, holds, offered)
+				}
+			}
+		})
+	}
+}
+
+// TestRecommendPublishKeepsTheDeeperEntry: two misses on one user can
+// finish in either order, and the shallow scan's entry must not replace
+// the deep one's — nor anything a complete one. Both are prefixes of one
+// ranking, so which of them serves a read does not change the answer.
+func TestRecommendPublishKeepsTheDeeperEntry(t *testing.T) {
+	mod, _ := trainSmall(t)
+	const user = 4
+	slot := &mod.recCache[user]
+	mod.Recommend(user, 10)
+	short := slot.Load()
+	mod.Recommend(user, 50) // the deeper ask, scanned to the capacity
+	deep := slot.Load()
+	if len(short.ranked) != 10 || len(deep.ranked) <= 10 {
+		t.Fatalf("entries hold %d and %d items; want 10 and more", len(short.ranked), len(deep.ranked))
+	}
+	mod.publishRec(user, short) // the n = 10 miss that lost the race
+	if slot.Load() != deep {
+		t.Fatal("a 10-item entry replaced a deeper one")
+	}
+	slot.Store(short)
+	mod.publishRec(user, deep)
+	if slot.Load() != deep {
+		t.Fatal("a deeper entry did not replace the 10-item one")
+	}
+	whole := &recEntry{ranked: short.ranked[:3], complete: true}
+	slot.Store(whole)
+	mod.publishRec(user, deep)
+	if slot.Load() != whole {
+		t.Fatal("a complete entry was replaced")
+	}
+}
+
 // TestRecommendContract pins the nil/non-nil contract: invalid input
 // returns nil; valid input returns a non-nil slice even when every
 // unrated item has zero support and the result is empty.
@@ -298,12 +412,16 @@ func TestRecommendAppendWarmIsAllocationFree(t *testing.T) {
 
 // TestScratchPoolShedsOversizedBuffers pins the pooled-scratch policy:
 // a scratch whose buffers outgrew the current model's need by more than
-// 2× — the catalogue Q for the candidate buffer, (K+1)·Q for the scan
-// kernel's tile — drops them before returning to the pool instead of
-// pinning the high-water mark forever, and keeps ones within 2×.
+// 2× — the catalogue Q for the candidate buffer and scoreTop's pricing
+// list and score heap, (K+1)·Q for the scan kernel's tile — drops them
+// before returning to the pool instead of pinning the high-water mark
+// forever, and keeps ones within 2×.
 func TestScratchPoolShedsOversizedBuffers(t *testing.T) {
 	const q, k = 300, 10
-	big := &recScratch{cands: make([]mathx.Scored, 10_000), tile: make([]localCell, 25*10_000)}
+	big := &recScratch{
+		cands: make([]mathx.Scored, 10_000), tile: make([]localCell, 25*10_000),
+		rest: make([]mathx.Scored, 10_000), best: make([]float64, 10_000),
+	}
 	putRecScratch(big, q, k)
 	if big.cands != nil {
 		t.Errorf("candidate buffer of cap %d kept for a %d-item catalogue", cap(big.cands), q)
@@ -311,13 +429,22 @@ func TestScratchPoolShedsOversizedBuffers(t *testing.T) {
 	if big.tile != nil {
 		t.Errorf("tile of cap %d kept for a %d×%d model", cap(big.tile), k, q)
 	}
-	fit := &recScratch{cands: make([]mathx.Scored, 500), tile: make([]localCell, 2*tileCells(k, q))}
+	if big.rest != nil || big.best != nil {
+		t.Errorf("pricing list of cap %d, score heap of cap %d kept for a %d-item catalogue", cap(big.rest), cap(big.best), q)
+	}
+	fit := &recScratch{
+		cands: make([]mathx.Scored, 500), tile: make([]localCell, 2*tileCells(k, q)),
+		rest: make([]mathx.Scored, 500), best: make([]float64, 2*q),
+	}
 	putRecScratch(fit, q, k)
 	if fit.cands == nil {
 		t.Error("candidate buffer within 2× of the catalogue was dropped")
 	}
 	if fit.tile == nil {
 		t.Error("tile within 2× of (K+1)·Q was dropped")
+	}
+	if fit.rest == nil || fit.best == nil {
+		t.Error("pricing list or score heap within 2× of the catalogue was dropped")
 	}
 }
 

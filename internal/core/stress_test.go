@@ -93,22 +93,34 @@ func TestConcurrentPredictDuringApply(t *testing.T) {
 }
 
 // TestConcurrentRecommendCacheDuringApply races cached Recommend reads —
-// hits, misses, and the racing Store of entries two readers scanned at
-// once — against a writer publishing new generations. Under -race this
+// hits, misses, and the racing publication of entries two readers scanned
+// at once — against a writer publishing new generations. Under -race this
 // is the proof that entry publication is safe (entries are immutable and
-// racing scans of the same user on the same generation produce identical
-// values, so either Store may win), and every read is checked against
-// the reference ranking computed on the reader's own pinned generation,
-// so a stale or torn entry cannot hide. Each apply leaves the cache cold,
-// so the scan kernel's pooled tile is under the race too.
+// racing scans of the same user on the same generation produce prefixes
+// of one ranking, so whichever publishRec keeps serves both), and every
+// read is checked against the reference ranking computed on the reader's
+// own pinned generation, so a stale or torn entry cannot hide. Each apply
+// leaves the cache cold, so the scan kernel's pooled tile is under the
+// race too. The paging row has readers ask 3 and 50 of the same users, so
+// shallow scans, widened ones and their two entries race for one slot.
 func TestConcurrentRecommendCacheDuringApply(t *testing.T) {
 	t.Run("scan", func(t *testing.T) {
 		mod, _ := trainSmall(t)
-		raceRecommendAgainstApply(t, mod)
+		raceRecommendAgainstApply(t, mod, func(g, i int) int { return 1 + (g+i)%10 })
+	})
+	t.Run("paging", func(t *testing.T) {
+		mod, _ := trainSmall(t)
+		before := ReadRecCacheStats().Widened
+		// i/2, not i: a reader's user id has the parity of g+i, which would
+		// pin every user to one n.
+		raceRecommendAgainstApply(t, mod, func(g, i int) int { return []int{3, 50}[(g+i/2)%2] })
+		if ReadRecCacheStats().Widened == before {
+			t.Error("no read found a short entry and scanned again at the capacity")
+		}
 	})
 }
 
-func raceRecommendAgainstApply(t *testing.T, mod *Model) {
+func raceRecommendAgainstApply(t *testing.T, mod *Model, ask func(g, i int) int) {
 	sh := NewSharded(mod)
 	p := mod.Matrix().NumUsers()
 	for u := 0; u < p; u++ {

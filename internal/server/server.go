@@ -312,6 +312,7 @@ func (s *Server) recordModelGauges(mod *core.Model) {
 	s.reg.Gauge("recommend_cache_hits").Set(float64(rc.Hits))
 	s.reg.Gauge("recommend_cache_misses").Set(float64(rc.Misses))
 	s.reg.Gauge("recommend_scans").Set(float64(rc.Scans))
+	s.reg.Gauge("recommend_scans_widened").Set(float64(rc.Widened))
 	s.reg.Gauge("recommend_scan_mean_ms").Set(scanMeanMS(rc))
 	s.reg.Gauge("recommend_scan_items").Set(float64(rc.ScanItems))
 	s.reg.Gauge("recommend_scan_priced").Set(float64(rc.ScanPriced))
@@ -345,6 +346,7 @@ func recCacheView() map[string]any {
 		"hits":         rc.Hits,
 		"misses":       rc.Misses,
 		"scans":        rc.Scans,
+		"widened":      rc.Widened,
 		"scan_mean_ms": scanMeanMS(rc),
 		"scan_items":   rc.ScanItems,
 		"scan_priced":  rc.ScanPriced,

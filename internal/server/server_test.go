@@ -240,7 +240,7 @@ func TestStatsExposeRecommendCache(t *testing.T) {
 		if !ok {
 			t.Fatalf("stats missing recommend_cache: %v", body)
 		}
-		for _, key := range []string{"hits", "misses", "scans", "scan_mean_ms", "scan_items", "scan_priced"} {
+		for _, key := range []string{"hits", "misses", "scans", "widened", "scan_mean_ms", "scan_items", "scan_priced"} {
 			if _, ok := rc[key]; !ok {
 				t.Fatalf("recommend_cache missing %q: %v", key, rc)
 			}
@@ -267,6 +267,9 @@ func TestStatsExposeRecommendCache(t *testing.T) {
 			items, priced := rc["scan_items"].(float64), rc["scan_priced"].(float64)
 			if priced < 1 || priced > items {
 				t.Errorf("stats scan_priced = %v of scan_items = %v after a cold read", priced, items)
+			}
+			if gauges["recommend_scans_widened"] != rc["widened"] {
+				t.Errorf("metrics recommend_scans_widened = %v, stats widened = %v", gauges["recommend_scans_widened"], rc["widened"])
 			}
 			if ratio, _ := gauges["recommend_scan_priced_ratio"].(float64); ratio != priced/items ||
 				gauges["recommend_scan_items"] != items || gauges["recommend_scan_priced"] != priced {
