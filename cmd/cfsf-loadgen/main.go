@@ -48,7 +48,7 @@ func run() int {
 		serverBin = flag.String("server-bin", "", "path to a prebuilt cfsf-server binary (required without -target)")
 		dataDir   = flag.String("data-dir", "", "durability root for the spawned server (default: per-run temp dir)")
 		fsync     = flag.String("fsync", "always", "WAL fsync policy for the spawned server")
-		serverArg = flag.String("server-arg", "", "extra flags appended verbatim to the spawned server's argument vector, space-separated (e.g. '-compact=true -compact-min-segments 4')")
+		serverArg = flag.String("server-arg", "", "extra flags appended verbatim to the spawned server's argument vector, space-separated (e.g. '-wal-segment-bytes 4096 -snapshot-keep 1')")
 		duration  = flag.Int("duration-ms", 0, "override scenario duration_ms (0 = scenario value)")
 		qps       = flag.Float64("qps", 0, "override scenario qps (0 = scenario value)")
 		seed      = flag.Int64("seed", 0, "override scenario seed (0 = scenario value)")

@@ -75,8 +75,6 @@ func main() {
 		snapshotKeep  = flag.Int("snapshot-keep", 2, "how many snapshot files to retain")
 		retrainAfter  = flag.Int("retrain-after", 0, "background retrain after this many applied ratings (0 disables)")
 		snapVerify    = flag.Bool("snapshot-verify", true, "read each written snapshot blob back and compare it to the serving model before the manifest may prune the WAL")
-		compact       = flag.Bool("compact", false, "fold checkpoint-covered WAL segments into a deduped compacted base after each snapshot instead of deleting them")
-		compactMinSeg = flag.Int("compact-min-segments", 2, "skip the post-snapshot compaction pass below this many WAL segments")
 
 		follow     = flag.String("follow", "", "run as a read replica of this leader URL (e.g. http://leader:8080); ignores -data/-model/-data-dir")
 		adminToken = flag.String("admin-token", "", "shared secret gating /admin/* (Authorization: Bearer <token>); also sent to the leader under -follow")
@@ -235,8 +233,6 @@ func main() {
 			SnapshotKeep:       *snapshotKeep,
 			RetrainAfter:       *retrainAfter,
 			SkipSnapshotVerify: !*snapVerify,
-			CompactEnabled:     *compact,
-			CompactMinSegments: *compactMinSeg,
 			Registry:           registry,
 			Logf:               log.Printf,
 		})

@@ -1,7 +1,7 @@
 // Package lockstate is the shared held-lock tracker behind lockcheck and
 // lockorder. It walks one function body in source order, maintaining the
 // set of mutexes held on the current path keyed by the receiver
-// expression's spelling ("m.mu", "w.compactMu"), with the early-return
+// expression's spelling ("m.mu", "m.snapMu"), with the early-return
 // restoration lockcheck pioneered: a branch that terminates (return,
 // break, panic) cannot leak its lock changes onto the fall-through path.
 //

@@ -1,11 +1,11 @@
 // Package walerr flags silently discarded errors on durability-critical
-// calls: the internal/wal API (append, fsync, rotate, compact, replay,
+// calls: the internal/wal API (append, fsync, rotate, prune, replay,
 // close), os.File Sync/Close on write handles, and os.Rename. A WAL
 // append whose error vanishes acknowledges a rating that was never
 // journaled; an fsync error that is dropped converts "durable per
 // policy" into "durable if the disk felt like it"; a dropped rename
 // error leaves code proceeding as if a temp file had been promoted (a
-// compacted base or snapshot blob) when it never was.
+// manifest or snapshot blob) when it never was.
 //
 // Discarding is "silent" when the call is an expression statement or a
 // defer/go statement. An explicit blank assignment (`_ = f.Close()`) is
@@ -171,7 +171,7 @@ func check(pass *analysis.Pass, call *ast.CallExpr, writeHandles map[types.Objec
 		return
 	}
 	// Case 2: os.Rename — the atomic-promotion step of every temp+rename
-	// publish (compacted base, snapshot blob, manifest). Proceeding past
+	// publish (snapshot blob, manifest). Proceeding past
 	// a failed rename means acting as if the file were published.
 	if fn.Pkg() != nil && fn.Pkg().Path() == "os" && fn.Name() == "Rename" {
 		pass.Reportf(call.Pos(),

@@ -3,7 +3,7 @@
 // into place, and the directory is fsynced so the rename itself survives
 // a power cut. rename(2) alone only guarantees atomicity — without the
 // directory fsync the new name can vanish on crash, which is exactly the
-// window the snapshot and WAL-compaction paths must not have.
+// window the snapshot path must not have.
 package atomicfile
 
 import (

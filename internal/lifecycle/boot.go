@@ -35,15 +35,12 @@ func (m *Manager) BootStats() BootStats { return m.boot }
 const legacySnapshotGlob = "snap-*.gob"
 
 // tailReplayable reports whether the WAL can still extend a state at
-// watermark seq batch-exactly: a contiguous record stream from seq+1 to
-// the tail, not deduped above seq (dedupe keeps final cells but destroys
-// the batch grouping bit-for-bit replay needs).
+// watermark seq: the log serves a state at seq S iff its first segment
+// starts at or below S+1. Boot, shard patching and (through NewCursor)
+// followers all pass this one gate.
 func (m *Manager) tailReplayable(seq uint64) error {
 	if av := m.w.AvailableFrom(); av > seq+1 {
 		return fmt.Errorf("wal starts at seq %d, records from seq %d are gone", av, seq+1)
-	}
-	if db := m.w.DedupedBelow(); db > seq {
-		return fmt.Errorf("wal deduped below seq %d, batch grouping from seq %d is lost", db, seq+1)
 	}
 	return nil
 }
@@ -54,8 +51,8 @@ func (m *Manager) WALStats() wal.OpenStats { return m.w.Stats() }
 
 // NewWALCursor returns a streaming cursor over the manager's WAL
 // delivering every record with sequence > afterSeq; it fails with
-// wal.ErrRebootstrap when that position is no longer batch-exactly
-// streamable (the replication leader maps it to the re-bootstrap signal).
+// wal.ErrRebootstrap when the log no longer holds that position (the
+// replication leader maps it to the re-bootstrap signal).
 func (m *Manager) NewWALCursor(afterSeq uint64) (*wal.Cursor, error) {
 	return m.w.NewCursor(afterSeq)
 }
@@ -69,8 +66,10 @@ func (m *Manager) WALAppendSignal() (<-chan struct{}, uint64) { return m.w.Appen
 // payload tells a behind follower where serveability starts).
 func (m *Manager) WALAvailableFrom() uint64 { return m.w.AvailableFrom() }
 
-// WALDedupedBelow exposes the WAL's compaction dedupe horizon.
-func (m *Manager) WALDedupedBelow() uint64 { return m.w.DedupedBelow() }
+// OldestSnapshotSeq returns the oldest retained manifest's watermark as
+// of boot or the last snapshot. WAL GC keeps WALAvailableFrom() at or
+// below it plus one.
+func (m *Manager) OldestSnapshotSeq() uint64 { return m.oldestSnapSeq.Load() }
 
 // bootModel establishes the serving model: snapshot or bootstrap, then
 // WAL-tail replay grouped by the previous run's batch-commit records.
@@ -86,8 +85,8 @@ func (m *Manager) bootModel(bootstrap func() (*core.Model, error)) error {
 	// torn by the filesystem, or written by a newer build whose wire
 	// version this binary rejects — is skipped in favour of the next older
 	// one. The WAL needed to catch up from an older point is still present
-	// because segments are only pruned (or folded into the compacted base)
-	// once a *verified* snapshot covers them; retention prunes in step
+	// because segments are only pruned once a *verified* snapshot covers
+	// them, and only below the oldest retained one; retention prunes in step
 	// with the point ladder, so the tailReplayable gate only skips points
 	// orphaned by a SnapshotKeep decrease or external file surgery.
 	var base *core.Model
@@ -198,8 +197,7 @@ func (m *Manager) loadManifestPoint(pt durablePoint) (mod *core.Model, man *mani
 // lost: an older retained manifest's blob for the same shard is loaded
 // and patched forward through the WAL to the manifest's watermark. The
 // patch is refused — failing the whole point — when the WAL no longer
-// carries batch-exact records above the older blob's sequence (see
-// tailReplayable).
+// holds the records above the older blob's sequence (see tailReplayable).
 func (m *Manager) fallbackShardRows(man *manifest, ref shardBlobRef, sp *core.SharedPart, rows [][]ratings.Entry, times [][]int64, cause error) error {
 	m.reg.Counter("lifecycle_shard_blob_failures_total").Inc()
 	m.cfg.Logf("lifecycle: shard blob %s unusable (%v); patching shard %d from an older blob", ref.File, cause, ref.ID)

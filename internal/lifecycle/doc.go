@@ -27,7 +27,7 @@
 //	boot.go         the recovery-point ladder, WAL-tail replay, per-shard
 //	                blob patching, the WAL accessors replication serves from
 //	snapshot.go     Snapshot and its dirt bookkeeping, retention, blob GC,
-//	                compaction, the manifest/blob accessors replication
+//	                WAL pruning, the manifest/blob accessors replication
 //	                serves from
 //	manifest.go     the manifest format, blob assembly (local and remote)
 //	                and the read-back self-check
@@ -36,8 +36,6 @@
 // Data-dir layout:
 //
 //	<dir>/wal/seg-<firstSeq>.wal         append-only rating journal (internal/wal)
-//	<dir>/wal/base-<toSeq>.cwal          compacted base the folded segments
-//	                                     rewrite into (wal compaction)
 //	<dir>/snapshots/manifest-<seq>.json  one recovery point: watermark + blob refs
 //	<dir>/snapshots/shared-<seq>.blob    config + GIS + clustering at <seq>
 //	<dir>/snapshots/shard-<id>-<seq>.blob one shard's matrix rows at <seq>
@@ -47,7 +45,10 @@
 // unreadable shard blob is patched from an older manifest's blob plus
 // the WAL before the whole point is given up on — or calls the bootstrap
 // function when none loads and the WAL still reaches back to sequence 1,
-// then replays the WAL tail past the point's sequence. A monolithic
+// then replays the WAL tail past the point's sequence. One rule decides
+// what the log can stand under: it serves a state at seq S iff its first
+// segment starts at or below S+1, and after each verified snapshot the
+// segments below the oldest retained manifest are deleted. A monolithic
 // snap-<seq>.gob written before manifests existed no longer boots: with
 // no loadable manifest beside it Open refuses, naming the file. Every
 // published model folds a contiguous prefix of the log, and the

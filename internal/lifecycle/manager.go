@@ -44,15 +44,6 @@ type Config struct {
 	// <= 0 means 2.
 	SnapshotKeep int
 
-	// CompactEnabled folds checkpoint-covered WAL segments into a
-	// compacted base after each snapshot instead of deleting them, so
-	// recovery can still patch older shard blobs forward while the log
-	// stays bounded.
-	CompactEnabled bool
-	// CompactMinSegments is the segment count at which a post-snapshot
-	// compaction pass actually runs. <= 0 means 2.
-	CompactMinSegments int
-
 	// RetrainAfter, when > 0, triggers a background retrain once this
 	// many ratings have been applied since the last retrain.
 	RetrainAfter int
@@ -81,9 +72,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SnapshotKeep <= 0 {
 		c.SnapshotKeep = 2
-	}
-	if c.CompactMinSegments <= 0 {
-		c.CompactMinSegments = 2
 	}
 	if c.Registry == nil {
 		c.Registry = obs.NewRegistry()
@@ -167,14 +155,13 @@ func Open(bootstrap func() (*core.Model, error), cfg Config) (*Manager, error) {
 		// is gone (Abort) — it must never block forever on send.
 		retrainc: make(chan error, 1),
 	}
-	// Fold boundary until this run's first checkpoint: the highest
-	// checkpoint the previous run journaled.
-	m.lastCkptSeq.Store(w.Stats().LastCheckpoint)
-
 	if err := m.bootModel(bootstrap); err != nil {
 		_ = w.Close()
 		return nil, err
 	}
+	m.snapMu.Lock()
+	m.oldestSnapSeq.Store(m.oldestRetainedSeq())
+	m.snapMu.Unlock()
 
 	ws := w.Stats()
 	m.boot.TornBytes = ws.TornBytes

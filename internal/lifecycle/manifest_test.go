@@ -16,25 +16,23 @@ import (
 // TestKillRebootParityMatrix is the tentpole acceptance test: randomized
 // apply streams, snapshotted incrementally (so each manifest rewrites a
 // different dirty-shard subset), killed without shutdown, and rebooted —
-// across (compaction on/off) × (per-shard blob fallback engaged or not) —
-// must recover predictions bit-for-bit. The fallback cells corrupt one
+// with the per-shard blob fallback engaged or not — must recover
+// predictions bit-for-bit. The fallback cells corrupt one
 // shard blob the newest manifest rewrote, forcing boot to patch that
 // shard from an older manifest's blob plus commit-aware WAL replay while
 // still using the newest manifest for everything else.
 func TestKillRebootParityMatrix(t *testing.T) {
 	base := newBaseModel(t)
 	for _, tc := range []struct {
-		name             string
-		compact, corrupt bool
+		name    string
+		corrupt bool
 	}{
-		{"compact=off", false, false},
-		{"compact=on", true, false},
-		{"compact=off/shard-fallback", false, true},
-		{"compact=on/shard-fallback", true, true},
+		{"clean", false},
+		{"shard-fallback", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			scenario := func(seed uint16) bool {
-				return killRebootScenario(t, base, int64(seed), tc.compact, tc.corrupt)
+				return killRebootScenario(t, base, int64(seed), tc.corrupt)
 			}
 			if err := quick.Check(scenario, &quick.Config{MaxCount: 3}); err != nil {
 				t.Fatal(err)
@@ -43,17 +41,15 @@ func TestKillRebootParityMatrix(t *testing.T) {
 	}
 }
 
-func killRebootScenario(t *testing.T, base *core.Model, seed int64, compact, corrupt bool) bool {
+func killRebootScenario(t *testing.T, base *core.Model, seed int64, corrupt bool) bool {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	dir := t.TempDir()
 	cfg := Config{
-		DataDir:            dir,
-		Fsync:              wal.SyncNever,
-		SegmentBytes:       2048, // rotate often so compaction has segments to fold
-		SnapshotKeep:       2,    // fallback needs an older manifest to patch from
-		CompactEnabled:     compact,
-		CompactMinSegments: 2,
+		DataDir:      dir,
+		Fsync:        wal.SyncNever,
+		SegmentBytes: 2048, // rotate often so snapshots have segments to prune
+		SnapshotKeep: 2,    // fallback needs an older manifest to patch from
 	}
 	m, err := Open(bootWith(base), cfg)
 	if err != nil {
@@ -454,51 +450,78 @@ func TestLegacySnapshotNoLongerBoots(t *testing.T) {
 	})
 }
 
-// TestBootstrapRefusedWhenWALCannotReachBack: the bootstrap model stands
-// at watermark 0, so falling back to it is only a recovery while the WAL
-// still replays batch-exactly from sequence 1. With every manifest
-// unloadable (a corrupt shared blob has no patch path) and the log
-// already pruned or deduped past that, retraining would serve a model
-// missing acknowledged ratings: Open must refuse, naming sequence 1, and
-// never call bootstrap.
-func TestBootstrapRefusedWhenWALCannotReachBack(t *testing.T) {
+// TestRetentionRuleHolds pins the one WAL retention rule on the recovery
+// benchmark's history shape: after every snapshot the log starts at or
+// below the oldest retained manifest's watermark plus one, so every
+// retained manifest still has its tail — and nothing else pins the log.
+// By 16x the history K-means has drifted the writers into one shard, the
+// other shards' clean blobs stay at an old sequence, and the WAL on disk
+// must be no bigger than at 1x.
+func TestRetentionRuleHolds(t *testing.T) {
 	base := newBaseModel(t)
-	for _, tc := range []struct {
-		name    string
-		compact bool
-		want    string
-	}{
-		{"pruned", false, "records from seq 1 are gone"},
-		{"deduped", true, "batch grouping from seq 1 is lost"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			cfg := Config{
-				DataDir:            dir,
-				Fsync:              wal.SyncNever,
-				SegmentBytes:       256, // rotate often so the snapshot has sealed segments to shrink
-				SnapshotKeep:       1,
-				CompactEnabled:     tc.compact,
-				CompactMinSegments: 1,
+	walBytes := map[int]int64{}
+	for _, mult := range []int{1, 16} {
+		coldBlobs := 0
+		dir := prepareHistory(t, base, mult, func(m *Manager) {
+			m.snapMu.Lock()
+			defer m.snapMu.Unlock()
+			oldest, av := m.oldestRetainedSeq(), m.WALAvailableFrom()
+			if av > oldest+1 {
+				t.Fatalf("%dx: wal starts at seq %d, above the oldest retained manifest (seq %d) + 1", mult, av, oldest)
 			}
-			m, err := Open(bootWith(base), cfg)
+			if got := m.OldestSnapshotSeq(); got != oldest {
+				t.Fatalf("%dx: OldestSnapshotSeq = %d, retained manifests say %d", mult, got, oldest)
+			}
+			points, err := listDurablePoints(m.cfg.DataDir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var last uint64
-			for i := 0; i < 40; i++ {
-				if last, _, err = m.Submit(testUpdate(i)); err != nil {
-					t.Fatal(err)
+			for _, pt := range points {
+				if err := m.tailReplayable(pt.seq); err != nil {
+					t.Fatalf("%dx: retained manifest at seq %d lost its tail: %v", mult, pt.seq, err)
 				}
 			}
-			waitUntil(t, "updates applied", func() bool { return m.AppliedSeq() >= last })
-			if _, err := m.Snapshot(); err != nil {
-				t.Fatal(err)
+			coldBlobs = 0
+			for _, ref := range m.lastManifest.Shards {
+				if ref.Seq+1 < av {
+					coldBlobs++
+				}
 			}
-			if err := m.Close(); err != nil {
-				t.Fatal(err)
-			}
-			shared, _ := filepath.Glob(filepath.Join(snapshotDir(dir), sharedBlobPrefix+"*"))
+		})
+		walBytes[mult] = dirBytes(t, filepath.Join(dir, "wal"))
+		if mult == 16 && coldBlobs == 0 {
+			t.Fatal("16x: no shard blob is older than the log's start; the cold-shard case went uncovered")
+		}
+	}
+	if float64(walBytes[16]) > 1.5*float64(walBytes[1]) {
+		t.Fatalf("wal holds %d bytes at 16x history against %d at 1x, want <= 1.5x: retention is pinned by something other than the oldest manifest",
+			walBytes[16], walBytes[1])
+	}
+	t.Logf("wal bytes: 1x %d, 16x %d (ratio %.2f)", walBytes[1], walBytes[16], float64(walBytes[16])/float64(walBytes[1]))
+}
+
+// TestBootstrapRefusedWhenWALCannotReachBack: the bootstrap model stands
+// at watermark 0, so falling back to it is only a recovery while the WAL
+// still starts at sequence 1. Once the log starts above that and no
+// manifest can stand under it, retraining would serve a model missing
+// acknowledged ratings: Open must refuse, naming where the log starts,
+// and never call bootstrap. Two ways to get there: every manifest is
+// unloadable (a corrupt shared blob has no patch path) after a snapshot
+// pruned the log; or a compacted base left by an older build — refused by
+// name while it is there — was deleted after a SIGKILL instead of after a
+// clean stop, taking the ratings above the newest manifest with it.
+func TestBootstrapRefusedWhenWALCannotReachBack(t *testing.T) {
+	base := newBaseModel(t)
+	for _, tc := range []struct {
+		name string
+		// tail is how many ratings are journaled after the snapshot, ending
+		// in a SIGKILL stand-in; zero ends in a clean Close.
+		tail   int
+		damage func(t *testing.T, cfg Config)
+		want   string
+	}{
+		{"pruned", 0, func(t *testing.T, cfg Config) {
+			shared, _ := filepath.Glob(filepath.Join(snapshotDir(cfg.DataDir), sharedBlobPrefix+"*"))
 			if len(shared) == 0 {
 				t.Fatal("no shared blob to corrupt")
 			}
@@ -507,6 +530,61 @@ func TestBootstrapRefusedWhenWALCannotReachBack(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+		}, "records from seq 1 are gone"},
+		{"compacted-base-deleted-too-early", 40, func(t *testing.T, cfg Config) {
+			walDir := filepath.Join(cfg.DataDir, "wal")
+			segs, _ := filepath.Glob(filepath.Join(walDir, "seg-*.wal"))
+			if len(segs) < 3 {
+				t.Fatalf("want >= 3 segments above the manifest, have %v", segs)
+			}
+			basePath := filepath.Join(walDir, "base-00000000000000ff.cwal")
+			if err := os.WriteFile(basePath, nil, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Open(noBoot(t), cfg); err == nil || !strings.Contains(err.Error(), "compaction was removed in this build") {
+				t.Fatalf("Open beside a compacted base = %v, want the refusal naming it", err)
+			}
+			// What the base held goes with it: every record below the
+			// active segment, manifest-covered or not.
+			segs[len(segs)-1] = basePath
+			for _, path := range segs {
+				if err := os.Remove(path); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}, "wal starts at seq"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{
+				DataDir:      t.TempDir(),
+				Fsync:        wal.SyncNever,
+				SegmentBytes: 256, // rotate often so the snapshot has sealed segments to prune
+				SnapshotKeep: 1,
+			}
+			m, err := Open(bootWith(base), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			submit := func(from, n int) {
+				var last uint64
+				for i := from; i < from+n; i++ {
+					if last, _, err = m.Submit(testUpdate(i)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				waitUntil(t, "updates applied", func() bool { return m.AppliedSeq() >= last })
+			}
+			submit(0, 40)
+			if _, err := m.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+			if tc.tail > 0 {
+				submit(40, tc.tail)
+				m.Abort()
+			} else if err := m.Close(); err != nil {
+				t.Fatal(err)
+			}
+			tc.damage(t, cfg)
 
 			_, err = Open(func() (*core.Model, error) {
 				t.Error("bootstrap called although acknowledged ratings are gone from the WAL")
@@ -519,15 +597,10 @@ func TestBootstrapRefusedWhenWALCannotReachBack(t *testing.T) {
 	}
 }
 
-// TestSnapshotStatsAndCompactEndpointPlumbing exercises the accessors the
-// server wires into /stats and /admin/compact: SnapshotStats reflects the
-// last written manifest's shard split, and Compact(force) folds covered
-// segments into the base on demand.
-func TestSnapshotStatsAndCompactOnDemand(t *testing.T) {
+// TestSnapshotStats exercises the accessor the server wires into /stats:
+// SnapshotStats reflects the last written manifest's shard split.
+func TestSnapshotStats(t *testing.T) {
 	base := newBaseModel(t)
-	// SnapshotKeep 3 retains the boot manifest at seq 0 throughout, so the
-	// snapshot path's retention prune (anchored at the oldest retained
-	// point) leaves every segment in place for the forced pass below.
 	m, err := Open(bootWith(base), Config{
 		DataDir:      t.TempDir(),
 		Fsync:        wal.SyncNever,
@@ -569,23 +642,5 @@ func TestSnapshotStatsAndCompactOnDemand(t *testing.T) {
 	}
 	if got := m.SnapshotStats(); got.Path != info.Path || got.ShardsWritten != 1 {
 		t.Fatalf("SnapshotStats = %+v, want the last snapshot %+v", got, info)
-	}
-
-	// CompactEnabled is off and the seq-0 boot manifest is still retained,
-	// so segments survived both snapshots; an on-demand forced pass folds
-	// everything the checkpoint covers.
-	if m.WALStats().Segments < 2 {
-		t.Fatalf("want >= 2 segments before on-demand compaction, have %d", m.WALStats().Segments)
-	}
-	cs, err := m.Compact(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cs.SegmentsFolded == 0 {
-		t.Fatalf("forced compaction folded nothing: %+v", cs)
-	}
-	ws := m.WALStats()
-	if ws.Compactions == 0 || ws.BaseRecords == 0 {
-		t.Fatalf("WAL stats show no base after compaction: %+v", ws)
 	}
 }

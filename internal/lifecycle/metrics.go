@@ -59,9 +59,8 @@ func (m *Manager) PublishGauges() {
 	m.reg.Gauge("wal_last_seq").Set(float64(m.w.LastSeq()))
 	ws := m.w.Stats()
 	m.reg.Gauge("wal_segments").Set(float64(ws.Segments))
-	m.reg.Gauge("wal_compactions").Set(float64(ws.Compactions))
-	m.reg.Gauge("wal_base_records").Set(float64(ws.BaseRecords))
-	m.reg.Gauge("wal_base_bytes").Set(float64(ws.BaseBytes))
+	m.reg.Gauge("wal_available_from").Set(float64(m.w.AvailableFrom()))
+	m.reg.Gauge("oldest_snapshot_seq").Set(float64(m.OldestSnapshotSeq()))
 	m.mPending.Set(float64(m.Pending()))
 	m.mApplyLag.Set(float64(m.ApplyLag()))
 }

@@ -13,24 +13,26 @@ import (
 )
 
 // BenchmarkRecoveryFlat measures recovery-to-ready (a full lifecycle.Open:
-// manifest + shard blobs + compacted base + WAL-tail replay) against write
-// histories of growing length with compaction enabled. The incremental-
-// snapshot + compaction design promises recovery cost bounded by model
-// size plus the unsnapshotted tail, NOT by how much history was ever
-// written: 16x the write traffic folds into the same deduped base and the
-// same per-shard blobs. The ratio sub-benchmark reports recover-ms at 16x
-// over 1x; CI gates it at 1.5 (recovery must stay flat).
+// manifest + shard blobs + WAL-tail replay) and the WAL's size on disk
+// against write histories of growing length. Incremental snapshots plus
+// pruning promise both bounded by model size plus the unsnapshotted tail,
+// NOT by how much history was ever written: 16x the write traffic leaves
+// the same per-shard blobs and the same few segments above the oldest
+// retained manifest. The ratio sub-benchmark reports recover-ms and
+// wal-bytes at 16x over 1x; CI gates both at 1.5 (they must stay flat).
 func BenchmarkRecoveryFlat(b *testing.B) {
 	base := newBaseModel(b)
 	recoverMS := map[int]float64{}
+	walBytes := map[int]float64{}
 	for _, mult := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("history-%dx", mult), func(b *testing.B) {
-			dir := prepareHistory(b, base, mult)
+			dir := prepareHistory(b, base, mult, nil)
+			walBytes[mult] = float64(dirBytes(b, filepath.Join(dir, "wal")))
 			best := 0.0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				// Boot mutates the data dir (boot snapshot, checkpoint,
-				// compaction), so each recovery runs on a fresh copy; take
+				// prune), so each recovery runs on a fresh copy; take
 				// the best of a few reps to shave scheduler noise off the
 				// gated ratio.
 				const reps = 3
@@ -40,10 +42,9 @@ func BenchmarkRecoveryFlat(b *testing.B) {
 					b.StartTimer()
 					t0 := time.Now()
 					m, err := Open(benchNoBoot(b), Config{
-						DataDir:        work,
-						Fsync:          wal.SyncNever,
-						CompactEnabled: true,
-						SnapshotKeep:   1,
+						DataDir:      work,
+						Fsync:        wal.SyncNever,
+						SnapshotKeep: 1,
 					})
 					if err != nil {
 						b.Fatal(err)
@@ -61,6 +62,7 @@ func BenchmarkRecoveryFlat(b *testing.B) {
 			}
 			recoverMS[mult] = best
 			b.ReportMetric(best, "recover-ms")
+			b.ReportMetric(walBytes[mult], "wal-bytes")
 		})
 	}
 	b.Run("ratio", func(b *testing.B) {
@@ -70,27 +72,35 @@ func BenchmarkRecoveryFlat(b *testing.B) {
 			b.Fatalf("missing recovery timings (1x=%v, 16x=%v); run the full BenchmarkRecoveryFlat tree", recoverMS[1], recoverMS[16])
 		}
 		b.ReportMetric(recoverMS[16]/recoverMS[1], "ratio-16x-1x")
+		b.ReportMetric(walBytes[16]/walBytes[1], "wal-bytes-16x-1x")
 	})
 }
 
-// prepareHistory drives mult x 600 updates through a compaction-enabled
-// manager with aggressive segment rotation and periodic snapshots (so
-// segments actually fold into the base), then appends a constant-size
-// unsnapshotted tail and aborts — every scale leaves the same replay work,
-// and any recovery-time growth comes from history-proportional state.
-func prepareHistory(b *testing.B, base *core.Model, mult int) string {
+// prepareHistory drives mult x 600 updates through a manager with
+// aggressive segment rotation and periodic snapshots (so segments actually
+// get pruned), then appends a constant-size unsnapshotted tail and aborts —
+// every scale leaves the same replay work, and any recovery-time growth
+// comes from history-proportional state. afterSnapshot, when non-nil, runs
+// after every snapshot.
+func prepareHistory(b testing.TB, base *core.Model, mult int, afterSnapshot func(m *Manager)) string {
 	b.Helper()
 	dir := b.TempDir()
 	m, err := Open(bootWith(base), Config{
-		DataDir:            dir,
-		Fsync:              wal.SyncNever,
-		SegmentBytes:       4096,
-		SnapshotKeep:       1,
-		CompactEnabled:     true,
-		CompactMinSegments: 2,
+		DataDir:      dir,
+		Fsync:        wal.SyncNever,
+		SegmentBytes: 4096,
+		SnapshotKeep: 1,
 	})
 	if err != nil {
 		b.Fatal(err)
+	}
+	snapshot := func() {
+		if _, err := m.Snapshot(); err != nil {
+			b.Fatal(err)
+		}
+		if afterSnapshot != nil {
+			afterSnapshot(m)
+		}
 	}
 	const perUnit = 600
 	n := mult * perUnit
@@ -103,15 +113,11 @@ func prepareHistory(b *testing.B, base *core.Model, mult int) string {
 		last = seq
 		if (i+1)%(perUnit/2) == 0 {
 			benchWaitApplied(b, m, last)
-			if _, err := m.Snapshot(); err != nil {
-				b.Fatal(err)
-			}
+			snapshot()
 		}
 	}
 	benchWaitApplied(b, m, last)
-	if _, err := m.Snapshot(); err != nil {
-		b.Fatal(err)
-	}
+	snapshot()
 	const tail = 64
 	for i := 0; i < tail; i++ {
 		if _, _, err := m.Submit(testUpdate(n + i)); err != nil {
@@ -124,7 +130,7 @@ func prepareHistory(b *testing.B, base *core.Model, mult int) string {
 	return dir
 }
 
-func benchWaitApplied(b *testing.B, m *Manager, seq uint64) {
+func benchWaitApplied(b testing.TB, m *Manager, seq uint64) {
 	b.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for m.AppliedSeq() < seq {
@@ -133,6 +139,26 @@ func benchWaitApplied(b *testing.B, m *Manager, seq uint64) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// dirBytes sums the sizes of the regular files directly inside dir.
+func dirBytes(b testing.TB, dir string) int64 {
+	b.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var total int64
+	for _, e := range entries {
+		fi, err := e.Info()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if fi.Mode().IsRegular() {
+			total += fi.Size()
+		}
+	}
+	return total
 }
 
 func benchNoBoot(b *testing.B) func() (*core.Model, error) {

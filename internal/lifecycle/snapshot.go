@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"cfsf/internal/atomicfile"
-	"cfsf/internal/wal"
 )
 
 // SnapshotInfo describes one completed snapshot.
@@ -32,17 +31,19 @@ type SnapshotInfo struct {
 	Skipped bool `json:"skipped,omitempty"`
 }
 
-// snapshotState is what the snapshot, retention and compaction code keeps
-// between passes.
+// snapshotState is what the snapshot and retention code keeps between
+// passes.
 type snapshotState struct {
-	snapMu       sync.Mutex // serialises snapshot writes, retention, and compaction
+	snapMu       sync.Mutex // serialises snapshot writes and retention
 	lastManifest *manifest  //cfsf:guarded-by snapMu // newest published manifest; clean shards reuse its blob refs
 	// snapGen is the replicaState generation lastManifest was written at
 	// (0 for one loaded at boot): its blobs hold every part not dirtied
 	// since.
-	snapGen     uint64 //cfsf:guarded-by snapMu
-	lastSnap    atomic.Pointer[SnapshotInfo]
-	lastCkptSeq atomic.Uint64 // sequence of the newest checkpoint record (compaction fold boundary)
+	snapGen  uint64 //cfsf:guarded-by snapMu
+	lastSnap atomic.Pointer[SnapshotInfo]
+	// oldestSnapSeq is oldestRetainedSeq as of boot or the last snapshot:
+	// the sequence WAL GC last pruned below.
+	oldestSnapSeq atomic.Uint64
 }
 
 func snapshotDir(dataDir string) string { return filepath.Join(dataDir, "snapshots") }
@@ -53,9 +54,9 @@ func snapshotDir(dataDir string) string { return filepath.Join(dataDir, "snapsho
 // previous manifest's blobs for clean shards, verifies every written
 // blob with a read-back self-check, and only then publishes the manifest
 // atomically, journals a checkpoint record, prunes retention, and
-// shrinks the WAL (deleting covered segments, or folding them into the
-// compacted base when compaction is enabled) — a blob that cannot be
-// read back bit-for-bit aborts the snapshot and never shrinks the WAL.
+// deletes the WAL segments below the oldest retained manifest — a blob
+// that cannot be read back bit-for-bit aborts the snapshot and never
+// shrinks the WAL.
 // When nothing was applied since the last snapshot it returns Skipped
 // without touching disk; a non-empty queue never skips it, because the
 // served model is always a contiguous prefix of the log.
@@ -171,18 +172,16 @@ func (m *Manager) Snapshot() (SnapshotInfo, error) {
 	}
 	m.lastManifest, m.snapGen = man, st.gen
 
-	if ckptSeq, err := m.w.AppendCheckpoint(st.seq); err != nil {
+	if _, err := m.w.AppendCheckpoint(st.seq); err != nil {
 		m.cfg.Logf("lifecycle: journal checkpoint: %v", err)
-	} else {
-		m.lastCkptSeq.Store(ckptSeq)
 	}
 	m.pruneDurablePoints()
 	// Shrink the WAL below the oldest retained point, not below this
-	// snapshot: older manifests must keep their tail replay (and their
-	// shard blobs their patch window) until retention drops them.
-	if m.cfg.CompactEnabled {
-		m.compactLocked(false)
-	} else if n, err := m.w.Prune(m.oldestRetainedSeq(false)); err != nil {
+	// snapshot: older manifests must keep their tail replay until
+	// retention drops them.
+	oldest := m.oldestRetainedSeq()
+	m.oldestSnapSeq.Store(oldest)
+	if n, err := m.w.Prune(oldest); err != nil {
 		m.cfg.Logf("lifecycle: prune wal: %v", err)
 	} else if n > 0 {
 		m.reg.Counter("wal_segments_pruned_total").Add(int64(n))
@@ -202,38 +201,6 @@ func (m *Manager) Snapshot() (SnapshotInfo, error) {
 	m.cfg.Logf("lifecycle: snapshot %s (%d bytes, covers seq %d, %d/%d shard blobs written) in %v",
 		filepath.Base(manPath), bytesWritten, st.seq, shardsWritten, numShards, info.Duration.Round(time.Millisecond))
 	return info, nil
-}
-
-// compactLocked runs one WAL compaction pass under snapMu: fold
-// checkpoint-covered segments into the compacted base, deduping below
-// the oldest sequence any retained recovery point still needs.
-//
-//cfsf:locked snapMu the fold boundary and dedupe horizon must not race a snapshot or retention pass
-func (m *Manager) compactLocked(force bool) (wal.CompactStats, error) {
-	if !force && m.w.Stats().Segments < m.cfg.CompactMinSegments {
-		return wal.CompactStats{}, nil
-	}
-	cs, err := m.w.Compact(m.lastCkptSeq.Load(), m.oldestRetainedSeq(true), force)
-	if err != nil {
-		m.cfg.Logf("lifecycle: compact wal: %v", err)
-		return cs, err
-	}
-	if cs.SegmentsFolded > 0 {
-		m.reg.Counter("wal_segments_compacted_total").Add(int64(cs.SegmentsFolded))
-		m.reg.Counter("wal_compacted_cells_dropped_total").Add(int64(cs.DroppedCells))
-	}
-	return cs, nil
-}
-
-// Compact runs a WAL compaction pass on demand (the /admin/compact
-// endpoint): sealed segments covered by the newest checkpoint fold into
-// the compacted base. With force set, the pass runs even below the
-// configured segment threshold and rewrites the base alone when no
-// segment is foldable (re-deduping under an advanced horizon).
-func (m *Manager) Compact(force bool) (wal.CompactStats, error) {
-	m.snapMu.Lock()
-	defer m.snapMu.Unlock()
-	return m.compactLocked(force)
 }
 
 // SnapshotStats returns what the most recent non-skipped snapshot wrote
@@ -291,38 +258,20 @@ func (m *Manager) pruneDurablePoints() {
 	}
 }
 
-// oldestRetainedSeq returns the oldest sequence the retained recovery
-// points resume from; zero when no point exists. Without blobs that is
-// the oldest point watermark, the floor of plain WAL pruning: segments at
-// or below it serve no retained point's tail replay, while a clean blob
-// older than every point deliberately does NOT pin the log — patching
-// such a blob is refused by the AvailableFrom gate and recovery degrades
-// to whole-point fallback, instead of the WAL growing without bound. With
-// blobs it also takes in every referenced blob's write sequence (a clean
-// shard's blob can be older than its manifest, and patching it needs the
-// WAL from its own sequence): compaction's dedupe horizon.
+// oldestRetainedSeq returns the oldest retained manifest's watermark, the
+// floor of WAL GC (zero when no manifest exists): segments at or below it
+// serve no retained point's tail replay. A clean blob older than every
+// manifest deliberately does NOT pin the log — patching such a blob is
+// refused by the AvailableFrom gate and recovery degrades to whole-point
+// fallback, instead of one cold shard growing the WAL without bound.
 //
 //cfsf:locked snapMu callers hold it; must see a settled manifest set
-func (m *Manager) oldestRetainedSeq(blobs bool) uint64 {
+func (m *Manager) oldestRetainedSeq() uint64 {
 	points, err := listDurablePoints(m.cfg.DataDir)
 	if err != nil || len(points) == 0 {
 		return 0
 	}
-	oldest := points[len(points)-1].seq // listed newest first
-	if !blobs {
-		return oldest
-	}
-	for _, pt := range points {
-		man, err := readManifest(pt.path)
-		if err != nil {
-			continue
-		}
-		oldest = min(oldest, man.Shared.Seq)
-		for _, ref := range man.Shards {
-			oldest = min(oldest, ref.Seq)
-		}
-	}
-	return oldest
+	return points[len(points)-1].seq // listed newest first
 }
 
 // NewestManifest returns the newest loadable manifest document and the

@@ -32,9 +32,10 @@ type ProcOptions struct {
 	Stderr io.Writer
 	// ExtraArgs are appended verbatim to the server's argument vector
 	// (after the generated flags, so they win on repeats). The CI smoke
-	// uses this to run killrecover with WAL compaction on
-	// ("-compact=true"); Restart re-execs the same vector, so recovery
-	// runs under the same flags traffic did.
+	// uses this to run killrecover with small WAL segments and frequent
+	// snapshots ("-wal-segment-bytes 4096 -snapshot-every 400ms"); Restart
+	// re-execs the same vector, so recovery runs under the same flags
+	// traffic did.
 	ExtraArgs []string
 	// FollowURL, when set, spawns the server as a read replica
 	// (-follow): it bootstraps from the leader instead of training, so

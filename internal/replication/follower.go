@@ -45,7 +45,7 @@ type Options struct {
 
 // Follower maintains a bit-identical replica of a leader's model:
 // bootstrap from the newest snapshot, then stream and apply the WAL
-// tail, re-bootstrapping whenever the leader compacts past our cursor.
+// tail, re-bootstrapping whenever the leader prunes past our cursor.
 type Follower struct {
 	opts   Options
 	app    *lifecycle.Follower //cfsf:immutable
@@ -173,7 +173,7 @@ func (f *Follower) streamOnce(ctx context.Context) error {
 	switch resp.StatusCode {
 	case http.StatusOK:
 	case http.StatusGone:
-		return fmt.Errorf("%w: leader compacted past the cursor", errRebootstrap)
+		return fmt.Errorf("%w: leader %s", errRebootstrap, readErrBody(resp))
 	default:
 		return fmt.Errorf("replication: wal stream: %s", readErrBody(resp))
 	}

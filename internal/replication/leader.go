@@ -108,7 +108,7 @@ func (l *Leader) ServeWAL(w http.ResponseWriter, r *http.Request) {
 			l.mStreamBytes.Add(int64(len(buf)))
 		}
 		if err != nil {
-			// Mid-stream loss (compaction overtook the cursor) or
+			// Mid-stream loss (a prune overtook the cursor) or
 			// corruption: terminate. Headers are sent, so the signal is the
 			// close itself — the follower's reconnect gets the 410.
 			if errors.Is(err, wal.ErrRebootstrap) {
@@ -156,7 +156,6 @@ func (l *Leader) serveRebootstrap(w http.ResponseWriter, cause error) {
 		"error":          "re-bootstrap required",
 		"cause":          cause.Error(),
 		"available_from": l.mgr.WALAvailableFrom(),
-		"deduped_below":  l.mgr.WALDedupedBelow(),
 	}
 	if _, seq, err := l.mgr.NewestManifest(); err == nil {
 		body["snapshot_seq"] = seq

@@ -13,19 +13,18 @@
 //	                         frames with sequence > seq, following the
 //	                         live tail; X-Cfsf-Last-Seq carries the log
 //	                         end at connect. 410 Gone is the re-bootstrap
-//	                         signal: the log can no longer serve that
-//	                         position batch-exactly (compaction deduped
-//	                         it, retention pruned it, or the follower's
-//	                         cursor is beyond this leader's log), so the
-//	                         follower must restart from a newer snapshot
-//	                         instead of patching forward.
+//	                         signal: the log no longer holds that
+//	                         position (retention pruned it, or the
+//	                         follower's cursor is beyond this leader's
+//	                         log), so the follower must restart from a
+//	                         newer snapshot instead of patching forward.
 //
 // The bootstrap ladder on the follower side is: fetch the newest
 // manifest, fetch its shared + per-shard blobs, assemble the model at
 // the manifest watermark (lifecycle.AssembleRemotePoint), then stream
 // the WAL tail from that watermark and apply it through the same
 // micro-batch grouping crash replay uses. Every transition that loses
-// the tail (leader compacted past the cursor) degrades to a clean
+// the tail (leader pruned past the cursor) degrades to a clean
 // re-bootstrap, never to a silent gap.
 package replication
 

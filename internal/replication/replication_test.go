@@ -2,6 +2,7 @@ package replication
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -46,11 +47,10 @@ func openManager(t *testing.T, dir string, mod *core.Model) *lifecycle.Manager {
 	mgr, err := lifecycle.Open(
 		func() (*core.Model, error) { return mod, nil },
 		lifecycle.Config{
-			DataDir:        dir,
-			Fsync:          wal.SyncAlways,
-			SegmentBytes:   512,
-			SnapshotKeep:   1,
-			CompactEnabled: true,
+			DataDir:      dir,
+			Fsync:        wal.SyncAlways,
+			SegmentBytes: 512,
+			SnapshotKeep: 1,
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -112,6 +112,33 @@ func (ls *leaderServer) cutStreams() {
 	for _, cancel := range ls.cancels {
 		cancel()
 	}
+}
+
+// logLines collects a follower's log output for tests that assert a
+// line names its cause.
+type logLines struct {
+	mu    sync.Mutex
+	lines []string
+}
+
+func (l *logLines) logf(format string, args ...any) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.lines = append(l.lines, fmt.Sprintf(format, args...))
+}
+
+// named reports whether one logged line contains every part.
+func (l *logLines) named(parts ...string) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return slices.ContainsFunc(l.lines, func(line string) bool {
+		for _, p := range parts {
+			if !strings.Contains(line, p) {
+				return false
+			}
+		}
+		return true
+	})
 }
 
 func waitUntil(t *testing.T, what string, cond func() bool) {
@@ -227,17 +254,12 @@ func TestFollowerRebootstrapsOnUnfoldableRetrain(t *testing.T) {
 	defer ls.ts.Close()
 	submitAndDrain(t, mgr, 0, 5)
 
-	var logMu sync.Mutex
-	var logged []string
+	var logged logLines
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	f, err := Start(ctx, Options{
 		LeaderURL: ls.ts.URL, ReconnectMin: 5 * time.Millisecond, ReconnectMax: 50 * time.Millisecond,
-		Logf: func(format string, args ...any) {
-			logMu.Lock()
-			logged = append(logged, fmt.Sprintf(format, args...))
-			logMu.Unlock()
-		},
+		Logf: logged.logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -259,13 +281,8 @@ func TestFollowerRebootstrapsOnUnfoldableRetrain(t *testing.T) {
 	ls.forged.Store(&frame)
 	ls.failWAL.Store(false)
 	waitUntil(t, "follower re-bootstrapped", func() bool { return f.Stats()["rebootstraps"].(int64) == 1 })
-	logMu.Lock()
-	named := slices.ContainsFunc(logged, func(l string) bool {
-		return strings.Contains(l, fmt.Sprintf("retrain record %d", last+1)) && strings.Contains(l, "re-bootstrapping")
-	})
-	logMu.Unlock()
-	if !named {
-		t.Fatalf("re-bootstrap log line does not name retrain record %d: %q", last+1, logged)
+	if !logged.named(fmt.Sprintf("retrain record %d", last+1), "re-bootstrapping") {
+		t.Fatalf("re-bootstrap log line does not name retrain record %d: %q", last+1, logged.lines)
 	}
 
 	submitAndDrain(t, mgr, 8, 3)
@@ -275,13 +292,13 @@ func TestFollowerRebootstrapsOnUnfoldableRetrain(t *testing.T) {
 	}
 }
 
-// TestFollowerRebootstrapsAfterCompaction forces the 410 path: while the
-// follower is cut off, the leader takes writes, snapshots, and compacts
-// under a horizon past the follower's cursor. On reconnect the stream
-// position is gone — the leader must answer 410, and the follower must
-// recover by re-bootstrapping from the newer snapshot, never by patching
-// over the gap.
-func TestFollowerRebootstrapsAfterCompaction(t *testing.T) {
+// TestFollowerRebootstrapsAfterPrune forces the 410 path: while the
+// follower is cut off, the leader takes writes and snapshots, and the
+// snapshot prunes the log past the follower's cursor. On reconnect the
+// stream position is gone — the leader must answer 410, and the follower
+// must recover by re-bootstrapping from the newer snapshot, never by
+// patching over the gap.
+func TestFollowerRebootstrapsAfterPrune(t *testing.T) {
 	mgr := openManager(t, t.TempDir(), newBaseModel(t))
 	defer mgr.Close()
 	ls := newLeaderServer(NewLeader(mgr, nil))
@@ -289,35 +306,34 @@ func TestFollowerRebootstrapsAfterCompaction(t *testing.T) {
 
 	submitAndDrain(t, mgr, 0, 4)
 
+	var logged logLines
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	f, err := Start(ctx, Options{
 		LeaderURL:    ls.ts.URL,
 		ReconnectMin: 5 * time.Millisecond,
 		ReconnectMax: 20 * time.Millisecond,
+		Logf:         logged.logf,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
 	waitUntil(t, "follower caught up", func() bool { return f.AppliedSeq() >= mgr.AppliedSeq() })
-	cutoffSeq := f.AppliedSeq()
 
 	// Cut the stream, then move the log's floor past the follower: new
-	// writes (rotating the 512-byte segments several times), a snapshot
-	// that becomes the only retained recovery point (SnapshotKeep=1), and
-	// a forced compaction folding everything under that snapshot's seq.
+	// writes (rotating the 512-byte segments several times) and a snapshot
+	// that becomes the only retained recovery point (SnapshotKeep=1), so
+	// every segment below it is pruned.
 	ls.failWAL.Store(true)
 	ls.cutStreams()
+	cutoffSeq := mgr.WALStats().LastSeq // the follower's cursor is at or below this
 	submitAndDrain(t, mgr, 4, 20)
 	if _, err := mgr.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mgr.Compact(true); err != nil {
-		t.Fatal(err)
-	}
-	if db := mgr.WALDedupedBelow(); db <= cutoffSeq {
-		t.Fatalf("test setup: dedupe horizon %d did not pass follower cursor %d", db, cutoffSeq)
+	if af := mgr.WALAvailableFrom(); af <= cutoffSeq+1 {
+		t.Fatalf("test setup: log still starts at %d, not past follower cursor %d", af, cutoffSeq)
 	}
 
 	ls.failWAL.Store(false)
@@ -327,6 +343,9 @@ func TestFollowerRebootstrapsAfterCompaction(t *testing.T) {
 	if got, want := mustFingerprint(t, f.Sharded().Model()), mustFingerprint(t, mgr.Model()); got != want {
 		t.Fatalf("post-re-bootstrap fingerprints differ:\n  follower %s\n  leader   %s", got, want)
 	}
+	if !logged.named("log starts at", "re-bootstrapping") {
+		t.Fatalf("re-bootstrap log line does not name the pruned log as the cause: %q", logged.lines)
+	}
 
 	// And the stream keeps working afterwards.
 	submitAndDrain(t, mgr, 24, 3)
@@ -335,7 +354,8 @@ func TestFollowerRebootstrapsAfterCompaction(t *testing.T) {
 
 // TestLeaderServes410WithFloorInfo checks the wire contract directly: an
 // unserveable position answers 410 Gone (not 404, not a silent empty
-// stream) so a follower can distinguish "re-bootstrap" from "retry".
+// stream) so a follower can distinguish "re-bootstrap" from "retry", and
+// the body says where the log starts and why the position died.
 func TestLeaderServes410WithFloorInfo(t *testing.T) {
 	mgr := openManager(t, t.TempDir(), newBaseModel(t))
 	defer mgr.Close()
@@ -346,12 +366,9 @@ func TestLeaderServes410WithFloorInfo(t *testing.T) {
 	if _, err := mgr.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mgr.Compact(true); err != nil {
-		t.Fatal(err)
-	}
-	db := mgr.WALDedupedBelow()
-	if db == 0 {
-		t.Fatal("test setup: no dedupe horizon")
+	af := mgr.WALAvailableFrom()
+	if af <= 1 {
+		t.Fatal("test setup: the snapshot pruned nothing")
 	}
 
 	resp, err := http.Get(ls.ts.URL + PathWAL + "?after=0")
@@ -361,6 +378,17 @@ func TestLeaderServes410WithFloorInfo(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusGone {
 		t.Fatalf("status = %d, want 410", resp.StatusCode)
+	}
+	var body struct {
+		Cause         string `json:"cause"`
+		AvailableFrom uint64 `json:"available_from"`
+		SnapshotSeq   uint64 `json:"snapshot_seq"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	if body.AvailableFrom != af || body.SnapshotSeq+1 < af || !strings.Contains(body.Cause, fmt.Sprintf("log starts at %d", af)) {
+		t.Fatalf("410 body = %+v, want the log's start %d, a snapshot at or above it, and the cause", body, af)
 	}
 
 	// A position beyond the log end is equally unserveable: the follower

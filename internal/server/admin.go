@@ -41,48 +41,6 @@ func (s *Server) handleAdminSnapshot(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleAdminCompact folds checkpoint-covered WAL segments into the
-// compacted base synchronously. ?force=1 runs the pass even below the
-// configured segment threshold and rewrites the base alone when no
-// segment is foldable (re-deduping under an advanced horizon). Useful
-// when compaction is disabled (-compact=false) or to reclaim space
-// without waiting for the next snapshot.
-func (s *Server) handleAdminCompact(w http.ResponseWriter, r *http.Request) {
-	if f := s.follower(); f != nil {
-		s.redirectToLeader(w, r, f)
-		return
-	}
-	mgr := s.manager()
-	if mgr == nil {
-		writeError(w, http.StatusServiceUnavailable, errNoManager)
-		return
-	}
-	force := false
-	switch v := r.URL.Query().Get("force"); v {
-	case "", "0", "false":
-	case "1", "true":
-		force = true
-	default:
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad force value %q (want 1/true or 0/false)", v))
-		return
-	}
-	cs, err := mgr.Compact(force)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	s.reg.Counter("admin_compact_total").Inc()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status":              "ok",
-		"segments_folded":     cs.SegmentsFolded,
-		"records_in":          cs.RecordsIn,
-		"records_out":         cs.RecordsOut,
-		"dropped_cells":       cs.DroppedCells,
-		"dropped_commits":     cs.DroppedCommits,
-		"dropped_checkpoints": cs.DroppedCheckpoints,
-	})
-}
-
 // handleAdminRetrain starts a background retrain of the serving model
 // (the drift-repair pass internal/core/update.go calls for): the manager
 // journals a retrain record at its applied watermark and re-runs the

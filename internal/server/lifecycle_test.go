@@ -136,6 +136,7 @@ func TestRateQueuedThenApplied(t *testing.T) {
 	metrics := string(raw)
 	for _, name := range []string{
 		"wal_last_seq", "wal_append_latency_ms", "lifecycle_applied_total",
+		"wal_segments", "wal_available_from", "oldest_snapshot_seq",
 		"lifecycle_batch_size", "lifecycle_pending", "rate_queued_total",
 	} {
 		if !strings.Contains(metrics, name) {
@@ -179,12 +180,50 @@ func TestAdminEndpoints(t *testing.T) {
 		t.Errorf("repeat snapshot = %d %v, want skipped", code, body)
 	}
 
+	// /stats carries the one WAL retention rule as live numbers: the log
+	// starts at or below the oldest retained snapshot's watermark plus one.
+	resp, err := http.Get(srv.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats struct {
+		Lifecycle struct {
+			Storage map[string]float64 `json:"storage"`
+		} `json:"lifecycle"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&stats)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	storage := stats.Lifecycle.Storage
+	for _, key := range []string{"wal_segments", "wal_available_from", "oldest_snapshot_seq"} {
+		if _, ok := storage[key]; !ok {
+			t.Errorf("/stats lifecycle.storage missing %s: %v", key, storage)
+		}
+	}
+	if len(storage) != 3 {
+		t.Errorf("/stats lifecycle.storage = %v, want exactly three keys", storage)
+	}
+	if storage["wal_available_from"] > storage["oldest_snapshot_seq"]+1 {
+		t.Errorf("wal starts at %v, above the oldest snapshot (seq %v) + 1", storage["wal_available_from"], storage["oldest_snapshot_seq"])
+	}
+
 	code, body = postJSON(t, srv.URL+"/admin/retrain", nil)
 	if code != http.StatusAccepted || body["status"] != "started" {
 		t.Fatalf("/admin/retrain = %d %v", code, body)
 	}
+	// The compaction endpoint went with compaction.
+	resp, err = http.Post(srv.URL+"/admin/compact", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("POST /admin/compact = %d, want 404", resp.StatusCode)
+	}
 	// GET on admin endpoints is not routed.
-	resp, err := http.Get(srv.URL + "/admin/snapshot")
+	resp, err = http.Get(srv.URL + "/admin/snapshot")
 	if err != nil {
 		t.Fatal(err)
 	}

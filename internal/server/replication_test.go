@@ -157,7 +157,7 @@ func TestFollowerRedirectsWritesAndServesReads(t *testing.T) {
 		t.Fatalf("follower rate Location = %q, want %q", loc, leader.URL+"/rate")
 	}
 
-	for _, path := range []string{"/admin/snapshot", "/admin/compact", "/admin/retrain"} {
+	for _, path := range []string{"/admin/snapshot", "/admin/retrain"} {
 		resp, err := client.Post(follower.URL+path, "application/json", nil)
 		if err != nil {
 			t.Fatal(err)
@@ -170,6 +170,17 @@ func TestFollowerRedirectsWritesAndServesReads(t *testing.T) {
 		if loc := resp.Header.Get("Location"); !strings.HasPrefix(loc, leader.URL) {
 			t.Fatalf("follower %s Location = %q, want leader-prefixed", path, loc)
 		}
+	}
+
+	// No route, no redirect: the compaction endpoint is gone on every role.
+	resp, err = client.Post(follower.URL+"/admin/compact", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("follower /admin/compact: status %d, want 404", resp.StatusCode)
 	}
 
 	// A client that follows the redirect lands the write on the leader.

@@ -24,9 +24,6 @@
 //	                                 and answers with per-item seqs
 //	POST /admin/snapshot          -> write a model snapshot now (manager mode)
 //	POST /admin/retrain           -> start a background retrain (manager mode)
-//	POST /admin/compact           -> fold checkpoint-covered WAL segments into
-//	                                 the compacted base now (manager mode);
-//	                                 ?force=1
 //	GET  /admin/fingerprint       -> sha256 of the serving model's persisted
 //	                                 form plus the applied seq and role — the
 //	                                 replica-parity check
@@ -253,7 +250,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /rate", s.instrument("POST /rate", s.limitQPS(s.requireReady(s.handleRate))))
 	mux.HandleFunc("POST /admin/snapshot", s.instrument("POST /admin/snapshot", s.requireAdmin(s.requireReady(s.handleAdminSnapshot))))
 	mux.HandleFunc("POST /admin/retrain", s.instrument("POST /admin/retrain", s.requireAdmin(s.requireReady(s.handleAdminRetrain))))
-	mux.HandleFunc("POST /admin/compact", s.instrument("POST /admin/compact", s.requireAdmin(s.requireReady(s.handleAdminCompact))))
 	mux.HandleFunc("GET "+replication.PathWAL, s.instrument("GET "+replication.PathWAL, s.requireAdmin(s.requireReady(s.handleReplWAL))))
 	mux.HandleFunc("GET "+replication.PathManifest, s.instrument("GET "+replication.PathManifest, s.requireAdmin(s.requireReady(s.handleReplManifest))))
 	mux.HandleFunc("GET "+replication.PathBlob, s.instrument("GET "+replication.PathBlob, s.requireAdmin(s.requireReady(s.handleReplBlob))))
@@ -603,10 +599,9 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			"wal_last_seq": ws.LastSeq,
 			"retraining":   mgr.Retraining(),
 			"storage": map[string]any{
-				"wal_segments":     ws.Segments,
-				"wal_compactions":  ws.Compactions,
-				"wal_base_records": ws.BaseRecords,
-				"wal_base_bytes":   ws.BaseBytes,
+				"wal_segments":        ws.Segments,
+				"wal_available_from":  mgr.WALAvailableFrom(),
+				"oldest_snapshot_seq": mgr.OldestSnapshotSeq(),
 			},
 		}
 		// What the last non-skipped snapshot actually wrote: with

@@ -17,7 +17,6 @@
 //   - RecordRetrain: written before a retrain starts, recording the
 //     applied watermark it is taken at — replay (boot and followers
 //     alike) re-runs the offline phase on the matrix at that watermark.
-//     Compaction never drops one.
 //
 // The binary layout of one record frame is
 //

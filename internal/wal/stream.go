@@ -12,22 +12,15 @@ import (
 // replication leader can relay bytes without re-encoding (followers see
 // the exact CRC-framed records the leader's disk holds).
 //
-// A cursor position is only serveable while two invariants hold:
-//
-//   - availability: AvailableFrom() <= next — every sequence from the
-//     cursor position to the tail is still present (nothing pruned out
-//     from under the reader);
-//   - batch exactness: DedupedBelow() < next — no compaction pass has
-//     rewritten an undelivered record under a horizon, which would
-//     destroy the batch-commit grouping bit-identical replay needs.
-//
-// Both are re-checked on every Next call, so a compaction pass racing an
-// open stream surfaces as ErrRebootstrap — a clean "fetch a newer
-// snapshot" signal — never as a silent gap or a regrouped batch.
+// A cursor position is only serveable while AvailableFrom() <= next:
+// every sequence from the cursor position to the tail is still present
+// (nothing pruned out from under the reader). That is re-checked on every
+// Next call, so a prune racing an open stream surfaces as ErrRebootstrap —
+// a clean "fetch a newer snapshot" signal — never as a silent gap.
 
-// ErrRebootstrap reports that the log can no longer serve a cursor's
-// position batch-exactly: the caller must restart from a newer durable
-// snapshot instead of patching forward.
+// ErrRebootstrap reports that the log no longer holds a cursor's
+// position: the caller must restart from a newer durable snapshot instead
+// of patching forward.
 var ErrRebootstrap = errors.New("wal: position no longer streamable; re-bootstrap from a newer snapshot")
 
 // ErrShortFrame reports that a buffer ends before the record frame does;
@@ -74,26 +67,24 @@ func (w *WAL) notifyAppendLocked() {
 
 // Cursor streams encoded record frames from a fixed starting position
 // through the live tail. It opens its own file handles, so it is safe
-// alongside concurrent appends, rotations and compactions; it is NOT
-// safe for concurrent use by multiple goroutines.
+// alongside concurrent appends, rotations and prunes; it is NOT safe for
+// concurrent use by multiple goroutines.
 type Cursor struct {
 	w    *WAL
 	next uint64 // next sequence to deliver
 
-	name   string // current source file ("" when unpositioned)
-	isBase bool
-	f      *os.File
-	off    int64 // next read offset within f
+	name string // current segment ("" when unpositioned)
+	f    *os.File
+	off  int64 // next read offset within f
 
 	chunk []byte // scratch read buffer
 }
 
 // NewCursor returns a cursor that delivers every record with sequence >
 // afterSeq, in order. It fails with ErrRebootstrap (possibly wrapped)
-// when the log cannot serve that position batch-exactly — because the
-// position was compacted under a horizon, pruned away, or lies beyond
-// the log's end (a follower ahead of this leader must also restart from
-// a snapshot rather than trust its divergent tail).
+// when the log cannot serve that position — because it was pruned away,
+// or lies beyond the log's end (a follower ahead of this leader must also
+// restart from a snapshot rather than trust its divergent tail).
 func (w *WAL) NewCursor(afterSeq uint64) (*Cursor, error) {
 	if last := w.LastSeq(); afterSeq > last {
 		return nil, fmt.Errorf("wal: cursor after %d beyond log end %d: %w", afterSeq, last, ErrRebootstrap)
@@ -105,11 +96,8 @@ func (w *WAL) NewCursor(afterSeq uint64) (*Cursor, error) {
 	return c, nil
 }
 
-// checkStreamable re-validates the cursor's two serving invariants.
+// checkStreamable re-validates the cursor's serving invariant.
 func (c *Cursor) checkStreamable() error {
-	if db := c.w.DedupedBelow(); db >= c.next {
-		return fmt.Errorf("wal: records through %d deduped under compaction horizon, cursor needs %d: %w", db, c.next, ErrRebootstrap)
-	}
 	if af := c.w.AvailableFrom(); af > c.next {
 		return fmt.Errorf("wal: log starts at %d, cursor needs %d: %w", af, c.next, ErrRebootstrap)
 	}
@@ -118,19 +106,16 @@ func (c *Cursor) checkStreamable() error {
 
 // resolveFile names the file currently holding sequence next. It must
 // only be called for next <= lastSeq; a miss means the position was
-// compacted or pruned away.
-func (w *WAL) resolveFile(next uint64) (name string, isBase bool, err error) {
+// pruned away.
+func (w *WAL) resolveFile(next uint64) (string, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.base != nil && next <= w.base.toSeq {
-		return w.base.name, true, nil
-	}
 	for i := len(w.segments) - 1; i >= 0; i-- {
 		if w.segments[i].firstSeq <= next {
-			return w.segments[i].name, false, nil
+			return w.segments[i].name, nil
 		}
 	}
-	return "", false, fmt.Errorf("wal: no file holds sequence %d: %w", next, ErrRebootstrap)
+	return "", fmt.Errorf("wal: no file holds sequence %d: %w", next, ErrRebootstrap)
 }
 
 // isLastSegment reports whether name is the currently active (append)
@@ -145,22 +130,17 @@ func (w *WAL) isLastSegment(name string) bool {
 // position opens the file holding c.next and seeks past its header. The
 // frame-skip loop in Next handles files that start below c.next.
 func (c *Cursor) position() error {
-	name, isBase, err := c.w.resolveFile(c.next)
+	name, err := c.w.resolveFile(c.next)
 	if err != nil {
 		return err
 	}
 	f, err := os.Open(filepath.Join(c.w.dir, name))
 	if err != nil {
-		// The file can vanish between resolve and open (compaction GC);
-		// the caller re-resolves on the next pass.
+		// The file can vanish between resolve and open (a prune); the
+		// caller re-resolves on the next pass.
 		return fmt.Errorf("wal: cursor open %s: %w", name, err)
 	}
-	c.f, c.name, c.isBase = f, name, isBase
-	if isBase {
-		c.off = baseHeaderSize
-	} else {
-		c.off = segHeaderSize
-	}
+	c.f, c.name, c.off = f, name, segHeaderSize
 	return nil
 }
 
@@ -170,7 +150,7 @@ func (c *Cursor) closeFile() {
 		_ = c.f.Close()
 		c.f = nil
 	}
-	c.name, c.isBase, c.off = "", false, 0
+	c.name, c.off = "", 0
 }
 
 // Next appends encoded record frames to dst until roughly maxBytes are
@@ -178,8 +158,8 @@ func (c *Cursor) closeFile() {
 // extended slice and the number of records appended. A caught-up cursor
 // returns immediately with no frames; pair Next with AppendSignal to
 // follow the tail without polling. ErrRebootstrap (possibly wrapped)
-// means a compaction or prune overtook the position and the consumer
-// must restart from a newer snapshot.
+// means a prune overtook the position and the consumer must restart from
+// a newer snapshot.
 func (c *Cursor) Next(dst []byte, maxBytes int) ([]byte, int, error) {
 	if c.chunk == nil {
 		// Strictly larger than the biggest decodable frame (frame header +
@@ -201,7 +181,7 @@ func (c *Cursor) Next(dst []byte, maxBytes int) ([]byte, int, error) {
 				if errors.Is(err, ErrRebootstrap) {
 					return dst, appended, err
 				}
-				// Open raced a compaction GC: re-resolve, but not forever.
+				// Open raced a prune: re-resolve, but not forever.
 				if sameFile++; sameFile > 5 {
 					return dst, appended, err
 				}
@@ -217,7 +197,7 @@ func (c *Cursor) Next(dst []byte, maxBytes int) ([]byte, int, error) {
 			sameFile = 0
 		}
 		if derr != nil {
-			if errors.Is(derr, errCorrupt) && !c.isBase && c.w.isLastSegment(c.name) {
+			if errors.Is(derr, errCorrupt) && c.w.isLastSegment(c.name) {
 				// A torn-looking frame at the active segment's tail is an
 				// append still becoming visible; retry from the same offset
 				// on the next call.
@@ -230,11 +210,10 @@ func (c *Cursor) Next(dst []byte, maxBytes int) ([]byte, int, error) {
 		}
 		if consumed == 0 && (rerr != nil || n == 0) {
 			// End of this file's written data. If the target moved to a
-			// newer file (rotation, or a fresh base after compaction),
-			// transition; otherwise the missing bytes belong to an append
-			// whose write has completed but whose data our read raced —
-			// loop to re-read.
-			name, _, err := c.w.resolveFile(c.next)
+			// newer file (rotation), transition; otherwise the missing
+			// bytes belong to an append whose write has completed but whose
+			// data our read raced — loop to re-read.
+			name, err := c.w.resolveFile(c.next)
 			if err != nil {
 				return dst, appended, err
 			}

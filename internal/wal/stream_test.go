@@ -54,35 +54,34 @@ func sameRecords(a, b []Record) bool {
 }
 
 // TestCursorMatchesReplayEveryAfterSeq is the boundary matrix: over a
-// log with a deduped compacted base, several sealed segments, and a live
-// tail, every single starting position either streams the exact record
-// sequence Replay delivers or refuses with ErrRebootstrap — and which of
-// the two happens is fully determined by the published floors
-// (DedupedBelow, AvailableFrom). Segment seams, the base/segment
-// boundary, and the log end all fall out of the exhaustive sweep.
+// pruned log with several sealed segments and a live tail, every single
+// starting position either streams the exact record sequence Replay
+// delivers or refuses with ErrRebootstrap — and which of the two happens
+// is fully determined by the published floor (AvailableFrom). Segment
+// seams, the pruned boundary, and the log end all fall out of the
+// exhaustive sweep.
 func TestCursorMatchesReplayEveryAfterSeq(t *testing.T) {
 	dir := t.TempDir()
 	w := mustOpen(t, dir, smallSeg())
 	defer w.Close()
 
-	covered := fillBatches(t, w, 12)
-	horizon := uint64(9)
-	if _, err := w.Compact(covered, horizon, false); err != nil {
+	fillBatches(t, w, 12)
+	if _, err := w.Prune(9); err != nil {
 		t.Fatal(err)
 	}
-	// Keep growing after compaction so the cursor crosses base → sealed
-	// segments → active segment.
+	// Keep growing after the prune so the cursor crosses sealed segments →
+	// active segment.
 	fillBatches(t, w, 8)
 
-	db, af, last := w.DedupedBelow(), w.AvailableFrom(), w.LastSeq()
-	if db == 0 {
-		t.Fatal("compaction did not record a dedupe horizon; matrix would be vacuous")
+	af, last := w.AvailableFrom(), w.LastSeq()
+	if af <= 1 {
+		t.Fatal("prune did not move the log's start; matrix would be vacuous")
 	}
 	for after := uint64(0); after <= last; after++ {
 		cur, err := w.NewCursor(after)
-		if after+1 <= db || after+1 < af {
+		if after+1 < af {
 			if !errors.Is(err, ErrRebootstrap) {
-				t.Fatalf("after=%d (db=%d af=%d): err = %v, want ErrRebootstrap", after, db, af, err)
+				t.Fatalf("after=%d (af=%d): err = %v, want ErrRebootstrap", after, af, err)
 			}
 			continue
 		}
@@ -154,42 +153,9 @@ func TestCursorFollowsMidStreamAppends(t *testing.T) {
 	}
 }
 
-// TestCursorCompactionRaceRebootstraps races a live stream against a
-// dedupe pass: once compaction rewrites records under a horizon at or
-// past the cursor position, the very next read refuses with
-// ErrRebootstrap — never a silent gap or a regrouped batch.
-func TestCursorCompactionRaceRebootstraps(t *testing.T) {
-	dir := t.TempDir()
-	w := mustOpen(t, dir, smallSeg())
-	defer w.Close()
-	covered := fillBatches(t, w, 10)
-
-	cur, err := w.NewCursor(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cur.Close()
-	// Read a little, then let compaction dedupe everything delivered so
-	// far and more.
-	buf, n, err := cur.Next(nil, 64)
-	if err != nil || n == 0 {
-		t.Fatalf("first chunk: n=%d err=%v", n, err)
-	}
-	_ = buf
-
-	if _, err := w.Compact(covered, covered, false); err != nil {
-		t.Fatal(err)
-	}
-	if db := w.DedupedBelow(); db < cur.NextSeq() {
-		t.Fatalf("test setup: horizon %d did not pass cursor position %d", db, cur.NextSeq())
-	}
-	if _, _, err := cur.Next(nil, 1<<20); !errors.Is(err, ErrRebootstrap) {
-		t.Fatalf("post-compaction next: err = %v, want ErrRebootstrap", err)
-	}
-}
-
-// TestCursorPruneRaceRebootstraps covers the other floor: a prune that
-// removes covered segments out from under an un-started position.
+// TestCursorPruneRaceRebootstraps races a live stream against a prune
+// that removes covered segments out from under an un-started position:
+// the very next read refuses with ErrRebootstrap, never a silent gap.
 func TestCursorPruneRaceRebootstraps(t *testing.T) {
 	dir := t.TempDir()
 	w := mustOpen(t, dir, smallSeg())

@@ -110,15 +110,6 @@ type OpenStats struct {
 	// TornBytes counts bytes truncated off the final segment because a
 	// crash tore the last record; 0 for a clean log.
 	TornBytes int64
-	// Compactions counts Compact passes completed since Open.
-	Compactions int
-	// BaseRecords/BaseBytes/BaseFromSeq/BaseToSeq describe the compacted
-	// base file, all zero when none exists. Records includes the base's
-	// records.
-	BaseRecords int
-	BaseBytes   int64
-	BaseFromSeq uint64
-	BaseToSeq   uint64
 }
 
 // WAL is an open write-ahead log. All methods are safe for concurrent
@@ -132,16 +123,11 @@ type WAL struct {
 	size     int64     //cfsf:guarded-by mu // current segment size
 	lastSeq  uint64    //cfsf:guarded-by mu
 	segments []segment //cfsf:guarded-by mu // ascending by firstSeq; last is the open one
-	base     *baseInfo //cfsf:guarded-by mu // compacted base, nil when none
 	stats    OpenStats //cfsf:guarded-by mu
 	closed   bool      //cfsf:guarded-by mu
 	// appendSig is closed and replaced on every append (and on close) to
 	// wake tail-following cursors; nil until someone asks for it.
 	appendSig chan struct{} //cfsf:guarded-by mu
-
-	// compactMu serialises Compact passes; separate from mu so appends
-	// continue while a pass reads sealed files.
-	compactMu sync.Mutex
 }
 
 // Open opens (creating if needed) the log in dir, scans every segment,
@@ -162,13 +148,11 @@ func Open(dir string, opts Options) (*WAL, error) {
 		if e.IsDir() {
 			continue
 		}
-		// Unfinished atomic writes (a crash mid-compaction) are litter.
-		if strings.Contains(name, ".tmp-") {
-			w.opts.Logf("wal: removing unfinished temp file %s", name)
-			if err := os.Remove(filepath.Join(dir, name)); err != nil {
-				return nil, fmt.Errorf("wal: remove temp file: %w", err)
-			}
-			continue
+		// A base can hold acknowledged ratings above the newest snapshot,
+		// so it is refused rather than ignored.
+		if strings.HasPrefix(name, "base-") && strings.HasSuffix(name, ".cwal") {
+			return nil, fmt.Errorf("wal: %s is a compacted base and WAL compaction was removed in this build: stop the previous build cleanly (its shutdown snapshot covers the whole log), move the file away, then boot this build",
+				filepath.Join(dir, name))
 		}
 		if !strings.HasPrefix(name, segPrefix) || !strings.HasSuffix(name, segSuffix) {
 			continue
@@ -181,41 +165,8 @@ func Open(dir string, opts Options) (*WAL, error) {
 	}
 	sort.Slice(w.segments, func(i, j int) bool { return w.segments[i].firstSeq < w.segments[j].firstSeq })
 
-	// A compacted base, when present, covers everything up to its
-	// boundary. Older bases (a crash between promotion and GC) are
-	// superseded by the newest one, as are segments the newest base has
-	// folded but a crash left behind.
-	if bases := listBaseFiles(entries); len(bases) > 0 {
-		for _, name := range bases[:len(bases)-1] {
-			w.opts.Logf("wal: removing superseded base %s", name)
-			if err := os.Remove(filepath.Join(dir, name)); err != nil {
-				return nil, fmt.Errorf("wal: remove superseded base: %w", err)
-			}
-		}
-		base, err := scanBase(filepath.Join(dir, bases[len(bases)-1]))
-		if err != nil {
-			return nil, err
-		}
-		w.base = base
-		w.lastSeq = base.toSeq
-		w.stats.Records = base.records
-		w.stats.LastCheckpoint = base.lastCheckpoint
-		w.stats.BaseRecords = base.records
-		w.stats.BaseBytes = base.bytes
-		w.stats.BaseFromSeq = base.fromSeq
-		w.stats.BaseToSeq = base.toSeq
-		for len(w.segments) > 1 && w.segments[1].firstSeq <= base.toSeq+1 {
-			name := w.segments[0].name
-			w.opts.Logf("wal: removing segment %s folded into %s", name, base.name)
-			if err := os.Remove(filepath.Join(dir, name)); err != nil {
-				return nil, fmt.Errorf("wal: remove folded segment: %w", err)
-			}
-			w.segments = w.segments[1:]
-		}
-	}
-
 	if len(w.segments) == 0 {
-		if err := w.createSegment(w.lastSeq + 1); err != nil {
+		if err := w.createSegment(1); err != nil {
 			return nil, err
 		}
 		w.stats.Segments = 1
@@ -370,21 +321,13 @@ func syncDir(dir string) error {
 }
 
 // Stats returns what Open found (segments, records, torn bytes, last
-// checkpoint). Segments and the base fields reflect later rotations,
-// prunes and compactions too.
+// checkpoint). Segments reflects later rotations and prunes too.
 func (w *WAL) Stats() OpenStats {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	s := w.stats
 	s.Segments = len(w.segments)
 	s.LastSeq = w.lastSeq
-	s.BaseRecords, s.BaseBytes, s.BaseFromSeq, s.BaseToSeq = 0, 0, 0, 0
-	if w.base != nil {
-		s.BaseRecords = w.base.records
-		s.BaseBytes = w.base.bytes
-		s.BaseFromSeq = w.base.fromSeq
-		s.BaseToSeq = w.base.toSeq
-	}
 	return s
 }
 
@@ -535,6 +478,16 @@ func (w *WAL) Prune(covered uint64) (int, error) {
 	return removed, nil
 }
 
+// AvailableFrom returns the first segment's first sequence: the lowest
+// sequence from which the log serves a contiguous record stream. The log
+// can extend a state at sequence S iff AvailableFrom() <= S+1; otherwise
+// records in (S, tail] are gone.
+func (w *WAL) AvailableFrom() uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.segments[0].firstSeq
+}
+
 // Close syncs and closes the log. A closed log rejects appends; Replay
 // still works (it opens its own handles).
 func (w *WAL) Close() error {
@@ -567,33 +520,16 @@ func (w *WAL) CloseAbrupt() error {
 	return w.f.Close()
 }
 
-// Replay streams every record with sequence > afterSeq, in order, to fn:
-// the compacted base first (when one exists), then the segments. It reads
-// its own file handles, so it is safe while the log is open for append;
-// records appended after Replay starts may or may not be seen. A decode
-// error stops the replay — call it after Open, which has already
+// Replay streams every record with sequence > afterSeq, in order, to fn.
+// It reads its own file handles, so it is safe while the log is open for
+// append; records appended after Replay starts may or may not be seen. A
+// decode error stops the replay — call it after Open, which has already
 // truncated any torn tail.
 func (w *WAL) Replay(afterSeq uint64, fn func(Record) error) error {
 	w.mu.Lock()
 	segs := make([]segment, len(w.segments))
 	copy(segs, w.segments)
-	base := w.base
 	w.mu.Unlock()
-
-	if base != nil && base.toSeq > afterSeq {
-		recs, err := readBaseRecords(filepath.Join(w.dir, base.name), nil)
-		if err != nil {
-			return fmt.Errorf("wal: replay: %w", err)
-		}
-		for _, rec := range recs {
-			if rec.Seq <= afterSeq {
-				continue
-			}
-			if err := fn(rec); err != nil {
-				return err
-			}
-		}
-	}
 
 	for _, seg := range segs {
 		data, err := os.ReadFile(filepath.Join(w.dir, seg.name))

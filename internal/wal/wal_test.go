@@ -26,6 +26,31 @@ func upd(i int) core.RatingUpdate {
 	return core.RatingUpdate{User: i, Item: i * 2, Value: float64(i%5) + 0.5, Time: int64(1000 + i)}
 }
 
+// smallSeg returns options with tiny segments so a handful of appends
+// rotates several times.
+func smallSeg() Options { return Options{SegmentBytes: 256} }
+
+// fillBatches appends n singleton batches (rating + commit) and a
+// checkpoint covering all of them, returning the last rating sequence.
+func fillBatches(t *testing.T, w *WAL, n int) uint64 {
+	t.Helper()
+	var last uint64
+	for i := 1; i <= n; i++ {
+		seq, err := w.AppendRating(upd(i), i%3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = seq
+		if _, err := w.AppendBatchCommit(seq, i%3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := w.AppendCheckpoint(last); err != nil {
+		t.Fatal(err)
+	}
+	return last
+}
+
 func collect(t *testing.T, w *WAL, afterSeq uint64) []Record {
 	t.Helper()
 	var recs []Record
@@ -282,6 +307,71 @@ func TestSegmentRotationAndPrune(t *testing.T) {
 		t.Errorf("reopened lastSeq = %d, want %d", w2.LastSeq(), n+1)
 	}
 	w2.Close()
+}
+
+func TestAvailableFrom(t *testing.T) {
+	dir := t.TempDir()
+	w := mustOpen(t, dir, smallSeg())
+	if got := w.AvailableFrom(); got != 1 {
+		t.Fatalf("fresh log AvailableFrom = %d, want 1", got)
+	}
+	last := fillBatches(t, w, 15)
+	if got := w.AvailableFrom(); got != 1 {
+		t.Fatalf("unpruned AvailableFrom = %d, want 1", got)
+	}
+	// Pruning advances it, to a segment start no later than covered+1.
+	if _, err := w.Prune(last); err != nil {
+		t.Fatal(err)
+	}
+	pruned := w.AvailableFrom()
+	if pruned <= 1 || pruned > last+1 {
+		t.Fatalf("post-prune AvailableFrom = %d, want in (1, %d]", pruned, last+1)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w2 := mustOpen(t, dir, smallSeg())
+	defer w2.Close()
+	if got := w2.AvailableFrom(); got != pruned {
+		t.Fatalf("reopened AvailableFrom = %d, want %d", got, pruned)
+	}
+}
+
+// TestOpenRefusesCompactedBase: a base-*.cwal left by a build that still
+// compacted may hold acknowledged ratings no snapshot covers, so Open
+// refuses the directory by the file's name alone and touches nothing.
+func TestOpenRefusesCompactedBase(t *testing.T) {
+	dir := t.TempDir()
+	w := mustOpen(t, dir, smallSeg())
+	fillBatches(t, w, 3)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	base := filepath.Join(dir, "base-0000000000000009.cwal")
+	if err := os.WriteFile(base, []byte("not even a header"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Open(dir, smallSeg())
+	if err == nil {
+		t.Fatal("Open accepted a directory holding a compacted base")
+	}
+	for _, want := range []string{base, "compaction was removed in this build", "stop the previous build cleanly", "move the file away"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("refusal %q does not mention %q", err, want)
+		}
+	}
+	if _, serr := os.Stat(base); serr != nil {
+		t.Errorf("refused Open removed the base: %v", serr)
+	}
+	// The documented way out: with the file gone the directory opens.
+	if err := os.Remove(base); err != nil {
+		t.Fatal(err)
+	}
+	w2 := mustOpen(t, dir, smallSeg())
+	defer w2.Close()
+	if got := len(collect(t, w2, 0)); got != 7 {
+		t.Fatalf("replayed %d records after the base was moved away, want 7", got)
+	}
 }
 
 // TestCorruptionBeforeTailFailsOpen: a flipped byte in a sealed segment
