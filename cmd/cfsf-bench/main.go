@@ -44,7 +44,6 @@ func main() {
 		content  = flag.Bool("content", false, "extension: content-blended GIS")
 		erranal  = flag.Bool("erroranalysis", false, "extension: MAE by item popularity")
 		sig      = flag.Bool("significance", false, "extension: paired t-tests vs each method")
-		temporal = flag.Bool("temporal", false, "extension: time-decay sweep on drifted data")
 		divers   = flag.Bool("diversity", false, "extension: MMR diversity trade-off")
 		fraction = flag.Float64("fraction", 1.0, "fraction of test targets to evaluate (speed/fidelity trade)")
 		seed     = flag.Int64("seed", 1, "dataset generator seed")
@@ -52,7 +51,7 @@ func main() {
 	flag.Parse()
 
 	if !(*all || *table1 || *table2 || *table3 || *fig2 || *fig3 || *fig4 ||
-		*fig5 || *fig6 || *fig7 || *fig8 || *ablate || *topn || *extgrid || *scaling || *content || *erranal || *sig || *temporal || *divers) {
+		*fig5 || *fig6 || *fig7 || *fig8 || *ablate || *topn || *extgrid || *scaling || *content || *erranal || *sig || *divers) {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -168,14 +167,6 @@ func main() {
 			return err
 		}
 		fmt.Println(experiments.SignificanceTable(rows))
-		return nil
-	})
-	section(*temporal, "temporal", func() error {
-		points, err := env.Temporal(nil)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.TemporalTable(points))
 		return nil
 	})
 	section(*divers, "diversity", func() error {

@@ -93,24 +93,6 @@ func (r *Result) RefreshUsers(m *ratings.Matrix, users []int) (*Result, map[int]
 	return out, affected
 }
 
-// NearestAll places each listed user on its nearest centroid, computing
-// the per-centroid overall means once for the whole sweep (Nearest
-// recomputes them per call, which a shard-sized batch cannot afford).
-func (r *Result) NearestAll(m *ratings.Matrix, users []int) []int {
-	overall := r.overallMeans()
-	out := make([]int, len(users))
-	for j, u := range users {
-		best, bestC := math.Inf(1), 0
-		for c := 0; c < r.K; c++ {
-			if d := r.pccDistance(m, u, c, overall[c]); d < best {
-				best, bestC = d, c
-			}
-		}
-		out[j] = bestC
-	}
-	return out
-}
-
 func padFloats(a []float64, n int) []float64 {
 	if len(a) == n {
 		return a

@@ -134,19 +134,3 @@ func TestRefreshUsersSharesUntouchedClusters(t *testing.T) {
 		t.Fatal("untouched cluster's member list was copied")
 	}
 }
-
-func TestNearestAllMatchesNearest(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	m := randMatrix(rng, 30, 12, 200)
-	res, err := Run(m, Options{K: 5, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	users := []int{0, 7, 13, 29}
-	got := res.NearestAll(m, users)
-	for j, u := range users {
-		if want := res.Nearest(m, u); got[j] != want {
-			t.Fatalf("user %d: NearestAll %d, Nearest %d", u, got[j], want)
-		}
-	}
-}

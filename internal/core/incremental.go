@@ -28,19 +28,14 @@ import (
 //   - iCluster entries for the affected shards (re-sorted per user) and
 //     full rankings for the changed users themselves.
 //
-// ok is false when the batch cannot be applied incrementally and the
-// caller must fall back to the full WithUpdates pass: under time decay
-// (the recency multipliers depend on the global newest timestamp, so any
-// timed update dirties every shard) and on a times-transition (first
-// timed update into an untimed matrix).
+// It is total: every batch WithUpdates accepts goes through it, the
+// first timed update into an untimed matrix included (ratings.Upserted
+// promotes the matrix; no model structure reads a timestamp).
 //
 //cfsf:wallclock-ok refresh durations recorded in TrainStats only; no clock value reaches predictions or replayed state
-func (mod *Model) withUpdatesIncremental(updates []RatingUpdate) (next *Model, ok bool, err error) {
+func (mod *Model) withUpdatesIncremental(updates []RatingUpdate) (*Model, error) {
 	if len(updates) == 0 {
-		return mod, true, nil
-	}
-	if mod.decay != nil {
-		return nil, false, nil // time decay: every shard's weights change
+		return mod, nil
 	}
 	start := time.Now()
 
@@ -49,19 +44,16 @@ func (mod *Model) withUpdatesIncremental(updates []RatingUpdate) (next *Model, o
 	changedItems := map[int]bool{}
 	for k, up := range updates {
 		if up.User < 0 || up.Item < 0 {
-			return nil, false, fmt.Errorf("cfsf: negative id in update (%d,%d)", up.User, up.Item)
+			return nil, fmt.Errorf("cfsf: negative id in update (%d,%d)", up.User, up.Item)
 		}
 		ups[k] = ratings.Upsert{User: up.User, Item: up.Item, Value: up.Value, Time: up.Time}
 		changedUsers[up.User] = true
 		changedItems[up.Item] = true
 	}
 
-	m, mok, err := mod.m.Upserted(ups)
+	m, err := mod.m.Upserted(ups)
 	if err != nil {
-		return nil, false, err
-	}
-	if !mok {
-		return nil, false, nil // times transition: full rebuild required
+		return nil, err
 	}
 
 	// Sorted for the same reason as WithUpdates: the refresh passes must
@@ -90,9 +82,6 @@ func (mod *Model) withUpdatesIncremental(updates []RatingUpdate) (next *Model, o
 	out.stats.ClusterDuration = time.Since(t)
 	out.stats.ClusterIters = 0 // no K-means pass ran
 
-	// decay is nil by the guard above, and stays nil: Upserted preserves
-	// HasTimes, so buildDecay would produce nil here too.
-
 	affItems := map[int]bool{}
 	for u := range changedUsers {
 		for _, e := range m.UserRatings(u) {
@@ -116,5 +105,5 @@ func (mod *Model) withUpdatesIncremental(updates []RatingUpdate) (next *Model, o
 	out.stats.Incremental = true
 	out.stats.UpdatesApplied = len(updates)
 	out.stats.TotalDuration = time.Since(start)
-	return out, true, nil
+	return out, nil
 }

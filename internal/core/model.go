@@ -11,7 +11,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sync/atomic"
 	"time"
 
@@ -61,12 +60,12 @@ type Config struct {
 	// ContentBlend is the share of content similarity in the blended
 	// GIS (0 = pure collaborative, 1 = pure content).
 	ContentBlend float64
-	// TimeDecayTau, when > 0 on a matrix that carries timestamps,
-	// multiplies every original rating's Eq. 11 weight by
-	// exp(−(now−t)/τ) with now = the newest timestamp (paper §VI future
-	// work: "dates associated with the ratings ... may reflect shifts of
-	// user preferences"). τ is in the timestamps' unit (seconds for unix
-	// times). Smoothed values, being aggregates, keep weight 1−ε.
+	// TimeDecayTau is a tombstone: its only legal value is 0 and Validate
+	// refuses any other. It was the τ of a recency weight on Eq. 11 (paper
+	// §VI future work), measured as a monotone loss (EXPERIMENTS.md "Time
+	// decay on drifted data") and deleted. The field stays because gob
+	// drops a field the receiver lacks without a word: with it gone, a
+	// model saved under τ > 0 would load and serve different predictions.
 	TimeDecayTau float64
 	// ClusterMaxIter caps K-means iterations (0 = 100).
 	ClusterMaxIter int
@@ -124,6 +123,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cfsf: Delta must be in [0,1], got %g", c.Delta)
 	case c.OriginalWeight < 0 || c.OriginalWeight > 1:
 		return fmt.Errorf("cfsf: OriginalWeight must be in [0,1], got %g", c.OriginalWeight)
+	case c.TimeDecayTau != 0:
+		return fmt.Errorf("cfsf: TimeDecayTau must be 0, got %g: time decay was a measured loss (EXPERIMENTS.md) and is removed; commit 331211a is the last that honours it", c.TimeDecayTau)
 	}
 	return nil
 }
@@ -196,11 +197,6 @@ type Model struct {
 	// topM (same float64 multiply, so values are bit-identical to
 	// squaring at request time).
 	topM2 [][]float64 //cfsf:cow built and shared in lockstep with topM
-
-	// decay[u] aligns a recency multiplier with every entry of the
-	// user's row; nil when time decay is off or the matrix carries no
-	// timestamps.
-	decay [][]float64 //cfsf:cow rows shared across generations like topM
 }
 
 // likeMinded is one selected neighbour of an active user.
@@ -253,10 +249,8 @@ func Train(m *ratings.Matrix, cfg Config) (*Model, error) {
 	mod.stats.ClusterIters = cl.Iterations
 	mod.stats.ClusterInertia = cl.Inertia
 
-	mod.buildDecay()
-
 	t = time.Now()
-	mod.sm = smoothing.NewWeighted(m, cl, mod.decay)
+	mod.sm = smoothing.New(m, cl)
 	mod.stats.SmoothDuration = time.Since(t)
 
 	t = time.Now()
@@ -388,36 +382,6 @@ func patchByID(old, left, entered []mathx.Scored) []mathx.Scored {
 	return append(row, entered...)
 }
 
-// buildDecay precomputes the per-rating recency multipliers.
-//
-//cfsf:init-only called by Train and Load on a model that has not been returned yet
-func (mod *Model) buildDecay() {
-	if mod.cfg.TimeDecayTau <= 0 || !mod.m.HasTimes() {
-		mod.decay = nil
-		return
-	}
-	now := mod.m.MaxTime()
-	tau := mod.cfg.TimeDecayTau
-	mod.decay = make([][]float64, mod.m.NumUsers())
-	for u := range mod.decay {
-		times := mod.m.UserRatingTimes(u)
-		row := make([]float64, len(times))
-		for k, t := range times {
-			row[k] = math.Exp(-float64(now-t) / tau)
-		}
-		mod.decay[u] = row
-	}
-}
-
-// decayAt returns the recency multiplier of the original rating at row
-// index k of user u (1 when decay is off).
-func (mod *Model) decayAt(u, k int) float64 {
-	if mod.decay == nil {
-		return 1
-	}
-	return mod.decay[u][k]
-}
-
 // Config returns the configuration the model was trained with.
 func (mod *Model) Config() Config { return mod.cfg }
 
@@ -449,9 +413,9 @@ func (mod *Model) ratingAt(u, i int) (val float64, original, ok bool) {
 }
 
 // ratingWithW returns the (possibly smoothed) rating of (u, i) together
-// with its Eq. 11 weight — ε times the recency decay for an original
-// rating, 1−ε for a smoothed fill. ok is false only when smoothing is
-// disabled and the cell is unobserved.
+// with its Eq. 11 weight — ε for an original rating, 1−ε for a smoothed
+// fill. ok is false only when smoothing is disabled and the cell is
+// unobserved.
 func (mod *Model) ratingWithW(u, i int) (val, w11 float64, ok bool) {
 	row := mod.m.UserRatings(u)
 	lo, hi := 0, len(row)
@@ -464,7 +428,7 @@ func (mod *Model) ratingWithW(u, i int) (val, w11 float64, ok bool) {
 		}
 	}
 	if lo < len(row) && int(row[lo].Index) == i {
-		return row[lo].Value, mod.cfg.OriginalWeight * mod.decayAt(u, lo), true
+		return row[lo].Value, mod.cfg.OriginalWeight, true
 	}
 	if mod.cfg.DisableSmoothing {
 		return 0, 0, false

@@ -53,7 +53,7 @@ func refForEachLocalRating(mod *Model, u int, sorted []mathx.Scored, fn func(k i
 			j++
 		}
 		if j < len(row) && row[j].Index == idx {
-			fn(k, row[j].Value, true, mod.cfg.OriginalWeight*mod.decayAt(u, j))
+			fn(k, row[j].Value, true, mod.cfg.OriginalWeight)
 			continue
 		}
 		if mod.cfg.DisableSmoothing {
@@ -80,7 +80,7 @@ func refRatingWithW(mod *Model, u, i int) (val, w11 float64, ok bool) {
 	row := mod.m.UserRatings(u)
 	lo := sort.Search(len(row), func(x int) bool { return int(row[x].Index) >= i })
 	if lo < len(row) && int(row[lo].Index) == i {
-		return row[lo].Value, mod.cfg.OriginalWeight * mod.decayAt(u, lo), true
+		return row[lo].Value, mod.cfg.OriginalWeight, true
 	}
 	if mod.cfg.DisableSmoothing {
 		return 0, 0, false
@@ -139,7 +139,7 @@ func refEq10Sim(mod *Model, active, cand int) float64 {
 		var rc, w float64
 		if j < len(rowC) && rowC[j].Index == e.Index {
 			rc = rowC[j].Value
-			w = mod.cfg.OriginalWeight * mod.decayAt(cand, j)
+			w = mod.cfg.OriginalWeight
 		} else if mod.cfg.DisableSmoothing {
 			continue
 		} else {
@@ -600,20 +600,17 @@ func scanMatchesPredict(t *testing.T, mod *Model, user int, sc *recScratch) bool
 }
 
 // TestScanKernelParityWithPredict is the scan kernel's acceptance
-// property: on every config variant the parity suite walks — plus time
-// decay, tiny K/M, and the cache-size extremes — every score a tiled
-// scan produces is == to Predict(user, item) on the same model, for
-// every item of the catalogue. One scratch is reused across users and
-// variants, so stale tile contents from a different model are part of
-// the property.
+// property: on every config variant the parity suite walks — plus tiny
+// K/M and the cache-size extremes — every score a tiled scan produces is
+// == to Predict(user, item) on the same model, for every item of the
+// catalogue. One scratch is reused across users and variants, so stale
+// tile contents from a different model are part of the property.
 func TestScanKernelParityWithPredict(t *testing.T) {
 	d := synth.MustGenerate(smallSynth())
 	sc := new(recScratch)
 	for name, mutate := range map[string]func(*Config){
 		"default":          func(*Config) {},
 		"disableSmoothing": func(c *Config) { c.DisableSmoothing = true },
-		"timeDecay":        func(c *Config) { c.TimeDecayTau = 90 * 24 * 3600 },
-		"decayNoSmoothing": func(c *Config) { c.TimeDecayTau = 90 * 24 * 3600; c.DisableSmoothing = true },
 		"disableCache":     func(c *Config) { c.DisableCache = true },
 		"fullUserSearch":   func(c *Config) { c.FullUserSearch = true },
 		"tinyKM":           func(c *Config) { c.K, c.M = 1, 1 },
@@ -625,9 +622,6 @@ func TestScanKernelParityWithPredict(t *testing.T) {
 		mod, err := Train(d.Matrix, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
-		}
-		if (cfg.TimeDecayTau > 0) != (mod.decay != nil) {
-			t.Fatalf("%s: decay built = %v", name, mod.decay != nil)
 		}
 		t.Run(name, func(t *testing.T) {
 			f := func(seed int64) bool {

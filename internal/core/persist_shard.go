@@ -358,8 +358,7 @@ func rebuildModel(cfg Config, m *ratings.Matrix, gisSnap similarity.Snapshot, cl
 		gis:      similarity.FromSnapshot(gisSnap),
 		clusters: clusters,
 	}
-	mod.buildDecay()
-	mod.sm = smoothing.NewWeighted(mod.m, mod.clusters, mod.decay)
+	mod.sm = smoothing.New(mod.m, mod.clusters)
 	mod.ic = smoothing.BuildICluster(mod.sm, mod.cfg.Workers)
 	mod.neighborCache = make([]atomic.Pointer[[]likeMinded], mod.m.NumUsers())
 	mod.initRecCache()

@@ -103,9 +103,8 @@ func (mod *Model) fallback(user, item int) float64 {
 // item neighbourhood, yielding every local-matrix cell of u's row: the
 // observed rating where one exists, the Eq. 7 smoothed fill otherwise
 // (unless smoothing is disabled, in which case missing cells are
-// skipped). w11 is the Eq. 11 weight of the cell, including the
-// time-decay multiplier for original ratings. This is the O(M + |row|)
-// hot path of the online phase.
+// skipped). w11 is the Eq. 11 weight of the cell. This is the
+// O(M + |row|) hot path of the online phase.
 func (mod *Model) forEachLocalRating(u int, sorted []mathx.Scored, fn func(k int, r float64, original bool, w11 float64)) {
 	row := mod.m.UserRatings(u)
 	j := 0
@@ -115,7 +114,7 @@ func (mod *Model) forEachLocalRating(u int, sorted []mathx.Scored, fn func(k int
 			j++
 		}
 		if j < len(row) && row[j].Index == idx {
-			fn(k, row[j].Value, true, mod.cfg.OriginalWeight*mod.decayAt(u, j))
+			fn(k, row[j].Value, true, mod.cfg.OriginalWeight)
 			continue
 		}
 		if mod.cfg.DisableSmoothing {
@@ -135,10 +134,6 @@ func (mod *Model) sirLocal(user int, sorted []mathx.Scored) (float64, bool) {
 	row := mod.m.UserRatings(user)
 	eps := mod.cfg.OriginalWeight
 	wSm := 1 - eps
-	var decayRow []float64
-	if mod.decay != nil {
-		decayRow = mod.decay[user]
-	}
 	var flRow []float64
 	var um float64
 	if !mod.cfg.DisableSmoothing {
@@ -156,9 +151,6 @@ func (mod *Model) sirLocal(user int, sorted []mathx.Scored) (float64, bool) {
 		if j < len(row) && row[j].Index == idx {
 			r = row[j].Value
 			w11 = eps
-			if decayRow != nil {
-				w11 = eps * decayRow[j]
-			}
 		} else if flRow == nil {
 			continue
 		} else {
@@ -206,10 +198,15 @@ func (mod *Model) surLocal(user, item int, users []likeMinded) (float64, bool) {
 // order and arithmetic match forEachLocalRating exactly. sq is the
 // item's topM2 row: Score² per neighbour, precomputed at build time
 // with the same multiply Eq. 13 would do here.
+//
+// Every cell visited contributes: the GIS keeps only positive item sims
+// and Eq. 10 selection keeps only positive user sims, so the pair weight
+// si·sim/√(si²+sim²) is strictly positive and pairSim's d == 0 guard can
+// never fire. The mul and the sqrt are independent, so fusing them into
+// one expression keeps each operation and its operands unchanged.
 func (mod *Model) suirLocal(sorted []mathx.Scored, sq []float64, users []likeMinded) (float64, bool) {
 	eps := mod.cfg.OriginalWeight
 	wSm := 1 - eps
-	smoothing := !mod.cfg.DisableSmoothing
 	sq = sq[:len(sorted)] // one bounds check here instead of one per cell
 	var num, den float64
 	for _, lm := range users {
@@ -217,48 +214,24 @@ func (mod *Model) suirLocal(sorted []mathx.Scored, sq []float64, users []likeMin
 		sim := lm.sim
 		sim2 := sim * sim // Eq. 13's userSim² hoisted out of the M-cell loop
 		row := mod.m.UserRatings(u)
-		var decayRow []float64
-		if mod.decay != nil {
-			decayRow = mod.decay[u]
-		}
-		var flRow []float64
-		var um float64
-		if smoothing {
-			flRow = mod.sm.FillRow(u)
-			um = mod.m.UserMean(u)
-		}
 		j := 0
-		if decayRow == nil && flRow != nil {
-			// Common-case loop (no time decay, smoothing on): every cell
-			// contributes — the GIS keeps only positive item sims and
-			// Eq. 10 selection keeps only positive user sims, so the pair
-			// weight si·sim/√(si²+sim²) is strictly positive and the d == 0
-			// and ps <= 0 guards of the general loop can never fire.
-			// Arithmetic is the general loop's exactly (the mul and the
-			// sqrt are independent, so fusing them into one expression
-			// keeps each operation and its operands unchanged).
+		if mod.cfg.DisableSmoothing {
+			// Ablation: observed cells only.
 			for k, it := range sorted {
 				idx := it.Index
 				for j < len(row) && row[j].Index < idx {
 					j++
 				}
-				var r, w11 float64
 				if j < len(row) && row[j].Index == idx {
-					r = row[j].Value
-					w11 = eps
-				} else {
-					r = um
-					if f := flRow[idx]; f == f {
-						r = um + f
-					}
-					w11 = wSm
+					w := eps * (it.Score * sim / math.Sqrt(sq[k]+sim2))
+					num += w * row[j].Value
+					den += w
 				}
-				w := w11 * (it.Score * sim / math.Sqrt(sq[k]+sim2))
-				num += w * r
-				den += w
 			}
 			continue
 		}
+		flRow := mod.sm.FillRow(u)
+		um := mod.m.UserMean(u)
 		for k, it := range sorted {
 			idx := it.Index
 			for j < len(row) && row[j].Index < idx {
@@ -268,11 +241,6 @@ func (mod *Model) suirLocal(sorted []mathx.Scored, sq []float64, users []likeMin
 			if j < len(row) && row[j].Index == idx {
 				r = row[j].Value
 				w11 = eps
-				if decayRow != nil {
-					w11 = eps * decayRow[j]
-				}
-			} else if flRow == nil {
-				continue
 			} else {
 				r = um
 				if f := flRow[idx]; f == f {
@@ -280,19 +248,7 @@ func (mod *Model) suirLocal(sorted []mathx.Scored, sq []float64, users []likeMin
 				}
 				w11 = wSm
 			}
-			// Eq. 13 written out with both squares precomputed; operations
-			// and operand order match pairSim exactly, so the value is
-			// bit-identical.
-			si := it.Score
-			d := math.Sqrt(sq[k] + sim2)
-			if d == 0 {
-				continue
-			}
-			ps := si * sim / d
-			if ps <= 0 {
-				continue
-			}
-			w := w11 * ps
+			w := w11 * (it.Score * sim / math.Sqrt(sq[k]+sim2))
 			num += w * r
 			den += w
 		}
@@ -424,10 +380,6 @@ func (mod *Model) eq10Sim(active, cand int) float64 {
 	rowC := mod.m.UserRatings(cand)
 	eps := mod.cfg.OriginalWeight
 	wSm := 1 - eps
-	var decayRow []float64
-	if mod.decay != nil {
-		decayRow = mod.decay[cand]
-	}
 	// The candidate's fill-memo row replaces per-cell sm.Fill calls; the
 	// addend layout makes rc = cm + fill bit-identical to Fill(cand, i).
 	var flRow []float64
@@ -444,9 +396,6 @@ func (mod *Model) eq10Sim(active, cand int) float64 {
 		if j < len(rowC) && rowC[j].Index == e.Index {
 			rc = rowC[j].Value
 			w = eps
-			if decayRow != nil {
-				w = eps * decayRow[j]
-			}
 		} else if flRow == nil {
 			continue
 		} else {

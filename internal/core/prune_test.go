@@ -131,7 +131,6 @@ var pruneConfigs = map[string]func(*Config){
 	"delta1":           func(c *Config) { c.Delta = 1 },
 	"lambda0":          func(c *Config) { c.Lambda = 0 },
 	"lambda1":          func(c *Config) { c.Lambda = 1 },
-	"timeDecay":        func(c *Config) { c.TimeDecayTau = 90 * 24 * 3600 },
 	"fullUserSearch":   func(c *Config) { c.FullUserSearch = true },
 	"kAbovePopulation": func(c *Config) { c.K = 500 },
 	// 64 workers cut this fixture's columns into one-column chunks, most

@@ -170,9 +170,9 @@ func TestRecommendCacheIsPerGeneration(t *testing.T) {
 			return next
 		}},
 		{"ApplyIncremental", func(t *testing.T, prev *Model) *Model {
-			next, ok, err := prev.withUpdatesIncremental(ups)
-			if err != nil || !ok {
-				t.Fatalf("incremental path refused a plain rating: ok=%v err=%v", ok, err)
+			next, err := prev.withUpdatesIncremental(ups)
+			if err != nil {
+				t.Fatal(err)
 			}
 			return next
 		}},

@@ -29,7 +29,7 @@ import (
 type localCell struct {
 	// val is the observed rating, else the Eq. 7 fill UserMean + fill.
 	val float64
-	// w is the Eq. 11 weight: ε·decay for an original rating, 1−ε for a
+	// w is the Eq. 11 weight: ε for an original rating, 1−ε for a
 	// fill. Zero with val 0 marks a cell absent under DisableSmoothing: a
 	// zero weight adds +0 to both Eq. 12 sums, which is bit-identical to
 	// the merge path skipping the cell (the sums start at +0 and only
@@ -132,16 +132,8 @@ func (s *userScan) fillTileRow(n int) {
 			cells[i] = localCell{val: r, w: wSm}
 		}
 	}
-	var decayRow []float64
-	if mod.decay != nil {
-		decayRow = mod.decay[u]
-	}
-	for j, e := range mod.m.UserRatings(u) {
-		w := eps
-		if decayRow != nil {
-			w = eps * decayRow[j]
-		}
-		cells[e.Index] = localCell{val: e.Value, w: w}
+	for _, e := range mod.m.UserRatings(u) {
+		cells[e.Index] = localCell{val: e.Value, w: eps}
 	}
 }
 
@@ -368,10 +360,7 @@ func (s *userScan) surTile(item int) (float64, bool) {
 
 // suirTile is suirLocal with the per-neighbour row merge replaced by a
 // branch-free gather from the neighbour's tile row. Neighbour order,
-// top-M order and the per-cell arithmetic are suirLocal's common-case
-// loop exactly; its general loop adds only the d == 0 and ps <= 0
-// guards, which never fire (see the comment there — the argument does
-// not depend on decay or smoothing).
+// top-M order and the per-cell arithmetic are suirLocal's exactly.
 func (s *userScan) suirTile(sorted []mathx.Scored, sq []float64) (float64, bool) {
 	sq = sq[:len(sorted)]
 	var num, den float64

@@ -68,11 +68,10 @@ func (s *ShardedModel) ShardOf(user int) int {
 	return user % s.NumShards()
 }
 
-// Apply folds a batch of rating updates into a new ShardedModel. Batches
-// that permit it take the shard-local incremental path (rebuilding only
-// the touched shards); batches that dirty every shard (time decay, a
-// times-transition) fall back to the monolithic WithUpdates pass. Either
-// way the resulting model is bit-for-bit the one WithUpdates returns.
+// Apply folds a batch of rating updates into a new ShardedModel through
+// the shard-local incremental path (rebuilding only the touched shards).
+// The resulting model is bit-for-bit the one the from-scratch WithUpdates
+// returns; there is no batch it hands over to that pass.
 //
 //cfsf:wallclock-ok apply duration recorded in ShardStats only; no clock value reaches predictions or replayed state
 func (s *ShardedModel) Apply(updates []RatingUpdate) (*ShardedModel, error) {
@@ -89,15 +88,9 @@ func (s *ShardedModel) Apply(updates []RatingUpdate) (*ShardedModel, error) {
 		touched[s.ShardOf(up.User)]++
 	}
 	start := time.Now()
-	next, ok, err := s.mod.withUpdatesIncremental(updates)
+	next, err := s.mod.withUpdatesIncremental(updates)
 	if err != nil {
 		return nil, err
-	}
-	if !ok {
-		next, err = s.mod.WithUpdates(updates)
-		if err != nil {
-			return nil, err
-		}
 	}
 	ms := float64(time.Since(start)) / float64(time.Millisecond)
 	// Persistence dirt is the union of each changed user's pre-apply

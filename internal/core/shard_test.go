@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"cfsf/internal/ratings"
 	"cfsf/internal/synth"
 )
 
@@ -152,29 +154,67 @@ func TestShardedApplySingleClusterBatch(t *testing.T) {
 	}
 }
 
-// TestShardedApplyTimeDecayFallsBack checks the monolithic fallback: with
-// time decay active every shard's weights change, so Apply must produce
-// WithUpdates' result via the full path — and still match it.
-func TestShardedApplyTimeDecayFallsBack(t *testing.T) {
-	d := synth.MustGenerate(driftSynth()) // timestamped dataset
-	cfg := smallConfig()
-	cfg.TimeDecayTau = 90 * 24 * 3600
-	mod, err := Train(d.Matrix, cfg)
+// TestApplyIsTotal: the first timed rating into an untimed model — the
+// one batch that used to be handed to the from-scratch WithUpdates pass —
+// goes through the shard-local path like any other and still yields
+// WithUpdates' model: same predictions, same saved bytes, same dirt.
+func TestApplyIsTotal(t *testing.T) {
+	timed := synth.MustGenerate(smallSynth()).Matrix
+	b := ratings.NewBuilder(timed.NumUsers(), timed.NumItems()).SetScale(timed.MinRating(), timed.MaxRating())
+	for u := 0; u < timed.NumUsers(); u++ {
+		for _, e := range timed.UserRatings(u) {
+			b.MustAdd(u, int(e.Index), e.Value)
+		}
+	}
+	mod, err := Train(b.Build(), smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ups := []RatingUpdate{{User: 1, Item: 2, Value: 4, Time: d.Matrix.MaxTime() + 60}}
+	if mod.Matrix().HasTimes() {
+		t.Fatal("fixture is timed; the transition is not exercised")
+	}
+	ups := []RatingUpdate{
+		{User: 1, Item: 2, Value: 4, Time: 1700000100},
+		{User: 3, Item: 5, Value: 2},
+	}
 	want, err := mod.WithUpdates(ups)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := NewSharded(mod).Apply(ups)
+	pre := NewSharded(mod)
+	got, err := pre.Apply(ups)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSamePredictions(t, gridPredictions(want), gridPredictions(got.Model()), "time-decay fallback")
-	if got.Model().Stats().UpdatesApplied != 1 {
-		t.Fatal("fallback path should still record the apply")
+	if !got.Model().Matrix().HasTimes() {
+		t.Fatal("timed update left the matrix untimed")
+	}
+	requireSamePredictions(t, gridPredictions(want), gridPredictions(got.Model()), "times transition")
+	var wantBytes, gotBytes bytes.Buffer
+	if err := want.Save(&wantBytes); err != nil {
+		t.Fatal(err)
+	}
+	if err := got.Model().Save(&gotBytes); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(wantBytes.Bytes(), gotBytes.Bytes()) {
+		t.Fatal("Save bytes differ from WithUpdates' model")
+	}
+	dirtySet := map[int]bool{}
+	for _, up := range ups {
+		dirtySet[pre.ShardOf(up.User)] = true
+		dirtySet[want.Clusters().Assign[up.User]] = true
+	}
+	if dirty := sortedShardSet(dirtySet); !slices.Equal(got.DirtyShards(), dirty) {
+		t.Fatalf("DirtyShards = %v, want %v from WithUpdates' assignment", got.DirtyShards(), dirty)
+	}
+	if st := got.Model().Stats(); !st.Incremental || st.UpdatesApplied != len(ups) {
+		t.Fatalf("stats = %+v, want an incremental apply of %d", st, len(ups))
+	}
+	// WithUpdates re-sorts every row into a fresh backing array; only the
+	// shard-local path shares an untouched user's row with its predecessor.
+	if a, b := mod.Matrix().UserRatings(0), got.Model().Matrix().UserRatings(0); &a[0] != &b[0] {
+		t.Fatal("untouched user's row was rebuilt: the batch went through the from-scratch pass")
 	}
 }
 

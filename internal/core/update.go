@@ -22,8 +22,8 @@ type RatingUpdate struct {
 	User  int
 	Item  int
 	Value float64
-	// Time is an optional unix timestamp for the rating (used by the
-	// time-decay extension; 0 = untimed).
+	// Time is an optional unix timestamp for the rating (0 = untimed). It
+	// is stored and persisted with the rating; no prediction reads it.
 	Time int64
 }
 
@@ -129,10 +129,8 @@ func (mod *Model) WithUpdates(updates []RatingUpdate) (*Model, error) {
 	next.stats.ClusterDuration = time.Since(t)
 	next.stats.ClusterIters = 0 // no K-means pass ran
 
-	next.buildDecay()
-
 	t = time.Now()
-	next.sm = smoothing.NewWeighted(m, next.clusters, next.decay)
+	next.sm = smoothing.New(m, next.clusters)
 	next.stats.SmoothDuration = time.Since(t)
 
 	t = time.Now()

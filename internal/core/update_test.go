@@ -176,3 +176,25 @@ func TestWithUpdatesChainable(t *testing.T) {
 		t.Error("ratings lost across chained updates")
 	}
 }
+
+// TestWithUpdatesKeepsTimestamps: timestamps are data the matrix carries
+// through a refresh — the old ones stay, a timed update's is stored.
+func TestWithUpdatesKeepsTimestamps(t *testing.T) {
+	mod, d := trainSmall(t)
+	if !d.Matrix.HasTimes() {
+		t.Fatal("fixture lost its timestamps")
+	}
+	u, i := 0, int(d.Matrix.UserRatings(0)[0].Index)
+	old, _ := d.Matrix.RatingTime(u, i)
+	const ts = 1 << 40
+	next, err := mod.WithUpdates([]RatingUpdate{{User: 0, Item: 149, Value: 5, Time: ts}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := next.Matrix().RatingTime(0, 149); !ok || got != ts {
+		t.Errorf("new rating timestamp = %d,%v, want %d", got, ok, int64(ts))
+	}
+	if got, ok := next.Matrix().RatingTime(u, i); !ok || got != old {
+		t.Errorf("old rating timestamp = %d,%v, want %d", got, ok, old)
+	}
+}

@@ -7,8 +7,6 @@ import (
 
 	"cfsf/internal/core"
 	"cfsf/internal/eval"
-	"cfsf/internal/ratings"
-	"cfsf/internal/synth"
 )
 
 // This file holds the experiments that go beyond the paper's §V: top-N
@@ -226,63 +224,6 @@ func ContentTable(points []ContentPoint) *eval.Table {
 			fmt.Sprintf("%.4f", p.MAE[5]),
 			fmt.Sprintf("%.4f", p.MAE[10]),
 			fmt.Sprintf("%.4f", p.MAE[20]))
-	}
-	return t
-}
-
-// TemporalPoint is one τ measurement of the time-decay experiment.
-type TemporalPoint struct {
-	TauDays float64 // 0 = decay off
-	MAE     float64
-}
-
-// Temporal runs the time-decay sweep (paper §VI: "dates associated with
-// the ratings ... may reflect shifts of user preferences") on a drifted
-// variant of the dataset under the time-ordered protocol: test users
-// reveal their earliest 20 ratings and the model predicts their later
-// ones. Recorded in EXPERIMENTS.md as an honest negative result at this
-// data scale: decay's variance cost (discounting most of a sparse
-// matrix) offsets its trend tracking.
-func (e *Env) Temporal(tausDays []float64) ([]TemporalPoint, error) {
-	if len(tausDays) == 0 {
-		tausDays = []float64{0, 30, 60, 120, 240, 500}
-	}
-	cfg := e.Data.Config
-	cfg.DriftStd = 2.0
-	drifted, err := synth.Generate(cfg)
-	if err != nil {
-		return nil, err
-	}
-	split, err := ratings.MLSplitByTime(drifted.Matrix, 300, TestUsers, 20)
-	if err != nil {
-		return nil, err
-	}
-	if e.TargetFraction > 0 && e.TargetFraction < 1 {
-		split = split.TruncateTargets(e.TargetFraction)
-	}
-	var out []TemporalPoint
-	for _, tau := range tausDays {
-		mcfg := CFSFConfig()
-		mcfg.TimeDecayTau = tau * 24 * 3600
-		res, err := eval.Evaluate(NewCFSF(mcfg), split, eval.Options{})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: temporal tau=%g: %w", tau, err)
-		}
-		out = append(out, TemporalPoint{TauDays: tau, MAE: res.MAE})
-	}
-	return out, nil
-}
-
-// TemporalTable renders the τ sweep.
-func TemporalTable(points []TemporalPoint) *eval.Table {
-	t := eval.NewTable("Extension — time decay on drifted data (time-ordered ML_300/Given20)",
-		"τ (days)", "MAE")
-	for _, p := range points {
-		label := fmt.Sprintf("%g", p.TauDays)
-		if p.TauDays == 0 {
-			label = "off"
-		}
-		t.AddRow(label, fmt.Sprintf("%.4f", p.MAE))
 	}
 	return t
 }

@@ -10,6 +10,7 @@ import (
 	"testing/quick"
 
 	"cfsf/internal/core"
+	"cfsf/internal/ratings"
 	"cfsf/internal/wal"
 )
 
@@ -642,5 +643,106 @@ func TestSnapshotStats(t *testing.T) {
 	}
 	if got := m.SnapshotStats(); got.Path != info.Path || got.ShardsWritten != 1 {
 		t.Fatalf("SnapshotStats = %+v, want the last snapshot %+v", got, info)
+	}
+}
+
+// TestTimesFlipRewritesEveryShardAndReboots drives the first timed rating
+// into an untimed data dir. It changes the wire shape of every shard blob,
+// so the snapshot after it must rewrite them all (replica.commit's flip),
+// not only the shard the rating dirtied; a reboot from that manifest, and
+// one that has to patch a shard forward from a pre-flip blob (untimed
+// rows, genuinely zero timestamps), must both give the live model back.
+func TestTimesFlipRewritesEveryShardAndReboots(t *testing.T) {
+	timed := newBaseModel(t)
+	tm := timed.Matrix()
+	b := ratings.NewBuilder(tm.NumUsers(), tm.NumItems()).SetScale(tm.MinRating(), tm.MaxRating())
+	for u := 0; u < tm.NumUsers(); u++ {
+		for _, e := range tm.UserRatings(u) {
+			b.MustAdd(u, int(e.Index), e.Value)
+		}
+	}
+	base, err := core.Train(b.Build(), timed.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	cfg := Config{DataDir: dir, Fsync: wal.SyncNever, SnapshotKeep: 2}
+	m, err := Open(bootWith(base), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit := func(ups ...core.RatingUpdate) {
+		t.Helper()
+		var last uint64
+		for _, up := range ups {
+			if last, _, err = m.Submit(up); err != nil {
+				t.Fatal(err)
+			}
+		}
+		waitUntil(t, "updates applied", func() bool { return m.AppliedSeq() >= last })
+	}
+
+	submit(testUpdate(1), testUpdate(2), testUpdate(3))
+	if _, err := m.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if m.Model().Matrix().HasTimes() {
+		t.Fatal("fixture is timed before the timed rating; the flip is not exercised")
+	}
+	// A re-rating of an existing cell at its own value: one shard dirty,
+	// and nobody's mean — so nobody's cluster — moves.
+	row := base.Matrix().UserRatings(5)
+	submit(core.RatingUpdate{User: 5, Item: int(row[0].Index), Value: row[0].Value, Time: 1700000000})
+	info, err := m.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := m.Sharded().NumShards(); info.ShardsWritten != n || info.ShardsClean != 0 {
+		t.Fatalf("snapshot after the flip wrote %d shards and reused %d; want all %d rewritten", info.ShardsWritten, info.ShardsClean, n)
+	}
+	points, err := listDurablePoints(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, err := readManifest(points[0].path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ref := range man.Shards {
+		if ref.Seq != man.Seq {
+			t.Fatalf("shard %d still references a blob of seq %d in the manifest of seq %d", ref.ID, ref.Seq, man.Seq)
+		}
+	}
+	want, wantFP := predictions(m.Model()), fingerprint(t, m.Model())
+	m.Abort()
+
+	reopen := func(label string) *Manager {
+		t.Helper()
+		b, err := Open(noBoot(t), cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if !b.Model().Matrix().HasTimes() {
+			t.Fatalf("%s: rebooted model is untimed", label)
+		}
+		if got := fingerprint(t, b.Model()); got != wantFP {
+			t.Fatalf("%s: fingerprint %s, live manager had %s", label, got, wantFP)
+		}
+		samePredictions(t, label, want, predictions(b.Model()))
+		return b
+	}
+	reopen("reboot from the post-flip manifest").Abort()
+
+	loaded := corruptOneRewrittenShardBlob(t, dir)
+	if loaded == "" {
+		t.Fatal("no post-flip shard blob has a patchable pre-flip predecessor")
+	}
+	p := reopen("reboot patching one shard from its pre-flip blob")
+	defer p.Close()
+	if got := filepath.Base(p.BootStats().SnapshotLoaded); got != loaded {
+		t.Fatalf("boot loaded %q, want the corrupted-but-patchable manifest %q", got, loaded)
+	}
+	if n := p.reg.Counter("lifecycle_shard_blob_failures_total").Value(); n < 1 {
+		t.Fatal("shard blob fallback never ran")
 	}
 }

@@ -68,6 +68,9 @@ func TestShardedBatchParityAndRecovery(t *testing.T) {
 	}
 	want := predictions(comparator)
 	samePredictions(t, "sharded live vs monolithic groups", want, predictions(a.Model()))
+	// The drain loop books a batch after it publishes it (and journals the
+	// commit), so AppliedSeq can be seen before the counter moves.
+	waitUntil(t, "batch booked", func() bool { return a.reg.Counter("lifecycle_batches_total").Value() >= int64(len(groups)) })
 	if batches := a.reg.Counter("lifecycle_batches_total").Value(); batches != int64(len(groups)) {
 		t.Errorf("manager used %d batches, expected %d prefix groups", batches, len(groups))
 	}

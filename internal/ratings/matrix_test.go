@@ -275,19 +275,3 @@ func TestDuplicateKeepsLatestTimestamp(t *testing.T) {
 		t.Error("RatingTime on out-of-row item must report missing")
 	}
 }
-
-func TestMaxTime(t *testing.T) {
-	b := NewBuilder(2, 2)
-	if err := b.AddWithTime(0, 0, 3, 500); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.AddWithTime(1, 1, 4, 900); err != nil {
-		t.Fatal(err)
-	}
-	if got := b.Build().MaxTime(); got != 900 {
-		t.Fatalf("MaxTime = %d, want 900", got)
-	}
-	if got := NewBuilder(1, 1).Build().MaxTime(); got != 0 {
-		t.Fatalf("untimed MaxTime = %d, want 0", got)
-	}
-}

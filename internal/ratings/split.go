@@ -137,9 +137,9 @@ func (s *GivenNSplit) TruncateTargets(frac float64) *GivenNSplit {
 
 // MLSplitByTime is the temporal variant of MLSplit: for each test user
 // the `given` *earliest* ratings (by timestamp) are revealed and the
-// later ratings become targets — the protocol for evaluating
-// time-decayed models, where the task is predicting a user's future from
-// their past. It requires a matrix with timestamps.
+// later ratings become targets — the protocol where the task is
+// predicting a user's future from their past. It requires a matrix with
+// timestamps.
 func MLSplitByTime(full *Matrix, nTrain, nTest, given int) (*GivenNSplit, error) {
 	if !full.HasTimes() {
 		return nil, fmt.Errorf("ratings: MLSplitByTime needs a matrix with timestamps")

@@ -2,9 +2,9 @@ package ratings
 
 // Timestamp support. Timestamps are optional: matrices built without
 // them carry none (HasTimes reports false) and all time accessors return
-// zero. When present they align one-to-one with the row entries, which
-// is what the time-decayed CFSF extension (paper §VI: "dates associated
-// with the ratings ... may reflect shifts of user preferences") consumes.
+// zero. When present they align one-to-one with the row entries. They are
+// data the model carries, persists and splits on (MLSplitByTime); no
+// Eq. 5–14 weight reads them.
 
 // AddWithTime records a rating with a unix timestamp. Mixing Add and
 // AddWithTime is allowed; untimed ratings carry timestamp 0. Duplicate
@@ -52,18 +52,4 @@ func (m *Matrix) UserRatingTimes(u int) []int64 {
 		return nil
 	}
 	return m.rowTimes[u]
-}
-
-// MaxTime returns the largest recorded timestamp ("now" for decay
-// computations), or 0 when the matrix has no timestamps.
-func (m *Matrix) MaxTime() int64 {
-	var max int64
-	for u := range m.rowTimes {
-		for _, t := range m.rowTimes[u] {
-			if t > max {
-				max = t
-			}
-		}
-	}
-	return max
 }

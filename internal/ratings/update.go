@@ -31,32 +31,44 @@ type Upsert struct {
 }
 
 // Upserted returns a new matrix with the updates applied, sharing all
-// unchanged rows and columns with m. ok is false when the batch cannot be
-// applied incrementally (a timestamped update against an untimed matrix
-// changes the row-times layout of every row); the caller should fall back
-// to a full Builder pass. An invalid update (negative id, non-finite
-// value) returns an error, mirroring Builder.Add.
-func (m *Matrix) Upserted(ups []Upsert) (next *Matrix, ok bool, err error) {
+// unchanged rows and columns with m. The first timestamped update into an
+// untimed matrix promotes it: every existing rating gets timestamp 0, as
+// Builder.Build gives an untimed rating mixed with timed ones. An invalid
+// update (negative id, non-finite value) returns an error, mirroring
+// Builder.Add.
+func (m *Matrix) Upserted(ups []Upsert) (*Matrix, error) {
 	if len(ups) == 0 {
-		return m, true, nil
+		return m, nil
 	}
 	hasTimes := m.rowTimes != nil
 	numUsers, numItems := m.numUsers, m.numItems
 	for _, up := range ups {
 		if up.User < 0 || up.Item < 0 {
-			return nil, false, fmt.Errorf("ratings: negative id in upsert (%d,%d)", up.User, up.Item)
+			return nil, fmt.Errorf("ratings: negative id in upsert (%d,%d)", up.User, up.Item)
 		}
 		if math.IsNaN(up.Value) || math.IsInf(up.Value, 0) {
-			return nil, false, fmt.Errorf("ratings: non-finite rating %v for (%d,%d)", up.Value, up.User, up.Item)
+			return nil, fmt.Errorf("ratings: non-finite rating %v for (%d,%d)", up.Value, up.User, up.Item)
 		}
-		if !hasTimes && up.Time != 0 {
-			return nil, false, nil // times transition: full rebuild required
+		if up.Time != 0 {
+			hasTimes = true
 		}
 		if up.User >= numUsers {
 			numUsers = up.User + 1
 		}
 		if up.Item >= numItems {
 			numItems = up.Item + 1
+		}
+	}
+
+	oldTimes := m.rowTimes
+	if hasTimes && oldTimes == nil {
+		// One zeroed slab sliced per row, the layout Build gives rowTimes.
+		slab := make([]int64, m.nnz)
+		oldTimes = make([][]int64, m.numUsers)
+		off := 0
+		for u, row := range m.rows {
+			oldTimes[u] = slab[off : off+len(row)]
+			off += len(row)
 		}
 	}
 
@@ -85,21 +97,21 @@ func (m *Matrix) Upserted(ups []Upsert) (next *Matrix, ok bool, err error) {
 	copy(out.itemMean, m.itemMean)
 	if hasTimes {
 		out.rowTimes = make([][]int64, numUsers)
-		copy(out.rowTimes, m.rowTimes)
+		copy(out.rowTimes, oldTimes)
 	}
 
 	// Rebuild changed rows by sorted merge of the old row and the user's
 	// updates (sorted by item, last write per item wins).
 	for u, list := range perUser {
 		var oldRow []Entry
-		var oldTimes []int64
+		var oldRowTimes []int64
 		if u < m.numUsers {
 			oldRow = m.rows[u]
 			if hasTimes {
-				oldTimes = m.rowTimes[u]
+				oldRowTimes = oldTimes[u]
 			}
 		}
-		newRow, newTimes := mergeRow(oldRow, oldTimes, list, hasTimes)
+		newRow, newTimes := mergeRow(oldRow, oldRowTimes, list, hasTimes)
 		out.rows[u] = newRow
 		if hasTimes {
 			out.rowTimes[u] = newTimes
@@ -160,7 +172,7 @@ func (m *Matrix) Upserted(ups []Upsert) (next *Matrix, ok bool, err error) {
 	if nnz > 0 {
 		out.global = total / float64(nnz)
 	}
-	return out, true, nil
+	return out, nil
 }
 
 // mergeRow merges a sorted row with a user's updates (batch order, last

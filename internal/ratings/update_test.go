@@ -133,9 +133,9 @@ func TestUpsertedMatchesFullRebuild(t *testing.T) {
 				ups[k].Time = int64(rng.Intn(1000) + 1)
 			}
 		}
-		got, ok, err := m.Upserted(ups)
-		if err != nil || !ok {
-			t.Fatalf("trial %d: Upserted err=%v ok=%v", trial, err, ok)
+		got, err := m.Upserted(ups)
+		if err != nil {
+			t.Fatalf("trial %d: Upserted: %v", trial, err)
 		}
 		want := fullRebuild(t, m, ups)
 		requireSameMatrix(t, want, got)
@@ -148,9 +148,9 @@ func TestUpsertedDuplicateLastWins(t *testing.T) {
 	b.MustAdd(1, 1, 3)
 	m := b.Build()
 	ups := []Upsert{{User: 0, Item: 0, Value: 4}, {User: 0, Item: 0, Value: 5}, {User: 0, Item: 2, Value: 1}}
-	got, ok, err := m.Upserted(ups)
-	if err != nil || !ok {
-		t.Fatalf("Upserted: err=%v ok=%v", err, ok)
+	got, err := m.Upserted(ups)
+	if err != nil {
+		t.Fatalf("Upserted: %v", err)
 	}
 	if v, _ := got.Rating(0, 0); v != 5 {
 		t.Fatalf("last write should win: got %v", v)
@@ -162,9 +162,9 @@ func TestUpsertedSharesUnchangedRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	m := randomMatrix(rng, 10, 8, 50, false)
 	const sentinel = 4.75 // not producible by randomMatrix
-	got, ok, err := m.Upserted([]Upsert{{User: 0, Item: 0, Value: sentinel}})
-	if err != nil || !ok {
-		t.Fatalf("Upserted: err=%v ok=%v", err, ok)
+	got, err := m.Upserted([]Upsert{{User: 0, Item: 0, Value: sentinel}})
+	if err != nil {
+		t.Fatalf("Upserted: %v", err)
 	}
 	for u := 1; u < m.NumUsers(); u++ {
 		a, b := m.UserRatings(u), got.UserRatings(u)
@@ -178,16 +178,29 @@ func TestUpsertedSharesUnchangedRows(t *testing.T) {
 	}
 }
 
-func TestUpsertedTimesTransitionFallsBack(t *testing.T) {
-	b := NewBuilder(2, 2).SetScale(1, 5)
-	b.MustAdd(0, 0, 2)
-	m := b.Build() // untimed
-	_, ok, err := m.Upserted([]Upsert{{User: 1, Item: 1, Value: 3, Time: 99}})
+// TestUpsertedTimesTransitionIsPromoted: the first timed upsert into an
+// untimed matrix yields the timed matrix a full rebuild would, whatever
+// else the batch holds (untimed upserts, overwrites, growth).
+func TestUpsertedTimesTransitionIsPromoted(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	m := randomMatrix(rng, 20, 15, 120, false)
+	u, i := 3, int(m.UserRatings(3)[0].Index)
+	ups := []Upsert{
+		{User: 1, Item: 1, Value: 3, Time: 99},
+		{User: 2, Item: 14, Value: 4.5},         // untimed, same batch
+		{User: u, Item: i, Value: 1.5, Time: 7}, // overwrites an untimed cell
+		{User: 21, Item: 16, Value: 2, Time: 5}, // grows both dimensions
+	}
+	got, err := m.Upserted(ups)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok {
-		t.Fatal("timestamped upsert into untimed matrix must request full rebuild")
+	if !got.HasTimes() || m.HasTimes() {
+		t.Fatalf("HasTimes: got %v, old matrix %v; want true, false", got.HasTimes(), m.HasTimes())
+	}
+	requireSameMatrix(t, fullRebuild(t, m, ups), got)
+	if ts, ok := got.RatingTime(u, i); !ok || ts != 7 {
+		t.Fatalf("RatingTime(%d,%d) = %d, %v; want 7", u, i, ts, ok)
 	}
 }
 
@@ -202,7 +215,7 @@ func TestUpsertedValidation(t *testing.T) {
 		{{User: 0, Item: 0, Value: math.Inf(1)}},
 	}
 	for k, ups := range cases {
-		if _, _, err := m.Upserted(ups); err == nil {
+		if _, err := m.Upserted(ups); err == nil {
 			t.Fatalf("case %d: expected error", k)
 		}
 	}
@@ -211,8 +224,8 @@ func TestUpsertedValidation(t *testing.T) {
 func TestUpsertedEmptyBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m := randomMatrix(rng, 5, 5, 12, false)
-	got, ok, err := m.Upserted(nil)
-	if err != nil || !ok || got != m {
-		t.Fatalf("empty batch should return the same matrix (err=%v ok=%v)", err, ok)
+	got, err := m.Upserted(nil)
+	if err != nil || got != m {
+		t.Fatalf("empty batch should return the same matrix (err=%v)", err)
 	}
 }

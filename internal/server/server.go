@@ -52,6 +52,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -640,12 +641,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	user, err := boundedIntParam(r, "user", 0, maxIDParam)
+	q := r.URL.Query()
+	user, err := boundedIntParam(q, "user", 0, maxIDParam)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	item, err := boundedIntParam(r, "item", 0, maxIDParam)
+	item, err := boundedIntParam(q, "item", 0, maxIDParam)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -722,12 +724,13 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
-	user, err := boundedIntParam(r, "user", 0, maxIDParam)
+	q := r.URL.Query()
+	user, err := boundedIntParam(q, "user", 0, maxIDParam)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	n, err := optionalBoundedIntParam(r, "n", 1, 100, 10)
+	n, err := optionalBoundedIntParam(q, "n", 1, 100, 10)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -761,9 +764,10 @@ const maxIDParam = 1<<31 - 1
 // [lo, hi]. Every handler reading numeric query input goes through this
 // one parser, so the rejection surface is uniform: missing, non-integer
 // (including fractional and overflow) and out-of-range values all yield
-// one 400 with the accepted range spelled out.
-func boundedIntParam(r *http.Request, name string, lo, hi int) (int, error) {
-	v := r.URL.Query().Get(name)
+// one 400 with the accepted range spelled out. q is the handler's one
+// parse of the query string.
+func boundedIntParam(q url.Values, name string, lo, hi int) (int, error) {
+	v := q.Get(name)
 	if v == "" {
 		return 0, fmt.Errorf("missing required parameter %q", name)
 	}
@@ -779,11 +783,11 @@ func boundedIntParam(r *http.Request, name string, lo, hi int) (int, error) {
 
 // optionalBoundedIntParam is boundedIntParam with a default for an
 // absent parameter; a present value is validated identically.
-func optionalBoundedIntParam(r *http.Request, name string, lo, hi, def int) (int, error) {
-	if r.URL.Query().Get(name) == "" {
+func optionalBoundedIntParam(q url.Values, name string, lo, hi, def int) (int, error) {
+	if q.Get(name) == "" {
 		return def, nil
 	}
-	return boundedIntParam(r, name, lo, hi)
+	return boundedIntParam(q, name, lo, hi)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

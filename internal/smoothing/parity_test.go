@@ -44,7 +44,7 @@ func TestRefreshIClusterParityWithBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm := NewWeighted(m, cl, nil)
+	sm := New(m, cl)
 	ic := BuildICluster(sm, 2)
 
 	tied := 0
@@ -63,10 +63,6 @@ func TestRefreshIClusterParityWithBuild(t *testing.T) {
 		t.Fatalf("only %d of %d users have tied similarities: fixture lost its ties", tied, users)
 	}
 
-	allUsers := make([]int, users)
-	for u := range allUsers {
-		allUsers[u] = u
-	}
 	type upsert struct {
 		user, item int
 		value      float64
@@ -96,8 +92,8 @@ func TestRefreshIClusterParityWithBuild(t *testing.T) {
 		{"one rating", func() []upsert {
 			// A nudge to a user already on their nearest centroid, so
 			// nobody changes cluster.
-			for u, at := range cl.NearestAll(m, allUsers) {
-				if at == cl.Assign[u] {
+			for u := 0; u < users; u++ {
+				if cl.Nearest(m, u) == cl.Assign[u] {
 					e := m.UserRatings(u)[0]
 					return []upsert{{u, int(e.Index), e.Value + 0.25}}
 				}

@@ -16,20 +16,18 @@ import (
 // (their membership or their members' rows/means changed) plus the global
 // deviations of the items the changed users rated (a changed user mean
 // shifts every centred rating in that user's row). Everything else is
-// bit-identical to what NewWeighted would recompute, so it is shared.
+// bit-identical to what New would recompute, so it is shared.
 //
 // Both refreshes reproduce the full build's floating-point accumulation
 // order exactly: per-cluster sums iterate members in ascending user order
-// (NewWeighted's u = 0..P loop visits a fixed cluster's members in that
+// (New's u = 0..P loop visits a fixed cluster's members in that
 // order), and per-item global sums iterate the item's column, which the
 // matrix stores in ascending user order. This is what lets the sharded
 // and monolithic apply paths produce byte-identical models.
 
 // Refresh returns a new Smoother for the updated matrix and clustering in
 // which only the listed clusters' deviation rows and the listed items'
-// global deviations are recomputed; the rest is shared with s. It is only
-// valid for uniformly-weighted smoothers (weights change globally under
-// time decay; callers fall back to NewWeighted there).
+// global deviations are recomputed; the rest is shared with s.
 //
 // Both recompute loops run on a worker pool: every cluster (= shard) and
 // every affected item is an independent slot write, so a multi-shard

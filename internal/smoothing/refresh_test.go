@@ -65,9 +65,9 @@ func requireSameICluster(t *testing.T, want, got *ICluster) {
 }
 
 // TestRefreshMatchesFullBuild drives random update batches through the
-// incremental Refresh/RefreshICluster pair and the full NewWeighted/
-// BuildICluster rebuild, requiring exact equality of every deviation,
-// every similarity, and every ranking.
+// incremental Refresh/RefreshICluster pair and the full New/BuildICluster
+// rebuild, requiring exact equality of every deviation, every similarity,
+// and every ranking.
 func TestRefreshMatchesFullBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 30; trial++ {
@@ -76,7 +76,7 @@ func TestRefreshMatchesFullBuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sm := NewWeighted(m, cl, nil)
+		sm := New(m, cl)
 		ic := BuildICluster(sm, 1)
 
 		// Random upsert batch, possibly growing users/items.
@@ -114,7 +114,7 @@ func TestRefreshMatchesFullBuild(t *testing.T) {
 			}
 		}
 
-		wantSm := NewWeighted(m2, cl2, nil)
+		wantSm := New(m2, cl2)
 		gotSm := sm.Refresh(m2, cl2, affected, affItems, 0)
 		requireSameSmoother(t, wantSm, gotSm, cl2.K, m2.NumItems())
 
@@ -133,7 +133,7 @@ func TestRefreshSharesUntouchedClusters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm := NewWeighted(m, cl, nil)
+	sm := New(m, cl)
 	got := sm.Refresh(m, cl, map[int]bool{0: true}, map[int]bool{}, 0)
 	for c := 1; c < cl.K; c++ {
 		if &got.dev[c][0] != &sm.dev[c][0] {
@@ -161,7 +161,7 @@ func TestFillMemoMatchesFallbackChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm := NewWeighted(m, cl, nil)
+	sm := New(m, cl)
 	for u := 0; u < m.NumUsers(); u++ {
 		c := sm.Cluster(u)
 		um := m.UserMean(u)

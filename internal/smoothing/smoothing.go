@@ -44,14 +44,6 @@ type Smoother struct {
 
 // New builds a Smoother from a matrix and a finished clustering.
 func New(m *ratings.Matrix, cl *cluster.Result) *Smoother {
-	return NewWeighted(m, cl, nil)
-}
-
-// NewWeighted builds a Smoother whose Eq. 8 deviations weight each
-// rating by weights[u][k] (aligned with UserRatings(u); nil = uniform).
-// The time-decayed CFSF extension passes recency multipliers here so the
-// smoothed fills track the present rather than the all-time average.
-func NewWeighted(m *ratings.Matrix, cl *cluster.Result, weights [][]float64) *Smoother {
 	k, q := cl.K, m.NumItems()
 	s := &Smoother{
 		m:         m,
@@ -76,20 +68,12 @@ func NewWeighted(m *ratings.Matrix, cl *cluster.Result, weights [][]float64) *Sm
 	for u := 0; u < m.NumUsers(); u++ {
 		c := cl.Assign[u]
 		um := m.UserMean(u)
-		var w []float64
-		if weights != nil {
-			w = weights[u]
-		}
-		for j, e := range m.UserRatings(u) {
-			wt := 1.0
-			if w != nil {
-				wt = w[j]
-			}
-			d := wt * (e.Value - um)
+		for _, e := range m.UserRatings(u) {
+			d := e.Value - um
 			sum[c][e.Index] += d
-			cnt[c][e.Index] += wt
+			cnt[c][e.Index]++
 			gSum[e.Index] += d
-			gCnt[e.Index] += wt
+			gCnt[e.Index]++
 		}
 	}
 	for c := 0; c < k; c++ {
