@@ -74,7 +74,6 @@ func main() {
 		snapshotEvery = flag.Duration("snapshot-every", 10*time.Minute, "background snapshot cadence (0 disables)")
 		snapshotKeep  = flag.Int("snapshot-keep", 2, "how many snapshot files to retain")
 		retrainAfter  = flag.Int("retrain-after", 0, "background retrain after this many applied ratings (0 disables)")
-		snapVerify    = flag.Bool("snapshot-verify", true, "read each written snapshot blob back and compare it to the serving model before the manifest may prune the WAL")
 
 		follow     = flag.String("follow", "", "run as a read replica of this leader URL (e.g. http://leader:8080); ignores -data/-model/-data-dir")
 		adminToken = flag.String("admin-token", "", "shared secret gating /admin/* (Authorization: Bearer <token>); also sent to the leader under -follow")
@@ -222,19 +221,18 @@ func main() {
 		}
 		t := time.Now()
 		mgr, err := lifecycle.Open(bootstrap, lifecycle.Config{
-			DataDir:            *dataDir,
-			Fsync:              policy,
-			FsyncInterval:      *fsyncInterval,
-			SegmentBytes:       *segmentBytes,
-			BatchMaxSize:       *batchMax,
-			BatchMaxWait:       *batchWait,
-			QueueCapacity:      *queueCap,
-			SnapshotEvery:      *snapshotEvery,
-			SnapshotKeep:       *snapshotKeep,
-			RetrainAfter:       *retrainAfter,
-			SkipSnapshotVerify: !*snapVerify,
-			Registry:           registry,
-			Logf:               log.Printf,
+			DataDir:       *dataDir,
+			Fsync:         policy,
+			FsyncInterval: *fsyncInterval,
+			SegmentBytes:  *segmentBytes,
+			BatchMaxSize:  *batchMax,
+			BatchMaxWait:  *batchWait,
+			QueueCapacity: *queueCap,
+			SnapshotEvery: *snapshotEvery,
+			SnapshotKeep:  *snapshotKeep,
+			RetrainAfter:  *retrainAfter,
+			Registry:      registry,
+			Logf:          log.Printf,
 		})
 		if err != nil {
 			bootc <- bootResult{err: fmt.Errorf("open data dir: %w", err)}

@@ -306,9 +306,12 @@ func assignAll(m *ratings.Matrix, c *centroids, table []float64, assign []int, d
 	return moved
 }
 
-// recompute rebuilds centroid means and counts from the assignment, and
-// marks stale the centroids this changes: those that gained or lost a
-// member since the last recompute and those seeded in between.
+// recompute refits the centroids to the assignment. It first marks stale
+// the centroids the assignment changes — those that gained or lost a
+// member since the last recompute and those seeded in between — and then
+// rebuilds exactly those: by the invariant stated on fitted, every other
+// centroid would come out of a rebuild bit-for-bit as it went in. Members
+// are accumulated in ascending user order, as a rebuild of all would.
 func (c *centroids) recompute(m *ratings.Matrix, assign []int) {
 	for u, cl := range assign {
 		if was := c.fitted[u]; was != cl {
@@ -324,20 +327,29 @@ func (c *centroids) recompute(m *ratings.Matrix, assign []int) {
 			c.stale[cl], c.seeded[cl] = true, false
 		}
 	}
-	for cl := 0; cl < c.k; cl++ {
+	for cl, stale := range c.stale {
+		if !stale {
+			continue
+		}
 		mean, count := c.mean[cl], c.count[cl]
 		for i := range mean {
 			mean[i], count[i] = 0, 0
 		}
 	}
 	for u, cl := range assign {
+		if !c.stale[cl] {
+			continue
+		}
 		mean, count := c.mean[cl], c.count[cl]
 		for _, e := range m.UserRatings(u) {
 			mean[e.Index] += e.Value
 			count[e.Index]++
 		}
 	}
-	for cl := 0; cl < c.k; cl++ {
+	for cl, stale := range c.stale {
+		if !stale {
+			continue
+		}
 		mean, count := c.mean[cl], c.count[cl]
 		var sum float64
 		n := 0

@@ -27,7 +27,10 @@ type modelWire struct {
 	Clusters *cluster.Result
 }
 
-const modelWireVersion = 1
+// modelWireVersion 2 stores the GIS flat (similarity.Snapshot's Lens,
+// Index, Score) and the matrix with its timestamps; version 1 files
+// (per-item neighbour lists, no timestamps) still load.
+const modelWireVersion = 2
 
 // Save serialises the model to w in gob format. The snapshot contains
 // the training matrix, the GIS and the clustering; Load rebuilds the
@@ -65,7 +68,7 @@ func Load(r io.Reader) (*Model, error) {
 	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
 		return nil, fmt.Errorf("cfsf: load model: %w", err)
 	}
-	if wire.Version != modelWireVersion {
+	if wire.Version != 1 && wire.Version != modelWireVersion {
 		return nil, fmt.Errorf("cfsf: unsupported model snapshot version %d", wire.Version)
 	}
 	if err := wire.Config.Validate(); err != nil {
@@ -74,9 +77,13 @@ func Load(r io.Reader) (*Model, error) {
 	if wire.Matrix == nil || wire.Clusters == nil {
 		return nil, fmt.Errorf("cfsf: corrupt model snapshot: missing matrix or clustering")
 	}
+	gis, err := gisFromSnapshot(wire.GIS, wire.Matrix.NumItems())
+	if err != nil {
+		return nil, fmt.Errorf("cfsf: corrupt model snapshot: %w", err)
+	}
 
 	start := time.Now()
-	mod := rebuildModel(wire.Config, wire.Matrix, wire.GIS, wire.Clusters)
+	mod := rebuildModel(wire.Config, wire.Matrix, gis, wire.Clusters)
 	stampRebuildDuration(mod, start)
 	return mod, nil
 }

@@ -45,7 +45,7 @@ var blobMagic = [8]byte{'C', 'F', 'S', 'F', 'B', 'L', 'B', 1}
 // sharedWire is the gob payload of the shared blob: everything global to
 // the model except the matrix rows.
 //
-//cfsf:wire shardBlobVersion
+//cfsf:wire sharedBlobVersion
 type sharedWire struct {
 	Version   int
 	Config    Config
@@ -79,7 +79,16 @@ type shardWire struct {
 	Times           []int64 // empty when the matrix carries no timestamps
 }
 
-const shardBlobVersion = 1
+// sharedBlobVersion 2 stores the GIS flat (similarity.Snapshot's Lens,
+// Index, Score); version 1 blobs (per-item neighbour lists) still load.
+// The number, not the shape, is what makes a build that only knows
+// version 1 refuse a newer blob: gob drops fields it does not know, so
+// such a build would otherwise assemble an empty GIS without a word.
+// The shard blob's shape has not changed, and neither has its version.
+const (
+	sharedBlobVersion = 2
+	shardBlobVersion  = 1
+)
 
 func writeBlob(w io.Writer, kind byte, payload []byte) error {
 	var hdr [blobHeaderSize]byte
@@ -125,7 +134,7 @@ func readBlob(r io.Reader, wantKind byte) ([]byte, error) {
 // clustering) as a checksummed blob.
 func (mod *Model) SaveSharedBlob(w io.Writer) error {
 	wire := sharedWire{
-		Version:   shardBlobVersion,
+		Version:   sharedBlobVersion,
 		Config:    mod.cfg,
 		NumUsers:  mod.m.NumUsers(),
 		NumItems:  mod.m.NumItems(),
@@ -184,7 +193,7 @@ type SharedPart struct {
 	MinRating float64
 	MaxRating float64
 	HasTimes  bool
-	GIS       similarity.Snapshot
+	GIS       *similarity.GIS
 	Clusters  *cluster.Result
 }
 
@@ -205,7 +214,7 @@ func LoadSharedPart(r io.Reader) (*SharedPart, error) {
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&wire); err != nil {
 		return nil, fmt.Errorf("cfsf: decode shared blob: %w", err)
 	}
-	if wire.Version != shardBlobVersion {
+	if wire.Version != 1 && wire.Version != sharedBlobVersion {
 		return nil, fmt.Errorf("cfsf: unsupported shared blob version %d", wire.Version)
 	}
 	if err := wire.Config.Validate(); err != nil {
@@ -218,6 +227,10 @@ func LoadSharedPart(r io.Reader) (*SharedPart, error) {
 		return nil, fmt.Errorf("cfsf: corrupt shared blob: %d assignments for %d users",
 			len(wire.Clusters.Assign), wire.NumUsers)
 	}
+	gis, err := gisFromSnapshot(wire.GIS, wire.NumItems)
+	if err != nil {
+		return nil, fmt.Errorf("cfsf: corrupt shared blob: %w", err)
+	}
 	return &SharedPart{
 		Config:    wire.Config,
 		NumUsers:  wire.NumUsers,
@@ -225,7 +238,7 @@ func LoadSharedPart(r io.Reader) (*SharedPart, error) {
 		MinRating: wire.MinRating,
 		MaxRating: wire.MaxRating,
 		HasTimes:  wire.HasTimes,
-		GIS:       wire.GIS,
+		GIS:       gis,
 		Clusters:  wire.Clusters,
 	}, nil
 }
@@ -348,14 +361,27 @@ func stampRebuildDuration(mod *Model, start time.Time) {
 	mod.stats.TotalDuration = time.Since(start)
 }
 
+// gisFromSnapshot builds the GIS a loaded model serves from and demands
+// it cover exactly the model's items: Predict indexes it by item id.
+func gisFromSnapshot(snap similarity.Snapshot, numItems int) (*similarity.GIS, error) {
+	gis, err := similarity.FromSnapshot(snap)
+	if err != nil {
+		return nil, err
+	}
+	if gis.NumItems() != numItems {
+		return nil, fmt.Errorf("GIS covers %d items, model has %d", gis.NumItems(), numItems)
+	}
+	return gis, nil
+}
+
 // rebuildModel reconstructs the derived offline state (smoothing tables,
 // iCluster rankings, caches) around persisted artefacts, exactly as Load
 // does for a monolithic snapshot.
-func rebuildModel(cfg Config, m *ratings.Matrix, gisSnap similarity.Snapshot, clusters *cluster.Result) *Model {
+func rebuildModel(cfg Config, m *ratings.Matrix, gis *similarity.GIS, clusters *cluster.Result) *Model {
 	mod := &Model{
 		cfg:      cfg,
 		m:        m,
-		gis:      similarity.FromSnapshot(gisSnap),
+		gis:      gis,
 		clusters: clusters,
 	}
 	mod.sm = smoothing.New(mod.m, mod.clusters)

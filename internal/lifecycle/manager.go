@@ -48,12 +48,6 @@ type Config struct {
 	// many ratings have been applied since the last retrain.
 	RetrainAfter int
 
-	// SkipSnapshotVerify disables the load-and-predict self-check that
-	// every written snapshot must pass before it is checkpointed and the
-	// WAL it covers pruned. Only tests (and operators who prefer faster
-	// snapshots over the read-back guarantee) should set it.
-	SkipSnapshotVerify bool
-
 	// Registry receives wal/lifecycle metrics; one is created when nil.
 	Registry *obs.Registry
 	// Logf receives operational messages; nil discards them.

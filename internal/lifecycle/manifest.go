@@ -23,9 +23,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
-	"reflect"
+	"slices"
 	"sort"
 	"strings"
 
@@ -300,30 +301,113 @@ func uniqueBlobName(dir, base string) string {
 	}
 }
 
-// sharedPartOf round-trips the live model's shared part through its own
-// serialisation, yielding the canonical decoded form a written shared
-// blob must match exactly.
-func sharedPartOf(live *core.Model) (*core.SharedPart, error) {
-	var buf bytes.Buffer
-	if err := live.SaveSharedBlob(&buf); err != nil {
-		return nil, err
+// compareSharedToLive holds a decoded shared blob against the model it
+// was written from, value by value: the configuration, the dimensions,
+// every GIS list entry and every field of the clustering. Slices compare
+// by length and content, because gob does not tell a nil slice from an
+// empty one; floats compare by their bits. Nothing on the live side has
+// been through the encoder, so a fault in the encoder and its mirror
+// image in the decoder cannot cancel each other out. The error names the
+// part that diverges.
+func compareSharedToLive(sp *core.SharedPart, live *core.Model) error {
+	if field := diffConfig(sp.Config, live.Config()); field != "" {
+		return fmt.Errorf("config field %s diverges from the serving model", field)
 	}
-	return core.LoadSharedPart(&buf)
-}
+	mx := live.Matrix()
+	if sp.NumUsers != mx.NumUsers() || sp.NumItems != mx.NumItems() {
+		return fmt.Errorf("dimensions reload as %dx%d, model is %dx%d", sp.NumUsers, sp.NumItems, mx.NumUsers(), mx.NumItems())
+	}
+	if !sameBits(sp.MinRating, mx.MinRating()) || !sameBits(sp.MaxRating, mx.MaxRating()) {
+		return fmt.Errorf("rating scale reloads as [%v, %v], model has [%v, %v]", sp.MinRating, sp.MaxRating, mx.MinRating(), mx.MaxRating())
+	}
+	if sp.HasTimes != mx.HasTimes() {
+		return fmt.Errorf("HasTimes reloads as %v, model has %v", sp.HasTimes, mx.HasTimes())
+	}
 
-func compareSharedParts(got, want *core.SharedPart) error {
-	if !reflect.DeepEqual(got, want) {
-		return fmt.Errorf("reloaded shared part diverges from the serving model")
+	gis := live.GIS()
+	if sp.GIS.Options() != gis.Options() {
+		return fmt.Errorf("GIS options reload as %+v, model has %+v", sp.GIS.Options(), gis.Options())
+	}
+	if sp.GIS.NumItems() != gis.NumItems() {
+		return fmt.Errorf("GIS reloads with %d items, model has %d", sp.GIS.NumItems(), gis.NumItems())
+	}
+	for i := 0; i < gis.NumItems(); i++ {
+		got, want := sp.GIS.Neighbors(i), gis.Neighbors(i)
+		if len(got) != len(want) {
+			return fmt.Errorf("GIS list of item %d reloads with %d entries, model has %d", i, len(got), len(want))
+		}
+		for k, n := range want {
+			if got[k].Index != n.Index || !sameBits(got[k].Score, n.Score) {
+				return fmt.Errorf("GIS list of item %d diverges at entry %d", i, k)
+			}
+		}
+	}
+
+	got, want := sp.Clusters, live.Clusters()
+	if got.K != want.K || got.Iterations != want.Iterations || !sameBits(got.Inertia, want.Inertia) {
+		return fmt.Errorf("clustering K/Iterations/Inertia reload as %d/%d/%v, model has %d/%d/%v",
+			got.K, got.Iterations, got.Inertia, want.K, want.Iterations, want.Inertia)
+	}
+	if !slices.Equal(got.Assign, want.Assign) {
+		return fmt.Errorf("clustering Assign diverges from the serving model")
+	}
+	if !slices.EqualFunc(got.Members, want.Members, slices.Equal[[]int]) {
+		return fmt.Errorf("clustering Members diverges from the serving model")
+	}
+	if !slices.EqualFunc(got.Mean, want.Mean, sameFloats) {
+		return fmt.Errorf("clustering Mean diverges from the serving model")
+	}
+	if !slices.EqualFunc(got.Count, want.Count, slices.Equal[[]int32]) {
+		return fmt.Errorf("clustering Count diverges from the serving model")
 	}
 	return nil
 }
 
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+func sameFloats(a, b []float64) bool { return slices.EqualFunc(a, b, sameBits) }
+
+// diffConfig returns the name of the first field two configurations
+// differ in, or "" when they are equal.
+func diffConfig(got, want core.Config) string {
+	for _, f := range []struct {
+		name string
+		same bool
+	}{
+		{"M", got.M == want.M},
+		{"K", got.K == want.K},
+		{"Clusters", got.Clusters == want.Clusters},
+		{"Lambda", sameBits(got.Lambda, want.Lambda)},
+		{"Delta", sameBits(got.Delta, want.Delta)},
+		{"OriginalWeight", sameBits(got.OriginalWeight, want.OriginalWeight)},
+		{"CandidateFactor", got.CandidateFactor == want.CandidateFactor},
+		{"GIS", got.GIS == want.GIS},
+		{"ItemFeatures", slices.EqualFunc(got.ItemFeatures, want.ItemFeatures, sameFloats)},
+		{"ContentBlend", sameBits(got.ContentBlend, want.ContentBlend)},
+		{"TimeDecayTau", sameBits(got.TimeDecayTau, want.TimeDecayTau)},
+		{"ClusterMaxIter", got.ClusterMaxIter == want.ClusterMaxIter},
+		{"ClusterMetric", got.ClusterMetric == want.ClusterMetric},
+		{"Seed", got.Seed == want.Seed},
+		{"Workers", got.Workers == want.Workers},
+		{"DisableSmoothing", got.DisableSmoothing == want.DisableSmoothing},
+		{"DisableCache", got.DisableCache == want.DisableCache},
+		{"FullUserSearch", got.FullUserSearch == want.FullUserSearch},
+		{"RecommendCacheSize", got.RecommendCacheSize == want.RecommendCacheSize},
+	} {
+		if !f.same {
+			return f.name
+		}
+	}
+	return ""
+}
+
 // verifyWrittenParts loads every blob this snapshot wrote back from disk
-// and demands it reproduce the live model bit-for-bit: the shared part
-// must decode to exactly what the model serialises, and each written
-// shard blob's rows (and timestamps) must equal the live matrix rows of
-// the shard's members. Clean shards are not re-verified — their blobs
-// passed this check when the manifest that first wrote them ran it.
+// (magic, kind, length, CRC, decoder) and demands it reproduce the live
+// model bit-for-bit: the shared part must equal the model's own config,
+// GIS and clustering, and each written shard blob's rows (and
+// timestamps) must equal the live matrix rows of the shard's members.
+// Clean shards are not re-verified — their blobs passed this check when
+// the manifest that first wrote them ran it.
 func verifyWrittenParts(dir string, man *manifest, written map[int]bool, sharedWritten bool, live *core.Model) error {
 	blobs := dirBlobs(dir)
 	if sharedWritten {
@@ -331,11 +415,7 @@ func verifyWrittenParts(dir string, man *manifest, written map[int]bool, sharedW
 		if err != nil {
 			return fmt.Errorf("shared blob %s: %w", man.Shared.File, err)
 		}
-		want, err := sharedPartOf(live)
-		if err != nil {
-			return err
-		}
-		if err := compareSharedParts(sp, want); err != nil {
+		if err := compareSharedToLive(sp, live); err != nil {
 			return fmt.Errorf("shared blob %s: %w", man.Shared.File, err)
 		}
 	}

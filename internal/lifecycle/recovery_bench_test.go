@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"cfsf/internal/core"
+	"cfsf/internal/synth"
 	"cfsf/internal/wal"
 )
 
@@ -204,4 +205,38 @@ func cloneDir(b *testing.B, src string) string {
 		b.Fatal(err)
 	}
 	return dst
+}
+
+// BenchmarkBootLedger is what a first boot pays after training: one
+// lifecycle.Open on an empty data dir with the model bench/ serves
+// (500×1000 synth.DefaultConfig, C = 30) at the server's defaults, fsync
+// included — open the WAL, write and self-check the boot snapshot (one
+// shared blob, thirty shard blobs, the manifest), start the run loop.
+// snapshot-ms is that snapshot's share of ns/op; snapshot-bytes is what
+// it wrote, repeats exactly, and is the one CI fences (ci.yml).
+func BenchmarkBootLedger(b *testing.B) {
+	d := synth.MustGenerate(synth.DefaultConfig())
+	mod, err := core.Train(d.Matrix, core.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var snap SnapshotInfo
+	var snapMS float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dir := b.TempDir()
+		b.StartTimer()
+		m, err := Open(bootWith(mod), Config{DataDir: dir})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		snap = m.SnapshotStats()
+		snapMS += snap.DurationMS
+		m.Abort()
+		b.StartTimer()
+	}
+	b.ReportMetric(snapMS/float64(b.N), "snapshot-ms")
+	b.ReportMetric(float64(snap.Bytes), "snapshot-bytes")
 }

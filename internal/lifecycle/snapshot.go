@@ -150,13 +150,11 @@ func (m *Manager) Snapshot() (SnapshotInfo, error) {
 	// before anything can shrink the WAL): read every written blob back
 	// and demand it reproduce the serving model bit-for-bit. Clean
 	// shards' blobs passed this check when they were first written.
-	if !m.cfg.SkipSnapshotVerify {
-		if err := verifyWrittenParts(dir, man, writeSet, sharedWritten, mod); err != nil {
-			m.reg.Counter("lifecycle_snapshot_verify_failures_total").Inc()
-			return fail(fmt.Errorf("lifecycle: snapshot at seq %d failed self-check: %w", st.seq, err))
-		}
-		m.reg.Counter("lifecycle_snapshots_verified_total").Inc()
+	if err := verifyWrittenParts(dir, man, writeSet, sharedWritten, mod); err != nil {
+		m.reg.Counter("lifecycle_snapshot_verify_failures_total").Inc()
+		return fail(fmt.Errorf("lifecycle: snapshot at seq %d failed self-check: %w", st.seq, err))
 	}
+	m.reg.Counter("lifecycle_snapshots_verified_total").Inc()
 
 	// Publish: the manifest rename is the commit point. Overwriting the
 	// manifest at an unchanged watermark (post-retrain) is safe because
