@@ -35,9 +35,12 @@ vet:
 # and BenchmarkRecommendColdLedger/ask10's ns/op and B/op and /deep128's
 # ns/op are fenced). BenchmarkRecommend matches the cold-scan benchmarks
 # too, every row of the ledger one (n10, ask10, deep128) included.
+# BenchmarkTrainLedger is the first-boot train; CI fences its
+# kmeans-sweeps and B/op.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkPredict$$|BenchmarkPredictColdCache|BenchmarkRecommend' -benchmem ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkApplyLedger' -benchtime 200x -benchmem ./internal/core
+	$(GO) test -run '^$$' -bench 'BenchmarkTrainLedger' -benchtime 5x -benchmem ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkDrainPrefix' -benchmem ./internal/lifecycle
 
 fmt:

@@ -107,8 +107,11 @@ func main() {
 				model.Matrix().NumUsers(), model.Matrix().NumItems())
 			return model, nil
 		}
+		t := time.Now()
 		var m *cfsf.Matrix
+		source := "read from " + *data
 		if *data == "" || *data == "synth" {
+			source = "generated"
 			cfg := cfsf.DefaultSynthConfig()
 			cfg.Seed = *seed
 			if *synthUsers > 0 {
@@ -137,17 +140,21 @@ func main() {
 				return nil, err
 			}
 		}
+		loaded := time.Since(t)
 		cfg := cfsf.DefaultConfig()
 		if *shards > 0 {
 			cfg.Clusters = *shards
 		}
-		t := time.Now()
+		t = time.Now()
 		model, err := cfsf.Train(m, cfg)
 		if err != nil {
 			return nil, err
 		}
-		log.Printf("offline phase complete in %v (%d users × %d items)",
-			time.Since(t).Round(time.Millisecond), m.NumUsers(), m.NumItems())
+		st, round := model.Stats(), func(d time.Duration) time.Duration { return d.Round(100 * time.Microsecond) }
+		log.Printf("dataset %s in %v (%d users × %d items); offline phase complete in %v: GIS %v, K-means %v, smoothing %v, iCluster %v, mirror %v (%s)",
+			source, round(loaded), m.NumUsers(), m.NumItems(), round(time.Since(t)),
+			round(st.GISDuration), round(st.ClusterDuration), round(st.SmoothDuration), round(st.IClusterDuration), round(st.MirrorDuration),
+			model.Clusters().Summary())
 		return model, nil
 	}
 

@@ -3,13 +3,16 @@
 // the PCC similarity of Eq. 6 (converted to a distance) between a user's
 // sparse rating vector and a cluster centroid. K-means++ seeding and
 // empty-cluster repair keep the result stable; assignment is parallel
-// over users and fully deterministic for a fixed seed.
+// over users and fully deterministic for a fixed seed, and a fit whose
+// assignment provably cycles stops sweeping with the result the
+// iteration cap would have given.
 package cluster
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"cfsf/internal/parallel"
 	"cfsf/internal/ratings"
@@ -60,14 +63,56 @@ type Result struct {
 	Mean [][]float64
 	// Count[c][i] is how many members of cluster c rated item i.
 	Count [][]int32
-	// Iterations is the number of Lloyd iterations executed.
+	// Iterations is the sweep at which the fit converged, counted from 1,
+	// or MaxIter+1 for a fit the cap stopped: it counts the sweep the cap
+	// cut off. It is persisted, so the count stays as it is; Fit reports
+	// the sweeps that actually ran.
 	Iterations int
 	// Inertia is the summed distance of each user to its centroid at
 	// convergence (lower is tighter).
 	Inertia float64
 	// K is the cluster count the result was built with.
 	K int
+
+	fit Fit
 }
+
+// Fit says how Run reached its Result. It is not persisted: a Result that
+// was decoded, or derived by ReassignUsers or RefreshUsers, reports the
+// zero Fit.
+type Fit struct {
+	// Swept is how many Lloyd sweeps Run executed.
+	Swept int
+	// Capped is set when the fit stopped at MaxIter, not at a fixed point.
+	Capped bool
+	// Period, when nonzero, is the length of the assignment cycle that let
+	// Run stop sweeping early, first seen at sweep From (counted from 1):
+	// the assignment after sweep From+Period equals the one after From.
+	Period, From int
+}
+
+// Fit reports how Run reached r.
+func (r *Result) Fit() Fit { return r.fit }
+
+// Summary is a log line's account of the fit: "K-means 12 iterations",
+// "K-means 100 iterations, hit the cap", or, when a proven cycle cut the
+// sweeps short, "K-means 100 iterations, hit the cap: 6 swept, period 2
+// from sweep 4".
+func (r *Result) Summary() string {
+	f := r.fit
+	if !f.Capped {
+		return fmt.Sprintf("K-means %d iterations", r.Iterations)
+	}
+	s := fmt.Sprintf("K-means %d iterations, hit the cap", r.Iterations-1)
+	if f.Period > 0 {
+		s += fmt.Sprintf(": %d swept, period %d from sweep %d", f.Swept, f.Period, f.From)
+	}
+	return s
+}
+
+// maxPeriod bounds the assignment cycles Run recognises to periods in
+// [2, maxPeriod); it is also the length of the assignment history.
+const maxPeriod = 8
 
 // Run clusters the users of m. It returns an error for an invalid K.
 func Run(m *ratings.Matrix, opts Options) (*Result, error) {
@@ -97,13 +142,35 @@ func Run(m *ratings.Matrix, opts Options) (*Result, error) {
 	// the centroids track which of its columns they have invalidated.
 	table := make([]float64, p*k)
 
+	// A sweep is a function of the centroids it starts from, and after a
+	// sweep in which repairEmpty moved nobody the centroids are a function
+	// of the assignment (the invariant stated on fitted). So once the
+	// assignment after sweep t equals the one after sweep t−p, with no
+	// repair in sweeps t−p..t, the centroids after t equal those after t−p
+	// and every later sweep repeats the one p before it: sweeping on to the
+	// cap ends in the state (MaxIter−1−t) mod p sweeps from here.
+	var hist history
+	lastRepair := -1
+	fit := Fit{Capped: true}
 	iter := 0
 	for ; iter < maxIter; iter++ {
+		fit.Swept++
 		moved := assignAll(m, c, table, assign, dist, opts)
 		c.recompute(m, assign)
-		c.repairEmpty(m, assign, dist)
+		if c.repairEmpty(m, assign, dist) {
+			lastRepair = iter
+		}
 		if moved == 0 {
+			fit.Capped = false
 			break
+		}
+		if fit.Period > 0 {
+			continue
+		}
+		if per := hist.period(assign, iter, lastRepair); per > 0 {
+			fit.Period, fit.From = per, iter-per+1
+			// Skip whole periods: the sweeps left then end on the cap's state.
+			iter = maxIter - 1 - (maxIter-1-iter)%per
 		}
 	}
 
@@ -114,12 +181,34 @@ func Run(m *ratings.Matrix, opts Options) (*Result, error) {
 		Count:      c.count,
 		Iterations: iter + 1,
 		K:          k,
+		fit:        fit,
 	}
 	for u, cl := range assign {
 		res.Members[cl] = append(res.Members[cl], u)
 		res.Inertia += dist[u]
 	}
 	return res, nil
+}
+
+// history holds the assignment after each of the last maxPeriod sweeps,
+// sweep s in slot s mod maxPeriod.
+type history [maxPeriod][]int
+
+// period returns the least p in [2, maxPeriod) for which assign, the
+// assignment after sweep t, equals the one after sweep t−p with no repair
+// in sweeps t−p..t (lastRepair is the latest sweep that had one), or 0.
+// It then records assign as sweep t's, over sweep t−maxPeriod's.
+func (h *history) period(assign []int, t, lastRepair int) int {
+	found := 0
+	for p := 2; p < maxPeriod && t-p > lastRepair; p++ {
+		if slices.Equal(assign, h[(t-p)%maxPeriod]) {
+			found = p
+			break
+		}
+	}
+	slot := &h[t%maxPeriod]
+	*slot = append((*slot)[:0], assign...)
+	return found
 }
 
 // centroids holds per-cluster per-item rating means and support counts.
@@ -369,8 +458,9 @@ func (c *centroids) recompute(m *ratings.Matrix, assign []int) {
 }
 
 // repairEmpty moves the globally farthest user into each empty cluster so
-// every cluster stays populated (smoothing needs non-empty clusters).
-func (c *centroids) repairEmpty(m *ratings.Matrix, assign []int, dist []float64) {
+// every cluster stays populated (smoothing needs non-empty clusters). It
+// reports whether it moved anyone.
+func (c *centroids) repairEmpty(m *ratings.Matrix, assign []int, dist []float64) (moved bool) {
 	size := make([]int, c.k)
 	for _, cl := range assign {
 		size[cl]++
@@ -396,5 +486,7 @@ func (c *centroids) repairEmpty(m *ratings.Matrix, assign []int, dist []float64)
 		size[cl]++
 		c.setFromUser(m, cl, farU)
 		dist[farU] = 0
+		moved = true
 	}
+	return moved
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cfsf/internal/ratings"
@@ -240,10 +241,11 @@ func TestCachedSweepsMatchUncachedReference(t *testing.T) {
 // lloyd is the state of Run's sweep loop, so a test can step it with
 // either recompute and look at the centroids in between.
 type lloyd struct {
-	c      *centroids
-	table  []float64
-	assign []int
-	dist   []float64
+	c        *centroids
+	table    []float64
+	assign   []int
+	dist     []float64
+	repaired bool // the last sweep's repairEmpty moved someone
 }
 
 func newLloyd(m *ratings.Matrix, k int, opts Options) *lloyd {
@@ -259,7 +261,7 @@ func newLloyd(m *ratings.Matrix, k int, opts Options) *lloyd {
 func (l *lloyd) sweep(m *ratings.Matrix, opts Options, recompute func(*centroids, *ratings.Matrix, []int)) (moved int) {
 	moved = assignAll(m, l.c, l.table, l.assign, l.dist, opts)
 	recompute(l.c, m, l.assign)
-	l.c.repairEmpty(m, l.assign, l.dist)
+	l.repaired = l.c.repairEmpty(m, l.assign, l.dist)
 	return moved
 }
 
@@ -339,5 +341,150 @@ func TestStaleOnlyRecomputeMatchesFullRebuild(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+func capOf(opts Options) int {
+	if opts.MaxIter <= 0 {
+		return DefaultMaxIter
+	}
+	return opts.MaxIter
+}
+
+// sweepToCap is Run without the cycle shortcut: the lloyd stepper swept
+// until nobody moves or MaxIter sweeps have run, every one of them.
+func sweepToCap(m *ratings.Matrix, opts Options) *Result {
+	k := min(opts.K, m.NumUsers())
+	l := newLloyd(m, k, opts)
+	iter := 0
+	for ; iter < capOf(opts); iter++ {
+		if l.sweep(m, opts, (*centroids).recompute) == 0 {
+			break
+		}
+	}
+	res := &Result{Assign: l.assign, Mean: l.c.mean, Count: l.c.count, Iterations: iter + 1, K: k}
+	for u := range l.assign {
+		res.Inertia += l.dist[u]
+	}
+	return res
+}
+
+type fixture struct {
+	name string
+	m    *ratings.Matrix
+}
+
+// crowded is 40 users for up to 30 clusters: repairEmpty refills a
+// cluster now and then, and with K 30 and seed 2 the assignment after
+// one sweep repeats one from two sweeps earlier across such a repair —
+// a repeat that proves nothing, because the refilled centroid is one
+// user's profile and the donor's still counts that user.
+func crowded() *ratings.Matrix {
+	cfg := smallSynth()
+	cfg.Users, cfg.Seed = 40, 2
+	return synth.MustGenerate(cfg).Matrix
+}
+
+// TestCycleStopMatchesSweepingToTheCap pins Run, which stops sweeping at
+// a proven assignment cycle, to the stepper swept all the way to MaxIter:
+// the same Assign, Mean, Count, Iterations and Inertia bit for bit, over
+// seeds × K × metric × cap on the ledger fixture, two smaller draws and
+// crowded, and on twinProfiles, where repairEmpty moves users in every
+// sweep.
+func TestCycleStopMatchesSweepingToTheCap(t *testing.T) {
+	fixtures := []fixture{{"ledger", synth.MustGenerate(synth.DefaultConfig()).Matrix}, {"crowded", crowded()}}
+	for seed := int64(2); seed < 4; seed++ {
+		cfg := smallSynth()
+		cfg.Seed = seed
+		fixtures = append(fixtures, fixture{fmt.Sprintf("small synth %d", seed), synth.MustGenerate(cfg).Matrix})
+	}
+	type tc struct {
+		name string
+		m    *ratings.Matrix
+		opts Options
+	}
+	var cases []tc
+	caps := []int{0, 7, 100, 250}
+	for _, fx := range fixtures {
+		for seed := int64(0); seed < 4; seed++ {
+			for _, k := range []int{5, 30} {
+				for _, metric := range []Metric{PCCDistance, Euclidean} {
+					for _, maxIter := range caps {
+						cases = append(cases, tc{fmt.Sprintf("%s seed %d K %d %v cap %d", fx.name, seed, k, metric, maxIter),
+							fx.m, Options{K: k, Seed: seed, Metric: metric, MaxIter: maxIter}})
+					}
+				}
+			}
+		}
+	}
+	for _, maxIter := range caps {
+		cases = append(cases, tc{fmt.Sprintf("twins cap %d", maxIter), twinProfiles(), Options{K: 6, Seed: 1, MaxIter: maxIter}})
+	}
+
+	var capped, cut int
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			want := sweepToCap(tc.m, tc.opts)
+			got, err := Run(tc.m, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameClustering(t, want, got)
+			fit := got.Fit()
+			switch {
+			case fit.Capped != (got.Iterations > capOf(tc.opts)):
+				t.Fatalf("fit %+v with %d iterations under cap %d", fit, got.Iterations, capOf(tc.opts))
+			case fit.Period > 0 && fit.Swept > fit.From+2*fit.Period-1:
+				// The cycle is proven at sweep From+Period; at most
+				// Period−1 sweeps follow it.
+				t.Fatalf("fit %+v: swept on past the proven cycle", fit)
+			case fit.Period == 0 && fit.Swept != min(got.Iterations, capOf(tc.opts)):
+				t.Fatalf("fit %+v with %d iterations: without a cycle every sweep runs", fit, got.Iterations)
+			}
+			if fit.Capped {
+				capped++
+			}
+			if fit.Period > 0 {
+				cut++
+			}
+		})
+	}
+	t.Logf("%d of %d fits hit the cap, %d of them cut short by a cycle", capped, len(cases), cut)
+	if cut == 0 || cut == capped {
+		t.Fatalf("%d of %d capped fits were cut short: the grid must hold both kinds", cut, capped)
+	}
+
+	// The grid only tests the no-repair clause if some fit repeats an
+	// assignment across a repair; crowded with K 30, seed 2 is that fit.
+	m, opts := crowded(), Options{K: 30, Seed: 2}
+	l := newLloyd(m, opts.K, opts)
+	var seen [][]int
+	var repaired []bool
+	for iter := 0; iter < DefaultMaxIter && l.sweep(m, opts, (*centroids).recompute) > 0; iter++ {
+		seen, repaired = append(seen, slices.Clone(l.assign)), append(repaired, l.repaired)
+		for p := 2; p < maxPeriod && iter-p >= 0; p++ {
+			if slices.Equal(l.assign, seen[iter-p]) && slices.Contains(repaired[iter-p:], true) {
+				return
+			}
+		}
+	}
+	t.Fatal("crowded no longer repeats an assignment across a repair: the grid does not test the no-repair clause")
+}
+
+// TestLedgerFixtureStopsAtItsCycle pins what the shortcut buys on the
+// fixture every first boot trains: a fit reported as hitting the cap at
+// 101 iterations, as it always has, in at most ten sweeps.
+func TestLedgerFixtureStopsAtItsCycle(t *testing.T) {
+	res, err := Run(synth.MustGenerate(synth.DefaultConfig()).Matrix, Options{K: 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fit := res.Fit()
+	t.Log(res.Summary())
+	if res.Iterations != DefaultMaxIter+1 || !fit.Capped {
+		t.Fatalf("Iterations = %d, fit %+v: the ledger fit must still report the cap (%d)", res.Iterations, fit, DefaultMaxIter+1)
+	}
+	if fit.Swept > 10 || fit.Period == 0 {
+		t.Fatalf("fit %+v: the ledger fixture must stop at its cycle within 10 sweeps", fit)
 	}
 }

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"sort"
 	"testing"
 
+	"cfsf/internal/ratings"
 	"cfsf/internal/synth"
 )
 
@@ -93,6 +95,34 @@ func BenchmarkMonolithicFullRetrain(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkTrainLedger is what a first boot of the server bench/ drives
+// pays for its model once the dataset is on disk: parse the ledger
+// fixture's u.data (500×1000 synth.DefaultConfig, written outside the
+// timer) with ReadUData, then Train at the defaults (C = 30). kmeans-sweeps
+// is how many Lloyd sweeps the fit ran; it repeats exactly, and CI fences
+// it and B/op (ci.yml).
+func BenchmarkTrainLedger(b *testing.B) {
+	var udata bytes.Buffer
+	if err := ratings.WriteUData(&udata, synth.MustGenerate(synth.DefaultConfig()).Matrix); err != nil {
+		b.Fatal(err)
+	}
+	var sweeps int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := ratings.ReadUData(bytes.NewReader(udata.Bytes()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		mod, err := Train(m, DefaultConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		sweeps = mod.Clusters().Fit().Swept
+	}
+	b.ReportMetric(float64(sweeps), "kmeans-sweeps")
 }
 
 // zipfIDs draws ids with probability proportional to 1/rank^s over a

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"cfsf/internal/cluster"
 	"cfsf/internal/core"
 	"cfsf/internal/obs"
 	"cfsf/internal/wal"
@@ -158,18 +157,12 @@ func (r *replica) feed(rec wal.Record) (queued, applied int, err error) {
 	return queued, applied, nil
 }
 
-// refitSummary says what a retrain did to the clustering: K-means sweeps
-// (a fit that stopped at its cap, not at a fixed point, is worth seeing)
-// and users moved. K-means numbers clusters afresh on every run, so a new
+// refitSummary says what a retrain did to the clustering: K-means
+// iterations, the sweeps that ran and any cycle that stopped them (a fit
+// that stopped at its cap, not at a fixed point, is worth seeing), and
+// users moved. K-means numbers clusters afresh on every run, so a new
 // cluster first inherits the old label most of its members carried.
 func refitSummary(old, mod *core.Model) string {
-	iters, limit, capped := mod.Stats().ClusterIters, mod.Config().ClusterMaxIter, ""
-	if limit <= 0 {
-		limit = cluster.DefaultMaxIter
-	}
-	if iters > limit { // cluster.Run counts the sweep the cap cut off
-		iters, capped = limit, ", hit the cap"
-	}
 	was, now := old.Clusters(), mod.Clusters()
 	overlap := make([]int, now.K*was.K)
 	for u, c := range now.Assign {
@@ -179,7 +172,7 @@ func refitSummary(old, mod *core.Model) string {
 	for c := 0; c < now.K; c++ {
 		moved -= slices.Max(overlap[c*was.K : (c+1)*was.K])
 	}
-	return fmt.Sprintf("K-means %d iterations%s, %d users changed cluster", iters, capped, moved)
+	return fmt.Sprintf("%s, %d users changed cluster", now.Summary(), moved)
 }
 
 // pending returns how many queued ratings await their commit.

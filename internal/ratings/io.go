@@ -7,6 +7,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // ReadUData parses the MovieLens u.data tab-separated format:
@@ -16,78 +17,109 @@ import (
 // Ids in the file are 1-based (as GroupLens ships them) and are remapped
 // to dense 0-based ids in first-seen order. The timestamp column is
 // optional; when present it is stored on the matrix (see HasTimes).
-// Blank lines and lines starting with '#' are skipped.
+// Blank lines and lines starting with '#' are skipped. A line is split at
+// Unicode white space, as strings.Fields splits it; a malformed line is
+// reported before any non-finite rating, wherever in the file either is.
 func ReadUData(r io.Reader) (*Matrix, error) {
-	type rec struct {
-		user, item int
-		value      float64
-		ts         int64
-		hasTS      bool
-	}
-	var recs []rec
-	userIDs := map[string]int{}
-	itemIDs := map[string]int{}
-	intern := func(m map[string]int, k string) int {
-		if id, ok := m[k]; ok {
+	var ts []triple
+	userIDs := map[string]int32{}
+	itemIDs := map[string]int32{}
+	intern := func(ids map[string]int32, k []byte) int32 {
+		if id, ok := ids[string(k)]; ok {
 			return id
 		}
-		id := len(m)
-		m[k] = id
+		id := int32(len(ids))
+		ids[string(k)] = id
 		return id
 	}
+	anyTS := false
+	var nonFinite error
 
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	var fields [4][]byte
 	line := 0
 	for sc.Scan() {
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
+		n := splitFields(sc.Bytes(), &fields)
+		if n == 0 || fields[0][0] == '#' {
 			continue
 		}
-		fields := strings.Fields(text)
-		if len(fields) < 3 {
-			return nil, fmt.Errorf("ratings: line %d: want at least 3 fields, got %d", line, len(fields))
+		if n < 3 {
+			return nil, fmt.Errorf("ratings: line %d: want at least 3 fields, got %d", line, n)
 		}
-		v, err := strconv.ParseFloat(fields[2], 64)
+		v, err := strconv.ParseFloat(string(fields[2]), 64)
 		if err != nil {
 			return nil, fmt.Errorf("ratings: line %d: bad rating %q: %v", line, fields[2], err)
 		}
-		r := rec{
-			user:  intern(userIDs, fields[0]),
-			item:  intern(itemIDs, fields[1]),
-			value: v,
-		}
-		if len(fields) >= 4 {
-			if ts, err := strconv.ParseInt(fields[3], 10, 64); err == nil {
-				r.ts, r.hasTS = ts, true
+		t := triple{user: intern(userIDs, fields[0]), item: intern(itemIDs, fields[1]), value: v}
+		if n >= 4 {
+			if x, err := strconv.ParseInt(string(fields[3]), 10, 64); err == nil {
+				t.ts, anyTS = x, anyTS || x != 0
 			}
 		}
-		recs = append(recs, r)
+		if nonFinite == nil {
+			nonFinite = checkFinite(int(t.user), int(t.item), v)
+		}
+		ts = append(ts, t)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("ratings: scan: %w", err)
 	}
+	if nonFinite != nil {
+		return nil, nonFinite
+	}
+	// Timestamps are kept only when some rating carries a nonzero one;
+	// the others then carry 0.
 	b := NewBuilder(len(userIDs), len(itemIDs))
-	anyTS := false
-	for _, r := range recs {
-		if r.hasTS && r.ts != 0 {
-			anyTS = true
+	b.triples, b.anyTimes = ts, anyTS
+	return b.Build(), nil
+}
+
+// splitFields stores the first len(fields) white-space-separated fields of
+// line in fields, aliasing line, and returns how many fields it holds.
+// ASCII is split here; a line with any other byte goes to strings.Fields.
+func splitFields(line []byte, fields *[4][]byte) int {
+	if !isASCII(line) {
+		all := strings.Fields(string(line))
+		for k := 0; k < len(all) && k < len(fields); k++ {
+			fields[k] = []byte(all[k])
+		}
+		return len(all)
+	}
+	n := 0
+	for i := 0; i < len(line); {
+		for i < len(line) && isSpace(line[i]) {
+			i++
+		}
+		j := i
+		for j < len(line) && !isSpace(line[j]) {
+			j++
+		}
+		if j == i {
 			break
 		}
-	}
-	for _, r := range recs {
-		var err error
-		if anyTS {
-			err = b.AddWithTime(r.user, r.item, r.value, r.ts)
-		} else {
-			err = b.Add(r.user, r.item, r.value)
+		if n < len(fields) {
+			fields[n] = line[i:j]
 		}
-		if err != nil {
-			return nil, err
+		n++
+		i = j
+	}
+	return n
+}
+
+func isASCII(b []byte) bool {
+	for _, c := range b {
+		if c >= utf8.RuneSelf {
+			return false
 		}
 	}
-	return b.Build(), nil
+	return true
+}
+
+// isSpace is unicode.IsSpace on an ASCII byte.
+func isSpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r'
 }
 
 // ReadUDataFile opens path and parses it with ReadUData.
@@ -106,6 +138,7 @@ func ReadUDataFile(path string) (*Matrix, error) {
 // matrices without timestamps emit 0.
 func WriteUData(w io.Writer, m *Matrix) error {
 	bw := bufio.NewWriter(w)
+	var line []byte
 	for u := 0; u < m.NumUsers(); u++ {
 		times := m.UserRatingTimes(u)
 		for k, e := range m.UserRatings(u) {
@@ -113,7 +146,16 @@ func WriteUData(w io.Writer, m *Matrix) error {
 			if times != nil {
 				ts = times[k]
 			}
-			if _, err := fmt.Fprintf(bw, "%d\t%d\t%g\t%d\n", u+1, e.Index+1, e.Value, ts); err != nil {
+			// The bytes fmt's "%d\t%d\t%g\t%d\n" would write.
+			line = strconv.AppendInt(line[:0], int64(u+1), 10)
+			line = append(line, '\t')
+			line = strconv.AppendInt(line, int64(e.Index+1), 10)
+			line = append(line, '\t')
+			line = strconv.AppendFloat(line, e.Value, 'g', -1, 64)
+			line = append(line, '\t')
+			line = strconv.AppendInt(line, ts, 10)
+			line = append(line, '\n')
+			if _, err := bw.Write(line); err != nil {
 				return err
 			}
 		}

@@ -10,9 +10,10 @@
 package ratings
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Entry is one stored rating inside a row or column list. For a user row,
@@ -165,10 +166,17 @@ func (b *Builder) Add(user, item int, value float64) error {
 	if item < 0 || item >= b.numItems {
 		return fmt.Errorf("ratings: item %d out of range [0,%d)", item, b.numItems)
 	}
+	if err := checkFinite(user, item, value); err != nil {
+		return err
+	}
+	b.triples = append(b.triples, triple{user: int32(user), item: int32(item), value: value})
+	return nil
+}
+
+func checkFinite(user, item int, value float64) error {
 	if math.IsNaN(value) || math.IsInf(value, 0) {
 		return fmt.Errorf("ratings: non-finite rating %v for (%d,%d)", value, user, item)
 	}
-	b.triples = append(b.triples, triple{user: int32(user), item: int32(item), value: value})
 	return nil
 }
 
@@ -185,26 +193,7 @@ func (b *Builder) Len() int { return len(b.triples) }
 
 // Build produces the immutable matrix. The Builder remains usable.
 func (b *Builder) Build() *Matrix {
-	// Sort by (user, item, insertion order preserved by stable sort) and
-	// deduplicate keeping the last value for a (user, item) pair.
-	ts := make([]triple, len(b.triples))
-	copy(ts, b.triples)
-	sort.SliceStable(ts, func(i, j int) bool {
-		if ts[i].user != ts[j].user {
-			return ts[i].user < ts[j].user
-		}
-		return ts[i].item < ts[j].item
-	})
-	dedup := ts[:0]
-	for _, t := range ts {
-		if n := len(dedup); n > 0 && dedup[n-1].user == t.user && dedup[n-1].item == t.item {
-			dedup[n-1] = t // keep the latest value AND its timestamp together
-			continue
-		}
-		dedup = append(dedup, t)
-	}
-	ts = dedup
-
+	ts := b.sorted()
 	m := &Matrix{
 		numUsers:  b.numUsers,
 		numItems:  b.numItems,
@@ -276,6 +265,39 @@ func (b *Builder) Build() *Matrix {
 		}
 	}
 	return m
+}
+
+// sorted returns a copy of the recorded triples ordered by (user, item),
+// insertion order kept among equal pairs, with each pair's run cut to its
+// last triple — value and timestamp together. The order is a counting sort
+// by user, which is stable, then a stable sort of each user's run by item.
+func (b *Builder) sorted() []triple {
+	start := make([]int, b.numUsers+1)
+	for _, t := range b.triples {
+		start[t.user+1]++
+	}
+	for u := 0; u < b.numUsers; u++ {
+		start[u+1] += start[u]
+	}
+	ts := make([]triple, len(b.triples))
+	next := slices.Clone(start[:b.numUsers])
+	for _, t := range b.triples {
+		ts[next[t.user]] = t
+		next[t.user]++
+	}
+	byItem := func(x, y triple) int { return cmp.Compare(x.item, y.item) }
+	for u := 0; u < b.numUsers; u++ {
+		slices.SortStableFunc(ts[start[u]:start[u+1]], byItem)
+	}
+	dedup := ts[:0]
+	for _, t := range ts {
+		if n := len(dedup); n > 0 && dedup[n-1].user == t.user && dedup[n-1].item == t.item {
+			dedup[n-1] = t
+			continue
+		}
+		dedup = append(dedup, t)
+	}
+	return dedup
 }
 
 // SubsetUsers returns a new matrix containing only the rows of the listed

@@ -56,12 +56,14 @@ func BuildGISWithContent(m *ratings.Matrix, features [][]float64, blend float64,
 		cf := make([]float64, q)
 		hasCF := make([]bool, q)
 		scratch := newCandidateScratch(q)
+		var list []mathx.Scored
 		for a := lo; a < hi; a++ {
 			// Collaborative side: the full candidate list for a.
 			for i := range cf {
 				cf[i], hasCF[i] = 0, false
 			}
-			for _, n := range candidateList(m, a, opts, scratch) {
+			list = candidateList(m, a, opts, scratch, list[:0])
+			for _, n := range list {
 				cf[n.Index] = n.Score
 				hasCF[n.Index] = true
 			}

@@ -28,7 +28,7 @@ func refRefresh(g *GIS, m *ratings.Matrix, changedItems []int, opts GISOptions) 
 		if !changed[i] {
 			continue
 		}
-		list := candidateList(m, i, opts, scratch)
+		list := candidateList(m, i, opts, scratch, nil)
 		out.neighbors[i] = mathx.SelectTopScored(list, opts.TopN)
 		for _, n := range list {
 			if !changed[n.Index] {

@@ -2,6 +2,7 @@ package similarity
 
 import (
 	"math"
+	"slices"
 
 	"cfsf/internal/mathx"
 	"cfsf/internal/parallel"
@@ -54,7 +55,7 @@ func (g *GIS) Refresh(m *ratings.Matrix, changedItems []int, opts GISOptions) *G
 		scratch := newCandidateScratch(q)
 		for k := lo; k < hi; k++ {
 			i := int(changedIdx[k])
-			lists[k] = candidateList(m, i, opts, scratch)
+			lists[k] = candidateList(m, i, opts, scratch, nil)
 			out.neighbors[i] = mathx.SelectTopScored(lists[k], opts.TopN)
 		}
 	})
@@ -166,13 +167,13 @@ func newCandidateScratch(q int) *candidateScratch {
 	}
 }
 
-// candidateList computes item a's full (untruncated) neighbour list on m,
-// using the same accumulation as BuildGIS. The returned list is in
-// accumulation order, not ranked: both callers either scatter it into
-// dense arrays or rank it separately, and skipping the sort keeps the
-// hot incremental-refresh path off the O(n log n) cost of ordering
-// entries that truncation would discard anyway.
-func candidateList(m *ratings.Matrix, a int, opts GISOptions, sc *candidateScratch) []mathx.Scored {
+// candidateList appends item a's full (untruncated) neighbour list on m to
+// dst: the Eq. 5 accumulation BuildGIS and Refresh share. The list is in
+// accumulation order, not ranked: its callers scatter it into dense
+// arrays or rank it separately, and skipping the sort keeps the hot
+// incremental-refresh path off the O(n log n) cost of ordering entries
+// that truncation would discard anyway.
+func candidateList(m *ratings.Matrix, a int, opts GISOptions, sc *candidateScratch, dst []mathx.Scored) []mathx.Scored {
 	sxy, sxx, syy, co := sc.sxy, sc.sxx, sc.syy, sc.co
 	touched := sc.touched[:0]
 
@@ -205,7 +206,7 @@ func candidateList(m *ratings.Matrix, a int, opts GISOptions, sc *candidateScrat
 			co[b]++
 		}
 	}
-	out := make([]mathx.Scored, 0, len(touched))
+	out := slices.Grow(dst, len(touched))
 	for _, b := range touched {
 		n := int(co[b])
 		if opts.MinCoRatings > 0 && n < opts.MinCoRatings {

@@ -215,66 +215,15 @@ func BuildGIS(m *ratings.Matrix, opts GISOptions) *GIS {
 	g := &GIS{neighbors: make([][]mathx.Scored, q), opts: opts}
 
 	parallel.ForChunked(q, opts.Workers, func(lo, hi int) {
-		// Per-chunk dense scratch: stats for every candidate item.
-		sxy := make([]float64, q)
-		sxx := make([]float64, q)
-		syy := make([]float64, q)
-		co := make([]int32, q)
-		touched := make([]int32, 0, 256)
-
+		scratch := newCandidateScratch(q)
+		var list []mathx.Scored
 		for a := lo; a < hi; a++ {
-			touched = touched[:0]
-			ma := m.ItemMean(a)
-			for _, ue := range m.ItemRatings(a) {
-				u := int(ue.Index)
-				var da float64
-				if opts.Metric == PCC {
-					da = ue.Value - ma
-				} else {
-					da = ue.Value
-				}
-				for _, ie := range m.UserRatings(u) {
-					b := ie.Index
-					if int(b) == a {
-						continue
-					}
-					if co[b] == 0 {
-						touched = append(touched, b)
-					}
-					var db float64
-					if opts.Metric == PCC {
-						db = ie.Value - m.ItemMean(int(b))
-					} else {
-						db = ie.Value
-					}
-					sxy[b] += da * db
-					sxx[b] += da * da
-					syy[b] += db * db
-					co[b]++
-				}
-			}
-
-			top := mathx.NewTopK(topNOrAll(opts.TopN, len(touched)))
-			for _, b := range touched {
-				n := int(co[b])
-				if opts.MinCoRatings > 0 && n < opts.MinCoRatings {
-					continue
-				}
-				if sxx[b] == 0 || syy[b] == 0 {
-					continue
-				}
-				sim := sxy[b] / (math.Sqrt(sxx[b]) * math.Sqrt(syy[b]))
-				sim = Significance(sim, n, opts.SignificanceGamma)
-				if sim <= 0 || sim < opts.Threshold {
-					continue
-				}
-				top.Push(b, sim)
+			list = candidateList(m, a, opts, scratch, list[:0])
+			top := mathx.NewTopK(topNOrAll(opts.TopN, len(list)))
+			for _, e := range list {
+				top.Push(e.Index, e.Score)
 			}
 			g.neighbors[a] = top.Sorted()
-
-			for _, b := range touched {
-				sxy[b], sxx[b], syy[b], co[b] = 0, 0, 0, 0
-			}
 		}
 	})
 	return g

@@ -20,9 +20,11 @@
 package synth
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"cfsf/internal/ratings"
@@ -226,7 +228,8 @@ func Generate(cfg Config) (*Dataset, error) {
 			keys[i] = -math.Log(1-rng.Float64()) / w
 			order[i] = i
 		}
-		sort.Slice(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
+		n := userCount[u]
+		smallestKeys(order, keys, n)
 
 		var drift []float64
 		if archDrift != nil {
@@ -234,7 +237,6 @@ func Generate(cfg Config) (*Dataset, error) {
 		}
 		// Users rate throughout the shared one-year horizon; timestamps
 		// advance from a random start in its first tenth.
-		n := userCount[u]
 		ts := epoch + int64(trng.Intn(int(horizon/10)))
 		step := (horizon - (ts - epoch)) / int64(n+1)
 		for k := 0; k < n; k++ {
@@ -280,6 +282,67 @@ func Generate(cfg Config) (*Dataset, error) {
 		ItemTitles:    itemTitles,
 		Config:        cfg,
 	}, nil
+}
+
+// smallestKeys puts the items with the n smallest keys into order[:n] in
+// ascending key order — the order sort.Slice over the identity
+// permutation gives them, which is what the generator's streams were
+// drawn against. order must hold that identity permutation on entry.
+// When the n smallest keys and the next one are all distinct, that order
+// is the only ascending one, so selecting the n and sorting only them
+// reproduces it. A tie among them, or a NaN anywhere (no comparison
+// orders it), leaves the order to sort.Slice's tie-breaking, and then the
+// whole array is sorted with it, as before; smallestKeys reports whether
+// it had to.
+func smallestKeys(order []int, keys []float64, n int) (fullSort bool) {
+	if !slices.ContainsFunc(keys, math.IsNaN) {
+		if n < len(order) {
+			selectNth(order, keys, n)
+		}
+		slices.SortFunc(order[:n], func(a, b int) int { return cmp.Compare(keys[a], keys[b]) })
+		distinct := true
+		for k := 1; k <= n && k < len(order) && distinct; k++ {
+			distinct = keys[order[k-1]] < keys[order[k]]
+		}
+		if distinct {
+			return false
+		}
+		for i := range order {
+			order[i] = i
+		}
+	}
+	sort.Slice(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
+	return true
+}
+
+// selectNth permutes order so that order[k] is the item with the k-th
+// smallest key (from 0), no item before it has a larger key and no item
+// after it a smaller one (Hoare's FIND).
+func selectNth(order []int, keys []float64, k int) {
+	lo, hi := 0, len(order)-1
+	for lo < hi {
+		pivot := keys[order[k]]
+		i, j := lo, hi
+		for i <= j {
+			for keys[order[i]] < pivot {
+				i++
+			}
+			for pivot < keys[order[j]] {
+				j--
+			}
+			if i <= j {
+				order[i], order[j] = order[j], order[i]
+				i++
+				j--
+			}
+		}
+		if j < k {
+			lo = i
+		}
+		if k < i {
+			hi = j
+		}
+	}
 }
 
 // FeatureMatrix returns a one-hot genre feature vector per item, the
