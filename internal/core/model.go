@@ -145,6 +145,11 @@ type TrainStats struct {
 	MirrorDuration time.Duration
 	TotalDuration  time.Duration
 	GISNeighbors   int // stored (item, neighbour) pairs
+	// GISPushOrder counts the neighbour lists the GIS build selected in
+	// push order because of a tie at the top-N cut
+	// (similarity.GIS.PushOrderLists). Not persisted: 0 after a load or
+	// an incremental refresh.
+	GISPushOrder   int
 	ClusterIters   int
 	ClusterInertia float64
 	// Incremental is true when the stats describe a WithUpdates refresh
@@ -232,6 +237,7 @@ func Train(m *ratings.Matrix, cfg Config) (*Model, error) {
 	}
 	mod.stats.GISDuration = time.Since(t)
 	mod.stats.GISNeighbors = mod.gis.TotalNeighbors()
+	mod.stats.GISPushOrder = mod.gis.PushOrderLists()
 
 	t = time.Now()
 	cl, err := cluster.Run(m, cluster.Options{
@@ -387,6 +393,13 @@ func (mod *Model) Config() Config { return mod.cfg }
 
 // Stats returns offline-phase statistics.
 func (mod *Model) Stats() TrainStats { return mod.stats }
+
+// GISSummary says what the GIS build stored, for log lines: its entry
+// count and how many lists were selected in push order, e.g. "199152
+// entries, 21 by push order".
+func (st TrainStats) GISSummary() string {
+	return fmt.Sprintf("%d entries, %d by push order", st.GISNeighbors, st.GISPushOrder)
+}
 
 // Matrix returns the training matrix.
 func (mod *Model) Matrix() *ratings.Matrix { return mod.m }

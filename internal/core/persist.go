@@ -27,10 +27,12 @@ type modelWire struct {
 	Clusters *cluster.Result
 }
 
-// modelWireVersion 2 stores the GIS flat (similarity.Snapshot's Lens,
-// Index, Score) and the matrix with its timestamps; version 1 files
-// (per-item neighbour lists, no timestamps) still load.
-const modelWireVersion = 2
+// modelWireVersion 3 stores the GIS raw (similarity.Snapshot's Lens, IDs,
+// Scores), the layout the shared blob's version 3 has; version 2 files
+// (the GIS as Lens, Index, Score) and version 1 files (per-item neighbour
+// lists, no timestamps) still load. Version 2 added the matrix's
+// timestamps.
+const modelWireVersion = 3
 
 // Save serialises the model to w in gob format. The snapshot contains
 // the training matrix, the GIS and the clustering; Load rebuilds the
@@ -68,7 +70,7 @@ func Load(r io.Reader) (*Model, error) {
 	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
 		return nil, fmt.Errorf("cfsf: load model: %w", err)
 	}
-	if wire.Version != 1 && wire.Version != modelWireVersion {
+	if wire.Version < 1 || wire.Version > modelWireVersion {
 		return nil, fmt.Errorf("cfsf: unsupported model snapshot version %d", wire.Version)
 	}
 	if err := wire.Config.Validate(); err != nil {

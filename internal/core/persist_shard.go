@@ -79,14 +79,16 @@ type shardWire struct {
 	Times           []int64 // empty when the matrix carries no timestamps
 }
 
-// sharedBlobVersion 2 stores the GIS flat (similarity.Snapshot's Lens,
-// Index, Score); version 1 blobs (per-item neighbour lists) still load.
-// The number, not the shape, is what makes a build that only knows
-// version 1 refuse a newer blob: gob drops fields it does not know, so
-// such a build would otherwise assemble an empty GIS without a word.
-// The shard blob's shape has not changed, and neither has its version.
+// sharedBlobVersion 3 stores the GIS raw (similarity.Snapshot's Lens,
+// IDs, Scores: ten bytes an entry on the ledger fixture); version 2 blobs
+// (Lens, Index, Score) and version 1 blobs (per-item neighbour lists)
+// still load. The number, not the shape, is what makes a build that only
+// knows an older version refuse a newer blob: gob drops fields it does
+// not know, so such a build would otherwise assemble an empty GIS without
+// a word. The shard blob's shape has not changed, and neither has its
+// version.
 const (
-	sharedBlobVersion = 2
+	sharedBlobVersion = 3
 	shardBlobVersion  = 1
 )
 
@@ -214,7 +216,7 @@ func LoadSharedPart(r io.Reader) (*SharedPart, error) {
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&wire); err != nil {
 		return nil, fmt.Errorf("cfsf: decode shared blob: %w", err)
 	}
-	if wire.Version != 1 && wire.Version != sharedBlobVersion {
+	if wire.Version < 1 || wire.Version > sharedBlobVersion {
 		return nil, fmt.Errorf("cfsf: unsupported shared blob version %d", wire.Version)
 	}
 	if err := wire.Config.Validate(); err != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"math"
 	"os"
 	"slices"
@@ -46,13 +47,15 @@ func requireSameRecommendations(t *testing.T, want, got *Model, ctx string) {
 	}
 }
 
-// TestVersion1BlobsLoadAndResaveAsVersion2: the testdata blobs really are
-// wire version 1 (per-item neighbour lists, nothing flat); they load; what
-// they load to re-saves as version 2 (flat, nothing per-item); and the
-// model loaded from version 1, the one loaded from its version-2 re-save
-// and the model trained live hold the same GIS entry for entry and answer
-// every Predict and Recommend the same.
-func TestVersion1BlobsLoadAndResaveAsVersion2(t *testing.T) {
+// TestOlderBlobsLoadAndResaveAsVersion3: the testdata blobs really are
+// the versions they are named for — tau0.* version 1 (per-item neighbour
+// lists), v2.* version 2 (Lens, Index, Score), written by 246d90a from
+// refusalFixture — and carry that layout alone; they load; what they load
+// to re-saves as version 3 (Lens, IDs, Scores and nothing else); and the
+// models loaded from each, the ones loaded from their re-saves and the
+// model trained live hold the same GIS entry for entry and answer every
+// Predict and Recommend the same, the grid hashing to tau0Grid.
+func TestOlderBlobsLoadAndResaveAsVersion3(t *testing.T) {
 	m, cfg := refusalFixture(t)
 	live, err := Train(m, cfg)
 	if err != nil {
@@ -63,9 +66,11 @@ func TestVersion1BlobsLoadAndResaveAsVersion2(t *testing.T) {
 		if version != wantVersion {
 			t.Fatalf("%s: wire version %d, want %d", ctx, version, wantVersion)
 		}
-		flat, perItem := len(snap.Lens) > 0 && len(snap.Index) > 0 && len(snap.Score) > 0, len(snap.Neighbors) > 0
-		if flat != (wantVersion == 2) || perItem != (wantVersion == 1) {
-			t.Fatalf("%s: version %d carries flat=%v per-item=%v", ctx, version, flat, perItem)
+		raw := len(snap.Lens) > 0 && len(snap.IDs) > 0 && len(snap.Scores) > 0
+		flat := len(snap.Index) > 0 || len(snap.Score) > 0
+		perItem := len(snap.Neighbors) > 0
+		if raw != (wantVersion == 3) || flat != (wantVersion == 2) || perItem != (wantVersion == 1) {
+			t.Fatalf("%s: version %d carries raw=%v flat=%v per-item=%v", ctx, version, raw, flat, perItem)
 		}
 	}
 	compare := func(ctx string, got *Model) {
@@ -73,38 +78,47 @@ func TestVersion1BlobsLoadAndResaveAsVersion2(t *testing.T) {
 		requireSameGIS(t, live.GIS(), got.GIS(), ctx)
 		requireSamePredictions(t, gridPredictions(live), gridPredictions(got), ctx)
 		requireSameRecommendations(t, live, got, ctx)
+		if h := gridHash(got); h != tau0Grid {
+			t.Fatalf("%s: prediction grid hashes to %s, want %s", ctx, h, tau0Grid)
+		}
 	}
+	fixtures := []struct {
+		name    string
+		version int
+	}{{"tau0", 1}, {"v2", 2}}
 
 	t.Run("model", func(t *testing.T) {
-		data, err := os.ReadFile("testdata/tau0.model")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var wire modelWire
-		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&wire); err != nil {
-			t.Fatal(err)
-		}
-		wantLayout("testdata", wire.Version, 1, wire.GIS)
-		v1, err := Load(bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		compare("loaded from version 1", v1)
+		for _, fx := range fixtures {
+			data, err := os.ReadFile("testdata/" + fx.name + ".model")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wire modelWire
+			if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&wire); err != nil {
+				t.Fatal(err)
+			}
+			wantLayout(fx.name, wire.Version, fx.version, wire.GIS)
+			old, err := Load(bytes.NewReader(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			compare(fmt.Sprintf("loaded from version %d", fx.version), old)
 
-		var buf bytes.Buffer
-		if err := v1.Save(&buf); err != nil {
-			t.Fatal(err)
+			var buf bytes.Buffer
+			if err := old.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			wire = modelWire{}
+			if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&wire); err != nil {
+				t.Fatal(err)
+			}
+			wantLayout(fx.name+" re-saved", wire.Version, 3, wire.GIS)
+			resaved, err := Load(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compare(fmt.Sprintf("loaded from the version-3 re-save of version %d", fx.version), resaved)
 		}
-		wire = modelWire{}
-		if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&wire); err != nil {
-			t.Fatal(err)
-		}
-		wantLayout("re-save", wire.Version, 2, wire.GIS)
-		v2, err := Load(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		compare("loaded from the version-2 re-save", v2)
 	})
 
 	t.Run("shared blob", func(t *testing.T) {
@@ -136,22 +150,23 @@ func TestVersion1BlobsLoadAndResaveAsVersion2(t *testing.T) {
 			}
 			return mod
 		}
-		data, err := os.ReadFile("testdata/tau0.shared")
-		if err != nil {
-			t.Fatal(err)
-		}
-		wire := decode(data)
-		wantLayout("testdata", wire.Version, 1, wire.GIS)
-		v1 := assemble(data)
-		compare("assembled from version 1", v1)
+		for _, fx := range fixtures {
+			data, err := os.ReadFile("testdata/" + fx.name + ".shared")
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantLayout(fx.name, decode(data).Version, fx.version, decode(data).GIS)
+			old := assemble(data)
+			compare(fmt.Sprintf("assembled from version %d", fx.version), old)
 
-		var buf bytes.Buffer
-		if err := v1.SaveSharedBlob(&buf); err != nil {
-			t.Fatal(err)
+			var buf bytes.Buffer
+			if err := old.SaveSharedBlob(&buf); err != nil {
+				t.Fatal(err)
+			}
+			wire := decode(buf.Bytes())
+			wantLayout(fx.name+" re-saved", wire.Version, 3, wire.GIS)
+			compare(fmt.Sprintf("assembled from the version-3 re-save of version %d", fx.version), assemble(buf.Bytes()))
 		}
-		wire = decode(buf.Bytes())
-		wantLayout("re-save", wire.Version, 2, wire.GIS)
-		compare("assembled from the version-2 re-save", assemble(buf.Bytes()))
 	})
 }
 
@@ -177,22 +192,25 @@ func sharedBlobOf(t *testing.T, wire sharedWire) *bytes.Buffer {
 
 // TestFutureWireVersionsAreRefused: a blob one version ahead of this
 // build is refused by its number, whatever it holds — the rule a
-// version-1 build applies to the blobs this one writes.
+// version-2 build applies to the version-3 blobs this one writes.
 func TestFutureWireVersionsAreRefused(t *testing.T) {
+	if sharedBlobVersion != 3 || modelWireVersion != 3 {
+		t.Fatalf("this build writes shared blob version %d and model version %d; the tests here pin 3", sharedBlobVersion, modelWireVersion)
+	}
 	mod, _ := trainSmall(t)
 	var buf bytes.Buffer
 	model := modelWire{Version: modelWireVersion + 1, Config: mod.cfg, Matrix: mod.m, GIS: mod.gis.Snapshot(), Clusters: mod.clusters}
 	if err := gob.NewEncoder(&buf).Encode(model); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(&buf); err == nil || !strings.Contains(err.Error(), "version 3") {
-		t.Errorf("Load: err = %v, want a refusal naming version 3", err)
+	if _, err := Load(&buf); err == nil || !strings.Contains(err.Error(), "version 4") {
+		t.Errorf("Load: err = %v, want a refusal naming version 4", err)
 	}
 
 	shared := sharedWireOf(mod)
 	shared.Version = sharedBlobVersion + 1
-	if _, err := LoadSharedPart(sharedBlobOf(t, shared)); err == nil || !strings.Contains(err.Error(), "version 3") {
-		t.Errorf("LoadSharedPart: err = %v, want a refusal naming version 3", err)
+	if _, err := LoadSharedPart(sharedBlobOf(t, shared)); err == nil || !strings.Contains(err.Error(), "version 4") {
+		t.Errorf("LoadSharedPart: err = %v, want a refusal naming version 4", err)
 	}
 }
 
@@ -210,8 +228,8 @@ func TestSharedBlobGISMustCoverTheItems(t *testing.T) {
 	}{
 		{"one item short", func(s *similarity.Snapshot) {
 			last := len(s.Lens) - 1
-			n := len(s.Index) - int(s.Lens[last])
-			s.Lens, s.Index, s.Score = s.Lens[:last], s.Index[:n], s.Score[:n]
+			n := len(s.Scores)/8 - int(s.Lens[last])
+			s.Lens, s.IDs, s.Scores = s.Lens[:last], s.IDs[:n*similarity.IDWidth(last)], s.Scores[:n*8]
 		}},
 		{"no GIS at all", func(s *similarity.Snapshot) { *s = similarity.Snapshot{Opts: s.Opts} }},
 		{"lengths beyond the entries", func(s *similarity.Snapshot) { s.Lens[0]++ }},

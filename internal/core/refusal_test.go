@@ -22,6 +22,16 @@ import (
 // of first use, so those depend on what else the process encoded.)
 const tau0Grid = "dfa456ac4d0c12f16104b31e50de070239ca53a3cc3c995463f07cbd4fecf654"
 
+// gridHash is the sha256 over the big-endian bits of every Predict(u, i)
+// of mod, user-major: the form tau0Grid is pinned in.
+func gridHash(mod *Model) string {
+	h := sha256.New()
+	for _, v := range gridPredictions(mod) {
+		h.Write(binary.BigEndian.AppendUint64(nil, math.Float64bits(v)))
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 func refusalFixture(t *testing.T) (*ratings.Matrix, Config) {
 	t.Helper()
 	b := ratings.NewBuilder(12, 10).SetScale(1, 5)
@@ -87,11 +97,7 @@ func TestTimeDecayTauIsRefused(t *testing.T) {
 			if err != nil {
 				t.Fatalf("τ = 0: %v", err)
 			}
-			h := sha256.New()
-			for _, v := range gridPredictions(mod) {
-				h.Write(binary.BigEndian.AppendUint64(nil, math.Float64bits(v)))
-			}
-			if got := hex.EncodeToString(h.Sum(nil)); got != tau0Grid {
+			if got := gridHash(mod); got != tau0Grid {
 				t.Errorf("τ = 0: prediction grid hashes to %s, want the parent's %s", got, tau0Grid)
 			}
 		})

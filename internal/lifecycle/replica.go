@@ -157,10 +157,11 @@ func (r *replica) feed(rec wal.Record) (queued, applied int, err error) {
 	return queued, applied, nil
 }
 
-// refitSummary says what a retrain did to the clustering: K-means
-// iterations, the sweeps that ran and any cycle that stopped them (a fit
-// that stopped at its cap, not at a fixed point, is worth seeing), and
-// users moved. K-means numbers clusters afresh on every run, so a new
+// refitSummary says what a retrain built: the GIS's entries and the
+// lists selected in push order, then what it did to the clustering:
+// K-means iterations, the sweeps that ran and any cycle that stopped them
+// (a fit that stopped at its cap, not at a fixed point, is worth seeing),
+// and users moved. K-means numbers clusters afresh on every run, so a new
 // cluster first inherits the old label most of its members carried.
 func refitSummary(old, mod *core.Model) string {
 	was, now := old.Clusters(), mod.Clusters()
@@ -172,7 +173,7 @@ func refitSummary(old, mod *core.Model) string {
 	for c := 0; c < now.K; c++ {
 		moved -= slices.Max(overlap[c*was.K : (c+1)*was.K])
 	}
-	return fmt.Sprintf("%s, %d users changed cluster", now.Summary(), moved)
+	return fmt.Sprintf("GIS %s; %s, %d users changed cluster", mod.Stats().GISSummary(), now.Summary(), moved)
 }
 
 // pending returns how many queued ratings await their commit.

@@ -108,17 +108,47 @@ func TestSelfCheckCatchesEverySingleFlip(t *testing.T) {
 		})
 	}
 
-	// regis rewrites the decoded part's GIS through its flat snapshot, for
-	// the flips that change the lists' shape rather than one entry.
-	regis := func(t *testing.T, sp *core.SharedPart, mutate func(*similarity.Snapshot)) {
+	// fromSnapshot replaces the decoded part's GIS with the one snap
+	// decodes to.
+	fromSnapshot := func(t *testing.T, sp *core.SharedPart, snap similarity.Snapshot) {
 		t.Helper()
-		snap := sp.GIS.Snapshot()
-		mutate(&snap)
 		gis, err := similarity.FromSnapshot(snap)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sp.GIS = gis
+	}
+	// regis rewrites the decoded part's GIS through the version-2 layout,
+	// one int32 and one float64 per entry, for the flips that change the
+	// lists' shape rather than one entry.
+	regis := func(t *testing.T, sp *core.SharedPart, mutate func(*similarity.Snapshot)) {
+		t.Helper()
+		snap := similarity.Snapshot{Lens: make([]int32, sp.GIS.NumItems()), Opts: sp.GIS.Options()}
+		for i := range snap.Lens {
+			snap.Lens[i] = int32(len(sp.GIS.Neighbors(i)))
+			for _, n := range sp.GIS.Neighbors(i) {
+				snap.Index, snap.Score = append(snap.Index, n.Index), append(snap.Score, n.Score)
+			}
+		}
+		mutate(&snap)
+		fromSnapshot(t, sp, snap)
+	}
+	// rawEntry is the position, in the version-3 layout the blob carries,
+	// of item i's first neighbour whose id keeps within the catalogue with
+	// its lowest bit flipped.
+	rawEntry := func(t *testing.T, g *similarity.GIS, i int) int {
+		t.Helper()
+		at := 0
+		for j := 0; j < i; j++ {
+			at += len(g.Neighbors(j))
+		}
+		for k, n := range g.Neighbors(i) {
+			if int(n.Index^1) < g.NumItems() {
+				return at + k
+			}
+		}
+		t.Fatalf("item %d has no neighbour whose id can flip its lowest bit", i)
+		return 0
 	}
 	// full is an item whose list, and whose successor's, are not empty.
 	full := -1
@@ -153,6 +183,16 @@ func TestSelfCheckCatchesEverySingleFlip(t *testing.T) {
 		{"one bit of one Score", "GIS list of item", func(t *testing.T, sp *core.SharedPart) {
 			n := &sp.GIS.Neighbors(full)[0]
 			n.Score = math.Float64frombits(math.Float64bits(n.Score) ^ 1)
+		}},
+		{"one byte of IDs", "GIS list of item", func(t *testing.T, sp *core.SharedPart) {
+			snap := sp.GIS.Snapshot()
+			snap.IDs[rawEntry(t, sp.GIS, full)*similarity.IDWidth(len(snap.Lens))] ^= 1
+			fromSnapshot(t, sp, snap)
+		}},
+		{"one bit of Scores", "GIS list of item", func(t *testing.T, sp *core.SharedPart) {
+			snap := sp.GIS.Snapshot()
+			snap.Scores[rawEntry(t, sp.GIS, full)*8] ^= 1
+			fromSnapshot(t, sp, snap)
 		}},
 		{"one Lens", "GIS list of item", func(t *testing.T, sp *core.SharedPart) {
 			regis(t, sp, func(s *similarity.Snapshot) { s.Lens[full]++; s.Lens[full+1]-- })

@@ -175,7 +175,6 @@ func newCandidateScratch(q int) *candidateScratch {
 // that truncation would discard anyway.
 func candidateList(m *ratings.Matrix, a int, opts GISOptions, sc *candidateScratch, dst []mathx.Scored) []mathx.Scored {
 	sxy, sxx, syy, co := sc.sxy, sc.sxx, sc.syy, sc.co
-	touched := sc.touched[:0]
 
 	ma := m.ItemMean(a)
 	for _, ue := range m.ItemRatings(a) {
@@ -192,7 +191,7 @@ func candidateList(m *ratings.Matrix, a int, opts GISOptions, sc *candidateScrat
 				continue
 			}
 			if co[b] == 0 {
-				touched = append(touched, b)
+				sc.touched = append(sc.touched, b)
 			}
 			var db float64
 			if opts.Metric == PCC {
@@ -206,8 +205,16 @@ func candidateList(m *ratings.Matrix, a int, opts GISOptions, sc *candidateScrat
 			co[b]++
 		}
 	}
-	out := slices.Grow(dst, len(touched))
-	for _, b := range touched {
+	return sc.drain(opts, dst)
+}
+
+// drain appends to dst, in touched order, every accumulated item whose
+// co-rating count and Eq. 5 weight pass opts' filters, and re-zeroes the
+// cells it dirtied.
+func (sc *candidateScratch) drain(opts GISOptions, dst []mathx.Scored) []mathx.Scored {
+	sxy, sxx, syy, co := sc.sxy, sc.sxx, sc.syy, sc.co
+	out := slices.Grow(dst, len(sc.touched))
+	for _, b := range sc.touched {
 		n := int(co[b])
 		if opts.MinCoRatings > 0 && n < opts.MinCoRatings {
 			continue
@@ -222,10 +229,10 @@ func candidateList(m *ratings.Matrix, a int, opts GISOptions, sc *candidateScrat
 		}
 		out = append(out, mathx.Scored{Index: b, Score: sim})
 	}
-	for _, b := range touched {
+	for _, b := range sc.touched {
 		sxy[b], sxx[b], syy[b], co[b] = 0, 0, 0, 0
 	}
-	sc.touched = touched[:0]
+	sc.touched = sc.touched[:0]
 	return out
 }
 

@@ -7,7 +7,10 @@
 package similarity
 
 import (
+	"cmp"
 	"math"
+	"slices"
+	"sync/atomic"
 
 	"cfsf/internal/mathx"
 	"cfsf/internal/parallel"
@@ -152,6 +155,9 @@ func DefaultGISOptions() GISOptions {
 type GIS struct {
 	neighbors [][]mathx.Scored
 	opts      GISOptions
+	// pushOrdered counts the lists BuildGIS selected in push order (see
+	// BuildGIS); 0 for a GIS from any other constructor. Not persisted.
+	pushOrdered int
 }
 
 // Neighbors returns item i's neighbour list, sorted by descending
@@ -164,6 +170,12 @@ func (g *GIS) NumItems() int { return len(g.neighbors) }
 
 // Options returns the options the GIS was built with.
 func (g *GIS) Options() GISOptions { return g.opts }
+
+// PushOrderLists returns how many of BuildGIS's lists fell back to
+// selection in push order: a candidate outside the top N tied the N-th
+// score, or a score was NaN. It is 0 for a GIS that was loaded or
+// refreshed rather than built.
+func (g *GIS) PushOrderLists() int { return g.pushOrdered }
 
 // TopNByID returns a fresh copy of the top-n prefix of item i's
 // neighbour list, re-sorted by ascending neighbour id (n <= 0 means the
@@ -203,30 +215,207 @@ func (g *GIS) TotalNeighbors() int {
 	return n
 }
 
-// BuildGIS constructs the Global Item Similarity matrix in parallel.
+// BuildGIS constructs the Global Item Similarity matrix in parallel, at
+// one Eq. 5 accumulation per item pair.
 //
-// For each item a, it accumulates co-rating statistics against every item
-// that shares at least one user with a, in a single pass over the rows of
-// a's raters (O(Σ_{u∈col(a)} |row(u)|) per item). This is the offline
-// step the paper describes as the dominant cost; it parallelises over
-// items with no shared mutable state.
+// Item a walks its raters in ascending user order (the ItemRatings
+// contract) and, in each rater's row, only the items b > a
+// (upperCandidates). The weight it gets for (a, b) is bit for bit the
+// one b's own walk would get for (b, a): both add the same products
+// da·db in the same user order, and sxx and syy only trade places inside
+// √sxx·√syy, a commutative product. So every pair is accumulated once,
+// half the work of a walk per item over whole rows, and a pair that
+// passes the filters becomes a candidate of both its items. Each item
+// then ranks its candidates (rankTop), and the lists are carved from one
+// slab sized before they are filled.
 func BuildGIS(m *ratings.Matrix, opts GISOptions) *GIS {
 	q := m.NumItems()
-	g := &GIS{neighbors: make([][]mathx.Scored, q), opts: opts}
+	centred := centredRows(m, opts.Metric)
 
+	upper := make([][]mathx.Scored, q)
 	parallel.ForChunked(q, opts.Workers, func(lo, hi int) {
-		scratch := newCandidateScratch(q)
+		sc := newCandidateScratch(q)
 		var list []mathx.Scored
 		for a := lo; a < hi; a++ {
-			list = candidateList(m, a, opts, scratch, list[:0])
-			top := mathx.NewTopK(topNOrAll(opts.TopN, len(list)))
-			for _, e := range list {
-				top.Push(e.Index, e.Score)
+			list = upperCandidates(m, centred, a, opts, sc, list[:0])
+			if len(list) > 0 {
+				upper[a] = slices.Clone(list)
 			}
-			g.neighbors[a] = top.Sorted()
 		}
 	})
+
+	// lower[lowerOff[b]:lowerOff[b+1]] are b's candidates a < b: the upper
+	// lists transposed, in ascending a.
+	lowerOff := make([]int, q+1)
+	for _, l := range upper {
+		for _, e := range l {
+			lowerOff[e.Index+1]++
+		}
+	}
+	for b := 0; b < q; b++ {
+		lowerOff[b+1] += lowerOff[b]
+	}
+	lower := make([]mathx.Scored, lowerOff[q])
+	next := slices.Clone(lowerOff[:q])
+	for a, l := range upper {
+		for _, e := range l {
+			lower[next[e.Index]] = mathx.Scored{Index: int32(a), Score: e.Score}
+			next[e.Index]++
+		}
+	}
+
+	off := make([]int, q+1)
+	for i := 0; i < q; i++ {
+		off[i+1] = off[i] + topNOrAll(opts.TopN, len(upper[i])+lowerOff[i+1]-lowerOff[i])
+	}
+	slab := make([]mathx.Scored, off[q])
+	g := &GIS{neighbors: make([][]mathx.Scored, q), opts: opts}
+	var pushOrdered atomic.Int64
+	parallel.ForChunked(q, opts.Workers, func(lo, hi int) {
+		var cand []mathx.Scored
+		var sc *candidateScratch
+		for i := lo; i < hi; i++ {
+			n := off[i+1] - off[i]
+			if n == 0 {
+				continue
+			}
+			dst := slab[off[i]:off[i]:off[i+1]]
+			cand = append(append(cand[:0], lower[lowerOff[i]:lowerOff[i+1]]...), upper[i]...)
+			if list, ok := rankTop(cand, n, dst); ok {
+				g.neighbors[i] = list
+				continue
+			}
+			// Which of the candidates tied at the cut TopK keeps depends on
+			// the order they are pushed in, so this list is built the way
+			// the two-ended build built every list: candidateList's order
+			// pushed through TopK.
+			if sc == nil {
+				sc = newCandidateScratch(q)
+			}
+			cand = candidateList(m, i, opts, sc, cand[:0])
+			top := mathx.NewTopK(n)
+			for _, e := range cand {
+				top.Push(e.Index, e.Score)
+			}
+			g.neighbors[i] = top.AppendSorted(dst)
+			pushOrdered.Add(1)
+		}
+	})
+	g.pushOrdered = int(pushOrdered.Load())
 	return g
+}
+
+// centredRows returns m's ratings row by row, each minus its item's mean
+// for PCC and as it stands for Cosine: the d of Eq. 5, computed once per
+// rating instead of once per co-rating. The rows share one slab.
+func centredRows(m *ratings.Matrix, metric Metric) [][]float64 {
+	slab := make([]float64, m.NumRatings())
+	rows := make([][]float64, m.NumUsers())
+	off := 0
+	for u := range rows {
+		row := m.UserRatings(u)
+		cr := slab[off : off+len(row) : off+len(row)]
+		for k, e := range row {
+			d := e.Value
+			if metric == PCC {
+				d -= m.ItemMean(int(e.Index))
+			}
+			cr[k] = d
+		}
+		rows[u] = cr
+		off += len(row)
+	}
+	return rows
+}
+
+// upperCandidates appends to dst item a's candidates b > a, in
+// accumulation order: Eq. 5 over a's raters in ascending user order, each
+// rater's row read from just past a.
+func upperCandidates(m *ratings.Matrix, centred [][]float64, a int, opts GISOptions, sc *candidateScratch, dst []mathx.Scored) []mathx.Scored {
+	sxy, sxx, syy, co := sc.sxy, sc.sxx, sc.syy, sc.co
+	for _, ue := range m.ItemRatings(a) {
+		row, cr := m.UserRatings(int(ue.Index)), centred[ue.Index]
+		k, _ := slices.BinarySearchFunc(row, int32(a), func(e ratings.Entry, a int32) int { return cmp.Compare(e.Index, a) })
+		da := cr[k]
+		for j := k + 1; j < len(row); j++ {
+			b, db := row[j].Index, cr[j]
+			if co[b] == 0 {
+				sc.touched = append(sc.touched, b)
+			}
+			sxy[b] += da * db
+			sxx[b] += da * da
+			syy[b] += db * db
+			co[b]++
+		}
+	}
+	return sc.drain(opts, dst)
+}
+
+// rankTop appends to dst the top k of cand in the canonical order
+// (mathx.Precedes) and reports true, or reports false when that is not
+// what TopK would keep. TopK admits a candidate only if it beats the
+// lowest score held, so when the k-th score is strictly above every
+// score left out, TopK holds exactly these k whatever the push order.
+// When a candidate left out ties the k-th score, which of the tied ones
+// TopK holds depends on the order they were pushed in, and a NaN score
+// leaves no order to select by at all: those lists are ranked in push
+// order by the caller. cand is reordered.
+func rankTop(cand []mathx.Scored, k int, dst []mathx.Scored) ([]mathx.Scored, bool) {
+	for _, e := range cand {
+		if math.IsNaN(e.Score) {
+			return nil, false
+		}
+	}
+	if k < len(cand) {
+		selectTop(cand, k)
+	}
+	top := cand[:k]
+	mathx.SortScoredDesc(top)
+	for _, e := range cand[k:] {
+		if e.Score == top[k-1].Score {
+			return nil, false
+		}
+	}
+	return append(dst, top...), true
+}
+
+// selectTop reorders list so that its first k entries, 0 < k < len(list),
+// are the k that rank first under mathx.Precedes, in no particular order:
+// quickselect with a median-of-three pivot, expected linear time. Precedes
+// must be a total order on list: no NaN scores.
+func selectTop(list []mathx.Scored, k int) {
+	// Everything in [0, lo) ranks before everything in [lo, len(list)),
+	// everything in [hi, len(list)) after everything in [0, hi), and
+	// lo ≤ k ≤ hi.
+	lo, hi := 0, len(list)
+	for hi-lo > 1 {
+		mid, last := lo+(hi-lo)/2, hi-1
+		if mathx.Precedes(list[mid], list[lo]) {
+			list[mid], list[lo] = list[lo], list[mid]
+		}
+		if mathx.Precedes(list[last], list[lo]) {
+			list[last], list[lo] = list[lo], list[last]
+		}
+		if mathx.Precedes(list[mid], list[last]) {
+			list[mid], list[last] = list[last], list[mid]
+		}
+		pivot, p := list[last], lo
+		for j := lo; j < last; j++ {
+			if mathx.Precedes(list[j], pivot) {
+				list[p], list[j] = list[j], list[p]
+				p++
+			}
+		}
+		list[p], list[last] = list[last], list[p]
+		switch {
+		case p == k || p+1 == k:
+			return
+		case p < k:
+			lo = p + 1
+		default:
+			hi = p
+		}
+	}
 }
 
 func topNOrAll(topN, candidates int) int {
