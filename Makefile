@@ -36,11 +36,13 @@ vet:
 # ns/op are fenced). BenchmarkRecommend matches the cold-scan benchmarks
 # too, every row of the ledger one (n10, ask10, deep128) included.
 # BenchmarkTrainLedger is the first-boot train; CI fences its
-# kmeans-sweeps and B/op.
+# kmeans-sweeps and B/op. BenchmarkDrainFullQueue is the manager's drain
+# rule on a full default queue (4096 ratings, one Apply).
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkPredict$$|BenchmarkPredictColdCache|BenchmarkRecommend' -benchmem ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkApplyLedger' -benchtime 200x -benchmem ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkTrainLedger' -benchtime 5x -benchmem ./internal/core
+	$(GO) test -run '^$$' -bench 'BenchmarkDrainFullQueue' -benchtime 5x -benchmem ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkDrainPrefix' -benchmem ./internal/lifecycle
 
 fmt:

@@ -43,9 +43,9 @@ type (
 	Pair = core.Pair
 	// TrainStats reports offline-phase timing and sizes.
 	TrainStats = core.TrainStats
-	// RatingUpdate feeds Model.WithUpdates, the incremental refresh that
-	// folds new ratings into a trained model without a full retrain
-	// (paper §VI future work).
+	// RatingUpdate feeds Model.Apply, the incremental refresh that folds
+	// new ratings into a trained model without a full retrain (paper §VI
+	// future work), and Model.WithUpdates, its from-scratch reference.
 	RatingUpdate = core.RatingUpdate
 )
 

@@ -21,9 +21,9 @@
 // recover from the snapshot, and a boot that finds no loadable snapshot
 // but a WAL that no longer starts at sequence 1 (or only a pre-manifest
 // snap-*.gob) exits with an error rather than retrain over lost ratings.
-// The write queue has one drain rule — contiguous prefixes, at most
-// -batch-max ratings per shard, one grouped apply each — tuned by
-// -batch-max, -batch-wait and -queue-cap.
+// The write queue has one drain rule — whatever is queued folds in one
+// apply, so -queue-cap also bounds a batch — and -batch-wait can delay
+// each drain to let more ratings coalesce.
 //
 // The process shuts down gracefully on SIGINT/SIGTERM: in-flight
 // requests get -shutdown-timeout to finish before the listener closes,
@@ -68,9 +68,8 @@ func main() {
 		fsync         = flag.String("fsync", "always", "WAL fsync policy: always, interval, or never")
 		fsyncInterval = flag.Duration("fsync-interval", 100*time.Millisecond, "flush cadence under -fsync interval")
 		segmentBytes  = flag.Int64("wal-segment-bytes", 4<<20, "WAL segment rotation size")
-		batchMax      = flag.Int("batch-max", 256, "max ratings of any one shard folded into one micro-batched model refresh")
 		batchWait     = flag.Duration("batch-wait", 0, "extra coalescing delay before each micro-batch (0 = greedy)")
-		queueCap      = flag.Int("queue-cap", 4096, "max journaled-but-unapplied ratings before /rate sheds load (503)")
+		queueCap      = flag.Int("queue-cap", 4096, "max journaled-but-unapplied ratings before /rate sheds load (503); also the largest micro-batch")
 		snapshotEvery = flag.Duration("snapshot-every", 10*time.Minute, "background snapshot cadence (0 disables)")
 		snapshotKeep  = flag.Int("snapshot-keep", 2, "how many snapshot files to retain")
 		retrainAfter  = flag.Int("retrain-after", 0, "background retrain after this many applied ratings (0 disables)")
@@ -232,7 +231,6 @@ func main() {
 			Fsync:         policy,
 			FsyncInterval: *fsyncInterval,
 			SegmentBytes:  *segmentBytes,
-			BatchMaxSize:  *batchMax,
 			BatchMaxWait:  *batchWait,
 			QueueCapacity: *queueCap,
 			SnapshotEvery: *snapshotEvery,

@@ -47,7 +47,7 @@ func main() {
 	cur := model
 	for step, item := range musicals[:5] {
 		t := time.Now()
-		cur, err = cur.WithUpdates([]cfsf.RatingUpdate{{User: newUser, Item: item, Value: 5}})
+		cur, err = cur.Apply([]cfsf.RatingUpdate{{User: newUser, Item: item, Value: 5}})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func main() {
 
 	fmt.Printf("\nincremental refresh vs full retrain: the offline phase took %v;\n", fullTrain.Round(time.Millisecond))
 	fmt.Println("each streamed rating was folded in with GIS.Refresh + centroid")
-	fmt.Println("reassignment instead (see Model.WithUpdates).")
+	fmt.Println("reassignment instead (see Model.Apply).")
 }
 
 func shorten(s string) string {

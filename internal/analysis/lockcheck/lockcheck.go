@@ -12,7 +12,7 @@
 //   - //cfsf:immutable — the field is written only while its struct is
 //     under construction (assigned from a composite literal in the same
 //     function) or inside a function annotated //cfsf:init-only <why>.
-//     This is the copy-on-write contract of Model and ShardedModel: a
+//     This is the copy-on-write contract of Model: a
 //     published model is never mutated; every apply/retrain builds a
 //     fresh value and swaps a pointer at the documented publication
 //     point. An in-place write to a shared model — the GIS swap bug

@@ -10,10 +10,12 @@ import (
 	"cfsf/internal/smoothing"
 )
 
-// withUpdatesIncremental is the shard-local refresh behind
-// ShardedModel.Apply. It produces the same model WithUpdates would —
-// bit-for-bit, including every floating-point aggregate — but rebuilds
-// only the structures a batch can actually invalidate:
+// Apply folds a batch of rating updates into a new model: the online
+// write path every serving role (leader, boot replay, follower,
+// standalone server) takes. The receiver is untouched and stays valid.
+// The result is bit-for-bit the model WithUpdates returns — every
+// floating-point aggregate included — but Apply rebuilds only the
+// structures a batch can actually invalidate:
 //
 //   - changed users' matrix rows and changed items' columns (the rest of
 //     the immutable matrix is shared, not re-sorted);
@@ -33,7 +35,7 @@ import (
 // promotes the matrix; no model structure reads a timestamp).
 //
 //cfsf:wallclock-ok refresh durations recorded in TrainStats only; no clock value reaches predictions or replayed state
-func (mod *Model) withUpdatesIncremental(updates []RatingUpdate) (*Model, error) {
+func (mod *Model) Apply(updates []RatingUpdate) (*Model, error) {
 	if len(updates) == 0 {
 		return mod, nil
 	}

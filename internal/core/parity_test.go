@@ -453,7 +453,7 @@ func TestTopMMirrorMatchesGIS(t *testing.T) {
 // three ways of producing a row — shared, patched, rebuilt — occur.
 func TestMirrorPatchParity(t *testing.T) {
 	mod, _ := trainSmall(t)
-	sharded := NewSharded(mod)
+	cur := mod
 	rng := rand.New(rand.NewSource(17))
 	p, q := mod.m.NumUsers(), mod.m.NumItems()
 	var sharedByContent, patched, rebuilt int
@@ -465,12 +465,12 @@ func TestMirrorPatchParity(t *testing.T) {
 		if step == 4 {
 			ups = append(ups, RatingUpdate{User: 0, Item: q, Value: 4}, RatingUpdate{User: 1, Item: q, Value: 2}) // new item
 		}
-		prev := sharded.Model()
+		prev := cur
 		var err error
-		if sharded, err = sharded.Apply(ups); err != nil {
+		if cur, err = cur.Apply(ups); err != nil {
 			t.Fatal(err)
 		}
-		next := sharded.Model()
+		next := cur
 		for i := 0; i < next.m.NumItems(); i++ {
 			want := refSortedTopM(next, i)
 			got := next.topM[i]
@@ -677,7 +677,7 @@ func TestScanKernelDegenerateShapes(t *testing.T) {
 		t.Fatal("before growth: scan diverged from Predict")
 	}
 	p, q := mod.m.NumUsers(), mod.m.NumItems()
-	sh, err := NewSharded(mod).Apply([]RatingUpdate{
+	grown, err := mod.Apply([]RatingUpdate{
 		{User: 7, Item: q + 2, Value: 4},
 		{User: p, Item: 3, Value: 5},
 		{User: p, Item: q, Value: 2},
@@ -685,7 +685,6 @@ func TestScanKernelDegenerateShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grown := sh.Model()
 	if grown.m.NumItems() <= q {
 		t.Fatal("apply did not grow the catalogue")
 	}

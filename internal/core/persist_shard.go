@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -396,21 +395,40 @@ func rebuildModel(cfg Config, m *ratings.Matrix, gis *similarity.GIS, clusters *
 	return mod
 }
 
-// DirtyShards returns the ascending shard ids whose persisted rows this
-// value's construction invalidated relative to its predecessor: the
-// union of every changed user's pre-apply routing and post-apply
-// assignment (RefreshUsers can move users between clusters). Nil on a
-// value Apply did not build.
-func (s *ShardedModel) DirtyShards() []int { return s.dirty }
-
-func sortedShardSet(set map[int]bool) []int {
-	if len(set) == 0 {
-		return nil
+// ChangedShards returns, ascending, the shards whose blob written from
+// prev no longer holds what next's does, where next is prev.Apply of
+// updates — or of a chain of Applies over some of them; updates an Apply
+// refused only widen the answer. Those are:
+//
+//   - the cluster every updated user left (RefreshUsers may move it) and
+//     the one it is in now;
+//   - the cluster of every user id new in next, named by an update or
+//     not: a batch naming user N+1 creates user N as well, and the
+//     clustering places that one without any update naming it;
+//   - every shard when the matrix gained timestamps, which changes the
+//     wire shape of every blob.
+//
+// It does not cover a retrain, which re-clusters every user.
+func ChangedShards(prev, next *Model, updates []RatingUpdate) []int {
+	changed := make([]bool, next.clusters.K)
+	before, after := prev.clusters.Assign, next.clusters.Assign
+	for _, up := range updates {
+		if up.User >= 0 && up.User < len(before) {
+			changed[before[up.User]] = true
+		}
+		if up.User >= 0 && up.User < len(after) {
+			changed[after[up.User]] = true
+		}
 	}
-	out := make([]int, 0, len(set))
-	for c := range set {
-		out = append(out, c)
+	for u := len(before); u < len(after); u++ {
+		changed[after[u]] = true
 	}
-	sort.Ints(out)
+	flip := prev.m.HasTimes() != next.m.HasTimes()
+	var out []int
+	for c, ch := range changed {
+		if ch || flip {
+			out = append(out, c)
+		}
+	}
 	return out
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"reflect"
+	"slices"
 	"testing"
 
 	"cfsf/internal/ratings"
@@ -136,35 +138,114 @@ func TestShardBlobDetectsCorruption(t *testing.T) {
 	}
 }
 
-func TestApplyReportsDirtyShards(t *testing.T) {
-	mod, _ := trainSmall(t)
-	s := NewSharded(mod)
+// staleShards is ChangedShards' oracle: the shards whose blob, written
+// from prev and decoded, differs from next's in members, rows or
+// timestamps (NumUsersAtWrite records when a blob was written, not what
+// it holds).
+func staleShards(t *testing.T, prev, next *Model) []int {
+	t.Helper()
+	_, was := saveParts(t, prev)
+	_, now := saveParts(t, next)
+	var out []int
+	for c := range now {
+		a, err := LoadShardPart(bytes.NewReader(was[c]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := LoadShardPart(bytes.NewReader(now[c]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual([]any{a.Users, a.Rows, a.Times}, []any{b.Users, b.Rows, b.Times}) {
+			out = append(out, c)
+		}
+	}
+	return out
+}
 
-	ups := []RatingUpdate{{User: 7, Item: 3, Value: 5}}
-	next, err := s.Apply(ups)
+// TestChangedShards holds ChangedShards to the blobs themselves on every
+// kind of transition a batch makes: it must name exactly the shards whose
+// persisted form went stale — none missed (a snapshot would re-reference
+// a blob that no longer assembles), none extra.
+func TestChangedShards(t *testing.T) {
+	mod, _ := trainSmall(t)
+	n := mod.Matrix().NumUsers()
+	row := mod.Matrix().UserRatings(7)
+	rate := func(user int, items []int, v float64) []RatingUpdate {
+		var ups []RatingUpdate
+		for _, i := range items {
+			ups = append(ups, RatingUpdate{User: user, Item: i, Value: v})
+		}
+		return ups
+	}
+	// A user whom one batch moves to another cluster.
+	var move []RatingUpdate
+	for u := 0; u < n && move == nil; u++ {
+		for _, v := range []float64{1, 5} {
+			ups := rate(u, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, v)
+			if next, err := mod.Apply(ups); err == nil && next.Clusters().Assign[u] != mod.Clusters().Assign[u] {
+				move = ups
+				break
+			}
+		}
+	}
+	if move == nil {
+		t.Fatal("no user of the fixture changes cluster under a 10-rating batch")
+	}
+	// User n+1 rates, user n never does.
+	skipped := rate(0, []int{0}, 4)
+	for k, v := range []float64{5, 4, 3, 2, 1, 5} {
+		skipped = append(skipped, RatingUpdate{User: n + 1, Item: 7 + 5*k, Value: v})
+	}
+
+	for _, tc := range []struct {
+		name string
+		from *Model
+		ups  []RatingUpdate
+		// chain applies the updates one at a time and drops refused ones,
+		// as the lifecycle fallback does.
+		chain bool
+	}{
+		{"re-rate", mod, []RatingUpdate{{User: 7, Item: int(row[0].Index), Value: 6 - row[0].Value}}, false},
+		{"user moves cluster", mod, move, false},
+		{"new user", mod, rate(n, []int{3, 9, 27}, 4), false},
+		{"skipped id", mod, skipped, false},
+		{"times flip", untimedSmall(t), []RatingUpdate{{User: 3, Item: 5, Value: 2, Time: 1700000000}}, false},
+		{"fallback chain with one dropped update", mod,
+			[]RatingUpdate{{User: 7, Item: 1, Value: 2}, {User: -1, Item: 0, Value: 3}, {User: n, Item: 4, Value: 5}}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			next := tc.from
+			if tc.chain {
+				for _, up := range tc.ups {
+					if step, err := next.Apply([]RatingUpdate{up}); err == nil {
+						next = step
+					}
+				}
+			} else {
+				var err error
+				if next, err = next.Apply(tc.ups); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, want := ChangedShards(tc.from, next, tc.ups), staleShards(t, tc.from, next)
+			if len(want) == 0 {
+				t.Fatal("the batch left every blob valid; the row exercises nothing")
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("ChangedShards = %v, stale blobs %v", got, want)
+			}
+		})
+	}
+
+	// The skipped id's shard is stale only because of the skipped id.
+	next, err := mod.Apply(skipped)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dirty := next.DirtyShards()
-	if len(dirty) == 0 {
-		t.Fatal("apply reported no dirty shards")
-	}
-	// The pre-apply routing of every changed user must be dirty, and the
-	// post-apply assignment too.
-	want := map[int]bool{s.ShardOf(7): true, next.ShardOf(7): true}
-	got := map[int]bool{}
-	for _, c := range dirty {
-		got[c] = true
-	}
-	for c := range want {
-		if !got[c] {
-			t.Errorf("shard %d (routing of user 7) not reported dirty: %v", c, dirty)
-		}
-	}
-	// Ascending and unique.
-	for i := 1; i < len(dirty); i++ {
-		if dirty[i] <= dirty[i-1] {
-			t.Fatalf("dirty shards not ascending: %v", dirty)
+	for _, u := range []int{0, n + 1} {
+		if c := next.Clusters().Assign[n]; c == next.Clusters().Assign[u] || u < n && c == mod.Clusters().Assign[u] {
+			t.Fatalf("skipped user %d shares shard %d with user %d; the skipped-id row does not isolate it", n, c, u)
 		}
 	}
 }

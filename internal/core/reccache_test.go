@@ -82,23 +82,22 @@ func TestRecommendCacheParityAcrossApplyStreams(t *testing.T) {
 			}
 			f := func(seed int64) bool {
 				rng := rand.New(rand.NewSource(seed))
-				shC, shE := NewSharded(cached), NewSharded(exact)
+				mc, me := cached, exact
 				p := cached.Matrix().NumUsers()
 				users := []int{0, rng.Intn(p), rng.Intn(p), p - 1}
 				// Warm the cache before the stream: no entry may leak forward.
 				for _, u := range users {
-					shC.Model().Recommend(u, 1+rng.Intn(12))
+					mc.Recommend(u, 1+rng.Intn(12))
 				}
 				for round := 0; round < 3; round++ {
-					ups := randomApplyBatch(rng, shC.Model())
+					ups := randomApplyBatch(rng, mc)
 					var err error
-					if shC, err = shC.Apply(ups); err != nil {
+					if mc, err = mc.Apply(ups); err != nil {
 						t.Fatal(err)
 					}
-					if shE, err = shE.Apply(ups); err != nil {
+					if me, err = me.Apply(ups); err != nil {
 						t.Fatal(err)
 					}
-					mc, me := shC.Model(), shE.Model()
 					for _, u := range users {
 						n := 1 + rng.Intn(12)
 						first := mc.Recommend(u, n) // cold after the apply, unless users repeats u
@@ -114,7 +113,7 @@ func TestRecommendCacheParityAcrossApplyStreams(t *testing.T) {
 				// Ground truth: the final generation against the
 				// pre-optimisation reference implementation.
 				u := users[rng.Intn(len(users))]
-				if got, want := shC.Model().Recommend(u, 7), refRecommend(shE.Model(), u, 7); !equalRecs(got, want) {
+				if got, want := mc.Recommend(u, 7), refRecommend(me, u, 7); !equalRecs(got, want) {
 					t.Logf("seed %d reference user %d: got %v want %v", seed, u, got, want)
 					return false
 				}
@@ -170,7 +169,7 @@ func TestRecommendCacheIsPerGeneration(t *testing.T) {
 			return next
 		}},
 		{"ApplyIncremental", func(t *testing.T, prev *Model) *Model {
-			next, err := prev.withUpdatesIncremental(ups)
+			next, err := prev.Apply(ups)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -184,11 +183,10 @@ func TestRecommendCacheIsPerGeneration(t *testing.T) {
 	for i := range drift {
 		drift[i] = RatingUpdate{User: rng.Intn(trained.m.NumUsers()), Item: rng.Intn(trained.m.NumItems()), Value: float64(1 + rng.Intn(5))}
 	}
-	sh, err := NewSharded(trained).Apply(drift)
+	prev, err := trained.Apply(drift)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev := sh.Model()
 	p := prev.Matrix().NumUsers()
 	held := make([][]Recommendation, p)
 	for u := range held {

@@ -11,10 +11,10 @@ import (
 	"cfsf/internal/synth"
 )
 
-// Benchmarks for the sharded vs monolithic apply/retrain paths at the
-// paper's C=30. The batch targets users of a single shard — the common
-// case the sharding refactor optimises — so the monolithic number pays
-// the full O(C·nnz) rebuild while the sharded one touches one cluster.
+// Benchmarks for Apply against the from-scratch WithUpdates and Train at
+// the paper's C=30. The batch targets users of a single shard — the
+// common case Apply's shard-local refresh serves — so WithUpdates pays
+// the full O(C·nnz) rebuild while Apply touches one cluster.
 
 // benchModel trains at the paper's MovieLens-100K scale (943 users, 1682
 // items, ~100k ratings) with the paper's C=30 — the workload the sharding
@@ -74,13 +74,12 @@ func BenchmarkMonolithicApplySingleShardBatch(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ups)), "ns/update")
 }
 
-func BenchmarkShardedApplySingleShardBatch(b *testing.B) {
+func BenchmarkApplySingleShardBatch(b *testing.B) {
 	mod := benchModel(b)
-	sharded := NewSharded(mod)
 	ups := singleShardBatch(b, mod, 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sharded.Apply(ups); err != nil {
+		if _, err := mod.Apply(ups); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -147,44 +146,80 @@ func (z zipfIDs) draw(rng *rand.Rand) int {
 	return z.ids[sort.SearchFloat64s(z.cum, rng.Float64()*z.cum[len(z.cum)-1])]
 }
 
-// BenchmarkApplyLedger is the write path on the fixture bench/ serves
-// (500×1000 synth.DefaultConfig, C=30): chained ShardedModel.Apply calls
-// fed from a seeded Zipf stream (users s=1.0, items s=0.8, as in bench/),
-// each op applying to the model the previous op returned — so ns/op and
-// B/op are what one drained batch costs in steady state, fixed per-Apply
-// cost included. single is one rating per Apply (the ledger's
-// mean_batch_size is 1.0–1.3), array16 a 16-rating array spanning many
-// clusters. CI fences B/op with benchjson -max (ci.yml).
-func BenchmarkApplyLedger(b *testing.B) {
-	d := synth.MustGenerate(synth.DefaultConfig())
-	base, err := Train(d.Matrix, DefaultConfig())
+// ledgerStream draws the rating stream of bench/'s workloads, seeded so
+// every run draws the same: users Zipf s=1.0, items s=0.8, ratings
+// uniform 1–5.
+func ledgerStream(p, q int) func() RatingUpdate {
+	rng := rand.New(rand.NewSource(23))
+	ranking := rand.New(rand.NewSource(1))
+	uz, iz := newZipfIDs(ranking, p, 1.0), newZipfIDs(ranking, q, 0.8)
+	return func() RatingUpdate {
+		return RatingUpdate{User: uz.draw(rng), Item: iz.draw(rng), Value: float64(1 + rng.Intn(5))}
+	}
+}
+
+// ledgerModel trains the fixture bench/ serves: 500×1000
+// synth.DefaultConfig at the defaults (C=30).
+func ledgerModel(b *testing.B) *Model {
+	b.Helper()
+	base, err := Train(synth.MustGenerate(synth.DefaultConfig()).Matrix, DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
-	p, q := d.Matrix.NumUsers(), d.Matrix.NumItems()
+	return base
+}
+
+// BenchmarkApplyLedger is the write path on the ledger fixture: chained
+// Apply calls fed from ledgerStream, each op applying to the model the
+// previous op returned — so ns/op and B/op are what one drained batch
+// costs in steady state, fixed per-Apply cost included. single is one
+// rating per Apply (the ledger's mean_batch_size is 1.0–1.3), array16 a
+// 16-rating array spanning many clusters. CI fences B/op with benchjson
+// -max (ci.yml).
+func BenchmarkApplyLedger(b *testing.B) {
+	base := ledgerModel(b)
+	p, q := base.Matrix().NumUsers(), base.Matrix().NumItems()
 	for _, bc := range []struct {
 		name string
 		size int
 	}{{"single", 1}, {"array16", 16}} {
 		b.Run(bc.name, func(b *testing.B) {
-			rng := rand.New(rand.NewSource(23))
-			ranking := rand.New(rand.NewSource(1))
-			uz, iz := newZipfIDs(ranking, p, 1.0), newZipfIDs(ranking, q, 0.8)
-			sharded := NewSharded(base)
+			next := ledgerStream(p, q)
+			cur := base
 			batch := make([]RatingUpdate, bc.size)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for k := range batch {
-					batch[k] = RatingUpdate{User: uz.draw(rng), Item: iz.draw(rng), Value: float64(1 + rng.Intn(5))}
+					batch[k] = next()
 				}
-				next, err := sharded.Apply(batch)
-				if err != nil {
+				var err error
+				if cur, err = cur.Apply(batch); err != nil {
 					b.Fatal(err)
 				}
-				sharded = next
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*bc.size), "ns/update")
 		})
 	}
+}
+
+// BenchmarkDrainFullQueue is the lifecycle manager's drain rule — every
+// queued rating folds in one Apply — on the deepest queue the default
+// QueueCapacity admits: the first 4096 ratings of ledgerStream, drained
+// from the trained ledger fixture on every op.
+func BenchmarkDrainFullQueue(b *testing.B) {
+	base := ledgerModel(b)
+	next := ledgerStream(base.Matrix().NumUsers(), base.Matrix().NumItems())
+	queue := make([]RatingUpdate, 4096)
+	for k := range queue {
+		queue[k] = next()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := base.Apply(queue); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(queue)), "ns/update")
 }

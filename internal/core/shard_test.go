@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"cfsf/internal/ratings"
@@ -47,14 +46,13 @@ func randomUpdates(rng *rand.Rand, users, items, n int) []RatingUpdate {
 	return ups
 }
 
-// TestShardedParityProperty is the sharded/unsharded parity property test
-// of ISSUE 3: a ShardedModel and the monolithic model, fed the same
-// update stream from the same trained seed, must predict identically —
-// not approximately, exactly — across a chain of update batches.
+// TestShardedParityProperty is the incremental/from-scratch parity
+// property test: Apply and WithUpdates, fed the same update stream from
+// the same trained seed, must predict identically — not approximately,
+// exactly — across a chain of update batches.
 func TestShardedParityProperty(t *testing.T) {
 	mod, d := trainSmall(t)
-	sharded := NewSharded(mod)
-	mono := mod
+	applied, mono := mod, mod
 	rng := rand.New(rand.NewSource(1234))
 	users, items := d.Matrix.NumUsers(), d.Matrix.NumItems()
 	for round := 0; round < 6; round++ {
@@ -64,25 +62,22 @@ func TestShardedParityProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sharded, err = sharded.Apply(ups)
+		applied, err = applied.Apply(ups)
 		if err != nil {
 			t.Fatal(err)
 		}
 		users, items = mono.Matrix().NumUsers(), mono.Matrix().NumItems()
-		requireSamePredictions(t, gridPredictions(mono), gridPredictions(sharded.Model()), "round")
-		if !sharded.Model().Stats().Incremental {
-			t.Fatal("sharded apply should report incremental stats")
+		requireSamePredictions(t, gridPredictions(mono), gridPredictions(applied), "round")
+		if !applied.Stats().Incremental {
+			t.Fatal("Apply should report incremental stats")
 		}
 	}
 }
 
-// TestShardedApplySingleClusterBatch pins the core promise of the shard
-// refactor: a batch confined to one shard leaves other shards' smoothing
-// rows physically shared (not recomputed), while still matching the
-// monolithic result.
+// TestShardedApplySingleClusterBatch: a batch confined to one shard, and
+// one spanning two, each match the from-scratch result.
 func TestShardedApplySingleClusterBatch(t *testing.T) {
 	mod, _ := trainSmall(t)
-	sharded := NewSharded(mod)
 	// All updates target users of shard 0, rating items they already
 	// rated (so cluster membership is very likely stable).
 	members := mod.Clusters().Members[0]
@@ -100,34 +95,10 @@ func TestShardedApplySingleClusterBatch(t *testing.T) {
 			break
 		}
 	}
-	next, err := sharded.Apply(ups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := mod.WithUpdates(ups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSamePredictions(t, gridPredictions(want), gridPredictions(next.Model()), "single-cluster batch")
+	requireApplyMatchesWithUpdates(t, mod, ups, "single-cluster batch")
 
-	st := next.ShardStats()
-	touched := 0
-	for _, s := range st {
-		if s.Applies > 0 {
-			touched++
-		}
-	}
-	if touched == 0 {
-		t.Fatal("no shard recorded the apply")
-	}
-	if st[0].Applies != 1 || st[0].Applied != len(ups) {
-		t.Fatalf("shard 0 stats = %+v, want applies=1 applied=%d", st[0], len(ups))
-	}
-
-	// A batch spanning two shards: each shard counts its own updates, so
-	// the per-shard Applied figures sum to the ratings applied.
 	other := -1
-	for c := 1; c < sharded.NumShards(); c++ {
+	for c := 1; c < mod.Clusters().K; c++ {
 		if len(mod.Clusters().Members[c]) > 0 {
 			other = c
 			break
@@ -139,26 +110,26 @@ func TestShardedApplySingleClusterBatch(t *testing.T) {
 	v := mod.Clusters().Members[other][0]
 	two := append(append([]RatingUpdate(nil), ups...),
 		RatingUpdate{User: v, Item: 0, Value: 4}, RatingUpdate{User: v, Item: 1, Value: 2})
-	next, err = sharded.Apply(two)
+	requireApplyMatchesWithUpdates(t, mod, two, "two-shard batch")
+}
+
+func requireApplyMatchesWithUpdates(t *testing.T, mod *Model, ups []RatingUpdate, ctx string) {
+	t.Helper()
+	got, err := mod.Apply(ups)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st = next.ShardStats()
-	sum := 0
-	for _, s := range st {
-		sum += s.Applied
+	want, err := mod.WithUpdates(ups)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st[0].Applied != len(ups) || st[other].Applied != 2 || sum != len(two) {
-		t.Fatalf("two-shard batch: shard 0 applied=%d (want %d), shard %d applied=%d (want 2), sum=%d (want %d)",
-			st[0].Applied, len(ups), other, st[other].Applied, sum, len(two))
-	}
+	requireSamePredictions(t, gridPredictions(want), gridPredictions(got), ctx)
 }
 
-// TestApplyIsTotal: the first timed rating into an untimed model — the
-// one batch that used to be handed to the from-scratch WithUpdates pass —
-// goes through the shard-local path like any other and still yields
-// WithUpdates' model: same predictions, same saved bytes, same dirt.
-func TestApplyIsTotal(t *testing.T) {
+// untimedSmall is trainSmall's model over the same ratings without their
+// timestamps.
+func untimedSmall(t *testing.T) *Model {
+	t.Helper()
 	timed := synth.MustGenerate(smallSynth()).Matrix
 	b := ratings.NewBuilder(timed.NumUsers(), timed.NumItems()).SetScale(timed.MinRating(), timed.MaxRating())
 	for u := 0; u < timed.NumUsers(); u++ {
@@ -173,6 +144,15 @@ func TestApplyIsTotal(t *testing.T) {
 	if mod.Matrix().HasTimes() {
 		t.Fatal("fixture is timed; the transition is not exercised")
 	}
+	return mod
+}
+
+// TestApplyIsTotal: the first timed rating into an untimed model — the
+// one batch that used to be handed to the from-scratch WithUpdates pass —
+// goes through Apply like any other and still yields WithUpdates' model
+// (same predictions, same saved bytes), and every shard blob is stale.
+func TestApplyIsTotal(t *testing.T) {
+	mod := untimedSmall(t)
 	ups := []RatingUpdate{
 		{User: 1, Item: 2, Value: 4, Time: 1700000100},
 		{User: 3, Item: 5, Value: 2},
@@ -181,39 +161,33 @@ func TestApplyIsTotal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre := NewSharded(mod)
-	got, err := pre.Apply(ups)
+	got, err := mod.Apply(ups)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Model().Matrix().HasTimes() {
+	if !got.Matrix().HasTimes() {
 		t.Fatal("timed update left the matrix untimed")
 	}
-	requireSamePredictions(t, gridPredictions(want), gridPredictions(got.Model()), "times transition")
+	requireSamePredictions(t, gridPredictions(want), gridPredictions(got), "times transition")
 	var wantBytes, gotBytes bytes.Buffer
 	if err := want.Save(&wantBytes); err != nil {
 		t.Fatal(err)
 	}
-	if err := got.Model().Save(&gotBytes); err != nil {
+	if err := got.Save(&gotBytes); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(wantBytes.Bytes(), gotBytes.Bytes()) {
 		t.Fatal("Save bytes differ from WithUpdates' model")
 	}
-	dirtySet := map[int]bool{}
-	for _, up := range ups {
-		dirtySet[pre.ShardOf(up.User)] = true
-		dirtySet[want.Clusters().Assign[up.User]] = true
+	if changed := ChangedShards(mod, got, ups); len(changed) != mod.Clusters().K {
+		t.Fatalf("ChangedShards = %v, want all %d shards", changed, mod.Clusters().K)
 	}
-	if dirty := sortedShardSet(dirtySet); !slices.Equal(got.DirtyShards(), dirty) {
-		t.Fatalf("DirtyShards = %v, want %v from WithUpdates' assignment", got.DirtyShards(), dirty)
-	}
-	if st := got.Model().Stats(); !st.Incremental || st.UpdatesApplied != len(ups) {
+	if st := got.Stats(); !st.Incremental || st.UpdatesApplied != len(ups) {
 		t.Fatalf("stats = %+v, want an incremental apply of %d", st, len(ups))
 	}
 	// WithUpdates re-sorts every row into a fresh backing array; only the
 	// shard-local path shares an untouched user's row with its predecessor.
-	if a, b := mod.Matrix().UserRatings(0), got.Model().Matrix().UserRatings(0); &a[0] != &b[0] {
+	if a, b := mod.Matrix().UserRatings(0), got.Matrix().UserRatings(0); &a[0] != &b[0] {
 		t.Fatal("untouched user's row was rebuilt: the batch went through the from-scratch pass")
 	}
 }
@@ -228,7 +202,7 @@ func TestApplyIsTotal(t *testing.T) {
 // stay equal under a further apply, and the worker count is not an input.
 func TestTrainIsAFunctionOfMatrixAndConfig(t *testing.T) {
 	mod, d := trainSmall(t)
-	live := NewSharded(mod)
+	live := mod
 	rng := rand.New(rand.NewSource(99))
 	users, items := d.Matrix.NumUsers(), d.Matrix.NumItems()
 	for i := 0; i < 200; i++ {
@@ -244,7 +218,7 @@ func TestTrainIsAFunctionOfMatrixAndConfig(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if m := live.Model().Matrix(); m.NumUsers() != users+1 || m.NumItems() != items+1 {
+	if m := live.Matrix(); m.NumUsers() != users+1 || m.NumItems() != items+1 {
 		t.Fatalf("fixture grew to %d×%d, want %d×%d", m.NumUsers(), m.NumItems(), users+1, items+1)
 	}
 	fingerprint := func(mod *Model) string {
@@ -259,9 +233,9 @@ func TestTrainIsAFunctionOfMatrixAndConfig(t *testing.T) {
 		return next
 	}
 
-	fromLive := train(live.Model())
+	fromLive := train(live)
 	want := fingerprint(fromLive)
-	shared, shards := saveParts(t, live.Model())
+	shared, shards := saveParts(t, live)
 	fromLoaded := train(assembleFromParts(t, shared, shards))
 	if fingerprint(fromLoaded) != want {
 		t.Fatal("Train of the blob-loaded copy differs from Train of the live model")
@@ -270,23 +244,23 @@ func TestTrainIsAFunctionOfMatrixAndConfig(t *testing.T) {
 		t.Fatal("Train of a trained model's own matrix is not a fixed point")
 	}
 	next := []RatingUpdate{{User: 3, Item: 4, Value: 2.5}}
-	a, err := NewSharded(fromLive).Apply(next)
+	a, err := fromLive.Apply(next)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewSharded(fromLoaded).Apply(next)
+	b, err := fromLoaded.Apply(next)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fingerprint(a.Model()) != fingerprint(b.Model()) {
+	if fingerprint(a) != fingerprint(b) {
 		t.Fatal("the two retrained copies diverge under one further apply")
 	}
 
 	var byWorkers [2]*Model
 	for k, workers := range []int{1, 4} {
-		cfg := live.Model().Config()
+		cfg := live.Config()
 		cfg.Workers = workers
-		if byWorkers[k], err = Train(live.Model().Matrix(), cfg); err != nil {
+		if byWorkers[k], err = Train(live.Matrix(), cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -298,27 +272,45 @@ func TestTrainIsAFunctionOfMatrixAndConfig(t *testing.T) {
 	requireSamePredictions(t, gridPredictions(byWorkers[0]), gridPredictions(byWorkers[1]), "workers 1 vs 4")
 }
 
+// TestShardOfRouting covers the ShardedModel shim bench/ compiles
+// against: it delegates to the model, and routes assigned users to their
+// cluster and any other id modulo C.
 func TestShardOfRouting(t *testing.T) {
 	mod, d := trainSmall(t)
 	sharded := NewSharded(mod)
+	if sharded.Model() != mod {
+		t.Fatal("the shim does not serve the model it wraps")
+	}
 	for u := 0; u < d.Matrix.NumUsers(); u++ {
 		if got, want := sharded.ShardOf(u), mod.Clusters().Assign[u]; got != want {
 			t.Fatalf("user %d routed to %d, assigned %d", u, got, want)
 		}
 	}
 	newUser := d.Matrix.NumUsers() + 3
-	if got := sharded.ShardOf(newUser); got != newUser%sharded.NumShards() {
+	if got := sharded.ShardOf(newUser); got != newUser%mod.Clusters().K {
 		t.Fatalf("new user routed to %d", got)
+	}
+	ups := []RatingUpdate{{User: 3, Item: 4, Value: 2.5}}
+	next, err := sharded.Apply(ups)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := mod.Apply(ups)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSamePredictions(t, gridPredictions(want), gridPredictions(next.Model()), "shim apply")
+	if _, err := sharded.Apply([]RatingUpdate{{User: -1, Item: 0, Value: 3}}); err == nil {
+		t.Fatal("the shim accepted what Apply refuses")
 	}
 }
 
 func TestShardedApplyRejectsNegativeIDs(t *testing.T) {
 	mod, _ := trainSmall(t)
-	s := NewSharded(mod)
-	if _, err := s.Apply([]RatingUpdate{{User: -1, Item: 0, Value: 3}}); err == nil {
+	if _, err := mod.Apply([]RatingUpdate{{User: -1, Item: 0, Value: 3}}); err == nil {
 		t.Fatal("negative user must error")
 	}
-	if _, err := s.Apply([]RatingUpdate{{User: 0, Item: -2, Value: 3}}); err == nil {
+	if _, err := mod.Apply([]RatingUpdate{{User: 0, Item: -2, Value: 3}}); err == nil {
 		t.Fatal("negative item must error")
 	}
 }

@@ -10,19 +10,18 @@ import (
 // TestConcurrentPredictDuringApply hammers the pooled-scratch online
 // path (Predict, PredictDetailed, Recommend, PredictBatch) from many
 // goroutines while a writer keeps publishing new model generations via
-// sharded Apply. Run under -race this is the ownership proof for
+// Apply. Run under -race this is the ownership proof for
 // lmScratchPool/recScratchPool: scratch never leaks between goroutines
 // or across model generations, and readers on an old generation stay
 // self-consistent.
 func TestConcurrentPredictDuringApply(t *testing.T) {
 	mod, _ := trainSmall(t)
-	sh := NewSharded(mod)
 
-	var cur sync.Map // single key 0 -> *ShardedModel
-	cur.Store(0, sh)
+	var cur sync.Map // single key 0 -> *Model
+	cur.Store(0, mod)
 	load := func() *Model {
 		v, _ := cur.Load(0)
-		return v.(*ShardedModel).Model()
+		return v.(*Model)
 	}
 
 	const readers = 8
@@ -58,7 +57,7 @@ func TestConcurrentPredictDuringApply(t *testing.T) {
 		}(g)
 	}
 
-	cursh := sh
+	gen := mod
 	for r := 0; r < rounds; r++ {
 		ups := make([]RatingUpdate, 0, 10)
 		for j := 0; j < 10; j++ {
@@ -68,14 +67,14 @@ func TestConcurrentPredictDuringApply(t *testing.T) {
 				Value: float64(j%5) + 1,
 			})
 		}
-		next, err := cursh.Apply(ups)
+		next, err := gen.Apply(ups)
 		if err != nil {
 			close(stop)
 			wg.Wait()
 			t.Fatal(err)
 		}
-		cursh = next
-		cur.Store(0, cursh)
+		gen = next
+		cur.Store(0, gen)
 	}
 	close(stop)
 	wg.Wait()
@@ -121,17 +120,16 @@ func TestConcurrentRecommendCacheDuringApply(t *testing.T) {
 }
 
 func raceRecommendAgainstApply(t *testing.T, mod *Model, ask func(g, i int) int) {
-	sh := NewSharded(mod)
 	p := mod.Matrix().NumUsers()
 	for u := 0; u < p; u++ {
 		mod.Recommend(u, 8) // warm every entry: readers of this generation start on hits
 	}
 
 	var cur sync.Map
-	cur.Store(0, sh)
+	cur.Store(0, mod)
 	load := func() *Model {
 		v, _ := cur.Load(0)
-		return v.(*ShardedModel).Model()
+		return v.(*Model)
 	}
 
 	const readers = 8
@@ -167,20 +165,20 @@ func raceRecommendAgainstApply(t *testing.T, mod *Model, ask func(g, i int) int)
 		}(g)
 	}
 
-	cursh := sh
+	gen := mod
 	for r := 0; r < 8; r++ {
 		ups := []RatingUpdate{
 			{User: (r * 13) % p, Item: (r * 11) % mod.Matrix().NumItems(), Value: float64(r%5) + 1},
 			{User: (r*13 + 5) % p, Item: (r*11 + 3) % mod.Matrix().NumItems(), Value: float64((r+2)%5) + 1},
 		}
-		next, err := cursh.Apply(ups)
+		next, err := gen.Apply(ups)
 		if err != nil {
 			close(stop)
 			wg.Wait()
 			t.Fatal(err)
 		}
-		cursh = next
-		cur.Store(0, cursh)
+		gen = next
+		cur.Store(0, gen)
 		// Let the readers work on this generation — cold misses, then
 		// hits on what they stored — before the next apply replaces it.
 		for target := reads.Load() + 4*readers; reads.Load() < target && !diverged.Load(); {

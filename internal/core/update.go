@@ -10,14 +10,13 @@ import (
 	"cfsf/internal/smoothing"
 )
 
-// RatingUpdate is one new or revised rating fed to WithUpdates. User and
-// Item ids one past the current bounds grow the matrix (a new user or a
-// new catalogue item). WithUpdates itself accepts any non-negative id —
-// an id far past the bounds allocates every row up to it — so callers
-// exposed to untrusted input (internal/server) must enforce a growth
-// margin: reject ids at or beyond current bounds + margin before calling
-// WithUpdates. The serving default margin of 1 admits exactly the next
-// fresh user/item id.
+// RatingUpdate is one new or revised rating fed to Apply or WithUpdates.
+// User and Item ids one past the current bounds grow the matrix (a new
+// user or a new catalogue item). Both accept any non-negative id — an id
+// far past the bounds allocates every row up to it — so callers exposed
+// to untrusted input (internal/server) must enforce a growth margin:
+// reject ids at or beyond current bounds + margin before applying. The
+// serving default margin of 1 admits exactly the next fresh user/item id.
 type RatingUpdate struct {
 	User  int
 	Item  int
@@ -30,7 +29,9 @@ type RatingUpdate struct {
 // WithUpdates returns a new model that incorporates the given ratings
 // without rerunning the full offline phase — the paper's §VI future work
 // ("how it can keep GIS up-to-date"). The original model is untouched and
-// stays valid.
+// stays valid. It rebuilds every derived structure from scratch, which
+// makes it the reference Apply is pinned to bit-for-bit; serving code
+// calls Apply.
 //
 // Incremental steps:
 //

@@ -56,7 +56,7 @@ func BenchmarkDrainPrefix(b *testing.B) {
 	ups := benchUpdates(64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.NewSharded(base).Apply(ups); err != nil {
+		if _, err := base.Apply(ups); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -145,7 +145,7 @@ func (m *Manager) bootModel(bootstrap func() (*core.Model, error)) error {
 	// starts out dirty and the boot snapshot below rewrites it. Ratings
 	// past the final commit were journaled but possibly never applied;
 	// they form one final batch.
-	m.rep.reset(core.NewSharded(base), m.boot.SnapshotSeq, bootPatched)
+	m.rep.reset(base, m.boot.SnapshotSeq, bootPatched)
 	err = m.w.Replay(m.boot.SnapshotSeq, func(rec wal.Record) error {
 		queued, applied, err := m.rep.feed(rec)
 		m.boot.ReplayedRecords += queued
@@ -157,7 +157,7 @@ func (m *Manager) bootModel(bootstrap func() (*core.Model, error)) error {
 	if err != nil {
 		return err
 	}
-	if len(m.rep.commit(^uint64(0), -1)) > 0 {
+	if len(m.rep.commit(^uint64(0))) > 0 {
 		m.boot.ReplayedBatches++
 	}
 
@@ -284,9 +284,7 @@ func (m *Manager) fallbackShardRows(man *manifest, ref shardBlobRef, sp *core.Sh
 // on top of their base rows, and writes the resulting rows (item
 // ascending, timestamps aligned) into rows/times at throughSeq. Ratings
 // are grouped by the journaled batch-commit records exactly as full
-// replay groups them — commit order can differ from sequence order when
-// a user was rerouted between shards, and the live model folded the
-// batches in commit order.
+// replay groups them, and a per-shard commit is refused as it is there.
 func (m *Manager) patchRows(members []int, baseRows map[int][]ratings.Entry, baseTimes map[int][]int64, fromSeq, throughSeq uint64, hasTimes bool, rows [][]ratings.Entry, times [][]int64) error {
 	type cellVal struct {
 		v float64
@@ -307,8 +305,8 @@ func (m *Manager) patchRows(members []int, baseRows map[int][]ratings.Entry, bas
 		cells[u] = row
 	}
 	q := newCommitQueue(fromSeq)
-	apply := func(covered uint64, shard int) {
-		for _, u := range q.cut(covered, shard) {
+	apply := func(covered uint64) {
+		for _, u := range q.cut(covered) {
 			cells[u.User][int32(u.Item)] = cellVal{v: u.Value, t: u.Time}
 		}
 	}
@@ -316,10 +314,13 @@ func (m *Manager) patchRows(members []int, baseRows map[int][]ratings.Entry, bas
 		switch rec.Type {
 		case wal.RecordRating:
 			if rec.Seq <= throughSeq && memberSet[rec.Update.User] {
-				q.push(rec.Seq, rec.Update, rec.Shard)
+				q.push(rec.Seq, rec.Update)
 			}
 		case wal.RecordBatchCommit:
-			apply(rec.Covered, rec.Shard)
+			if err := q.refuseShardCommit(rec); err != nil {
+				return err
+			}
+			apply(rec.Covered)
 		}
 		return nil
 	})
@@ -329,7 +330,7 @@ func (m *Manager) patchRows(members []int, baseRows map[int][]ratings.Entry, bas
 	// Ratings at or below the manifest's watermark were all applied before
 	// it was written; any left uncommitted in the log fold in sequence
 	// order, exactly as boot replay's trailing batch does.
-	apply(throughSeq, -1)
+	apply(throughSeq)
 
 	for _, u := range members {
 		row := cells[u]

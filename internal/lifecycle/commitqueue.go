@@ -1,13 +1,18 @@
 package lifecycle
 
-import "cfsf/internal/core"
+import (
+	"fmt"
+	"slices"
+
+	"cfsf/internal/core"
+	"cfsf/internal/wal"
+)
 
 // pendingUpdate is one journaled rating awaiting its commit.
 type pendingUpdate struct {
-	seq   uint64
-	prev  uint64 // the rating sequence taken in before this one (or the base)
-	u     core.RatingUpdate
-	shard int // routing decision recorded in the WAL, reused for batching
+	seq  uint64
+	prev uint64 // the rating sequence taken in before this one (or the base)
+	u    core.RatingUpdate
 }
 
 // commitQueue regroups a WAL record stream into the batches the writer
@@ -27,50 +32,29 @@ func newCommitQueue(base uint64) commitQueue { return commitQueue{last: base} }
 // push queues one journaled rating. A rating at or below the highest
 // sequence already taken in (the base state covers it, or a reconnect
 // delivered it twice) is dropped and push reports false.
-func (q *commitQueue) push(seq uint64, u core.RatingUpdate, shard int) bool {
+func (q *commitQueue) push(seq uint64, u core.RatingUpdate) bool {
 	if seq <= q.last {
 		return false
 	}
-	q.queued = append(q.queued, pendingUpdate{seq: seq, prev: q.last, u: u, shard: shard})
+	q.queued = append(q.queued, pendingUpdate{seq: seq, prev: q.last, u: u})
 	q.last = seq
 	return true
 }
 
-// prefixEnd returns the sequence ending the longest queue prefix in which
-// no shard contributes more than maxPerShard ratings — the batch the
-// leader's next commit closes. Contiguity is what makes the journaled
-// commit cover exactly this batch on replay — no entry inside the prefix
-// is left behind — and every published model a prefix of the log. ok is
-// false on an empty queue.
-func (q *commitQueue) prefixEnd(maxPerShard int) (seq uint64, ok bool) {
-	counts := make(map[int]int)
-	for _, p := range q.queued {
-		if counts[p.shard] >= maxPerShard {
-			break
-		}
-		counts[p.shard]++
-		seq, ok = p.seq, true
-	}
-	return seq, ok
-}
-
 // cut removes and returns, in stream order, the batch a commit record
-// closes: the queued ratings at or below covered — appends and commits
+// closes: the queued ratings at or below covered. Appends and commits
 // interleave in the log, so ratings of the next batch may already sit
-// behind them. A commit that carries a shard id (written by builds up to
-// PR 12, which drained one shard at a time) closes only the ratings
-// routed to that shard; the others stay queued for their own commits.
-func (q *commitQueue) cut(covered uint64, shard int) []core.RatingUpdate {
-	var batch []core.RatingUpdate
-	kept := q.queued[:0]
-	for _, p := range q.queued {
-		if p.seq <= covered && (shard < 0 || p.shard == shard) {
-			batch = append(batch, p.u)
-		} else {
-			kept = append(kept, p)
-		}
+// behind them.
+func (q *commitQueue) cut(covered uint64) []core.RatingUpdate {
+	n := 0
+	for n < len(q.queued) && q.queued[n].seq <= covered {
+		n++
 	}
-	q.queued = kept
+	batch := make([]core.RatingUpdate, n)
+	for i, p := range q.queued[:n] {
+		batch[i] = p.u
+	}
+	q.queued = slices.Delete(q.queued, 0, n)
 	return batch
 }
 
@@ -83,4 +67,20 @@ func (q *commitQueue) watermark() uint64 {
 		return q.queued[0].prev
 	}
 	return q.last
+}
+
+// refuseShardCommit rejects a batch commit that closes one shard's
+// ratings only, when it would cut a queued rating. Builds before 390be92
+// drained one shard at a time and journaled such commits; regrouping them
+// needs the rating routing this build no longer keeps, so a log that still
+// holds one is refused with the way out rather than folded in a different
+// order. One that covers nothing queued changes nothing, as any commit
+// that covers nothing does: that is every per-shard commit past the boot
+// snapshot the way out writes.
+func (q *commitQueue) refuseShardCommit(rec wal.Record) error {
+	if rec.Shard < 0 || len(q.queued) == 0 || q.queued[0].seq > rec.Covered {
+		return nil
+	}
+	return fmt.Errorf("lifecycle: batch commit record %d closes shard %d alone, a per-shard commit this build does not regroup: boot the data dir once with a build from 390be92 through 5504ac4; its boot snapshot covers the tail",
+		rec.Seq, rec.Shard)
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"cfsf/internal/core"
@@ -18,14 +19,14 @@ import (
 // commit; ratings carry their sequence as the item id so a cut's batch
 // reads back as sequences.
 func TestCommitQueue(t *testing.T) {
-	const A, B = 0, 1
 	type op struct {
-		push       uint64 // rating sequence to push; 0 makes the op a cut
-		shard      int
-		covered    uint64
-		wantPushed bool
-		wantCut    []int
-		wantMark   uint64 // watermark after the op
+		push        uint64 // rating sequence to push; 0 makes the op a cut
+		covered     uint64
+		perShard    bool // the cut's commit names shard 0, as builds before 390be92 journaled
+		wantPushed  bool
+		wantRefused bool
+		wantCut     []int
+		wantMark    uint64 // watermark after the op
 	}
 	for _, tc := range []struct {
 		name string
@@ -33,58 +34,60 @@ func TestCommitQueue(t *testing.T) {
 		ops  []op
 	}{
 		{"prefix commit closes every shard up to covered", 0, []op{
-			{push: 1, shard: A, wantPushed: true, wantMark: 0},
-			{push: 2, shard: B, wantPushed: true, wantMark: 0},
-			{push: 3, shard: A, wantPushed: true, wantMark: 0},
-			{push: 4, shard: B, wantPushed: true, wantMark: 0},
-			{covered: 3, shard: -1, wantCut: []int{1, 2, 3}, wantMark: 3},
-			{covered: 4, shard: -1, wantCut: []int{4}, wantMark: 4},
+			{push: 1, wantPushed: true, wantMark: 0},
+			{push: 2, wantPushed: true, wantMark: 0},
+			{push: 3, wantPushed: true, wantMark: 0},
+			{push: 4, wantPushed: true, wantMark: 0},
+			{covered: 3, wantCut: []int{1, 2, 3}, wantMark: 3},
+			{covered: 4, wantCut: []int{4}, wantMark: 4},
 		}},
 		{"per-shard commit leaves the other shards queued", 0, []op{
-			{push: 1, shard: A, wantPushed: true, wantMark: 0},
-			{push: 2, shard: B, wantPushed: true, wantMark: 0},
-			{push: 3, shard: A, wantPushed: true, wantMark: 0},
-			{covered: 3, shard: A, wantCut: []int{1, 3}, wantMark: 1},
-			{covered: 2, shard: B, wantCut: []int{2}, wantMark: 3},
+			{push: 1, wantPushed: true, wantMark: 0},
+			{push: 2, wantPushed: true, wantMark: 0},
+			{push: 3, wantPushed: true, wantMark: 0},
+			{covered: 2, perShard: true, wantRefused: true, wantMark: 0}, // would cut: refused, nothing cut
+			{covered: 3, wantCut: []int{1, 2, 3}, wantMark: 3},
+			{covered: 3, perShard: true, wantMark: 3}, // covers nothing queued: passes and changes nothing
 		}},
 		{"commit covering nothing", 5, []op{
-			{covered: 5, shard: -1, wantMark: 5},               // wholly inside the base state
-			{push: 7, shard: A, wantPushed: true, wantMark: 5}, // seq 6 is no rating: the mark names ratings only
-			{covered: 6, shard: -1, wantMark: 5},               // below the only queued rating
-			{covered: 7, shard: B, wantMark: 5},                // another shard's commit
-		}},
-		{"commit arrives before a lower-seq rating of another shard is closed", 0, []op{
-			{push: 1, shard: A, wantPushed: true, wantMark: 0},
-			{push: 2, shard: B, wantPushed: true, wantMark: 0},
-			{push: 3, shard: B, wantPushed: true, wantMark: 0},
-			{covered: 3, shard: B, wantCut: []int{2, 3}, wantMark: 0}, // seq 1 still bounds the watermark
-			{push: 5, shard: A, wantPushed: true, wantMark: 0},
-			{covered: 5, shard: A, wantCut: []int{1, 5}, wantMark: 5},
+			{covered: 5, wantMark: 5},                // wholly inside the base state
+			{push: 7, wantPushed: true, wantMark: 5}, // seq 6 is no rating: the mark names ratings only
+			{covered: 6, wantMark: 5},                // below the only queued rating
 		}},
 		{"reconnect overlap at or below the cursor is dropped", 4, []op{
-			{push: 3, shard: A, wantMark: 4},
-			{push: 4, shard: A, wantMark: 4},
-			{push: 6, shard: A, wantPushed: true, wantMark: 4},
-			{push: 6, shard: A, wantMark: 4},
-			{push: 5, shard: B, wantMark: 4},
-			{covered: 6, shard: -1, wantCut: []int{6}, wantMark: 6},
+			{push: 3, wantMark: 4},
+			{push: 4, wantMark: 4},
+			{push: 6, wantPushed: true, wantMark: 4},
+			{push: 6, wantMark: 4},
+			{push: 5, wantMark: 4},
+			{covered: 6, wantCut: []int{6}, wantMark: 6},
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			q := newCommitQueue(tc.base)
 			for i, o := range tc.ops {
 				if o.push > 0 {
-					got := q.push(o.push, core.RatingUpdate{Item: int(o.push)}, o.shard)
+					got := q.push(o.push, core.RatingUpdate{Item: int(o.push)})
 					if got != o.wantPushed {
 						t.Fatalf("op %d: push(%d) = %v, want %v", i, o.push, got, o.wantPushed)
 					}
 				} else {
+					rec := wal.Record{Type: wal.RecordBatchCommit, Covered: o.covered, Shard: -1}
+					if o.perShard {
+						rec.Shard = 0
+					}
+					err := q.refuseShardCommit(rec)
+					if (err != nil) != o.wantRefused {
+						t.Fatalf("op %d: refuseShardCommit(%d) = %v, want refused %v", i, o.covered, err, o.wantRefused)
+					}
 					var got []int
-					for _, u := range q.cut(o.covered, o.shard) {
-						got = append(got, u.Item)
+					if err == nil {
+						for _, u := range q.cut(o.covered) {
+							got = append(got, u.Item)
+						}
 					}
 					if !reflect.DeepEqual(got, o.wantCut) {
-						t.Fatalf("op %d: cut(%d, %d) = %v, want %v", i, o.covered, o.shard, got, o.wantCut)
+						t.Fatalf("op %d: cut(%d) = %v, want %v", i, o.covered, got, o.wantCut)
 					}
 				}
 				if got := q.watermark(); got != o.wantMark {
@@ -112,148 +115,175 @@ func fingerprint(t *testing.T, mod *core.Model) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestPerShardCommitTailRecovers pins the disk-input contract the drain
-// rule's deletion must not break: builds up to PR 12 drained one shard
-// at a time and journaled a commit carrying that shard's id, so a WAL
-// tail they left behind interleaves per-shard commits with ratings of
-// other shards. The fixture below is such a tail, written record by
-// record; boot replay, per-shard blob patching and a streaming follower
-// must each regroup it into the batches the old process applied and land
-// bit-for-bit on WithUpdates over those groups.
-func TestPerShardCommitTailRecovers(t *testing.T) {
+// TestPerShardCommitIsRefused pins what this build does with a WAL tail
+// that builds before 390be92 left behind: they drained one shard at a time
+// and journaled a commit carrying that shard's id, and regrouping such a
+// commit needs the per-rating routing this build no longer keeps. Boot
+// replay, a streaming follower and per-shard blob patching must each
+// refuse the record by sequence and shard and name the way out — never
+// fold it as a prefix commit, which would apply the batches in another
+// order than the old process did.
+func TestPerShardCommitIsRefused(t *testing.T) {
 	base := newBaseModel(t)
-	router := core.NewSharded(base)
-	userA, userB := 0, -1
-	for u := 1; u < base.Matrix().NumUsers(); u++ {
-		if router.ShardOf(u) != router.ShardOf(userA) {
-			userB = u
-			break
-		}
-	}
-	if userB < 0 {
-		t.Fatal("base model has a single populated shard")
-	}
-	shA, shB := router.ShardOf(userA), router.ShardOf(userB)
-	rate := func(user, item int, v float64) core.RatingUpdate {
-		return core.RatingUpdate{User: user, Item: item, Value: v}
-	}
-	// r is the rerouted rating: userA's cell again, but journaled under
-	// shard B (the user had moved clusters) and committed *before* the
-	// lower-sequence a1 — the old process folded r first, so a1's value
-	// is the one that survives. Replaying in sequence order gets it wrong.
-	a1, b1, r := rate(userA, 3, 5), rate(userB, 3, 1), rate(userA, 3, 1)
-	a2, b2 := rate(userA, 4, 2), rate(userB, 7, 4)
-	b3, a4 := rate(userB, 7, 2), rate(userA, 9, 3) // b3 revises b2's cell
-
 	dir := t.TempDir()
 	w, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rating := func(u core.RatingUpdate, shard int) {
-		t.Helper()
-		if _, err := w.AppendRating(u, shard); err != nil {
+	for _, u := range []core.RatingUpdate{{User: 0, Item: 3, Value: 5}, {User: 1, Item: 3, Value: 1}} {
+		if _, err := w.AppendRating(u, u.User); err != nil { // seqs 1, 2
 			t.Fatal(err)
 		}
 	}
-	commit := func(covered uint64, shard int) {
-		t.Helper()
-		if _, err := w.AppendBatchCommit(covered, shard); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := w.AppendBatchCommit(2, 1); err != nil { // seq 3: shard 1's ratings only
+		t.Fatal(err)
 	}
-	rating(a1, shA) // seq 1
-	rating(b1, shB) // seq 2
-	rating(r, shB)  // seq 3
-	commit(3, shB)  // seq 4: batch {2,3}; seq 1 stays queued
-	commit(1, shA)  // seq 5: batch {1}
-	rating(a2, shA) // seq 6
-	rating(b2, shB) // seq 7
-	commit(7, shB)  // seq 8: batch {7}
-	commit(6, shA)  // seq 9: batch {6}
-	rating(b3, shB) // seq 10
-	rating(a4, shA) // seq 11: uncommitted tail {10,11}
-	const lastRecord, lastCommitted = 11, 7
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	groups := [][]core.RatingUpdate{{b1, r}, {a1}, {b2}, {a2}, {b3, a4}}
-	want := []string{fingerprint(t, base)} // want[k]: after the first k groups
-	mod := base
-	for _, g := range groups {
-		if mod, err = mod.WithUpdates(g); err != nil {
-			t.Fatal(err)
+	refused := func(t *testing.T, where string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "batch commit record 3 closes shard 1") || !strings.Contains(err.Error(), "390be92 through 5504ac4") {
+			t.Fatalf("%s: %v, want the per-shard commit refused with the way out", where, err)
 		}
-		want = append(want, fingerprint(t, mod))
 	}
-	wantAll := mod
 
-	// A streaming follower lands on the chain after every commit record,
-	// and holds the tail until a commit closes it — here the prefix commit
-	// this build writes.
+	_, err = Open(bootWith(base), Config{DataDir: dir})
+	refused(t, "boot", err)
+
+	f := NewFollower(obs.NewRegistry(), t.Logf)
+	f.Reset(base, 0)
 	w, err = wal.Open(filepath.Join(dir, "wal"), wal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := NewFollower(obs.NewRegistry(), t.Logf)
-	f.Reset(base, 0)
-	commits := 0
-	err = w.Replay(0, func(rec wal.Record) error {
-		f.Ingest(rec)
-		if rec.Type == wal.RecordBatchCommit {
-			commits++
-			if got := fingerprint(t, f.Sharded().Model()); got != want[commits] {
-				t.Errorf("follower after commit %d (seq %d): fingerprint %s, want %s", commits, rec.Seq, got, want[commits])
-			}
-		}
-		return nil
-	})
-	if cerr := w.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.QueueLen() != 2 || f.AppliedSeq() != lastCommitted {
-		t.Fatalf("follower holds %d queued at applied seq %d, want 2 at %d", f.QueueLen(), f.AppliedSeq(), lastCommitted)
-	}
-	f.Ingest(wal.Record{Type: wal.RecordBatchCommit, Seq: lastRecord + 1, Covered: lastRecord, Shard: -1})
-	if got := fingerprint(t, f.Sharded().Model()); got != want[len(groups)] {
-		t.Fatalf("follower after the tail commit: fingerprint %s, want %s", got, want[len(groups)])
+	defer w.Close()
+	err = w.Replay(0, f.Ingest)
+	refused(t, "follower ingest", err)
+	if f.Model() != base || f.QueueLen() != 2 {
+		t.Fatalf("the refused commit moved the follower: model replaced=%v, %d queued", f.Model() != base, f.QueueLen())
 	}
 
-	// Boot replay: the tail forms one final batch.
+	m := &Manager{w: w}
+	rows := make([][]ratings.Entry, base.Matrix().NumUsers())
+	refused(t, "shard patching", m.patchRows([]int{0, 1}, nil, nil, 0, 2, false, rows, nil))
+}
+
+// TestPerShardCommitTailRecovers pins the way out TestPerShardCommitIsRefused
+// names. A build from 390be92 through 5504ac4 folds a per-shard tail at boot
+// and snapshots at its last rating, so the per-shard commits, journaled after
+// the ratings they close, all sit past that snapshot and cover nothing
+// queued. Boot replay, a streaming follower and shard patching must pass
+// over them, and the traffic after them must fold as usual.
+func TestPerShardCommitTailRecovers(t *testing.T) {
+	base := newBaseModel(t)
+	dir := t.TempDir()
+	// appendAt writes records to the data dir's WAL, each at its wanted seq.
+	appendAt := func(wantSeq uint64, write ...func(w *wal.WAL) (uint64, error)) {
+		t.Helper()
+		w, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, f := range write {
+			if seq, err := f(w); err != nil || seq != wantSeq+uint64(i) {
+				t.Fatalf("append: seq %d, %v; want seq %d", seq, err, wantSeq+uint64(i))
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rating := func(u core.RatingUpdate) func(w *wal.WAL) (uint64, error) {
+		return func(w *wal.WAL) (uint64, error) { return w.AppendRating(u, u.User) }
+	}
+	shardCommit := func(covered uint64, shard int) func(w *wal.WAL) (uint64, error) {
+		return func(w *wal.WAL) (uint64, error) { return w.AppendBatchCommit(covered, shard) }
+	}
+	appendAt(1, rating(core.RatingUpdate{User: 0, Item: 3, Value: 5}), rating(core.RatingUpdate{User: 1, Item: 3, Value: 1}))
+
+	// The way out's boot: the tail folds, and the boot snapshot covers seq 2.
 	m, err := Open(bootWith(base), Config{DataDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
-	if bs := m.BootStats(); bs.ReplayedRecords != 7 || bs.ReplayedBatches != len(groups) {
-		t.Fatalf("replayed %d records in %d batches, want 7 in %d", bs.ReplayedRecords, bs.ReplayedBatches, len(groups))
+	if bs := m.BootStats(); bs.ReplayedRecords != 2 || m.AppliedSeq() != 2 {
+		t.Fatalf("way-out boot replayed %d records to seq %d, want 2 to seq 2", bs.ReplayedRecords, m.AppliedSeq())
 	}
-	if got := fingerprint(t, m.Model()); got != want[len(groups)] {
-		t.Fatalf("boot replay: fingerprint %s, want %s", got, want[len(groups)])
+	snap := m.Model()
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The per-shard commits that closed the tail, shard 1's batch first.
+	appendAt(3, shardCommit(2, 1), shardCommit(1, 0))
+
+	m, err = Open(noBoot(t), Config{DataDir: dir})
+	if err != nil {
+		t.Fatalf("boot past the per-shard commits: %v", err)
+	}
+	if bs := m.BootStats(); bs.SnapshotSeq != 2 || bs.ReplayedRecords != 0 || bs.ReplayedBatches != 0 {
+		t.Fatalf("boot from seq %d replayed %d records in %d batches, want from 2 with none", bs.SnapshotSeq, bs.ReplayedRecords, bs.ReplayedBatches)
+	}
+	if got, want := fingerprint(t, m.Model()), fingerprint(t, snap); got != want {
+		t.Fatalf("boot past the per-shard commits: fingerprint %s, want the snapshot's %s", got, want)
 	}
 
-	// Blob patching: every user's rows rebuilt from the base rows plus the
-	// same log must equal the recovered matrix's.
-	mx := wantAll.Matrix()
+	seqs, _, err := m.SubmitBatch([]core.RatingUpdate{{User: 2, Item: 5, Value: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "rating after the tail applied", func() bool { return m.AppliedSeq() >= seqs[0] })
+	live := m.Model()
+	if live == snap {
+		t.Fatal("the rating after the tail left the model unchanged")
+	}
+
+	f := NewFollower(obs.NewRegistry(), t.Logf)
+	f.Reset(snap, 2)
+	waitUntil(t, "commit journaled", func() bool {
+		var committed bool
+		if err := m.w.Replay(seqs[0], func(rec wal.Record) error {
+			committed = committed || rec.Type == wal.RecordBatchCommit
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return committed
+	})
+	if err := m.w.Replay(2, f.Ingest); err != nil {
+		t.Fatalf("follower streaming past the per-shard commits: %v", err)
+	}
+	if f.AppliedSeq() != seqs[0] || f.QueueLen() != 0 || fingerprint(t, f.Model()) != fingerprint(t, live) {
+		t.Fatalf("follower at seq %d with %d queued, want the leader's model at seq %d", f.AppliedSeq(), f.QueueLen(), seqs[0])
+	}
+
+	mx := live.Matrix()
 	members := make([]int, mx.NumUsers())
 	baseRows := map[int][]ratings.Entry{}
 	for u := range members {
 		members[u] = u
-		if u < base.Matrix().NumUsers() {
-			baseRows[u] = base.Matrix().UserRatings(u)
-		}
+		baseRows[u] = snap.Matrix().UserRatings(u)
 	}
 	rows := make([][]ratings.Entry, mx.NumUsers())
-	if err := m.patchRows(members, baseRows, nil, 0, m.AppliedSeq(), false, rows, nil); err != nil {
-		t.Fatal(err)
+	if err := m.patchRows(members, baseRows, nil, 2, seqs[0], false, rows, nil); err != nil {
+		t.Fatalf("patching past the per-shard commits: %v", err)
 	}
 	for u, row := range rows {
 		if want := mx.UserRatings(u); !(len(row) == 0 && len(want) == 0) && !reflect.DeepEqual(row, want) {
 			t.Fatalf("patched row of user %d = %v, want %v", u, row, want)
 		}
+	}
+
+	m.Abort()
+	m, err = Open(noBoot(t), Config{DataDir: dir})
+	if err != nil {
+		t.Fatalf("reboot past the per-shard commits: %v", err)
+	}
+	defer m.Close()
+	if bs := m.BootStats(); bs.ReplayedRecords != 1 || bs.ReplayedBatches != 1 {
+		t.Fatalf("reboot replayed %d records in %d batches, want 1 in 1", bs.ReplayedRecords, bs.ReplayedBatches)
+	}
+	if got, want := fingerprint(t, m.Model()), fingerprint(t, live); got != want {
+		t.Fatalf("reboot: fingerprint %s, want the live model's %s", got, want)
 	}
 }

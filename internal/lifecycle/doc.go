@@ -1,19 +1,19 @@
 // Package lifecycle owns the serving model end to end: it journals every
-// incoming rating to a write-ahead log before acknowledging it, records
-// the model shard (= user cluster) each rating touches, folds the queue
-// in micro-batches cut as contiguous prefixes — one
-// core.ShardedModel.Apply per batch, which rebuilds only the shards the
-// batch touches, in parallel, instead of the monolithic O(nnz) rebuild —
-// rotates atomic snapshots so restarts are fast, and schedules the
-// background retrain that internal/core/update.go's drift caveat asks
-// for.
+// incoming rating to a write-ahead log before acknowledging it, folds
+// whatever is queued in one core.Model.Apply per micro-batch — which
+// rebuilds only the user clusters (shards) the batch touches instead of
+// the monolithic O(nnz) rebuild — rotates atomic snapshots that rewrite
+// only the shard blobs a batch made stale (core.ChangedShards) so
+// restarts are fast, and schedules the background retrain that
+// internal/core/update.go's drift caveat asks for.
 //
 // One state machine turns WAL records into a served model (replica):
 // ratings are pushed, a commit through seq N cuts its batch, applies it
 // and publishes {model, applied seq}, a retrain record turns the state at
 // its watermark into core.Train of that state's matrix. Boot replay feeds
-// it the log, the live run loop pushes what it journals, commits what its
-// drain policy picks and folds the retrain records it journals, and a
+// it the log, the live run loop pushes what it journals, commits through
+// the newest rating it queued and folds the retrain records it journals,
+// and a
 // read replica (Follower) feeds it the leader's stream — so replay ≡ live
 // apply ≡ follower, across a retrain too: all three are the same code.
 //

@@ -25,16 +25,14 @@ type Config struct {
 	// SegmentBytes is the WAL segment rotation size (wal.Options).
 	SegmentBytes int64
 
-	// BatchMaxSize caps how many queued ratings of any one shard a
-	// micro-batch folds in. <= 0 means 256.
-	BatchMaxSize int
 	// BatchMaxWait, when > 0, delays each apply by this long so more
 	// ratings coalesce into the batch. The default 0 is greedy: the
 	// apply loop drains whatever is queued the moment it is free, so
 	// batching emerges from backpressure without added latency.
 	BatchMaxWait time.Duration
-	// QueueCapacity bounds the unapplied-rating queue; Submit returns
-	// ErrQueueFull beyond it. <= 0 means 4096.
+	// QueueCapacity bounds the unapplied-rating queue, and with it the
+	// largest micro-batch; Submit returns ErrQueueFull beyond it. <= 0
+	// means 4096.
 	QueueCapacity int
 
 	// SnapshotEvery, when > 0, snapshots the model in the background at
@@ -57,9 +55,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.FsyncInterval <= 0 {
 		c.FsyncInterval = 100 * time.Millisecond
-	}
-	if c.BatchMaxSize <= 0 {
-		c.BatchMaxSize = 256
 	}
 	if c.QueueCapacity <= 0 {
 		c.QueueCapacity = 4096
@@ -181,11 +176,10 @@ func (m *Manager) Submit(u core.RatingUpdate) (seq uint64, pending int, err erro
 
 // SubmitBatch journals a batch of ratings as one WAL append group — a
 // single write and, under SyncAlways, a single fsync for the whole
-// request — recording the shard each rating routes to, then queues them
-// for the next micro-batch. It returns the per-rating WAL sequences (in
-// batch order) and the pending count. The batch is all-or-nothing at the
-// queue: if it would overflow QueueCapacity, nothing is journaled and
-// ErrQueueFull is returned.
+// request — then queues them for the next micro-batch. It returns the
+// per-rating WAL sequences (in batch order) and the pending count. The
+// batch is all-or-nothing at the queue: if it would overflow
+// QueueCapacity, nothing is journaled and ErrQueueFull is returned.
 //
 //cfsf:wallclock-ok append latency feeds the wal_append_ms histogram only
 func (m *Manager) SubmitBatch(ups []core.RatingUpdate) (seqs []uint64, pending int, err error) {
@@ -195,10 +189,9 @@ func (m *Manager) SubmitBatch(ups []core.RatingUpdate) (seqs []uint64, pending i
 	if len(ups) == 0 {
 		return nil, m.Pending(), nil
 	}
-	router := m.Sharded()
 	shards := make([]int, len(ups))
-	for i, u := range ups {
-		shards[i] = router.ShardOf(u.User)
+	for i := range shards {
+		shards[i] = -1 // unsharded: a batch is the whole queue, whatever clusters it spans
 	}
 	m.rep.mu.Lock()
 	if len(m.rep.queue.queued)+len(ups) > m.cfg.QueueCapacity {
@@ -214,7 +207,7 @@ func (m *Manager) SubmitBatch(ups []core.RatingUpdate) (seqs []uint64, pending i
 	}
 	m.mAppendLat.Observe(durMS(time.Since(t)))
 	for i, u := range ups {
-		m.rep.queue.push(seqs[i], u, shards[i])
+		m.rep.queue.push(seqs[i], u)
 	}
 	pending = len(m.rep.queue.queued)
 	m.rep.mu.Unlock()
@@ -284,27 +277,27 @@ func (m *Manager) run() {
 }
 
 // applyPending drains the queue one batch per round, and is the whole
-// of the leader's drain policy: pick the contiguous queue prefix the next
-// commit closes, have the replica commit through it — one Apply, so every
-// touched shard's rebuild runs inside the same parallel pass and a burst
-// confined to one user cluster rebuilds only that shard's structures —
-// and journal that commit (shard -1: every queued rating at or below
-// Covered), so crash replay and followers regroup the exact same batches.
-// It cuts nothing while a retrain record is being folded: ratings
-// journaled behind the record fold into the retrained model, not before.
+// of the leader's drain policy: the replica commits through the newest
+// queued rating — the whole queue in one Apply, which rebuilds only the
+// user clusters the batch touches — and the commit is journaled (shard
+// -1: every queued rating at or below Covered), so crash replay and
+// followers regroup the exact same batches. Ratings that arrive during
+// an Apply form the next round's batch. It cuts nothing while a retrain
+// record is being folded: ratings journaled behind the record fold into
+// the retrained model, not before.
 //
 //cfsf:wallclock-ok apply latency feeds the apply_ms histogram only; batch boundaries come from the queue, not the clock
 func (m *Manager) applyPending() {
 	for !m.retraining.Load() {
 		m.rep.mu.Lock()
-		covered, ok := m.rep.queue.prefixEnd(m.cfg.BatchMaxSize)
+		covered, ok := m.rep.queue.last, len(m.rep.queue.queued) > 0
 		m.rep.mu.Unlock()
 		if !ok {
 			m.mPending.Set(0)
 			return
 		}
 		t := time.Now()
-		n := len(m.rep.commit(covered, -1))
+		n := len(m.rep.commit(covered))
 		if _, err := m.w.AppendBatchCommit(covered, -1); err != nil {
 			m.cfg.Logf("lifecycle: journal batch commit: %v", err)
 		}

@@ -636,7 +636,7 @@ func TestSnapshotStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	numShards := len(m.Sharded().ShardStats())
+	numShards := m.Model().Clusters().K
 	if info.ShardsWritten != 1 || info.ShardsClean != numShards-1 {
 		t.Fatalf("incremental snapshot wrote %d shards (%d clean), want 1 (%d clean): %+v",
 			info.ShardsWritten, info.ShardsClean, numShards-1, info)
@@ -648,7 +648,7 @@ func TestSnapshotStats(t *testing.T) {
 
 // TestTimesFlipRewritesEveryShardAndReboots drives the first timed rating
 // into an untimed data dir. It changes the wire shape of every shard blob,
-// so the snapshot after it must rewrite them all (replica.commit's flip),
+// so the snapshot after it must rewrite them all (core.ChangedShards),
 // not only the shard the rating dirtied; a reboot from that manifest, and
 // one that has to patch a shard forward from a pre-flip blob (untimed
 // rows, genuinely zero timestamps), must both give the live model back.
@@ -697,7 +697,7 @@ func TestTimesFlipRewritesEveryShardAndReboots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := m.Sharded().NumShards(); info.ShardsWritten != n || info.ShardsClean != 0 {
+	if n := m.Model().Clusters().K; info.ShardsWritten != n || info.ShardsClean != 0 {
 		t.Fatalf("snapshot after the flip wrote %d shards and reused %d; want all %d rewritten", info.ShardsWritten, info.ShardsClean, n)
 	}
 	points, err := listDurablePoints(dir)

@@ -29,7 +29,7 @@ func bindMetrics(r *obs.Registry) metrics {
 	return metrics{
 		mAppendLat:   r.Histogram("wal_append_latency_ms", nil),
 		mApplyLat:    r.Histogram("lifecycle_apply_latency_ms", nil),
-		mBatchSize:   r.Histogram("lifecycle_batch_size", []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}),
+		mBatchSize:   r.Histogram("lifecycle_batch_size", []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096}),
 		mSnapLat:     r.Histogram("lifecycle_snapshot_duration_ms", nil),
 		mRetrainLat:  r.Histogram("lifecycle_retrain_duration_ms", nil),
 		mApplied:     r.Counter("lifecycle_applied_total"),
@@ -50,11 +50,11 @@ func bindMetrics(r *obs.Registry) metrics {
 // submit or apply left behind.
 func (m *Manager) PublishGauges() {
 	st := m.rep.state.Load()
-	mx := st.sharded.Model().Matrix()
+	mx := st.model.Matrix()
 	m.reg.Gauge("lifecycle_model_users").Set(float64(mx.NumUsers()))
 	m.reg.Gauge("lifecycle_model_items").Set(float64(mx.NumItems()))
 	m.reg.Gauge("lifecycle_model_ratings").Set(float64(mx.NumRatings()))
-	m.reg.Gauge("lifecycle_shards").Set(float64(st.sharded.NumShards()))
+	m.reg.Gauge("lifecycle_shards").Set(float64(st.model.Clusters().K))
 	m.reg.Gauge("lifecycle_applied_seq").Set(float64(st.seq))
 	m.reg.Gauge("wal_last_seq").Set(float64(m.w.LastSeq()))
 	ws := m.w.Stats()

@@ -32,8 +32,8 @@ func BenchmarkRecoveryFlat(b *testing.B) {
 			best := 0.0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				// Boot mutates the data dir (boot snapshot, checkpoint,
-				// prune), so each recovery runs on a fresh copy; take
+				// Boot mutates the data dir (boot snapshot, prune), so
+				// each recovery runs on a fresh copy; take
 				// the best of a few reps to shave scheduler noise off the
 				// gated ratio.
 				const reps = 3

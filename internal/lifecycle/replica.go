@@ -3,7 +3,6 @@ package lifecycle
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,8 +17,8 @@ import (
 // with sequence <= seq — batches are cut as contiguous queue prefixes, so
 // every published state can be snapshotted under its seq.
 type replicaState struct {
-	sharded *core.ShardedModel //cfsf:immutable
-	seq     uint64             //cfsf:immutable
+	model *core.Model //cfsf:immutable
+	seq   uint64      //cfsf:immutable
 	// gen counts the model swaps behind this state and shardGen[s] is the
 	// gen of the last swap that dirtied shard s's persisted rows. Every
 	// swap dirties the shared part, so gen is also its dirt generation. A
@@ -30,11 +29,11 @@ type replicaState struct {
 	shardGen []uint64 //cfsf:immutable
 }
 
-// after builds the state that follows st once a swap to sm has dirtied
+// after builds the state that follows st once a swap to mod has dirtied
 // the given shards — every shard when all is set — and, as every swap
 // does, the shared part.
-func (st *replicaState) after(sm *core.ShardedModel, seq uint64, dirty []int, all bool) *replicaState {
-	next := &replicaState{sharded: sm, seq: seq, gen: st.gen + 1, shardGen: make([]uint64, sm.NumShards())}
+func (st *replicaState) after(mod *core.Model, seq uint64, dirty []int, all bool) *replicaState {
+	next := &replicaState{model: mod, seq: seq, gen: st.gen + 1, shardGen: make([]uint64, mod.Clusters().K)}
 	copy(next.shardGen, st.shardGen)
 	for _, s := range dirty {
 		next.shardGen[s] = next.gen
@@ -53,7 +52,7 @@ func (st *replicaState) after(sm *core.ShardedModel, seq uint64, dirty []int, al
 // a rating is pushed, a commit through seq N cuts its batch, applies it
 // and publishes the result. Boot replay and a follower feed it the
 // leader's records; the live leader pushes what it journals and commits
-// the prefix its drain policy picks, then journals that commit — so
+// through the newest rating it queued, then journals that commit — so
 // replay, live apply and follower are the same code, not three loops kept
 // in step. Pushes may come from any goroutine; commit, reset and feed
 // belong to one writer at a time (the manager's run loop or, while that
@@ -76,11 +75,11 @@ type replica struct {
 // which already folds whatever was queued). The model is what the blobs
 // of the manifest it was assembled from hold, except for the shards
 // listed in dirty, whose rows were recovered some other way.
-func (r *replica) reset(sm *core.ShardedModel, seq uint64, dirty []int) {
+func (r *replica) reset(mod *core.Model, seq uint64, dirty []int) {
 	r.mu.Lock()
 	r.queue = newCommitQueue(seq)
 	r.mu.Unlock()
-	st := &replicaState{sharded: sm, seq: seq, shardGen: make([]uint64, sm.NumShards())}
+	st := &replicaState{model: mod, seq: seq, shardGen: make([]uint64, mod.Clusters().K)}
 	if len(dirty) > 0 {
 		st.gen = 1
 		for _, s := range dirty {
@@ -92,49 +91,55 @@ func (r *replica) reset(sm *core.ShardedModel, seq uint64, dirty []int) {
 
 // commit closes the batch a commit record through seq covered describes
 // (see commitQueue.cut), folds it into the model and publishes the result
-// under the new watermark. It returns the batch; a commit that covers
-// nothing queued — its ratings were already inside the base state —
-// changes nothing.
-func (r *replica) commit(covered uint64, shard int) []core.RatingUpdate {
+// under the new watermark, with the shard blobs the batch made stale
+// (core.ChangedShards) marked dirty. It returns the batch; a commit that
+// covers nothing queued — its ratings were already inside the base state
+// — changes nothing.
+func (r *replica) commit(covered uint64) []core.RatingUpdate {
 	r.mu.Lock()
-	batch := r.queue.cut(covered, shard)
+	batch := r.queue.cut(covered)
 	seq := r.queue.watermark()
 	r.mu.Unlock()
 	if len(batch) == 0 {
 		return nil
 	}
 	cur := r.state.Load()
-	next, dirty := r.applyWithFallback(cur.sharded, batch)
-	// A timestamp flip changes every shard blob's wire shape, not just the
-	// touched rows — persistence must rewrite them all.
-	flip := cur.sharded.Model().Matrix().HasTimes() != next.Model().Matrix().HasTimes()
-	r.state.Store(cur.after(next, seq, dirty, flip))
+	next := r.applyWithFallback(cur.model, batch)
+	r.state.Store(cur.after(next, seq, core.ChangedShards(cur.model, next, batch), false))
 	return batch
 }
 
 // feed folds one journaled record: a rating queues, a batch commit cuts
 // and applies exactly the writer's batch, a retrain record turns the
 // state at its watermark into core.Train of that state's own matrix and
-// configuration, anything else (checkpoints) carries no model state. It
-// reports how many ratings the record queued and how many it applied.
+// configuration, anything else (checkpoints old logs hold) carries no
+// model state. It reports how many ratings the record queued and how
+// many it applied.
 //
 // Train is a function of matrix and configuration alone, so the watermark
 // decides: a state at it trains (to the same model again when a snapshot
 // taken there already holds the result), a state past it was built on the
 // retrained one and skips the record, and a state short of it — the log
-// lost the commits in between — is the one error feed returns.
+// lost the commits in between — is refused. So is a per-shard commit that
+// would cut a queued rating (commitQueue.refuseShardCommit).
 //
 //cfsf:wallclock-ok retrain duration feeds the log line only
 func (r *replica) feed(rec wal.Record) (queued, applied int, err error) {
 	switch rec.Type {
 	case wal.RecordRating:
 		r.mu.Lock()
-		if r.queue.push(rec.Seq, rec.Update, rec.Shard) {
+		if r.queue.push(rec.Seq, rec.Update) {
 			queued = 1
 		}
 		r.mu.Unlock()
 	case wal.RecordBatchCommit:
-		applied = len(r.commit(rec.Covered, rec.Shard))
+		r.mu.Lock()
+		err := r.queue.refuseShardCommit(rec)
+		r.mu.Unlock()
+		if err != nil {
+			return 0, 0, err
+		}
+		applied = len(r.commit(rec.Covered))
 	case wal.RecordRetrain:
 		cur := r.state.Load()
 		if cur.seq > rec.Covered {
@@ -143,7 +148,7 @@ func (r *replica) feed(rec wal.Record) (queued, applied int, err error) {
 		if cur.seq < rec.Covered {
 			return 0, 0, fmt.Errorf("lifecycle: retrain record %d names watermark %d but the log before it only reaches %d", rec.Seq, rec.Covered, cur.seq)
 		}
-		old := cur.sharded.Model()
+		old := cur.model
 		r.logf("lifecycle: retrain started at seq %d (%d ratings)", cur.seq, old.Matrix().NumRatings())
 		t := time.Now()
 		mod, terr := core.Train(old.Matrix(), old.Config())
@@ -151,7 +156,7 @@ func (r *replica) feed(rec wal.Record) (queued, applied int, err error) {
 			return 0, 0, fmt.Errorf("lifecycle: retrain record %d at seq %d: %w", rec.Seq, cur.seq, terr)
 		}
 		// Clustering and GIS are rebuilt: every persisted part is stale.
-		r.state.Store(cur.after(core.NewSharded(mod), cur.seq, nil, true))
+		r.state.Store(cur.after(mod, cur.seq, nil, true))
 		r.logf("lifecycle: retrain complete at seq %d in %v (%s)", cur.seq, time.Since(t).Round(time.Millisecond), refitSummary(old, mod))
 	}
 	return queued, applied, nil
@@ -197,11 +202,7 @@ func (r *replica) lag() uint64 {
 }
 
 // Model returns the currently served model.
-func (m *Manager) Model() *core.Model { return m.Sharded().Model() }
-
-// Sharded returns the currently served model with its per-shard view:
-// user and rating counts plus apply/retrain activity for every shard.
-func (m *Manager) Sharded() *core.ShardedModel { return m.rep.state.Load().sharded }
+func (m *Manager) Model() *core.Model { return m.rep.state.Load().model }
 
 // AppliedSeq returns the contiguous applied watermark: every rating with
 // a WAL sequence at or below it is folded into the serving model.
@@ -218,42 +219,26 @@ func (m *Manager) Pending() int { return m.rep.pending() }
 // it drains).
 func (m *Manager) ApplyLag() uint64 { return m.rep.lag() }
 
-// applyWithFallback folds a batch into the sharded model, falling back
-// to per-update application when the batch fails as a whole so one
+// applyWithFallback folds a batch into the model, falling back to
+// per-update application when the batch fails as a whole so one
 // malformed update cannot wedge the log (bad updates are counted and
-// dropped). It returns the union of the dirty-shard sets of every apply
-// it performed — the fallback path chains several, each carrying only
-// its own step's dirt.
-func (r *replica) applyWithFallback(sm *core.ShardedModel, updates []core.RatingUpdate) (*core.ShardedModel, []int) {
-	next, err := sm.Apply(updates)
+// dropped).
+func (r *replica) applyWithFallback(mod *core.Model, updates []core.RatingUpdate) *core.Model {
+	next, err := mod.Apply(updates)
 	if err == nil {
-		return next, next.DirtyShards()
+		return next
 	}
 	r.logf("lifecycle: batch of %d failed (%v); retrying per update", len(updates), err)
-	cur := sm
-	dirty := map[int]bool{}
 	for _, u := range updates {
-		n, uerr := cur.Apply([]core.RatingUpdate{u})
+		n, uerr := mod.Apply([]core.RatingUpdate{u})
 		if uerr != nil {
 			r.applyErrs.Inc()
 			r.logf("lifecycle: dropping unappliable update (%d,%d)=%g: %v", u.User, u.Item, u.Value, uerr)
 			continue
 		}
-		for _, s := range n.DirtyShards() {
-			dirty[s] = true
-		}
-		cur = n
+		mod = n
 	}
-	return cur, sortedInts(dirty)
-}
-
-func sortedInts(set map[int]bool) []int {
-	out := make([]int, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Ints(out)
-	return out
+	return mod
 }
 
 // Follower is a read replica's applier: a replica fed a leader's WAL
@@ -283,7 +268,7 @@ func NewFollower(reg *obs.Registry, logf func(format string, args ...any)) *Foll
 // Reset installs a freshly bootstrapped model covering every rating with
 // sequence <= seq, discarding any queued tail.
 func (f *Follower) Reset(mod *core.Model, seq uint64) {
-	f.rep.reset(core.NewSharded(mod), seq, nil)
+	f.rep.reset(mod, seq, nil)
 	f.received.Store(seq)
 }
 
@@ -308,8 +293,8 @@ func (f *Follower) Ingest(rec wal.Record) error {
 	return err
 }
 
-// Sharded returns the follower's currently served model.
-func (f *Follower) Sharded() *core.ShardedModel { return f.rep.state.Load().sharded }
+// Model returns the follower's currently served model.
+func (f *Follower) Model() *core.Model { return f.rep.state.Load().model }
 
 // AppliedSeq returns the contiguous applied watermark.
 func (f *Follower) AppliedSeq() uint64 { return f.rep.state.Load().seq }

@@ -2,6 +2,7 @@ package lifecycle
 
 import (
 	"fmt"
+	"math"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -207,17 +208,26 @@ func TestRetrainIsReplayed(t *testing.T) {
 			}
 		}},
 		{"ratings journaled before the record, committed after it, snapshot in between", func(t *testing.T) {
-			// One user's ratings drain one batch at a time, so the first of
-			// a pair trips RetrainAfter while the second — journaled before
-			// the record — still waits: record seq > manifest seq > atSeq.
+			// The loop is parked inside a batch that trips RetrainAfter
+			// while a later rating is journaled, so that rating is behind the
+			// batch and ahead of the record: record seq > manifest seq >
+			// atSeq.
 			dir := t.TempDir()
-			m, _ := open(t, Config{DataDir: dir, BatchMaxSize: 1, RetrainAfter: lead + 1})
-			seqs, _, err := m.SubmitBatch([]core.RatingUpdate{{User: 3, Item: 1, Value: 4}, {User: 3, Item: 5, Value: 2}})
+			logf, parked, release := parkOnFallback()
+			m, _ := open(t, Config{DataDir: dir, RetrainAfter: lead + 1, Logf: logf})
+			trip, _, err := m.SubmitBatch([]core.RatingUpdate{{User: 3, Item: 1, Value: 4}, {User: 3, Item: 2, Value: math.NaN()}})
 			if err != nil {
 				t.Fatal(err)
 			}
+			<-parked
+			behind, _, err := m.Submit(core.RatingUpdate{User: 3, Item: 5, Value: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			close(release)
+			seqs := []uint64{trip[1], behind}
 			waitUntil(t, "retrain landed", func() bool { return retrainsLanded(m) == 1 })
-			waitUntil(t, "pair applied", func() bool { return m.AppliedSeq() >= seqs[1] })
+			waitUntil(t, "rating applied", func() bool { return m.AppliedSeq() >= seqs[1] })
 			info, err := m.Snapshot()
 			if err != nil {
 				t.Fatal(err)
@@ -275,7 +285,7 @@ func TestRetrainIsReplayed(t *testing.T) {
 			if err := f.Ingest(wal.Record{Type: wal.RecordRetrain, Seq: 4, Covered: 2}); err == nil {
 				t.Error("follower folded a retrain taken at a watermark it has not reached")
 			}
-			if f.Sharded().Model() != base {
+			if f.Model() != base {
 				t.Error("the refused record changed the follower's model")
 			}
 		}},

@@ -11,12 +11,11 @@ import (
 	"cfsf/internal/wal"
 )
 
-// TestShardedBatchParityAndRecovery is the sharding acceptance test: a
-// batch of ratings spanning several shards, ingested through SubmitBatch
-// and folded as one contiguous prefix — a single sharded Apply that
-// rebuilds every touched shard — must produce, live and again after a
-// kill-and-reboot replay, exactly the model that monolithic WithUpdates
-// calls over the same prefix groups produce.
+// TestShardedBatchParityAndRecovery: a batch of ratings spanning several
+// shards, ingested through SubmitBatch and folded as the whole queue — a
+// single Apply that rebuilds every touched shard — must produce, live and
+// again after a kill-and-reboot replay, exactly the model one
+// from-scratch WithUpdates over the batch produces.
 func TestShardedBatchParityAndRecovery(t *testing.T) {
 	base := newBaseModel(t)
 	dir := t.TempDir()
@@ -49,44 +48,24 @@ func TestShardedBatchParityAndRecovery(t *testing.T) {
 	last := seqs[len(seqs)-1]
 	waitUntil(t, "batch applied", func() bool { return a.AppliedSeq() >= last })
 
-	// Comparator: monolithic WithUpdates over the same prefix groups (one,
-	// at the default BatchMaxSize).
-	groups := prefixGroups(base, ups, 256)
-	router := core.NewSharded(base)
-	routed := map[int]bool{}
+	spans := map[int]bool{}
 	for _, u := range ups {
-		routed[router.ShardOf(u.User)] = true
+		spans[base.Clusters().Assign[u.User]] = true
 	}
-	if len(routed) < 2 {
-		t.Fatalf("test updates all routed to one shard; widen the spread")
+	if len(spans) < 2 {
+		t.Fatalf("test updates all in one shard; widen the spread")
 	}
-	comparator := base
-	for _, g := range groups {
-		if comparator, err = comparator.WithUpdates(g); err != nil {
-			t.Fatal(err)
-		}
+	comparator, err := base.WithUpdates(ups)
+	if err != nil {
+		t.Fatal(err)
 	}
 	want := predictions(comparator)
-	samePredictions(t, "sharded live vs monolithic groups", want, predictions(a.Model()))
+	samePredictions(t, "live vs from-scratch", want, predictions(a.Model()))
 	// The drain loop books a batch after it publishes it (and journals the
 	// commit), so AppliedSeq can be seen before the counter moves.
-	waitUntil(t, "batch booked", func() bool { return a.reg.Counter("lifecycle_batches_total").Value() >= int64(len(groups)) })
-	if batches := a.reg.Counter("lifecycle_batches_total").Value(); batches != int64(len(groups)) {
-		t.Errorf("manager used %d batches, expected %d prefix groups", batches, len(groups))
-	}
-
-	// Per-shard stats: every touched shard saw at least one apply.
-	touched := 0
-	for _, st := range a.Sharded().ShardStats() {
-		if st.Applies > 0 {
-			touched++
-			if st.Applied == 0 || st.LastApplyMS < 0 {
-				t.Errorf("shard %d: applies=%d but applied=%d", st.ID, st.Applies, st.Applied)
-			}
-		}
-	}
-	if touched != len(routed) {
-		t.Errorf("%d shards saw applies, expected %d", touched, len(routed))
+	waitUntil(t, "batch booked", func() bool { return a.reg.Counter("lifecycle_batches_total").Value() >= 1 })
+	if batches := a.reg.Counter("lifecycle_batches_total").Value(); batches != 1 {
+		t.Errorf("manager used %d batches, expected 1", batches)
 	}
 
 	a.Abort() // SIGKILL stand-in
@@ -97,11 +76,10 @@ func TestShardedBatchParityAndRecovery(t *testing.T) {
 	}
 	defer b.Close()
 	bs := b.BootStats()
-	if bs.ReplayedRecords != len(ups) || bs.ReplayedBatches != len(groups) {
-		t.Fatalf("replayed %d records in %d batches, want %d in %d",
-			bs.ReplayedRecords, bs.ReplayedBatches, len(ups), len(groups))
+	if bs.ReplayedRecords != len(ups) || bs.ReplayedBatches != 1 {
+		t.Fatalf("replayed %d records in %d batches, want %d in 1", bs.ReplayedRecords, bs.ReplayedBatches, len(ups))
 	}
-	samePredictions(t, "recovered vs monolithic groups", want, predictions(b.Model()))
+	samePredictions(t, "recovered vs from-scratch", want, predictions(b.Model()))
 }
 
 // TestSubmitBatchAtomicity: one SubmitBatch is one WAL append group with

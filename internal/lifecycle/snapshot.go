@@ -53,10 +53,9 @@ func snapshotDir(dataDir string) string { return filepath.Join(dataDir, "snapsho
 // (plus the shared config/GIS/clustering blob), re-references the
 // previous manifest's blobs for clean shards, verifies every written
 // blob with a read-back self-check, and only then publishes the manifest
-// atomically, journals a checkpoint record, prunes retention, and
-// deletes the WAL segments below the oldest retained manifest — a blob
-// that cannot be read back bit-for-bit aborts the snapshot and never
-// shrinks the WAL.
+// atomically, prunes retention, and deletes the WAL segments below the
+// oldest retained manifest — a blob that cannot be read back bit-for-bit
+// aborts the snapshot and never shrinks the WAL.
 // When nothing was applied since the last snapshot it returns Skipped
 // without touching disk; a non-empty queue never skips it, because the
 // served model is always a contiguous prefix of the log.
@@ -68,8 +67,8 @@ func (m *Manager) Snapshot() (SnapshotInfo, error) {
 
 	st := m.rep.state.Load()
 	dir := snapshotDir(m.cfg.DataDir)
-	mod := st.sharded.Model()
-	numShards := st.sharded.NumShards()
+	mod := st.model
+	numShards := mod.Clusters().K
 
 	// Decide what to write. A blob needs rewriting iff a swap dirtied its
 	// part after the state the previous manifest was written from; with no
@@ -170,9 +169,6 @@ func (m *Manager) Snapshot() (SnapshotInfo, error) {
 	}
 	m.lastManifest, m.snapGen = man, st.gen
 
-	if _, err := m.w.AppendCheckpoint(st.seq); err != nil {
-		m.cfg.Logf("lifecycle: journal checkpoint: %v", err)
-	}
 	m.pruneDurablePoints()
 	// Shrink the WAL below the oldest retained point, not below this
 	// snapshot: older manifests must keep their tail replay until

@@ -3,8 +3,6 @@ package lifecycle
 import (
 	"bytes"
 	"math"
-	"strings"
-	"sync"
 	"testing"
 
 	"cfsf/internal/core"
@@ -28,7 +26,7 @@ func shardBlobs(t *testing.T, mod *core.Model) [][]byte {
 
 // TestSnapshotRewritesExactlyTheDirtiedShards characterises incremental
 // snapshots across a snapshot taken under load. The run loop is parked
-// mid-drain with one batch applied (shard A dirty) and two ratings still
+// mid-drain with one batch applied (shard A dirty) and two ratings
 // queued; the snapshot taken there writes A. The queued ratings then
 // dirty A again — a shard that snapshot just wrote — and B, a shard it
 // re-referenced. The next snapshot must rewrite exactly the shards whose
@@ -36,10 +34,10 @@ func shardBlobs(t *testing.T, mod *core.Model) [][]byte {
 // other blob ref over unchanged.
 func TestSnapshotRewritesExactlyTheDirtiedShards(t *testing.T) {
 	base := newBaseModel(t)
-	router := core.NewSharded(base)
+	assign := base.Clusters().Assign
 	userA, userB := 0, -1
-	for u := 1; u < base.Matrix().NumUsers(); u++ {
-		if router.ShardOf(u) != router.ShardOf(userA) {
+	for u := 1; u < len(assign); u++ {
+		if assign[u] != assign[userA] {
 			userB = u
 			break
 		}
@@ -47,37 +45,30 @@ func TestSnapshotRewritesExactlyTheDirtiedShards(t *testing.T) {
 	if userB < 0 {
 		t.Fatal("base model has a single populated shard")
 	}
-	shA, shB := router.ShardOf(userA), router.ShardOf(userB)
+	shA, shB := assign[userA], assign[userB]
 
-	parked, release := make(chan struct{}), make(chan struct{})
-	var once sync.Once
-	m, err := Open(bootWith(base), Config{
-		DataDir:      t.TempDir(),
-		Fsync:        wal.SyncNever,
-		BatchMaxSize: 1, // one user's ratings drain one batch at a time
-		Logf: func(format string, _ ...any) {
-			if strings.Contains(format, "retrying per update") {
-				once.Do(func() {
-					close(parked)
-					<-release
-				})
-			}
-		},
-	})
+	logf, parked, release := parkOnFallback()
+	m, err := Open(bootWith(base), Config{DataDir: t.TempDir(), Fsync: wal.SyncNever, Logf: logf})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
+	applied, _, err := m.Submit(core.RatingUpdate{User: userA, Item: 1, Value: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "first rating applied", func() bool { return m.AppliedSeq() >= applied })
+	if _, _, err := m.Submit(core.RatingUpdate{User: userA, Item: 2, Value: math.NaN()}); err != nil { // Apply refuses it: the loop parks in its fallback
+		t.Fatal(err)
+	}
+	<-parked
 	seqs, _, err := m.SubmitBatch([]core.RatingUpdate{
-		{User: userA, Item: 1, Value: 4},
-		{User: userA, Item: 2, Value: math.NaN()}, // Apply refuses it: the loop parks in its fallback
 		{User: userA, Item: 5, Value: 2},
 		{User: userB, Item: 3, Value: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-parked
 	if got := m.Pending(); got != 2 {
 		t.Fatalf("%d ratings queued with the loop parked, want 2", got)
 	}
@@ -85,21 +76,21 @@ func TestSnapshotRewritesExactlyTheDirtiedShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.Skipped || first.CoveredSeq != seqs[0] {
-		t.Fatalf("snapshot under load = %+v, want one written at seq %d", first, seqs[0])
+	if first.Skipped || first.CoveredSeq != applied {
+		t.Fatalf("snapshot under load = %+v, want one written at seq %d", first, applied)
 	}
 	atFirst := shardBlobs(t, m.Model())
 	man1, err := readManifest(first.Path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if man1.Shards[shA].Seq != seqs[0] || man1.Shards[shB].Seq == seqs[0] {
+	if man1.Shards[shA].Seq != applied || man1.Shards[shB].Seq == applied {
 		t.Fatalf("snapshot under load wrote shard A at seq %d and shard B at seq %d, want A (and not B) at %d",
-			man1.Shards[shA].Seq, man1.Shards[shB].Seq, seqs[0])
+			man1.Shards[shA].Seq, man1.Shards[shB].Seq, applied)
 	}
 
 	close(release)
-	waitUntil(t, "queue drained", func() bool { return m.AppliedSeq() >= seqs[3] })
+	waitUntil(t, "queue drained", func() bool { return m.AppliedSeq() >= seqs[1] })
 	second, err := m.Snapshot()
 	if err != nil {
 		t.Fatal(err)

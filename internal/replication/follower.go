@@ -305,9 +305,8 @@ func (f *Follower) publishLag() {
 	f.gLagWallMS.Set(float64(f.app.OldestQueuedAge().Milliseconds()))
 }
 
-// Sharded returns the follower's current serving model, with the
-// per-shard apply counters its own applies accumulated.
-func (f *Follower) Sharded() *core.ShardedModel { return f.app.Sharded() }
+// Model returns the follower's current serving model.
+func (f *Follower) Model() *core.Model { return f.app.Model() }
 
 // AppliedSeq returns the contiguous applied watermark.
 func (f *Follower) AppliedSeq() uint64 { return f.app.AppliedSeq() }

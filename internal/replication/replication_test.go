@@ -206,7 +206,7 @@ func TestFollowerBootstrapAndStreamParity(t *testing.T) {
 	defer f.Close()
 
 	waitUntil(t, "follower caught up", func() bool { return f.AppliedSeq() >= mgr.AppliedSeq() })
-	if got, want := mustFingerprint(t, f.Sharded().Model()), mustFingerprint(t, mgr.Model()); got != want {
+	if got, want := mustFingerprint(t, f.Model()), mustFingerprint(t, mgr.Model()); got != want {
 		t.Fatalf("post-bootstrap fingerprints differ:\n  follower %s\n  leader   %s", got, want)
 	}
 
@@ -215,7 +215,7 @@ func TestFollowerBootstrapAndStreamParity(t *testing.T) {
 	boots := f.Stats()["bootstraps"]
 	submitAndDrain(t, mgr, 5, 7)
 	waitUntil(t, "follower streamed the tail", func() bool { return f.AppliedSeq() >= mgr.AppliedSeq() })
-	if got, want := mustFingerprint(t, f.Sharded().Model()), mustFingerprint(t, mgr.Model()); got != want {
+	if got, want := mustFingerprint(t, f.Model()), mustFingerprint(t, mgr.Model()); got != want {
 		t.Fatalf("post-stream fingerprints differ:\n  follower %s\n  leader   %s", got, want)
 	}
 
@@ -228,12 +228,12 @@ func TestFollowerBootstrapAndStreamParity(t *testing.T) {
 	waitUntil(t, "leader retrained", func() bool { return !mgr.Retraining() && !mgr.Model().Stats().Incremental })
 	want := mustFingerprint(t, mgr.Model())
 	waitUntil(t, "follower folded the retrain", func() bool {
-		mod := f.Sharded().Model()
+		mod := f.Model()
 		return !mod.Stats().Incremental && mustFingerprint(t, mod) == want
 	})
 	submitAndDrain(t, mgr, 12, 6)
 	waitUntil(t, "follower streamed past the retrain", func() bool { return f.AppliedSeq() >= mgr.AppliedSeq() })
-	if got, want := mustFingerprint(t, f.Sharded().Model()), mustFingerprint(t, mgr.Model()); got != want {
+	if got, want := mustFingerprint(t, f.Model()), mustFingerprint(t, mgr.Model()); got != want {
 		t.Fatalf("post-retrain fingerprints differ:\n  follower %s\n  leader   %s", got, want)
 	}
 	if f.Stats()["bootstraps"] != boots {
@@ -287,7 +287,7 @@ func TestFollowerRebootstrapsOnUnfoldableRetrain(t *testing.T) {
 
 	submitAndDrain(t, mgr, 8, 3)
 	waitUntil(t, "follower streaming again", func() bool { return f.AppliedSeq() >= mgr.AppliedSeq() })
-	if got, want := mustFingerprint(t, f.Sharded().Model()), mustFingerprint(t, mgr.Model()); got != want {
+	if got, want := mustFingerprint(t, f.Model()), mustFingerprint(t, mgr.Model()); got != want {
 		t.Fatalf("fingerprints differ after the re-bootstrap:\n  follower %s\n  leader   %s", got, want)
 	}
 }
@@ -340,7 +340,7 @@ func TestFollowerRebootstrapsAfterPrune(t *testing.T) {
 	waitUntil(t, "follower re-bootstrapped past the gap", func() bool {
 		return f.Stats()["rebootstraps"].(int64) >= 1 && f.AppliedSeq() >= mgr.AppliedSeq()
 	})
-	if got, want := mustFingerprint(t, f.Sharded().Model()), mustFingerprint(t, mgr.Model()); got != want {
+	if got, want := mustFingerprint(t, f.Model()), mustFingerprint(t, mgr.Model()); got != want {
 		t.Fatalf("post-re-bootstrap fingerprints differ:\n  follower %s\n  leader   %s", got, want)
 	}
 	if !logged.named("log starts at", "re-bootstrapping") {

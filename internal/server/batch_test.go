@@ -100,8 +100,10 @@ func TestRateBatchQueued(t *testing.T) {
 
 // TestStatsAndMetricsShards: both introspection endpoints expose the
 // per-shard view — /stats for humans, /metrics for scrapers — in
-// standalone mode too.
+// standalone mode too: every user cluster's size, which between them
+// cover the model.
 func TestStatsAndMetricsShards(t *testing.T) {
+	_, stats := get(t, "/stats")
 	for _, ep := range []string{"/stats", "/metrics"} {
 		code, body := get(t, ep)
 		if code != http.StatusOK {
@@ -111,14 +113,17 @@ func TestStatsAndMetricsShards(t *testing.T) {
 		if !ok || len(shards) != 6 { // testSrv trains with Clusters = 6
 			t.Fatalf("%s shards = %v, want 6 entries", ep, body["shards"])
 		}
-		first := shards[0].(map[string]any)
-		for _, key := range []string{"id", "users", "ratings", "applies", "applied", "last_apply_ms"} {
-			if _, ok := first[key]; !ok {
-				t.Errorf("%s shard entry missing %s: %v", ep, key, first)
+		var users, ratings float64
+		for id, sh := range shards {
+			st := sh.(map[string]any)
+			if len(st) != 3 || st["id"] != float64(id) {
+				t.Fatalf("%s shard entry %d = %v, want exactly {id: %d, users, ratings}", ep, id, st, id)
 			}
+			users += st["users"].(float64)
+			ratings += st["ratings"].(float64)
 		}
-		if len(first) != 6 {
-			t.Errorf("%s shard entry carries keys beyond the six above: %v", ep, first)
+		if users != stats["users"] || ratings != stats["ratings"] {
+			t.Errorf("%s shards hold %v users and %v ratings, the model %v and %v", ep, users, ratings, stats["users"], stats["ratings"])
 		}
 	}
 	code, body := get(t, "/stats")

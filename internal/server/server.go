@@ -3,7 +3,7 @@
 // a serving setting: the expensive offline phase runs once, the cheap
 // online phase answers every request from the current model, and new
 // ratings stream in through the incremental-refresh extension
-// (ShardedModel.Apply) without downtime.
+// (Model.Apply) without downtime.
 //
 // Endpoints:
 //
@@ -130,8 +130,8 @@ func (o Options) withDefaults() Options {
 // the moment the model is actually servable.
 type Server struct {
 	// Exactly one of own, mgr and flw holds the model after activation
-	// (see sharded).
-	own     atomic.Pointer[core.ShardedModel]    // standalone: /rate applies to it under mu
+	// (see current).
+	own     atomic.Pointer[core.Model]           // standalone: /rate applies to it under mu
 	mu      sync.Mutex                           // serialises standalone /rate applies
 	mgr     atomic.Pointer[lifecycle.Manager]    // leader: the manager owns the model
 	flw     atomic.Pointer[replication.Follower] // read replica: the follower does
@@ -188,7 +188,7 @@ func (s *Server) Activate(model *core.Model, titles []string, mgr *lifecycle.Man
 	if mgr != nil {
 		s.mgr.Store(mgr)
 	} else {
-		s.own.Store(core.NewSharded(model))
+		s.own.Store(model)
 	}
 	s.titles.Store(&titles)
 	s.recordModelGauges(s.current())
@@ -202,26 +202,18 @@ func (s *Server) Ready() bool { return s.ready.Load() }
 // manager returns the lifecycle manager owning the model, or nil.
 func (s *Server) manager() *lifecycle.Manager { return s.mgr.Load() }
 
-// sharded returns the serving model from whichever role owns it: the
-// follower's replica, the manager's (both swap it on every micro-batch),
-// or the server's own pointer. It is nil until Activate.
-func (s *Server) sharded() *core.ShardedModel {
+// current returns the model to serve this request from, taken from
+// whichever role owns it: the follower's replica, the manager's (both
+// swap it on every micro-batch), or the server's own pointer. It is nil
+// until Activate.
+func (s *Server) current() *core.Model {
 	if f := s.follower(); f != nil {
-		return f.Sharded()
+		return f.Model()
 	}
 	if mgr := s.manager(); mgr != nil {
-		return mgr.Sharded()
+		return mgr.Model()
 	}
 	return s.own.Load()
-}
-
-// current returns the model to serve this request from, nil until
-// Activate.
-func (s *Server) current() *core.Model {
-	if sm := s.sharded(); sm != nil {
-		return sm.Model()
-	}
-	return nil
 }
 
 // itemTitles returns the display names installed by Activate, or nil.
@@ -400,7 +392,7 @@ type rateReq struct {
 // submission time, and the model growing before the apply only ever
 // widens what would have been accepted.
 //
-// Standalone, they are folded in synchronously by one ShardedModel.Apply
+// Standalone, they are folded in synchronously by one Model.Apply
 // — validation runs under the same lock as the apply, so a concurrent
 // swap can never change the model between the two — and the answer is
 // 200 {"status":"applied"}.
@@ -468,7 +460,7 @@ func (s *Server) handleRate(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cur := s.own.Load()
-	ups, err := s.validateRates(cur.Model(), reqs, array)
+	ups, err := s.validateRates(cur, reqs, array)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -479,9 +471,9 @@ func (s *Server) handleRate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.own.Store(next)
-	s.recordModelGauges(next.Model())
+	s.recordModelGauges(next)
 	s.reg.Counter("rate_applied_total").Add(int64(len(ups)))
-	m := next.Model().Matrix()
+	m := next.Matrix()
 	resp := map[string]any{
 		"status": "applied", "users": m.NumUsers(), "items": m.NumItems(), "ratings": m.NumRatings(),
 	}
@@ -547,21 +539,12 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, resp)
 }
 
-// shardStats returns the per-shard view of the serving model — sizes plus
-// the apply counters of whichever role owns it since its last retrain.
-func (s *Server) shardStats() []core.ShardStats {
-	if sm := s.sharded(); sm != nil {
-		return sm.ShardStats()
-	}
-	return nil
-}
-
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	mod := s.current()
 	m := mod.Matrix()
 	st := mod.Stats()
 	cfg := mod.Config()
-	shards := s.shardStats()
+	shards := mod.ShardStats()
 	resp := map[string]any{
 		"num_shards":    len(shards),
 		"shards":        shards,
@@ -624,7 +607,12 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 // manager. Unlike /stats it serves before Activate too — a scrape of a
 // warming server sees server_ready=0 and whatever boot has recorded.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	s.recordModelGauges(s.current())
+	mod := s.current()
+	s.recordModelGauges(mod)
+	var shards []core.ShardStats
+	if mod != nil {
+		shards = mod.ShardStats()
+	}
 	if mgr := s.manager(); mgr != nil {
 		mgr.PublishGauges()
 	}
@@ -636,7 +624,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		"ready":          s.ready.Load(),
 		"endpoints":      s.endpointsView(),
 		"registry":       s.reg.Snapshot(),
-		"shards":         s.shardStats(),
+		"shards":         shards,
 	})
 }
 

@@ -2,7 +2,7 @@
 // serving layer's incoming ratings. Every record is length-prefixed and
 // CRC32-guarded, segments rotate by size, and Open truncates a torn tail
 // (a record cut short by a crash mid-append) so recovery is clean. The
-// log stores four record kinds:
+// log stores three record kinds and decodes a fourth:
 //
 //   - RecordRating: one core.RatingUpdate, appended by /rate before the
 //     update is queued for application (write-ahead discipline);
@@ -11,12 +11,12 @@
 //     the batch covered — replay regroups ratings into exactly the
 //     batches the live process applied, which is what makes recovery
 //     bit-for-bit identical to the uninterrupted run;
-//   - RecordCheckpoint: written after a model snapshot lands on disk,
-//     recording the last rating sequence the snapshot covers — segments
-//     wholly below it can be pruned;
 //   - RecordRetrain: written before a retrain starts, recording the
 //     applied watermark it is taken at — replay (boot and followers
-//     alike) re-runs the offline phase on the matrix at that watermark.
+//     alike) re-runs the offline phase on the matrix at that watermark;
+//   - RecordCheckpoint: the snapshot watermark builds up to 5504ac4
+//     journaled after each snapshot. Nothing read it, so it is no longer
+//     written; logs that hold it still open and replay.
 //
 // The binary layout of one record frame is
 //
@@ -48,8 +48,8 @@ const (
 	// has been applied to the serving model, and that the ratings since
 	// the previous commit formed one application batch.
 	RecordBatchCommit Type = 2
-	// RecordCheckpoint marks that a snapshot covering every rating with
-	// sequence <= Covered is durable on disk.
+	// RecordCheckpoint marked that a snapshot covering every rating with
+	// sequence <= Covered was durable on disk. Only old logs hold it.
 	RecordCheckpoint Type = 3
 	// RecordRetrain marks that the model folding exactly the ratings with
 	// sequence <= Covered was replaced by a full offline retrain on its
@@ -68,11 +68,12 @@ type Record struct {
 	// Covered is the last rating sequence a commit or checkpoint spans, or
 	// the applied watermark a retrain is taken at; unused by RecordRating.
 	Covered uint64
-	// Shard is the model shard the record was routed to: the shard of
-	// Update.User for ratings, the shard a commit's batch was applied on
-	// for batch commits. Records written before sharding existed (32-byte
-	// rating / 8-byte commit payloads) decode with Shard = -1, which
-	// replay treats as "route by the recovered model's clustering".
+	// Shard is a routing field the frame keeps for old logs: builds up to
+	// 5504ac4 journaled the shard of Update.User with each rating, and
+	// builds before 390be92 the shard a commit's batch was applied on
+	// with each commit. -1 means "unsharded": what the lifecycle journals
+	// now, and what records written before sharding existed (32-byte
+	// rating / 8-byte commit payloads) decode with.
 	Shard int
 }
 

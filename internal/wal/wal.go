@@ -104,9 +104,6 @@ type OpenStats struct {
 	// LastSeq is the sequence of the final valid record (0 for an empty
 	// log).
 	LastSeq uint64
-	// LastCheckpoint is the highest Covered value among checkpoint
-	// records (0 when none exist).
-	LastCheckpoint uint64
 	// TornBytes counts bytes truncated off the final segment because a
 	// crash tore the last record; 0 for a clean log.
 	TornBytes int64
@@ -173,10 +170,10 @@ func Open(dir string, opts Options) (*WAL, error) {
 		return w, nil
 	}
 
-	// Scan every segment in order: count records, find the last sequence
-	// and latest checkpoint, and — on the final segment only — truncate a
-	// torn tail. Corruption anywhere before the tail is unrecoverable
-	// (replay order would be broken) and fails the open.
+	// Scan every segment in order: count records, find the last sequence,
+	// and — on the final segment only — truncate a torn tail. Corruption
+	// anywhere before the tail is unrecoverable (replay order would be
+	// broken) and fails the open.
 	for i, seg := range w.segments {
 		last := i == len(w.segments)-1
 		if err := w.scanSegment(seg, last); err != nil {
@@ -251,9 +248,6 @@ func (w *WAL) scanSegment(seg segment, final bool) error {
 		}
 		w.lastSeq = rec.Seq
 		w.stats.Records++
-		if rec.Type == RecordCheckpoint && rec.Covered > w.stats.LastCheckpoint {
-			w.stats.LastCheckpoint = rec.Covered
-		}
 		off += int64(n)
 	}
 	if final {
@@ -320,8 +314,8 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// Stats returns what Open found (segments, records, torn bytes, last
-// checkpoint). Segments reflects later rotations and prunes too.
+// Stats returns what Open found (segments, records, torn bytes).
+// Segments reflects later rotations and prunes too.
 func (w *WAL) Stats() OpenStats {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -387,16 +381,10 @@ func (w *WAL) AppendRatings(ups []core.RatingUpdate, shards []int) ([]uint64, er
 }
 
 // AppendBatchCommit records that every rating with sequence <= covered
-// is applied, closing the current replay batch. shard is the model shard
-// the batch was applied on (-1 for a monolithic or multi-shard apply).
+// is applied, closing the current replay batch. shard is -1; a shard id
+// is what builds before 390be92 wrote for a batch of one shard's ratings.
 func (w *WAL) AppendBatchCommit(covered uint64, shard int) (uint64, error) {
 	return w.append(Record{Type: RecordBatchCommit, Covered: covered, Shard: shard})
-}
-
-// AppendCheckpoint records that a durable snapshot covers every rating
-// with sequence <= covered.
-func (w *WAL) AppendCheckpoint(covered uint64) (uint64, error) {
-	return w.append(Record{Type: RecordCheckpoint, Covered: covered})
 }
 
 // AppendRetrain records a full retrain of the model at applied watermark atSeq.

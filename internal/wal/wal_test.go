@@ -30,8 +30,8 @@ func upd(i int) core.RatingUpdate {
 // rotates several times.
 func smallSeg() Options { return Options{SegmentBytes: 256} }
 
-// fillBatches appends n singleton batches (rating + commit) and a
-// checkpoint covering all of them, returning the last rating sequence.
+// fillBatches appends n singleton batches (rating + commit), returning
+// the last rating sequence.
 func fillBatches(t *testing.T, w *WAL, n int) uint64 {
 	t.Helper()
 	var last uint64
@@ -44,9 +44,6 @@ func fillBatches(t *testing.T, w *WAL, n int) uint64 {
 		if _, err := w.AppendBatchCommit(seq, i%3); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if _, err := w.AppendCheckpoint(last); err != nil {
-		t.Fatal(err)
 	}
 	return last
 }
@@ -75,16 +72,13 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	if _, err := w.AppendBatchCommit(3, 7); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.AppendCheckpoint(3); err != nil {
-		t.Fatal(err)
-	}
-	if seq, err := w.AppendRetrain(3); err != nil || seq != 6 {
-		t.Fatalf("AppendRetrain = seq %d, %v, want seq 6", seq, err)
+	if seq, err := w.AppendRetrain(3); err != nil || seq != 5 {
+		t.Fatalf("AppendRetrain = seq %d, %v, want seq 5", seq, err)
 	}
 
 	recs := collect(t, w, 0)
-	if len(recs) != 6 {
-		t.Fatalf("replayed %d records, want 6", len(recs))
+	if len(recs) != 5 {
+		t.Fatalf("replayed %d records, want 5", len(recs))
 	}
 	for i := 0; i < 3; i++ {
 		r := recs[i]
@@ -95,16 +89,12 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	if recs[3].Type != RecordBatchCommit || recs[3].Covered != 3 || recs[3].Shard != 7 {
 		t.Errorf("commit record = %+v", recs[3])
 	}
-	if recs[4].Type != RecordCheckpoint || recs[4].Covered != 3 {
-		t.Errorf("checkpoint record = %+v", recs[4])
+	if recs[4] != (Record{Type: RecordRetrain, Seq: 5, Covered: 3, Shard: -1}) {
+		t.Errorf("retrain record = %+v", recs[4])
 	}
 
-	if recs[5] != (Record{Type: RecordRetrain, Seq: 6, Covered: 3, Shard: -1}) {
-		t.Errorf("retrain record = %+v", recs[5])
-	}
-
-	if got := collect(t, w, 3); len(got) != 3 {
-		t.Errorf("replay after seq 3 yielded %d records, want 3", len(got))
+	if got := collect(t, w, 3); len(got) != 2 {
+		t.Errorf("replay after seq 3 yielded %d records, want 2", len(got))
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -369,8 +359,8 @@ func TestOpenRefusesCompactedBase(t *testing.T) {
 	}
 	w2 := mustOpen(t, dir, smallSeg())
 	defer w2.Close()
-	if got := len(collect(t, w2, 0)); got != 7 {
-		t.Fatalf("replayed %d records after the base was moved away, want 7", got)
+	if got := len(collect(t, w2, 0)); got != 6 {
+		t.Fatalf("replayed %d records after the base was moved away, want 6", got)
 	}
 }
 
@@ -495,7 +485,7 @@ func TestLegacyLogReplays(t *testing.T) {
 
 	w := mustOpen(t, dir, Options{})
 	st := w.Stats()
-	if st.Records != 4 || st.LastSeq != 4 || st.TornBytes != 0 || st.LastCheckpoint != 2 {
+	if st.Records != 4 || st.LastSeq != 4 || st.TornBytes != 0 {
 		t.Fatalf("legacy open stats = %+v", st)
 	}
 	recs := collect(t, w, 0)
