@@ -75,6 +75,12 @@ type Result struct {
 	K int
 
 	fit Fit
+	// overall[c] is centroid c's mean over the items it covers, the
+	// centring term of every user↔centroid distance Nearest,
+	// ReassignUsers and RefreshUsers measure. Run, ReassignUsers and
+	// RefreshUsers fill it; unexported, so gob leaves it off the wire and a
+	// decoded Result computes it on use (centroidMeans).
+	overall []float64
 }
 
 // Fit says how Run reached its Result. It is not persisted: a Result that
@@ -187,6 +193,7 @@ func Run(m *ratings.Matrix, opts Options) (*Result, error) {
 		res.Members[cl] = append(res.Members[cl], u)
 		res.Inertia += dist[u]
 	}
+	res.overall = res.centroidMeans()
 	return res, nil
 }
 

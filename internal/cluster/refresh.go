@@ -42,7 +42,7 @@ func (r *Result) RefreshUsers(m *ratings.Matrix, users []int) (*Result, map[int]
 			affected[0] = true
 		}
 	}
-	overall := r.overallMeans()
+	overall := r.centroidMeans()
 	for _, u := range users {
 		if u < 0 || u >= m.NumUsers() {
 			continue
@@ -88,6 +88,16 @@ func (r *Result) RefreshUsers(m *ratings.Matrix, users []int) (*Result, map[int]
 			if out.Count[c][i] > 0 {
 				out.Mean[c][i] /= float64(out.Count[c][i])
 			}
+		}
+	}
+	// An untouched cluster's Mean and Count are r's, zero-padded, and a
+	// zero count adds nothing to its overall mean: it carries forward.
+	out.overall = make([]float64, r.K)
+	for c := range out.overall {
+		if affected[c] {
+			out.overall[c] = out.centroidMean(c)
+		} else {
+			out.overall[c] = overall[c]
 		}
 	}
 	return out, affected

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -132,5 +133,63 @@ func TestRefreshUsersSharesUntouchedClusters(t *testing.T) {
 	}
 	if &got.Members[1][0] != &res.Members[1][0] {
 		t.Fatal("untouched cluster's member list was copied")
+	}
+}
+
+// TestCentroidMeansMemoIsExact: the overall centroid means a Result
+// carries forward — Run's, ReassignUsers', and RefreshUsers', whose
+// untouched clusters keep the previous Result's — are bit for bit the
+// ones recomputed from Mean and Count, across a chain of refreshes that
+// grows the matrix; a Result without the memo (as gob decodes one)
+// computes the same and places every user alike.
+func TestCentroidMeansMemoIsExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	users, items := 30, 20
+	m := randMatrix(rng, users, items, 260)
+	res, err := Run(m, Options{K: 5, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(r *Result, ctx string) {
+		t.Helper()
+		bare := &Result{K: r.K, Mean: r.Mean, Count: r.Count}
+		want := bare.centroidMeans()
+		if len(r.overall) != r.K {
+			t.Fatalf("%s: memo holds %d means for %d clusters", ctx, len(r.overall), r.K)
+		}
+		for c := range want {
+			if math.Float64bits(r.overall[c]) != math.Float64bits(want[c]) {
+				t.Fatalf("%s: cluster %d memo %v, recomputed %v", ctx, c, r.overall[c], want[c])
+			}
+		}
+	}
+	check(res, "Run")
+	for step := 0; step < 30; step++ {
+		if step%7 == 3 {
+			items++
+		}
+		b := ratings.NewBuilder(users, items).SetScale(1, 5)
+		for u := 0; u < users; u++ {
+			for _, e := range m.UserRatings(u) {
+				b.MustAdd(u, int(e.Index), e.Value)
+			}
+		}
+		var list []int
+		for k := 0; k < 1+rng.Intn(3); k++ {
+			u := rng.Intn(users)
+			b.MustAdd(u, rng.Intn(items), float64(rng.Intn(9)+1)/2)
+			list = append(list, u)
+		}
+		m = b.Build()
+		check(res.ReassignUsers(m, list), "ReassignUsers")
+		res, _ = res.RefreshUsers(m, list)
+		check(res, "RefreshUsers")
+	}
+	bare := *res
+	bare.overall = nil
+	for u := 0; u < users; u++ {
+		if a, b := res.Nearest(m, u), bare.Nearest(m, u); a != b {
+			t.Fatalf("user %d: nearest %d with the memo, %d without", u, a, b)
+		}
 	}
 }

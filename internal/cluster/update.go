@@ -11,7 +11,7 @@ import (
 // the incremental counterpart of a full K-means pass: new or changed
 // users are placed without moving anyone else.
 func (r *Result) Nearest(m *ratings.Matrix, u int) int {
-	overall := r.overallMeans()
+	overall := r.centroidMeans()
 	best, bestC := math.Inf(1), 0
 	for c := 0; c < r.K; c++ {
 		if d := r.pccDistance(m, u, c, overall[c]); d < best {
@@ -41,7 +41,7 @@ func (r *Result) ReassignUsers(m *ratings.Matrix, users []int) *Result {
 			out.Assign[u] = r.Assign[u]
 		}
 	}
-	overall := r.overallMeans()
+	overall := r.centroidMeans()
 	for _, u := range users {
 		if u < 0 || u >= m.NumUsers() {
 			continue
@@ -75,26 +75,38 @@ func (r *Result) ReassignUsers(m *ratings.Matrix, users []int) *Result {
 			}
 		}
 	}
+	out.overall = out.centroidMeans()
 	return out
 }
 
-// overallMeans computes each centroid's mean over its covered items.
-func (r *Result) overallMeans() []float64 {
+// centroidMeans returns each centroid's mean over its covered items: the
+// memo when r has one, computed otherwise. The slice is shared and must
+// not be modified.
+func (r *Result) centroidMeans() []float64 {
+	if len(r.overall) == r.K {
+		return r.overall
+	}
 	out := make([]float64, r.K)
-	for c := 0; c < r.K; c++ {
-		var sum float64
-		n := 0
-		for i, cnt := range r.Count[c] {
-			if cnt > 0 {
-				sum += r.Mean[c][i]
-				n++
-			}
-		}
-		if n > 0 {
-			out[c] = sum / float64(n)
-		}
+	for c := range out {
+		out[c] = r.centroidMean(c)
 	}
 	return out
+}
+
+// centroidMean is centroid c's mean over the items it covers.
+func (r *Result) centroidMean(c int) float64 {
+	var sum float64
+	n := 0
+	for i, cnt := range r.Count[c] {
+		if cnt > 0 {
+			sum += r.Mean[c][i]
+			n++
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	return sum / float64(n)
 }
 
 // pccDistance is 1 − PCC(user, centroid c), mirroring the K-means metric.

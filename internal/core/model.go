@@ -129,6 +129,12 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// blendsContent reports whether Train builds the GIS with item attributes
+// blended into its weights (similarity.BuildGISWithContent). Those weights
+// are not the Eq. 5 weights of the matrix, so snapshots of such a model
+// carry them instead of leaving them to be derived at load.
+func (c Config) blendsContent() bool { return c.ContentBlend > 0 && len(c.ItemFeatures) > 0 }
+
 // TrainStats reports what the offline phase built and how long each step
 // took. For a model produced by WithUpdates the durations measure the
 // incremental refresh, Incremental is true, and UpdatesApplied counts
@@ -230,7 +236,7 @@ func Train(m *ratings.Matrix, cfg Config) (*Model, error) {
 	mod := &Model{cfg: cfg, m: m}
 
 	t := time.Now()
-	if cfg.ContentBlend > 0 && len(cfg.ItemFeatures) > 0 {
+	if cfg.blendsContent() {
 		mod.gis = similarity.BuildGISWithContent(m, cfg.ItemFeatures, cfg.ContentBlend, gisOpts)
 	} else {
 		mod.gis = similarity.BuildGIS(m, gisOpts)

@@ -13,10 +13,11 @@ import (
 	"cfsf/internal/similarity"
 )
 
-// modelWire is the on-disk form of a trained model. It stores the
-// expensive offline artefacts (matrix, GIS, clustering) and rebuilds the
-// cheap ones (smoothing tables, iCluster rankings) at load time, which
-// keeps snapshots small and forward-compatible.
+// modelWire is the on-disk form of a trained model. It stores what cannot
+// be derived (the matrix, which neighbours each item's GIS list keeps, the
+// clustering) and rebuilds the rest at load time (the GIS weights,
+// smoothing tables, iCluster rankings), which keeps snapshots small and
+// forward-compatible.
 //
 //cfsf:wire modelWireVersion
 type modelWire struct {
@@ -27,22 +28,26 @@ type modelWire struct {
 	Clusters *cluster.Result
 }
 
-// modelWireVersion 3 stores the GIS raw (similarity.Snapshot's Lens, IDs,
-// Scores), the layout the shared blob's version 3 has; version 2 files
-// (the GIS as Lens, Index, Score) and version 1 files (per-item neighbour
-// lists, no timestamps) still load. Version 2 added the matrix's
-// timestamps.
-const modelWireVersion = 3
+// modelWireVersion 4 stores the GIS as the shared blob's version 4 does:
+// neighbour ids only, the weights derived from the matrix at load, unless
+// the GIS blends in item attributes. The shape did not change — the Scores
+// field is still there, only left empty — but the meaning did, so the
+// number moved: a version-3 build refuses such a file by its version
+// instead of as a GIS whose scores are missing. Version 3 files (ids and weights raw), version 2 files
+// (Lens, Index, Score) and version 1 files (per-item neighbour lists, no
+// timestamps) still load, with the weights they store. Version 2 added
+// the matrix's timestamps.
+const modelWireVersion = 4
 
 // Save serialises the model to w in gob format. The snapshot contains
-// the training matrix, the GIS and the clustering; Load rebuilds the
-// rest of the offline state.
+// the training matrix, the GIS neighbour lists and the clustering; Load
+// rebuilds the rest of the offline state.
 func (mod *Model) Save(w io.Writer) error {
 	wire := modelWire{
 		Version:  modelWireVersion,
 		Config:   mod.cfg,
 		Matrix:   mod.m,
-		GIS:      mod.gis.Snapshot(),
+		GIS:      mod.gisSnapshot(),
 		Clusters: mod.clusters,
 	}
 	if err := gob.NewEncoder(w).Encode(wire); err != nil {
@@ -60,9 +65,9 @@ func (mod *Model) SaveFile(path string) error {
 	})
 }
 
-// Load reconstructs a model saved with Save. Smoothing tables, iCluster
-// rankings and the neighbour cache are rebuilt, so the loaded model
-// predicts identically to the one that was saved.
+// Load reconstructs a model saved with Save. GIS weights, smoothing
+// tables, iCluster rankings and the neighbour cache are rebuilt, so the
+// loaded model predicts identically to the one that was saved.
 //
 //cfsf:wallclock-ok rebuild duration recorded in TrainStats only; no clock value reaches predictions or replayed state
 func Load(r io.Reader) (*Model, error) {
@@ -79,13 +84,11 @@ func Load(r io.Reader) (*Model, error) {
 	if wire.Matrix == nil || wire.Clusters == nil {
 		return nil, fmt.Errorf("cfsf: corrupt model snapshot: missing matrix or clustering")
 	}
-	gis, err := gisFromSnapshot(wire.GIS, wire.Matrix.NumItems())
+	start := time.Now()
+	mod, err := rebuildModel(wire.Config, wire.Matrix, wire.GIS, wire.Clusters)
 	if err != nil {
 		return nil, fmt.Errorf("cfsf: corrupt model snapshot: %w", err)
 	}
-
-	start := time.Now()
-	mod := rebuildModel(wire.Config, wire.Matrix, gis, wire.Clusters)
 	stampRebuildDuration(mod, start)
 	return mod, nil
 }

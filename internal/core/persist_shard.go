@@ -78,16 +78,22 @@ type shardWire struct {
 	Times           []int64 // empty when the matrix carries no timestamps
 }
 
-// sharedBlobVersion 3 stores the GIS raw (similarity.Snapshot's Lens,
-// IDs, Scores: ten bytes an entry on the ledger fixture); version 2 blobs
-// (Lens, Index, Score) and version 1 blobs (per-item neighbour lists)
-// still load. The number, not the shape, is what makes a build that only
-// knows an older version refuse a newer blob: gob drops fields it does
-// not know, so such a build would otherwise assemble an empty GIS without
-// a word. The shard blob's shape has not changed, and neither has its
-// version.
+// sharedBlobVersion 4 stores which neighbours each item's GIS list keeps
+// and nothing else of it (similarity.Snapshot's Lens and IDs: two bytes an
+// entry on the ledger fixture): AssembleModel derives every weight from
+// the assembled matrix. Only a GIS that blends in item attributes still
+// stores its weights in Scores. The shape is version 3's; its meaning
+// changed — Scores used to hold every weight, it is now empty and the
+// weights are derived — so the number changes, and a version-3 build
+// refuses a version-4 blob by it instead of as a GIS whose scores are
+// missing. Version 3 blobs (Lens, IDs, Scores
+// raw), version 2 blobs (Lens, Index, Score) and version 1 blobs
+// (per-item neighbour lists) still load, with the weights they store. The
+// number, not the shape, is also what makes an older build refuse a
+// newer blob whose shape did change: gob drops fields it does not know.
+// The shard blob's shape has not changed, and neither has its version.
 const (
-	sharedBlobVersion = 3
+	sharedBlobVersion = 4
 	shardBlobVersion  = 1
 )
 
@@ -142,7 +148,7 @@ func (mod *Model) SaveSharedBlob(w io.Writer) error {
 		MinRating: mod.m.MinRating(),
 		MaxRating: mod.m.MaxRating(),
 		HasTimes:  mod.m.HasTimes(),
-		GIS:       mod.gis.Snapshot(),
+		GIS:       mod.gisSnapshot(),
 		Clusters:  mod.clusters,
 	}
 	var buf bytes.Buffer
@@ -186,7 +192,9 @@ func (mod *Model) SaveShardBlob(w io.Writer, shard int) error {
 	return writeBlob(w, blobKindShard, buf.Bytes())
 }
 
-// SharedPart is a decoded shared blob.
+// SharedPart is a decoded shared blob. Its GIS is still the snapshot: the
+// weights a version-4 blob leaves out are derived once the matrix exists
+// (AssembleModel).
 type SharedPart struct {
 	Config    Config
 	NumUsers  int
@@ -194,7 +202,7 @@ type SharedPart struct {
 	MinRating float64
 	MaxRating float64
 	HasTimes  bool
-	GIS       *similarity.GIS
+	GIS       similarity.Snapshot
 	Clusters  *cluster.Result
 }
 
@@ -228,9 +236,10 @@ func LoadSharedPart(r io.Reader) (*SharedPart, error) {
 		return nil, fmt.Errorf("cfsf: corrupt shared blob: %d assignments for %d users",
 			len(wire.Clusters.Assign), wire.NumUsers)
 	}
-	gis, err := gisFromSnapshot(wire.GIS, wire.NumItems)
-	if err != nil {
+	if n, err := wire.GIS.Check(); err != nil {
 		return nil, fmt.Errorf("cfsf: corrupt shared blob: %w", err)
+	} else if n != wire.NumItems {
+		return nil, fmt.Errorf("cfsf: corrupt shared blob: GIS covers %d items, model has %d", n, wire.NumItems)
 	}
 	return &SharedPart{
 		Config:    wire.Config,
@@ -239,7 +248,7 @@ func LoadSharedPart(r io.Reader) (*SharedPart, error) {
 		MinRating: wire.MinRating,
 		MaxRating: wire.MaxRating,
 		HasTimes:  wire.HasTimes,
-		GIS:       gis,
+		GIS:       wire.GIS,
 		Clusters:  wire.Clusters,
 	}, nil
 }
@@ -320,8 +329,9 @@ func LoadShardPart(r io.Reader) (*ShardPart, error) {
 // per-user rows (rows[u] is user u's sorted rating list; times aligns
 // with it and must be non-nil exactly when the shared part records
 // timestamps). The rebuild is the same Builder row-major pass the
-// monolithic snapshot load performs, so the assembled model predicts
-// bit-for-bit like the saved one.
+// monolithic snapshot load performs, and derives the GIS weights from
+// the matrix it builds, so the assembled model predicts bit-for-bit like
+// the saved one.
 //
 //cfsf:wallclock-ok rebuild duration recorded in TrainStats only; no clock value reaches predictions or replayed state
 func AssembleModel(shared *SharedPart, rows [][]ratings.Entry, times [][]int64) (*Model, error) {
@@ -348,7 +358,10 @@ func AssembleModel(shared *SharedPart, rows [][]ratings.Entry, times [][]int64) 
 		}
 	}
 	start := time.Now()
-	mod := rebuildModel(shared.Config, b.Build(), shared.GIS, shared.Clusters)
+	mod, err := rebuildModel(shared.Config, b.Build(), shared.GIS, shared.Clusters)
+	if err != nil {
+		return nil, fmt.Errorf("cfsf: corrupt shared blob: %w", err)
+	}
 	stampRebuildDuration(mod, start)
 	return mod, nil
 }
@@ -362,29 +375,33 @@ func stampRebuildDuration(mod *Model, start time.Time) {
 	mod.stats.TotalDuration = time.Since(start)
 }
 
-// gisFromSnapshot builds the GIS a loaded model serves from and demands
-// it cover exactly the model's items: Predict indexes it by item id.
-func gisFromSnapshot(snap similarity.Snapshot, numItems int) (*similarity.GIS, error) {
-	gis, err := similarity.FromSnapshot(snap)
+// gisSnapshot is the GIS as a blob stores it: the neighbour lists alone,
+// unless the weights blend in item attributes and no matrix reproduces
+// them.
+func (mod *Model) gisSnapshot() similarity.Snapshot {
+	return mod.gis.Snapshot(mod.cfg.blendsContent())
+}
+
+// rebuildModel reconstructs the derived offline state (GIS weights,
+// smoothing tables, iCluster rankings, caches) around persisted
+// artefacts, exactly as Load does for a monolithic snapshot. It refuses a
+// GIS snapshot that does not cover m's items (Predict indexes the GIS by
+// item id) or does not derive on m (similarity.FromSnapshot).
+//
+//cfsf:wallclock-ok GIS derivation duration recorded in TrainStats only; no clock value reaches predictions or replayed state
+func rebuildModel(cfg Config, m *ratings.Matrix, snap similarity.Snapshot, clusters *cluster.Result) (*Model, error) {
+	t := time.Now()
+	gis, err := similarity.FromSnapshot(snap, m)
 	if err != nil {
 		return nil, err
 	}
-	if gis.NumItems() != numItems {
-		return nil, fmt.Errorf("GIS covers %d items, model has %d", gis.NumItems(), numItems)
-	}
-	return gis, nil
-}
-
-// rebuildModel reconstructs the derived offline state (smoothing tables,
-// iCluster rankings, caches) around persisted artefacts, exactly as Load
-// does for a monolithic snapshot.
-func rebuildModel(cfg Config, m *ratings.Matrix, gis *similarity.GIS, clusters *cluster.Result) *Model {
 	mod := &Model{
 		cfg:      cfg,
 		m:        m,
 		gis:      gis,
 		clusters: clusters,
 	}
+	mod.stats.GISDuration = time.Since(t)
 	mod.sm = smoothing.New(mod.m, mod.clusters)
 	mod.ic = smoothing.BuildICluster(mod.sm, mod.cfg.Workers)
 	mod.neighborCache = make([]atomic.Pointer[[]likeMinded], mod.m.NumUsers())
@@ -392,7 +409,7 @@ func rebuildModel(cfg Config, m *ratings.Matrix, gis *similarity.GIS, clusters *
 	mod.buildTopM(nil)
 	mod.stats.GISNeighbors = mod.gis.TotalNeighbors()
 	mod.stats.ClusterIters = clusters.Iterations
-	return mod
+	return mod, nil
 }
 
 // ChangedShards returns, ascending, the shards whose blob written from

@@ -47,15 +47,17 @@ func requireSameRecommendations(t *testing.T, want, got *Model, ctx string) {
 	}
 }
 
-// TestOlderBlobsLoadAndResaveAsVersion3: the testdata blobs really are
+// TestOlderBlobsLoadAndResaveAsVersion4: the testdata blobs really are
 // the versions they are named for — tau0.* version 1 (per-item neighbour
-// lists), v2.* version 2 (Lens, Index, Score), written by 246d90a from
-// refusalFixture — and carry that layout alone; they load; what they load
-// to re-saves as version 3 (Lens, IDs, Scores and nothing else); and the
-// models loaded from each, the ones loaded from their re-saves and the
-// model trained live hold the same GIS entry for entry and answer every
-// Predict and Recommend the same, the grid hashing to tau0Grid.
-func TestOlderBlobsLoadAndResaveAsVersion3(t *testing.T) {
+// lists), v2.* version 2 (Lens, Index, Score), written by 246d90a, and
+// v3.* version 3 (Lens, IDs, Scores raw), written by fd1273f, all from
+// refusalFixture — and carry that layout alone; they load with the
+// weights they store; what they load to re-saves as version 4 (Lens and
+// IDs, no Scores: the weights are derived at load); and the models loaded
+// from each, the ones loaded from their re-saves and the model trained
+// live hold the same GIS entry for entry and answer every Predict and
+// Recommend the same, the grid hashing to tau0Grid.
+func TestOlderBlobsLoadAndResaveAsVersion4(t *testing.T) {
 	m, cfg := refusalFixture(t)
 	live, err := Train(m, cfg)
 	if err != nil {
@@ -66,11 +68,11 @@ func TestOlderBlobsLoadAndResaveAsVersion3(t *testing.T) {
 		if version != wantVersion {
 			t.Fatalf("%s: wire version %d, want %d", ctx, version, wantVersion)
 		}
-		raw := len(snap.Lens) > 0 && len(snap.IDs) > 0 && len(snap.Scores) > 0
+		ids, scores := len(snap.Lens) > 0 && len(snap.IDs) > 0, len(snap.Scores) > 0
 		flat := len(snap.Index) > 0 || len(snap.Score) > 0
 		perItem := len(snap.Neighbors) > 0
-		if raw != (wantVersion == 3) || flat != (wantVersion == 2) || perItem != (wantVersion == 1) {
-			t.Fatalf("%s: version %d carries raw=%v flat=%v per-item=%v", ctx, version, raw, flat, perItem)
+		if ids != (wantVersion >= 3) || scores != (wantVersion == 3) || flat != (wantVersion == 2) || perItem != (wantVersion == 1) {
+			t.Fatalf("%s: version %d carries ids=%v scores=%v flat=%v per-item=%v", ctx, version, ids, scores, flat, perItem)
 		}
 	}
 	compare := func(ctx string, got *Model) {
@@ -85,7 +87,7 @@ func TestOlderBlobsLoadAndResaveAsVersion3(t *testing.T) {
 	fixtures := []struct {
 		name    string
 		version int
-	}{{"tau0", 1}, {"v2", 2}}
+	}{{"tau0", 1}, {"v2", 2}, {"v3", 3}}
 
 	t.Run("model", func(t *testing.T) {
 		for _, fx := range fixtures {
@@ -112,12 +114,12 @@ func TestOlderBlobsLoadAndResaveAsVersion3(t *testing.T) {
 			if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&wire); err != nil {
 				t.Fatal(err)
 			}
-			wantLayout(fx.name+" re-saved", wire.Version, 3, wire.GIS)
+			wantLayout(fx.name+" re-saved", wire.Version, 4, wire.GIS)
 			resaved, err := Load(&buf)
 			if err != nil {
 				t.Fatal(err)
 			}
-			compare(fmt.Sprintf("loaded from the version-3 re-save of version %d", fx.version), resaved)
+			compare(fmt.Sprintf("loaded from the version-4 re-save of version %d", fx.version), resaved)
 		}
 	})
 
@@ -164,8 +166,8 @@ func TestOlderBlobsLoadAndResaveAsVersion3(t *testing.T) {
 				t.Fatal(err)
 			}
 			wire := decode(buf.Bytes())
-			wantLayout(fx.name+" re-saved", wire.Version, 3, wire.GIS)
-			compare(fmt.Sprintf("assembled from the version-3 re-save of version %d", fx.version), assemble(buf.Bytes()))
+			wantLayout(fx.name+" re-saved", wire.Version, 4, wire.GIS)
+			compare(fmt.Sprintf("assembled from the version-4 re-save of version %d", fx.version), assemble(buf.Bytes()))
 		}
 	})
 }
@@ -175,7 +177,7 @@ func TestOlderBlobsLoadAndResaveAsVersion3(t *testing.T) {
 func sharedWireOf(mod *Model) sharedWire {
 	return sharedWire{Version: sharedBlobVersion, Config: mod.cfg, NumUsers: mod.m.NumUsers(), NumItems: mod.m.NumItems(),
 		MinRating: mod.m.MinRating(), MaxRating: mod.m.MaxRating(), HasTimes: mod.m.HasTimes(),
-		GIS: mod.gis.Snapshot(), Clusters: mod.clusters}
+		GIS: mod.gisSnapshot(), Clusters: mod.clusters}
 }
 
 func sharedBlobOf(t *testing.T, wire sharedWire) *bytes.Buffer {
@@ -192,25 +194,25 @@ func sharedBlobOf(t *testing.T, wire sharedWire) *bytes.Buffer {
 
 // TestFutureWireVersionsAreRefused: a blob one version ahead of this
 // build is refused by its number, whatever it holds — the rule a
-// version-2 build applies to the version-3 blobs this one writes.
+// version-3 build applies to the version-4 blobs this one writes.
 func TestFutureWireVersionsAreRefused(t *testing.T) {
-	if sharedBlobVersion != 3 || modelWireVersion != 3 {
-		t.Fatalf("this build writes shared blob version %d and model version %d; the tests here pin 3", sharedBlobVersion, modelWireVersion)
+	if sharedBlobVersion != 4 || modelWireVersion != 4 {
+		t.Fatalf("this build writes shared blob version %d and model version %d; the tests here pin 4", sharedBlobVersion, modelWireVersion)
 	}
 	mod, _ := trainSmall(t)
 	var buf bytes.Buffer
-	model := modelWire{Version: modelWireVersion + 1, Config: mod.cfg, Matrix: mod.m, GIS: mod.gis.Snapshot(), Clusters: mod.clusters}
+	model := modelWire{Version: modelWireVersion + 1, Config: mod.cfg, Matrix: mod.m, GIS: mod.gisSnapshot(), Clusters: mod.clusters}
 	if err := gob.NewEncoder(&buf).Encode(model); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(&buf); err == nil || !strings.Contains(err.Error(), "version 4") {
-		t.Errorf("Load: err = %v, want a refusal naming version 4", err)
+	if _, err := Load(&buf); err == nil || !strings.Contains(err.Error(), "version 5") {
+		t.Errorf("Load: err = %v, want a refusal naming version 5", err)
 	}
 
 	shared := sharedWireOf(mod)
 	shared.Version = sharedBlobVersion + 1
-	if _, err := LoadSharedPart(sharedBlobOf(t, shared)); err == nil || !strings.Contains(err.Error(), "version 4") {
-		t.Errorf("LoadSharedPart: err = %v, want a refusal naming version 4", err)
+	if _, err := LoadSharedPart(sharedBlobOf(t, shared)); err == nil || !strings.Contains(err.Error(), "version 5") {
+		t.Errorf("LoadSharedPart: err = %v, want a refusal naming version 5", err)
 	}
 }
 
@@ -228,8 +230,9 @@ func TestSharedBlobGISMustCoverTheItems(t *testing.T) {
 	}{
 		{"one item short", func(s *similarity.Snapshot) {
 			last := len(s.Lens) - 1
-			n := len(s.Scores)/8 - int(s.Lens[last])
-			s.Lens, s.IDs, s.Scores = s.Lens[:last], s.IDs[:n*similarity.IDWidth(last)], s.Scores[:n*8]
+			w := similarity.IDWidth(len(s.Lens))
+			n := len(s.IDs)/w - int(s.Lens[last])
+			s.Lens, s.IDs = s.Lens[:last], s.IDs[:n*similarity.IDWidth(last)]
 		}},
 		{"no GIS at all", func(s *similarity.Snapshot) { *s = similarity.Snapshot{Opts: s.Opts} }},
 		{"lengths beyond the entries", func(s *similarity.Snapshot) { s.Lens[0]++ }},

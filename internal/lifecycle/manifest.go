@@ -32,6 +32,7 @@ import (
 
 	"cfsf/internal/core"
 	"cfsf/internal/ratings"
+	"cfsf/internal/similarity"
 )
 
 const (
@@ -303,12 +304,14 @@ func uniqueBlobName(dir, base string) string {
 
 // compareSharedToLive holds a decoded shared blob against the model it
 // was written from, value by value: the configuration, the dimensions,
-// every GIS list entry and every field of the clustering. Slices compare
-// by length and content, because gob does not tell a nil slice from an
-// empty one; floats compare by their bits. Nothing on the live side has
-// been through the encoder, so a fault in the encoder and its mirror
-// image in the decoder cannot cancel each other out. The error names the
-// part that diverges.
+// the GIS a boot from this blob would serve — its neighbour ids, with the
+// weights it leaves out derived on the live matrix, the way AssembleModel
+// derives them on the assembled one — entry by entry, and every field of
+// the clustering. Slices compare by length and content, because gob does
+// not tell a nil slice from an empty one; floats compare by their bits.
+// Nothing on the live side has been through the encoder, so a fault in
+// the encoder and its mirror image in the decoder cannot cancel each
+// other out. The error names the part that diverges.
 func compareSharedToLive(sp *core.SharedPart, live *core.Model) error {
 	if field := diffConfig(sp.Config, live.Config()); field != "" {
 		return fmt.Errorf("config field %s diverges from the serving model", field)
@@ -325,14 +328,15 @@ func compareSharedToLive(sp *core.SharedPart, live *core.Model) error {
 	}
 
 	gis := live.GIS()
-	if sp.GIS.Options() != gis.Options() {
-		return fmt.Errorf("GIS options reload as %+v, model has %+v", sp.GIS.Options(), gis.Options())
+	if sp.GIS.Opts != gis.Options() {
+		return fmt.Errorf("GIS options reload as %+v, model has %+v", sp.GIS.Opts, gis.Options())
 	}
-	if sp.GIS.NumItems() != gis.NumItems() {
-		return fmt.Errorf("GIS reloads with %d items, model has %d", sp.GIS.NumItems(), gis.NumItems())
+	loaded, err := similarity.FromSnapshot(sp.GIS, mx)
+	if err != nil {
+		return fmt.Errorf("GIS does not reload on the serving matrix: %w", err)
 	}
 	for i := 0; i < gis.NumItems(); i++ {
-		got, want := sp.GIS.Neighbors(i), gis.Neighbors(i)
+		got, want := loaded.Neighbors(i), gis.Neighbors(i)
 		if len(got) != len(want) {
 			return fmt.Errorf("GIS list of item %d reloads with %d entries, model has %d", i, len(got), len(want))
 		}
@@ -401,6 +405,19 @@ func diffConfig(got, want core.Config) string {
 	return ""
 }
 
+// verifySharedBlob is verifyWrittenParts' check of the shared blob name:
+// read back from disk and held against live by compareSharedToLive.
+func verifySharedBlob(dir, name string, live *core.Model) error {
+	sp, err := dirBlobs(dir).shared(name)
+	if err == nil {
+		err = compareSharedToLive(sp, live)
+	}
+	if err != nil {
+		return fmt.Errorf("shared blob %s: %w", name, err)
+	}
+	return nil
+}
+
 // verifyWrittenParts loads every blob this snapshot wrote back from disk
 // (magic, kind, length, CRC, decoder) and demands it reproduce the live
 // model bit-for-bit: the shared part must equal the model's own config,
@@ -409,16 +426,12 @@ func diffConfig(got, want core.Config) string {
 // Clean shards are not re-verified — their blobs passed this check when
 // the manifest that first wrote them ran it.
 func verifyWrittenParts(dir string, man *manifest, written map[int]bool, sharedWritten bool, live *core.Model) error {
-	blobs := dirBlobs(dir)
 	if sharedWritten {
-		sp, err := blobs.shared(man.Shared.File)
-		if err != nil {
-			return fmt.Errorf("shared blob %s: %w", man.Shared.File, err)
-		}
-		if err := compareSharedToLive(sp, live); err != nil {
-			return fmt.Errorf("shared blob %s: %w", man.Shared.File, err)
+		if err := verifySharedBlob(dir, man.Shared.File, live); err != nil {
+			return err
 		}
 	}
+	blobs := dirBlobs(dir)
 	mx := live.Matrix()
 	hasTimes := mx.HasTimes()
 	for _, ref := range man.Shards {

@@ -1,6 +1,7 @@
 package lifecycle
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -239,4 +240,56 @@ func BenchmarkBootLedger(b *testing.B) {
 	}
 	b.ReportMetric(snapMS/float64(b.N), "snapshot-ms")
 	b.ReportMetric(float64(snap.Bytes), "snapshot-bytes")
+}
+
+// BenchmarkLoadLedger is what a boot, or a follower's bootstrap, pays to
+// turn the ledger fixture's first-boot snapshot back into a model: the
+// shared blob and the thirty shard blobs decoded from memory and
+// assembled (assembleManifest: LoadSharedPart, LoadShardPart,
+// AssembleModel), every GIS weight derived from the assembled matrix on
+// the way. derive-ms is the derivation's share of ns/op, the loaded
+// model's TrainStats.GISDuration.
+func BenchmarkLoadLedger(b *testing.B) {
+	d := synth.MustGenerate(synth.DefaultConfig())
+	mod, err := core.Train(d.Matrix, core.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	m, err := Open(bootWith(mod), Config{DataDir: dir, Fsync: wal.SyncNever})
+	if err != nil {
+		b.Fatal(err)
+	}
+	m.snapMu.Lock()
+	man := m.lastManifest
+	m.snapMu.Unlock()
+	m.Abort()
+	blobs := map[string][]byte{}
+	for _, name := range append([]string{man.Shared.File}, shardFiles(man)...) {
+		data, err := os.ReadFile(filepath.Join(snapshotDir(dir), name))
+		if err != nil {
+			b.Fatal(err)
+		}
+		blobs[name] = data
+	}
+	open := func(name string) (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(blobs[name])), nil }
+	var deriveMS float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got, _, err := assembleManifest(man, open, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		deriveMS += got.Stats().GISDuration.Seconds() * 1000
+	}
+	b.ReportMetric(deriveMS/float64(b.N), "derive-ms")
+}
+
+func shardFiles(man *manifest) []string {
+	out := make([]string, len(man.Shards))
+	for i, ref := range man.Shards {
+		out[i] = ref.File
+	}
+	return out
 }

@@ -2,9 +2,11 @@ package lifecycle
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -108,34 +110,50 @@ func TestSelfCheckCatchesEverySingleFlip(t *testing.T) {
 		})
 	}
 
-	// fromSnapshot replaces the decoded part's GIS with the one snap
-	// decodes to.
-	fromSnapshot := func(t *testing.T, sp *core.SharedPart, snap similarity.Snapshot) {
+	// relist replaces the decoded part's GIS with the base model's
+	// neighbour ids, edited, in the layout version-4 blobs carry: ids
+	// alone, every weight derived on the serving matrix.
+	relist := func(t *testing.T, sp *core.SharedPart, edit func(lists [][]int32) [][]int32) {
 		t.Helper()
-		gis, err := similarity.FromSnapshot(snap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sp.GIS = gis
-	}
-	// regis rewrites the decoded part's GIS through the version-2 layout,
-	// one int32 and one float64 per entry, for the flips that change the
-	// lists' shape rather than one entry.
-	regis := func(t *testing.T, sp *core.SharedPart, mutate func(*similarity.Snapshot)) {
-		t.Helper()
-		snap := similarity.Snapshot{Lens: make([]int32, sp.GIS.NumItems()), Opts: sp.GIS.Options()}
-		for i := range snap.Lens {
-			snap.Lens[i] = int32(len(sp.GIS.Neighbors(i)))
-			for _, n := range sp.GIS.Neighbors(i) {
-				snap.Index, snap.Score = append(snap.Index, n.Index), append(snap.Score, n.Score)
+		lists := make([][]int32, base.GIS().NumItems())
+		for i := range lists {
+			for _, n := range base.GIS().Neighbors(i) {
+				lists[i] = append(lists[i], n.Index)
 			}
 		}
-		mutate(&snap)
-		fromSnapshot(t, sp, snap)
+		lists = edit(lists)
+		snap := similarity.Snapshot{Lens: make([]int32, len(lists)), Opts: sp.GIS.Opts}
+		for i, l := range lists {
+			snap.Lens[i] = int32(len(l))
+			for _, id := range l {
+				snap.IDs = binary.LittleEndian.AppendUint16(snap.IDs, uint16(id))
+			}
+		}
+		sp.GIS = snap
 	}
-	// rawEntry is the position, in the version-3 layout the blob carries,
-	// of item i's first neighbour whose id keeps within the catalogue with
-	// its lowest bit flipped.
+	// withScores replaces the decoded part's GIS with the base model's,
+	// weights carried — raw (version 3's layout and a blended model's) or
+	// flat (version 2's) — one weight's lowest bit flipped.
+	withScores := func(t *testing.T, sp *core.SharedPart, flat bool, entry int) {
+		t.Helper()
+		snap := base.GIS().Snapshot(true)
+		if !flat {
+			snap.Scores[8*entry] ^= 1
+			sp.GIS = snap
+			return
+		}
+		v2 := similarity.Snapshot{Lens: snap.Lens, Opts: snap.Opts}
+		for i := 0; i < base.GIS().NumItems(); i++ {
+			for _, n := range base.GIS().Neighbors(i) {
+				v2.Index, v2.Score = append(v2.Index, n.Index), append(v2.Score, n.Score)
+			}
+		}
+		v2.Score[entry] = math.Float64frombits(math.Float64bits(v2.Score[entry]) ^ 1)
+		sp.GIS = v2
+	}
+	// rawEntry is the position, in the flat entry order blobs carry, of
+	// item i's first neighbour whose id keeps within the catalogue with its
+	// lowest bit flipped.
 	rawEntry := func(t *testing.T, g *similarity.GIS, i int) int {
 		t.Helper()
 		at := 0
@@ -178,48 +196,37 @@ func TestSelfCheckCatchesEverySingleFlip(t *testing.T) {
 		part   string // what the error must name
 		mutate func(t *testing.T, sp *core.SharedPart)
 	}
+	last := base.GIS().NumItems() - 1
 	flips := []flip{
-		{"one Index", "GIS list of item", func(t *testing.T, sp *core.SharedPart) { sp.GIS.Neighbors(full)[0].Index++ }},
-		{"one bit of one Score", "GIS list of item", func(t *testing.T, sp *core.SharedPart) {
-			n := &sp.GIS.Neighbors(full)[0]
-			n.Score = math.Float64frombits(math.Float64bits(n.Score) ^ 1)
+		{"one Index", fmt.Sprintf("item %d ", full), func(t *testing.T, sp *core.SharedPart) {
+			relist(t, sp, func(l [][]int32) [][]int32 { l[full][0] = (l[full][0] + 1) % int32(len(l)); return l })
 		}},
-		{"one byte of IDs", "GIS list of item", func(t *testing.T, sp *core.SharedPart) {
-			snap := sp.GIS.Snapshot()
-			snap.IDs[rawEntry(t, sp.GIS, full)*similarity.IDWidth(len(snap.Lens))] ^= 1
-			fromSnapshot(t, sp, snap)
+		{"one bit of one Score", "GIS list of item", func(t *testing.T, sp *core.SharedPart) {
+			withScores(t, sp, true, rawEntry(t, base.GIS(), full))
+		}},
+		{"one byte of IDs", fmt.Sprintf("item %d ", full), func(t *testing.T, sp *core.SharedPart) {
+			sp.GIS.IDs = slices.Clone(sp.GIS.IDs)
+			sp.GIS.IDs[rawEntry(t, base.GIS(), full)*similarity.IDWidth(len(sp.GIS.Lens))] ^= 1
 		}},
 		{"one bit of Scores", "GIS list of item", func(t *testing.T, sp *core.SharedPart) {
-			snap := sp.GIS.Snapshot()
-			snap.Scores[rawEntry(t, sp.GIS, full)*8] ^= 1
-			fromSnapshot(t, sp, snap)
+			withScores(t, sp, false, rawEntry(t, base.GIS(), full))
 		}},
-		{"one Lens", "GIS list of item", func(t *testing.T, sp *core.SharedPart) {
-			regis(t, sp, func(s *similarity.Snapshot) { s.Lens[full]++; s.Lens[full+1]-- })
-		}},
-		{"an entry in an empty list", fmt.Sprintf("GIS list of item %d ", emptyList), func(t *testing.T, sp *core.SharedPart) {
-			regis(t, sp, func(s *similarity.Snapshot) {
-				at := 0
-				for _, n := range s.Lens[:emptyList] {
-					at += int(n)
-				}
-				s.Lens[emptyList] = 1
-				s.Index = append(s.Index[:at:at], append([]int32{0}, s.Index[at:]...)...)
-				s.Score = append(s.Score[:at:at], append([]float64{.5}, s.Score[at:]...)...)
+		{"one Lens", fmt.Sprintf("item %d ", full), func(t *testing.T, sp *core.SharedPart) {
+			relist(t, sp, func(l [][]int32) [][]int32 {
+				l[full], l[full+1] = append(l[full], l[full+1][0]), l[full+1][1:]
+				return l
 			})
 		}},
-		{"a trailing entry", "GIS list of item", func(t *testing.T, sp *core.SharedPart) {
-			regis(t, sp, func(s *similarity.Snapshot) {
-				s.Lens[len(s.Lens)-1]++
-				s.Index, s.Score = append(s.Index, 0), append(s.Score, .25)
-			})
+		{"an entry in an empty list", fmt.Sprintf("item %d ", emptyList), func(t *testing.T, sp *core.SharedPart) {
+			relist(t, sp, func(l [][]int32) [][]int32 { l[emptyList] = []int32{0}; return l })
 		}},
-		{"a trailing item", "GIS reloads with", func(t *testing.T, sp *core.SharedPart) {
-			regis(t, sp, func(s *similarity.Snapshot) { s.Lens = append(s.Lens, 0) })
+		{"a trailing entry", fmt.Sprintf("item %d ", last), func(t *testing.T, sp *core.SharedPart) {
+			relist(t, sp, func(l [][]int32) [][]int32 { l[last] = append(l[last], 0); return l })
 		}},
-		{"Opts.TopN", "GIS options", func(t *testing.T, sp *core.SharedPart) {
-			regis(t, sp, func(s *similarity.Snapshot) { s.Opts.TopN++ })
+		{"a trailing item", "GIS does not reload on the serving matrix", func(t *testing.T, sp *core.SharedPart) {
+			relist(t, sp, func(l [][]int32) [][]int32 { return append(l, nil) })
 		}},
+		{"Opts.TopN", "GIS options", func(t *testing.T, sp *core.SharedPart) { sp.GIS.Opts.TopN++ }},
 		{"one Assign", "clustering Assign", func(t *testing.T, sp *core.SharedPart) { sp.Clusters.Assign[3] ^= 1 }},
 		{"one Members entry", "clustering Members", func(t *testing.T, sp *core.SharedPart) { sp.Clusters.Members[0][0]++ }},
 		{"one Members list emptied", "clustering Members", func(t *testing.T, sp *core.SharedPart) { sp.Clusters.Members[1] = nil }},

@@ -101,7 +101,13 @@ func (m *Manager) Snapshot() (SnapshotInfo, error) {
 	}
 	var written []string // blob files this snapshot created, for cleanup on failure
 	var bytesWritten int64
+	// sharedChecked receives the shared blob's self-check, which runs while
+	// the shard blobs are written (below); nil when no shared blob is.
+	var sharedChecked chan error
 	fail := func(err error) (SnapshotInfo, error) {
+		if sharedChecked != nil {
+			<-sharedChecked
+		}
 		for _, name := range written {
 			_ = os.Remove(filepath.Join(dir, name))
 		}
@@ -126,6 +132,11 @@ func (m *Manager) Snapshot() (SnapshotInfo, error) {
 			return fail(fmt.Errorf("lifecycle: write shared blob: %w", err))
 		}
 		man.Shared = blobRef{File: name, Seq: st.seq}
+		// Its self-check reads it back and derives every GIS weight on the
+		// serving matrix: CPU work, done while the shard blobs below wait
+		// on their fsyncs, and joined before the manifest may name it.
+		sharedChecked = make(chan error, 1)
+		go func() { sharedChecked <- verifySharedBlob(dir, name, mod) }()
 	} else {
 		man.Shared = prev.Shared
 	}
@@ -149,7 +160,15 @@ func (m *Manager) Snapshot() (SnapshotInfo, error) {
 	// before anything can shrink the WAL): read every written blob back
 	// and demand it reproduce the serving model bit-for-bit. Clean
 	// shards' blobs passed this check when they were first written.
-	if err := verifyWrittenParts(dir, man, writeSet, sharedWritten, mod); err != nil {
+	var err error
+	if sharedChecked != nil {
+		err = <-sharedChecked
+		sharedChecked = nil
+	}
+	if err == nil {
+		err = verifyWrittenParts(dir, man, writeSet, false, mod)
+	}
+	if err != nil {
 		m.reg.Counter("lifecycle_snapshot_verify_failures_total").Inc()
 		return fail(fmt.Errorf("lifecycle: snapshot at seq %d failed self-check: %w", st.seq, err))
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -160,6 +161,39 @@ func mustFingerprint(t *testing.T, mod *core.Model) string {
 		t.Fatal(err)
 	}
 	return fp
+}
+
+// TestFingerprintCoversTheLiveWeights: the shared blob stores which
+// neighbours each item keeps but not their weights, so Fingerprint hashes
+// the live weights too — flipping the lowest bit of one changes it, and
+// flipping it back restores it. Without that, follower ≡ leader and
+// recovered ≡ killed would no longer cover the weights a model serves.
+func TestFingerprintCoversTheLiveWeights(t *testing.T) {
+	mod := newBaseModel(t)
+	before := mustFingerprint(t, mod)
+	gis := mod.GIS()
+	item := -1
+	for i := 0; i < gis.NumItems(); i++ {
+		if len(gis.Neighbors(i)) > 0 {
+			item = i
+			break
+		}
+	}
+	if item < 0 {
+		t.Fatal("the base model's GIS is empty")
+	}
+	// Neighbors shares the model's own list; the test restores it below.
+	n := &gis.Neighbors(item)[0]
+	orig := n.Score
+	n.Score = math.Float64frombits(math.Float64bits(orig) ^ 1)
+	flipped := mustFingerprint(t, mod)
+	n.Score = orig
+	if flipped == before {
+		t.Fatalf("one flipped weight of item %d left the fingerprint at %s", item, before)
+	}
+	if after := mustFingerprint(t, mod); after != before {
+		t.Fatalf("restored model fingerprints %s, want %s", after, before)
+	}
 }
 
 func testUpdate(i int) core.RatingUpdate {

@@ -86,7 +86,7 @@ func BuildGISWithContent(m *ratings.Matrix, features [][]float64, blend float64,
 				if hasCF[b] {
 					sim += (1 - blend) * cf[b]
 				}
-				if sim <= 0 || sim < opts.Threshold {
+				if !(sim > 0) || sim < opts.Threshold {
 					continue
 				}
 				top.Push(int32(b), sim)

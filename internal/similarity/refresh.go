@@ -147,22 +147,25 @@ func (g *GIS) Refresh(m *ratings.Matrix, changedItems []int, opts GISOptions) *G
 	return out
 }
 
-// candidateScratch is the per-item accumulation state of candidateList,
-// reused across the items of one worker's chunk. Only the cells recorded
-// in touched are dirtied, and candidateList re-zeroes exactly those on
-// its way out, so reuse never leaks state between items.
+// candidateScratch is the per-item accumulation state of candidateList
+// and accumulateUpper, reused across the items of one worker's chunk.
+// Only the cells recorded in touched are dirtied, and drain or reset
+// re-zeroes exactly those, so reuse never leaks state between items.
 type candidateScratch struct {
-	sxy, sxx, syy []float64
-	co            []int32
-	touched       []int32
+	sums    []pairSums
+	touched []int32
+}
+
+// pairSums are one pair's Eq. 5 sums and co-rating count, kept together
+// so an accumulation step touches one cache line, not four.
+type pairSums struct {
+	sxy, sxx, syy float64
+	co            int32
 }
 
 func newCandidateScratch(q int) *candidateScratch {
 	return &candidateScratch{
-		sxy:     make([]float64, q),
-		sxx:     make([]float64, q),
-		syy:     make([]float64, q),
-		co:      make([]int32, q),
+		sums:    make([]pairSums, q),
 		touched: make([]int32, 0, 256),
 	}
 }
@@ -174,7 +177,7 @@ func newCandidateScratch(q int) *candidateScratch {
 // incremental-refresh path off the O(n log n) cost of ordering entries
 // that truncation would discard anyway.
 func candidateList(m *ratings.Matrix, a int, opts GISOptions, sc *candidateScratch, dst []mathx.Scored) []mathx.Scored {
-	sxy, sxx, syy, co := sc.sxy, sc.sxx, sc.syy, sc.co
+	sums := sc.sums
 
 	ma := m.ItemMean(a)
 	for _, ue := range m.ItemRatings(a) {
@@ -190,7 +193,8 @@ func candidateList(m *ratings.Matrix, a int, opts GISOptions, sc *candidateScrat
 			if int(b) == a {
 				continue
 			}
-			if co[b] == 0 {
+			s := &sums[b]
+			if s.co == 0 {
 				sc.touched = append(sc.touched, b)
 			}
 			var db float64
@@ -199,10 +203,10 @@ func candidateList(m *ratings.Matrix, a int, opts GISOptions, sc *candidateScrat
 			} else {
 				db = ie.Value
 			}
-			sxy[b] += da * db
-			sxx[b] += da * da
-			syy[b] += db * db
-			co[b]++
+			s.sxy += da * db
+			s.sxx += da * da
+			s.syy += db * db
+			s.co++
 		}
 	}
 	return sc.drain(opts, dst)
@@ -212,28 +216,42 @@ func candidateList(m *ratings.Matrix, a int, opts GISOptions, sc *candidateScrat
 // co-rating count and Eq. 5 weight pass opts' filters, and re-zeroes the
 // cells it dirtied.
 func (sc *candidateScratch) drain(opts GISOptions, dst []mathx.Scored) []mathx.Scored {
-	sxy, sxx, syy, co := sc.sxy, sc.sxx, sc.syy, sc.co
 	out := slices.Grow(dst, len(sc.touched))
 	for _, b := range sc.touched {
-		n := int(co[b])
-		if opts.MinCoRatings > 0 && n < opts.MinCoRatings {
-			continue
+		if sim, ok := sc.weight(b, opts); ok {
+			out = append(out, mathx.Scored{Index: b, Score: sim})
 		}
-		if sxx[b] == 0 || syy[b] == 0 {
-			continue
-		}
-		sim := sxy[b] / (math.Sqrt(sxx[b]) * math.Sqrt(syy[b]))
-		sim = Significance(sim, n, opts.SignificanceGamma)
-		if sim <= 0 || sim < opts.Threshold {
-			continue
-		}
-		out = append(out, mathx.Scored{Index: b, Score: sim})
 	}
+	sc.reset()
+	return out
+}
+
+// weight finishes b's accumulation into the Eq. 5 weight every GIS entry
+// holds — the co-rating floor, sxy/(√sxx·√syy), Significance, then the
+// threshold — and reports whether the pair enters the GIS at all. Only a
+// positive weight does: the test is !(sim > 0), which a NaN fails too.
+func (sc *candidateScratch) weight(b int32, opts GISOptions) (float64, bool) {
+	s := &sc.sums[b]
+	n := int(s.co)
+	if opts.MinCoRatings > 0 && n < opts.MinCoRatings {
+		return 0, false
+	}
+	if s.sxx == 0 || s.syy == 0 {
+		return 0, false
+	}
+	sim := Significance(s.sxy/(math.Sqrt(s.sxx)*math.Sqrt(s.syy)), n, opts.SignificanceGamma)
+	if !(sim > 0) || sim < opts.Threshold {
+		return 0, false
+	}
+	return sim, true
+}
+
+// reset re-zeroes the cells the last accumulation dirtied.
+func (sc *candidateScratch) reset() {
 	for _, b := range sc.touched {
-		sxy[b], sxx[b], syy[b], co[b] = 0, 0, 0, 0
+		sc.sums[b] = pairSums{}
 	}
 	sc.touched = sc.touched[:0]
-	return out
 }
 
 func truncate(list []mathx.Scored, topN int) []mathx.Scored {

@@ -173,8 +173,8 @@ func (g *GIS) Options() GISOptions { return g.opts }
 
 // PushOrderLists returns how many of BuildGIS's lists fell back to
 // selection in push order: a candidate outside the top N tied the N-th
-// score, or a score was NaN. It is 0 for a GIS that was loaded or
-// refreshed rather than built.
+// score. It is 0 for a GIS that was loaded or refreshed rather than
+// built.
 func (g *GIS) PushOrderLists() int { return g.pushOrdered }
 
 // TopNByID returns a fresh copy of the top-n prefix of item i's
@@ -329,26 +329,34 @@ func centredRows(m *ratings.Matrix, metric Metric) [][]float64 {
 }
 
 // upperCandidates appends to dst item a's candidates b > a, in
-// accumulation order: Eq. 5 over a's raters in ascending user order, each
-// rater's row read from just past a.
+// accumulation order (accumulateUpper).
 func upperCandidates(m *ratings.Matrix, centred [][]float64, a int, opts GISOptions, sc *candidateScratch, dst []mathx.Scored) []mathx.Scored {
-	sxy, sxx, syy, co := sc.sxy, sc.sxx, sc.syy, sc.co
+	sc.accumulateUpper(m, centred, a)
+	return sc.drain(opts, dst)
+}
+
+// accumulateUpper adds into sc the Eq. 5 sums of every pair (a, b > a):
+// over a's raters in ascending user order, each rater's row read from
+// just past a. It is the one accumulation behind every Eq. 5 weight a
+// GIS holds after BuildGIS or a load (deriveWeights).
+func (sc *candidateScratch) accumulateUpper(m *ratings.Matrix, centred [][]float64, a int) {
+	sums := sc.sums
 	for _, ue := range m.ItemRatings(a) {
 		row, cr := m.UserRatings(int(ue.Index)), centred[ue.Index]
 		k, _ := slices.BinarySearchFunc(row, int32(a), func(e ratings.Entry, a int32) int { return cmp.Compare(e.Index, a) })
 		da := cr[k]
 		for j := k + 1; j < len(row); j++ {
 			b, db := row[j].Index, cr[j]
-			if co[b] == 0 {
+			s := &sums[b]
+			if s.co == 0 {
 				sc.touched = append(sc.touched, b)
 			}
-			sxy[b] += da * db
-			sxx[b] += da * da
-			syy[b] += db * db
-			co[b]++
+			s.sxy += da * db
+			s.sxx += da * da
+			s.syy += db * db
+			s.co++
 		}
 	}
-	return sc.drain(opts, dst)
 }
 
 // rankTop appends to dst the top k of cand in the canonical order
@@ -357,15 +365,10 @@ func upperCandidates(m *ratings.Matrix, centred [][]float64, a int, opts GISOpti
 // lowest score held, so when the k-th score is strictly above every
 // score left out, TopK holds exactly these k whatever the push order.
 // When a candidate left out ties the k-th score, which of the tied ones
-// TopK holds depends on the order they were pushed in, and a NaN score
-// leaves no order to select by at all: those lists are ranked in push
-// order by the caller. cand is reordered.
+// TopK holds depends on the order they were pushed in: those lists are
+// ranked in push order by the caller. Every score is positive (weight),
+// so Precedes is a total order on cand. cand is reordered.
 func rankTop(cand []mathx.Scored, k int, dst []mathx.Scored) ([]mathx.Scored, bool) {
-	for _, e := range cand {
-		if math.IsNaN(e.Score) {
-			return nil, false
-		}
-	}
 	if k < len(cand) {
 		selectTop(cand, k)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -12,61 +13,79 @@ import (
 )
 
 // TestSnapshotRoundTrip: a GIS survives Snapshot → gob → FromSnapshot
-// entry for entry, items without neighbours included; Snapshot writes the
-// raw layout alone, 2+8 bytes an entry; and the layouts of versions 2 and
-// 1 decode to the same GIS.
+// entry for entry, items without neighbours included, both with its
+// weights derived from the matrix (2 bytes an entry: the ids alone) and
+// with them carried (2+8 bytes an entry); and the layouts of versions 2
+// and 1 decode to the same GIS.
 func TestSnapshotRoundTrip(t *testing.T) {
 	opts := GISOptions{Metric: PCC, TopN: 7, MinCoRatings: 2}
-	g := BuildGIS(denseRandom(t, 40, 30, 0.3, 5), opts)
+	m := denseRandom(t, 40, 30, 0.3, 5)
+	g := BuildGIS(m, opts)
 	g.neighbors[3], g.neighbors[29] = nil, nil // lists can be empty, the last one too
 	if g.TotalNeighbors() == 0 {
 		t.Fatal("fixture GIS is empty")
 	}
 
-	snap := g.Snapshot()
-	if snap.Index != nil || snap.Score != nil || snap.Neighbors != nil {
-		t.Fatal("Snapshot filled a decode-only layout")
-	}
-	if n := g.TotalNeighbors(); len(snap.IDs) != 2*n || len(snap.Scores) != 8*n {
-		t.Fatalf("%d entries take %d id bytes and %d score bytes, want %d and %d", n, len(snap.IDs), len(snap.Scores), 2*n, 8*n)
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-		t.Fatal(err)
-	}
-	var back Snapshot
-	if err := gob.NewDecoder(&buf).Decode(&back); err != nil {
-		t.Fatal(err)
-	}
-	got, err := FromSnapshot(back)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameGIS(t, g, got, "raw layout")
-	if got.Options() != opts {
-		t.Fatalf("options = %+v, want %+v", got.Options(), opts)
-	}
+	for _, weighted := range []bool{false, true} {
+		ctx := fmt.Sprintf("raw layout, weights carried=%v", weighted)
+		snap := g.Snapshot(weighted)
+		if snap.Index != nil || snap.Score != nil || snap.Neighbors != nil {
+			t.Fatal("Snapshot filled a decode-only layout")
+		}
+		n, scoreBytes := g.TotalNeighbors(), 0
+		if weighted {
+			scoreBytes = 8 * g.TotalNeighbors()
+		}
+		if len(snap.IDs) != 2*n || len(snap.Scores) != scoreBytes {
+			t.Fatalf("%s: %d entries take %d id bytes and %d score bytes, want %d and %d", ctx, n, len(snap.IDs), len(snap.Scores), 2*n, scoreBytes)
+		}
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+			t.Fatal(err)
+		}
+		var back Snapshot
+		if err := gob.NewDecoder(&buf).Decode(&back); err != nil {
+			t.Fatal(err)
+		}
+		got, err := FromSnapshot(back, m)
+		if err != nil {
+			t.Fatalf("%s: %v", ctx, err)
+		}
+		requireSameGIS(t, g, got, ctx)
+		if got.Options() != opts {
+			t.Fatalf("%s: options = %+v, want %+v", ctx, got.Options(), opts)
+		}
+		if n, err := back.Check(); err != nil || n != g.NumItems() {
+			t.Fatalf("%s: Check = %d, %v; want %d items", ctx, n, err, g.NumItems())
+		}
 
-	// The lists share one slab but must not be able to grow into each other.
-	for i := 0; i < got.NumItems(); i++ {
-		if l := got.Neighbors(i); cap(l) != len(l) {
-			t.Fatalf("item %d list has cap %d beyond its len %d", i, cap(l), len(l))
+		// The lists share one slab but must not be able to grow into each other.
+		for i := 0; i < got.NumItems(); i++ {
+			if l := got.Neighbors(i); cap(l) != len(l) {
+				t.Fatalf("%s: item %d list has cap %d beyond its len %d", ctx, i, cap(l), len(l))
+			}
 		}
 	}
+	if _, err := FromSnapshot(g.Snapshot(false), nil); err == nil {
+		t.Fatal("ids without weights and without a matrix to derive them from were accepted")
+	}
+	if _, err := FromSnapshot(g.Snapshot(true), nil); err != nil {
+		t.Fatalf("carried weights need no matrix: %v", err)
+	}
 
-	v2 := Snapshot{Lens: snap.Lens, Opts: opts}
+	v2 := Snapshot{Lens: g.Snapshot(false).Lens, Opts: opts}
 	for i := 0; i < g.NumItems(); i++ {
 		for _, n := range g.Neighbors(i) {
 			v2.Index, v2.Score = append(v2.Index, n.Index), append(v2.Score, n.Score)
 		}
 	}
-	flat, err := FromSnapshot(v2)
+	flat, err := FromSnapshot(v2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireSameGIS(t, g, flat, "version-2 layout")
 
-	v1, err := FromSnapshot(Snapshot{Neighbors: g.neighbors, Opts: opts})
+	v1, err := FromSnapshot(Snapshot{Neighbors: g.neighbors, Opts: opts}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,18 +99,18 @@ func TestSnapshotWideIDs(t *testing.T) {
 	g := &GIS{neighbors: make([][]mathx.Scored, q)}
 	g.neighbors[0] = []mathx.Scored{{Index: q - 1, Score: .75}, {Index: 1 << 16, Score: .5}}
 	g.neighbors[q-1] = []mathx.Scored{{Index: 0, Score: .25}}
-	snap := g.Snapshot()
+	snap := g.Snapshot(true)
 	if IDWidth(q) != 4 || IDWidth(1<<16) != 2 || len(snap.IDs) != 4*3 {
 		t.Fatalf("IDWidth(%d) = %d, IDWidth(%d) = %d, %d id bytes for 3 entries", q, IDWidth(q), 1<<16, IDWidth(1<<16), len(snap.IDs))
 	}
-	got, err := FromSnapshot(snap)
+	got, err := FromSnapshot(snap, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireSameGIS(t, g, got, "4-byte ids")
 
 	binary.LittleEndian.PutUint32(snap.IDs[4:], 1<<20)
-	if _, err := FromSnapshot(snap); err == nil || !strings.Contains(err.Error(), "item 0 entry 1 ") {
+	if _, err := FromSnapshot(snap, nil); err == nil || !strings.Contains(err.Error(), "item 0 entry 1 ") {
 		t.Fatalf("id 1<<20 of %d items: err = %v, want a refusal naming item 0 entry 1", q, err)
 	}
 }
@@ -149,17 +168,18 @@ var snapshotRefusals = []struct {
 	{"flat id negative", Snapshot{Lens: []int32{1, 1}, Index: []int32{-1, 0}, Score: []float64{.5, .4}}},
 	{"per-item id past the catalogue", Snapshot{Neighbors: [][]mathx.Scored{{{Index: 1, Score: .5}}, {{Index: 2, Score: .4}}}}},
 	{"per-item id negative", Snapshot{Neighbors: [][]mathx.Scored{{{Index: -1, Score: .5}}, nil}}},
+	{"raw ids without weights or a matrix", Snapshot{Lens: []int32{1, 1}, IDs: rawIDs(2, 1, 0)}},
 }
 
 func TestFromSnapshotRefusesMalformed(t *testing.T) {
 	for _, tc := range snapshotRefusals {
 		t.Run(tc.name, func(t *testing.T) {
-			if g, err := FromSnapshot(tc.snap); err == nil {
+			if g, err := FromSnapshot(tc.snap, nil); err == nil {
 				t.Fatalf("accepted, giving a GIS of %d items and %d entries", g.NumItems(), g.TotalNeighbors())
 			}
 		})
 	}
-	if g, err := FromSnapshot(Snapshot{}); err != nil || g.NumItems() != 0 {
+	if g, err := FromSnapshot(Snapshot{}, nil); err != nil || g.NumItems() != 0 {
 		t.Fatalf("the empty snapshot: GIS %v, err %v; want an empty GIS", g, err)
 	}
 }
@@ -169,11 +189,11 @@ func TestFromSnapshotRefusesMalformed(t *testing.T) {
 // the blob that, accepted, panicked the first Recommend.
 func TestFromSnapshotNamesTheStrayNeighbour(t *testing.T) {
 	snap := Snapshot{Lens: []int32{0, 2, 1}, IDs: rawIDs(2, 0, 2, 1), Scores: rawScores(.5, .4, .3)}
-	if _, err := FromSnapshot(snap); err != nil {
+	if _, err := FromSnapshot(snap, nil); err != nil {
 		t.Fatalf("the sound snapshot: %v", err)
 	}
 	binary.LittleEndian.PutUint16(snap.IDs[2:], 1<<15)
-	_, err := FromSnapshot(snap)
+	_, err := FromSnapshot(snap, nil)
 	if err == nil || !strings.Contains(err.Error(), "item 1 entry 1 ") || !strings.Contains(err.Error(), "32768") {
 		t.Fatalf("err = %v, want one naming item 1 entry 1 and id 32768", err)
 	}
@@ -181,7 +201,8 @@ func TestFromSnapshotNamesTheStrayNeighbour(t *testing.T) {
 
 // FuzzFromSnapshot: whatever the slices hold, FromSnapshot either refuses
 // or returns a GIS of one layout whose lists are exactly the lengths
-// asked for, every id within the catalogue. Lengths come in as signed
+// asked for, every id within the catalogue. Without a matrix to derive
+// weights from, a snapshot carrying none is refused. Lengths come in as signed
 // bytes so negatives are common; ids and scores as raw bytes.
 func FuzzFromSnapshot(f *testing.F) {
 	for _, tc := range snapshotRefusals {
@@ -204,7 +225,7 @@ func FuzzFromSnapshot(f *testing.F) {
 		if both {
 			s.Neighbors = [][]mathx.Scored{{{Index: 0, Score: .5}}}
 		}
-		g, err := FromSnapshot(s)
+		g, err := FromSnapshot(s, nil)
 		if err != nil {
 			return
 		}
