@@ -25,9 +25,9 @@ func main() {
 		log.Fatal(err)
 	}
 	st := model.Stats()
-	fmt.Printf("offline phase: GIS %v, clustering %v (%d iters), smoothing %v, iCluster %v\n",
+	fmt.Printf("offline phase: GIS %v, clustering %v (%d iters), smoothing %v\n",
 		st.GISDuration.Round(1e6), st.ClusterDuration.Round(1e6),
-		st.ClusterIters, st.SmoothDuration.Round(1e6), st.IClusterDuration.Round(1e6))
+		st.ClusterIters, st.SmoothDuration.Round(1e6))
 
 	// 3. One prediction with its fusion breakdown.
 	user, item := 7, 42

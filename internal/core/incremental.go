@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"cfsf/internal/ratings"
-	"cfsf/internal/smoothing"
 )
 
 // Apply folds a batch of rating updates into a new model: the online
@@ -26,9 +25,10 @@ import (
 //   - smoothing deviations of the affected shards plus the global
 //     deviations of every item in a changed user's row (a new rating
 //     moves the user's mean, which shifts the whole row's centred
-//     values);
-//   - iCluster entries for the affected shards (re-sorted per user) and
-//     full rankings for the changed users themselves.
+//     values).
+//
+// No per-user cluster ranking is kept: the like-minded selection ranks
+// a user's clusters on the cache miss that reads them (gatherCandidates).
 //
 // It is total: every batch WithUpdates accepts goes through it, the
 // first timed update into an untimed matrix included (ratings.Upserted
@@ -94,10 +94,6 @@ func (mod *Model) Apply(updates []RatingUpdate) (*Model, error) {
 	t = time.Now()
 	out.sm = mod.sm.Refresh(m, cl, affected, affItems, mod.cfg.Workers)
 	out.stats.SmoothDuration = time.Since(t)
-
-	t = time.Now()
-	out.ic = smoothing.RefreshICluster(mod.ic, out.sm, affected, changedUsers, mod.cfg.Workers)
-	out.stats.IClusterDuration = time.Since(t)
 
 	out.neighborCache = make([]atomic.Pointer[[]likeMinded], m.NumUsers())
 	out.initRecCache()

@@ -1,7 +1,7 @@
 // Package core implements CFSF itself (paper §IV): the offline phase —
 // Global Item Similarity matrix, K-means user clustering, cluster
-// smoothing, iCluster rankings — and the online phase — local M×K matrix
-// construction and SIR′/SUR′/SUIR′ fusion (Eq. 10–14).
+// smoothing — and the online phase — iCluster ranking, local M×K matrix
+// construction and SIR′/SUR′/SUIR′ fusion (Eq. 9–14).
 //
 // A trained Model is immutable and safe for concurrent prediction. The
 // per-user like-minded-neighbour selection is cached ("caching
@@ -141,12 +141,11 @@ func (c Config) blendsContent() bool { return c.ContentBlend > 0 && len(c.ItemFe
 // the ratings folded in — so a serving layer can surface how much
 // cheaper each refresh was than the full train.
 type TrainStats struct {
-	GISDuration      time.Duration
-	ClusterDuration  time.Duration
-	SmoothDuration   time.Duration
-	IClusterDuration time.Duration
+	GISDuration     time.Duration
+	ClusterDuration time.Duration
+	SmoothDuration  time.Duration
 	// MirrorDuration is the id-sorted top-M mirror build (buildTopM).
-	// With the four above it accounts for TotalDuration up to the matrix
+	// With the three above it accounts for TotalDuration up to the matrix
 	// update and bookkeeping between the phases.
 	MirrorDuration time.Duration
 	TotalDuration  time.Duration
@@ -178,7 +177,6 @@ type Model struct {
 	gis      *similarity.GIS     //cfsf:immutable
 	clusters *cluster.Result     //cfsf:immutable
 	sm       *smoothing.Smoother //cfsf:immutable
-	ic       *smoothing.ICluster //cfsf:immutable
 	stats    TrainStats          //cfsf:immutable
 
 	// neighborCache[u] holds the Eq. 10 top-K selection for user u. The
@@ -264,10 +262,6 @@ func Train(m *ratings.Matrix, cfg Config) (*Model, error) {
 	t = time.Now()
 	mod.sm = smoothing.New(m, cl)
 	mod.stats.SmoothDuration = time.Since(t)
-
-	t = time.Now()
-	mod.ic = smoothing.BuildICluster(mod.sm, cfg.Workers)
-	mod.stats.IClusterDuration = time.Since(t)
 
 	mod.neighborCache = make([]atomic.Pointer[[]likeMinded], m.NumUsers())
 	mod.initRecCache()

@@ -158,6 +158,27 @@ func refEq10Sim(mod *Model, active, cand int) float64 {
 	return num / (math.Sqrt(denC) * math.Sqrt(denA))
 }
 
+// refRankClusters is the Eq. 9 iCluster order without the production
+// ranking: every cluster's UserClusterSim, then a stable sort by
+// similarity descending, cluster id ascending.
+func refRankClusters(mod *Model, user int) []int32 {
+	k := mod.sm.NumClusters()
+	sims := make([]float64, k)
+	order := make([]int32, k)
+	for c := range sims {
+		sims[c] = mod.sm.UserClusterSim(user, c)
+		order[c] = int32(c)
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		sa, sb := sims[order[a]], sims[order[b]]
+		if sa != sb {
+			return sa > sb
+		}
+		return order[a] < order[b]
+	})
+	return order
+}
+
 func refGather(mod *Model, user int) []int {
 	var candidates []int
 	if mod.cfg.FullUserSearch {
@@ -173,7 +194,7 @@ func refGather(mod *Model, user int) []int {
 		factor = 4
 	}
 	want := factor * mod.cfg.K
-	for _, c := range mod.ic.Order[user] {
+	for _, c := range refRankClusters(mod, user) {
 		for _, u := range mod.clusters.Members[c] {
 			if u != user {
 				candidates = append(candidates, u)
@@ -402,7 +423,7 @@ func TestGatherCandidatesCapped(t *testing.T) {
 	}
 	want := cfg.CandidateFactor * cfg.K
 	for u := 0; u < mod.m.NumUsers(); u += 7 {
-		got := mod.gatherCandidates(u, nil)
+		got := mod.gatherCandidates(u, &lmScratch{})
 		if len(got) > want {
 			t.Fatalf("user %d: %d candidates, cap is %d", u, len(got), want)
 		}

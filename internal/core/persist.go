@@ -15,9 +15,8 @@ import (
 
 // modelWire is the on-disk form of a trained model. It stores what cannot
 // be derived (the matrix, which neighbours each item's GIS list keeps, the
-// clustering) and rebuilds the rest at load time (the GIS weights,
-// smoothing tables, iCluster rankings), which keeps snapshots small and
-// forward-compatible.
+// clustering) and rebuilds the rest at load time (the GIS weights and
+// smoothing tables), which keeps snapshots small and forward-compatible.
 //
 //cfsf:wire modelWireVersion
 type modelWire struct {
@@ -66,8 +65,8 @@ func (mod *Model) SaveFile(path string) error {
 }
 
 // Load reconstructs a model saved with Save. GIS weights, smoothing
-// tables, iCluster rankings and the neighbour cache are rebuilt, so the
-// loaded model predicts identically to the one that was saved.
+// tables and the neighbour cache are rebuilt, so the loaded model
+// predicts identically to the one that was saved.
 //
 //cfsf:wallclock-ok rebuild duration recorded in TrainStats only; no clock value reaches predictions or replayed state
 func Load(r io.Reader) (*Model, error) {

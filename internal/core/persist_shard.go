@@ -383,10 +383,10 @@ func (mod *Model) gisSnapshot() similarity.Snapshot {
 }
 
 // rebuildModel reconstructs the derived offline state (GIS weights,
-// smoothing tables, iCluster rankings, caches) around persisted
-// artefacts, exactly as Load does for a monolithic snapshot. It refuses a
-// GIS snapshot that does not cover m's items (Predict indexes the GIS by
-// item id) or does not derive on m (similarity.FromSnapshot).
+// smoothing tables, caches) around persisted artefacts, exactly as Load
+// does for a monolithic snapshot. It refuses a GIS snapshot that does
+// not cover m's items (Predict indexes the GIS by item id) or does not
+// derive on m (similarity.FromSnapshot).
 //
 //cfsf:wallclock-ok GIS derivation duration recorded in TrainStats only; no clock value reaches predictions or replayed state
 func rebuildModel(cfg Config, m *ratings.Matrix, snap similarity.Snapshot, clusters *cluster.Result) (*Model, error) {
@@ -403,7 +403,6 @@ func rebuildModel(cfg Config, m *ratings.Matrix, snap similarity.Snapshot, clust
 	}
 	mod.stats.GISDuration = time.Since(t)
 	mod.sm = smoothing.New(mod.m, mod.clusters)
-	mod.ic = smoothing.BuildICluster(mod.sm, mod.cfg.Workers)
 	mod.neighborCache = make([]atomic.Pointer[[]likeMinded], mod.m.NumUsers())
 	mod.initRecCache()
 	mod.buildTopM(nil)

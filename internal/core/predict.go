@@ -284,12 +284,15 @@ func (mod *Model) likeMindedUsers(user int) []likeMinded {
 }
 
 // lmScratch is the per-request scratch of one like-minded selection:
-// the candidate list, the bounded Eq. 10 top-K heap, and the ranking
-// buffer. Instances cycle through lmScratchPool; a scratch is owned
-// exclusively by one selectLikeMinded call between Get and Put, holds
-// no model state of its own (every field is fully overwritten before
-// use), and must never be retained past the call that fetched it.
+// the user's Eq. 9 cluster order and similarities, the candidate list,
+// the bounded Eq. 10 top-K heap, and the ranking buffer. Instances cycle
+// through lmScratchPool; a scratch is owned exclusively by one
+// selectLikeMinded call between Get and Put, holds no model state of its
+// own (every field is fully overwritten before use), and must never be
+// retained past the call that fetched it.
 type lmScratch struct {
+	order      []int32
+	sims       []float64
 	candidates []int
 	top        *mathx.TopK
 	ranked     []mathx.Scored
@@ -312,7 +315,7 @@ var lmScratchPool = sync.Pool{
 // cluster.
 func (mod *Model) selectLikeMinded(user int) []likeMinded {
 	sc := lmScratchPool.Get().(*lmScratch)
-	candidates := mod.gatherCandidates(user, sc.candidates[:0])
+	candidates := mod.gatherCandidates(user, sc)
 
 	top := sc.top
 	top.Reset(mod.cfg.K)
@@ -338,11 +341,15 @@ func (mod *Model) selectLikeMinded(user int) []likeMinded {
 	return out
 }
 
-// gatherCandidates appends user's like-minded candidate set to buf and
-// returns it: every other user under FullUserSearch, otherwise cluster
-// members in iCluster order, hard-capped at CandidateFactor×K (the last
-// cluster visited contributes only up to the cap).
-func (mod *Model) gatherCandidates(user int, buf []int) []int {
+// gatherCandidates returns user's like-minded candidate set, built in
+// sc's candidate buffer: every other user under FullUserSearch, otherwise
+// cluster members in iCluster order, hard-capped at CandidateFactor×K
+// (the last cluster visited contributes only up to the cap). The
+// iCluster order is ranked here (Eq. 9, smoothing.RankClusters) into
+// sc's buffers: the selection this feeds is cached per user, so the
+// ranking runs on that cache's miss and is never stored.
+func (mod *Model) gatherCandidates(user int, sc *lmScratch) []int {
+	buf := sc.candidates[:0]
 	if mod.cfg.FullUserSearch {
 		for u := 0; u < mod.m.NumUsers(); u++ {
 			if u != user {
@@ -356,7 +363,8 @@ func (mod *Model) gatherCandidates(user int, buf []int) []int {
 		factor = 4
 	}
 	want := factor * mod.cfg.K
-	for _, c := range mod.ic.Order[user] {
+	sc.order, sc.sims = mod.sm.RankClusters(user, sc.order, sc.sims)
+	for _, c := range sc.order {
 		for _, u := range mod.clusters.Members[c] {
 			if u != user {
 				buf = append(buf, u)

@@ -41,8 +41,7 @@ type RatingUpdate struct {
 //     changed (similarity.GIS.Refresh);
 //   - users whose rows changed (and brand-new users) are reassigned to
 //     their nearest existing centroid — K-means itself does not rerun;
-//   - smoothing deviations and iCluster rankings are recomputed (both
-//     are cheap O(nnz) passes);
+//   - smoothing deviations are recomputed (a cheap O(nnz) pass);
 //   - the per-user neighbour cache starts cold.
 //
 // Accuracy note: because centroids are not re-fitted, a long stream of
@@ -133,10 +132,6 @@ func (mod *Model) WithUpdates(updates []RatingUpdate) (*Model, error) {
 	t = time.Now()
 	next.sm = smoothing.New(m, next.clusters)
 	next.stats.SmoothDuration = time.Since(t)
-
-	t = time.Now()
-	next.ic = smoothing.BuildICluster(next.sm, mod.cfg.Workers)
-	next.stats.IClusterDuration = time.Since(t)
 
 	next.neighborCache = make([]atomic.Pointer[[]likeMinded], m.NumUsers())
 	next.initRecCache()

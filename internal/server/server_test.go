@@ -501,13 +501,13 @@ func TestStatsTrainPhaseTimings(t *testing.T) {
 	}
 }
 
-// requireTrainPhasesWithinTotal checks /stats train_ms reports all five
+// requireTrainPhasesWithinTotal checks /stats train_ms reports all four
 // phases and that they account for no more than the total: they time
 // disjoint stretches of the same train or apply.
 func requireTrainPhasesWithinTotal(t *testing.T, trainMS map[string]any) {
 	t.Helper()
 	var sum float64
-	for _, phase := range []string{"gis", "cluster", "smooth", "icluster", "mirror"} {
+	for _, phase := range []string{"gis", "cluster", "smooth", "mirror"} {
 		ms, ok := trainMS[phase].(float64)
 		if !ok {
 			t.Fatalf("train_ms missing phase %q: %v", phase, trainMS)

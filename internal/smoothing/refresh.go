@@ -2,7 +2,6 @@ package smoothing
 
 import (
 	"math"
-	"slices"
 	"sort"
 
 	"cfsf/internal/cluster"
@@ -140,61 +139,6 @@ func patchedFillRow(base []float64, out *Smoother, c int, affList []int, q int) 
 		}
 	}
 	return row
-}
-
-// RefreshICluster re-ranks clusters per user after a shard-local apply.
-// Users listed in changedUsers (and users beyond the old ranking's length,
-// i.e. newly added ones) are ranked from scratch, as BuildICluster ranks
-// everyone. Everyone else keeps their similarities to untouched clusters:
-// only the affected clusters' Eq. 9 entries are recomputed, and each one
-// that moved is re-seated in a copy of the old ranking by insertion. The
-// insertion compares with ranksBefore, the strict total order
-// sortClusterOrder sorts by, and a strict total order admits one sorted
-// arrangement — so the ranking is identical to BuildICluster's regardless
-// of which path produced it. A user none of whose similarities moved
-// shares the old slices.
-func RefreshICluster(old *ICluster, s *Smoother, affectedClusters map[int]bool, changedUsers map[int]bool, workers int) *ICluster {
-	p := s.m.NumUsers()
-	ic := &ICluster{
-		Order: make([][]int32, p),
-		Sim:   make([][]float64, p),
-	}
-	// Sorted for a fixed per-user recompute order (map iteration order
-	// varies per run; the outcome does not depend on it, but a fixed order
-	// keeps the loop trivially replay-safe).
-	affList := make([]int, 0, len(affectedClusters))
-	for c := range affectedClusters {
-		affList = append(affList, c)
-	}
-	sort.Ints(affList)
-	parallel.For(p, workers, func(u int) {
-		if changedUsers[u] || u >= len(old.Order) || len(old.Order[u]) != s.k {
-			ic.Order[u], ic.Sim[u] = s.rankClusters(u)
-			return
-		}
-		order, sims := old.Order[u], old.Sim[u]
-		shared := true
-		for _, c := range affList {
-			v := s.UserClusterSim(u, c)
-			r := slices.Index(order, int32(c))
-			if v == sims[r] {
-				continue
-			}
-			if shared {
-				order, sims = slices.Clone(order), slices.Clone(sims)
-				shared = false
-			}
-			for ; r > 0 && ranksBefore(v, int32(c), sims[r-1], order[r-1]); r-- {
-				order[r], sims[r] = order[r-1], sims[r-1]
-			}
-			for ; r+1 < len(order) && ranksBefore(sims[r+1], order[r+1], v, int32(c)); r++ {
-				order[r], sims[r] = order[r+1], sims[r+1]
-			}
-			order[r], sims[r] = int32(c), v
-		}
-		ic.Order[u], ic.Sim[u] = order, sims
-	})
-	return ic
 }
 
 func padDevs(a []float64, n int) []float64 {

@@ -47,27 +47,9 @@ func requireSameSmoother(t *testing.T, want, got *Smoother, k, q int) {
 	}
 }
 
-func requireSameICluster(t *testing.T, want, got *ICluster) {
-	t.Helper()
-	if len(want.Order) != len(got.Order) {
-		t.Fatalf("order len: want %d got %d", len(want.Order), len(got.Order))
-	}
-	for u := range want.Order {
-		for r := range want.Order[u] {
-			if want.Order[u][r] != got.Order[u][r] {
-				t.Fatalf("user %d rank %d: want cluster %d got %d", u, r, want.Order[u][r], got.Order[u][r])
-			}
-			if want.Sim[u][r] != got.Sim[u][r] {
-				t.Fatalf("user %d rank %d: want sim %v got %v", u, r, want.Sim[u][r], got.Sim[u][r])
-			}
-		}
-	}
-}
-
 // TestRefreshMatchesFullBuild drives random update batches through the
-// incremental Refresh/RefreshICluster pair and the full New/BuildICluster
-// rebuild, requiring exact equality of every deviation, every similarity,
-// and every ranking.
+// incremental Refresh and the full New rebuild, requiring exact equality
+// of every deviation and every fill cell.
 func TestRefreshMatchesFullBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 30; trial++ {
@@ -77,7 +59,6 @@ func TestRefreshMatchesFullBuild(t *testing.T) {
 			t.Fatal(err)
 		}
 		sm := New(m, cl)
-		ic := BuildICluster(sm, 1)
 
 		// Random upsert batch, possibly growing users/items.
 		growU, growI := rng.Intn(2), rng.Intn(2)
@@ -117,10 +98,6 @@ func TestRefreshMatchesFullBuild(t *testing.T) {
 		wantSm := New(m2, cl2)
 		gotSm := sm.Refresh(m2, cl2, affected, affItems, 0)
 		requireSameSmoother(t, wantSm, gotSm, cl2.K, m2.NumItems())
-
-		wantIC := BuildICluster(wantSm, 1)
-		gotIC := RefreshICluster(ic, gotSm, affected, changed, 1)
-		requireSameICluster(t, wantIC, gotIC)
 	}
 }
 

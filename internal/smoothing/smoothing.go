@@ -1,6 +1,7 @@
 // Package smoothing implements the cluster-based rating smoothing of the
 // CFSF offline phase (paper §IV-D, Eq. 7–8) and the per-user iCluster
-// ranking (Eq. 9) that accelerates like-minded-user selection online.
+// ranking (Eq. 9) that accelerates like-minded-user selection online,
+// computed for one user at the moment a selection needs it.
 //
 // A smoothed rating never overwrites an observed one: Eq. 7 returns the
 // stored rating when the user rated the item, and the user's mean plus
@@ -14,7 +15,6 @@ import (
 	"slices"
 
 	"cfsf/internal/cluster"
-	"cfsf/internal/parallel"
 	"cfsf/internal/ratings"
 )
 
@@ -167,54 +167,21 @@ func (s *Smoother) GlobalDeviation(i int) (float64, bool) {
 	return s.globalDev[i], s.hasGlobal[i]
 }
 
-// ICluster stores, for every user, the clusters ranked by descending
-// Eq. 9 similarity. The online phase walks this order to build the
-// candidate set for top-K like-minded-user selection.
-type ICluster struct {
-	// Order[u] lists cluster ids, most similar first.
-	Order [][]int32
-	// Sim[u][rank] is the Eq. 9 similarity of Order[u][rank].
-	Sim [][]float64
-}
-
-// BuildICluster ranks all clusters for every user (parallel over users).
-func BuildICluster(s *Smoother, workers int) *ICluster {
-	p := s.m.NumUsers()
-	ic := &ICluster{
-		Order: make([][]int32, p),
-		Sim:   make([][]float64, p),
-	}
-	parallel.For(p, workers, func(u int) {
-		ic.Order[u], ic.Sim[u] = s.rankClusters(u)
-	})
-	return ic
-}
-
-// rankClusters computes user u's Eq. 9 similarity to every cluster and
-// returns the clusters most similar first, with the similarities in the
-// same order.
-func (s *Smoother) rankClusters(u int) (order []int32, sorted []float64) {
-	sims := make([]float64, s.k)
-	for c := 0; c < s.k; c++ {
-		sims[c] = s.UserClusterSim(u, c)
-	}
-	order = make([]int32, s.k)
+// RankClusters ranks every cluster for user u by Eq. 9 similarity, most
+// similar first: the iCluster order the online phase walks to gather
+// like-minded candidates (§IV-E2). It writes the ranking into order and
+// cluster c's similarity into sims[c], growing either buffer only when its
+// capacity is below NumClusters, and returns both. The ranking is a pure
+// function of the smoother and u, so callers compute it where they read
+// it instead of keeping one per user.
+func (s *Smoother) RankClusters(u int, order []int32, sims []float64) ([]int32, []float64) {
+	order, sims = slices.Grow(order[:0], s.k)[:s.k], slices.Grow(sims[:0], s.k)[:s.k]
 	for c := range order {
 		order[c] = int32(c)
+		sims[c] = s.UserClusterSim(u, c)
 	}
-	sortClusterOrder(order, sims)
-	sorted = make([]float64, s.k)
-	for r, c := range order {
-		sorted[r] = sims[c]
-	}
-	return order, sorted
-}
-
-// sortClusterOrder orders cluster ids by similarity descending, id
-// ascending. The comparator is a strict total order (ids are unique), so
-// any comparison sort yields the same ranking; slices.SortFunc avoids the
-// reflection overhead of sort.Slice in what is a per-user hot loop.
-func sortClusterOrder(order []int32, sims []float64) {
+	// Similarity descending, id ascending: a strict total order (ids are
+	// unique), so any comparison sort yields the same ranking.
 	slices.SortFunc(order, func(a, b int32) int {
 		if sims[a] != sims[b] {
 			if sims[a] > sims[b] {
@@ -224,15 +191,7 @@ func sortClusterOrder(order []int32, sims []float64) {
 		}
 		return int(a - b)
 	})
-}
-
-// ranksBefore is sortClusterOrder's order as a predicate: cluster a with
-// similarity sa ranks strictly before cluster b with similarity sb.
-func ranksBefore(sa float64, a int32, sb float64, b int32) bool {
-	if sa != sb {
-		return sa > sb
-	}
-	return a < b
+	return order, sims
 }
 
 // UserClusterSim computes Eq. 9: the correlation between user u's centred

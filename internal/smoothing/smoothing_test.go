@@ -3,6 +3,8 @@ package smoothing
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -116,54 +118,99 @@ func TestUserClusterSimBounds(t *testing.T) {
 	}
 }
 
-func TestICluster(t *testing.T) {
-	d := synth.MustGenerate(smallSynth())
-	cl, err := cluster.Run(d.Matrix, cluster.Options{K: 6, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
+// refRankClusters is an independent Eq. 9 ranking: every cluster's
+// UserClusterSim, then a stable sort by similarity descending, cluster id
+// ascending.
+func refRankClusters(s *Smoother, u int) ([]int32, []float64) {
+	sims := make([]float64, s.NumClusters())
+	order := make([]int32, s.NumClusters())
+	for c := range sims {
+		sims[c] = s.UserClusterSim(u, c)
+		order[c] = int32(c)
 	}
-	s := New(d.Matrix, cl)
-	ic := BuildICluster(s, 4)
-	if len(ic.Order) != d.Matrix.NumUsers() {
-		t.Fatalf("Order covers %d users, want %d", len(ic.Order), d.Matrix.NumUsers())
-	}
-	for u := range ic.Order {
-		if len(ic.Order[u]) != cl.K {
-			t.Fatalf("user %d ranks %d clusters, want %d", u, len(ic.Order[u]), cl.K)
+	sort.SliceStable(order, func(a, b int) bool {
+		sa, sb := sims[order[a]], sims[order[b]]
+		if sa != sb {
+			return sa > sb
 		}
-		seen := map[int32]bool{}
-		for r, c := range ic.Order[u] {
-			if c < 0 || int(c) >= cl.K || seen[c] {
-				t.Fatalf("user %d rank %d: invalid or duplicate cluster %d", u, r, c)
-			}
-			seen[c] = true
-			// Sim values must be sorted descending and agree with the
-			// direct computation.
-			if want := s.UserClusterSim(u, int(c)); !approx(ic.Sim[u][r], want) {
-				t.Fatalf("user %d rank %d sim %g, want %g", u, r, ic.Sim[u][r], want)
-			}
-			if r > 0 && ic.Sim[u][r-1] < ic.Sim[u][r] {
-				t.Fatalf("user %d iCluster sims not descending", u)
-			}
-		}
-	}
+		return order[a] < order[b]
+	})
+	return order, sims
 }
 
-func TestIClusterDeterministicAcrossWorkers(t *testing.T) {
-	d := synth.MustGenerate(smallSynth())
-	cl, err := cluster.Run(d.Matrix, cluster.Options{K: 5, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := New(d.Matrix, cl)
-	a := BuildICluster(s, 1)
-	b := BuildICluster(s, 8)
-	for u := range a.Order {
-		for r := range a.Order[u] {
-			if a.Order[u][r] != b.Order[u][r] {
-				t.Fatalf("iCluster order differs across worker counts (user %d)", u)
+// blockMatrix gives each of groups user groups its own block of items,
+// with a stray rating outside it now and then. A user then overlaps few
+// clusters' deviations, so most of their Eq. 9 similarities are exactly
+// 0 and only the cluster-id tiebreak ranks them.
+func blockMatrix(rng *rand.Rand, users, groups, perBlock int) *ratings.Matrix {
+	b := ratings.NewBuilder(users, groups*perBlock).SetScale(1, 5)
+	for u := 0; u < users; u++ {
+		g := u % groups
+		for i := 0; i < perBlock; i++ {
+			if rng.Float64() < 0.8 {
+				b.MustAdd(u, g*perBlock+i, float64(1+rng.Intn(5)))
 			}
 		}
+		if rng.Float64() < 0.3 {
+			b.MustAdd(u, rng.Intn(groups*perBlock), float64(1+rng.Intn(5)))
+		}
+	}
+	return b.Build()
+}
+
+// TestICluster pins RankClusters to refRankClusters for every user of two
+// fixtures: the synthetic one, and a block fixture dense in similarity-0
+// ties that only the cluster-id tiebreak orders. One pair of buffers is
+// reused across users, as the online phase's pooled scratch is, so a
+// ranking that leaked state from the previous user would show.
+func TestICluster(t *testing.T) {
+	const users, groups, perBlock = 72, 9, 5
+	for _, fx := range []struct {
+		name string
+		m    *ratings.Matrix
+		k    int
+	}{
+		{"synth", synth.MustGenerate(smallSynth()).Matrix, 6},
+		{"blocks", blockMatrix(rand.New(rand.NewSource(4)), users, groups, perBlock), groups},
+	} {
+		t.Run(fx.name, func(t *testing.T) {
+			cl, err := cluster.Run(fx.m, cluster.Options{K: fx.k, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := New(fx.m, cl)
+			var order []int32
+			var sims []float64
+			tied := 0
+			for u := 0; u < fx.m.NumUsers(); u++ {
+				prevOrder := order
+				order, sims = s.RankClusters(u, order, sims)
+				if u > 0 && &order[0] != &prevOrder[0] {
+					t.Fatalf("user %d: a buffer of capacity %d was reallocated", u, cap(prevOrder))
+				}
+				wantOrder, wantSims := refRankClusters(s, u)
+				if !slices.Equal(order, wantOrder) {
+					t.Fatalf("user %d: order %v, want %v", u, order, wantOrder)
+				}
+				for c := range wantSims {
+					if math.Float64bits(sims[c]) != math.Float64bits(wantSims[c]) {
+						t.Fatalf("user %d cluster %d: sim %v, want %v", u, c, sims[c], wantSims[c])
+					}
+				}
+				zeros := 0
+				for _, v := range sims {
+					if v == 0 {
+						zeros++
+					}
+				}
+				if zeros >= 2 {
+					tied++
+				}
+			}
+			if fx.name == "blocks" && tied < users/2 {
+				t.Fatalf("only %d of %d users have tied similarities: fixture lost its ties", tied, users)
+			}
+		})
 	}
 }
 
