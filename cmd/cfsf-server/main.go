@@ -7,10 +7,15 @@
 // Usage:
 //
 //	cfsf-server -addr :8080 -data u.data
-//	cfsf-server -model model.gob            # load a saved model instead
+//	cfsf-server -model model.cfsf           # load a saved model file instead
 //	cfsf-server -data-dir ./cfsf-data       # durable mode: WAL + snapshots
 //	cfsf-server -shards 30                  # user-cluster count C = shard count
 //	cfsf-server -debug                      # also mount /debug/pprof
+//
+// A model file (`cfsf save`, or core.Model.SaveFile) is the one persisted
+// form of a model: -model reads one, and every snapshot a data dir holds
+// is one, model-<seq>.cfsf, which a follower fetches in one GET
+// /admin/snapshot to bootstrap.
 //
 // With -data-dir the server becomes crash-safe and stateful: every /rate
 // is journaled to a write-ahead log before it is acknowledged, applied
@@ -19,8 +24,10 @@
 // SIGKILL loses nothing (see the README's "Durability & operations").
 // The offline phase then only runs on the very first boot — later boots
 // recover from the snapshot, and a boot that finds no loadable snapshot
-// but a WAL that no longer starts at sequence 1 (or only a pre-manifest
-// snap-*.gob) exits with an error rather than retrain over lost ratings.
+// but a WAL that no longer starts at sequence 1 (or only a monolithic
+// snap-*.gob from before manifests) exits with an error rather than
+// retrain over lost ratings. A data dir an older build wrote, with
+// manifests over shard blobs, boots and is migrated to snapshot files.
 // The write queue has one drain rule — whatever is queued folds in one
 // apply, so -queue-cap also bounds a batch — and -batch-wait can delay
 // each drain to let more ratings coalesce.

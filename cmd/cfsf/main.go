@@ -12,7 +12,7 @@
 //	cfsf topn      -data u.data -method cfsf -n 10
 //	cfsf cv        -data u.data -method cfsf -k 5
 //	cfsf stats     -data u.data
-//	cfsf save      -data u.data -out model.gob
+//	cfsf save      -data u.data -out model.cfsf
 //
 // Omit -data (or pass -data synth) to use the built-in generator; .csv
 // files parse as MovieLens ratings.csv, everything else as u.data. All
@@ -71,7 +71,7 @@ commands:
   recommend  top-N recommendations        (-data|-model -user -n)
   evaluate   MAE under the Given-N split  (-data -method -train -test -given)
   stats      dataset statistics           (-data)
-  save       train and save a model       (-data -out model.gob)
+  save       train and save a model       (-data -out model.cfsf)
   explain    explain one prediction       (-data|-model -user -item)
   compare    two methods + paired t-test  (-data -a cfsf -b sur ...)
   topn       ranking quality P@N/R@N/NDCG (-data -method -n)
@@ -299,7 +299,7 @@ func runSave(args []string) {
 	fs := flag.NewFlagSet("save", flag.ExitOnError)
 	data := fs.String("data", "", "u.data path, or synth")
 	seed := fs.Int64("seed", 1, "synthetic dataset seed")
-	out := fs.String("out", "model.gob", "output path for the model snapshot")
+	out := fs.String("out", "model.cfsf", "output path for the model file")
 	cfg := modelFlags(fs)
 	fs.Parse(args)
 

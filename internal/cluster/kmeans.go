@@ -116,6 +116,52 @@ func (r *Result) Summary() string {
 	return s
 }
 
+// Check validates a decoded clustering against the matrix it is to serve:
+// K clusters with K member lists, mean rows and count rows; every user
+// assigned to a cluster in [0, K); Members the ascending inverse of
+// Assign; every mean and count row item-sized. Everything that indexes by
+// cluster or user trusts these, so a load refuses a clustering that breaks
+// one instead of panicking on it later. The error names the user or the
+// cluster at fault.
+func (r *Result) Check(numUsers, numItems int) error {
+	if r.K < 1 || len(r.Members) != r.K || len(r.Mean) != r.K || len(r.Count) != r.K {
+		return fmt.Errorf("cluster: K = %d with %d member lists, %d mean rows, %d count rows",
+			r.K, len(r.Members), len(r.Mean), len(r.Count))
+	}
+	if len(r.Assign) != numUsers {
+		return fmt.Errorf("cluster: %d assignments for %d users", len(r.Assign), numUsers)
+	}
+	for u, c := range r.Assign {
+		if c < 0 || c >= r.K {
+			return fmt.Errorf("cluster: user %d assigned to cluster %d, outside [0, %d)", u, c, r.K)
+		}
+	}
+	members := 0
+	for c, list := range r.Members {
+		for j, u := range list {
+			if u < 0 || u >= numUsers || r.Assign[u] != c {
+				return fmt.Errorf("cluster: cluster %d lists user %d, who is not assigned to it", c, u)
+			}
+			if j > 0 && u <= list[j-1] {
+				return fmt.Errorf("cluster: cluster %d lists user %d after user %d", c, u, list[j-1])
+			}
+		}
+		members += len(list)
+		if len(r.Mean[c]) != numItems || len(r.Count[c]) != numItems {
+			return fmt.Errorf("cluster: cluster %d has %d means and %d counts for %d items",
+				c, len(r.Mean[c]), len(r.Count[c]), numItems)
+		}
+	}
+	if members != numUsers {
+		for u, c := range r.Assign {
+			if _, ok := slices.BinarySearch(r.Members[c], u); !ok {
+				return fmt.Errorf("cluster: user %d is assigned to cluster %d but not listed in it", u, c)
+			}
+		}
+	}
+	return nil
+}
+
 // maxPeriod bounds the assignment cycles Run recognises to periods in
 // [2, maxPeriod); it is also the length of the assignment history.
 const maxPeriod = 8

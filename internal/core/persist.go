@@ -1,58 +1,158 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
+	"sync/atomic"
 	"time"
 
 	"cfsf/internal/atomicfile"
 	"cfsf/internal/cluster"
 	"cfsf/internal/ratings"
 	"cfsf/internal/similarity"
+	"cfsf/internal/smoothing"
 )
 
-// modelWire is the on-disk form of a trained model. It stores what cannot
-// be derived (the matrix, which neighbours each item's GIS list keeps, the
-// clustering) and rebuilds the rest at load time (the GIS weights and
-// smoothing tables), which keeps snapshots small and forward-compatible.
+// A model file is the one persisted form of a model: the `-model` file
+// cfsf-server boots from, every recovery point internal/lifecycle writes,
+// and what a follower bootstraps from. It stores what cannot be derived —
+// the configuration, the matrix, which neighbours each item's GIS list
+// keeps, the clustering — plus the WAL watermark it was written at, and
+// Load rebuilds the rest (GIS weights, smoothing tables, caches), so a
+// loaded model predicts bit-for-bit like the saved one.
 //
-//cfsf:wire modelWireVersion
-type modelWire struct {
-	Version  int
-	Config   Config
-	Matrix   *ratings.Matrix
+// The file is one checksummed frame: magic, kind, payload length, the
+// CRC32-IEEE of the payload, then the gob payload. A torn, truncated or
+// bit-rotted file is refused at load, and so is any byte after the frame.
+const (
+	blobKindShared byte = 1
+	blobKindShard  byte = 2
+	blobKindModel  byte = 3
+
+	blobHeaderSize = 8 + 1 + 8 + 4
+	// maxBlobPayload caps a corrupt length field before allocation.
+	maxBlobPayload = int64(1) << 34
+)
+
+var blobMagic = [8]byte{'C', 'F', 'S', 'F', 'B', 'L', 'B', 1}
+
+// fileWire is the gob payload of a model file. The matrix travels as flat
+// row-major slices: per user its row length, then every row's item ids,
+// values and (for a timed matrix) timestamps, concatenated.
+//
+//cfsf:wire fileWireVersion
+type fileWire struct {
+	Version   int
+	Config    Config
+	NumUsers  int
+	NumItems  int
+	MinRating float64
+	MaxRating float64
+	HasTimes  bool
+	// GIS holds the neighbour ids alone; only a GIS that blends in item
+	// attributes also stores its weights (Scores), since no matrix
+	// reproduces them.
 	GIS      similarity.Snapshot
 	Clusters *cluster.Result
+	// Seq is the WAL watermark the model folds: every rating with a
+	// sequence at or below it. Zero for a model saved outside a data dir.
+	Seq     uint64
+	RowLens []int32
+	Items   []int32
+	Values  []float64
+	Times   []int64 // empty when the matrix carries no timestamps
 }
 
-// modelWireVersion 4 stores the GIS as the shared blob's version 4 does:
-// neighbour ids only, the weights derived from the matrix at load, unless
-// the GIS blends in item attributes. The shape did not change — the Scores
-// field is still there, only left empty — but the meaning did, so the
-// number moved: a version-3 build refuses such a file by its version
-// instead of as a GIS whose scores are missing. Version 3 files (ids and weights raw), version 2 files
-// (Lens, Index, Score) and version 1 files (per-item neighbour lists, no
-// timestamps) still load, with the weights they store. Version 2 added
-// the matrix's timestamps.
-const modelWireVersion = 4
+// fileWireVersion 1 is the first model file. The formats before it — the
+// unframed gob `-model` file (modelWire) and a manifest's shared and shard
+// blobs — still load (persist_legacy.go); nothing writes them any more.
+const fileWireVersion = 1
 
-// Save serialises the model to w in gob format. The snapshot contains
-// the training matrix, the GIS neighbour lists and the clustering; Load
-// rebuilds the rest of the offline state.
-func (mod *Model) Save(w io.Writer) error {
-	wire := modelWire{
-		Version:  modelWireVersion,
-		Config:   mod.cfg,
-		Matrix:   mod.m,
-		GIS:      mod.gisSnapshot(),
-		Clusters: mod.clusters,
+func writeBlob(w io.Writer, kind byte, payload []byte) error {
+	var hdr [blobHeaderSize]byte
+	copy(hdr[:8], blobMagic[:])
+	hdr[8] = kind
+	binary.BigEndian.PutUint64(hdr[9:], uint64(len(payload)))
+	binary.BigEndian.PutUint32(hdr[17:], crc32.ChecksumIEEE(payload))
+	if _, err := w.Write(hdr[:]); err != nil {
+		return fmt.Errorf("cfsf: write blob header: %w", err)
 	}
-	if err := gob.NewEncoder(w).Encode(wire); err != nil {
-		return fmt.Errorf("cfsf: save model: %w", err)
+	if _, err := w.Write(payload); err != nil {
+		return fmt.Errorf("cfsf: write blob payload: %w", err)
 	}
 	return nil
+}
+
+func readBlob(r io.Reader, wantKind byte) ([]byte, error) {
+	var hdr [blobHeaderSize]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, fmt.Errorf("cfsf: read blob header: %w", err)
+	}
+	if [8]byte(hdr[:8]) != blobMagic {
+		return nil, fmt.Errorf("cfsf: bad blob magic")
+	}
+	if hdr[8] != wantKind {
+		return nil, fmt.Errorf("cfsf: blob kind %d, want %d", hdr[8], wantKind)
+	}
+	n := int64(binary.BigEndian.Uint64(hdr[9:17]))
+	if n < 0 || n > maxBlobPayload {
+		return nil, fmt.Errorf("cfsf: blob payload length %d out of range", n)
+	}
+	payload := make([]byte, n)
+	if _, err := io.ReadFull(r, payload); err != nil {
+		return nil, fmt.Errorf("cfsf: read blob payload: %w", err)
+	}
+	if crc := crc32.ChecksumIEEE(payload); crc != binary.BigEndian.Uint32(hdr[17:]) {
+		return nil, fmt.Errorf("cfsf: blob checksum mismatch")
+	}
+	return payload, nil
+}
+
+// Save writes the model as a model file at watermark 0.
+func (mod *Model) Save(w io.Writer) error { return mod.SaveAt(w, 0) }
+
+// SaveAt writes the model as a model file recording watermark seq.
+func (mod *Model) SaveAt(w io.Writer, seq uint64) error {
+	m := mod.m
+	wire := fileWire{
+		Version:   fileWireVersion,
+		Config:    mod.cfg,
+		NumUsers:  m.NumUsers(),
+		NumItems:  m.NumItems(),
+		MinRating: m.MinRating(),
+		MaxRating: m.MaxRating(),
+		HasTimes:  m.HasTimes(),
+		GIS:       mod.gisSnapshot(),
+		Clusters:  mod.clusters,
+		Seq:       seq,
+		RowLens:   make([]int32, m.NumUsers()),
+		Items:     make([]int32, 0, m.NumRatings()),
+		Values:    make([]float64, 0, m.NumRatings()),
+	}
+	if wire.HasTimes {
+		wire.Times = make([]int64, 0, m.NumRatings())
+	}
+	for u := range wire.RowLens {
+		row := m.UserRatings(u)
+		wire.RowLens[u] = int32(len(row))
+		for _, e := range row {
+			wire.Items = append(wire.Items, e.Index)
+			wire.Values = append(wire.Values, e.Value)
+		}
+		if wire.HasTimes {
+			wire.Times = append(wire.Times, m.UserRatingTimes(u)...)
+		}
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(wire); err != nil {
+		return fmt.Errorf("cfsf: save model: %w", err)
+	}
+	return writeBlob(w, blobKindModel, buf.Bytes())
 }
 
 // SaveFile saves the model to path atomically and durably (temp file,
@@ -64,32 +164,109 @@ func (mod *Model) SaveFile(path string) error {
 	})
 }
 
-// Load reconstructs a model saved with Save. GIS weights, smoothing
-// tables and the neighbour cache are rebuilt, so the loaded model
-// predicts identically to the one that was saved.
-//
-//cfsf:wallclock-ok rebuild duration recorded in TrainStats only; no clock value reaches predictions or replayed state
+// File is a decoded model file before the model is rebuilt from it: the
+// shared part (configuration, dimensions, GIS neighbour lists,
+// clustering), the watermark, and the matrix rows.
+type File struct {
+	SharedPart
+	Seq   uint64
+	Rows  [][]ratings.Entry // Rows[u] is user u's ratings, item ascending
+	Times [][]int64         // aligned with Rows; nil when the matrix carries no timestamps
+}
+
+// Decode reads and validates one model file: the frame and its checksum,
+// nothing after it, the version, the configuration, the GIS against the
+// item count, the clustering against the dimensions, and the row slices
+// against each other. It rebuilds nothing; Model does.
+func Decode(r io.Reader) (*File, error) {
+	payload, err := readBlob(r, blobKindModel)
+	if err != nil {
+		return nil, err
+	}
+	var one [1]byte
+	if n, _ := io.ReadFull(r, one[:]); n > 0 {
+		return nil, fmt.Errorf("cfsf: corrupt model file: bytes after the frame")
+	}
+	var wire fileWire
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&wire); err != nil {
+		return nil, fmt.Errorf("cfsf: decode model file: %w", err)
+	}
+	if wire.Version != fileWireVersion {
+		return nil, fmt.Errorf("cfsf: unsupported model file version %d", wire.Version)
+	}
+	f := &File{
+		SharedPart: SharedPart{
+			Config:    wire.Config,
+			NumUsers:  wire.NumUsers,
+			NumItems:  wire.NumItems,
+			MinRating: wire.MinRating,
+			MaxRating: wire.MaxRating,
+			HasTimes:  wire.HasTimes,
+			GIS:       wire.GIS,
+			Clusters:  wire.Clusters,
+		},
+		Seq: wire.Seq,
+	}
+	if err := f.SharedPart.check(); err != nil {
+		return nil, fmt.Errorf("cfsf: corrupt model file: %w", err)
+	}
+	if len(wire.RowLens) != wire.NumUsers {
+		return nil, fmt.Errorf("cfsf: corrupt model file: %d row lengths for %d users", len(wire.RowLens), wire.NumUsers)
+	}
+	total := 0
+	for u, n := range wire.RowLens {
+		if n < 0 || int(n) > len(wire.Items)-total {
+			return nil, fmt.Errorf("cfsf: corrupt model file: row length %d of user %d overruns %d entries", n, u, len(wire.Items))
+		}
+		total += int(n)
+	}
+	if len(wire.Items) != total || len(wire.Values) != total {
+		return nil, fmt.Errorf("cfsf: corrupt model file: %d items and %d values for %d row slots", len(wire.Items), len(wire.Values), total)
+	}
+	wantTimes := 0
+	if wire.HasTimes {
+		wantTimes = total
+	}
+	if len(wire.Times) != wantTimes {
+		return nil, fmt.Errorf("cfsf: corrupt model file: %d timestamps for %d entries (timed %v)", len(wire.Times), total, wire.HasTimes)
+	}
+	back := make([]ratings.Entry, total)
+	for k := range back {
+		back[k] = ratings.Entry{Index: wire.Items[k], Value: wire.Values[k]}
+	}
+	f.Rows = make([][]ratings.Entry, wire.NumUsers)
+	if wire.HasTimes {
+		f.Times = make([][]int64, wire.NumUsers)
+	}
+	off := 0
+	for u, n := range wire.RowLens {
+		f.Rows[u] = back[off : off+int(n) : off+int(n)]
+		if wire.HasTimes {
+			f.Times[u] = wire.Times[off : off+int(n) : off+int(n)]
+		}
+		off += int(n)
+	}
+	return f, nil
+}
+
+// Model rebuilds the model the file holds (AssembleModel).
+func (f *File) Model() (*Model, error) { return AssembleModel(&f.SharedPart, f.Rows, f.Times) }
+
+// Load reads a model file. A file written before the model file existed —
+// an unframed gob `-model` file — loads too (persist_legacy.go).
 func Load(r io.Reader) (*Model, error) {
-	var wire modelWire
-	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
+	data, err := io.ReadAll(r)
+	if err != nil {
 		return nil, fmt.Errorf("cfsf: load model: %w", err)
 	}
-	if wire.Version < 1 || wire.Version > modelWireVersion {
-		return nil, fmt.Errorf("cfsf: unsupported model snapshot version %d", wire.Version)
+	if !bytes.HasPrefix(data, blobMagic[:]) {
+		return loadModelWire(bytes.NewReader(data))
 	}
-	if err := wire.Config.Validate(); err != nil {
-		return nil, fmt.Errorf("cfsf: corrupt model snapshot: %w", err)
-	}
-	if wire.Matrix == nil || wire.Clusters == nil {
-		return nil, fmt.Errorf("cfsf: corrupt model snapshot: missing matrix or clustering")
-	}
-	start := time.Now()
-	mod, err := rebuildModel(wire.Config, wire.Matrix, wire.GIS, wire.Clusters)
+	f, err := Decode(bytes.NewReader(data))
 	if err != nil {
-		return nil, fmt.Errorf("cfsf: corrupt model snapshot: %w", err)
+		return nil, err
 	}
-	stampRebuildDuration(mod, start)
-	return mod, nil
+	return f.Model()
 }
 
 // LoadFile loads a model saved with SaveFile.
@@ -100,4 +277,52 @@ func LoadFile(path string) (*Model, error) {
 	}
 	defer f.Close()
 	return Load(f)
+}
+
+// stampRebuildDuration records how long reconstructing the derived
+// offline state took in the model's TrainStats.
+//
+//cfsf:init-only called by the loaders on a model that has not been returned yet
+//cfsf:wallclock-ok rebuild duration recorded in TrainStats only; no clock value reaches predictions or replayed state
+func stampRebuildDuration(mod *Model, start time.Time) {
+	mod.stats.TotalDuration = time.Since(start)
+}
+
+// gisSnapshot is the GIS as a model file stores it: the neighbour lists
+// alone, unless the weights blend in item attributes and no matrix
+// reproduces them.
+func (mod *Model) gisSnapshot() similarity.Snapshot {
+	return mod.gis.Snapshot(mod.cfg.blendsContent())
+}
+
+// rebuildModel reconstructs the derived offline state (GIS weights,
+// smoothing tables, caches) around persisted artefacts. It refuses a
+// clustering that does not fit m (cluster.Result.Check), and a GIS
+// snapshot that does not cover m's items (Predict indexes the GIS by item
+// id) or does not derive on m (similarity.FromSnapshot).
+//
+//cfsf:wallclock-ok GIS derivation duration recorded in TrainStats only; no clock value reaches predictions or replayed state
+func rebuildModel(cfg Config, m *ratings.Matrix, snap similarity.Snapshot, clusters *cluster.Result) (*Model, error) {
+	if err := clusters.Check(m.NumUsers(), m.NumItems()); err != nil {
+		return nil, err
+	}
+	t := time.Now()
+	gis, err := similarity.FromSnapshot(snap, m)
+	if err != nil {
+		return nil, err
+	}
+	mod := &Model{
+		cfg:      cfg,
+		m:        m,
+		gis:      gis,
+		clusters: clusters,
+	}
+	mod.stats.GISDuration = time.Since(t)
+	mod.sm = smoothing.New(mod.m, mod.clusters)
+	mod.neighborCache = make([]atomic.Pointer[[]likeMinded], mod.m.NumUsers())
+	mod.initRecCache()
+	mod.buildTopM(nil)
+	mod.stats.GISNeighbors = mod.gis.TotalNeighbors()
+	mod.stats.ClusterIters = clusters.Iterations
+	return mod, nil
 }

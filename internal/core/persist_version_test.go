@@ -47,31 +47,31 @@ func requireSameRecommendations(t *testing.T, want, got *Model, ctx string) {
 	}
 }
 
-// TestOlderBlobsLoadAndResaveAsVersion4: the testdata blobs really are
+// TestOlderBlobsLoadAndResaveAsVersion4: the testdata files really are
 // the versions they are named for — tau0.* version 1 (per-item neighbour
 // lists), v2.* version 2 (Lens, Index, Score), written by 246d90a, and
 // v3.* version 3 (Lens, IDs, Scores raw), written by fd1273f, all from
-// refusalFixture — and carry that layout alone; they load with the
-// weights they store; what they load to re-saves as version 4 (Lens and
-// IDs, no Scores: the weights are derived at load); and the models loaded
-// from each, the ones loaded from their re-saves and the model trained
-// live hold the same GIS entry for entry and answer every Predict and
-// Recommend the same, the grid hashing to tau0Grid.
+// refusalFixture, as an unframed `-model` file and as a manifest's shared
+// blob — and carry that layout alone; they load with the weights they
+// store; what they load to re-saves as a model file, its GIS in version
+// 4's layout (neighbour ids alone, the weights derived at load); and the
+// models loaded from each, the ones loaded from their re-saves and the
+// model trained live hold the same GIS entry for entry and answer every
+// Predict and Recommend the same, the grid hashing to tau0Grid.
 func TestOlderBlobsLoadAndResaveAsVersion4(t *testing.T) {
 	m, cfg := refusalFixture(t)
 	live, err := Train(m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantLayout := func(ctx string, version, wantVersion int, snap similarity.Snapshot) {
+	// wantLayout checks a GIS snapshot carries the layout of the given
+	// version alone; 4 is ids without weights, the model file's.
+	wantLayout := func(ctx string, version int, snap similarity.Snapshot) {
 		t.Helper()
-		if version != wantVersion {
-			t.Fatalf("%s: wire version %d, want %d", ctx, version, wantVersion)
-		}
 		ids, scores := len(snap.Lens) > 0 && len(snap.IDs) > 0, len(snap.Scores) > 0
 		flat := len(snap.Index) > 0 || len(snap.Score) > 0
 		perItem := len(snap.Neighbors) > 0
-		if ids != (wantVersion >= 3) || scores != (wantVersion == 3) || flat != (wantVersion == 2) || perItem != (wantVersion == 1) {
+		if ids != (version >= 3) || scores != (version == 3) || flat != (version == 2) || perItem != (version == 1) {
 			t.Fatalf("%s: version %d carries ids=%v scores=%v flat=%v per-item=%v", ctx, version, ids, scores, flat, perItem)
 		}
 	}
@@ -83,6 +83,24 @@ func TestOlderBlobsLoadAndResaveAsVersion4(t *testing.T) {
 		if h := gridHash(got); h != tau0Grid {
 			t.Fatalf("%s: prediction grid hashes to %s, want %s", ctx, h, tau0Grid)
 		}
+	}
+	// resave writes old as a model file and loads that back.
+	resave := func(ctx string, old *Model) *Model {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := old.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		f, err := Decode(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("%s: %v", ctx, err)
+		}
+		wantLayout(ctx, 4, f.GIS)
+		mod, err := Load(&buf)
+		if err != nil {
+			t.Fatalf("%s: %v", ctx, err)
+		}
+		return mod
 	}
 	fixtures := []struct {
 		name    string
@@ -99,34 +117,26 @@ func TestOlderBlobsLoadAndResaveAsVersion4(t *testing.T) {
 			if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&wire); err != nil {
 				t.Fatal(err)
 			}
-			wantLayout(fx.name, wire.Version, fx.version, wire.GIS)
+			if wire.Version != fx.version {
+				t.Fatalf("%s: wire version %d, want %d", fx.name, wire.Version, fx.version)
+			}
+			wantLayout(fx.name, fx.version, wire.GIS)
 			old, err := Load(bytes.NewReader(data))
 			if err != nil {
 				t.Fatal(err)
 			}
 			compare(fmt.Sprintf("loaded from version %d", fx.version), old)
-
-			var buf bytes.Buffer
-			if err := old.Save(&buf); err != nil {
-				t.Fatal(err)
-			}
-			wire = modelWire{}
-			if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&wire); err != nil {
-				t.Fatal(err)
-			}
-			wantLayout(fx.name+" re-saved", wire.Version, 4, wire.GIS)
-			resaved, err := Load(&buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			compare(fmt.Sprintf("loaded from the version-4 re-save of version %d", fx.version), resaved)
+			compare(fmt.Sprintf("loaded from the re-save of version %d", fx.version), resave(fx.name+" re-saved", old))
 		}
 	})
 
 	t.Run("shared blob", func(t *testing.T) {
-		decode := func(blob []byte) sharedWire {
-			t.Helper()
-			payload, err := readBlob(bytes.NewReader(blob), blobKindShared)
+		for _, fx := range fixtures {
+			data, err := os.ReadFile("testdata/" + fx.name + ".shared")
+			if err != nil {
+				t.Fatal(err)
+			}
+			payload, err := readBlob(bytes.NewReader(data), blobKindShared)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -134,11 +144,11 @@ func TestOlderBlobsLoadAndResaveAsVersion4(t *testing.T) {
 			if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&wire); err != nil {
 				t.Fatal(err)
 			}
-			return wire
-		}
-		assemble := func(blob []byte) *Model {
-			t.Helper()
-			sp, err := LoadSharedPart(bytes.NewReader(blob))
+			if wire.Version != fx.version {
+				t.Fatalf("%s: wire version %d, want %d", fx.name, wire.Version, fx.version)
+			}
+			wantLayout(fx.name, fx.version, wire.GIS)
+			sp, err := LoadSharedPart(bytes.NewReader(data))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -146,34 +156,18 @@ func TestOlderBlobsLoadAndResaveAsVersion4(t *testing.T) {
 			for u := range rows {
 				rows[u], times[u] = m.UserRatings(u), m.UserRatingTimes(u)
 			}
-			mod, err := AssembleModel(sp, rows, times)
+			old, err := AssembleModel(sp, rows, times)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return mod
-		}
-		for _, fx := range fixtures {
-			data, err := os.ReadFile("testdata/" + fx.name + ".shared")
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantLayout(fx.name, decode(data).Version, fx.version, decode(data).GIS)
-			old := assemble(data)
 			compare(fmt.Sprintf("assembled from version %d", fx.version), old)
-
-			var buf bytes.Buffer
-			if err := old.SaveSharedBlob(&buf); err != nil {
-				t.Fatal(err)
-			}
-			wire := decode(buf.Bytes())
-			wantLayout(fx.name+" re-saved", wire.Version, 4, wire.GIS)
-			compare(fmt.Sprintf("assembled from the version-4 re-save of version %d", fx.version), assemble(buf.Bytes()))
+			compare(fmt.Sprintf("loaded from the re-save of version %d", fx.version), resave(fx.name+" re-saved", old))
 		}
 	})
 }
 
-// sharedWireOf is the payload SaveSharedBlob writes for mod, for tests
-// that change one thing in it before framing it as a blob.
+// sharedWireOf is the payload a shared blob of mod held, for tests that
+// change one thing in it before framing it as a blob.
 func sharedWireOf(mod *Model) sharedWire {
 	return sharedWire{Version: sharedBlobVersion, Config: mod.cfg, NumUsers: mod.m.NumUsers(), NumItems: mod.m.NumItems(),
 		MinRating: mod.m.MinRating(), MaxRating: mod.m.MaxRating(), HasTimes: mod.m.HasTimes(),
@@ -182,31 +176,44 @@ func sharedWireOf(mod *Model) sharedWire {
 
 func sharedBlobOf(t *testing.T, wire sharedWire) *bytes.Buffer {
 	t.Helper()
+	return frameOf(t, blobKindShared, wire)
+}
+
+// frameOf gob-encodes wire and frames it as a blob of the given kind.
+func frameOf(t *testing.T, kind byte, wire any) *bytes.Buffer {
+	t.Helper()
 	var payload, blob bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(wire); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeBlob(&blob, blobKindShared, payload.Bytes()); err != nil {
+	if err := writeBlob(&blob, kind, payload.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	return &blob
 }
 
-// TestFutureWireVersionsAreRefused: a blob one version ahead of this
-// build is refused by its number, whatever it holds — the rule a
-// version-3 build applies to the version-4 blobs this one writes.
+// TestFutureWireVersionsAreRefused: a file one version ahead of what this
+// build knows is refused by its number, whatever it holds: a model file,
+// and the older formats this build only reads.
 func TestFutureWireVersionsAreRefused(t *testing.T) {
-	if sharedBlobVersion != 4 || modelWireVersion != 4 {
-		t.Fatalf("this build writes shared blob version %d and model version %d; the tests here pin 4", sharedBlobVersion, modelWireVersion)
+	if fileWireVersion != 1 || sharedBlobVersion != 4 || modelWireVersion != 4 {
+		t.Fatalf("this build writes model file version %d and reads shared blob version %d and model version %d; the tests here pin 1, 4 and 4",
+			fileWireVersion, sharedBlobVersion, modelWireVersion)
 	}
 	mod, _ := trainSmall(t)
+	file := fileWireOf(t, mod)
+	file.Version = fileWireVersion + 1
+	if _, err := Load(frameOf(t, blobKindModel, file)); err == nil || !strings.Contains(err.Error(), "version 2") {
+		t.Errorf("Load of a model file: err = %v, want a refusal naming version 2", err)
+	}
+
 	var buf bytes.Buffer
 	model := modelWire{Version: modelWireVersion + 1, Config: mod.cfg, Matrix: mod.m, GIS: mod.gisSnapshot(), Clusters: mod.clusters}
 	if err := gob.NewEncoder(&buf).Encode(model); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Load(&buf); err == nil || !strings.Contains(err.Error(), "version 5") {
-		t.Errorf("Load: err = %v, want a refusal naming version 5", err)
+		t.Errorf("Load of an unframed file: err = %v, want a refusal naming version 5", err)
 	}
 
 	shared := sharedWireOf(mod)
@@ -214,6 +221,25 @@ func TestFutureWireVersionsAreRefused(t *testing.T) {
 	if _, err := LoadSharedPart(sharedBlobOf(t, shared)); err == nil || !strings.Contains(err.Error(), "version 5") {
 		t.Errorf("LoadSharedPart: err = %v, want a refusal naming version 5", err)
 	}
+}
+
+// fileWireOf decodes the payload Save writes for mod, for tests that
+// change one thing in it before framing it again.
+func fileWireOf(t *testing.T, mod *Model) fileWire {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := mod.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := readBlob(&buf, blobKindModel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wire fileWire
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&wire); err != nil {
+		t.Fatal(err)
+	}
+	return wire
 }
 
 // TestSharedBlobGISMustCoverTheItems: a shared blob whose GIS is
@@ -247,9 +273,9 @@ func TestSharedBlobGISMustCoverTheItems(t *testing.T) {
 	}
 }
 
-// TestSaveLoadKeepsTimes: the one-file form carries the timestamps (its
-// version 1 had no place for them and dropped every one), so a model
-// loaded from it is timed and writes shard blobs with a Times section.
+// TestSaveLoadKeepsTimes: the model file carries the timestamps (the
+// unframed file's version 1 had no place for them and dropped every one),
+// so a model loaded from it is timed, and saves them again.
 func TestSaveLoadKeepsTimes(t *testing.T) {
 	m, cfg := refusalFixture(t)
 	mod, err := Train(m, cfg)
@@ -272,22 +298,20 @@ func TestSaveLoadKeepsTimes(t *testing.T) {
 			t.Fatalf("user %d timestamps = %v, want %v", u, got, want)
 		}
 	}
-	for c := 0; c < loaded.Clusters().K; c++ {
-		buf.Reset()
-		if err := loaded.SaveShardBlob(&buf, c); err != nil {
-			t.Fatal(err)
-		}
-		part, err := LoadShardPart(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if part.Times == nil {
-			t.Fatalf("shard %d blob of the loaded model carries no Times section", c)
-		}
-		for j, u := range part.Users {
-			if want := m.UserRatingTimes(u); !slices.Equal(part.Times[j], want) {
-				t.Fatalf("shard %d user %d timestamps = %v, want %v", c, u, part.Times[j], want)
-			}
+	buf.Reset()
+	if err := loaded.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	f, err := Decode(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Times == nil {
+		t.Fatal("the loaded model's file carries no timestamps")
+	}
+	for u := 0; u < m.NumUsers(); u++ {
+		if want := m.UserRatingTimes(u); !slices.Equal(f.Times[u], want) {
+			t.Fatalf("user %d timestamps in the re-save = %v, want %v", u, f.Times[u], want)
 		}
 	}
 }

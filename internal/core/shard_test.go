@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"cfsf/internal/ratings"
@@ -150,7 +151,7 @@ func untimedSmall(t *testing.T) *Model {
 // TestApplyIsTotal: the first timed rating into an untimed model — the
 // one batch that used to be handed to the from-scratch WithUpdates pass —
 // goes through Apply like any other and still yields WithUpdates' model
-// (same predictions, same saved bytes), and every shard blob is stale.
+// (same predictions, same saved bytes).
 func TestApplyIsTotal(t *testing.T) {
 	mod := untimedSmall(t)
 	ups := []RatingUpdate{
@@ -178,9 +179,6 @@ func TestApplyIsTotal(t *testing.T) {
 	}
 	if !bytes.Equal(wantBytes.Bytes(), gotBytes.Bytes()) {
 		t.Fatal("Save bytes differ from WithUpdates' model")
-	}
-	if changed := ChangedShards(mod, got, ups); len(changed) != mod.Clusters().K {
-		t.Fatalf("ChangedShards = %v, want all %d shards", changed, mod.Clusters().K)
 	}
 	if st := got.Stats(); !st.Incremental || st.UpdatesApplied != len(ups) {
 		t.Fatalf("stats = %+v, want an incremental apply of %d", st, len(ups))
@@ -222,8 +220,11 @@ func TestTrainIsAFunctionOfMatrixAndConfig(t *testing.T) {
 		t.Fatalf("fixture grew to %d×%d, want %d×%d", m.NumUsers(), m.NumItems(), users+1, items+1)
 	}
 	fingerprint := func(mod *Model) string {
-		shared, shards := saveParts(t, mod)
-		return string(shared) + string(bytes.Join(shards, nil))
+		var buf bytes.Buffer
+		if err := mod.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
 	}
 	train := func(from *Model) *Model {
 		next, err := Train(from.Matrix(), from.Config())
@@ -235,10 +236,13 @@ func TestTrainIsAFunctionOfMatrixAndConfig(t *testing.T) {
 
 	fromLive := train(live)
 	want := fingerprint(fromLive)
-	shared, shards := saveParts(t, live)
-	fromLoaded := train(assembleFromParts(t, shared, shards))
+	loaded, err := Load(strings.NewReader(fingerprint(live)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromLoaded := train(loaded)
 	if fingerprint(fromLoaded) != want {
-		t.Fatal("Train of the blob-loaded copy differs from Train of the live model")
+		t.Fatal("Train of the loaded copy differs from Train of the live model")
 	}
 	if fingerprint(train(fromLive)) != want {
 		t.Fatal("Train of a trained model's own matrix is not a fixed point")

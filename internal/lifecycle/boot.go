@@ -2,12 +2,11 @@ package lifecycle
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"cfsf/internal/core"
-	"cfsf/internal/ratings"
 	"cfsf/internal/wal"
 )
 
@@ -36,8 +35,8 @@ const legacySnapshotGlob = "snap-*.gob"
 
 // tailReplayable reports whether the WAL can still extend a state at
 // watermark seq: the log serves a state at seq S iff its first segment
-// starts at or below S+1. Boot, shard patching and (through NewCursor)
-// followers all pass this one gate.
+// starts at or below S+1. Boot and (through NewCursor) followers both pass
+// this one gate.
 func (m *Manager) tailReplayable(seq uint64) error {
 	if av := m.w.AvailableFrom(); av > seq+1 {
 		return fmt.Errorf("wal starts at seq %d, records from seq %d are gone", av, seq+1)
@@ -66,8 +65,8 @@ func (m *Manager) WALAppendSignal() (<-chan struct{}, uint64) { return m.w.Appen
 // payload tells a behind follower where serveability starts).
 func (m *Manager) WALAvailableFrom() uint64 { return m.w.AvailableFrom() }
 
-// OldestSnapshotSeq returns the oldest retained manifest's watermark as
-// of boot or the last snapshot. WAL GC keeps WALAvailableFrom() at or
+// OldestSnapshotSeq returns the oldest retained snapshot file's watermark
+// as of boot or the last snapshot. WAL GC keeps WALAvailableFrom() at or
 // below it plus one.
 func (m *Manager) OldestSnapshotSeq() uint64 { return m.oldestSnapSeq.Load() }
 
@@ -81,7 +80,7 @@ func (m *Manager) bootModel(bootstrap func() (*core.Model, error)) error {
 	if err != nil {
 		return fmt.Errorf("lifecycle: list snapshots: %w", err)
 	}
-	// Try recovery points newest-first: a manifest that cannot be loaded —
+	// Try recovery points newest-first: a point that cannot be loaded —
 	// torn by the filesystem, or written by a newer build whose wire
 	// version this binary rejects — is skipped in favour of the next older
 	// one. The WAL needed to catch up from an older point is still present
@@ -90,14 +89,14 @@ func (m *Manager) bootModel(bootstrap func() (*core.Model, error)) error {
 	// with the point ladder, so the tailReplayable gate only skips points
 	// orphaned by a SnapshotKeep decrease or external file surgery.
 	var base *core.Model
-	var bootPatched []int
+	var loaded durablePoint
 	for _, pt := range points {
 		if err := m.tailReplayable(pt.seq); err != nil {
 			m.cfg.Logf("lifecycle: snapshot %s unusable (%v); trying an older one", filepath.Base(pt.path), err)
 			continue
 		}
 		t := time.Now()
-		mod, man, patched, lerr := m.loadManifestPoint(pt)
+		mod, lerr := loadPoint(pt)
 		if lerr != nil {
 			m.reg.Counter("lifecycle_snapshot_load_failures_total").Inc()
 			m.cfg.Logf("lifecycle: snapshot %s unusable (%v); trying an older one", filepath.Base(pt.path), lerr)
@@ -105,12 +104,7 @@ func (m *Manager) bootModel(bootstrap func() (*core.Model, error)) error {
 		}
 		m.cfg.Logf("lifecycle: loaded snapshot %s (covers seq %d) in %v",
 			filepath.Base(pt.path), pt.seq, time.Since(t).Round(time.Millisecond))
-		base, bootPatched = mod, patched
-		// Boot is single-threaded, but the boot-time Snapshot below reads
-		// this under snapMu, so publish it the same way.
-		m.snapMu.Lock()
-		m.lastManifest = man
-		m.snapMu.Unlock()
+		base, loaded = mod, pt
 		m.boot.SnapshotLoaded = pt.path
 		m.boot.SnapshotSeq = pt.seq
 		break
@@ -122,7 +116,7 @@ func (m *Manager) bootModel(bootstrap func() (*core.Model, error)) error {
 		// stands at watermark 0 and passes the same gate as any point.
 		dir := snapshotDir(m.cfg.DataDir)
 		if legacy, _ := filepath.Glob(filepath.Join(dir, legacySnapshotGlob)); len(legacy) > 0 {
-			return fmt.Errorf("lifecycle: %s is a legacy monolithic snapshot and no manifest in %s is loadable: this build reads manifests only — boot the directory once with a build up to PR 12 to migrate it, or move the file away to retrain",
+			return fmt.Errorf("lifecycle: %s is a legacy monolithic snapshot and no snapshot in %s is loadable: this build does not read it — boot the directory once with a build up to 157aafe to migrate it, or move the file away to retrain",
 				legacy[0], dir)
 		}
 		if err := m.tailReplayable(0); err != nil {
@@ -141,11 +135,17 @@ func (m *Manager) bootModel(bootstrap func() (*core.Model, error)) error {
 	// Replay the tail through the same replica the live process runs:
 	// ratings queue, each journaled commit cuts and applies exactly the
 	// batch the previous process applied, each journaled retrain re-runs.
-	// A patched shard's manifest ref points at the unusable blob, so it
-	// starts out dirty and the boot snapshot below rewrites it. Ratings
-	// past the final commit were journaled but possibly never applied;
-	// they form one final batch.
-	m.rep.reset(base, m.boot.SnapshotSeq, bootPatched)
+	// Ratings past the final commit were journaled but possibly never
+	// applied; they form one final batch.
+	m.rep.reset(base, m.boot.SnapshotSeq)
+	fromFile := loaded.path != "" && !loaded.manifest
+	if fromFile {
+		// Boot is single-threaded, but Snapshot reads this under snapMu,
+		// so publish it the same way.
+		m.snapMu.Lock()
+		m.snapped = m.rep.state.Load()
+		m.snapMu.Unlock()
+	}
 	err = m.w.Replay(m.boot.SnapshotSeq, func(rec wal.Record) error {
 		queued, applied, err := m.rep.feed(rec)
 		m.boot.ReplayedRecords += queued
@@ -161,12 +161,11 @@ func (m *Manager) bootModel(bootstrap func() (*core.Model, error)) error {
 		m.boot.ReplayedBatches++
 	}
 
-	// Re-anchor durability: after any replay, a boot from a shard-patched
-	// snapshot, or a first boot with no snapshot at all, write a snapshot
-	// so the next boot starts from a clean point — and so recovery no
-	// longer depends on the bootstrap function reproducing the base model
-	// exactly.
-	if m.boot.ReplayedRecords > 0 || m.boot.SnapshotLoaded == "" || len(bootPatched) > 0 {
+	// Re-anchor durability: after any replay, a boot from a manifest, or a
+	// first boot with no snapshot at all, write a snapshot file so the next
+	// boot starts from a clean point — and so recovery no longer depends on
+	// the bootstrap function reproducing the base model exactly.
+	if m.boot.ReplayedRecords > 0 || !fromFile {
 		if _, err := m.Snapshot(); err != nil {
 			return fmt.Errorf("lifecycle: boot snapshot: %w", err)
 		}
@@ -174,187 +173,31 @@ func (m *Manager) bootModel(bootstrap func() (*core.Model, error)) error {
 	return nil
 }
 
-// loadManifestPoint reassembles the model a local manifest describes,
-// patching an unusable shard blob from an older manifest's blob plus the
-// WAL (see fallbackShardRows). An unrecoverable shard fails the whole
-// point and the boot ladder moves to an older one.
-func (m *Manager) loadManifestPoint(pt durablePoint) (mod *core.Model, man *manifest, patched []int, err error) {
-	man, err = readManifest(pt.path)
+// loadPoint loads the model a recovery point holds: a snapshot file, or
+// a manifest's blobs (read-only, see legacy.go). The watermark recorded
+// inside must be the one the name claims.
+func loadPoint(pt durablePoint) (*core.Model, error) {
+	if pt.manifest {
+		man, err := readManifest(pt.path)
+		if err != nil {
+			return nil, err
+		}
+		if man.Seq != pt.seq {
+			return nil, fmt.Errorf("manifest %s covers seq %d, name says %d", filepath.Base(pt.path), man.Seq, pt.seq)
+		}
+		return assembleManifest(man, filepath.Dir(pt.path))
+	}
+	f, err := os.Open(pt.path)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	if man.Seq != pt.seq {
-		return nil, nil, nil, fmt.Errorf("manifest %s covers seq %d, name says %d", filepath.Base(pt.path), man.Seq, pt.seq)
-	}
-	mod, patched, err = assembleManifest(man, dirBlobs(snapshotDir(m.cfg.DataDir)), m.fallbackShardRows)
+	defer f.Close()
+	file, err := core.Decode(f)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	return mod, man, patched, nil
-}
-
-// fallbackShardRows recovers one shard's rows when its manifest blob is
-// lost: an older retained manifest's blob for the same shard is loaded
-// and patched forward through the WAL to the manifest's watermark. The
-// patch is refused — failing the whole point — when the WAL no longer
-// holds the records above the older blob's sequence (see tailReplayable).
-func (m *Manager) fallbackShardRows(man *manifest, ref shardBlobRef, sp *core.SharedPart, rows [][]ratings.Entry, times [][]int64, cause error) error {
-	m.reg.Counter("lifecycle_shard_blob_failures_total").Inc()
-	m.cfg.Logf("lifecycle: shard blob %s unusable (%v); patching shard %d from an older blob", ref.File, cause, ref.ID)
-	points, err := listDurablePoints(m.cfg.DataDir)
-	if err != nil {
-		return err
+	if file.Seq != pt.seq {
+		return nil, fmt.Errorf("snapshot %s covers seq %d, name says %d", filepath.Base(pt.path), file.Seq, pt.seq)
 	}
-	members := sp.Members(ref.ID)
-	blobs := dirBlobs(snapshotDir(m.cfg.DataDir))
-	var lastErr error = fmt.Errorf("no older manifest holds a usable blob for shard %d", ref.ID)
-	for _, pt := range points {
-		if pt.seq >= man.Seq {
-			continue
-		}
-		old, oerr := readManifest(pt.path)
-		if oerr != nil || ref.ID >= len(old.Shards) {
-			continue
-		}
-		oldRef := old.Shards[ref.ID]
-		if oldRef.File == ref.File {
-			continue // the same (bad) blob, re-referenced
-		}
-		if err := m.tailReplayable(oldRef.Seq); err != nil {
-			lastErr = err
-			continue
-		}
-		part, perr := blobs.shard(oldRef.File)
-		if perr != nil {
-			lastErr = perr
-			continue
-		}
-		if part.Shard != ref.ID || (part.Times != nil && !sp.HasTimes) {
-			continue
-		}
-		// Every current member must either appear in the old blob or be a
-		// user created after it was written (whose whole row is in the
-		// WAL). A member missing for any other reason lived in a different
-		// shard back then — its old rows are in a blob we are not reading.
-		inBlob := make(map[int]int, len(part.Users))
-		for j, u := range part.Users {
-			inBlob[u] = j
-		}
-		compatible := true
-		for _, u := range members {
-			if _, ok := inBlob[u]; !ok && u < part.NumUsersAtWrite {
-				compatible = false
-				break
-			}
-		}
-		if !compatible {
-			lastErr = fmt.Errorf("blob %s predates a membership change it cannot express", oldRef.File)
-			continue
-		}
-		baseRows := make(map[int][]ratings.Entry, len(members))
-		baseTimes := make(map[int][]int64, len(members))
-		for _, u := range members {
-			j, ok := inBlob[u]
-			if !ok {
-				continue
-			}
-			baseRows[u] = part.Rows[j]
-			if sp.HasTimes {
-				if part.Times != nil {
-					baseTimes[u] = part.Times[j]
-				} else {
-					// Pre-flip blob: its entries were journaled untimed, so
-					// their timestamps are genuinely zero.
-					baseTimes[u] = make([]int64, len(part.Rows[j]))
-				}
-			}
-		}
-		if err := m.patchRows(members, baseRows, baseTimes, oldRef.Seq, man.Seq, sp.HasTimes, rows, times); err != nil {
-			lastErr = err
-			continue
-		}
-		m.cfg.Logf("lifecycle: patched shard %d from %s (seq %d) forward to seq %d",
-			ref.ID, oldRef.File, oldRef.Seq, man.Seq)
-		return nil
-	}
-	return lastErr
-}
-
-// patchRows replays the WAL from fromSeq, restricted to the given users,
-// on top of their base rows, and writes the resulting rows (item
-// ascending, timestamps aligned) into rows/times at throughSeq. Ratings
-// are grouped by the journaled batch-commit records exactly as full
-// replay groups them, and a per-shard commit is refused as it is there.
-func (m *Manager) patchRows(members []int, baseRows map[int][]ratings.Entry, baseTimes map[int][]int64, fromSeq, throughSeq uint64, hasTimes bool, rows [][]ratings.Entry, times [][]int64) error {
-	type cellVal struct {
-		v float64
-		t int64
-	}
-	cells := make(map[int]map[int32]cellVal, len(members))
-	memberSet := make(map[int]bool, len(members))
-	for _, u := range members {
-		memberSet[u] = true
-		row := make(map[int32]cellVal, len(baseRows[u]))
-		for k, e := range baseRows[u] {
-			cv := cellVal{v: e.Value}
-			if hasTimes {
-				cv.t = baseTimes[u][k]
-			}
-			row[e.Index] = cv
-		}
-		cells[u] = row
-	}
-	q := newCommitQueue(fromSeq)
-	apply := func(covered uint64) {
-		for _, u := range q.cut(covered) {
-			cells[u.User][int32(u.Item)] = cellVal{v: u.Value, t: u.Time}
-		}
-	}
-	err := m.w.Replay(fromSeq, func(rec wal.Record) error {
-		switch rec.Type {
-		case wal.RecordRating:
-			if rec.Seq <= throughSeq && memberSet[rec.Update.User] {
-				q.push(rec.Seq, rec.Update)
-			}
-		case wal.RecordBatchCommit:
-			if err := q.refuseShardCommit(rec); err != nil {
-				return err
-			}
-			apply(rec.Covered)
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	// Ratings at or below the manifest's watermark were all applied before
-	// it was written; any left uncommitted in the log fold in sequence
-	// order, exactly as boot replay's trailing batch does.
-	apply(throughSeq)
-
-	for _, u := range members {
-		row := cells[u]
-		items := make([]int32, 0, len(row))
-		for it := range row {
-			items = append(items, it)
-		}
-		sort.Slice(items, func(i, j int) bool { return items[i] < items[j] })
-		out := make([]ratings.Entry, len(items))
-		var ts []int64
-		if hasTimes {
-			ts = make([]int64, len(items))
-		}
-		for k, it := range items {
-			cv := row[it]
-			out[k] = ratings.Entry{Index: it, Value: cv.v}
-			if hasTimes {
-				ts[k] = cv.t
-			}
-		}
-		rows[u] = out
-		if hasTimes {
-			times[u] = ts
-		}
-	}
-	return nil
+	return file.Model()
 }

@@ -17,9 +17,9 @@ type pendingUpdate struct {
 
 // commitQueue regroups a WAL record stream into the batches the writer
 // applied: ratings queue in stream order and a batch-commit record cuts
-// its batch back out. The replica (boot replay, live drain, follower) and
-// per-shard blob patching all regroup through it, which is what keeps
-// them bit-identical to each other.
+// its batch back out. The replica — boot replay, live drain, follower —
+// regroups through it alone, which is what keeps the three bit-identical
+// to each other.
 type commitQueue struct {
 	queued []pendingUpdate // ascending sequence
 	last   uint64          // highest rating sequence taken in; starts at the base watermark

@@ -10,7 +10,6 @@ import (
 
 	"cfsf/internal/core"
 	"cfsf/internal/obs"
-	"cfsf/internal/ratings"
 	"cfsf/internal/wal"
 )
 
@@ -98,19 +97,14 @@ func TestCommitQueue(t *testing.T) {
 	}
 }
 
-// fingerprint hashes a model's persisted form, shared blob then every
-// shard blob — replication.Fingerprint's definition, which this package
+// fingerprint hashes a model's persisted form, the model file Save
+// writes — the first half of replication.Fingerprint, which this package
 // cannot import.
-func fingerprint(t *testing.T, mod *core.Model) string {
+func fingerprint(t testing.TB, mod *core.Model) string {
 	t.Helper()
 	h := sha256.New()
-	if err := mod.SaveSharedBlob(h); err != nil {
+	if err := mod.Save(h); err != nil {
 		t.Fatal(err)
-	}
-	for s := 0; s < mod.Clusters().K; s++ {
-		if err := mod.SaveShardBlob(h, s); err != nil {
-			t.Fatal(err)
-		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -119,8 +113,8 @@ func fingerprint(t *testing.T, mod *core.Model) string {
 // that builds before 390be92 left behind: they drained one shard at a time
 // and journaled a commit carrying that shard's id, and regrouping such a
 // commit needs the per-rating routing this build no longer keeps. Boot
-// replay, a streaming follower and per-shard blob patching must each
-// refuse the record by sequence and shard and name the way out — never
+// replay and a streaming follower must each refuse the record by
+// sequence and shard and name the way out — never
 // fold it as a prefix commit, which would apply the batches in another
 // order than the old process did.
 func TestPerShardCommitIsRefused(t *testing.T) {
@@ -163,18 +157,14 @@ func TestPerShardCommitIsRefused(t *testing.T) {
 	if f.Model() != base || f.QueueLen() != 2 {
 		t.Fatalf("the refused commit moved the follower: model replaced=%v, %d queued", f.Model() != base, f.QueueLen())
 	}
-
-	m := &Manager{w: w}
-	rows := make([][]ratings.Entry, base.Matrix().NumUsers())
-	refused(t, "shard patching", m.patchRows([]int{0, 1}, nil, nil, 0, 2, false, rows, nil))
 }
 
 // TestPerShardCommitTailRecovers pins the way out TestPerShardCommitIsRefused
 // names. A build from 390be92 through 5504ac4 folds a per-shard tail at boot
 // and snapshots at its last rating, so the per-shard commits, journaled after
 // the ratings they close, all sit past that snapshot and cover nothing
-// queued. Boot replay, a streaming follower and shard patching must pass
-// over them, and the traffic after them must fold as usual.
+// queued. Boot replay and a streaming follower must pass over them, and
+// the traffic after them must fold as usual.
 func TestPerShardCommitTailRecovers(t *testing.T) {
 	base := newBaseModel(t)
 	dir := t.TempDir()
@@ -255,23 +245,6 @@ func TestPerShardCommitTailRecovers(t *testing.T) {
 	}
 	if f.AppliedSeq() != seqs[0] || f.QueueLen() != 0 || fingerprint(t, f.Model()) != fingerprint(t, live) {
 		t.Fatalf("follower at seq %d with %d queued, want the leader's model at seq %d", f.AppliedSeq(), f.QueueLen(), seqs[0])
-	}
-
-	mx := live.Matrix()
-	members := make([]int, mx.NumUsers())
-	baseRows := map[int][]ratings.Entry{}
-	for u := range members {
-		members[u] = u
-		baseRows[u] = snap.Matrix().UserRatings(u)
-	}
-	rows := make([][]ratings.Entry, mx.NumUsers())
-	if err := m.patchRows(members, baseRows, nil, 2, seqs[0], false, rows, nil); err != nil {
-		t.Fatalf("patching past the per-shard commits: %v", err)
-	}
-	for u, row := range rows {
-		if want := mx.UserRatings(u); !(len(row) == 0 && len(want) == 0) && !reflect.DeepEqual(row, want) {
-			t.Fatalf("patched row of user %d = %v, want %v", u, row, want)
-		}
 	}
 
 	m.Abort()

@@ -1,10 +1,9 @@
 // Package lifecycle owns the serving model end to end: it journals every
 // incoming rating to a write-ahead log before acknowledging it, folds
 // whatever is queued in one core.Model.Apply per micro-batch — which
-// rebuilds only the user clusters (shards) the batch touches instead of
-// the monolithic O(nnz) rebuild — rotates atomic snapshots that rewrite
-// only the shard blobs a batch made stale (core.ChangedShards) so
-// restarts are fast, and schedules the background retrain that
+// rebuilds only the user clusters the batch touches instead of the
+// monolithic O(nnz) rebuild — writes atomic, self-checked snapshot files
+// so restarts are fast, and schedules the background retrain that
 // internal/core/update.go's drift caveat asks for.
 //
 // One state machine turns WAL records into a served model (replica):
@@ -13,9 +12,9 @@
 // its watermark into core.Train of that state's matrix. Boot replay feeds
 // it the log, the live run loop pushes what it journals, commits through
 // the newest rating it queued and folds the retrain records it journals,
-// and a
-// read replica (Follower) feeds it the leader's stream — so replay ≡ live
-// apply ≡ follower, across a retrain too: all three are the same code.
+// and a read replica (Follower) feeds it the leader's stream — so replay
+// ≡ live apply ≡ follower, across a retrain too: all three are the same
+// code.
 //
 // Files:
 //
@@ -24,39 +23,47 @@
 //	replica.go      the push/commit/retrain/publish unit, applyWithFallback,
 //	                and its two read views: Manager's accessors and Follower
 //	commitqueue.go  the one rule regrouping a record stream into batches
-//	boot.go         the recovery-point ladder, WAL-tail replay, per-shard
-//	                blob patching, the WAL accessors replication serves from
-//	snapshot.go     Snapshot and its dirt bookkeeping, retention, blob GC,
-//	                WAL pruning, the manifest/blob accessors replication
-//	                serves from
-//	manifest.go     the manifest format, blob assembly (local and remote)
-//	                and the read-back self-check
+//	boot.go         the recovery-point ladder, WAL-tail replay, the WAL
+//	                accessors replication serves from
+//	snapshot.go     Snapshot, retention, WAL pruning, the snapshot file
+//	                replication serves
+//	selfcheck.go    the read-back self-check a snapshot passes before it
+//	                is published
+//	legacy.go       read-only assembly of the manifests older builds wrote
 //	metrics.go      instruments and gauges
 //
 // Data-dir layout:
 //
-//	<dir>/wal/seg-<firstSeq>.wal         append-only rating journal (internal/wal)
-//	<dir>/snapshots/manifest-<seq>.json  one recovery point: watermark + blob refs
-//	<dir>/snapshots/shared-<seq>.blob    config + GIS + clustering at <seq>
-//	<dir>/snapshots/shard-<id>-<seq>.blob one shard's matrix rows at <seq>
+//	<dir>/wal/seg-<firstSeq>.wal          append-only rating journal (internal/wal)
+//	<dir>/snapshots/model-<seq>.cfsf      one recovery point: a core model file
+//	                                      folding every rating with sequence <= seq
 //
-// Boot loads the newest loadable recovery point — an unreadable manifest
-// is skipped in favour of an older one, and inside a manifest an
-// unreadable shard blob is patched from an older manifest's blob plus
-// the WAL before the whole point is given up on — or calls the bootstrap
-// function when none loads and the WAL still reaches back to sequence 1,
-// then replays the WAL tail past the point's sequence. One rule decides
-// what the log can stand under: it serves a state at seq S iff its first
+// A snapshot file is what core.Model.SaveAt writes: one checksummed frame
+// holding the config, the matrix, the GIS neighbour lists, the clustering
+// and the watermark — the same format as a `-model` file, and what a
+// follower bootstraps from. Its rename is the commit point, and before it
+// the file is read back and held against the serving model bit for bit;
+// one that does not reproduce it is never published and never prunes the
+// WAL it claims to cover.
+//
+// Boot loads the newest loadable snapshot file — an unusable one is
+// skipped in favour of the next older — or calls the bootstrap function
+// when none loads and the WAL still reaches back to sequence 1, then
+// replays the WAL tail past the point's sequence. One rule decides what
+// the log can stand under: it serves a state at seq S iff its first
 // segment starts at or below S+1, and after each verified snapshot the
-// segments below the oldest retained manifest are deleted. A monolithic
-// snap-<seq>.gob written before manifests existed no longer boots: with
-// no loadable manifest beside it Open refuses, naming the file. Every
-// published model folds a contiguous prefix of the log, and the
-// batch-commit record journaled after each swap carries the last
-// sequence the batch covered, so replay regroups ratings into exactly
-// the micro-batches the previous process applied (commitQueue) and the
-// recovered model is bit-for-bit identical. A fresh snapshot is then
-// written so the next boot replays nothing — but only after every
-// written blob passes a read-back self-check; a snapshot that cannot be
-// read back bit-for-bit never prunes the WAL it claims to cover.
+// segments below the oldest retained file are deleted. Every published
+// model folds a contiguous prefix of the log, and the batch-commit record
+// journaled after each swap carries the last sequence the batch covered,
+// so replay regroups ratings into exactly the micro-batches the previous
+// process applied (commitQueue) and the recovered model is bit-for-bit
+// identical. A fresh snapshot is then written so the next boot replays
+// nothing.
+//
+// A data dir an older build wrote holds manifests over per-shard blobs
+// instead (legacy.go): boot assembles the newest loadable one read-only,
+// its boot snapshot writes a file, and retention then deletes every
+// manifest and blob. A monolithic snap-<seq>.gob written before manifests
+// existed no longer boots: with no loadable point beside it Open refuses,
+// naming the file.
 package lifecycle

@@ -1,80 +1,86 @@
 package lifecycle
 
 import (
-	"io"
 	"testing"
 
 	"cfsf/internal/core"
+	"cfsf/internal/obs"
 	"cfsf/internal/wal"
 )
 
-// TestSkippedUserIDRewritesItsShard: a batch may name user N+1 while user
-// N never rates (entry 1 of a /rate array may). The matrix grows by both
-// ids and the clustering places the skipped one in shard 0, whose member
-// set so changes although no update names one of its users. The snapshot
-// after that batch must rewrite shard 0's blob: a manifest that
-// re-references the old one cannot be assembled — a follower cannot
-// bootstrap from it — and once a later snapshot has pruned the WAL below
-// it, no retained point boots and neither does the bootstrap.
-func TestSkippedUserIDRewritesItsShard(t *testing.T) {
+// TestSkippedUserIDBootstrapsAfterPrune: a batch may name user N+1 while
+// user N never rates (entry 1 of a /rate array may). The matrix grows by
+// both ids, and the clustering places the skipped one although no update
+// names it. Once a later snapshot has pruned the WAL past that batch, the
+// snapshot file is the only place the skipped user exists: a follower
+// bootstrapping from what the leader serves, then streaming the tail, and
+// a reboot of the leader must each hold the leader's model.
+func TestSkippedUserIDBootstrapsAfterPrune(t *testing.T) {
 	base := newBaseModel(t)
 	gap := base.Matrix().NumUsers()
-	cfg := Config{DataDir: t.TempDir(), Fsync: wal.SyncNever, SegmentBytes: 256}
+	cfg := Config{DataDir: t.TempDir(), Fsync: wal.SyncNever, SegmentBytes: 256, SnapshotKeep: 1}
 	m, err := Open(bootWith(base), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Abort()
-	submit := func(ups ...core.RatingUpdate) {
+	submit := func(ups ...core.RatingUpdate) uint64 {
 		t.Helper()
 		seqs, _, err := m.SubmitBatch(ups)
 		if err != nil {
 			t.Fatal(err)
 		}
 		waitUntil(t, "batch applied", func() bool { return m.AppliedSeq() >= seqs[len(seqs)-1] })
+		return seqs[len(seqs)-1]
 	}
 	ups := []core.RatingUpdate{{User: 0, Item: 0, Value: 4}}
 	for k, v := range []float64{1, 2, 3, 4, 5, 1} {
 		ups = append(ups, core.RatingUpdate{User: gap + 1, Item: 7 + 5*k, Value: v})
 	}
-	submit(ups...)
-	assign := m.Model().Clusters().Assign
-	if assign[gap] != 0 || base.Clusters().Assign[0] == 0 || assign[0] == 0 || assign[gap+1] == 0 {
-		t.Fatalf("fixture drifted: shard 0 must gain only the skipped user %d (assignments: user 0 %d→%d, user %d %d, user %d %d)",
-			gap, base.Clusters().Assign[0], assign[0], gap, assign[gap], gap+1, assign[gap+1])
+	gapSeq := submit(ups...)
+	if mx := m.Model().Matrix(); mx.NumUsers() != gap+2 || len(mx.UserRatings(gap)) != 0 {
+		t.Fatalf("fixture drifted: %d users, skipped user %d holds %d ratings", mx.NumUsers(), gap, len(mx.UserRatings(gap)))
 	}
 	if _, err := m.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	data, _, err := m.NewestManifest()
-	if err != nil {
+	for i := 0; i < 12; i++ {
+		submit(testUpdate(i))
+	}
+	if _, err := m.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	remote, _, err := AssembleRemotePoint(data, func(name string) ([]byte, error) {
-		f, err := m.OpenSnapshotBlob(name)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return io.ReadAll(f)
-	})
-	if err != nil {
-		t.Fatalf("a follower cannot bootstrap from the snapshot after the gap: %v", err)
-	}
-	if got, want := fingerprint(t, remote), fingerprint(t, m.Model()); got != want {
-		t.Fatalf("remote assembly fingerprint %s, live %s", got, want)
+	if av := m.WALAvailableFrom(); av <= gapSeq {
+		t.Fatalf("fixture drifted: the log still starts at seq %d, at or below the gap batch's %d", av, gapSeq)
 	}
 
-	// A write that leaves shard 0 clean, then a snapshot that re-references
-	// its blob and prunes the WAL below the first manifest.
-	submit(core.RatingUpdate{User: 0, Item: 0, Value: 4})
-	if c := m.Model().Clusters().Assign[0]; c == 0 {
-		t.Fatal("fixture drifted: user 0 moved into shard 0")
-	}
-	if _, err := m.Snapshot(); err != nil {
+	f, err := m.OpenSnapshot()
+	if err != nil {
 		t.Fatal(err)
 	}
+	file, err := core.Decode(f)
+	f.Close()
+	if err != nil {
+		t.Fatalf("the served snapshot does not decode: %v", err)
+	}
+	remote, err := file.Model()
+	if err != nil {
+		t.Fatalf("a follower cannot bootstrap from the served snapshot: %v", err)
+	}
+	if got, want := fingerprint(t, remote), fingerprint(t, m.Model()); got != want || file.Seq != m.AppliedSeq() {
+		t.Fatalf("bootstrap at seq %d fingerprints %s, leader at seq %d %s", file.Seq, got, m.AppliedSeq(), want)
+	}
+	fl := NewFollower(obs.NewRegistry(), t.Logf)
+	fl.Reset(remote, file.Seq)
+	last := submit(core.RatingUpdate{User: gap, Item: 3, Value: 2})
+	waitUntil(t, "commit journaled", func() bool { return m.w.LastSeq() > last })
+	if err := m.w.Replay(file.Seq, fl.Ingest); err != nil {
+		t.Fatalf("follower streaming the tail: %v", err)
+	}
 	want := fingerprint(t, m.Model())
+	if got := fingerprint(t, fl.Model()); got != want || fl.AppliedSeq() != m.AppliedSeq() {
+		t.Fatalf("follower at seq %d fingerprints %s, leader at seq %d %s", fl.AppliedSeq(), got, m.AppliedSeq(), want)
+	}
 	m.Abort()
 
 	b, err := Open(noBoot(t), cfg)
@@ -85,7 +91,7 @@ func TestSkippedUserIDRewritesItsShard(t *testing.T) {
 	if got := fingerprint(t, b.Model()); got != want {
 		t.Fatalf("rebooted fingerprint %s, live %s", got, want)
 	}
-	if n := b.reg.Counter("lifecycle_snapshot_load_failures_total").Value() + b.reg.Counter("lifecycle_shard_blob_failures_total").Value(); n != 0 {
-		t.Fatalf("boot skipped a point or patched a shard %d time(s)", n)
+	if n := b.reg.Counter("lifecycle_snapshot_load_failures_total").Value(); n != 0 {
+		t.Fatalf("boot skipped a point %d time(s)", n)
 	}
 }

@@ -38,7 +38,7 @@ type Config struct {
 	// SnapshotEvery, when > 0, snapshots the model in the background at
 	// this cadence (skipped when nothing changed since the last one).
 	SnapshotEvery time.Duration
-	// SnapshotKeep is how many recovery points (manifests) to retain.
+	// SnapshotKeep is how many recovery points (snapshot files) to retain.
 	// <= 0 means 2.
 	SnapshotKeep int
 

@@ -15,13 +15,13 @@ import (
 )
 
 // BenchmarkRecoveryFlat measures recovery-to-ready (a full lifecycle.Open:
-// manifest + shard blobs + WAL-tail replay) and the WAL's size on disk
-// against write histories of growing length. Incremental snapshots plus
-// pruning promise both bounded by model size plus the unsnapshotted tail,
-// NOT by how much history was ever written: 16x the write traffic leaves
-// the same per-shard blobs and the same few segments above the oldest
-// retained manifest. The ratio sub-benchmark reports recover-ms and
-// wal-bytes at 16x over 1x; CI gates both at 1.5 (they must stay flat).
+// snapshot file + WAL-tail replay) and the WAL's size on disk against
+// write histories of growing length. Snapshots plus pruning promise both
+// bounded by model size plus the unsnapshotted tail, NOT by how much
+// history was ever written: 16x the write traffic leaves one snapshot
+// file and the same few segments above it. The ratio sub-benchmark
+// reports recover-ms and wal-bytes at 16x over 1x; CI gates both at 1.5
+// (they must stay flat).
 func BenchmarkRecoveryFlat(b *testing.B) {
 	base := newBaseModel(b)
 	recoverMS := map[int]float64{}
@@ -40,7 +40,7 @@ func BenchmarkRecoveryFlat(b *testing.B) {
 				const reps = 3
 				for r := 0; r < reps; r++ {
 					b.StopTimer()
-					work := cloneDir(b, dir)
+					work := copyDir(b, dir)
 					b.StartTimer()
 					t0 := time.Now()
 					m, err := Open(benchNoBoot(b), Config{
@@ -170,9 +170,9 @@ func benchNoBoot(b *testing.B) func() (*core.Model, error) {
 	}
 }
 
-// cloneDir copies the prepared data dir so each recovery rep boots the
-// same bytes.
-func cloneDir(b *testing.B, src string) string {
+// copyDir copies a data dir so each boot of it starts from the same
+// bytes.
+func copyDir(b testing.TB, src string) string {
 	b.Helper()
 	dst := b.TempDir()
 	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
@@ -211,10 +211,11 @@ func cloneDir(b *testing.B, src string) string {
 // BenchmarkBootLedger is what a first boot pays after training: one
 // lifecycle.Open on an empty data dir with the model bench/ serves
 // (500×1000 synth.DefaultConfig, C = 30) at the server's defaults, fsync
-// included — open the WAL, write and self-check the boot snapshot (one
-// shared blob, thirty shard blobs, the manifest), start the run loop.
-// snapshot-ms is that snapshot's share of ns/op; snapshot-bytes is what
-// it wrote, repeats exactly, and is the one CI fences (ci.yml).
+// included — open the WAL, write and self-check the boot snapshot, start
+// the run loop. snapshot-ms is that snapshot's share of ns/op;
+// snapshot-bytes is what it wrote and snapshot-files the files it left in
+// the snapshots directory. Both repeat exactly, and CI fences both
+// (ci.yml).
 func BenchmarkBootLedger(b *testing.B) {
 	d := synth.MustGenerate(synth.DefaultConfig())
 	mod, err := core.Train(d.Matrix, core.DefaultConfig())
@@ -223,6 +224,7 @@ func BenchmarkBootLedger(b *testing.B) {
 	}
 	var snap SnapshotInfo
 	var snapMS float64
+	files := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -236,19 +238,24 @@ func BenchmarkBootLedger(b *testing.B) {
 		snap = m.SnapshotStats()
 		snapMS += snap.DurationMS
 		m.Abort()
+		entries, err := os.ReadDir(snapshotDir(dir))
+		if err != nil {
+			b.Fatal(err)
+		}
+		files = len(entries)
 		b.StartTimer()
 	}
 	b.ReportMetric(snapMS/float64(b.N), "snapshot-ms")
 	b.ReportMetric(float64(snap.Bytes), "snapshot-bytes")
+	b.ReportMetric(float64(files), "snapshot-files")
 }
 
 // BenchmarkLoadLedger is what a boot, or a follower's bootstrap, pays to
 // turn the ledger fixture's first-boot snapshot back into a model: the
-// shared blob and the thirty shard blobs decoded from memory and
-// assembled (assembleManifest: LoadSharedPart, LoadShardPart,
-// AssembleModel), every GIS weight derived from the assembled matrix on
-// the way. derive-ms is the derivation's share of ns/op, the loaded
-// model's TrainStats.GISDuration.
+// file decoded from memory (core.Decode) and the model rebuilt from it
+// (File.Model), every GIS weight derived from the matrix on the way.
+// derive-ms is the derivation's share of ns/op, the loaded model's
+// TrainStats.GISDuration.
 func BenchmarkLoadLedger(b *testing.B) {
 	d := synth.MustGenerate(synth.DefaultConfig())
 	mod, err := core.Train(d.Matrix, core.DefaultConfig())
@@ -260,36 +267,24 @@ func BenchmarkLoadLedger(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	m.snapMu.Lock()
-	man := m.lastManifest
-	m.snapMu.Unlock()
-	m.Abort()
-	blobs := map[string][]byte{}
-	for _, name := range append([]string{man.Shared.File}, shardFiles(man)...) {
-		data, err := os.ReadFile(filepath.Join(snapshotDir(dir), name))
-		if err != nil {
-			b.Fatal(err)
-		}
-		blobs[name] = data
+	data, err := os.ReadFile(m.SnapshotStats().Path)
+	if err != nil {
+		b.Fatal(err)
 	}
-	open := func(name string) (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(blobs[name])), nil }
+	m.Abort()
 	var deriveMS float64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		got, _, err := assembleManifest(man, open, nil)
+		file, err := core.Decode(bytes.NewReader(data))
+		if err != nil {
+			b.Fatal(err)
+		}
+		got, err := file.Model()
 		if err != nil {
 			b.Fatal(err)
 		}
 		deriveMS += got.Stats().GISDuration.Seconds() * 1000
 	}
 	b.ReportMetric(deriveMS/float64(b.N), "derive-ms")
-}
-
-func shardFiles(man *manifest) []string {
-	out := make([]string, len(man.Shards))
-	for i, ref := range man.Shards {
-		out[i] = ref.File
-	}
-	return out
 }

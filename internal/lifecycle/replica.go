@@ -19,31 +19,6 @@ import (
 type replicaState struct {
 	model *core.Model //cfsf:immutable
 	seq   uint64      //cfsf:immutable
-	// gen counts the model swaps behind this state and shardGen[s] is the
-	// gen of the last swap that dirtied shard s's persisted rows. Every
-	// swap dirties the shared part, so gen is also its dirt generation. A
-	// snapshot rewrites a blob iff its part's generation here exceeds the
-	// gen of the state the previous manifest was written from
-	// (snapshotState.snapGen).
-	gen      uint64   //cfsf:immutable
-	shardGen []uint64 //cfsf:immutable
-}
-
-// after builds the state that follows st once a swap to mod has dirtied
-// the given shards — every shard when all is set — and, as every swap
-// does, the shared part.
-func (st *replicaState) after(mod *core.Model, seq uint64, dirty []int, all bool) *replicaState {
-	next := &replicaState{model: mod, seq: seq, gen: st.gen + 1, shardGen: make([]uint64, mod.Clusters().K)}
-	copy(next.shardGen, st.shardGen)
-	for _, s := range dirty {
-		next.shardGen[s] = next.gen
-	}
-	if all {
-		for s := range next.shardGen {
-			next.shardGen[s] = next.gen
-		}
-	}
-	return next
 }
 
 // replica is the one state machine that turns WAL records into a served
@@ -72,29 +47,19 @@ type replica struct {
 
 // reset installs a model that folds every rating at or below seq and
 // restarts the queue there (a re-bootstrap lands on a newer snapshot,
-// which already folds whatever was queued). The model is what the blobs
-// of the manifest it was assembled from hold, except for the shards
-// listed in dirty, whose rows were recovered some other way.
-func (r *replica) reset(mod *core.Model, seq uint64, dirty []int) {
+// which already folds whatever was queued).
+func (r *replica) reset(mod *core.Model, seq uint64) {
 	r.mu.Lock()
 	r.queue = newCommitQueue(seq)
 	r.mu.Unlock()
-	st := &replicaState{model: mod, seq: seq, shardGen: make([]uint64, mod.Clusters().K)}
-	if len(dirty) > 0 {
-		st.gen = 1
-		for _, s := range dirty {
-			st.shardGen[s] = 1
-		}
-	}
-	r.state.Store(st)
+	r.state.Store(&replicaState{model: mod, seq: seq})
 }
 
 // commit closes the batch a commit record through seq covered describes
 // (see commitQueue.cut), folds it into the model and publishes the result
-// under the new watermark, with the shard blobs the batch made stale
-// (core.ChangedShards) marked dirty. It returns the batch; a commit that
-// covers nothing queued — its ratings were already inside the base state
-// — changes nothing.
+// under the new watermark. It returns the batch; a commit that covers
+// nothing queued — its ratings were already inside the base state —
+// changes nothing.
 func (r *replica) commit(covered uint64) []core.RatingUpdate {
 	r.mu.Lock()
 	batch := r.queue.cut(covered)
@@ -103,9 +68,8 @@ func (r *replica) commit(covered uint64) []core.RatingUpdate {
 	if len(batch) == 0 {
 		return nil
 	}
-	cur := r.state.Load()
-	next := r.applyWithFallback(cur.model, batch)
-	r.state.Store(cur.after(next, seq, core.ChangedShards(cur.model, next, batch), false))
+	next := r.applyWithFallback(r.state.Load().model, batch)
+	r.state.Store(&replicaState{model: next, seq: seq})
 	return batch
 }
 
@@ -155,8 +119,7 @@ func (r *replica) feed(rec wal.Record) (queued, applied int, err error) {
 		if terr != nil {
 			return 0, 0, fmt.Errorf("lifecycle: retrain record %d at seq %d: %w", rec.Seq, cur.seq, terr)
 		}
-		// Clustering and GIS are rebuilt: every persisted part is stale.
-		r.state.Store(cur.after(mod, cur.seq, nil, true))
+		r.state.Store(&replicaState{model: mod, seq: cur.seq})
 		r.logf("lifecycle: retrain complete at seq %d in %v (%s)", cur.seq, time.Since(t).Round(time.Millisecond), refitSummary(old, mod))
 	}
 	return queued, applied, nil
@@ -268,7 +231,7 @@ func NewFollower(reg *obs.Registry, logf func(format string, args ...any)) *Foll
 // Reset installs a freshly bootstrapped model covering every rating with
 // sequence <= seq, discarding any queued tail.
 func (f *Follower) Reset(mod *core.Model, seq uint64) {
-	f.rep.reset(mod, seq, nil)
+	f.rep.reset(mod, seq)
 	f.received.Store(seq)
 }
 

@@ -180,11 +180,11 @@ func TestRetrainIsReplayed(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if info.Skipped || info.CoveredSeq != atSeq || !info.SharedWritten || info.ShardsClean != 0 {
-				t.Fatalf("post-retrain snapshot = %+v, want every blob rewritten at seq %d", info, atSeq)
+			if info.Skipped || info.CoveredSeq != atSeq {
+				t.Fatalf("post-retrain snapshot = %+v, want the file rewritten at seq %d", info, atSeq)
 			}
 			m.Abort()
-			// The record is past the manifest, so the boot folds it again —
+			// The record is past the snapshot, so the boot folds it again —
 			// onto the state that already holds it, changing nothing.
 			log, bs := reboot(t, dir, false)
 			if bs.SnapshotSeq != atSeq || bs.ReplayedRecords != 0 {
@@ -210,7 +210,7 @@ func TestRetrainIsReplayed(t *testing.T) {
 		{"ratings journaled before the record, committed after it, snapshot in between", func(t *testing.T) {
 			// The loop is parked inside a batch that trips RetrainAfter
 			// while a later rating is journaled, so that rating is behind the
-			// batch and ahead of the record: record seq > manifest seq >
+			// batch and ahead of the record: record seq > snapshot seq >
 			// atSeq.
 			dir := t.TempDir()
 			logf, parked, release := parkOnFallback()
@@ -242,7 +242,7 @@ func TestRetrainIsReplayed(t *testing.T) {
 				t.Fatal(err)
 			}
 			if record.Covered != seqs[0] || info.CoveredSeq != seqs[1] || record.Seq <= seqs[1] {
-				t.Fatalf("staged record %d at watermark %d under manifest %d, want record > manifest %d > watermark %d",
+				t.Fatalf("staged record %d at watermark %d under snapshot %d, want record > snapshot %d > watermark %d",
 					record.Seq, record.Covered, info.CoveredSeq, seqs[1], seqs[0])
 			}
 			want := predictions(m.Model())

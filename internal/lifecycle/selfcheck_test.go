@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -15,23 +17,23 @@ import (
 	"cfsf/internal/wal"
 )
 
-// referenceSharedCheck is the comparison verifyWrittenParts made before
-// it held the decoded blob against the live model directly: the live
-// model's shared part is serialised and decoded too, and the two decoded
-// forms must be deeply equal. It stays as the reference the direct
+// referenceSharedCheck is the comparison the snapshot self-check made
+// before it held the decoded file against the live model directly: the
+// live model is serialised and decoded too, and the two decoded shared
+// parts must be deeply equal. It stays as the reference the direct
 // comparison must agree with on every row below (the direct one sees
 // strictly more: here both sides have been through the same encoder and
 // decoder).
 func referenceSharedCheck(got *core.SharedPart, live *core.Model) error {
 	var buf bytes.Buffer
-	if err := live.SaveSharedBlob(&buf); err != nil {
+	if err := live.Save(&buf); err != nil {
 		return err
 	}
-	want, err := core.LoadSharedPart(&buf)
+	want, err := core.Decode(&buf)
 	if err != nil {
 		return err
 	}
-	if !reflect.DeepEqual(got, want) {
+	if !reflect.DeepEqual(got, &want.SharedPart) {
 		return fmt.Errorf("reloaded shared part diverges from the serving model")
 	}
 	return nil
@@ -62,26 +64,27 @@ func retrainedFixture(t *testing.T) *Manager {
 	return m
 }
 
-// reloadShared writes mod's shared blob and decodes it again, the way
-// verifyWrittenParts meets it.
+// reloadShared writes mod as a model file and decodes it again, the way
+// verifySnapshot meets it, returning its shared part.
 func reloadShared(t *testing.T, mod *core.Model) *core.SharedPart {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := mod.SaveSharedBlob(&buf); err != nil {
+	if err := mod.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	sp, err := core.LoadSharedPart(&buf)
+	file, err := core.Decode(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sp
+	return &file.SharedPart
 }
 
-// TestSelfCheckCatchesEverySingleFlip decodes a freshly written shared
-// blob and changes one thing at a time. Each change must fail the
-// comparison verifyWrittenParts makes, with an error naming the part; the
-// unmodified blob must pass; and the old round-trip comparison must give
-// the same verdict on every row.
+// TestSelfCheckCatchesEverySingleFlip decodes a freshly written model
+// file and changes one thing in its shared part at a time. Each change
+// must fail compareSharedToLive, the half of verifySnapshot that holds
+// everything but the rows, with an error naming the part; the unmodified
+// file must pass; and the old round-trip comparison must give the same
+// verdict on every row.
 func TestSelfCheckCatchesEverySingleFlip(t *testing.T) {
 	base := newBaseModel(t)
 	emptyList := -1
@@ -102,17 +105,17 @@ func TestSelfCheckCatchesEverySingleFlip(t *testing.T) {
 	} {
 		t.Run(fx.name, func(t *testing.T) {
 			if err := compareSharedToLive(reloadShared(t, fx.mod), fx.mod); err != nil {
-				t.Fatalf("the unmodified blob fails the self-check: %v", err)
+				t.Fatalf("the unmodified file fails the self-check: %v", err)
 			}
 			if err := referenceSharedCheck(reloadShared(t, fx.mod), fx.mod); err != nil {
-				t.Fatalf("the unmodified blob fails the reference check: %v", err)
+				t.Fatalf("the unmodified file fails the reference check: %v", err)
 			}
 		})
 	}
 
 	// relist replaces the decoded part's GIS with the base model's
-	// neighbour ids, edited, in the layout version-4 blobs carry: ids
-	// alone, every weight derived on the serving matrix.
+	// neighbour ids, edited, in the layout model files carry: ids alone,
+	// every weight derived on the serving matrix.
 	relist := func(t *testing.T, sp *core.SharedPart, edit func(lists [][]int32) [][]int32) {
 		t.Helper()
 		lists := make([][]int32, base.GIS().NumItems())
@@ -132,8 +135,8 @@ func TestSelfCheckCatchesEverySingleFlip(t *testing.T) {
 		sp.GIS = snap
 	}
 	// withScores replaces the decoded part's GIS with the base model's,
-	// weights carried — raw (version 3's layout and a blended model's) or
-	// flat (version 2's) — one weight's lowest bit flipped.
+	// weights carried — raw (shared blob version 3's layout and a blended
+	// model's) or flat (version 2's) — one weight's lowest bit flipped.
 	withScores := func(t *testing.T, sp *core.SharedPart, flat bool, entry int) {
 		t.Helper()
 		snap := base.GIS().Snapshot(true)
@@ -151,7 +154,7 @@ func TestSelfCheckCatchesEverySingleFlip(t *testing.T) {
 		v2.Score[entry] = math.Float64frombits(math.Float64bits(v2.Score[entry]) ^ 1)
 		sp.GIS = v2
 	}
-	// rawEntry is the position, in the flat entry order blobs carry, of
+	// rawEntry is the position, in the flat entry order files carry, of
 	// item i's first neighbour whose id keeps within the catalogue with its
 	// lowest bit flipped.
 	rawEntry := func(t *testing.T, g *similarity.GIS, i int) int {
@@ -276,7 +279,7 @@ func TestSelfCheckCatchesEverySingleFlip(t *testing.T) {
 			tc.mutate(t, sp)
 			err := compareSharedToLive(sp, base)
 			if err == nil {
-				t.Fatal("the self-check passed the changed blob")
+				t.Fatal("the self-check passed the changed file")
 			}
 			if !strings.Contains(err.Error(), tc.part) {
 				t.Errorf("error %q does not name %q", err, tc.part)
@@ -288,32 +291,64 @@ func TestSelfCheckCatchesEverySingleFlip(t *testing.T) {
 	}
 }
 
-// TestVerifyWrittenPartsReadsTheBlobsOnDisk drives the self-check the way
-// Snapshot does — through the files a snapshot wrote — on the retrain
-// fixture: it passes against the model that was written and fails, naming
-// the shared blob, against any other.
-func TestVerifyWrittenPartsReadsTheBlobsOnDisk(t *testing.T) {
+// TestSelfCheckReadsTheFileOnDisk drives verifySnapshot the way Snapshot
+// does — through the file a snapshot wrote — on the retrain fixture: it
+// passes against the model and watermark that were written, and fails,
+// naming the file and what diverges, against another watermark and the
+// pre-retrain model. Its row half, compareRowsToLive, refuses one value
+// and one timestamp changed in the decoded file.
+func TestSelfCheckReadsTheFileOnDisk(t *testing.T) {
 	m := retrainedFixture(t)
 	info, err := m.Snapshot()
-	if err != nil || info.Skipped || !info.SharedWritten {
+	if err != nil || info.Skipped {
 		t.Fatalf("snapshot = %+v, %v", info, err)
 	}
 	if got := m.reg.Counter("lifecycle_snapshots_verified_total").Value(); got < 1 {
 		t.Fatalf("snapshots verified = %d: the self-check is always on", got)
 	}
-	m.snapMu.Lock()
-	man := m.lastManifest
-	m.snapMu.Unlock()
-	all := map[int]bool{}
-	for _, ref := range man.Shards {
-		all[ref.ID] = true
-	}
-	dir := snapshotDir(m.cfg.DataDir)
-	if err := verifyWrittenParts(dir, man, all, true, m.Model()); err != nil {
+	live := m.Model()
+	if err := verifySnapshot(info.Path, info.CoveredSeq, live); err != nil {
 		t.Fatalf("the written model fails its own self-check: %v", err)
 	}
-	err = verifyWrittenParts(dir, man, nil, true, newBaseModel(t))
-	if err == nil || !strings.Contains(err.Error(), man.Shared.File) {
-		t.Fatalf("against the pre-retrain model: err = %v, want a refusal naming %s", err, man.Shared.File)
+	for _, tc := range []struct {
+		name string
+		seq  uint64
+		mod  *core.Model
+		want string
+	}{
+		{"another watermark", info.CoveredSeq + 1, live, "watermark"},
+		{"the pre-retrain model", info.CoveredSeq, newBaseModel(t), "GIS"},
+	} {
+		err := verifySnapshot(info.Path, tc.seq, tc.mod)
+		if err == nil || !strings.Contains(err.Error(), filepath.Base(info.Path)) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("against %s: err = %v, want a refusal naming %s and %q", tc.name, err, filepath.Base(info.Path), tc.want)
+		}
+	}
+
+	decode := func() *core.File {
+		t.Helper()
+		f, err := os.Open(info.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		file, err := core.Decode(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if file.Times == nil {
+			t.Fatal("the fixture's file carries no timestamps")
+		}
+		return file
+	}
+	file := decode()
+	file.Rows[2][0].Value = math.Float64frombits(math.Float64bits(file.Rows[2][0].Value) ^ 1)
+	if err := compareRowsToLive(file, live.Matrix()); err == nil || !strings.Contains(err.Error(), "row of user 2 diverges at entry 0") {
+		t.Errorf("one value changed: err = %v", err)
+	}
+	file = decode()
+	file.Times[3][0]++
+	if err := compareRowsToLive(file, live.Matrix()); err == nil || !strings.Contains(err.Error(), "timestamps of user 3") {
+		t.Errorf("one timestamp changed: err = %v", err)
 	}
 }

@@ -130,7 +130,7 @@ func TestSubmitBatchAtomicity(t *testing.T) {
 	}
 }
 
-// TestBootSkipsBadSnapshot: a newest manifest that cannot be decoded
+// TestBootSkipsBadSnapshot: a newest snapshot file that cannot be decoded
 // (torn write, unknown wire version) must not take the boot down — the
 // manager falls back to the next older verified snapshot and replays the
 // WAL tail from there, bit-for-bit. With nothing to fall back to and no
@@ -172,8 +172,8 @@ func TestBootSkipsBadSnapshot(t *testing.T) {
 	want := predictions(a.Model())
 	a.Abort()
 
-	// Plant a garbage manifest claiming to be the newest.
-	bad := filepath.Join(snapshotDir(dir), manifestName(99))
+	// Plant a garbage file claiming to be the newest.
+	bad := filepath.Join(snapshotDir(dir), snapshotName(99))
 	if err := os.WriteFile(bad, []byte("v99 model from the future"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestBootSkipsBadSnapshot(t *testing.T) {
 	if err := os.MkdirAll(snapshotDir(dir2), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(snapshotDir(dir2), manifestName(1)), []byte("junk"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(snapshotDir(dir2), snapshotName(1)), []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(nil, Config{DataDir: dir2}); err == nil || !strings.Contains(err.Error(), "no loadable snapshot") {

@@ -1,10 +1,11 @@
 package lifecycle
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,13 +20,6 @@ type SnapshotInfo struct {
 	Bytes      int64         `json:"bytes"`
 	Duration   time.Duration `json:"-"`
 	DurationMS float64       `json:"duration_ms"`
-	// ShardsWritten / ShardsClean split the shard blobs into rewritten
-	// and re-referenced (clean since the previous manifest, so their
-	// existing verified blobs were reused); SharedWritten reports whether
-	// the shared blob was rewritten.
-	ShardsWritten int  `json:"shards_written"`
-	ShardsClean   int  `json:"shards_clean"`
-	SharedWritten bool `json:"shared_written"`
 	// Skipped is true when nothing changed since the last snapshot and
 	// no file was written.
 	Skipped bool `json:"skipped,omitempty"`
@@ -34,12 +28,12 @@ type SnapshotInfo struct {
 // snapshotState is what the snapshot and retention code keeps between
 // passes.
 type snapshotState struct {
-	snapMu       sync.Mutex // serialises snapshot writes and retention
-	lastManifest *manifest  //cfsf:guarded-by snapMu // newest published manifest; clean shards reuse its blob refs
-	// snapGen is the replicaState generation lastManifest was written at
-	// (0 for one loaded at boot): its blobs hold every part not dirtied
-	// since.
-	snapGen  uint64 //cfsf:guarded-by snapMu
+	snapMu sync.Mutex // serialises snapshot writes and retention
+	// snapped is the serving state the newest snapshot file holds: the
+	// one the last snapshot wrote, or the one boot loaded. Every apply and
+	// every retrain publishes a new state, so while the serving state is
+	// still snapped a snapshot has nothing to write.
+	snapped  *replicaState //cfsf:guarded-by snapMu
 	lastSnap atomic.Pointer[SnapshotInfo]
 	// oldestSnapSeq is oldestRetainedSeq as of boot or the last snapshot:
 	// the sequence WAL GC last pruned below.
@@ -48,14 +42,78 @@ type snapshotState struct {
 
 func snapshotDir(dataDir string) string { return filepath.Join(dataDir, "snapshots") }
 
-// Snapshot persists the serving model as an incremental recovery point:
-// it writes a blob for every shard dirtied since the previous manifest
-// (plus the shared config/GIS/clustering blob), re-references the
-// previous manifest's blobs for clean shards, verifies every written
-// blob with a read-back self-check, and only then publishes the manifest
-// atomically, prunes retention, and deletes the WAL segments below the
-// oldest retained manifest — a blob that cannot be read back bit-for-bit
-// aborts the snapshot and never shrinks the WAL.
+const (
+	snapshotPrefix = "model-"
+	snapshotSuffix = ".cfsf"
+)
+
+func snapshotName(seq uint64) string {
+	return fmt.Sprintf("%s%016x%s", snapshotPrefix, seq, snapshotSuffix)
+}
+
+// snapshotPath is where the snapshot file at watermark seq lives.
+func (m *Manager) snapshotPath(seq uint64) string {
+	return filepath.Join(snapshotDir(m.cfg.DataDir), snapshotName(seq))
+}
+
+// nameSeq parses the watermark out of a file named prefix<seq:016x>suffix.
+func nameSeq(name, prefix, suffix string) (uint64, bool) {
+	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
+		return 0, false
+	}
+	var s uint64
+	if _, err := fmt.Sscanf(strings.TrimSuffix(strings.TrimPrefix(name, prefix), suffix), "%016x", &s); err != nil {
+		return 0, false
+	}
+	return s, true
+}
+
+// durablePoint is one recovery start in the snapshots directory: a
+// snapshot file, or a manifest a build up to 8cb6e8a wrote, and the
+// watermark its name claims.
+type durablePoint struct {
+	path     string
+	seq      uint64
+	manifest bool
+}
+
+// listDurablePoints returns every recovery point, newest first; at one
+// watermark a snapshot file comes before a manifest.
+func listDurablePoints(dataDir string) ([]durablePoint, error) {
+	entries, err := os.ReadDir(snapshotDir(dataDir))
+	if err != nil {
+		return nil, err
+	}
+	var points []durablePoint
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() {
+			continue
+		}
+		path := filepath.Join(snapshotDir(dataDir), name)
+		if s, ok := nameSeq(name, snapshotPrefix, snapshotSuffix); ok {
+			points = append(points, durablePoint{path: path, seq: s})
+		} else if s, ok := nameSeq(name, manifestPrefix, manifestSuffix); ok {
+			points = append(points, durablePoint{path: path, seq: s, manifest: true})
+		}
+	}
+	sort.Slice(points, func(i, j int) bool {
+		if points[i].seq != points[j].seq {
+			return points[i].seq > points[j].seq
+		}
+		return !points[i].manifest && points[j].manifest
+	})
+	return points, nil
+}
+
+// Snapshot persists the serving model as one snapshot file,
+// model-<seq>.cfsf, written with core.Model.SaveAt at the applied
+// watermark. Before the file's rename publishes it, it is read back and
+// held against the serving model (verifySnapshot): a file that does not
+// reproduce it bit-for-bit is never published and never shrinks the WAL.
+// Then retention keeps the SnapshotKeep newest files, deletes what a
+// build up to 8cb6e8a left (manifests and their blobs), and the WAL
+// segments below the oldest retained file go.
 // When nothing was applied since the last snapshot it returns Skipped
 // without touching disk; a non-empty queue never skips it, because the
 // served model is always a contiguous prefix of the log.
@@ -66,132 +124,38 @@ func (m *Manager) Snapshot() (SnapshotInfo, error) {
 	defer m.snapMu.Unlock()
 
 	st := m.rep.state.Load()
-	dir := snapshotDir(m.cfg.DataDir)
-	mod := st.model
-	numShards := mod.Clusters().K
-
-	// Decide what to write. A blob needs rewriting iff a swap dirtied its
-	// part after the state the previous manifest was written from; with no
-	// previous manifest to reuse (first manifest, shard-count change)
-	// every blob does. A retrain dirties every part at an unchanged
-	// watermark, and a failed snapshot leaves snapGen untouched, so
-	// neither can be mistaken for clean.
-	prev := m.lastManifest
-	reuse := prev != nil && len(prev.Shards) == numShards
-	sharedWritten := !reuse || st.gen > m.snapGen
-	writeSet := make(map[int]bool, numShards)
-	for s := 0; s < numShards; s++ {
-		if !reuse || st.shardGen[s] > m.snapGen {
-			writeSet[s] = true
-		}
-	}
-	// No swap since the previous manifest (a dirty shard implies one) at
-	// an unchanged watermark: it still describes the serving model exactly.
-	if prev != nil && prev.Seq == st.seq && !sharedWritten {
-		return SnapshotInfo{Path: filepath.Join(dir, manifestName(st.seq)), CoveredSeq: st.seq, Skipped: true}, nil
+	path := m.snapshotPath(st.seq)
+	if st == m.snapped {
+		return SnapshotInfo{Path: path, CoveredSeq: st.seq, Skipped: true}, nil
 	}
 	t := time.Now()
-
-	man := &manifest{
-		Version: manifestVersion,
-		Seq:     st.seq,
-		Users:   mod.Matrix().NumUsers(),
-		Items:   mod.Matrix().NumItems(),
-		Shards:  make([]shardBlobRef, numShards),
-	}
-	var written []string // blob files this snapshot created, for cleanup on failure
-	var bytesWritten int64
-	// sharedChecked receives the shared blob's self-check, which runs while
-	// the shard blobs are written (below); nil when no shared blob is.
-	var sharedChecked chan error
-	fail := func(err error) (SnapshotInfo, error) {
-		if sharedChecked != nil {
-			<-sharedChecked
+	var size int64
+	var checkErr error
+	err := atomicfile.WriteToAndSync(path, 0o644, func(f *os.File) error {
+		if err := st.model.SaveAt(f, st.seq); err != nil {
+			return err
 		}
-		for _, name := range written {
-			_ = os.Remove(filepath.Join(dir, name))
-		}
-		return SnapshotInfo{}, err
-	}
-	writeBlob := func(base string, save func(f *os.File) error) (string, error) {
-		name := uniqueBlobName(dir, base)
-		if err := atomicfile.WriteToAndSync(filepath.Join(dir, name), 0o644, save); err != nil {
-			return "", err
-		}
-		written = append(written, name)
-		if fi, err := os.Stat(filepath.Join(dir, name)); err == nil {
-			bytesWritten += fi.Size()
-		}
-		return name, nil
-	}
-
-	if sharedWritten {
-		name, err := writeBlob(fmt.Sprintf("%s%016x", sharedBlobPrefix, st.seq),
-			func(f *os.File) error { return mod.SaveSharedBlob(f) })
+		fi, err := f.Stat()
 		if err != nil {
-			return fail(fmt.Errorf("lifecycle: write shared blob: %w", err))
+			return err
 		}
-		man.Shared = blobRef{File: name, Seq: st.seq}
-		// Its self-check reads it back and derives every GIS weight on the
-		// serving matrix: CPU work, done while the shard blobs below wait
-		// on their fsyncs, and joined before the manifest may name it.
-		sharedChecked = make(chan error, 1)
-		go func() { sharedChecked <- verifySharedBlob(dir, name, mod) }()
-	} else {
-		man.Shared = prev.Shared
-	}
-	shardsWritten := 0
-	for s := 0; s < numShards; s++ {
-		if !writeSet[s] {
-			man.Shards[s] = prev.Shards[s]
-			continue
-		}
-		shard := s
-		name, err := writeBlob(fmt.Sprintf("%s%04d-%016x", shardBlobPrefix, s, st.seq),
-			func(f *os.File) error { return mod.SaveShardBlob(f, shard) })
-		if err != nil {
-			return fail(fmt.Errorf("lifecycle: write shard %d blob: %w", s, err))
-		}
-		man.Shards[s] = shardBlobRef{ID: s, File: name, Seq: st.seq}
-		shardsWritten++
-	}
-
-	// Self-check before the manifest may reference the new blobs (and so
-	// before anything can shrink the WAL): read every written blob back
-	// and demand it reproduce the serving model bit-for-bit. Clean
-	// shards' blobs passed this check when they were first written.
-	var err error
-	if sharedChecked != nil {
-		err = <-sharedChecked
-		sharedChecked = nil
-	}
-	if err == nil {
-		err = verifyWrittenParts(dir, man, writeSet, false, mod)
+		size = fi.Size()
+		checkErr = verifySnapshot(f.Name(), st.seq, st.model)
+		return checkErr
+	})
+	if checkErr != nil {
+		m.reg.Counter("lifecycle_snapshot_verify_failures_total").Inc()
+		return SnapshotInfo{}, fmt.Errorf("lifecycle: snapshot at seq %d failed self-check: %w", st.seq, checkErr)
 	}
 	if err != nil {
-		m.reg.Counter("lifecycle_snapshot_verify_failures_total").Inc()
-		return fail(fmt.Errorf("lifecycle: snapshot at seq %d failed self-check: %w", st.seq, err))
+		return SnapshotInfo{}, fmt.Errorf("lifecycle: write snapshot: %w", err)
 	}
 	m.reg.Counter("lifecycle_snapshots_verified_total").Inc()
+	m.snapped = st
 
-	// Publish: the manifest rename is the commit point. Overwriting the
-	// manifest at an unchanged watermark (post-retrain) is safe because
-	// the rewritten blobs got fresh names — the old manifest's blob set
-	// stays intact until this rename replaces it.
-	manPath := filepath.Join(dir, manifestName(st.seq))
-	manData, err := json.MarshalIndent(man, "", "  ")
-	if err != nil {
-		return fail(fmt.Errorf("lifecycle: encode manifest: %w", err))
-	}
-	if err := atomicfile.WriteAndSync(manPath, manData, 0o644); err != nil {
-		return fail(fmt.Errorf("lifecycle: publish manifest: %w", err))
-	}
-	m.lastManifest, m.snapGen = man, st.gen
-
-	m.pruneDurablePoints()
-	// Shrink the WAL below the oldest retained point, not below this
-	// snapshot: older manifests must keep their tail replay until
-	// retention drops them.
+	m.pruneSnapshots()
+	// Shrink the WAL below the oldest retained file, not below this one:
+	// older files must keep their tail replay until retention drops them.
 	oldest := m.oldestRetainedSeq()
 	m.oldestSnapSeq.Store(oldest)
 	if n, err := m.w.Prune(oldest); err != nil {
@@ -200,19 +164,14 @@ func (m *Manager) Snapshot() (SnapshotInfo, error) {
 		m.reg.Counter("wal_segments_pruned_total").Add(int64(n))
 	}
 
-	info := SnapshotInfo{
-		Path: manPath, CoveredSeq: st.seq, Bytes: bytesWritten, Duration: time.Since(t),
-		ShardsWritten: shardsWritten, ShardsClean: numShards - shardsWritten, SharedWritten: sharedWritten,
-	}
+	info := SnapshotInfo{Path: path, CoveredSeq: st.seq, Bytes: size, Duration: time.Since(t)}
 	info.DurationMS = durMS(info.Duration)
 	m.lastSnap.Store(&info)
 	m.mSnapshots.Inc()
 	m.mSnapLat.Observe(durMS(info.Duration))
-	m.reg.Counter("lifecycle_shard_blobs_written_total").Add(int64(shardsWritten))
-	m.reg.Counter("lifecycle_shard_blobs_skipped_clean_total").Add(int64(numShards - shardsWritten))
 	m.reg.Gauge("lifecycle_snapshot_seq").Set(float64(st.seq))
-	m.cfg.Logf("lifecycle: snapshot %s (%d bytes, covers seq %d, %d/%d shard blobs written) in %v",
-		filepath.Base(manPath), bytesWritten, st.seq, shardsWritten, numShards, info.Duration.Round(time.Millisecond))
+	m.cfg.Logf("lifecycle: snapshot %s (%d bytes, covers seq %d) in %v",
+		filepath.Base(path), size, st.seq, info.Duration.Round(time.Millisecond))
 	return info, nil
 }
 
@@ -225,35 +184,31 @@ func (m *Manager) SnapshotStats() SnapshotInfo {
 	return SnapshotInfo{}
 }
 
-// pruneDurablePoints drops recovery points beyond SnapshotKeep, then
-// garbage-collects every blob file no retained manifest references. The
-// order makes a crash between the two passes safe: an unreferenced blob
-// that survives is re-collected by the next pass, and a referenced blob
-// is never deleted before every manifest naming it is.
+// pruneSnapshots keeps the SnapshotKeep newest snapshot files at or below
+// the newest one's watermark and deletes the older ones, then deletes the
+// manifests and blobs a build up to 8cb6e8a wrote: the verified file
+// supersedes them. A file above the newest one's watermark is one the boot
+// ladder could not use; it is left in place and counts for nothing.
 //
-//cfsf:locked snapMu callers hold it; retention must not race a manifest write
-func (m *Manager) pruneDurablePoints() {
+//cfsf:locked snapMu callers hold it; retention must not race a snapshot write
+func (m *Manager) pruneSnapshots() {
 	points, err := listDurablePoints(m.cfg.DataDir)
 	if err != nil {
 		return
 	}
-	if len(points) > m.cfg.SnapshotKeep {
-		for _, pt := range points[m.cfg.SnapshotKeep:] {
-			if err := os.Remove(pt.path); err == nil {
-				m.cfg.Logf("lifecycle: pruned snapshot %s", filepath.Base(pt.path))
+	kept := 0
+	for _, pt := range points {
+		if !pt.manifest {
+			if pt.seq > m.snapped.seq {
+				continue
+			}
+			if kept < m.cfg.SnapshotKeep {
+				kept++
+				continue
 			}
 		}
-		points = points[:m.cfg.SnapshotKeep]
-	}
-	referenced := map[string]bool{}
-	for _, pt := range points {
-		man, err := readManifest(pt.path)
-		if err != nil {
-			continue // unreadable: keep its blobs, the ladder may still want them
-		}
-		referenced[man.Shared.File] = true
-		for _, ref := range man.Shards {
-			referenced[ref.File] = true
+		if err := os.Remove(pt.path); err == nil {
+			m.cfg.Logf("lifecycle: pruned snapshot %s", filepath.Base(pt.path))
 		}
 	}
 	entries, err := os.ReadDir(snapshotDir(m.cfg.DataDir))
@@ -261,61 +216,46 @@ func (m *Manager) pruneDurablePoints() {
 		return
 	}
 	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !isBlobName(name) || referenced[name] {
+		if e.IsDir() || !isBlobName(e.Name()) {
 			continue
 		}
-		if err := os.Remove(filepath.Join(snapshotDir(m.cfg.DataDir), name)); err == nil {
-			m.cfg.Logf("lifecycle: pruned unreferenced blob %s", name)
+		if err := os.Remove(filepath.Join(snapshotDir(m.cfg.DataDir), e.Name())); err == nil {
+			m.cfg.Logf("lifecycle: pruned legacy blob %s", e.Name())
 		}
 	}
 }
 
-// oldestRetainedSeq returns the oldest retained manifest's watermark, the
-// floor of WAL GC (zero when no manifest exists): segments at or below it
-// serve no retained point's tail replay. A clean blob older than every
-// manifest deliberately does NOT pin the log — patching such a blob is
-// refused by the AvailableFrom gate and recovery degrades to whole-point
-// fallback, instead of one cold shard growing the WAL without bound.
+// oldestRetainedSeq returns the watermark of the oldest snapshot file at
+// or below the newest one — the floor of WAL GC: segments at or below it
+// serve no retained point's tail replay.
 //
-//cfsf:locked snapMu callers hold it; must see a settled manifest set
+//cfsf:locked snapMu callers hold it; must see a settled file set
 func (m *Manager) oldestRetainedSeq() uint64 {
-	points, err := listDurablePoints(m.cfg.DataDir)
-	if err != nil || len(points) == 0 {
-		return 0
-	}
-	return points[len(points)-1].seq // listed newest first
-}
-
-// NewestManifest returns the newest loadable manifest document and the
-// watermark it covers. Retention can delete a point between listing and
-// reading; such a point is skipped in favour of an older one, exactly as
-// the boot ladder does.
-func (m *Manager) NewestManifest() (data []byte, seq uint64, err error) {
+	oldest := m.snapped.seq
 	points, err := listDurablePoints(m.cfg.DataDir)
 	if err != nil {
-		return nil, 0, err
+		return oldest
 	}
 	for _, pt := range points {
-		data, rerr := os.ReadFile(pt.path)
-		if rerr != nil {
-			continue
+		if !pt.manifest && pt.seq < oldest {
+			oldest = pt.seq
 		}
-		if _, perr := parseManifest(data, filepath.Base(pt.path)); perr != nil {
-			continue
-		}
-		return data, pt.seq, nil
 	}
-	return nil, 0, fmt.Errorf("lifecycle: no loadable manifest in %s", m.cfg.DataDir)
+	return oldest
 }
 
-// OpenSnapshotBlob opens one snapshot blob by its manifest-referenced
-// name. The name must be a bare blob file name (no path separators) —
-// the same validation manifests pass — so a remote caller cannot read
-// outside the snapshot directory.
-func (m *Manager) OpenSnapshotBlob(name string) (*os.File, error) {
-	if !isBlobName(name) {
-		return nil, fmt.Errorf("lifecycle: %q is not a snapshot blob name", name)
-	}
-	return os.Open(filepath.Join(snapshotDir(m.cfg.DataDir), name))
+// OpenSnapshot opens the newest snapshot file: the one the last snapshot
+// wrote, or boot loaded. The handle reads the whole file even if
+// retention deletes it meanwhile.
+func (m *Manager) OpenSnapshot() (*os.File, error) {
+	m.snapMu.Lock()
+	defer m.snapMu.Unlock()
+	return os.Open(m.snapshotPath(m.snapped.seq))
+}
+
+// NewestSnapshotSeq returns the watermark of the file OpenSnapshot opens.
+func (m *Manager) NewestSnapshotSeq() uint64 {
+	m.snapMu.Lock()
+	defer m.snapMu.Unlock()
+	return m.snapped.seq
 }

@@ -1,13 +1,13 @@
 package replication
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
-	"net/url"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -241,27 +241,27 @@ func (f *Follower) bootstrapRetry(ctx context.Context) error {
 	}
 }
 
-// bootstrap fetches the leader's newest manifest and blobs, assembles
-// the model and installs it as the follower's serving state.
+// bootstrap fetches the leader's newest snapshot file, rebuilds the model
+// it holds and installs it as the follower's serving state at the
+// watermark the file records.
 func (f *Follower) bootstrap(ctx context.Context) error {
-	resp, err := f.get(ctx, PathManifest)
+	resp, err := f.get(ctx, PathSnapshot)
 	if err != nil {
 		return err
 	}
-	manifestJSON, err := readOK(resp)
+	data, err := readOK(resp)
 	if err != nil {
-		return fmt.Errorf("manifest: %w", err)
+		return fmt.Errorf("snapshot: %w", err)
 	}
-	mod, seq, err := lifecycle.AssembleRemotePoint(manifestJSON, func(name string) ([]byte, error) {
-		bresp, berr := f.get(ctx, PathBlob+"?file="+url.QueryEscape(name))
-		if berr != nil {
-			return nil, berr
-		}
-		return readOK(bresp)
-	})
+	file, err := core.Decode(bytes.NewReader(data))
 	if err != nil {
-		return err
+		return fmt.Errorf("snapshot: %w", err)
 	}
+	mod, err := file.Model()
+	if err != nil {
+		return fmt.Errorf("snapshot: %w", err)
+	}
+	seq := file.Seq
 	f.app.Reset(mod, seq)
 	f.bootSeq.Store(seq)
 	f.observeLeaderSeq(seq)

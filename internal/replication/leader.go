@@ -3,10 +3,8 @@ package replication
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"strconv"
 	"time"
 
@@ -30,8 +28,7 @@ type Leader struct {
 	mStreamRecords *obs.Counter
 	mStreamBytes   *obs.Counter
 	mRebootstraps  *obs.Counter
-	mManifests     *obs.Counter
-	mBlobs         *obs.Counter
+	mSnapshots     *obs.Counter
 }
 
 // NewLeader wraps a manager for serving.
@@ -47,8 +44,7 @@ func NewLeader(mgr *lifecycle.Manager, reg *obs.Registry) *Leader {
 		mStreamRecords: reg.Counter("replication_wal_stream_records_total"),
 		mStreamBytes:   reg.Counter("replication_wal_stream_bytes_total"),
 		mRebootstraps:  reg.Counter("replication_rebootstrap_signals_total"),
-		mManifests:     reg.Counter("replication_manifests_served_total"),
-		mBlobs:         reg.Counter("replication_blobs_served_total"),
+		mSnapshots:     reg.Counter("replication_snapshots_served_total"),
 	}
 }
 
@@ -157,40 +153,20 @@ func (l *Leader) serveRebootstrap(w http.ResponseWriter, cause error) {
 		"cause":          cause.Error(),
 		"available_from": l.mgr.WALAvailableFrom(),
 	}
-	if _, seq, err := l.mgr.NewestManifest(); err == nil {
-		body["snapshot_seq"] = seq
-	}
+	body["snapshot_seq"] = l.mgr.NewestSnapshotSeq()
 	writeJSONStatus(w, http.StatusGone, body)
 }
 
-// ServeManifest returns the newest manifest document.
-func (l *Leader) ServeManifest(w http.ResponseWriter, r *http.Request) {
-	data, seq, err := l.mgr.NewestManifest()
+// ServeSnapshot streams the newest snapshot file verbatim: the model file
+// local recovery loads, checksummed, its watermark inside.
+func (l *Leader) ServeSnapshot(w http.ResponseWriter, r *http.Request) {
+	f, err := l.mgr.OpenSnapshot()
 	if err != nil {
 		writeJSONStatus(w, http.StatusServiceUnavailable, map[string]any{"error": err.Error()})
 		return
 	}
-	l.mManifests.Inc()
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set(HeaderSnapshotSeq, strconv.FormatUint(seq, 10))
-	_, _ = w.Write(data)
-}
-
-// ServeBlob returns one snapshot blob named by ?file=. The name is
-// validated to a bare manifest-style blob name before any disk access.
-func (l *Leader) ServeBlob(w http.ResponseWriter, r *http.Request) {
-	name := r.URL.Query().Get("file")
-	f, err := l.mgr.OpenSnapshotBlob(name)
-	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, os.ErrNotExist) {
-			status = http.StatusNotFound
-		}
-		writeJSONStatus(w, status, map[string]any{"error": fmt.Sprintf("blob %q: %v", name, err)})
-		return
-	}
 	defer func() { _ = f.Close() }()
-	l.mBlobs.Inc()
+	l.mSnapshots.Inc()
 	w.Header().Set("Content-Type", "application/octet-stream")
 	_, _ = io.Copy(w, f)
 }

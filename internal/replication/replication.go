@@ -1,14 +1,12 @@
 // Package replication turns one cfsf-server process into a read fleet:
-// a leader serves its durable state over three admin endpoints and a
+// a leader serves its durable state over two admin endpoints and a
 // follower consumes them to hold a bit-identical model.
 //
-// Wire protocol (all GET, all under the admin-auth gate):
+// Wire protocol (both GET, both under the admin-auth gate):
 //
-//	/admin/manifest          newest manifest JSON; X-Cfsf-Snapshot-Seq
-//	                         carries the watermark it covers
-//	/admin/blob?file=<name>  one manifest-referenced snapshot blob,
-//	                         verbatim (the same checksummed container
-//	                         local recovery loads)
+//	/admin/snapshot          the newest snapshot file, verbatim: the
+//	                         checksummed model file local recovery loads,
+//	                         the watermark it covers inside it
 //	/admin/wal?after=<seq>   chunked stream of raw CRC-framed WAL record
 //	                         frames with sequence > seq, following the
 //	                         live tail; X-Cfsf-Last-Seq carries the log
@@ -20,12 +18,14 @@
 //	                         newer snapshot instead of patching forward.
 //
 // The bootstrap ladder on the follower side is: fetch the newest
-// manifest, fetch its shared + per-shard blobs, assemble the model at
-// the manifest watermark (lifecycle.AssembleRemotePoint), then stream
-// the WAL tail from that watermark and apply it through the same
-// micro-batch grouping crash replay uses. Every transition that loses
-// the tail (leader pruned past the cursor) degrades to a clean
-// re-bootstrap, never to a silent gap.
+// snapshot file in one GET, rebuild the model at its watermark
+// (core.Decode), then stream the WAL tail from that watermark and apply
+// it through the same micro-batch grouping crash replay uses. Every
+// transition that loses the tail (leader pruned past the cursor) degrades
+// to a clean re-bootstrap, never to a silent gap. A leader and its
+// followers upgrade together: a follower of this build asking a leader
+// that predates the snapshot file, or the reverse, gets an error status
+// on every bootstrap attempt and logs each retry.
 package replication
 
 import "time"
@@ -33,14 +33,11 @@ import "time"
 // Wire protocol paths and headers.
 const (
 	PathWAL         = "/admin/wal"
-	PathManifest    = "/admin/manifest"
-	PathBlob        = "/admin/blob"
+	PathSnapshot    = "/admin/snapshot"
 	PathFingerprint = "/admin/fingerprint"
 
 	// HeaderLastSeq is the leader's WAL end at stream connect.
 	HeaderLastSeq = "X-Cfsf-Last-Seq"
-	// HeaderSnapshotSeq is the watermark a served manifest covers.
-	HeaderSnapshotSeq = "X-Cfsf-Snapshot-Seq"
 )
 
 const (

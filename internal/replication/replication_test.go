@@ -100,8 +100,7 @@ func newLeaderServer(l *Leader) *leaderServer {
 		}()
 		l.ServeWAL(w, r.WithContext(ctx))
 	})
-	mux.HandleFunc(PathManifest, l.ServeManifest)
-	mux.HandleFunc(PathBlob, l.ServeBlob)
+	mux.HandleFunc(PathSnapshot, l.ServeSnapshot)
 	ls.ts = httptest.NewServer(mux)
 	return ls
 }

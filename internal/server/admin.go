@@ -34,9 +34,6 @@ func (s *Server) handleAdminSnapshot(w http.ResponseWriter, r *http.Request) {
 		resp["status"] = "skipped"
 	} else {
 		resp["bytes"] = info.Bytes
-		resp["shards_written"] = info.ShardsWritten
-		resp["shards_clean"] = info.ShardsClean
-		resp["shared_written"] = info.SharedWritten
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

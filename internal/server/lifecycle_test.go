@@ -222,14 +222,25 @@ func TestAdminEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("POST /admin/compact = %d, want 404", resp.StatusCode)
 	}
-	// GET on admin endpoints is not routed.
-	resp, err = http.Get(srv.URL + "/admin/snapshot")
+	// GET on a write-side admin endpoint is not routed.
+	resp, err = http.Get(srv.URL + "/admin/retrain")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed && resp.StatusCode != http.StatusNotFound {
-		t.Errorf("GET /admin/snapshot = %d, want method not allowed", resp.StatusCode)
+		t.Errorf("GET /admin/retrain = %d, want method not allowed", resp.StatusCode)
+	}
+	// GET /admin/snapshot is a follower's bootstrap: the newest snapshot
+	// file, verbatim, which decodes at the watermark it covers.
+	resp, err = http.Get(srv.URL + "/admin/snapshot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, err := core.Decode(resp.Body)
+	resp.Body.Close()
+	if err != nil || file.Seq < seq {
+		t.Fatalf("GET /admin/snapshot: file at seq %v, %v; want one decoding at seq >= %d", file, err, seq)
 	}
 }
 

@@ -16,8 +16,8 @@ import (
 // requireAdmin gates a handler behind the shared admin token
 // (Options.AdminToken). With no token configured the gate is open —
 // single-operator deployments keep working — but a replicated fleet
-// should set one, since /admin/wal and /admin/blob serve the full
-// dataset. The comparison is constant-time.
+// should set one, since GET /admin/snapshot and /admin/wal serve the
+// full dataset. The comparison is constant-time.
 func (s *Server) requireAdmin(h http.HandlerFunc) http.HandlerFunc {
 	if s.opts.AdminToken == "" {
 		return h
@@ -102,24 +102,15 @@ func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request) {
 	l.ServeWAL(w, r)
 }
 
-// handleReplManifest serves the newest snapshot manifest.
-func (s *Server) handleReplManifest(w http.ResponseWriter, r *http.Request) {
+// handleReplSnapshot streams the newest snapshot file to a bootstrapping
+// follower (manager mode only).
+func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
 	l := s.replicationLeader()
 	if l == nil {
 		writeError(w, http.StatusServiceUnavailable, errNoManager)
 		return
 	}
-	l.ServeManifest(w, r)
-}
-
-// handleReplBlob serves one snapshot blob by name.
-func (s *Server) handleReplBlob(w http.ResponseWriter, r *http.Request) {
-	l := s.replicationLeader()
-	if l == nil {
-		writeError(w, http.StatusServiceUnavailable, errNoManager)
-		return
-	}
-	l.ServeBlob(w, r)
+	l.ServeSnapshot(w, r)
 }
 
 // handleFingerprint hashes the serving model's persisted form — the

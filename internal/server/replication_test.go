@@ -37,9 +37,8 @@ func TestAdminTokenGatesAdminRoutes(t *testing.T) {
 		method, path string
 	}{
 		{"GET", "/admin/fingerprint"},
-		{"GET", replication.PathManifest},
+		{"GET", replication.PathSnapshot},
 		{"GET", replication.PathWAL + "?after=0&follow=0"},
-		{"GET", replication.PathBlob + "?file=x"},
 		{"POST", "/admin/snapshot"},
 	}
 	for _, p := range paths {

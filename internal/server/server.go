@@ -27,8 +27,7 @@
 //	GET  /admin/fingerprint       -> sha256 of the serving model's persisted
 //	                                 form plus the applied seq and role — the
 //	                                 replica-parity check
-//	GET  /admin/manifest          -> newest snapshot manifest (replication)
-//	GET  /admin/blob?file=F       -> one manifest-referenced blob (replication)
+//	GET  /admin/snapshot          -> the newest snapshot file (replication)
 //	GET  /admin/wal?after=S       -> chunked stream of raw WAL frames past seq
 //	                                 S, following the tail (replication)
 //
@@ -244,8 +243,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /admin/snapshot", s.instrument("POST /admin/snapshot", s.requireAdmin(s.requireReady(s.handleAdminSnapshot))))
 	mux.HandleFunc("POST /admin/retrain", s.instrument("POST /admin/retrain", s.requireAdmin(s.requireReady(s.handleAdminRetrain))))
 	mux.HandleFunc("GET "+replication.PathWAL, s.instrument("GET "+replication.PathWAL, s.requireAdmin(s.requireReady(s.handleReplWAL))))
-	mux.HandleFunc("GET "+replication.PathManifest, s.instrument("GET "+replication.PathManifest, s.requireAdmin(s.requireReady(s.handleReplManifest))))
-	mux.HandleFunc("GET "+replication.PathBlob, s.instrument("GET "+replication.PathBlob, s.requireAdmin(s.requireReady(s.handleReplBlob))))
+	mux.HandleFunc("GET "+replication.PathSnapshot, s.instrument("GET "+replication.PathSnapshot, s.requireAdmin(s.requireReady(s.handleReplSnapshot))))
 	mux.HandleFunc("GET "+replication.PathFingerprint, s.instrument("GET "+replication.PathFingerprint, s.requireAdmin(s.requireReady(s.handleFingerprint))))
 	if s.opts.Debug {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -586,8 +584,8 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 				"oldest_snapshot_seq": mgr.OldestSnapshotSeq(),
 			},
 		}
-		// What the last non-skipped snapshot actually wrote: with
-		// incremental manifests most shards are clean and skipped.
+		// What the last non-skipped snapshot wrote: its file, the
+		// watermark it covers, its size and how long it took.
 		if snap := mgr.SnapshotStats(); snap.Path != "" {
 			lc["last_snapshot"] = snap
 		}
