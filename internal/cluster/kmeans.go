@@ -203,13 +203,14 @@ func Run(m *ratings.Matrix, opts Options) (*Result, error) {
 	// cap ends in the state (MaxIter−1−t) mod p sweeps from here.
 	var hist history
 	lastRepair := -1
+	repaired := false
 	fit := Fit{Capped: true}
 	iter := 0
 	for ; iter < maxIter; iter++ {
 		fit.Swept++
 		moved := assignAll(m, c, table, assign, dist, opts)
 		c.recompute(m, assign)
-		if c.repairEmpty(m, assign, dist) {
+		if repaired = c.repairEmpty(m, assign, dist); repaired {
 			lastRepair = iter
 		}
 		if moved == 0 {
@@ -224,6 +225,13 @@ func Run(m *ratings.Matrix, opts Options) (*Result, error) {
 			// Skip whole periods: the sweeps left then end on the cap's state.
 			iter = maxIter - 1 - (maxIter-1-iter)%per
 		}
+	}
+	// A repair seeds the centroid it refills but leaves the donor counting
+	// the user it gave up until the next recompute. When the cap ends the
+	// loop right after one, that recompute is this one, so every centroid
+	// is the mean of its members (Derive), as Result.Mean says.
+	if repaired {
+		c.recompute(m, assign)
 	}
 
 	res := &Result{
@@ -542,4 +550,51 @@ func (c *centroids) repairEmpty(m *ratings.Matrix, assign []int, dist []float64)
 		moved = true
 	}
 	return moved
+}
+
+// Derive fills r's Members, Mean and Count from its Assign and K on the
+// users' rows (row(u) is user u's ratings, every item below numItems):
+// Members in ascending user order, and each centroid's Mean and Count
+// accumulated over its members in ascending user order — the order Run's
+// recompute, ReassignUsers and RefreshUsers accumulate in — so on the
+// matrix a clustering was fitted or refreshed on, Derive rebuilds its
+// centroids bit for bit. A model file stores the assignment and Derive
+// rebuilds the rest. It refuses, naming the user, an assignment outside
+// [0, K), and a K below 1.
+func (r *Result) Derive(numItems int, row func(u int) []ratings.Entry) error {
+	if r.K < 1 {
+		return fmt.Errorf("cluster: K = %d", r.K)
+	}
+	for u, c := range r.Assign {
+		if c < 0 || c >= r.K {
+			return fmt.Errorf("cluster: user %d assigned to cluster %d, outside [0, %d)", u, c, r.K)
+		}
+	}
+	r.Members = make([][]int, r.K)
+	r.Mean = make([][]float64, r.K)
+	r.Count = make([][]int32, r.K)
+	for c := range r.Mean {
+		r.Mean[c] = make([]float64, numItems)
+		r.Count[c] = make([]int32, numItems)
+	}
+	for u, c := range r.Assign {
+		r.Members[c] = append(r.Members[c], u)
+		mean, count := r.Mean[c], r.Count[c]
+		for _, e := range row(u) {
+			mean[e.Index] += e.Value
+			count[e.Index]++
+		}
+	}
+	for c, mean := range r.Mean {
+		for i, n := range r.Count[c] {
+			if n > 0 {
+				mean[i] /= float64(n)
+			}
+		}
+	}
+	r.overall = make([]float64, r.K)
+	for c := range r.overall {
+		r.overall[c] = r.centroidMean(c)
+	}
+	return nil
 }

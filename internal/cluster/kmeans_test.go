@@ -1,11 +1,96 @@
 package cluster
 
 import (
+	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"cfsf/internal/ratings"
 	"cfsf/internal/synth"
 )
+
+// run is Run plus the check every test here makes of what it returns:
+// its centroids are the ones Derive rebuilds from the assignment, bit for
+// bit — what a model file, which stores only the assignment, loads.
+func run(t testing.TB, m *ratings.Matrix, opts Options) (*Result, error) {
+	t.Helper()
+	res, err := Run(m, opts)
+	if err != nil {
+		return res, err
+	}
+	requireDerives(t, m, res)
+	return res, nil
+}
+
+// requireDerives fails unless Derive, given res's assignment alone,
+// rebuilds res's Members, Mean and Count bit for bit.
+func requireDerives(t testing.TB, m *ratings.Matrix, res *Result) {
+	t.Helper()
+	got := &Result{Assign: slices.Clone(res.Assign), K: res.K}
+	if err := got.Derive(m.NumItems(), m.UserRatings); err != nil {
+		t.Fatalf("Derive: %v", err)
+	}
+	if !slices.EqualFunc(got.Members, res.Members, slices.Equal[[]int]) {
+		t.Fatalf("derived Members %v, Run returned %v", got.Members, res.Members)
+	}
+	for c := range res.Mean {
+		for i := range res.Mean[c] {
+			if math.Float64bits(got.Mean[c][i]) != math.Float64bits(res.Mean[c][i]) || got.Count[c][i] != res.Count[c][i] {
+				t.Fatalf("centroid %d item %d derives as (%v, %d), Run returned (%v, %d)", c, i,
+					got.Mean[c][i], got.Count[c][i], res.Mean[c][i], res.Count[c][i])
+			}
+		}
+	}
+	if !slices.EqualFunc(got.centroidMeans(), res.centroidMeans(), func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+		t.Fatal("derived centroid means diverge from Run's")
+	}
+}
+
+// TestCappedRepairKeepsCentroidsTheMeanOfTheirMembers: on twinProfiles
+// every sweep empties clusters and repairEmpty refills them, moving a
+// user out of a donor. A cap that ends the fit right after such a sweep
+// must still return each centroid as the mean of its members — the donor
+// no longer counting the user it gave up — which run checks against
+// Derive.
+func TestCappedRepairKeepsCentroidsTheMeanOfTheirMembers(t *testing.T) {
+	m := twinProfiles()
+	for _, maxIter := range []int{1, 2, 3, 7} {
+		opts := Options{K: 6, Seed: 1, MaxIter: maxIter}
+		l := newLloyd(m, opts.K, opts)
+		for iter := 0; iter < maxIter; iter++ {
+			l.sweep(m, opts, (*centroids).recompute)
+		}
+		if !l.repaired {
+			t.Fatalf("cap %d: the last sweep repaired nobody, so the fixture no longer tests the capped repair", maxIter)
+		}
+		res, err := run(t, m, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Fit().Capped {
+			t.Fatalf("cap %d: fit %+v did not hit the cap", maxIter, res.Fit())
+		}
+	}
+}
+
+// TestDeriveRefusesABadAssignment: Derive names the user whose cluster
+// is outside [0, K) and refuses a K below 1, rather than panic on them.
+func TestDeriveRefusesABadAssignment(t *testing.T) {
+	m := blockMatrix(4, 4)
+	for _, tc := range []struct {
+		res  Result
+		want string
+	}{
+		{Result{Assign: []int{0, 1, 2, 0}, K: 2}, "user 2 assigned to cluster 2"},
+		{Result{Assign: []int{0, -1, 0, 0}, K: 2}, "user 1 assigned to cluster -1"},
+		{Result{Assign: []int{0, 0, 0, 0}, K: 0}, "K = 0"},
+	} {
+		if err := tc.res.Derive(m.NumItems(), m.UserRatings); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Derive(%v, K %d): err = %v, want one naming %q", tc.res.Assign, tc.res.K, err, tc.want)
+		}
+	}
+}
 
 // blockMatrix builds users in two obvious taste blocks: block A loves the
 // first half of the items, block B loves the second half.
@@ -32,7 +117,7 @@ func blockMatrix(p, q int) *ratings.Matrix {
 
 func TestKMeansSeparatesBlocks(t *testing.T) {
 	m := blockMatrix(40, 20)
-	res, err := Run(m, Options{K: 2, Seed: 1})
+	res, err := run(t, m, Options{K: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +139,7 @@ func TestKMeansSeparatesBlocks(t *testing.T) {
 
 func TestKMeansAssignInRangeAndMembersConsistent(t *testing.T) {
 	d := synth.MustGenerate(smallSynth())
-	res, err := Run(d.Matrix, Options{K: 7, Seed: 3})
+	res, err := run(t, d.Matrix, Options{K: 7, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +167,7 @@ func TestKMeansAssignInRangeAndMembersConsistent(t *testing.T) {
 
 func TestKMeansNoEmptyClusters(t *testing.T) {
 	d := synth.MustGenerate(smallSynth())
-	res, err := Run(d.Matrix, Options{K: 12, Seed: 5})
+	res, err := run(t, d.Matrix, Options{K: 12, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,11 +180,11 @@ func TestKMeansNoEmptyClusters(t *testing.T) {
 
 func TestKMeansDeterministic(t *testing.T) {
 	d := synth.MustGenerate(smallSynth())
-	a, err := Run(d.Matrix, Options{K: 5, Seed: 11, Workers: 1})
+	a, err := run(t, d.Matrix, Options{K: 5, Seed: 11, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(d.Matrix, Options{K: 5, Seed: 11, Workers: 8})
+	b, err := run(t, d.Matrix, Options{K: 5, Seed: 11, Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +197,7 @@ func TestKMeansDeterministic(t *testing.T) {
 
 func TestKMeansKExceedsUsers(t *testing.T) {
 	m := blockMatrix(6, 10)
-	res, err := Run(m, Options{K: 50, Seed: 1})
+	res, err := run(t, m, Options{K: 50, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,17 +208,17 @@ func TestKMeansKExceedsUsers(t *testing.T) {
 
 func TestKMeansInvalidK(t *testing.T) {
 	m := blockMatrix(6, 10)
-	if _, err := Run(m, Options{K: 0}); err == nil {
+	if _, err := run(t, m, Options{K: 0}); err == nil {
 		t.Error("K=0 must error")
 	}
-	if _, err := Run(m, Options{K: -3}); err == nil {
+	if _, err := run(t, m, Options{K: -3}); err == nil {
 		t.Error("negative K must error")
 	}
 }
 
 func TestKMeansCentroidStats(t *testing.T) {
 	m := blockMatrix(20, 10)
-	res, err := Run(m, Options{K: 2, Seed: 2})
+	res, err := run(t, m, Options{K: 2, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +248,7 @@ func TestKMeansCentroidStats(t *testing.T) {
 
 func TestKMeansEuclideanMetric(t *testing.T) {
 	m := blockMatrix(30, 16)
-	res, err := Run(m, Options{K: 2, Seed: 4, Metric: Euclidean})
+	res, err := run(t, m, Options{K: 2, Seed: 4, Metric: Euclidean})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +259,7 @@ func TestKMeansEuclideanMetric(t *testing.T) {
 
 func TestKMeansInertiaNonNegative(t *testing.T) {
 	d := synth.MustGenerate(smallSynth())
-	res, err := Run(d.Matrix, Options{K: 6, Seed: 9})
+	res, err := run(t, d.Matrix, Options{K: 6, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +284,7 @@ func TestKMeansRecoverArchetypes(t *testing.T) {
 	cfg.Archetypes = 4
 	cfg.Users = 120
 	d := synth.MustGenerate(cfg)
-	res, err := Run(d.Matrix, Options{K: 4, Seed: 2})
+	res, err := run(t, d.Matrix, Options{K: 4, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,7 +65,8 @@ func (c *centroids) recomputeAll(m *ratings.Matrix, assign []int) {
 // refRun is Run as it was before the distance table and the stale-only
 // recompute: every sweep measures every user against every centroid and
 // rebuilds every centroid, and every seeding round rescans every earlier
-// seed. It shares distance, setFromUser and repairEmpty with Run (their
+// seed. Like Run, it refits the centroids once more when its last sweep
+// repaired. It shares distance, setFromUser and repairEmpty with Run (their
 // staleness bookkeeping is ignored here), so the comparison pins exactly
 // what the table, the carried seed distances and the skipped rebuilds
 // replaced.
@@ -121,6 +122,7 @@ func refRun(m *ratings.Matrix, opts Options) *Result {
 		assign[i] = -1
 	}
 	dist := make([]float64, p)
+	repaired := false
 	iter := 0
 	for ; iter < maxIter; iter++ {
 		moved := 0
@@ -141,10 +143,13 @@ func refRun(m *ratings.Matrix, opts Options) *Result {
 			}
 		}
 		c.recomputeAll(m, assign)
-		c.repairEmpty(m, assign, dist)
+		repaired = c.repairEmpty(m, assign, dist)
 		if moved == 0 {
 			break
 		}
+	}
+	if repaired {
+		c.recomputeAll(m, assign)
 	}
 	res := &Result{Assign: assign, Mean: c.mean, Count: c.count, Iterations: iter + 1, K: k}
 	for u := range assign {
@@ -217,7 +222,7 @@ func TestCachedSweepsMatchUncachedReference(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			want := refRun(tc.m, tc.opts)
-			got, err := Run(tc.m, tc.opts)
+			got, err := run(t, tc.m, tc.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -324,7 +329,10 @@ func TestStaleOnlyRecomputeMatchesFullRebuild(t *testing.T) {
 				t.Fatalf("no centroid was ever left alone in %d sweeps: the fixture does not exercise the skip", iter+1)
 			}
 
-			res, err := Run(tc.m, tc.opts)
+			if want.repaired {
+				want.c.recomputeAll(tc.m, want.assign)
+			}
+			res, err := run(t, tc.m, tc.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -352,7 +360,8 @@ func capOf(opts Options) int {
 }
 
 // sweepToCap is Run without the cycle shortcut: the lloyd stepper swept
-// until nobody moves or MaxIter sweeps have run, every one of them.
+// until nobody moves or MaxIter sweeps have run, every one of them, and
+// the centroids refitted after a last sweep that repaired, as Run does.
 func sweepToCap(m *ratings.Matrix, opts Options) *Result {
 	k := min(opts.K, m.NumUsers())
 	l := newLloyd(m, k, opts)
@@ -361,6 +370,9 @@ func sweepToCap(m *ratings.Matrix, opts Options) *Result {
 		if l.sweep(m, opts, (*centroids).recompute) == 0 {
 			break
 		}
+	}
+	if l.repaired {
+		l.c.recompute(m, l.assign)
 	}
 	res := &Result{Assign: l.assign, Mean: l.c.mean, Count: l.c.count, Iterations: iter + 1, K: k}
 	for u := range l.assign {
@@ -425,7 +437,7 @@ func TestCycleStopMatchesSweepingToTheCap(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			want := sweepToCap(tc.m, tc.opts)
-			got, err := Run(tc.m, tc.opts)
+			got, err := run(t, tc.m, tc.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -475,7 +487,7 @@ func TestCycleStopMatchesSweepingToTheCap(t *testing.T) {
 // fixture every first boot trains: a fit reported as hitting the cap at
 // 101 iterations, as it always has, in at most ten sweeps.
 func TestLedgerFixtureStopsAtItsCycle(t *testing.T) {
-	res, err := Run(synth.MustGenerate(synth.DefaultConfig()).Matrix, Options{K: 30})
+	res, err := run(t, synth.MustGenerate(synth.DefaultConfig()).Matrix, Options{K: 30})
 	if err != nil {
 		t.Fatal(err)
 	}

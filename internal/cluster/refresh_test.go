@@ -61,7 +61,7 @@ func TestRefreshUsersMatchesReassign(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 40; trial++ {
 		m := randMatrix(rng, 25, 15, 180)
-		res, err := Run(m, Options{K: 4, Seed: int64(trial)})
+		res, err := run(t, m, Options{K: 4, Seed: int64(trial)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func TestRefreshUsersMatchesReassign(t *testing.T) {
 
 func TestRefreshUsersSharesUntouchedClusters(t *testing.T) {
 	m := blockMatrix(40, 20)
-	res, err := Run(m, Options{K: 2, Seed: 1})
+	res, err := run(t, m, Options{K: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestCentroidMeansMemoIsExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	users, items := 30, 20
 	m := randMatrix(rng, users, items, 260)
-	res, err := Run(m, Options{K: 5, Seed: 2})
+	res, err := run(t, m, Options{K: 5, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

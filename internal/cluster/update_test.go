@@ -9,7 +9,7 @@ import (
 
 func TestNearestPicksMatchingBlock(t *testing.T) {
 	m := blockMatrix(40, 20)
-	res, err := Run(m, Options{K: 2, Seed: 1})
+	res, err := run(t, m, Options{K: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func TestNearestPicksMatchingBlock(t *testing.T) {
 
 func TestReassignUsersNewUser(t *testing.T) {
 	m := blockMatrix(40, 20)
-	res, err := Run(m, Options{K: 2, Seed: 1})
+	res, err := run(t, m, Options{K: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestReassignUsersNewUser(t *testing.T) {
 
 func TestReassignUsersMembershipConsistent(t *testing.T) {
 	m := blockMatrix(30, 12)
-	res, err := Run(m, Options{K: 3, Seed: 7})
+	res, err := run(t, m, Options{K: 3, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestReassignUsersMembershipConsistent(t *testing.T) {
 
 func TestReassignUsersIgnoresOutOfRange(t *testing.T) {
 	m := blockMatrix(20, 10)
-	res, err := Run(m, Options{K: 2, Seed: 3})
+	res, err := run(t, m, Options{K: 2, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestReassignUsersIgnoresOutOfRange(t *testing.T) {
 
 func TestSilhouetteSeparatedBlocks(t *testing.T) {
 	m := blockMatrix(40, 20)
-	good, err := Run(m, Options{K: 2, Seed: 1})
+	good, err := run(t, m, Options{K: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestSilhouetteSeparatedBlocks(t *testing.T) {
 
 func TestSilhouetteEdgeCases(t *testing.T) {
 	m := blockMatrix(6, 8)
-	one, err := Run(m, Options{K: 1, Seed: 1})
+	one, err := run(t, m, Options{K: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestSilhouetteDetectsOverClustering(t *testing.T) {
 	cfg.ArchetypeSpread = 0.05
 	d := synth.MustGenerate(cfg)
 	score := func(k int) float64 {
-		res, err := Run(d.Matrix, Options{K: k, Seed: 3})
+		res, err := run(t, d.Matrix, Options{K: k, Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,11 +5,13 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
 	"testing"
 
+	"cfsf/internal/cluster"
 	"cfsf/internal/ratings"
 	"cfsf/internal/similarity"
 	"cfsf/internal/synth"
@@ -17,7 +19,8 @@ import (
 
 // requireLoadsAsLive: the one-file form and the manifest's blobs of mod,
 // written and loaded back, serve mod's GIS — ids, order and weight bits —
-// and so the model mod is.
+// and its clustering, and so the model mod is: every Predict on a strided
+// grid and every third user's Recommend.
 func requireLoadsAsLive(t *testing.T, mod *Model, ctx string) {
 	t.Helper()
 	var buf bytes.Buffer
@@ -32,6 +35,7 @@ func requireLoadsAsLive(t *testing.T, mod *Model, ctx string) {
 	shared, shards := saveParts(t, mod)
 	assembled := assembleFromParts(t, shared, shards)
 	requireSameGIS(t, mod.GIS(), assembled.GIS(), ctx+": assembled from the blobs")
+	requireSameClusters(t, mod.Clusters(), loaded.Clusters(), ctx+": Load(Save)")
 	for _, got := range []*Model{loaded, assembled} {
 		for u := 0; u < mod.Matrix().NumUsers(); u += 37 {
 			for i := 0; i < mod.Matrix().NumItems(); i += 13 {
@@ -40,16 +44,73 @@ func requireLoadsAsLive(t *testing.T, mod *Model, ctx string) {
 				}
 			}
 		}
+		for u := 0; u < mod.Matrix().NumUsers(); u += 3 {
+			if w, g := mod.Recommend(u, 5), got.Recommend(u, 5); !slices.Equal(w, g) {
+				t.Fatalf("%s: Recommend(%d, 5) = %v loaded, %v live", ctx, u, g, w)
+			}
+		}
 	}
 }
 
+// requireSameClusters: got is want's clustering field by field, floats by
+// their bits.
+func requireSameClusters(t *testing.T, want, got *cluster.Result, ctx string) {
+	t.Helper()
+	same := got.K == want.K && got.Iterations == want.Iterations && math.Float64bits(got.Inertia) == math.Float64bits(want.Inertia) &&
+		slices.Equal(got.Assign, want.Assign) && slices.EqualFunc(got.Members, want.Members, slices.Equal[[]int]) &&
+		slices.EqualFunc(got.Count, want.Count, slices.Equal[[]int32]) &&
+		slices.EqualFunc(got.Mean, want.Mean, func(a, b []float64) bool {
+			return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+		})
+	if !same {
+		t.Fatalf("%s: the clustering loads different from the one served", ctx)
+	}
+}
+
+// duplicatedColumns is m with every item column repeated once under the
+// id q+i (q = m's item count): each pair of twins is co-rated by the
+// same users with the same values, so every third item's Eq. 5 weight
+// with one twin equals its weight with the other, and only mathx.Precedes'
+// tie-break on the id orders them in a list.
+func duplicatedColumns(m *ratings.Matrix) *ratings.Matrix {
+	q := m.NumItems()
+	b := ratings.NewBuilder(m.NumUsers(), 2*q).SetScale(m.MinRating(), m.MaxRating())
+	for u := 0; u < m.NumUsers(); u++ {
+		for _, e := range m.UserRatings(u) {
+			b.MustAdd(u, int(e.Index), e.Value)
+			b.MustAdd(u, q+int(e.Index), e.Value)
+		}
+	}
+	return b.Build()
+}
+
+// tiedNeighbours counts the list entries whose weight equals the one
+// before them: the entries the id tie-break placed.
+func tiedNeighbours(g *similarity.GIS) int {
+	n := 0
+	for i := 0; i < g.NumItems(); i++ {
+		l := g.Neighbors(i)
+		for k := 1; k < len(l); k++ {
+			if l[k].Score == l[k-1].Score {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // TestLoadDerivesTheServedGIS: a load derives every GIS weight from the
-// matrix, and what it derives is what the saved model served, bit for
-// bit — on the ledger fixture after Train, at every 100th of 600 chained
-// Applies from ledgerStream (every 5th a 16-rating array, one batch adding
-// user 500 and item 1000), and after a retrain fold (Train of the applied
-// matrix, then more Applies); and on a smaller fixture under Cosine,
-// significance weighting, a threshold and co-rating floors 0 and 2.
+// matrix, every list's order from its weights and the clustering's
+// centroids from its assignment, and what it derives is what the saved
+// model served, bit for bit — on the ledger fixture after Train, at every
+// 100th of 600 chained Applies from ledgerStream (every 5th a 16-rating
+// array, one batch adding user 500 and item 1000), and after each of two
+// retrain folds (Train of the applied matrix, then more Applies); on a
+// smaller fixture under five GIS configurations — Cosine, significance
+// weighting, co-rating floors 0 and 2 with a threshold, no truncation —
+// on that fixture with every item column duplicated, so that weights tie
+// and the id tie-break orders the twins, and with a GIS that blends in
+// item attributes, whose stored weights order its sets.
 func TestLoadDerivesTheServedGIS(t *testing.T) {
 	t.Run("ledger", func(t *testing.T) {
 		cfg := DefaultConfig()
@@ -84,15 +145,42 @@ func TestLoadDerivesTheServedGIS(t *testing.T) {
 		if mod.Matrix().NumUsers() != p+1 || mod.Matrix().NumItems() != q+1 {
 			t.Fatalf("the stream left the model %dx%d, want a new user and a new item", mod.Matrix().NumUsers(), mod.Matrix().NumItems())
 		}
-		if mod, err = Train(mod.Matrix(), cfg); err != nil {
+		for fold := 1; fold <= 2; fold++ {
+			if mod, err = Train(mod.Matrix(), cfg); err != nil {
+				t.Fatal(err)
+			}
+			requireLoadsAsLive(t, mod, fmt.Sprintf("after retrain fold %d", fold))
+			for k := 0; k < 20; k++ {
+				if mod, err = mod.Apply([]RatingUpdate{next()}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			requireLoadsAsLive(t, mod, fmt.Sprintf("after retrain fold %d and 20 Applies", fold))
+		}
+	})
+
+	t.Run("duplicated columns", func(t *testing.T) {
+		m := duplicatedColumns(synth.MustGenerate(smallSynth()).Matrix)
+		mod, err := Train(m, smallConfig())
+		if err != nil {
 			t.Fatal(err)
 		}
-		for k := 0; k < 20; k++ {
-			if mod, err = mod.Apply([]RatingUpdate{next()}); err != nil {
+		if n := tiedNeighbours(mod.GIS()); n < 100 {
+			t.Fatalf("%d list entries tie with the one before: the fixture no longer makes the id tie-break decide", n)
+		}
+		requireLoadsAsLive(t, mod, "after Train")
+		rng := rand.New(rand.NewSource(5))
+		for k := 0; k < 30; k++ {
+			if mod, err = mod.Apply(randomUpdates(rng, m.NumUsers(), m.NumItems(), 1+k%4)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		requireLoadsAsLive(t, mod, "after a retrain fold")
+		requireLoadsAsLive(t, mod, "after 30 Applies")
+	})
+
+	t.Run("blended", func(t *testing.T) {
+		mod := blendedModel(t)
+		requireLoadsAsLive(t, mod, "after Train and 10 Applies")
 	})
 
 	for _, tc := range []struct {
@@ -103,6 +191,7 @@ func TestLoadDerivesTheServedGIS(t *testing.T) {
 		{"significance", func(o *similarity.GISOptions) { o.SignificanceGamma = 25 }},
 		{"min co-ratings 0", func(o *similarity.GISOptions) { o.MinCoRatings = 0 }},
 		{"min co-ratings 2, threshold", func(o *similarity.GISOptions) { o.MinCoRatings, o.Threshold = 2, 0.15 }},
+		{"untruncated", func(o *similarity.GISOptions) { o.TopN = 0 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d := synth.MustGenerate(smallSynth())
@@ -131,6 +220,20 @@ func TestLoadDerivesTheServedGIS(t *testing.T) {
 // carries them, 8 bytes an entry, and the loaded model serves them
 // unchanged.
 func TestContentBlendedWeightsAreStored(t *testing.T) {
+	mod := blendedModel(t)
+	if snap := mod.gisSnapshot(); len(snap.Scores) != 8*mod.GIS().TotalNeighbors() {
+		t.Fatalf("a blended GIS of %d entries snapshots %d score bytes", mod.GIS().TotalNeighbors(), len(snap.Scores))
+	}
+	if _, err := similarity.FromSnapshot(mod.gis.Snapshot(false), mod.Matrix()); err == nil {
+		t.Fatal("the blended GIS derived from the matrix alone: the fixture no longer shows why its weights are stored")
+	}
+	requireLoadsAsLive(t, mod, "blended")
+}
+
+// blendedModel is smallSynth trained with its genres blended into the
+// GIS (ContentBlend 0.3), then ten Applies of two random ratings each.
+func blendedModel(t *testing.T) *Model {
+	t.Helper()
 	d := synth.MustGenerate(smallSynth())
 	cfg := smallConfig()
 	cfg.ContentBlend = 0.3
@@ -151,13 +254,34 @@ func TestContentBlendedWeightsAreStored(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if snap := mod.gisSnapshot(); len(snap.Scores) != 8*mod.GIS().TotalNeighbors() {
-		t.Fatalf("a blended GIS of %d entries snapshots %d score bytes", mod.GIS().TotalNeighbors(), len(snap.Scores))
+	return mod
+}
+
+// gisSets is every list of g as its ascending id set.
+func gisSets(g *similarity.GIS) [][]int32 {
+	lists := make([][]int32, g.NumItems())
+	for i := range lists {
+		for _, n := range g.Neighbors(i) {
+			lists[i] = append(lists[i], n.Index)
+		}
+		slices.Sort(lists[i])
 	}
-	if _, err := similarity.FromSnapshot(mod.gis.Snapshot(false), mod.Matrix()); err == nil {
-		t.Fatal("the blended GIS derived from the matrix alone: the fixture no longer shows why its weights are stored")
+	return lists
+}
+
+// setSnapshot gap-codes ascending id sets into the snapshot layout model
+// files carry, weights left to derive.
+func setSnapshot(opts similarity.GISOptions, lists [][]int32) similarity.Snapshot {
+	snap := similarity.Snapshot{Lens: make([]int32, len(lists)), Opts: opts}
+	for i, l := range lists {
+		snap.Lens[i] = int32(len(l))
+		prev := int32(-1)
+		for _, id := range l {
+			snap.Set = binary.AppendUvarint(snap.Set, uint64(id-prev-1))
+			prev = id
+		}
 	}
-	requireLoadsAsLive(t, mod, "blended")
+	return snap
 }
 
 // TestNonCoRatedNeighbourIsRefused: a version-4 blob or model file whose
@@ -183,13 +307,10 @@ func TestNonCoRatedNeighbourIsRefused(t *testing.T) {
 	if item < 0 {
 		t.Fatal("every item with neighbours is rated by user 0")
 	}
-	snap := mod.gisSnapshot()
-	at := 0
-	for i := 0; i < item; i++ {
-		at += int(snap.Lens[i])
-	}
-	binary.LittleEndian.PutUint16(snap.IDs[2*at:], uint16(q)) // 2-byte ids: 151 items
-	want := fmt.Sprintf("item %d entry 0: neighbour %d is not co-rated", item, q)
+	lists := gisSets(mod.GIS())
+	lists[item] = append(lists[item][1:], int32(q))
+	snap := setSnapshot(mod.GIS().Options(), lists)
+	want := fmt.Sprintf("item %d entry %d: neighbour %d is not co-rated", item, len(lists[item])-1, q)
 
 	wire := sharedWireOf(mod)
 	wire.GIS = snap

@@ -141,6 +141,11 @@ func (c Config) blendsContent() bool { return c.ContentBlend > 0 && len(c.ItemFe
 // the ratings folded in — so a serving layer can surface how much
 // cheaper each refresh was than the full train.
 type TrainStats struct {
+	// GISDuration and ClusterDuration time the GIS and the clustering as
+	// the model got them: built by Train, refreshed by an Apply, or, for
+	// a model loaded from a model file, derived from what the file stores
+	// — every GIS weight and list order, and (from a version 2 file) the
+	// centroids and member lists.
 	GISDuration     time.Duration
 	ClusterDuration time.Duration
 	SmoothDuration  time.Duration

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"math"
@@ -53,8 +54,8 @@ func requireSameRecommendations(t *testing.T, want, got *Model, ctx string) {
 // v3.* version 3 (Lens, IDs, Scores raw), written by fd1273f, all from
 // refusalFixture, as an unframed `-model` file and as a manifest's shared
 // blob — and carry that layout alone; they load with the weights they
-// store; what they load to re-saves as a model file, its GIS in version
-// 4's layout (neighbour ids alone, the weights derived at load); and the
+// store; what they load to re-saves as a model file, its GIS as id sets
+// alone (weights and list order derived at load); and the
 // models loaded from each, the ones loaded from their re-saves and the
 // model trained live hold the same GIS entry for entry and answer every
 // Predict and Recommend the same, the grid hashing to tau0Grid.
@@ -65,14 +66,16 @@ func TestOlderBlobsLoadAndResaveAsVersion4(t *testing.T) {
 		t.Fatal(err)
 	}
 	// wantLayout checks a GIS snapshot carries the layout of the given
-	// version alone; 4 is ids without weights, the model file's.
+	// blob version alone; 5 stands for the model file's, id sets without
+	// weights.
 	wantLayout := func(ctx string, version int, snap similarity.Snapshot) {
 		t.Helper()
 		ids, scores := len(snap.Lens) > 0 && len(snap.IDs) > 0, len(snap.Scores) > 0
 		flat := len(snap.Index) > 0 || len(snap.Score) > 0
 		perItem := len(snap.Neighbors) > 0
-		if ids != (version >= 3) || scores != (version == 3) || flat != (version == 2) || perItem != (version == 1) {
-			t.Fatalf("%s: version %d carries ids=%v scores=%v flat=%v per-item=%v", ctx, version, ids, scores, flat, perItem)
+		sets := len(snap.Lens) > 0 && len(snap.Set) > 0
+		if ids != (version == 3 || version == 4) || scores != (version == 3) || flat != (version == 2) || perItem != (version == 1) || sets != (version == 5) {
+			t.Fatalf("%s: version %d carries ids=%v scores=%v flat=%v per-item=%v sets=%v", ctx, version, ids, scores, flat, perItem, sets)
 		}
 	}
 	compare := func(ctx string, got *Model) {
@@ -95,7 +98,7 @@ func TestOlderBlobsLoadAndResaveAsVersion4(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", ctx, err)
 		}
-		wantLayout(ctx, 4, f.GIS)
+		wantLayout(ctx, 5, f.GIS)
 		mod, err := Load(&buf)
 		if err != nil {
 			t.Fatalf("%s: %v", ctx, err)
@@ -171,7 +174,29 @@ func TestOlderBlobsLoadAndResaveAsVersion4(t *testing.T) {
 func sharedWireOf(mod *Model) sharedWire {
 	return sharedWire{Version: sharedBlobVersion, Config: mod.cfg, NumUsers: mod.m.NumUsers(), NumItems: mod.m.NumItems(),
 		MinRating: mod.m.MinRating(), MaxRating: mod.m.MaxRating(), HasTimes: mod.m.HasTimes(),
-		GIS: mod.gisSnapshot(), Clusters: mod.clusters}
+		GIS: listOrdered(mod.GIS(), mod.cfg.blendsContent()), Clusters: mod.clusters}
+}
+
+// listOrdered is g's snapshot in the layout shared blob version 4 and
+// model file version 1 stored: each list in list order, one id in
+// IDWidth bytes, the weights left to derive unless withScores is set.
+func listOrdered(g *similarity.GIS, withScores bool) similarity.Snapshot {
+	snap := similarity.Snapshot{Lens: make([]int32, g.NumItems()), Opts: g.Options()}
+	w := similarity.IDWidth(g.NumItems())
+	for i := range snap.Lens {
+		snap.Lens[i] = int32(len(g.Neighbors(i)))
+		for _, n := range g.Neighbors(i) {
+			if w == 2 {
+				snap.IDs = binary.LittleEndian.AppendUint16(snap.IDs, uint16(n.Index))
+			} else {
+				snap.IDs = binary.LittleEndian.AppendUint32(snap.IDs, uint32(n.Index))
+			}
+			if withScores {
+				snap.Scores = binary.LittleEndian.AppendUint64(snap.Scores, math.Float64bits(n.Score))
+			}
+		}
+	}
+	return snap
 }
 
 func sharedBlobOf(t *testing.T, wire sharedWire) *bytes.Buffer {
@@ -196,15 +221,15 @@ func frameOf(t *testing.T, kind byte, wire any) *bytes.Buffer {
 // build knows is refused by its number, whatever it holds: a model file,
 // and the older formats this build only reads.
 func TestFutureWireVersionsAreRefused(t *testing.T) {
-	if fileWireVersion != 1 || sharedBlobVersion != 4 || modelWireVersion != 4 {
-		t.Fatalf("this build writes model file version %d and reads shared blob version %d and model version %d; the tests here pin 1, 4 and 4",
+	if fileWireVersion != 2 || sharedBlobVersion != 4 || modelWireVersion != 4 {
+		t.Fatalf("this build writes model file version %d and reads shared blob version %d and model version %d; the tests here pin 2, 4 and 4",
 			fileWireVersion, sharedBlobVersion, modelWireVersion)
 	}
 	mod, _ := trainSmall(t)
 	file := fileWireOf(t, mod)
 	file.Version = fileWireVersion + 1
-	if _, err := Load(frameOf(t, blobKindModel, file)); err == nil || !strings.Contains(err.Error(), "version 2") {
-		t.Errorf("Load of a model file: err = %v, want a refusal naming version 2", err)
+	if _, err := Load(frameOf(t, blobKindModel, file)); err == nil || !strings.Contains(err.Error(), "version 3") {
+		t.Errorf("Load of a model file: err = %v, want a refusal naming version 3", err)
 	}
 
 	var buf bytes.Buffer
@@ -237,6 +262,29 @@ func fileWireOf(t *testing.T, mod *Model) fileWire {
 	}
 	var wire fileWire
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&wire); err != nil {
+		t.Fatal(err)
+	}
+	return wire
+}
+
+// fileWireV1Of is mod's payload as a version 1 model file held it: row
+// items one int32 each and the clustering whole, deep-copied so a test
+// can change it.
+func fileWireV1Of(t *testing.T, mod *Model) fileWire {
+	t.Helper()
+	wire := fileWireOf(t, mod)
+	wire.Version, wire.RowItems, wire.GIS = 1, nil, listOrdered(mod.GIS(), mod.cfg.blendsContent())
+	for u := 0; u < mod.m.NumUsers(); u++ {
+		for _, e := range mod.m.UserRatings(u) {
+			wire.Items = append(wire.Items, e.Index)
+		}
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(mod.clusters); err != nil {
+		t.Fatal(err)
+	}
+	wire.Clusters = nil
+	if err := gob.NewDecoder(&buf).Decode(&wire.Clusters); err != nil {
 		t.Fatal(err)
 	}
 	return wire

@@ -1,6 +1,7 @@
 package lifecycle
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -96,14 +97,15 @@ func (m *Manager) bootModel(bootstrap func() (*core.Model, error)) error {
 			continue
 		}
 		t := time.Now()
-		mod, lerr := loadPoint(pt)
+		mod, size, lerr := loadPoint(pt)
 		if lerr != nil {
 			m.reg.Counter("lifecycle_snapshot_load_failures_total").Inc()
 			m.cfg.Logf("lifecycle: snapshot %s unusable (%v); trying an older one", filepath.Base(pt.path), lerr)
 			continue
 		}
-		m.cfg.Logf("lifecycle: loaded snapshot %s (covers seq %d) in %v",
-			filepath.Base(pt.path), pt.seq, time.Since(t).Round(time.Millisecond))
+		st := mod.Stats()
+		m.cfg.Logf("lifecycle: loaded snapshot %s (%d bytes, covers seq %d) in %v, %v of it deriving what the file does not store",
+			filepath.Base(pt.path), size, pt.seq, time.Since(t).Round(time.Millisecond), (st.GISDuration + st.ClusterDuration).Round(time.Millisecond))
 		base, loaded = mod, pt
 		m.boot.SnapshotLoaded = pt.path
 		m.boot.SnapshotSeq = pt.seq
@@ -174,30 +176,36 @@ func (m *Manager) bootModel(bootstrap func() (*core.Model, error)) error {
 }
 
 // loadPoint loads the model a recovery point holds: a snapshot file, or
-// a manifest's blobs (read-only, see legacy.go). The watermark recorded
-// inside must be the one the name claims.
-func loadPoint(pt durablePoint) (*core.Model, error) {
+// a manifest's blobs (read-only, see legacy.go), and returns the size of
+// the file the point names (a manifest's own, not its blobs'). The
+// watermark recorded inside must be the one the name claims.
+func loadPoint(pt durablePoint) (*core.Model, int64, error) {
 	if pt.manifest {
 		man, err := readManifest(pt.path)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if man.Seq != pt.seq {
-			return nil, fmt.Errorf("manifest %s covers seq %d, name says %d", filepath.Base(pt.path), man.Seq, pt.seq)
+			return nil, 0, fmt.Errorf("manifest %s covers seq %d, name says %d", filepath.Base(pt.path), man.Seq, pt.seq)
 		}
-		return assembleManifest(man, filepath.Dir(pt.path))
+		fi, err := os.Stat(pt.path)
+		if err != nil {
+			return nil, 0, err
+		}
+		mod, err := assembleManifest(man, filepath.Dir(pt.path))
+		return mod, fi.Size(), err
 	}
-	f, err := os.Open(pt.path)
+	data, err := os.ReadFile(pt.path)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	defer f.Close()
-	file, err := core.Decode(f)
+	file, err := core.Decode(bytes.NewReader(data))
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if file.Seq != pt.seq {
-		return nil, fmt.Errorf("snapshot %s covers seq %d, name says %d", filepath.Base(pt.path), file.Seq, pt.seq)
+		return nil, 0, fmt.Errorf("snapshot %s covers seq %d, name says %d", filepath.Base(pt.path), file.Seq, pt.seq)
 	}
-	return file.Model()
+	mod, err := file.Model()
+	return mod, int64(len(data)), err
 }

@@ -253,9 +253,11 @@ func BenchmarkBootLedger(b *testing.B) {
 // BenchmarkLoadLedger is what a boot, or a follower's bootstrap, pays to
 // turn the ledger fixture's first-boot snapshot back into a model: the
 // file decoded from memory (core.Decode) and the model rebuilt from it
-// (File.Model), every GIS weight derived from the matrix on the way.
-// derive-ms is the derivation's share of ns/op, the loaded model's
-// TrainStats.GISDuration.
+// (File.Model), deriving on the way what the file does not store — every
+// GIS weight from the matrix, every list's order from its weights, and
+// the clustering's centroids and member lists from its assignment.
+// derive-ms is the derivation's share of ns/op: the loaded model's
+// TrainStats.GISDuration (weights and order) plus ClusterDuration.
 func BenchmarkLoadLedger(b *testing.B) {
 	d := synth.MustGenerate(synth.DefaultConfig())
 	mod, err := core.Train(d.Matrix, core.DefaultConfig())
@@ -284,7 +286,8 @@ func BenchmarkLoadLedger(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		deriveMS += got.Stats().GISDuration.Seconds() * 1000
+		st := got.Stats()
+		deriveMS += (st.GISDuration + st.ClusterDuration).Seconds() * 1000
 	}
 	b.ReportMetric(deriveMS/float64(b.N), "derive-ms")
 }

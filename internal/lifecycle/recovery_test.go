@@ -1,6 +1,7 @@
 package lifecycle
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -216,6 +217,55 @@ func gridHash(mod *core.Model) string {
 		h.Write(binary.BigEndian.AppendUint64(nil, math.Float64bits(v)))
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestV1DataDirBootsAndMigrates: a data dir 773b6e0 wrote — the same
+// run as testdata/legacy-8cb6e8a, its recovery points model files of
+// version 1 (GIS ids in list order, the clustering whole) — boots from
+// the newest file, replays the tail and serves the grid that build
+// served. Its boot snapshot is a file this build writes, byte for byte,
+// and the next boot loads it to the same grid.
+func TestV1DataDirBootsAndMigrates(t *testing.T) {
+	dir := copyDir(t, filepath.Join("testdata", "v1-773b6e0"))
+	cfg := Config{DataDir: dir, Fsync: wal.SyncNever}
+	a, err := Open(noBoot(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs := a.BootStats()
+	if filepath.Base(bs.SnapshotLoaded) != snapshotName(0x27) || bs.ReplayedRecords != 5 || a.AppliedSeq() != 49 {
+		t.Fatalf("boot loaded %s, replayed %d to seq %d; want %s, 5 records, seq 49",
+			bs.SnapshotLoaded, bs.ReplayedRecords, a.AppliedSeq(), snapshotName(0x27))
+	}
+	if got := gridHash(a.Model()); got != legacyGrid {
+		t.Fatalf("the version 1 dir boots to grid %s, its build served %s", got, legacyGrid)
+	}
+	var want bytes.Buffer
+	if err := a.Model().SaveAt(&want, 49); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(snapshotDir(dir), snapshotName(49)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("the boot snapshot (%d bytes) is not the file this build writes (%d bytes)", len(got), want.Len())
+	}
+
+	b, err := Open(noBoot(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if got := b.BootStats().SnapshotLoaded; filepath.Base(got) != snapshotName(49) {
+		t.Fatalf("second boot loaded %s, want the migrated file", got)
+	}
+	if got := gridHash(b.Model()); got != legacyGrid {
+		t.Fatalf("the migrated dir boots to grid %s, want %s", got, legacyGrid)
+	}
 }
 
 // TestLegacyDataDirBootsAndMigrates: a data dir a build up to 8cb6e8a

@@ -208,8 +208,22 @@ func TestSelfCheckCatchesEverySingleFlip(t *testing.T) {
 			withScores(t, sp, true, rawEntry(t, base.GIS(), full))
 		}},
 		{"one byte of IDs", fmt.Sprintf("item %d ", full), func(t *testing.T, sp *core.SharedPart) {
-			sp.GIS.IDs = slices.Clone(sp.GIS.IDs)
+			relist(t, sp, func(l [][]int32) [][]int32 { return l })
 			sp.GIS.IDs[rawEntry(t, base.GIS(), full)*similarity.IDWidth(len(sp.GIS.Lens))] ^= 1
+		}},
+		{"one byte of Set", fmt.Sprintf("item %d ", full), func(t *testing.T, sp *core.SharedPart) {
+			// Every gap in the base model is one byte below 128, so the
+			// flip keeps the byte a whole uvarint: item full's first id
+			// moves by one and its later ids with it.
+			at := 0
+			for i := 0; i < full; i++ {
+				at += int(sp.GIS.Lens[i])
+			}
+			if len(sp.GIS.Set) != base.GIS().TotalNeighbors() {
+				t.Fatalf("%d set bytes for %d entries: a gap of 128 or more", len(sp.GIS.Set), base.GIS().TotalNeighbors())
+			}
+			sp.GIS.Set = slices.Clone(sp.GIS.Set)
+			sp.GIS.Set[at] ^= 1
 		}},
 		{"one bit of Scores", "GIS list of item", func(t *testing.T, sp *core.SharedPart) {
 			withScores(t, sp, false, rawEntry(t, base.GIS(), full))

@@ -11,15 +11,15 @@ import (
 )
 
 // Fingerprint hashes a model's persisted form — the model file Save
-// writes — and then the bits of every live GIS weight, item by item in
-// list order. The file's wire struct holds only slices and scalars (no
-// maps), so gob encoding is deterministic. The file stores which
-// neighbours each item keeps but not their weights, which a load derives
-// from the matrix; hashing the live weights as well keeps them covered, so
-// two models hash equal iff they are bit-identical in persisted state and
-// in the weights they serve. Leader and follower expose this at
-// /admin/fingerprint; comparing the two at the same applied sequence is
-// the parity check.
+// writes — and then every live GIS entry, its neighbour id and its
+// weight's bits, item by item in list order. The file's wire struct holds
+// only slices and scalars (no maps), so gob encoding is deterministic.
+// The file stores which neighbours each item keeps as a set, not their
+// weights or order, which a load derives from the matrix; hashing the
+// live entries as well keeps them covered, so two models hash equal iff
+// they are bit-identical in persisted state and in the lists they serve.
+// Leader and follower expose this at /admin/fingerprint; comparing the
+// two at the same applied sequence is the parity check.
 func Fingerprint(mod *core.Model) (string, error) {
 	h := sha256.New()
 	if err := mod.Save(h); err != nil {
@@ -29,6 +29,7 @@ func Fingerprint(mod *core.Model) (string, error) {
 	var buf []byte
 	for i := 0; i < gis.NumItems(); i++ {
 		for _, n := range gis.Neighbors(i) {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(n.Index))
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(n.Score))
 		}
 		if len(buf) >= 1<<16 {

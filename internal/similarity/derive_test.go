@@ -11,17 +11,21 @@ import (
 	"cfsf/internal/ratings"
 )
 
-// requireDerives checks that g's neighbour ids alone, snapshotted without
-// weights, load on m as g itself: ids, order and weight bits.
+// requireDerives checks that g's neighbour id sets alone, snapshotted
+// without weights, load on m as g itself — ids, order and weight bits —
+// and that its lists stored in list order, as earlier files hold them,
+// do too.
 func requireDerives(t *testing.T, g *GIS, m *ratings.Matrix, ctx string) {
 	t.Helper()
-	got, err := FromSnapshot(g.Snapshot(false), m)
-	if err != nil {
-		t.Fatalf("%s: %v", ctx, err)
-	}
-	requireSameGIS(t, g, got, ctx)
-	if got.Options() != g.Options() {
-		t.Fatalf("%s: options = %+v, want %+v", ctx, got.Options(), g.Options())
+	for _, snap := range []Snapshot{g.Snapshot(false), listOrdered(g)} {
+		got, err := FromSnapshot(snap, m)
+		if err != nil {
+			t.Fatalf("%s: %v", ctx, err)
+		}
+		requireSameGIS(t, g, got, ctx)
+		if got.Options() != g.Options() {
+			t.Fatalf("%s: options = %+v, want %+v", ctx, got.Options(), g.Options())
+		}
 	}
 }
 
@@ -87,9 +91,12 @@ func TestDerivedWeightsAreTheServedOnes(t *testing.T) {
 // TestFromSnapshotRefusesIDsThatDoNotDerive: ids that are not a GIS of
 // the matrix they are loaded on are refused, naming the item and the
 // entry — a neighbour not co-rated with its item, the item itself, a
-// weight the filters drop, a list out of order, a repeated neighbour —
-// and an ids-only snapshot covering another number of items than the
-// matrix is refused before anything is derived.
+// weight the filters drop, and, in the list-order layout earlier files
+// carry, a list out of order and a repeated neighbour (neither can be
+// written as a set) — and an ids-only snapshot covering another number of
+// items than the matrix is refused before anything is derived. The
+// entry a set refusal names is the neighbour's place in the ascending
+// set.
 func TestFromSnapshotRefusesIDsThatDoNotDerive(t *testing.T) {
 	// Items 0, 1 and 4 rise and fall together over users 0–3, item 2
 	// against them; item 3 is rated by user 4 alone, so it shares no rater
@@ -108,6 +115,14 @@ func TestFromSnapshotRefusesIDsThatDoNotDerive(t *testing.T) {
 		t.Fatalf("fixture: item 0 keeps %v, item 2 %v; want two neighbours and none", g.Neighbors(0), g.Neighbors(2))
 	}
 	edited := func(edit func(l [][]mathx.Scored)) Snapshot {
+		l := make([][]mathx.Scored, g.NumItems())
+		for i := range l {
+			l[i] = append([]mathx.Scored(nil), g.Neighbors(i)...)
+		}
+		edit(l)
+		return listOrdered(&GIS{neighbors: l, opts: opts})
+	}
+	asSet := func(edit func(l [][]mathx.Scored)) Snapshot {
 		l := make([][]mathx.Scored, g.NumItems())
 		for i := range l {
 			l[i] = append([]mathx.Scored(nil), g.Neighbors(i)...)
@@ -136,6 +151,12 @@ func TestFromSnapshotRefusesIDsThatDoNotDerive(t *testing.T) {
 			l[0] = []mathx.Scored{{Index: a}, {Index: a}}
 		})},
 		{"one item short", "snapshot covers 3 items, the matrix 5", (&GIS{neighbors: [][]mathx.Scored{nil, nil, nil}, opts: opts}).Snapshot(false)},
+		{"a set neighbour with no co-rater", "item 0 entry 0: neighbour 3 is not co-rated", asSet(func(l [][]mathx.Scored) {
+			l[0] = []mathx.Scored{{Index: 4}, {Index: 3}}
+		})},
+		{"the item itself in its set", "item 2 entry 0: neighbour 2 is not co-rated", asSet(func(l [][]mathx.Scored) {
+			l[2] = []mathx.Scored{{Index: 2}}
+		})},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := FromSnapshot(tc.snap, m); err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -12,38 +12,46 @@ import (
 )
 
 // Snapshot is the serialisable form of a GIS: which neighbours each item
-// keeps, in list order. An Eq. 5 weight is a function of two item columns
-// of the matrix the GIS was built on, and every persisted model stores
-// that matrix, so a snapshot of a GIS whose weights are all Eq. 5 weights
-// carries none of them: FromSnapshot derives them from the matrix at load,
-// bit for bit the ones BuildGIS and Refresh computed. Only a GIS whose
-// weights mix in item attributes (BuildGISWithContent) carries its
-// weights, because no matrix reproduces them.
+// keeps. Eq. 5 lists are "thresholded and sorted descending", so a list's
+// order is a function of its weights, and an Eq. 5 weight is a function
+// of two item columns of the matrix the GIS was built on, which every
+// persisted model stores. So a snapshot of a GIS whose weights are all
+// Eq. 5 weights stores each list as a set of ids and nothing else:
+// FromSnapshot derives the weights from the matrix at load, bit for bit
+// the ones BuildGIS and Refresh computed, and sorts each list into
+// mathx.Precedes order, the order they serve. Only a GIS whose weights
+// mix in item attributes (BuildGISWithContent) carries its weights,
+// because no matrix reproduces them; its order is derived from them.
 //
-// The lists are stored flat and raw: item i's list is the Lens[i] entries
-// that follow the lists of the items before it, each entry's neighbour id
-// in IDs, little-endian in 2 bytes when the GIS covers at most 65 536
-// items and in 4 otherwise (IDWidth). Scores, when present, holds every
-// weight's math.Float64bits, 8 bytes little-endian. gob writes a []byte as
-// one length and the bytes, so an entry costs 2 bytes on the wire, 10
-// with its weight.
+// The sets are stored flat and gap-coded: item i's list is the Lens[i]
+// entries that follow the lists of the items before it, its ids
+// ascending, in Set in mathx's gap code — uvarint(id − previous id − 1),
+// the first as uvarint(id). A GIS's neighbour ids sit close together, so
+// an entry costs one byte on the wire (gob writes a []byte as one length
+// and the bytes), and a repeated or out-of-order id cannot be written at
+// all.
+// Scores, when present, holds the weight of every entry of the ascending
+// sets, math.Float64bits, 8 bytes little-endian.
 type Snapshot struct {
 	Lens   []int32
-	IDs    []byte
+	Set    []byte
 	Scores []byte
 	Opts   GISOptions
 
-	// Index and Score are the layout blobs of wire version 2 carry, and
-	// Neighbors the one of version 1. They are only ever decoded: Snapshot
-	// never fills them, and FromSnapshot refuses a value holding more
-	// than one layout.
+	// IDs, Index and Score, and Neighbors are the layouts earlier files
+	// carry, every list in list order: IDs each neighbour id in IDWidth
+	// bytes (with Scores, or alone when the weights are derived), Index
+	// and Score ids and weights, and Neighbors per-item lists. They are
+	// only ever decoded: Snapshot never fills them, and FromSnapshot
+	// refuses a value holding more than one layout.
+	IDs       []byte
 	Index     []int32
 	Score     []float64
 	Neighbors [][]mathx.Scored
 }
 
-// IDWidth is the number of bytes Snapshot.IDs spends on one neighbour id
-// of a GIS covering numItems items.
+// IDWidth is the number of bytes the IDs layout spends on one neighbour
+// id of a GIS covering numItems items.
 func IDWidth(numItems int) int {
 	if numItems <= 1<<16 {
 		return 2
@@ -51,57 +59,100 @@ func IDWidth(numItems int) int {
 	return 4
 }
 
-// Snapshot extracts a deep copy suitable for encoding. The weights go
-// with it only when withScores is set, which a caller must do for a GIS
-// whose weights are not the Eq. 5 weights of its matrix.
+// Snapshot extracts a deep copy suitable for encoding: each list as its
+// ascending id set. The weights go with it only when withScores is set,
+// which a caller must do for a GIS whose weights are not the Eq. 5
+// weights of its matrix.
 func (g *GIS) Snapshot(withScores bool) Snapshot {
-	total := g.TotalNeighbors()
-	w := IDWidth(len(g.neighbors))
+	q, total := len(g.neighbors), g.TotalNeighbors()
 	s := Snapshot{
-		Lens: make([]int32, len(g.neighbors)),
-		IDs:  make([]byte, total*w),
+		Lens: make([]int32, q),
+		Set:  make([]byte, 0, total),
 		Opts: g.opts,
 	}
 	if withScores {
-		s.Scores = make([]byte, total*8)
+		s.Scores = make([]byte, 0, total*8)
 	}
-	k := 0
+	// Every list's ids in ascending order, without a comparison: a
+	// counting sort of all entries by id (byID holds each entry's owning
+	// item), dealt back to the owners in that order (sets).
+	end := make([]int, q+1) // end[b+1]: past the last entry of id b in byID
 	for i, list := range g.neighbors {
 		s.Lens[i] = int32(len(list))
 		for _, n := range list {
-			if w == 2 {
-				binary.LittleEndian.PutUint16(s.IDs[2*k:], uint16(n.Index))
-			} else {
-				binary.LittleEndian.PutUint32(s.IDs[4*k:], uint32(n.Index))
-			}
-			if withScores {
-				binary.LittleEndian.PutUint64(s.Scores[8*k:], math.Float64bits(n.Score))
-			}
-			k++
+			end[n.Index+1]++
 		}
+	}
+	for b := 0; b < q; b++ {
+		end[b+1] += end[b]
+	}
+	byID := make([]int32, total)
+	for i, list := range g.neighbors {
+		for _, n := range list {
+			byID[end[n.Index]] = int32(i)
+			end[n.Index]++
+		}
+	}
+	next := make([]int, q) // where item i's next id goes in sets
+	for i := 1; i < q; i++ {
+		next[i] = next[i-1] + len(g.neighbors[i-1])
+	}
+	sets := make([]int32, total)
+	for b, k := 0, 0; b < q; b++ {
+		for ; k < end[b]; k++ {
+			sets[next[byID[k]]] = int32(b)
+			next[byID[k]]++
+		}
+	}
+
+	var weight []float64 // weight[id]: the weight the current list holds id at
+	if withScores {
+		weight = make([]float64, q)
+	}
+	k := 0
+	for _, list := range g.neighbors {
+		if withScores {
+			for _, n := range list {
+				weight[n.Index] = n.Score
+			}
+		}
+		prev := int32(-1)
+		for _, id := range sets[k : k+len(list)] {
+			s.Set = mathx.AppendGap(s.Set, prev, id)
+			if withScores {
+				s.Scores = binary.LittleEndian.AppendUint64(s.Scores, math.Float64bits(weight[id]))
+			}
+			prev = id
+		}
+		k += len(list)
 	}
 	return s
 }
 
 // view is a validated snapshot: its per-item lengths, how many entries
-// they add up to, entry k of the flat sequence, and whether the entries
-// carry their weights.
+// they add up to, fill writing every entry into a slab in item order,
+// whether the entries carry their weights, and whether the lists are id
+// sets (the Set layout) rather than lists in list order.
 type view struct {
 	lens     []int32
 	total    int
-	at       func(k int) mathx.Scored
+	fill     func(slab []mathx.Scored)
 	weighted bool
+	sets     bool
 }
 
 // view checks s's layout, lengths and ids. It refuses a snapshot carrying
 // more than one layout, lengths that are negative or do not add up to the
 // entries present, and — naming the item and the entry — a neighbour id
-// outside the items the snapshot covers.
+// outside the items the snapshot covers; of the Set layout also an id gap
+// that runs past the bytes, and bytes left over after the last entry.
 func (s *Snapshot) view() (view, error) {
-	raw, flat, perItem := len(s.IDs) > 0 || len(s.Scores) > 0, len(s.Index) > 0 || len(s.Score) > 0, len(s.Neighbors) > 0
+	sets := len(s.Set) > 0
+	raw := len(s.IDs) > 0 || len(s.Scores) > 0 && !sets
+	flat, perItem := len(s.Index) > 0 || len(s.Score) > 0, len(s.Neighbors) > 0
 	lens := s.Lens
 	switch {
-	case perItem && (raw || flat || len(s.Lens) > 0), raw && flat:
+	case perItem && (sets || raw || flat || len(s.Lens) > 0), raw && flat, sets && (raw || flat):
 		return view{}, fmt.Errorf("similarity: snapshot carries more than one neighbour layout")
 	case perItem:
 		lens = make([]int32, len(s.Neighbors))
@@ -110,11 +161,14 @@ func (s *Snapshot) view() (view, error) {
 		}
 	}
 
-	// have is how many entries the layout offers; summing the lengths
-	// stops once it is passed, so no sum of int32s can overflow.
+	// have is how many entries the layout offers — a set entry takes at
+	// least one byte; summing the lengths stops once it is passed, so no
+	// sum of int32s can overflow.
 	w := IDWidth(len(lens))
 	have := len(s.Index)
 	switch {
+	case sets:
+		have = len(s.Set)
 	case raw:
 		have = len(s.IDs) / w
 	case perItem:
@@ -130,50 +184,102 @@ func (s *Snapshot) view() (view, error) {
 		}
 	}
 	switch {
+	case sets && (total > have || len(s.Scores) != 0 && len(s.Scores) != total*8):
+		return view{}, fmt.Errorf("similarity: snapshot holds %d set bytes and %d score bytes for %d neighbour slots of at least 1(+8) bytes",
+			len(s.Set), len(s.Scores), total)
 	case raw && (len(s.IDs) != total*w || len(s.Scores) != 0 && len(s.Scores) != total*8):
 		return view{}, fmt.Errorf("similarity: snapshot holds %d id bytes and %d score bytes for %d neighbour slots of %d(+8) bytes",
 			len(s.IDs), len(s.Scores), total, w)
-	case !raw && !perItem && (len(s.Index) != total || len(s.Score) != total):
+	case !sets && !raw && !perItem && (len(s.Index) != total || len(s.Score) != total):
 		return view{}, fmt.Errorf("similarity: snapshot holds %d indices and %d scores for %d neighbour slots",
 			len(s.Index), len(s.Score), total)
 	}
 
-	v := view{lens: lens, total: total, weighted: !raw || len(s.Scores) > 0}
+	v := view{lens: lens, total: total, weighted: !(sets || raw) || len(s.Scores) > 0, sets: sets}
+	score := func(k int) float64 {
+		if len(s.Scores) == 0 {
+			return 0
+		}
+		return math.Float64frombits(binary.LittleEndian.Uint64(s.Scores[8*k:]))
+	}
+	if sets {
+		if err := s.walkSet(nil); err != nil {
+			return view{}, err
+		}
+		v.fill = func(slab []mathx.Scored) {
+			_ = s.walkSet(slab)
+			for k := range slab {
+				slab[k].Score = score(k)
+			}
+		}
+		return v, nil
+	}
+
+	var at func(k int) mathx.Scored
 	switch {
 	case raw:
-		v.at = func(k int) mathx.Scored {
-			var e mathx.Scored
+		at = func(k int) mathx.Scored {
 			if w == 2 {
-				e.Index = int32(binary.LittleEndian.Uint16(s.IDs[2*k:]))
-			} else {
-				e.Index = int32(binary.LittleEndian.Uint32(s.IDs[4*k:]))
+				return mathx.Scored{Index: int32(binary.LittleEndian.Uint16(s.IDs[2*k:])), Score: score(k)}
 			}
-			if v.weighted {
-				e.Score = math.Float64frombits(binary.LittleEndian.Uint64(s.Scores[8*k:]))
-			}
-			return e
+			return mathx.Scored{Index: int32(binary.LittleEndian.Uint32(s.IDs[4*k:])), Score: score(k)}
 		}
 	case perItem:
 		flatList := make([]mathx.Scored, 0, total)
 		for _, list := range s.Neighbors {
 			flatList = append(flatList, list...)
 		}
-		v.at = func(k int) mathx.Scored { return flatList[k] }
+		at = func(k int) mathx.Scored { return flatList[k] }
 	default:
-		v.at = func(k int) mathx.Scored { return mathx.Scored{Index: s.Index[k], Score: s.Score[k]} }
+		at = func(k int) mathx.Scored { return mathx.Scored{Index: s.Index[k], Score: s.Score[k]} }
 	}
-
 	k := 0
 	for i, n := range lens {
 		for j := 0; j < int(n); j++ {
-			if id := v.at(k).Index; id < 0 || int(id) >= len(lens) {
+			if id := at(k).Index; id < 0 || int(id) >= len(lens) {
 				return view{}, fmt.Errorf("similarity: snapshot item %d entry %d names neighbour %d, outside the %d items it covers",
 					i, j, id, len(lens))
 			}
 			k++
 		}
 	}
+	v.fill = func(slab []mathx.Scored) {
+		for k := range slab {
+			slab[k] = at(k)
+		}
+	}
 	return v, nil
+}
+
+// walkSet decodes the Set layout, writing each entry's id into slab, in
+// item order, unless slab is nil. It refuses, naming the item and the
+// entry, an id gap that runs past the bytes or reaches past the items the
+// snapshot covers, and bytes left over after the last entry.
+func (s *Snapshot) walkSet(slab []mathx.Scored) error {
+	q := len(s.Lens)
+	off, k := 0, 0
+	for i, n := range s.Lens {
+		prev := int32(-1)
+		for j := 0; j < int(n); j++ {
+			id, w := mathx.NextGap(s.Set[off:], prev, q)
+			switch {
+			case w == 0:
+				return fmt.Errorf("similarity: snapshot item %d entry %d: the id gap runs past the %d set bytes", i, j, len(s.Set))
+			case w < 0:
+				return fmt.Errorf("similarity: snapshot item %d entry %d: the id after neighbour %d passes the %d items it covers", i, j, prev, q)
+			}
+			off += w
+			prev = id
+			if slab != nil {
+				slab[k].Index = id
+			}
+			k++
+		}
+	}
+	if off != len(s.Set) {
+		return fmt.Errorf("similarity: snapshot holds %d set bytes after the list of item %d, its last", len(s.Set)-off, q-1)
+	}
+	return nil
 }
 
 // Check validates s without decoding it, as FromSnapshot does before
@@ -187,8 +293,11 @@ func (s Snapshot) Check() (int, error) {
 // own, from any of the layouts. m is the matrix the lists are the Eq. 5
 // lists of: FromSnapshot derives from it every weight the snapshot does
 // not carry (deriveWeights), and refuses a matrix covering another number
-// of items. m may be nil for a snapshot carrying its weights. Beyond
-// view's refusals it refuses what deriveWeights does.
+// of items. m may be nil for a snapshot carrying its weights. Lists
+// stored as id sets are then sorted into list order (sortLists); lists
+// stored in list order with their weights derived must already be in it
+// (checkListOrder). Beyond view's refusals it refuses what deriveWeights
+// and checkListOrder do.
 func FromSnapshot(s Snapshot, m *ratings.Matrix) (*GIS, error) {
 	v, err := s.view()
 	if err != nil {
@@ -202,9 +311,7 @@ func FromSnapshot(s Snapshot, m *ratings.Matrix) (*GIS, error) {
 	}
 
 	slab := make([]mathx.Scored, v.total)
-	for k := range slab {
-		slab[k] = v.at(k)
-	}
+	v.fill(slab)
 	g := &GIS{neighbors: make([][]mathx.Scored, len(v.lens)), opts: s.Opts}
 	off := 0
 	for i, n := range v.lens {
@@ -218,16 +325,51 @@ func FromSnapshot(s Snapshot, m *ratings.Matrix) (*GIS, error) {
 			return nil, err
 		}
 	}
+	switch {
+	case v.sets:
+		g.sortLists()
+	case !v.weighted:
+		if err := g.checkListOrder(); err != nil {
+			return nil, err
+		}
+	}
 	return g, nil
+}
+
+// sortLists sorts every list of g, in parallel over items, into
+// mathx.Precedes order: weight descending, ties by ascending id. Every
+// list BuildGIS, BuildGISWithContent and Refresh produce is strictly in
+// that order, so a list stored as its id set sorts back into the order it
+// was served in.
+func (g *GIS) sortLists() {
+	parallel.ForChunked(len(g.neighbors), g.opts.Workers, func(lo, hi int) {
+		for _, list := range g.neighbors[lo:hi] {
+			mathx.SortScoredDesc(list)
+		}
+	})
+}
+
+// checkListOrder refuses, naming the item and the entry, a list that is
+// not strictly in mathx.Precedes order once weighted — which is also what
+// a repeated neighbour comes to. It holds a list an earlier file stored
+// in list order with its weights derived to the order a GIS serves.
+func (g *GIS) checkListOrder() error {
+	for i, list := range g.neighbors {
+		for j := 1; j < len(list); j++ {
+			if !mathx.Precedes(list[j-1], list[j]) {
+				return fmt.Errorf("similarity: snapshot item %d entry %d: neighbour %d (weight %v) does not rank after neighbour %d (weight %v)",
+					i, j, list[j].Index, list[j].Score, list[j-1].Index, list[j-1].Score)
+			}
+		}
+	}
+	return nil
 }
 
 // deriveWeights sets the weight of every entry of g, whose lists are
 // carved in item order from slab, to the Eq. 5 weight of its pair on m
 // under g's options, and refuses — naming the item and the entry — a
-// neighbour that is not co-rated with its item (itself included), a
-// weight the GIS filters would have dropped, and a list that is not
-// strictly in mathx.Precedes order once weighted, which is also what a
-// repeated neighbour or ids that are not m's lists come to.
+// neighbour that is not co-rated with its item (itself included) and a
+// weight the GIS filters would have dropped.
 //
 // A pair is accumulated once, by its lower item, exactly as BuildGIS
 // accumulates it (accumulateUpper), and finished by the one weight
@@ -305,15 +447,6 @@ func (g *GIS) deriveWeights(m *ratings.Matrix, slab []mathx.Scored) error {
 			j++
 		}
 		return fmt.Errorf("similarity: snapshot item %d entry %d: neighbour %d %s", i, j, slab[bad].Index, why)
-	}
-
-	for i, list := range g.neighbors {
-		for j := 1; j < len(list); j++ {
-			if !mathx.Precedes(list[j-1], list[j]) {
-				return fmt.Errorf("similarity: snapshot item %d entry %d: neighbour %d (weight %v) does not rank after neighbour %d (weight %v)",
-					i, j, list[j].Index, list[j].Score, list[j-1].Index, list[j-1].Score)
-			}
-		}
 	}
 	return nil
 }

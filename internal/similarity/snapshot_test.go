@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,9 +15,11 @@ import (
 
 // TestSnapshotRoundTrip: a GIS survives Snapshot → gob → FromSnapshot
 // entry for entry, items without neighbours included, both with its
-// weights derived from the matrix (2 bytes an entry: the ids alone) and
-// with them carried (2+8 bytes an entry); and the layouts of versions 2
-// and 1 decode to the same GIS.
+// weights derived from the matrix (1 byte an entry: the id sets alone,
+// every gap below 128 in a 30-item GIS) and with them carried (1+8 bytes
+// an entry), its list order derived either way; and the layouts earlier
+// files carry — ids in list order, ids and weights, per-item lists —
+// decode to the same GIS.
 func TestSnapshotRoundTrip(t *testing.T) {
 	opts := GISOptions{Metric: PCC, TopN: 7, MinCoRatings: 2}
 	m := denseRandom(t, 40, 30, 0.3, 5)
@@ -27,17 +30,17 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 
 	for _, weighted := range []bool{false, true} {
-		ctx := fmt.Sprintf("raw layout, weights carried=%v", weighted)
+		ctx := fmt.Sprintf("set layout, weights carried=%v", weighted)
 		snap := g.Snapshot(weighted)
-		if snap.Index != nil || snap.Score != nil || snap.Neighbors != nil {
+		if snap.IDs != nil || snap.Index != nil || snap.Score != nil || snap.Neighbors != nil {
 			t.Fatal("Snapshot filled a decode-only layout")
 		}
 		n, scoreBytes := g.TotalNeighbors(), 0
 		if weighted {
 			scoreBytes = 8 * g.TotalNeighbors()
 		}
-		if len(snap.IDs) != 2*n || len(snap.Scores) != scoreBytes {
-			t.Fatalf("%s: %d entries take %d id bytes and %d score bytes, want %d and %d", ctx, n, len(snap.IDs), len(snap.Scores), 2*n, scoreBytes)
+		if len(snap.Set) != n || len(snap.Scores) != scoreBytes {
+			t.Fatalf("%s: %d entries take %d set bytes and %d score bytes, want %d and %d", ctx, n, len(snap.Set), len(snap.Scores), n, scoreBytes)
 		}
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
@@ -73,6 +76,12 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("carried weights need no matrix: %v", err)
 	}
 
+	ordered, err := FromSnapshot(listOrdered(g), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameGIS(t, g, ordered, "ids in list order")
+
 	v2 := Snapshot{Lens: g.Snapshot(false).Lens, Opts: opts}
 	for i := 0; i < g.NumItems(); i++ {
 		for _, n := range g.Neighbors(i) {
@@ -92,27 +101,50 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	requireSameGIS(t, g, v1, "per-item layout")
 }
 
-// TestSnapshotWideIDs: a GIS over more than 65 536 items spends 4 bytes
-// an id, and its ids above 65 535 come back whole.
+// TestSnapshotWideIDs: a GIS over more than 65 536 items gap-codes its
+// ids above 65 535 in more than one byte and they come back whole; the
+// IDs layout spends 4 bytes an id there, and an id it holds past the
+// catalogue is refused naming the item and the entry.
 func TestSnapshotWideIDs(t *testing.T) {
 	const q = 1<<16 + 3
 	g := &GIS{neighbors: make([][]mathx.Scored, q)}
 	g.neighbors[0] = []mathx.Scored{{Index: q - 1, Score: .75}, {Index: 1 << 16, Score: .5}}
 	g.neighbors[q-1] = []mathx.Scored{{Index: 0, Score: .25}}
 	snap := g.Snapshot(true)
-	if IDWidth(q) != 4 || IDWidth(1<<16) != 2 || len(snap.IDs) != 4*3 {
-		t.Fatalf("IDWidth(%d) = %d, IDWidth(%d) = %d, %d id bytes for 3 entries", q, IDWidth(q), 1<<16, IDWidth(1<<16), len(snap.IDs))
+	if want := binary.PutUvarint(make([]byte, binary.MaxVarintLen64), 1<<16) + 1 + 1; len(snap.Set) != want {
+		t.Fatalf("%d set bytes for 3 entries, want %d", len(snap.Set), want)
 	}
 	got, err := FromSnapshot(snap, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameGIS(t, g, got, "4-byte ids")
+	requireSameGIS(t, g, got, "wide set")
 
-	binary.LittleEndian.PutUint32(snap.IDs[4:], 1<<20)
-	if _, err := FromSnapshot(snap, nil); err == nil || !strings.Contains(err.Error(), "item 0 entry 1 ") {
+	wide := Snapshot{Lens: snap.Lens, IDs: rawIDs(4, q-1, 1<<16, 0), Scores: rawScores(.75, .5, .25)}
+	if IDWidth(q) != 4 || IDWidth(1<<16) != 2 {
+		t.Fatalf("IDWidth(%d) = %d, IDWidth(%d) = %d", q, IDWidth(q), 1<<16, IDWidth(1<<16))
+	}
+	if got, err = FromSnapshot(wide, nil); err != nil {
+		t.Fatal(err)
+	}
+	requireSameGIS(t, g, got, "4-byte ids")
+	binary.LittleEndian.PutUint32(wide.IDs[4:], 1<<20)
+	if _, err := FromSnapshot(wide, nil); err == nil || !strings.Contains(err.Error(), "item 0 entry 1 ") {
 		t.Fatalf("id 1<<20 of %d items: err = %v, want a refusal naming item 0 entry 1", q, err)
 	}
+}
+
+// listOrdered is g in the IDs layout earlier files carry: each list in
+// list order, one id in IDWidth bytes, the weights left to derive.
+func listOrdered(g *GIS) Snapshot {
+	s := Snapshot{Lens: make([]int32, g.NumItems()), Opts: g.opts}
+	for i, list := range g.neighbors {
+		s.Lens[i] = int32(len(list))
+		for _, n := range list {
+			s.IDs = append(s.IDs, rawIDs(IDWidth(g.NumItems()), uint32(n.Index))...)
+		}
+	}
+	return s
 }
 
 // rawIDs and rawScores encode a version-3 Snapshot's entries by hand.
@@ -169,6 +201,43 @@ var snapshotRefusals = []struct {
 	{"per-item id past the catalogue", Snapshot{Neighbors: [][]mathx.Scored{{{Index: 1, Score: .5}}, {{Index: 2, Score: .4}}}}},
 	{"per-item id negative", Snapshot{Neighbors: [][]mathx.Scored{{{Index: -1, Score: .5}}, nil}}},
 	{"raw ids without weights or a matrix", Snapshot{Lens: []int32{1, 1}, IDs: rawIDs(2, 1, 0)}},
+	{"set gap past its bytes", Snapshot{Lens: []int32{1, 1}, Set: []byte{0x81, 0x80}, Scores: rawScores(.5, .4)}},
+	{"set id past the catalogue", Snapshot{Lens: []int32{1, 1}, Set: []byte{2, 0}, Scores: rawScores(.5, .4)}},
+	{"set id past the catalogue after a gap", Snapshot{Lens: []int32{2, 0}, Set: []byte{0, 1}, Scores: rawScores(.5, .4)}},
+	{"set bytes left over", Snapshot{Lens: []int32{1, 0}, Set: []byte{1, 0}, Scores: rawScores(.5)}},
+	{"set shorter than the lengths", Snapshot{Lens: []int32{2, 1}, Set: []byte{0, 0}, Scores: rawScores(.5, .4, .3)}},
+	{"set scores one entry short", Snapshot{Lens: []int32{1, 1}, Set: []byte{1, 0}, Scores: rawScores(.5)}},
+	{"set and raw layouts", Snapshot{Lens: []int32{1, 1}, Set: []byte{1, 0}, IDs: rawIDs(2, 1, 0), Scores: rawScores(.5, .4)}},
+	{"set and flat layouts", Snapshot{Lens: []int32{1, 1}, Set: []byte{1, 0}, Index: []int32{1, 0}, Score: []float64{.5, .4}}},
+	{"set and per-item layouts", Snapshot{Set: []byte{0}, Neighbors: [][]mathx.Scored{{{Index: 0, Score: .5}}}}},
+	{"set ids without weights or a matrix", Snapshot{Lens: []int32{1, 1}, Set: []byte{1, 0}}},
+}
+
+// TestFromSnapshotNamesTheSetFault: each refusal of a malformed set names
+// the item and the entry it found the fault at, or, for bytes left after
+// the last entry, the last item.
+func TestFromSnapshotNamesTheSetFault(t *testing.T) {
+	sound := Snapshot{Lens: []int32{0, 2, 1}, Set: []byte{0, 0, 0}, Scores: rawScores(.5, .4, .3)}
+	if _, err := FromSnapshot(sound, nil); err != nil {
+		t.Fatalf("the sound snapshot: %v", err)
+	}
+	for _, tc := range []struct {
+		name, want string
+		set        []byte
+	}{
+		{"a gap running past the bytes", "item 1 entry 1: the id gap runs past", []byte{0, 0x80, 0x80}},
+		{"an id past the catalogue", "item 1 entry 1: the id after neighbour 0 passes the 3 items", []byte{0, 2, 0}},
+		{"a first id past the catalogue", "item 2 entry 0: the id after neighbour -1 passes the 3 items", []byte{0, 0, 3}},
+		{"bytes left over", "1 set bytes after the list of item 2", []byte{0, 0, 0, 0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			snap := sound
+			snap.Set = tc.set
+			if _, err := FromSnapshot(snap, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want one containing %q", err, tc.want)
+			}
+		})
+	}
 }
 
 func TestFromSnapshotRefusesMalformed(t *testing.T) {
@@ -201,7 +270,7 @@ func TestFromSnapshotNamesTheStrayNeighbour(t *testing.T) {
 
 // FuzzFromSnapshot: whatever the slices hold, FromSnapshot either refuses
 // or returns a GIS of one layout whose lists are exactly the lengths
-// asked for, every id within the catalogue. Without a matrix to derive
+// asked for, every id within the catalogue and, from a set, none twice. Without a matrix to derive
 // weights from, a snapshot carrying none is refused. Lengths come in as signed
 // bytes so negatives are common; ids and scores as raw bytes.
 func FuzzFromSnapshot(f *testing.F) {
@@ -210,15 +279,16 @@ func FuzzFromSnapshot(f *testing.F) {
 		for i, n := range tc.snap.Lens {
 			lens[i] = byte(int8(n))
 		}
-		f.Add(lens, len(tc.snap.Index), len(tc.snap.Score), len(tc.snap.Neighbors) > 0, tc.snap.IDs, tc.snap.Scores)
+		f.Add(lens, len(tc.snap.Index), len(tc.snap.Score), len(tc.snap.Neighbors) > 0, tc.snap.IDs, tc.snap.Scores, tc.snap.Set)
 	}
-	f.Add([]byte{2, 0, 1}, 3, 3, false, []byte(nil), []byte(nil))
-	f.Add([]byte{2, 0, 1}, 0, 0, false, rawIDs(2, 1, 2, 0), rawScores(.5, .4, .3))
-	f.Fuzz(func(t *testing.T, lens []byte, nIndex, nScore int, both bool, ids, scores []byte) {
+	f.Add([]byte{2, 0, 1}, 3, 3, false, []byte(nil), []byte(nil), []byte(nil))
+	f.Add([]byte{2, 0, 1}, 0, 0, false, rawIDs(2, 1, 2, 0), rawScores(.5, .4, .3), []byte(nil))
+	f.Add([]byte{2, 0, 1}, 0, 0, false, []byte(nil), rawScores(.5, .4, .3), []byte{1, 0, 0})
+	f.Fuzz(func(t *testing.T, lens []byte, nIndex, nScore int, both bool, ids, scores, set []byte) {
 		if nIndex < 0 || nIndex > 1<<12 || nScore < 0 || nScore > 1<<12 {
 			return
 		}
-		s := Snapshot{Index: make([]int32, nIndex), Score: make([]float64, nScore), IDs: ids, Scores: scores}
+		s := Snapshot{Index: make([]int32, nIndex), Score: make([]float64, nScore), IDs: ids, Scores: scores, Set: set}
 		for _, n := range lens {
 			s.Lens = append(s.Lens, int32(int8(n)))
 		}
@@ -229,15 +299,16 @@ func FuzzFromSnapshot(f *testing.F) {
 		if err != nil {
 			return
 		}
-		raw, flat := len(ids)+len(scores) > 0, nIndex+nScore > 0
+		sets := len(set) > 0
+		raw, flat := len(ids) > 0 || len(scores) > 0 && !sets, nIndex+nScore > 0
 		if both {
-			if raw || flat || len(lens) > 0 {
+			if sets || raw || flat || len(lens) > 0 {
 				t.Fatal("accepted a snapshot carrying more than one layout")
 			}
 			return
 		}
-		if raw && flat {
-			t.Fatal("accepted a snapshot carrying the raw and the flat layout")
+		if raw && flat || sets && (raw || flat) {
+			t.Fatal("accepted a snapshot carrying more than one layout")
 		}
 		total := 0
 		for i, n := range s.Lens {
@@ -256,6 +327,9 @@ func FuzzFromSnapshot(f *testing.F) {
 			for k, n := range g.Neighbors(i) {
 				if n.Index < 0 || int(n.Index) >= g.NumItems() {
 					t.Fatalf("item %d entry %d names neighbour %d of %d items", i, k, n.Index, g.NumItems())
+				}
+				if sets && slices.ContainsFunc(g.Neighbors(i)[:k], func(e mathx.Scored) bool { return e.Index == n.Index }) {
+					t.Fatalf("item %d entry %d repeats neighbour %d from a set", i, k, n.Index)
 				}
 			}
 		}
