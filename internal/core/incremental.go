@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -45,8 +44,8 @@ func (mod *Model) Apply(updates []RatingUpdate) (*Model, error) {
 	changedUsers := map[int]bool{}
 	changedItems := map[int]bool{}
 	for k, up := range updates {
-		if up.User < 0 || up.Item < 0 {
-			return nil, fmt.Errorf("cfsf: negative id in update (%d,%d)", up.User, up.Item)
+		if err := mod.checkUpdate(k, up); err != nil {
+			return nil, err
 		}
 		ups[k] = ratings.Upsert{User: up.User, Item: up.Item, Value: up.Value, Time: up.Time}
 		changedUsers[up.User] = true

@@ -2,15 +2,20 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"cfsf/internal/cluster"
+	"cfsf/internal/mathx"
 	"cfsf/internal/ratings"
+	"cfsf/internal/synth"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -99,18 +104,18 @@ func TestLoadedModelSupportsUpdates(t *testing.T) {
 
 // TestModelFileRefusesEveryFault enumerates the faults a stored model file
 // can suffer, on refusalFixture's file as this build writes it (version
-// 2: id sets, the clustering's assignment, gap-coded rows): one bit
-// flipped at every byte, a cut at every length, a byte appended. Load
-// must refuse each one with an error — not load a different model, and
-// not panic.
+// 3: Rice-coded id sets, row items, value indexes and time deltas, the
+// clustering's assignment): one bit flipped at every byte, a cut at every
+// length, a byte appended. Load must refuse each one with an error — not
+// load a different model, and not panic.
 func TestModelFileRefusesEveryFault(t *testing.T) {
 	m, cfg := refusalFixture(t)
 	mod, err := Train(m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := fileWireOf(t, mod).Version; v != 2 {
-		t.Fatalf("Save writes version %d, the faults here are enumerated on version 2", v)
+	if v := fileWireOf(t, mod).Version; v != 3 {
+		t.Fatalf("Save writes version %d, the faults here are enumerated on version 3", v)
 	}
 	var buf bytes.Buffer
 	if err := mod.Save(&buf); err != nil {
@@ -136,10 +141,63 @@ func TestModelFileRefusesEveryFault(t *testing.T) {
 	t.Logf("%d bytes, each flipped and cut at", len(good))
 }
 
-// TestModelFileRefusesAMalformedSet: a version 2 file whose checksum
-// holds but whose gap-coded GIS sets or rows are malformed, or which
-// carries a part it must leave to the load to derive, is refused, the
-// error naming the item or user at fault, or the part.
+// riceLen is the bits mathx's Rice code spends on v at parameter k.
+func riceLen(v uint64, k uint8) int {
+	if q := v >> k; q < 32 {
+		return int(q) + 1 + int(k)
+	}
+	return 32 + 64
+}
+
+// runPastEnd sets every bit of code from the start of the last of vals'
+// codes on, so that code's unary run, and no earlier code, runs past the
+// bytes.
+func runPastEnd(code *mathx.RiceCode, vals []uint64) {
+	start := 0
+	for _, v := range vals[:len(vals)-1] {
+		start += riceLen(v, code.K)
+	}
+	code.Bits = bytes.Clone(code.Bits)
+	for b := start; b < 8*len(code.Bits); b++ {
+		code.Bits[b/8] |= 1 << (b % 8)
+	}
+}
+
+// fileColumns is what a version 3 file of mod codes in its Rice columns:
+// the GIS sets' gaps, the row items' gaps, the value indexes into scale
+// and the time deltas, each in file order.
+func fileColumns(mod *Model, scale []float64) (gis, items, values, times []uint64) {
+	for i := 0; i < mod.GIS().NumItems(); i++ {
+		var ids []int32
+		for _, n := range mod.GIS().Neighbors(i) {
+			ids = append(ids, n.Index)
+		}
+		slices.Sort(ids)
+		prev := int32(-1)
+		for _, id := range ids {
+			gis, prev = append(gis, uint64(id-prev-1)), id
+		}
+	}
+	prevTime := int64(0)
+	for u := 0; u < mod.m.NumUsers(); u++ {
+		prev := int32(-1)
+		for _, e := range mod.m.UserRatings(u) {
+			at, _ := slices.BinarySearch(scale, e.Value)
+			items, values, prev = append(items, uint64(e.Index-prev-1)), append(values, uint64(at)), e.Index
+		}
+		for _, ts := range mod.m.UserRatingTimes(u) {
+			times, prevTime = append(times, mathx.DeltaCode(prevTime, ts)), ts
+		}
+	}
+	return gis, items, values, times
+}
+
+// TestModelFileRefusesAMalformedSet: a version 3 file whose checksum
+// holds but whose Rice-coded GIS sets, rows, values or timestamps are
+// malformed, whose value scale is unsound, or which carries a part it
+// must leave to the load to derive or a column another version stores,
+// is refused, the error naming the item or the user and the entry at
+// fault, or the part.
 func TestModelFileRefusesAMalformedSet(t *testing.T) {
 	m, cfg := refusalFixture(t)
 	mod, err := Train(m, cfg)
@@ -159,29 +217,67 @@ func TestModelFileRefusesAMalformedSet(t *testing.T) {
 	if first < 0 {
 		t.Fatal("the fixture GIS is empty")
 	}
+	if !m.HasTimes() {
+		t.Fatal("the fixture is untimed")
+	}
+	scale := fileWireOf(t, mod).Scale
+	gis, items, values, times := fileColumns(mod, scale)
 	lastRow := len(m.UserRatings(p-1)) - 1
+	top, topEntry := -1, -1 // the first user rating the top of the scale, and where
+	for u := 0; u < p && top < 0; u++ {
+		for j, e := range m.UserRatings(u) {
+			if e.Value == scale[len(scale)-1] {
+				top, topEntry = u, j
+				break
+			}
+		}
+	}
+	withFirst := func(vals []uint64, v uint64) mathx.RiceCode {
+		return mathx.EncodeRice(append([]uint64{v}, vals[1:]...))
+	}
 	for _, tc := range []struct {
 		name, want string
 		mutate     func(w *fileWire)
 	}{
-		{"a set gap running past its bytes", fmt.Sprintf("item %d entry %d: the id gap runs past", last, len(mod.GIS().Neighbors(last))-1),
-			func(w *fileWire) { w.GIS.Set[len(w.GIS.Set)-1] = 0x80 }},
+		{"a set gap running past its bytes", fmt.Sprintf("item %d entry %d: the code at bit", last, len(mod.GIS().Neighbors(last))-1),
+			func(w *fileWire) { runPastEnd(&w.GIS.SetCode, gis) }},
 		{"a set id past the items", fmt.Sprintf("item %d entry 0: the id after neighbour -1 passes the %d items", first, q),
-			func(w *fileWire) { w.GIS.Set[0] = byte(q) }},
-		{"set bytes left over", fmt.Sprintf("1 set bytes after the list of item %d", q-1),
-			func(w *fileWire) { w.GIS.Set = append(w.GIS.Set, 0) }},
-		{"a row gap running past its bytes", fmt.Sprintf("user %d entry %d: the item gap runs past", p-1, lastRow),
-			func(w *fileWire) { w.RowItems[len(w.RowItems)-1] = 0x80 }},
+			func(w *fileWire) { w.GIS.SetCode = withFirst(gis, uint64(q)) }},
+		{"set bytes left over", fmt.Sprintf("after the list of item %d, its last: 1 bytes left over", q-1),
+			func(w *fileWire) { w.GIS.SetCode.Bits = append(w.GIS.SetCode.Bits, 0) }},
+		{"a row gap running past its bytes", fmt.Sprintf("user %d entry %d: item: the code at bit", p-1, lastRow),
+			func(w *fileWire) { runPastEnd(&w.ItemCode, items) }},
 		{"a row gap overrunning the items", fmt.Sprintf("user 0 entry 0: the item after item -1 overruns the %d items", q),
-			func(w *fileWire) { w.RowItems[0] = byte(q) }},
-		{"row bytes left over", fmt.Sprintf("1 row item bytes after the row of user %d", p-1),
-			func(w *fileWire) { w.RowItems = append(w.RowItems, 0) }},
+			func(w *fileWire) { w.ItemCode = withFirst(items, uint64(q)) }},
+		{"row bytes left over", fmt.Sprintf("item column after the row of user %d, the last: 1 bytes left over", p-1),
+			func(w *fileWire) { w.ItemCode.Bits = append(w.ItemCode.Bits, 0) }},
+		{"a value code running past its bytes", fmt.Sprintf("user %d entry %d: value: the code at bit", p-1, lastRow),
+			func(w *fileWire) { runPastEnd(&w.ValueCode, values) }},
+		{"a time code running past its bytes", fmt.Sprintf("user %d entry %d: time: the code at bit", p-1, lastRow),
+			func(w *fileWire) { runPastEnd(&w.TimeCode, times) }},
+		{"time bytes left over", fmt.Sprintf("time column after the row of user %d, the last: 1 bytes left over", p-1),
+			func(w *fileWire) { w.TimeCode.Bits = append(w.TimeCode.Bits, 0) }},
+		{"timestamps in an untimed file", "timestamps in a file whose matrix carries none", func(w *fileWire) { w.HasTimes = false }},
+		{"a value index past the scale", fmt.Sprintf("user %d entry %d: value index %d past the %d scale values", top, topEntry, len(scale)-1, len(scale)-1),
+			func(w *fileWire) { w.Scale = w.Scale[:len(w.Scale)-1] }},
+		{"a scale out of order", fmt.Sprintf("scale value 1 (%v) does not ascend from %v", scale[0], scale[1]),
+			func(w *fileWire) { w.Scale[0], w.Scale[1] = w.Scale[1], w.Scale[0] }},
+		{"a repeated scale value", fmt.Sprintf("scale value 1 (%v) does not ascend from %v", scale[0], scale[0]),
+			func(w *fileWire) { w.Scale[1] = w.Scale[0] }},
+		{"a scale value that is not finite", "scale value 0 is NaN, not finite", func(w *fileWire) { w.Scale[0] = math.NaN() }},
+		{"an infinite scale value", "scale value 2 is +Inf, not finite", func(w *fileWire) { w.Scale[2] = math.Inf(1) }},
+		{"a Rice parameter past 63", "item column: Rice parameter k = 64, past 63", func(w *fileWire) { w.ItemCode.K = 64 }},
+		{"a set code parameter past 63", "set code: Rice parameter k = 64, past 63", func(w *fileWire) { w.GIS.SetCode.K = 64 }},
 		{"GIS ids in list order", "stores no GIS list in list order", func(w *fileWire) { w.GIS.IDs = []byte{0, 0} }},
 		{"Eq. 5 weights", "stores no GIS weights", func(w *fileWire) { w.GIS.Scores = mod.gis.Snapshot(true).Scores }},
 		{"cluster Members", "stores no cluster Members", func(w *fileWire) { w.Clusters.Members = mod.clusters.Members }},
 		{"cluster Mean", "stores no cluster Mean", func(w *fileWire) { w.Clusters.Mean = mod.clusters.Mean }},
 		{"cluster Count", "stores no cluster Count", func(w *fileWire) { w.Clusters.Count = mod.clusters.Count }},
 		{"version 1 row items", "stores no version 1 row Items", func(w *fileWire) { w.Items = []int32{0} }},
+		{"version 2 gap-coded sets", "version 3 stores no version 2 gap-coded GIS Set", func(w *fileWire) { w.GIS.Set = []byte{0} }},
+		{"version 2 row items", "version 3 stores no version 2 gap-coded RowItems", func(w *fileWire) { w.RowItems = []byte{0} }},
+		{"version 2 values", "version 3 stores no version 1–2 float64 Values", func(w *fileWire) { w.Values = []float64{1} }},
+		{"version 2 timestamps", "version 3 stores no version 1–2 int64 Times", func(w *fileWire) { w.Times = []int64{1} }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			wire := fileWireOf(t, mod)
@@ -196,19 +292,92 @@ func TestModelFileRefusesAMalformedSet(t *testing.T) {
 	}
 }
 
-// TestModelFileV1LoadsAndResavesAsV2: testdata/file-v1.cfsf is a version 1
-// model file of refusalFixture's model, written by 773b6e0, the last
-// build to write that version — GIS ids in list order, the clustering
-// whole, row items one int32 each. It loads to the grid that build served
-// (tau0Grid) and the GIS the model trained here holds, and re-saves as
-// version 2, which loads to the same.
-func TestModelFileV1LoadsAndResavesAsV2(t *testing.T) {
+// fileWireV2Of is mod's payload as a version 2 model file held it: the
+// GIS sets and row items gap-coded a uvarint each, float64 values and
+// int64 timestamps.
+func fileWireV2Of(t *testing.T, mod *Model) fileWire {
+	t.Helper()
+	wire := fileWireOf(t, mod)
+	gis, items, _, _ := fileColumns(mod, wire.Scale)
+	wire.Version, wire.GIS.SetCode, wire.GIS.Set = 2, mathx.RiceCode{}, appendUvarints(nil, gis)
+	wire.ItemCode, wire.Scale, wire.ValueCode, wire.TimeCode = mathx.RiceCode{}, nil, mathx.RiceCode{}, mathx.RiceCode{}
+	wire.RowItems = appendUvarints(nil, items)
+	for u := 0; u < mod.m.NumUsers(); u++ {
+		for _, e := range mod.m.UserRatings(u) {
+			wire.Values = append(wire.Values, e.Value)
+		}
+		wire.Times = append(wire.Times, mod.m.UserRatingTimes(u)...)
+	}
+	return wire
+}
+
+func appendUvarints(dst []byte, vals []uint64) []byte {
+	for _, v := range vals {
+		dst = binary.AppendUvarint(dst, v)
+	}
+	return dst
+}
+
+// TestModelFileV2RefusesAMalformedSet: a version 2 file, which this build
+// only decodes, is refused on its byte-coded sets and rows as the build
+// that wrote it refused them, naming the item or the user and the entry,
+// and refused when it carries a version 3 column.
+func TestModelFileV2RefusesAMalformedSet(t *testing.T) {
 	m, cfg := refusalFixture(t)
-	live, err := Train(m, cfg)
+	mod, err := Train(m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(filepath.Join("testdata", "file-v1.cfsf"))
+	q, p := m.NumItems(), m.NumUsers()
+	last := q - 1
+	for len(mod.GIS().Neighbors(last)) == 0 {
+		last--
+	}
+	lastRow := len(m.UserRatings(p-1)) - 1
+	for _, tc := range []struct {
+		name, want string
+		mutate     func(w *fileWire)
+	}{
+		{"a set gap running past its bytes", fmt.Sprintf("item %d entry %d: the id gap runs past", last, len(mod.GIS().Neighbors(last))-1),
+			func(w *fileWire) { w.GIS.Set[len(w.GIS.Set)-1] = 0x80 }},
+		{"set bytes left over", fmt.Sprintf("1 set bytes after the list of item %d", q-1), func(w *fileWire) { w.GIS.Set = append(w.GIS.Set, 0) }},
+		{"a row gap running past its bytes", fmt.Sprintf("user %d entry %d: the item gap runs past", p-1, lastRow),
+			func(w *fileWire) { w.RowItems[len(w.RowItems)-1] = 0x80 }},
+		{"a row gap overrunning the items", fmt.Sprintf("user 0 entry 0: the item after item -1 overruns the %d items", q),
+			func(w *fileWire) { w.RowItems[0] = byte(q) }},
+		{"row bytes left over", fmt.Sprintf("1 row item bytes after the row of user %d", p-1), func(w *fileWire) { w.RowItems = append(w.RowItems, 0) }},
+		{"one value short", fmt.Sprintf("%d values for %d row slots", m.NumRatings()-1, m.NumRatings()), func(w *fileWire) { w.Values = w.Values[1:] }},
+		{"one timestamp short", fmt.Sprintf("%d timestamps for %d entries", m.NumRatings()-1, m.NumRatings()), func(w *fileWire) { w.Times = w.Times[1:] }},
+		{"a version 3 set code", "version 2 stores no version 3 Rice-coded GIS SetCode", func(w *fileWire) { w.GIS.SetCode = mathx.EncodeRice([]uint64{1}) }},
+		{"a version 3 value scale", "version 2 stores no version 3 value Scale", func(w *fileWire) { w.Scale = []float64{1} }},
+		{"a version 3 time code", "version 2 stores no version 3 Rice-coded TimeCode", func(w *fileWire) { w.TimeCode = mathx.EncodeRice([]uint64{1}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			wire := fileWireV2Of(t, mod)
+			if got, err := Load(frameOf(t, blobKindModel, wire)); err != nil {
+				t.Fatalf("the unmodified file: %v", err)
+			} else if h, want := gridHash(got), gridHash(mod); h != want {
+				t.Fatalf("the unmodified file loads to grid %s, want %s", h, want)
+			}
+			tc.mutate(&wire)
+			if _, err := Load(frameOf(t, blobKindModel, wire)); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want one containing %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestOlderModelFilesLoadAndResaveAsV3: testdata/file-v1.cfsf and
+// testdata/file-v2.cfsf are refusalFixture's model saved by 773b6e0 and
+// ddea235, the last builds to write model file versions 1 (GIS ids in
+// list order, the clustering whole, row items one int32 each) and 2 (id
+// sets and row items gap-coded a byte each, float64 values, int64
+// timestamps). Each loads to the grid those builds served (tau0Grid) and
+// the GIS the model trained here holds, and re-saves as version 3 — every
+// column Rice-coded — which loads to the same.
+func TestOlderModelFilesLoadAndResaveAsV3(t *testing.T) {
+	m, cfg := refusalFixture(t)
+	live, err := Train(m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,32 +393,58 @@ func TestModelFileV1LoadsAndResavesAsV2(t *testing.T) {
 		}
 		return wire
 	}
-	if w := wireOf(data); w.Version != 1 || len(w.GIS.IDs) == 0 || len(w.GIS.Set) > 0 || len(w.Clusters.Mean) == 0 || len(w.Items) == 0 || len(w.RowItems) > 0 {
-		t.Fatalf("the fixture is not a version 1 file: version %d, %d id bytes, %d set bytes, %d mean rows, %d items, %d row item bytes",
-			w.Version, len(w.GIS.IDs), len(w.GIS.Set), len(w.Clusters.Mean), len(w.Items), len(w.RowItems))
-	}
-	old, err := Load(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := old.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if w := wireOf(buf.Bytes()); w.Version != 2 || len(w.GIS.Set) == 0 || len(w.GIS.IDs) > 0 || len(w.Clusters.Mean) > 0 || len(w.Items) > 0 {
-		t.Fatalf("the re-save is not a version 2 file: version %d, %d set bytes, %d id bytes, %d mean rows, %d items",
-			w.Version, len(w.GIS.Set), len(w.GIS.IDs), len(w.Clusters.Mean), len(w.Items))
-	}
-	resaved, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ctx, got := range map[string]*Model{"version 1": old, "its version 2 re-save": resaved} {
-		if h := gridHash(got); h != tau0Grid {
-			t.Fatalf("%s: prediction grid hashes to %s, want %s", ctx, h, tau0Grid)
-		}
-		requireSameGIS(t, live.GIS(), got.GIS(), ctx)
-		requireSameRecommendations(t, live, got, ctx)
+	for _, fx := range []struct {
+		file    string
+		version int
+		layout  func(w fileWire) bool // the fixture carries its version's columns
+	}{
+		{"file-v1.cfsf", 1, func(w fileWire) bool {
+			return len(w.GIS.IDs) > 0 && len(w.Clusters.Mean) > 0 && len(w.Items) > 0 && len(w.Values) > 0 && len(w.Times) > 0
+		}},
+		{"file-v2.cfsf", 2, func(w fileWire) bool {
+			return len(w.GIS.Set) > 0 && len(w.Clusters.Mean) == 0 && len(w.RowItems) > 0 && len(w.Values) > 0 && len(w.Times) > 0
+		}},
+	} {
+		t.Run(fx.file, func(t *testing.T) {
+			data, err := os.ReadFile(filepath.Join("testdata", fx.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w := wireOf(data); w.Version != fx.version || !fx.layout(w) || len(w.GIS.SetCode.Bits) > 0 || len(w.ItemCode.Bits) > 0 {
+				t.Fatalf("the fixture is not a version %d file: version %d, %d id bytes, %d set bytes, %d mean rows, %d items, %d row item bytes, %d values",
+					fx.version, w.Version, len(w.GIS.IDs), len(w.GIS.Set), len(w.Clusters.Mean), len(w.Items), len(w.RowItems), len(w.Values))
+			}
+			old, err := Load(bytes.NewReader(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := old.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if w := wireOf(buf.Bytes()); w.Version != 3 || len(w.GIS.SetCode.Bits) == 0 || len(w.ItemCode.Bits) == 0 || len(w.ValueCode.Bits) == 0 ||
+				len(w.TimeCode.Bits) == 0 || len(w.Scale) == 0 || strayPart(&w) != "" {
+				t.Fatalf("the re-save is not a version 3 file: version %d, %d set code bytes, %d item code bytes, %d value code bytes, %d time code bytes, scale %v, stray %q",
+					w.Version, len(w.GIS.SetCode.Bits), len(w.ItemCode.Bits), len(w.ValueCode.Bits), len(w.TimeCode.Bits), w.Scale, strayPart(&w))
+			}
+			t.Logf("version %d: %d bytes, its version 3 re-save %d", fx.version, len(data), buf.Len())
+			resaved, err := Load(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ctx, got := range map[string]*Model{fmt.Sprintf("version %d", fx.version): old, "its version 3 re-save": resaved} {
+				if h := gridHash(got); h != tau0Grid {
+					t.Fatalf("%s: prediction grid hashes to %s, want %s", ctx, h, tau0Grid)
+				}
+				requireSameGIS(t, live.GIS(), got.GIS(), ctx)
+				requireSameRecommendations(t, live, got, ctx)
+				for u := 0; u < m.NumUsers(); u++ {
+					if !slices.Equal(got.Matrix().UserRatings(u), m.UserRatings(u)) || !slices.Equal(got.Matrix().UserRatingTimes(u), m.UserRatingTimes(u)) {
+						t.Fatalf("%s: user %d's row or timestamps differ from the fixture's", ctx, u)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -258,7 +453,7 @@ func TestModelFileV1LoadsAndResavesAsV2(t *testing.T) {
 // at load naming the user or cluster at fault — from a version 1 model
 // file and from a shared blob, which store the clustering whole (where an
 // assignment of -5 used to panic the assembly inside smoothing.New), and,
-// for a fault in the assignment, from a version 2 model file, which
+// for a fault in the assignment, from a version 3 model file, which
 // stores the assignment alone and derives the rest.
 func TestLoadRefusesABadClustering(t *testing.T) {
 	mod, _ := trainSmall(t)
@@ -266,7 +461,7 @@ func TestLoadRefusesABadClustering(t *testing.T) {
 		name   string
 		mutate func(c *cluster.Result)
 		want   string
-		v2     bool // the fault is in what a version 2 file stores
+		sets   bool // the fault is in what a version 2 or 3 file stores
 	}{
 		{"a negative assignment", func(c *cluster.Result) { c.Assign[0] = -5 }, "user 0 assigned to cluster -5", true},
 		{"an assignment past K", func(c *cluster.Result) { c.Assign[3] = c.K }, fmt.Sprintf("user 3 assigned to cluster %d", mod.clusters.K), true},
@@ -298,13 +493,13 @@ func TestLoadRefusesABadClustering(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("LoadSharedPart and AssembleModel: err = %v, want one naming %q", err, tc.want)
 			}
-			if !tc.v2 {
+			if !tc.sets {
 				return
 			}
-			v2 := fileWireOf(t, mod)
-			tc.mutate(v2.Clusters)
-			if _, err := Load(frameOf(t, blobKindModel, v2)); err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("Load of a version 2 file: err = %v, want one naming %q", err, tc.want)
+			v3 := fileWireOf(t, mod)
+			tc.mutate(v3.Clusters)
+			if _, err := Load(frameOf(t, blobKindModel, v3)); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Load of a version 3 file: err = %v, want one naming %q", err, tc.want)
 			}
 		})
 	}
@@ -324,4 +519,142 @@ func matrixRows(m *ratings.Matrix) (rows [][]ratings.Entry, times [][]int64) {
 		}
 	}
 	return rows, times
+}
+
+// TestModelFileColumnBytes fences each column of the ledger fixture's
+// model file (synth.DefaultConfig, DefaultConfig: the model bench/ serves
+// and a first boot snapshots), so that when one regresses the failure
+// names it; CI fences only the whole file (BenchmarkBootLedger). The
+// values column counts its Scale table with it.
+func TestModelFileColumnBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains the 500×1000 ledger fixture")
+	}
+	d := synth.MustGenerate(synth.DefaultConfig())
+	mod, err := Train(d.Matrix, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := mod.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	wire := fileWireOf(t, mod)
+	for _, col := range []struct {
+		name  string
+		code  mathx.RiceCode
+		extra int
+		fence int
+	}{
+		{"GIS neighbour sets", wire.GIS.SetCode, 0, 95_000},
+		{"row items", wire.ItemCode, 0, 30_000},
+		{"values", wire.ValueCode, 8 * len(wire.Scale), 18_500},
+		{"times", wire.TimeCode, 0, 150_000},
+	} {
+		n := len(col.code.Bits) + col.extra
+		t.Logf("%s: %d bytes at k = %d", col.name, n, col.code.K)
+		if n > col.fence {
+			t.Errorf("%s take %d bytes, over their fence of %d", col.name, n, col.fence)
+		}
+	}
+	t.Logf("the whole file: %d bytes, %d ratings, scale %v", buf.Len(), d.Matrix.NumRatings(), wire.Scale)
+}
+
+// TestSaveLoadManyDistinctValues: a matrix whose values are not a short
+// discrete scale — here 90 distinct values among 120 ratings —
+// saves a Scale of every distinct value and loads back bit for bit, as a
+// five-valued one does.
+func TestSaveLoadManyDistinctValues(t *testing.T) {
+	b := ratings.NewBuilder(12, 10).SetScale(1, 5)
+	for u := 0; u < 12; u++ {
+		for i := 0; i < 10; i++ {
+			if err := b.Add(u, i, 1+4*float64((u*37+i*11)%101)/100); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	m := b.Build()
+	_, cfg := refusalFixture(t)
+	mod, err := Train(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire := fileWireOf(t, mod)
+	if len(wire.Scale) < 64 {
+		t.Fatalf("the fixture holds %d distinct values, not a long scale", len(wire.Scale))
+	}
+	var buf bytes.Buffer
+	if err := mod.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u := 0; u < m.NumUsers(); u++ {
+		if !slices.Equal(loaded.Matrix().UserRatings(u), m.UserRatings(u)) {
+			t.Fatalf("user %d's row loads as %v, want %v", u, loaded.Matrix().UserRatings(u), m.UserRatings(u))
+		}
+	}
+	if h, want := gridHash(loaded), gridHash(mod); h != want {
+		t.Fatalf("the loaded model's grid hashes to %s, want %s", h, want)
+	}
+	t.Logf("%d distinct values of %d ratings", len(wire.Scale), m.NumRatings())
+}
+
+// TestSaveLoadValuesOffTheScale: Save writes what the matrix holds and a
+// load takes it back bit for bit, values off the matrix's own 1..5 scale
+// and −0 beside +0 included. A model can hold such values: a build up to
+// ddea235 applied 0.5 or 7 to a 1..5 model and saved them, and a matrix
+// built on an explicit scale is not checked against it. A load that
+// refused them would make every later snapshot of such a model
+// unloadable.
+func TestSaveLoadValuesOffTheScale(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	b := ratings.NewBuilder(12, 10).SetScale(1, 5)
+	for u := 0; u < 12; u++ {
+		for i := 0; i < 10; i++ {
+			if (u*7+i*3)%4 != 0 {
+				b.MustAdd(u, i, float64(1+(u*i+u+i)%5))
+			}
+		}
+	}
+	b.MustAdd(0, 1, 0.5)
+	b.MustAdd(1, 2, 7)
+	b.MustAdd(2, 3, negZero)
+	b.MustAdd(3, 4, 0)
+	m := b.Build()
+	_, cfg := refusalFixture(t)
+	mod, err := Train(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scale := fileWireOf(t, mod).Scale
+	want := []float64{negZero, 0, 0.5, 1, 2, 3, 4, 5, 7}
+	if !slices.EqualFunc(scale, want, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+		t.Fatalf("Scale %v, want %v with −0 first", scale, want)
+	}
+	var buf bytes.Buffer
+	if err := mod.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lm := loaded.Matrix()
+	if lm.MinRating() != 1 || lm.MaxRating() != 5 {
+		t.Fatalf("the loaded scale is %v..%v, want 1..5", lm.MinRating(), lm.MaxRating())
+	}
+	for u := 0; u < m.NumUsers(); u++ {
+		got, want := lm.UserRatings(u), m.UserRatings(u)
+		if !slices.EqualFunc(got, want, func(a, b ratings.Entry) bool {
+			return a.Index == b.Index && math.Float64bits(a.Value) == math.Float64bits(b.Value)
+		}) {
+			t.Fatalf("user %d's row loads as %v, want %v", u, got, want)
+		}
+	}
+	if h, want := gridHash(loaded), gridHash(mod); h != want {
+		t.Fatalf("the loaded model's grid hashes to %s, want %s", h, want)
+	}
 }

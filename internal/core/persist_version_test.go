@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"cfsf/internal/mathx"
 	"cfsf/internal/ratings"
 	"cfsf/internal/similarity"
 )
@@ -66,14 +67,14 @@ func TestOlderBlobsLoadAndResaveAsVersion4(t *testing.T) {
 		t.Fatal(err)
 	}
 	// wantLayout checks a GIS snapshot carries the layout of the given
-	// blob version alone; 5 stands for the model file's, id sets without
-	// weights.
+	// blob version alone; 5 stands for the model file's, Rice-coded id
+	// sets without weights.
 	wantLayout := func(ctx string, version int, snap similarity.Snapshot) {
 		t.Helper()
 		ids, scores := len(snap.Lens) > 0 && len(snap.IDs) > 0, len(snap.Scores) > 0
 		flat := len(snap.Index) > 0 || len(snap.Score) > 0
 		perItem := len(snap.Neighbors) > 0
-		sets := len(snap.Lens) > 0 && len(snap.Set) > 0
+		sets := len(snap.Lens) > 0 && len(snap.SetCode.Bits) > 0
 		if ids != (version == 3 || version == 4) || scores != (version == 3) || flat != (version == 2) || perItem != (version == 1) || sets != (version == 5) {
 			t.Fatalf("%s: version %d carries ids=%v scores=%v flat=%v per-item=%v sets=%v", ctx, version, ids, scores, flat, perItem, sets)
 		}
@@ -221,15 +222,15 @@ func frameOf(t *testing.T, kind byte, wire any) *bytes.Buffer {
 // build knows is refused by its number, whatever it holds: a model file,
 // and the older formats this build only reads.
 func TestFutureWireVersionsAreRefused(t *testing.T) {
-	if fileWireVersion != 2 || sharedBlobVersion != 4 || modelWireVersion != 4 {
-		t.Fatalf("this build writes model file version %d and reads shared blob version %d and model version %d; the tests here pin 2, 4 and 4",
+	if fileWireVersion != 3 || sharedBlobVersion != 4 || modelWireVersion != 4 {
+		t.Fatalf("this build writes model file version %d and reads shared blob version %d and model version %d; the tests here pin 3, 4 and 4",
 			fileWireVersion, sharedBlobVersion, modelWireVersion)
 	}
 	mod, _ := trainSmall(t)
 	file := fileWireOf(t, mod)
 	file.Version = fileWireVersion + 1
-	if _, err := Load(frameOf(t, blobKindModel, file)); err == nil || !strings.Contains(err.Error(), "version 3") {
-		t.Errorf("Load of a model file: err = %v, want a refusal naming version 3", err)
+	if _, err := Load(frameOf(t, blobKindModel, file)); err == nil || !strings.Contains(err.Error(), "version 4") {
+		t.Errorf("Load of a model file: err = %v, want a refusal naming version 4", err)
 	}
 
 	var buf bytes.Buffer
@@ -268,16 +269,18 @@ func fileWireOf(t *testing.T, mod *Model) fileWire {
 }
 
 // fileWireV1Of is mod's payload as a version 1 model file held it: row
-// items one int32 each and the clustering whole, deep-copied so a test
-// can change it.
+// items one int32 each beside float64 values and int64 timestamps, and
+// the clustering whole, deep-copied so a test can change it.
 func fileWireV1Of(t *testing.T, mod *Model) fileWire {
 	t.Helper()
 	wire := fileWireOf(t, mod)
-	wire.Version, wire.RowItems, wire.GIS = 1, nil, listOrdered(mod.GIS(), mod.cfg.blendsContent())
+	wire.Version, wire.GIS = 1, listOrdered(mod.GIS(), mod.cfg.blendsContent())
+	wire.ItemCode, wire.Scale, wire.ValueCode, wire.TimeCode = mathx.RiceCode{}, nil, mathx.RiceCode{}, mathx.RiceCode{}
 	for u := 0; u < mod.m.NumUsers(); u++ {
 		for _, e := range mod.m.UserRatings(u) {
-			wire.Items = append(wire.Items, e.Index)
+			wire.Items, wire.Values = append(wire.Items, e.Index), append(wire.Values, e.Value)
 		}
+		wire.Times = append(wire.Times, mod.m.UserRatingTimes(u)...)
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(mod.clusters); err != nil {

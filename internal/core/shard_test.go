@@ -41,7 +41,7 @@ func randomUpdates(rng *rand.Rand, users, items, n int) []RatingUpdate {
 		ups[k] = RatingUpdate{
 			User:  rng.Intn(users + 1), // occasionally a brand-new user
 			Item:  rng.Intn(items + 1),
-			Value: float64(rng.Intn(9)+1) / 2,
+			Value: float64(rng.Intn(9)+2) / 2, // 1 to 5 by halves, on the scale
 		}
 	}
 	return ups

@@ -26,6 +26,20 @@ type RatingUpdate struct {
 	Time int64
 }
 
+// checkUpdate refuses update k of a batch when an id is negative or the
+// value lies off the model's rating scale (NaN included): a matrix holds
+// only values on its own scale, the one a model file's value table is
+// checked against at load.
+func (mod *Model) checkUpdate(k int, up RatingUpdate) error {
+	if up.User < 0 || up.Item < 0 {
+		return fmt.Errorf("cfsf: negative id in update (%d,%d)", up.User, up.Item)
+	}
+	if lo, hi := mod.m.MinRating(), mod.m.MaxRating(); !(up.Value >= lo && up.Value <= hi) {
+		return fmt.Errorf("cfsf: update %d rates (%d,%d) %g, outside the scale %g..%g", k, up.User, up.Item, up.Value, lo, hi)
+	}
+	return nil
+}
+
 // WithUpdates returns a new model that incorporates the given ratings
 // without rerunning the full offline phase — the paper's §VI future work
 // ("how it can keep GIS up-to-date"). The original model is untouched and
@@ -57,9 +71,9 @@ func (mod *Model) WithUpdates(updates []RatingUpdate) (*Model, error) {
 	start := time.Now()
 
 	numUsers, numItems := mod.m.NumUsers(), mod.m.NumItems()
-	for _, up := range updates {
-		if up.User < 0 || up.Item < 0 {
-			return nil, fmt.Errorf("cfsf: negative id in update (%d,%d)", up.User, up.Item)
+	for k, up := range updates {
+		if err := mod.checkUpdate(k, up); err != nil {
+			return nil, err
 		}
 		if up.User >= numUsers {
 			numUsers = up.User + 1

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"cfsf/internal/synth"
@@ -196,5 +198,26 @@ func TestWithUpdatesKeepsTimestamps(t *testing.T) {
 	}
 	if got, ok := next.Matrix().RatingTime(u, i); !ok || got != old {
 		t.Errorf("old rating timestamp = %d,%v, want %d", got, ok, old)
+	}
+}
+
+// TestUpdatesOffTheScaleAreRefused: Apply and WithUpdates refuse a value
+// off the model's rating scale — above, below, between the scale and 0,
+// NaN — naming the update, as the server's /rate does, so no matrix holds
+// a value its model file could not store; a value on the scale's ends is
+// taken.
+func TestUpdatesOffTheScaleAreRefused(t *testing.T) {
+	mod, _ := trainSmall(t)
+	lo, hi := mod.Matrix().MinRating(), mod.Matrix().MaxRating()
+	for name, apply := range map[string]func([]RatingUpdate) (*Model, error){"Apply": mod.Apply, "WithUpdates": mod.WithUpdates} {
+		for _, v := range []float64{hi + 2, -3, lo - 0.5, math.NaN(), math.Inf(1)} {
+			batch := []RatingUpdate{{User: 0, Item: 1, Value: 3}, {User: 2, Item: 3, Value: v}}
+			if _, err := apply(batch); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("update 1 rates (2,3) %g, outside the scale", v)) {
+				t.Errorf("%s of %g: err = %v, want a refusal naming update 1", name, v, err)
+			}
+		}
+		if _, err := apply([]RatingUpdate{{User: 0, Item: 1, Value: lo}, {User: 2, Item: 3, Value: hi}}); err != nil {
+			t.Errorf("%s of the scale's ends: %v", name, err)
+		}
 	}
 }

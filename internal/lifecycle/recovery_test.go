@@ -219,40 +219,114 @@ func gridHash(mod *core.Model) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestV1DataDirBootsAndMigrates: a data dir 773b6e0 wrote — the same
-// run as testdata/legacy-8cb6e8a, its recovery points model files of
-// version 1 (GIS ids in list order, the clustering whole) — boots from
-// the newest file, replays the tail and serves the grid that build
-// served. Its boot snapshot is a file this build writes, byte for byte,
-// and the next boot loads it to the same grid.
-func TestV1DataDirBootsAndMigrates(t *testing.T) {
-	dir := copyDir(t, filepath.Join("testdata", "v1-773b6e0"))
+// TestModelFileDataDirsBootAndMigrate: data dirs 773b6e0 and ddea235
+// wrote — the same run as testdata/legacy-8cb6e8a, their recovery points
+// model files of version 1 (GIS ids in list order, the clustering whole)
+// and version 2 (id sets and rows gap-coded a byte each, float64 values,
+// int64 timestamps) — boot from the newest file, replay the tail and
+// serve the grid those builds served. The boot snapshot is a file this
+// build writes, byte for byte — version 3, its GIS sets Rice-coded — and
+// the next boot loads it to the same grid.
+func TestModelFileDataDirsBootAndMigrate(t *testing.T) {
+	for _, fx := range []string{"v1-773b6e0", "v2-ddea235"} {
+		t.Run(fx, func(t *testing.T) {
+			dir := copyDir(t, filepath.Join("testdata", fx))
+			cfg := Config{DataDir: dir, Fsync: wal.SyncNever}
+			a, err := Open(noBoot(t), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bs := a.BootStats()
+			if filepath.Base(bs.SnapshotLoaded) != snapshotName(0x27) || bs.ReplayedRecords != 5 || a.AppliedSeq() != 49 {
+				t.Fatalf("boot loaded %s, replayed %d to seq %d; want %s, 5 records, seq 49",
+					bs.SnapshotLoaded, bs.ReplayedRecords, a.AppliedSeq(), snapshotName(0x27))
+			}
+			if got := gridHash(a.Model()); got != legacyGrid {
+				t.Fatalf("the %s dir boots to grid %s, its build served %s", fx, got, legacyGrid)
+			}
+			var want bytes.Buffer
+			if err := a.Model().SaveAt(&want, 49); err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Close(); err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(filepath.Join(snapshotDir(dir), snapshotName(49)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want.Bytes()) {
+				t.Fatalf("the boot snapshot (%d bytes) is not the file this build writes (%d bytes)", len(got), want.Len())
+			}
+			f, err := core.Decode(bytes.NewReader(got))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(f.GIS.SetCode.Bits) == 0 || len(f.GIS.Set) > 0 || len(f.GIS.IDs) > 0 {
+				t.Fatalf("the boot snapshot's GIS carries %d Rice-coded, %d gap-coded and %d list-order bytes; want Rice-coded sets alone",
+					len(f.GIS.SetCode.Bits), len(f.GIS.Set), len(f.GIS.IDs))
+			}
+
+			b, err := Open(noBoot(t), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Close()
+			if got := b.BootStats().SnapshotLoaded; filepath.Base(got) != snapshotName(49) {
+				t.Fatalf("second boot loaded %s, want the migrated file", got)
+			}
+			if got := gridHash(b.Model()); got != legacyGrid {
+				t.Fatalf("the migrated dir boots to grid %s, want %s", got, legacyGrid)
+			}
+		})
+	}
+}
+
+// offScaleGrid is the gridHash the run which wrote
+// testdata/offscale-ddea235 served when it was killed: the base model of
+// newBaseModel, testUpdate 0–5 and then 0.5 for (7, 3) and 7 for (12, 9)
+// applied one at a time — on its 1..5 scale, which build ddea235 did not
+// check — a snapshot, then testUpdate 6–9 in the WAL only.
+const offScaleGrid = "2f1b9f28dbad511ec32a4439129533e93bf9a641ca499bf59bc1e7af5844f7a0"
+
+// TestOffScaleDataDirBootsAndMigrates: a data dir build ddea235 wrote
+// whose newest snapshot, a version 2 file, holds values off its model's
+// own 1..5 scale boots from that file, replays the tail and serves the
+// grid that build served. Its boot snapshot — a version 3 file holding
+// the same values, read back through core.Decode before it is published —
+// is written, and the next boot loads it to the same grid.
+func TestOffScaleDataDirBootsAndMigrates(t *testing.T) {
+	dir := copyDir(t, filepath.Join("testdata", "offscale-ddea235"))
 	cfg := Config{DataDir: dir, Fsync: wal.SyncNever}
 	a, err := Open(noBoot(t), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bs := a.BootStats()
-	if filepath.Base(bs.SnapshotLoaded) != snapshotName(0x27) || bs.ReplayedRecords != 5 || a.AppliedSeq() != 49 {
-		t.Fatalf("boot loaded %s, replayed %d to seq %d; want %s, 5 records, seq 49",
-			bs.SnapshotLoaded, bs.ReplayedRecords, a.AppliedSeq(), snapshotName(0x27))
+	if filepath.Base(bs.SnapshotLoaded) != snapshotName(15) || bs.ReplayedRecords != 4 || a.AppliedSeq() != 23 {
+		t.Fatalf("boot loaded %s, replayed %d to seq %d; want %s, 4 records, seq 23",
+			bs.SnapshotLoaded, bs.ReplayedRecords, a.AppliedSeq(), snapshotName(15))
 	}
-	if got := gridHash(a.Model()); got != legacyGrid {
-		t.Fatalf("the version 1 dir boots to grid %s, its build served %s", got, legacyGrid)
+	mx := a.Model().Matrix()
+	if v, _ := mx.Rating(7, 3); v != 0.5 || mx.MinRating() != 1 || mx.MaxRating() != 5 {
+		t.Fatalf("the loaded model rates (7, 3) %v on the scale %v..%v; want 0.5 on 1..5", v, mx.MinRating(), mx.MaxRating())
 	}
-	var want bytes.Buffer
-	if err := a.Model().SaveAt(&want, 49); err != nil {
-		t.Fatal(err)
+	if got := gridHash(a.Model()); got != offScaleGrid {
+		t.Fatalf("the dir boots to grid %s, its build served %s", got, offScaleGrid)
 	}
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := os.ReadFile(filepath.Join(snapshotDir(dir), snapshotName(49)))
+	got, err := os.ReadFile(filepath.Join(snapshotDir(dir), snapshotName(23)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want.Bytes()) {
-		t.Fatalf("the boot snapshot (%d bytes) is not the file this build writes (%d bytes)", len(got), want.Len())
+	f, err := core.Decode(bytes.NewReader(got))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(f.GIS.SetCode.Bits) == 0 {
+		t.Fatal("the boot snapshot is not a version 3 file")
 	}
 
 	b, err := Open(noBoot(t), cfg)
@@ -260,11 +334,11 @@ func TestV1DataDirBootsAndMigrates(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	if got := b.BootStats().SnapshotLoaded; filepath.Base(got) != snapshotName(49) {
+	if got := b.BootStats().SnapshotLoaded; filepath.Base(got) != snapshotName(23) {
 		t.Fatalf("second boot loaded %s, want the migrated file", got)
 	}
-	if got := gridHash(b.Model()); got != legacyGrid {
-		t.Fatalf("the migrated dir boots to grid %s, want %s", got, legacyGrid)
+	if got := gridHash(b.Model()); got != offScaleGrid {
+		t.Fatalf("the migrated dir boots to grid %s, want %s", got, offScaleGrid)
 	}
 }
 

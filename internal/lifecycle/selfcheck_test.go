@@ -212,18 +212,35 @@ func TestSelfCheckCatchesEverySingleFlip(t *testing.T) {
 			sp.GIS.IDs[rawEntry(t, base.GIS(), full)*similarity.IDWidth(len(sp.GIS.Lens))] ^= 1
 		}},
 		{"one byte of Set", fmt.Sprintf("item %d ", full), func(t *testing.T, sp *core.SharedPart) {
-			// Every gap in the base model is one byte below 128, so the
-			// flip keeps the byte a whole uvarint: item full's first id
-			// moves by one and its later ids with it.
-			at := 0
-			for i := 0; i < full; i++ {
-				at += int(sp.GIS.Lens[i])
+			// The lowest low bit of the Rice code of item full's first
+			// gap flips: that id moves by one and its later ids with it.
+			code := &sp.GIS.SetCode
+			if code.K == 0 {
+				t.Fatal("the set code has k = 0: no low bit to flip")
 			}
-			if len(sp.GIS.Set) != base.GIS().TotalNeighbors() {
-				t.Fatalf("%d set bytes for %d entries: a gap of 128 or more", len(sp.GIS.Set), base.GIS().TotalNeighbors())
+			bit := 0
+			for i := 0; i <= full; i++ {
+				ids := make([]int32, 0, len(base.GIS().Neighbors(i)))
+				for _, n := range base.GIS().Neighbors(i) {
+					ids = append(ids, n.Index)
+				}
+				slices.Sort(ids)
+				prev := int32(-1)
+				for _, id := range ids {
+					q := int(uint64(id-prev-1) >> code.K)
+					if q >= 32 {
+						t.Fatalf("item %d's gap before id %d escapes the unary code", i, id)
+					}
+					if i == full {
+						bit += q + 1
+						break
+					}
+					bit += q + 1 + int(code.K)
+					prev = id
+				}
 			}
-			sp.GIS.Set = slices.Clone(sp.GIS.Set)
-			sp.GIS.Set[at] ^= 1
+			code.Bits = slices.Clone(code.Bits)
+			code.Bits[bit/8] ^= 1 << (bit % 8)
 		}},
 		{"one bit of Scores", "GIS list of item", func(t *testing.T, sp *core.SharedPart) {
 			withScores(t, sp, false, rawEntry(t, base.GIS(), full))

@@ -1,17 +1,16 @@
 package mathx
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math"
+)
 
 // The gap code stores an ascending sequence of distinct ids, each as
 // uvarint(id − previous − 1), the first as uvarint(id): ids that sit
 // close together cost a byte each, and a repeated or out-of-order id
-// cannot be written. Model files store GIS id sets and matrix rows in it.
-
-// AppendGap appends the gap code of id, the next id of an ascending
-// sequence after prev (-1 before the first).
-func AppendGap(dst []byte, prev, id int32) []byte {
-	return binary.AppendUvarint(dst, uint64(id-prev-1))
-}
+// cannot be written. Version 2 model files store GIS id sets and matrix
+// rows in it. Nothing writes it any more — version 3 files Rice-code the
+// same gaps (rice.go) — and NextGap reads the version 2 files.
 
 // NextGap decodes the id after prev (-1 before the first) from the gap
 // code at the start of b and returns it with the bytes its code took:
@@ -26,8 +25,19 @@ func NextGap(b []byte, prev int32, limit int) (id int32, n int) {
 	} else if n == 0 {
 		return 0, 0
 	}
-	if room := limit - 1 - int(prev); room <= 0 || gap >= uint64(room) {
+	id, ok := GapID(prev, gap, limit)
+	if !ok {
 		return 0, -1
 	}
-	return prev + 1 + int32(gap), n
+	return id, n
+}
+
+// GapID is the id a gap places after prev (-1 before the first):
+// prev + 1 + gap. ok is false when that id would be limit or more, or
+// past the int32 ids hold.
+func GapID(prev int32, gap uint64, limit int) (id int32, ok bool) {
+	if room := min(limit, math.MaxInt32) - 1 - int(prev); room <= 0 || gap >= uint64(room) {
+		return 0, false
+	}
+	return prev + 1 + int32(gap), true
 }

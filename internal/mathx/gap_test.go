@@ -1,9 +1,17 @@
 package mathx
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 )
+
+// appendGap appends the gap code of id, the next id of an ascending
+// sequence after prev (-1 before the first), as version 2 model files
+// were written.
+func appendGap(dst []byte, prev, id int32) []byte {
+	return binary.AppendUvarint(dst, uint64(id-prev-1))
+}
 
 // TestGapRoundTrip: ascending ids, the first at 0, gaps of one byte and
 // of several, come back from their gap code whole, each taking the bytes
@@ -13,7 +21,7 @@ func TestGapRoundTrip(t *testing.T) {
 	var b []byte
 	prev := int32(-1)
 	for _, id := range ids {
-		b = AppendGap(b, prev, id)
+		b = appendGap(b, prev, id)
 		prev = id
 	}
 	prev = -1
@@ -29,14 +37,14 @@ func TestGapRoundTrip(t *testing.T) {
 	if off != len(b) {
 		t.Fatalf("%d of %d bytes read", off, len(b))
 	}
-	if n := len(AppendGap(nil, 4, 5)) + len(AppendGap(nil, -1, 127)); n != 2 {
+	if n := len(appendGap(nil, 4, 5)) + len(appendGap(nil, -1, 127)); n != 2 {
 		t.Fatalf("two one-byte gaps took %d bytes", n)
 	}
 }
 
 // TestNextGapRefuses: a code that runs past its bytes reads as 0 bytes,
 // and an id at the limit or past it — after the last id, or from a code
-// that overflows 64 bits — as -1.
+// that overflows 64 bits — or past the int32 ids as -1.
 func TestNextGapRefuses(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -52,6 +60,7 @@ func TestNextGapRefuses(t *testing.T) {
 		{"a limit of zero", []byte{0}, -1, 0, -1},
 		{"a two-byte gap past the limit", []byte{0x80, 0x01}, 0, 100, -1},
 		{"a code past 64 bits", []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}, -1, 10, -1},
+		{"past the int32 ids under a wider limit", []byte{5}, math.MaxInt32 - 2, math.MaxInt, -1},
 	} {
 		if id, n := NextGap(tc.b, tc.prev, tc.limit); n != tc.want {
 			t.Errorf("%s: id %d, n %d; want n %d", tc.name, id, n, tc.want)

@@ -15,7 +15,8 @@ import (
 //
 // A header row is detected and skipped automatically. Ids are remapped
 // to dense 0-based ids in first-seen order, as in ReadUData; the
-// timestamp column is optional and ignored.
+// timestamp column is optional and ignored. The matrix's scale is 1..5,
+// widened to cover every value read (MovieLens half stars: 0.5..5).
 func ReadRatingsCSV(r io.Reader) (*Matrix, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1 // validated manually: 3 or 4 columns
@@ -72,6 +73,7 @@ func ReadRatingsCSV(r io.Reader) (*Matrix, error) {
 			return nil, err
 		}
 	}
+	b.widenScale()
 	return b.Build(), nil
 }
 

@@ -2,6 +2,7 @@ package ratings
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -96,5 +97,40 @@ func TestReadAutoDispatch(t *testing.T) {
 	}
 	if _, err := ReadAuto(filepath.Join(dir, "missing.csv")); err == nil {
 		t.Error("missing file must error")
+	}
+}
+
+// TestReadersWidenTheScale: a file holding values off the default 1..5
+// scale — MovieLens half stars from 0.5, a 0..10 file — builds a matrix on
+// a scale covering every value, in both readers; a file on 1..5, or on a
+// narrower range, keeps 1..5.
+func TestReadersWidenTheScale(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		values   []string
+		min, max float64
+	}{
+		{"half stars", []string{"0.5", "3", "5"}, 0.5, 5},
+		{"zero to ten", []string{"0", "7", "10"}, 0, 10},
+		{"the default scale", []string{"1", "5"}, 1, 5},
+		{"a narrower range", []string{"2", "3"}, 1, 5},
+	} {
+		var csvIn, udata strings.Builder
+		for k, v := range tc.values {
+			fmt.Fprintf(&csvIn, "%d,%d,%s\n", k+1, 10+k, v)
+			fmt.Fprintf(&udata, "%d\t%d\t%s\t0\n", k+1, 10+k, v)
+		}
+		for reader, read := range map[string]func() (*Matrix, error){
+			"ReadRatingsCSV": func() (*Matrix, error) { return ReadRatingsCSV(strings.NewReader(csvIn.String())) },
+			"ReadUData":      func() (*Matrix, error) { return ReadUData(strings.NewReader(udata.String())) },
+		} {
+			m, err := read()
+			if err != nil {
+				t.Fatalf("%s, %s: %v", tc.name, reader, err)
+			}
+			if m.MinRating() != tc.min || m.MaxRating() != tc.max {
+				t.Errorf("%s, %s: scale %g..%g, want %g..%g", tc.name, reader, m.MinRating(), m.MaxRating(), tc.min, tc.max)
+			}
+		}
 	}
 }

@@ -16,7 +16,8 @@ import (
 //
 // Ids in the file are 1-based (as GroupLens ships them) and are remapped
 // to dense 0-based ids in first-seen order. The timestamp column is
-// optional; when present it is stored on the matrix (see HasTimes).
+// optional; when present it is stored on the matrix (see HasTimes). The
+// matrix's scale is 1..5, widened to cover every value read.
 // Blank lines and lines starting with '#' are skipped. A line is split at
 // Unicode white space, as strings.Fields splits it; a malformed line is
 // reported before any non-finite rating, wherever in the file either is.
@@ -73,6 +74,7 @@ func ReadUData(r io.Reader) (*Matrix, error) {
 	// the others then carry 0.
 	b := NewBuilder(len(userIDs), len(itemIDs))
 	b.triples, b.anyTimes = ts, anyTS
+	b.widenScale()
 	return b.Build(), nil
 }
 

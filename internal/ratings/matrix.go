@@ -157,6 +157,16 @@ func (b *Builder) SetScale(min, max float64) *Builder {
 	return b
 }
 
+// widenScale widens the scale to cover every value added so far. A file
+// reader calls it, so that a file holding values off the default 1..5
+// scale (MovieLens half stars, 0.5..5) builds a matrix on a scale its
+// values lie on; the scale is never narrower than the default.
+func (b *Builder) widenScale() {
+	for _, t := range b.triples {
+		b.minRating, b.maxRating = min(b.minRating, t.value), max(b.maxRating, t.value)
+	}
+}
+
 // Add records one rating. It returns an error for out-of-range ids or a
 // non-finite value.
 func (b *Builder) Add(user, item int, value float64) error {

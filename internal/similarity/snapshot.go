@@ -23,27 +23,29 @@ import (
 // mix in item attributes (BuildGISWithContent) carries its weights,
 // because no matrix reproduces them; its order is derived from them.
 //
-// The sets are stored flat and gap-coded: item i's list is the Lens[i]
+// The sets are stored flat and Rice-coded: item i's list is the Lens[i]
 // entries that follow the lists of the items before it, its ids
-// ascending, in Set in mathx's gap code — uvarint(id − previous id − 1),
-// the first as uvarint(id). A GIS's neighbour ids sit close together, so
-// an entry costs one byte on the wire (gob writes a []byte as one length
-// and the bytes), and a repeated or out-of-order id cannot be written at
-// all.
+// ascending, in SetCode as gaps — id − previous id − 1, the first as the
+// id itself — under one Rice parameter for the whole GIS
+// (mathx.EncodeRice). A GIS's neighbour ids sit close together: on the
+// ledger fixture a gap averages about 4 and an entry costs under 4 bits
+// at k = 2. A repeated or out-of-order id cannot be written at all.
 // Scores, when present, holds the weight of every entry of the ascending
 // sets, math.Float64bits, 8 bytes little-endian.
 type Snapshot struct {
-	Lens   []int32
-	Set    []byte
-	Scores []byte
-	Opts   GISOptions
+	Lens    []int32
+	SetCode mathx.RiceCode
+	Scores  []byte
+	Opts    GISOptions
 
-	// IDs, Index and Score, and Neighbors are the layouts earlier files
-	// carry, every list in list order: IDs each neighbour id in IDWidth
-	// bytes (with Scores, or alone when the weights are derived), Index
-	// and Score ids and weights, and Neighbors per-item lists. They are
-	// only ever decoded: Snapshot never fills them, and FromSnapshot
-	// refuses a value holding more than one layout.
+	// Set, IDs, Index and Score, and Neighbors are the layouts earlier
+	// files carry: Set the ascending sets with each gap a uvarint
+	// (mathx.NextGap), and every list in list order — IDs each neighbour
+	// id in IDWidth bytes (with Scores, or alone when the weights are
+	// derived), Index and Score ids and weights, and Neighbors per-item
+	// lists. They are only ever decoded: Snapshot never fills them, and
+	// FromSnapshot refuses a value holding more than one layout.
+	Set       []byte
 	IDs       []byte
 	Index     []int32
 	Score     []float64
@@ -67,7 +69,6 @@ func (g *GIS) Snapshot(withScores bool) Snapshot {
 	q, total := len(g.neighbors), g.TotalNeighbors()
 	s := Snapshot{
 		Lens: make([]int32, q),
-		Set:  make([]byte, 0, total),
 		Opts: g.opts,
 	}
 	if withScores {
@@ -75,7 +76,8 @@ func (g *GIS) Snapshot(withScores bool) Snapshot {
 	}
 	// Every list's ids in ascending order, without a comparison: a
 	// counting sort of all entries by id (byID holds each entry's owning
-	// item), dealt back to the owners in that order (sets).
+	// item), dealt back to the owners in that order (sets, which then
+	// turns, in place, into each list's gaps).
 	end := make([]int, q+1) // end[b+1]: past the last entry of id b in byID
 	for i, list := range g.neighbors {
 		s.Lens[i] = int32(len(list))
@@ -97,10 +99,10 @@ func (g *GIS) Snapshot(withScores bool) Snapshot {
 	for i := 1; i < q; i++ {
 		next[i] = next[i-1] + len(g.neighbors[i-1])
 	}
-	sets := make([]int32, total)
+	sets := make([]uint64, total)
 	for b, k := 0, 0; b < q; b++ {
 		for ; k < end[b]; k++ {
-			sets[next[byID[k]]] = int32(b)
+			sets[next[byID[k]]] = uint64(b)
 			next[byID[k]]++
 		}
 	}
@@ -116,43 +118,46 @@ func (g *GIS) Snapshot(withScores bool) Snapshot {
 				weight[n.Index] = n.Score
 			}
 		}
-		prev := int32(-1)
-		for _, id := range sets[k : k+len(list)] {
-			s.Set = mathx.AppendGap(s.Set, prev, id)
+		prev := uint64(0) // one past the previous id
+		for end := k + len(list); k < end; k++ {
+			id := sets[k]
+			sets[k] = id - prev
 			if withScores {
 				s.Scores = binary.LittleEndian.AppendUint64(s.Scores, math.Float64bits(weight[id]))
 			}
-			prev = id
+			prev = id + 1
 		}
-		k += len(list)
 	}
+	s.SetCode = mathx.EncodeRice(sets)
 	return s
 }
 
 // view is a validated snapshot: its per-item lengths, how many entries
 // they add up to, fill writing every entry into a slab in item order,
 // whether the entries carry their weights, and whether the lists are id
-// sets (the Set layout) rather than lists in list order.
+// sets (the SetCode or Set layout) rather than lists in list order.
 type view struct {
 	lens     []int32
 	total    int
-	fill     func(slab []mathx.Scored)
+	fill     func(slab []mathx.Scored) error
 	weighted bool
 	sets     bool
 }
 
-// view checks s's layout, lengths and ids. It refuses a snapshot carrying
-// more than one layout, lengths that are negative or do not add up to the
-// entries present, and — naming the item and the entry — a neighbour id
-// outside the items the snapshot covers; of the Set layout also an id gap
-// that runs past the bytes, and bytes left over after the last entry.
+// view checks s's layout and lengths, and the ids of the layouts in list
+// order. It refuses a snapshot carrying more than one layout, lengths
+// that are negative or do not add up to the entries present, a SetCode
+// parameter past mathx.MaxRiceK, and — naming the item and the entry — a
+// neighbour id outside the items the snapshot covers. A set layout's ids
+// are checked as fill decodes them (walkSet).
 func (s *Snapshot) view() (view, error) {
-	sets := len(s.Set) > 0
+	rice, gaps := len(s.SetCode.Bits) > 0 || s.SetCode.K != 0, len(s.Set) > 0
+	sets := rice || gaps
 	raw := len(s.IDs) > 0 || len(s.Scores) > 0 && !sets
 	flat, perItem := len(s.Index) > 0 || len(s.Score) > 0, len(s.Neighbors) > 0
 	lens := s.Lens
 	switch {
-	case perItem && (sets || raw || flat || len(s.Lens) > 0), raw && flat, sets && (raw || flat):
+	case perItem && (sets || raw || flat || len(s.Lens) > 0), raw && flat, sets && (raw || flat), rice && gaps:
 		return view{}, fmt.Errorf("similarity: snapshot carries more than one neighbour layout")
 	case perItem:
 		lens = make([]int32, len(s.Neighbors))
@@ -160,14 +165,19 @@ func (s *Snapshot) view() (view, error) {
 			lens[i] = int32(len(list))
 		}
 	}
+	if err := s.SetCode.Check(); err != nil {
+		return view{}, fmt.Errorf("similarity: snapshot set code: %w", err)
+	}
 
-	// have is how many entries the layout offers — a set entry takes at
-	// least one byte; summing the lengths stops once it is passed, so no
-	// sum of int32s can overflow.
-	w := IDWidth(len(lens))
+	// have is how many entries the layout offers — a Rice-coded set entry
+	// takes at least k+1 bits, a gap-coded one a byte; summing the lengths
+	// stops once it is passed, so no sum of int32s can overflow.
+	w, minBits := IDWidth(len(lens)), 8
 	have := len(s.Index)
 	switch {
-	case sets:
+	case rice:
+		have, minBits = s.SetCode.MaxValues(), int(s.SetCode.K)+1
+	case gaps:
 		have = len(s.Set)
 	case raw:
 		have = len(s.IDs) / w
@@ -185,8 +195,8 @@ func (s *Snapshot) view() (view, error) {
 	}
 	switch {
 	case sets && (total > have || len(s.Scores) != 0 && len(s.Scores) != total*8):
-		return view{}, fmt.Errorf("similarity: snapshot holds %d set bytes and %d score bytes for %d neighbour slots of at least 1(+8) bytes",
-			len(s.Set), len(s.Scores), total)
+		return view{}, fmt.Errorf("similarity: snapshot holds %d set bytes and %d score bytes for %d neighbour slots of at least %d bits (+8 bytes)",
+			len(s.SetCode.Bits)+len(s.Set), len(s.Scores), total, minBits)
 	case raw && (len(s.IDs) != total*w || len(s.Scores) != 0 && len(s.Scores) != total*8):
 		return view{}, fmt.Errorf("similarity: snapshot holds %d id bytes and %d score bytes for %d neighbour slots of %d(+8) bytes",
 			len(s.IDs), len(s.Scores), total, w)
@@ -203,14 +213,14 @@ func (s *Snapshot) view() (view, error) {
 		return math.Float64frombits(binary.LittleEndian.Uint64(s.Scores[8*k:]))
 	}
 	if sets {
-		if err := s.walkSet(nil); err != nil {
-			return view{}, err
-		}
-		v.fill = func(slab []mathx.Scored) {
-			_ = s.walkSet(slab)
+		v.fill = func(slab []mathx.Scored) error {
+			if err := s.walkSet(slab); err != nil {
+				return err
+			}
 			for k := range slab {
 				slab[k].Score = score(k)
 			}
+			return nil
 		}
 		return v, nil
 	}
@@ -243,32 +253,57 @@ func (s *Snapshot) view() (view, error) {
 			k++
 		}
 	}
-	v.fill = func(slab []mathx.Scored) {
+	v.fill = func(slab []mathx.Scored) error {
 		for k := range slab {
 			slab[k] = at(k)
 		}
+		return nil
 	}
 	return v, nil
 }
 
-// walkSet decodes the Set layout, writing each entry's id into slab, in
-// item order, unless slab is nil. It refuses, naming the item and the
-// entry, an id gap that runs past the bytes or reaches past the items the
-// snapshot covers, and bytes left over after the last entry.
+// walkSet decodes a set layout — SetCode or Set, whichever s carries —
+// writing each entry's id into slab, in item order, unless slab is nil.
+// It refuses, naming the item and the entry, a code that runs past the
+// bytes and an id that reaches past the items the snapshot covers, and
+// bytes or nonzero pad bits left over after the last entry.
 func (s *Snapshot) walkSet(slab []mathx.Scored) error {
-	q := len(s.Lens)
+	q, total := len(s.Lens), 0
+	for _, n := range s.Lens {
+		total += int(n)
+	}
+	var gaps *mathx.RiceReader // nil for the Set layout
+	if len(s.Set) == 0 {
+		var err error
+		if gaps, err = s.SetCode.Reader(total); err != nil {
+			return fmt.Errorf("similarity: snapshot set code: %w", err)
+		}
+	}
 	off, k := 0, 0
 	for i, n := range s.Lens {
 		prev := int32(-1)
 		for j := 0; j < int(n); j++ {
-			id, w := mathx.NextGap(s.Set[off:], prev, q)
-			switch {
-			case w == 0:
-				return fmt.Errorf("similarity: snapshot item %d entry %d: the id gap runs past the %d set bytes", i, j, len(s.Set))
-			case w < 0:
-				return fmt.Errorf("similarity: snapshot item %d entry %d: the id after neighbour %d passes the %d items it covers", i, j, prev, q)
+			var id int32
+			if gaps != nil {
+				gap, err := gaps.Next()
+				if err != nil {
+					return fmt.Errorf("similarity: snapshot item %d entry %d: %w", i, j, err)
+				}
+				var ok bool
+				if id, ok = mathx.GapID(prev, gap, q); !ok {
+					return fmt.Errorf("similarity: snapshot item %d entry %d: the id after neighbour %d passes the %d items it covers", i, j, prev, q)
+				}
+			} else {
+				var w int
+				id, w = mathx.NextGap(s.Set[off:], prev, q)
+				switch {
+				case w == 0:
+					return fmt.Errorf("similarity: snapshot item %d entry %d: the id gap runs past the %d set bytes", i, j, len(s.Set))
+				case w < 0:
+					return fmt.Errorf("similarity: snapshot item %d entry %d: the id after neighbour %d passes the %d items it covers", i, j, prev, q)
+				}
+				off += w
 			}
-			off += w
 			prev = id
 			if slab != nil {
 				slab[k].Index = id
@@ -276,16 +311,23 @@ func (s *Snapshot) walkSet(slab []mathx.Scored) error {
 			k++
 		}
 	}
-	if off != len(s.Set) {
+	if gaps != nil {
+		if err := gaps.End(); err != nil {
+			return fmt.Errorf("similarity: snapshot set code after the list of item %d, its last: %w", q-1, err)
+		}
+	} else if off != len(s.Set) {
 		return fmt.Errorf("similarity: snapshot holds %d set bytes after the list of item %d, its last", len(s.Set)-off, q-1)
 	}
 	return nil
 }
 
-// Check validates s without decoding it, as FromSnapshot does before
-// anything else (view), and returns the number of items it covers.
+// Check validates s, as FromSnapshot does before deriving anything, and
+// returns the number of items it covers.
 func (s Snapshot) Check() (int, error) {
 	v, err := s.view()
+	if err == nil && v.sets {
+		err = s.walkSet(nil)
+	}
 	return len(v.lens), err
 }
 
@@ -311,7 +353,9 @@ func FromSnapshot(s Snapshot, m *ratings.Matrix) (*GIS, error) {
 	}
 
 	slab := make([]mathx.Scored, v.total)
-	v.fill(slab)
+	if err := v.fill(slab); err != nil {
+		return nil, err
+	}
 	g := &GIS{neighbors: make([][]mathx.Scored, len(v.lens)), opts: s.Opts}
 	off := 0
 	for i, n := range v.lens {

@@ -15,11 +15,11 @@ import (
 
 // TestSnapshotRoundTrip: a GIS survives Snapshot → gob → FromSnapshot
 // entry for entry, items without neighbours included, both with its
-// weights derived from the matrix (1 byte an entry: the id sets alone,
-// every gap below 128 in a 30-item GIS) and with them carried (1+8 bytes
-// an entry), its list order derived either way; and the layouts earlier
-// files carry — ids in list order, ids and weights, per-item lists —
-// decode to the same GIS.
+// weights derived from the matrix (the Rice-coded id sets alone, under a
+// byte an entry: every gap is below 128 in a 30-item GIS) and with them
+// carried (+8 bytes an entry), its list order derived either way; and the
+// layouts earlier files carry — gap-coded sets, ids in list order, ids
+// and weights, per-item lists — decode to the same GIS.
 func TestSnapshotRoundTrip(t *testing.T) {
 	opts := GISOptions{Metric: PCC, TopN: 7, MinCoRatings: 2}
 	m := denseRandom(t, 40, 30, 0.3, 5)
@@ -32,15 +32,15 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	for _, weighted := range []bool{false, true} {
 		ctx := fmt.Sprintf("set layout, weights carried=%v", weighted)
 		snap := g.Snapshot(weighted)
-		if snap.IDs != nil || snap.Index != nil || snap.Score != nil || snap.Neighbors != nil {
+		if snap.Set != nil || snap.IDs != nil || snap.Index != nil || snap.Score != nil || snap.Neighbors != nil {
 			t.Fatal("Snapshot filled a decode-only layout")
 		}
 		n, scoreBytes := g.TotalNeighbors(), 0
 		if weighted {
 			scoreBytes = 8 * g.TotalNeighbors()
 		}
-		if len(snap.Set) != n || len(snap.Scores) != scoreBytes {
-			t.Fatalf("%s: %d entries take %d set bytes and %d score bytes, want %d and %d", ctx, n, len(snap.Set), len(snap.Scores), n, scoreBytes)
+		if len(snap.SetCode.Bits) == 0 || len(snap.SetCode.Bits) >= n || len(snap.Scores) != scoreBytes {
+			t.Fatalf("%s: %d entries take %d set bytes and %d score bytes, want 1 to %d and %d", ctx, n, len(snap.SetCode.Bits), len(snap.Scores), n-1, scoreBytes)
 		}
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
@@ -82,6 +82,12 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	requireSameGIS(t, g, ordered, "ids in list order")
 
+	gapped, err := FromSnapshot(gapCoded(g), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameGIS(t, g, gapped, "gap-coded sets")
+
 	v2 := Snapshot{Lens: g.Snapshot(false).Lens, Opts: opts}
 	for i := 0; i < g.NumItems(); i++ {
 		for _, n := range g.Neighbors(i) {
@@ -101,8 +107,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	requireSameGIS(t, g, v1, "per-item layout")
 }
 
-// TestSnapshotWideIDs: a GIS over more than 65 536 items gap-codes its
-// ids above 65 535 in more than one byte and they come back whole; the
+// TestSnapshotWideIDs: a GIS over more than 65 536 items codes gaps of
+// 65 536 and more and they come back whole, Rice-coded and gap-coded; the
 // IDs layout spends 4 bytes an id there, and an id it holds past the
 // catalogue is refused naming the item and the entry.
 func TestSnapshotWideIDs(t *testing.T) {
@@ -111,14 +117,20 @@ func TestSnapshotWideIDs(t *testing.T) {
 	g.neighbors[0] = []mathx.Scored{{Index: q - 1, Score: .75}, {Index: 1 << 16, Score: .5}}
 	g.neighbors[q-1] = []mathx.Scored{{Index: 0, Score: .25}}
 	snap := g.Snapshot(true)
-	if want := binary.PutUvarint(make([]byte, binary.MaxVarintLen64), 1<<16) + 1 + 1; len(snap.Set) != want {
-		t.Fatalf("%d set bytes for 3 entries, want %d", len(snap.Set), want)
-	}
 	got, err := FromSnapshot(snap, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireSameGIS(t, g, got, "wide set")
+	gapped := gapCoded(g)
+	gapped.Scores = snap.Scores
+	if want := binary.PutUvarint(make([]byte, binary.MaxVarintLen64), 1<<16) + 1 + 1; len(gapped.Set) != want {
+		t.Fatalf("%d gap-coded set bytes for 3 entries, want %d", len(gapped.Set), want)
+	}
+	if got, err = FromSnapshot(gapped, nil); err != nil {
+		t.Fatal(err)
+	}
+	requireSameGIS(t, g, got, "wide gap-coded set")
 
 	wide := Snapshot{Lens: snap.Lens, IDs: rawIDs(4, q-1, 1<<16, 0), Scores: rawScores(.75, .5, .25)}
 	if IDWidth(q) != 4 || IDWidth(1<<16) != 2 {
@@ -146,6 +158,35 @@ func listOrdered(g *GIS) Snapshot {
 	}
 	return s
 }
+
+// gapCoded is g in the Set layout model file version 2 carries: each
+// list's ascending ids, each gap a uvarint, the weights left to derive.
+func gapCoded(g *GIS) Snapshot {
+	s := Snapshot{Lens: make([]int32, g.NumItems()), Opts: g.opts}
+	for i, list := range g.neighbors {
+		s.Lens[i] = int32(len(list))
+		ids := make([]int32, 0, len(list))
+		for _, n := range list {
+			ids = append(ids, n.Index)
+		}
+		slices.Sort(ids)
+		s.Set = appendGaps(s.Set, ids...)
+	}
+	return s
+}
+
+// appendGaps gap-codes ascending ids onto dst, the first after -1.
+func appendGaps(dst []byte, ids ...int32) []byte {
+	prev := int32(-1)
+	for _, id := range ids {
+		dst = binary.AppendUvarint(dst, uint64(id-prev-1))
+		prev = id
+	}
+	return dst
+}
+
+// riceSet Rice-codes the gaps given, as Snapshot codes a GIS's.
+func riceSet(gaps ...uint64) mathx.RiceCode { return mathx.EncodeRice(gaps) }
 
 // rawIDs and rawScores encode a version-3 Snapshot's entries by hand.
 func rawIDs(width int, ids ...uint32) []byte {
@@ -211,15 +252,49 @@ var snapshotRefusals = []struct {
 	{"set and flat layouts", Snapshot{Lens: []int32{1, 1}, Set: []byte{1, 0}, Index: []int32{1, 0}, Score: []float64{.5, .4}}},
 	{"set and per-item layouts", Snapshot{Set: []byte{0}, Neighbors: [][]mathx.Scored{{{Index: 0, Score: .5}}}}},
 	{"set ids without weights or a matrix", Snapshot{Lens: []int32{1, 1}, Set: []byte{1, 0}}},
+	{"set code past its bytes", Snapshot{Lens: []int32{1, 0}, SetCode: mathx.RiceCode{K: 7, Bits: []byte{0x01}}, Scores: rawScores(.5)}},
+	{"set code id past the catalogue", Snapshot{Lens: []int32{1, 1}, SetCode: riceSet(2, 0), Scores: rawScores(.5, .4)}},
+	{"set code id past the catalogue after a gap", Snapshot{Lens: []int32{2, 0}, SetCode: riceSet(0, 1), Scores: rawScores(.5, .4)}},
+	{"set code bytes left over", Snapshot{Lens: []int32{1, 0}, SetCode: mathx.RiceCode{Bits: []byte{0x02, 0}}, Scores: rawScores(.5)}},
+	{"set code pad bits", Snapshot{Lens: []int32{1, 0}, SetCode: mathx.RiceCode{Bits: []byte{0x12}}, Scores: rawScores(.5)}},
+	{"set code k past 63", Snapshot{Lens: []int32{1, 0}, SetCode: mathx.RiceCode{K: 64, Bits: make([]byte, 9)}, Scores: rawScores(.5)}},
+	{"set code and gap-coded set", Snapshot{Lens: []int32{1, 1}, SetCode: riceSet(1, 0), Set: []byte{1, 0}, Scores: rawScores(.5, .4)}},
+	{"set code and raw layouts", Snapshot{Lens: []int32{1, 1}, SetCode: riceSet(1, 0), IDs: rawIDs(2, 1, 0), Scores: rawScores(.5, .4)}},
+	{"set code and per-item layouts", Snapshot{SetCode: riceSet(0), Neighbors: [][]mathx.Scored{{{Index: 0, Score: .5}}}}},
+	{"set code ids without weights or a matrix", Snapshot{Lens: []int32{1, 1}, SetCode: riceSet(1, 0)}},
 }
 
-// TestFromSnapshotNamesTheSetFault: each refusal of a malformed set names
-// the item and the entry it found the fault at, or, for bytes left after
-// the last entry, the last item.
+// TestFromSnapshotNamesTheSetFault: each refusal of a malformed set,
+// Rice-coded or gap-coded, names the item and the entry it found the
+// fault at, or, for what is left after the last entry, the last item.
 func TestFromSnapshotNamesTheSetFault(t *testing.T) {
-	sound := Snapshot{Lens: []int32{0, 2, 1}, Set: []byte{0, 0, 0}, Scores: rawScores(.5, .4, .3)}
+	sound := Snapshot{Lens: []int32{0, 2, 1}, SetCode: riceSet(0, 0, 0), Scores: rawScores(.5, .4, .3)}
 	if _, err := FromSnapshot(sound, nil); err != nil {
 		t.Fatalf("the sound snapshot: %v", err)
+	}
+	for _, tc := range []struct {
+		name, want string
+		code       mathx.RiceCode
+	}{
+		{"a code running past the bytes", "item 1 entry 1: the code at bit 1 runs past the 1 bytes", mathx.RiceCode{Bits: []byte{0xfe}}},
+		{"an id past the catalogue", "item 1 entry 1: the id after neighbour 0 passes the 3 items", riceSet(0, 2, 0)},
+		{"a first id past the catalogue", "item 2 entry 0: the id after neighbour -1 passes the 3 items", riceSet(0, 0, 3)},
+		{"bytes left over", "after the list of item 2, its last: 1 bytes left over", mathx.RiceCode{Bits: []byte{0, 0}}},
+		{"nonzero pad bits", "after the list of item 2, its last: nonzero pad bits", mathx.RiceCode{Bits: []byte{0x08}}},
+		{"k past 63", "set code: Rice parameter k = 64, past 63", mathx.RiceCode{K: 64, Bits: make([]byte, 64)}},
+	} {
+		t.Run("Rice-coded: "+tc.name, func(t *testing.T) {
+			snap := sound
+			snap.SetCode = tc.code
+			if _, err := FromSnapshot(snap, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want one containing %q", err, tc.want)
+			}
+		})
+	}
+
+	sound = Snapshot{Lens: []int32{0, 2, 1}, Set: []byte{0, 0, 0}, Scores: rawScores(.5, .4, .3)}
+	if _, err := FromSnapshot(sound, nil); err != nil {
+		t.Fatalf("the sound gap-coded snapshot: %v", err)
 	}
 	for _, tc := range []struct {
 		name, want string
@@ -268,8 +343,8 @@ func TestFromSnapshotNamesTheStrayNeighbour(t *testing.T) {
 	}
 }
 
-// FuzzFromSnapshot: whatever the slices hold, FromSnapshot either refuses
-// or returns a GIS of one layout whose lists are exactly the lengths
+// FuzzFromSnapshot: whatever the slices and the Rice code hold,
+// FromSnapshot either refuses or returns a GIS of one layout whose lists are exactly the lengths
 // asked for, every id within the catalogue and, from a set, none twice. Without a matrix to derive
 // weights from, a snapshot carrying none is refused. Lengths come in as signed
 // bytes so negatives are common; ids and scores as raw bytes.
@@ -279,16 +354,19 @@ func FuzzFromSnapshot(f *testing.F) {
 		for i, n := range tc.snap.Lens {
 			lens[i] = byte(int8(n))
 		}
-		f.Add(lens, len(tc.snap.Index), len(tc.snap.Score), len(tc.snap.Neighbors) > 0, tc.snap.IDs, tc.snap.Scores, tc.snap.Set)
+		f.Add(lens, len(tc.snap.Index), len(tc.snap.Score), len(tc.snap.Neighbors) > 0, tc.snap.IDs, tc.snap.Scores, tc.snap.Set, tc.snap.SetCode.K, tc.snap.SetCode.Bits)
 	}
-	f.Add([]byte{2, 0, 1}, 3, 3, false, []byte(nil), []byte(nil), []byte(nil))
-	f.Add([]byte{2, 0, 1}, 0, 0, false, rawIDs(2, 1, 2, 0), rawScores(.5, .4, .3), []byte(nil))
-	f.Add([]byte{2, 0, 1}, 0, 0, false, []byte(nil), rawScores(.5, .4, .3), []byte{1, 0, 0})
-	f.Fuzz(func(t *testing.T, lens []byte, nIndex, nScore int, both bool, ids, scores, set []byte) {
+	f.Add([]byte{2, 0, 1}, 3, 3, false, []byte(nil), []byte(nil), []byte(nil), uint8(0), []byte(nil))
+	f.Add([]byte{2, 0, 1}, 0, 0, false, rawIDs(2, 1, 2, 0), rawScores(.5, .4, .3), []byte(nil), uint8(0), []byte(nil))
+	f.Add([]byte{2, 0, 1}, 0, 0, false, []byte(nil), rawScores(.5, .4, .3), []byte{1, 0, 0}, uint8(0), []byte(nil))
+	code := riceSet(1, 0, 0)
+	f.Add([]byte{2, 0, 1}, 0, 0, false, []byte(nil), rawScores(.5, .4, .3), []byte(nil), code.K, code.Bits)
+	f.Fuzz(func(t *testing.T, lens []byte, nIndex, nScore int, both bool, ids, scores, set []byte, k uint8, code []byte) {
 		if nIndex < 0 || nIndex > 1<<12 || nScore < 0 || nScore > 1<<12 {
 			return
 		}
-		s := Snapshot{Index: make([]int32, nIndex), Score: make([]float64, nScore), IDs: ids, Scores: scores, Set: set}
+		s := Snapshot{Index: make([]int32, nIndex), Score: make([]float64, nScore), IDs: ids, Scores: scores, Set: set,
+			SetCode: mathx.RiceCode{K: k, Bits: code}}
 		for _, n := range lens {
 			s.Lens = append(s.Lens, int32(int8(n)))
 		}
@@ -299,7 +377,8 @@ func FuzzFromSnapshot(f *testing.F) {
 		if err != nil {
 			return
 		}
-		sets := len(set) > 0
+		rice, gaps := len(code) > 0 || k != 0, len(set) > 0
+		sets := rice || gaps
 		raw, flat := len(ids) > 0 || len(scores) > 0 && !sets, nIndex+nScore > 0
 		if both {
 			if sets || raw || flat || len(lens) > 0 {
@@ -307,7 +386,7 @@ func FuzzFromSnapshot(f *testing.F) {
 			}
 			return
 		}
-		if raw && flat || sets && (raw || flat) {
+		if raw && flat || sets && (raw || flat) || rice && gaps {
 			t.Fatal("accepted a snapshot carrying more than one layout")
 		}
 		total := 0
