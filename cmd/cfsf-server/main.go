@@ -24,10 +24,11 @@
 // SIGKILL loses nothing (see the README's "Durability & operations").
 // The offline phase then only runs on the very first boot — later boots
 // recover from the snapshot, and a boot that finds no loadable snapshot
-// but a WAL that no longer starts at sequence 1 (or only a monolithic
-// snap-*.gob from before manifests) exits with an error rather than
-// retrain over lost ratings. A data dir an older build wrote, with
-// manifests over shard blobs, boots and is migrated to snapshot files.
+// but a WAL that no longer starts at sequence 1, or only recovery points
+// in a format this build no longer reads, exits with an error rather than
+// retrain over lost ratings. A build reads the model file version it
+// writes and the one before it; the error names the older build that
+// migrates anything earlier (DESIGN §12).
 // The write queue has one drain rule — whatever is queued folds in one
 // apply, so -queue-cap also bounds a batch — and -batch-wait can delay
 // each drain to let more ratings coalesce.

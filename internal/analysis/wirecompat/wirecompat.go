@@ -21,11 +21,16 @@
 //   - shape unchanged, version changed: a bump (or revert) without a
 //     shape change — reported at the constant;
 //   - no golden entry: new wire type — record it with
-//     `cfsf-lint -update-wire-golden`.
+//     `cfsf-lint -update-wire-golden`;
+//   - a golden entry with no wire type: the type was deleted, so nothing
+//     decodes that format any more — drop the entry with
+//     `cfsf-lint -update-wire-golden`. Reported at the package clause,
+//     in packages with no wire type left too.
 //
 // With Update set (the driver's -update-wire-golden), each package's
 // golden is rewritten from the current source instead of reported
-// against; review the diff like any other contract change.
+// against, and deleted when the package has no wire type; review the diff
+// like any other contract change.
 package wirecompat
 
 import (
@@ -92,20 +97,35 @@ func run(pass *analysis.Pass) error {
 			}
 		}
 	}
-	if len(wires) == 0 {
+	if len(pass.Files) == 0 {
 		return nil
 	}
-	path := filepath.Join(dirOf(pass, wires[0].typePos), GoldenFile)
+	pkgPos := pass.Files[0].Name.Pos()
+	path := filepath.Join(filepath.Dir(pass.Fset.Position(pkgPos).Filename), GoldenFile)
 	if Update {
 		return writeGolden(path, wires)
 	}
 	golden, err := readGolden(path)
 	if err != nil {
-		pass.Reportf(wires[0].typePos.Pos(), "wirecompat: reading %s: %v", GoldenFile, err)
+		pass.Reportf(pkgPos, "wirecompat: reading %s: %v", GoldenFile, err)
 		return nil
 	}
+	declared := map[string]bool{}
 	for _, w := range wires {
+		declared[w.name] = true
 		check(pass, w, golden)
+	}
+	var gone []string
+	for name := range golden {
+		if !declared[name] {
+			gone = append(gone, name)
+		}
+	}
+	sort.Strings(gone)
+	for _, name := range gone {
+		pass.Reportf(pkgPos,
+			"%s records wire type %s, which no //cfsf:wire type in this package declares: nothing decodes that format any more, drop the entry with `cfsf-lint -update-wire-golden`",
+			GoldenFile, name)
 	}
 	return nil
 }
@@ -185,10 +205,6 @@ func check(pass *analysis.Pass, w wireType, golden map[string]goldenEntry) {
 	}
 }
 
-func dirOf(pass *analysis.Pass, n ast.Node) string {
-	return filepath.Dir(pass.Fset.Position(n.Pos()).Filename)
-}
-
 func readGolden(path string) (map[string]goldenEntry, error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -204,7 +220,15 @@ func readGolden(path string) (map[string]goldenEntry, error) {
 	return out, nil
 }
 
+// writeGolden records wires in the golden at path, or deletes it when
+// there are none.
 func writeGolden(path string, wires []wireType) error {
+	if len(wires) == 0 {
+		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+			return err
+		}
+		return nil
+	}
 	out := make(map[string]goldenEntry, len(wires))
 	for _, w := range wires {
 		out[w.name] = goldenEntry{Version: w.version, Fields: w.fields}

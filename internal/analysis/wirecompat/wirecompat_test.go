@@ -22,6 +22,36 @@ func TestInSync(t *testing.T) {
 	analysistest.Run(t, "testdata", wirecompat.Analyzer, "wireok")
 }
 
+// TestGoldenEntryWithoutAWireType: an entry whose type is gone is
+// reported, in a package that still declares other wire types and in one
+// that declares none.
+func TestGoldenEntryWithoutAWireType(t *testing.T) {
+	analysistest.Run(t, "testdata", wirecompat.Analyzer, "wirestale", "wiregone")
+}
+
+// TestUpdateDropsGoneEntries: -update-wire-golden drops an entry whose
+// type is gone and deletes a golden it leaves empty, after which the
+// normal mode is clean.
+func TestUpdateDropsGoneEntries(t *testing.T) {
+	for _, pkg := range []string{"wirestale", "wiregone"} {
+		t.Run(pkg, func(t *testing.T) {
+			tmp := copyFixture(t, pkg, map[string]string{`// want "records wire type`: `// was "records wire type`}, true)
+			wirecompat.Update = true
+			defer func() { wirecompat.Update = false }()
+			analysistest.Run(t, tmp, wirecompat.Analyzer, pkg)
+			wirecompat.Update = false
+			data, err := os.ReadFile(filepath.Join(tmp, "src", pkg, wirecompat.GoldenFile))
+			switch {
+			case pkg == "wiregone" && !os.IsNotExist(err):
+				t.Fatalf("update left the golden of a package with no wire type: %q, %v", data, err)
+			case pkg == "wirestale" && (err != nil || strings.Contains(string(data), "legacy") || !strings.Contains(string(data), "record")):
+				t.Fatalf("update wrote %q, %v; want the record entry alone", data, err)
+			}
+			analysistest.Run(t, tmp, wirecompat.Analyzer, pkg)
+		})
+	}
+}
+
 // TestVersionRevertFails is the negative test the contract demands:
 // take the in-sync fixture and delete its version bump — the analyzer
 // must fail.

@@ -2,8 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"math/rand"
@@ -12,15 +10,16 @@ import (
 	"testing"
 
 	"cfsf/internal/cluster"
+	"cfsf/internal/mathx"
 	"cfsf/internal/ratings"
 	"cfsf/internal/similarity"
 	"cfsf/internal/synth"
 )
 
-// requireLoadsAsLive: the one-file form and the manifest's blobs of mod,
-// written and loaded back, serve mod's GIS — ids, order and weight bits —
-// and its clustering, and so the model mod is: every Predict on a strided
-// grid and every third user's Recommend.
+// requireLoadsAsLive: mod's model file, written and loaded back, serves
+// mod's GIS — ids, order and weight bits — and its clustering, and so the
+// model mod is: every Predict on a strided grid and every third user's
+// Recommend.
 func requireLoadsAsLive(t *testing.T, mod *Model, ctx string) {
 	t.Helper()
 	var buf bytes.Buffer
@@ -32,22 +31,17 @@ func requireLoadsAsLive(t *testing.T, mod *Model, ctx string) {
 		t.Fatalf("%s: Load: %v", ctx, err)
 	}
 	requireSameGIS(t, mod.GIS(), loaded.GIS(), ctx+": Load(Save)")
-	shared, shards := saveParts(t, mod)
-	assembled := assembleFromParts(t, shared, shards)
-	requireSameGIS(t, mod.GIS(), assembled.GIS(), ctx+": assembled from the blobs")
 	requireSameClusters(t, mod.Clusters(), loaded.Clusters(), ctx+": Load(Save)")
-	for _, got := range []*Model{loaded, assembled} {
-		for u := 0; u < mod.Matrix().NumUsers(); u += 37 {
-			for i := 0; i < mod.Matrix().NumItems(); i += 13 {
-				if a, b := mod.Predict(u, i), got.Predict(u, i); a != b {
-					t.Fatalf("%s: Predict(%d, %d) = %v loaded, %v live", ctx, u, i, b, a)
-				}
+	for u := 0; u < mod.Matrix().NumUsers(); u += 37 {
+		for i := 0; i < mod.Matrix().NumItems(); i += 13 {
+			if a, b := mod.Predict(u, i), loaded.Predict(u, i); a != b {
+				t.Fatalf("%s: Predict(%d, %d) = %v loaded, %v live", ctx, u, i, b, a)
 			}
 		}
-		for u := 0; u < mod.Matrix().NumUsers(); u += 3 {
-			if w, g := mod.Recommend(u, 5), got.Recommend(u, 5); !slices.Equal(w, g) {
-				t.Fatalf("%s: Recommend(%d, 5) = %v loaded, %v live", ctx, u, g, w)
-			}
+	}
+	for u := 0; u < mod.Matrix().NumUsers(); u += 3 {
+		if w, g := mod.Recommend(u, 5), loaded.Recommend(u, 5); !slices.Equal(w, g) {
+			t.Fatalf("%s: Recommend(%d, 5) = %v loaded, %v live", ctx, u, g, w)
 		}
 	}
 }
@@ -269,26 +263,27 @@ func gisSets(g *similarity.GIS) [][]int32 {
 	return lists
 }
 
-// setSnapshot gap-codes ascending id sets into the snapshot layout model
+// setSnapshot Rice-codes ascending id sets into the snapshot layout model
 // files carry, weights left to derive.
 func setSnapshot(opts similarity.GISOptions, lists [][]int32) similarity.Snapshot {
 	snap := similarity.Snapshot{Lens: make([]int32, len(lists)), Opts: opts}
+	var gaps []uint64
 	for i, l := range lists {
 		snap.Lens[i] = int32(len(l))
 		prev := int32(-1)
 		for _, id := range l {
-			snap.Set = binary.AppendUvarint(snap.Set, uint64(id-prev-1))
+			gaps = append(gaps, uint64(id-prev-1))
 			prev = id
 		}
 	}
+	snap.SetCode = mathx.EncodeRice(gaps)
 	return snap
 }
 
-// TestNonCoRatedNeighbourIsRefused: a version-4 blob or model file whose
-// ids were edited to name a neighbour that shares no rater with its item
-// passes the layout checks — the id is inside the catalogue — and is
-// refused when the weights are derived, naming the item, the entry and
-// the neighbour.
+// TestNonCoRatedNeighbourIsRefused: a model file whose ids were edited to
+// name a neighbour that shares no rater with its item passes the layout
+// checks — the id is inside the catalogue — and is refused when the
+// weights are derived, naming the item, the entry and the neighbour.
 func TestNonCoRatedNeighbourIsRefused(t *testing.T) {
 	base, _ := trainSmall(t)
 	// Item q is new and rated by user 0 alone.
@@ -312,29 +307,9 @@ func TestNonCoRatedNeighbourIsRefused(t *testing.T) {
 	snap := setSnapshot(mod.GIS().Options(), lists)
 	want := fmt.Sprintf("item %d entry %d: neighbour %d is not co-rated", item, len(lists[item])-1, q)
 
-	wire := sharedWireOf(mod)
+	wire := fileWireOf(t, mod)
 	wire.GIS = snap
-	sp, err := LoadSharedPart(sharedBlobOf(t, wire))
-	if err != nil {
-		t.Fatalf("LoadSharedPart refused what only the matrix can refuse: %v", err)
-	}
-	m := mod.Matrix()
-	rows, times := make([][]ratings.Entry, m.NumUsers()), make([][]int64, m.NumUsers())
-	for u := range rows {
-		rows[u], times[u] = m.UserRatings(u), m.UserRatingTimes(u)
-	}
-	if !m.HasTimes() {
-		times = nil
-	}
-	if _, err := AssembleModel(sp, rows, times); err == nil || !strings.Contains(err.Error(), want) {
-		t.Errorf("AssembleModel: err = %v, want one containing %q", err, want)
-	}
-
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(modelWire{Version: modelWireVersion, Config: mod.cfg, Matrix: m, GIS: snap, Clusters: mod.clusters}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(&buf); err == nil || !strings.Contains(err.Error(), want) {
+	if _, err := Load(frameOf(t, wire)); err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("Load: err = %v, want one containing %q", err, want)
 	}
 }

@@ -60,13 +60,6 @@ type Config struct {
 	// ContentBlend is the share of content similarity in the blended
 	// GIS (0 = pure collaborative, 1 = pure content).
 	ContentBlend float64
-	// TimeDecayTau is a tombstone: its only legal value is 0 and Validate
-	// refuses any other. It was the τ of a recency weight on Eq. 11 (paper
-	// §VI future work), measured as a monotone loss (EXPERIMENTS.md "Time
-	// decay on drifted data") and deleted. The field stays because gob
-	// drops a field the receiver lacks without a word: with it gone, a
-	// model saved under τ > 0 would load and serve different predictions.
-	TimeDecayTau float64
 	// ClusterMaxIter caps K-means iterations (0 = 100).
 	ClusterMaxIter int
 	// ClusterMetric selects the K-means distance (default PCC).
@@ -123,8 +116,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cfsf: Delta must be in [0,1], got %g", c.Delta)
 	case c.OriginalWeight < 0 || c.OriginalWeight > 1:
 		return fmt.Errorf("cfsf: OriginalWeight must be in [0,1], got %g", c.OriginalWeight)
-	case c.TimeDecayTau != 0:
-		return fmt.Errorf("cfsf: TimeDecayTau must be 0, got %g: time decay was a measured loss (EXPERIMENTS.md) and is removed; commit 331211a is the last that honours it", c.TimeDecayTau)
 	}
 	return nil
 }
@@ -144,8 +135,8 @@ type TrainStats struct {
 	// GISDuration and ClusterDuration time the GIS and the clustering as
 	// the model got them: built by Train, refreshed by an Apply, or, for
 	// a model loaded from a model file, derived from what the file stores
-	// — every GIS weight and list order, and (from a version 2 file) the
-	// centroids and member lists.
+	// — every GIS weight and list order, and the centroids and member
+	// lists.
 	GISDuration     time.Duration
 	ClusterDuration time.Duration
 	SmoothDuration  time.Duration

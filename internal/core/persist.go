@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -35,10 +36,10 @@ import (
 // The file is one checksummed frame: magic, kind, payload length, the
 // CRC32-IEEE of the payload, then the gob payload. A torn, truncated or
 // bit-rotted file is refused at load, and so is any byte after the frame.
+// The kind byte is 3: kinds 1 and 2 were a manifest's shared and shard
+// blobs, which this build does not read.
 const (
-	blobKindShared byte = 1
-	blobKindShard  byte = 2
-	blobKindModel  byte = 3
+	blobKindModel byte = 3
 
 	blobHeaderSize = 8 + 1 + 8 + 4
 	// maxBlobPayload caps a corrupt length field before allocation.
@@ -82,35 +83,35 @@ type fileWire struct {
 	Scale     []float64
 	ValueCode mathx.RiceCode
 	TimeCode  mathx.RiceCode // empty when the matrix carries no timestamps
-
-	// RowItems, Values and Times are version 2's matrix columns: row
-	// items gap-coded a uvarint each (mathx.NextGap), every value a
-	// float64 and every timestamp an int64. Items is version 1's row item
-	// ids, one int32 each, beside Values and Times. They are only ever
-	// decoded.
-	RowItems []byte
-	Values   []float64
-	Times    []int64
-	Items    []int32
 }
 
-// fileWireVersion 3 stores every integer column Rice-coded: the GIS id
-// sets, the row items, the values as indexes into their scale, and the
-// timestamps as deltas. A version 3 file carrying a column an earlier
-// version stores in its place — version 2's byte-coded RowItems or Set,
-// float64 Values, int64 Times, version 1's Items — is refused, not
-// trusted, and so is one carrying a part the load derives (strayPart).
-// Version 2 files (sets, not orders, each column in whole bytes) and
-// version 1 files (GIS ids in list order, the clustering whole, Items)
-// still load. The formats before the model file — the unframed gob
-// `-model` file (modelWire) and a manifest's shared and shard blobs —
-// still load too (persist_legacy.go); nothing writes them any more.
-const fileWireVersion = 3
+// fileWireVersion 4 is version 3 less the fields only versions 1 and 2
+// stored. A build reads the version it writes and the one before it
+// (DESIGN §12), and versions 3 and 4 decode the same way: gob skips a
+// field the receiving type lacks, and a version 3 file carried none of
+// them, since its own decoder refused one that did. Anything older — model
+// file versions 1 and 2, and the unframed gob `-model` file before them —
+// is refused as ErrRetiredFormat, naming MigratingBuild.
+const fileWireVersion = 4
 
-func writeBlob(w io.Writer, kind byte, payload []byte) error {
+// MigratingBuild is the last build that reads every format this one
+// refuses as ErrRetiredFormat and writes model file version 3, which this
+// one reads: loading a file with it and saving it again migrates the file,
+// as booting a data dir with it and letting it snapshot migrates the dir.
+const MigratingBuild = "d297876"
+
+// ErrRetiredFormat marks the refusal of a file in a format older than the
+// ones this build reads.
+var ErrRetiredFormat = errors.New("a format this build no longer reads")
+
+// modelWireName opens every unframed gob `-model` file: gob names the
+// type of the first value it sends.
+var modelWireName = []byte("modelWire")
+
+func writeBlob(w io.Writer, payload []byte) error {
 	var hdr [blobHeaderSize]byte
 	copy(hdr[:8], blobMagic[:])
-	hdr[8] = kind
+	hdr[8] = blobKindModel
 	binary.BigEndian.PutUint64(hdr[9:], uint64(len(payload)))
 	binary.BigEndian.PutUint32(hdr[17:], crc32.ChecksumIEEE(payload))
 	if _, err := w.Write(hdr[:]); err != nil {
@@ -122,16 +123,18 @@ func writeBlob(w io.Writer, kind byte, payload []byte) error {
 	return nil
 }
 
-func readBlob(r io.Reader, wantKind byte) ([]byte, error) {
+func readBlob(r io.Reader) ([]byte, error) {
 	var hdr [blobHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("cfsf: read blob header: %w", err)
 	}
-	if [8]byte(hdr[:8]) != blobMagic {
+	switch {
+	case bytes.Contains(hdr[:], modelWireName):
+		return nil, fmt.Errorf("cfsf: an unframed gob model file is %w: build %s reads it and writes model file version 3", ErrRetiredFormat, MigratingBuild)
+	case [8]byte(hdr[:8]) != blobMagic:
 		return nil, fmt.Errorf("cfsf: bad blob magic")
-	}
-	if hdr[8] != wantKind {
-		return nil, fmt.Errorf("cfsf: blob kind %d, want %d", hdr[8], wantKind)
+	case hdr[8] != blobKindModel:
+		return nil, fmt.Errorf("cfsf: blob kind %d, want %d", hdr[8], blobKindModel)
 	}
 	n := int64(binary.BigEndian.Uint64(hdr[9:17]))
 	if n < 0 || n > maxBlobPayload {
@@ -202,7 +205,7 @@ func (mod *Model) SaveAt(w io.Writer, seq uint64) error {
 	if err := gob.NewEncoder(&buf).Encode(wire); err != nil {
 		return fmt.Errorf("cfsf: save model: %w", err)
 	}
-	return writeBlob(w, blobKindModel, buf.Bytes())
+	return writeBlob(w, buf.Bytes())
 }
 
 // sortScale returns scale — a matrix's distinct values, in order of
@@ -243,32 +246,41 @@ func (mod *Model) SaveFile(path string) error {
 }
 
 // File is a decoded model file before the model is rebuilt from it: the
-// shared part (configuration, dimensions, GIS neighbour lists,
-// clustering), the watermark, and the matrix rows.
+// configuration, the dimensions, the GIS neighbour sets, the clustering,
+// the watermark, and the matrix rows. Its GIS is still the snapshot: the
+// weights it leaves out are derived once the matrix exists (Model).
 type File struct {
-	SharedPart
-	Seq   uint64
-	Rows  [][]ratings.Entry // Rows[u] is user u's ratings, item ascending
-	Times [][]int64         // aligned with Rows; nil when the matrix carries no timestamps
+	Version   int // the model file version it was written in
+	Config    Config
+	NumUsers  int
+	NumItems  int
+	MinRating float64
+	MaxRating float64
+	HasTimes  bool
+	GIS       similarity.Snapshot
+	Clusters  *cluster.Result
+	Seq       uint64
+	Rows      [][]ratings.Entry // Rows[u] is user u's ratings, item ascending
+	Times     [][]int64         // aligned with Rows; nil when the matrix carries no timestamps
 
 	// clusterDerive is how long deriving the clustering's centroids and
-	// member lists took (zero for a version 1 file, which stores them).
+	// member lists took.
 	clusterDerive time.Duration
 }
 
 // Decode reads and validates one model file: the frame and its checksum,
-// nothing after it, the version, no part its version does not store
-// (strayPart), the row slices against each other and — naming the user
-// and the entry — every row's items against the item count and values
-// against their scale, the configuration, the GIS against the item count,
-// and the clustering against the dimensions. It derives a version 2 or 3
-// file's clustering from its assignment and rows (cluster.Result.Derive),
-// so the shared part is whole whichever version wrote it, and rebuilds
-// nothing else; Model does.
+// nothing after it, the version, no part the load derives (strayPart), the
+// row slices against each other and — naming the user and the entry —
+// every row's items against the item count and values against their scale,
+// the configuration, the GIS against the item count, and the clustering
+// against the dimensions. It derives the clustering's centroids and member
+// lists from its assignment and rows (cluster.Result.Derive) and rebuilds
+// nothing else; Model does. A file older than the version before the one
+// this build writes is refused as ErrRetiredFormat.
 //
 //cfsf:wallclock-ok clustering derivation duration recorded in TrainStats only; no clock value reaches predictions or replayed state
 func Decode(r io.Reader) (*File, error) {
-	payload, err := readBlob(r, blobKindModel)
+	payload, err := readBlob(r)
 	if err != nil {
 		return nil, err
 	}
@@ -280,100 +292,73 @@ func Decode(r io.Reader) (*File, error) {
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&wire); err != nil {
 		return nil, fmt.Errorf("cfsf: decode model file: %w", err)
 	}
-	if wire.Version < 1 || wire.Version > fileWireVersion {
+	switch {
+	case wire.Version < 1 || wire.Version > fileWireVersion:
 		return nil, fmt.Errorf("cfsf: unsupported model file version %d", wire.Version)
+	case wire.Version < fileWireVersion-1:
+		return nil, fmt.Errorf("cfsf: model file version %d is %w: build %s reads it and writes version 3", wire.Version, ErrRetiredFormat, MigratingBuild)
 	}
 	if part := strayPart(&wire); part != "" {
 		return nil, fmt.Errorf("cfsf: corrupt model file: version %d stores no %s", wire.Version, part)
 	}
 	f := &File{
-		SharedPart: SharedPart{
-			Config:    wire.Config,
-			NumUsers:  wire.NumUsers,
-			NumItems:  wire.NumItems,
-			MinRating: wire.MinRating,
-			MaxRating: wire.MaxRating,
-			HasTimes:  wire.HasTimes,
-			GIS:       wire.GIS,
-			Clusters:  wire.Clusters,
-		},
-		Seq: wire.Seq,
+		Version:   wire.Version,
+		Config:    wire.Config,
+		NumUsers:  wire.NumUsers,
+		NumItems:  wire.NumItems,
+		MinRating: wire.MinRating,
+		MaxRating: wire.MaxRating,
+		HasTimes:  wire.HasTimes,
+		GIS:       wire.GIS,
+		Clusters:  wire.Clusters,
+		Seq:       wire.Seq,
 	}
 	if err := f.decodeRows(&wire); err != nil {
 		return nil, fmt.Errorf("cfsf: corrupt model file: %w", err)
 	}
-	if wire.Version >= 2 {
-		t := time.Now()
-		if err := f.deriveClusters(); err != nil {
-			return nil, fmt.Errorf("cfsf: corrupt model file: %w", err)
-		}
-		f.clusterDerive = time.Since(t)
+	t := time.Now()
+	if err := f.deriveClusters(); err != nil {
+		return nil, fmt.Errorf("cfsf: corrupt model file: %w", err)
 	}
-	if err := f.SharedPart.check(); err != nil {
+	f.clusterDerive = time.Since(t)
+	if err := f.check(); err != nil {
 		return nil, fmt.Errorf("cfsf: corrupt model file: %w", err)
 	}
 	return f, nil
 }
 
-// strayPart names the first part wire carries that its version does not
-// store — a part a later version derives at load, or a column another
-// version stores in its place — or returns "".
+// strayPart names the first part wire carries that a model file leaves to
+// the load to derive, or returns "".
 func strayPart(wire *fileWire) string {
-	g, c := &wire.GIS, wire.Clusters
-	rice := func(r mathx.RiceCode) bool { return len(r.Bits) > 0 || r.K != 0 }
-	for _, p := range []struct {
-		name     string
-		carried  bool
-		from, to int // the versions that store it
-	}{
-		{"GIS list in list order, it is derived at load", len(g.IDs) > 0 || len(g.Index) > 0 || len(g.Score) > 0 || len(g.Neighbors) > 0, 1, 1},
-		{"GIS weights of a GIS that does not blend in item attributes, they are derived at load", len(g.Scores) > 0 && !wire.Config.blendsContent(), 1, 1},
-		{"cluster Members, they are derived at load", c != nil && len(c.Members) > 0, 1, 1},
-		{"cluster Mean, it is derived at load", c != nil && len(c.Mean) > 0, 1, 1},
-		{"cluster Count, it is derived at load", c != nil && len(c.Count) > 0, 1, 1},
-		{"version 1 row Items", len(wire.Items) > 0, 1, 1},
-		{"version 2 gap-coded GIS Set", len(g.Set) > 0, 2, 2},
-		{"version 2 gap-coded RowItems", len(wire.RowItems) > 0, 2, 2},
-		{"version 1–2 float64 Values", len(wire.Values) > 0, 1, 2},
-		{"version 1–2 int64 Times", len(wire.Times) > 0, 1, 2},
-		{"version 3 Rice-coded GIS SetCode", rice(g.SetCode), 3, 3},
-		{"version 3 Rice-coded ItemCode", rice(wire.ItemCode), 3, 3},
-		{"version 3 value Scale", len(wire.Scale) > 0, 3, 3},
-		{"version 3 Rice-coded ValueCode", rice(wire.ValueCode), 3, 3},
-		{"version 3 Rice-coded TimeCode", rice(wire.TimeCode), 3, 3},
-	} {
-		if p.carried && (wire.Version < p.from || wire.Version > p.to) {
-			return p.name
-		}
+	c := wire.Clusters
+	switch {
+	case len(wire.GIS.Scores) > 0 && !wire.Config.blendsContent():
+		return "GIS weights of a GIS that does not blend in item attributes, they are derived at load"
+	case c != nil && len(c.Members) > 0:
+		return "cluster Members, they are derived at load"
+	case c != nil && len(c.Mean) > 0:
+		return "cluster Mean, it is derived at load"
+	case c != nil && len(c.Count) > 0:
+		return "cluster Count, it is derived at load"
 	}
 	return ""
 }
 
 // decodeRows checks the row lengths of wire against the users and the
 // entries the item column offers, and decodes f's rows and timestamps
-// from the columns of wire's version (decodeColumns, decodeByteColumns).
+// from wire's columns (decodeColumns).
 func (f *File) decodeRows(wire *fileWire) error {
 	if len(wire.RowLens) != wire.NumUsers {
 		return fmt.Errorf("%d row lengths for %d users", len(wire.RowLens), wire.NumUsers)
 	}
-	cols := [3]mathx.RiceCode{wire.ItemCode, wire.ValueCode, wire.TimeCode}
-	if wire.Version >= 3 {
-		for i, c := range cols {
-			if err := c.Check(); err != nil {
-				return fmt.Errorf("%s column: %w", columnNames[i], err)
-			}
+	for i, c := range [3]mathx.RiceCode{wire.ItemCode, wire.ValueCode, wire.TimeCode} {
+		if err := c.Check(); err != nil {
+			return fmt.Errorf("%s column: %w", columnNames[i], err)
 		}
 	}
 	// have bounds the entries the item column offers — a Rice code takes
-	// at least k+1 bits, a gap code a byte — so no sum of lengths can
-	// overflow.
+	// at least k+1 bits — so no sum of lengths can overflow.
 	have := wire.ItemCode.MaxValues()
-	switch wire.Version {
-	case 1:
-		have = len(wire.Items)
-	case 2:
-		have = len(wire.RowItems)
-	}
 	total := 0
 	for u, n := range wire.RowLens {
 		if n < 0 || int(n) > have-total {
@@ -383,16 +368,10 @@ func (f *File) decodeRows(wire *fileWire) error {
 	}
 	back := make([]ratings.Entry, total)
 	var times []int64
-	var err error
-	if wire.Version >= 3 {
-		if wire.HasTimes {
-			times = make([]int64, total)
-		}
-		err = decodeColumns(wire, back, times)
-	} else {
-		times, err = decodeByteColumns(wire, back)
+	if wire.HasTimes {
+		times = make([]int64, total)
 	}
-	if err != nil {
+	if err := decodeColumns(wire, back, times); err != nil {
 		return err
 	}
 	f.Rows = make([][]ratings.Entry, wire.NumUsers)
@@ -410,7 +389,7 @@ func (f *File) decodeRows(wire *fileWire) error {
 	return nil
 }
 
-// decodeColumns decodes a version 3 file's Rice-coded columns into back
+// decodeColumns decodes a model file's Rice-coded columns into back
 // and, for a timed matrix, times, both as long as the row lengths add up
 // to. It refuses a Scale that is not finite or not strictly ascending
 // (valueOrder), timestamps in an untimed file, and — naming the user and
@@ -484,58 +463,9 @@ func decodeColumns(wire *fileWire, back []ratings.Entry, times []int64) error {
 	return nil
 }
 
-// columnNames names a version 3 file's Rice-coded matrix columns in
+// columnNames names a model file's Rice-coded matrix columns in
 // refusals.
 var columnNames = [3]string{"item", "value", "time"}
-
-// decodeByteColumns decodes a version 1 or 2 file's columns into back —
-// a version 2 file's gap-coded RowItems or a version 1 file's Items, each
-// beside its Values — and returns its Times, checking every column's
-// length against back's and, naming the user and the entry, every
-// gap-coded item against the item count.
-func decodeByteColumns(wire *fileWire, back []ratings.Entry) ([]int64, error) {
-	total := len(back)
-	switch {
-	case len(wire.Values) != total:
-		return nil, fmt.Errorf("%d values for %d row slots", len(wire.Values), total)
-	case wire.Version == 1 && len(wire.Items) != total:
-		return nil, fmt.Errorf("%d items for %d row slots", len(wire.Items), total)
-	}
-	wantTimes := 0
-	if wire.HasTimes {
-		wantTimes = total
-	}
-	if len(wire.Times) != wantTimes {
-		return nil, fmt.Errorf("%d timestamps for %d entries (timed %v)", len(wire.Times), total, wire.HasTimes)
-	}
-	if wire.Version == 1 {
-		for k := range back {
-			back[k] = ratings.Entry{Index: wire.Items[k], Value: wire.Values[k]}
-		}
-		return wire.Times, nil
-	}
-	off, k := 0, 0
-	for u, n := range wire.RowLens {
-		prev := int32(-1)
-		for j := 0; j < int(n); j++ {
-			item, w := mathx.NextGap(wire.RowItems[off:], prev, wire.NumItems)
-			switch {
-			case w == 0:
-				return nil, fmt.Errorf("user %d entry %d: the item gap runs past the %d row item bytes", u, j, len(wire.RowItems))
-			case w < 0:
-				return nil, fmt.Errorf("user %d entry %d: the item after item %d overruns the %d items", u, j, prev, wire.NumItems)
-			}
-			off += w
-			prev = item
-			back[k] = ratings.Entry{Index: item, Value: wire.Values[k]}
-			k++
-		}
-	}
-	if off != len(wire.RowItems) {
-		return nil, fmt.Errorf("%d row item bytes after the row of user %d, the last", len(wire.RowItems)-off, wire.NumUsers-1)
-	}
-	return wire.Times, nil
-}
 
 // deriveClusters derives the clustering's member lists and centroids
 // from its assignment on f's rows. It first refuses an assignment of
@@ -558,49 +488,84 @@ func (f *File) deriveClusters() error {
 	return c.Derive(f.NumItems, func(u int) []ratings.Entry { return f.Rows[u] })
 }
 
-// Model rebuilds the model the file holds (AssembleModel). Its
+// check validates what a decoded file holds besides its rows: the
+// configuration, the clustering against the dimensions, the GIS against
+// the item count.
+func (f *File) check() error {
+	if err := f.Config.Validate(); err != nil {
+		return err
+	}
+	if err := f.Clusters.Check(f.NumUsers, f.NumItems); err != nil {
+		return err
+	}
+	if n, err := f.GIS.Check(); err != nil {
+		return err
+	} else if n != f.NumItems {
+		return fmt.Errorf("GIS covers %d items, model has %d", n, f.NumItems)
+	}
+	return nil
+}
+
+// Model rebuilds the model the file holds: it builds the matrix from the
+// rows and derives around it every GIS weight the file leaves out, so the
+// model predicts bit-for-bit like the saved one (rebuildModel). Its
 // TrainStats.ClusterDuration is the clustering's derivation in Decode, as
 // its GISDuration is the GIS's.
+//
+//cfsf:wallclock-ok rebuild duration recorded in TrainStats only; no clock value reaches predictions or replayed state
 func (f *File) Model() (*Model, error) {
-	mod, err := AssembleModel(&f.SharedPart, f.Rows, f.Times)
-	if err != nil {
-		return nil, err
+	b := ratings.NewBuilder(f.NumUsers, f.NumItems)
+	b.SetScale(f.MinRating, f.MaxRating)
+	for u, row := range f.Rows {
+		for k, e := range row {
+			var err error
+			if f.HasTimes {
+				err = b.AddWithTime(u, int(e.Index), e.Value, f.Times[u][k])
+			} else {
+				err = b.Add(u, int(e.Index), e.Value)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("cfsf: assemble: %w", err)
+			}
+		}
 	}
+	start := time.Now()
+	mod, err := rebuildModel(f.Config, b.Build(), f.GIS, f.Clusters)
+	if err != nil {
+		return nil, fmt.Errorf("cfsf: corrupt model: %w", err)
+	}
+	stampRebuildDuration(mod, start)
 	stampClusterDerive(mod, f.clusterDerive)
 	return mod, nil
 }
 
-// Load reads a model file. A file written before the model file existed —
-// an unframed gob `-model` file — loads too (persist_legacy.go).
+// Load reads a model file (Decode) and rebuilds its model (File.Model).
 func Load(r io.Reader) (*Model, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("cfsf: load model: %w", err)
-	}
-	if !bytes.HasPrefix(data, blobMagic[:]) {
-		return loadModelWire(bytes.NewReader(data))
-	}
-	f, err := Decode(bytes.NewReader(data))
+	f, err := Decode(r)
 	if err != nil {
 		return nil, err
 	}
 	return f.Model()
 }
 
-// LoadFile loads a model saved with SaveFile.
+// LoadFile loads a model saved with SaveFile. A refusal names the file.
 func LoadFile(path string) (*Model, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return Load(f)
+	mod, err := Load(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return mod, nil
 }
 
 // stampRebuildDuration records how long reconstructing the derived
 // offline state took in the model's TrainStats.
 //
-//cfsf:init-only called by the loaders on a model that has not been returned yet
+//cfsf:init-only called by File.Model on a model that has not been returned yet
 //cfsf:wallclock-ok rebuild duration recorded in TrainStats only; no clock value reaches predictions or replayed state
 func stampRebuildDuration(mod *Model, start time.Time) {
 	mod.stats.TotalDuration = time.Since(start)

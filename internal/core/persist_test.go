@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"math"
@@ -104,8 +103,9 @@ func TestLoadedModelSupportsUpdates(t *testing.T) {
 
 // TestModelFileRefusesEveryFault enumerates the faults a stored model file
 // can suffer, on refusalFixture's file as this build writes it (version
-// 3: Rice-coded id sets, row items, value indexes and time deltas, the
-// clustering's assignment): one bit flipped at every byte, a cut at every
+// 4: Rice-coded id sets, row items, value indexes and time deltas, the
+// clustering's assignment) and as b42e5f3 wrote it (version 3,
+// testdata/file-v3.cfsf): one bit flipped at every byte, a cut at every
 // length, a byte appended. Load must refuse each one with an error — not
 // load a different model, and not panic.
 func TestModelFileRefusesEveryFault(t *testing.T) {
@@ -114,31 +114,36 @@ func TestModelFileRefusesEveryFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := fileWireOf(t, mod).Version; v != 3 {
-		t.Fatalf("Save writes version %d, the faults here are enumerated on version 3", v)
+	if v := fileWireOf(t, mod).Version; v != 4 {
+		t.Fatalf("Save writes version %d, the faults here are enumerated on version 4", v)
 	}
 	var buf bytes.Buffer
 	if err := mod.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	good := buf.Bytes()
-	if _, err := Load(bytes.NewReader(good)); err != nil {
-		t.Fatalf("the unmodified file: %v", err)
+	v3, err := os.ReadFile(filepath.Join("testdata", "file-v3.cfsf"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	refused := func(what string, data []byte) {
-		t.Helper()
-		if _, err := Load(bytes.NewReader(data)); err == nil {
-			t.Fatalf("%s loaded", what)
+	for _, good := range [][]byte{buf.Bytes(), v3} {
+		if _, err := Load(bytes.NewReader(good)); err != nil {
+			t.Fatalf("the unmodified file: %v", err)
 		}
+		refused := func(what string, data []byte) {
+			t.Helper()
+			if _, err := Load(bytes.NewReader(data)); err == nil {
+				t.Fatalf("version %d: %s loaded", wireOf(t, good).Version, what)
+			}
+		}
+		for at := range good {
+			bad := bytes.Clone(good)
+			bad[at] ^= 1 << (at % 8)
+			refused(fmt.Sprintf("bit %d of byte %d flipped", at%8, at), bad)
+			refused(fmt.Sprintf("the file cut to %d bytes", at), good[:at])
+		}
+		refused("a byte appended", append(bytes.Clone(good), 0))
+		t.Logf("version %d: %d bytes, each flipped and cut at", wireOf(t, good).Version, len(good))
 	}
-	for at := range good {
-		bad := bytes.Clone(good)
-		bad[at] ^= 1 << (at % 8)
-		refused(fmt.Sprintf("bit %d of byte %d flipped", at%8, at), bad)
-		refused(fmt.Sprintf("the file cut to %d bytes", at), good[:at])
-	}
-	refused("a byte appended", append(bytes.Clone(good), 0))
-	t.Logf("%d bytes, each flipped and cut at", len(good))
 }
 
 // riceLen is the bits mathx's Rice code spends on v at parameter k.
@@ -163,7 +168,7 @@ func runPastEnd(code *mathx.RiceCode, vals []uint64) {
 	}
 }
 
-// fileColumns is what a version 3 file of mod codes in its Rice columns:
+// fileColumns is what a model file of mod codes in its Rice columns:
 // the GIS sets' gaps, the row items' gaps, the value indexes into scale
 // and the time deltas, each in file order.
 func fileColumns(mod *Model, scale []float64) (gis, items, values, times []uint64) {
@@ -192,12 +197,11 @@ func fileColumns(mod *Model, scale []float64) (gis, items, values, times []uint6
 	return gis, items, values, times
 }
 
-// TestModelFileRefusesAMalformedSet: a version 3 file whose checksum
-// holds but whose Rice-coded GIS sets, rows, values or timestamps are
+// TestModelFileRefusesAMalformedSet: a model file whose checksum holds
+// but whose Rice-coded GIS sets, rows, values or timestamps are
 // malformed, whose value scale is unsound, or which carries a part it
-// must leave to the load to derive or a column another version stores,
-// is refused, the error naming the item or the user and the entry at
-// fault, or the part.
+// must leave to the load to derive, is refused, the error naming the item
+// or the user and the entry at fault, or the part.
 func TestModelFileRefusesAMalformedSet(t *testing.T) {
 	m, cfg := refusalFixture(t)
 	mod, err := Train(m, cfg)
@@ -268,181 +272,19 @@ func TestModelFileRefusesAMalformedSet(t *testing.T) {
 		{"an infinite scale value", "scale value 2 is +Inf, not finite", func(w *fileWire) { w.Scale[2] = math.Inf(1) }},
 		{"a Rice parameter past 63", "item column: Rice parameter k = 64, past 63", func(w *fileWire) { w.ItemCode.K = 64 }},
 		{"a set code parameter past 63", "set code: Rice parameter k = 64, past 63", func(w *fileWire) { w.GIS.SetCode.K = 64 }},
-		{"GIS ids in list order", "stores no GIS list in list order", func(w *fileWire) { w.GIS.IDs = []byte{0, 0} }},
 		{"Eq. 5 weights", "stores no GIS weights", func(w *fileWire) { w.GIS.Scores = mod.gis.Snapshot(true).Scores }},
 		{"cluster Members", "stores no cluster Members", func(w *fileWire) { w.Clusters.Members = mod.clusters.Members }},
 		{"cluster Mean", "stores no cluster Mean", func(w *fileWire) { w.Clusters.Mean = mod.clusters.Mean }},
 		{"cluster Count", "stores no cluster Count", func(w *fileWire) { w.Clusters.Count = mod.clusters.Count }},
-		{"version 1 row items", "stores no version 1 row Items", func(w *fileWire) { w.Items = []int32{0} }},
-		{"version 2 gap-coded sets", "version 3 stores no version 2 gap-coded GIS Set", func(w *fileWire) { w.GIS.Set = []byte{0} }},
-		{"version 2 row items", "version 3 stores no version 2 gap-coded RowItems", func(w *fileWire) { w.RowItems = []byte{0} }},
-		{"version 2 values", "version 3 stores no version 1–2 float64 Values", func(w *fileWire) { w.Values = []float64{1} }},
-		{"version 2 timestamps", "version 3 stores no version 1–2 int64 Times", func(w *fileWire) { w.Times = []int64{1} }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			wire := fileWireOf(t, mod)
-			if _, err := Load(frameOf(t, blobKindModel, wire)); err != nil {
+			if _, err := Load(frameOf(t, wire)); err != nil {
 				t.Fatalf("the unmodified file: %v", err)
 			}
 			tc.mutate(&wire)
-			if _, err := Load(frameOf(t, blobKindModel, wire)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			if _, err := Load(frameOf(t, wire)); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("err = %v, want one containing %q", err, tc.want)
-			}
-		})
-	}
-}
-
-// fileWireV2Of is mod's payload as a version 2 model file held it: the
-// GIS sets and row items gap-coded a uvarint each, float64 values and
-// int64 timestamps.
-func fileWireV2Of(t *testing.T, mod *Model) fileWire {
-	t.Helper()
-	wire := fileWireOf(t, mod)
-	gis, items, _, _ := fileColumns(mod, wire.Scale)
-	wire.Version, wire.GIS.SetCode, wire.GIS.Set = 2, mathx.RiceCode{}, appendUvarints(nil, gis)
-	wire.ItemCode, wire.Scale, wire.ValueCode, wire.TimeCode = mathx.RiceCode{}, nil, mathx.RiceCode{}, mathx.RiceCode{}
-	wire.RowItems = appendUvarints(nil, items)
-	for u := 0; u < mod.m.NumUsers(); u++ {
-		for _, e := range mod.m.UserRatings(u) {
-			wire.Values = append(wire.Values, e.Value)
-		}
-		wire.Times = append(wire.Times, mod.m.UserRatingTimes(u)...)
-	}
-	return wire
-}
-
-func appendUvarints(dst []byte, vals []uint64) []byte {
-	for _, v := range vals {
-		dst = binary.AppendUvarint(dst, v)
-	}
-	return dst
-}
-
-// TestModelFileV2RefusesAMalformedSet: a version 2 file, which this build
-// only decodes, is refused on its byte-coded sets and rows as the build
-// that wrote it refused them, naming the item or the user and the entry,
-// and refused when it carries a version 3 column.
-func TestModelFileV2RefusesAMalformedSet(t *testing.T) {
-	m, cfg := refusalFixture(t)
-	mod, err := Train(m, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, p := m.NumItems(), m.NumUsers()
-	last := q - 1
-	for len(mod.GIS().Neighbors(last)) == 0 {
-		last--
-	}
-	lastRow := len(m.UserRatings(p-1)) - 1
-	for _, tc := range []struct {
-		name, want string
-		mutate     func(w *fileWire)
-	}{
-		{"a set gap running past its bytes", fmt.Sprintf("item %d entry %d: the id gap runs past", last, len(mod.GIS().Neighbors(last))-1),
-			func(w *fileWire) { w.GIS.Set[len(w.GIS.Set)-1] = 0x80 }},
-		{"set bytes left over", fmt.Sprintf("1 set bytes after the list of item %d", q-1), func(w *fileWire) { w.GIS.Set = append(w.GIS.Set, 0) }},
-		{"a row gap running past its bytes", fmt.Sprintf("user %d entry %d: the item gap runs past", p-1, lastRow),
-			func(w *fileWire) { w.RowItems[len(w.RowItems)-1] = 0x80 }},
-		{"a row gap overrunning the items", fmt.Sprintf("user 0 entry 0: the item after item -1 overruns the %d items", q),
-			func(w *fileWire) { w.RowItems[0] = byte(q) }},
-		{"row bytes left over", fmt.Sprintf("1 row item bytes after the row of user %d", p-1), func(w *fileWire) { w.RowItems = append(w.RowItems, 0) }},
-		{"one value short", fmt.Sprintf("%d values for %d row slots", m.NumRatings()-1, m.NumRatings()), func(w *fileWire) { w.Values = w.Values[1:] }},
-		{"one timestamp short", fmt.Sprintf("%d timestamps for %d entries", m.NumRatings()-1, m.NumRatings()), func(w *fileWire) { w.Times = w.Times[1:] }},
-		{"a version 3 set code", "version 2 stores no version 3 Rice-coded GIS SetCode", func(w *fileWire) { w.GIS.SetCode = mathx.EncodeRice([]uint64{1}) }},
-		{"a version 3 value scale", "version 2 stores no version 3 value Scale", func(w *fileWire) { w.Scale = []float64{1} }},
-		{"a version 3 time code", "version 2 stores no version 3 Rice-coded TimeCode", func(w *fileWire) { w.TimeCode = mathx.EncodeRice([]uint64{1}) }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			wire := fileWireV2Of(t, mod)
-			if got, err := Load(frameOf(t, blobKindModel, wire)); err != nil {
-				t.Fatalf("the unmodified file: %v", err)
-			} else if h, want := gridHash(got), gridHash(mod); h != want {
-				t.Fatalf("the unmodified file loads to grid %s, want %s", h, want)
-			}
-			tc.mutate(&wire)
-			if _, err := Load(frameOf(t, blobKindModel, wire)); err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("err = %v, want one containing %q", err, tc.want)
-			}
-		})
-	}
-}
-
-// TestOlderModelFilesLoadAndResaveAsV3: testdata/file-v1.cfsf and
-// testdata/file-v2.cfsf are refusalFixture's model saved by 773b6e0 and
-// ddea235, the last builds to write model file versions 1 (GIS ids in
-// list order, the clustering whole, row items one int32 each) and 2 (id
-// sets and row items gap-coded a byte each, float64 values, int64
-// timestamps). Each loads to the grid those builds served (tau0Grid) and
-// the GIS the model trained here holds, and re-saves as version 3 — every
-// column Rice-coded — which loads to the same.
-func TestOlderModelFilesLoadAndResaveAsV3(t *testing.T) {
-	m, cfg := refusalFixture(t)
-	live, err := Train(m, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wireOf := func(data []byte) fileWire {
-		t.Helper()
-		payload, err := readBlob(bytes.NewReader(data), blobKindModel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var wire fileWire
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&wire); err != nil {
-			t.Fatal(err)
-		}
-		return wire
-	}
-	for _, fx := range []struct {
-		file    string
-		version int
-		layout  func(w fileWire) bool // the fixture carries its version's columns
-	}{
-		{"file-v1.cfsf", 1, func(w fileWire) bool {
-			return len(w.GIS.IDs) > 0 && len(w.Clusters.Mean) > 0 && len(w.Items) > 0 && len(w.Values) > 0 && len(w.Times) > 0
-		}},
-		{"file-v2.cfsf", 2, func(w fileWire) bool {
-			return len(w.GIS.Set) > 0 && len(w.Clusters.Mean) == 0 && len(w.RowItems) > 0 && len(w.Values) > 0 && len(w.Times) > 0
-		}},
-	} {
-		t.Run(fx.file, func(t *testing.T) {
-			data, err := os.ReadFile(filepath.Join("testdata", fx.file))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if w := wireOf(data); w.Version != fx.version || !fx.layout(w) || len(w.GIS.SetCode.Bits) > 0 || len(w.ItemCode.Bits) > 0 {
-				t.Fatalf("the fixture is not a version %d file: version %d, %d id bytes, %d set bytes, %d mean rows, %d items, %d row item bytes, %d values",
-					fx.version, w.Version, len(w.GIS.IDs), len(w.GIS.Set), len(w.Clusters.Mean), len(w.Items), len(w.RowItems), len(w.Values))
-			}
-			old, err := Load(bytes.NewReader(data))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var buf bytes.Buffer
-			if err := old.Save(&buf); err != nil {
-				t.Fatal(err)
-			}
-			if w := wireOf(buf.Bytes()); w.Version != 3 || len(w.GIS.SetCode.Bits) == 0 || len(w.ItemCode.Bits) == 0 || len(w.ValueCode.Bits) == 0 ||
-				len(w.TimeCode.Bits) == 0 || len(w.Scale) == 0 || strayPart(&w) != "" {
-				t.Fatalf("the re-save is not a version 3 file: version %d, %d set code bytes, %d item code bytes, %d value code bytes, %d time code bytes, scale %v, stray %q",
-					w.Version, len(w.GIS.SetCode.Bits), len(w.ItemCode.Bits), len(w.ValueCode.Bits), len(w.TimeCode.Bits), w.Scale, strayPart(&w))
-			}
-			t.Logf("version %d: %d bytes, its version 3 re-save %d", fx.version, len(data), buf.Len())
-			resaved, err := Load(&buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for ctx, got := range map[string]*Model{fmt.Sprintf("version %d", fx.version): old, "its version 3 re-save": resaved} {
-				if h := gridHash(got); h != tau0Grid {
-					t.Fatalf("%s: prediction grid hashes to %s, want %s", ctx, h, tau0Grid)
-				}
-				requireSameGIS(t, live.GIS(), got.GIS(), ctx)
-				requireSameRecommendations(t, live, got, ctx)
-				for u := 0; u < m.NumUsers(); u++ {
-					if !slices.Equal(got.Matrix().UserRatings(u), m.UserRatings(u)) || !slices.Equal(got.Matrix().UserRatingTimes(u), m.UserRatingTimes(u)) {
-						t.Fatalf("%s: user %d's row or timestamps differ from the fixture's", ctx, u)
-					}
-				}
 			}
 		})
 	}
@@ -450,75 +292,59 @@ func TestOlderModelFilesLoadAndResaveAsV3(t *testing.T) {
 
 // TestLoadRefusesABadClustering: a clustering that breaks one of
 // cluster.Result.Check's rules, in a file whose checksum holds, is refused
-// at load naming the user or cluster at fault — from a version 1 model
-// file and from a shared blob, which store the clustering whole (where an
-// assignment of -5 used to panic the assembly inside smoothing.New), and,
-// for a fault in the assignment, from a version 3 model file, which
-// stores the assignment alone and derives the rest.
+// at load. A fault in the assignment — what a model file stores, deriving
+// the rest — is refused naming the user or cluster at fault. A fault in
+// the member lists, centroids or counts can only come with them, and a
+// file carrying them is refused for it, whatever they hold.
 func TestLoadRefusesABadClustering(t *testing.T) {
 	mod, _ := trainSmall(t)
+	const whole = "stores no cluster Members"
 	for _, tc := range []struct {
 		name   string
 		mutate func(c *cluster.Result)
 		want   string
-		sets   bool // the fault is in what a version 2 or 3 file stores
+		stored bool // the fault is in what a model file stores
 	}{
 		{"a negative assignment", func(c *cluster.Result) { c.Assign[0] = -5 }, "user 0 assigned to cluster -5", true},
 		{"an assignment past K", func(c *cluster.Result) { c.Assign[3] = c.K }, fmt.Sprintf("user 3 assigned to cluster %d", mod.clusters.K), true},
-		{"an assignment Members does not list", func(c *cluster.Result) { c.Assign[3] = (c.Assign[3] + 1) % c.K }, "user 3", false},
+		{"an assignment Members does not list", func(c *cluster.Result) { c.Assign[3] = (c.Assign[3] + 1) % c.K }, whole, false},
 		{"a member list out of order", func(c *cluster.Result) {
 			l := c.Members[1]
 			l[0], l[1] = l[1], l[0]
-		}, "cluster 1 lists user", false},
-		{"a user missing from Members", func(c *cluster.Result) { c.Members[2] = c.Members[2][1:] }, "not listed", false},
-		{"one mean row short", func(c *cluster.Result) { c.Mean[1] = c.Mean[1][1:] }, "cluster 1 has", false},
-		{"one count row short", func(c *cluster.Result) { c.Count[0] = nil }, "cluster 0 has", false},
-		{"K without its lists", func(c *cluster.Result) { c.K++ }, "K = ", false},
+		}, whole, false},
+		{"a user missing from Members", func(c *cluster.Result) { c.Members[2] = c.Members[2][1:] }, whole, false},
+		{"one mean row short", func(c *cluster.Result) { c.Mean[1] = c.Mean[1][1:] }, whole, false},
+		{"one count row short", func(c *cluster.Result) { c.Count[0] = nil }, whole, false},
+		{"K without its lists", func(c *cluster.Result) { c.K++ }, whole, false},
 		{"K above the users", func(c *cluster.Result) { c.K = len(c.Assign) + 1 }, fmt.Sprintf("K = %d", mod.m.NumUsers()+1), true},
 		{"an assignment short", func(c *cluster.Result) { c.Assign = c.Assign[1:] }, fmt.Sprintf("%d assignments for %d users", mod.m.NumUsers()-1, mod.m.NumUsers()), true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			v1 := fileWireV1Of(t, mod)
-			tc.mutate(v1.Clusters)
-			if _, err := Load(frameOf(t, blobKindModel, v1)); err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("Load of a version 1 file: err = %v, want one naming %q", err, tc.want)
+			wire := fileWireOf(t, mod)
+			if !tc.stored {
+				wire.Clusters = wholeClustering(t, mod)
 			}
-			shared := sharedWireOf(mod)
-			shared.Clusters = v1.Clusters
-			sp, err := LoadSharedPart(sharedBlobOf(t, shared))
-			if err == nil {
-				rows, times := matrixRows(mod.m)
-				_, err = AssembleModel(sp, rows, times)
-			}
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("LoadSharedPart and AssembleModel: err = %v, want one naming %q", err, tc.want)
-			}
-			if !tc.sets {
-				return
-			}
-			v3 := fileWireOf(t, mod)
-			tc.mutate(v3.Clusters)
-			if _, err := Load(frameOf(t, blobKindModel, v3)); err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("Load of a version 3 file: err = %v, want one naming %q", err, tc.want)
+			tc.mutate(wire.Clusters)
+			if _, err := Load(frameOf(t, wire)); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("Load: err = %v, want one naming %q", err, tc.want)
 			}
 		})
 	}
 }
 
-// matrixRows is m's rows and, for a timed matrix, their timestamps, in
-// the form AssembleModel takes.
-func matrixRows(m *ratings.Matrix) (rows [][]ratings.Entry, times [][]int64) {
-	rows = make([][]ratings.Entry, m.NumUsers())
-	if m.HasTimes() {
-		times = make([][]int64, m.NumUsers())
+// wholeClustering is a deep copy of mod's clustering, member lists,
+// centroids and counts included, for a test to change.
+func wholeClustering(t *testing.T, mod *Model) *cluster.Result {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(mod.clusters); err != nil {
+		t.Fatal(err)
 	}
-	for u := range rows {
-		rows[u] = m.UserRatings(u)
-		if times != nil {
-			times[u] = m.UserRatingTimes(u)
-		}
+	var c *cluster.Result
+	if err := gob.NewDecoder(&buf).Decode(&c); err != nil {
+		t.Fatal(err)
 	}
-	return rows, times
+	return c
 }
 
 // TestModelFileColumnBytes fences each column of the ledger fixture's

@@ -2,17 +2,15 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
-	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
 
 	"cfsf/internal/mathx"
-	"cfsf/internal/ratings"
 	"cfsf/internal/similarity"
 )
 
@@ -49,203 +47,92 @@ func requireSameRecommendations(t *testing.T, want, got *Model, ctx string) {
 	}
 }
 
-// TestOlderBlobsLoadAndResaveAsVersion4: the testdata files really are
-// the versions they are named for — tau0.* version 1 (per-item neighbour
-// lists), v2.* version 2 (Lens, Index, Score), written by 246d90a, and
-// v3.* version 3 (Lens, IDs, Scores raw), written by fd1273f, all from
-// refusalFixture, as an unframed `-model` file and as a manifest's shared
-// blob — and carry that layout alone; they load with the weights they
-// store; what they load to re-saves as a model file, its GIS as id sets
-// alone (weights and list order derived at load); and the
-// models loaded from each, the ones loaded from their re-saves and the
-// model trained live hold the same GIS entry for entry and answer every
-// Predict and Recommend the same, the grid hashing to tau0Grid.
-func TestOlderBlobsLoadAndResaveAsVersion4(t *testing.T) {
+// TestModelFileV3LoadsAndResavesAsV4: testdata/file-v3.cfsf is
+// refusalFixture's model saved by b42e5f3, the last build to write model
+// file version 3. It loads to the grid that build served (tau0Grid), the
+// GIS, rows and timestamps the model trained here holds, and re-saves as
+// version 4, which loads to the same.
+func TestModelFileV3LoadsAndResavesAsV4(t *testing.T) {
 	m, cfg := refusalFixture(t)
 	live, err := Train(m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// wantLayout checks a GIS snapshot carries the layout of the given
-	// blob version alone; 5 stands for the model file's, Rice-coded id
-	// sets without weights.
-	wantLayout := func(ctx string, version int, snap similarity.Snapshot) {
-		t.Helper()
-		ids, scores := len(snap.Lens) > 0 && len(snap.IDs) > 0, len(snap.Scores) > 0
-		flat := len(snap.Index) > 0 || len(snap.Score) > 0
-		perItem := len(snap.Neighbors) > 0
-		sets := len(snap.Lens) > 0 && len(snap.SetCode.Bits) > 0
-		if ids != (version == 3 || version == 4) || scores != (version == 3) || flat != (version == 2) || perItem != (version == 1) || sets != (version == 5) {
-			t.Fatalf("%s: version %d carries ids=%v scores=%v flat=%v per-item=%v sets=%v", ctx, version, ids, scores, flat, perItem, sets)
-		}
+	data, err := os.ReadFile(filepath.Join("testdata", "file-v3.cfsf"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	compare := func(ctx string, got *Model) {
-		t.Helper()
-		requireSameGIS(t, live.GIS(), got.GIS(), ctx)
-		requireSamePredictions(t, gridPredictions(live), gridPredictions(got), ctx)
-		requireSameRecommendations(t, live, got, ctx)
+	if v := wireOf(t, data).Version; v != 3 {
+		t.Fatalf("the fixture is a version %d file, want 3", v)
+	}
+	old, err := Load(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := old.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if v := wireOf(t, buf.Bytes()).Version; v != 4 {
+		t.Fatalf("the re-save is a version %d file, want 4", v)
+	}
+	t.Logf("version 3: %d bytes, its version 4 re-save %d", len(data), buf.Len())
+	resaved, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ctx, got := range map[string]*Model{"version 3": old, "its version 4 re-save": resaved} {
 		if h := gridHash(got); h != tau0Grid {
 			t.Fatalf("%s: prediction grid hashes to %s, want %s", ctx, h, tau0Grid)
 		}
-	}
-	// resave writes old as a model file and loads that back.
-	resave := func(ctx string, old *Model) *Model {
-		t.Helper()
-		var buf bytes.Buffer
-		if err := old.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		f, err := Decode(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("%s: %v", ctx, err)
-		}
-		wantLayout(ctx, 5, f.GIS)
-		mod, err := Load(&buf)
-		if err != nil {
-			t.Fatalf("%s: %v", ctx, err)
-		}
-		return mod
-	}
-	fixtures := []struct {
-		name    string
-		version int
-	}{{"tau0", 1}, {"v2", 2}, {"v3", 3}}
-
-	t.Run("model", func(t *testing.T) {
-		for _, fx := range fixtures {
-			data, err := os.ReadFile("testdata/" + fx.name + ".model")
-			if err != nil {
-				t.Fatal(err)
-			}
-			var wire modelWire
-			if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&wire); err != nil {
-				t.Fatal(err)
-			}
-			if wire.Version != fx.version {
-				t.Fatalf("%s: wire version %d, want %d", fx.name, wire.Version, fx.version)
-			}
-			wantLayout(fx.name, fx.version, wire.GIS)
-			old, err := Load(bytes.NewReader(data))
-			if err != nil {
-				t.Fatal(err)
-			}
-			compare(fmt.Sprintf("loaded from version %d", fx.version), old)
-			compare(fmt.Sprintf("loaded from the re-save of version %d", fx.version), resave(fx.name+" re-saved", old))
-		}
-	})
-
-	t.Run("shared blob", func(t *testing.T) {
-		for _, fx := range fixtures {
-			data, err := os.ReadFile("testdata/" + fx.name + ".shared")
-			if err != nil {
-				t.Fatal(err)
-			}
-			payload, err := readBlob(bytes.NewReader(data), blobKindShared)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var wire sharedWire
-			if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&wire); err != nil {
-				t.Fatal(err)
-			}
-			if wire.Version != fx.version {
-				t.Fatalf("%s: wire version %d, want %d", fx.name, wire.Version, fx.version)
-			}
-			wantLayout(fx.name, fx.version, wire.GIS)
-			sp, err := LoadSharedPart(bytes.NewReader(data))
-			if err != nil {
-				t.Fatal(err)
-			}
-			rows, times := make([][]ratings.Entry, sp.NumUsers), make([][]int64, sp.NumUsers)
-			for u := range rows {
-				rows[u], times[u] = m.UserRatings(u), m.UserRatingTimes(u)
-			}
-			old, err := AssembleModel(sp, rows, times)
-			if err != nil {
-				t.Fatal(err)
-			}
-			compare(fmt.Sprintf("assembled from version %d", fx.version), old)
-			compare(fmt.Sprintf("loaded from the re-save of version %d", fx.version), resave(fx.name+" re-saved", old))
-		}
-	})
-}
-
-// sharedWireOf is the payload a shared blob of mod held, for tests that
-// change one thing in it before framing it as a blob.
-func sharedWireOf(mod *Model) sharedWire {
-	return sharedWire{Version: sharedBlobVersion, Config: mod.cfg, NumUsers: mod.m.NumUsers(), NumItems: mod.m.NumItems(),
-		MinRating: mod.m.MinRating(), MaxRating: mod.m.MaxRating(), HasTimes: mod.m.HasTimes(),
-		GIS: listOrdered(mod.GIS(), mod.cfg.blendsContent()), Clusters: mod.clusters}
-}
-
-// listOrdered is g's snapshot in the layout shared blob version 4 and
-// model file version 1 stored: each list in list order, one id in
-// IDWidth bytes, the weights left to derive unless withScores is set.
-func listOrdered(g *similarity.GIS, withScores bool) similarity.Snapshot {
-	snap := similarity.Snapshot{Lens: make([]int32, g.NumItems()), Opts: g.Options()}
-	w := similarity.IDWidth(g.NumItems())
-	for i := range snap.Lens {
-		snap.Lens[i] = int32(len(g.Neighbors(i)))
-		for _, n := range g.Neighbors(i) {
-			if w == 2 {
-				snap.IDs = binary.LittleEndian.AppendUint16(snap.IDs, uint16(n.Index))
-			} else {
-				snap.IDs = binary.LittleEndian.AppendUint32(snap.IDs, uint32(n.Index))
-			}
-			if withScores {
-				snap.Scores = binary.LittleEndian.AppendUint64(snap.Scores, math.Float64bits(n.Score))
+		requireSameGIS(t, live.GIS(), got.GIS(), ctx)
+		requireSameRecommendations(t, live, got, ctx)
+		for u := 0; u < m.NumUsers(); u++ {
+			if !slices.Equal(got.Matrix().UserRatings(u), m.UserRatings(u)) || !slices.Equal(got.Matrix().UserRatingTimes(u), m.UserRatingTimes(u)) {
+				t.Fatalf("%s: user %d's row or timestamps differ from the fixture's", ctx, u)
 			}
 		}
 	}
-	return snap
 }
 
-func sharedBlobOf(t *testing.T, wire sharedWire) *bytes.Buffer {
+// wireOf is the payload of the model file data.
+func wireOf(t *testing.T, data []byte) fileWire {
 	t.Helper()
-	return frameOf(t, blobKindShared, wire)
+	payload, err := readBlob(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wire fileWire
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&wire); err != nil {
+		t.Fatal(err)
+	}
+	return wire
 }
 
-// frameOf gob-encodes wire and frames it as a blob of the given kind.
-func frameOf(t *testing.T, kind byte, wire any) *bytes.Buffer {
+// frameOf gob-encodes wire and frames it as a model file.
+func frameOf(t *testing.T, wire any) *bytes.Buffer {
 	t.Helper()
 	var payload, blob bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(wire); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeBlob(&blob, kind, payload.Bytes()); err != nil {
+	if err := writeBlob(&blob, payload.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	return &blob
 }
 
-// TestFutureWireVersionsAreRefused: a file one version ahead of what this
-// build knows is refused by its number, whatever it holds: a model file,
-// and the older formats this build only reads.
+// TestFutureWireVersionsAreRefused: a model file one version ahead of
+// what this build writes is refused by its number, whatever it holds.
 func TestFutureWireVersionsAreRefused(t *testing.T) {
-	if fileWireVersion != 3 || sharedBlobVersion != 4 || modelWireVersion != 4 {
-		t.Fatalf("this build writes model file version %d and reads shared blob version %d and model version %d; the tests here pin 3, 4 and 4",
-			fileWireVersion, sharedBlobVersion, modelWireVersion)
+	if fileWireVersion != 4 {
+		t.Fatalf("this build writes model file version %d; the tests here pin 4", fileWireVersion)
 	}
 	mod, _ := trainSmall(t)
 	file := fileWireOf(t, mod)
 	file.Version = fileWireVersion + 1
-	if _, err := Load(frameOf(t, blobKindModel, file)); err == nil || !strings.Contains(err.Error(), "version 4") {
-		t.Errorf("Load of a model file: err = %v, want a refusal naming version 4", err)
-	}
-
-	var buf bytes.Buffer
-	model := modelWire{Version: modelWireVersion + 1, Config: mod.cfg, Matrix: mod.m, GIS: mod.gisSnapshot(), Clusters: mod.clusters}
-	if err := gob.NewEncoder(&buf).Encode(model); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(&buf); err == nil || !strings.Contains(err.Error(), "version 5") {
-		t.Errorf("Load of an unframed file: err = %v, want a refusal naming version 5", err)
-	}
-
-	shared := sharedWireOf(mod)
-	shared.Version = sharedBlobVersion + 1
-	if _, err := LoadSharedPart(sharedBlobOf(t, shared)); err == nil || !strings.Contains(err.Error(), "version 5") {
-		t.Errorf("LoadSharedPart: err = %v, want a refusal naming version 5", err)
+	if _, err := Load(frameOf(t, file)); err == nil || !strings.Contains(err.Error(), "unsupported model file version 5") {
+		t.Errorf("Load: err = %v, want a refusal naming version 5", err)
 	}
 }
 
@@ -257,7 +144,7 @@ func fileWireOf(t *testing.T, mod *Model) fileWire {
 	if err := mod.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	payload, err := readBlob(&buf, blobKindModel)
+	payload, err := readBlob(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,65 +155,39 @@ func fileWireOf(t *testing.T, mod *Model) fileWire {
 	return wire
 }
 
-// fileWireV1Of is mod's payload as a version 1 model file held it: row
-// items one int32 each beside float64 values and int64 timestamps, and
-// the clustering whole, deep-copied so a test can change it.
-func fileWireV1Of(t *testing.T, mod *Model) fileWire {
-	t.Helper()
-	wire := fileWireOf(t, mod)
-	wire.Version, wire.GIS = 1, listOrdered(mod.GIS(), mod.cfg.blendsContent())
-	wire.ItemCode, wire.Scale, wire.ValueCode, wire.TimeCode = mathx.RiceCode{}, nil, mathx.RiceCode{}, mathx.RiceCode{}
-	for u := 0; u < mod.m.NumUsers(); u++ {
-		for _, e := range mod.m.UserRatings(u) {
-			wire.Items, wire.Values = append(wire.Items, e.Index), append(wire.Values, e.Value)
-		}
-		wire.Times = append(wire.Times, mod.m.UserRatingTimes(u)...)
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(mod.clusters); err != nil {
-		t.Fatal(err)
-	}
-	wire.Clusters = nil
-	if err := gob.NewDecoder(&buf).Decode(&wire.Clusters); err != nil {
-		t.Fatal(err)
-	}
-	return wire
-}
-
-// TestSharedBlobGISMustCoverTheItems: a shared blob whose GIS is
+// TestModelFileGISMustCoverTheItems: a model file whose GIS is
 // malformed, or is sound but covers another number of items than the
 // model has, is refused at load rather than at the first Predict.
-func TestSharedBlobGISMustCoverTheItems(t *testing.T) {
+func TestModelFileGISMustCoverTheItems(t *testing.T) {
 	mod, _ := trainSmall(t)
-	if _, err := LoadSharedPart(sharedBlobOf(t, sharedWireOf(mod))); err != nil {
-		t.Fatalf("the unmodified blob: %v", err)
+	if _, err := Load(frameOf(t, fileWireOf(t, mod))); err != nil {
+		t.Fatalf("the unmodified file: %v", err)
 	}
+	gis, _, _, _ := fileColumns(mod, fileWireOf(t, mod).Scale)
 	for _, tc := range []struct {
 		name   string
 		mutate func(*similarity.Snapshot)
 	}{
 		{"one item short", func(s *similarity.Snapshot) {
 			last := len(s.Lens) - 1
-			w := similarity.IDWidth(len(s.Lens))
-			n := len(s.IDs)/w - int(s.Lens[last])
-			s.Lens, s.IDs = s.Lens[:last], s.IDs[:n*similarity.IDWidth(last)]
+			s.SetCode = mathx.EncodeRice(gis[:len(gis)-int(s.Lens[last])])
+			s.Lens = s.Lens[:last]
 		}},
 		{"no GIS at all", func(s *similarity.Snapshot) { *s = similarity.Snapshot{Opts: s.Opts} }},
 		{"lengths beyond the entries", func(s *similarity.Snapshot) { s.Lens[0]++ }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			wire := sharedWireOf(mod)
+			wire := fileWireOf(t, mod)
 			tc.mutate(&wire.GIS)
-			if _, err := LoadSharedPart(sharedBlobOf(t, wire)); err == nil || !strings.Contains(err.Error(), "corrupt shared blob") {
-				t.Fatalf("err = %v, want a corrupt-blob refusal", err)
+			if _, err := Load(frameOf(t, wire)); err == nil || !strings.Contains(err.Error(), "corrupt model file") {
+				t.Fatalf("err = %v, want a corrupt-file refusal", err)
 			}
 		})
 	}
 }
 
-// TestSaveLoadKeepsTimes: the model file carries the timestamps (the
-// unframed file's version 1 had no place for them and dropped every one),
-// so a model loaded from it is timed, and saves them again.
+// TestSaveLoadKeepsTimes: the model file carries the timestamps, so a
+// model loaded from it is timed, and saves them again.
 func TestSaveLoadKeepsTimes(t *testing.T) {
 	m, cfg := refusalFixture(t)
 	mod, err := Train(m, cfg)
@@ -365,4 +226,59 @@ func TestSaveLoadKeepsTimes(t *testing.T) {
 			t.Fatalf("user %d timestamps in the re-save = %v, want %v", u, f.Times[u], want)
 		}
 	}
+}
+
+// FuzzDecode: a model file is outside input twice — read from disk, and
+// fetched from a leader — and its checksum guards only against damage in
+// between. So whatever gob payload a valid frame carries, Decode must
+// refuse it or accept it without panicking, and a model it accepts must
+// save to a file that decodes again. Payloads stay under 4 KiB so that no
+// accepted file's dimensions, which size the centroids and smoothing
+// tables, outgrow a test machine. The corpus is refusalFixture's model as
+// this build saves it and as b42e5f3 saved it (testdata/file-v3.cfsf).
+func FuzzDecode(f *testing.F) {
+	m, cfg := refusalFixture(f)
+	mod, err := Train(m, cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := mod.Save(&buf); err != nil {
+		f.Fatal(err)
+	}
+	v3, err := os.ReadFile(filepath.Join("testdata", "file-v3.cfsf"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, file := range [][]byte{buf.Bytes(), v3} {
+		payload, err := readBlob(bytes.NewReader(file))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		if len(payload) > 4<<10 {
+			return
+		}
+		var framed bytes.Buffer
+		if err := writeBlob(&framed, payload); err != nil {
+			t.Fatal(err)
+		}
+		file, err := Decode(&framed)
+		if err != nil {
+			return
+		}
+		mod, err := file.Model()
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := mod.Save(&out); err != nil {
+			t.Fatalf("an accepted model does not save: %v", err)
+		}
+		if _, err := Decode(&out); err != nil {
+			t.Fatalf("an accepted model saves to a file Decode refuses: %v", err)
+		}
+	})
 }

@@ -1,7 +1,7 @@
 package core
 
 // ShardStats describes one shard of a model: a user cluster of the
-// offline phase (Eq. 6), which is also the unit of per-shard persistence.
+// offline phase (Eq. 6).
 type ShardStats struct {
 	ID      int `json:"id"`
 	Users   int `json:"users"`

@@ -193,7 +193,7 @@ func TestApplyIsTotal(t *testing.T) {
 // TestTrainIsAFunctionOfMatrixAndConfig is the property a journaled
 // retrain leans on: whoever holds the ratings folded up to a watermark —
 // the live leader after a chain of incremental applies, a boot that
-// loaded them from blobs, a follower — gets the same model out of Train,
+// loaded them from a snapshot file, a follower — gets the same model out of Train,
 // to the byte of its persisted form, so a retrain record needs to carry
 // nothing but the watermark. Re-running Train on its own result changes
 // nothing (the re-fold of a record a snapshot already holds), the copies

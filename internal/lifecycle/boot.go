@@ -2,6 +2,7 @@ package lifecycle
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -30,9 +31,36 @@ type BootStats struct {
 // BootStats reports how the serving model was reconstructed at Open.
 func (m *Manager) BootStats() BootStats { return m.boot }
 
-// legacySnapshotGlob matches the monolithic snapshots that builds before
-// the manifest format wrote; PR 12 was the last build that migrated one.
-const legacySnapshotGlob = "snap-*.gob"
+// retiredFormats are the recovery points earlier builds wrote in a format
+// this build does not read, each with the build that migrates a data dir
+// holding one: booting the dir once with it writes a model file this build
+// loads (DESIGN §12). A model file of a retired version is refused by
+// core.Decode itself, as core.ErrRetiredFormat.
+var retiredFormats = []struct{ glob, build string }{
+	{"snap-*.gob", "157aafe and then once with build " + core.MigratingBuild},
+	{"manifest-*.json", core.MigratingBuild},
+	{"shared-*.blob", core.MigratingBuild},
+	{"shard-*.blob", core.MigratingBuild},
+}
+
+// refuseRetired refuses a data dir none of whose snapshot files loaded
+// when it holds a recovery point in a retired format: retired, the first
+// snapshot file core refused as one, or a file retiredFormats names.
+// Retraining in its place would silently forget the state that point
+// holds, even while the WAL still reaches back to seq 1.
+func refuseRetired(dir string, retired error) error {
+	if retired != nil {
+		return fmt.Errorf("lifecycle: no snapshot in %s is loadable: %w — boot the directory with that build until it writes a snapshot to migrate it, or move the file away to retrain",
+			dir, retired)
+	}
+	for _, f := range retiredFormats {
+		if found, _ := filepath.Glob(filepath.Join(dir, f.glob)); len(found) > 0 {
+			return fmt.Errorf("lifecycle: no snapshot in %s is loadable and %s is in a format this build does not read: boot the directory once with build %s to migrate it, or move the file away to retrain",
+				dir, found[0], f.build)
+		}
+	}
+	return nil
+}
 
 // tailReplayable reports whether the WAL can still extend a state at
 // watermark seq: the log serves a state at seq S iff its first segment
@@ -82,15 +110,14 @@ func (m *Manager) bootModel(bootstrap func() (*core.Model, error)) error {
 		return fmt.Errorf("lifecycle: list snapshots: %w", err)
 	}
 	// Try recovery points newest-first: a point that cannot be loaded —
-	// torn by the filesystem, or written by a newer build whose wire
-	// version this binary rejects — is skipped in favour of the next older
-	// one. The WAL needed to catch up from an older point is still present
+	// torn by the filesystem, or of a wire version this binary rejects,
+	// newer or retired — is skipped in favour of the next older one. The WAL needed to catch up from an older point is still present
 	// because segments are only pruned once a *verified* snapshot covers
 	// them, and only below the oldest retained one; retention prunes in step
 	// with the point ladder, so the tailReplayable gate only skips points
 	// orphaned by a SnapshotKeep decrease or external file surgery.
 	var base *core.Model
-	var loaded durablePoint
+	var retired error // the first point refused for its format's age
 	for _, pt := range points {
 		if err := m.tailReplayable(pt.seq); err != nil {
 			m.cfg.Logf("lifecycle: snapshot %s unusable (%v); trying an older one", filepath.Base(pt.path), err)
@@ -99,6 +126,9 @@ func (m *Manager) bootModel(bootstrap func() (*core.Model, error)) error {
 		t := time.Now()
 		mod, size, lerr := loadPoint(pt)
 		if lerr != nil {
+			if retired == nil && errors.Is(lerr, core.ErrRetiredFormat) {
+				retired = fmt.Errorf("%s: %w", pt.path, lerr)
+			}
 			m.reg.Counter("lifecycle_snapshot_load_failures_total").Inc()
 			m.cfg.Logf("lifecycle: snapshot %s unusable (%v); trying an older one", filepath.Base(pt.path), lerr)
 			continue
@@ -106,7 +136,7 @@ func (m *Manager) bootModel(bootstrap func() (*core.Model, error)) error {
 		st := mod.Stats()
 		m.cfg.Logf("lifecycle: loaded snapshot %s (%d bytes, covers seq %d) in %v, %v of it deriving what the file does not store",
 			filepath.Base(pt.path), size, pt.seq, time.Since(t).Round(time.Millisecond), (st.GISDuration + st.ClusterDuration).Round(time.Millisecond))
-		base, loaded = mod, pt
+		base = mod
 		m.boot.SnapshotLoaded = pt.path
 		m.boot.SnapshotSeq = pt.seq
 		break
@@ -116,10 +146,8 @@ func (m *Manager) bootModel(bootstrap func() (*core.Model, error)) error {
 		// by it: not the state inside a snapshot this build cannot read,
 		// and not ratings the WAL no longer holds — the bootstrap model
 		// stands at watermark 0 and passes the same gate as any point.
-		dir := snapshotDir(m.cfg.DataDir)
-		if legacy, _ := filepath.Glob(filepath.Join(dir, legacySnapshotGlob)); len(legacy) > 0 {
-			return fmt.Errorf("lifecycle: %s is a legacy monolithic snapshot and no snapshot in %s is loadable: this build does not read it — boot the directory once with a build up to 157aafe to migrate it, or move the file away to retrain",
-				legacy[0], dir)
+		if err := refuseRetired(snapshotDir(m.cfg.DataDir), retired); err != nil {
+			return err
 		}
 		if err := m.tailReplayable(0); err != nil {
 			return fmt.Errorf("lifecycle: no loadable snapshot in %s and the bootstrap model cannot stand in for one: %v — retraining would silently drop acknowledged ratings",
@@ -140,7 +168,7 @@ func (m *Manager) bootModel(bootstrap func() (*core.Model, error)) error {
 	// Ratings past the final commit were journaled but possibly never
 	// applied; they form one final batch.
 	m.rep.reset(base, m.boot.SnapshotSeq)
-	fromFile := loaded.path != "" && !loaded.manifest
+	fromFile := m.boot.SnapshotLoaded != ""
 	if fromFile {
 		// Boot is single-threaded, but Snapshot reads this under snapMu,
 		// so publish it the same way.
@@ -163,8 +191,8 @@ func (m *Manager) bootModel(bootstrap func() (*core.Model, error)) error {
 		m.boot.ReplayedBatches++
 	}
 
-	// Re-anchor durability: after any replay, a boot from a manifest, or a
-	// first boot with no snapshot at all, write a snapshot file so the next
+	// Re-anchor durability: after any replay, or a first boot with no
+	// snapshot at all, write a snapshot file so the next
 	// boot starts from a clean point — and so recovery no longer depends on
 	// the bootstrap function reproducing the base model exactly.
 	if m.boot.ReplayedRecords > 0 || !fromFile {
@@ -175,26 +203,9 @@ func (m *Manager) bootModel(bootstrap func() (*core.Model, error)) error {
 	return nil
 }
 
-// loadPoint loads the model a recovery point holds: a snapshot file, or
-// a manifest's blobs (read-only, see legacy.go), and returns the size of
-// the file the point names (a manifest's own, not its blobs'). The
-// watermark recorded inside must be the one the name claims.
+// loadPoint loads the model a snapshot file holds and returns the file's
+// size. The watermark recorded inside must be the one the name claims.
 func loadPoint(pt durablePoint) (*core.Model, int64, error) {
-	if pt.manifest {
-		man, err := readManifest(pt.path)
-		if err != nil {
-			return nil, 0, err
-		}
-		if man.Seq != pt.seq {
-			return nil, 0, fmt.Errorf("manifest %s covers seq %d, name says %d", filepath.Base(pt.path), man.Seq, pt.seq)
-		}
-		fi, err := os.Stat(pt.path)
-		if err != nil {
-			return nil, 0, err
-		}
-		mod, err := assembleManifest(man, filepath.Dir(pt.path))
-		return mod, fi.Size(), err
-	}
 	data, err := os.ReadFile(pt.path)
 	if err != nil {
 		return nil, 0, err

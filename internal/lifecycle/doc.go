@@ -29,7 +29,6 @@
 //	                replication serves
 //	selfcheck.go    the read-back self-check a snapshot passes before it
 //	                is published
-//	legacy.go       read-only assembly of the manifests older builds wrote
 //	metrics.go      instruments and gauges
 //
 // Data-dir layout:
@@ -60,10 +59,12 @@
 // identical. A fresh snapshot is then written so the next boot replays
 // nothing.
 //
-// A data dir an older build wrote holds manifests over per-shard blobs
-// instead (legacy.go): boot assembles the newest loadable one read-only,
-// its boot snapshot writes a file, and retention then deletes every
-// manifest and blob. A monolithic snap-<seq>.gob written before manifests
-// existed no longer boots: with no loadable point beside it Open refuses,
-// naming the file.
+// A snapshot file of the model file version before the one this build
+// writes loads like its own, and the boot snapshot after a replay writes
+// the current version. A recovery point older builds wrote in a format
+// this build no longer reads — a model file of an older version, a
+// manifest over per-shard blobs, a monolithic snap-<seq>.gob — is never
+// loaded: with no loadable snapshot file beside it Open refuses, naming
+// the file and the build that migrates it, and beside one it is ignored
+// and left in place.
 package lifecycle

@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -205,10 +204,11 @@ func TestSnapshotFaultsFallBackOrRefuse(t *testing.T) {
 
 // legacyGrid is the sha256 over the big-endian bits of every
 // Predict(u, i), user-major, that the run which wrote
-// testdata/legacy-8cb6e8a served when it was killed: the base model of
+// testdata/v3-b42e5f3 served when it was killed: the base model of
 // newBaseModel, 25 ratings (testUpdate 0–24) applied one at a time, a
-// manifest snapshot after the 12th and the 20th, the last five in the
-// WAL only. Build 8cb6e8a wrote it, the last to write manifests.
+// snapshot after the 12th and the 20th, the last five in the WAL only.
+// Builds 8cb6e8a, 773b6e0 and ddea235 served it from the same run, and
+// b42e5f3, the last to write model file version 3, wrote this one.
 const legacyGrid = "86a724fd2b30aa325ce62d72730863fb944709b7d35fd860b0b3de171f331aea"
 
 func gridHash(mod *core.Model) string {
@@ -219,18 +219,32 @@ func gridHash(mod *core.Model) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestModelFileDataDirsBootAndMigrate: data dirs 773b6e0 and ddea235
-// wrote — the same run as testdata/legacy-8cb6e8a, their recovery points
-// model files of version 1 (GIS ids in list order, the clustering whole)
-// and version 2 (id sets and rows gap-coded a byte each, float64 values,
-// int64 timestamps) — boot from the newest file, replay the tail and
-// serve the grid those builds served. The boot snapshot is a file this
-// build writes, byte for byte — version 3, its GIS sets Rice-coded — and
-// the next boot loads it to the same grid.
+// snapshotVersion is the model file version of the snapshot at seq in dir.
+func snapshotVersion(t *testing.T, dir string, seq uint64) int {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(snapshotDir(dir), snapshotName(seq)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := core.Decode(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f.Version
+}
+
+// TestModelFileDataDirsBootAndMigrate: the data dir b42e5f3 wrote —
+// testdata/v3-b42e5f3, its recovery points model files of version 3 —
+// boots from the newest file, replays the tail and serves the grid that
+// build served. The boot snapshot is a file this build writes, byte for
+// byte — version 4 — and the next boot loads it to the same grid.
 func TestModelFileDataDirsBootAndMigrate(t *testing.T) {
-	for _, fx := range []string{"v1-773b6e0", "v2-ddea235"} {
+	for _, fx := range []string{"v3-b42e5f3"} {
 		t.Run(fx, func(t *testing.T) {
 			dir := copyDir(t, filepath.Join("testdata", fx))
+			if v := snapshotVersion(t, dir, 0x27); v != 3 {
+				t.Fatalf("the fixture's newest snapshot is version %d, want 3", v)
+			}
 			cfg := Config{DataDir: dir, Fsync: wal.SyncNever}
 			a, err := Open(noBoot(t), cfg)
 			if err != nil {
@@ -258,13 +272,8 @@ func TestModelFileDataDirsBootAndMigrate(t *testing.T) {
 			if !bytes.Equal(got, want.Bytes()) {
 				t.Fatalf("the boot snapshot (%d bytes) is not the file this build writes (%d bytes)", len(got), want.Len())
 			}
-			f, err := core.Decode(bytes.NewReader(got))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(f.GIS.SetCode.Bits) == 0 || len(f.GIS.Set) > 0 || len(f.GIS.IDs) > 0 {
-				t.Fatalf("the boot snapshot's GIS carries %d Rice-coded, %d gap-coded and %d list-order bytes; want Rice-coded sets alone",
-					len(f.GIS.SetCode.Bits), len(f.GIS.Set), len(f.GIS.IDs))
+			if v := snapshotVersion(t, dir, 49); v != 4 {
+				t.Fatalf("the boot snapshot is version %d, want 4", v)
 			}
 
 			b, err := Open(noBoot(t), cfg)
@@ -283,20 +292,25 @@ func TestModelFileDataDirsBootAndMigrate(t *testing.T) {
 }
 
 // offScaleGrid is the gridHash the run which wrote
-// testdata/offscale-ddea235 served when it was killed: the base model of
-// newBaseModel, testUpdate 0–5 and then 0.5 for (7, 3) and 7 for (12, 9)
-// applied one at a time — on its 1..5 scale, which build ddea235 did not
-// check — a snapshot, then testUpdate 6–9 in the WAL only.
+// testdata/offscale-ddea235, the source of testdata/offscale-b42e5f3,
+// served when it was killed: the base model of newBaseModel, testUpdate
+// 0–5 and then 0.5 for (7, 3) and 7 for (12, 9) applied one at a time —
+// on its 1..5 scale, which build ddea235 did not check — a snapshot, then
+// testUpdate 6–9 in the WAL only. Build b42e5f3 loaded each snapshot file
+// of that dir and saved it again at its watermark, as version 3.
 const offScaleGrid = "2f1b9f28dbad511ec32a4439129533e93bf9a641ca499bf59bc1e7af5844f7a0"
 
-// TestOffScaleDataDirBootsAndMigrates: a data dir build ddea235 wrote
-// whose newest snapshot, a version 2 file, holds values off its model's
-// own 1..5 scale boots from that file, replays the tail and serves the
-// grid that build served. Its boot snapshot — a version 3 file holding
-// the same values, read back through core.Decode before it is published —
-// is written, and the next boot loads it to the same grid.
+// TestOffScaleDataDirBootsAndMigrates: a data dir whose newest snapshot, a
+// version 3 file b42e5f3 wrote, holds values off its model's own 1..5
+// scale boots from that file, replays the tail and serves the grid its
+// run served. Its boot snapshot — a version 4 file holding the same
+// values, read back through core.Decode before it is published — is
+// written, and the next boot loads it to the same grid.
 func TestOffScaleDataDirBootsAndMigrates(t *testing.T) {
-	dir := copyDir(t, filepath.Join("testdata", "offscale-ddea235"))
+	dir := copyDir(t, filepath.Join("testdata", "offscale-b42e5f3"))
+	if v := snapshotVersion(t, dir, 15); v != 3 {
+		t.Fatalf("the fixture's newest snapshot is version %d, want 3", v)
+	}
 	cfg := Config{DataDir: dir, Fsync: wal.SyncNever}
 	a, err := Open(noBoot(t), cfg)
 	if err != nil {
@@ -317,16 +331,8 @@ func TestOffScaleDataDirBootsAndMigrates(t *testing.T) {
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := os.ReadFile(filepath.Join(snapshotDir(dir), snapshotName(23)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := core.Decode(bytes.NewReader(got))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.GIS.SetCode.Bits) == 0 {
-		t.Fatal("the boot snapshot is not a version 3 file")
+	if v := snapshotVersion(t, dir, 23); v != 4 {
+		t.Fatalf("the boot snapshot is version %d, want 4", v)
 	}
 
 	b, err := Open(noBoot(t), cfg)
@@ -340,123 +346,6 @@ func TestOffScaleDataDirBootsAndMigrates(t *testing.T) {
 	if got := gridHash(b.Model()); got != offScaleGrid {
 		t.Fatalf("the migrated dir boots to grid %s, want %s", got, offScaleGrid)
 	}
-}
-
-// TestLegacyDataDirBootsAndMigrates: a data dir a build up to 8cb6e8a
-// wrote — two manifests over shared and shard blobs, a WAL tail past the
-// newer one — boots from the newest manifest, replays the tail and serves
-// the grid that build served. Its boot snapshot migrates the dir: one
-// snapshot file, no manifest and no blob left, and the next boot loads
-// that file to the same grid.
-func TestLegacyDataDirBootsAndMigrates(t *testing.T) {
-	dir := copyDir(t, filepath.Join("testdata", "legacy-8cb6e8a"))
-	cfg := Config{DataDir: dir, Fsync: wal.SyncNever}
-	a, err := Open(noBoot(t), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bs := a.BootStats()
-	if filepath.Base(bs.SnapshotLoaded) != "manifest-0000000000000027.json" || bs.ReplayedRecords != 5 || a.AppliedSeq() != 49 {
-		t.Fatalf("boot loaded %s, replayed %d to seq %d; want the newest manifest, 5 records, seq 49",
-			bs.SnapshotLoaded, bs.ReplayedRecords, a.AppliedSeq())
-	}
-	if got := gridHash(a.Model()); got != legacyGrid {
-		t.Fatalf("the legacy dir boots to grid %s, its build served %s", got, legacyGrid)
-	}
-	if err := a.Close(); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(snapshotDir(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, e := range entries {
-		names = append(names, e.Name())
-	}
-	if len(names) != 1 || names[0] != snapshotName(49) {
-		t.Fatalf("snapshots after migration = %v, want only %s", names, snapshotName(49))
-	}
-
-	b, err := Open(noBoot(t), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	if got := b.BootStats().SnapshotLoaded; filepath.Base(got) != snapshotName(49) {
-		t.Fatalf("second boot loaded %s, want the migrated file", got)
-	}
-	if got := gridHash(b.Model()); got != legacyGrid {
-		t.Fatalf("the migrated dir boots to grid %s, want %s", got, legacyGrid)
-	}
-}
-
-// TestLegacySnapshotNoLongerBoots: a monolithic snap-<seq>.gob from
-// before the manifest format is state this build cannot read. Alone in
-// the snapshots directory it must fail Open with an error naming the
-// file — never fall through to a retrain that silently forgets what the
-// file held; beside a loadable manifest it is ignored and left in place.
-func TestLegacySnapshotNoLongerBoots(t *testing.T) {
-	base := newBaseModel(t)
-	plant := func(dir string, seq uint64) string {
-		t.Helper()
-		if err := os.MkdirAll(snapshotDir(dir), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		legacy := filepath.Join(snapshotDir(dir), fmt.Sprintf("snap-%016x.gob", seq))
-		f, err := os.Create(legacy)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := base.Save(f); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return legacy
-	}
-
-	t.Run("legacy only: refused", func(t *testing.T) {
-		dir := t.TempDir()
-		legacy := plant(dir, 0)
-		_, err := Open(noBoot(t), Config{DataDir: dir})
-		if err == nil || !strings.Contains(err.Error(), legacy) {
-			t.Fatalf("Open = %v, want a refusal naming %s", err, legacy)
-		}
-		if files, _ := filepath.Glob(filepath.Join(snapshotDir(dir), snapshotPrefix+"*")); len(files) != 0 {
-			t.Fatalf("refused boot still wrote %v", files)
-		}
-	})
-
-	t.Run("legacy beside a manifest: manifest wins", func(t *testing.T) {
-		dir := copyDir(t, filepath.Join("testdata", "legacy-8cb6e8a"))
-		legacy := plant(dir, 0xff) // claims to be newer than any manifest
-
-		b, err := Open(noBoot(t), Config{DataDir: dir, Fsync: wal.SyncNever, SnapshotKeep: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := filepath.Base(b.BootStats().SnapshotLoaded); !strings.HasPrefix(got, manifestPrefix) {
-			t.Fatalf("boot loaded %q, want a manifest", got)
-		}
-		if got := gridHash(b.Model()); got != legacyGrid {
-			t.Fatalf("manifest boot beside a legacy file: grid %s, want %s", got, legacyGrid)
-		}
-		// Retention counts snapshot files only: a snapshot past
-		// SnapshotKeep must not sweep the file an operator may still want.
-		seq, _, err := b.Submit(testUpdate(2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		waitUntil(t, "update applied", func() bool { return b.AppliedSeq() >= seq })
-		if err := b.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := os.Stat(legacy); err != nil {
-			t.Fatalf("legacy file not left in place: %v", err)
-		}
-	})
 }
 
 // TestRetentionRuleHolds pins the one WAL retention rule on the recovery

@@ -12,17 +12,17 @@ import (
 	"cfsf/internal/similarity"
 )
 
-// compareSharedToLive holds a decoded model file's shared part against the
-// model it was written from, value by value: the configuration, the
+// compareSharedToLive holds what a decoded model file stores besides its
+// rows against the model it was written from, value by value: the configuration, the
 // dimensions, the GIS a boot from the file would serve — its neighbour
 // ids, with the weights it leaves out derived on the live matrix, the way
-// AssembleModel derives them on the assembled one — entry by entry, and
+// File.Model derives them on the one it rebuilds — entry by entry, and
 // every field of the clustering. Slices compare by length and content, because gob does
 // not tell a nil slice from an empty one; floats compare by their bits.
 // Nothing on the live side has been through the encoder, so a fault in
 // the encoder and its mirror image in the decoder cannot cancel each
 // other out. The error names the part that diverges.
-func compareSharedToLive(sp *core.SharedPart, live *core.Model) error {
+func compareSharedToLive(sp *core.File, live *core.Model) error {
 	if field := diffConfig(sp.Config, live.Config()); field != "" {
 		return fmt.Errorf("config field %s diverges from the serving model", field)
 	}
@@ -98,7 +98,6 @@ func diffConfig(got, want core.Config) string {
 		{"GIS", got.GIS == want.GIS},
 		{"ItemFeatures", slices.EqualFunc(got.ItemFeatures, want.ItemFeatures, sameFloats)},
 		{"ContentBlend", sameBits(got.ContentBlend, want.ContentBlend)},
-		{"TimeDecayTau", sameBits(got.TimeDecayTau, want.TimeDecayTau)},
 		{"ClusterMaxIter", got.ClusterMaxIter == want.ClusterMaxIter},
 		{"ClusterMetric", got.ClusterMetric == want.ClusterMetric},
 		{"Seed", got.Seed == want.Seed},
@@ -134,7 +133,7 @@ func verifySnapshot(path string, seq uint64, live *core.Model) error {
 		if file.Seq != seq {
 			return fmt.Errorf("watermark reloads as %d, model is at %d", file.Seq, seq)
 		}
-		if err := compareSharedToLive(&file.SharedPart, live); err != nil {
+		if err := compareSharedToLive(file, live); err != nil {
 			return err
 		}
 		return compareRowsToLive(file, live.Matrix())

@@ -2,7 +2,6 @@ package lifecycle
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"os"
@@ -13,18 +12,19 @@ import (
 	"testing"
 
 	"cfsf/internal/core"
+	"cfsf/internal/mathx"
 	"cfsf/internal/similarity"
 	"cfsf/internal/wal"
 )
 
 // referenceSharedCheck is the comparison the snapshot self-check made
 // before it held the decoded file against the live model directly: the
-// live model is serialised and decoded too, and the two decoded shared
-// parts must be deeply equal. It stays as the reference the direct
-// comparison must agree with on every row below (the direct one sees
-// strictly more: here both sides have been through the same encoder and
-// decoder).
-func referenceSharedCheck(got *core.SharedPart, live *core.Model) error {
+// live model is serialised and decoded too, and what the two decoded files
+// store besides their rows must be deeply equal. It stays as the reference
+// the direct comparison must agree with on every row below (the direct one
+// sees strictly more: here both sides have been through the same encoder
+// and decoder).
+func referenceSharedCheck(got *core.File, live *core.Model) error {
 	var buf bytes.Buffer
 	if err := live.Save(&buf); err != nil {
 		return err
@@ -33,7 +33,10 @@ func referenceSharedCheck(got *core.SharedPart, live *core.Model) error {
 	if err != nil {
 		return err
 	}
-	if !reflect.DeepEqual(got, &want.SharedPart) {
+	shared := func(f *core.File) []any {
+		return []any{f.Config, f.NumUsers, f.NumItems, f.MinRating, f.MaxRating, f.HasTimes, f.GIS, f.Clusters}
+	}
+	if !reflect.DeepEqual(shared(got), shared(want)) {
 		return fmt.Errorf("reloaded shared part diverges from the serving model")
 	}
 	return nil
@@ -65,8 +68,8 @@ func retrainedFixture(t *testing.T) *Manager {
 }
 
 // reloadShared writes mod as a model file and decodes it again, the way
-// verifySnapshot meets it, returning its shared part.
-func reloadShared(t *testing.T, mod *core.Model) *core.SharedPart {
+// verifySnapshot meets it.
+func reloadShared(t *testing.T, mod *core.Model) *core.File {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := mod.Save(&buf); err != nil {
@@ -76,11 +79,11 @@ func reloadShared(t *testing.T, mod *core.Model) *core.SharedPart {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &file.SharedPart
+	return file
 }
 
 // TestSelfCheckCatchesEverySingleFlip decodes a freshly written model
-// file and changes one thing in its shared part at a time. Each change
+// file and changes one thing besides its rows at a time. Each change
 // must fail compareSharedToLive, the half of verifySnapshot that holds
 // everything but the rows, with an error naming the part; the unmodified
 // file must pass; and the old round-trip comparison must give the same
@@ -113,10 +116,10 @@ func TestSelfCheckCatchesEverySingleFlip(t *testing.T) {
 		})
 	}
 
-	// relist replaces the decoded part's GIS with the base model's
-	// neighbour ids, edited, in the layout model files carry: ids alone,
-	// every weight derived on the serving matrix.
-	relist := func(t *testing.T, sp *core.SharedPart, edit func(lists [][]int32) [][]int32) {
+	// relist replaces the decoded file's GIS with the base model's
+	// neighbour ids, edited, in the layout model files carry: id sets
+	// alone, every weight derived on the serving matrix.
+	relist := func(t *testing.T, sp *core.File, edit func(lists [][]int32) [][]int32) {
 		t.Helper()
 		lists := make([][]int32, base.GIS().NumItems())
 		for i := range lists {
@@ -126,50 +129,30 @@ func TestSelfCheckCatchesEverySingleFlip(t *testing.T) {
 		}
 		lists = edit(lists)
 		snap := similarity.Snapshot{Lens: make([]int32, len(lists)), Opts: sp.GIS.Opts}
+		var gaps []uint64
 		for i, l := range lists {
 			snap.Lens[i] = int32(len(l))
+			slices.Sort(l)
+			prev := int32(-1)
 			for _, id := range l {
-				snap.IDs = binary.LittleEndian.AppendUint16(snap.IDs, uint16(id))
+				gaps, prev = append(gaps, uint64(id-prev-1)), id
 			}
 		}
+		snap.SetCode = mathx.EncodeRice(gaps)
 		sp.GIS = snap
 	}
-	// withScores replaces the decoded part's GIS with the base model's,
-	// weights carried — raw (shared blob version 3's layout and a blended
-	// model's) or flat (version 2's) — one weight's lowest bit flipped.
-	withScores := func(t *testing.T, sp *core.SharedPart, flat bool, entry int) {
+	// withScores replaces the decoded file's GIS with the base model's,
+	// weights carried — a blended model's layout — the lowest bit of item
+	// i's first weight flipped.
+	withScores := func(t *testing.T, sp *core.File, i int) {
 		t.Helper()
 		snap := base.GIS().Snapshot(true)
-		if !flat {
-			snap.Scores[8*entry] ^= 1
-			sp.GIS = snap
-			return
+		entry := 0
+		for _, n := range snap.Lens[:i] {
+			entry += int(n)
 		}
-		v2 := similarity.Snapshot{Lens: snap.Lens, Opts: snap.Opts}
-		for i := 0; i < base.GIS().NumItems(); i++ {
-			for _, n := range base.GIS().Neighbors(i) {
-				v2.Index, v2.Score = append(v2.Index, n.Index), append(v2.Score, n.Score)
-			}
-		}
-		v2.Score[entry] = math.Float64frombits(math.Float64bits(v2.Score[entry]) ^ 1)
-		sp.GIS = v2
-	}
-	// rawEntry is the position, in the flat entry order files carry, of
-	// item i's first neighbour whose id keeps within the catalogue with its
-	// lowest bit flipped.
-	rawEntry := func(t *testing.T, g *similarity.GIS, i int) int {
-		t.Helper()
-		at := 0
-		for j := 0; j < i; j++ {
-			at += len(g.Neighbors(j))
-		}
-		for k, n := range g.Neighbors(i) {
-			if int(n.Index^1) < g.NumItems() {
-				return at + k
-			}
-		}
-		t.Fatalf("item %d has no neighbour whose id can flip its lowest bit", i)
-		return 0
+		snap.Scores[8*entry] ^= 1
+		sp.GIS = snap
 	}
 	// full is an item whose list, and whose successor's, are not empty.
 	full := -1
@@ -197,21 +180,14 @@ func TestSelfCheckCatchesEverySingleFlip(t *testing.T) {
 	type flip struct {
 		name   string
 		part   string // what the error must name
-		mutate func(t *testing.T, sp *core.SharedPart)
+		mutate func(t *testing.T, sp *core.File)
 	}
 	last := base.GIS().NumItems() - 1
 	flips := []flip{
-		{"one Index", fmt.Sprintf("item %d ", full), func(t *testing.T, sp *core.SharedPart) {
+		{"one Index", fmt.Sprintf("item %d ", full), func(t *testing.T, sp *core.File) {
 			relist(t, sp, func(l [][]int32) [][]int32 { l[full][0] = (l[full][0] + 1) % int32(len(l)); return l })
 		}},
-		{"one bit of one Score", "GIS list of item", func(t *testing.T, sp *core.SharedPart) {
-			withScores(t, sp, true, rawEntry(t, base.GIS(), full))
-		}},
-		{"one byte of IDs", fmt.Sprintf("item %d ", full), func(t *testing.T, sp *core.SharedPart) {
-			relist(t, sp, func(l [][]int32) [][]int32 { return l })
-			sp.GIS.IDs[rawEntry(t, base.GIS(), full)*similarity.IDWidth(len(sp.GIS.Lens))] ^= 1
-		}},
-		{"one byte of Set", fmt.Sprintf("item %d ", full), func(t *testing.T, sp *core.SharedPart) {
+		{"one byte of Set", fmt.Sprintf("item %d ", full), func(t *testing.T, sp *core.File) {
 			// The lowest low bit of the Rice code of item full's first
 			// gap flips: that id moves by one and its later ids with it.
 			code := &sp.GIS.SetCode
@@ -242,48 +218,48 @@ func TestSelfCheckCatchesEverySingleFlip(t *testing.T) {
 			code.Bits = slices.Clone(code.Bits)
 			code.Bits[bit/8] ^= 1 << (bit % 8)
 		}},
-		{"one bit of Scores", "GIS list of item", func(t *testing.T, sp *core.SharedPart) {
-			withScores(t, sp, false, rawEntry(t, base.GIS(), full))
+		{"one bit of Scores", "GIS list of item", func(t *testing.T, sp *core.File) {
+			withScores(t, sp, full)
 		}},
-		{"one Lens", fmt.Sprintf("item %d ", full), func(t *testing.T, sp *core.SharedPart) {
+		{"one Lens", fmt.Sprintf("item %d ", full), func(t *testing.T, sp *core.File) {
 			relist(t, sp, func(l [][]int32) [][]int32 {
 				l[full], l[full+1] = append(l[full], l[full+1][0]), l[full+1][1:]
 				return l
 			})
 		}},
-		{"an entry in an empty list", fmt.Sprintf("item %d ", emptyList), func(t *testing.T, sp *core.SharedPart) {
+		{"an entry in an empty list", fmt.Sprintf("item %d ", emptyList), func(t *testing.T, sp *core.File) {
 			relist(t, sp, func(l [][]int32) [][]int32 { l[emptyList] = []int32{0}; return l })
 		}},
-		{"a trailing entry", fmt.Sprintf("item %d ", last), func(t *testing.T, sp *core.SharedPart) {
+		{"a trailing entry", fmt.Sprintf("item %d ", last), func(t *testing.T, sp *core.File) {
 			relist(t, sp, func(l [][]int32) [][]int32 { l[last] = append(l[last], 0); return l })
 		}},
-		{"a trailing item", "GIS does not reload on the serving matrix", func(t *testing.T, sp *core.SharedPart) {
+		{"a trailing item", "GIS does not reload on the serving matrix", func(t *testing.T, sp *core.File) {
 			relist(t, sp, func(l [][]int32) [][]int32 { return append(l, nil) })
 		}},
-		{"Opts.TopN", "GIS options", func(t *testing.T, sp *core.SharedPart) { sp.GIS.Opts.TopN++ }},
-		{"one Assign", "clustering Assign", func(t *testing.T, sp *core.SharedPart) { sp.Clusters.Assign[3] ^= 1 }},
-		{"one Members entry", "clustering Members", func(t *testing.T, sp *core.SharedPart) { sp.Clusters.Members[0][0]++ }},
-		{"one Members list emptied", "clustering Members", func(t *testing.T, sp *core.SharedPart) { sp.Clusters.Members[1] = nil }},
-		{"one Mean cell", "clustering Mean", func(t *testing.T, sp *core.SharedPart) {
+		{"Opts.TopN", "GIS options", func(t *testing.T, sp *core.File) { sp.GIS.Opts.TopN++ }},
+		{"one Assign", "clustering Assign", func(t *testing.T, sp *core.File) { sp.Clusters.Assign[3] ^= 1 }},
+		{"one Members entry", "clustering Members", func(t *testing.T, sp *core.File) { sp.Clusters.Members[0][0]++ }},
+		{"one Members list emptied", "clustering Members", func(t *testing.T, sp *core.File) { sp.Clusters.Members[1] = nil }},
+		{"one Mean cell", "clustering Mean", func(t *testing.T, sp *core.File) {
 			c := &sp.Clusters.Mean[0][rated]
 			*c = math.Float64frombits(math.Float64bits(*c) ^ 1)
 		}},
-		{"one Count cell", "clustering Count", func(t *testing.T, sp *core.SharedPart) { sp.Clusters.Count[0][rated]++ }},
-		{"Iterations", "clustering K/Iterations/Inertia", func(t *testing.T, sp *core.SharedPart) { sp.Clusters.Iterations++ }},
-		{"one bit of Inertia", "clustering K/Iterations/Inertia", func(t *testing.T, sp *core.SharedPart) {
+		{"one Count cell", "clustering Count", func(t *testing.T, sp *core.File) { sp.Clusters.Count[0][rated]++ }},
+		{"Iterations", "clustering K/Iterations/Inertia", func(t *testing.T, sp *core.File) { sp.Clusters.Iterations++ }},
+		{"one bit of Inertia", "clustering K/Iterations/Inertia", func(t *testing.T, sp *core.File) {
 			sp.Clusters.Inertia = math.Float64frombits(math.Float64bits(sp.Clusters.Inertia) ^ 1)
 		}},
-		{"NumItems", "dimensions", func(t *testing.T, sp *core.SharedPart) { sp.NumItems++ }},
-		{"NumUsers", "dimensions", func(t *testing.T, sp *core.SharedPart) { sp.NumUsers-- }},
-		{"MaxRating", "rating scale", func(t *testing.T, sp *core.SharedPart) { sp.MaxRating++ }},
-		{"HasTimes", "HasTimes", func(t *testing.T, sp *core.SharedPart) { sp.HasTimes = !sp.HasTimes }},
+		{"NumItems", "dimensions", func(t *testing.T, sp *core.File) { sp.NumItems++ }},
+		{"NumUsers", "dimensions", func(t *testing.T, sp *core.File) { sp.NumUsers-- }},
+		{"MaxRating", "rating scale", func(t *testing.T, sp *core.File) { sp.MaxRating++ }},
+		{"HasTimes", "HasTimes", func(t *testing.T, sp *core.File) { sp.HasTimes = !sp.HasTimes }},
 	}
 	// One row per Config field, found by reflection so that a field added
 	// to core.Config and forgotten in diffConfig fails here.
 	cfgType := reflect.TypeOf(core.Config{})
 	for f := 0; f < cfgType.NumField(); f++ {
 		field := cfgType.Field(f)
-		flips = append(flips, flip{"Config." + field.Name, "config field " + field.Name + " ", func(t *testing.T, sp *core.SharedPart) {
+		flips = append(flips, flip{"Config." + field.Name, "config field " + field.Name + " ", func(t *testing.T, sp *core.File) {
 			v := reflect.ValueOf(&sp.Config).Elem().FieldByIndex(field.Index)
 			switch v.Kind() {
 			case reflect.Int, reflect.Int64:

@@ -56,29 +56,27 @@ func (m *Manager) snapshotPath(seq uint64) string {
 	return filepath.Join(snapshotDir(m.cfg.DataDir), snapshotName(seq))
 }
 
-// nameSeq parses the watermark out of a file named prefix<seq:016x>suffix.
-func nameSeq(name, prefix, suffix string) (uint64, bool) {
-	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
+// snapshotSeq parses the watermark out of a snapshot file's name,
+// model-<seq:016x>.cfsf.
+func snapshotSeq(name string) (uint64, bool) {
+	if !strings.HasPrefix(name, snapshotPrefix) || !strings.HasSuffix(name, snapshotSuffix) {
 		return 0, false
 	}
 	var s uint64
-	if _, err := fmt.Sscanf(strings.TrimSuffix(strings.TrimPrefix(name, prefix), suffix), "%016x", &s); err != nil {
+	if _, err := fmt.Sscanf(strings.TrimSuffix(strings.TrimPrefix(name, snapshotPrefix), snapshotSuffix), "%016x", &s); err != nil {
 		return 0, false
 	}
 	return s, true
 }
 
 // durablePoint is one recovery start in the snapshots directory: a
-// snapshot file, or a manifest a build up to 8cb6e8a wrote, and the
-// watermark its name claims.
+// snapshot file and the watermark its name claims.
 type durablePoint struct {
-	path     string
-	seq      uint64
-	manifest bool
+	path string
+	seq  uint64
 }
 
-// listDurablePoints returns every recovery point, newest first; at one
-// watermark a snapshot file comes before a manifest.
+// listDurablePoints returns every snapshot file, newest first.
 func listDurablePoints(dataDir string) ([]durablePoint, error) {
 	entries, err := os.ReadDir(snapshotDir(dataDir))
 	if err != nil {
@@ -86,23 +84,11 @@ func listDurablePoints(dataDir string) ([]durablePoint, error) {
 	}
 	var points []durablePoint
 	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() {
-			continue
-		}
-		path := filepath.Join(snapshotDir(dataDir), name)
-		if s, ok := nameSeq(name, snapshotPrefix, snapshotSuffix); ok {
-			points = append(points, durablePoint{path: path, seq: s})
-		} else if s, ok := nameSeq(name, manifestPrefix, manifestSuffix); ok {
-			points = append(points, durablePoint{path: path, seq: s, manifest: true})
+		if s, ok := snapshotSeq(e.Name()); ok && !e.IsDir() {
+			points = append(points, durablePoint{path: filepath.Join(snapshotDir(dataDir), e.Name()), seq: s})
 		}
 	}
-	sort.Slice(points, func(i, j int) bool {
-		if points[i].seq != points[j].seq {
-			return points[i].seq > points[j].seq
-		}
-		return !points[i].manifest && points[j].manifest
-	})
+	sort.Slice(points, func(i, j int) bool { return points[i].seq > points[j].seq })
 	return points, nil
 }
 
@@ -111,8 +97,7 @@ func listDurablePoints(dataDir string) ([]durablePoint, error) {
 // watermark. Before the file's rename publishes it, it is read back and
 // held against the serving model (verifySnapshot): a file that does not
 // reproduce it bit-for-bit is never published and never shrinks the WAL.
-// Then retention keeps the SnapshotKeep newest files, deletes what a
-// build up to 8cb6e8a left (manifests and their blobs), and the WAL
+// Then retention keeps the SnapshotKeep newest files, and the WAL
 // segments below the oldest retained file go.
 // When nothing was applied since the last snapshot it returns Skipped
 // without touching disk; a non-empty queue never skips it, because the
@@ -185,10 +170,9 @@ func (m *Manager) SnapshotStats() SnapshotInfo {
 }
 
 // pruneSnapshots keeps the SnapshotKeep newest snapshot files at or below
-// the newest one's watermark and deletes the older ones, then deletes the
-// manifests and blobs a build up to 8cb6e8a wrote: the verified file
-// supersedes them. A file above the newest one's watermark is one the boot
-// ladder could not use; it is left in place and counts for nothing.
+// the newest one's watermark and deletes the older ones. A file above the
+// newest one's watermark is one the boot ladder could not use; it is left
+// in place and counts for nothing.
 //
 //cfsf:locked snapMu callers hold it; retention must not race a snapshot write
 func (m *Manager) pruneSnapshots() {
@@ -198,29 +182,15 @@ func (m *Manager) pruneSnapshots() {
 	}
 	kept := 0
 	for _, pt := range points {
-		if !pt.manifest {
-			if pt.seq > m.snapped.seq {
-				continue
-			}
-			if kept < m.cfg.SnapshotKeep {
-				kept++
-				continue
-			}
+		if pt.seq > m.snapped.seq {
+			continue
+		}
+		if kept < m.cfg.SnapshotKeep {
+			kept++
+			continue
 		}
 		if err := os.Remove(pt.path); err == nil {
 			m.cfg.Logf("lifecycle: pruned snapshot %s", filepath.Base(pt.path))
-		}
-	}
-	entries, err := os.ReadDir(snapshotDir(m.cfg.DataDir))
-	if err != nil {
-		return
-	}
-	for _, e := range entries {
-		if e.IsDir() || !isBlobName(e.Name()) {
-			continue
-		}
-		if err := os.Remove(filepath.Join(snapshotDir(m.cfg.DataDir), e.Name())); err == nil {
-			m.cfg.Logf("lifecycle: pruned legacy blob %s", e.Name())
 		}
 	}
 }
@@ -237,9 +207,7 @@ func (m *Manager) oldestRetainedSeq() uint64 {
 		return oldest
 	}
 	for _, pt := range points {
-		if !pt.manifest && pt.seq < oldest {
-			oldest = pt.seq
-		}
+		oldest = min(oldest, pt.seq)
 	}
 	return oldest
 }

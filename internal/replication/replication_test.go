@@ -162,7 +162,7 @@ func mustFingerprint(t *testing.T, mod *core.Model) string {
 	return fp
 }
 
-// TestFingerprintCoversTheLiveWeights: the shared blob stores which
+// TestFingerprintCoversTheLiveWeights: the model file stores which
 // neighbours each item keeps but not their weights, so Fingerprint hashes
 // the live weights too — flipping the lowest bit of one changes it, and
 // flipping it back restores it. Without that, follower ≡ leader and

@@ -12,20 +12,16 @@ import (
 )
 
 // requireDerives checks that g's neighbour id sets alone, snapshotted
-// without weights, load on m as g itself — ids, order and weight bits —
-// and that its lists stored in list order, as earlier files hold them,
-// do too.
+// without weights, load on m as g itself — ids, order and weight bits.
 func requireDerives(t *testing.T, g *GIS, m *ratings.Matrix, ctx string) {
 	t.Helper()
-	for _, snap := range []Snapshot{g.Snapshot(false), listOrdered(g)} {
-		got, err := FromSnapshot(snap, m)
-		if err != nil {
-			t.Fatalf("%s: %v", ctx, err)
-		}
-		requireSameGIS(t, g, got, ctx)
-		if got.Options() != g.Options() {
-			t.Fatalf("%s: options = %+v, want %+v", ctx, got.Options(), g.Options())
-		}
+	got, err := FromSnapshot(g.Snapshot(false), m)
+	if err != nil {
+		t.Fatalf("%s: %v", ctx, err)
+	}
+	requireSameGIS(t, g, got, ctx)
+	if got.Options() != g.Options() {
+		t.Fatalf("%s: options = %+v, want %+v", ctx, got.Options(), g.Options())
 	}
 }
 
@@ -88,14 +84,12 @@ func TestDerivedWeightsAreTheServedOnes(t *testing.T) {
 	requireDerives(t, BuildGIS(m, DefaultGISOptions()), m, "ledger fixture")
 }
 
-// TestFromSnapshotRefusesIDsThatDoNotDerive: ids that are not a GIS of
-// the matrix they are loaded on are refused, naming the item and the
+// TestFromSnapshotRefusesIDsThatDoNotDerive: id sets that are not a GIS
+// of the matrix they are loaded on are refused, naming the item and the
 // entry — a neighbour not co-rated with its item, the item itself, a
-// weight the filters drop, and, in the list-order layout earlier files
-// carry, a list out of order and a repeated neighbour (neither can be
-// written as a set) — and an ids-only snapshot covering another number of
-// items than the matrix is refused before anything is derived. The
-// entry a set refusal names is the neighbour's place in the ascending
+// weight the filters drop — and an ids-only snapshot covering another
+// number of items than the matrix is refused before anything is derived.
+// The entry a refusal names is the neighbour's place in the ascending
 // set.
 func TestFromSnapshotRefusesIDsThatDoNotDerive(t *testing.T) {
 	// Items 0, 1 and 4 rise and fall together over users 0–3, item 2
@@ -114,14 +108,6 @@ func TestFromSnapshotRefusesIDsThatDoNotDerive(t *testing.T) {
 	if len(g.Neighbors(0)) < 2 || len(g.Neighbors(2)) != 0 {
 		t.Fatalf("fixture: item 0 keeps %v, item 2 %v; want two neighbours and none", g.Neighbors(0), g.Neighbors(2))
 	}
-	edited := func(edit func(l [][]mathx.Scored)) Snapshot {
-		l := make([][]mathx.Scored, g.NumItems())
-		for i := range l {
-			l[i] = append([]mathx.Scored(nil), g.Neighbors(i)...)
-		}
-		edit(l)
-		return listOrdered(&GIS{neighbors: l, opts: opts})
-	}
 	asSet := func(edit func(l [][]mathx.Scored)) Snapshot {
 		l := make([][]mathx.Scored, g.NumItems())
 		for i := range l {
@@ -130,25 +116,12 @@ func TestFromSnapshotRefusesIDsThatDoNotDerive(t *testing.T) {
 		edit(l)
 		return (&GIS{neighbors: l, opts: opts}).Snapshot(false)
 	}
-	a, b := g.Neighbors(0)[0].Index, g.Neighbors(0)[1].Index
 	for _, tc := range []struct {
 		name, want string
 		snap       Snapshot
 	}{
-		{"a neighbour with no co-rater", "item 0 entry 1: neighbour 3 is not co-rated", edited(func(l [][]mathx.Scored) {
-			l[0][1].Index = 3
-		})},
-		{"the item itself", "item 2 entry 0: neighbour 2 is not co-rated", edited(func(l [][]mathx.Scored) {
-			l[2] = []mathx.Scored{{Index: 2}}
-		})},
-		{"a weight the filters drop", "item 0 entry 0: neighbour 2 has an Eq. 5 weight the GIS filters drop", edited(func(l [][]mathx.Scored) {
+		{"a weight the filters drop", "item 0 entry 0: neighbour 2 has an Eq. 5 weight the GIS filters drop", asSet(func(l [][]mathx.Scored) {
 			l[0] = []mathx.Scored{{Index: 2}}
-		})},
-		{"a list out of order", fmt.Sprintf("item 0 entry 1: neighbour %d ", a), edited(func(l [][]mathx.Scored) {
-			l[0] = []mathx.Scored{{Index: b}, {Index: a}}
-		})},
-		{"a repeated neighbour", fmt.Sprintf("item 0 entry 1: neighbour %d ", a), edited(func(l [][]mathx.Scored) {
-			l[0] = []mathx.Scored{{Index: a}, {Index: a}}
 		})},
 		{"one item short", "snapshot covers 3 items, the matrix 5", (&GIS{neighbors: [][]mathx.Scored{nil, nil, nil}, opts: opts}).Snapshot(false)},
 		{"a set neighbour with no co-rater", "item 0 entry 0: neighbour 3 is not co-rated", asSet(func(l [][]mathx.Scored) {

@@ -280,7 +280,7 @@ func TestMetricString(t *testing.T) {
 	}
 }
 
-func denseRandom(t *testing.T, p, q int, density float64, seed int64) *ratings.Matrix {
+func denseRandom(t testing.TB, p, q int, density float64, seed int64) *ratings.Matrix {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	b := ratings.NewBuilder(p, q)

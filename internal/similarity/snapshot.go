@@ -37,28 +37,6 @@ type Snapshot struct {
 	SetCode mathx.RiceCode
 	Scores  []byte
 	Opts    GISOptions
-
-	// Set, IDs, Index and Score, and Neighbors are the layouts earlier
-	// files carry: Set the ascending sets with each gap a uvarint
-	// (mathx.NextGap), and every list in list order — IDs each neighbour
-	// id in IDWidth bytes (with Scores, or alone when the weights are
-	// derived), Index and Score ids and weights, and Neighbors per-item
-	// lists. They are only ever decoded: Snapshot never fills them, and
-	// FromSnapshot refuses a value holding more than one layout.
-	Set       []byte
-	IDs       []byte
-	Index     []int32
-	Score     []float64
-	Neighbors [][]mathx.Scored
-}
-
-// IDWidth is the number of bytes the IDs layout spends on one neighbour
-// id of a GIS covering numItems items.
-func IDWidth(numItems int) int {
-	if numItems <= 1<<16 {
-		return 2
-	}
-	return 4
 }
 
 // Snapshot extracts a deep copy suitable for encoding: each list as its
@@ -132,177 +110,56 @@ func (g *GIS) Snapshot(withScores bool) Snapshot {
 	return s
 }
 
-// view is a validated snapshot: its per-item lengths, how many entries
-// they add up to, fill writing every entry into a slab in item order,
-// whether the entries carry their weights, and whether the lists are id
-// sets (the SetCode or Set layout) rather than lists in list order.
-type view struct {
-	lens     []int32
-	total    int
-	fill     func(slab []mathx.Scored) error
-	weighted bool
-	sets     bool
-}
-
-// view checks s's layout and lengths, and the ids of the layouts in list
-// order. It refuses a snapshot carrying more than one layout, lengths
-// that are negative or do not add up to the entries present, a SetCode
-// parameter past mathx.MaxRiceK, and — naming the item and the entry — a
-// neighbour id outside the items the snapshot covers. A set layout's ids
-// are checked as fill decodes them (walkSet).
-func (s *Snapshot) view() (view, error) {
-	rice, gaps := len(s.SetCode.Bits) > 0 || s.SetCode.K != 0, len(s.Set) > 0
-	sets := rice || gaps
-	raw := len(s.IDs) > 0 || len(s.Scores) > 0 && !sets
-	flat, perItem := len(s.Index) > 0 || len(s.Score) > 0, len(s.Neighbors) > 0
-	lens := s.Lens
-	switch {
-	case perItem && (sets || raw || flat || len(s.Lens) > 0), raw && flat, sets && (raw || flat), rice && gaps:
-		return view{}, fmt.Errorf("similarity: snapshot carries more than one neighbour layout")
-	case perItem:
-		lens = make([]int32, len(s.Neighbors))
-		for i, list := range s.Neighbors {
-			lens[i] = int32(len(list))
-		}
-	}
+// entries checks s's lengths against its set code and weights, and
+// returns their sum: it refuses lengths that are negative or add up to
+// more entries than the code can hold, a SetCode parameter past
+// mathx.MaxRiceK, and weights that are not one per entry. walkSet checks
+// the ids.
+func (s *Snapshot) entries() (int, error) {
 	if err := s.SetCode.Check(); err != nil {
-		return view{}, fmt.Errorf("similarity: snapshot set code: %w", err)
+		return 0, fmt.Errorf("similarity: snapshot set code: %w", err)
 	}
-
-	// have is how many entries the layout offers — a Rice-coded set entry
-	// takes at least k+1 bits, a gap-coded one a byte; summing the lengths
-	// stops once it is passed, so no sum of int32s can overflow.
-	w, minBits := IDWidth(len(lens)), 8
-	have := len(s.Index)
-	switch {
-	case rice:
-		have, minBits = s.SetCode.MaxValues(), int(s.SetCode.K)+1
-	case gaps:
-		have = len(s.Set)
-	case raw:
-		have = len(s.IDs) / w
-	case perItem:
-		have = math.MaxInt
-	}
-	total := 0
-	for i, n := range lens {
+	// A set entry takes at least k+1 bits; summing the lengths stops once
+	// the entries the code offers are passed, so no sum of int32s can
+	// overflow.
+	have, total := s.SetCode.MaxValues(), 0
+	for i, n := range s.Lens {
 		if n < 0 {
-			return view{}, fmt.Errorf("similarity: snapshot item %d has negative neighbour count %d", i, n)
+			return 0, fmt.Errorf("similarity: snapshot item %d has negative neighbour count %d", i, n)
 		}
 		if total += int(n); total > have {
 			break
 		}
 	}
-	switch {
-	case sets && (total > have || len(s.Scores) != 0 && len(s.Scores) != total*8):
-		return view{}, fmt.Errorf("similarity: snapshot holds %d set bytes and %d score bytes for %d neighbour slots of at least %d bits (+8 bytes)",
-			len(s.SetCode.Bits)+len(s.Set), len(s.Scores), total, minBits)
-	case raw && (len(s.IDs) != total*w || len(s.Scores) != 0 && len(s.Scores) != total*8):
-		return view{}, fmt.Errorf("similarity: snapshot holds %d id bytes and %d score bytes for %d neighbour slots of %d(+8) bytes",
-			len(s.IDs), len(s.Scores), total, w)
-	case !sets && !raw && !perItem && (len(s.Index) != total || len(s.Score) != total):
-		return view{}, fmt.Errorf("similarity: snapshot holds %d indices and %d scores for %d neighbour slots",
-			len(s.Index), len(s.Score), total)
+	if total > have || len(s.Scores) != 0 && len(s.Scores) != total*8 {
+		return 0, fmt.Errorf("similarity: snapshot holds %d set bytes and %d score bytes for %d neighbour slots of at least %d bits (+8 bytes)",
+			len(s.SetCode.Bits), len(s.Scores), total, s.SetCode.K+1)
 	}
-
-	v := view{lens: lens, total: total, weighted: !(sets || raw) || len(s.Scores) > 0, sets: sets}
-	score := func(k int) float64 {
-		if len(s.Scores) == 0 {
-			return 0
-		}
-		return math.Float64frombits(binary.LittleEndian.Uint64(s.Scores[8*k:]))
-	}
-	if sets {
-		v.fill = func(slab []mathx.Scored) error {
-			if err := s.walkSet(slab); err != nil {
-				return err
-			}
-			for k := range slab {
-				slab[k].Score = score(k)
-			}
-			return nil
-		}
-		return v, nil
-	}
-
-	var at func(k int) mathx.Scored
-	switch {
-	case raw:
-		at = func(k int) mathx.Scored {
-			if w == 2 {
-				return mathx.Scored{Index: int32(binary.LittleEndian.Uint16(s.IDs[2*k:])), Score: score(k)}
-			}
-			return mathx.Scored{Index: int32(binary.LittleEndian.Uint32(s.IDs[4*k:])), Score: score(k)}
-		}
-	case perItem:
-		flatList := make([]mathx.Scored, 0, total)
-		for _, list := range s.Neighbors {
-			flatList = append(flatList, list...)
-		}
-		at = func(k int) mathx.Scored { return flatList[k] }
-	default:
-		at = func(k int) mathx.Scored { return mathx.Scored{Index: s.Index[k], Score: s.Score[k]} }
-	}
-	k := 0
-	for i, n := range lens {
-		for j := 0; j < int(n); j++ {
-			if id := at(k).Index; id < 0 || int(id) >= len(lens) {
-				return view{}, fmt.Errorf("similarity: snapshot item %d entry %d names neighbour %d, outside the %d items it covers",
-					i, j, id, len(lens))
-			}
-			k++
-		}
-	}
-	v.fill = func(slab []mathx.Scored) error {
-		for k := range slab {
-			slab[k] = at(k)
-		}
-		return nil
-	}
-	return v, nil
+	return total, nil
 }
 
-// walkSet decodes a set layout — SetCode or Set, whichever s carries —
-// writing each entry's id into slab, in item order, unless slab is nil.
-// It refuses, naming the item and the entry, a code that runs past the
-// bytes and an id that reaches past the items the snapshot covers, and
-// bytes or nonzero pad bits left over after the last entry.
-func (s *Snapshot) walkSet(slab []mathx.Scored) error {
-	q, total := len(s.Lens), 0
-	for _, n := range s.Lens {
-		total += int(n)
+// walkSet decodes the set code, writing each entry's id into slab, in
+// item order, unless slab is nil. It refuses, naming the item and the
+// entry, a code that runs past the bytes and an id that reaches past the
+// items the snapshot covers (naming its gap), and bytes or nonzero pad bits left over after
+// the last entry.
+func (s *Snapshot) walkSet(slab []mathx.Scored, total int) error {
+	q := len(s.Lens)
+	gaps, err := s.SetCode.Reader(total)
+	if err != nil {
+		return fmt.Errorf("similarity: snapshot set code: %w", err)
 	}
-	var gaps *mathx.RiceReader // nil for the Set layout
-	if len(s.Set) == 0 {
-		var err error
-		if gaps, err = s.SetCode.Reader(total); err != nil {
-			return fmt.Errorf("similarity: snapshot set code: %w", err)
-		}
-	}
-	off, k := 0, 0
+	k := 0
 	for i, n := range s.Lens {
 		prev := int32(-1)
 		for j := 0; j < int(n); j++ {
-			var id int32
-			if gaps != nil {
-				gap, err := gaps.Next()
-				if err != nil {
-					return fmt.Errorf("similarity: snapshot item %d entry %d: %w", i, j, err)
-				}
-				var ok bool
-				if id, ok = mathx.GapID(prev, gap, q); !ok {
-					return fmt.Errorf("similarity: snapshot item %d entry %d: the id after neighbour %d passes the %d items it covers", i, j, prev, q)
-				}
-			} else {
-				var w int
-				id, w = mathx.NextGap(s.Set[off:], prev, q)
-				switch {
-				case w == 0:
-					return fmt.Errorf("similarity: snapshot item %d entry %d: the id gap runs past the %d set bytes", i, j, len(s.Set))
-				case w < 0:
-					return fmt.Errorf("similarity: snapshot item %d entry %d: the id after neighbour %d passes the %d items it covers", i, j, prev, q)
-				}
-				off += w
+			gap, err := gaps.Next()
+			if err != nil {
+				return fmt.Errorf("similarity: snapshot item %d entry %d: %w", i, j, err)
+			}
+			id, ok := mathx.GapID(prev, gap, q)
+			if !ok {
+				return fmt.Errorf("similarity: snapshot item %d entry %d: the id after neighbour %d passes the %d items it covers (gap %d)", i, j, prev, q, gap)
 			}
 			prev = id
 			if slab != nil {
@@ -311,12 +168,8 @@ func (s *Snapshot) walkSet(slab []mathx.Scored) error {
 			k++
 		}
 	}
-	if gaps != nil {
-		if err := gaps.End(); err != nil {
-			return fmt.Errorf("similarity: snapshot set code after the list of item %d, its last: %w", q-1, err)
-		}
-	} else if off != len(s.Set) {
-		return fmt.Errorf("similarity: snapshot holds %d set bytes after the list of item %d, its last", len(s.Set)-off, q-1)
+	if err := gaps.End(); err != nil {
+		return fmt.Errorf("similarity: snapshot set code after the list of item %d, its last: %w", q-1, err)
 	}
 	return nil
 }
@@ -324,59 +177,56 @@ func (s *Snapshot) walkSet(slab []mathx.Scored) error {
 // Check validates s, as FromSnapshot does before deriving anything, and
 // returns the number of items it covers.
 func (s Snapshot) Check() (int, error) {
-	v, err := s.view()
-	if err == nil && v.sets {
-		err = s.walkSet(nil)
+	total, err := s.entries()
+	if err == nil {
+		err = s.walkSet(nil, total)
 	}
-	return len(v.lens), err
+	return len(s.Lens), err
 }
 
 // FromSnapshot reconstructs a GIS, its lists carved from one slab of its
-// own, from any of the layouts. m is the matrix the lists are the Eq. 5
-// lists of: FromSnapshot derives from it every weight the snapshot does
-// not carry (deriveWeights), and refuses a matrix covering another number
-// of items. m may be nil for a snapshot carrying its weights. Lists
-// stored as id sets are then sorted into list order (sortLists); lists
-// stored in list order with their weights derived must already be in it
-// (checkListOrder). Beyond view's refusals it refuses what deriveWeights
-// and checkListOrder do.
+// own. m is the matrix the lists are the Eq. 5 lists of: FromSnapshot
+// derives from it every weight the snapshot does not carry
+// (deriveWeights), and refuses a matrix covering another number of items.
+// m may be nil for a snapshot carrying its weights. The lists are then
+// sorted from id sets into list order (sortLists). Beyond entries' and
+// walkSet's refusals it refuses what deriveWeights does.
 func FromSnapshot(s Snapshot, m *ratings.Matrix) (*GIS, error) {
-	v, err := s.view()
+	total, err := s.entries()
 	if err != nil {
 		return nil, err
 	}
+	derive := len(s.Scores) == 0 && total > 0
 	switch {
-	case m != nil && m.NumItems() != len(v.lens):
-		return nil, fmt.Errorf("similarity: snapshot covers %d items, the matrix %d", len(v.lens), m.NumItems())
-	case m == nil && !v.weighted:
+	case m != nil && m.NumItems() != len(s.Lens):
+		return nil, fmt.Errorf("similarity: snapshot covers %d items, the matrix %d", len(s.Lens), m.NumItems())
+	case m == nil && derive:
 		return nil, fmt.Errorf("similarity: snapshot carries no weights and no matrix was given to derive them from")
 	}
 
-	slab := make([]mathx.Scored, v.total)
-	if err := v.fill(slab); err != nil {
+	slab := make([]mathx.Scored, total)
+	if err := s.walkSet(slab, total); err != nil {
 		return nil, err
 	}
-	g := &GIS{neighbors: make([][]mathx.Scored, len(v.lens)), opts: s.Opts}
+	if !derive {
+		for k := range slab {
+			slab[k].Score = math.Float64frombits(binary.LittleEndian.Uint64(s.Scores[8*k:]))
+		}
+	}
+	g := &GIS{neighbors: make([][]mathx.Scored, len(s.Lens)), opts: s.Opts}
 	off := 0
-	for i, n := range v.lens {
+	for i, n := range s.Lens {
 		if n > 0 {
 			g.neighbors[i] = slab[off : off+int(n) : off+int(n)]
 		}
 		off += int(n)
 	}
-	if !v.weighted {
+	if derive {
 		if err := g.deriveWeights(m, slab); err != nil {
 			return nil, err
 		}
 	}
-	switch {
-	case v.sets:
-		g.sortLists()
-	case !v.weighted:
-		if err := g.checkListOrder(); err != nil {
-			return nil, err
-		}
-	}
+	g.sortLists()
 	return g, nil
 }
 
@@ -391,22 +241,6 @@ func (g *GIS) sortLists() {
 			mathx.SortScoredDesc(list)
 		}
 	})
-}
-
-// checkListOrder refuses, naming the item and the entry, a list that is
-// not strictly in mathx.Precedes order once weighted — which is also what
-// a repeated neighbour comes to. It holds a list an earlier file stored
-// in list order with its weights derived to the order a GIS serves.
-func (g *GIS) checkListOrder() error {
-	for i, list := range g.neighbors {
-		for j := 1; j < len(list); j++ {
-			if !mathx.Precedes(list[j-1], list[j]) {
-				return fmt.Errorf("similarity: snapshot item %d entry %d: neighbour %d (weight %v) does not rank after neighbour %d (weight %v)",
-					i, j, list[j].Index, list[j].Score, list[j-1].Index, list[j-1].Score)
-			}
-		}
-	}
-	return nil
 }
 
 // deriveWeights sets the weight of every entry of g, whose lists are
