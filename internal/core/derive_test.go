@@ -264,9 +264,10 @@ func gisSets(g *similarity.GIS) [][]int32 {
 }
 
 // setSnapshot Rice-codes ascending id sets into the snapshot layout model
-// files carry, weights left to derive.
-func setSnapshot(opts similarity.GISOptions, lists [][]int32) similarity.Snapshot {
-	snap := similarity.Snapshot{Lens: make([]int32, len(lists)), Opts: opts}
+// files carry, weights left to derive, under g's options and horizons.
+func setSnapshot(g *similarity.GIS, lists [][]int32) similarity.Snapshot {
+	snap := g.Snapshot(false)
+	snap.Lens = make([]int32, len(lists))
 	var gaps []uint64
 	for i, l := range lists {
 		snap.Lens[i] = int32(len(l))
@@ -304,7 +305,7 @@ func TestNonCoRatedNeighbourIsRefused(t *testing.T) {
 	}
 	lists := gisSets(mod.GIS())
 	lists[item] = append(lists[item][1:], int32(q))
-	snap := setSnapshot(mod.GIS().Options(), lists)
+	snap := setSnapshot(mod.GIS(), lists)
 	want := fmt.Sprintf("item %d entry %d: neighbour %d is not co-rated", item, len(lists[item])-1, q)
 
 	wire := fileWireOf(t, mod)

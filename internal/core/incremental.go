@@ -17,8 +17,9 @@ import (
 //
 //   - changed users' matrix rows and changed items' columns (the rest of
 //     the immutable matrix is shared, not re-sorted);
-//   - GIS neighbour lists of the changed items (same Refresh call the
-//     monolithic path makes);
+//   - GIS neighbour lists of the changed items, and of the lists their
+//     new weights enter or leave (same Refresh call the monolithic path
+//     makes);
 //   - cluster statistics of the affected shards (each changed user's old
 //     and new cluster);
 //   - smoothing deviations of the affected shards plus the global
@@ -73,9 +74,10 @@ func (mod *Model) Apply(updates []RatingUpdate) (*Model, error) {
 	out := &Model{cfg: mod.cfg, m: m}
 
 	t := time.Now()
-	out.gis = mod.gis.Refresh(m, itemList, mod.gis.Options())
+	out.gis = mod.gis.Refresh(m, itemList, mod.cfg.M)
 	out.stats.GISDuration = time.Since(t)
 	out.stats.GISNeighbors = out.gis.TotalNeighbors()
+	out.stats.GISReselected = mod.stats.GISReselected + out.gis.Reselected()
 
 	t = time.Now()
 	cl, affected := mod.clusters.RefreshUsers(m, userList)

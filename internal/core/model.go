@@ -146,11 +146,12 @@ type TrainStats struct {
 	MirrorDuration time.Duration
 	TotalDuration  time.Duration
 	GISNeighbors   int // stored (item, neighbour) pairs
-	// GISPushOrder counts the neighbour lists the GIS build selected in
-	// push order because of a tie at the top-N cut
-	// (similarity.GIS.PushOrderLists). Not persisted: 0 after a load or
-	// an incremental refresh.
-	GISPushOrder   int
+	// GISReselected counts the GIS lists that the Applies since the last
+	// Train or load selected again from all their candidates, because an
+	// Apply left fewer than M entries above a list's horizon
+	// (similarity.GIS.Reselected). Not persisted: 0 after a Train or a
+	// load.
+	GISReselected  int
 	ClusterIters   int
 	ClusterInertia float64
 	// Incremental is true when the stats describe a WithUpdates refresh
@@ -230,14 +231,9 @@ func Train(m *ratings.Matrix, cfg Config) (*Model, error) {
 	mod := &Model{cfg: cfg, m: m}
 
 	t := time.Now()
-	if cfg.blendsContent() {
-		mod.gis = similarity.BuildGISWithContent(m, cfg.ItemFeatures, cfg.ContentBlend, gisOpts)
-	} else {
-		mod.gis = similarity.BuildGIS(m, gisOpts)
-	}
+	mod.gis = trainGIS(cfg, m, gisOpts)
 	mod.stats.GISDuration = time.Since(t)
 	mod.stats.GISNeighbors = mod.gis.TotalNeighbors()
-	mod.stats.GISPushOrder = mod.gis.PushOrderLists()
 
 	t = time.Now()
 	cl, err := cluster.Run(m, cluster.Options{
@@ -266,6 +262,15 @@ func Train(m *ratings.Matrix, cfg Config) (*Model, error) {
 	mod.stats.MirrorDuration = time.Since(t)
 	mod.stats.TotalDuration = time.Since(start)
 	return mod, nil
+}
+
+// trainGIS builds the GIS Train builds on m under opts: Eq. 5, with item
+// attributes blended in when cfg asks for them.
+func trainGIS(cfg Config, m *ratings.Matrix, opts similarity.GISOptions) *similarity.GIS {
+	if cfg.blendsContent() {
+		return similarity.BuildGISWithContent(m, cfg.ItemFeatures, cfg.ContentBlend, opts)
+	}
+	return similarity.BuildGIS(m, opts)
 }
 
 // buildTopM materialises the id-sorted top-M mirror of every item's GIS
@@ -389,13 +394,6 @@ func (mod *Model) Config() Config { return mod.cfg }
 
 // Stats returns offline-phase statistics.
 func (mod *Model) Stats() TrainStats { return mod.stats }
-
-// GISSummary says what the GIS build stored, for log lines: its entry
-// count and how many lists were selected in push order, e.g. "199152
-// entries, 21 by push order".
-func (st TrainStats) GISSummary() string {
-	return fmt.Sprintf("%d entries, %d by push order", st.GISNeighbors, st.GISPushOrder)
-}
 
 // Matrix returns the training matrix.
 func (mod *Model) Matrix() *ratings.Matrix { return mod.m }

@@ -85,20 +85,25 @@ type fileWire struct {
 	TimeCode  mathx.RiceCode // empty when the matrix carries no timestamps
 }
 
-// fileWireVersion 4 is version 3 less the fields only versions 1 and 2
-// stored. A build reads the version it writes and the one before it
-// (DESIGN §12), and versions 3 and 4 decode the same way: gob skips a
-// field the receiving type lacks, and a version 3 file carried none of
-// them, since its own decoder refused one that did. Anything older — model
-// file versions 1 and 2, and the unframed gob `-model` file before them —
-// is refused as ErrRetiredFormat, naming MigratingBuild.
-const fileWireVersion = 4
+// fileWireVersion 5 adds every GIS list's horizon (similarity.Snapshot's
+// TauIDs and TauScores) to version 4. A build reads the version it writes
+// and the one before it (DESIGN §12). A version 4 file stores no horizon,
+// so its lists are selected again from its matrix at load, as Train
+// selects them. Anything older — model file versions 1 to 3, and the
+// unframed gob `-model` file before them — is refused as ErrRetiredFormat,
+// naming the builds that migrate it.
+const fileWireVersion = 5
 
-// MigratingBuild is the last build that reads every format this one
-// refuses as ErrRetiredFormat and writes model file version 3, which this
-// one reads: loading a file with it and saving it again migrates the file,
-// as booting a data dir with it and letting it snapshot migrates the dir.
-const MigratingBuild = "d297876"
+// MigratingBuild is the last build that reads model file version 3 and
+// writes version 4, which this one reads: loading a file with it and
+// saving it again migrates the file, as booting a data dir with it and
+// letting it snapshot migrates the dir. A file older than version 3
+// takes build OldMigratingBuild first, which writes version 3.
+const MigratingBuild = "ac5d191"
+
+// OldMigratingBuild is the last build that reads model file versions 1
+// and 2 and the unframed gob `-model` file, and writes version 3.
+const OldMigratingBuild = "d297876"
 
 // ErrRetiredFormat marks the refusal of a file in a format older than the
 // ones this build reads.
@@ -130,7 +135,7 @@ func readBlob(r io.Reader) ([]byte, error) {
 	}
 	switch {
 	case bytes.Contains(hdr[:], modelWireName):
-		return nil, fmt.Errorf("cfsf: an unframed gob model file is %w: build %s reads it and writes model file version 3", ErrRetiredFormat, MigratingBuild)
+		return nil, fmt.Errorf("cfsf: an unframed gob model file is %w: build %s reads it and writes model file version 3, which build %s migrates to version 4", ErrRetiredFormat, OldMigratingBuild, MigratingBuild)
 	case [8]byte(hdr[:8]) != blobMagic:
 		return nil, fmt.Errorf("cfsf: bad blob magic")
 	case hdr[8] != blobKindModel:
@@ -295,8 +300,10 @@ func Decode(r io.Reader) (*File, error) {
 	switch {
 	case wire.Version < 1 || wire.Version > fileWireVersion:
 		return nil, fmt.Errorf("cfsf: unsupported model file version %d", wire.Version)
-	case wire.Version < fileWireVersion-1:
-		return nil, fmt.Errorf("cfsf: model file version %d is %w: build %s reads it and writes version 3", wire.Version, ErrRetiredFormat, MigratingBuild)
+	case wire.Version == 3:
+		return nil, fmt.Errorf("cfsf: model file version 3 is %w: build %s reads it and writes version 4", ErrRetiredFormat, MigratingBuild)
+	case wire.Version < 3:
+		return nil, fmt.Errorf("cfsf: model file version %d is %w: build %s reads it and writes version 3, which build %s migrates to version 4", wire.Version, ErrRetiredFormat, OldMigratingBuild, MigratingBuild)
 	}
 	if part := strayPart(&wire); part != "" {
 		return nil, fmt.Errorf("cfsf: corrupt model file: version %d stores no %s", wire.Version, part)
@@ -334,6 +341,8 @@ func strayPart(wire *fileWire) string {
 	switch {
 	case len(wire.GIS.Scores) > 0 && !wire.Config.blendsContent():
 		return "GIS weights of a GIS that does not blend in item attributes, they are derived at load"
+	case wire.Version < fileWireVersion && (len(wire.GIS.TauIDs.Bits) > 0 || len(wire.GIS.TauScores) > 0):
+		return "GIS horizons, its lists are selected again at load"
 	case c != nil && len(c.Members) > 0:
 		return "cluster Members, they are derived at load"
 	case c != nil && len(c.Mean) > 0:
@@ -498,7 +507,12 @@ func (f *File) check() error {
 	if err := f.Clusters.Check(f.NumUsers, f.NumItems); err != nil {
 		return err
 	}
-	if n, err := f.GIS.Check(); err != nil {
+	gis := f.GIS
+	if f.Version < fileWireVersion {
+		// No horizons to check: Model selects the lists again.
+		gis.TauIDs, gis.TauScores = mathx.EncodeRice(make([]uint64, len(gis.Lens))), make([]byte, 8*len(gis.Lens))
+	}
+	if n, err := gis.Check(); err != nil {
 		return err
 	} else if n != f.NumItems {
 		return fmt.Errorf("GIS covers %d items, model has %d", n, f.NumItems)
@@ -508,7 +522,10 @@ func (f *File) check() error {
 
 // Model rebuilds the model the file holds: it builds the matrix from the
 // rows and derives around it every GIS weight the file leaves out, so the
-// model predicts bit-for-bit like the saved one (rebuildModel). Its
+// model predicts bit-for-bit like the saved one (rebuildModel). A version
+// 4 file's GIS lists are selected again from the matrix instead, horizons
+// included, as Train selects them: where the lists the file stores had
+// gone stale under Applies, the model predicts like a fresh build. Its
 // TrainStats.ClusterDuration is the clustering's derivation in Decode, as
 // its GISDuration is the GIS's.
 //
@@ -530,7 +547,7 @@ func (f *File) Model() (*Model, error) {
 		}
 	}
 	start := time.Now()
-	mod, err := rebuildModel(f.Config, b.Build(), f.GIS, f.Clusters)
+	mod, err := rebuildModel(f.Config, b.Build(), f.GIS, f.Clusters, f.Version < fileWireVersion)
 	if err != nil {
 		return nil, fmt.Errorf("cfsf: corrupt model: %w", err)
 	}
@@ -587,20 +604,27 @@ func (mod *Model) gisSnapshot() similarity.Snapshot {
 }
 
 // rebuildModel reconstructs the derived offline state (GIS weights and
-// list order, smoothing tables, caches) around persisted artefacts. It
-// refuses a clustering that does not fit m (cluster.Result.Check), and a
-// GIS snapshot that does not cover m's items (Predict indexes the GIS by
-// item id) or does not derive on m (similarity.FromSnapshot).
+// list order, smoothing tables, caches) around persisted artefacts, or,
+// with reselect, selects every GIS list again on m under the snapshot's
+// options (trainGIS). It refuses a clustering that does not fit m
+// (cluster.Result.Check), and a GIS snapshot that does not cover m's items
+// (Predict indexes the GIS by item id) or does not derive on m
+// (similarity.FromSnapshot).
 //
 //cfsf:wallclock-ok GIS derivation duration recorded in TrainStats only; no clock value reaches predictions or replayed state
-func rebuildModel(cfg Config, m *ratings.Matrix, snap similarity.Snapshot, clusters *cluster.Result) (*Model, error) {
+func rebuildModel(cfg Config, m *ratings.Matrix, snap similarity.Snapshot, clusters *cluster.Result, reselect bool) (*Model, error) {
 	if err := clusters.Check(m.NumUsers(), m.NumItems()); err != nil {
 		return nil, err
 	}
 	t := time.Now()
-	gis, err := similarity.FromSnapshot(snap, m)
-	if err != nil {
-		return nil, err
+	var gis *similarity.GIS
+	if reselect {
+		gis = trainGIS(cfg, m, snap.Opts)
+	} else {
+		var err error
+		if gis, err = similarity.FromSnapshot(snap, m); err != nil {
+			return nil, err
+		}
 	}
 	mod := &Model{
 		cfg:      cfg,

@@ -103,10 +103,10 @@ func TestLoadedModelSupportsUpdates(t *testing.T) {
 
 // TestModelFileRefusesEveryFault enumerates the faults a stored model file
 // can suffer, on refusalFixture's file as this build writes it (version
-// 4: Rice-coded id sets, row items, value indexes and time deltas, the
-// clustering's assignment) and as b42e5f3 wrote it (version 3,
-// testdata/file-v3.cfsf): one bit flipped at every byte, a cut at every
-// length, a byte appended. Load must refuse each one with an error — not
+// 5: Rice-coded id sets, row items, value indexes and time deltas, the
+// GIS horizons, the clustering's assignment) and as ac5d191 wrote it
+// (version 4, testdata/file-v4.cfsf): one bit flipped at every byte, a
+// cut at every length, a byte appended. Load must refuse each one with an error — not
 // load a different model, and not panic.
 func TestModelFileRefusesEveryFault(t *testing.T) {
 	m, cfg := refusalFixture(t)
@@ -114,18 +114,18 @@ func TestModelFileRefusesEveryFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := fileWireOf(t, mod).Version; v != 4 {
-		t.Fatalf("Save writes version %d, the faults here are enumerated on version 4", v)
+	if v := fileWireOf(t, mod).Version; v != 5 {
+		t.Fatalf("Save writes version %d, the faults here are enumerated on version 5", v)
 	}
 	var buf bytes.Buffer
 	if err := mod.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	v3, err := os.ReadFile(filepath.Join("testdata", "file-v3.cfsf"))
+	v4, err := os.ReadFile(filepath.Join("testdata", "file-v4.cfsf"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, good := range [][]byte{buf.Bytes(), v3} {
+	for _, good := range [][]byte{buf.Bytes(), v4} {
 		if _, err := Load(bytes.NewReader(good)); err != nil {
 			t.Fatalf("the unmodified file: %v", err)
 		}
@@ -351,7 +351,8 @@ func wholeClustering(t *testing.T, mod *Model) *cluster.Result {
 // model file (synth.DefaultConfig, DefaultConfig: the model bench/ serves
 // and a first boot snapshots), so that when one regresses the failure
 // names it; CI fences only the whole file (BenchmarkBootLedger). The
-// values column counts its Scale table with it.
+// values column counts its Scale table with it, the horizons their raw
+// weights with their Rice-coded ids.
 func TestModelFileColumnBytes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains the 500×1000 ledger fixture")
@@ -372,7 +373,8 @@ func TestModelFileColumnBytes(t *testing.T) {
 		extra int
 		fence int
 	}{
-		{"GIS neighbour sets", wire.GIS.SetCode, 0, 95_000},
+		{"GIS neighbour sets", wire.GIS.SetCode, 0, 66_000},
+		{"GIS horizons", wire.GIS.TauIDs, len(wire.GIS.TauScores), 10_000},
 		{"row items", wire.ItemCode, 0, 30_000},
 		{"values", wire.ValueCode, 8 * len(wire.Scale), 18_500},
 		{"times", wire.TimeCode, 0, 150_000},

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"math"
 	"os"
@@ -29,6 +30,9 @@ func requireSameGIS(t *testing.T, want, got *similarity.GIS, ctx string) {
 				t.Fatalf("%s: item %d entry %d = %v, want %v", ctx, i, k, g[k], w[k])
 			}
 		}
+		if w, g := want.Horizon(i), got.Horizon(i); g.Index != w.Index || math.Float64bits(g.Score) != math.Float64bits(w.Score) {
+			t.Fatalf("%s: item %d has horizon %v, want %v", ctx, i, g, w)
+		}
 	}
 }
 
@@ -47,23 +51,30 @@ func requireSameRecommendations(t *testing.T, want, got *Model, ctx string) {
 	}
 }
 
-// TestModelFileV3LoadsAndResavesAsV4: testdata/file-v3.cfsf is
-// refusalFixture's model saved by b42e5f3, the last build to write model
-// file version 3. It loads to the grid that build served (tau0Grid), the
-// GIS, rows and timestamps the model trained here holds, and re-saves as
-// version 4, which loads to the same.
-func TestModelFileV3LoadsAndResavesAsV4(t *testing.T) {
+// TestModelFileV4LoadsAndResavesAsV5: testdata/file-v4.cfsf is
+// refusalFixture's model saved by ac5d191, the last build to write model
+// file version 4, whose GIS options ran to TopN 200. It stores no
+// horizons, so its lists are selected again at load; it loads to the grid
+// that build served (tau0Grid), the GIS — horizons included — rows and
+// timestamps the model trained here under the options the fixture was
+// written with holds, and re-saves as version 5, which loads to the same.
+func TestModelFileV4LoadsAndResavesAsV5(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "file-v4.cfsf"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire := wireOf(t, data)
+	if wire.Version != 4 {
+		t.Fatalf("the fixture is a version %d file, want 4", wire.Version)
+	}
+	if wire.Config.GIS.TopN != 200 {
+		t.Fatalf("the fixture's GIS options run to TopN %d, want 200", wire.Config.GIS.TopN)
+	}
 	m, cfg := refusalFixture(t)
+	cfg.GIS = wire.Config.GIS
 	live, err := Train(m, cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	data, err := os.ReadFile(filepath.Join("testdata", "file-v3.cfsf"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := wireOf(t, data).Version; v != 3 {
-		t.Fatalf("the fixture is a version %d file, want 3", v)
 	}
 	old, err := Load(bytes.NewReader(data))
 	if err != nil {
@@ -73,15 +84,15 @@ func TestModelFileV3LoadsAndResavesAsV4(t *testing.T) {
 	if err := old.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if v := wireOf(t, buf.Bytes()).Version; v != 4 {
-		t.Fatalf("the re-save is a version %d file, want 4", v)
+	if v := wireOf(t, buf.Bytes()).Version; v != 5 {
+		t.Fatalf("the re-save is a version %d file, want 5", v)
 	}
-	t.Logf("version 3: %d bytes, its version 4 re-save %d", len(data), buf.Len())
+	t.Logf("version 4: %d bytes, its version 5 re-save %d", len(data), buf.Len())
 	resaved, err := Load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for ctx, got := range map[string]*Model{"version 3": old, "its version 4 re-save": resaved} {
+	for ctx, got := range map[string]*Model{"version 4": old, "its version 5 re-save": resaved} {
 		if h := gridHash(got); h != tau0Grid {
 			t.Fatalf("%s: prediction grid hashes to %s, want %s", ctx, h, tau0Grid)
 		}
@@ -110,7 +121,7 @@ func wireOf(t *testing.T, data []byte) fileWire {
 }
 
 // frameOf gob-encodes wire and frames it as a model file.
-func frameOf(t *testing.T, wire any) *bytes.Buffer {
+func frameOf(t testing.TB, wire any) *bytes.Buffer {
 	t.Helper()
 	var payload, blob bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(wire); err != nil {
@@ -125,20 +136,20 @@ func frameOf(t *testing.T, wire any) *bytes.Buffer {
 // TestFutureWireVersionsAreRefused: a model file one version ahead of
 // what this build writes is refused by its number, whatever it holds.
 func TestFutureWireVersionsAreRefused(t *testing.T) {
-	if fileWireVersion != 4 {
-		t.Fatalf("this build writes model file version %d; the tests here pin 4", fileWireVersion)
+	if fileWireVersion != 5 {
+		t.Fatalf("this build writes model file version %d; the tests here pin 5", fileWireVersion)
 	}
 	mod, _ := trainSmall(t)
 	file := fileWireOf(t, mod)
 	file.Version = fileWireVersion + 1
-	if _, err := Load(frameOf(t, file)); err == nil || !strings.Contains(err.Error(), "unsupported model file version 5") {
-		t.Errorf("Load: err = %v, want a refusal naming version 5", err)
+	if _, err := Load(frameOf(t, file)); err == nil || !strings.Contains(err.Error(), "unsupported model file version 6") {
+		t.Errorf("Load: err = %v, want a refusal naming version 6", err)
 	}
 }
 
 // fileWireOf decodes the payload Save writes for mod, for tests that
 // change one thing in it before framing it again.
-func fileWireOf(t *testing.T, mod *Model) fileWire {
+func fileWireOf(t testing.TB, mod *Model) fileWire {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := mod.Save(&buf); err != nil {
@@ -235,23 +246,55 @@ func TestSaveLoadKeepsTimes(t *testing.T) {
 // save to a file that decodes again. Payloads stay under 4 KiB so that no
 // accepted file's dimensions, which size the centroids and smoothing
 // tables, outgrow a test machine. The corpus is refusalFixture's model as
-// this build saves it and as b42e5f3 saved it (testdata/file-v3.cfsf).
+// this build saves it and as ac5d191 saved it (testdata/file-v4.cfsf), and
+// the same model cut to TopN = M = 4 with a few Applies folded in, so that
+// its horizons are set: as this build saves it, and with the horizon of a
+// list moved to its last entry, to the zero τ and past the catalogue.
 func FuzzDecode(f *testing.F) {
 	m, cfg := refusalFixture(f)
 	mod, err := Train(m, cfg)
 	if err != nil {
 		f.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := mod.Save(&buf); err != nil {
-		f.Fatal(err)
-	}
-	v3, err := os.ReadFile(filepath.Join("testdata", "file-v3.cfsf"))
+	cfg.GIS.TopN = cfg.M
+	cut, err := Train(m, cfg)
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, file := range [][]byte{buf.Bytes(), v3} {
+	if cut, err = cut.Apply([]RatingUpdate{{User: 0, Item: 2, Value: 5}, {User: 3, Item: 0, Value: 1}, {User: 11, Item: 9, Value: 2}}); err != nil {
+		f.Fatal(err)
+	}
+	var files [][]byte
+	for _, mod := range []*Model{mod, cut} {
+		var buf bytes.Buffer
+		if err := mod.Save(&buf); err != nil {
+			f.Fatal(err)
+		}
+		files = append(files, buf.Bytes())
+	}
+	v4, err := os.ReadFile(filepath.Join("testdata", "file-v4.cfsf"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	files = append(files, v4)
+	for _, file := range files {
 		payload, err := readBlob(bytes.NewReader(file))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload)
+	}
+	last := cut.GIS().Neighbors(0)[cfg.M-1]
+	for _, tau := range []mathx.Scored{last, {}, {Index: 10, Score: .5}} {
+		wire := fileWireOf(f, cut)
+		taus := make([]uint64, 10)
+		for i := range taus {
+			taus[i] = uint64(cut.GIS().Horizon(i).Index)
+		}
+		taus[0] = uint64(tau.Index)
+		wire.GIS.TauIDs = mathx.EncodeRice(taus)
+		binary.LittleEndian.PutUint64(wire.GIS.TauScores, math.Float64bits(tau.Score))
+		payload, err := readBlob(frameOf(f, wire))
 		if err != nil {
 			f.Fatal(err)
 		}

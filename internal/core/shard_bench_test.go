@@ -174,7 +174,9 @@ func ledgerModel(b *testing.B) *Model {
 // previous op returned — so ns/op and B/op are what one drained batch
 // costs in steady state, fixed per-Apply cost included. single is one
 // rating per Apply (the ledger's mean_batch_size is 1.0–1.3), array16 a
-// 16-rating array spanning many clusters. CI fences B/op with benchjson
+// 16-rating array spanning many clusters. reselected/1k-applies is how
+// many GIS lists those Applies selected again from all their candidates
+// (GIS.Refresh, step 4), per 1 000 Applies. CI fences B/op with benchjson
 // -max (ci.yml).
 func BenchmarkApplyLedger(b *testing.B) {
 	base := ledgerModel(b)
@@ -199,6 +201,7 @@ func BenchmarkApplyLedger(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*bc.size), "ns/update")
+			b.ReportMetric(1000*float64(cur.Stats().GISReselected)/float64(b.N), "reselected/1k-applies")
 		})
 	}
 }

@@ -133,10 +133,10 @@ func (mod *Model) WithUpdates(updates []RatingUpdate) (*Model, error) {
 	next := &Model{cfg: mod.cfg, m: m}
 
 	t := time.Now()
-	gisOpts := mod.gis.Options()
-	next.gis = mod.gis.Refresh(m, itemList, gisOpts)
+	next.gis = mod.gis.Refresh(m, itemList, mod.cfg.M)
 	next.stats.GISDuration = time.Since(t)
 	next.stats.GISNeighbors = next.gis.TotalNeighbors()
+	next.stats.GISReselected = mod.stats.GISReselected + next.gis.Reselected()
 
 	t = time.Now()
 	next.clusters = mod.clusters.ReassignUsers(m, userList)

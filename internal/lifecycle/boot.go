@@ -37,10 +37,10 @@ func (m *Manager) BootStats() BootStats { return m.boot }
 // loads (DESIGN §12). A model file of a retired version is refused by
 // core.Decode itself, as core.ErrRetiredFormat.
 var retiredFormats = []struct{ glob, build string }{
-	{"snap-*.gob", "157aafe and then once with build " + core.MigratingBuild},
-	{"manifest-*.json", core.MigratingBuild},
-	{"shared-*.blob", core.MigratingBuild},
-	{"shard-*.blob", core.MigratingBuild},
+	{"snap-*.gob", "157aafe, then once with build " + core.OldMigratingBuild + " and then once with build " + core.MigratingBuild},
+	{"manifest-*.json", core.OldMigratingBuild + " and then once with build " + core.MigratingBuild},
+	{"shared-*.blob", core.OldMigratingBuild + " and then once with build " + core.MigratingBuild},
+	{"shard-*.blob", core.OldMigratingBuild + " and then once with build " + core.MigratingBuild},
 }
 
 // refuseRetired refuses a data dir none of whose snapshot files loaded

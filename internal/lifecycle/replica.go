@@ -141,7 +141,7 @@ func refitSummary(old, mod *core.Model) string {
 	for c := 0; c < now.K; c++ {
 		moved -= slices.Max(overlap[c*was.K : (c+1)*was.K])
 	}
-	return fmt.Sprintf("GIS %s; %s, %d users changed cluster", mod.Stats().GISSummary(), now.Summary(), moved)
+	return fmt.Sprintf("GIS %d entries; %s, %d users changed cluster", mod.Stats().GISNeighbors, now.Summary(), moved)
 }
 
 // pending returns how many queued ratings await their commit.

@@ -20,7 +20,7 @@ type modelWire struct{ Version int }
 
 // TestRetiredFormatsAreRefused: a build reads the model file version it
 // writes and the one before it. Everything older is refused naming the
-// file and the build that migrates it: a model file of version 1 or 2,
+// file and the build that migrates it first: a model file of version 1 to 3,
 // an unframed gob `-model` file, and a data dir whose recovery points are
 // any of these, manifests with their blobs, or a gob snapshot. A data dir
 // is opened with a bootstrap that would succeed, so each row proves boot
@@ -44,24 +44,27 @@ func TestRetiredFormatsAreRefused(t *testing.T) {
 		dirFile string
 		refuse  func(t *testing.T) (string, error)
 	}{
-		{name: "model file version 1", build: core.MigratingBuild, refuse: func(t *testing.T) (string, error) {
+		{name: "model file version 1", build: core.OldMigratingBuild, refuse: func(t *testing.T) (string, error) {
 			return loadFile(t, frame(t, modelWire{Version: 1}))
 		}},
-		{name: "model file version 2", build: core.MigratingBuild, refuse: func(t *testing.T) (string, error) {
+		{name: "model file version 3", build: core.MigratingBuild, refuse: func(t *testing.T) (string, error) {
+			return loadFile(t, frame(t, modelWire{Version: 3}))
+		}},
+		{name: "model file version 2", build: core.OldMigratingBuild, refuse: func(t *testing.T) (string, error) {
 			path := filepath.Join("testdata", "v2-ddea235", "snapshots", snapshotName(0x27))
 			_, err := core.LoadFile(path)
 			return path, err
 		}},
-		{name: "unframed gob model file", build: core.MigratingBuild, refuse: func(t *testing.T) (string, error) {
+		{name: "unframed gob model file", build: core.OldMigratingBuild, refuse: func(t *testing.T) (string, error) {
 			return loadFile(t, gobOf(t, modelWire{Version: 4}))
 		}},
-		{name: "data dir v2-ddea235", build: core.MigratingBuild, refuse: func(t *testing.T) (string, error) {
+		{name: "data dir v2-ddea235", build: core.OldMigratingBuild, refuse: func(t *testing.T) (string, error) {
 			dir := copyDir(t, filepath.Join("testdata", "v2-ddea235"))
 			return filepath.Join(snapshotDir(dir), snapshotName(0x27)), openRefused(t, dir, base)
 		}},
-		{name: "manifest", build: core.MigratingBuild, dirFile: "manifest-0000000000000027.json"},
-		{name: "shared blob", build: core.MigratingBuild, dirFile: "shared-0000000000000027.blob"},
-		{name: "shard blob", build: core.MigratingBuild, dirFile: "shard-0000-0000000000000027.blob"},
+		{name: "manifest", build: core.OldMigratingBuild, dirFile: "manifest-0000000000000027.json"},
+		{name: "shared blob", build: core.OldMigratingBuild, dirFile: "shared-0000000000000027.blob"},
+		{name: "shard blob", build: core.OldMigratingBuild, dirFile: "shard-0000-0000000000000027.blob"},
 		{name: "gob snapshot", build: "157aafe", dirFile: "snap-0000000000000000.gob"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -80,7 +83,7 @@ func TestRetiredFormatsAreRefused(t *testing.T) {
 			if tc.dirFile == "" {
 				return
 			}
-			dir := copyDir(t, filepath.Join("testdata", "v3-b42e5f3"))
+			dir := copyDir(t, filepath.Join("testdata", "v4-ac5d191"))
 			path = plant(t, dir, tc.dirFile)
 			m, err := Open(noBoot(t), Config{DataDir: dir, Fsync: wal.SyncNever})
 			if err != nil {

@@ -16,7 +16,8 @@ import (
 // rows against the model it was written from, value by value: the configuration, the
 // dimensions, the GIS a boot from the file would serve — its neighbour
 // ids, with the weights it leaves out derived on the live matrix, the way
-// File.Model derives them on the one it rebuilds — entry by entry, and
+// File.Model derives them on the one it rebuilds — entry by entry, every
+// list's horizon, and
 // every field of the clustering. Slices compare by length and content, because gob does
 // not tell a nil slice from an empty one; floats compare by their bits.
 // Nothing on the live side has been through the encoder, so a fault in
@@ -54,6 +55,9 @@ func compareSharedToLive(sp *core.File, live *core.Model) error {
 			if got[k].Index != n.Index || !sameBits(got[k].Score, n.Score) {
 				return fmt.Errorf("GIS list of item %d diverges at entry %d", i, k)
 			}
+		}
+		if got, want := loaded.Horizon(i), gis.Horizon(i); got.Index != want.Index || !sameBits(got.Score, want.Score) {
+			return fmt.Errorf("GIS horizon of item %d reloads as %v, model has %v", i, got, want)
 		}
 	}
 

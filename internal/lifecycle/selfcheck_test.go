@@ -128,7 +128,8 @@ func TestSelfCheckCatchesEverySingleFlip(t *testing.T) {
 			}
 		}
 		lists = edit(lists)
-		snap := similarity.Snapshot{Lens: make([]int32, len(lists)), Opts: sp.GIS.Opts}
+		snap := sp.GIS
+		snap.Lens = make([]int32, len(lists))
 		var gaps []uint64
 		for i, l := range lists {
 			snap.Lens[i] = int32(len(l))
@@ -235,6 +236,18 @@ func TestSelfCheckCatchesEverySingleFlip(t *testing.T) {
 		}},
 		{"a trailing item", "GIS does not reload on the serving matrix", func(t *testing.T, sp *core.File) {
 			relist(t, sp, func(l [][]int32) [][]int32 { return append(l, nil) })
+		}},
+		{"one bit of a horizon weight", fmt.Sprintf("horizon of item %d ", full), func(t *testing.T, sp *core.File) {
+			sp.GIS.TauScores = slices.Clone(sp.GIS.TauScores)
+			sp.GIS.TauScores[8*full] ^= 1
+		}},
+		{"one horizon id", fmt.Sprintf("horizon of item %d ", full), func(t *testing.T, sp *core.File) {
+			ids := make([]uint64, base.GIS().NumItems())
+			for i := range ids {
+				ids[i] = uint64(base.GIS().Horizon(i).Index)
+			}
+			ids[full]++
+			sp.GIS.TauIDs = mathx.EncodeRice(ids)
 		}},
 		{"Opts.TopN", "GIS options", func(t *testing.T, sp *core.File) { sp.GIS.Opts.TopN++ }},
 		{"one Assign", "clustering Assign", func(t *testing.T, sp *core.File) { sp.Clusters.Assign[3] ^= 1 }},

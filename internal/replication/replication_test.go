@@ -1,7 +1,9 @@
 package replication
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -16,6 +18,7 @@ import (
 
 	"cfsf/internal/core"
 	"cfsf/internal/lifecycle"
+	"cfsf/internal/mathx"
 	"cfsf/internal/synth"
 	"cfsf/internal/wal"
 )
@@ -192,6 +195,50 @@ func TestFingerprintCoversTheLiveWeights(t *testing.T) {
 	}
 	if after := mustFingerprint(t, mod); after != before {
 		t.Fatalf("restored model fingerprints %s, want %s", after, before)
+	}
+}
+
+// TestFingerprintCoversTheHorizons: two models whose lists are the same
+// and whose GIS horizons differ — one list's zero τ loaded as a set τ
+// below every entry of it — fingerprint apart: the horizon decides which
+// lists a later Apply selects again, so follower ≡ leader has to cover it.
+func TestFingerprintCoversTheHorizons(t *testing.T) {
+	var buf bytes.Buffer
+	if err := newBaseModel(t).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	load := func(edit func(f *core.File)) *core.Model {
+		t.Helper()
+		f, err := core.Decode(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		edit(f)
+		mod, err := f.Model()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mod
+	}
+	same := load(func(*core.File) {})
+	item := -1
+	for i := 0; i < same.GIS().NumItems() && item < 0; i++ {
+		if len(same.GIS().Neighbors(i)) > 0 && same.GIS().Horizon(i) == (mathx.Scored{}) {
+			item = i
+		}
+	}
+	if item < 0 {
+		t.Fatal("no list of the base model holds every candidate")
+	}
+	moved := load(func(f *core.File) {
+		f.GIS.TauScores = bytes.Clone(f.GIS.TauScores)
+		binary.LittleEndian.PutUint64(f.GIS.TauScores[8*item:], math.Float64bits(math.SmallestNonzeroFloat64))
+	})
+	if got := moved.GIS().Horizon(item); got.Score != math.SmallestNonzeroFloat64 {
+		t.Fatalf("item %d loaded with horizon %v", item, got)
+	}
+	if a, b := mustFingerprint(t, same), mustFingerprint(t, moved); a == b {
+		t.Fatalf("a moved horizon of item %d left the fingerprint at %s", item, a)
 	}
 }
 

@@ -293,6 +293,7 @@ func (s *Server) recordModelGauges(mod *core.Model) {
 		incremental = 1
 	}
 	s.reg.Gauge("model_incremental").Set(incremental)
+	s.reg.Gauge("model_gis_reselected").Set(float64(st.GISReselected))
 	s.reg.Gauge("model_shards").Set(float64(mod.Config().Clusters))
 	rc := core.ReadRecCacheStats()
 	s.reg.Gauge("recommend_cache_hits").Set(float64(rc.Hits))
@@ -551,6 +552,9 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		"density":       m.Density(),
 		"gis_neighbors": st.GISNeighbors,
 		"cluster_iters": st.ClusterIters,
+		"train": map[string]any{
+			"gis_reselected": st.GISReselected,
+		},
 		"train_ms": map[string]any{
 			"gis":     durMS(st.GISDuration),
 			"cluster": durMS(st.ClusterDuration),

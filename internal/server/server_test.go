@@ -479,7 +479,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 		t.Fatalf("metrics missing registry snapshot: %v", body)
 	}
 	gauges := reg["gauges"].(map[string]any)
-	for _, g := range []string{"model_users", "model_train_total_ms", "model_train_gis_ms", "model_train_mirror_ms", "model_incremental"} {
+	for _, g := range []string{"model_users", "model_train_total_ms", "model_train_gis_ms", "model_train_mirror_ms", "model_incremental", "model_gis_reselected"} {
 		if _, ok := gauges[g]; !ok {
 			t.Errorf("registry missing gauge %q", g)
 		}
@@ -498,6 +498,9 @@ func TestStatsTrainPhaseTimings(t *testing.T) {
 	requireTrainPhasesWithinTotal(t, trainMS)
 	if body["incremental"] != false {
 		t.Errorf("freshly trained model reported incremental=%v", body["incremental"])
+	}
+	if train, ok := body["train"].(map[string]any); !ok || train["gis_reselected"] != 0.0 {
+		t.Errorf("stats train = %v, want gis_reselected 0 for a freshly trained model", body["train"])
 	}
 }
 

@@ -14,21 +14,22 @@ import (
 
 // buildGISReference is BuildGIS as it was before the one-pass build, kept
 // as the reference that build is pinned to: every item accumulates Eq. 5
-// against all of its raters' rows on its own, and TopK keeps its top N in
-// candidateList's push order.
+// against all of its raters' rows on its own, sorts all its candidates in
+// canonical order and keeps the first N, the next one its horizon.
 func buildGISReference(m *ratings.Matrix, opts GISOptions) *GIS {
 	q := m.NumItems()
-	g := &GIS{neighbors: make([][]mathx.Scored, q), opts: opts}
+	g := &GIS{neighbors: make([][]mathx.Scored, q), tau: make([]mathx.Scored, q), opts: opts}
 	parallel.ForChunked(q, opts.Workers, func(lo, hi int) {
 		scratch := newCandidateScratch(q)
-		var list []mathx.Scored
 		for a := lo; a < hi; a++ {
-			list = candidateList(m, a, opts, scratch, list[:0])
-			top := mathx.NewTopK(topNOrAll(opts.TopN, len(list)))
-			for _, e := range list {
-				top.Push(e.Index, e.Score)
+			list := mathx.SelectTopScored(candidateList(m, a, opts, scratch, nil), 0)
+			if n := topNOrAll(opts.TopN, len(list)); n < len(list) {
+				g.tau[a] = list[n]
+				list = list[:n]
 			}
-			g.neighbors[a] = top.Sorted()
+			if len(list) > 0 {
+				g.neighbors[a] = list
+			}
 		}
 	})
 	return g
@@ -58,13 +59,13 @@ func ledgerMatrix(t testing.TB, seed int64) *ratings.Matrix {
 	return b.Build()
 }
 
-// pushOrderFixture forces a tie at the cut that push order, not the id
-// tiebreak, settles. Items 1 and 2 see item 0 through the same (da, db)
-// sequence — users 0 and 1 rate 0 alike and each rate one of them alike —
-// so both weights are equal to the bit; but user 0 pushes item 2 into
-// item 0's candidates before user 1 pushes item 1. TopK at N = 1 keeps
-// item 2, the canonical order item 1.
-func pushOrderFixture(t *testing.T) *ratings.Matrix {
+// tieFixture puts a tie at the cut. Items 1 and 2 see item 0 through the
+// same (da, db) sequence — users 0 and 1 rate 0 alike and each rate one of
+// them alike — so both weights are equal to the bit; but user 0 pushes
+// item 2 into item 0's candidates before user 1 pushes item 1. At N = 1
+// the canonical order keeps item 1, whatever the push order, and item 2
+// is the list's horizon.
+func tieFixture(t *testing.T) *ratings.Matrix {
 	t.Helper()
 	return matrixFrom(t, [][]float64{
 		{1, 0, 1},
@@ -75,12 +76,12 @@ func pushOrderFixture(t *testing.T) *ratings.Matrix {
 }
 
 // TestBuildGISMatchesReference pins the one-pass build to
-// buildGISReference bit for bit: ledger seeds 1–4 with an unrated item, ×
-// PCC/Cosine, × TopN 0/50/95/200, × MinCoRatings 0/2/3, plus a Threshold
-// and SignificanceGamma case, × Workers 1/2/7; and the push-order fixture.
-// Dropping the push-order fallback fails it on the fixture and on the
-// ledger, where ties at the cut are common (ratings are integers). Under
-// the race detector only seed 1 at TopN 95, MinCoRatings 2 runs.
+// buildGISReference bit for bit, lists and horizons: ledger seeds 1–4 with
+// an unrated item, × PCC/Cosine, × TopN 0/50/95/200, × MinCoRatings
+// 0/2/3, plus a Threshold and SignificanceGamma case, × Workers 1/2/7;
+// and a tie at the cut, which the canonical order settles (the ledger has
+// many: ratings are integers). Under the race detector only seed 1 at
+// TopN 95, MinCoRatings 2 runs.
 func TestBuildGISMatchesReference(t *testing.T) {
 	check := func(t *testing.T, m *ratings.Matrix, opts GISOptions) *GIS {
 		t.Helper()
@@ -95,21 +96,17 @@ func TestBuildGISMatchesReference(t *testing.T) {
 			}
 			if first == nil {
 				first = got
-			} else if got.PushOrderLists() != first.PushOrderLists() {
-				t.Fatalf("workers=%d: %d lists by push order, workers=1 had %d", workers, got.PushOrderLists(), first.PushOrderLists())
 			}
 		}
 		return first
 	}
 
-	t.Run("push order", func(t *testing.T) {
+	t.Run("tie at the cut", func(t *testing.T) {
 		opts := GISOptions{Metric: PCC, TopN: 1, MinCoRatings: 2}
-		g := check(t, pushOrderFixture(t), opts)
-		if l := g.Neighbors(0); len(l) != 1 || l[0].Index != 2 {
-			t.Fatalf("item 0 keeps %v, want item 2: the fixture lost its push-order tie", l)
-		}
-		if g.PushOrderLists() == 0 {
-			t.Fatal("no list fell back to push order")
+		g := check(t, tieFixture(t), opts)
+		l, tau := g.Neighbors(0), g.Horizon(0)
+		if len(l) != 1 || l[0].Index != 1 || tau.Index != 2 || tau.Score != l[0].Score {
+			t.Fatalf("item 0 keeps %v under horizon %v, want item 1 under item 2 at the same weight", l, tau)
 		}
 	})
 
@@ -134,7 +131,6 @@ func TestBuildGISMatchesReference(t *testing.T) {
 				if n := g.Neighbors(m.NumItems() - 1); n != nil {
 					t.Fatalf("%+v: the unrated item has neighbours %v", opts, n)
 				}
-				t.Logf("%+v: %d lists by push order", opts, g.PushOrderLists())
 			}
 		})
 	}

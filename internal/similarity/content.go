@@ -21,6 +21,9 @@ import (
 // a genre one-hot); items with a zero vector contribute no content term.
 //
 // blend = 0 degenerates to BuildGIS; blend = 1 is a pure content index.
+// Lists are selected as BuildGIS selects them, each with the best blended
+// candidate it leaves out as its horizon; Refresh recomputes Eq. 5 weights
+// only, for the lists and the horizons alike.
 func BuildGISWithContent(m *ratings.Matrix, features [][]float64, blend float64, opts GISOptions) *GIS {
 	if blend <= 0 || len(features) == 0 {
 		return BuildGIS(m, opts)
@@ -51,12 +54,12 @@ func BuildGISWithContent(m *ratings.Matrix, features [][]float64, blend float64,
 		norm[i] = nf
 	}
 
-	g := &GIS{neighbors: make([][]mathx.Scored, q), opts: opts}
+	g := &GIS{neighbors: make([][]mathx.Scored, q), tau: make([]mathx.Scored, q), opts: opts}
 	parallel.ForChunked(q, opts.Workers, func(lo, hi int) {
 		cf := make([]float64, q)
 		hasCF := make([]bool, q)
 		scratch := newCandidateScratch(q)
-		var list []mathx.Scored
+		var list, cand []mathx.Scored
 		for a := lo; a < hi; a++ {
 			// Collaborative side: the full candidate list for a.
 			for i := range cf {
@@ -68,7 +71,7 @@ func BuildGISWithContent(m *ratings.Matrix, features [][]float64, blend float64,
 				hasCF[n.Index] = true
 			}
 
-			top := mathx.NewTopK(topNOrAll(opts.TopN, q-1))
+			cand = cand[:0]
 			fa := norm[a]
 			for b := 0; b < q; b++ {
 				if b == a {
@@ -89,9 +92,11 @@ func BuildGISWithContent(m *ratings.Matrix, features [][]float64, blend float64,
 				if !(sim > 0) || sim < opts.Threshold {
 					continue
 				}
-				top.Push(int32(b), sim)
+				cand = append(cand, mathx.Scored{Index: int32(b), Score: sim})
 			}
-			g.neighbors[a] = top.Sorted()
+			if n := topNOrAll(opts.TopN, len(cand)); n > 0 {
+				g.neighbors[a], g.tau[a] = rankTop(cand, n, make([]mathx.Scored, 0, n))
+			}
 		}
 	})
 	return g

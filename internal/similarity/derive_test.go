@@ -74,7 +74,7 @@ func TestDerivedWeightsAreTheServedOnes(t *testing.T) {
 					m = b.Build()
 				}
 				m = applyUpdates(m, ups)
-				g = g.Refresh(m, items, opts)
+				g = g.Refresh(m, items, 5)
 				requireDerives(t, g, m, fmt.Sprintf("%s refresh step %d", ctx, step))
 			}
 		}
@@ -153,7 +153,7 @@ func TestNaNNeverEntersTheGIS(t *testing.T) {
 	empty := &GIS{neighbors: make([][]mathx.Scored, m.NumItems()), opts: opts}
 	for name, g := range map[string]*GIS{
 		"BuildGIS": BuildGIS(m, opts),
-		"Refresh":  empty.Refresh(m, []int{0, 1, 2}, opts),
+		"Refresh":  empty.Refresh(m, []int{0, 1, 2}, 0),
 	} {
 		for i := 0; i < g.NumItems(); i++ {
 			for k, n := range g.Neighbors(i) {

@@ -10,10 +10,15 @@ import (
 )
 
 // refRefresh is Refresh's from-scratch definition, kept as the reference
-// the list edit is pinned to: every unchanged list is rebuilt entry by
-// entry — changed items stripped, symmetric insertions merged forward —
-// into a fresh list, whether or not anything in it moved.
-func refRefresh(g *GIS, m *ratings.Matrix, changedItems []int, opts GISOptions) *GIS {
+// the list edit is pinned to: a selected list is the full candidate list
+// sorted and cut at TopN, its horizon the first entry cut; every unchanged
+// list is rebuilt entry by entry — changed items stripped, the symmetric
+// insertions that precede its horizon merged forward, cut at TopN with
+// the horizon raised to the first entry cut — into a fresh list, whether
+// or not anything in it moved, and selected again when fewer than need
+// entries are left under a set horizon.
+func refRefresh(g *GIS, m *ratings.Matrix, changedItems []int, need int) *GIS {
+	opts := g.opts
 	q := m.NumItems()
 	changed := make([]bool, q)
 	for _, i := range changedItems {
@@ -21,16 +26,27 @@ func refRefresh(g *GIS, m *ratings.Matrix, changedItems []int, opts GISOptions) 
 			changed[i] = true
 		}
 	}
-	out := &GIS{neighbors: make([][]mathx.Scored, q), opts: opts}
-	symmetric := make([][]mathx.Scored, q)
+	if opts.TopN > 0 {
+		need = min(need, opts.TopN)
+	}
+	out := &GIS{neighbors: make([][]mathx.Scored, q), tau: make([]mathx.Scored, q), opts: opts}
 	scratch := newCandidateScratch(q)
+	cut := func(list []mathx.Scored, tau mathx.Scored) ([]mathx.Scored, mathx.Scored) {
+		if opts.TopN > 0 && len(list) > opts.TopN {
+			return list[:opts.TopN], list[opts.TopN]
+		}
+		return list, tau
+	}
+	selectAll := func(i int) ([]mathx.Scored, mathx.Scored) {
+		return cut(mathx.SelectTopScored(candidateList(m, i, opts, scratch, nil), 0), mathx.Scored{})
+	}
+	symmetric := make([][]mathx.Scored, q)
 	for i := 0; i < q; i++ {
 		if !changed[i] {
 			continue
 		}
-		list := candidateList(m, i, opts, scratch, nil)
-		out.neighbors[i] = mathx.SelectTopScored(list, opts.TopN)
-		for _, n := range list {
+		out.neighbors[i], out.tau[i] = selectAll(i)
+		for _, n := range candidateList(m, i, opts, scratch, nil) {
 			if !changed[n.Index] {
 				symmetric[n.Index] = append(symmetric[n.Index], mathx.Scored{Index: int32(i), Score: n.Score})
 			}
@@ -44,7 +60,13 @@ func refRefresh(g *GIS, m *ratings.Matrix, changedItems []int, opts GISOptions) 
 		if i < len(g.neighbors) {
 			old = g.neighbors[i]
 		}
-		ins := symmetric[i]
+		tau := g.Horizon(i)
+		var ins []mathx.Scored
+		for _, e := range symmetric[i] {
+			if mathx.Precedes(e, tau) {
+				ins = append(ins, e)
+			}
+		}
 		mathx.SortScoredDesc(ins)
 		merged := []mathx.Scored{}
 		a, b := 0, 0
@@ -70,7 +92,11 @@ func refRefresh(g *GIS, m *ratings.Matrix, changedItems []int, opts GISOptions) 
 				b++
 			}
 		}
-		out.neighbors[i] = truncate(merged, opts.TopN)
+		list, tau := cut(merged, tau)
+		if len(list) < need && tau != (mathx.Scored{}) {
+			list, tau = selectAll(i)
+		}
+		out.neighbors[i], out.tau[i] = list, tau
 	}
 	return out
 }
@@ -112,6 +138,9 @@ func requireSameGIS(t *testing.T, want, got *GIS, ctx string) {
 				t.Fatalf("%s: item %d entry %d = %v, want %v", ctx, i, k, g[k], w[k])
 			}
 		}
+		if got, want := got.Horizon(i), want.Horizon(i); got != want {
+			t.Fatalf("%s: item %d has horizon %v, want %v", ctx, i, got, want)
+		}
 	}
 }
 
@@ -121,8 +150,12 @@ func requireSameGIS(t *testing.T, want, got *GIS, ctx string) {
 // single changed item, sixteen (several land in one list), the whole
 // catalogue, a brand-new item (id == old Q), TopN off, TopN below every
 // list length, TopN above it (lists shorter than TopN), and similarity
-// ties that only the id tiebreak orders.
+// ties that only the id tiebreak orders. Each list must keep its first
+// five entries exact, which at TopN 5 selects again every list that loses
+// an entry under a set horizon.
 func TestRefreshParityWithReference(t *testing.T) {
+	const need = 5
+	reselected := 0
 	for _, topN := range []int{0, 5, 200} {
 		for _, nChanged := range []int{1, 16, -1} { // -1 = every item
 			for seed := int64(1); seed <= 4; seed++ {
@@ -169,13 +202,17 @@ func TestRefreshParityWithReference(t *testing.T) {
 						m = b.Build()
 					}
 					m = applyUpdates(m, ups)
-					want := refRefresh(g, m, items, opts)
-					got := g.Refresh(m, items, opts)
+					want := refRefresh(g, m, items, need)
+					got := g.Refresh(m, items, need)
 					requireSameGIS(t, want, got, fmt.Sprintf("%s step=%d", ctx, step))
+					reselected += got.Reselected()
 					g = got
 				}
 			}
 		}
+	}
+	if reselected == 0 {
+		t.Fatal("no list was selected again: the fixtures never reach step 4")
 	}
 }
 
@@ -189,8 +226,8 @@ func TestRefreshSharesUntouchedLists(t *testing.T) {
 	g := BuildGIS(m, opts)
 	const item = 7
 	m2 := applyUpdates(m, [][3]int{{3, item, 5}})
-	got := g.Refresh(m2, []int{item}, opts)
-	want := refRefresh(g, m2, []int{item}, opts)
+	got := g.Refresh(m2, []int{item}, 4)
+	want := refRefresh(g, m2, []int{item}, 4)
 	requireSameGIS(t, want, got, "one changed item")
 	shared, edited := 0, 0
 	for i := 0; i < g.NumItems(); i++ {
@@ -238,8 +275,8 @@ func TestRefreshTieAtTheCut(t *testing.T) {
 	col := m.ItemRatings(c)
 	same := [3]int{int(col[0].Index), c, int(col[0].Value)} // re-rate, same value: c keeps every score
 	m2 := applyUpdates(m, [][3]int{same})
-	got := g.Refresh(m2, []int{c}, opts)
-	requireSameGIS(t, refRefresh(g, m2, []int{c}, opts), got, "tie at the cut")
+	got := g.Refresh(m2, []int{c}, 1)
+	requireSameGIS(t, refRefresh(g, m2, []int{c}, 1), got, "tie at the cut")
 	displaced := 0
 	for i := range g.neighbors {
 		if i != c && len(g.neighbors[i]) == 1 && len(got.Neighbors(i)) == 1 && got.Neighbors(i)[0].Index == c {

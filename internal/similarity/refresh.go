@@ -3,6 +3,7 @@ package similarity
 import (
 	"math"
 	"slices"
+	"sync/atomic"
 
 	"cfsf/internal/mathx"
 	"cfsf/internal/parallel"
@@ -11,21 +12,31 @@ import (
 
 // Refresh returns a new GIS reflecting an updated matrix in which only
 // the listed items' rating columns changed (the paper's §VI future work:
-// "how it can keep GIS up-to-date"). Instead of the full O(nnz · row)
-// rebuild, it
+// "how it can keep GIS up-to-date"). An Eq. 5 weight depends on its two
+// item columns alone, so every pair between unchanged items keeps its
+// weight to the bit, and instead of the full O(nnz · row) rebuild it
 //
-//  1. recomputes the neighbour lists of the changed items from scratch,
+//  1. selects the lists of the changed items from all their candidates,
+//     as BuildGIS does, horizon included;
 //  2. strips entries pointing at changed items from every unchanged
-//     item's list, and
-//  3. re-inserts the symmetric pairs discovered in step 1.
+//     item's list;
+//  3. re-inserts the symmetric pairs discovered in step 1 that precede
+//     the list's horizon, cuts the list back to TopN and raises the
+//     horizon to the best entry the cut or the full list turned away;
+//  4. selects again (as in step 1) every unchanged list left with fewer
+//     than need entries whose horizon is set: only there can a candidate
+//     the list never held belong in the prefix it serves.
 //
-// The result is identical to a full BuildGIS when TopN is 0 (no
-// truncation). With truncation, an unchanged item's list can temporarily
-// hold fewer than TopN entries: neighbours that the old truncation
-// discarded cannot be resurrected without touching the full matrix. That
-// is the standard staleness trade-off of incremental similarity indices;
-// run a full rebuild periodically to re-fill.
-func (g *GIS) Refresh(m *ratings.Matrix, changedItems []int, opts GISOptions) *GIS {
+// Steps 2 and 3 keep the horizon invariant (GIS): an unchanged candidate
+// the list does not hold never preceded the old horizon, a changed one
+// is held exactly when its new weight precedes it, and the horizon only
+// rises to entries the list turns away. So each list is a prefix of its
+// item's candidates in canonical order, at least min(need, TopN) long or
+// all of them, and its first need entries are bit for bit those of a
+// BuildGIS on m with g's options. TopN is the buffer that keeps
+// step 4 rare; it does not decide exactness.
+func (g *GIS) Refresh(m *ratings.Matrix, changedItems []int, need int) *GIS {
+	opts := g.opts
 	// changed and symmetric are dense, index-by-item structures rather
 	// than maps: steps 2+3 below probe them once per stored neighbour
 	// entry, and at that volume map overhead dominates the whole refresh.
@@ -36,12 +47,15 @@ func (g *GIS) Refresh(m *ratings.Matrix, changedItems []int, opts GISOptions) *G
 			changed[i] = true
 		}
 	}
-	out := &GIS{neighbors: make([][]mathx.Scored, q), opts: opts}
+	if opts.TopN > 0 {
+		need = min(need, opts.TopN)
+	}
+	out := &GIS{neighbors: make([][]mathx.Scored, q), tau: make([]mathx.Scored, q), opts: opts}
 
 	// Step 1: full candidate lists (untruncated) for changed items, so
 	// symmetric insertion in step 3 is not limited by TopN. Only the
 	// stored per-item list needs ranking; the symmetric pass consumes the
-	// full list in any order, so mathx.SelectTopScored picks instead of sorting the
+	// full list in any order, so rankTop selects instead of sorting the
 	// whole candidate set.
 	changedIdx := make([]int32, 0, len(changedItems))
 	for i := int32(0); int(i) < q; i++ {
@@ -56,22 +70,26 @@ func (g *GIS) Refresh(m *ratings.Matrix, changedItems []int, opts GISOptions) *G
 		for k := lo; k < hi; k++ {
 			i := int(changedIdx[k])
 			lists[k] = candidateList(m, i, opts, scratch, nil)
-			out.neighbors[i] = mathx.SelectTopScored(lists[k], opts.TopN)
+			out.neighbors[i], out.tau[i] = selectList(lists[k], opts.TopN)
 		}
 	})
 
-	// Step 3 preparation: symmetric entries grouped by unchanged item.
+	// Step 3 preparation: symmetric entries grouped by unchanged item,
+	// only those that precede the list's horizon — the others are
+	// candidates the list does not hold, as before.
 	symmetric := make([][]mathx.Scored, q)
 	for k, i := range changedIdx {
 		for _, n := range lists[k] {
 			if changed[n.Index] {
 				continue // changed↔changed pairs are already in both lists
 			}
-			symmetric[n.Index] = append(symmetric[n.Index], mathx.Scored{Index: i, Score: n.Score})
+			if e := (mathx.Scored{Index: i, Score: n.Score}); mathx.Precedes(e, g.Horizon(int(n.Index))) {
+				symmetric[n.Index] = append(symmetric[n.Index], e)
+			}
 		}
 	}
 
-	// Steps 2+3: edit the unchanged lists (parallel over items). One scan
+	// Steps 2–4: edit the unchanged lists (parallel over items). One scan
 	// of a list records where the changed items sit in it; a list holding
 	// none and gaining none shares its old backing array outright. Any
 	// other list gets one allocation sized for the merge: the survivors
@@ -82,8 +100,11 @@ func (g *GIS) Refresh(m *ratings.Matrix, changedItems []int, opts GISOptions) *G
 	// survivors and insertions are both ordered by the same strict total
 	// order (score desc, index asc) and hold disjoint item ids, so their
 	// merge has exactly one outcome.
+	var reselected atomic.Int64
 	parallel.ForChunked(q, opts.Workers, func(lo, hi int) {
 		var hits []int // positions of changed items in the current list
+		var scratch *candidateScratch
+		var cand []mathx.Scored
 		for i := lo; i < hi; i++ {
 			if changed[i] {
 				continue
@@ -92,6 +113,7 @@ func (g *GIS) Refresh(m *ratings.Matrix, changedItems []int, opts GISOptions) *G
 			if i < len(g.neighbors) {
 				old = g.neighbors[i]
 			}
+			tau := g.Horizon(i)
 			hits = hits[:0]
 			for j, n := range old {
 				if changed[n.Index] {
@@ -103,10 +125,11 @@ func (g *GIS) Refresh(m *ratings.Matrix, changedItems []int, opts GISOptions) *G
 			if len(ins) > 0 && opts.TopN > 0 && flen >= opts.TopN {
 				// The list is full: an insertion sorting at or below the
 				// last surviving entry cannot make the top-N cut (at
-				// least flen ≥ TopN entries precede it), so dropping it
-				// here changes nothing — and in the common case (a
-				// re-rating nudges similarities far under every top-N
-				// cutoff) it empties ins and leaves the list shared.
+				// least flen ≥ TopN entries precede it), so it is turned
+				// away here and the horizon rises to the best such — and
+				// in the common case (a re-rating nudges similarities far
+				// under every top-N cutoff) that empties ins and leaves
+				// the list shared.
 				j := len(old) - 1
 				for h := len(hits) - 1; h >= 0 && hits[h] == j; h-- {
 					j--
@@ -114,37 +137,67 @@ func (g *GIS) Refresh(m *ratings.Matrix, changedItems []int, opts GISOptions) *G
 				last := old[j]
 				kept := ins[:0]
 				for _, e := range ins {
-					if mathx.Precedes(e, last) {
+					switch {
+					case mathx.Precedes(e, last):
 						kept = append(kept, e)
+					case mathx.Precedes(e, tau):
+						tau = e
 					}
 				}
 				ins = kept
 			}
-			if len(hits) == 0 && len(ins) == 0 {
-				out.neighbors[i] = truncate(old, opts.TopN)
-				continue
-			}
-			cp := make([]mathx.Scored, flen+len(ins))
-			w, from := 0, 0
-			for _, at := range hits {
-				w += copy(cp[w:], old[from:at])
-				from = at + 1
-			}
-			copy(cp[w:], old[from:])
-			mathx.SortScoredDesc(ins)
-			for a, b := flen-1, len(ins)-1; b >= 0; {
-				if a >= 0 && mathx.Precedes(ins[b], cp[a]) {
-					cp[a+b+1] = cp[a]
-					a--
-				} else {
-					cp[a+b+1] = ins[b]
-					b--
+			list := old
+			if len(hits) > 0 || len(ins) > 0 {
+				list = make([]mathx.Scored, flen+len(ins))
+				w, from := 0, 0
+				for _, at := range hits {
+					w += copy(list[w:], old[from:at])
+					from = at + 1
+				}
+				copy(list[w:], old[from:])
+				mathx.SortScoredDesc(ins)
+				for a, b := flen-1, len(ins)-1; b >= 0; {
+					if a >= 0 && mathx.Precedes(ins[b], list[a]) {
+						list[a+b+1] = list[a]
+						a--
+					} else {
+						list[a+b+1] = ins[b]
+						b--
+					}
+				}
+				if opts.TopN > 0 && len(list) > opts.TopN {
+					// What the cut turns away ranks before every insertion
+					// turned away above: those sorted after a full list's
+					// last entry.
+					list, tau = list[:opts.TopN], list[opts.TopN]
 				}
 			}
-			out.neighbors[i] = truncate(cp, opts.TopN)
+			if len(list) < need && tau != (mathx.Scored{}) {
+				// Step 4: candidates the list never held may now belong
+				// in its served prefix.
+				if scratch == nil {
+					scratch = newCandidateScratch(q)
+				}
+				cand = candidateList(m, i, opts, scratch, cand[:0])
+				list, tau = selectList(cand, opts.TopN)
+				reselected.Add(1)
+			}
+			out.neighbors[i], out.tau[i] = list, tau
 		}
 	})
+	out.reselected = int(reselected.Load())
 	return out
+}
+
+// selectList is a list selected from all of its item's candidates cand,
+// as BuildGIS selects it, in an array of its own, with its horizon. cand
+// is reordered.
+func selectList(cand []mathx.Scored, topN int) ([]mathx.Scored, mathx.Scored) {
+	n := topNOrAll(topN, len(cand))
+	if n == 0 {
+		return nil, mathx.Scored{}
+	}
+	return rankTop(cand, n, make([]mathx.Scored, 0, n))
 }
 
 // candidateScratch is the per-item accumulation state of candidateList
@@ -252,11 +305,4 @@ func (sc *candidateScratch) reset() {
 		sc.sums[b] = pairSums{}
 	}
 	sc.touched = sc.touched[:0]
-}
-
-func truncate(list []mathx.Scored, topN int) []mathx.Scored {
-	if topN > 0 && len(list) > topN {
-		list = list[:topN]
-	}
-	return list
 }

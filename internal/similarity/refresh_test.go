@@ -61,7 +61,7 @@ func TestRefreshMatchesFullRebuild(t *testing.T) {
 		for i := range changed {
 			itemList = append(itemList, i)
 		}
-		got := g.Refresh(m2, itemList, opts)
+		got := g.Refresh(m2, itemList, 0)
 		want := BuildGIS(m2, opts)
 
 		for i := 0; i < q; i++ {
@@ -87,7 +87,7 @@ func TestRefreshWithTruncationStaysValid(t *testing.T) {
 	opts := GISOptions{Metric: PCC, TopN: 6, MinCoRatings: 2}
 	g := BuildGIS(m, opts)
 	m2 := applyUpdates(m, [][3]int{{0, 3, 5}, {1, 3, 1}, {2, 7, 4}})
-	got := g.Refresh(m2, []int{3, 7}, opts)
+	got := g.Refresh(m2, []int{3, 7}, 6)
 	for i := 0; i < m2.NumItems(); i++ {
 		ns := got.Neighbors(i)
 		if len(ns) > 6 {
@@ -134,7 +134,7 @@ func TestRefreshGrowsItemSpace(t *testing.T) {
 	}
 	m2 := b.Build()
 
-	got := g.Refresh(m2, []int{10}, opts)
+	got := g.Refresh(m2, []int{10}, 0)
 	if got.NumItems() != 11 {
 		t.Fatalf("refreshed GIS covers %d items, want 11", got.NumItems())
 	}
@@ -156,7 +156,7 @@ func TestRefreshNoChanges(t *testing.T) {
 	m := denseRandom(t, 20, 10, 0.6, 9)
 	opts := GISOptions{Metric: PCC, TopN: 0, MinCoRatings: 2}
 	g := BuildGIS(m, opts)
-	got := g.Refresh(m, nil, opts)
+	got := g.Refresh(m, nil, 0)
 	for i := 0; i < 10; i++ {
 		a, b := g.Neighbors(i), got.Neighbors(i)
 		if len(a) != len(b) {

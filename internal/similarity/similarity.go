@@ -10,7 +10,6 @@ import (
 	"cmp"
 	"math"
 	"slices"
-	"sync/atomic"
 
 	"cfsf/internal/mathx"
 	"cfsf/internal/parallel"
@@ -129,6 +128,11 @@ type GISOptions struct {
 	// TopN keeps at most this many neighbours per item (0 = keep all that
 	// pass the filters). The paper sorts GIS descending and picks the top
 	// M at prediction time, so TopN must be >= the largest M used online.
+	// It is a buffer, not what keeps the served prefix exact: every list
+	// carries a horizon (GIS.Horizon) below which it holds every
+	// candidate, and Refresh re-selects a list that shrinks under the
+	// prefix it must serve. A longer buffer makes re-selection rarer and
+	// every Refresh, snapshot and list copy dearer.
 	TopN int
 	// Threshold drops neighbours with similarity < Threshold (the paper
 	// "sets thresholds for Eq. 5 to filter less important items"). Only
@@ -144,20 +148,30 @@ type GISOptions struct {
 }
 
 // DefaultGISOptions returns the configuration used by the paper's
-// experiments: PCC, all positive neighbours kept up to 200 per item.
+// experiments: PCC, all positive neighbours kept up to 110 per item —
+// the paper's M = 95 plus the buffer that minimised the cost of an
+// incremental update on the ledger fixture (DESIGN §7).
 func DefaultGISOptions() GISOptions {
-	return GISOptions{Metric: PCC, TopN: 200, Threshold: 0, MinCoRatings: 2}
+	return GISOptions{Metric: PCC, TopN: 110, Threshold: 0, MinCoRatings: 2}
 }
 
 // GIS is the Global Item Similarity matrix: for every item, its
 // neighbours sorted by descending similarity. Immutable and safe for
 // concurrent use after construction.
+//
+// Every list carries a horizon τ, an entry under mathx.Precedes: the list
+// holds exactly those of its item's candidates — the pairs that pass the
+// filters, at their weights on the matrix — that precede τ. The zero τ,
+// which every candidate precedes (weights are positive), marks a list
+// holding all of them. So a list is a prefix of its item's candidates in
+// canonical order, whatever TopN cut it to.
 type GIS struct {
 	neighbors [][]mathx.Scored
+	tau       []mathx.Scored
 	opts      GISOptions
-	// pushOrdered counts the lists BuildGIS selected in push order (see
-	// BuildGIS); 0 for a GIS from any other constructor. Not persisted.
-	pushOrdered int
+	// reselected counts the lists the Refresh that made this GIS selected
+	// again from their candidates; 0 for a GIS from any other constructor.
+	reselected int
 }
 
 // Neighbors returns item i's neighbour list, sorted by descending
@@ -165,17 +179,27 @@ type GIS struct {
 // must not modify it.
 func (g *GIS) Neighbors(i int) []mathx.Scored { return g.neighbors[i] }
 
+// Horizon returns item i's horizon τ: no candidate the list does not
+// hold precedes it, and every one it holds does. The zero value means
+// the list holds every candidate.
+func (g *GIS) Horizon(i int) mathx.Scored {
+	if i < len(g.tau) {
+		return g.tau[i]
+	}
+	return mathx.Scored{}
+}
+
 // NumItems returns the number of items the GIS covers.
 func (g *GIS) NumItems() int { return len(g.neighbors) }
 
 // Options returns the options the GIS was built with.
 func (g *GIS) Options() GISOptions { return g.opts }
 
-// PushOrderLists returns how many of BuildGIS's lists fell back to
-// selection in push order: a candidate outside the top N tied the N-th
-// score. It is 0 for a GIS that was loaded or refreshed rather than
-// built.
-func (g *GIS) PushOrderLists() int { return g.pushOrdered }
+// Reselected returns how many lists the Refresh that returned g selected
+// again from their item's candidates, because fewer entries than the
+// prefix it had to keep exact were left above the horizon. It is 0 for a
+// GIS that was built or loaded.
+func (g *GIS) Reselected() int { return g.reselected }
 
 // TopNByID returns a fresh copy of the top-n prefix of item i's
 // neighbour list, re-sorted by ascending neighbour id (n <= 0 means the
@@ -226,8 +250,9 @@ func (g *GIS) TotalNeighbors() int {
 // √sxx·√syy, a commutative product. So every pair is accumulated once,
 // half the work of a walk per item over whole rows, and a pair that
 // passes the filters becomes a candidate of both its items. Each item
-// then ranks its candidates (rankTop), and the lists are carved from one
-// slab sized before they are filled.
+// then ranks its candidates (rankTop), keeping the best one it leaves out
+// as the list's horizon, and the lists are carved from one slab sized
+// before they are filled.
 func BuildGIS(m *ratings.Matrix, opts GISOptions) *GIS {
 	q := m.NumItems()
 	centred := centredRows(m, opts.Metric)
@@ -269,39 +294,16 @@ func BuildGIS(m *ratings.Matrix, opts GISOptions) *GIS {
 		off[i+1] = off[i] + topNOrAll(opts.TopN, len(upper[i])+lowerOff[i+1]-lowerOff[i])
 	}
 	slab := make([]mathx.Scored, off[q])
-	g := &GIS{neighbors: make([][]mathx.Scored, q), opts: opts}
-	var pushOrdered atomic.Int64
+	g := &GIS{neighbors: make([][]mathx.Scored, q), tau: make([]mathx.Scored, q), opts: opts}
 	parallel.ForChunked(q, opts.Workers, func(lo, hi int) {
 		var cand []mathx.Scored
-		var sc *candidateScratch
 		for i := lo; i < hi; i++ {
-			n := off[i+1] - off[i]
-			if n == 0 {
-				continue
+			if n := off[i+1] - off[i]; n > 0 {
+				cand = append(append(cand[:0], lower[lowerOff[i]:lowerOff[i+1]]...), upper[i]...)
+				g.neighbors[i], g.tau[i] = rankTop(cand, n, slab[off[i]:off[i]:off[i+1]])
 			}
-			dst := slab[off[i]:off[i]:off[i+1]]
-			cand = append(append(cand[:0], lower[lowerOff[i]:lowerOff[i+1]]...), upper[i]...)
-			if list, ok := rankTop(cand, n, dst); ok {
-				g.neighbors[i] = list
-				continue
-			}
-			// Which of the candidates tied at the cut TopK keeps depends on
-			// the order they are pushed in, so this list is built the way
-			// the two-ended build built every list: candidateList's order
-			// pushed through TopK.
-			if sc == nil {
-				sc = newCandidateScratch(q)
-			}
-			cand = candidateList(m, i, opts, sc, cand[:0])
-			top := mathx.NewTopK(n)
-			for _, e := range cand {
-				top.Push(e.Index, e.Score)
-			}
-			g.neighbors[i] = top.AppendSorted(dst)
-			pushOrdered.Add(1)
 		}
 	})
-	g.pushOrdered = int(pushOrdered.Load())
 	return g
 }
 
@@ -359,27 +361,24 @@ func (sc *candidateScratch) accumulateUpper(m *ratings.Matrix, centred [][]float
 	}
 }
 
-// rankTop appends to dst the top k of cand in the canonical order
-// (mathx.Precedes) and reports true, or reports false when that is not
-// what TopK would keep. TopK admits a candidate only if it beats the
-// lowest score held, so when the k-th score is strictly above every
-// score left out, TopK holds exactly these k whatever the push order.
-// When a candidate left out ties the k-th score, which of the tied ones
-// TopK holds depends on the order they were pushed in: those lists are
-// ranked in push order by the caller. Every score is positive (weight),
-// so Precedes is a total order on cand. cand is reordered.
-func rankTop(cand []mathx.Scored, k int, dst []mathx.Scored) ([]mathx.Scored, bool) {
+// rankTop appends to dst the k candidates of cand that rank first under
+// mathx.Precedes, in that order, and returns them with the list's horizon:
+// the best candidate left out, or the zero τ when k covers cand. Every
+// score is positive (weight), so Precedes is a total order on cand and
+// the selection does not depend on cand's order, which rankTop changes.
+func rankTop(cand []mathx.Scored, k int, dst []mathx.Scored) (list []mathx.Scored, tau mathx.Scored) {
 	if k < len(cand) {
 		selectTop(cand, k)
+		tau = cand[k]
+		for _, e := range cand[k+1:] {
+			if mathx.Precedes(e, tau) {
+				tau = e
+			}
+		}
 	}
 	top := cand[:k]
 	mathx.SortScoredDesc(top)
-	for _, e := range cand[k:] {
-		if e.Score == top[k-1].Score {
-			return nil, false
-		}
-	}
-	return append(dst, top...), true
+	return append(dst, top...), tau
 }
 
 // selectTop reorders list so that its first k entries, 0 < k < len(list),

@@ -105,6 +105,14 @@ func rawScores(scores ...float64) []byte {
 	return out
 }
 
+// unbounded gives s a zero horizon for each of its items: lists that hold
+// every candidate.
+func unbounded(s Snapshot) Snapshot {
+	s.TauIDs = mathx.EncodeRice(make([]uint64, len(s.Lens)))
+	s.TauScores = make([]byte, 8*len(s.Lens))
+	return s
+}
+
 // snapshotRefusals are the malformed snapshots FromSnapshot must answer
 // with an error and never a panic.
 var snapshotRefusals = []struct {
@@ -125,6 +133,16 @@ var snapshotRefusals = []struct {
 	{"set code pad bits", Snapshot{Lens: []int32{1, 0}, SetCode: mathx.RiceCode{Bits: []byte{0x12}}, Scores: rawScores(.5)}},
 	{"set code k past 63", Snapshot{Lens: []int32{1, 0}, SetCode: mathx.RiceCode{K: 64, Bits: make([]byte, 9)}, Scores: rawScores(.5)}},
 	{"set code ids without weights or a matrix", Snapshot{Lens: []int32{1, 1}, SetCode: riceSet(1, 0)}},
+	{"no horizons", Snapshot{Lens: []int32{1, 1}, SetCode: riceSet(1, 0), Scores: rawScores(.5, .4)}},
+	{"horizon weights one item short", Snapshot{Lens: []int32{1, 1}, SetCode: riceSet(1, 0), Scores: rawScores(.5, .4), TauIDs: riceSet(0, 0), TauScores: rawScores(0)}},
+	{"horizon code past its bytes", Snapshot{Lens: []int32{1, 1}, SetCode: riceSet(1, 0), Scores: rawScores(.5, .4), TauIDs: mathx.RiceCode{K: 7, Bits: []byte{0x01}}, TauScores: rawScores(0, 0)}},
+	{"horizon id past the catalogue", Snapshot{Lens: []int32{1, 1}, SetCode: riceSet(1, 0), Scores: rawScores(.5, .4), TauIDs: riceSet(0, 2), TauScores: rawScores(0, .1)}},
+	{"horizon weight NaN", Snapshot{Lens: []int32{1, 1}, SetCode: riceSet(1, 0), Scores: rawScores(.5, .4), TauIDs: riceSet(0, 0), TauScores: rawScores(math.NaN(), 0)}},
+	{"horizon weight negative", Snapshot{Lens: []int32{1, 1}, SetCode: riceSet(1, 0), Scores: rawScores(.5, .4), TauIDs: riceSet(0, 0), TauScores: rawScores(-.1, 0)}},
+	{"horizon weight +Inf", Snapshot{Lens: []int32{1, 1}, SetCode: riceSet(1, 0), Scores: rawScores(.5, .4), TauIDs: riceSet(0, 0), TauScores: rawScores(math.Inf(1), 0)}},
+	{"entry at its horizon", Snapshot{Lens: []int32{1, 1}, SetCode: riceSet(1, 0), Scores: rawScores(.5, .4), TauIDs: riceSet(1, 0), TauScores: rawScores(.5, 0)}},
+	{"entry past its horizon", Snapshot{Lens: []int32{1, 1}, SetCode: riceSet(1, 0), Scores: rawScores(.5, .4), TauIDs: riceSet(0, 1), TauScores: rawScores(0, .6)}},
+	{"horizon code bytes left over", Snapshot{Lens: []int32{1, 1}, SetCode: riceSet(1, 0), Scores: rawScores(.5, .4), TauIDs: mathx.RiceCode{Bits: []byte{0, 0}}, TauScores: rawScores(0, 0)}},
 }
 
 // TestFromSnapshotNamesTheSetFault: each refusal of a malformed set names
@@ -148,7 +166,7 @@ func TestFromSnapshotNamesTheSetFault(t *testing.T) {
 // soundSet is a sound snapshot of three items, and setFaults the set
 // codes that break it, each with the fault its refusal names.
 var (
-	soundSet  = Snapshot{Lens: []int32{0, 2, 1}, SetCode: riceSet(0, 0, 0), Scores: rawScores(.5, .4, .3)}
+	soundSet  = unbounded(Snapshot{Lens: []int32{0, 2, 1}, SetCode: riceSet(0, 0, 0), Scores: rawScores(.5, .4, .3)})
 	setFaults = []struct {
 		name, want string
 		code       mathx.RiceCode
@@ -181,7 +199,7 @@ func TestFromSnapshotRefusesMalformed(t *testing.T) {
 // Recommend.
 func TestFromSnapshotNamesTheStrayNeighbour(t *testing.T) {
 	// Item 1 holds {0, 2}, item 2 holds {1}.
-	snap := Snapshot{Lens: []int32{0, 2, 1}, SetCode: riceSet(0, 1, 1), Scores: rawScores(.5, .4, .3)}
+	snap := unbounded(Snapshot{Lens: []int32{0, 2, 1}, SetCode: riceSet(0, 1, 1), Scores: rawScores(.5, .4, .3)})
 	if _, err := FromSnapshot(snap, nil); err != nil {
 		t.Fatalf("the sound snapshot: %v", err)
 	}
@@ -192,10 +210,10 @@ func TestFromSnapshotNamesTheStrayNeighbour(t *testing.T) {
 	}
 }
 
-// FuzzFromSnapshot: whatever the lengths, weights and Rice code hold,
-// FromSnapshot either refuses or returns a GIS whose lists are exactly the
-// lengths asked for, every id within the catalogue and none twice in a
-// list. Without a matrix to derive weights from, a snapshot carrying none
+// FuzzFromSnapshot: whatever the lengths, weights, horizons and Rice
+// codes hold, FromSnapshot either refuses or returns a GIS whose lists are
+// exactly the lengths asked for, every id within the catalogue, none twice
+// in a list and every one preceding a set horizon. Without a matrix to derive weights from, a snapshot carrying none
 // is refused. Lengths come in as signed bytes so negatives are common;
 // weights as raw bytes. The corpus is every refusal above, the sound
 // snapshot TestFromSnapshotNamesTheSetFault breaks and each way it breaks
@@ -207,7 +225,7 @@ func FuzzFromSnapshot(f *testing.F) {
 		for i, n := range s.Lens {
 			lens[i] = byte(int8(n))
 		}
-		f.Add(lens, s.Scores, s.SetCode.K, s.SetCode.Bits)
+		f.Add(lens, s.Scores, s.SetCode.K, s.SetCode.Bits, s.TauIDs.K, s.TauIDs.Bits, s.TauScores)
 	}
 	for _, tc := range snapshotRefusals {
 		add(tc.snap)
@@ -224,8 +242,8 @@ func FuzzFromSnapshot(f *testing.F) {
 		add(g.Snapshot(true))
 		add(g.Snapshot(false))
 	}
-	f.Fuzz(func(t *testing.T, lens, scores []byte, k uint8, code []byte) {
-		s := Snapshot{Scores: scores, SetCode: mathx.RiceCode{K: k, Bits: code}}
+	f.Fuzz(func(t *testing.T, lens, scores []byte, k uint8, code []byte, tauK uint8, tauIDs, tauScores []byte) {
+		s := Snapshot{Scores: scores, SetCode: mathx.RiceCode{K: k, Bits: code}, TauIDs: mathx.RiceCode{K: tauK, Bits: tauIDs}, TauScores: tauScores}
 		for _, n := range lens {
 			s.Lens = append(s.Lens, int32(int8(n)))
 		}
@@ -247,7 +265,13 @@ func FuzzFromSnapshot(f *testing.F) {
 			t.Fatalf("accepted %d score bytes for %d entries without a matrix", len(scores), total)
 		}
 		for i := 0; i < g.NumItems(); i++ {
+			if tau := g.Horizon(i); tau != (mathx.Scored{}) && !(tau.Score > 0) {
+				t.Fatalf("item %d has horizon %v", i, tau)
+			}
 			for k, n := range g.Neighbors(i) {
+				if tau := g.Horizon(i); tau != (mathx.Scored{}) && !mathx.Precedes(n, tau) {
+					t.Fatalf("item %d entry %d does not precede its horizon %v", i, k, tau)
+				}
 				if n.Index < 0 || int(n.Index) >= g.NumItems() {
 					t.Fatalf("item %d entry %d names neighbour %d of %d items", i, k, n.Index, g.NumItems())
 				}
