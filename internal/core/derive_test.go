@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"slices"
@@ -10,7 +11,6 @@ import (
 	"testing"
 
 	"cfsf/internal/cluster"
-	"cfsf/internal/mathx"
 	"cfsf/internal/ratings"
 	"cfsf/internal/similarity"
 	"cfsf/internal/synth"
@@ -93,8 +93,8 @@ func tiedNeighbours(g *similarity.GIS) int {
 	return n
 }
 
-// TestLoadDerivesTheServedGIS: a load derives every GIS weight from the
-// matrix, every list's order from its weights and the clustering's
+// TestLoadDerivesTheServedGIS: a load selects every GIS list on the
+// matrix under the horizon the file stores, and derives the clustering's
 // centroids from its assignment, and what it derives is what the saved
 // model served, bit for bit — on the ledger fixture after Train, at every
 // 100th of 600 chained Applies from ledgerStream (every 5th a 16-rating
@@ -102,9 +102,8 @@ func tiedNeighbours(g *similarity.GIS) int {
 // retrain folds (Train of the applied matrix, then more Applies); on a
 // smaller fixture under five GIS configurations — Cosine, significance
 // weighting, co-rating floors 0 and 2 with a threshold, no truncation —
-// on that fixture with every item column duplicated, so that weights tie
-// and the id tie-break orders the twins, and with a GIS that blends in
-// item attributes, whose stored weights order its sets.
+// and on that fixture with every item column duplicated, so that weights
+// tie and the id tie-break orders the twins.
 func TestLoadDerivesTheServedGIS(t *testing.T) {
 	t.Run("ledger", func(t *testing.T) {
 		cfg := DefaultConfig()
@@ -172,11 +171,6 @@ func TestLoadDerivesTheServedGIS(t *testing.T) {
 		requireLoadsAsLive(t, mod, "after 30 Applies")
 	})
 
-	t.Run("blended", func(t *testing.T) {
-		mod := blendedModel(t)
-		requireLoadsAsLive(t, mod, "after Train and 10 Applies")
-	})
-
 	for _, tc := range []struct {
 		name string
 		gis  func(*similarity.GISOptions)
@@ -208,20 +202,26 @@ func TestLoadDerivesTheServedGIS(t *testing.T) {
 	}
 }
 
-// TestContentBlendedWeightsAreStored: a GIS that blends in item
-// attributes has weights no matrix reproduces — nor does Refresh, which
-// leaves blended entries in place beside Eq. 5 ones — so its snapshot
-// carries them, 8 bytes an entry, and the loaded model serves them
-// unchanged.
-func TestContentBlendedWeightsAreStored(t *testing.T) {
+// TestContentBlendedModelsAreNotPersisted: a GIS that blends in item
+// attributes has weights no matrix reproduces, and after an Apply its
+// lists hold blended and Eq. 5 weights side by side (Refresh recomputes
+// Eq. 5 weights only): a function of nothing a model file stores. So Save
+// refuses such a model, saying why, and Decode refuses a file — version 5
+// or 6 — whose configuration blends content.
+func TestContentBlendedModelsAreNotPersisted(t *testing.T) {
+	const why = "a GIS that blends in item attributes is not persisted"
 	mod := blendedModel(t)
-	if snap := mod.gisSnapshot(); len(snap.Scores) != 8*mod.GIS().TotalNeighbors() {
-		t.Fatalf("a blended GIS of %d entries snapshots %d score bytes", mod.GIS().TotalNeighbors(), len(snap.Scores))
+	if err := mod.Save(io.Discard); err == nil || !strings.Contains(err.Error(), why) {
+		t.Fatalf("Save: err = %v, want one containing %q", err, why)
 	}
-	if _, err := similarity.FromSnapshot(mod.gis.Snapshot(false), mod.Matrix()); err == nil {
-		t.Fatal("the blended GIS derived from the matrix alone: the fixture no longer shows why its weights are stored")
+	plain, _ := trainSmall(t)
+	for _, v := range []int{fileWireVersion - 1, fileWireVersion} {
+		wire := fileWireOf(t, plain)
+		wire.Version, wire.Config.ContentBlend, wire.Config.ItemFeatures = v, mod.cfg.ContentBlend, mod.cfg.ItemFeatures
+		if _, err := Decode(frameOf(t, wire)); err == nil || !strings.Contains(err.Error(), why) {
+			t.Fatalf("Decode of a version %d file: err = %v, want one containing %q", v, err, why)
+		}
 	}
-	requireLoadsAsLive(t, mod, "blended")
 }
 
 // blendedModel is smallSynth trained with its genres blended into the
@@ -249,68 +249,4 @@ func blendedModel(t *testing.T) *Model {
 		}
 	}
 	return mod
-}
-
-// gisSets is every list of g as its ascending id set.
-func gisSets(g *similarity.GIS) [][]int32 {
-	lists := make([][]int32, g.NumItems())
-	for i := range lists {
-		for _, n := range g.Neighbors(i) {
-			lists[i] = append(lists[i], n.Index)
-		}
-		slices.Sort(lists[i])
-	}
-	return lists
-}
-
-// setSnapshot Rice-codes ascending id sets into the snapshot layout model
-// files carry, weights left to derive, under g's options and horizons.
-func setSnapshot(g *similarity.GIS, lists [][]int32) similarity.Snapshot {
-	snap := g.Snapshot(false)
-	snap.Lens = make([]int32, len(lists))
-	var gaps []uint64
-	for i, l := range lists {
-		snap.Lens[i] = int32(len(l))
-		prev := int32(-1)
-		for _, id := range l {
-			gaps = append(gaps, uint64(id-prev-1))
-			prev = id
-		}
-	}
-	snap.SetCode = mathx.EncodeRice(gaps)
-	return snap
-}
-
-// TestNonCoRatedNeighbourIsRefused: a model file whose ids were edited to
-// name a neighbour that shares no rater with its item passes the layout
-// checks — the id is inside the catalogue — and is refused when the
-// weights are derived, naming the item, the entry and the neighbour.
-func TestNonCoRatedNeighbourIsRefused(t *testing.T) {
-	base, _ := trainSmall(t)
-	// Item q is new and rated by user 0 alone.
-	q := base.Matrix().NumItems()
-	mod, err := base.Apply([]RatingUpdate{{User: 0, Item: q, Value: 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	item := -1
-	for i := 0; i < q && item < 0; i++ {
-		rated := slices.ContainsFunc(mod.Matrix().ItemRatings(i), func(e ratings.Entry) bool { return e.Index == 0 })
-		if !rated && len(mod.GIS().Neighbors(i)) > 0 {
-			item = i
-		}
-	}
-	if item < 0 {
-		t.Fatal("every item with neighbours is rated by user 0")
-	}
-	lists := gisSets(mod.GIS())
-	lists[item] = append(lists[item][1:], int32(q))
-	snap := setSnapshot(mod.GIS(), lists)
-	want := fmt.Sprintf("item %d entry %d: neighbour %d is not co-rated", item, len(lists[item])-1, q)
-
-	wire := fileWireOf(t, mod)
-	wire.GIS = snap
-	if _, err := Load(frameOf(t, wire)); err == nil || !strings.Contains(err.Error(), want) {
-		t.Errorf("Load: err = %v, want one containing %q", err, want)
-	}
 }

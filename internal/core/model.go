@@ -122,8 +122,8 @@ func (c Config) Validate() error {
 
 // blendsContent reports whether Train builds the GIS with item attributes
 // blended into its weights (similarity.BuildGISWithContent). Those weights
-// are not the Eq. 5 weights of the matrix, so snapshots of such a model
-// carry them instead of leaving them to be derived at load.
+// are not the Eq. 5 weights of the matrix, so no model file can hold such
+// a model (SaveAt).
 func (c Config) blendsContent() bool { return c.ContentBlend > 0 && len(c.ItemFeatures) > 0 }
 
 // TrainStats reports what the offline phase built and how long each step
@@ -135,8 +135,8 @@ type TrainStats struct {
 	// GISDuration and ClusterDuration time the GIS and the clustering as
 	// the model got them: built by Train, refreshed by an Apply, or, for
 	// a model loaded from a model file, derived from what the file stores
-	// — every GIS weight and list order, and the centroids and member
-	// lists.
+	// — every GIS list, selected under its horizon, and the centroids and
+	// member lists.
 	GISDuration     time.Duration
 	ClusterDuration time.Duration
 	SmoothDuration  time.Duration

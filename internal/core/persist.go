@@ -12,6 +12,7 @@ import (
 	"math"
 	"os"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -26,12 +27,13 @@ import (
 // A model file is the one persisted form of a model: the `-model` file
 // cfsf-server boots from, every recovery point internal/lifecycle writes,
 // and what a follower bootstraps from. It stores what cannot be derived —
-// the configuration, the matrix, which neighbours each item's GIS list
-// keeps (as a set: Eq. 5 lists are sorted by weight), the cluster each
-// user is assigned to — plus the WAL watermark it was written at, and
-// Load derives the rest: GIS weights and list order, cluster centroids
-// and member lists, smoothing tables, caches. So a loaded model predicts
-// bit-for-bit like the saved one.
+// the configuration, the matrix, each GIS list's horizon τ (a list is
+// every candidate on the matrix that precedes it), the cluster each user
+// is assigned to — plus the WAL watermark it was written at, and Load
+// derives the rest: every GIS list, selected under its horizon as
+// BuildGIS selects it, cluster centroids and member lists, smoothing
+// tables, caches. So a loaded model predicts bit-for-bit like the saved
+// one.
 //
 // The file is one checksummed frame: magic, kind, payload length, the
 // CRC32-IEEE of the payload, then the gob payload. A torn, truncated or
@@ -52,8 +54,7 @@ var blobMagic = [8]byte{'C', 'F', 'S', 'F', 'B', 'L', 'B', 1}
 // per-user row lengths and three columns over every rating in row order,
 // each a Rice code (mathx.RiceCode) under the parameter that makes it
 // shortest: ItemCode each row's ascending item ids as gaps (id − previous
-// − 1, the first as the id), as the GIS stores its id sets
-// (similarity.Snapshot); ValueCode each value as its index into Scale,
+// − 1, the first as the id); ValueCode each value as its index into Scale,
 // the matrix's distinct values ascending; and TimeCode, for a timed
 // matrix, each timestamp as its zigzagged difference from the one before,
 // carried across rows from 0 (mathx.DeltaCode).
@@ -67,9 +68,8 @@ type fileWire struct {
 	MinRating float64
 	MaxRating float64
 	HasTimes  bool
-	// GIS holds each item's neighbour id set alone; only a GIS that
-	// blends in item attributes also stores its weights (Scores), since
-	// no matrix reproduces them.
+	// GIS holds each list's horizon and the GIS options, and no list:
+	// Load selects every list under its horizon (similarity.FromSnapshot).
 	GIS similarity.Snapshot
 	// Clusters holds Assign, K, Iterations and Inertia; Load derives
 	// Members, Mean and Count from the assignment and the rows
@@ -85,25 +85,44 @@ type fileWire struct {
 	TimeCode  mathx.RiceCode // empty when the matrix carries no timestamps
 }
 
-// fileWireVersion 5 adds every GIS list's horizon (similarity.Snapshot's
-// TauIDs and TauScores) to version 4. A build reads the version it writes
-// and the one before it (DESIGN §12). A version 4 file stores no horizon,
-// so its lists are selected again from its matrix at load, as Train
-// selects them. Anything older — model file versions 1 to 3, and the
-// unframed gob `-model` file before them — is refused as ErrRetiredFormat,
-// naming the builds that migrate it.
-const fileWireVersion = 5
+// fileWireVersion 6 is version 5 less its GIS lists (similarity.Snapshot's
+// Lens, SetCode and Scores): version 5 stored every list as an id set
+// beside its horizon, and version 6 stores the horizon alone. A build
+// reads the version it writes and the one before it (DESIGN §12); gob
+// skips the fields a version 5 file carries and fileWire does not, so
+// both decode through fileWire. Anything older — model file versions 1
+// to 4, and the unframed gob `-model` file before them — is refused as
+// ErrRetiredFormat, naming the builds that migrate it (MigratingBuilds).
+const fileWireVersion = 6
 
-// MigratingBuild is the last build that reads model file version 3 and
-// writes version 4, which this one reads: loading a file with it and
-// saving it again migrates the file, as booting a data dir with it and
-// letting it snapshot migrates the dir. A file older than version 3
-// takes build OldMigratingBuild first, which writes version 3.
-const MigratingBuild = "ac5d191"
+// migratingBuilds are the builds that migrate a retired model file, in
+// the order they run: d297876 reads model file versions 1 and 2 and the
+// unframed gob `-model` file and writes version 3, ac5d191 reads version
+// 3 and writes version 4, and f163a25 reads version 4 and writes version
+// 5, which this build reads. Loading a file with one and saving it again
+// migrates the file, as booting a data dir with it and letting it
+// snapshot migrates the dir.
+var migratingBuilds = [...]string{"d297876", "ac5d191", "f163a25"}
 
-// OldMigratingBuild is the last build that reads model file versions 1
-// and 2 and the unframed gob `-model` file, and writes version 3.
-const OldMigratingBuild = "d297876"
+// MigratingBuilds returns the builds that migrate a model file of retired
+// version v to one this build reads, in the order to run them; v = 0
+// stands for the unframed gob `-model` file.
+func MigratingBuilds(v int) []string { return migratingBuilds[max(v, 2)-2:] }
+
+// migration names the builds that migrate a model file of retired version
+// v, and the version each writes.
+func migration(v int) string {
+	var b strings.Builder
+	for k, build := range MigratingBuilds(v) {
+		writes := fileWireVersion - len(MigratingBuilds(v)) + k
+		if k == 0 {
+			fmt.Fprintf(&b, "build %s reads it and writes version %d", build, writes)
+		} else {
+			fmt.Fprintf(&b, ", which build %s migrates to version %d", build, writes)
+		}
+	}
+	return b.String()
+}
 
 // ErrRetiredFormat marks the refusal of a file in a format older than the
 // ones this build reads.
@@ -135,7 +154,7 @@ func readBlob(r io.Reader) ([]byte, error) {
 	}
 	switch {
 	case bytes.Contains(hdr[:], modelWireName):
-		return nil, fmt.Errorf("cfsf: an unframed gob model file is %w: build %s reads it and writes model file version 3, which build %s migrates to version 4", ErrRetiredFormat, OldMigratingBuild, MigratingBuild)
+		return nil, fmt.Errorf("cfsf: an unframed gob model file is %w: %s", ErrRetiredFormat, migration(0))
 	case [8]byte(hdr[:8]) != blobMagic:
 		return nil, fmt.Errorf("cfsf: bad blob magic")
 	case hdr[8] != blobKindModel:
@@ -158,8 +177,14 @@ func readBlob(r io.Reader) ([]byte, error) {
 // Save writes the model as a model file at watermark 0.
 func (mod *Model) Save(w io.Writer) error { return mod.SaveAt(w, 0) }
 
-// SaveAt writes the model as a model file recording watermark seq.
+// SaveAt writes the model as a model file recording watermark seq. It
+// refuses a model whose GIS blends in item attributes: after an Apply its
+// lists hold content-blended and Eq. 5 weights side by side (Refresh
+// recomputes Eq. 5 weights only), a function of nothing the file stores.
 func (mod *Model) SaveAt(w io.Writer, seq uint64) error {
+	if mod.cfg.blendsContent() {
+		return fmt.Errorf("cfsf: save model: %w", errBlendedGIS)
+	}
 	m, cl := mod.m, mod.clusters
 	n := m.NumRatings()
 	wire := fileWire{
@@ -170,7 +195,7 @@ func (mod *Model) SaveAt(w io.Writer, seq uint64) error {
 		MinRating: m.MinRating(),
 		MaxRating: m.MaxRating(),
 		HasTimes:  m.HasTimes(),
-		GIS:       mod.gisSnapshot(),
+		GIS:       mod.gis.Snapshot(),
 		Clusters:  &cluster.Result{Assign: cl.Assign, K: cl.K, Iterations: cl.Iterations, Inertia: cl.Inertia},
 		Seq:       seq,
 		RowLens:   make([]int32, m.NumUsers()),
@@ -251,9 +276,9 @@ func (mod *Model) SaveFile(path string) error {
 }
 
 // File is a decoded model file before the model is rebuilt from it: the
-// configuration, the dimensions, the GIS neighbour sets, the clustering,
-// the watermark, and the matrix rows. Its GIS is still the snapshot: the
-// weights it leaves out are derived once the matrix exists (Model).
+// configuration, the dimensions, the GIS horizons, the clustering, the
+// watermark, and the matrix rows. Its GIS is still the snapshot: the lists
+// are selected once the matrix exists (Model).
 type File struct {
 	Version   int // the model file version it was written in
 	Config    Config
@@ -274,11 +299,12 @@ type File struct {
 }
 
 // Decode reads and validates one model file: the frame and its checksum,
-// nothing after it, the version, no part the load derives (strayPart), the
-// row slices against each other and — naming the user and the entry —
-// every row's items against the item count and values against their scale,
-// the configuration, the GIS against the item count, and the clustering
-// against the dimensions. It derives the clustering's centroids and member
+// nothing after it, the version, no part the load derives (strayPart), no
+// GIS that blends in item attributes (SaveAt), the row slices against each
+// other and — naming the user and the entry — every row's items against
+// the item count and values against their scale, the configuration, the
+// GIS horizons against the item count, and the clustering against the
+// dimensions. It derives the clustering's centroids and member
 // lists from its assignment and rows (cluster.Result.Derive) and rebuilds
 // nothing else; Model does. A file older than the version before the one
 // this build writes is refused as ErrRetiredFormat.
@@ -300,10 +326,10 @@ func Decode(r io.Reader) (*File, error) {
 	switch {
 	case wire.Version < 1 || wire.Version > fileWireVersion:
 		return nil, fmt.Errorf("cfsf: unsupported model file version %d", wire.Version)
-	case wire.Version == 3:
-		return nil, fmt.Errorf("cfsf: model file version 3 is %w: build %s reads it and writes version 4", ErrRetiredFormat, MigratingBuild)
-	case wire.Version < 3:
-		return nil, fmt.Errorf("cfsf: model file version %d is %w: build %s reads it and writes version 3, which build %s migrates to version 4", wire.Version, ErrRetiredFormat, OldMigratingBuild, MigratingBuild)
+	case wire.Version < fileWireVersion-1:
+		return nil, fmt.Errorf("cfsf: model file version %d is %w: %s", wire.Version, ErrRetiredFormat, migration(wire.Version))
+	case wire.Config.blendsContent():
+		return nil, fmt.Errorf("cfsf: model file version %d: %w", wire.Version, errBlendedGIS)
 	}
 	if part := strayPart(&wire); part != "" {
 		return nil, fmt.Errorf("cfsf: corrupt model file: version %d stores no %s", wire.Version, part)
@@ -339,10 +365,6 @@ func Decode(r io.Reader) (*File, error) {
 func strayPart(wire *fileWire) string {
 	c := wire.Clusters
 	switch {
-	case len(wire.GIS.Scores) > 0 && !wire.Config.blendsContent():
-		return "GIS weights of a GIS that does not blend in item attributes, they are derived at load"
-	case wire.Version < fileWireVersion && (len(wire.GIS.TauIDs.Bits) > 0 || len(wire.GIS.TauScores) > 0):
-		return "GIS horizons, its lists are selected again at load"
 	case c != nil && len(c.Members) > 0:
 		return "cluster Members, they are derived at load"
 	case c != nil && len(c.Mean) > 0:
@@ -480,15 +502,16 @@ var columnNames = [3]string{"item", "value", "time"}
 // from its assignment on f's rows. It first refuses an assignment of
 // another length than the users, a K outside [1, NumUsers] (Run never
 // fits more clusters than users, and users are never removed), and an
-// item count the GIS lists do not match, so nothing is allocated by a
-// length the rest of the file does not bear out.
+// item count the GIS horizon weights, 8 bytes an item, do not match, so
+// nothing is allocated by a length the rest of the file does not bear
+// out.
 func (f *File) deriveClusters() error {
 	c := f.Clusters
 	switch {
 	case c == nil:
 		return fmt.Errorf("missing clustering")
-	case len(f.GIS.Lens) != f.NumItems:
-		return fmt.Errorf("GIS covers %d items, model has %d", len(f.GIS.Lens), f.NumItems)
+	case len(f.GIS.TauScores)%8 != 0 || len(f.GIS.TauScores)/8 != f.NumItems:
+		return fmt.Errorf("GIS horizons hold %d weight bytes, model has %d items", len(f.GIS.TauScores), f.NumItems)
 	case len(c.Assign) != f.NumUsers:
 		return fmt.Errorf("cluster: %d assignments for %d users", len(c.Assign), f.NumUsers)
 	case c.K < 1 || c.K > f.NumUsers:
@@ -498,8 +521,8 @@ func (f *File) deriveClusters() error {
 }
 
 // check validates what a decoded file holds besides its rows: the
-// configuration, the clustering against the dimensions, the GIS against
-// the item count.
+// configuration, the clustering against the dimensions, the GIS horizons
+// against the item count.
 func (f *File) check() error {
 	if err := f.Config.Validate(); err != nil {
 		return err
@@ -507,27 +530,14 @@ func (f *File) check() error {
 	if err := f.Clusters.Check(f.NumUsers, f.NumItems); err != nil {
 		return err
 	}
-	gis := f.GIS
-	if f.Version < fileWireVersion {
-		// No horizons to check: Model selects the lists again.
-		gis.TauIDs, gis.TauScores = mathx.EncodeRice(make([]uint64, len(gis.Lens))), make([]byte, 8*len(gis.Lens))
-	}
-	if n, err := gis.Check(); err != nil {
-		return err
-	} else if n != f.NumItems {
-		return fmt.Errorf("GIS covers %d items, model has %d", n, f.NumItems)
-	}
-	return nil
+	return f.GIS.Check(f.NumItems)
 }
 
 // Model rebuilds the model the file holds: it builds the matrix from the
-// rows and derives around it every GIS weight the file leaves out, so the
-// model predicts bit-for-bit like the saved one (rebuildModel). A version
-// 4 file's GIS lists are selected again from the matrix instead, horizons
-// included, as Train selects them: where the lists the file stores had
-// gone stale under Applies, the model predicts like a fresh build. Its
+// rows and selects around it every GIS list under its horizon, so the
+// model predicts bit-for-bit like the saved one (rebuildModel). Its
 // TrainStats.ClusterDuration is the clustering's derivation in Decode, as
-// its GISDuration is the GIS's.
+// its GISDuration is the GIS's selection.
 //
 //cfsf:wallclock-ok rebuild duration recorded in TrainStats only; no clock value reaches predictions or replayed state
 func (f *File) Model() (*Model, error) {
@@ -547,7 +557,7 @@ func (f *File) Model() (*Model, error) {
 		}
 	}
 	start := time.Now()
-	mod, err := rebuildModel(f.Config, b.Build(), f.GIS, f.Clusters, f.Version < fileWireVersion)
+	mod, err := rebuildModel(f.Config, b.Build(), f.GIS, f.Clusters)
 	if err != nil {
 		return nil, fmt.Errorf("cfsf: corrupt model: %w", err)
 	}
@@ -596,35 +606,24 @@ func stampClusterDerive(mod *Model, d time.Duration) {
 	mod.stats.ClusterDuration = d
 }
 
-// gisSnapshot is the GIS as a model file stores it: the neighbour id sets
-// alone, unless the weights blend in item attributes and no matrix
-// reproduces them.
-func (mod *Model) gisSnapshot() similarity.Snapshot {
-	return mod.gis.Snapshot(mod.cfg.blendsContent())
-}
+// errBlendedGIS refuses to persist a GIS that blends in item attributes.
+var errBlendedGIS = errors.New("a GIS that blends in item attributes is not persisted: after an Apply its lists are a function of nothing a model file stores; retrain it from its ratings")
 
-// rebuildModel reconstructs the derived offline state (GIS weights and
-// list order, smoothing tables, caches) around persisted artefacts, or,
-// with reselect, selects every GIS list again on m under the snapshot's
-// options (trainGIS). It refuses a clustering that does not fit m
-// (cluster.Result.Check), and a GIS snapshot that does not cover m's items
-// (Predict indexes the GIS by item id) or does not derive on m
-// (similarity.FromSnapshot).
+// rebuildModel reconstructs the derived offline state (GIS lists,
+// smoothing tables, caches) around persisted artefacts. It refuses a
+// clustering that does not fit m (cluster.Result.Check), and a GIS
+// snapshot that does not cover m's items (Predict indexes the GIS by item
+// id) or does not select on m (similarity.FromSnapshot).
 //
-//cfsf:wallclock-ok GIS derivation duration recorded in TrainStats only; no clock value reaches predictions or replayed state
-func rebuildModel(cfg Config, m *ratings.Matrix, snap similarity.Snapshot, clusters *cluster.Result, reselect bool) (*Model, error) {
+//cfsf:wallclock-ok GIS selection duration recorded in TrainStats only; no clock value reaches predictions or replayed state
+func rebuildModel(cfg Config, m *ratings.Matrix, snap similarity.Snapshot, clusters *cluster.Result) (*Model, error) {
 	if err := clusters.Check(m.NumUsers(), m.NumItems()); err != nil {
 		return nil, err
 	}
 	t := time.Now()
-	var gis *similarity.GIS
-	if reselect {
-		gis = trainGIS(cfg, m, snap.Opts)
-	} else {
-		var err error
-		if gis, err = similarity.FromSnapshot(snap, m); err != nil {
-			return nil, err
-		}
+	gis, err := similarity.FromSnapshot(snap, m)
+	if err != nil {
+		return nil, err
 	}
 	mod := &Model{
 		cfg:      cfg,

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -103,29 +104,30 @@ func TestLoadedModelSupportsUpdates(t *testing.T) {
 
 // TestModelFileRefusesEveryFault enumerates the faults a stored model file
 // can suffer, on refusalFixture's file as this build writes it (version
-// 5: Rice-coded id sets, row items, value indexes and time deltas, the
-// GIS horizons, the clustering's assignment) and as ac5d191 wrote it
-// (version 4, testdata/file-v4.cfsf): one bit flipped at every byte, a
-// cut at every length, a byte appended. Load must refuse each one with an error — not
-// load a different model, and not panic.
+// 6: the GIS horizons, Rice-coded row items, value indexes and time
+// deltas, the clustering's assignment) and as f163a25 wrote it (version
+// 5, testdata/file-v5.cfsf, which adds every GIS list as an id set): one
+// bit flipped at every byte, a cut at every length, a byte appended. Load
+// must refuse each one with an error — not load a different model, and
+// not panic.
 func TestModelFileRefusesEveryFault(t *testing.T) {
 	m, cfg := refusalFixture(t)
 	mod, err := Train(m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := fileWireOf(t, mod).Version; v != 5 {
-		t.Fatalf("Save writes version %d, the faults here are enumerated on version 5", v)
+	if v := fileWireOf(t, mod).Version; v != 6 {
+		t.Fatalf("Save writes version %d, the faults here are enumerated on version 6", v)
 	}
 	var buf bytes.Buffer
 	if err := mod.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	v4, err := os.ReadFile(filepath.Join("testdata", "file-v4.cfsf"))
+	v5, err := os.ReadFile(filepath.Join("testdata", "file-v5.cfsf"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, good := range [][]byte{buf.Bytes(), v4} {
+	for _, good := range [][]byte{buf.Bytes(), v5} {
 		if _, err := Load(bytes.NewReader(good)); err != nil {
 			t.Fatalf("the unmodified file: %v", err)
 		}
@@ -169,19 +171,11 @@ func runPastEnd(code *mathx.RiceCode, vals []uint64) {
 }
 
 // fileColumns is what a model file of mod codes in its Rice columns:
-// the GIS sets' gaps, the row items' gaps, the value indexes into scale
+// the GIS horizon ids, the row items' gaps, the value indexes into scale
 // and the time deltas, each in file order.
-func fileColumns(mod *Model, scale []float64) (gis, items, values, times []uint64) {
+func fileColumns(mod *Model, scale []float64) (taus, items, values, times []uint64) {
 	for i := 0; i < mod.GIS().NumItems(); i++ {
-		var ids []int32
-		for _, n := range mod.GIS().Neighbors(i) {
-			ids = append(ids, n.Index)
-		}
-		slices.Sort(ids)
-		prev := int32(-1)
-		for _, id := range ids {
-			gis, prev = append(gis, uint64(id-prev-1)), id
-		}
+		taus = append(taus, uint64(mod.GIS().Horizon(i).Index))
 	}
 	prevTime := int64(0)
 	for u := 0; u < mod.m.NumUsers(); u++ {
@@ -194,14 +188,16 @@ func fileColumns(mod *Model, scale []float64) (gis, items, values, times []uint6
 			times, prevTime = append(times, mathx.DeltaCode(prevTime, ts)), ts
 		}
 	}
-	return gis, items, values, times
+	return taus, items, values, times
 }
 
 // TestModelFileRefusesAMalformedSet: a model file whose checksum holds
-// but whose Rice-coded GIS sets, rows, values or timestamps are
-// malformed, whose value scale is unsound, or which carries a part it
-// must leave to the load to derive, is refused, the error naming the item
-// or the user and the entry at fault, or the part.
+// but whose Rice-coded GIS horizons, rows, values or timestamps are
+// malformed, whose value scale is unsound, which carries a part it must
+// leave to the load to derive, or whose item count its horizons do not
+// bear out, is refused, the error naming the item or the user and the
+// entry at fault, or the part. A refusal allocates next to nothing: an
+// item count of 1<<40 is refused before anything is sized by it.
 func TestModelFileRefusesAMalformedSet(t *testing.T) {
 	m, cfg := refusalFixture(t)
 	mod, err := Train(m, cfg)
@@ -209,23 +205,11 @@ func TestModelFileRefusesAMalformedSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	q, p := m.NumItems(), m.NumUsers()
-	first, last := -1, -1 // the first and last items whose lists hold entries
-	for i := 0; i < q; i++ {
-		if len(mod.GIS().Neighbors(i)) > 0 {
-			last = i
-			if first < 0 {
-				first = i
-			}
-		}
-	}
-	if first < 0 {
-		t.Fatal("the fixture GIS is empty")
-	}
 	if !m.HasTimes() {
 		t.Fatal("the fixture is untimed")
 	}
 	scale := fileWireOf(t, mod).Scale
-	gis, items, values, times := fileColumns(mod, scale)
+	taus, items, values, times := fileColumns(mod, scale)
 	lastRow := len(m.UserRatings(p-1)) - 1
 	top, topEntry := -1, -1 // the first user rating the top of the scale, and where
 	for u := 0; u < p && top < 0; u++ {
@@ -243,12 +227,14 @@ func TestModelFileRefusesAMalformedSet(t *testing.T) {
 		name, want string
 		mutate     func(w *fileWire)
 	}{
-		{"a set gap running past its bytes", fmt.Sprintf("item %d entry %d: the code at bit", last, len(mod.GIS().Neighbors(last))-1),
-			func(w *fileWire) { runPastEnd(&w.GIS.SetCode, gis) }},
-		{"a set id past the items", fmt.Sprintf("item %d entry 0: the id after neighbour -1 passes the %d items", first, q),
-			func(w *fileWire) { w.GIS.SetCode = withFirst(gis, uint64(q)) }},
-		{"set bytes left over", fmt.Sprintf("after the list of item %d, its last: 1 bytes left over", q-1),
-			func(w *fileWire) { w.GIS.SetCode.Bits = append(w.GIS.SetCode.Bits, 0) }},
+		{"a horizon id running past its bytes", fmt.Sprintf("horizon of item %d: the code at bit", q-1),
+			func(w *fileWire) { runPastEnd(&w.GIS.TauIDs, taus) }},
+		{"a horizon id past the items", fmt.Sprintf("horizon of item 0 names item %d of %d", q, q),
+			func(w *fileWire) { w.GIS.TauIDs = withFirst(taus, uint64(q)) }},
+		{"horizon bytes left over", fmt.Sprintf("horizon code after item %d, the last: 1 bytes left over", q-1),
+			func(w *fileWire) { w.GIS.TauIDs.Bits = append(w.GIS.TauIDs.Bits, 0) }},
+		{"an item count of 1<<40", fmt.Sprintf("GIS horizons hold %d weight bytes, model has %d items", 8*q, 1<<40),
+			func(w *fileWire) { w.NumItems = 1 << 40 }},
 		{"a row gap running past its bytes", fmt.Sprintf("user %d entry %d: item: the code at bit", p-1, lastRow),
 			func(w *fileWire) { runPastEnd(&w.ItemCode, items) }},
 		{"a row gap overrunning the items", fmt.Sprintf("user 0 entry 0: the item after item -1 overruns the %d items", q),
@@ -271,8 +257,7 @@ func TestModelFileRefusesAMalformedSet(t *testing.T) {
 		{"a scale value that is not finite", "scale value 0 is NaN, not finite", func(w *fileWire) { w.Scale[0] = math.NaN() }},
 		{"an infinite scale value", "scale value 2 is +Inf, not finite", func(w *fileWire) { w.Scale[2] = math.Inf(1) }},
 		{"a Rice parameter past 63", "item column: Rice parameter k = 64, past 63", func(w *fileWire) { w.ItemCode.K = 64 }},
-		{"a set code parameter past 63", "set code: Rice parameter k = 64, past 63", func(w *fileWire) { w.GIS.SetCode.K = 64 }},
-		{"Eq. 5 weights", "stores no GIS weights", func(w *fileWire) { w.GIS.Scores = mod.gis.Snapshot(true).Scores }},
+		{"a horizon code parameter past 63", "horizon code: Rice parameter k = 64, past 63", func(w *fileWire) { w.GIS.TauIDs.K = 64 }},
 		{"cluster Members", "stores no cluster Members", func(w *fileWire) { w.Clusters.Members = mod.clusters.Members }},
 		{"cluster Mean", "stores no cluster Mean", func(w *fileWire) { w.Clusters.Mean = mod.clusters.Mean }},
 		{"cluster Count", "stores no cluster Count", func(w *fileWire) { w.Clusters.Count = mod.clusters.Count }},
@@ -283,8 +268,16 @@ func TestModelFileRefusesAMalformedSet(t *testing.T) {
 				t.Fatalf("the unmodified file: %v", err)
 			}
 			tc.mutate(&wire)
-			if _, err := Load(frameOf(t, wire)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			file := frameOf(t, wire)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := Load(file)
+			runtime.ReadMemStats(&after)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("err = %v, want one containing %q", err, tc.want)
+			}
+			if n := after.TotalAlloc - before.TotalAlloc; n > 4<<20 {
+				t.Fatalf("the refusal allocated %d bytes", n)
 			}
 		})
 	}
@@ -373,7 +366,6 @@ func TestModelFileColumnBytes(t *testing.T) {
 		extra int
 		fence int
 	}{
-		{"GIS neighbour sets", wire.GIS.SetCode, 0, 66_000},
 		{"GIS horizons", wire.GIS.TauIDs, len(wire.GIS.TauScores), 10_000},
 		{"row items", wire.ItemCode, 0, 30_000},
 		{"values", wire.ValueCode, 8 * len(wire.Scale), 18_500},

@@ -51,56 +51,79 @@ func requireSameRecommendations(t *testing.T, want, got *Model, ctx string) {
 	}
 }
 
-// TestModelFileV4LoadsAndResavesAsV5: testdata/file-v4.cfsf is
-// refusalFixture's model saved by ac5d191, the last build to write model
-// file version 4, whose GIS options ran to TopN 200. It stores no
-// horizons, so its lists are selected again at load; it loads to the grid
-// that build served (tau0Grid), the GIS — horizons included — rows and
-// timestamps the model trained here under the options the fixture was
-// written with holds, and re-saves as version 5, which loads to the same.
-func TestModelFileV4LoadsAndResavesAsV5(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "file-v4.cfsf"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wire := wireOf(t, data)
-	if wire.Version != 4 {
-		t.Fatalf("the fixture is a version %d file, want 4", wire.Version)
-	}
-	if wire.Config.GIS.TopN != 200 {
-		t.Fatalf("the fixture's GIS options run to TopN %d, want 200", wire.Config.GIS.TopN)
-	}
-	m, cfg := refusalFixture(t)
-	cfg.GIS = wire.Config.GIS
-	live, err := Train(m, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	old, err := Load(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := old.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if v := wireOf(t, buf.Bytes()).Version; v != 5 {
-		t.Fatalf("the re-save is a version %d file, want 5", v)
-	}
-	t.Logf("version 4: %d bytes, its version 5 re-save %d", len(data), buf.Len())
-	resaved, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ctx, got := range map[string]*Model{"version 4": old, "its version 5 re-save": resaved} {
-		if h := gridHash(got); h != tau0Grid {
-			t.Fatalf("%s: prediction grid hashes to %s, want %s", ctx, h, tau0Grid)
+// cutGrid is gridHash of refusalFixture's model trained at TopN = M = 4
+// with cutUpdates applied, as f163a25 served it when it saved that model
+// as testdata/file-v5-cut.cfsf.
+const cutGrid = "1b36613668d61125c36a735bebb6c93edf55ced4f418a8766654cd6b20068eab"
+
+// cutUpdates are the ratings applied to the cut model of
+// testdata/file-v5-cut.cfsf and of FuzzDecode's corpus.
+var cutUpdates = []RatingUpdate{{User: 0, Item: 2, Value: 5}, {User: 3, Item: 0, Value: 1}, {User: 11, Item: 9, Value: 2}}
+
+// TestModelFileV5LoadsAndResavesAsV6: f163a25, the last build to write
+// model file version 5, saved two of refusalFixture's models, which store
+// every GIS list as an id set beside its horizon: testdata/file-v5.cfsf,
+// its file-v4.cfsf (which ac5d191 saved) loaded and saved again, whose GIS
+// options run to TopN 200, and testdata/file-v5-cut.cfsf, trained at
+// TopN = M = 4 with cutUpdates applied, so that nine of its ten horizons
+// are set. Each decodes through the one fileWire, its sets skipped, loads
+// to the grid that build served — tau0Grid and cutGrid — with the GIS,
+// horizons included, recommendations, rows and timestamps of the model
+// built here the same way, and re-saves as version 6, which loads to the
+// same.
+func TestModelFileV5LoadsAndResavesAsV6(t *testing.T) {
+	for _, fx := range []struct {
+		file, grid string
+		topN       int
+		updates    []RatingUpdate
+	}{
+		{"file-v5.cfsf", tau0Grid, 200, nil},
+		{"file-v5-cut.cfsf", cutGrid, 4, cutUpdates},
+	} {
+		data, err := os.ReadFile(filepath.Join("testdata", fx.file))
+		if err != nil {
+			t.Fatal(err)
 		}
-		requireSameGIS(t, live.GIS(), got.GIS(), ctx)
-		requireSameRecommendations(t, live, got, ctx)
-		for u := 0; u < m.NumUsers(); u++ {
-			if !slices.Equal(got.Matrix().UserRatings(u), m.UserRatings(u)) || !slices.Equal(got.Matrix().UserRatingTimes(u), m.UserRatingTimes(u)) {
-				t.Fatalf("%s: user %d's row or timestamps differ from the fixture's", ctx, u)
+		wire := wireOf(t, data)
+		if wire.Version != 5 || wire.Config.GIS.TopN != fx.topN {
+			t.Fatalf("%s is a version %d file at TopN %d, want version 5 at %d", fx.file, wire.Version, wire.Config.GIS.TopN, fx.topN)
+		}
+		m, cfg := refusalFixture(t)
+		cfg.GIS = wire.Config.GIS
+		live, err := Train(m, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if live, err = live.Apply(fx.updates); err != nil {
+			t.Fatal(err)
+		}
+		old, err := Load(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := old.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if v := wireOf(t, buf.Bytes()).Version; v != 6 {
+			t.Fatalf("%s: the re-save is a version %d file, want 6", fx.file, v)
+		}
+		t.Logf("%s: %d bytes, its version 6 re-save %d", fx.file, len(data), buf.Len())
+		resaved, err := Load(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ctx, got := range map[string]*Model{fx.file: old, fx.file + " re-saved": resaved} {
+			if h := gridHash(got); h != fx.grid {
+				t.Fatalf("%s: prediction grid hashes to %s, want %s", ctx, h, fx.grid)
+			}
+			requireSameGIS(t, live.GIS(), got.GIS(), ctx)
+			requireSameRecommendations(t, live, got, ctx)
+			lm := live.Matrix()
+			for u := 0; u < lm.NumUsers(); u++ {
+				if !slices.Equal(got.Matrix().UserRatings(u), lm.UserRatings(u)) || !slices.Equal(got.Matrix().UserRatingTimes(u), lm.UserRatingTimes(u)) {
+					t.Fatalf("%s: user %d's row or timestamps differ from the fixture's", ctx, u)
+				}
 			}
 		}
 	}
@@ -136,14 +159,14 @@ func frameOf(t testing.TB, wire any) *bytes.Buffer {
 // TestFutureWireVersionsAreRefused: a model file one version ahead of
 // what this build writes is refused by its number, whatever it holds.
 func TestFutureWireVersionsAreRefused(t *testing.T) {
-	if fileWireVersion != 5 {
-		t.Fatalf("this build writes model file version %d; the tests here pin 5", fileWireVersion)
+	if fileWireVersion != 6 {
+		t.Fatalf("this build writes model file version %d; the tests here pin 6", fileWireVersion)
 	}
 	mod, _ := trainSmall(t)
 	file := fileWireOf(t, mod)
 	file.Version = fileWireVersion + 1
-	if _, err := Load(frameOf(t, file)); err == nil || !strings.Contains(err.Error(), "unsupported model file version 6") {
-		t.Errorf("Load: err = %v, want a refusal naming version 6", err)
+	if _, err := Load(frameOf(t, file)); err == nil || !strings.Contains(err.Error(), "unsupported model file version 7") {
+		t.Errorf("Load: err = %v, want a refusal naming version 7", err)
 	}
 }
 
@@ -166,26 +189,23 @@ func fileWireOf(t testing.TB, mod *Model) fileWire {
 	return wire
 }
 
-// TestModelFileGISMustCoverTheItems: a model file whose GIS is
-// malformed, or is sound but covers another number of items than the
-// model has, is refused at load rather than at the first Predict.
+// TestModelFileGISMustCoverTheItems: a model file whose GIS horizons
+// cover another number of items than the model has is refused at load
+// rather than at the first Predict.
 func TestModelFileGISMustCoverTheItems(t *testing.T) {
 	mod, _ := trainSmall(t)
 	if _, err := Load(frameOf(t, fileWireOf(t, mod))); err != nil {
 		t.Fatalf("the unmodified file: %v", err)
 	}
-	gis, _, _, _ := fileColumns(mod, fileWireOf(t, mod).Scale)
+	taus, _, _, _ := fileColumns(mod, fileWireOf(t, mod).Scale)
 	for _, tc := range []struct {
 		name   string
 		mutate func(*similarity.Snapshot)
 	}{
 		{"one item short", func(s *similarity.Snapshot) {
-			last := len(s.Lens) - 1
-			s.SetCode = mathx.EncodeRice(gis[:len(gis)-int(s.Lens[last])])
-			s.Lens = s.Lens[:last]
+			s.TauIDs, s.TauScores = mathx.EncodeRice(taus[:len(taus)-1]), s.TauScores[:len(s.TauScores)-8]
 		}},
 		{"no GIS at all", func(s *similarity.Snapshot) { *s = similarity.Snapshot{Opts: s.Opts} }},
-		{"lengths beyond the entries", func(s *similarity.Snapshot) { s.Lens[0]++ }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			wire := fileWireOf(t, mod)
@@ -246,10 +266,11 @@ func TestSaveLoadKeepsTimes(t *testing.T) {
 // save to a file that decodes again. Payloads stay under 4 KiB so that no
 // accepted file's dimensions, which size the centroids and smoothing
 // tables, outgrow a test machine. The corpus is refusalFixture's model as
-// this build saves it and as ac5d191 saved it (testdata/file-v4.cfsf), and
-// the same model cut to TopN = M = 4 with a few Applies folded in, so that
-// its horizons are set: as this build saves it, and with the horizon of a
-// list moved to its last entry, to the zero τ and past the catalogue.
+// this build saves it and as f163a25 saved it (testdata/file-v5.cfsf), and
+// the same model cut to TopN = M = 4 with cutUpdates folded in, so that
+// its horizons are set: as this build saves it, with the horizon of a
+// list moved to its last entry, to the zero τ and past the catalogue, and
+// as f163a25 saved it (testdata/file-v5-cut.cfsf).
 func FuzzDecode(f *testing.F) {
 	m, cfg := refusalFixture(f)
 	mod, err := Train(m, cfg)
@@ -261,7 +282,7 @@ func FuzzDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	if cut, err = cut.Apply([]RatingUpdate{{User: 0, Item: 2, Value: 5}, {User: 3, Item: 0, Value: 1}, {User: 11, Item: 9, Value: 2}}); err != nil {
+	if cut, err = cut.Apply(cutUpdates); err != nil {
 		f.Fatal(err)
 	}
 	var files [][]byte
@@ -272,11 +293,13 @@ func FuzzDecode(f *testing.F) {
 		}
 		files = append(files, buf.Bytes())
 	}
-	v4, err := os.ReadFile(filepath.Join("testdata", "file-v4.cfsf"))
-	if err != nil {
-		f.Fatal(err)
+	for _, name := range []string{"file-v5.cfsf", "file-v5-cut.cfsf"} {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		files = append(files, data)
 	}
-	files = append(files, v4)
 	for _, file := range files {
 		payload, err := readBlob(bytes.NewReader(file))
 		if err != nil {

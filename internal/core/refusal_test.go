@@ -13,8 +13,8 @@ import (
 // tau0Grid is the sha256 over the bits of every Predict(u, i) of
 // refusalFixture's model, user-major, as commit 331211a served it (with
 // time decay at τ = 0, the only τ since) and every build since has: the
-// trained model and the ones loaded from testdata/file-v4.cfsf, which
-// ac5d191 saved. (Not a hash of file bytes: gob numbers types
+// trained model and the ones loaded from testdata/file-v5.cfsf, which
+// f163a25 saved. (Not a hash of file bytes: gob numbers types
 // process-wide in order of first use, so those depend on what else the
 // process encoded.)
 const tau0Grid = "dfa456ac4d0c12f16104b31e50de070239ca53a3cc3c995463f07cbd4fecf654"

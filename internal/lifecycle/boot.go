@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"cfsf/internal/core"
@@ -37,11 +38,16 @@ func (m *Manager) BootStats() BootStats { return m.boot }
 // loads (DESIGN §12). A model file of a retired version is refused by
 // core.Decode itself, as core.ErrRetiredFormat.
 var retiredFormats = []struct{ glob, build string }{
-	{"snap-*.gob", "157aafe, then once with build " + core.OldMigratingBuild + " and then once with build " + core.MigratingBuild},
-	{"manifest-*.json", core.OldMigratingBuild + " and then once with build " + core.MigratingBuild},
-	{"shared-*.blob", core.OldMigratingBuild + " and then once with build " + core.MigratingBuild},
-	{"shard-*.blob", core.OldMigratingBuild + " and then once with build " + core.MigratingBuild},
+	{"snap-*.gob", "157aafe, then once with build " + manifestMigration},
+	{"manifest-*.json", manifestMigration},
+	{"shared-*.blob", manifestMigration},
+	{"shard-*.blob", manifestMigration},
 }
+
+// manifestMigration is the chain of builds that migrates a data dir of
+// manifests over blobs, the recovery points of the builds that wrote model
+// file version 2.
+var manifestMigration = strings.Join(core.MigratingBuilds(2), " and then once with build ")
 
 // refuseRetired refuses a data dir none of whose snapshot files loaded
 // when it holds a recovery point in a retired format: retired, the first

@@ -204,12 +204,13 @@ func TestSnapshotFaultsFallBackOrRefuse(t *testing.T) {
 
 // legacyGrid is the sha256 over the big-endian bits of every
 // Predict(u, i), user-major, that the run which wrote the source of
-// testdata/v4-ac5d191 served when it was killed: the base model of
+// testdata/v5-f163a25 served when it was killed: the base model of
 // newBaseModel, 25 ratings (testUpdate 0–24) applied one at a time, a
 // snapshot after the 12th and the 20th, the last five in the WAL only.
 // Builds 8cb6e8a, 773b6e0 and ddea235 served it from the same run,
-// b42e5f3 re-saved its snapshot files as version 3, and ac5d191, the last
-// to write model file version 4, loaded those and saved them again.
+// b42e5f3 re-saved its snapshot files as version 3, ac5d191 loaded those
+// and saved them again as version 4, and f163a25, the last to write model
+// file version 5, did the same with those.
 const legacyGrid = "86a724fd2b30aa325ce62d72730863fb944709b7d35fd860b0b3de171f331aea"
 
 func gridHash(mod *core.Model) string {
@@ -234,18 +235,19 @@ func snapshotVersion(t *testing.T, dir string, seq uint64) int {
 	return f.Version
 }
 
-// TestModelFileDataDirsBootAndMigrate: the data dir ac5d191 wrote —
-// testdata/v4-ac5d191, its recovery points model files of version 4,
-// which store no GIS horizons — boots from the newest file, its lists
-// selected again, replays the tail and serves the grid that build served.
-// The boot snapshot is a file this build writes, byte for byte — version
-// 5 — and the next boot loads it to the same grid.
+// TestModelFileDataDirsBootAndMigrate: the data dir f163a25 wrote —
+// testdata/v5-f163a25, its recovery points model files of version 5,
+// which store every GIS list as an id set beside its horizon — boots from
+// the newest file, its lists selected under their horizons, replays the
+// tail and serves the grid that build served. The boot snapshot is a file
+// this build writes, byte for byte — version 6 — and the next boot loads
+// it to the same grid.
 func TestModelFileDataDirsBootAndMigrate(t *testing.T) {
-	for _, fx := range []string{"v4-ac5d191"} {
+	for _, fx := range []string{"v5-f163a25"} {
 		t.Run(fx, func(t *testing.T) {
 			dir := copyDir(t, filepath.Join("testdata", fx))
-			if v := snapshotVersion(t, dir, 0x27); v != 4 {
-				t.Fatalf("the fixture's newest snapshot is version %d, want 4", v)
+			if v := snapshotVersion(t, dir, 0x27); v != 5 {
+				t.Fatalf("the fixture's newest snapshot is version %d, want 5", v)
 			}
 			cfg := Config{DataDir: dir, Fsync: wal.SyncNever}
 			a, err := Open(noBoot(t), cfg)
@@ -274,8 +276,8 @@ func TestModelFileDataDirsBootAndMigrate(t *testing.T) {
 			if !bytes.Equal(got, want.Bytes()) {
 				t.Fatalf("the boot snapshot (%d bytes) is not the file this build writes (%d bytes)", len(got), want.Len())
 			}
-			if v := snapshotVersion(t, dir, 49); v != 5 {
-				t.Fatalf("the boot snapshot is version %d, want 5", v)
+			if v := snapshotVersion(t, dir, 49); v != 6 {
+				t.Fatalf("the boot snapshot is version %d, want 6", v)
 			}
 
 			b, err := Open(noBoot(t), cfg)
@@ -294,25 +296,26 @@ func TestModelFileDataDirsBootAndMigrate(t *testing.T) {
 }
 
 // offScaleGrid is the gridHash the run which wrote
-// testdata/offscale-ddea235, the source of testdata/offscale-ac5d191,
+// testdata/offscale-ddea235, the source of testdata/offscale-f163a25,
 // served when it was killed: the base model of newBaseModel, testUpdate
 // 0–5 and then 0.5 for (7, 3) and 7 for (12, 9) applied one at a time —
 // on its 1..5 scale, which build ddea235 did not check — a snapshot, then
 // testUpdate 6–9 in the WAL only. Build b42e5f3 loaded each snapshot file
-// of that dir and saved it again at its watermark, as version 3, and build
-// ac5d191 did the same with those, as version 4.
+// of that dir and saved it again at its watermark, as version 3, build
+// ac5d191 did the same with those, as version 4, and build f163a25 with
+// those, as version 5.
 const offScaleGrid = "2f1b9f28dbad511ec32a4439129533e93bf9a641ca499bf59bc1e7af5844f7a0"
 
 // TestOffScaleDataDirBootsAndMigrates: a data dir whose newest snapshot, a
-// version 4 file ac5d191 wrote, holds values off its model's own 1..5
+// version 5 file f163a25 wrote, holds values off its model's own 1..5
 // scale boots from that file, replays the tail and serves the grid its
-// run served. Its boot snapshot — a version 5 file holding the same
+// run served. Its boot snapshot — a version 6 file holding the same
 // values, read back through core.Decode before it is published — is
 // written, and the next boot loads it to the same grid.
 func TestOffScaleDataDirBootsAndMigrates(t *testing.T) {
-	dir := copyDir(t, filepath.Join("testdata", "offscale-ac5d191"))
-	if v := snapshotVersion(t, dir, 15); v != 4 {
-		t.Fatalf("the fixture's newest snapshot is version %d, want 4", v)
+	dir := copyDir(t, filepath.Join("testdata", "offscale-f163a25"))
+	if v := snapshotVersion(t, dir, 15); v != 5 {
+		t.Fatalf("the fixture's newest snapshot is version %d, want 5", v)
 	}
 	cfg := Config{DataDir: dir, Fsync: wal.SyncNever}
 	a, err := Open(noBoot(t), cfg)
@@ -334,8 +337,8 @@ func TestOffScaleDataDirBootsAndMigrates(t *testing.T) {
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if v := snapshotVersion(t, dir, 23); v != 5 {
-		t.Fatalf("the boot snapshot is version %d, want 5", v)
+	if v := snapshotVersion(t, dir, 23); v != 6 {
+		t.Fatalf("the boot snapshot is version %d, want 6", v)
 	}
 
 	b, err := Open(noBoot(t), cfg)

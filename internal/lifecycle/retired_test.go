@@ -20,9 +20,9 @@ type modelWire struct{ Version int }
 
 // TestRetiredFormatsAreRefused: a build reads the model file version it
 // writes and the one before it. Everything older is refused naming the
-// file and the build that migrates it first: a model file of version 1 to 3,
-// an unframed gob `-model` file, and a data dir whose recovery points are
-// any of these, manifests with their blobs, or a gob snapshot. A data dir
+// file and, in order, the builds that migrate it: a model file of version
+// 1 to 4, an unframed gob `-model` file, and a data dir whose recovery
+// points are any of these, manifests with their blobs, or a gob snapshot. A data dir
 // is opened with a bootstrap that would succeed, so each row proves boot
 // refuses rather than retrains — v2-ddea235's WAL still starts at seq 1 —
 // and writes nothing. Beside a snapshot file this build loads, a retired
@@ -38,34 +38,39 @@ func TestRetiredFormatsAreRefused(t *testing.T) {
 		return path, err
 	}
 	for _, tc := range []struct {
-		name, build string
+		name string
+		// builds are the builds the refusal names, in order.
+		builds []string
 		// dirFile names the retired file a row plants alone in a data dir;
 		// refuse, for the other rows, refuses one and returns its path.
 		dirFile string
 		refuse  func(t *testing.T) (string, error)
 	}{
-		{name: "model file version 1", build: core.OldMigratingBuild, refuse: func(t *testing.T) (string, error) {
+		{name: "model file version 1", builds: core.MigratingBuilds(1), refuse: func(t *testing.T) (string, error) {
 			return loadFile(t, frame(t, modelWire{Version: 1}))
 		}},
-		{name: "model file version 3", build: core.MigratingBuild, refuse: func(t *testing.T) (string, error) {
+		{name: "model file version 3", builds: core.MigratingBuilds(3), refuse: func(t *testing.T) (string, error) {
 			return loadFile(t, frame(t, modelWire{Version: 3}))
 		}},
-		{name: "model file version 2", build: core.OldMigratingBuild, refuse: func(t *testing.T) (string, error) {
+		{name: "model file version 4", builds: core.MigratingBuilds(4), refuse: func(t *testing.T) (string, error) {
+			return loadFile(t, frame(t, modelWire{Version: 4}))
+		}},
+		{name: "model file version 2", builds: core.MigratingBuilds(2), refuse: func(t *testing.T) (string, error) {
 			path := filepath.Join("testdata", "v2-ddea235", "snapshots", snapshotName(0x27))
 			_, err := core.LoadFile(path)
 			return path, err
 		}},
-		{name: "unframed gob model file", build: core.OldMigratingBuild, refuse: func(t *testing.T) (string, error) {
+		{name: "unframed gob model file", builds: core.MigratingBuilds(0), refuse: func(t *testing.T) (string, error) {
 			return loadFile(t, gobOf(t, modelWire{Version: 4}))
 		}},
-		{name: "data dir v2-ddea235", build: core.OldMigratingBuild, refuse: func(t *testing.T) (string, error) {
+		{name: "data dir v2-ddea235", builds: core.MigratingBuilds(2), refuse: func(t *testing.T) (string, error) {
 			dir := copyDir(t, filepath.Join("testdata", "v2-ddea235"))
 			return filepath.Join(snapshotDir(dir), snapshotName(0x27)), openRefused(t, dir, base)
 		}},
-		{name: "manifest", build: core.OldMigratingBuild, dirFile: "manifest-0000000000000027.json"},
-		{name: "shared blob", build: core.OldMigratingBuild, dirFile: "shared-0000000000000027.blob"},
-		{name: "shard blob", build: core.OldMigratingBuild, dirFile: "shard-0000-0000000000000027.blob"},
-		{name: "gob snapshot", build: "157aafe", dirFile: "snap-0000000000000000.gob"},
+		{name: "manifest", builds: core.MigratingBuilds(2), dirFile: "manifest-0000000000000027.json"},
+		{name: "shared blob", builds: core.MigratingBuilds(2), dirFile: "shared-0000000000000027.blob"},
+		{name: "shard blob", builds: core.MigratingBuilds(2), dirFile: "shard-0000-0000000000000027.blob"},
+		{name: "gob snapshot", builds: append([]string{"157aafe"}, core.MigratingBuilds(2)...), dirFile: "snap-0000000000000000.gob"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			refuse := tc.refuse
@@ -77,13 +82,13 @@ func TestRetiredFormatsAreRefused(t *testing.T) {
 				}
 			}
 			path, err := refuse(t)
-			if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), tc.build) {
-				t.Fatalf("err = %v, want a refusal naming %s and build %s", err, path, tc.build)
+			if err == nil || !strings.Contains(err.Error(), path) || !namesInOrder(err.Error(), tc.builds) {
+				t.Fatalf("err = %v, want a refusal naming %s and builds %v in order", err, path, tc.builds)
 			}
 			if tc.dirFile == "" {
 				return
 			}
-			dir := copyDir(t, filepath.Join("testdata", "v4-ac5d191"))
+			dir := copyDir(t, filepath.Join("testdata", "v5-f163a25"))
 			path = plant(t, dir, tc.dirFile)
 			m, err := Open(noBoot(t), Config{DataDir: dir, Fsync: wal.SyncNever})
 			if err != nil {
@@ -100,6 +105,18 @@ func TestRetiredFormatsAreRefused(t *testing.T) {
 			}
 		})
 	}
+}
+
+// namesInOrder reports whether msg names every build of builds, in order.
+func namesInOrder(msg string, builds []string) bool {
+	for _, b := range builds {
+		at := strings.Index(msg, b)
+		if at < 0 {
+			return false
+		}
+		msg = msg[at+len(b):]
+	}
+	return true
 }
 
 // openRefused opens dir with a bootstrap that would succeed and returns

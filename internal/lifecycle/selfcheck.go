@@ -13,13 +13,15 @@ import (
 )
 
 // compareSharedToLive holds what a decoded model file stores besides its
-// rows against the model it was written from, value by value: the configuration, the
-// dimensions, the GIS a boot from the file would serve — its neighbour
-// ids, with the weights it leaves out derived on the live matrix, the way
-// File.Model derives them on the one it rebuilds — entry by entry, every
-// list's horizon, and
-// every field of the clustering. Slices compare by length and content, because gob does
-// not tell a nil slice from an empty one; floats compare by their bits.
+// rows against the model it was written from, value by value: the
+// configuration, the dimensions, the GIS a boot from the file would serve
+// — every list selected under its stored horizon on the live matrix, the
+// way File.Model selects it on the one it rebuilds — entry by entry, every
+// list's horizon, and every field of the clustering. So every snapshot
+// also holds the live GIS to its horizon invariant: each list is exactly
+// its candidates that precede its horizon. Slices compare by length and
+// content, because gob does not tell a nil slice from an empty one; floats
+// compare by their bits.
 // Nothing on the live side has been through the encoder, so a fault in
 // the encoder and its mirror image in the decoder cannot cancel each
 // other out. The error names the part that diverges.

@@ -2,6 +2,7 @@ package lifecycle
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"os"
@@ -116,55 +117,32 @@ func TestSelfCheckCatchesEverySingleFlip(t *testing.T) {
 		})
 	}
 
-	// relist replaces the decoded file's GIS with the base model's
-	// neighbour ids, edited, in the layout model files carry: id sets
-	// alone, every weight derived on the serving matrix.
-	relist := func(t *testing.T, sp *core.File, edit func(lists [][]int32) [][]int32) {
-		t.Helper()
-		lists := make([][]int32, base.GIS().NumItems())
-		for i := range lists {
-			for _, n := range base.GIS().Neighbors(i) {
-				lists[i] = append(lists[i], n.Index)
-			}
+	// rehorizon replaces the decoded file's GIS horizon ids and weights
+	// with the base model's, edited, in the layout model files carry.
+	rehorizon := func(sp *core.File, edit func(tau []mathx.Scored) []mathx.Scored) {
+		tau := make([]mathx.Scored, base.GIS().NumItems())
+		for i := range tau {
+			tau[i] = base.GIS().Horizon(i)
 		}
-		lists = edit(lists)
-		snap := sp.GIS
-		snap.Lens = make([]int32, len(lists))
-		var gaps []uint64
-		for i, l := range lists {
-			snap.Lens[i] = int32(len(l))
-			slices.Sort(l)
-			prev := int32(-1)
-			for _, id := range l {
-				gaps, prev = append(gaps, uint64(id-prev-1)), id
-			}
+		tau = edit(tau)
+		ids := make([]uint64, len(tau))
+		sp.GIS.TauScores = nil
+		for i, h := range tau {
+			ids[i] = uint64(h.Index)
+			sp.GIS.TauScores = binary.LittleEndian.AppendUint64(sp.GIS.TauScores, math.Float64bits(h.Score))
 		}
-		snap.SetCode = mathx.EncodeRice(gaps)
-		sp.GIS = snap
+		sp.GIS.TauIDs = mathx.EncodeRice(ids)
 	}
-	// withScores replaces the decoded file's GIS with the base model's,
-	// weights carried — a blended model's layout — the lowest bit of item
-	// i's first weight flipped.
-	withScores := func(t *testing.T, sp *core.File, i int) {
-		t.Helper()
-		snap := base.GIS().Snapshot(true)
-		entry := 0
-		for _, n := range snap.Lens[:i] {
-			entry += int(n)
-		}
-		snap.Scores[8*entry] ^= 1
-		sp.GIS = snap
-	}
-	// full is an item whose list, and whose successor's, are not empty.
+	// full is an item whose list is not empty and holds every candidate,
+	// under the zero horizon.
 	full := -1
-	for i := 0; i+1 < base.GIS().NumItems(); i++ {
-		if len(base.GIS().Neighbors(i)) > 0 && len(base.GIS().Neighbors(i+1)) > 0 {
+	for i := 0; i < base.GIS().NumItems() && full < 0; i++ {
+		if len(base.GIS().Neighbors(i)) > 0 && base.GIS().Horizon(i) == (mathx.Scored{}) {
 			full = i
-			break
 		}
 	}
 	if full < 0 {
-		t.Fatal("no two adjacent items with neighbours")
+		t.Fatal("no list of the base model holds every candidate")
 	}
 	cl := base.Clusters()
 	rated := -1 // an item cluster 0 has a mean for
@@ -183,59 +161,22 @@ func TestSelfCheckCatchesEverySingleFlip(t *testing.T) {
 		part   string // what the error must name
 		mutate func(t *testing.T, sp *core.File)
 	}
-	last := base.GIS().NumItems() - 1
 	flips := []flip{
-		{"one Index", fmt.Sprintf("item %d ", full), func(t *testing.T, sp *core.File) {
-			relist(t, sp, func(l [][]int32) [][]int32 { l[full][0] = (l[full][0] + 1) % int32(len(l)); return l })
-		}},
-		{"one byte of Set", fmt.Sprintf("item %d ", full), func(t *testing.T, sp *core.File) {
-			// The lowest low bit of the Rice code of item full's first
-			// gap flips: that id moves by one and its later ids with it.
-			code := &sp.GIS.SetCode
-			if code.K == 0 {
-				t.Fatal("the set code has k = 0: no low bit to flip")
-			}
-			bit := 0
-			for i := 0; i <= full; i++ {
-				ids := make([]int32, 0, len(base.GIS().Neighbors(i)))
-				for _, n := range base.GIS().Neighbors(i) {
-					ids = append(ids, n.Index)
-				}
-				slices.Sort(ids)
-				prev := int32(-1)
-				for _, id := range ids {
-					q := int(uint64(id-prev-1) >> code.K)
-					if q >= 32 {
-						t.Fatalf("item %d's gap before id %d escapes the unary code", i, id)
-					}
-					if i == full {
-						bit += q + 1
-						break
-					}
-					bit += q + 1 + int(code.K)
-					prev = id
-				}
-			}
-			code.Bits = slices.Clone(code.Bits)
-			code.Bits[bit/8] ^= 1 << (bit % 8)
-		}},
-		{"one bit of Scores", "GIS list of item", func(t *testing.T, sp *core.File) {
-			withScores(t, sp, full)
-		}},
-		{"one Lens", fmt.Sprintf("item %d ", full), func(t *testing.T, sp *core.File) {
-			relist(t, sp, func(l [][]int32) [][]int32 {
-				l[full], l[full+1] = append(l[full], l[full+1][0]), l[full+1][1:]
-				return l
+		{"a horizon on the last entry of a list", fmt.Sprintf("GIS list of item %d reloads with %d entries", full, len(base.GIS().Neighbors(full))-1), func(t *testing.T, sp *core.File) {
+			rehorizon(sp, func(tau []mathx.Scored) []mathx.Scored {
+				l := base.GIS().Neighbors(full)
+				tau[full] = l[len(l)-1]
+				return tau
 			})
 		}},
-		{"an entry in an empty list", fmt.Sprintf("item %d ", emptyList), func(t *testing.T, sp *core.File) {
-			relist(t, sp, func(l [][]int32) [][]int32 { l[emptyList] = []int32{0}; return l })
-		}},
-		{"a trailing entry", fmt.Sprintf("item %d ", last), func(t *testing.T, sp *core.File) {
-			relist(t, sp, func(l [][]int32) [][]int32 { l[last] = append(l[last], 0); return l })
+		{"a horizon above every weight", fmt.Sprintf("GIS list of item %d reloads with 0 entries", full), func(t *testing.T, sp *core.File) {
+			rehorizon(sp, func(tau []mathx.Scored) []mathx.Scored {
+				tau[full] = mathx.Scored{Score: math.MaxFloat64}
+				return tau
+			})
 		}},
 		{"a trailing item", "GIS does not reload on the serving matrix", func(t *testing.T, sp *core.File) {
-			relist(t, sp, func(l [][]int32) [][]int32 { return append(l, nil) })
+			rehorizon(sp, func(tau []mathx.Scored) []mathx.Scored { return append(tau, mathx.Scored{}) })
 		}},
 		{"one bit of a horizon weight", fmt.Sprintf("horizon of item %d ", full), func(t *testing.T, sp *core.File) {
 			sp.GIS.TauScores = slices.Clone(sp.GIS.TauScores)
@@ -315,7 +256,8 @@ func TestSelfCheckCatchesEverySingleFlip(t *testing.T) {
 // does — through the file a snapshot wrote — on the retrain fixture: it
 // passes against the model and watermark that were written, and fails,
 // naming the file and what diverges, against another watermark and the
-// pre-retrain model. Its row half, compareRowsToLive, refuses one value
+// pre-retrain model — its clustering: neither model cuts a list, so the
+// horizons, all the GIS a file stores, agree. Its row half, compareRowsToLive, refuses one value
 // and one timestamp changed in the decoded file.
 func TestSelfCheckReadsTheFileOnDisk(t *testing.T) {
 	m := retrainedFixture(t)
@@ -337,7 +279,7 @@ func TestSelfCheckReadsTheFileOnDisk(t *testing.T) {
 		want string
 	}{
 		{"another watermark", info.CoveredSeq + 1, live, "watermark"},
-		{"the pre-retrain model", info.CoveredSeq, newBaseModel(t), "GIS"},
+		{"the pre-retrain model", info.CoveredSeq, newBaseModel(t), "clustering"},
 	} {
 		err := verifySnapshot(info.Path, tc.seq, tc.mod)
 		if err == nil || !strings.Contains(err.Error(), filepath.Base(info.Path)) || !strings.Contains(err.Error(), tc.want) {

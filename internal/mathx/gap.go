@@ -6,7 +6,7 @@ import "math"
 // difference of each from the one before it, less one — the first as the
 // id itself — so ids that sit close together cost little and a repeated
 // or out-of-order id cannot be written. Model files Rice-code the gaps of
-// GIS id sets and matrix rows (rice.go).
+// matrix rows (rice.go).
 
 // GapID is the id a gap places after prev (-1 before the first):
 // prev + 1 + gap. ok is false when that id would be limit or more, or

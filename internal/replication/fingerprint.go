@@ -14,12 +14,11 @@ import (
 // writes — and then every live GIS entry, its neighbour id and its
 // weight's bits, item by item in list order. The file's wire struct holds
 // only slices and scalars (no maps), so gob encoding is deterministic.
-// The file stores which neighbours each item keeps as a set, and each
-// list's horizon bit for bit, so two models with the same lists and
-// different horizons hash apart. It stores no weights or order, which a
-// load derives from the matrix; hashing the
-// live entries as well keeps them covered, so two models hash equal iff
-// they are bit-identical in persisted state and in the lists they serve.
+// The file stores each list's horizon bit for bit, so two models with
+// the same lists and different horizons hash apart. It stores no list,
+// which a load selects on the matrix under its horizon; hashing the live
+// entries as well keeps them covered, so two models hash equal iff they
+// are bit-identical in persisted state and in the lists they serve.
 // Leader and follower expose this at /admin/fingerprint; comparing the
 // two at the same applied sequence is the parity check.
 func Fingerprint(mod *core.Model) (string, error) {

@@ -16,17 +16,18 @@ import (
 // TestFollowerBootstrapsFromALeaderOneBuildBehind is a rolling upgrade:
 // followers move to a new build before their leader, so a follower on
 // this build bootstraps from a leader still serving the model file
-// version the build before it wrote. testdata/leader-ac5d191 is the data
+// version the build before it wrote. testdata/leader-f163a25 is the data
 // dir of a b42e5f3 leader — it booted a dir of that build, replayed its
 // WAL tail and wrote its boot snapshot covering the whole log — with each
-// snapshot file loaded and saved again by ac5d191, as version 4. A
-// manager on it boots from that file without a replay, so it serves the
-// very bytes ac5d191 wrote, which store no GIS horizons: leader and
-// follower each select the lists again from the file's matrix. The follower reaches the leader's fingerprint
-// at its watermark, and then streams the ratings the leader takes after
-// it without bootstrapping again.
+// snapshot file loaded and saved again by ac5d191, as version 4, and then
+// by f163a25, as version 5. A manager on it boots from that file without
+// a replay, so it serves the very bytes f163a25 wrote, which store every
+// GIS list as an id set: leader and follower each skip the sets and
+// select the lists under the file's horizons. The follower reaches the
+// leader's fingerprint at its watermark, and then streams the ratings the
+// leader takes after it without bootstrapping again.
 func TestFollowerBootstrapsFromALeaderOneBuildBehind(t *testing.T) {
-	dir := copyDir(t, filepath.Join("testdata", "leader-ac5d191"))
+	dir := copyDir(t, filepath.Join("testdata", "leader-f163a25"))
 	mgr := openManager(t, dir, nil)
 	defer mgr.Close()
 	ls := newLeaderServer(NewLeader(mgr, nil))
@@ -46,14 +47,14 @@ func TestFollowerBootstrapsFromALeaderOneBuildBehind(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(served, want) {
-		t.Fatalf("the leader served %d bytes, not the %d-byte file ac5d191 wrote", len(served), len(want))
+		t.Fatalf("the leader served %d bytes, not the %d-byte file f163a25 wrote", len(served), len(want))
 	}
 	file, err := core.Decode(bytes.NewReader(served))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if file.Version != 4 || file.Seq != mgr.AppliedSeq() {
-		t.Fatalf("the leader serves a version %d file at seq %d; want version 4 at its watermark %d", file.Version, file.Seq, mgr.AppliedSeq())
+	if file.Version != 5 || file.Seq != mgr.AppliedSeq() {
+		t.Fatalf("the leader serves a version %d file at seq %d; want version 5 at its watermark %d", file.Version, file.Seq, mgr.AppliedSeq())
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())

@@ -4,18 +4,18 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"cfsf/internal/mathx"
 	"cfsf/internal/ratings"
 )
 
-// requireDerives checks that g's neighbour id sets alone, snapshotted
-// without weights, load on m as g itself — ids, order and weight bits.
+// requireDerives checks that g's horizons alone, snapshotted, load on m
+// as g itself: every list selected under its horizon — ids, order and
+// weight bits.
 func requireDerives(t *testing.T, g *GIS, m *ratings.Matrix, ctx string) {
 	t.Helper()
-	got, err := FromSnapshot(g.Snapshot(false), m)
+	got, err := FromSnapshot(g.Snapshot(), m)
 	if err != nil {
 		t.Fatalf("%s: %v", ctx, err)
 	}
@@ -25,9 +25,10 @@ func requireDerives(t *testing.T, g *GIS, m *ratings.Matrix, ctx string) {
 	}
 }
 
-// TestDerivedWeightsAreTheServedOnes: every weight BuildGIS stores, and
-// every weight a chain of Refresh calls leaves in place or writes, is the
-// one FromSnapshot derives from the matrix alone, to the bit — under PCC
+// TestDerivedWeightsAreTheServedOnes: every list BuildGIS builds, and
+// every list a chain of Refresh calls leaves in place or writes, is the
+// one FromSnapshot selects on the matrix under the list's horizon, every
+// weight to the bit — under PCC
 // and Cosine, with and without truncation, a co-rating floor, a threshold
 // and significance weighting, on matrices full of exact ties, across
 // re-ratings, fresh ratings and a brand-new item; and on the ledger
@@ -82,61 +83,6 @@ func TestDerivedWeightsAreTheServedOnes(t *testing.T) {
 
 	m := ledgerMatrix(t, 1)
 	requireDerives(t, BuildGIS(m, DefaultGISOptions()), m, "ledger fixture")
-}
-
-// TestFromSnapshotRefusesIDsThatDoNotDerive: id sets that are not a GIS
-// of the matrix they are loaded on are refused, naming the item and the
-// entry — a neighbour not co-rated with its item, the item itself, a
-// weight the filters drop — and an ids-only snapshot covering another
-// number of items than the matrix is refused before anything is derived.
-// The entry a refusal names is the neighbour's place in the ascending
-// set.
-func TestFromSnapshotRefusesIDsThatDoNotDerive(t *testing.T) {
-	// Items 0, 1 and 4 rise and fall together over users 0–3, item 2
-	// against them; item 3 is rated by user 4 alone, so it shares no rater
-	// with any other item.
-	m := matrixFrom(t, [][]float64{
-		{5, 4, 1, 0, 5},
-		{4, 5, 2, 0, 3},
-		{1, 2, 5, 0, 2},
-		{2, 1, 4, 0, 1},
-		{0, 0, 0, 3, 0},
-	})
-	opts := GISOptions{Metric: PCC, MinCoRatings: 2}
-	g := BuildGIS(m, opts)
-	requireDerives(t, g, m, "the sound GIS")
-	if len(g.Neighbors(0)) < 2 || len(g.Neighbors(2)) != 0 {
-		t.Fatalf("fixture: item 0 keeps %v, item 2 %v; want two neighbours and none", g.Neighbors(0), g.Neighbors(2))
-	}
-	asSet := func(edit func(l [][]mathx.Scored)) Snapshot {
-		l := make([][]mathx.Scored, g.NumItems())
-		for i := range l {
-			l[i] = append([]mathx.Scored(nil), g.Neighbors(i)...)
-		}
-		edit(l)
-		return (&GIS{neighbors: l, opts: opts}).Snapshot(false)
-	}
-	for _, tc := range []struct {
-		name, want string
-		snap       Snapshot
-	}{
-		{"a weight the filters drop", "item 0 entry 0: neighbour 2 has an Eq. 5 weight the GIS filters drop", asSet(func(l [][]mathx.Scored) {
-			l[0] = []mathx.Scored{{Index: 2}}
-		})},
-		{"one item short", "snapshot covers 3 items, the matrix 5", (&GIS{neighbors: [][]mathx.Scored{nil, nil, nil}, opts: opts}).Snapshot(false)},
-		{"a set neighbour with no co-rater", "item 0 entry 0: neighbour 3 is not co-rated", asSet(func(l [][]mathx.Scored) {
-			l[0] = []mathx.Scored{{Index: 4}, {Index: 3}}
-		})},
-		{"the item itself in its set", "item 2 entry 0: neighbour 2 is not co-rated", asSet(func(l [][]mathx.Scored) {
-			l[2] = []mathx.Scored{{Index: 2}}
-		})},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			if _, err := FromSnapshot(tc.snap, m); err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("err = %v, want one containing %q", err, tc.want)
-			}
-		})
-	}
 }
 
 // TestNaNNeverEntersTheGIS: ratings finite but large enough that Eq. 5's

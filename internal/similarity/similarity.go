@@ -253,7 +253,16 @@ func (g *GIS) TotalNeighbors() int {
 // then ranks its candidates (rankTop), keeping the best one it leaves out
 // as the list's horizon, and the lists are carved from one slab sized
 // before they are filled.
-func BuildGIS(m *ratings.Matrix, opts GISOptions) *GIS {
+func BuildGIS(m *ratings.Matrix, opts GISOptions) *GIS { return buildGIS(m, opts, nil) }
+
+// buildGIS is BuildGIS, or, given a horizon for every item, the GIS those
+// horizons bound: item i's list is every candidate that precedes tau[i]
+// (all of them under the zero τ), in mathx.Precedes order, and its horizon
+// tau[i]. That is the one way a GIS is selected again from stored state
+// (FromSnapshot). Under horizons a pair is kept past its accumulation only
+// if one of its two lists holds it, which on the ledger fixture halves
+// what the later passes move.
+func buildGIS(m *ratings.Matrix, opts GISOptions, tau []mathx.Scored) *GIS {
 	q := m.NumItems()
 	centred := centredRows(m, opts.Metric)
 
@@ -263,6 +272,12 @@ func BuildGIS(m *ratings.Matrix, opts GISOptions) *GIS {
 		var list []mathx.Scored
 		for a := lo; a < hi; a++ {
 			list = upperCandidates(m, centred, a, opts, sc, list[:0])
+			if tau != nil {
+				// A pair goes on if either of its lists holds it.
+				list = slices.DeleteFunc(list, func(e mathx.Scored) bool {
+					return !mathx.Precedes(e, tau[a]) && !mathx.Precedes(mathx.Scored{Index: int32(a), Score: e.Score}, tau[e.Index])
+				})
+			}
 			if len(list) > 0 {
 				upper[a] = slices.Clone(list)
 			}
@@ -289,19 +304,52 @@ func BuildGIS(m *ratings.Matrix, opts GISOptions) *GIS {
 		}
 	}
 
+	// off[i+1] is first the length of item i's list, then, summed, where
+	// the next list starts in the slab.
 	off := make([]int, q+1)
+	parallel.ForChunked(q, opts.Workers, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if tau == nil {
+				off[i+1] = topNOrAll(opts.TopN, len(upper[i])+lowerOff[i+1]-lowerOff[i])
+				continue
+			}
+			for _, part := range [2][]mathx.Scored{lower[lowerOff[i]:lowerOff[i+1]], upper[i]} {
+				for _, e := range part {
+					if mathx.Precedes(e, tau[i]) {
+						off[i+1]++
+					}
+				}
+			}
+		}
+	})
 	for i := 0; i < q; i++ {
-		off[i+1] = off[i] + topNOrAll(opts.TopN, len(upper[i])+lowerOff[i+1]-lowerOff[i])
+		off[i+1] += off[i]
 	}
 	slab := make([]mathx.Scored, off[q])
-	g := &GIS{neighbors: make([][]mathx.Scored, q), tau: make([]mathx.Scored, q), opts: opts}
+	g := &GIS{neighbors: make([][]mathx.Scored, q), tau: tau, opts: opts}
+	if tau == nil {
+		g.tau = make([]mathx.Scored, q)
+	}
 	parallel.ForChunked(q, opts.Workers, func(lo, hi int) {
 		var cand []mathx.Scored
 		for i := lo; i < hi; i++ {
-			if n := off[i+1] - off[i]; n > 0 {
-				cand = append(append(cand[:0], lower[lowerOff[i]:lowerOff[i+1]]...), upper[i]...)
-				g.neighbors[i], g.tau[i] = rankTop(cand, n, slab[off[i]:off[i]:off[i+1]])
+			n := off[i+1] - off[i]
+			if n == 0 {
+				continue
 			}
+			cand = append(append(cand[:0], lower[lowerOff[i]:lowerOff[i+1]]...), upper[i]...)
+			dst := slab[off[i]:off[i]:off[i+1]]
+			if tau == nil {
+				g.neighbors[i], g.tau[i] = rankTop(cand, n, dst)
+				continue
+			}
+			for _, e := range cand {
+				if mathx.Precedes(e, tau[i]) {
+					dst = append(dst, e)
+				}
+			}
+			mathx.SortScoredDesc(dst)
+			g.neighbors[i] = dst
 		}
 	})
 	return g
@@ -340,7 +388,7 @@ func upperCandidates(m *ratings.Matrix, centred [][]float64, a int, opts GISOpti
 // accumulateUpper adds into sc the Eq. 5 sums of every pair (a, b > a):
 // over a's raters in ascending user order, each rater's row read from
 // just past a. It is the one accumulation behind every Eq. 5 weight a
-// GIS holds after BuildGIS or a load (deriveWeights).
+// GIS holds after BuildGIS or a load (FromSnapshot).
 func (sc *candidateScratch) accumulateUpper(m *ratings.Matrix, centred [][]float64, a int) {
 	sums := sc.sums
 	for _, ue := range m.ItemRatings(a) {
