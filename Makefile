@@ -31,7 +31,8 @@ vet:
 
 # bench runs the online-path and apply-path benchmarks with allocation
 # stats — the same set CI archives into BENCH_predict.json and gates on
-# (BenchmarkPredict must report 0 allocs/op; BenchmarkApplyLedger's B/op
+# (BenchmarkPredict and BenchmarkPredictLedger must report 0 allocs/op,
+# and BenchmarkPredictLedger's ns/op is fenced; BenchmarkApplyLedger's B/op
 # and BenchmarkRecommendColdLedger/ask10's ns/op and B/op and /deep128's
 # ns/op are fenced). BenchmarkRecommend matches the cold-scan benchmarks
 # too, every row of the ledger one (n10, ask10, deep128) included.
@@ -39,7 +40,7 @@ vet:
 # kmeans-sweeps and B/op. BenchmarkDrainFullQueue is the manager's drain
 # rule on a full default queue (4096 ratings, one Apply).
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkPredict$$|BenchmarkPredictColdCache|BenchmarkRecommend' -benchmem ./internal/core
+	$(GO) test -run '^$$' -bench 'BenchmarkPredict$$|BenchmarkPredictColdCache|BenchmarkPredictLedger|BenchmarkRecommend' -benchmem ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkApplyLedger' -benchtime 200x -benchmem ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkTrainLedger' -benchtime 5x -benchmem ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkDrainFullQueue' -benchtime 5x -benchmem ./internal/core

@@ -317,14 +317,17 @@ func TestDisableSmoothingStillPredicts(t *testing.T) {
 func TestEq10SimBounds(t *testing.T) {
 	mod, d := trainSmall(t)
 	rng := rand.New(rand.NewSource(17))
+	sc := new(lmScratch)
 	for n := 0; n < 300; n++ {
 		a, b := rng.Intn(d.Matrix.NumUsers()), rng.Intn(d.Matrix.NumUsers())
 		if a == b {
 			continue
 		}
-		s := mod.eq10Sim(a, b)
+		active := mod.indexActive(a, sc)
+		s := active.sim(b)
+		active.unindex()
 		if s < -1-1e-9 || s > 1+1e-9 || math.IsNaN(s) {
-			t.Fatalf("eq10Sim(%d,%d) = %g out of [-1,1]", a, b, s)
+			t.Fatalf("Eq. 10 sim(%d,%d) = %g out of [-1,1]", a, b, s)
 		}
 	}
 }

@@ -50,20 +50,35 @@ func (mod *Model) Explain(user, item, topEvidence int) Explanation {
 		return ex
 	}
 
+	// The read kernels' column index and cell rule (predict.go), in two
+	// passes: the active row scattered into the item's top-M columns, then
+	// each like-minded row into the item's own column.
 	sorted := mod.topM[item] // id-sorted mirror of the top-M neighbourhood
+	q := mod.m.NumItems()
+	x := colIndexPool.Get().(*colIndex)
+	x.ready(q, len(sorted)+1)
 
+	x.index(sorted)
+	x.scatter(mod.m.UserRatings(user))
+	c := mod.cellsOf(user)
 	var itemDen float64
-	mod.forEachLocalRating(user, sorted, func(k int, r float64, orig bool, w11 float64) {
-		w := w11 * sorted[k].Score
+	for k, it := range sorted {
+		obs := x.take(k)
+		r, w11, ok := c.at(obs, it.Index)
+		if !ok {
+			continue
+		}
+		w := w11 * it.Score
 		itemDen += w
 		ex.ItemEvidence = append(ex.ItemEvidence, ItemEvidence{
-			Item:       int(sorted[k].Index),
-			Similarity: sorted[k].Score,
+			Item:       int(it.Index),
+			Similarity: it.Score,
 			Rating:     r,
-			Original:   orig,
+			Original:   obs == obs,
 			Weight:     w,
 		})
-	})
+	}
+	x.unindex(sorted)
 	if itemDen > 0 {
 		for i := range ex.ItemEvidence {
 			ex.ItemEvidence[i].Weight /= itemDen
@@ -76,24 +91,29 @@ func (mod *Model) Explain(user, item, topEvidence int) Explanation {
 		return ex.ItemEvidence[a].Item < ex.ItemEvidence[b].Item
 	})
 
+	x.slot[item] = 0
 	var userDen float64
 	for _, lm := range mod.likeMindedUsers(user) {
 		t := int(lm.user)
-		r, w11, ok := mod.ratingWithW(t, item)
+		x.scatter(mod.m.UserRatings(t))
+		obs := x.take(0)
+		c := mod.cellsOf(t)
+		r, w11, ok := c.at(obs, int32(item))
 		if !ok {
 			continue
 		}
-		_, orig := mod.m.Rating(t, item)
 		w := w11 * lm.sim
 		userDen += w
 		ex.UserEvidence = append(ex.UserEvidence, UserEvidence{
 			User:       t,
 			Similarity: lm.sim,
 			Rating:     r,
-			Original:   orig,
+			Original:   obs == obs,
 			Weight:     w,
 		})
 	}
+	x.slot[item] = -1
+	putColIndex(x, q, mod.cfg.M+1)
 	if userDen > 0 {
 		for i := range ex.UserEvidence {
 			ex.UserEvidence[i].Weight /= userDen

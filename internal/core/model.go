@@ -190,15 +190,15 @@ type Model struct {
 
 	// topM[i] is the id-sorted mirror of item i's top-M GIS prefix: the
 	// same entries topItems(i) returns, re-sorted by ascending item id so
-	// the online phase merges them against rating rows without a
-	// per-request copy+sort. Invariant: regenerated whenever the
+	// the online phase indexes them, and sums over them in id order,
+	// without a per-request copy+sort. Invariant: regenerated whenever the
 	// score-sorted list (and hence its truncation) changes — buildTopM
 	// re-derives every mirror row and only shares a previous model's row
 	// when the underlying GIS prefix is provably identical.
 	topM [][]mathx.Scored //cfsf:cow rows shared across generations; never written after the model pointer is published
 
 	// topM2[i][k] is topM[i][k].Score², precomputed so the Eq. 13 pair
-	// weight in suirLocal feeds its sqrt without re-squaring the item
+	// weight in localSums feeds its sqrt without re-squaring the item
 	// similarity K times per request. Built and shared in lockstep with
 	// topM (same float64 multiply, so values are bit-identical to
 	// squaring at request time).
@@ -406,42 +406,6 @@ func (mod *Model) Clusters() *cluster.Result { return mod.clusters }
 
 // Smoother exposes the Eq. 7 smoother (read-only).
 func (mod *Model) Smoother() *smoothing.Smoother { return mod.sm }
-
-// ratingAt returns the (possibly smoothed) rating of (u, i), whether it
-// is an original rating, and whether it is usable at all. With smoothing
-// disabled only observed ratings are usable.
-func (mod *Model) ratingAt(u, i int) (val float64, original, ok bool) {
-	if mod.cfg.DisableSmoothing {
-		r, found := mod.m.Rating(u, i)
-		return r, true, found
-	}
-	v, orig := mod.sm.Rating(u, i)
-	return v, orig, true
-}
-
-// ratingWithW returns the (possibly smoothed) rating of (u, i) together
-// with its Eq. 11 weight — ε for an original rating, 1−ε for a smoothed
-// fill. ok is false only when smoothing is disabled and the cell is
-// unobserved.
-func (mod *Model) ratingWithW(u, i int) (val, w11 float64, ok bool) {
-	row := mod.m.UserRatings(u)
-	lo, hi := 0, len(row)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if int(row[mid].Index) < i {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(row) && int(row[lo].Index) == i {
-		return row[lo].Value, mod.cfg.OriginalWeight, true
-	}
-	if mod.cfg.DisableSmoothing {
-		return 0, 0, false
-	}
-	return mod.sm.Fill(u, i), 1 - mod.cfg.OriginalWeight, true
-}
 
 // topItems returns the top-M GIS neighbours of item i.
 func (mod *Model) topItems(i int) []mathx.Scored {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"sort"
@@ -15,9 +16,10 @@ import (
 // Reference implementations of the online phase, kept deliberately on
 // the pre-optimisation mechanics: fresh allocations everywhere, per-call
 // copy+sort of the top-M neighbourhood, per-cell Fill via the explicit
-// fallback chain, full sort in Recommend. The optimised production path
-// (id-sorted mirror, fill memo, pooled scratch, heap top-n) must be
-// bit-for-bit identical to these. The one intentional behaviour change
+// fallback chain, sorted-row merges where production scatters rows into a
+// column index, full sort in Recommend. The optimised production path
+// (id-sorted mirror, fill memo, read kernels, pooled scratch, heap top-n)
+// must be bit-for-bit identical to these. The one intentional behaviour change
 // of the PR — capping the like-minded candidate set at
 // CandidateFactor×K even mid-cluster — is part of the specification
 // here too (refGather).
@@ -310,6 +312,7 @@ func parityModels(t *testing.T) map[string]*Model {
 		"disableSmoothing": func(c *Config) { c.DisableSmoothing = true },
 		"disableCache":     func(c *Config) { c.DisableCache = true },
 		"fullUserSearch":   func(c *Config) { c.FullUserSearch = true },
+		"tinyKM":           func(c *Config) { c.K, c.M = 1, 1 },
 	} {
 		cfg := smallConfig()
 		mutate(&cfg)
@@ -322,10 +325,35 @@ func parityModels(t *testing.T) map[string]*Model {
 	return mods
 }
 
+// samePrediction reports whether a and b agree field by field, every
+// float by its bits: == would equate +0 and −0.
+func samePrediction(a, b Prediction) bool {
+	return math.Float64bits(a.SIR) == math.Float64bits(b.SIR) &&
+		math.Float64bits(a.SUR) == math.Float64bits(b.SUR) &&
+		math.Float64bits(a.SUIR) == math.Float64bits(b.SUIR) &&
+		math.Float64bits(a.Value) == math.Float64bits(b.Value) &&
+		a.HasSIR == b.HasSIR && a.HasSUR == b.HasSUR && a.HasSUIR == b.HasSUIR &&
+		a.ItemsUsed == b.ItemsUsed && a.UsersUsed == b.UsersUsed
+}
+
+// sameSelection reports whether got and want name the same like-minded
+// users in the same order, every similarity by its bits.
+func sameSelection(got, want []likeMinded) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for k := range want {
+		if got[k].user != want[k].user || math.Float64bits(got[k].sim) != math.Float64bits(want[k].sim) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestPredictParityWithReference is the bit-for-bit property test: on
-// every config variant, PredictDetailed (mirror + memo + pooled scratch)
-// must equal the reference path exactly — every component, every flag,
-// every fused value.
+// every config variant, PredictDetailed (mirror + memo + column index +
+// pooled scratch) must equal the reference path exactly — every
+// component's bits, every flag, every fused value's bits.
 func TestPredictParityWithReference(t *testing.T) {
 	for name, mod := range parityModels(t) {
 		mod := mod
@@ -337,14 +365,41 @@ func TestPredictParityWithReference(t *testing.T) {
 				i := rng.Intn(q+4) - 2
 				got := mod.PredictDetailed(u, i)
 				want := refPredictDetailed(mod, u, i)
-				if got != want {
+				if !samePrediction(got, want) {
 					t.Logf("user %d item %d: got %+v want %+v", u, i, got, want)
 					return false
 				}
-				return got.Value == mod.Predict(u, i)
+				return math.Float64bits(got.Value) == math.Float64bits(mod.Predict(u, i))
 			}
 			if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 				t.Error(err)
+			}
+		})
+	}
+}
+
+// TestSelectionParityWithReference holds the active-stationary Eq. 10
+// kernel to the merge-form reference: for every user of the ledger
+// fixture and of every parity variant, selectLikeMinded picks the users
+// refSelectLikeMinded picks, in its order, each similarity bit for bit.
+// Under the race detector every 7th user.
+func TestSelectionParityWithReference(t *testing.T) {
+	mods := parityModels(t)
+	ledger, err := Train(ledgerTrain(t), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mods["ledger"] = ledger
+	stride := 1
+	if raceEnabled {
+		stride = 7
+	}
+	for name, mod := range mods {
+		t.Run(name, func(t *testing.T) {
+			for u := 0; u < mod.m.NumUsers(); u += stride {
+				if got, want := mod.selectLikeMinded(u), refSelectLikeMinded(mod, u); !sameSelection(got, want) {
+					t.Fatalf("user %d: selected %v, reference %v", u, got, want)
+				}
 			}
 		})
 	}
@@ -717,4 +772,153 @@ func TestScanKernelDegenerateShapes(t *testing.T) {
 			t.Errorf("grown model, user %d: scan diverged from Predict", u)
 		}
 	}
+}
+
+// requireAtRest fails unless x is as its pool must hold it: every slot
+// −1 and every obs cell but the sink unobserved.
+func requireAtRest(t *testing.T, x *colIndex, ctx string) {
+	t.Helper()
+	for i, s := range x.slot {
+		if s != -1 {
+			t.Fatalf("%s: slot of column %d is %d, want -1", ctx, i, s)
+		}
+	}
+	for s := 1; s < len(x.obs); s++ {
+		if v := x.obs[s]; v == v {
+			t.Fatalf("%s: obs cell %d holds %v, want unobserved", ctx, s, v)
+		}
+	}
+}
+
+// TestReadKernelDegenerateShapes runs both read kernels where a side is
+// empty — an item with an empty top-M row, an active user with an empty
+// row, a FullUserSearch candidate with no ratings — and holds them to
+// the merge-form references bit for bit. One column index and one
+// selection scratch serve every case, first on a larger catalogue (every
+// 7th user) and then on a smaller one, and after every case both must be
+// back at rest.
+func TestReadKernelDegenerateShapes(t *testing.T) {
+	// User 4 rated nothing. User 3 rated a single item, so Eq. 10's
+	// active-side variance is zero and nobody is like-minded to them. Item
+	// 4 has one rater and item 5 none, so their top-M rows are empty.
+	b := ratings.NewBuilder(5, 6).SetScale(1, 5)
+	for _, r := range [][3]int{
+		{0, 0, 5}, {0, 1, 3}, {0, 2, 4}, {0, 3, 1},
+		{1, 0, 4}, {1, 1, 2}, {1, 2, 5}, {1, 4, 3},
+		{2, 0, 1}, {2, 1, 5}, {2, 3, 2}, {2, 2, 2},
+		{3, 2, 4},
+	} {
+		b.MustAdd(r[0], r[1], float64(r[2]))
+	}
+	m := b.Build()
+	larger, _ := trainSmall(t)
+	x, sc := new(colIndex), &lmScratch{top: mathx.NewTopK(0)}
+	check := func(mod *Model, stride int, ctx string) {
+		t.Helper()
+		for u := 0; u < mod.m.NumUsers(); u += stride {
+			if got, want := mod.selectWith(sc, u), refSelectLikeMinded(mod, u); !sameSelection(got, want) {
+				t.Fatalf("%s: user %d selects %v, reference %v", ctx, u, got, want)
+			}
+			requireAtRest(t, &sc.idx, ctx+": selection index")
+			for i := 0; i < mod.m.NumItems(); i++ {
+				if got, want := mod.predictWith(x, u, i), refPredictDetailed(mod, u, i); !samePrediction(got, want) {
+					t.Fatalf("%s: Predict(%d, %d) = %+v, reference %+v", ctx, u, i, got, want)
+				}
+				requireAtRest(t, x, ctx+": Predict index")
+			}
+		}
+	}
+	check(larger, 7, "larger catalogue")
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"default", func(*Config) {}},
+		{"fullUserSearch", func(c *Config) { c.FullUserSearch = true }},
+		{"disableSmoothing", func(c *Config) { c.DisableSmoothing = true }},
+		{"disableSmoothing+fullUserSearch", func(c *Config) { c.DisableSmoothing, c.FullUserSearch = true, true }},
+	} {
+		cfg := DefaultConfig()
+		cfg.M, cfg.K, cfg.Clusters = 3, 2, 2
+		tc.mutate(&cfg)
+		tiny, err := Train(m, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tiny.m.UserRatings(4)) != 0 || len(tiny.likeMindedUsers(3)) != 0 {
+			t.Fatalf("%s: user 4 has %d ratings and user 3 %d like-minded users; want none of either",
+				tc.name, len(tiny.m.UserRatings(4)), len(tiny.likeMindedUsers(3)))
+		}
+		if len(tiny.topM[4]) != 0 || len(tiny.topM[5]) != 0 {
+			t.Fatalf("%s: items 4 and 5 have top-M rows of %d and %d entries; want both empty", tc.name, len(tiny.topM[4]), len(tiny.topM[5]))
+		}
+		check(tiny, 1, tc.name)
+	}
+	// Predict's index keeps the larger catalogue's slots (its pool sheds
+	// them, putColIndex); the selection scratch sheds its own.
+	if len(x.slot) < larger.m.NumItems() {
+		t.Fatal("the Predict index did not keep the larger catalogue's slots; the shrink was not exercised")
+	}
+	if q := m.NumItems(); cap(sc.idx.slot) > 2*q || cap(sc.idx.obs) > 2*(q+1) {
+		t.Fatalf("the selection scratch holds %d slots and %d obs cells after a %d-item catalogue", cap(sc.idx.slot), cap(sc.idx.obs), q)
+	}
+}
+
+// TestGISListsExcludeTheirItem pins what Predict's column index relies
+// on: no item's GIS list, nor so its top-M mirror, holds the item itself,
+// so slot M (the item's own column) never shares a column with a top-M
+// slot. It holds for a trained model, one Apply grew and re-weighted, one
+// loaded from its file, and one whose GIS blends in item attributes.
+func TestGISListsExcludeTheirItem(t *testing.T) {
+	check := func(mod *Model, ctx string) {
+		t.Helper()
+		for i := 0; i < mod.m.NumItems(); i++ {
+			for _, n := range mod.gis.Neighbors(i) {
+				if int(n.Index) == i {
+					t.Fatalf("%s: item %d's GIS list holds the item", ctx, i)
+				}
+			}
+			for _, n := range mod.topM[i] {
+				if int(n.Index) == i {
+					t.Fatalf("%s: item %d's top-M row holds the item", ctx, i)
+				}
+			}
+		}
+	}
+	mod, d := trainSmall(t)
+	check(mod, "trained")
+
+	rng := rand.New(rand.NewSource(5))
+	p, q := mod.m.NumUsers(), mod.m.NumItems()
+	ups := []RatingUpdate{{User: 0, Item: q, Value: 4}, {User: 1, Item: q, Value: 2}}
+	for k := 0; k < 64; k++ {
+		ups = append(ups, RatingUpdate{User: rng.Intn(p), Item: rng.Intn(q), Value: float64(1 + rng.Intn(5))})
+	}
+	applied, err := mod.Apply(ups)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(applied, "applied")
+
+	var buf bytes.Buffer
+	if err := applied.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(loaded, "loaded")
+
+	cfg := smallConfig()
+	cfg.ContentBlend = 0.5
+	cfg.ItemFeatures = make([][]float64, q)
+	for i := range cfg.ItemFeatures {
+		cfg.ItemFeatures[i] = []float64{float64(i % 3), float64(i % 5), 1}
+	}
+	blended, err := Train(d.Matrix, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(blended, "content-blended")
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"cfsf/internal/mathx"
@@ -32,23 +33,33 @@ func (mod *Model) Predict(user, item int) float64 {
 // PredictDetailed computes the online phase for one (user, item) pair and
 // returns the component breakdown.
 func (mod *Model) PredictDetailed(user, item int) Prediction {
-	var p Prediction
 	if user < 0 || user >= mod.m.NumUsers() || item < 0 || item >= mod.m.NumItems() {
-		p.Value = mod.fallback(user, item)
-		return p
+		return Prediction{Value: mod.fallback(user, item)}
 	}
+	x := colIndexPool.Get().(*colIndex)
+	p := mod.predictWith(x, user, item)
+	putColIndex(x, mod.m.NumItems(), mod.cfg.M+1)
+	return p
+}
 
+// predictWith is PredictDetailed for an in-range pair, indexing the item's
+// side in x, which it takes and leaves at rest.
+func (mod *Model) predictWith(x *colIndex, user, item int) Prediction {
+	var p Prediction
 	// topM is the id-sorted mirror of the top-M neighbourhood, built at
-	// train/refresh time, so the merge loops below start immediately: no
-	// per-request copy or sort.
+	// train/refresh time: indexing it is one pass, with no per-request copy
+	// or sort.
 	sorted := mod.topM[item]
 	users := mod.likeMindedUsers(user)
 	p.ItemsUsed = len(sorted)
 	p.UsersUsed = len(users)
 
-	p.SIR, p.HasSIR = mod.sirLocal(user, sorted)
-	p.SUR, p.HasSUR = mod.surLocal(user, item, users)
-	p.SUIR, p.HasSUIR = mod.suirLocal(sorted, mod.topM2[item], users)
+	x.ready(mod.m.NumItems(), len(sorted)+1)
+	x.index(sorted)
+	x.slot[item] = int32(len(sorted))
+	mod.localSums(x, user, item, sorted, users, &p)
+	x.slot[item] = -1
+	x.unindex(sorted)
 
 	mod.fuse(user, item, &p)
 	return p
@@ -99,164 +110,218 @@ func (mod *Model) fallback(user, item int) float64 {
 	return g
 }
 
-// forEachLocalRating merges user u's sorted row against the id-sorted
-// item neighbourhood, yielding every local-matrix cell of u's row: the
-// observed rating where one exists, the Eq. 7 smoothed fill otherwise
-// (unless smoothing is disabled, in which case missing cells are
-// skipped). w11 is the Eq. 11 weight of the cell. This is the
-// O(M + |row|) hot path of the online phase.
-func (mod *Model) forEachLocalRating(u int, sorted []mathx.Scored, fn func(k int, r float64, original bool, w11 float64)) {
-	row := mod.m.UserRatings(u)
-	j := 0
-	for k := range sorted {
-		idx := sorted[k].Index
-		for j < len(row) && row[j].Index < idx {
-			j++
+// Read kernels. Both online-phase loops read many sparse rating rows
+// against one set of columns that stays fixed across them: Predict reads
+// the active row and K like-minded rows against the item's top-M columns
+// and the item itself (item-stationary), and the Eq. 10 selection reads
+// every candidate's row against the active user's rated columns
+// (active-stationary). Each indexes its fixed side once per request, in
+// a colIndex, and scatters each moving row into that index in one pass
+// over the row: no cursor merges two sorted rows, and no cell is looked
+// up by search. The sums then walk the fixed side in the order the merge
+// loops walked it, with the same arithmetic per cell, so every value is
+// bit-identical to theirs (parity_test.go keeps the merge forms as its
+// references). The scan kernel (scan.go) is the user-stationary dual: it
+// materialises the user side densely and gathers the item side.
+
+// unobserved marks an obs cell whose column the scattered row has no
+// rating for. Ratings are finite (ratings.Builder refuses NaN), so NaN is
+// free as the marker, and it tests with one self-comparison.
+var unobserved = math.NaN()
+
+// colIndex is a read kernel's per-request index of its stationary side:
+// slot[i] is catalogue column i's position among the indexed columns, −1
+// where i is not indexed, and obs[s+1] is the rating the row last
+// scattered holds at slot s's column, unobserved where it holds none.
+// obs[0] is the sink every unindexed column's rating lands in, so a
+// scatter stores each entry of its row without a branch (a branch taken
+// at random for the ~M/Q of entries that hit cost more than the whole
+// rest of the scatter); nothing reads it. At rest — between requests, and
+// in its pool — every slot is −1 and every obs cell but the sink
+// unobserved: a kernel un-indexes what it indexed, and take returns each
+// obs cell to unobserved as it reads it.
+type colIndex struct {
+	slot []int32
+	obs  []float64
+}
+
+// colIndexPool recycles Predict's column index across requests and model
+// generations: 4·Q bytes of slots and 8·(M+2) of obs cells (the top-M
+// columns, the item's own, and the sink). The like-minded selection keeps
+// its own in lmScratch.
+//
+//cfsf:guarded-by sync.Pool — each index is handed out to exactly one goroutine at a time, at rest when pooled
+var colIndexPool = sync.Pool{
+	New: func() any { return new(colIndex) },
+}
+
+// putColIndex returns x to its pool, first dropping an array that
+// outgrew the current model's need by more than 2×, as putRecScratch
+// does: q slots and n of them indexed.
+func putColIndex(x *colIndex, q, n int) {
+	if cap(x.slot) > 2*q {
+		x.slot = nil
+	}
+	if cap(x.obs) > 2*(n+1) {
+		x.obs = nil
+	}
+	colIndexPool.Put(x)
+}
+
+// ready grows x, at rest, to q columns of which n can be indexed.
+func (x *colIndex) ready(q, n int) {
+	if k := len(x.slot); k < q {
+		x.slot = slices.Grow(x.slot, q-k)[:q]
+		for i := k; i < q; i++ {
+			x.slot[i] = -1
 		}
-		if j < len(row) && row[j].Index == idx {
-			fn(k, row[j].Value, true, mod.cfg.OriginalWeight)
-			continue
+	}
+	if k := len(x.obs); k < n+1 {
+		x.obs = slices.Grow(x.obs, n+1-k)[:n+1]
+		for s := k; s <= n; s++ {
+			x.obs[s] = unobserved
 		}
-		if mod.cfg.DisableSmoothing {
-			continue
-		}
-		fn(k, mod.sm.Fill(u, int(idx)), false, 1-mod.cfg.OriginalWeight)
 	}
 }
 
-// sirLocal computes SIR′ (Eq. 12, first line): the w-weighted
-// similarity-weighted average of the active user's (smoothed) ratings on
-// the top-M similar items. The merge over the id-sorted neighbourhood is
-// written out directly (same cell order and arithmetic as
-// forEachLocalRating) because closure dispatch dominated the profile of
-// the steady-state Predict path.
-func (mod *Model) sirLocal(user int, sorted []mathx.Scored) (float64, bool) {
-	row := mod.m.UserRatings(user)
-	eps := mod.cfg.OriginalWeight
-	wSm := 1 - eps
-	var flRow []float64
-	var um float64
-	if !mod.cfg.DisableSmoothing {
-		flRow = mod.sm.FillRow(user)
-		um = mod.m.UserMean(user)
+// index puts cols[k]'s column at slot k.
+func (x *colIndex) index(cols []mathx.Scored) {
+	for k, c := range cols {
+		x.slot[c.Index] = int32(k)
 	}
+}
+
+// unindex returns cols' slots to −1.
+func (x *colIndex) unindex(cols []mathx.Scored) {
+	for _, c := range cols {
+		x.slot[c.Index] = -1
+	}
+}
+
+// scatter writes row's ratings at indexed columns into their obs cells,
+// and the rest into the sink.
+func (x *colIndex) scatter(row []ratings.Entry) {
+	slot, obs := x.slot, x.obs
+	for _, e := range row {
+		obs[slot[e.Index]+1] = e.Value
+	}
+}
+
+// take returns obs cell s and leaves it unobserved.
+func (x *colIndex) take(s int) float64 {
+	v := x.obs[s+1]
+	x.obs[s+1] = unobserved
+	return v
+}
+
+// cellRule is the local-matrix cell rule of one row owner, the one every
+// read kernel and Explain apply: an observed rating is the cell, with the
+// Eq. 11 weight ε; an unobserved cell is the owner's Eq. 7 fill — mean
+// plus the fill memo's addend, or the plain mean where the memo holds
+// NaN — with weight 1−ε; under DisableSmoothing it is no cell at all.
+type cellRule struct {
+	fill  []float64 // the owner's fill-memo row; nil under DisableSmoothing
+	mean  float64   // the owner's mean
+	eps   float64   // ε, an observed cell's weight
+	wFill float64   // 1−ε, a fill's weight
+}
+
+// cellsOf returns user u's cell rule.
+func (mod *Model) cellsOf(u int) cellRule {
+	c := cellRule{mean: mod.m.UserMean(u), eps: mod.cfg.OriginalWeight, wFill: 1 - mod.cfg.OriginalWeight}
+	if !mod.cfg.DisableSmoothing {
+		c.fill = mod.sm.FillRow(u)
+	}
+	return c
+}
+
+// at returns the cell at column col, where obs is the owner's scattered
+// rating there: its value r, its Eq. 11 weight, and whether it is a cell.
+// mean + fill is bit-identical to smoothing.Fill, which adds the same
+// two operands.
+func (c *cellRule) at(obs float64, col int32) (r, w11 float64, ok bool) {
+	if obs == obs {
+		return obs, c.eps, true
+	}
+	if c.fill == nil {
+		return 0, 0, false
+	}
+	r = c.mean
+	if f := c.fill[col]; f == f {
+		r = c.mean + f
+	}
+	return r, c.wFill, true
+}
+
+// localSums is the item-stationary read kernel: with x indexing the
+// item's id-sorted top-M columns at slots 0..m−1 and the item at slot m,
+// it scatters the active row once for SIR′ (Eq. 12, first line) and each
+// like-minded row once for that user's SUR′ cell (slot m) and SUIR′ cells
+// (slots 0..m−1), and sets p's three components. Each accumulator sums in
+// the merge loops' order: SIR′ and every SUIR′ row by top-M position,
+// SUR′ and SUIR′ by neighbour rank.
+//
+// A GIS list never holds its own item (its candidates skip it), so slot m
+// shares a column with no top-M slot; TestGISListsExcludeTheirItem pins
+// that.
+//
+// Every SUIR′ cell visited contributes: the GIS keeps only positive item
+// sims and Eq. 10 selection keeps only positive user sims, so the Eq. 13
+// pair weight si·sim/√(si²+sim²) is strictly positive and pairSim's
+// d == 0 guard can never fire. sq is the item's topM2 row, Score² per
+// neighbour, squared at build time with the multiply Eq. 13 would do
+// here; the mul and the sqrt are independent, so fusing them into one
+// expression keeps each operation and its operands unchanged.
+func (mod *Model) localSums(x *colIndex, user, item int, sorted []mathx.Scored, users []likeMinded, p *Prediction) {
+	m := len(sorted)
+	sq := mod.topM2[item][:m] // one bounds check here instead of one per cell
+
+	x.scatter(mod.m.UserRatings(user))
+	x.take(m) // the active user's own rating of the item is no cell of its prediction
+	c := mod.cellsOf(user)
 	var num, den float64
-	j := 0
-	for _, it := range sorted {
-		idx := it.Index
-		for j < len(row) && row[j].Index < idx {
-			j++
-		}
-		var r, w11 float64
-		if j < len(row) && row[j].Index == idx {
-			r = row[j].Value
-			w11 = eps
-		} else if flRow == nil {
+	for k, it := range sorted {
+		r, w11, ok := c.at(x.take(k), it.Index)
+		if !ok {
 			continue
-		} else {
-			r = um
-			if f := flRow[idx]; f == f {
-				r = um + f
-			}
-			w11 = wSm
 		}
 		w := w11 * it.Score
 		num += w * r
 		den += w
 	}
-	if den <= 0 {
-		return 0, false
+	if den > 0 {
+		p.SIR, p.HasSIR = num/den, true
 	}
-	return num / den, true
-}
 
-// surLocal computes SUR′ (Eq. 12, second line): the mean-centred,
-// w-weighted average of the like-minded users' (smoothed) ratings on the
-// active item, re-anchored at the active user's mean.
-func (mod *Model) surLocal(user, item int, users []likeMinded) (float64, bool) {
-	var num, den float64
-	for _, lm := range users {
-		t := int(lm.user)
-		r, w11, ok := mod.ratingWithW(t, item)
-		if !ok {
-			continue
-		}
-		w := w11 * lm.sim
-		num += w * (r - mod.m.UserMean(t))
-		den += w
-	}
-	if den <= 0 {
-		return 0, false
-	}
-	return mod.m.UserMean(user) + num/den, true
-}
-
-// suirLocal computes SUIR′ (Eq. 12, third line) with the Eq. 13 pair
-// weight: ratings that like-minded users gave to similar items. Like
-// sirLocal, the per-neighbour merge is written out directly with the
-// user's mean and fill row hoisted out of the K×M inner loop; cell
-// order and arithmetic match forEachLocalRating exactly. sq is the
-// item's topM2 row: Score² per neighbour, precomputed at build time
-// with the same multiply Eq. 13 would do here.
-//
-// Every cell visited contributes: the GIS keeps only positive item sims
-// and Eq. 10 selection keeps only positive user sims, so the pair weight
-// si·sim/√(si²+sim²) is strictly positive and pairSim's d == 0 guard can
-// never fire. The mul and the sqrt are independent, so fusing them into
-// one expression keeps each operation and its operands unchanged.
-func (mod *Model) suirLocal(sorted []mathx.Scored, sq []float64, users []likeMinded) (float64, bool) {
-	eps := mod.cfg.OriginalWeight
-	wSm := 1 - eps
-	sq = sq[:len(sorted)] // one bounds check here instead of one per cell
-	var num, den float64
+	var surNum, surDen float64
+	num, den = 0, 0
 	for _, lm := range users {
 		u := int(lm.user)
+		x.scatter(mod.m.UserRatings(u))
+		c := mod.cellsOf(u)
 		sim := lm.sim
-		sim2 := sim * sim // Eq. 13's userSim² hoisted out of the M-cell loop
-		row := mod.m.UserRatings(u)
-		j := 0
-		if mod.cfg.DisableSmoothing {
-			// Ablation: observed cells only.
-			for k, it := range sorted {
-				idx := it.Index
-				for j < len(row) && row[j].Index < idx {
-					j++
-				}
-				if j < len(row) && row[j].Index == idx {
-					w := eps * (it.Score * sim / math.Sqrt(sq[k]+sim2))
-					num += w * row[j].Value
-					den += w
-				}
-			}
-			continue
+		if r, w11, ok := c.at(x.take(m), int32(item)); ok {
+			w := w11 * sim
+			surNum += w * (r - c.mean)
+			surDen += w
 		}
-		flRow := mod.sm.FillRow(u)
-		um := mod.m.UserMean(u)
+		sim2 := sim * sim // Eq. 13's userSim² hoisted out of the M-cell loop
 		for k, it := range sorted {
-			idx := it.Index
-			for j < len(row) && row[j].Index < idx {
-				j++
-			}
-			var r, w11 float64
-			if j < len(row) && row[j].Index == idx {
-				r = row[j].Value
-				w11 = eps
-			} else {
-				r = um
-				if f := flRow[idx]; f == f {
-					r = um + f
-				}
-				w11 = wSm
+			r, w11, ok := c.at(x.take(k), it.Index)
+			if !ok {
+				continue
 			}
 			w := w11 * (it.Score * sim / math.Sqrt(sq[k]+sim2))
 			num += w * r
 			den += w
 		}
 	}
-	if den <= 0 {
-		return 0, false
+	if surDen > 0 {
+		p.SUR, p.HasSUR = mod.m.UserMean(user)+surNum/surDen, true
 	}
-	return num / den, true
+	if den > 0 {
+		p.SUIR, p.HasSUIR = num/den, true
+	}
 }
 
 // pairSim implements Eq. 13.
@@ -285,7 +350,8 @@ func (mod *Model) likeMindedUsers(user int) []likeMinded {
 
 // lmScratch is the per-request scratch of one like-minded selection:
 // the user's Eq. 9 cluster order and similarities, the candidate list,
-// the bounded Eq. 10 top-K heap, and the ranking buffer. Instances cycle
+// the active row's column index and centred ratings, the bounded Eq. 10
+// top-K heap, and the ranking buffer. Instances cycle
 // through lmScratchPool; a scratch is owned exclusively by one
 // selectLikeMinded call between Get and Put, holds no model state of its
 // own (every field is fully overwritten before use), and must never be
@@ -294,6 +360,8 @@ type lmScratch struct {
 	order      []int32
 	sims       []float64
 	candidates []int
+	idx        colIndex  // the active row's columns; at rest between selections
+	da         []float64 // d_a = r − r̄_a per active-row position
 	top        *mathx.TopK
 	ranked     []mathx.Scored
 }
@@ -315,15 +383,26 @@ var lmScratchPool = sync.Pool{
 // cluster.
 func (mod *Model) selectLikeMinded(user int) []likeMinded {
 	sc := lmScratchPool.Get().(*lmScratch)
+	out := mod.selectWith(sc, user)
+	lmScratchPool.Put(sc)
+	return out
+}
+
+// selectWith is selectLikeMinded on the scratch sc, which it leaves ready
+// for the pool: the index at rest and every buffer within 2× of this
+// model's need.
+func (mod *Model) selectWith(sc *lmScratch, user int) []likeMinded {
 	candidates := mod.gatherCandidates(user, sc)
 
 	top := sc.top
 	top.Reset(mod.cfg.K)
+	a := mod.indexActive(user, sc)
 	for _, cand := range candidates {
-		if s := mod.eq10Sim(user, cand); s > 0 {
+		if s := a.sim(cand); s > 0 {
 			top.Push(int32(cand), s)
 		}
 	}
+	a.unindex()
 	scored := top.AppendSorted(sc.ranked[:0])
 	out := make([]likeMinded, len(scored))
 	for i, s := range scored {
@@ -331,13 +410,17 @@ func (mod *Model) selectLikeMinded(user int) []likeMinded {
 	}
 	// Same oversized-buffer policy as putRecScratch: the candidate list
 	// sizes to the user population (all of it under FullUserSearch), so
-	// a pooled scratch must not pin a larger model's high-water mark.
+	// a pooled scratch must not pin a larger model's high-water mark; the
+	// index sizes to the catalogue, and its obs cells and d_a to the active
+	// row, at most the catalogue.
 	if cap(candidates) > 2*len(candidates) && cap(candidates) > 4*mod.cfg.K {
 		candidates = nil
 	}
 	sc.candidates = candidates[:0:cap(candidates)]
+	if q := mod.m.NumItems(); cap(sc.idx.slot) > 2*q || cap(sc.idx.obs) > 2*(q+1) || cap(sc.da) > 2*q {
+		sc.idx, sc.da = colIndex{}, nil
+	}
 	sc.ranked = scored[:0]
-	lmScratchPool.Put(sc)
 	return out
 }
 
@@ -377,47 +460,72 @@ func (mod *Model) gatherCandidates(user int, sc *lmScratch) []int {
 	return buf
 }
 
-// eq10Sim computes the w-weighted PCC of Eq. 10 between the active user a
-// and candidate u, over the items a rated. The candidate side uses
-// smoothed ratings with the Eq. 11 weight; the active side uses only its
-// observed ratings (f ranges over I{u_a}). Both rows are sorted, so the
-// candidate lookup is a single merge pass.
-func (mod *Model) eq10Sim(active, cand int) float64 {
-	am := mod.m.UserMean(active)
-	cm := mod.m.UserMean(cand)
-	rowC := mod.m.UserRatings(cand)
-	eps := mod.cfg.OriginalWeight
-	wSm := 1 - eps
-	// The candidate's fill-memo row replaces per-cell sm.Fill calls; the
-	// addend layout makes rc = cm + fill bit-identical to Fill(cand, i).
-	var flRow []float64
-	if !mod.cfg.DisableSmoothing {
-		flRow = mod.sm.FillRow(cand)
+// activeIndex is the active-stationary read kernel of one like-minded
+// selection: the active user's row indexed in its scratch's colIndex,
+// slot j for row position j, with d_a hoisted per position. It borrows
+// the scratch and must not outlive its Put.
+type activeIndex struct {
+	mod *Model
+	x   *colIndex
+	row []ratings.Entry
+	da  []float64
+	// denA is Σ d_a² over the whole row. With smoothing on every cell
+	// contributes to Eq. 10, so each candidate's Σ d_a² is this sum, in
+	// the same order; under DisableSmoothing only the candidate's observed
+	// cells do, and sim sums its own.
+	denA float64
+}
+
+// indexActive indexes user's row in sc.
+func (mod *Model) indexActive(user int, sc *lmScratch) activeIndex {
+	row := mod.m.UserRatings(user)
+	x := &sc.idx
+	x.ready(mod.m.NumItems(), len(row))
+	am := mod.m.UserMean(user)
+	da := slices.Grow(sc.da[:0], len(row))[:len(row)]
+	var denA float64
+	for j, e := range row {
+		x.slot[e.Index] = int32(j)
+		d := e.Value - am
+		da[j] = d
+		denA += d * d
 	}
-	j := 0
-	var num, denA, denC float64
-	for _, e := range mod.m.UserRatings(active) {
-		for j < len(rowC) && rowC[j].Index < e.Index {
-			j++
-		}
-		var rc, w float64
-		if j < len(rowC) && rowC[j].Index == e.Index {
-			rc = rowC[j].Value
-			w = eps
-		} else if flRow == nil {
+	sc.da = da
+	return activeIndex{mod: mod, x: x, row: row, da: da, denA: denA}
+}
+
+// unindex returns the row's slots to −1.
+func (a *activeIndex) unindex() {
+	for _, e := range a.row {
+		a.x.slot[e.Index] = -1
+	}
+}
+
+// sim computes the w-weighted PCC of Eq. 10 between the active user and
+// candidate cand, over the items the active user rated. The candidate
+// side uses its cells under the cell rule, with their Eq. 11 weights; the
+// active side uses only its observed ratings (f ranges over I{u_a}).
+func (a *activeIndex) sim(cand int) float64 {
+	a.x.scatter(a.mod.m.UserRatings(cand))
+	c := a.mod.cellsOf(cand)
+	sparse := c.fill == nil
+	denA := a.denA
+	if sparse {
+		denA = 0
+	}
+	da := a.da[:len(a.row)]
+	var num, denC float64
+	for j, e := range a.row {
+		rc, w, ok := c.at(a.x.take(j), e.Index)
+		if !ok {
 			continue
-		} else {
-			rc = cm
-			if f := flRow[e.Index]; f == f {
-				rc = cm + f
-			}
-			w = wSm
 		}
-		dc := rc - cm
-		da := e.Value - am
-		num += w * dc * da
+		dc := rc - c.mean
+		num += w * dc * da[j]
 		denC += w * w * dc * dc
-		denA += da * da
+		if sparse {
+			denA += da[j] * da[j]
+		}
 	}
 	if denA == 0 || denC == 0 {
 		return 0

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"cfsf/internal/ratings"
@@ -49,6 +50,37 @@ func BenchmarkPredict(b *testing.B) {
 		mod.Predict(0, i%q)
 	}
 }
+
+// BenchmarkPredictLedger is warm Predict on the 500×1000 fixture bench/
+// serves — read_hot's path: every user's like-minded set cached, pairs
+// drawn as bench/'s streams draw them (users Zipf s=1.0, items s=0.8,
+// ledgerStream). CI holds it to 0 allocs/op and fences its ns/op (ci.yml).
+func BenchmarkPredictLedger(b *testing.B) {
+	mod := ledgerModel(b)
+	p, q := mod.Matrix().NumUsers(), mod.Matrix().NumItems()
+	for u := 0; u < p; u++ {
+		mod.likeMindedUsers(u)
+	}
+	next := ledgerStream(p, q)
+	pairs := make([]Pair, 4096)
+	for k := range pairs {
+		up := next()
+		pairs[k] = Pair{up.User, up.Item}
+	}
+	// Collect the set-up's garbage, then fill the column-index pool: a GC
+	// inside the loop would empty the pool and bill its refill to Predict.
+	runtime.GC()
+	mod.Predict(pairs[0].User, pairs[0].Item)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pr := pairs[i%len(pairs)]
+		predictSink = mod.Predict(pr.User, pr.Item)
+	}
+}
+
+// predictSink keeps the compiler from dropping a benchmarked Predict.
+var predictSink float64
 
 // BenchmarkPredictColdCache pays the Eq. 10 like-minded selection on
 // every call (DisableCache ablation): the per-request scratch path.

@@ -12,27 +12,27 @@ import (
 // Scan kernel: "score many items for one user". Across such a scan the
 // active user is stationary, and with it the like-minded set and every
 // cell value and Eq. 11 weight on the user side of the local matrix;
-// only the item side (the top-M list) moves. Predict re-merges the same
-// K sparse rows against a different top-M list for every item; the
+// only the item side (the top-M list) moves. Predict scatters the same
+// K sparse rows into a different item's index for every item; the
 // kernel instead materialises each like-minded user's row once, densely
 // — a tile of K rows × Q cells, plus one row for the active user — so
 // SUR′ reads one cell per neighbour and SUIR′ (and SIR′, from the active
 // user's row) gathers tile[n][topM[i][k].Index] with no row cursor.
 //
 // The loop nest (neighbour-major, then id-sorted top-M position) and the
-// floating-point expression per cell are the merge path's, so a tiled
+// floating-point expression per cell are Predict's, so a tiled
 // score is bit-identical to Predict(user, item). DESIGN.md §9 has the
 // layout and the argument; parity_test.go holds the kernel to it.
 
 // localCell is one materialised local-matrix cell of a user's row: what
-// forEachLocalRating would yield for that (user, item).
+// the read kernels' cell rule (cellRule.at) gives for that (user, item).
 type localCell struct {
 	// val is the observed rating, else the Eq. 7 fill UserMean + fill.
 	val float64
 	// w is the Eq. 11 weight: ε for an original rating, 1−ε for a
 	// fill. Zero with val 0 marks a cell absent under DisableSmoothing: a
 	// zero weight adds +0 to both Eq. 12 sums, which is bit-identical to
-	// the merge path skipping the cell (the sums start at +0 and only
+	// Predict skipping the cell (the sums start at +0 and only
 	// grow by non-negative weights, so they are never −0).
 	w float64
 }
@@ -55,8 +55,8 @@ type userScan struct {
 func tileCells(k, q int) int { return (k + 1) * q }
 
 // tilePays reports whether scoring n items for one user is cheaper
-// through a tile than through n merge-path Predicts. Building the tile
-// is (K+1)·Q cell writes and a merge-path score walks at least (K+1)·M
+// through a tile than through n Predicts. Building the tile
+// is (K+1)·Q cell writes and a Predict score walks at least (K+1)·M
 // cells, so the tile is paid for once n·M ≥ Q; K cancels.
 func (mod *Model) tilePays(n int) bool {
 	return n*mod.cfg.M >= mod.m.NumItems()
@@ -324,8 +324,8 @@ func (mod *Model) scoreTop(user int, cands []mathx.Scored, want int, sc *recScra
 	return priced
 }
 
-// sirTile is sirLocal with the row merge replaced by a gather from the
-// active user's own tile row.
+// sirTile is localSums' SIR′ with the scatter replaced by a gather from
+// the active user's own tile row.
 func (s *userScan) sirTile(sorted []mathx.Scored) (float64, bool) {
 	cells := s.tile[len(s.users)*s.q:]
 	var num, den float64
@@ -341,8 +341,8 @@ func (s *userScan) sirTile(sorted []mathx.Scored) (float64, bool) {
 	return num / den, true
 }
 
-// surTile is surLocal with ratingWithW's binary search replaced by one
-// tile lookup per neighbour.
+// surTile is localSums' SUR′ with each neighbour's cell read from its
+// tile row.
 func (s *userScan) surTile(item int) (float64, bool) {
 	mod := s.mod
 	var num, den float64
@@ -358,9 +358,9 @@ func (s *userScan) surTile(item int) (float64, bool) {
 	return mod.m.UserMean(s.user) + num/den, true
 }
 
-// suirTile is suirLocal with the per-neighbour row merge replaced by a
-// branch-free gather from the neighbour's tile row. Neighbour order,
-// top-M order and the per-cell arithmetic are suirLocal's exactly.
+// suirTile is localSums' SUIR′ with the per-neighbour scatter replaced by
+// a branch-free gather from the neighbour's tile row. Neighbour order,
+// top-M order and the per-cell arithmetic are localSums' exactly.
 func (s *userScan) suirTile(sorted []mathx.Scored, sq []float64) (float64, bool) {
 	sq = sq[:len(sorted)]
 	var num, den float64

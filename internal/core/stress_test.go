@@ -8,12 +8,12 @@ import (
 )
 
 // TestConcurrentPredictDuringApply hammers the pooled-scratch online
-// path (Predict, PredictDetailed, Recommend, PredictBatch) from many
-// goroutines while a writer keeps publishing new model generations via
-// Apply. Run under -race this is the ownership proof for
-// lmScratchPool/recScratchPool: scratch never leaks between goroutines
-// or across model generations, and readers on an old generation stay
-// self-consistent.
+// path (Predict, PredictDetailed, Recommend, PredictBatch, Explain) from
+// many goroutines while a writer keeps publishing new model generations
+// via Apply. Run under -race this is the ownership proof for
+// lmScratchPool, colIndexPool and recScratchPool: scratch never leaks
+// between goroutines or across model generations, and readers on an old
+// generation stay self-consistent.
 func TestConcurrentPredictDuringApply(t *testing.T) {
 	mod, _ := trainSmall(t)
 
@@ -42,7 +42,7 @@ func TestConcurrentPredictDuringApply(t *testing.T) {
 				m := load()
 				u := (g*31 + i) % m.m.NumUsers()
 				it := (g*17 + i) % m.m.NumItems()
-				switch i % 4 {
+				switch i % 5 {
 				case 0:
 					m.Predict(u, it)
 				case 1:
@@ -51,6 +51,10 @@ func TestConcurrentPredictDuringApply(t *testing.T) {
 					m.Recommend(u, 5)
 				case 3:
 					m.PredictBatch([]Pair{{u, it}, {u, (it + 1) % m.m.NumItems()}})
+				case 4:
+					if ex := m.Explain(u, it, 3); !samePrediction(ex.Prediction, m.PredictDetailed(u, it)) {
+						t.Errorf("Explain(%d, %d) predicted %+v, PredictDetailed %+v", u, it, ex.Prediction, m.PredictDetailed(u, it))
+					}
 				}
 				i++
 			}
