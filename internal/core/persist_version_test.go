@@ -34,6 +34,9 @@ func requireSameGIS(t *testing.T, want, got *similarity.GIS, ctx string) {
 			t.Fatalf("%s: item %d has horizon %v, want %v", ctx, i, g, w)
 		}
 	}
+	if err := got.CheckHolders(want); err != nil {
+		t.Fatalf("%s: %v", ctx, err)
+	}
 }
 
 func requireSameRecommendations(t *testing.T, want, got *Model, ctx string) {

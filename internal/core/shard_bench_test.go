@@ -206,6 +206,39 @@ func BenchmarkApplyLedger(b *testing.B) {
 	}
 }
 
+// BenchmarkApplyLedgerInterleaved is BenchmarkApplyLedger/single as the
+// spawned server meets it under bench/'s mixed workload, where the reads
+// between two writes take the cache from the lists an Apply reads: before
+// each timed single-rating Apply, an untimed slice of mixed's reads on the
+// current generation — 4 Predicts and one Recommend(u, 10), users and
+// items drawn as ledgerStream draws them. CI fences B/op and allocs/op
+// (ci.yml).
+func BenchmarkApplyLedgerInterleaved(b *testing.B) {
+	cur := ledgerModel(b)
+	p, q := cur.Matrix().NumUsers(), cur.Matrix().NumItems()
+	next := ledgerStream(p, q)
+	ranking := rand.New(rand.NewSource(1))
+	uz, iz := newZipfIDs(ranking, p, 1.0), newZipfIDs(ranking, q, 0.8)
+	reads := rand.New(rand.NewSource(29))
+	batch := make([]RatingUpdate, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for k := 0; k < 4; k++ {
+			cur.Predict(uz.draw(reads), iz.draw(reads))
+		}
+		cur.Recommend(uz.draw(reads), 10)
+		batch[0] = next()
+		b.StartTimer()
+		var err error
+		if cur, err = cur.Apply(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(1000*float64(cur.Stats().GISReselected)/float64(b.N), "reselected/1k-applies")
+}
+
 // BenchmarkDrainFullQueue is the lifecycle manager's drain rule — every
 // queued rating folds in one Apply — on the deepest queue the default
 // QueueCapacity admits: the first 4096 ratings of ledgerStream, drained

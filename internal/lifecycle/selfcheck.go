@@ -17,9 +17,12 @@ import (
 // configuration, the dimensions, the GIS a boot from the file would serve
 // — every list selected under its stored horizon on the live matrix, the
 // way File.Model selects it on the one it rebuilds — entry by entry, every
-// list's horizon, and every field of the clustering. So every snapshot
-// also holds the live GIS to its horizon invariant: each list is exactly
-// its candidates that precede its horizon. Slices compare by length and
+// list's horizon, the index of which lists hold each item, and every
+// field of the clustering. So every snapshot also holds the live GIS to
+// its horizon invariant — each list is exactly its candidates that
+// precede its horizon — and its maintained holder index to the one the
+// reload derives from its lists, before a later Apply skips a list on the
+// strength of it. Slices compare by length and
 // content, because gob does not tell a nil slice from an empty one; floats
 // compare by their bits.
 // Nothing on the live side has been through the encoder, so a fault in
@@ -61,6 +64,9 @@ func compareSharedToLive(sp *core.File, live *core.Model) error {
 		if got, want := loaded.Horizon(i), gis.Horizon(i); got.Index != want.Index || !sameBits(got.Score, want.Score) {
 			return fmt.Errorf("GIS horizon of item %d reloads as %v, model has %v", i, got, want)
 		}
+	}
+	if err := gis.CheckHolders(loaded); err != nil {
+		return fmt.Errorf("GIS holder index diverges from the reloaded lists': %w", err)
 	}
 
 	got, want := sp.Clusters, live.Clusters()

@@ -18,21 +18,21 @@ import (
 // canonical order and keeps the first N, the next one its horizon.
 func buildGISReference(m *ratings.Matrix, opts GISOptions) *GIS {
 	q := m.NumItems()
-	g := &GIS{neighbors: make([][]mathx.Scored, q), tau: make([]mathx.Scored, q), opts: opts}
+	neighbors, tau := make([][]mathx.Scored, q), make([]mathx.Scored, q)
 	parallel.ForChunked(q, opts.Workers, func(lo, hi int) {
 		scratch := newCandidateScratch(q)
 		for a := lo; a < hi; a++ {
 			list := mathx.SelectTopScored(candidateList(m, a, opts, scratch, nil), 0)
 			if n := topNOrAll(opts.TopN, len(list)); n < len(list) {
-				g.tau[a] = list[n]
+				tau[a] = list[n]
 				list = list[:n]
 			}
 			if len(list) > 0 {
-				g.neighbors[a] = list
+				neighbors[a] = list
 			}
 		}
 	})
-	return g
+	return testGIS(neighbors, tau, opts)
 }
 
 // ledgerMatrix is the fixture bench/ serves — synth.DefaultConfig at the

@@ -99,5 +99,6 @@ func BuildGISWithContent(m *ratings.Matrix, features [][]float64, blend float64,
 			}
 		}
 	})
+	g.holders = deriveHolders(g.neighbors)
 	return g
 }

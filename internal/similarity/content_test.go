@@ -134,4 +134,6 @@ func TestContentDeterministicAcrossWorkers(t *testing.T) {
 			}
 		}
 	}
+	requireHolders(t, b, "blended GIS")
+	requireHolders(t, b.Refresh(d, []int{2, 5}, 4), "blended GIS refreshed")
 }

@@ -96,7 +96,7 @@ func TestNaNNeverEntersTheGIS(t *testing.T) {
 		{3, 4, 3},
 	})
 	opts := GISOptions{Metric: PCC, MinCoRatings: 1}
-	empty := &GIS{neighbors: make([][]mathx.Scored, m.NumItems()), opts: opts}
+	empty := testGIS(make([][]mathx.Scored, m.NumItems()), nil, opts)
 	for name, g := range map[string]*GIS{
 		"BuildGIS": BuildGIS(m, opts),
 		"Refresh":  empty.Refresh(m, []int{0, 1, 2}, 0),

@@ -3,6 +3,8 @@ package similarity
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"cfsf/internal/mathx"
@@ -29,7 +31,7 @@ func refRefresh(g *GIS, m *ratings.Matrix, changedItems []int, need int) *GIS {
 	if opts.TopN > 0 {
 		need = min(need, opts.TopN)
 	}
-	out := &GIS{neighbors: make([][]mathx.Scored, q), tau: make([]mathx.Scored, q), opts: opts}
+	neighbors, taus := make([][]mathx.Scored, q), make([]mathx.Scored, q)
 	scratch := newCandidateScratch(q)
 	cut := func(list []mathx.Scored, tau mathx.Scored) ([]mathx.Scored, mathx.Scored) {
 		if opts.TopN > 0 && len(list) > opts.TopN {
@@ -45,7 +47,7 @@ func refRefresh(g *GIS, m *ratings.Matrix, changedItems []int, need int) *GIS {
 		if !changed[i] {
 			continue
 		}
-		out.neighbors[i], out.tau[i] = selectAll(i)
+		neighbors[i], taus[i] = selectAll(i)
 		for _, n := range candidateList(m, i, opts, scratch, nil) {
 			if !changed[n.Index] {
 				symmetric[n.Index] = append(symmetric[n.Index], mathx.Scored{Index: int32(i), Score: n.Score})
@@ -96,9 +98,37 @@ func refRefresh(g *GIS, m *ratings.Matrix, changedItems []int, need int) *GIS {
 		if len(list) < need && tau != (mathx.Scored{}) {
 			list, tau = selectAll(i)
 		}
-		out.neighbors[i], out.tau[i] = list, tau
+		neighbors[i], taus[i] = list, tau
 	}
-	return out
+	return testGIS(neighbors, taus, opts)
+}
+
+// testGIS is the one way a test hand-builds a GIS: over the given lists,
+// horizons and options, with the holder index derived from the lists, as
+// every constructor derives it.
+func testGIS(neighbors [][]mathx.Scored, tau []mathx.Scored, opts GISOptions) *GIS {
+	return &GIS{neighbors: neighbors, tau: tau, holders: deriveHolders(neighbors), opts: opts}
+}
+
+// requireHolders holds g's holder index against its lists: row k must be
+// the ids of the lists holding item k, ascending, collected here by a
+// walk of every list.
+func requireHolders(t *testing.T, g *GIS, ctx string) {
+	t.Helper()
+	want := make([][]int32, g.NumItems())
+	for i := 0; i < g.NumItems(); i++ {
+		for _, n := range g.Neighbors(i) {
+			want[n.Index] = append(want[n.Index], int32(i))
+		}
+	}
+	if len(g.holders) != len(want) {
+		t.Fatalf("%s: holder index covers %d items, the lists %d", ctx, len(g.holders), len(want))
+	}
+	for k, row := range g.holders {
+		if !slices.Equal(row, want[k]) {
+			t.Fatalf("%s: item %d is held by lists %v, the lists say %v", ctx, k, row, want[k])
+		}
+	}
 }
 
 // tiedMatrix draws a random matrix whose upper half of the catalogue
@@ -142,6 +172,8 @@ func requireSameGIS(t *testing.T, want, got *GIS, ctx string) {
 			t.Fatalf("%s: item %d has horizon %v, want %v", ctx, i, got, want)
 		}
 	}
+	requireHolders(t, want, ctx+" (want)")
+	requireHolders(t, got, ctx)
 }
 
 // TestRefreshParityWithReference pins the list edit to refRefresh bit
@@ -218,7 +250,9 @@ func TestRefreshParityWithReference(t *testing.T) {
 
 // TestRefreshSharesUntouchedLists checks the other half of the edit: a
 // list that neither held a changed item nor gained one is the old array,
-// not a copy, and a list that did change is not.
+// not a copy, and a list that did change is not; and likewise a holder
+// row no list gained or lost is the old row, and a row that did change
+// is a fresh one.
 func TestRefreshSharesUntouchedLists(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m := tiedMatrix(rng, 40, 60, 0.3)
@@ -252,6 +286,55 @@ func TestRefreshSharesUntouchedLists(t *testing.T) {
 	if shared == 0 || edited <= 1 {
 		t.Fatalf("shared=%d edited=%d: fixture exercises only one side", shared, edited)
 	}
+	shared, edited = 0, 0
+	for k := range g.holders {
+		old, now := g.holders[k], got.holders[k]
+		aliased := len(old) > 0 && len(now) > 0 && &old[0] == &now[0]
+		switch same := slices.Equal(old, now); {
+		case same && len(old) > 0:
+			shared++
+			if !aliased {
+				t.Fatalf("item %d: holder row unchanged but copied", k)
+			}
+		case !same:
+			edited++
+			if aliased {
+				t.Fatalf("item %d: holder row changed but still aliases the old row", k)
+			}
+		}
+	}
+	if shared == 0 || edited <= 1 {
+		t.Fatalf("holder rows shared=%d edited=%d: fixture exercises only one side", shared, edited)
+	}
+}
+
+// TestCheckHoldersNamesTheItem: a refreshed GIS passes CheckHolders
+// against the GIS its snapshot loads as, which derives its index from its
+// lists; with one row of the maintained index short of a list, as a
+// Refresh that lost an edit would leave it, the check fails naming the
+// item whose row drifted.
+func TestCheckHoldersNamesTheItem(t *testing.T) {
+	m := tiedMatrix(rand.New(rand.NewSource(3)), 40, 50, 0.35)
+	opts := GISOptions{Metric: PCC, TopN: 8, MinCoRatings: 2}
+	m2 := applyUpdates(m, [][3]int{{1, 4, 5}, {2, 9, 1}})
+	live := BuildGIS(m, opts).Refresh(m2, []int{4, 9}, 5)
+	loaded, err := FromSnapshot(live.Snapshot(), m2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := live.CheckHolders(loaded); err != nil {
+		t.Fatalf("a refreshed GIS against its own reload: %v", err)
+	}
+	const item = 17
+	row := live.holders[item]
+	if len(row) < 2 {
+		t.Fatalf("item %d is held by %d lists: fixture too sparse", item, len(row))
+	}
+	live.holders[item] = slices.Delete(slices.Clone(row), 1, 2)
+	err = live.CheckHolders(loaded)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("item %d ", item)) {
+		t.Fatalf("a corrupted holder row of item %d: error %v", item, err)
+	}
 }
 
 // TestRefreshTieAtTheCut hand-builds the one shape the generated
@@ -264,14 +347,15 @@ func TestRefreshTieAtTheCut(t *testing.T) {
 	const c, twin = 3, 3 + 15
 	full := BuildGIS(m, GISOptions{Metric: PCC, MinCoRatings: 2})
 	opts := GISOptions{Metric: PCC, TopN: 1, MinCoRatings: 2}
-	g := &GIS{neighbors: make([][]mathx.Scored, m.NumItems()), opts: opts}
-	for i := range g.neighbors {
+	lists := make([][]mathx.Scored, m.NumItems())
+	for i := range lists {
 		for _, n := range full.Neighbors(i) {
 			if n.Index == twin {
-				g.neighbors[i] = []mathx.Scored{n}
+				lists[i] = []mathx.Scored{n}
 			}
 		}
 	}
+	g := testGIS(lists, nil, opts)
 	col := m.ItemRatings(c)
 	same := [3]int{int(col[0].Index), c, int(col[0].Value)} // re-rate, same value: c keeps every score
 	m2 := applyUpdates(m, [][3]int{same})

@@ -3,6 +3,7 @@ package similarity
 import (
 	"math"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"cfsf/internal/mathx"
@@ -35,11 +36,19 @@ import (
 // all of them, and its first need entries are bit for bit those of a
 // BuildGIS on m with g's options. TopN is the buffer that keeps
 // step 4 rare; it does not decide exactness.
+//
+// Steps 2 and 3 read only the lists the holder index names for a changed
+// item and the lists that gain one; every other list is shared with g,
+// array, horizon and holder entries alike. The index is edited from what
+// the steps do (editHolders): a stripped item, a kept insertion and the
+// tail a cut turns away, and an id diff of the lists steps 1 and 4 select
+// again.
 func (g *GIS) Refresh(m *ratings.Matrix, changedItems []int, need int) *GIS {
 	opts := g.opts
-	// changed and symmetric are dense, index-by-item structures rather
-	// than maps: steps 2+3 below probe them once per stored neighbour
-	// entry, and at that volume map overhead dominates the whole refresh.
+	// changed, held and symmetric are dense, index-by-item structures
+	// rather than maps: steps 2+3 below probe changed once per entry of
+	// every list they read, and at that volume map overhead dominates the
+	// whole refresh.
 	q := m.NumItems()
 	changed := make([]bool, q)
 	for _, i := range changedItems {
@@ -51,6 +60,7 @@ func (g *GIS) Refresh(m *ratings.Matrix, changedItems []int, need int) *GIS {
 		need = min(need, opts.TopN)
 	}
 	out := &GIS{neighbors: make([][]mathx.Scored, q), tau: make([]mathx.Scored, q), opts: opts}
+	var edits holderEdits
 
 	// Step 1: full candidate lists (untruncated) for changed items, so
 	// symmetric insertion in step 3 is not limited by TopN. Only the
@@ -67,61 +77,92 @@ func (g *GIS) Refresh(m *ratings.Matrix, changedItems []int, need int) *GIS {
 	lists := make([][]mathx.Scored, len(changedIdx))
 	parallel.ForChunked(len(changedIdx), opts.Workers, func(lo, hi int) {
 		scratch := newCandidateScratch(q)
+		var ed []uint64
+		seen := make([]int32, q)
 		for k := lo; k < hi; k++ {
 			i := int(changedIdx[k])
 			lists[k] = candidateList(m, i, opts, scratch, nil)
 			out.neighbors[i], out.tau[i] = selectList(lists[k], opts.TopN)
+			ed = diffHolders(ed, seen, int32(i), g.list(i), out.neighbors[i])
 		}
+		edits.add(ed)
 	})
 
 	// Step 3 preparation: symmetric entries grouped by unchanged item,
 	// only those that precede the list's horizon — the others are
-	// candidates the list does not hold, as before.
-	symmetric := make([][]mathx.Scored, q)
-	for k, i := range changedIdx {
-		for _, n := range lists[k] {
-			if changed[n.Index] {
-				continue // changed↔changed pairs are already in both lists
+	// candidates the list does not hold, as before. A counting pass sizes
+	// one slab, and each item's entries are a capped slice of it.
+	inserts := func(visit func(n int32, e mathx.Scored)) {
+		for k, i := range changedIdx {
+			for _, n := range lists[k] {
+				if changed[n.Index] {
+					continue // changed↔changed pairs are already in both lists
+				}
+				if e := (mathx.Scored{Index: i, Score: n.Score}); mathx.Precedes(e, g.Horizon(int(n.Index))) {
+					visit(n.Index, e)
+				}
 			}
-			if e := (mathx.Scored{Index: i, Score: n.Score}); mathx.Precedes(e, g.Horizon(int(n.Index))) {
-				symmetric[n.Index] = append(symmetric[n.Index], e)
+		}
+	}
+	off := make([]int, q+1)
+	inserts(func(n int32, _ mathx.Scored) { off[n+1]++ })
+	for k := 0; k < q; k++ {
+		off[k+1] += off[k]
+	}
+	slab := make([]mathx.Scored, off[q])
+	symmetric := make([][]mathx.Scored, q)
+	for k := range symmetric {
+		symmetric[k] = slab[off[k]:off[k]:off[k+1]]
+	}
+	inserts(func(n int32, e mathx.Scored) { symmetric[n] = append(symmetric[n], e) })
+	// held[i] is how many changed items list i holds: the lists steps 2+3
+	// read are those holding one and those with a symmetric entry.
+	held := make([]int32, q)
+	for _, c := range changedIdx {
+		if int(c) < len(g.holders) {
+			for _, i := range g.holders[c] {
+				held[i]++
 			}
 		}
 	}
 
-	// Steps 2–4: edit the unchanged lists (parallel over items). One scan
-	// of a list records where the changed items sit in it; a list holding
-	// none and gaining none shares its old backing array outright. Any
-	// other list gets one allocation sized for the merge: the survivors
-	// are block-copied around the recorded slots (which preserves sort
-	// order), and the symmetric insertions — few, and sorted here — are
-	// merged in from the back, moving only the survivors that rank below
-	// an insertion. The result is identical to a full sort because
-	// survivors and insertions are both ordered by the same strict total
-	// order (score desc, index asc) and hold disjoint item ids, so their
-	// merge has exactly one outcome.
+	// Steps 2–4: edit the unchanged lists (parallel over items). A scan of
+	// a list holding changed items records where they sit in it, and stops
+	// at the last; a list holding none and gaining none is not read and
+	// shares its old backing array outright. Any other list gets one
+	// allocation sized for the merge: the survivors are block-copied
+	// around the recorded slots (which preserves sort order), and the
+	// symmetric insertions — few, and sorted here — are merged in from the
+	// back, moving only the survivors that rank below an insertion. The
+	// result is identical to a full sort because survivors and insertions
+	// are both ordered by the same strict total order (score desc, index
+	// asc) and hold disjoint item ids, so their merge has exactly one
+	// outcome.
 	var reselected atomic.Int64
 	parallel.ForChunked(q, opts.Workers, func(lo, hi int) {
 		var hits []int // positions of changed items in the current list
 		var scratch *candidateScratch
 		var cand []mathx.Scored
+		var ed []uint64
+		var seen []int32
 		for i := lo; i < hi; i++ {
 			if changed[i] {
 				continue
 			}
-			var old []mathx.Scored
-			if i < len(g.neighbors) {
-				old = g.neighbors[i]
-			}
-			tau := g.Horizon(i)
+			old, tau := g.list(i), g.Horizon(i)
+			ins := symmetric[i]
+			list, tail := old, []mathx.Scored(nil)
 			hits = hits[:0]
-			for j, n := range old {
-				if changed[n.Index] {
-					hits = append(hits, j)
+			if n := int(held[i]); n > 0 {
+				for j, e := range old {
+					if changed[e.Index] {
+						if hits = append(hits, j); len(hits) == n {
+							break
+						}
+					}
 				}
 			}
 			flen := len(old) - len(hits)
-			ins := symmetric[i]
 			if len(ins) > 0 && opts.TopN > 0 && flen >= opts.TopN {
 				// The list is full: an insertion sorting at or below the
 				// last surviving entry cannot make the top-N cut (at
@@ -146,7 +187,6 @@ func (g *GIS) Refresh(m *ratings.Matrix, changedItems []int, need int) *GIS {
 				}
 				ins = kept
 			}
-			list := old
 			if len(hits) > 0 || len(ins) > 0 {
 				list = make([]mathx.Scored, flen+len(ins))
 				w, from := 0, 0
@@ -169,6 +209,7 @@ func (g *GIS) Refresh(m *ratings.Matrix, changedItems []int, need int) *GIS {
 					// What the cut turns away ranks before every insertion
 					// turned away above: those sorted after a full list's
 					// last entry.
+					tail = list[opts.TopN:]
 					list, tau = list[:opts.TopN], list[opts.TopN]
 				}
 			}
@@ -176,17 +217,146 @@ func (g *GIS) Refresh(m *ratings.Matrix, changedItems []int, need int) *GIS {
 				// Step 4: candidates the list never held may now belong
 				// in its served prefix.
 				if scratch == nil {
-					scratch = newCandidateScratch(q)
+					scratch, seen = newCandidateScratch(q), make([]int32, q)
 				}
 				cand = candidateList(m, i, opts, scratch, cand[:0])
 				list, tau = selectList(cand, opts.TopN)
 				reselected.Add(1)
+				ed = diffHolders(ed, seen, int32(i), old, list)
+			} else if len(hits) > 0 || len(ins) > 0 {
+				ed = editHolders(ed, int32(i), old, hits, ins, tail, changed)
 			}
 			out.neighbors[i], out.tau[i] = list, tau
 		}
+		edits.add(ed)
 	})
+	out.holders = edits.apply(g.holders, q)
 	out.reselected = int(reselected.Load())
 	return out
+}
+
+// list returns item i's list, nil for an item past g's.
+func (g *GIS) list(i int) []mathx.Scored {
+	if i < len(g.neighbors) {
+		return g.neighbors[i]
+	}
+	return nil
+}
+
+// holderEdits gathers the holder edits of a Refresh from its workers, a
+// slice per worker chunk. An edit is one uint64, holderEdit's packing, so
+// sorting the edits groups them by item, then by list.
+type holderEdits struct {
+	mu    sync.Mutex
+	parts [][]uint64
+}
+
+// holderEdit packs "list i gains (gain) or loses item k".
+func holderEdit(k, i int32, gain bool) uint64 {
+	e := uint64(k)<<32 | uint64(i)<<1
+	if gain {
+		e |= 1
+	}
+	return e
+}
+
+func (h *holderEdits) add(ed []uint64) {
+	if len(ed) == 0 {
+		return
+	}
+	h.mu.Lock()
+	h.parts = append(h.parts, ed)
+	h.mu.Unlock()
+}
+
+// apply returns the holder index of q items that the edits turn old into.
+// A list edits an item only when it gains or loses it, so a row with no
+// edit is old's own array and a row with one a fresh array, and old stays
+// valid for the GIS that owns it.
+func (h *holderEdits) apply(old [][]int32, q int) [][]int32 {
+	holders := make([][]int32, q)
+	copy(holders, old)
+	all := slices.Concat(h.parts...)
+	slices.Sort(all)
+	for a := 0; a < len(all); {
+		k := all[a] >> 32
+		b := a + 1
+		for b < len(all) && all[b]>>32 == k {
+			b++
+		}
+		row, ed := holders[k], all[a:b]
+		next := make([]int32, 0, len(row)+len(ed))
+		r := 0
+		for _, e := range ed {
+			i := int32(uint32(e) >> 1)
+			j, held := slices.BinarySearch(row[r:], i)
+			next = append(next, row[r:r+j]...)
+			r += j
+			if e&1 == 1 {
+				next = append(next, i)
+			} else if held {
+				r++
+			}
+		}
+		holders[k] = append(next, row[r:]...)
+		a = b
+	}
+	return holders
+}
+
+// editHolders appends list i's holder edits for a strip-and-merge edit of
+// old (steps 2 and 3). The list keeps the insertions (ins, sorted) the cut
+// did not turn away; those it turned away are the tail's changed entries,
+// the last of ins. It loses each unchanged entry in the tail and each
+// changed item it held (hits are their positions in old) and did not
+// keep, and gains each kept insertion it did not hold. A changed item
+// stripped and kept again, the common case, is no edit.
+func editHolders(ed []uint64, i int32, old []mathx.Scored, hits []int, ins, tail []mathx.Scored, changed []bool) []uint64 {
+	cut := 0
+	for _, e := range tail {
+		if changed[e.Index] {
+			cut++
+		} else {
+			ed = append(ed, holderEdit(e.Index, i, false))
+		}
+	}
+	kept := ins[:len(ins)-cut]
+	for _, at := range hits {
+		c := old[at].Index
+		if !slices.ContainsFunc(kept, func(e mathx.Scored) bool { return e.Index == c }) {
+			ed = append(ed, holderEdit(c, i, false))
+		}
+	}
+	for _, e := range kept {
+		if !slices.ContainsFunc(hits, func(at int) bool { return old[at].Index == e.Index }) {
+			ed = append(ed, holderEdit(e.Index, i, true))
+		}
+	}
+	return ed
+}
+
+// diffHolders appends list i's holder edits for a list selected again,
+// old → now: a loss for every item old holds and now does not, a gain for
+// every item now holds and old did not. seen has a cell per item and is
+// stamped with values unique to i, so it is never cleared between lists.
+func diffHolders(ed []uint64, seen []int32, i int32, old, now []mathx.Scored) []uint64 {
+	inNow, inBoth := 2*i+1, 2*i+2
+	for _, e := range now {
+		seen[e.Index] = inNow
+	}
+	for _, e := range old {
+		if seen[e.Index] == inNow {
+			seen[e.Index] = inBoth
+		} else {
+			ed = append(ed, holderEdit(e.Index, i, false))
+		}
+	}
+	for _, e := range now {
+		if seen[e.Index] == inNow {
+			ed = append(ed, holderEdit(e.Index, i, true))
+		}
+	}
+	return ed
 }
 
 // selectList is a list selected from all of its item's candidates cand,

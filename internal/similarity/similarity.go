@@ -8,6 +8,7 @@ package similarity
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"slices"
 
@@ -165,9 +166,16 @@ func DefaultGISOptions() GISOptions {
 // which every candidate precedes (weights are positive), marks a list
 // holding all of them. So a list is a prefix of its item's candidates in
 // canonical order, whatever TopN cut it to.
+//
+// Every GIS also keeps the inverse of its lists: holders[k] are the ids
+// of the lists that hold item k, ascending. Refresh reads it to find the
+// lists a changed item sits in without reading every list. It is never
+// persisted: every constructor derives it from the lists (deriveHolders)
+// and Refresh edits it, copy-on-write, from the edits it makes.
 type GIS struct {
 	neighbors [][]mathx.Scored
 	tau       []mathx.Scored
+	holders   [][]int32
 	opts      GISOptions
 	// reselected counts the lists the Refresh that made this GIS selected
 	// again from their candidates; 0 for a GIS from any other constructor.
@@ -352,7 +360,55 @@ func buildGIS(m *ratings.Matrix, opts GISOptions, tau []mathx.Scored) *GIS {
 			g.neighbors[i] = dst
 		}
 	})
+	g.holders = deriveHolders(g.neighbors)
 	return g
+}
+
+// deriveHolders returns the inverse of neighbors: row k holds the ids of
+// the lists that hold item k, ascending. The rows are carved from one slab
+// sized by a counting pass, each capped at its own length.
+func deriveHolders(neighbors [][]mathx.Scored) [][]int32 {
+	q := len(neighbors)
+	off := make([]int, q+1)
+	for _, l := range neighbors {
+		for _, e := range l {
+			off[e.Index+1]++
+		}
+	}
+	for k := 0; k < q; k++ {
+		off[k+1] += off[k]
+	}
+	slab := make([]int32, off[q])
+	holders := make([][]int32, q)
+	for k := range holders {
+		holders[k] = slab[off[k]:off[k]:off[k+1]]
+	}
+	for i, l := range neighbors {
+		for _, e := range l {
+			holders[e.Index] = append(holders[e.Index], int32(i))
+		}
+	}
+	return holders
+}
+
+// CheckHolders holds g's holder rows (GIS) against ref's, row by row, and
+// names the first item whose row differs. Two GIS with the same lists
+// must pass: the rows are a function of the lists.
+func (g *GIS) CheckHolders(ref *GIS) error {
+	if len(g.holders) != len(ref.holders) {
+		return fmt.Errorf("similarity: holder index covers %d items, want %d", len(g.holders), len(ref.holders))
+	}
+	for k, row := range g.holders {
+		want := ref.holders[k]
+		if !slices.Equal(row, want) {
+			at := 0
+			for at < min(len(row), len(want)) && row[at] == want[at] {
+				at++
+			}
+			return fmt.Errorf("similarity: holder row of item %d differs at entry %d: %d lists, want %d", k, at, len(row), len(want))
+		}
+	}
+	return nil
 }
 
 // centredRows returns m's ratings row by row, each minus its item's mean

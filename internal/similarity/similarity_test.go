@@ -274,6 +274,16 @@ func TestGISCosineMetric(t *testing.T) {
 	}
 }
 
+// TestDefaultTopNIsTheMeasuredBuffer pins the default TopN buffer to the
+// value DESIGN §7's sweep ("TopN is a buffer": BenchmarkApplyLedger at
+// TopN 100, 110, 120, 130 and 200, then BenchmarkApplyLedgerInterleaved
+// at 100, 110, 120 and 200) chose. Moving it re-opens that sweep.
+func TestDefaultTopNIsTheMeasuredBuffer(t *testing.T) {
+	if got := DefaultGISOptions().TopN; got != 110 {
+		t.Fatalf("DefaultGISOptions().TopN = %d, the measured buffer is 110 (DESIGN §7)", got)
+	}
+}
+
 func TestMetricString(t *testing.T) {
 	if PCC.String() != "pcc" || Cosine.String() != "cosine" || Metric(99).String() != "unknown" {
 		t.Error("Metric.String() mismatch")
