@@ -158,9 +158,9 @@ func main() {
 			return nil, err
 		}
 		st, round := model.Stats(), func(d time.Duration) time.Duration { return d.Round(100 * time.Microsecond) }
-		log.Printf("dataset %s in %v (%d users × %d items); offline phase complete in %v: GIS %v (%d entries), K-means %v, smoothing %v, mirror %v (%s)",
+		log.Printf("dataset %s in %v (%d users × %d items); offline phase complete in %v: GIS %v (%d entries), K-means %v, smoothing %v (%s)",
 			source, round(loaded), m.NumUsers(), m.NumItems(), round(time.Since(t)),
-			round(st.GISDuration), st.GISNeighbors, round(st.ClusterDuration), round(st.SmoothDuration), round(st.MirrorDuration),
+			round(st.GISDuration), st.GISNeighbors, round(st.ClusterDuration), round(st.SmoothDuration),
 			model.Clusters().Summary())
 		return model, nil
 	}

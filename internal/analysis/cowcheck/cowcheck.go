@@ -1,5 +1,5 @@
 // Package cowcheck enforces the //cfsf:cow contract on copy-on-write
-// mirror fields (Model.topM, Model.recCache, recEntry.ranked):
+// fields (Model.neighborCache, Model.recCache, recEntry.ranked):
 // the field may be written only before its owner is published —
 // published meaning stored through a sync/atomic typed Store/Swap or
 // assigned into a longer-lived structure (the under-lock swap). After

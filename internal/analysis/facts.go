@@ -10,7 +10,7 @@ package analysis
 // sealed and available.
 //
 // Facts are keyed by object path — a stable, position-independent name
-// for a package-level object ("Train", "Model.topM", "WAL.Append") —
+// for a package-level object ("Train", "Model.recCache", "WAL.Append") —
 // and serialized through gob when the package's analysis completes,
 // mirroring how compiler export data travels beside the source (the
 // `go list -export` load path in load.go). The round trip is not

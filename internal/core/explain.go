@@ -53,16 +53,16 @@ func (mod *Model) Explain(user, item, topEvidence int) Explanation {
 	// The read kernels' column index and cell rule (predict.go), in two
 	// passes: the active row scattered into the item's top-M columns, then
 	// each like-minded row into the item's own column.
-	sorted := mod.topM[item] // id-sorted mirror of the top-M neighbourhood
+	top := mod.topItems(item)
 	q := mod.m.NumItems()
 	x := colIndexPool.Get().(*colIndex)
-	x.ready(q, len(sorted)+1)
+	x.ready(q, len(top)+1)
 
-	x.index(sorted)
+	x.index(top)
 	x.scatter(mod.m.UserRatings(user))
 	c := mod.cellsOf(user)
 	var itemDen float64
-	for k, it := range sorted {
+	for k, it := range top {
 		obs := x.take(k)
 		r, w11, ok := c.at(obs, it.Index)
 		if !ok {
@@ -78,7 +78,7 @@ func (mod *Model) Explain(user, item, topEvidence int) Explanation {
 			Weight:     w,
 		})
 	}
-	x.unindex(sorted)
+	x.unindex(top)
 	if itemDen > 0 {
 		for i := range ex.ItemEvidence {
 			ex.ItemEvidence[i].Weight /= itemDen

@@ -11,20 +11,25 @@ import (
 	"testing"
 
 	"cfsf/internal/mathx"
+	"cfsf/internal/parallel"
 	"cfsf/internal/ratings"
 	"cfsf/internal/similarity"
 	"cfsf/internal/synth"
 )
 
 // Two hashes of the ledger model after 6 000 single-rating Applies from
-// ledgerStream, computed at ac5d191, whose lists ran to TopN 200 and never
-// selected again (on that stream their top-M prefixes happened to be
-// exact): the sha256 of the little-endian bits of Predict(u, i) for every
-// 7th user and every item, user-major, and of Recommend(u, 10) for every
-// user, each entry's item as a uint32 and score bits as a uint64.
+// ledgerStream: the sha256 of the little-endian bits of Predict(u, i) for
+// every 7th user and every item, user-major, evaluated in id order, as
+// computed at ac5d191, whose lists ran to TopN 200 and never selected
+// again (on that stream their top-M prefixes happened to be exact); and
+// of Recommend(u, 10) for every user, each entry's item as a uint32 and
+// score bits as a uint64. ac5d191's recommendations, summed in id order,
+// hashed to e19fb7d894a29658b3af1e207b3909fe2a65033e49adae08d2da7f079985ad78;
+// summed in GIS score order the same 500 lists hold the same items, each
+// score within 2.7e-15.
 const (
 	appliedLedgerGrid = "d64eca57de01ce55496188abd0f01e0563f483e2e37a02e0c73080874c090649"
-	appliedLedgerRecs = "e19fb7d894a29658b3af1e207b3909fe2a65033e49adae08d2da7f079985ad78"
+	appliedLedgerRecs = "7bb307d880c9257ab19265e7baf16ac5153f7f2f5eed31327922c78a8ed76642"
 )
 
 // driftStream streams, one rating at a time in a seeded order, the
@@ -110,7 +115,8 @@ func requireFreshGIS(t *testing.T, g *similarity.GIS, m *ratings.Matrix, M int, 
 				t.Fatalf("%s: item %d entry %d = %v, the candidates rank %v there", ctx, j, k, e, cand[k])
 			}
 		}
-		a, b := g.TopNByID(j, M), fresh.TopNByID(j, M)
+		a, b := g.Neighbors(j), fresh.Neighbors(j)
+		a, b = a[:min(len(a), M)], b[:min(len(b), M)]
 		if len(a) != len(b) {
 			t.Fatalf("%s: item %d serves %d entries, a fresh build %d", ctx, j, len(a), len(b))
 		}
@@ -123,21 +129,43 @@ func requireFreshGIS(t *testing.T, g *similarity.GIS, m *ratings.Matrix, M int, 
 }
 
 // predictGridHash is the sha256 of the little-endian bits of Predict(u, i)
-// for every 7th user and every item, user-major, as ledgerGrid and
-// appliedLedgerGrid are pinned.
+// for every 7th user and every item, user-major, each evaluated in id
+// order (idOrderGrid), as ledgerGrid and appliedLedgerGrid are pinned.
 func predictGridHash(mod *Model) string {
-	m := mod.Matrix()
-	var pairs []Pair
-	for u := 0; u < m.NumUsers(); u += 7 {
-		for i := 0; i < m.NumItems(); i++ {
-			pairs = append(pairs, Pair{User: u, Item: i})
-		}
-	}
 	h := sha256.New()
-	for _, v := range mod.PredictBatch(pairs) {
+	for _, v := range idOrderGrid(mod, 7) {
 		h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// idOrderGrid evaluates Predict(u, i) for every stride-th user and every
+// item, user-major, with each item's top-M prefix handed to the read
+// kernel sorted by item id: the order in which the builds that pinned
+// ledgerGrid, appliedLedgerGrid, tau0Grid and cutGrid summed Eq. 12. The
+// cells and their arithmetic are Predict's; only the order of the sums
+// differs.
+func idOrderGrid(mod *Model, stride int) []float64 {
+	m := mod.Matrix()
+	tops := make([][]mathx.Scored, m.NumItems())
+	for i := range tops {
+		tops[i] = byID(mod.topItems(i))
+	}
+	var pairs []Pair
+	for u := 0; u < m.NumUsers(); u += stride {
+		for i := range tops {
+			pairs = append(pairs, Pair{User: u, Item: i})
+		}
+	}
+	out := make([]float64, len(pairs))
+	parallel.ForChunked(len(pairs), mod.cfg.Workers, func(lo, hi int) {
+		x := new(colIndex)
+		for k := lo; k < hi; k++ {
+			u, i := pairs[k].User, pairs[k].Item
+			out[k] = mod.predictWith(x, u, i, tops[i]).Value
+		}
+	})
+	return out
 }
 
 // recommendHash is the sha256 of Recommend(u, 10) for every user, each
@@ -165,9 +193,9 @@ func recommendHash(mod *Model) string {
 // Here the Applies at TopN = M must select lists again, which is what
 // those lists lacked. On every chain the GIS a Save → Load selects under
 // the stored horizons is the live one, bit for bit, horizons included; on
-// the ledger stream at the default buffer the model also predicts and
-// recommends, live and loaded, what ac5d191 served at TopN 200
-// (appliedLedgerGrid, appliedLedgerRecs). Under the race detector each
+// the ledger stream at the default buffer the model also predicts, live
+// and loaded, what ac5d191 served at TopN 200 (appliedLedgerGrid, in id
+// order), and recommends appliedLedgerRecs. Under the race detector each
 // chain is 600 Applies long and the hashes are not held.
 func TestAppliedGISIsAFreshBuild(t *testing.T) {
 	applies := 6000
@@ -218,7 +246,7 @@ func TestAppliedGISIsAFreshBuild(t *testing.T) {
 				}
 				for name, got := range map[string]*Model{"live": mod, "Save → Load": loaded} {
 					if grid, recs := predictGridHash(got), recommendHash(got); grid != appliedLedgerGrid || recs != appliedLedgerRecs {
-						t.Errorf("%s: grid %s, recommendations %s; ac5d191 served %s, %s", name, grid, recs, appliedLedgerGrid, appliedLedgerRecs)
+						t.Errorf("%s: grid %s, recommendations %s; want %s, %s", name, grid, recs, appliedLedgerGrid, appliedLedgerRecs)
 					}
 				}
 			})

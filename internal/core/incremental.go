@@ -98,9 +98,6 @@ func (mod *Model) Apply(updates []RatingUpdate) (*Model, error) {
 
 	out.neighborCache = make([]atomic.Pointer[[]likeMinded], m.NumUsers())
 	out.initRecCache()
-	t = time.Now()
-	out.buildTopM(mod)
-	out.stats.MirrorDuration = time.Since(t)
 	out.stats.Incremental = true
 	out.stats.UpdatesApplied = len(updates)
 	out.stats.TotalDuration = time.Since(start)

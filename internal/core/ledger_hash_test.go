@@ -27,7 +27,8 @@ const (
 // TestLedgerModelMatchesTheTwoEndedBuild: the one-pass GIS build, which
 // selects by the canonical order and cuts at the TopN buffer, leaves the
 // ledger model's served GIS prefixes and predictions bit for bit where
-// they were.
+// they were — the predictions summed in id order, as that build summed
+// them; served in score order they are within 1e-12 of those.
 func TestLedgerModelMatchesTheTwoEndedBuild(t *testing.T) {
 	mod, err := Train(ledgerTrain(t), DefaultConfig())
 	if err != nil {
@@ -50,7 +51,35 @@ func TestLedgerModelMatchesTheTwoEndedBuild(t *testing.T) {
 	if got := predictGridHash(mod); got != ledgerGrid {
 		t.Errorf("prediction grid hashes to %s, want %s", got, ledgerGrid)
 	}
+	requireNearIDOrder(t, mod, 7)
 	if got, want := mod.Stats().GISNeighbors, 1000*DefaultConfig().GIS.TopN; got != want {
 		t.Errorf("the GIS holds %d entries, want %d: every list cut at TopN", got, want)
 	}
+}
+
+// requireNearIDOrder fails unless Predict(u, i), which sums Eq. 12 over
+// the item's top-M prefix in score order, is within 1e-12 of its id-order
+// evaluation (idOrderGrid) for every stride-th user and every item. The
+// two sum the same cells, so they differ only by rounding.
+func requireNearIDOrder(t *testing.T, mod *Model, stride int) {
+	t.Helper()
+	byID := idOrderGrid(mod, stride)
+	q := mod.Matrix().NumItems()
+	pairs := make([]Pair, len(byID))
+	for k := range pairs {
+		pairs[k] = Pair{User: k / q * stride, Item: k % q}
+	}
+	var moved int
+	var worst float64
+	for k, got := range mod.PredictBatch(pairs) {
+		d := math.Abs(got - byID[k])
+		if d > 1e-12 {
+			t.Fatalf("Predict(%d, %d) = %v, %v in id order", pairs[k].User, pairs[k].Item, got, byID[k])
+		}
+		if d > 0 {
+			moved++
+		}
+		worst = max(worst, d)
+	}
+	t.Logf("%d of %d cells differ from their id-order evaluation, by at most %.3g", moved, len(byID), worst)
 }

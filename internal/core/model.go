@@ -16,7 +16,6 @@ import (
 
 	"cfsf/internal/cluster"
 	"cfsf/internal/mathx"
-	"cfsf/internal/parallel"
 	"cfsf/internal/ratings"
 	"cfsf/internal/similarity"
 	"cfsf/internal/smoothing"
@@ -140,12 +139,10 @@ type TrainStats struct {
 	GISDuration     time.Duration
 	ClusterDuration time.Duration
 	SmoothDuration  time.Duration
-	// MirrorDuration is the id-sorted top-M mirror build (buildTopM).
-	// With the three above it accounts for TotalDuration up to the matrix
-	// update and bookkeeping between the phases.
-	MirrorDuration time.Duration
-	TotalDuration  time.Duration
-	GISNeighbors   int // stored (item, neighbour) pairs
+	// TotalDuration is the whole phase: the three above plus the matrix
+	// update and bookkeeping between them.
+	TotalDuration time.Duration
+	GISNeighbors  int // stored (item, neighbour) pairs
 	// GISReselected counts the GIS lists that the Applies since the last
 	// Train or load selected again from all their candidates, because an
 	// Apply left fewer than M entries above a list's horizon
@@ -166,8 +163,8 @@ type TrainStats struct {
 // Train, Load, WithUpdates, and the shard paths each build a fresh value
 // and hand it over complete, which is what lets readers use it without
 // locks. The //cfsf:immutable contracts below are enforced by lockcheck;
-// the //cfsf:cow mirrors (whose builders write them inside parallel.For
-// closures, before publication) by cowcheck.
+// the //cfsf:cow slot arrays, allocated by every constructor before
+// publication and filled through their atomic elements, by cowcheck.
 type Model struct {
 	cfg      Config              //cfsf:immutable
 	m        *ratings.Matrix     //cfsf:immutable
@@ -187,22 +184,6 @@ type Model struct {
 	// atomic pointers filled on the read path. nil when the cache is
 	// disabled.
 	recCache []atomic.Pointer[recEntry] //cfsf:cow slice header swapped whole at publication; elements are atomic slots
-
-	// topM[i] is the id-sorted mirror of item i's top-M GIS prefix: the
-	// same entries topItems(i) returns, re-sorted by ascending item id so
-	// the online phase indexes them, and sums over them in id order,
-	// without a per-request copy+sort. Invariant: regenerated whenever the
-	// score-sorted list (and hence its truncation) changes — buildTopM
-	// re-derives every mirror row and only shares a previous model's row
-	// when the underlying GIS prefix is provably identical.
-	topM [][]mathx.Scored //cfsf:cow rows shared across generations; never written after the model pointer is published
-
-	// topM2[i][k] is topM[i][k].Score², precomputed so the Eq. 13 pair
-	// weight in localSums feeds its sqrt without re-squaring the item
-	// similarity K times per request. Built and shared in lockstep with
-	// topM (same float64 multiply, so values are bit-identical to
-	// squaring at request time).
-	topM2 [][]float64 //cfsf:cow built and shared in lockstep with topM
 }
 
 // likeMinded is one selected neighbour of an active user.
@@ -257,9 +238,6 @@ func Train(m *ratings.Matrix, cfg Config) (*Model, error) {
 
 	mod.neighborCache = make([]atomic.Pointer[[]likeMinded], m.NumUsers())
 	mod.initRecCache()
-	t = time.Now()
-	mod.buildTopM(nil)
-	mod.stats.MirrorDuration = time.Since(t)
 	mod.stats.TotalDuration = time.Since(start)
 	return mod, nil
 }
@@ -271,122 +249,6 @@ func trainGIS(cfg Config, m *ratings.Matrix, opts similarity.GISOptions) *simila
 		return similarity.BuildGISWithContent(m, cfg.ItemFeatures, cfg.ContentBlend, opts)
 	}
 	return similarity.BuildGIS(m, opts)
-}
-
-// buildTopM materialises the id-sorted top-M mirror of every item's GIS
-// neighbourhood. With a previous generation at hand it edits instead of
-// rebuilding: a row whose top-M prefix holds the same entries as prev's
-// is shared (same array — the mirror-model of the copy-on-write sharing
-// in the GIS itself), and a row whose prefix differs in a few entries is
-// patched from prev's row in O(M). Everything else — no prev, a new item, a
-// different M, a delta wider than maxMirrorPatch — is built from the
-// score-sorted list, the way Train builds every row.
-//
-//cfsf:init-only called by Train, Load, WithUpdates and the shard paths on a model that has not been published yet
-func (mod *Model) buildTopM(prev *Model) {
-	q := mod.gis.NumItems()
-	mod.topM = make([][]mathx.Scored, q)
-	mod.topM2 = make([][]float64, q)
-	if prev != nil && prev.cfg.M != mod.cfg.M {
-		prev = nil
-	}
-	parallel.For(q, mod.cfg.Workers, func(i int) {
-		var row []mathx.Scored
-		if prev != nil && i < prev.gis.NumItems() {
-			var left, entered [maxMirrorPatch]mathx.Scored
-			nl, ne, ok := prefixDelta(prev.topItems(i), mod.topItems(i), &left, &entered)
-			switch {
-			case !ok: // too wide a delta: rebuild below
-			case nl+ne == 0:
-				mod.topM[i] = prev.topM[i]
-				mod.topM2[i] = prev.topM2[i]
-				return
-			default:
-				row = patchByID(prev.topM[i], left[:nl], entered[:ne])
-			}
-		}
-		if row == nil {
-			row = mod.gis.TopNByID(i, mod.cfg.M)
-		}
-		sq := make([]float64, len(row))
-		for k, e := range row {
-			sq[k] = e.Score * e.Score
-		}
-		mod.topM[i] = row
-		mod.topM2[i] = sq
-	})
-}
-
-// maxMirrorPatch bounds how many entries may leave, and how many may
-// enter, a top-M prefix for its mirror row to be patched rather than
-// rebuilt. It sizes two stack arrays; a batch rarely moves more than its
-// own changed items through any one prefix.
-const maxMirrorPatch = 16
-
-// sameScored reports whether two Scored slices are the same array region
-// (immutable data ⇒ aliased slices are bit-identical).
-func sameScored(a, b []mathx.Scored) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
-}
-
-// prefixDelta walks two score-sorted prefixes once and records the
-// entries only a holds (left) and only b holds (entered). Both are
-// sorted by the same strict total order, so this is a sorted-set
-// difference: the head that precedes the other cannot occur later in
-// the other list. An entry whose score changed shows up in both. ok is
-// false when either side outgrows its array. Aliased prefixes — the GIS
-// refresh left the list untouched — are equal without being read.
-func prefixDelta(a, b []mathx.Scored, left, entered *[maxMirrorPatch]mathx.Scored) (nl, ne int, ok bool) {
-	if sameScored(a, b) {
-		return 0, 0, true
-	}
-	x, y := 0, 0
-	for x < len(a) || y < len(b) {
-		switch {
-		case x < len(a) && y < len(b) && a[x] == b[y]:
-			x++
-			y++
-		case y >= len(b) || (x < len(a) && mathx.Precedes(a[x], b[y])):
-			if nl == maxMirrorPatch {
-				return 0, 0, false
-			}
-			left[nl] = a[x]
-			nl++
-			x++
-		default:
-			if ne == maxMirrorPatch {
-				return 0, 0, false
-			}
-			entered[ne] = b[y]
-			ne++
-			y++
-		}
-	}
-	return nl, ne, true
-}
-
-// patchByID derives an id-sorted mirror row from the previous one: drop
-// the entries that left the prefix, merge in the ones that entered. Ids
-// are unique within a list and an id that both left and entered (its
-// score moved) is dropped before it is merged, so the output is the one
-// ascending-id arrangement of the new prefix — what TopNByID returns.
-// left and entered are re-sorted by id in place.
-func patchByID(old, left, entered []mathx.Scored) []mathx.Scored {
-	mathx.SortScoredByIndex(left)
-	mathx.SortScoredByIndex(entered)
-	row := make([]mathx.Scored, 0, len(old)-len(left)+len(entered))
-	for _, e := range old {
-		if len(left) > 0 && left[0].Index == e.Index {
-			left = left[1:]
-			continue
-		}
-		for len(entered) > 0 && entered[0].Index < e.Index {
-			row = append(row, entered[0])
-			entered = entered[1:]
-		}
-		row = append(row, e)
-	}
-	return append(row, entered...)
 }
 
 // Config returns the configuration the model was trained with.

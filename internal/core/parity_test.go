@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -14,15 +15,17 @@ import (
 )
 
 // Reference implementations of the online phase, kept deliberately on
-// the pre-optimisation mechanics: fresh allocations everywhere, per-call
-// copy+sort of the top-M neighbourhood, per-cell Fill via the explicit
-// fallback chain, sorted-row merges where production scatters rows into a
-// column index, full sort in Recommend. The optimised production path
-// (id-sorted mirror, fill memo, read kernels, pooled scratch, heap top-n)
-// must be bit-for-bit identical to these. The one intentional behaviour change
-// of the PR — capping the like-minded candidate set at
-// CandidateFactor×K even mid-cluster — is part of the specification
-// here too (refGather).
+// the pre-optimisation mechanics: fresh allocations everywhere, each
+// local-matrix cell looked up alone (a binary search of its owner's row,
+// then the explicit Eq. 7 fallback chain), sorted-row merges where
+// production scatters rows into a column index, full sort in Recommend.
+// Eq. 12 sums over the set of an item's M most similar items, so the
+// references sum over a top-M list in whatever order they are handed it.
+// Handed the GIS prefix in score order, the order production sums in, the
+// optimised path (fill memo, read kernels, pooled scratch, heap top-n)
+// must equal them bit for bit. The like-minded candidate cap — at
+// CandidateFactor×K even mid-cluster — is part of the specification here
+// too (refGather).
 
 // refFill is the original Eq. 7 fallback chain, bypassing the memo.
 func refFill(mod *Model, u, i int) float64 {
@@ -37,47 +40,34 @@ func refFill(mod *Model, u, i int) float64 {
 	return um
 }
 
-// refSortedTopM is the per-request copy+sort the mirror replaced.
-func refSortedTopM(mod *Model, item int) []mathx.Scored {
-	items := mod.topItems(item)
-	sorted := make([]mathx.Scored, len(items))
-	copy(sorted, items)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a].Index < sorted[b].Index })
-	return sorted
+// byID returns a copy of top sorted by ascending item id: the order every
+// build before the score-order kernels summed Eq. 12 in.
+func byID(top []mathx.Scored) []mathx.Scored {
+	out := slices.Clone(top)
+	mathx.SortScoredByIndex(out)
+	return out
 }
 
-func refForEachLocalRating(mod *Model, u int, sorted []mathx.Scored, fn func(k int, r float64, original bool, w11 float64)) {
-	row := mod.m.UserRatings(u)
-	j := 0
-	for k := range sorted {
-		idx := sorted[k].Index
-		for j < len(row) && row[j].Index < idx {
-			j++
-		}
-		if j < len(row) && row[j].Index == idx {
-			fn(k, row[j].Value, true, mod.cfg.OriginalWeight)
-			continue
-		}
-		if mod.cfg.DisableSmoothing {
-			continue
-		}
-		fn(k, refFill(mod, u, int(idx)), false, 1-mod.cfg.OriginalWeight)
-	}
-}
-
-func refSIR(mod *Model, user int, sorted []mathx.Scored) (float64, bool) {
+// refSIR is SIR′ (Eq. 12, first line) over top, in top's order.
+func refSIR(mod *Model, user int, top []mathx.Scored) (float64, bool) {
 	var num, den float64
-	refForEachLocalRating(mod, user, sorted, func(k int, r float64, orig bool, w11 float64) {
-		w := w11 * sorted[k].Score
+	for _, it := range top {
+		r, w11, ok := refRatingWithW(mod, user, int(it.Index))
+		if !ok {
+			continue
+		}
+		w := w11 * it.Score
 		num += w * r
 		den += w
-	})
+	}
 	if den <= 0 {
 		return 0, false
 	}
 	return num / den, true
 }
 
+// refRatingWithW is user u's local-matrix cell at item i: its value, its
+// Eq. 11 weight, and whether it is a cell.
 func refRatingWithW(mod *Model, u, i int) (val, w11 float64, ok bool) {
 	row := mod.m.UserRatings(u)
 	lo := sort.Search(len(row), func(x int) bool { return int(row[x].Index) >= i })
@@ -108,19 +98,24 @@ func refSUR(mod *Model, user, item int, users []likeMinded) (float64, bool) {
 	return mod.m.UserMean(user) + num/den, true
 }
 
-func refSUIR(mod *Model, sorted []mathx.Scored, users []likeMinded) (float64, bool) {
+// refSUIR is SUIR′ over top and users: neighbour-major, then in top's
+// order.
+func refSUIR(mod *Model, top []mathx.Scored, users []likeMinded) (float64, bool) {
 	var num, den float64
 	for _, lm := range users {
-		sim := lm.sim
-		refForEachLocalRating(mod, int(lm.user), sorted, func(k int, r float64, orig bool, w11 float64) {
-			ps := pairSim(sorted[k].Score, sim)
+		for _, it := range top {
+			r, w11, ok := refRatingWithW(mod, int(lm.user), int(it.Index))
+			if !ok {
+				continue
+			}
+			ps := pairSim(it.Score, lm.sim)
 			if ps <= 0 {
-				return
+				continue
 			}
 			w := w11 * ps
 			num += w * r
 			den += w
-		})
+		}
 	}
 	if den <= 0 {
 		return 0, false
@@ -224,19 +219,22 @@ func refSelectLikeMinded(mod *Model, user int) []likeMinded {
 	return out
 }
 
+// refPredictDetailed is the reference PredictDetailed: over the item's
+// top-M list in GIS score order and the reference selection.
 func refPredictDetailed(mod *Model, user, item int) Prediction {
-	var p Prediction
 	if user < 0 || user >= mod.m.NumUsers() || item < 0 || item >= mod.m.NumItems() {
-		p.Value = mod.fallback(user, item)
-		return p
+		return Prediction{Value: mod.fallback(user, item)}
 	}
-	sorted := refSortedTopM(mod, item)
-	users := refSelectLikeMinded(mod, user)
-	p.ItemsUsed = len(sorted)
-	p.UsersUsed = len(users)
-	p.SIR, p.HasSIR = refSIR(mod, user, sorted)
+	return refPredictOver(mod, user, item, mod.topItems(item), refSelectLikeMinded(mod, user))
+}
+
+// refPredictOver is the reference prediction of an in-range (user, item)
+// over the local matrix of top and users, every sum in their order.
+func refPredictOver(mod *Model, user, item int, top []mathx.Scored, users []likeMinded) Prediction {
+	p := Prediction{ItemsUsed: len(top), UsersUsed: len(users)}
+	p.SIR, p.HasSIR = refSIR(mod, user, top)
 	p.SUR, p.HasSUR = refSUR(mod, user, item, users)
-	p.SUIR, p.HasSUIR = refSUIR(mod, sorted, users)
+	p.SUIR, p.HasSUIR = refSUIR(mod, top, users)
 	wSIR := (1 - mod.cfg.Delta) * (1 - mod.cfg.Lambda)
 	wSUR := (1 - mod.cfg.Delta) * mod.cfg.Lambda
 	wSUIR := mod.cfg.Delta
@@ -276,13 +274,14 @@ func refRecommend(mod *Model, user, n int) []Recommendation {
 		score float64
 	}
 	q := mod.m.NumItems()
+	users := refSelectLikeMinded(mod, user)
 	cands := make([]cand, q)
 	for i := 0; i < q; i++ {
 		if rated[i] || len(mod.m.ItemRatings(i)) == 0 {
 			cands[i] = cand{i, math.Inf(-1)}
 			continue
 		}
-		cands[i] = cand{i, refPredictDetailed(mod, user, i).Value}
+		cands[i] = cand{i, refPredictOver(mod, user, i, mod.topItems(i), users).Value}
 	}
 	sort.Slice(cands, func(a, b int) bool {
 		if cands[a].score != cands[b].score {
@@ -488,160 +487,6 @@ func TestGatherCandidatesCapped(t *testing.T) {
 	}
 }
 
-// TestTopMMirrorMatchesGIS checks the precomputed-neighbourhood
-// invariant directly: topM[i] is exactly topItems(i) re-sorted by id,
-// and stays correct across an incremental update (mirror regenerated or
-// shared only when the GIS prefix is unchanged).
-func TestTopMMirrorMatchesGIS(t *testing.T) {
-	mod, _ := trainSmall(t)
-	check := func(m *Model) {
-		t.Helper()
-		for i := 0; i < m.m.NumItems(); i++ {
-			want := refSortedTopM(m, i)
-			got := m.topM[i]
-			if len(got) != len(want) {
-				t.Fatalf("item %d: mirror len %d want %d", i, len(got), len(want))
-			}
-			for k := range want {
-				if got[k] != want[k] {
-					t.Fatalf("item %d pos %d: mirror %+v want %+v", i, k, got[k], want[k])
-				}
-			}
-		}
-	}
-	check(mod)
-	next, err := mod.WithUpdates([]RatingUpdate{
-		{User: 0, Item: 3, Value: 5},
-		{User: 11, Item: 40, Value: 1},
-		{User: mod.m.NumUsers(), Item: 2, Value: 4}, // new user
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check(next)
-}
-
-// TestMirrorPatchParity pins buildTopM(prev) to its from-scratch
-// definition across chained applies of one rating, sixteen, and one per
-// catalogue item: every topM row equals the top-M prefix copied and
-// sorted by id, every topM2 row its squares, a row is prev's array
-// exactly when the prefix holds the same entries as prev's, and all
-// three ways of producing a row — shared, patched, rebuilt — occur.
-func TestMirrorPatchParity(t *testing.T) {
-	mod, _ := trainSmall(t)
-	cur := mod
-	rng := rand.New(rand.NewSource(17))
-	p, q := mod.m.NumUsers(), mod.m.NumItems()
-	var sharedByContent, patched, rebuilt int
-	for step, n := range []int{1, 16, 1, q, 16, 1} {
-		var ups []RatingUpdate
-		for _, i := range rng.Perm(q)[:n] {
-			ups = append(ups, RatingUpdate{User: rng.Intn(p), Item: i, Value: float64(1 + rng.Intn(5))})
-		}
-		if step == 4 {
-			ups = append(ups, RatingUpdate{User: 0, Item: q, Value: 4}, RatingUpdate{User: 1, Item: q, Value: 2}) // new item
-		}
-		prev := cur
-		var err error
-		if cur, err = cur.Apply(ups); err != nil {
-			t.Fatal(err)
-		}
-		next := cur
-		for i := 0; i < next.m.NumItems(); i++ {
-			want := refSortedTopM(next, i)
-			got := next.topM[i]
-			if len(got) != len(want) || len(next.topM2[i]) != len(want) {
-				t.Fatalf("step %d item %d: mirror len %d/%d want %d", step, i, len(got), len(next.topM2[i]), len(want))
-			}
-			for k := range want {
-				if got[k] != want[k] || next.topM2[i][k] != want[k].Score*want[k].Score {
-					t.Fatalf("step %d item %d pos %d: mirror %+v (sq %v) want %+v", step, i, k, got[k], next.topM2[i][k], want[k])
-				}
-			}
-			if i >= prev.m.NumItems() {
-				continue
-			}
-			was, now := prev.topItems(i), next.topItems(i)
-			same := len(was) == len(now)
-			for k := 0; same && k < len(was); k++ {
-				same = was[k] == now[k]
-			}
-			aliased := sameScored(prev.topM[i], next.topM[i]) && sameFloats(prev.topM2[i], next.topM2[i])
-			if same != aliased {
-				t.Fatalf("step %d item %d: prefix content equal=%v but mirror row shared=%v", step, i, same, aliased)
-			}
-			var left, entered [maxMirrorPatch]mathx.Scored
-			nl, ne, ok := prefixDelta(was, now, &left, &entered)
-			switch {
-			case !ok:
-				rebuilt++
-			case nl+ne > 0:
-				patched++
-			case len(was) > 0 && &was[0] != &now[0]:
-				sharedByContent++
-			}
-		}
-	}
-	if sharedByContent == 0 || patched == 0 || rebuilt == 0 {
-		t.Fatalf("sharedByContent=%d patched=%d rebuilt=%d: a path went unexercised", sharedByContent, patched, rebuilt)
-	}
-}
-
-// sameFloats is sameScored for the topM2 rows: the same array region.
-func sameFloats(a, b []float64) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
-}
-
-// TestPatchByIDProperty drives prefixDelta + patchByID with random
-// pairs of ranked lists over a small id and score range, so ids that
-// leave, enter, keep their score, change it, and tie all mix.
-func TestPatchByIDProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	draw := func() []mathx.Scored {
-		var l []mathx.Scored
-		for _, id := range rng.Perm(40)[:rng.Intn(30)] {
-			l = append(l, mathx.Scored{Index: int32(id), Score: float64(1+rng.Intn(4)) / 4})
-		}
-		mathx.SortScoredDesc(l)
-		return l
-	}
-	byID := func(l []mathx.Scored) []mathx.Scored {
-		out := append([]mathx.Scored(nil), l...)
-		mathx.SortScoredByIndex(out)
-		return out
-	}
-	patchedRows := 0
-	for trial := 0; trial < 2000; trial++ {
-		a := draw()
-		b := append([]mathx.Scored(nil), a...)
-		for k := rng.Intn(6); k > 0 && len(b) > 0; k-- { // nudge a few entries
-			b[rng.Intn(len(b))].Score = float64(1+rng.Intn(4)) / 4
-		}
-		if trial%3 == 0 {
-			b = draw()
-		}
-		mathx.SortScoredDesc(b)
-		var left, entered [maxMirrorPatch]mathx.Scored
-		nl, ne, ok := prefixDelta(a, b, &left, &entered)
-		if !ok {
-			continue
-		}
-		patchedRows++
-		got, want := patchByID(byID(a), left[:nl], entered[:ne]), byID(b)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: patched len %d want %d", trial, len(got), len(want))
-		}
-		for k := range want {
-			if got[k] != want[k] {
-				t.Fatalf("trial %d pos %d: %+v want %+v", trial, k, got[k], want[k])
-			}
-		}
-	}
-	if patchedRows < 500 {
-		t.Fatalf("only %d of 2000 trials were patchable", patchedRows)
-	}
-}
-
 // scanScores prices the whole catalogue for user through the scan
 // kernel, borrowing sc's tile. Rated and unsupported items are included:
 // the kernel scores what it is given, eligibility is the caller's.
@@ -654,21 +499,62 @@ func scanScores(mod *Model, user int, sc *recScratch) []mathx.Scored {
 	return cands
 }
 
-// scanMatchesPredict reports whether every tiled score of user's scan is
-// == both to production Predict and to the pinned reference path.
+// scanMatchesPredict reports whether, for every item of the catalogue,
+// user's tiled scan score, Predict and the reference over the GIS prefix
+// in score order agree bit for bit, and Explain's SIR′ evidence is the
+// reference's. The reference selection runs once for the user.
 func scanMatchesPredict(t *testing.T, mod *Model, user int, sc *recScratch) bool {
 	t.Helper()
 	if !mod.tilePays(mod.m.NumItems()) {
 		t.Fatal("a whole-catalogue scan did not take the tile")
 	}
+	users := refSelectLikeMinded(mod, user)
 	for _, c := range scanScores(mod, user, sc) {
 		i := int(c.Index)
-		if want := refPredictDetailed(mod, user, i).Value; c.Score != want {
+		if want := refPredictOver(mod, user, i, mod.topItems(i), users).Value; c.Score != want {
 			t.Logf("user %d item %d: scan %v, reference %v", user, i, c.Score, want)
 			return false
 		}
 		if want := mod.Predict(user, i); c.Score != want {
 			t.Logf("user %d item %d: scan %v, Predict %v", user, i, c.Score, want)
+			return false
+		}
+		if !explainMatchesReference(t, mod, user, i) {
+			return false
+		}
+	}
+	return true
+}
+
+// explainMatchesReference reports whether Explain's item evidence for an
+// in-range (user, item) is the reference's SIR′ over the GIS prefix in
+// score order: the same items, each rating and weight by its bits.
+func explainMatchesReference(t *testing.T, mod *Model, user, item int) bool {
+	t.Helper()
+	type cell struct{ r, w float64 }
+	want := map[int]cell{}
+	var den float64
+	for _, it := range mod.topItems(item) {
+		r, w11, ok := refRatingWithW(mod, user, int(it.Index))
+		if !ok {
+			continue
+		}
+		w := w11 * it.Score
+		den += w
+		want[int(it.Index)] = cell{r, w}
+	}
+	ev := mod.Explain(user, item, 0).ItemEvidence
+	if len(ev) != len(want) {
+		t.Logf("user %d item %d: Explain cites %d items, the reference %d", user, item, len(ev), len(want))
+		return false
+	}
+	for _, e := range ev {
+		c, ok := want[e.Item]
+		if ok && den > 0 {
+			c.w /= den
+		}
+		if !ok || math.Float64bits(e.Rating) != math.Float64bits(c.r) || math.Float64bits(e.Weight) != math.Float64bits(c.w) {
+			t.Logf("user %d item %d: Explain cites item %d at rating %v weight %v, the reference %+v (cited %v)", user, item, e.Item, e.Rating, e.Weight, c, ok)
 			return false
 		}
 	}
@@ -735,8 +621,8 @@ func TestScanKernelDegenerateShapes(t *testing.T) {
 	if n := len(tiny.likeMindedUsers(3)); n != 0 {
 		t.Fatalf("user 3 has %d like-minded users; the fixture no longer isolates them", n)
 	}
-	if len(tiny.topM[4]) != 0 || len(tiny.topM[5]) != 0 {
-		t.Fatalf("items 4 and 5 have top-M rows of %d and %d entries; want both empty", len(tiny.topM[4]), len(tiny.topM[5]))
+	if len(tiny.topItems(4)) != 0 || len(tiny.topItems(5)) != 0 {
+		t.Fatalf("items 4 and 5 have top-M rows of %d and %d entries; want both empty", len(tiny.topItems(4)), len(tiny.topItems(5)))
 	}
 	sc := new(recScratch)
 	for u := 0; u < tiny.m.NumUsers(); u++ {
@@ -774,6 +660,41 @@ func TestScanKernelDegenerateShapes(t *testing.T) {
 	}
 }
 
+// TestReadKernelsParityOnAppliedLedger holds Predict, the scan kernel,
+// Explain and the reference to one another bit for bit on the ledger
+// model after 200 chained single-rating Applies from ledgerStream, whose
+// GIS lists Refresh edited: every item, for the first users the stream
+// rated (two under the race detector), each user's reference selection
+// run once.
+func TestReadKernelsParityOnAppliedLedger(t *testing.T) {
+	m := ledgerTrain(t)
+	mod, err := Train(m, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := ledgerStream(m.NumUsers(), m.NumItems())
+	var users []int
+	want := 4
+	if raceEnabled {
+		want = 2
+	}
+	for k := 0; k < 200; k++ {
+		up := next()
+		if len(users) < want && !slices.Contains(users, up.User) {
+			users = append(users, up.User)
+		}
+		if mod, err = mod.Apply([]RatingUpdate{up}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sc := new(recScratch)
+	for _, u := range users {
+		if !scanMatchesPredict(t, mod, u, sc) {
+			t.Fatalf("user %d: the read kernels diverged", u)
+		}
+	}
+}
+
 // requireAtRest fails unless x is as its pool must hold it: every slot
 // −1 and every obs cell but the sink unobserved.
 func requireAtRest(t *testing.T, x *colIndex, ctx string) {
@@ -792,8 +713,8 @@ func requireAtRest(t *testing.T, x *colIndex, ctx string) {
 
 // TestReadKernelDegenerateShapes runs both read kernels where a side is
 // empty — an item with an empty top-M row, an active user with an empty
-// row, a FullUserSearch candidate with no ratings — and holds them to
-// the merge-form references bit for bit. One column index and one
+// row, a FullUserSearch candidate with no ratings — and holds them, and
+// Explain's SIR′ evidence, to the references bit for bit. One column index and one
 // selection scratch serve every case, first on a larger catalogue (every
 // 7th user) and then on a smaller one, and after every case both must be
 // back at rest.
@@ -816,15 +737,20 @@ func TestReadKernelDegenerateShapes(t *testing.T) {
 	check := func(mod *Model, stride int, ctx string) {
 		t.Helper()
 		for u := 0; u < mod.m.NumUsers(); u += stride {
-			if got, want := mod.selectWith(sc, u), refSelectLikeMinded(mod, u); !sameSelection(got, want) {
-				t.Fatalf("%s: user %d selects %v, reference %v", ctx, u, got, want)
+			users := refSelectLikeMinded(mod, u)
+			if got := mod.selectWith(sc, u); !sameSelection(got, users) {
+				t.Fatalf("%s: user %d selects %v, reference %v", ctx, u, got, users)
 			}
 			requireAtRest(t, &sc.idx, ctx+": selection index")
 			for i := 0; i < mod.m.NumItems(); i++ {
-				if got, want := mod.predictWith(x, u, i), refPredictDetailed(mod, u, i); !samePrediction(got, want) {
+				top := mod.topItems(i)
+				if got, want := mod.predictWith(x, u, i, top), refPredictOver(mod, u, i, top, users); !samePrediction(got, want) {
 					t.Fatalf("%s: Predict(%d, %d) = %+v, reference %+v", ctx, u, i, got, want)
 				}
 				requireAtRest(t, x, ctx+": Predict index")
+				if !explainMatchesReference(t, mod, u, i) {
+					t.Fatalf("%s: Explain(%d, %d) differs from the reference", ctx, u, i)
+				}
 			}
 		}
 	}
@@ -849,8 +775,8 @@ func TestReadKernelDegenerateShapes(t *testing.T) {
 			t.Fatalf("%s: user 4 has %d ratings and user 3 %d like-minded users; want none of either",
 				tc.name, len(tiny.m.UserRatings(4)), len(tiny.likeMindedUsers(3)))
 		}
-		if len(tiny.topM[4]) != 0 || len(tiny.topM[5]) != 0 {
-			t.Fatalf("%s: items 4 and 5 have top-M rows of %d and %d entries; want both empty", tc.name, len(tiny.topM[4]), len(tiny.topM[5]))
+		if len(tiny.topItems(4)) != 0 || len(tiny.topItems(5)) != 0 {
+			t.Fatalf("%s: items 4 and 5 have top-M rows of %d and %d entries; want both empty", tc.name, len(tiny.topItems(4)), len(tiny.topItems(5)))
 		}
 		check(tiny, 1, tc.name)
 	}
@@ -865,9 +791,9 @@ func TestReadKernelDegenerateShapes(t *testing.T) {
 }
 
 // TestGISListsExcludeTheirItem pins what Predict's column index relies
-// on: no item's GIS list, nor so its top-M mirror, holds the item itself,
-// so slot M (the item's own column) never shares a column with a top-M
-// slot. It holds for a trained model, one Apply grew and re-weighted, one
+// on: no item's GIS list, nor so its top-M prefix, holds the item
+// itself, so slot M (the item's own column) never shares a column with a
+// top-M slot. It holds for a trained model, one Apply grew and re-weighted, one
 // loaded from its file, and one whose GIS blends in item attributes.
 func TestGISListsExcludeTheirItem(t *testing.T) {
 	check := func(mod *Model, ctx string) {
@@ -876,11 +802,6 @@ func TestGISListsExcludeTheirItem(t *testing.T) {
 			for _, n := range mod.gis.Neighbors(i) {
 				if int(n.Index) == i {
 					t.Fatalf("%s: item %d's GIS list holds the item", ctx, i)
-				}
-			}
-			for _, n := range mod.topM[i] {
-				if int(n.Index) == i {
-					t.Fatalf("%s: item %d's top-M row holds the item", ctx, i)
 				}
 			}
 		}

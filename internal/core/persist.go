@@ -635,7 +635,6 @@ func rebuildModel(cfg Config, m *ratings.Matrix, snap similarity.Snapshot, clust
 	mod.sm = smoothing.New(mod.m, mod.clusters)
 	mod.neighborCache = make([]atomic.Pointer[[]likeMinded], mod.m.NumUsers())
 	mod.initRecCache()
-	mod.buildTopM(nil)
 	mod.stats.GISNeighbors = mod.gis.TotalNeighbors()
 	mod.stats.ClusterIters = clusters.Iterations
 	return mod, nil

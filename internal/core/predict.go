@@ -37,29 +37,26 @@ func (mod *Model) PredictDetailed(user, item int) Prediction {
 		return Prediction{Value: mod.fallback(user, item)}
 	}
 	x := colIndexPool.Get().(*colIndex)
-	p := mod.predictWith(x, user, item)
+	p := mod.predictWith(x, user, item, mod.topItems(item))
 	putColIndex(x, mod.m.NumItems(), mod.cfg.M+1)
 	return p
 }
 
-// predictWith is PredictDetailed for an in-range pair, indexing the item's
-// side in x, which it takes and leaves at rest.
-func (mod *Model) predictWith(x *colIndex, user, item int) Prediction {
+// predictWith is PredictDetailed for an in-range pair over the item's
+// top-M list top, summed in top's order. It indexes the item's side in
+// x, which it takes and leaves at rest.
+func (mod *Model) predictWith(x *colIndex, user, item int, top []mathx.Scored) Prediction {
 	var p Prediction
-	// topM is the id-sorted mirror of the top-M neighbourhood, built at
-	// train/refresh time: indexing it is one pass, with no per-request copy
-	// or sort.
-	sorted := mod.topM[item]
 	users := mod.likeMindedUsers(user)
-	p.ItemsUsed = len(sorted)
+	p.ItemsUsed = len(top)
 	p.UsersUsed = len(users)
 
-	x.ready(mod.m.NumItems(), len(sorted)+1)
-	x.index(sorted)
-	x.slot[item] = int32(len(sorted))
-	mod.localSums(x, user, item, sorted, users, &p)
+	x.ready(mod.m.NumItems(), len(top)+1)
+	x.index(top)
+	x.slot[item] = int32(len(top))
+	mod.localSums(x, user, item, top, users, &p)
 	x.slot[item] = -1
-	x.unindex(sorted)
+	x.unindex(top)
 
 	mod.fuse(user, item, &p)
 	return p
@@ -118,11 +115,12 @@ func (mod *Model) fallback(user, item int) float64 {
 // (active-stationary). Each indexes its fixed side once per request, in
 // a colIndex, and scatters each moving row into that index in one pass
 // over the row: no cursor merges two sorted rows, and no cell is looked
-// up by search. The sums then walk the fixed side in the order the merge
-// loops walked it, with the same arithmetic per cell, so every value is
-// bit-identical to theirs (parity_test.go keeps the merge forms as its
-// references). The scan kernel (scan.go) is the user-stationary dual: it
-// materialises the user side densely and gathers the item side.
+// up by search. The sums then walk the fixed side in its own order — the
+// item's top-M list by GIS score, the active row by item id — with the
+// same arithmetic per cell as parity_test.go's references, which look
+// each cell up alone and sum in the order they are handed. The scan
+// kernel (scan.go) is the user-stationary dual: it materialises the user
+// side densely and gathers the item side.
 
 // unobserved marks an obs cell whose column the scattered row has no
 // rating for. Ratings are finite (ratings.Builder refuses NaN), so NaN is
@@ -254,12 +252,14 @@ func (c *cellRule) at(obs float64, col int32) (r, w11 float64, ok bool) {
 }
 
 // localSums is the item-stationary read kernel: with x indexing the
-// item's id-sorted top-M columns at slots 0..m−1 and the item at slot m,
-// it scatters the active row once for SIR′ (Eq. 12, first line) and each
+// item's top-M columns at slots 0..m−1 and the item at slot m, it
+// scatters the active row once for SIR′ (Eq. 12, first line) and each
 // like-minded row once for that user's SUR′ cell (slot m) and SUIR′ cells
-// (slots 0..m−1), and sets p's three components. Each accumulator sums in
-// the merge loops' order: SIR′ and every SUIR′ row by top-M position,
-// SUR′ and SUIR′ by neighbour rank.
+// (slots 0..m−1), and sets p's three components. SIR′ and every SUIR′ row
+// sum in top's order, SUR′ and SUIR′ by neighbour rank. Eq. 12 sums over
+// the set of the M most similar items, so any order of top is the paper's
+// prediction; Predict, the scan kernel and Explain all hand it the GIS
+// prefix in score order, so they agree bit for bit.
 //
 // A GIS list never holds its own item (its candidates skip it), so slot m
 // shares a column with no top-M slot; TestGISListsExcludeTheirItem pins
@@ -268,19 +268,17 @@ func (c *cellRule) at(obs float64, col int32) (r, w11 float64, ok bool) {
 // Every SUIR′ cell visited contributes: the GIS keeps only positive item
 // sims and Eq. 10 selection keeps only positive user sims, so the Eq. 13
 // pair weight si·sim/√(si²+sim²) is strictly positive and pairSim's
-// d == 0 guard can never fire. sq is the item's topM2 row, Score² per
-// neighbour, squared at build time with the multiply Eq. 13 would do
-// here; the mul and the sqrt are independent, so fusing them into one
-// expression keeps each operation and its operands unchanged.
-func (mod *Model) localSums(x *colIndex, user, item int, sorted []mathx.Scored, users []likeMinded, p *Prediction) {
-	m := len(sorted)
-	sq := mod.topM2[item][:m] // one bounds check here instead of one per cell
+// d == 0 guard can never fire. si² is rounded on its own (the conversion
+// forbids fusing it into the add), so each cell's operations and operands
+// are Eq. 13's.
+func (mod *Model) localSums(x *colIndex, user, item int, top []mathx.Scored, users []likeMinded, p *Prediction) {
+	m := len(top)
 
 	x.scatter(mod.m.UserRatings(user))
 	x.take(m) // the active user's own rating of the item is no cell of its prediction
 	c := mod.cellsOf(user)
 	var num, den float64
-	for k, it := range sorted {
+	for k, it := range top {
 		r, w11, ok := c.at(x.take(k), it.Index)
 		if !ok {
 			continue
@@ -306,12 +304,13 @@ func (mod *Model) localSums(x *colIndex, user, item int, sorted []mathx.Scored, 
 			surDen += w
 		}
 		sim2 := sim * sim // Eq. 13's userSim² hoisted out of the M-cell loop
-		for k, it := range sorted {
+		for k, it := range top {
 			r, w11, ok := c.at(x.take(k), it.Index)
 			if !ok {
 				continue
 			}
-			w := w11 * (it.Score * sim / math.Sqrt(sq[k]+sim2))
+			si := it.Score
+			w := w11 * (si * sim / math.Sqrt(float64(si*si)+sim2))
 			num += w * r
 			den += w
 		}

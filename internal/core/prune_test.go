@@ -409,16 +409,16 @@ func TestScanBound(t *testing.T) {
 					t.Fatalf("user %d: slack %g", u, slack)
 				}
 				for i := 0; i < q; i++ {
-					sorted := mod.topM[i]
+					top := mod.topItems(i)
 					hi := math.Inf(-1)
 					for n := range s.users {
-						for _, it := range sorted {
+						for _, it := range top {
 							if c := s.tile[n*q+int(it.Index)]; c.w > 0 {
 								hi = math.Max(hi, c.val)
 							}
 						}
 					}
-					suir, has := s.suirTile(sorted, mod.topM2[i])
+					suir, has := s.suirTile(top)
 					if has != !math.IsInf(hi, -1) {
 						t.Fatalf("user %d item %d: SUIR′ present = %v, largest contributing cell %v", u, i, has, hi)
 					}
@@ -426,7 +426,7 @@ func TestScanBound(t *testing.T) {
 						t.Fatalf("user %d item %d: SUIR′ %v above its bound %v + %g", u, i, suir, hi, slack)
 					}
 					var p Prediction
-					p.SIR, p.HasSIR = s.sirTile(sorted)
+					p.SIR, p.HasSIR = s.sirTile(top)
 					p.SUR, p.HasSUR = s.surTile(i)
 					p.SUIR, p.HasSUIR = hi+slack, has
 					mod.fuse(u, i, &p)

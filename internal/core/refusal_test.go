@@ -20,10 +20,11 @@ import (
 const tau0Grid = "dfa456ac4d0c12f16104b31e50de070239ca53a3cc3c995463f07cbd4fecf654"
 
 // gridHash is the sha256 over the big-endian bits of every Predict(u, i)
-// of mod, user-major: the form tau0Grid is pinned in.
+// of mod, user-major, each evaluated in id order (idOrderGrid): the form
+// tau0Grid is pinned in.
 func gridHash(mod *Model) string {
 	h := sha256.New()
-	for _, v := range gridPredictions(mod) {
+	for _, v := range idOrderGrid(mod, 1) {
 		h.Write(binary.BigEndian.AppendUint64(nil, math.Float64bits(v)))
 	}
 	return hex.EncodeToString(h.Sum(nil))

@@ -17,10 +17,11 @@ import (
 // kernel instead materialises each like-minded user's row once, densely
 // — a tile of K rows × Q cells, plus one row for the active user — so
 // SUR′ reads one cell per neighbour and SUIR′ (and SIR′, from the active
-// user's row) gathers tile[n][topM[i][k].Index] with no row cursor.
+// user's row) gathers tile[n][top[k].Index] with no row cursor, top
+// being the item's top-M GIS prefix in score order.
 //
-// The loop nest (neighbour-major, then id-sorted top-M position) and the
-// floating-point expression per cell are Predict's, so a tiled
+// The loop nest (neighbour-major, then top-M position in score order)
+// and the floating-point expression per cell are Predict's, so a tiled
 // score is bit-identical to Predict(user, item). DESIGN.md §9 has the
 // layout and the argument; parity_test.go holds the kernel to it.
 
@@ -143,11 +144,11 @@ func (s *userScan) score(item int) float64 {
 		return s.mod.Predict(s.user, item)
 	}
 	mod := s.mod
-	sorted := mod.topM[item]
+	top := mod.topItems(item)
 	var p Prediction
-	p.SIR, p.HasSIR = s.sirTile(sorted)
+	p.SIR, p.HasSIR = s.sirTile(top)
 	p.SUR, p.HasSUR = s.surTile(item)
-	p.SUIR, p.HasSUIR = s.suirTile(sorted, mod.topM2[item])
+	p.SUIR, p.HasSUIR = s.suirTile(top)
 	mod.fuse(s.user, item, &p)
 	return p.Value
 }
@@ -212,12 +213,12 @@ func (s *userScan) boundColumns(colHi []float64) {
 // sums, a division by the same positive den and a clamp are each
 // monotone — so the score suirTile's value fuses to is ≤ the bound.
 func (s *userScan) bound(item int, colHi []float64, slack float64) float64 {
-	sorted := s.mod.topM[item]
+	top := s.mod.topItems(item)
 	var p Prediction
-	p.SIR, p.HasSIR = s.sirTile(sorted)
+	p.SIR, p.HasSIR = s.sirTile(top)
 	p.SUR, p.HasSUR = s.surTile(item)
 	hi := math.Inf(-1)
-	for _, it := range sorted {
+	for _, it := range top {
 		if v := colHi[it.Index]; v > hi {
 			hi = v
 		}
@@ -326,10 +327,10 @@ func (mod *Model) scoreTop(user int, cands []mathx.Scored, want int, sc *recScra
 
 // sirTile is localSums' SIR′ with the scatter replaced by a gather from
 // the active user's own tile row.
-func (s *userScan) sirTile(sorted []mathx.Scored) (float64, bool) {
+func (s *userScan) sirTile(top []mathx.Scored) (float64, bool) {
 	cells := s.tile[len(s.users)*s.q:]
 	var num, den float64
-	for _, it := range sorted {
+	for _, it := range top {
 		c := cells[it.Index]
 		w := c.w * it.Score
 		num += w * c.val
@@ -361,16 +362,16 @@ func (s *userScan) surTile(item int) (float64, bool) {
 // suirTile is localSums' SUIR′ with the per-neighbour scatter replaced by
 // a branch-free gather from the neighbour's tile row. Neighbour order,
 // top-M order and the per-cell arithmetic are localSums' exactly.
-func (s *userScan) suirTile(sorted []mathx.Scored, sq []float64) (float64, bool) {
-	sq = sq[:len(sorted)]
+func (s *userScan) suirTile(top []mathx.Scored) (float64, bool) {
 	var num, den float64
 	for n, lm := range s.users {
 		sim := lm.sim
 		sim2 := sim * sim
 		cells := s.tile[n*s.q : (n+1)*s.q]
-		for k, it := range sorted {
+		for _, it := range top {
 			c := cells[it.Index]
-			w := c.w * (it.Score * sim / math.Sqrt(sq[k]+sim2))
+			si := it.Score
+			w := c.w * (si * sim / math.Sqrt(float64(si*si)+sim2))
 			num += w * c.val
 			den += w
 		}

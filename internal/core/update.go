@@ -149,9 +149,6 @@ func (mod *Model) WithUpdates(updates []RatingUpdate) (*Model, error) {
 
 	next.neighborCache = make([]atomic.Pointer[[]likeMinded], m.NumUsers())
 	next.initRecCache()
-	t = time.Now()
-	next.buildTopM(mod)
-	next.stats.MirrorDuration = time.Since(t)
 	next.stats.Incremental = true
 	next.stats.UpdatesApplied = len(updates)
 	next.stats.TotalDuration = time.Since(start)

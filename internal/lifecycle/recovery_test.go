@@ -203,15 +203,19 @@ func TestSnapshotFaultsFallBackOrRefuse(t *testing.T) {
 }
 
 // legacyGrid is the sha256 over the big-endian bits of every
-// Predict(u, i), user-major, that the run which wrote the source of
-// testdata/v5-f163a25 served when it was killed: the base model of
+// Predict(u, i), user-major, of the model the run which wrote the source
+// of testdata/v5-f163a25 held when it was killed: the base model of
 // newBaseModel, 25 ratings (testUpdate 0–24) applied one at a time, a
 // snapshot after the 12th and the 20th, the last five in the WAL only.
 // Builds 8cb6e8a, 773b6e0 and ddea235 served it from the same run,
 // b42e5f3 re-saved its snapshot files as version 3, ac5d191 loaded those
 // and saved them again as version 4, and f163a25, the last to write model
-// file version 5, did the same with those.
-const legacyGrid = "86a724fd2b30aa325ce62d72730863fb944709b7d35fd860b0b3de171f331aea"
+// file version 5, did the same with those. Those builds summed Eq. 12 over
+// each top-M prefix in item-id order and served
+// 86a724fd2b30aa325ce62d72730863fb944709b7d35fd860b0b3de171f331aea; this
+// is the same model's grid summed in GIS score order, no cell more than
+// 1.8e-15 away.
+const legacyGrid = "7cb22d7b2a8121d2779231bd118722ddfceb3073ac97598ea20b23814c346bdf"
 
 func gridHash(mod *core.Model) string {
 	h := sha256.New()
@@ -295,16 +299,19 @@ func TestModelFileDataDirsBootAndMigrate(t *testing.T) {
 	}
 }
 
-// offScaleGrid is the gridHash the run which wrote
+// offScaleGrid is the gridHash of the model the run which wrote
 // testdata/offscale-ddea235, the source of testdata/offscale-f163a25,
-// served when it was killed: the base model of newBaseModel, testUpdate
+// held when it was killed: the base model of newBaseModel, testUpdate
 // 0–5 and then 0.5 for (7, 3) and 7 for (12, 9) applied one at a time —
 // on its 1..5 scale, which build ddea235 did not check — a snapshot, then
 // testUpdate 6–9 in the WAL only. Build b42e5f3 loaded each snapshot file
 // of that dir and saved it again at its watermark, as version 3, build
 // ac5d191 did the same with those, as version 4, and build f163a25 with
-// those, as version 5.
-const offScaleGrid = "2f1b9f28dbad511ec32a4439129533e93bf9a641ca499bf59bc1e7af5844f7a0"
+// those, as version 5. Those builds summed Eq. 12 in item-id order and
+// served 2f1b9f28dbad511ec32a4439129533e93bf9a641ca499bf59bc1e7af5844f7a0;
+// this is the grid summed in GIS score order, no cell more than 8.9e-16
+// away.
+const offScaleGrid = "282a4aa41c5c35363708561c37f3d9ba5a36714655efd853dec92bb91be947a0"
 
 // TestOffScaleDataDirBootsAndMigrates: a data dir whose newest snapshot, a
 // version 5 file f163a25 wrote, holds values off its model's own 1..5

@@ -286,7 +286,6 @@ func (s *Server) recordModelGauges(mod *core.Model) {
 	s.reg.Gauge("model_train_gis_ms").Set(durMS(st.GISDuration))
 	s.reg.Gauge("model_train_cluster_ms").Set(durMS(st.ClusterDuration))
 	s.reg.Gauge("model_train_smooth_ms").Set(durMS(st.SmoothDuration))
-	s.reg.Gauge("model_train_mirror_ms").Set(durMS(st.MirrorDuration))
 	s.reg.Gauge("model_train_total_ms").Set(durMS(st.TotalDuration))
 	incremental := 0.0
 	if st.Incremental {
@@ -559,7 +558,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			"gis":     durMS(st.GISDuration),
 			"cluster": durMS(st.ClusterDuration),
 			"smooth":  durMS(st.SmoothDuration),
-			"mirror":  durMS(st.MirrorDuration),
 			"total":   durMS(st.TotalDuration),
 		},
 		"train_total_ms":  st.TotalDuration.Milliseconds(),

@@ -479,7 +479,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 		t.Fatalf("metrics missing registry snapshot: %v", body)
 	}
 	gauges := reg["gauges"].(map[string]any)
-	for _, g := range []string{"model_users", "model_train_total_ms", "model_train_gis_ms", "model_train_mirror_ms", "model_incremental", "model_gis_reselected"} {
+	for _, g := range []string{"model_users", "model_train_total_ms", "model_train_gis_ms", "model_incremental", "model_gis_reselected"} {
 		if _, ok := gauges[g]; !ok {
 			t.Errorf("registry missing gauge %q", g)
 		}
@@ -504,13 +504,13 @@ func TestStatsTrainPhaseTimings(t *testing.T) {
 	}
 }
 
-// requireTrainPhasesWithinTotal checks /stats train_ms reports all four
+// requireTrainPhasesWithinTotal checks /stats train_ms reports all three
 // phases and that they account for no more than the total: they time
 // disjoint stretches of the same train or apply.
 func requireTrainPhasesWithinTotal(t *testing.T, trainMS map[string]any) {
 	t.Helper()
 	var sum float64
-	for _, phase := range []string{"gis", "cluster", "smooth", "mirror"} {
+	for _, phase := range []string{"gis", "cluster", "smooth"} {
 		ms, ok := trainMS[phase].(float64)
 		if !ok {
 			t.Fatalf("train_ms missing phase %q: %v", phase, trainMS)
@@ -520,9 +520,6 @@ func requireTrainPhasesWithinTotal(t *testing.T, trainMS map[string]any) {
 	total, ok := trainMS["total"].(float64)
 	if !ok {
 		t.Fatalf("train_ms missing total: %v", trainMS)
-	}
-	if trainMS["mirror"].(float64) <= 0 {
-		t.Errorf("train_ms mirror = %v, want > 0 (every train and apply builds the mirror)", trainMS["mirror"])
 	}
 	if sum > total+1e-6 {
 		t.Errorf("train_ms phases sum to %g ms, more than total %g ms: %v", sum, total, trainMS)

@@ -76,15 +76,16 @@ func (g *GIS) Refresh(m *ratings.Matrix, changedItems []int, need int) *GIS {
 
 	lists := make([][]mathx.Scored, len(changedIdx))
 	parallel.ForChunked(len(changedIdx), opts.Workers, func(lo, hi int) {
-		scratch := newCandidateScratch(q)
+		sc := refreshScratchPool.Get().(*refreshScratch)
+		sc.ready(q)
 		var ed []uint64
-		seen := make([]int32, q)
 		for k := lo; k < hi; k++ {
 			i := int(changedIdx[k])
-			lists[k] = candidateList(m, i, opts, scratch, nil)
+			lists[k] = candidateList(m, i, opts, &sc.cand, nil)
 			out.neighbors[i], out.tau[i] = selectList(lists[k], opts.TopN)
-			ed = diffHolders(ed, seen, int32(i), g.list(i), out.neighbors[i])
+			ed = diffHolders(ed, sc.seen, int32(i), g.list(i), out.neighbors[i])
 		}
+		putRefreshScratch(sc, q)
 		edits.add(ed)
 	})
 
@@ -141,10 +142,9 @@ func (g *GIS) Refresh(m *ratings.Matrix, changedItems []int, need int) *GIS {
 	var reselected atomic.Int64
 	parallel.ForChunked(q, opts.Workers, func(lo, hi int) {
 		var hits []int // positions of changed items in the current list
-		var scratch *candidateScratch
+		var sc *refreshScratch
 		var cand []mathx.Scored
 		var ed []uint64
-		var seen []int32
 		for i := lo; i < hi; i++ {
 			if changed[i] {
 				continue
@@ -216,17 +216,21 @@ func (g *GIS) Refresh(m *ratings.Matrix, changedItems []int, need int) *GIS {
 			if len(list) < need && tau != (mathx.Scored{}) {
 				// Step 4: candidates the list never held may now belong
 				// in its served prefix.
-				if scratch == nil {
-					scratch, seen = newCandidateScratch(q), make([]int32, q)
+				if sc == nil {
+					sc = refreshScratchPool.Get().(*refreshScratch)
+					sc.ready(q)
 				}
-				cand = candidateList(m, i, opts, scratch, cand[:0])
+				cand = candidateList(m, i, opts, &sc.cand, cand[:0])
 				list, tau = selectList(cand, opts.TopN)
 				reselected.Add(1)
-				ed = diffHolders(ed, seen, int32(i), old, list)
+				ed = diffHolders(ed, sc.seen, int32(i), old, list)
 			} else if len(hits) > 0 || len(ins) > 0 {
 				ed = editHolders(ed, int32(i), old, hits, ins, tail, changed)
 			}
 			out.neighbors[i], out.tau[i] = list, tau
+		}
+		if sc != nil {
+			putRefreshScratch(sc, q)
 		}
 		edits.add(ed)
 	})
@@ -337,10 +341,11 @@ func editHolders(ed []uint64, i int32, old []mathx.Scored, hits []int, ins, tail
 
 // diffHolders appends list i's holder edits for a list selected again,
 // old → now: a loss for every item old holds and now does not, a gain for
-// every item now holds and old did not. seen has a cell per item and is
-// stamped with values unique to i, so it is never cleared between lists.
+// every item now holds and old did not. seen has a zero cell per item;
+// diffHolders marks the cells of now's items and zeroes them again, so
+// seen is clean for the next list, and the next Refresh.
 func diffHolders(ed []uint64, seen []int32, i int32, old, now []mathx.Scored) []uint64 {
-	inNow, inBoth := 2*i+1, 2*i+2
+	const inNow, inBoth = 1, 2
 	for _, e := range now {
 		seen[e.Index] = inNow
 	}
@@ -355,8 +360,46 @@ func diffHolders(ed []uint64, seen []int32, i int32, old, now []mathx.Scored) []
 		if seen[e.Index] == inNow {
 			ed = append(ed, holderEdit(e.Index, i, true))
 		}
+		seen[e.Index] = 0
 	}
 	return ed
+}
+
+// refreshScratch is one Refresh worker chunk's scratch: the Eq. 5
+// accumulation cells of candidateList and the seen marks of diffHolders,
+// Q cells each. Both are all zero between uses — drain re-zeroes the
+// cells it dirtied, diffHolders the ones it marked — so a pooled scratch
+// carries nothing from one item, or one Refresh, to the next.
+type refreshScratch struct {
+	cand candidateScratch
+	seen []int32
+}
+
+// refreshScratchPool recycles Refresh's scratch across Refreshes, which
+// would otherwise allocate and zero 36 bytes a catalogue item per worker
+// chunk of steps 1 and 4 on every Apply.
+//
+//cfsf:guarded-by sync.Pool — each scratch is handed out to exactly one worker chunk at a time, all zero when pooled
+var refreshScratchPool = sync.Pool{
+	New: func() any { return new(refreshScratch) },
+}
+
+// ready grows sc, clean, to at least q cells.
+func (sc *refreshScratch) ready(q int) {
+	if len(sc.seen) < q {
+		sc.cand = *newCandidateScratch(q)
+		sc.seen = make([]int32, q)
+	}
+}
+
+// putRefreshScratch returns sc to its pool, first dropping arrays that
+// outgrew a q-item catalogue by more than 2×, as core's putRecScratch
+// does, so a pooled scratch does not pin a larger model's catalogue.
+func putRefreshScratch(sc *refreshScratch, q int) {
+	if len(sc.seen) > 2*q {
+		sc.cand, sc.seen = candidateScratch{}, nil
+	}
+	refreshScratchPool.Put(sc)
 }
 
 // selectList is a list selected from all of its item's candidates cand,

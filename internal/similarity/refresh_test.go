@@ -1,7 +1,10 @@
 package similarity
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -165,6 +168,70 @@ func TestRefreshNoChanges(t *testing.T) {
 		for k := range a {
 			if a[k] != b[k] {
 				t.Fatalf("no-op refresh changed item %d entry %d", i, k)
+			}
+		}
+	}
+}
+
+// TestRefreshScratchComesBackClean: every scratch the Refreshes of a
+// chain take from the pool — in step 1, and in step 4, which the chain
+// must reach — is back to all zero when they return it: no pair sum in
+// any cell, nothing recorded as touched, no seen mark. A cell left dirty
+// would leak into the next item one accumulates. Each step's GIS must
+// still be the reference's.
+func TestRefreshScratchComesBackClean(t *testing.T) {
+	var mu sync.Mutex
+	var made []*refreshScratch
+	newScratch := refreshScratchPool.New
+	refreshScratchPool.New = func() any {
+		sc := newScratch().(*refreshScratch)
+		mu.Lock()
+		made = append(made, sc)
+		mu.Unlock()
+		return sc
+	}
+	defer func() { refreshScratchPool.New = newScratch }()
+	for sc := refreshScratchPool.Get(); ; sc = refreshScratchPool.Get() {
+		// Drain what earlier tests pooled, so every scratch used below is
+		// one made here.
+		if slices.Contains(made, sc.(*refreshScratch)) {
+			refreshScratchPool.Put(sc)
+			break
+		}
+	}
+
+	rng := rand.New(rand.NewSource(11))
+	m := tiedMatrix(rng, 40, 60, 0.35)
+	opts := GISOptions{Metric: PCC, TopN: 5, MinCoRatings: 2, Workers: 2}
+	g := BuildGIS(m, opts)
+	reselected := 0
+	for step := 0; step < 6; step++ {
+		var ups [][3]int
+		items := rng.Perm(m.NumItems())[:4]
+		for _, i := range items {
+			ups = append(ups, [3]int{rng.Intn(m.NumUsers()), i, 1 + rng.Intn(5)})
+		}
+		m = applyUpdates(m, ups)
+		got := g.Refresh(m, items, 5)
+		requireSameGIS(t, refRefresh(g, m, items, 5), got, fmt.Sprintf("step %d", step))
+		reselected += got.Reselected()
+		g = got
+	}
+	if reselected == 0 {
+		t.Fatal("no list was selected again: step 4 never took a scratch")
+	}
+	for k, sc := range made {
+		if len(sc.cand.touched) != 0 {
+			t.Fatalf("scratch %d comes back with %d touched cells", k, len(sc.cand.touched))
+		}
+		for b, s := range sc.cand.sums {
+			if s != (pairSums{}) {
+				t.Fatalf("scratch %d comes back with item %d's sums %+v", k, b, s)
+			}
+		}
+		for b, v := range sc.seen {
+			if v != 0 {
+				t.Fatalf("scratch %d comes back with item %d seen as %d", k, b, v)
 			}
 		}
 	}

@@ -209,23 +209,6 @@ func (g *GIS) Options() GISOptions { return g.opts }
 // GIS that was built or loaded.
 func (g *GIS) Reselected() int { return g.reselected }
 
-// TopNByID returns a fresh copy of the top-n prefix of item i's
-// neighbour list, re-sorted by ascending neighbour id (n <= 0 means the
-// whole list). Serving keeps this id-sorted mirror alongside the
-// score-sorted list so the online phase can merge it against rating
-// rows without a per-request sort; it must be regenerated whenever the
-// score-sorted list (and hence its truncation) changes.
-func (g *GIS) TopNByID(i, n int) []mathx.Scored {
-	l := g.neighbors[i]
-	if n > 0 && len(l) > n {
-		l = l[:n]
-	}
-	out := make([]mathx.Scored, len(l))
-	copy(out, l)
-	mathx.SortScoredByIndex(out)
-	return out
-}
-
 // Sim returns the similarity between items a and b if b is among a's
 // retained neighbours.
 func (g *GIS) Sim(a, b int) (float64, bool) {
