@@ -19,8 +19,8 @@ race:
 
 # lint runs the repo's own invariant checkers in parallel dependency
 # order, writing the SARIF report beside the binaries. It must exit
-# clean: the baseline file is a migration tool, not a parking lot, and
-# CI runs the same command as a blocking step.
+# clean: there is no baseline file, and CI runs the same command as a
+# blocking step.
 lint:
 	$(GO) vet ./...
 	mkdir -p bin

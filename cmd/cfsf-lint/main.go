@@ -3,8 +3,7 @@
 //
 // Usage:
 //
-//	cfsf-lint [-json] [-sarif file] [-baseline file] [-write-baseline file]
-//	          [-enable list] [-disable list] [-parallel n]
+//	cfsf-lint [-sarif file] [-enable list] [-disable list] [-parallel n]
 //	          [-update-wire-golden] [patterns...]
 //
 // Patterns default to ./... . Exit status: 0 when clean, 1 when findings
@@ -21,34 +20,22 @@
 // cluster, wal, lifecycle) — the serving layer may read wall clocks and
 // iterate maps freely. All other analyzers run everywhere.
 //
-// A baseline file (one "analyzer|package|file|message" line per tolerated
-// finding, no line numbers so unrelated edits don't invalidate it)
-// suppresses known findings; -write-baseline records the current set.
-// Entries that no longer match any finding are pruned from the file with
-// a warning — a baseline only ever shrinks. Policy: the baseline must
-// stay empty — it exists for incident bisection, not for parking debt.
-// New suppressions go through //cfsf:* annotations with justification
-// strings instead.
+// There is no baseline: HEAD lints clean, and a finding is fixed or
+// suppressed in place by a //cfsf:* annotation with a justification
+// string.
 //
 // -update-wire-golden rewrites each package's wire_golden.json from the
 // current source instead of checking against it; review the diff.
 package main
 
 import (
-	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/token"
 	"io"
 	"os"
-	"path/filepath"
-	"sort"
 	"strings"
 
 	"cfsf/internal/analysis"
-	"cfsf/internal/analysis/atomiccheck"
-	"cfsf/internal/analysis/cowcheck"
 	"cfsf/internal/analysis/lockcheck"
 	"cfsf/internal/analysis/lockorder"
 	"cfsf/internal/analysis/mapiterfloat"
@@ -81,8 +68,6 @@ var replayOnly = map[string]bool{
 }
 
 var analyzers = []*analysis.Analyzer{
-	atomiccheck.Analyzer,
-	cowcheck.Analyzer,
 	lockcheck.Analyzer,
 	lockorder.Analyzer,
 	mapiterfloat.Analyzer,
@@ -97,10 +82,7 @@ var analyzers = []*analysis.Analyzer{
 func run(args []string, dir string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("cfsf-lint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	jsonOut := fs.Bool("json", false, "emit findings as a JSON array")
 	sarifPath := fs.String("sarif", "", "also write findings as SARIF 2.1.0 to this file")
-	baselinePath := fs.String("baseline", "", "suppress findings listed in this baseline file (stale entries are pruned)")
-	writeBaseline := fs.String("write-baseline", "", "write current findings to this baseline file and exit 0")
 	enable := fs.String("enable", "", "comma-separated analyzers to run (default: all)")
 	disable := fs.String("disable", "", "comma-separated analyzers to skip")
 	parallel := fs.Int("parallel", 0, "package-analysis workers (0 = one per CPU, 1 = sequential)")
@@ -139,42 +121,14 @@ func run(args []string, dir string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if *writeBaseline != "" {
-		if err := saveBaseline(*writeBaseline, diags); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "cfsf-lint: wrote %d baseline entries to %s\n", len(diags), *writeBaseline)
-		return 0
-	}
-	if *baselinePath != "" {
-		diags, err = applyBaseline(*baselinePath, diags, stderr)
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-	}
-
 	if *sarifPath != "" {
 		if err := writeSARIF(*sarifPath, active, diags); err != nil {
 			fmt.Fprintln(stderr, "cfsf-lint: sarif:", err)
 			return 2
 		}
 	}
-	if *jsonOut {
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if diags == nil {
-			diags = []analysis.Diagnostic{}
-		}
-		if err := enc.Encode(diags); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Fprintln(stdout, d)
-		}
+	for _, d := range diags {
+		fmt.Fprintln(stdout, d)
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(stderr, "cfsf-lint: %d finding(s)\n", len(diags))
@@ -229,115 +183,4 @@ func selectAnalyzers(enable, disable string) ([]*analysis.Analyzer, error) {
 		return nil, fmt.Errorf("flag selection leaves no analyzers enabled")
 	}
 	return active, nil
-}
-
-// baselineKey identifies a finding without its line number, so the
-// baseline survives unrelated edits to the same file.
-func baselineKey(d analysis.Diagnostic) string {
-	return strings.Join([]string{d.Analyzer, d.Package, filepath.Base(d.Pos.Filename), d.Message}, "|")
-}
-
-// applyBaseline suppresses baselined findings and prunes entries that
-// no longer match anything: each pruned entry is warned on stderr and
-// the file is rewritten without it, so the baseline only ever shrinks.
-func applyBaseline(path string, diags []analysis.Diagnostic, stderr io.Writer) ([]analysis.Diagnostic, error) {
-	base, err := loadBaseline(path)
-	if err != nil {
-		return nil, err
-	}
-	used := map[string]bool{}
-	kept := diags[:0]
-	for _, d := range diags {
-		k := baselineKey(d)
-		if base[k] {
-			used[k] = true
-		} else {
-			kept = append(kept, d)
-		}
-	}
-	var stale []string
-	for k := range base {
-		if !used[k] {
-			stale = append(stale, k)
-		}
-	}
-	if len(stale) > 0 {
-		sort.Strings(stale)
-		for _, k := range stale {
-			fmt.Fprintf(stderr, "cfsf-lint: baseline: pruning stale entry: %s\n", k)
-		}
-		var remaining []analysis.Diagnostic
-		for k := range used {
-			// Reconstruct enough of a diagnostic for saveBaseline's keying:
-			// the key IS the serialized form, so parse it back.
-			parts := strings.SplitN(k, "|", 4)
-			if len(parts) == 4 {
-				remaining = append(remaining, analysis.Diagnostic{
-					Analyzer: parts[0],
-					Package:  parts[1],
-					Pos:      token.Position{Filename: parts[2]},
-					Message:  parts[3],
-				})
-			}
-		}
-		if err := saveBaseline(path, remaining); err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(stderr, "cfsf-lint: baseline: pruned %d stale entr%s from %s\n",
-			len(stale), plural(len(stale), "y", "ies"), path)
-	}
-	return kept, nil
-}
-
-func plural(n int, one, many string) string {
-	if n == 1 {
-		return one
-	}
-	return many
-}
-
-func loadBaseline(path string) (map[string]bool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("cfsf-lint: baseline: %w", err)
-	}
-	defer f.Close()
-	base := map[string]bool{}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		base[line] = true
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("cfsf-lint: baseline: %w", err)
-	}
-	return base, nil
-}
-
-func saveBaseline(path string, diags []analysis.Diagnostic) error {
-	seen := map[string]bool{}
-	lines := make([]string, 0, len(diags))
-	for _, d := range diags {
-		k := baselineKey(d)
-		if !seen[k] {
-			seen[k] = true
-			lines = append(lines, k)
-		}
-	}
-	sort.Strings(lines)
-	var b strings.Builder
-	b.WriteString("# cfsf-lint baseline: analyzer|package|file|message per line.\n")
-	b.WriteString("# Policy: keep this file empty; fix or annotate instead of baselining.\n")
-	for _, l := range lines {
-		b.WriteString(l)
-		b.WriteString("\n")
-	}
-	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
-		return fmt.Errorf("cfsf-lint: baseline: %w", err)
-	}
-	return nil
 }

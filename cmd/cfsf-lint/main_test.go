@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"cfsf/internal/analysis"
 )
 
 // violatingModule writes a throwaway module with one walerr violation
@@ -41,8 +39,8 @@ func writeFile(t *testing.T, path, content string) {
 }
 
 func TestCleanAtHead(t *testing.T) {
-	// The repo's own invariant: cfsf-lint reports nothing on HEAD, with
-	// no baseline. This is the same gate CI applies.
+	// The repo's own invariant: cfsf-lint reports nothing on HEAD. This
+	// is the same gate CI applies.
 	var stdout, stderr bytes.Buffer
 	code := run([]string{"./..."}, "../..", &stdout, &stderr)
 	if code != 0 {
@@ -65,145 +63,10 @@ func TestViolationExitsNonZero(t *testing.T) {
 	}
 }
 
-func TestJSONOutputShape(t *testing.T) {
-	dir := violatingModule(t)
-	var stdout, stderr bytes.Buffer
-	code := run([]string{"-json", "./..."}, dir, &stdout, &stderr)
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1; stderr:\n%s", code, stderr.String())
-	}
-	var diags []analysis.Diagnostic
-	if err := json.Unmarshal(stdout.Bytes(), &diags); err != nil {
-		t.Fatalf("output is not a JSON diagnostic array: %v\n%s", err, stdout.String())
-	}
-	if len(diags) != 1 {
-		t.Fatalf("got %d findings, want 1: %+v", len(diags), diags)
-	}
-	d := diags[0]
-	if d.Analyzer != "walerr" {
-		t.Errorf("Analyzer = %q, want walerr", d.Analyzer)
-	}
-	if d.Package != "lintfixture" {
-		t.Errorf("Package = %q, want lintfixture", d.Package)
-	}
-	if filepath.Base(d.Pos.Filename) != "main.go" || d.Pos.Line == 0 {
-		t.Errorf("Pos = %+v, want main.go with a line number", d.Pos)
-	}
-	if d.Message == "" {
-		t.Errorf("empty Message")
-	}
-}
-
-func TestJSONEmptyIsArray(t *testing.T) {
-	dir := t.TempDir()
-	writeFile(t, filepath.Join(dir, "go.mod"), "module lintclean\n\ngo 1.21\n")
-	writeFile(t, filepath.Join(dir, "main.go"), "package main\n\nfunc main() {}\n")
-	var stdout, stderr bytes.Buffer
-	code := run([]string{"-json", "./..."}, dir, &stdout, &stderr)
-	if code != 0 {
-		t.Fatalf("exit = %d, want 0; stderr:\n%s", code, stderr.String())
-	}
-	var diags []analysis.Diagnostic
-	if err := json.Unmarshal(stdout.Bytes(), &diags); err != nil {
-		t.Fatalf("clean -json output is not a JSON array: %v\n%s", err, stdout.String())
-	}
-	if len(diags) != 0 {
-		t.Fatalf("got %d findings, want 0", len(diags))
-	}
-}
-
-func TestBaselineRoundTrip(t *testing.T) {
-	dir := violatingModule(t)
-	baseline := filepath.Join(t.TempDir(), "baseline.txt")
-
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-write-baseline", baseline, "./..."}, dir, &stdout, &stderr); code != 0 {
-		t.Fatalf("-write-baseline exit = %d; stderr:\n%s", code, stderr.String())
-	}
-	data, err := os.ReadFile(baseline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), "walerr|lintfixture|main.go|") {
-		t.Fatalf("baseline missing expected entry:\n%s", data)
-	}
-
-	// With the baseline, the same findings are suppressed and the run is
-	// clean.
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-baseline", baseline, "./..."}, dir, &stdout, &stderr); code != 0 {
-		t.Fatalf("baselined run exit = %d\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
-	}
-	if stdout.Len() != 0 {
-		t.Fatalf("baselined run printed findings:\n%s", stdout.String())
-	}
-
-	// Without it, the finding is back: the baseline suppresses, it does
-	// not erase.
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"./..."}, dir, &stdout, &stderr); code != 1 {
-		t.Fatalf("unbaselined run exit = %d, want 1", code)
-	}
-}
-
 func TestBadFlagExitsUsage(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-definitely-not-a-flag"}, "../..", &stdout, &stderr); code != 2 {
 		t.Fatalf("exit = %d, want 2", code)
-	}
-}
-
-func TestBaselinePruneAndWarn(t *testing.T) {
-	dir := violatingModule(t)
-	baseline := filepath.Join(t.TempDir(), "baseline.txt")
-
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-write-baseline", baseline, "./..."}, dir, &stdout, &stderr); code != 0 {
-		t.Fatalf("-write-baseline exit = %d; stderr:\n%s", code, stderr.String())
-	}
-
-	// Plant a stale entry that no current finding matches.
-	const stale = "walerr|lintfixture|gone.go|a finding that no longer exists"
-	data, err := os.ReadFile(baseline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeFile(t, baseline, string(data)+stale+"\n")
-
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-baseline", baseline, "./..."}, dir, &stdout, &stderr); code != 0 {
-		t.Fatalf("baselined run exit = %d\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "pruning stale entry: "+stale) {
-		t.Fatalf("missing prune warning on stderr:\n%s", stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "pruned 1 stale entry") {
-		t.Fatalf("missing prune summary on stderr:\n%s", stderr.String())
-	}
-
-	// The file was rewritten: the stale entry is gone, the live one kept.
-	rewritten, err := os.ReadFile(baseline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(rewritten), stale) {
-		t.Fatalf("stale entry survived the rewrite:\n%s", rewritten)
-	}
-	if !strings.Contains(string(rewritten), "walerr|lintfixture|main.go|") {
-		t.Fatalf("live entry was lost in the rewrite:\n%s", rewritten)
-	}
-
-	// Idempotence: a second run prunes nothing and stays clean.
-	stdout.Reset()
-	stderr.Reset()
-	if code := run([]string{"-baseline", baseline, "./..."}, dir, &stdout, &stderr); code != 0 {
-		t.Fatalf("second baselined run exit = %d; stderr:\n%s", code, stderr.String())
-	}
-	if strings.Contains(stderr.String(), "pruning") {
-		t.Fatalf("second run pruned again:\n%s", stderr.String())
 	}
 }
 
@@ -280,7 +143,8 @@ func TestEnableDisable(t *testing.T) {
 		t.Fatalf("-enable walerr exit = %d, want 1", code)
 	}
 
-	// Typos cannot silently skip a gate.
+	// Typos cannot silently skip a gate, and neither can the name of an
+	// analyzer that is no longer registered.
 	stdout.Reset()
 	stderr.Reset()
 	if code := run([]string{"-disable", "wallerr", "./..."}, dir, &stdout, &stderr); code != 2 {
@@ -288,6 +152,13 @@ func TestEnableDisable(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), `unknown analyzer "wallerr"`) {
 		t.Fatalf("missing unknown-analyzer error:\n%s", stderr.String())
+	}
+	for _, gone := range []string{"cowcheck", "atomiccheck"} {
+		stdout.Reset()
+		stderr.Reset()
+		if code := run([]string{"-enable", gone, "./..."}, dir, &stdout, &stderr); code != 2 {
+			t.Fatalf("-enable %s exit = %d, want 2", gone, code)
+		}
 	}
 
 	// Enabling and disabling the same set leaves nothing to run.

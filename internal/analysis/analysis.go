@@ -36,7 +36,7 @@ import (
 
 // Analyzer is one named check.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and baselines.
+	// Name identifies the analyzer in diagnostics and -enable/-disable.
 	Name string
 	// Doc is a one-paragraph description shown by the driver's -help.
 	Doc string
@@ -56,10 +56,10 @@ type Analyzer struct {
 
 // Diagnostic is one finding, positioned in the analyzed source.
 type Diagnostic struct {
-	Analyzer string         `json:"analyzer"`
-	Package  string         `json:"package"`
-	Pos      token.Position `json:"pos"`
-	Message  string         `json:"message"`
+	Analyzer string
+	Package  string
+	Pos      token.Position
+	Message  string
 }
 
 // String formats the diagnostic the way the driver prints it.
@@ -76,18 +76,8 @@ type Pass struct {
 	Info     *types.Info
 
 	ann   *Annotations
-	cg    *CallGraph
 	store *FactStore
 	diags *[]Diagnostic
-}
-
-// CallGraph returns the package's static call graph, built on first
-// use and shared by every analyzer running on the package.
-func (p *Pass) CallGraph() *CallGraph {
-	if p.cg == nil {
-		p.cg = buildCallGraph(p.Info, p.Files)
-	}
-	return p.cg
 }
 
 // Reportf records a diagnostic at pos.

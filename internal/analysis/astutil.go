@@ -23,12 +23,6 @@ func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-// IsPackageFunc reports whether fn is the named function (or method) of
-// the package with the given import path.
-func IsPackageFunc(fn *types.Func, pkgPath, name string) bool {
-	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == pkgPath && fn.Name() == name
-}
-
 // IsNamedType reports whether t (after stripping pointers) is the named
 // type pkgPath.name.
 func IsNamedType(t types.Type, pkgPath, name string) bool {

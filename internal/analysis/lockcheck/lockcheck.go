@@ -16,7 +16,10 @@
 //     published model is never mutated; every apply/retrain builds a
 //     fresh value and swaps a pointer at the documented publication
 //     point. An in-place write to a shared model — the GIS swap bug
-//     class — is exactly what this flags.
+//     class — is exactly what this flags. Writes inside function
+//     literals are checked too (builders write from parallel.For
+//     closures), against the enclosing function's fresh values and
+//     init-only contract.
 //
 // Contracts travel as facts: every annotated field's contract is
 // exported under its object path, so a dependent package touching an
@@ -137,6 +140,9 @@ type checker struct {
 	reported map[*ast.SelectorExpr]bool
 	// imported caches cross-package contract lookups by field object.
 	imported map[types.Object]*fieldContract
+	// inClosure is set while a function literal's body is walked: only
+	// immutable writes are checked there.
+	inClosure bool
 }
 
 func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, contracts map[types.Object]fieldContract) {
@@ -147,13 +153,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, contracts map[types.Object
 		reported:  map[*ast.SelectorExpr]bool{},
 		imported:  map[types.Object]*fieldContract{},
 	}
-	c.w = &lockstate.Walker{
-		Info:        pass.Info,
-		OnExpr:      c.checkExpr,
-		OnWrite:     c.checkWrite,
-		OnAssign:    c.trackFresh,
-		OnValueSpec: c.trackFreshSpec,
-	}
+	c.w = c.walker()
 	if a, ok := analysis.FuncAnnotation(fd.Doc, "locked"); ok {
 		// The first word names the mutex; anything after it is the
 		// justification (why the caller holds it / why the value is
@@ -216,17 +216,15 @@ func isCompositeLit(e ast.Expr) bool {
 	return false
 }
 
-// checkExpr checks every guarded-field read reachable in e. Function
-// literals are skipped: a closure runs later, possibly on another
-// goroutine, so the current lock state does not apply — their bodies
-// would need their own contracts (none of the annotated code accesses
-// guarded fields from closures).
+// checkExpr checks every guarded-field read reachable in e, and hands
+// each function literal to checkClosure.
 func (c *checker) checkExpr(e ast.Expr) {
 	if e == nil {
 		return
 	}
 	ast.Inspect(e, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
+		if fl, ok := n.(*ast.FuncLit); ok {
+			c.checkClosure(fl)
 			return false
 		}
 		sel, ok := n.(*ast.SelectorExpr)
@@ -236,6 +234,28 @@ func (c *checker) checkExpr(e ast.Expr) {
 		c.checkSelector(sel, false)
 		return true
 	})
+}
+
+// checkClosure walks a function literal for immutable-field writes. The
+// body inherits the enclosing function's fresh values and init-only
+// contract, but not its lock state: a closure runs later, possibly on
+// another goroutine, so guarded-by fields are not checked inside it.
+func (c *checker) checkClosure(fl *ast.FuncLit) {
+	outer := c.inClosure
+	c.inClosure = true
+	c.walker().Walk(fl.Body)
+	c.inClosure = outer
+}
+
+// walker returns a fresh lock-state walk driving this checker.
+func (c *checker) walker() *lockstate.Walker {
+	return &lockstate.Walker{
+		Info:        c.pass.Info,
+		OnExpr:      c.checkExpr,
+		OnWrite:     c.checkWrite,
+		OnAssign:    c.trackFresh,
+		OnValueSpec: c.trackFreshSpec,
+	}
 }
 
 // checkWrite checks an assignment target: immutable-field writes and
@@ -305,7 +325,7 @@ func (c *checker) checkSelector(sel *ast.SelectorExpr, write bool) {
 			"write to immutable field %s of a published value: copy-on-write requires building a fresh value and swapping at the publication point (or //cfsf:init-only <why> on a pre-publication helper)",
 			fmt.Sprintf("%s.%s", typeName(s.Recv()), s.Obj().Name()))
 	}
-	if contract.mutex != "" {
+	if contract.mutex != "" && !c.inClosure {
 		base := analysis.ExprString(sel.X)
 		if base == "" || !c.w.Held(base+"."+contract.mutex) {
 			c.reported[sel] = true

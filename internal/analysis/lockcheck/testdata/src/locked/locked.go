@@ -56,6 +56,21 @@ func fresh(start int) *Counter {
 	return c
 }
 
+// withLock runs f with the lock held.
+func (c *Counter) withLock(f func()) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	f()
+}
+
+// addLater accesses a guarded field inside a closure: lock state does not
+// flow into closures, so guarded-by fields are not checked there.
+func (c *Counter) addLater(d int) {
+	c.withLock(func() {
+		c.n += d
+	})
+}
+
 // Gauge uses an RWMutex and a read lock.
 type Gauge struct {
 	rw sync.RWMutex

@@ -4,7 +4,7 @@ package analysis
 // runs only after every package it imports (within the loaded set) has
 // run and sealed its facts — and independent packages run in parallel.
 // Within one package, analyzers run sequentially and share the
-// annotation index and call graph.
+// annotation index.
 
 import (
 	"fmt"
@@ -87,7 +87,6 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer, opts RunOptions) ([]Di
 		pkg := pkgs[i]
 		var diags []Diagnostic
 		var ann *Annotations
-		var cg *CallGraph
 		for _, a := range analyzers {
 			if opts.Filter != nil && !opts.Filter(a, pkg.Path) {
 				continue
@@ -99,15 +98,14 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer, opts RunOptions) ([]Di
 				Pkg:      pkg.Types,
 				Info:     pkg.Info,
 				ann:      ann,
-				cg:       cg,
 				store:    store,
 				diags:    &diags,
 			}
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("analysis: %s on %s: %w", a.Name, pkg.Path, err)
 			}
-			// Share the per-package annotation index and call graph.
-			ann, cg = pass.Annotations(), pass.cg
+			// Share the per-package annotation index.
+			ann = pass.Annotations()
 		}
 		if err := store.Seal(pkg.Path); err != nil {
 			return nil, err

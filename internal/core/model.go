@@ -162,9 +162,9 @@ type TrainStats struct {
 // Model is a trained CFSF model. A published Model is never mutated:
 // Train, Load, WithUpdates, and the shard paths each build a fresh value
 // and hand it over complete, which is what lets readers use it without
-// locks. The //cfsf:immutable contracts below are enforced by lockcheck;
-// the //cfsf:cow slot arrays, allocated by every constructor before
-// publication and filled through their atomic elements, by cowcheck.
+// locks. lockcheck enforces the //cfsf:immutable contracts below, in
+// closures too; the two slot arrays are allocated by every constructor
+// before publication and filled through their atomic elements.
 type Model struct {
 	cfg      Config              //cfsf:immutable
 	m        *ratings.Matrix     //cfsf:immutable
@@ -176,14 +176,14 @@ type Model struct {
 	// neighborCache[u] holds the Eq. 10 top-K selection for user u. The
 	// slice header is fixed at construction; elements are atomic
 	// pointers, so the lazy fill on the read path stays race-free.
-	neighborCache []atomic.Pointer[[]likeMinded] //cfsf:cow slice header swapped whole at publication; elements are atomic slots
+	neighborCache []atomic.Pointer[[]likeMinded] //cfsf:immutable
 
 	// recCache[u] holds user u's cached top-C recommendation ranking
 	// (reccache.go). Same discipline as neighborCache: allocated cold by
 	// every constructor, the slice header fixed at construction, elements
 	// atomic pointers filled on the read path. nil when the cache is
 	// disabled.
-	recCache []atomic.Pointer[recEntry] //cfsf:cow slice header swapped whole at publication; elements are atomic slots
+	recCache []atomic.Pointer[recEntry] //cfsf:immutable
 }
 
 // likeMinded is one selected neighbour of an active user.

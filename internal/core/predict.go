@@ -146,9 +146,8 @@ type colIndex struct {
 // colIndexPool recycles Predict's column index across requests and model
 // generations: 4·Q bytes of slots and 8·(M+2) of obs cells (the top-M
 // columns, the item's own, and the sink). The like-minded selection keeps
-// its own in lmScratch.
-//
-//cfsf:guarded-by sync.Pool — each index is handed out to exactly one goroutine at a time, at rest when pooled
+// its own in lmScratch. Each index is handed out to exactly one goroutine
+// at a time, at rest when pooled.
 var colIndexPool = sync.Pool{
 	New: func() any { return new(colIndex) },
 }
@@ -366,9 +365,9 @@ type lmScratch struct {
 }
 
 // lmScratchPool recycles like-minded selection scratch across requests
-// and across model generations (the scratch is model-independent).
-//
-//cfsf:guarded-by sync.Pool — each scratch is handed out to exactly one goroutine at a time; contents carry no cross-request state
+// and across model generations (the scratch is model-independent). Each
+// scratch is handed out to exactly one goroutine at a time; its contents
+// carry no cross-request state.
 var lmScratchPool = sync.Pool{
 	New: func() any { return &lmScratch{top: mathx.NewTopK(0)} },
 }
@@ -577,7 +576,9 @@ type recScratch struct {
 	best   []float64
 }
 
-//cfsf:guarded-by sync.Pool — each scratch is handed out to exactly one goroutine at a time; contents carry no cross-request state
+// recScratchPool recycles recScratch across requests. Each scratch is
+// handed out to exactly one goroutine at a time; its contents carry no
+// cross-request state.
 var recScratchPool = sync.Pool{
 	New: func() any { return new(recScratch) },
 }

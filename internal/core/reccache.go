@@ -32,7 +32,7 @@ const defaultRecCacheSize = 128
 type recEntry struct {
 	// ranked is a prefix of the user's full candidate ranking in canonical
 	// order (score desc, id asc), no longer than the capacity.
-	ranked []mathx.Scored //cfsf:cow entries are swapped whole through the recCache slot
+	ranked []mathx.Scored //cfsf:immutable
 	// complete reports that ranked holds *every* eligible item, so any n
 	// can be served from it.
 	complete bool

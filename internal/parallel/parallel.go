@@ -50,14 +50,14 @@ func ForChunked(n, workers int, body func(lo, hi int)) {
 	if chunk < 1 {
 		chunk = 1
 	}
-	var next int64
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
 			for {
-				lo := int(atomic.AddInt64(&next, int64(chunk))) - chunk
+				lo := int(next.Add(int64(chunk))) - chunk
 				if lo >= n {
 					return
 				}

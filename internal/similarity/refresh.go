@@ -377,9 +377,8 @@ type refreshScratch struct {
 
 // refreshScratchPool recycles Refresh's scratch across Refreshes, which
 // would otherwise allocate and zero 36 bytes a catalogue item per worker
-// chunk of steps 1 and 4 on every Apply.
-//
-//cfsf:guarded-by sync.Pool — each scratch is handed out to exactly one worker chunk at a time, all zero when pooled
+// chunk of steps 1 and 4 on every Apply. Each scratch is handed out to
+// exactly one worker chunk at a time, all zero when pooled.
 var refreshScratchPool = sync.Pool{
 	New: func() any { return new(refreshScratch) },
 }
