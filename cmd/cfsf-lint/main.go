@@ -15,10 +15,13 @@
 // comma-separated analyzer names; -sarif writes the findings as SARIF
 // 2.1.0 for code-scanning upload alongside the normal output.
 //
-// Scoping: mapiterfloat and nondeterm police the crash-replay guarantee,
-// so they run only on replay-path packages (core, smoothing, similarity,
-// cluster, wal, lifecycle) — the serving layer may read wall clocks and
-// iterate maps freely. All other analyzers run everywhere.
+// Scoping: mapiterfloat polices the crash-replay guarantee, so it runs
+// only on replay-path packages (core, smoothing, similarity, cluster,
+// wal, lifecycle) — the serving layer may iterate maps freely. All other
+// analyzers run everywhere. Clock reads, seeds and select order on the
+// replay path have no analyzer: TestKMeansDeterministic and
+// TestRetrainIsReplayed catch them. Pooled scratch has none either: the
+// pools' put functions check it under the race detector.
 //
 // There is no baseline: HEAD lints clean, and a finding is fixed or
 // suppressed in place by a //cfsf:* annotation with a justification
@@ -39,8 +42,6 @@ import (
 	"cfsf/internal/analysis/lockcheck"
 	"cfsf/internal/analysis/lockorder"
 	"cfsf/internal/analysis/mapiterfloat"
-	"cfsf/internal/analysis/nondeterm"
-	"cfsf/internal/analysis/poolescape"
 	"cfsf/internal/analysis/walerr"
 	"cfsf/internal/analysis/wirecompat"
 )
@@ -61,18 +62,16 @@ var replayPackages = map[string]bool{
 	"cfsf/internal/lifecycle":  true,
 }
 
-// replayOnly names the analyzers scoped to replayPackages.
+// replayOnly names the analyzers scoped to replayPackages: the one whose
+// findings matter only where WAL replay must reproduce state.
 var replayOnly = map[string]bool{
 	"mapiterfloat": true,
-	"nondeterm":    true,
 }
 
 var analyzers = []*analysis.Analyzer{
 	lockcheck.Analyzer,
 	lockorder.Analyzer,
 	mapiterfloat.Analyzer,
-	nondeterm.Analyzer,
-	poolescape.Analyzer,
 	walerr.Analyzer,
 	wirecompat.Analyzer,
 }

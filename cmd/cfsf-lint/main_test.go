@@ -153,7 +153,7 @@ func TestEnableDisable(t *testing.T) {
 	if !strings.Contains(stderr.String(), `unknown analyzer "wallerr"`) {
 		t.Fatalf("missing unknown-analyzer error:\n%s", stderr.String())
 	}
-	for _, gone := range []string{"cowcheck", "atomiccheck"} {
+	for _, gone := range []string{"cowcheck", "atomiccheck", "poolescape", "nondeterm"} {
 		stdout.Reset()
 		stderr.Reset()
 		if code := run([]string{"-enable", gone, "./..."}, dir, &stdout, &stderr); code != 2 {

@@ -18,8 +18,6 @@
 //	//cfsf:init-only <why>      func: runs before publication; may write
 //	//	                        immutable fields
 //	//cfsf:ordered-ok <why>     map range: order-nondeterminism is safe
-//	//cfsf:wallclock-ok <why>   stmt or func: time.Now is metrics-only
-//	//cfsf:select-ok <why>      multi-case select is order-insensitive
 //
 // Every suppression annotation requires a non-empty justification
 // string; an annotation without one is itself a diagnostic.

@@ -34,7 +34,7 @@ import (
 // first timed update into an untimed matrix included (ratings.Upserted
 // promotes the matrix; no model structure reads a timestamp).
 //
-//cfsf:wallclock-ok refresh durations recorded in TrainStats only; no clock value reaches predictions or replayed state
+// Clock reads: refresh durations recorded in TrainStats only; no clock value reaches predictions or replayed state.
 func (mod *Model) Apply(updates []RatingUpdate) (*Model, error) {
 	if len(updates) == 0 {
 		return mod, nil
@@ -43,14 +43,16 @@ func (mod *Model) Apply(updates []RatingUpdate) (*Model, error) {
 
 	ups := make([]ratings.Upsert, len(updates))
 	changedUsers := map[int]bool{}
-	changedItems := map[int]bool{}
+	// The changed items as the batch names them, in any order and with
+	// repeats: GIS.Refresh reads the list into a dense set.
+	itemList := make([]int, len(updates))
 	for k, up := range updates {
 		if err := mod.checkUpdate(k, up); err != nil {
 			return nil, err
 		}
 		ups[k] = ratings.Upsert{User: up.User, Item: up.Item, Value: up.Value, Time: up.Time}
 		changedUsers[up.User] = true
-		changedItems[up.Item] = true
+		itemList[k] = up.Item
 	}
 
 	m, err := mod.m.Upserted(ups)
@@ -58,13 +60,8 @@ func (mod *Model) Apply(updates []RatingUpdate) (*Model, error) {
 		return nil, err
 	}
 
-	// Sorted for the same reason as WithUpdates: the refresh passes must
-	// see the changed sets in a fixed order or replay diverges.
-	itemList := make([]int, 0, len(changedItems))
-	for i := range changedItems {
-		itemList = append(itemList, i)
-	}
-	sort.Ints(itemList)
+	// The changed users sorted, as WithUpdates sorts them: the cluster
+	// refresh visits them in one order whatever the map's iteration order.
 	userList := make([]int, 0, len(changedUsers))
 	for u := range changedUsers {
 		userList = append(userList, u)

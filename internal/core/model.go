@@ -194,7 +194,7 @@ type likeMinded struct {
 
 // Train runs the offline phase of CFSF on m.
 //
-//cfsf:wallclock-ok phase durations recorded in TrainStats only; no clock value reaches predictions or replayed state
+// Clock reads: phase durations recorded in TrainStats only; no clock value reaches predictions or replayed state.
 func Train(m *ratings.Matrix, cfg Config) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

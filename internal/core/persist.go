@@ -309,7 +309,7 @@ type File struct {
 // nothing else; Model does. A file older than the version before the one
 // this build writes is refused as ErrRetiredFormat.
 //
-//cfsf:wallclock-ok clustering derivation duration recorded in TrainStats only; no clock value reaches predictions or replayed state
+// Clock reads: clustering derivation duration recorded in TrainStats only; no clock value reaches predictions or replayed state.
 func Decode(r io.Reader) (*File, error) {
 	payload, err := readBlob(r)
 	if err != nil {
@@ -539,7 +539,7 @@ func (f *File) check() error {
 // TrainStats.ClusterDuration is the clustering's derivation in Decode, as
 // its GISDuration is the GIS's selection.
 //
-//cfsf:wallclock-ok rebuild duration recorded in TrainStats only; no clock value reaches predictions or replayed state
+// Clock reads: rebuild duration recorded in TrainStats only; no clock value reaches predictions or replayed state.
 func (f *File) Model() (*Model, error) {
 	b := ratings.NewBuilder(f.NumUsers, f.NumItems)
 	b.SetScale(f.MinRating, f.MaxRating)
@@ -592,8 +592,9 @@ func LoadFile(path string) (*Model, error) {
 // stampRebuildDuration records how long reconstructing the derived
 // offline state took in the model's TrainStats.
 //
+// Clock reads: rebuild duration recorded in TrainStats only; no clock value reaches predictions or replayed state.
+//
 //cfsf:init-only called by File.Model on a model that has not been returned yet
-//cfsf:wallclock-ok rebuild duration recorded in TrainStats only; no clock value reaches predictions or replayed state
 func stampRebuildDuration(mod *Model, start time.Time) {
 	mod.stats.TotalDuration = time.Since(start)
 }
@@ -615,7 +616,7 @@ var errBlendedGIS = errors.New("a GIS that blends in item attributes is not pers
 // snapshot that does not cover m's items (Predict indexes the GIS by item
 // id) or does not select on m (similarity.FromSnapshot).
 //
-//cfsf:wallclock-ok GIS selection duration recorded in TrainStats only; no clock value reaches predictions or replayed state
+// Clock reads: GIS selection duration recorded in TrainStats only; no clock value reaches predictions or replayed state.
 func rebuildModel(cfg Config, m *ratings.Matrix, snap similarity.Snapshot, clusters *cluster.Result) (*Model, error) {
 	if err := clusters.Check(m.NumUsers(), m.NumItems()); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sync"
@@ -143,19 +144,24 @@ type colIndex struct {
 	obs  []float64
 }
 
-// colIndexPool recycles Predict's column index across requests and model
-// generations: 4·Q bytes of slots and 8·(M+2) of obs cells (the top-M
-// columns, the item's own, and the sink). The like-minded selection keeps
-// its own in lmScratch. Each index is handed out to exactly one goroutine
-// at a time, at rest when pooled.
+// colIndexPool recycles Predict's and Explain's column index across
+// requests and model generations: 4·Q bytes of slots and 8·(M+2) of obs
+// cells (the top-M columns, the item's own, and the sink). The like-minded
+// selection keeps its own in lmScratch. Each index is handed out to
+// exactly one goroutine at a time, at rest when pooled; every Put goes
+// through putColIndex.
 var colIndexPool = sync.Pool{
 	New: func() any { return new(colIndex) },
 }
 
 // putColIndex returns x to its pool, first dropping an array that
 // outgrew the current model's need by more than 2×, as putRecScratch
-// does: q slots and n of them indexed.
+// does: q slots and n of them indexed. Under the race detector it first
+// checks that x is at rest.
 func putColIndex(x *colIndex, q, n int) {
+	if raceEnabled {
+		x.checkAtRest("colIndexPool")
+	}
 	if cap(x.slot) > 2*q {
 		x.slot = nil
 	}
@@ -164,6 +170,47 @@ func putColIndex(x *colIndex, q, n int) {
 	}
 	colIndexPool.Put(x)
 }
+
+// checkAtRest panics, naming pool and the first bad cell, unless x is at
+// rest: every slot −1 and every obs cell but the sink unobserved. A kernel
+// that pooled an index with a column still indexed would hand the next
+// request a stale slot, which ready does not reset. It reads only memory
+// its goroutine owns, so it is left uninstrumented: a detector call per
+// slot made every race-mode Predict a few percent slower.
+//
+//go:norace
+func (x *colIndex) checkAtRest(pool string) {
+	for i, s := range x.slot {
+		if s != -1 {
+			panic(fmt.Sprintf("%s: put with slot %d indexed at %d, want -1", pool, i, s))
+		}
+	}
+	for s := 1; s < len(x.obs); s++ {
+		if v := x.obs[s]; v == v {
+			panic(fmt.Sprintf("%s: put with obs cell %d holding %v, want unobserved", pool, s, v))
+		}
+	}
+}
+
+// poison fills s over its whole capacity with v, the sentinel of a buffer
+// that is dead once pooled: under the race detector putLMScratch and
+// putRecScratch poison every buffer they pool (NaN scores, −1 ids). A read
+// of memory that outlived its Put then reads the sentinel, which a test
+// sees, and races with the poison's write, which the detector sees.
+// Doubling copies keep it to a few range accesses under the detector.
+func poison[T any](s []T, v T) {
+	s = s[:cap(s)]
+	if len(s) == 0 {
+		return
+	}
+	s[0] = v
+	for n := 1; n < len(s); n *= 2 {
+		copy(s[n:], s[:n])
+	}
+}
+
+// deadScored is the poison of a pooled []mathx.Scored.
+var deadScored = mathx.Scored{Index: -1, Score: math.NaN()}
 
 // ready grows x, at rest, to q columns of which n can be indexed.
 func (x *colIndex) ready(q, n int) {
@@ -351,9 +398,9 @@ func (mod *Model) likeMindedUsers(user int) []likeMinded {
 // the active row's column index and centred ratings, the bounded Eq. 10
 // top-K heap, and the ranking buffer. Instances cycle
 // through lmScratchPool; a scratch is owned exclusively by one
-// selectLikeMinded call between Get and Put, holds no model state of its
-// own (every field is fully overwritten before use), and must never be
-// retained past the call that fetched it.
+// selectLikeMinded call between Get and Put (putLMScratch), holds no
+// model state of its own (every field is fully overwritten before use),
+// and must never be retained past the call that fetched it.
 type lmScratch struct {
 	order      []int32
 	sims       []float64
@@ -367,7 +414,7 @@ type lmScratch struct {
 // lmScratchPool recycles like-minded selection scratch across requests
 // and across model generations (the scratch is model-independent). Each
 // scratch is handed out to exactly one goroutine at a time; its contents
-// carry no cross-request state.
+// carry no cross-request state. Every Put goes through putLMScratch.
 var lmScratchPool = sync.Pool{
 	New: func() any { return &lmScratch{top: mathx.NewTopK(0)} },
 }
@@ -382,8 +429,22 @@ var lmScratchPool = sync.Pool{
 func (mod *Model) selectLikeMinded(user int) []likeMinded {
 	sc := lmScratchPool.Get().(*lmScratch)
 	out := mod.selectWith(sc, user)
-	lmScratchPool.Put(sc)
+	putLMScratch(sc)
 	return out
+}
+
+// putLMScratch returns sc to its pool. Under the race detector it first
+// checks that the column index is at rest and poisons every buffer.
+func putLMScratch(sc *lmScratch) {
+	if raceEnabled {
+		sc.idx.checkAtRest("lmScratchPool")
+		poison(sc.order, -1)
+		poison(sc.sims, math.NaN())
+		poison(sc.candidates, -1)
+		poison(sc.da, math.NaN())
+		poison(sc.ranked, deadScored)
+	}
+	lmScratchPool.Put(sc)
 }
 
 // selectWith is selectLikeMinded on the scratch sc, which it leaves ready
@@ -578,7 +639,7 @@ type recScratch struct {
 
 // recScratchPool recycles recScratch across requests. Each scratch is
 // handed out to exactly one goroutine at a time; its contents carry no
-// cross-request state.
+// cross-request state. Every Put goes through putRecScratch.
 var recScratchPool = sync.Pool{
 	New: func() any { return new(recScratch) },
 }
@@ -590,7 +651,8 @@ var recScratchPool = sync.Pool{
 // that high-water mark forever even when later (smaller) models need a
 // fraction of it. A buffer within 2× of the need is kept — steady-state
 // growth never reallocates, only a shrink (a different model in the
-// same process) sheds memory.
+// same process) sheds memory. Under the race detector it then poisons
+// every buffer it keeps.
 func putRecScratch(sc *recScratch, q, k int) {
 	if cap(sc.cands) > 2*q {
 		sc.cands = nil
@@ -612,6 +674,16 @@ func putRecScratch(sc *recScratch, q, k int) {
 	}
 	if cap(sc.best) > 2*q {
 		sc.best = nil
+	}
+	if raceEnabled {
+		nan := math.NaN()
+		poison(sc.cands, deadScored)
+		poison(sc.ranked, deadScored)
+		poison(sc.tile, localCell{val: nan, w: nan})
+		poison(sc.colHi, nan)
+		poison(sc.bounds, scanBound{ub: nan})
+		poison(sc.rest, deadScored)
+		poison(sc.best, nan)
 	}
 	recScratchPool.Put(sc)
 }

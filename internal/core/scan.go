@@ -83,7 +83,7 @@ func (mod *Model) beginScan(user, n int, sc *recScratch) userScan {
 // endScan books one scan-kernel pass that began at start, was handed
 // items candidates and ran SUIR′ for priced of them.
 //
-//cfsf:wallclock-ok scan duration feeds the RecCacheStats counters only; no clock value reaches a score
+// Clock reads: scan duration feeds the RecCacheStats counters only; no clock value reaches a score.
 func endScan(start time.Time, items, priced int) {
 	recScans.Add(1)
 	recScanNanos.Add(uint64(time.Since(start)))
@@ -97,7 +97,7 @@ func endScan(start time.Time, items, priced int) {
 // nothing to skip; the exact scan's long lists go through scoreTop
 // instead.
 //
-//cfsf:wallclock-ok scan duration feeds the RecCacheStats counters only; no clock value reaches a score
+// Clock reads: scan duration feeds the RecCacheStats counters only; no clock value reaches a score.
 func (mod *Model) scoreCandidates(user int, cands []mathx.Scored, sc *recScratch) {
 	start := time.Now()
 	s := mod.beginScan(user, len(cands), sc)
@@ -244,7 +244,7 @@ func (s *userScan) bound(item int, colHi []float64, slack float64) float64 {
 // whatever its id: it is not in the top want, its score is never
 // needed, and neither is any later one's (their bounds are no higher).
 //
-//cfsf:wallclock-ok scan duration feeds the RecCacheStats counters only; no clock value reaches a score
+// Clock reads: scan duration feeds the RecCacheStats counters only; no clock value reaches a score.
 func (mod *Model) scoreTop(user int, cands []mathx.Scored, want int, sc *recScratch) int {
 	start := time.Now()
 	s := mod.beginScan(user, len(cands), sc)

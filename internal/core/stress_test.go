@@ -1,11 +1,54 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"cfsf/internal/mathx"
 )
+
+// TestPoolPutEnforcesContract: under the race detector every put is the
+// pool contract's check. A column index put with a slot still indexed
+// panics, naming its pool and the slot, and a recScratch put leaves every
+// cell of its ranking buffer, up to its capacity, at the dead sentinel,
+// so whatever reads that memory after the Put reads −1 ids and NaN scores.
+func TestPoolPutEnforcesContract(t *testing.T) {
+	if !raceEnabled {
+		t.Skip("the puts check and poison only under -race")
+	}
+	t.Run("colIndex not at rest", func(t *testing.T) {
+		const q = 50
+		x := new(colIndex)
+		x.ready(q, 2)
+		x.index([]mathx.Scored{{Index: 7}, {Index: 42}})
+		x.unindex([]mathx.Scored{{Index: 7}})
+		defer func() {
+			msg := fmt.Sprint(recover())
+			if !strings.Contains(msg, "colIndexPool") || !strings.Contains(msg, "slot 42") {
+				t.Fatalf("put with slot 42 still indexed recovered %q, want a panic naming colIndexPool and slot 42", msg)
+			}
+		}()
+		putColIndex(x, q, 2)
+	})
+	t.Run("recScratch poisoned", func(t *testing.T) {
+		sc := &recScratch{ranked: make([]mathx.Scored, 3, 40)}
+		for i := range sc.ranked {
+			sc.ranked[i] = mathx.Scored{Index: int32(i), Score: 4}
+		}
+		after := sc.ranked[:cap(sc.ranked)]
+		sc.ranked = sc.ranked[:0]
+		putRecScratch(sc, 100, 5)
+		for i, e := range after {
+			if e.Index != -1 || e.Score == e.Score {
+				t.Fatalf("ranked[%d] = %+v after the put, want {Index:-1 Score:NaN}", i, e)
+			}
+		}
+	})
+}
 
 // TestConcurrentPredictDuringApply hammers the pooled-scratch online
 // path (Predict, PredictDetailed, Recommend, PredictBatch, Explain) from

@@ -63,7 +63,7 @@ func (mod *Model) checkUpdate(k int, up RatingUpdate) error {
 // suits the application (the Stats of the returned model record how much
 // cheaper the refresh was).
 //
-//cfsf:wallclock-ok refresh durations recorded in TrainStats only; no clock value reaches predictions or replayed state
+// Clock reads: refresh durations recorded in TrainStats only; no clock value reaches predictions or replayed state.
 func (mod *Model) WithUpdates(updates []RatingUpdate) (*Model, error) {
 	if len(updates) == 0 {
 		return mod, nil
@@ -100,8 +100,8 @@ func (mod *Model) WithUpdates(updates []RatingUpdate) (*Model, error) {
 		}
 	}
 	changedUsers := map[int]bool{}
-	changedItems := map[int]bool{}
-	for _, up := range updates {
+	itemList := make([]int, len(updates))
+	for k, up := range updates {
 		var err error
 		if hasTimes || up.Time != 0 {
 			err = b.AddWithTime(up.User, up.Item, up.Value, up.Time)
@@ -112,18 +112,14 @@ func (mod *Model) WithUpdates(updates []RatingUpdate) (*Model, error) {
 			return nil, err
 		}
 		changedUsers[up.User] = true
-		changedItems[up.Item] = true
+		itemList[k] = up.Item
 	}
 	m := b.Build()
 
-	// Sorted so the refresh passes below see the changed sets in a fixed
-	// order: map iteration order varies per run, and an order-dependent
-	// refresh would break bit-for-bit replay.
-	itemList := make([]int, 0, len(changedItems))
-	for i := range changedItems {
-		itemList = append(itemList, i)
-	}
-	sort.Ints(itemList)
+	// The changed users sorted, so the cluster reassignment below visits
+	// them in one order whatever the map's iteration order. The changed
+	// items need no order and may repeat: GIS.Refresh reads them into a
+	// dense set.
 	userList := make([]int, 0, len(changedUsers))
 	for u := range changedUsers {
 		userList = append(userList, u)

@@ -108,7 +108,8 @@ func (m *Manager) OldestSnapshotSeq() uint64 { return m.oldestSnapSeq.Load() }
 // bootModel establishes the serving model: snapshot or bootstrap, then
 // WAL-tail replay grouped by the previous run's batch-commit records.
 //
-//cfsf:wallclock-ok boot duration recorded in BootStats only; replay regroups batches by journaled commit records, never by time
+// Clock reads: boot duration recorded in BootStats only; replay regroups batches by journaled commit records, never by time.
+//
 //cfsf:init-only runs from Open before the manager is returned or the run loop starts
 func (m *Manager) bootModel(bootstrap func() (*core.Model, error)) error {
 	points, err := listDurablePoints(m.cfg.DataDir)

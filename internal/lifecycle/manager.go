@@ -181,7 +181,7 @@ func (m *Manager) Submit(u core.RatingUpdate) (seq uint64, pending int, err erro
 // batch is all-or-nothing at the queue: if it would overflow
 // QueueCapacity, nothing is journaled and ErrQueueFull is returned.
 //
-//cfsf:wallclock-ok append latency feeds the wal_append_ms histogram only
+// Clock reads: append latency feeds the wal_append_ms histogram only.
 func (m *Manager) SubmitBatch(ups []core.RatingUpdate) (seqs []uint64, pending int, err error) {
 	if m.closing.Load() {
 		return nil, 0, ErrClosed
@@ -238,7 +238,7 @@ func (m *Manager) run() {
 	}
 
 	for {
-		//cfsf:select-ok only the run loop mutates state, and every apply is journaled with a batch-commit record before the next pick, so replay regroups identically whatever order cases fire
+		// Select order: only the run loop mutates state, and every apply is journaled with a batch-commit record before the next pick, so replay regroups identically whatever order cases fire.
 		select {
 		case <-m.abortc:
 			return
@@ -286,7 +286,7 @@ func (m *Manager) run() {
 // record is being folded: ratings journaled behind the record fold into
 // the retrained model, not before.
 //
-//cfsf:wallclock-ok apply latency feeds the apply_ms histogram only; batch boundaries come from the queue, not the clock
+// Clock reads: apply latency feeds the apply_ms histogram only; batch boundaries come from the queue, not the clock.
 func (m *Manager) applyPending() {
 	for !m.retraining.Load() {
 		m.rep.mu.Lock()
@@ -321,7 +321,7 @@ func (m *Manager) applyPending() {
 // boot replay and followers take. Only the run loop calls it, and it cuts
 // no batch until finishRetrain, so the fold finds the state it names.
 //
-//cfsf:wallclock-ok retrain duration feeds the retrain_ms histogram only
+// Clock reads: retrain duration feeds the retrain_ms histogram only.
 func (m *Manager) startRetrain() {
 	m.driftCount = 0
 	atSeq := m.AppliedSeq()

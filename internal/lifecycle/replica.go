@@ -87,7 +87,7 @@ func (r *replica) commit(covered uint64) []core.RatingUpdate {
 // lost the commits in between — is refused. So is a per-shard commit that
 // would cut a queued rating (commitQueue.refuseShardCommit).
 //
-//cfsf:wallclock-ok retrain duration feeds the log line only
+// Clock reads: retrain duration feeds the log line only.
 func (r *replica) feed(rec wal.Record) (queued, applied int, err error) {
 	switch rec.Type {
 	case wal.RecordRating:
@@ -239,7 +239,7 @@ func (f *Follower) Reset(mod *core.Model, seq uint64) {
 // already-ingested position (a reconnect overlap) are skipped. After an
 // error only a Reset from a newer bootstrap point continues the stream.
 //
-//cfsf:wallclock-ok arrival times feed the lag estimate only; apply grouping comes from journaled commit records
+// Clock reads: arrival times feed the lag estimate only; apply grouping comes from journaled commit records.
 func (f *Follower) Ingest(rec wal.Record) error {
 	if rec.Seq <= f.received.Load() {
 		return nil
@@ -274,7 +274,7 @@ func (f *Follower) QueueLen() int { return f.rep.pending() }
 // been waiting (zero with an empty queue) — the wall-clock component of
 // replication lag.
 //
-//cfsf:wallclock-ok lag estimate only; never feeds applied state
+// Clock reads: lag estimate only; never feeds applied state.
 func (f *Follower) OldestQueuedAge() time.Duration {
 	if f.rep.pending() == 0 {
 		return 0

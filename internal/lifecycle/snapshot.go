@@ -103,7 +103,7 @@ func listDurablePoints(dataDir string) ([]durablePoint, error) {
 // without touching disk; a non-empty queue never skips it, because the
 // served model is always a contiguous prefix of the log.
 //
-//cfsf:wallclock-ok snapshot duration feeds the snapshot_ms histogram only
+// Clock reads: snapshot duration feeds the snapshot_ms histogram only.
 func (m *Manager) Snapshot() (SnapshotInfo, error) {
 	m.snapMu.Lock()
 	defer m.snapMu.Unlock()

@@ -121,7 +121,7 @@ func (l *Leader) ServeWAL(w http.ResponseWriter, r *http.Request) {
 		if cur.NextSeq() <= last {
 			continue // appended while the chunk was in flight
 		}
-		//cfsf:select-ok read-only tail wait; which case fires never affects replayed state
+		// Select order: read-only tail wait; which case fires never affects replayed state.
 		select {
 		case <-sig:
 		case <-time.After(streamIdleWait):

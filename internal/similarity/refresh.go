@@ -1,6 +1,7 @@
 package similarity
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sync"
@@ -13,7 +14,9 @@ import (
 
 // Refresh returns a new GIS reflecting an updated matrix in which only
 // the listed items' rating columns changed (the paper's §VI future work:
-// "how it can keep GIS up-to-date"). An Eq. 5 weight depends on its two
+// "how it can keep GIS up-to-date"). changedItems is read as a set: its
+// order and repeats do not change the result, and ids outside the
+// catalogue are ignored. An Eq. 5 weight depends on its two
 // item columns alone, so every pair between unchanged items keeps its
 // weight to the bit, and instead of the full O(nnz · row) rebuild it
 //
@@ -378,7 +381,8 @@ type refreshScratch struct {
 // refreshScratchPool recycles Refresh's scratch across Refreshes, which
 // would otherwise allocate and zero 36 bytes a catalogue item per worker
 // chunk of steps 1 and 4 on every Apply. Each scratch is handed out to
-// exactly one worker chunk at a time, all zero when pooled.
+// exactly one worker chunk at a time, all zero when pooled; every Put goes
+// through putRefreshScratch.
 var refreshScratchPool = sync.Pool{
 	New: func() any { return new(refreshScratch) },
 }
@@ -394,11 +398,38 @@ func (sc *refreshScratch) ready(q int) {
 // putRefreshScratch returns sc to its pool, first dropping arrays that
 // outgrew a q-item catalogue by more than 2×, as core's putRecScratch
 // does, so a pooled scratch does not pin a larger model's catalogue.
+// Under the race detector it first checks that sc is all zero.
 func putRefreshScratch(sc *refreshScratch, q int) {
+	if raceEnabled {
+		sc.checkClean()
+	}
 	if len(sc.seen) > 2*q {
 		sc.cand, sc.seen = candidateScratch{}, nil
 	}
 	refreshScratchPool.Put(sc)
+}
+
+// checkClean panics, naming the first dirty cell, unless sc is all zero:
+// no pair sum in any cell, nothing recorded as touched, no seen mark. A
+// cell left dirty would leak into the next item one accumulates. It reads
+// only memory its worker owns, so it is left uninstrumented, as core's
+// colIndex.checkAtRest is.
+//
+//go:norace
+func (sc *refreshScratch) checkClean() {
+	for i, ps := range sc.cand.sums {
+		if ps != (pairSums{}) {
+			panic(fmt.Sprintf("refreshScratchPool: put with cand.sums[%d] = %+v, want zero", i, ps))
+		}
+	}
+	if n := len(sc.cand.touched); n > 0 {
+		panic(fmt.Sprintf("refreshScratchPool: put with %d cells recorded as touched, first %d, want none", n, sc.cand.touched[0]))
+	}
+	for i, v := range sc.seen {
+		if v != 0 {
+			panic(fmt.Sprintf("refreshScratchPool: put with seen[%d] = %d, want 0", i, v))
+		}
+	}
 }
 
 // selectList is a list selected from all of its item's candidates cand,

@@ -236,3 +236,38 @@ func TestRefreshScratchComesBackClean(t *testing.T) {
 		}
 	}
 }
+
+// TestRefreshReadsChangedItemsAsASet: Refresh on the changed items
+// shuffled and named more than once is bit for bit Refresh on them sorted
+// and once — every list, horizon and holder row, and the count of lists
+// selected again — so Apply may hand it the items in batch order.
+func TestRefreshReadsChangedItemsAsASet(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	m := tiedMatrix(rng, 40, 60, 0.35)
+	g := BuildGIS(m, GISOptions{Metric: PCC, TopN: 5, MinCoRatings: 2, Workers: 2})
+	for step := 0; step < 6; step++ {
+		var ups [][3]int
+		items := rng.Perm(m.NumItems())[:5]
+		for _, i := range items {
+			ups = append(ups, [3]int{rng.Intn(m.NumUsers()), i, 1 + rng.Intn(5)})
+		}
+		m = applyUpdates(m, ups)
+		sorted := slices.Clone(items)
+		slices.Sort(sorted)
+		batch := append(slices.Clone(items), items[3], items[0], items[3])
+		rng.Shuffle(len(batch), func(a, b int) { batch[a], batch[b] = batch[b], batch[a] })
+
+		want, got := g.Refresh(m, sorted, 5), g.Refresh(m, batch, 5)
+		ctx := fmt.Sprintf("step %d, items %v", step, batch)
+		requireSameGIS(t, want, got, ctx)
+		for i := range want.holders {
+			if !slices.Equal(got.holders[i], want.holders[i]) {
+				t.Fatalf("%s: item %d is held by %v, sorted %v", ctx, i, got.holders[i], want.holders[i])
+			}
+		}
+		if got.Reselected() != want.Reselected() {
+			t.Fatalf("%s: %d lists selected again, sorted %d", ctx, got.Reselected(), want.Reselected())
+		}
+		g = want
+	}
+}
