@@ -39,9 +39,13 @@ vet:
 # BenchmarkTrainLedger is the first-boot train; CI fences its
 # kmeans-sweeps and B/op. BenchmarkDrainFullQueue is the manager's drain
 # rule on a full default queue (4096 ratings, one Apply).
+# BenchmarkApplyTenfold is the single-rating Apply on a 5000×10000 synth:
+# a write that costs what it changes costs about what it does on the
+# ledger fixture.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkPredict$$|BenchmarkPredictColdCache|BenchmarkPredictLedger|BenchmarkRecommend' -benchmem ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkApplyLedger' -benchtime 200x -benchmem ./internal/core
+	$(GO) test -run '^$$' -bench 'BenchmarkApplyTenfold' -benchtime 200x -benchmem ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkTrainLedger' -benchtime 5x -benchmem ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkDrainFullQueue' -benchtime 5x -benchmem ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkDrainPrefix' -benchmem ./internal/lifecycle

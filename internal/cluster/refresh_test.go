@@ -193,3 +193,36 @@ func TestCentroidMeansMemoIsExact(t *testing.T) {
 		}
 	}
 }
+
+// TestRefreshUsersWithCellsMatchesReassign: told which cells the batch
+// wrote, RefreshUsers edits a staying user's centroid cells only at those
+// items, and still returns bit for bit what ReassignUsers does, through
+// batches that re-rate, add, move users and grow the matrix.
+func TestRefreshUsersWithCellsMatchesReassign(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for trial := 0; trial < 40; trial++ {
+		m := randMatrix(rng, 25, 15, 180)
+		res, err := run(t, m, Options{K: 4, Seed: int64(trial)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for step := 0; step < 5; step++ {
+			ups := make([]ratings.Upsert, 1+rng.Intn(4))
+			for k := range ups {
+				ups[k] = ratings.Upsert{User: rng.Intn(m.NumUsers() + 1), Item: rng.Intn(m.NumItems() + 1), Value: float64(rng.Intn(9)+1) / 2}
+			}
+			m2, err := m.Upserted(ups)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var list []int
+			for _, up := range ups {
+				list = append(list, up.User)
+			}
+			want := res.ReassignUsers(m2, list)
+			got, _ := res.RefreshUsers(m2, list, ups...)
+			requireSameResult(t, want, got)
+			m, res = m2, got
+		}
+	}
+}

@@ -12,20 +12,23 @@ import (
 // write path every serving role (leader, boot replay, follower,
 // standalone server) takes. The receiver is untouched and stays valid.
 // The result is bit-for-bit the model WithUpdates returns — every
-// floating-point aggregate included — but Apply rebuilds only the
-// structures a batch can actually invalidate:
+// floating-point aggregate included — but each pass reads and writes only
+// what the batch changed, sharing the rest with the receiver:
 //
-//   - changed users' matrix rows and changed items' columns (the rest of
-//     the immutable matrix is shared, not re-sorted);
-//   - GIS neighbour lists of the changed items, and of the lists their
-//     new weights enter or leave (same Refresh call the monolithic path
-//     makes);
-//   - cluster statistics of the affected shards (each changed user's old
-//     and new cluster);
-//   - smoothing deviations of the affected shards plus the global
-//     deviations of every item in a changed user's row (a new rating
-//     moves the user's mean, which shifts the whole row's centred
-//     values).
+//   - the changed users' matrix rows and the changed items' columns
+//     (ratings.Upserted; the global mean comes from the per-user sums);
+//   - the changed items' GIS lists, selected again from their candidates,
+//     and the lists that hold a changed item or gain one;
+//   - in the clusters a changed user sat in or joins, the centroid cells
+//     of the items that user's row holds or the batch wrote;
+//   - the Eq. 8 deviations and fill-memo columns of every item in a
+//     changed user's row (a new rating moves the user's mean, which
+//     shifts the whole row's centred values), in those clusters and
+//     globally.
+//
+// Besides those, an Apply copies its per-user and per-item slice headers.
+// Only the GIS selection of the changed items fans out over
+// Config.Workers; every other pass runs on the calling goroutine.
 //
 // No per-user cluster ranking is kept: the like-minded selection ranks
 // a user's clusters on the cache miss that reads them (gatherCandidates).
@@ -73,24 +76,28 @@ func (mod *Model) Apply(updates []RatingUpdate) (*Model, error) {
 	t := time.Now()
 	out.gis = mod.gis.Refresh(m, itemList, mod.cfg.M)
 	out.stats.GISDuration = time.Since(t)
-	out.stats.GISNeighbors = out.gis.TotalNeighbors()
+	out.stats.GISNeighbors = mod.stats.GISNeighbors + out.gis.NeighborDelta()
 	out.stats.GISReselected = mod.stats.GISReselected + out.gis.Reselected()
 
 	t = time.Now()
-	cl, affected := mod.clusters.RefreshUsers(m, userList)
+	cl, affected := mod.clusters.RefreshUsers(m, userList, ups...)
 	out.clusters = cl
 	out.stats.ClusterDuration = time.Since(t)
 	out.stats.ClusterIters = 0 // no K-means pass ran
 
-	affItems := map[int]bool{}
-	for u := range changedUsers {
+	n := 0
+	for _, u := range userList {
+		n += len(m.UserRatings(u))
+	}
+	affItems := make(map[int]bool, n)
+	for _, u := range userList {
 		for _, e := range m.UserRatings(u) {
 			affItems[int(e.Index)] = true
 		}
 	}
 
 	t = time.Now()
-	out.sm = mod.sm.Refresh(m, cl, affected, affItems, mod.cfg.Workers)
+	out.sm = mod.sm.Refresh(m, cl, affected, affItems)
 	out.stats.SmoothDuration = time.Since(t)
 
 	out.neighborCache = make([]atomic.Pointer[[]likeMinded], m.NumUsers())

@@ -261,37 +261,38 @@ func (x *colIndex) take(s int) float64 {
 // cellRule is the local-matrix cell rule of one row owner, the one every
 // read kernel and Explain apply: an observed rating is the cell, with the
 // Eq. 11 weight ε; an unobserved cell is the owner's Eq. 7 fill — mean
-// plus the fill memo's addend, or the plain mean where the memo holds
-// NaN — with weight 1−ε; under DisableSmoothing it is no cell at all.
+// plus the fill rows' addend, or the plain mean where they have none —
+// with weight 1−ε; under DisableSmoothing it is no cell at all.
 type cellRule struct {
-	fill  []float64 // the owner's fill-memo row; nil under DisableSmoothing
-	mean  float64   // the owner's mean
-	eps   float64   // ε, an observed cell's weight
-	wFill float64   // 1−ε, a fill's weight
+	memo  [][]float64 // the fill memo, memo[item][cluster]; nil under DisableSmoothing
+	cl    int         // the owner's cluster
+	mean  float64     // the owner's mean
+	eps   float64     // ε, an observed cell's weight
+	wFill float64     // 1−ε, a fill's weight
 }
 
 // cellsOf returns user u's cell rule.
 func (mod *Model) cellsOf(u int) cellRule {
 	c := cellRule{mean: mod.m.UserMean(u), eps: mod.cfg.OriginalWeight, wFill: 1 - mod.cfg.OriginalWeight}
 	if !mod.cfg.DisableSmoothing {
-		c.fill = mod.sm.FillRow(u)
+		c.memo, c.cl = mod.sm.Memo(), mod.sm.Cluster(u)
 	}
 	return c
 }
 
 // at returns the cell at column col, where obs is the owner's scattered
 // rating there: its value r, its Eq. 11 weight, and whether it is a cell.
-// mean + fill is bit-identical to smoothing.Fill, which adds the same
-// two operands.
+// mean + memo cell is bit-identical to smoothing.Fill, which adds the
+// same two operands.
 func (c *cellRule) at(obs float64, col int32) (r, w11 float64, ok bool) {
 	if obs == obs {
 		return obs, c.eps, true
 	}
-	if c.fill == nil {
+	if c.memo == nil {
 		return 0, 0, false
 	}
 	r = c.mean
-	if f := c.fill[col]; f == f {
+	if f := c.memo[col][c.cl]; f == f {
 		r = c.mean + f
 	}
 	return r, c.wFill, true
@@ -567,7 +568,7 @@ func (a *activeIndex) unindex() {
 func (a *activeIndex) sim(cand int) float64 {
 	a.x.scatter(a.mod.m.UserRatings(cand))
 	c := a.mod.cellsOf(cand)
-	sparse := c.fill == nil
+	sparse := c.memo == nil
 	denA := a.denA
 	if sparse {
 		denA = 0

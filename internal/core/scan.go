@@ -1,12 +1,14 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"time"
 
 	"cfsf/internal/mathx"
 	"cfsf/internal/parallel"
+	"cfsf/internal/ratings"
 )
 
 // Scan kernel: "score many items for one user". Across such a scan the
@@ -75,7 +77,7 @@ func (mod *Model) beginScan(user, n int, sc *recScratch) userScan {
 			sc.tile = make([]localCell, need)
 		}
 		s.tile = sc.tile[:tileCells(len(s.users), s.q)]
-		parallel.For(len(s.users)+1, mod.cfg.Workers, s.fillTileRow)
+		parallel.ForChunked(s.q, mod.cfg.Workers, s.fillTile)
 	}
 	return s
 }
@@ -109,32 +111,38 @@ func (mod *Model) scoreCandidates(user int, cands []mathx.Scored, sc *recScratch
 	endScan(start, len(cands), len(cands))
 }
 
-// fillTileRow materialises tile row n: every cell starts as the row
-// owner's Eq. 7 fill (or absent under DisableSmoothing) and the owner's
-// observed ratings then overwrite theirs.
-func (s *userScan) fillTileRow(n int) {
+// fillTile materialises the tile's columns lo..hi−1 in every row: each
+// cell starts as its row owner's Eq. 7 fill (or absent under
+// DisableSmoothing) and the owner's observed ratings then overwrite
+// theirs. The fill memo is item-major, so the range's memo columns are
+// read once and stay hot for every row.
+func (s *userScan) fillTile(lo, hi int) {
 	mod := s.mod
-	u := s.user
-	if n < len(s.users) {
-		u = int(s.users[n].user)
-	}
-	cells := s.tile[n*s.q : (n+1)*s.q]
 	eps := mod.cfg.OriginalWeight
-	if mod.cfg.DisableSmoothing {
-		clear(cells)
-	} else {
-		um := mod.m.UserMean(u)
-		wSm := 1 - eps
-		for i, f := range mod.sm.FillRow(u)[:len(cells)] {
-			r := um
-			if f == f {
-				r = um + f
-			}
-			cells[i] = localCell{val: r, w: wSm}
+	memo := mod.sm.Memo()[lo:hi]
+	for n := 0; n <= len(s.users); n++ {
+		u := s.user
+		if n < len(s.users) {
+			u = int(s.users[n].user)
 		}
-	}
-	for _, e := range mod.m.UserRatings(u) {
-		cells[e.Index] = localCell{val: e.Value, w: eps}
+		cells := s.tile[n*s.q+lo : n*s.q+hi]
+		if mod.cfg.DisableSmoothing {
+			clear(cells)
+		} else {
+			um, c, wSm := mod.m.UserMean(u), mod.sm.Cluster(u), 1-eps
+			for x, col := range memo {
+				r := um
+				if f := col[c]; f == f {
+					r = um + f
+				}
+				cells[x] = localCell{val: r, w: wSm}
+			}
+		}
+		row := mod.m.UserRatings(u)
+		j, _ := slices.BinarySearchFunc(row, int32(lo), func(e ratings.Entry, i int32) int { return cmp.Compare(e.Index, i) })
+		for ; j < len(row) && int(row[j].Index) < hi; j++ {
+			cells[int(row[j].Index)-lo] = localCell{val: row[j].Value, w: eps}
+		}
 	}
 }
 

@@ -206,6 +206,32 @@ func BenchmarkApplyLedger(b *testing.B) {
 	}
 }
 
+// BenchmarkApplyTenfold is BenchmarkApplyLedger/single on a catalogue
+// ten times the ledger's both ways: synth.DefaultConfig at 5 000 users ×
+// 10 000 items, generated and trained outside the timer, fed the same
+// Zipf stream. A write that costs what it changes costs about as much
+// here as on the ledger; a pass linear in the catalogue costs ten times
+// as much.
+func BenchmarkApplyTenfold(b *testing.B) {
+	cfg := synth.DefaultConfig()
+	cfg.Users, cfg.Items = 5000, 10000
+	cur, err := Train(synth.MustGenerate(cfg).Matrix, DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	next := ledgerStream(cfg.Users, cfg.Items)
+	batch := make([]RatingUpdate, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		batch[0] = next()
+		if cur, err = cur.Apply(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(1000*float64(cur.Stats().GISReselected)/float64(b.N), "reselected/1k-applies")
+}
+
 // BenchmarkApplyLedgerInterleaved is BenchmarkApplyLedger/single as the
 // spawned server meets it under bench/'s mixed workload, where the reads
 // between two writes take the cache from the lists an Apply reads: before

@@ -190,6 +190,61 @@ func TestApplyIsTotal(t *testing.T) {
 	}
 }
 
+// TestApplySharesWhatItDoesNotChange: a single-rating Apply leaves every
+// cluster the rating's user neither sat in nor joined with the parent's
+// own centroid rows and member list, and every item outside the user's
+// row with the parent's own fill-memo column; and the GIS entry count it
+// carries forward from its edits is the one a count of every list gives,
+// along a chain that adds a user and an item.
+func TestApplySharesWhatItDoesNotChange(t *testing.T) {
+	mod, d := trainSmall(t)
+	rng := rand.New(rand.NewSource(57))
+	users, items := d.Matrix.NumUsers(), d.Matrix.NumItems()
+	for step := 0; step < 40; step++ {
+		up := randomUpdates(rng, users-1, items-1, 1)
+		switch step {
+		case 10:
+			up[0].User = mod.Matrix().NumUsers()
+		case 20:
+			up[0].Item = mod.Matrix().NumItems()
+		}
+		next, err := mod.Apply(up)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := next.Stats().GISNeighbors, next.GIS().TotalNeighbors(); got != want {
+			t.Fatalf("step %d: stats count %d GIS entries, the lists hold %d", step, got, want)
+		}
+		u := up[0].User
+		before, after := mod.Clusters(), next.Clusters()
+		for c := 0; c < after.K; c++ {
+			if (u < len(before.Assign) && before.Assign[u] == c) || after.Assign[u] == c {
+				continue
+			}
+			if len(before.Mean[c]) != len(after.Mean[c]) {
+				continue // the catalogue grew: the row is padded
+			}
+			if &before.Mean[c][0] != &after.Mean[c][0] || &before.Count[c][0] != &after.Count[c][0] {
+				t.Fatalf("step %d: cluster %d's centroid row was copied", step, c)
+			}
+			if len(before.Members[c]) > 0 && &before.Members[c][0] != &after.Members[c][0] {
+				t.Fatalf("step %d: cluster %d's member list was copied", step, c)
+			}
+		}
+		rated := map[int]bool{}
+		for _, e := range next.Matrix().UserRatings(u) {
+			rated[int(e.Index)] = true
+		}
+		was, now := mod.Smoother().Memo(), next.Smoother().Memo()
+		for i := range was {
+			if !rated[i] && &was[i][0] != &now[i][0] {
+				t.Fatalf("step %d: memo column %d, outside user %d's row, was copied", step, i, u)
+			}
+		}
+		mod = next
+	}
+}
+
 // TestTrainIsAFunctionOfMatrixAndConfig is the property a journaled
 // retrain leans on: whoever holds the ratings folded up to a watermark —
 // the live leader after a chain of incremental applies, a boot that

@@ -49,8 +49,8 @@ func BenchmarkApplyMicroBatch64(b *testing.B) {
 }
 
 // BenchmarkDrainPrefix measures the drain rule on a multi-shard burst:
-// the whole prefix folds in a single Apply whose rebuild passes
-// parallelise across the touched shards. Reports time per update.
+// the whole prefix folds in a single Apply, in which only the GIS
+// selection of the changed items' lists fans out. Reports time per update.
 func BenchmarkDrainPrefix(b *testing.B) {
 	base := newBaseModel(b)
 	ups := benchUpdates(64)

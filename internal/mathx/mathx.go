@@ -324,3 +324,17 @@ func ArgsortDesc(scores []float64) []int {
 func AlmostEqual(a, b, eps float64) bool {
 	return math.Abs(a-b) <= eps
 }
+
+// Resized returns a copy of s that is n ≥ len(s) long, zero past s's
+// values. At n == len(s) it is slices.Clone, which does not zero a fresh
+// array of a pointer-free type before copying into it: the copy-on-write
+// structures copy their per-user and per-item slices with it on every
+// write.
+func Resized[S ~[]E, E any](s S, n int) S {
+	if n == len(s) {
+		return slices.Clone(s)
+	}
+	out := make(S, n)
+	copy(out, s)
+	return out
+}

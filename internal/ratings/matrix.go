@@ -32,9 +32,10 @@ type Matrix struct {
 	rows [][]Entry // rows[u] = ratings of user u sorted by item id
 	cols [][]Entry // cols[i] = ratings of item i sorted by user id
 
+	userSum  []float64 // sum of each user's ratings in item order
 	userMean []float64 // mean rating per user (0 when the user rated nothing)
 	itemMean []float64 // mean rating per item (0 when the item has no ratings)
-	global   float64   // mean over all ratings
+	global   float64   // mean over all ratings: userSum summed in user order, over nnz
 	nnz      int
 
 	// rowTimes, when non-nil, aligns a unix timestamp with every entry
@@ -209,6 +210,7 @@ func (b *Builder) Build() *Matrix {
 		numItems:  b.numItems,
 		rows:      make([][]Entry, b.numUsers),
 		cols:      make([][]Entry, b.numItems),
+		userSum:   make([]float64, b.numUsers),
 		userMean:  make([]float64, b.numUsers),
 		itemMean:  make([]float64, b.numItems),
 		nnz:       len(ts),
@@ -236,21 +238,18 @@ func (b *Builder) Build() *Matrix {
 		off += colLen[i]
 	}
 
-	var total float64
-	userSum := make([]float64, b.numUsers)
 	itemSum := make([]float64, b.numItems)
 	for _, t := range ts {
 		m.rows[t.user] = append(m.rows[t.user], Entry{t.item, t.value})
 		m.cols[t.item] = append(m.cols[t.item], Entry{t.user, t.value})
-		userSum[t.user] += t.value
+		m.userSum[t.user] += t.value
 		itemSum[t.item] += t.value
-		total += t.value
 	}
 	// Rows were filled in (user, item) order so they are sorted; columns
 	// were filled in user order per item (ts is user-major), also sorted.
 	for u := 0; u < b.numUsers; u++ {
 		if n := len(m.rows[u]); n > 0 {
-			m.userMean[u] = userSum[u] / float64(n)
+			m.userMean[u] = m.userSum[u] / float64(n)
 		}
 	}
 	for i := 0; i < b.numItems; i++ {
@@ -258,9 +257,7 @@ func (b *Builder) Build() *Matrix {
 			m.itemMean[i] = itemSum[i] / float64(n)
 		}
 	}
-	if len(ts) > 0 {
-		m.global = total / float64(len(ts))
-	}
+	m.global = globalMean(m.userSum, m.nnz)
 	if b.anyTimes {
 		m.rowTimes = make([][]int64, b.numUsers)
 		timeBack := make([]int64, len(ts))
@@ -275,6 +272,22 @@ func (b *Builder) Build() *Matrix {
 		}
 	}
 	return m
+}
+
+// globalMean is the mean over all ratings as Build and Upserted both
+// define it: the per-user sums added in user order, over nnz. Upserted
+// keeps every unchanged user's sum, so it gets the mean without reading
+// a rating. On integer or half-star ratings every partial sum is exact,
+// so any order gives the same bits.
+func globalMean(userSum []float64, nnz int) float64 {
+	if nnz == 0 {
+		return 0
+	}
+	var total float64
+	for _, s := range userSum {
+		total += s
+	}
+	return total / float64(nnz)
 }
 
 // sorted returns a copy of the recorded triples ordered by (user, item),

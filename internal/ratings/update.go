@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"cfsf/internal/mathx"
 )
 
 // Incremental matrix rebuild. Matrix is immutable, so "updating" it means
@@ -15,10 +17,12 @@ import (
 // the updates through a fresh Builder: unchanged rows and columns are
 // shared (their values are identical by construction), changed rows and
 // columns are rebuilt by sorted merge, and every floating-point aggregate
-// (user means, item means, the global mean) is re-accumulated in exactly
-// the iteration order Builder.Build uses, so downstream consumers that
-// require exact reproducibility (the sharded/unsharded parity contract in
-// internal/core) see no difference.
+// (user sums and means, item means, the global mean) is re-accumulated in
+// exactly the iteration order Builder.Build uses, so downstream consumers
+// that require exact reproducibility (the sharded/unsharded parity
+// contract in internal/core) see no difference. What Upserted reads and
+// writes is the changed rows and columns and the per-user and per-item
+// header slices, never an unchanged rating.
 
 // Upsert is one cell change for Matrix.Upserted: set (User, Item) to
 // Value, growing the matrix when the ids lie past the current bounds.
@@ -84,20 +88,17 @@ func (m *Matrix) Upserted(ups []Upsert) (*Matrix, error) {
 	out := &Matrix{
 		numUsers:  numUsers,
 		numItems:  numItems,
-		rows:      make([][]Entry, numUsers),
-		cols:      make([][]Entry, numItems),
-		userMean:  make([]float64, numUsers),
-		itemMean:  make([]float64, numItems),
+		rows:      mathx.Resized(m.rows, numUsers),
+		cols:      mathx.Resized(m.cols, numItems),
+		userSum:   mathx.Resized(m.userSum, numUsers),
+		userMean:  mathx.Resized(m.userMean, numUsers),
+		itemMean:  mathx.Resized(m.itemMean, numItems),
+		nnz:       m.nnz,
 		minRating: m.minRating,
 		maxRating: m.maxRating,
 	}
-	copy(out.rows, m.rows)
-	copy(out.userMean, m.userMean)
-	copy(out.cols, m.cols)
-	copy(out.itemMean, m.itemMean)
 	if hasTimes {
-		out.rowTimes = make([][]int64, numUsers)
-		copy(out.rowTimes, oldTimes)
+		out.rowTimes = mathx.Resized(oldTimes, numUsers)
 	}
 
 	// Rebuild changed rows by sorted merge of the old row and the user's
@@ -120,7 +121,9 @@ func (m *Matrix) Upserted(ups []Upsert) (*Matrix, error) {
 		for _, e := range newRow {
 			sum += e.Value
 		}
+		out.userSum[u] = sum
 		out.userMean[u] = sum / float64(len(newRow))
+		out.nnz += len(newRow) - len(oldRow)
 	}
 
 	// Rebuild changed columns: upsert each changed user's final value for
@@ -154,24 +157,7 @@ func (m *Matrix) Upserted(ups []Upsert) (*Matrix, error) {
 		out.itemMean[i] = sum / float64(len(newCol))
 	}
 
-	// nnz and the global mean: re-accumulated over the full matrix in
-	// row-major order, the exact iteration order of Builder.Build. The
-	// O(nnz) pass is pure arithmetic over shared rows — no allocation, no
-	// sorting — and is what keeps the incremental global mean bit-equal
-	// to a full rebuild's.
-	var total float64
-	nnz := 0
-	for u := 0; u < numUsers; u++ {
-		row := out.rows[u]
-		nnz += len(row)
-		for _, e := range row {
-			total += e.Value
-		}
-	}
-	out.nnz = nnz
-	if nnz > 0 {
-		out.global = total / float64(nnz)
-	}
+	out.global = globalMean(out.userSum, out.nnz)
 	return out, nil
 }
 

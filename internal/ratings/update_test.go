@@ -229,3 +229,62 @@ func TestUpsertedEmptyBatch(t *testing.T) {
 		t.Fatalf("empty batch should return the same matrix (err=%v)", err)
 	}
 }
+
+// TestUpsertedGlobalMeanOnNonIntegerRatings: on ratings whose sums round
+// (arbitrary reals, not integers or half stars), Upserted's global mean
+// is still bit for bit a fresh Build's, through a chain of batches that
+// re-rate, add and grow: both sum the per-user sums in user order.
+func TestUpsertedGlobalMeanOnNonIntegerRatings(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	real := func() float64 { return 1 + 4*rng.Float64() }
+	b := NewBuilder(30, 20).SetScale(1, 5)
+	for k := 0; k < 250; k++ {
+		b.MustAdd(rng.Intn(30), rng.Intn(20), real())
+	}
+	m := b.Build()
+	for step := 0; step < 40; step++ {
+		ups := make([]Upsert, 1+rng.Intn(6))
+		for k := range ups {
+			ups[k] = Upsert{User: rng.Intn(m.NumUsers() + 1), Item: rng.Intn(m.NumItems() + 1), Value: real()}
+		}
+		want := fullRebuild(t, m, ups)
+		got, err := m.Upserted(ups)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(want.GlobalMean()) != math.Float64bits(got.GlobalMean()) {
+			t.Fatalf("step %d: global mean %v, a fresh Build's %v", step, got.GlobalMean(), want.GlobalMean())
+		}
+		m = got
+	}
+}
+
+// TestGlobalMeanKeepsRowMajorBits: on integer ratings the global mean,
+// the per-user sums added in user order, is bit for bit the entry-by-entry
+// row-major sum Build took before, in a fresh Build and after upserts.
+func TestGlobalMeanKeepsRowMajorBits(t *testing.T) {
+	rowMajor := func(m *Matrix) float64 {
+		var total float64
+		for u := 0; u < m.NumUsers(); u++ {
+			for _, e := range m.UserRatings(u) {
+				total += e.Value
+			}
+		}
+		return total / float64(m.NumRatings())
+	}
+	rng := rand.New(rand.NewSource(19))
+	b := NewBuilder(200, 150).SetScale(1, 5)
+	for k := 0; k < 6000; k++ {
+		b.MustAdd(rng.Intn(200), rng.Intn(150), float64(1+rng.Intn(5)))
+	}
+	m := b.Build()
+	for step := 0; step < 20; step++ {
+		if got, want := m.GlobalMean(), rowMajor(m); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("step %d: global mean %v, row-major sum gives %v", step, got, want)
+		}
+		var err error
+		if m, err = m.Upserted([]Upsert{{User: rng.Intn(201), Item: rng.Intn(151), Value: float64(1 + rng.Intn(5))}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"cfsf/internal/mathx"
 	"cfsf/internal/parallel"
@@ -40,205 +39,239 @@ import (
 // BuildGIS on m with g's options. TopN is the buffer that keeps
 // step 4 rare; it does not decide exactness.
 //
-// Steps 2 and 3 read only the lists the holder index names for a changed
+// Steps 2–4 read only the lists the holder index names for a changed
 // item and the lists that gain one; every other list is shared with g,
-// array, horizon and holder entries alike. The index is edited from what
-// the steps do (editHolders): a stripped item, a kept insertion and the
-// tail a cut turns away, and an id diff of the lists steps 1 and 4 select
-// again.
+// array, horizon and holder entries alike, and is not visited: it keeps
+// the invariant above, so step 4 has nothing to do there. The index is
+// edited from what the steps do (editHolders): a stripped item, a kept
+// insertion and the tail a cut turns away, and an id diff of the lists
+// steps 1 and 4 select again. Only step 1, the changed items' candidate
+// lists, fans out over opts.Workers; the rest is proportional to the
+// lists it edits and runs on the calling goroutine.
 func (g *GIS) Refresh(m *ratings.Matrix, changedItems []int, need int) *GIS {
 	opts := g.opts
-	// changed, held and symmetric are dense, index-by-item structures
-	// rather than maps: steps 2+3 below probe changed once per entry of
-	// every list they read, and at that volume map overhead dominates the
-	// whole refresh.
 	q := m.NumItems()
-	changed := make([]bool, q)
-	for _, i := range changedItems {
-		if i >= 0 && i < q {
-			changed[i] = true
-		}
-	}
 	if opts.TopN > 0 {
 		need = min(need, opts.TopN)
 	}
-	out := &GIS{neighbors: make([][]mathx.Scored, q), tau: make([]mathx.Scored, q), opts: opts}
+	out := &GIS{neighbors: mathx.Resized(g.neighbors, q), tau: mathx.Resized(g.tau, q), opts: opts}
 	var edits holderEdits
 
-	// Step 1: full candidate lists (untruncated) for changed items, so
-	// symmetric insertion in step 3 is not limited by TopN. Only the
-	// stored per-item list needs ranking; the symmetric pass consumes the
-	// full list in any order, so rankTop selects instead of sorting the
-	// whole candidate set.
+	// changed is a pooled dense set rather than a map: steps 2+3 below
+	// probe it once per entry of every list they read, and at that volume
+	// map overhead dominates the whole refresh. Its marks are cleared
+	// before the scratch goes back to the pool.
+	sc := refreshScratchPool.Get().(*refreshScratch)
+	sc.ready(q)
+	changed := sc.changed
 	changedIdx := make([]int32, 0, len(changedItems))
-	for i := int32(0); int(i) < q; i++ {
-		if changed[i] {
-			changedIdx = append(changedIdx, i)
+	for _, i := range changedItems {
+		if i >= 0 && i < q && !changed[i] {
+			changed[i] = true
+			changedIdx = append(changedIdx, int32(i))
 		}
 	}
+	slices.Sort(changedIdx)
 
-	lists := make([][]mathx.Scored, len(changedIdx))
+	// Step 1: the changed items' lists, each selected from its full
+	// candidate list, and in the same pass over that list the symmetric
+	// entries its new weights give unchanged lists: those that precede the
+	// list's horizon — the others are candidates the list does not hold,
+	// as before. The full list is not limited by TopN, so neither is
+	// symmetric insertion in step 3; it lives in the worker's scratch, and
+	// rankTop selects the stored list instead of sorting it.
+	type symmetric struct {
+		list  int32   // the unchanged list gaining the entry
+		score float64 // its weight to the changed item sym is indexed by
+	}
+	sym := make([][]symmetric, len(changedIdx))
 	parallel.ForChunked(len(changedIdx), opts.Workers, func(lo, hi int) {
-		sc := refreshScratchPool.Get().(*refreshScratch)
-		sc.ready(q)
+		wsc := refreshScratchPool.Get().(*refreshScratch)
+		wsc.ready(q)
 		var ed []uint64
 		for k := lo; k < hi; k++ {
-			i := int(changedIdx[k])
-			lists[k] = candidateList(m, i, opts, &sc.cand, nil)
-			out.neighbors[i], out.tau[i] = selectList(lists[k], opts.TopN)
-			ed = diffHolders(ed, sc.seen, int32(i), g.list(i), out.neighbors[i])
-		}
-		putRefreshScratch(sc, q)
-		edits.add(ed)
-	})
-
-	// Step 3 preparation: symmetric entries grouped by unchanged item,
-	// only those that precede the list's horizon — the others are
-	// candidates the list does not hold, as before. A counting pass sizes
-	// one slab, and each item's entries are a capped slice of it.
-	inserts := func(visit func(n int32, e mathx.Scored)) {
-		for k, i := range changedIdx {
-			for _, n := range lists[k] {
+			i := changedIdx[k]
+			full := candidateList(m, int(i), opts, &wsc.cand, wsc.full)
+			for _, n := range full {
 				if changed[n.Index] {
 					continue // changed↔changed pairs are already in both lists
 				}
 				if e := (mathx.Scored{Index: i, Score: n.Score}); mathx.Precedes(e, g.Horizon(int(n.Index))) {
-					visit(n.Index, e)
+					sym[k] = append(sym[k], symmetric{list: n.Index, score: n.Score})
 				}
 			}
+			out.neighbors[i], out.tau[i] = selectList(full, opts.TopN)
+			wsc.full = rest(full)
+			ed = diffHolders(ed, wsc.seen, i, g.list(int(i)), out.neighbors[i])
 		}
+		putRefreshScratch(wsc, q)
+		edits.add(ed)
+	})
+	delta := 0
+	for _, i := range changedIdx {
+		delta += len(out.neighbors[i]) - len(g.list(int(i)))
 	}
-	off := make([]int, q+1)
-	inserts(func(n int32, _ mathx.Scored) { off[n+1]++ })
-	for k := 0; k < q; k++ {
-		off[k+1] += off[k]
+
+	// The lists steps 2–4 edit, each once, in the order first met: those
+	// holding a changed item (the holder index names them; held counts the
+	// changed items a list holds) and those gaining a symmetric entry.
+	// slot[i] is list i's place in work plus one, marked here and cleared
+	// below. Lists are edited independently, so the order changes nothing.
+	type edit struct {
+		list     int32
+		held     int32
+		lo, gain int32 // its symmetric entries: gains[lo : lo+gain]
 	}
-	slab := make([]mathx.Scored, off[q])
-	symmetric := make([][]mathx.Scored, q)
-	for k := range symmetric {
-		symmetric[k] = slab[off[k]:off[k]:off[k+1]]
+	bound := 0
+	for k, c := range changedIdx {
+		if int(c) < len(g.holders) {
+			bound += len(g.holders[c])
+		}
+		bound += len(sym[k])
 	}
-	inserts(func(n int32, e mathx.Scored) { symmetric[n] = append(symmetric[n], e) })
-	// held[i] is how many changed items list i holds: the lists steps 2+3
-	// read are those holding one and those with a symmetric entry.
-	held := make([]int32, q)
+	work := make([]edit, 0, bound)
+	slot := sc.slot
+	at := func(i int32) *edit {
+		if slot[i] == 0 {
+			work = append(work, edit{list: i})
+			slot[i] = int32(len(work))
+		}
+		return &work[slot[i]-1]
+	}
 	for _, c := range changedIdx {
 		if int(c) < len(g.holders) {
 			for _, i := range g.holders[c] {
-				held[i]++
+				if !changed[i] {
+					at(i).held++
+				}
 			}
 		}
 	}
+	// A counting sort by list makes each list's symmetric entries one run
+	// of gains.
+	total := 0
+	for _, ss := range sym {
+		for _, s := range ss {
+			at(s.list).gain++
+		}
+		total += len(ss)
+	}
+	off := int32(0)
+	for k := range work {
+		work[k].lo = off
+		off += work[k].gain
+	}
+	gains := make([]mathx.Scored, total)
+	fill := make([]int32, len(work))
+	for k, ss := range sym {
+		for _, s := range ss {
+			w := slot[s.list] - 1
+			gains[work[w].lo+fill[w]] = mathx.Scored{Index: changedIdx[k], Score: s.score}
+			fill[w]++
+		}
+	}
 
-	// Steps 2–4: edit the unchanged lists (parallel over items). A scan of
-	// a list holding changed items records where they sit in it, and stops
-	// at the last; a list holding none and gaining none is not read and
-	// shares its old backing array outright. Any other list gets one
-	// allocation sized for the merge: the survivors are block-copied
-	// around the recorded slots (which preserves sort order), and the
-	// symmetric insertions — few, and sorted here — are merged in from the
-	// back, moving only the survivors that rank below an insertion. The
-	// result is identical to a full sort because survivors and insertions
-	// are both ordered by the same strict total order (score desc, index
-	// asc) and hold disjoint item ids, so their merge has exactly one
-	// outcome.
-	var reselected atomic.Int64
-	parallel.ForChunked(q, opts.Workers, func(lo, hi int) {
-		var hits []int // positions of changed items in the current list
-		var sc *refreshScratch
-		var cand []mathx.Scored
-		var ed []uint64
-		for i := lo; i < hi; i++ {
-			if changed[i] {
-				continue
-			}
-			old, tau := g.list(i), g.Horizon(i)
-			ins := symmetric[i]
-			list, tail := old, []mathx.Scored(nil)
-			hits = hits[:0]
-			if n := int(held[i]); n > 0 {
-				for j, e := range old {
-					if changed[e.Index] {
-						if hits = append(hits, j); len(hits) == n {
-							break
-						}
+	// Steps 2–4: edit the lists that hold a changed item or gain one. A
+	// scan of a list holding changed items records where they sit in it,
+	// and stops at the last. An edited list gets one allocation sized for
+	// the merge: the survivors are block-copied around the recorded slots
+	// (which preserves sort order), and the symmetric insertions — few,
+	// and sorted here — are merged in from the back, moving only the
+	// survivors that rank below an insertion. The result is identical to a
+	// full sort because survivors and insertions are both ordered by the
+	// same strict total order (score desc, index asc) and hold disjoint
+	// item ids, so their merge has exactly one outcome.
+	var hits []int // positions of changed items in the current list
+	var ed []uint64
+	reselected := 0
+	for _, w := range work {
+		i, n := w.list, int(w.held)
+		slot[i] = 0
+		old, tau := g.list(int(i)), g.Horizon(int(i))
+		ins := gains[w.lo : w.lo+w.gain : w.lo+w.gain]
+		list, tail := old, []mathx.Scored(nil)
+		hits = hits[:0]
+		if n > 0 {
+			for j, e := range old {
+				if changed[e.Index] {
+					if hits = append(hits, j); len(hits) == n {
+						break
 					}
 				}
 			}
-			flen := len(old) - len(hits)
-			if len(ins) > 0 && opts.TopN > 0 && flen >= opts.TopN {
-				// The list is full: an insertion sorting at or below the
-				// last surviving entry cannot make the top-N cut (at
-				// least flen ≥ TopN entries precede it), so it is turned
-				// away here and the horizon rises to the best such — and
-				// in the common case (a re-rating nudges similarities far
-				// under every top-N cutoff) that empties ins and leaves
-				// the list shared.
-				j := len(old) - 1
-				for h := len(hits) - 1; h >= 0 && hits[h] == j; h-- {
-					j--
-				}
-				last := old[j]
-				kept := ins[:0]
-				for _, e := range ins {
-					switch {
-					case mathx.Precedes(e, last):
-						kept = append(kept, e)
-					case mathx.Precedes(e, tau):
-						tau = e
-					}
-				}
-				ins = kept
-			}
-			if len(hits) > 0 || len(ins) > 0 {
-				list = make([]mathx.Scored, flen+len(ins))
-				w, from := 0, 0
-				for _, at := range hits {
-					w += copy(list[w:], old[from:at])
-					from = at + 1
-				}
-				copy(list[w:], old[from:])
-				mathx.SortScoredDesc(ins)
-				for a, b := flen-1, len(ins)-1; b >= 0; {
-					if a >= 0 && mathx.Precedes(ins[b], list[a]) {
-						list[a+b+1] = list[a]
-						a--
-					} else {
-						list[a+b+1] = ins[b]
-						b--
-					}
-				}
-				if opts.TopN > 0 && len(list) > opts.TopN {
-					// What the cut turns away ranks before every insertion
-					// turned away above: those sorted after a full list's
-					// last entry.
-					tail = list[opts.TopN:]
-					list, tau = list[:opts.TopN], list[opts.TopN]
-				}
-			}
-			if len(list) < need && tau != (mathx.Scored{}) {
-				// Step 4: candidates the list never held may now belong
-				// in its served prefix.
-				if sc == nil {
-					sc = refreshScratchPool.Get().(*refreshScratch)
-					sc.ready(q)
-				}
-				cand = candidateList(m, i, opts, &sc.cand, cand[:0])
-				list, tau = selectList(cand, opts.TopN)
-				reselected.Add(1)
-				ed = diffHolders(ed, sc.seen, int32(i), old, list)
-			} else if len(hits) > 0 || len(ins) > 0 {
-				ed = editHolders(ed, int32(i), old, hits, ins, tail, changed)
-			}
-			out.neighbors[i], out.tau[i] = list, tau
 		}
-		if sc != nil {
-			putRefreshScratch(sc, q)
+		flen := len(old) - len(hits)
+		if len(ins) > 0 && opts.TopN > 0 && flen >= opts.TopN {
+			// The list is full: an insertion sorting at or below the
+			// last surviving entry cannot make the top-N cut (at least
+			// flen ≥ TopN entries precede it), so it is turned away here
+			// and the horizon rises to the best such — and in the common
+			// case (a re-rating nudges similarities far under every top-N
+			// cutoff) that empties ins and leaves the list shared.
+			j := len(old) - 1
+			for h := len(hits) - 1; h >= 0 && hits[h] == j; h-- {
+				j--
+			}
+			last := old[j]
+			kept := ins[:0]
+			for _, e := range ins {
+				switch {
+				case mathx.Precedes(e, last):
+					kept = append(kept, e)
+				case mathx.Precedes(e, tau):
+					tau = e
+				}
+			}
+			ins = kept
 		}
-		edits.add(ed)
-	})
+		if len(hits) > 0 || len(ins) > 0 {
+			list = make([]mathx.Scored, flen+len(ins))
+			w, from := 0, 0
+			for _, at := range hits {
+				w += copy(list[w:], old[from:at])
+				from = at + 1
+			}
+			copy(list[w:], old[from:])
+			mathx.SortScoredDesc(ins)
+			for a, b := flen-1, len(ins)-1; b >= 0; {
+				if a >= 0 && mathx.Precedes(ins[b], list[a]) {
+					list[a+b+1] = list[a]
+					a--
+				} else {
+					list[a+b+1] = ins[b]
+					b--
+				}
+			}
+			if opts.TopN > 0 && len(list) > opts.TopN {
+				// What the cut turns away ranks before every insertion
+				// turned away above: those sorted after a full list's
+				// last entry.
+				tail = list[opts.TopN:]
+				list, tau = list[:opts.TopN], list[opts.TopN]
+			}
+		}
+		if len(list) < need && tau != (mathx.Scored{}) {
+			// Step 4: candidates the list never held may now belong in
+			// its served prefix.
+			full := candidateList(m, int(i), opts, &sc.cand, sc.full)
+			list, tau = selectList(full, opts.TopN)
+			sc.full = rest(full)
+			reselected++
+			ed = diffHolders(ed, sc.seen, i, old, list)
+		} else if len(hits) > 0 || len(ins) > 0 {
+			ed = editHolders(ed, i, old, hits, ins, tail, changed)
+		}
+		delta += len(list) - len(old)
+		out.neighbors[i], out.tau[i] = list, tau
+	}
+	edits.add(ed)
+	for _, i := range changedIdx {
+		changed[i] = false
+	}
+	putRefreshScratch(sc, q)
 	out.holders = edits.apply(g.holders, q)
-	out.reselected = int(reselected.Load())
+	out.reselected = reselected
+	out.neighborDelta = delta
 	return out
 }
 
@@ -281,8 +314,7 @@ func (h *holderEdits) add(ed []uint64) {
 // edit is old's own array and a row with one a fresh array, and old stays
 // valid for the GIS that owns it.
 func (h *holderEdits) apply(old [][]int32, q int) [][]int32 {
-	holders := make([][]int32, q)
-	copy(holders, old)
+	holders := mathx.Resized(old, q)
 	all := slices.Concat(h.parts...)
 	slices.Sort(all)
 	for a := 0; a < len(all); {
@@ -369,18 +401,31 @@ func diffHolders(ed []uint64, seen []int32, i int32, old, now []mathx.Scored) []
 }
 
 // refreshScratch is one Refresh worker chunk's scratch: the Eq. 5
-// accumulation cells of candidateList and the seen marks of diffHolders,
-// Q cells each. Both are all zero between uses — drain re-zeroes the
-// cells it dirtied, diffHolders the ones it marked — so a pooled scratch
-// carries nothing from one item, or one Refresh, to the next.
+// accumulation cells of candidateList, the seen marks of diffHolders, and
+// the changed-item set and list slots of steps 2–4, Q cells each, and
+// full, the buffer an item's full candidate list is drained into. All are
+// zero between uses — drain re-zeroes the cells it dirtied, diffHolders
+// the ones it marked, Refresh the items and slots it marked, rest the
+// candidates — so a pooled scratch carries nothing from one item, or one
+// Refresh, to the next.
 type refreshScratch struct {
-	cand candidateScratch
-	seen []int32
+	cand    candidateScratch
+	seen    []int32
+	changed []bool
+	slot    []int32
+	full    []mathx.Scored
+}
+
+// rest zeroes a full candidate list once it is read and returns its
+// buffer, empty, for the next item.
+func rest(full []mathx.Scored) []mathx.Scored {
+	clear(full)
+	return full[:0]
 }
 
 // refreshScratchPool recycles Refresh's scratch across Refreshes, which
-// would otherwise allocate and zero 36 bytes a catalogue item per worker
-// chunk of steps 1 and 4 on every Apply. Each scratch is handed out to
+// would otherwise allocate and zero 41 bytes a catalogue item per worker
+// chunk of step 1, and for steps 2–4, on every Apply. Each scratch is handed out to
 // exactly one worker chunk at a time, all zero when pooled; every Put goes
 // through putRefreshScratch.
 var refreshScratchPool = sync.Pool{
@@ -392,6 +437,8 @@ func (sc *refreshScratch) ready(q int) {
 	if len(sc.seen) < q {
 		sc.cand = *newCandidateScratch(q)
 		sc.seen = make([]int32, q)
+		sc.changed = make([]bool, q)
+		sc.slot = make([]int32, q)
 	}
 }
 
@@ -404,13 +451,14 @@ func putRefreshScratch(sc *refreshScratch, q int) {
 		sc.checkClean()
 	}
 	if len(sc.seen) > 2*q {
-		sc.cand, sc.seen = candidateScratch{}, nil
+		sc.cand, sc.seen, sc.changed, sc.slot, sc.full = candidateScratch{}, nil, nil, nil, nil
 	}
 	refreshScratchPool.Put(sc)
 }
 
 // checkClean panics, naming the first dirty cell, unless sc is all zero:
-// no pair sum in any cell, nothing recorded as touched, no seen mark. A
+// no pair sum in any cell, nothing recorded as touched, no seen,
+// changed or slot mark, no candidate left in full. A
 // cell left dirty would leak into the next item one accumulates. It reads
 // only memory its worker owns, so it is left uninstrumented, as core's
 // colIndex.checkAtRest is.
@@ -428,6 +476,24 @@ func (sc *refreshScratch) checkClean() {
 	for i, v := range sc.seen {
 		if v != 0 {
 			panic(fmt.Sprintf("refreshScratchPool: put with seen[%d] = %d, want 0", i, v))
+		}
+	}
+	for i, v := range sc.changed {
+		if v {
+			panic(fmt.Sprintf("refreshScratchPool: put with changed[%d] set, want clear", i))
+		}
+	}
+	for i, v := range sc.slot {
+		if v != 0 {
+			panic(fmt.Sprintf("refreshScratchPool: put with slot[%d] = %d, want 0", i, v))
+		}
+	}
+	if len(sc.full) > 0 {
+		panic(fmt.Sprintf("refreshScratchPool: put with %d candidates in full, want none", len(sc.full)))
+	}
+	for i, e := range sc.full[:cap(sc.full)] {
+		if e != (mathx.Scored{}) {
+			panic(fmt.Sprintf("refreshScratchPool: put with full[%d] = %+v, want zero", i, e))
 		}
 	}
 }

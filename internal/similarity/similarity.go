@@ -178,8 +178,11 @@ type GIS struct {
 	holders   [][]int32
 	opts      GISOptions
 	// reselected counts the lists the Refresh that made this GIS selected
-	// again from their candidates; 0 for a GIS from any other constructor.
-	reselected int
+	// again from their candidates, and neighborDelta how many entries that
+	// Refresh added to all lists, less those it dropped; both are 0 for a
+	// GIS from any other constructor.
+	reselected    int
+	neighborDelta int
 }
 
 // Neighbors returns item i's neighbour list, sorted by descending
@@ -208,6 +211,12 @@ func (g *GIS) Options() GISOptions { return g.opts }
 // prefix it had to keep exact were left above the horizon. It is 0 for a
 // GIS that was built or loaded.
 func (g *GIS) Reselected() int { return g.reselected }
+
+// NeighborDelta returns TotalNeighbors of the GIS Refresh was called on
+// subtracted from g's: what an Apply adds to its receiver's count instead
+// of counting every list again. It is 0 for a GIS that was built or
+// loaded.
+func (g *GIS) NeighborDelta() int { return g.neighborDelta }
 
 // Sim returns the similarity between items a and b if b is among a's
 // retained neighbours.

@@ -96,13 +96,62 @@ func TestRefreshMatchesFullBuild(t *testing.T) {
 		}
 
 		wantSm := New(m2, cl2)
-		gotSm := sm.Refresh(m2, cl2, affected, affItems, 0)
+		gotSm := sm.Refresh(m2, cl2, affected, affItems)
 		requireSameSmoother(t, wantSm, gotSm, cl2.K, m2.NumItems())
 	}
 }
 
+// TestRefreshMemoMatchesFullBuild: the memo Refresh leaves is bit for bit
+// the one New builds, through chains of batches that re-rate, add users
+// and items, and leave item ids no rating names; a column no batch item
+// names is the previous Smoother's own.
+func TestRefreshMemoMatchesFullBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 20; trial++ {
+		m := randMatrix(rng, 24, 14, 170)
+		cl, err := cluster.Run(m, cluster.Options{K: 4, Seed: int64(trial)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sm := New(m, cl)
+		for step := 0; step < 6; step++ {
+			ups := make([]ratings.Upsert, 1+rng.Intn(4))
+			for k := range ups {
+				ups[k] = ratings.Upsert{User: rng.Intn(m.NumUsers() + 1), Item: rng.Intn(m.NumItems() + 2), Value: float64(rng.Intn(9)+1) / 2}
+			}
+			m2, err := m.Upserted(ups)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var users []int
+			affItems := map[int]bool{}
+			for _, up := range ups {
+				users = append(users, up.User)
+				for _, e := range m2.UserRatings(up.User) {
+					affItems[int(e.Index)] = true
+				}
+			}
+			cl2, affected := cl.RefreshUsers(m2, users, ups...)
+			got, want := sm.Refresh(m2, cl2, affected, affItems), New(m2, cl2)
+			requireSameSmoother(t, want, got, cl2.K, m2.NumItems())
+			for i := range want.memo {
+				for c := range want.memo[i] {
+					if math.Float64bits(want.memo[i][c]) != math.Float64bits(got.memo[i][c]) {
+						t.Fatalf("trial %d step %d: memo[%d][%d] = %v, New gives %v", trial, step, i, c, got.memo[i][c], want.memo[i][c])
+					}
+				}
+				if i < len(sm.memo) && !affItems[i] && &got.memo[i][0] != &sm.memo[i][0] {
+					t.Fatalf("trial %d step %d: memo column %d no batch item names was copied", trial, step, i)
+				}
+			}
+			m, cl, sm = m2, cl2, got
+		}
+	}
+}
+
 // TestRefreshSharesUntouchedClusters pins the structural-sharing contract:
-// a batch confined to one cluster must not copy the other clusters' rows.
+// a batch confined to one cluster must not copy the other clusters' rows,
+// even where the global deviations they fall back to move.
 func TestRefreshSharesUntouchedClusters(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	m := randMatrix(rng, 20, 10, 140)
@@ -111,26 +160,25 @@ func TestRefreshSharesUntouchedClusters(t *testing.T) {
 		t.Fatal(err)
 	}
 	sm := New(m, cl)
-	got := sm.Refresh(m, cl, map[int]bool{0: true}, map[int]bool{}, 0)
-	for c := 1; c < cl.K; c++ {
-		if &got.dev[c][0] != &sm.dev[c][0] {
-			t.Fatalf("cluster %d dev row was copied, expected shared", c)
-		}
-		if &got.fill[c][0] != &sm.fill[c][0] {
-			t.Fatalf("cluster %d fill row was copied, expected shared (no affected items)", c)
-		}
+	all := map[int]bool{}
+	for i := 0; i < m.NumItems(); i++ {
+		all[i] = true
 	}
-	if &got.dev[0][0] == &sm.dev[0][0] {
-		t.Fatal("affected cluster's dev row was shared, expected rebuilt")
+	got := sm.Refresh(m, cl, map[int]bool{0: true}, all)
+	for c := 1; c < cl.K; c++ {
+		if &got.fill[c][0] != &sm.fill[c][0] {
+			t.Fatalf("cluster %d deviation row was copied, expected shared", c)
+		}
 	}
 	if &got.fill[0][0] == &sm.fill[0][0] {
-		t.Fatal("affected cluster's fill row was shared, expected rebuilt")
+		t.Fatal("affected cluster's deviation row was shared, expected rebuilt")
 	}
 }
 
-// TestFillMemoMatchesFallbackChain pins the memo's contract: Fill must
-// return exactly what the original fallback chain (cluster deviation,
-// then global deviation, then plain user mean) computes, for every cell.
+// TestFillMemoMatchesFallbackChain pins the memo's contract: Fill and the
+// memo cell must give exactly what the original fallback chain (cluster
+// deviation, then global deviation, then plain user mean) computes, for
+// every cell.
 func TestFillMemoMatchesFallbackChain(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m := randMatrix(rng, 30, 20, 150)
@@ -152,13 +200,13 @@ func TestFillMemoMatchesFallbackChain(t *testing.T) {
 			if got := sm.Fill(u, i); got != want {
 				t.Fatalf("Fill(%d,%d) = %v, chain gives %v", u, i, got, want)
 			}
-			f := sm.FillRow(u)[i]
-			gotRow := um
+			f := sm.Memo()[i][c]
+			gotMemo := um
 			if f == f {
-				gotRow = um + f
+				gotMemo = um + f
 			}
-			if gotRow != want {
-				t.Fatalf("FillRow(%d)[%d] path = %v, chain gives %v", u, i, gotRow, want)
+			if gotMemo != want {
+				t.Fatalf("Memo()[%d][%d] path = %v, chain gives %v", i, c, gotMemo, want)
 			}
 		}
 	}

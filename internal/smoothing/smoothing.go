@@ -23,22 +23,27 @@ import (
 type Smoother struct {
 	m      *ratings.Matrix
 	assign []int
-	// dev[c][i] = Δr_{C,i} (Eq. 8): mean of (r_{u,i} − r̄_u) over cluster
-	// c's raters of item i.
-	dev [][]float64
-	// has[c][i] reports whether cluster c has any rater of item i.
-	has [][]bool
+	// fill[c][i] = Δr_{C,i} (Eq. 8), the mean of (r_{u,i} − r̄_u) over
+	// cluster c's raters of item i, and NaN where c has no rater of i:
+	// there Eq. 7's fallback chain goes on to the global deviation. NaN is
+	// safe as the sentinel because every deviation is finite by
+	// construction (a ratio of finite sums with a positive count). A row
+	// holds nothing but its own cluster's deviations, so a write that
+	// moves only the global deviations leaves it as it is.
+	fill [][]float64
 	// globalDev[i] is the deviation over all raters of i, the fallback
-	// when the user's own cluster never rated i.
+	// when the user's own cluster never rated i; hasGlobal[i] reports
+	// whether i has any rater.
 	globalDev []float64
 	hasGlobal []bool
-	// fill[c][i] memoises the additive part of Eq. 7's fallback chain for
-	// an unobserved cell: dev[c][i] when the cluster covers the item, else
-	// globalDev[i], else NaN (meaning "plain user mean"). The online phase
-	// reads whole rows of it (FillRow) instead of walking the chain per
-	// cell. NaN is safe as the sentinel because both deviations are
-	// finite by construction (ratios of finite sums with positive counts).
-	fill [][]float64
+	// memo[i][c] is the additive part of Eq. 7's fallback chain for an
+	// unobserved cell of item i and a user of cluster c: fill[c][i] where
+	// the cluster covers the item, else globalDev[i] where the item has a
+	// rater, else NaN (meaning "plain user mean"). It is item-major, so
+	// a write that moves item i's deviations replaces one column of K
+	// cells; a read takes a cell in two dependent loads, the column's
+	// header and then the cell.
+	memo [][]float64
 	k    int
 }
 
@@ -48,8 +53,7 @@ func New(m *ratings.Matrix, cl *cluster.Result) *Smoother {
 	s := &Smoother{
 		m:         m,
 		assign:    cl.Assign,
-		dev:       make([][]float64, k),
-		has:       make([][]bool, k),
+		fill:      make([][]float64, k),
 		globalDev: make([]float64, q),
 		hasGlobal: make([]bool, q),
 		k:         k,
@@ -59,8 +63,6 @@ func New(m *ratings.Matrix, cl *cluster.Result) *Smoother {
 	for c := 0; c < k; c++ {
 		sum[c] = make([]float64, q)
 		cnt[c] = make([]float64, q)
-		s.dev[c] = make([]float64, q)
-		s.has[c] = make([]bool, q)
 	}
 	gSum := make([]float64, q)
 	gCnt := make([]float64, q)
@@ -77,11 +79,9 @@ func New(m *ratings.Matrix, cl *cluster.Result) *Smoother {
 		}
 	}
 	for c := 0; c < k; c++ {
+		s.fill[c] = make([]float64, q)
 		for i := 0; i < q; i++ {
-			if cnt[c][i] > 0 {
-				s.dev[c][i] = sum[c][i] / cnt[c][i]
-				s.has[c][i] = true
-			}
+			s.fill[c][i] = deviation(sum[c][i], cnt[c][i])
 		}
 	}
 	for i := 0; i < q; i++ {
@@ -90,30 +90,40 @@ func New(m *ratings.Matrix, cl *cluster.Result) *Smoother {
 			s.hasGlobal[i] = true
 		}
 	}
-	s.fill = make([][]float64, k)
-	for c := 0; c < k; c++ {
-		s.fill[c] = s.fillRowFor(c)
+	s.memo = make([][]float64, q)
+	slab := make([]float64, q*k)
+	for i := range s.memo {
+		col := slab[i*k : (i+1)*k : (i+1)*k]
+		for c := range col {
+			col[c] = resolve(s.fill[c][i], deviation(gSum[i], gCnt[i]))
+		}
+		s.memo[i] = col
 	}
 	return s
 }
 
-// fillRowFor materialises cluster c's fill memo row from the already
-// computed deviations. The values are the exact addends Fill's fallback
-// chain would pick, so memoised fills are bit-identical to chained ones.
-func (s *Smoother) fillRowFor(c int) []float64 {
-	q := len(s.globalDev)
-	row := make([]float64, q)
-	for i := 0; i < q; i++ {
-		switch {
-		case s.has[c][i]:
-			row[i] = s.dev[c][i]
-		case s.hasGlobal[i]:
-			row[i] = s.globalDev[i]
-		default:
-			row[i] = math.NaN()
-		}
+// resolve is a memo cell: a cluster's deviation, or where the cluster has
+// none the global one.
+func resolve(own, global float64) float64 {
+	if own == own {
+		return own
 	}
-	return row
+	return global
+}
+
+// Memo returns the fill memo, memo[i][c]: what Eq. 7 adds to the mean of
+// a user of cluster c for an unobserved cell of item i, NaN meaning
+// "plain user mean". It is shared with the Smoother and must not be
+// modified.
+func (s *Smoother) Memo() [][]float64 { return s.memo }
+
+// deviation is an Eq. 8 deviation from its sum and rater count, NaN when
+// there is no rater.
+func deviation(sum, cnt float64) float64 {
+	if cnt > 0 {
+		return sum / cnt
+	}
+	return math.NaN()
 }
 
 // NumClusters returns the cluster count the smoother was built from.
@@ -142,22 +152,19 @@ func (s *Smoother) Rating(u, i int) (value float64, original bool) {
 // has already established that (u, i) is missing.
 func (s *Smoother) Fill(u, i int) float64 {
 	um := s.m.UserMean(u)
-	if f := s.fill[s.assign[u]][i]; f == f {
+	if f := s.memo[i][s.assign[u]]; f == f {
 		return um + f
 	}
 	return um
 }
 
-// FillRow returns the fill memo row of user u's cluster: FillRow(u)[i]
-// is the addend Fill(u, i) adds to the user mean, with NaN marking
-// cells where the fallback chain bottoms out at the plain user mean.
-// The row is shared with the Smoother and must not be modified.
-func (s *Smoother) FillRow(u int) []float64 { return s.fill[s.assign[u]] }
-
 // Deviation returns Δr_{C,i} (Eq. 8) for cluster c and item i, and
 // whether the cluster has any rater of i.
 func (s *Smoother) Deviation(c, i int) (float64, bool) {
-	return s.dev[c][i], s.has[c][i]
+	if d := s.fill[c][i]; d == d {
+		return d, true
+	}
+	return 0, false
 }
 
 // GlobalDeviation returns the all-raters deviation for item i and
@@ -201,11 +208,12 @@ func (s *Smoother) UserClusterSim(u, c int) float64 {
 	um := s.m.UserMean(u)
 	var sxy, sxx, syy float64
 	n := 0
+	row := s.fill[c]
 	for _, e := range s.m.UserRatings(u) {
-		if !s.has[c][e.Index] {
+		dx := row[e.Index]
+		if dx != dx {
 			continue
 		}
-		dx := s.dev[c][e.Index]
 		dy := e.Value - um
 		sxy += dx * dy
 		sxx += dx * dx
